@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race race-parallel race-cache test-noplanner test-nostats race-stats test-nocache test-nosegments race-segments test-faults race-recovery test-repl race-repl race-ingest soak-ingest soak-traffic figures-check plan-corpus bench bench-smoke bench-json bench-compare
+.PHONY: check fmt vet build test race race-parallel race-cache test-noplanner test-nostats race-stats test-nocache race-segments test-faults race-recovery test-repl race-repl race-ingest soak-ingest soak-traffic figures-check plan-corpus bench bench-smoke bench-json bench-compare
 
-check: fmt vet build race race-parallel race-cache test-noplanner test-nostats test-nocache test-nosegments race-segments test-faults test-repl figures-check plan-corpus
+check: fmt vet build race race-parallel race-cache test-noplanner test-nostats test-nocache race-segments test-faults test-repl figures-check plan-corpus
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -69,14 +69,6 @@ plan-corpus:
 # one process; this job exercises the whole suite on the uncached path.
 test-nocache:
 	TDB_CACHE_BYTES=0 $(GO) test ./...
-
-# Ablation run with columnar segments disabled: every store keeps its whole
-# history in the flat row tail and scans take the linear, zone-map-free
-# path. The segments differential tests force segments back on with
-# t.Setenv, so inside this job they still compare sealed vs flat; everything
-# else runs purely flat.
-test-nosegments:
-	TDB_DISABLE_SEGMENTS=1 $(GO) test ./...
 
 # The race detector with the seal threshold forced tiny and the parallel
 # executor pinned on: every relation of more than four rows seals into
@@ -169,16 +161,19 @@ bench-smoke:
 # committed JSON. Runs at the default GOMAXPROCS (benchjson strips the -N
 # name suffix, so a -cpu list would collide); the scaling curve is the
 # separate `-bench JoinParallel -cpu 1,2,4` run CI does and EXPERIMENTS.md
-# records. The 1M-version fixture behind AsOf1M/Overlap1M loads once and is
-# shared across arms, but still makes this a minutes-long target. -count=3
+# records. The 1M-version fixture behind AsOf1M/Overlap1M loads once for
+# both, but still makes this a minutes-long target. -count=3
 # repeats every benchmark and benchjson keeps each one's fastest
 # repetition: on shared machines single runs swing far past the compare
 # gate on interference alone, and the minimum is the closest estimate of
-# the code's cost.
+# the code's cost. Each PR that re-measures names its own file (make
+# bench-json BENCH_OUT=BENCH_PR<n>.json); bench-compare then picks the two
+# newest up by name.
+BENCH_OUT ?= BENCH_PR12.json
 bench-json:
 	$(GO) test -run '^$$' -benchmem -count=3 \
-		-bench 'BenchmarkJoinEquiSelective|BenchmarkJoinCrossSmall|BenchmarkWhenOverlapIndexed|BenchmarkEvalWhere|BenchmarkJoinParallel|BenchmarkJoinSkewed|BenchmarkPlanWithStats|BenchmarkAsOfCached|BenchmarkWindowAggregate|BenchmarkCoalesce|BenchmarkReplicaCatchup|BenchmarkReadFanout|BenchmarkAsOf1M|BenchmarkOverlap1M|BenchmarkSegmentSeal|BenchmarkIngestThroughput' \
-		./tquel ./server . | $(GO) run ./cmd/benchjson > BENCH_PR10.json
+		-bench 'BenchmarkJoinEquiSelective|BenchmarkJoinCrossSmall|BenchmarkWhenOverlapIndexed|BenchmarkEvalWhere|BenchmarkJoinParallel|BenchmarkJoinSkewed|BenchmarkPlanWithStats|BenchmarkAsOfCached|BenchmarkWindowAggregate|BenchmarkCoalesce|BenchmarkReplicaCatchup|BenchmarkReadFanout|BenchmarkAsOf1M|BenchmarkOverlap1M|BenchmarkAsOfDeepFewVisible|BenchmarkSegmentSeal|BenchmarkIngestThroughput' \
+		./tquel ./server . | $(GO) run ./cmd/benchjson > $(BENCH_OUT)
 
 # Guard against the committed baseline: exits non-zero when a shared
 # benchmark got more than 1.25x slower (CI runs this warn-only; see ci.yml).

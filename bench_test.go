@@ -6,8 +6,8 @@ package tdb_test
 //
 //   - A1: full-state copying vs tuple timestamping ("impractical, due to
 //     excessive duplication") — BenchmarkAblationCopyVsStamped*
-//   - A3: rollback cost vs history depth, with and without the interval
-//     index — BenchmarkAsOfDepth*, BenchmarkAblationIntervalIndex*
+//   - A3: rollback cost vs history depth — BenchmarkAsOfDepth*, and the
+//     deep-history/few-visible shape BenchmarkAsOfDeepFewVisible*
 //   - A4: query-language overhead — BenchmarkTQuelVsAPI*
 //
 // plus throughput baselines for every store kind. EXPERIMENTS.md records
@@ -135,8 +135,8 @@ func loadedRollback(b *testing.B, versions int) (*core.RollbackStore, []temporal
 }
 
 // BenchmarkAsOfDepth measures the rollback (as of) query as history
-// accumulates, through the interval index: cost tracks answer size, not
-// total history.
+// accumulates (A3's depth curve): the commit-order scan stops at the probe,
+// so a mid-history as-of reads the first half of the log whatever follows.
 func BenchmarkAsOfDepth(b *testing.B) {
 	for _, versions := range []int{8, 32, 128} {
 		s, commits := loadedRollback(b, versions)
@@ -149,26 +149,6 @@ func BenchmarkAsOfDepth(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAblationIntervalIndex compares the indexed stabbing query with
-// the linear scan it replaces, at fixed history depth.
-func BenchmarkAblationIntervalIndex(b *testing.B) {
-	s, commits := loadedRollback(b, 128)
-	probe := commits[len(commits)/2]
-	b.Run("indexed", func(b *testing.B) {
-		s.DisableIntervalIndex(false)
-		for i := 0; i < b.N; i++ {
-			s.AsOf(probe)
-		}
-	})
-	b.Run("linear", func(b *testing.B) {
-		s.DisableIntervalIndex(true)
-		for i := 0; i < b.N; i++ {
-			s.AsOf(probe)
-		}
-		b.Cleanup(func() { s.DisableIntervalIndex(false) })
-	})
 }
 
 // --- Store mutation throughput, one lane per taxonomy kind ---
@@ -424,20 +404,18 @@ func BenchmarkTracerOverhead(b *testing.B) {
 
 // --- Columnar segments: selective scans over a million-version history ---
 
-// seg1M lazily builds two temporal stores over the identical 1M-event
-// history: one sealing into columnar segments at the default threshold
-// (per-event transactions, so seals land on commit boundaries exactly as
-// they do under DB.Update), one pinned to the flat row log. Shared across
-// the 1M benchmarks because the load costs seconds.
+// seg1M lazily builds a temporal store over a 1M-event history, sealing
+// into columnar segments at the default threshold (per-event transactions,
+// so seals land on commit boundaries exactly as they do under DB.Update).
+// Shared across the 1M benchmarks because the load costs seconds.
 var seg1M struct {
 	once    sync.Once
-	seg     *core.TemporalStore
-	flat    *core.TemporalStore
+	s       *core.TemporalStore
 	commits []temporal.Chronon
 	err     error
 }
 
-func loadSeg1M(b *testing.B) (seg, flat *core.TemporalStore, commits []temporal.Chronon) {
+func loadSeg1M(b *testing.B) (*core.TemporalStore, []temporal.Chronon) {
 	b.Helper()
 	seg1M.once.Do(func() {
 		cfg := dataset.DefaultConfig()
@@ -450,100 +428,114 @@ func loadSeg1M(b *testing.B) (seg, flat *core.TemporalStore, commits []temporal.
 		// which caps as-of pruning at the probe's upper side.)
 		cfg.BoundedFraction = 0
 		events := dataset.History(cfg)
-		build := func(disable bool) (*core.TemporalStore, error) {
-			s := core.NewTemporalStore(dataset.Schema())
-			s.DisableSegments(disable)
-			for _, e := range events {
-				s.BeginTxn()
-				var err error
-				if e.Assert {
-					err = s.Assert(e.Tuple(), e.Valid, e.Commit)
-				} else if err = s.Retract(e.Key(), e.Valid, e.Commit); err == core.ErrNoSuchTuple {
-					err = nil
-				}
-				if err != nil {
-					s.AbortTxn()
-					return nil, err
-				}
-				s.CommitTxn()
+		s := core.NewTemporalStore(dataset.Schema())
+		for _, e := range events {
+			s.BeginTxn()
+			var err error
+			if e.Assert {
+				err = s.Assert(e.Tuple(), e.Valid, e.Commit)
+			} else if err = s.Retract(e.Key(), e.Valid, e.Commit); err == core.ErrNoSuchTuple {
+				err = nil
 			}
-			return s, nil
+			if err != nil {
+				s.AbortTxn()
+				seg1M.err = err
+				return
+			}
+			s.CommitTxn()
 		}
-		if seg1M.seg, seg1M.err = build(false); seg1M.err != nil {
-			return
-		}
-		if seg1M.flat, seg1M.err = build(true); seg1M.err != nil {
-			return
-		}
-		if seg1M.seg.SegmentStats().Segments == 0 {
+		if s.SegmentStats().Segments == 0 {
 			seg1M.err = fmt.Errorf("1M fixture sealed no segments")
 			return
 		}
-		seg1M.commits = dataset.Commits(events)
+		seg1M.s, seg1M.commits = s, dataset.Commits(events)
 	})
 	if seg1M.err != nil {
 		b.Fatal(seg1M.err)
 	}
-	return seg1M.seg, seg1M.flat, seg1M.commits
-}
-
-// seg1MArms enumerates the four measured storage/index combinations. The
-// (index off, segments on) arm isolates zone-map pruning: the interval
-// index is bypassed and the scan leans on segment metadata alone.
-func seg1MArms(seg, flat *core.TemporalStore) []struct {
-	name string
-	s    *core.TemporalStore
-	idx  bool
-} {
-	return []struct {
-		name string
-		s    *core.TemporalStore
-		idx  bool
-	}{
-		{"flat", flat, false},
-		{"flat+index", flat, true},
-		{"segments", seg, false},
-		{"segments+index", seg, true},
-	}
+	return seg1M.s, seg1M.commits
 }
 
 // BenchmarkAsOf1M probes a rollback (as of) state 0.1% into a one-million
-// version history — the selective scan the segment metadata exists for.
-// The flat arm walks every version; the segments arm stops at the upper
-// commit-order cut (binary search within the one segment containing the
-// probe) without touching the other 99.9%. The early probe also keeps the
-// answer set (~1k versions) small enough that per-op materialization cost
-// doesn't drown the scan being measured.
+// version history — the selective scan the segment metadata exists for: it
+// stops at the upper commit-order cut (binary search within the one segment
+// containing the probe) without touching the other 99.9%. The early probe
+// also keeps the answer set (~1k versions) small enough that per-op
+// materialization cost doesn't drown the scan being measured. The single
+// arm keeps the name it had beside the retired flat and interval-index arms,
+// so benchjson compare still lines it up with earlier BENCH_PR*.json files.
 func BenchmarkAsOf1M(b *testing.B) {
-	seg, flat, commits := loadSeg1M(b)
+	s, commits := loadSeg1M(b)
 	probe := commits[len(commits)/1000]
-	for _, arm := range seg1MArms(seg, flat) {
-		b.Run(arm.name, func(b *testing.B) {
-			arm.s.DisableIntervalIndex(!arm.idx)
-			defer arm.s.DisableIntervalIndex(false)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if len(arm.s.AsOf(probe)) == 0 {
-					b.Fatal("empty as-of state")
-				}
+	b.Run("segments", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if len(s.AsOf(probe)) == 0 {
+				b.Fatal("empty as-of state")
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkOverlap1M scans for versions whose transaction period overlaps
 // a narrow early window (as of E1 through E2) over the same history.
 func BenchmarkOverlap1M(b *testing.B) {
-	seg, flat, commits := loadSeg1M(b)
+	s, commits := loadSeg1M(b)
 	w := temporal.Interval{From: commits[len(commits)/1000], To: commits[len(commits)/1000+200]}
-	for _, arm := range seg1MArms(seg, flat) {
+	b.Run("segments", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if len(s.During(w)) == 0 {
+				b.Fatal("empty overlap window")
+			}
+		}
+	})
+}
+
+// BenchmarkAsOfDeepFewVisible tracks the one shape where dropping the
+// per-version interval tree costs something: a deep history (~500k
+// versions) of which almost nothing is visible (256 hot keys, each replaced
+// ~2000 times), with one never-updated straggler pinned in every segment.
+// The stragglers keep every segment's zone map open, so an as-of probe reads
+// the transaction-time columns of every segment up to the probe to find 317
+// rows — a bounded linear column scan where the tree answered in O(log n +
+// k). No benchmark workload or tdbgen mix has this shape; the number is kept
+// so the accepted cost stays visible (EXPERIMENTS.md, A3).
+func BenchmarkAsOfDeepFewVisible(b *testing.B) {
+	const hot, versions = 256, 500_000
+	s := core.NewRollbackStore(dataset.Schema())
+	at := temporal.Chronon(1000)
+	write := func(op func() error) { // one transaction, so seals land as under DB.Update
+		at++
+		s.BeginTxn()
+		if err := op(); err != nil {
+			s.AbortTxn()
+			b.Fatal(err)
+		}
+		s.CommitTxn()
+	}
+	fac := func(name string, v int) tdb.Tuple { return tdb.NewTuple(tdb.String(name), tdb.String(fmt.Sprint(v))) }
+	for i := 0; i < hot; i++ {
+		write(func() error { return s.Insert(fac(fmt.Sprintf("hot%03d", i), 0), at) })
+	}
+	for i := 0; s.VersionCount() < versions; i++ {
+		if s.VersionCount()%segment.DefaultSealRows == hot {
+			write(func() error { return s.Insert(fac(fmt.Sprintf("pin%06d", i), 0), at) })
+		}
+		name := fmt.Sprintf("hot%03d", i%hot)
+		write(func() error { return s.Replace(tdb.Key(tdb.String(name)), fac(name, i), at) })
+	}
+	segs := s.SegmentStats().Segments
+	for _, arm := range []struct {
+		name  string
+		probe temporal.Chronon
+		want  int // hot keys + one straggler per segment begun by the probe
+	}{
+		{"late", at, hot + segs + 1},
+		{"mid", 1000 + (at-1000)/2, hot + segs/2 + 1},
+	} {
 		b.Run(arm.name, func(b *testing.B) {
-			arm.s.DisableIntervalIndex(!arm.idx)
-			defer arm.s.DisableIntervalIndex(false)
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if len(arm.s.During(w)) == 0 {
-					b.Fatal("empty overlap window")
+				if n := len(s.AsOf(arm.probe)); n != arm.want {
+					b.Fatalf("as-of state has %d rows, want %d", n, arm.want)
 				}
 			}
 		})
@@ -570,7 +562,6 @@ func BenchmarkSegmentSeal(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lg := segment.NewLog(dataset.Schema())
-		lg.SetDisabled(false)
 		for _, r := range rows {
 			lg.Append(r)
 		}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"tdb/internal/core"
+	"tdb/internal/stats"
 	"tdb/internal/wal"
 	"tdb/temporal"
 )
@@ -196,7 +197,8 @@ func TestCheckpointCrashBeforeTruncate(t *testing.T) {
 	snap := wal.Snapshot{LastCommit: db.mgr.Clock().Last(), Epoch: db.epoch + 1, Records: db.log.Records()}
 	for _, name := range db.cat.Names() {
 		rel, _ := db.cat.Get(name)
-		rs := wal.RelationSnapshot{Name: name, Kind: rel.Kind(), Event: rel.Event(), Schema: rel.Schema()}
+		rs := wal.RelationSnapshot{Name: name, Kind: rel.Kind(), Event: rel.Event(), Schema: rel.Schema(),
+			Stats: stats.EncodeRel(db.stats[name])}
 		rel.Store().Versions(func(v Version) bool {
 			rs.Versions = append(rs.Versions, v)
 			return true
@@ -241,7 +243,8 @@ func TestCheckpointCrashAfterTruncate(t *testing.T) {
 	snap := wal.Snapshot{LastCommit: db.mgr.Clock().Last(), Epoch: db.epoch + 1, Records: records}
 	for _, name := range db.cat.Names() {
 		rel, _ := db.cat.Get(name)
-		rs := wal.RelationSnapshot{Name: name, Kind: rel.Kind(), Event: rel.Event(), Schema: rel.Schema()}
+		rs := wal.RelationSnapshot{Name: name, Kind: rel.Kind(), Event: rel.Event(), Schema: rel.Schema(),
+			Stats: stats.EncodeRel(db.stats[name])}
 		rel.Store().Versions(func(v Version) bool {
 			rs.Versions = append(rs.Versions, v)
 			return true
@@ -323,11 +326,95 @@ func buildSealedDB(t *testing.T, db *DB) {
 	}
 }
 
+// Stats (one call per /statz scrape) and VersionCount read the stores'
+// counters: over sealed history they must not materialize a single tuple —
+// the old Versions walk filled every segment's row cache for good — and must
+// still report what that walk counted.
+func TestStatsLeavesSegmentsUnmaterialized(t *testing.T) {
+	t.Setenv("TDB_SEGMENT_ROWS", "4")
+	path := filepath.Join(t.TempDir(), "tdb.wal")
+	db := reopen(t, path)
+	buildSealedDB(t, db)
+	for _, k := range []Kind{Static, Historical} { // the kinds without a log count too
+		if _, err := db.CreateRelation("r_"+k.String(), k, facultySchema(t)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Update(func(tx *Tx) error {
+		st, _ := tx.Rel("r_static")
+		if err := st.Insert(fac("S", "s")); err != nil {
+			return err
+		}
+		h, _ := tx.Rel("r_historical")
+		return h.Assert(fac("H", "h"), temporal.Date(1980, 1, 1), temporal.Date(1981, 1, 1))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// Reopen from a checkpoint so the segments come back with cold caches.
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+	db = reopen(t, path)
+
+	materialized := func() (n int) {
+		for _, name := range db.cat.Names() {
+			rel, _ := db.cat.Get(name)
+			if seg, ok := rel.Store().(core.Segmented); ok {
+				for _, g := range seg.Segments() {
+					n += g.Materialized()
+				}
+			}
+		}
+		return n
+	}
+	st := db.Stats()
+	counts := map[string]int{}
+	for _, name := range db.Relations() {
+		rel, _ := db.Relation(name)
+		counts[name] = rel.VersionCount()
+	}
+	if st.SealedRows == 0 {
+		t.Fatal("fixture sealed nothing")
+	}
+	if n := materialized(); n != 0 {
+		t.Fatalf("Stats/VersionCount materialized %d of %d sealed rows", n, st.SealedRows)
+	}
+
+	// The walk the counters replace.
+	var versions, current int
+	for _, name := range db.Relations() {
+		rel, _ := db.Relation(name)
+		vs := rel.Versions()
+		if counts[name] != len(vs) {
+			t.Errorf("%s: VersionCount = %d, walk finds %d", name, counts[name], len(vs))
+		}
+		versions += len(vs)
+		for _, v := range vs {
+			if v.Current() {
+				current++
+			}
+		}
+	}
+	if st.Versions != versions || st.CurrentVersions != current {
+		t.Fatalf("Stats counts (%d, %d current) differ from the walk (%d, %d current)",
+			st.Versions, st.CurrentVersions, versions, current)
+	}
+	if materialized() != st.SealedRows {
+		t.Fatal("the reference walk itself did not materialize; the probe is blind")
+	}
+}
+
 // A checkpoint of a segmented store ships sealed segments as columnar
-// blocks; recovery must reattach them and produce the same observable state,
-// and the flat-path ablation must recover those same blocks row-wise.
+// blocks; recovery must reattach them and produce the same observable state
+// the same history has when it never seals at all.
 func TestCheckpointSegmentedRoundTrip(t *testing.T) {
-	t.Setenv("TDB_DISABLE_SEGMENTS", "") // force segments on even in the ablation CI job
+	t.Setenv("TDB_SEGMENT_ROWS", "") // the default: these eleven versions stay in the tail
+	unsealed := memDB(t)
+	buildSealedDB(t, unsealed)
+	if n := segCount(t, unsealed, "r_temporal"); n != 0 {
+		t.Fatalf("default threshold sealed %d segments", n)
+	}
 	t.Setenv("TDB_SEGMENT_ROWS", "4")
 	path := filepath.Join(t.TempDir(), "tdb.wal")
 	db := reopen(t, path)
@@ -336,6 +423,9 @@ func TestCheckpointSegmentedRoundTrip(t *testing.T) {
 		t.Fatal("no sealed segments before checkpoint; threshold knob inert")
 	}
 	before := stateDigest(t, db)
+	if want := stateDigest(t, unsealed); !digestsEqual(want, before) {
+		t.Fatalf("sealing changed the observable state:\nunsealed %v\nsealed   %v", want, before)
+	}
 
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -371,18 +461,6 @@ func TestCheckpointSegmentedRoundTrip(t *testing.T) {
 		t.Fatal("post-restore writes lost after segmented recovery")
 	}
 	db3.Close()
-
-	// Flat-path ablation: the same v3 snapshot must restore row-wise when
-	// segments are disabled, with identical observable state.
-	t.Setenv("TDB_DISABLE_SEGMENTS", "1")
-	db4 := reopen(t, path)
-	if got := stateDigest(t, db4); !digestsEqual(before2, got) {
-		t.Fatal("segments-off recovery of a segmented snapshot differs")
-	}
-	if n := segCount(t, db4, "r_temporal"); n != 0 {
-		t.Fatalf("ablated recovery kept %d columnar segments", n)
-	}
-	db4.Close()
 }
 
 func TestCheckpointInMemoryFails(t *testing.T) {

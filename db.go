@@ -11,7 +11,6 @@ import (
 	"tdb/internal/config"
 	"tdb/internal/core"
 	"tdb/internal/qcache"
-	"tdb/internal/segment"
 	"tdb/internal/stats"
 	"tdb/internal/txn"
 	"tdb/internal/vfs"
@@ -231,8 +230,11 @@ func (db *DB) recover() error {
 		mRecoveryTorn.Inc()
 	}
 
+	// A primary that cannot be read — corrupt, or written in a retired
+	// format version — sends recovery to the fallback; any other read error
+	// is the environment's and surfaces as is.
 	snap, haveSnap, snapErr := wal.ReadSnapshot(db.fs, db.snapPath)
-	if snapErr != nil && !errors.Is(snapErr, wal.ErrSnapshotCorrupt) {
+	if snapErr != nil && !errors.Is(snapErr, wal.ErrSnapshotCorrupt) && !errors.Is(snapErr, wal.ErrSnapshotVersion) {
 		return snapErr
 	}
 
@@ -357,24 +359,9 @@ func (db *DB) restoreSnapshot(snap wal.Snapshot) error {
 			if !ok {
 				return fmt.Errorf("restoring %q: %v store cannot hold segments", rs.Name, rs.Kind)
 			}
-			if seg.SegmentsDisabled() {
-				// Flat-path ablation: materialize blocks row-wise so the
-				// restored store really is unsegmented, not just non-pruning.
-				var ferr error
-				for _, g := range rs.Segments {
-					g.Each(func(r segment.Row) bool {
-						ferr = seg.RestoreVersion(Version{Data: r.Data, Valid: r.Valid, Trans: r.Trans})
-						return ferr == nil
-					})
-					if ferr != nil {
-						return fmt.Errorf("restoring %q: %w", rs.Name, ferr)
-					}
-				}
-			} else {
-				for _, g := range rs.Segments {
-					if err := seg.RestoreSegment(g); err != nil {
-						return fmt.Errorf("restoring %q: %w", rs.Name, err)
-					}
+			for _, g := range rs.Segments {
+				if err := seg.RestoreSegment(g); err != nil {
+					return fmt.Errorf("restoring %q: %w", rs.Name, err)
 				}
 			}
 		}
@@ -462,7 +449,7 @@ func (db *DB) Checkpoint() error {
 			Schema:       rel.Schema(),
 			WriteVersion: rel.WriteVersion(),
 		}
-		if seg, ok := rel.Store().(core.Segmented); ok && !seg.SegmentsDisabled() {
+		if seg, ok := rel.Store().(core.Segmented); ok {
 			// Sealed segments ship as columnar blocks; only the unsealed
 			// tail is written row-wise. Segments are immutable (apart from
 			// transaction-time closures, serialized behind db.mu alongside
@@ -478,9 +465,7 @@ func (db *DB) Checkpoint() error {
 				return true
 			})
 		}
-		if e, ok := db.stats[name]; ok {
-			rs.Stats = stats.EncodeRel(e)
-		}
+		rs.Stats = stats.EncodeRel(db.statsEntry(name))
 		snap.Relations = append(snap.Relations, rs)
 	}
 	if err := db.installSnapshot(snap); err != nil {
@@ -662,7 +647,27 @@ type Stats struct {
 	TailRows   int
 }
 
-// Stats returns a snapshot of database-wide counters.
+// versionCounts returns a relation's total and current version counts from
+// what its store already keeps — log length and the current-version key
+// index — without visiting (and, on sealed segments, materializing) a single
+// tuple. Static and historical stores hold present belief only, so every
+// version they store is current.
+func versionCounts(rel *catalog.Relation) (total, current int) {
+	switch st := rel.Store().(type) {
+	case *core.RollbackStore:
+		return st.VersionCount(), st.CurrentCount()
+	case *core.TemporalStore:
+		return st.VersionCount(), st.CurrentCount()
+	case *core.HistoricalStore:
+		return st.VersionCount(), st.VersionCount()
+	case *core.StaticStore:
+		return st.Len(), st.Len()
+	}
+	return 0, 0
+}
+
+// Stats returns a snapshot of database-wide counters. It reads counters
+// only: a /statz scrape costs O(relations + segments), not O(versions).
 func (db *DB) Stats() Stats {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -681,13 +686,9 @@ func (db *DB) Stats() Stats {
 		if err != nil {
 			continue
 		}
-		rel.Store().Versions(func(v Version) bool {
-			s.Versions++
-			if v.Current() {
-				s.CurrentVersions++
-			}
-			return true
-		})
+		total, current := versionCounts(rel)
+		s.Versions += total
+		s.CurrentVersions += current
 		if seg, ok := rel.Store().(core.Segmented); ok {
 			st := seg.SegmentStats()
 			s.Segments += st.Segments

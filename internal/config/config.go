@@ -64,9 +64,7 @@ var (
 	EnvGroupCommitWait = register(Knob{Env: "TDB_GROUP_COMMIT_WAIT", Kind: "duration", Default: "0",
 		Doc: "Extra linger before a group-commit flush, widening the coalescing window."})
 
-	// Storage knobs, read at relation creation.
-	EnvDisableSegments = register(Knob{Env: "TDB_DISABLE_SEGMENTS", Kind: "bool", Default: "off",
-		Doc: "Keep append-only history in the flat row tail (columnar-segment ablation)."})
+	// Storage knob, read at relation creation.
 	EnvSegmentRows = register(Knob{Env: "TDB_SEGMENT_ROWS", Kind: "int", Default: "8192",
 		Doc: "Rows per sealed columnar segment."})
 )

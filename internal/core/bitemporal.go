@@ -22,18 +22,18 @@ import (
 // replacements; nothing committed is ever modified or removed, which the
 // property tests TestTemporalAppendOnly* verify.
 //
-// Storage is a segment.Log: committed history seals into immutable columnar
-// segments with zone maps (pruned scans), while recent versions stay in a
-// mutable row-format tail. Global positions are stable across seals, so the
-// key and interval indexes work unchanged.
+// Storage is a segment.Log, the store's only physical representation and
+// its only transaction-time access path: committed history seals into
+// immutable columnar segments with zone maps (pruned scans), while recent
+// versions stay in a mutable row-format tail. Every read returns versions in
+// commit order. Global positions are stable across seals, so the key index
+// works unchanged.
 type TemporalStore struct {
 	sch        *schema.Schema
 	event      bool
 	log        *segment.Log
 	byKey      index.Hash // key hash -> positions of *current* versions
-	byTrans    *index.IntervalTree
 	lastCommit temporal.Chronon
-	useIndex   bool
 	j          journal
 	verCounter
 }
@@ -43,9 +43,7 @@ func NewTemporalStore(sch *schema.Schema) *TemporalStore {
 	return &TemporalStore{
 		sch:        sch,
 		log:        segment.NewLog(sch),
-		byTrans:    index.NewIntervalTree(),
 		lastCommit: temporal.Beginning,
-		useIndex:   true,
 	}
 }
 
@@ -56,21 +54,6 @@ func NewTemporalEventStore(sch *schema.Schema) *TemporalStore {
 	s.event = true
 	return s
 }
-
-// DisableIntervalIndex switches AsOf to a linear scan for the ablation
-// benchmarks; the index is still maintained. With segments enabled the
-// "linear" scan is the zone-mapped segment scan — the (index off, segments
-// on) arm measures zone maps alone.
-func (s *TemporalStore) DisableIntervalIndex(disabled bool) { s.useIndex = !disabled }
-
-// DisableSegments switches tail sealing off (the flat-path ablation).
-func (s *TemporalStore) DisableSegments(disabled bool) { s.log.SetDisabled(disabled) }
-
-// SegmentsDisabled reports whether the flat path is active.
-func (s *TemporalStore) SegmentsDisabled() bool { return s.log.Disabled() }
-
-// SetSegmentRows overrides the tail size that triggers a seal at commit.
-func (s *TemporalStore) SetSegmentRows(n int) { s.log.SetSealRows(n) }
 
 // SegmentStats summarizes the store's segmentation.
 func (s *TemporalStore) SegmentStats() segment.Stats { return s.log.Stats() }
@@ -114,6 +97,9 @@ func (s *TemporalStore) Event() bool { return s.event }
 // VersionCount returns the total number of stored versions, current and
 // superseded.
 func (s *TemporalStore) VersionCount() int { return s.log.Len() }
+
+// CurrentCount returns the number of versions in current belief.
+func (s *TemporalStore) CurrentCount() int { return s.byKey.Len() }
 
 // LastCommit returns the latest commit chronon applied.
 func (s *TemporalStore) LastCommit() temporal.Chronon { return s.lastCommit }
@@ -235,31 +221,20 @@ func (s *TemporalStore) supersede(key tuple.Tuple, valid temporal.Interval, at t
 // AsOf performs the rollback operation, returning the historical state that
 // was current at transaction time t: every version asserted by then and not
 // yet superseded, stamped with its valid period. The result of rollback on
-// a temporal relation is a historical relation (§4.4). With the interval
-// index disabled the scan walks the segments, skipping any whose
-// transaction-time zone map excludes t.
+// a temporal relation is a historical relation (§4.4). The scan walks the
+// segments in commit order, skipping any whose transaction-time zone map
+// excludes t.
 func (s *TemporalStore) AsOf(t temporal.Chronon) []Version {
 	return s.AsOfFiltered(t, nil)
 }
 
 // AsOfFiltered is AsOf with optional comparison pre-filters evaluated on the
-// segment columns — on the indexed path, per stabbed position — before any
-// tuple is materialized. Filters are an acceleration only (callers re-verify
-// the originating predicate), so nil filters yield the same rows.
+// segment columns before any tuple is materialized. Filters are an
+// acceleration only (callers re-verify the originating predicate), so nil
+// filters yield the same rows.
 func (s *TemporalStore) AsOfFiltered(t temporal.Chronon, filters []*segment.Filter) []Version {
 	countRead(Temporal)
 	var out []Version
-	if s.useIndex {
-		s.byTrans.Stab(t, func(_ temporal.Interval, pos int) bool {
-			if !s.log.Match(pos, filters) {
-				return true
-			}
-			row := s.log.Row(pos)
-			out = append(out, Version{Data: row.Data, Valid: row.Valid, Trans: row.Trans})
-			return true
-		})
-		return out
-	}
 	s.log.ScanAsOf(t, filters, func(_ int, r segment.Row) bool {
 		out = append(out, Version{Data: r.Data, Valid: r.Valid, Trans: r.Trans})
 		return true
@@ -272,14 +247,6 @@ func (s *TemporalStore) AsOfFiltered(t temporal.Chronon, filters []*segment.Filt
 func (s *TemporalStore) During(window temporal.Interval) []Version {
 	countRead(Temporal)
 	var out []Version
-	if s.useIndex {
-		s.byTrans.Overlapping(window, func(iv temporal.Interval, pos int) bool {
-			row := s.log.Row(pos)
-			out = append(out, Version{Data: row.Data, Valid: row.Valid, Trans: iv})
-			return true
-		})
-		return out
-	}
 	s.log.ScanTransOverlap(window, func(_ int, r segment.Row) bool {
 		out = append(out, Version{Data: r.Data, Valid: r.Valid, Trans: r.Trans})
 		return true
@@ -369,42 +336,27 @@ func (s *TemporalStore) RestoreVersion(v Version) error {
 	if v.Trans.To == temporal.Forever {
 		s.byKey.Add(key.Hash64(), pos)
 	}
-	s.byTrans.Insert(v.Trans, pos)
-	if v.Trans.From > s.lastCommit {
-		s.lastCommit = v.Trans.From
-	}
-	if v.Trans.To.IsFinite() && v.Trans.To > s.lastCommit {
-		s.lastCommit = v.Trans.To
-	}
+	s.lastCommit = latestCommit(s.lastCommit, v.Trans)
 	s.log.Seal()
 	return nil
 }
 
-// RestoreSegment reattaches a checkpoint segment block and indexes its rows.
-// Blocks arrive in position order before any row-wise tail versions.
+// RestoreSegment reattaches a checkpoint segment block and indexes its
+// current rows by key. Blocks arrive in position order before any row-wise
+// tail versions.
 func (s *TemporalStore) RestoreSegment(g *segment.Segment) error {
 	if err := s.log.RestoreSegment(g); err != nil {
 		return err
 	}
-	s.indexRestored(g)
-	return nil
-}
-
-func (s *TemporalStore) indexRestored(g *segment.Segment) {
 	for i := 0; i < g.Len(); i++ {
 		pos := g.Start() + i
 		tr := s.log.Trans(pos)
-		s.byTrans.Insert(tr, pos)
 		if tr.To == temporal.Forever {
 			s.byKey.Add(s.log.KeyHash(pos), pos)
 		}
-		if tr.From > s.lastCommit {
-			s.lastCommit = tr.From
-		}
-		if tr.To.IsFinite() && tr.To > s.lastCommit {
-			s.lastCommit = tr.To
-		}
+		s.lastCommit = latestCommit(s.lastCommit, tr)
 	}
+	return nil
 }
 
 // Versions yields every stored version in commit order.
@@ -441,9 +393,7 @@ func (s *TemporalStore) append(t, key tuple.Tuple, valid temporal.Interval, at t
 	kh := key.Hash64()
 	pos := s.log.Append(segment.Row{Data: t, Valid: valid, Trans: iv, KeyHash: kh})
 	s.byKey.Add(kh, pos)
-	s.byTrans.Insert(iv, pos)
 	s.j.record(func() {
-		s.byTrans.Remove(iv, pos)
 		s.byKey.Remove(kh, pos)
 		s.log.TruncateTail(pos) // LIFO undo: pos is the last row
 	})
@@ -452,14 +402,10 @@ func (s *TemporalStore) append(t, key tuple.Tuple, valid temporal.Interval, at t
 // closeRow supersedes a current version: its transaction-time end becomes
 // the commit chronon and it leaves the current-version key index.
 func (s *TemporalStore) closeRow(pos int, keyHash uint64, at temporal.Chronon) {
-	old := s.log.Trans(pos)
-	closed := temporal.Interval{From: old.From, To: at}
 	s.log.CloseTrans(pos, at)
-	s.byTrans.Update(old, pos, closed)
 	s.byKey.Remove(keyHash, pos)
 	s.j.record(func() {
 		s.byKey.Add(keyHash, pos)
-		s.byTrans.Update(closed, pos, old)
-		s.log.CloseTrans(pos, old.To)
+		s.log.CloseTrans(pos, temporal.Forever)
 	})
 }

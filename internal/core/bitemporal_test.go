@@ -341,17 +341,6 @@ func TestTemporalSnapshotAndScanHelpers(t *testing.T) {
 	}
 }
 
-func TestTemporalLinearScanAblationAgrees(t *testing.T) {
-	s := NewTemporalStore(facultySchema(t))
-	loadFigure8(t, s)
-	indexed := versionSet(s.AsOf(d821210))
-	s.DisableIntervalIndex(true)
-	linear := versionSet(s.AsOf(d821210))
-	if !equalStrings(indexed, linear) {
-		t.Fatalf("indexed %v vs linear %v", indexed, linear)
-	}
-}
-
 // Figure 9: the temporal event relation 'promotion' with a user-defined
 // time attribute (effective date) plus valid (at) and transaction time.
 func TestTemporalEventFigure9(t *testing.T) {

@@ -18,9 +18,11 @@ import (
 // the only permitted change to committed data is closing a current
 // version's transaction-time end.
 //
-// Like TemporalStore, the version log is a segment.Log: committed history
-// seals into columnar segments whose transaction-time zone maps let AsOf
-// scans skip whole segments. Rollback relations carry no valid time, so
+// Like TemporalStore, the version log is a segment.Log — the store's only
+// physical representation and its only transaction-time access path:
+// committed history seals into columnar segments whose transaction-time
+// zone maps let AsOf and During skip whole segments, and every read returns
+// versions in commit order. Rollback relations carry no valid time, so
 // sealed rows store the universal interval there.
 //
 // Updates take a commit chronon supplied by the transaction layer, which
@@ -30,9 +32,7 @@ type RollbackStore struct {
 	sch        *schema.Schema
 	log        *segment.Log
 	byKey      index.Hash // key hash -> current position
-	byTrans    *index.IntervalTree
 	lastCommit temporal.Chronon
-	useIndex   bool
 	j          journal
 	verCounter
 }
@@ -42,26 +42,9 @@ func NewRollbackStore(sch *schema.Schema) *RollbackStore {
 	return &RollbackStore{
 		sch:        sch,
 		log:        segment.NewLog(sch),
-		byTrans:    index.NewIntervalTree(),
 		lastCommit: temporal.Beginning,
-		useIndex:   true,
 	}
 }
-
-// DisableIntervalIndex switches AsOf to a linear scan over all versions.
-// It exists solely for the ablation benchmarks (A3 in DESIGN.md); the index
-// is still maintained. With segments enabled the "linear" scan is the
-// zone-mapped segment scan.
-func (s *RollbackStore) DisableIntervalIndex(disabled bool) { s.useIndex = !disabled }
-
-// DisableSegments switches tail sealing off (the flat-path ablation).
-func (s *RollbackStore) DisableSegments(disabled bool) { s.log.SetDisabled(disabled) }
-
-// SegmentsDisabled reports whether the flat path is active.
-func (s *RollbackStore) SegmentsDisabled() bool { return s.log.Disabled() }
-
-// SetSegmentRows overrides the tail size that triggers a seal at commit.
-func (s *RollbackStore) SetSegmentRows(n int) { s.log.SetSealRows(n) }
 
 // SegmentStats summarizes the store's segmentation.
 func (s *RollbackStore) SegmentStats() segment.Stats { return s.log.Stats() }
@@ -103,6 +86,9 @@ func (s *RollbackStore) Event() bool { return false }
 // VersionCount returns the total number of stored versions, current and
 // closed.
 func (s *RollbackStore) VersionCount() int { return s.log.Len() }
+
+// CurrentCount returns the number of versions in the current state.
+func (s *RollbackStore) CurrentCount() int { return s.byKey.Len() }
 
 // LastCommit returns the latest commit chronon applied.
 func (s *RollbackStore) LastCommit() temporal.Chronon { return s.lastCommit }
@@ -183,13 +169,6 @@ func (s *RollbackStore) Get(key tuple.Tuple) (tuple.Tuple, bool) {
 func (s *RollbackStore) AsOf(t temporal.Chronon) []tuple.Tuple {
 	countRead(StaticRollback)
 	var out []tuple.Tuple
-	if s.useIndex {
-		s.byTrans.Stab(t, func(_ temporal.Interval, pos int) bool {
-			out = append(out, s.log.Row(pos).Data)
-			return true
-		})
-		return out
-	}
 	s.log.ScanAsOf(t, nil, func(_ int, r segment.Row) bool {
 		out = append(out, r.Data)
 		return true
@@ -198,8 +177,7 @@ func (s *RollbackStore) AsOf(t temporal.Chronon) []tuple.Tuple {
 }
 
 // AsOfVersions is AsOf keeping the version stamps, in commit order — the
-// shape the relation facade's VisibleVersions needs. The scan always takes
-// the segment path so its zone maps can skip fully-superseded history.
+// shape the relation facade's VisibleVersions needs.
 func (s *RollbackStore) AsOfVersions(t temporal.Chronon) []Version {
 	return s.AsOfVersionsFiltered(t, nil)
 }
@@ -225,13 +203,6 @@ func (s *RollbackStore) AsOfVersionsFiltered(t temporal.Chronon, filters []*segm
 func (s *RollbackStore) During(window temporal.Interval) []Version {
 	countRead(StaticRollback)
 	var out []Version
-	if s.useIndex {
-		s.byTrans.Overlapping(window, func(iv temporal.Interval, pos int) bool {
-			out = append(out, Version{Data: s.log.Row(pos).Data, Valid: temporal.All, Trans: iv})
-			return true
-		})
-		return out
-	}
 	s.log.ScanTransOverlap(window, func(_ int, r segment.Row) bool {
 		out = append(out, Version{Data: r.Data, Valid: temporal.All, Trans: r.Trans})
 		return true
@@ -286,19 +257,14 @@ func (s *RollbackStore) RestoreVersion(v Version) error {
 	if v.Trans.To == temporal.Forever {
 		s.byKey.Add(key.Hash64(), pos)
 	}
-	s.byTrans.Insert(v.Trans, pos)
-	if v.Trans.From > s.lastCommit {
-		s.lastCommit = v.Trans.From
-	}
-	if v.Trans.To.IsFinite() && v.Trans.To > s.lastCommit {
-		s.lastCommit = v.Trans.To
-	}
+	s.lastCommit = latestCommit(s.lastCommit, v.Trans)
 	s.log.Seal()
 	return nil
 }
 
-// RestoreSegment reattaches a checkpoint segment block and indexes its rows.
-// Blocks arrive in position order before any row-wise tail versions.
+// RestoreSegment reattaches a checkpoint segment block and indexes its
+// current rows by key. Blocks arrive in position order before any row-wise
+// tail versions.
 func (s *RollbackStore) RestoreSegment(g *segment.Segment) error {
 	if err := s.log.RestoreSegment(g); err != nil {
 		return err
@@ -306,16 +272,10 @@ func (s *RollbackStore) RestoreSegment(g *segment.Segment) error {
 	for i := 0; i < g.Len(); i++ {
 		pos := g.Start() + i
 		tr := s.log.Trans(pos)
-		s.byTrans.Insert(tr, pos)
 		if tr.To == temporal.Forever {
 			s.byKey.Add(s.log.KeyHash(pos), pos)
 		}
-		if tr.From > s.lastCommit {
-			s.lastCommit = tr.From
-		}
-		if tr.To.IsFinite() && tr.To > s.lastCommit {
-			s.lastCommit = tr.To
-		}
+		s.lastCommit = latestCommit(s.lastCommit, tr)
 	}
 	return nil
 }
@@ -355,24 +315,18 @@ func (s *RollbackStore) append(t, key tuple.Tuple, at temporal.Chronon) {
 	kh := key.Hash64()
 	pos := s.log.Append(segment.Row{Data: t, Valid: temporal.All, Trans: iv, KeyHash: kh})
 	s.byKey.Add(kh, pos)
-	s.byTrans.Insert(iv, pos)
 	s.j.record(func() {
-		s.byTrans.Remove(iv, pos)
 		s.byKey.Remove(kh, pos)
 		s.log.TruncateTail(pos) // LIFO undo: pos is the last row
 	})
 }
 
 func (s *RollbackStore) close(pos int, key tuple.Tuple, at temporal.Chronon) {
-	old := s.log.Trans(pos)
-	closed := temporal.Interval{From: old.From, To: at}
 	s.log.CloseTrans(pos, at)
 	kh := key.Hash64()
 	s.byKey.Remove(kh, pos)
-	s.byTrans.Update(old, pos, closed)
 	s.j.record(func() {
-		s.byTrans.Update(closed, pos, old)
 		s.byKey.Add(kh, pos)
-		s.log.CloseTrans(pos, old.To)
+		s.log.CloseTrans(pos, temporal.Forever)
 	})
 }

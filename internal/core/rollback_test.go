@@ -240,17 +240,6 @@ func TestRollbackRepresentationEquivalence(t *testing.T) {
 	}
 }
 
-func TestRollbackLinearScanAblationAgrees(t *testing.T) {
-	s := NewRollbackStore(facultySchema(t))
-	loadFigure4(t, s)
-	indexed := tupleSet(s.AsOf(d830110))
-	s.DisableIntervalIndex(true)
-	linear := tupleSet(s.AsOf(d830110))
-	if !equalStrings(indexed, linear) {
-		t.Fatalf("indexed %v vs linear %v", indexed, linear)
-	}
-}
-
 func TestRollbackInsertDeleteSameInstant(t *testing.T) {
 	s := NewRollbackStore(facultySchema(t))
 	at := temporal.Date(1990, 1, 1)

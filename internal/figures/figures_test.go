@@ -33,33 +33,27 @@ func TestAllFiguresRegenerate(t *testing.T) {
 	}
 }
 
-// All thirteen figures must render byte-identically whether the stores
-// sit on columnar segments (seal threshold forced to 2, so every figure
-// relation seals) or on the flat row log (segments disabled). The figures
-// read every store kind through every query path — snapshot, rollback,
-// when, bitemporal — so agreement here is the end-to-end storage
-// differential.
+// All thirteen figures must render byte-identically on both sides of the
+// seal boundary: at the default threshold, where every figure relation
+// stays in the row tail, and with the threshold forced to 2 and 4, so every
+// figure relation seals into columnar segments. The figures read every
+// store kind through every query path — snapshot, rollback, when,
+// bitemporal — so agreement here is the end-to-end storage differential.
 func TestFiguresSegmentsDifferential(t *testing.T) {
+	t.Setenv("TDB_SEGMENT_ROWS", "")
 	base, err := All()
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Setenv("TDB_DISABLE_SEGMENTS", "") // force segments on even in the ablation CI job
-	t.Setenv("TDB_SEGMENT_ROWS", "2")
-	sealed, err := All()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sealed != base {
-		t.Error("figures drift when relations seal into segments")
-	}
-	t.Setenv("TDB_DISABLE_SEGMENTS", "1")
-	flat, err := All()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flat != base {
-		t.Error("figures drift with segments disabled")
+	for _, rows := range []string{"2", "4"} {
+		t.Setenv("TDB_SEGMENT_ROWS", rows)
+		sealed, err := All()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sealed != base {
+			t.Errorf("figures drift when relations seal into %s-row segments", rows)
+		}
 	}
 }
 

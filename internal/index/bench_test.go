@@ -22,32 +22,6 @@ func BenchmarkHashAddLookup(b *testing.B) {
 	}
 }
 
-func BenchmarkSkipListAdd(b *testing.B) {
-	r := rand.New(rand.NewSource(2))
-	s := NewSkipList()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Add(r.Int63n(1<<20), i)
-	}
-}
-
-func BenchmarkSkipListRange(b *testing.B) {
-	r := rand.New(rand.NewSource(3))
-	s := NewSkipList()
-	for i := 0; i < 100000; i++ {
-		s.Add(r.Int63n(1<<20), i)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lo := r.Int63n(1 << 20)
-		n := 0
-		s.Range(lo, lo+1024, func(int64, int) bool {
-			n++
-			return n < 64
-		})
-	}
-}
-
 func BenchmarkIntervalTreeStab(b *testing.B) {
 	for _, n := range []int{1000, 10000, 100000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

@@ -1,9 +1,9 @@
 // Package index provides the access methods used by the stores in
-// internal/core: a chained hash index for key lookups, a skip list for
-// ordered attribute scans, and an augmented interval tree for transaction-
-// and valid-time stabbing queries ("which versions existed at chronon t?").
-// The interval tree is what makes rollback cost logarithmic in history depth
-// rather than linear; BenchmarkAblationIntervalIndex quantifies the gap.
+// internal/core: a chained hash index for key lookups, and an augmented
+// interval tree for valid-time stabbing and overlap queries on the
+// historical store ("which versions held at chronon t?"). The append-only
+// stores need no time index: their segment.Log is already ordered by
+// transaction time.
 package index
 
 // Hash is a chained hash index from 64-bit hashes to postings (row

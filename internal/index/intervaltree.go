@@ -8,10 +8,9 @@ import (
 // maximum interval end in each subtree. It answers stabbing queries ("all
 // intervals containing chronon t") and overlap queries in O(log n + k).
 //
-// The stores use one tree over transaction-time periods: rollback ("as of
-// t") is a stabbing query, so its cost grows with the answer size rather
-// than with total history depth. BenchmarkAblationIntervalIndex compares
-// this against the linear scan the tree replaces.
+// HistoricalStore keeps one tree over valid-time periods: a time slice is a
+// stabbing query and "when ... overlap" an overlap query, so their cost
+// grows with the answer size rather than with the number of stored versions.
 //
 // IntervalTree is not safe for concurrent mutation, but a quiescent tree
 // is safe for any number of concurrent readers: Stab, Overlapping, and Len
@@ -75,30 +74,12 @@ func (t *IntervalTree) insert(root, node *itNode) *itNode {
 	return root
 }
 
-// Update changes the interval stored for (old, pos) to niv, reporting
-// whether the entry was found. The stores use this when a current version's
-// transaction-time end is closed (∞ → commit time).
-func (t *IntervalTree) Update(old temporal.Interval, pos int, niv temporal.Interval) bool {
-	if !t.remove(old, pos) {
-		return false
-	}
-	t.n--
-	t.Insert(niv, pos)
-	return true
-}
-
 // Remove deletes the entry (iv, pos), reporting whether it was present.
 func (t *IntervalTree) Remove(iv temporal.Interval, pos int) bool {
-	if t.remove(iv, pos) {
-		t.n--
-		return true
-	}
-	return false
-}
-
-func (t *IntervalTree) remove(iv temporal.Interval, pos int) bool {
 	var removed bool
-	t.root, removed = removeNode(t.root, iv, pos)
+	if t.root, removed = removeNode(t.root, iv, pos); removed {
+		t.n--
+	}
 	return removed
 }
 

@@ -84,27 +84,6 @@ func TestIntervalTreeEarlyStop(t *testing.T) {
 	}
 }
 
-func TestIntervalTreeUpdateClosesCurrentVersion(t *testing.T) {
-	tr := NewIntervalTree()
-	cur := temporal.Since(10)
-	tr.Insert(cur, 7)
-	if !tr.Update(cur, 7, ivx(10, 50)) {
-		t.Fatal("Update must find the current version")
-	}
-	if got := collectStab(tr, 60); got != nil {
-		t.Errorf("closed version still stabbed at 60: %v", got)
-	}
-	if got := collectStab(tr, 20); len(got) != 1 || got[0] != 7 {
-		t.Errorf("closed version lost at 20: %v", got)
-	}
-	if tr.Update(cur, 7, ivx(0, 1)) {
-		t.Error("Update of absent entry must fail")
-	}
-	if tr.Len() != 1 {
-		t.Errorf("Len = %d", tr.Len())
-	}
-}
-
 func TestIntervalTreeRemove(t *testing.T) {
 	tr := NewIntervalTree()
 	tr.Insert(ivx(0, 10), 1)
@@ -144,9 +123,10 @@ func TestIntervalTreeAgainstBruteForce(t *testing.T) {
 			from := temporal.Chronon(r.Intn(200))
 			to := from + temporal.Chronon(r.Intn(40))
 			niv := ivx(from, to)
-			if !tr.Update(ref[i].iv, ref[i].pos, niv) {
-				t.Fatalf("step %d: Update(%v, %d) failed", step, ref[i].iv, ref[i].pos)
+			if !tr.Remove(ref[i].iv, ref[i].pos) {
+				t.Fatalf("step %d: Remove(%v, %d) failed", step, ref[i].iv, ref[i].pos)
 			}
+			tr.Insert(niv, ref[i].pos)
 			ref[i].iv = niv
 		case len(ref) > 0: // remove
 			i := r.Intn(len(ref))

@@ -10,17 +10,20 @@ import (
 )
 
 // DefaultSealRows is the tail size at which a commit seals the tail into a
-// columnar segment, unless TDB_SEGMENT_ROWS or SetSealRows chooses another
-// threshold. Relations that never reach it (the paper's figures, most unit
-// fixtures) live entirely in the row-format tail and take exactly the
-// pre-segment code paths.
+// columnar segment, unless TDB_SEGMENT_ROWS chooses another threshold.
+// Relations that never reach it (the paper's figures, most unit fixtures)
+// live entirely in the row-format tail: every scan below is then just its
+// tail loop.
 const DefaultSealRows = 8192
 
 // Log is the storage behind an append-only store: a run of immutable,
 // columnar sealed segments followed by a mutable row-format tail. Global
 // positions are stable for the life of the log — position p is row p in
 // commit order whether it currently lives in the tail or a segment — so the
-// stores' key and interval indexes keep working across seals unchanged.
+// stores' key indexes keep working across seals unchanged. Transaction time
+// is DBMS-assigned and monotone, so commit order is also transaction-start
+// order: every scan walks segments then tail front to back and may stop at
+// the first row asserted after its probe.
 //
 // Sealing happens only between transactions (the stores call Seal from
 // CommitTxn, never mid-journal), so transaction aborts only ever pop tail
@@ -32,17 +35,15 @@ type Log struct {
 	sealed   int // rows covered by segs
 	tail     []Row
 	sealRows int
-	disabled bool // never seal; scans take the flat path
 }
 
 // NewLog creates an empty log for relations of the given schema, honoring
-// the TDB_DISABLE_SEGMENTS and TDB_SEGMENT_ROWS environment ablation knobs
-// (read here, at relation creation, through the config registry).
+// the TDB_SEGMENT_ROWS environment knob (read here, at relation creation,
+// through the config registry).
 func NewLog(sch *schema.Schema) *Log {
 	return &Log{
 		sch:      sch,
 		sealRows: config.PosInt(config.EnvSegmentRows, DefaultSealRows),
-		disabled: config.Bool(config.EnvDisableSegments),
 	}
 }
 
@@ -60,26 +61,6 @@ func (l *Log) Segments() []*Segment { return l.segs }
 func (l *Log) Stats() Stats {
 	return Stats{Segments: len(l.segs), SealedRows: l.sealed, TailRows: len(l.tail)}
 }
-
-// SetDisabled switches sealing off (the flat-slice ablation): future commits
-// keep everything in the tail and scans over any already-sealed segments
-// take the linear, zone-map-free path. Re-enabling resumes sealing.
-func (l *Log) SetDisabled(disabled bool) { l.disabled = disabled }
-
-// Disabled reports whether the segment path is switched off.
-func (l *Log) Disabled() bool { return l.disabled }
-
-// SetSealRows sets the tail size that triggers a seal at the next commit.
-// Values below 1 restore the default.
-func (l *Log) SetSealRows(n int) {
-	if n < 1 {
-		n = DefaultSealRows
-	}
-	l.sealRows = n
-}
-
-// segmented reports whether scans should take the zone-mapped segment path.
-func (l *Log) segmented() bool { return !l.disabled && len(l.segs) > 0 }
 
 // Append adds a row at the next global position (tail) and returns that
 // position.
@@ -101,24 +82,20 @@ func (l *Log) TruncateTail(n int) {
 // Seal freezes the tail into a columnar segment when it has reached the
 // seal threshold, returning whether a segment was created. The stores call
 // it at commit (and after a checkpoint restore); it is a no-op while the
-// log is disabled or the tail is short.
+// tail is short.
 func (l *Log) Seal() bool {
-	if l.disabled || len(l.tail) < l.sealRows {
+	if len(l.tail) < l.sealRows {
 		return false
 	}
-	return l.sealNow()
+	return l.SealNow()
 }
 
 // SealNow freezes a non-empty tail regardless of the threshold (benchmarks
 // and tests shaping exact segment layouts).
 func (l *Log) SealNow() bool {
-	if l.disabled || len(l.tail) == 0 {
+	if len(l.tail) == 0 {
 		return false
 	}
-	return l.sealNow()
-}
-
-func (l *Log) sealNow() bool {
 	g := seal(l.sch, l.sealed, l.tail)
 	l.segs = append(l.segs, g)
 	l.sealed += len(l.tail)
@@ -143,14 +120,12 @@ func (l *Log) RestoreSegment(g *Segment) error {
 	return nil
 }
 
-// locate resolves a global position to its segment, or nil for tail rows.
-// Segments have uniform size except possibly the last (threshold changes),
-// so a short backward walk finds the owner; logs have few segments.
+// locate resolves a global position to its segment, or nil for tail rows,
+// by binary search over the segment starts.
 func (l *Log) locate(pos int) (*Segment, int) {
 	if pos >= l.sealed {
 		return nil, pos - l.sealed
 	}
-	// Binary search over segment starts.
 	lo, hi := 0, len(l.segs)-1
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
@@ -227,61 +202,42 @@ func (l *Log) Scan(fn func(pos int, r Row) bool) {
 }
 
 // ScanAsOf calls fn, in commit order, for every row whose transaction
-// period contains t. With segments enabled, whole segments are skipped via
-// the transaction-time zone maps and survivors are tested column-at-a-time
-// before any tuple is materialized; the tail is always tested row-wise.
-// Optional filters are evaluated on the columns (and against the attribute
-// zone maps) before materialization, like ScanWhen's.
+// period contains t. Whole segments are skipped via the transaction-time
+// zone maps and survivors are tested column-at-a-time before any tuple is
+// materialized; the tail is tested row-wise. Optional filters are evaluated
+// on the columns (and against the attribute zone maps) before
+// materialization, like ScanWhen's.
 func (l *Log) ScanAsOf(t temporal.Chronon, filters []*Filter, fn func(pos int, r Row) bool) {
-	if l.segmented() {
-		ti := int64(t)
-		for _, g := range l.segs {
-			// Commit order makes transFrom globally non-decreasing: once a
-			// segment starts after t, no later row anywhere (including the
-			// tail) can be visible as of t.
-			if g.minTransFrom > ti {
-				mSegmentsPruned.Inc()
-				return
-			}
-			if g.pruneAsOf(t) {
-				mSegmentsPruned.Inc()
-				continue
-			}
-			if !resolveAll(filters, g) {
-				mSegmentsPruned.Inc()
-				continue
-			}
-			mSegmentsScanned.Inc()
-			// Binary-search the upper cut inside the segment: rows past it
-			// were asserted after t and cannot match.
-			hi := sort.Search(g.n, func(i int) bool { return g.transFrom[i] > ti })
-			for i := 0; i < hi; i++ {
-				if ti < g.transTo[i] && matchAll(filters, g, i) {
-					if !fn(g.start+i, g.row(i)) {
-						return
-					}
+	ti := int64(t)
+	for _, g := range l.segs {
+		// Commit order makes transFrom globally non-decreasing: once a
+		// segment starts after t, no later row anywhere (including the
+		// tail) can be visible as of t.
+		if g.minTransFrom > ti {
+			mSegmentsPruned.Inc()
+			return
+		}
+		if g.pruneAsOf(t) || !resolveAll(filters, g) {
+			mSegmentsPruned.Inc()
+			continue
+		}
+		mSegmentsScanned.Inc()
+		// Binary-search the upper cut inside the segment: rows past it
+		// were asserted after t and cannot match.
+		hi := sort.Search(g.n, func(i int) bool { return g.transFrom[i] > ti })
+		for i := 0; i < hi; i++ {
+			if ti < g.transTo[i] && matchAll(filters, g, i) {
+				if !fn(g.start+i, g.row(i)) {
+					return
 				}
-			}
-			if hi < g.n {
-				return
 			}
 		}
-	} else {
-		for _, g := range l.segs {
-			for i := 0; i < g.n; i++ {
-				if g.transFrom[i] <= int64(t) && int64(t) < g.transTo[i] {
-					r := g.row(i)
-					if matchAllRow(filters, r) {
-						if !fn(g.start+i, r) {
-							return
-						}
-					}
-				}
-			}
+		if hi < g.n {
+			return
 		}
 	}
 	for i := range l.tail {
-		if l.segmented() && l.tail[i].Trans.From > t {
+		if l.tail[i].Trans.From > t {
 			return
 		}
 		if l.tail[i].Trans.Contains(t) && matchAllRow(filters, l.tail[i]) {
@@ -301,57 +257,40 @@ func (l *Log) ScanWhen(q temporal.Interval, asOf temporal.Chronon, filters []*Fi
 	if q.IsEmpty() {
 		return
 	}
-	if l.segmented() {
-		ti, qf, qt := int64(asOf), int64(q.From), int64(q.To)
-		for _, g := range l.segs {
-			// Commit order: a segment starting after asOf ends the scan.
-			if g.minTransFrom > ti {
-				mSegmentsPruned.Inc()
-				return
-			}
-			if g.pruneAsOf(asOf) || g.pruneValid(q) {
-				mSegmentsPruned.Inc()
+	ti, qf, qt := int64(asOf), int64(q.From), int64(q.To)
+	for _, g := range l.segs {
+		// Commit order: a segment starting after asOf ends the scan.
+		if g.minTransFrom > ti {
+			mSegmentsPruned.Inc()
+			return
+		}
+		if g.pruneAsOf(asOf) || g.pruneValid(q) || !resolveAll(filters, g) {
+			mSegmentsPruned.Inc()
+			continue
+		}
+		mSegmentsScanned.Inc()
+		hi := sort.Search(g.n, func(i int) bool { return g.transFrom[i] > ti })
+		for i := 0; i < hi; i++ {
+			if ti >= g.transTo[i] {
 				continue
 			}
-			if !resolveAll(filters, g) {
-				mSegmentsPruned.Inc()
+			if g.validFrom[i] >= qt || qf >= g.validTo[i] {
 				continue
 			}
-			mSegmentsScanned.Inc()
-			hi := sort.Search(g.n, func(i int) bool { return g.transFrom[i] > ti })
-			for i := 0; i < hi; i++ {
-				if ti >= g.transTo[i] {
-					continue
-				}
-				if g.validFrom[i] >= qt || qf >= g.validTo[i] {
-					continue
-				}
-				if !matchAll(filters, g, i) {
-					continue
-				}
-				if !fn(g.start+i, g.row(i)) {
-					return
-				}
+			if !matchAll(filters, g, i) {
+				continue
 			}
-			if hi < g.n {
+			if !fn(g.start+i, g.row(i)) {
 				return
 			}
 		}
-	} else {
-		for _, g := range l.segs {
-			for i := 0; i < g.n; i++ {
-				r := g.row(i)
-				if r.Trans.Contains(asOf) && r.Valid.Overlaps(q) && matchAllRow(filters, r) {
-					if !fn(g.start+i, r) {
-						return
-					}
-				}
-			}
+		if hi < g.n {
+			return
 		}
 	}
 	for i := range l.tail {
 		r := l.tail[i]
-		if l.segmented() && r.Trans.From > asOf {
+		if r.Trans.From > asOf {
 			return
 		}
 		if r.Trans.Contains(asOf) && r.Valid.Overlaps(q) && matchAllRow(filters, r) {
@@ -362,50 +301,42 @@ func (l *Log) ScanWhen(q temporal.Interval, asOf temporal.Chronon, filters []*Fi
 	}
 }
 
-// ScanTransOverlap calls fn for every row whose transaction period overlaps
-// the window (TQuel's "as of E1 through E2"), pruning segments via the
-// transaction-time zone maps.
+// ScanTransOverlap calls fn, in commit order, for every row whose
+// transaction period overlaps the window (TQuel's "as of E1 through E2"),
+// pruning segments via the transaction-time zone maps.
 func (l *Log) ScanTransOverlap(w temporal.Interval, fn func(pos int, r Row) bool) {
 	if w.IsEmpty() {
 		return
 	}
 	wf, wt := int64(w.From), int64(w.To)
 	for _, g := range l.segs {
-		if l.segmented() && g.minTransFrom >= wt {
-			// Commit order: every later row starts at or after the window
-			// end; nothing further can overlap.
+		// Commit order: every later row starts at or after the window end;
+		// nothing further can overlap.
+		if g.minTransFrom >= wt {
 			mSegmentsPruned.Inc()
 			return
 		}
-		if l.segmented() && g.pruneTransWindow(w) {
+		if g.pruneTransWindow(w) {
 			mSegmentsPruned.Inc()
 			continue
 		}
-		if l.segmented() {
-			mSegmentsScanned.Inc()
-			hi := sort.Search(g.n, func(i int) bool { return g.transFrom[i] >= wt })
-			for i := 0; i < hi; i++ {
-				if wf < g.transTo[i] {
-					if !fn(g.start+i, g.row(i)) {
-						return
-					}
-				}
-			}
-			if hi < g.n {
-				return
-			}
-			continue
-		}
-		for i := 0; i < g.n; i++ {
-			if g.transFrom[i] < wt && wf < g.transTo[i] {
+		mSegmentsScanned.Inc()
+		hi := sort.Search(g.n, func(i int) bool { return g.transFrom[i] >= wt })
+		for i := 0; i < hi; i++ {
+			// The second test drops versions asserted and superseded at the
+			// same chronon: an empty period overlaps nothing.
+			if wf < g.transTo[i] && g.transFrom[i] < g.transTo[i] {
 				if !fn(g.start+i, g.row(i)) {
 					return
 				}
 			}
 		}
+		if hi < g.n {
+			return
+		}
 	}
 	for i := range l.tail {
-		if l.segmented() && int64(l.tail[i].Trans.From) >= wt {
+		if int64(l.tail[i].Trans.From) >= wt {
 			return
 		}
 		if l.tail[i].Trans.Overlaps(w) {
@@ -422,28 +353,15 @@ func (l *Log) ScanTransOverlap(w temporal.Interval, fn func(pos int, r Row) bool
 func (l *Log) ScanCurrent(filters []*Filter, fn func(pos int, r Row) bool) {
 	forever := int64(temporal.Forever)
 	for _, g := range l.segs {
-		if l.segmented() {
-			if g.current == 0 || !resolveAll(filters, g) {
-				mSegmentsPruned.Inc()
-				continue
-			}
-			mSegmentsScanned.Inc()
-			for i := 0; i < g.n; i++ {
-				if g.transTo[i] == forever && matchAll(filters, g, i) {
-					if !fn(g.start+i, g.row(i)) {
-						return
-					}
-				}
-			}
+		if g.current == 0 || !resolveAll(filters, g) {
+			mSegmentsPruned.Inc()
 			continue
 		}
+		mSegmentsScanned.Inc()
 		for i := 0; i < g.n; i++ {
-			if g.transTo[i] == forever {
-				r := g.row(i)
-				if matchAllRow(filters, r) {
-					if !fn(g.start+i, r) {
-						return
-					}
+			if g.transTo[i] == forever && matchAll(filters, g, i) {
+				if !fn(g.start+i, g.row(i)) {
+					return
 				}
 			}
 		}
@@ -462,7 +380,7 @@ func (l *Log) ScanCurrent(filters []*Filter, fn func(pos int, r Row) bool) {
 // a single row — the audit-trail accelerator.
 func (l *Log) ScanKey(kh uint64, fn func(pos int, r Row) bool) {
 	for _, g := range l.segs {
-		if l.segmented() && !g.bloom.mayContain(kh) {
+		if !g.bloom.mayContain(kh) {
 			mBloomSkips.Inc()
 			continue
 		}
@@ -480,22 +398,6 @@ func (l *Log) ScanKey(kh uint64, fn func(pos int, r Row) bool) {
 				return
 			}
 		}
-	}
-}
-
-// Match reports whether the row at global position pos satisfies every
-// filter, consulting sealed columns without materializing the tuple. Index
-// probes use it to discard positions before paying for Row(pos); like every
-// Filter use it is an acceleration only and callers re-verify on the
-// materialized row.
-func (l *Log) Match(pos int, filters []*Filter) bool {
-	if len(filters) == 0 {
-		return true
-	}
-	if g, i := l.locate(pos); g != nil {
-		return resolveAll(filters, g) && matchAll(filters, g, i)
-	} else {
-		return matchAllRow(filters, l.tail[i])
 	}
 }
 

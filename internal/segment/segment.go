@@ -74,8 +74,8 @@ type Segment struct {
 	// The columns stay the source of truth; a cached tuple is immutable and
 	// identical to what materialize would rebuild, so racing fills are
 	// benign and the atomic store keeps them race-detector-clean. Worst
-	// case (every row touched) this grows to the row-format footprint the
-	// flat store would have held anyway, on top of the columns.
+	// case (every row touched) this grows to a full row-format copy on top
+	// of the columns.
 	mat []atomic.Pointer[tuple.Tuple]
 
 	// Zone maps. minTransFrom/maxTransFrom bound the commit span (frozen:
@@ -100,6 +100,18 @@ func (g *Segment) Len() int { return g.n }
 
 // Current returns the number of rows whose transaction period is open.
 func (g *Segment) Current() int { return g.current }
+
+// Materialized returns how many rows hold a cached row-format tuple (see
+// mat): the resident price of the scans that have touched this segment.
+func (g *Segment) Materialized() int {
+	n := 0
+	for i := range g.mat {
+		if g.mat[i].Load() != nil {
+			n++
+		}
+	}
+	return n
+}
 
 // seal builds a segment from rows, which become positions start..start+len.
 func seal(sch *schema.Schema, start int, rows []Row) *Segment {
@@ -299,16 +311,6 @@ func (g *Segment) materialize(i int) tuple.Tuple {
 	}
 	g.mat[i].Store(&t)
 	return t
-}
-
-// Each materializes every row in order, stopping early on false. Recovery
-// uses it to flatten a decoded block when the segment path is disabled.
-func (g *Segment) Each(fn func(Row) bool) {
-	for i := 0; i < g.n; i++ {
-		if !fn(g.row(i)) {
-			return
-		}
-	}
 }
 
 // closeTrans sets row i's transaction-time end (the one permitted mutation:

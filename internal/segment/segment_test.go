@@ -70,19 +70,24 @@ func rowsEqual(a, b Row) bool {
 	return true
 }
 
-// buildPair grows a segmented log and a flat (disabled) log through the same
+// buildPair grows a log and its test-side reference through the same
 // history: interleaved appends, seals, and transaction-time closures (with
 // occasional abort-style reopenings, which leave the zone maps conservative).
-func buildPair(rng *rand.Rand, n int) (seg, flat *Log) {
-	sch := testSchema()
-	seg, flat = NewLog(sch), NewLog(sch)
-	seg.SetDisabled(false) // tests must not inherit ablation env knobs
-	flat.SetDisabled(true)
+// The reference is the plain row slice in commit order — the one oracle the
+// storage tests compare against; brute-force predicates over it say what
+// every scan must return.
+func buildPair(rng *rand.Rand, n int) (*Log, []Row) {
+	l := NewLog(testSchema())
+	var ref []Row
+	closeAt := func(pos int, at temporal.Chronon) {
+		l.CloseTrans(pos, at)
+		ref[pos].Trans.To = at
+	}
 	commit := temporal.Chronon(100)
 	for i := 0; i < n; i++ {
 		r := randRow(rng, commit)
-		seg.Append(r)
-		flat.Append(r)
+		l.Append(r)
+		ref = append(ref, r)
 		if rng.Intn(3) == 0 {
 			commit += temporal.Chronon(rng.Intn(5))
 		}
@@ -90,24 +95,19 @@ func buildPair(rng *rand.Rand, n int) (seg, flat *Log) {
 		// supersession does; sometimes reopen it again (abort undo).
 		if i > 0 && rng.Intn(4) == 0 {
 			pos := rng.Intn(i)
-			tr := seg.Trans(pos)
-			if tr.To == temporal.Forever {
-				at := tr.From + temporal.Chronon(rng.Intn(50))
-				seg.CloseTrans(pos, at)
-				flat.CloseTrans(pos, at)
+			if tr := ref[pos].Trans; tr.To == temporal.Forever {
+				closeAt(pos, tr.From+temporal.Chronon(rng.Intn(50)))
 				if rng.Intn(5) == 0 {
-					seg.CloseTrans(pos, temporal.Forever)
-					flat.CloseTrans(pos, temporal.Forever)
+					closeAt(pos, temporal.Forever)
 				}
 			}
 		}
 		if rng.Intn(40) == 0 {
-			seg.SealNow()
-			flat.SealNow() // no-op: disabled
+			l.SealNow()
 		}
 	}
-	seg.SealNow()
-	return seg, flat
+	l.SealNow()
+	return l, ref
 }
 
 func collect(scan func(fn func(pos int, r Row) bool)) []int {
@@ -119,16 +119,27 @@ func collect(scan func(fn func(pos int, r Row) bool)) []int {
 	return got
 }
 
-// samePositions fails unless both scans returned the same rows in the same
-// order.
-func samePositions(t *testing.T, what string, seg, flat []int) {
-	t.Helper()
-	if len(seg) != len(flat) {
-		t.Fatalf("%s: segmented found %d rows, flat found %d", what, len(seg), len(flat))
+// where returns, in commit order, the reference positions satisfying keep.
+func where(ref []Row, keep func(Row) bool) []int {
+	var out []int
+	for pos, r := range ref {
+		if keep(r) {
+			out = append(out, pos)
+		}
 	}
-	for i := range seg {
-		if seg[i] != flat[i] {
-			t.Fatalf("%s: result %d differs: segmented pos %d, flat pos %d", what, i, seg[i], flat[i])
+	return out
+}
+
+// samePositions fails unless the scan returned exactly the reference's rows,
+// in commit order.
+func samePositions(t *testing.T, what string, got, want []int) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: scan found %d rows, reference %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s: result %d differs: scan pos %d, reference pos %d", what, i, got[i], want[i])
 		}
 	}
 }
@@ -139,7 +150,6 @@ func TestSealPreservesRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(85))
 	sch := testSchema()
 	l := NewLog(sch)
-	l.SetDisabled(false)
 	var want []Row
 	for i := 0; i < 500; i++ {
 		r := randRow(rng, temporal.Chronon(100+i/7))
@@ -160,42 +170,60 @@ func TestSealPreservesRows(t *testing.T) {
 	}
 }
 
-// TestScansMatchFlat is the zone-map soundness property: under random
+// TestScansMatchReference is the zone-map soundness property: under random
 // histories (including closures and abort reopenings that leave conservative
-// zone maps) every pruned scan returns exactly the rows the flat scan does.
-func TestScansMatchFlat(t *testing.T) {
+// zone maps) every pruned scan returns exactly the rows a brute-force
+// predicate over the reference keeps, in commit order.
+func TestScansMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(85))
-	seg, flat := buildPair(rng, 2000)
-	if len(seg.Segments()) < 10 {
-		t.Fatalf("want a multi-segment log, got %d segments", len(seg.Segments()))
-	}
-	for trial := 0; trial < 300; trial++ {
-		asOf := temporal.Chronon(95 + rng.Intn(120))
-		samePositions(t, fmt.Sprintf("ScanAsOf(%d) trial %d", asOf, trial),
-			collect(func(fn func(int, Row) bool) { seg.ScanAsOf(asOf, nil, fn) }),
-			collect(func(fn func(int, Row) bool) { flat.ScanAsOf(asOf, nil, fn) }))
+	for _, tail := range []int{0, 60} { // fully sealed, and with a live row tail
+		l, ref := buildPair(rng, 2000)
+		last := ref[len(ref)-1].Trans.From
+		for i := 0; i < tail; i++ {
+			last += temporal.Chronon(rng.Intn(2))
+			r := randRow(rng, last)
+			l.Append(r)
+			ref = append(ref, r)
+		}
+		if len(l.Segments()) < 10 || l.Len()-l.Sealed() != tail {
+			t.Fatalf("want a multi-segment log with %d tail rows, got %v", tail, l.Stats())
+		}
+		for pos, want := range ref {
+			if got := l.Row(pos); !rowsEqual(got, want) {
+				t.Fatalf("row %d: log holds %+v, reference %+v", pos, got, want)
+			}
+		}
+		// Probes range over the whole commit span, and a little past each end.
+		span := int(last) - 95 + 10
+		for trial := 0; trial < 300; trial++ {
+			asOf := temporal.Chronon(95 + rng.Intn(span))
+			samePositions(t, fmt.Sprintf("ScanAsOf(%d) trial %d", asOf, trial),
+				collect(func(fn func(int, Row) bool) { l.ScanAsOf(asOf, nil, fn) }),
+				where(ref, func(r Row) bool { return r.Trans.Contains(asOf) }))
 
-		qf := temporal.Chronon(rng.Intn(1100))
-		q := temporal.Interval{From: qf, To: qf + temporal.Chronon(rng.Intn(200))}
-		samePositions(t, fmt.Sprintf("ScanWhen(%v, %d) trial %d", q, asOf, trial),
-			collect(func(fn func(int, Row) bool) { seg.ScanWhen(q, asOf, nil, fn) }),
-			collect(func(fn func(int, Row) bool) { flat.ScanWhen(q, asOf, nil, fn) }))
+			qf := temporal.Chronon(rng.Intn(1100))
+			q := temporal.Interval{From: qf, To: qf + temporal.Chronon(rng.Intn(200))}
+			samePositions(t, fmt.Sprintf("ScanWhen(%v, %d) trial %d", q, asOf, trial),
+				collect(func(fn func(int, Row) bool) { l.ScanWhen(q, asOf, nil, fn) }),
+				where(ref, func(r Row) bool { return r.Trans.Contains(asOf) && r.Valid.Overlaps(q) }))
 
-		w := temporal.Interval{From: temporal.Chronon(95 + rng.Intn(100)), To: temporal.Chronon(95 + rng.Intn(140))}
-		samePositions(t, fmt.Sprintf("ScanTransOverlap(%v) trial %d", w, trial),
-			collect(func(fn func(int, Row) bool) { seg.ScanTransOverlap(w, fn) }),
-			collect(func(fn func(int, Row) bool) { flat.ScanTransOverlap(w, fn) }))
-	}
+			wf := temporal.Chronon(95 + rng.Intn(span))
+			w := temporal.Interval{From: wf, To: wf + temporal.Chronon(rng.Intn(40)) - 5}
+			samePositions(t, fmt.Sprintf("ScanTransOverlap(%v) trial %d", w, trial),
+				collect(func(fn func(int, Row) bool) { l.ScanTransOverlap(w, fn) }),
+				where(ref, func(r Row) bool { return r.Trans.Overlaps(w) }))
+		}
 
-	samePositions(t, "ScanCurrent",
-		collect(func(fn func(int, Row) bool) { seg.ScanCurrent(nil, fn) }),
-		collect(func(fn func(int, Row) bool) { flat.ScanCurrent(nil, fn) }))
+		samePositions(t, "ScanCurrent",
+			collect(func(fn func(int, Row) bool) { l.ScanCurrent(nil, fn) }),
+			where(ref, func(r Row) bool { return r.Trans.To == temporal.Forever }))
 
-	for _, name := range []string{"Jane", "Tom", "Nobody"} {
-		kh := value.NewString(name).Hash64()
-		samePositions(t, "ScanKey("+name+")",
-			collect(func(fn func(int, Row) bool) { seg.ScanKey(kh, fn) }),
-			collect(func(fn func(int, Row) bool) { flat.ScanKey(kh, fn) }))
+		for _, name := range []string{"Jane", "Tom", "Nobody"} {
+			kh := value.NewString(name).Hash64()
+			samePositions(t, "ScanKey("+name+")",
+				collect(func(fn func(int, Row) bool) { l.ScanKey(kh, fn) }),
+				where(ref, func(r Row) bool { return r.KeyHash == kh }))
+		}
 	}
 }
 
@@ -203,7 +231,7 @@ func TestScansMatchFlat(t *testing.T) {
 // exactly the rows a row-wise post-filter would.
 func TestFiltersAccelerateOnly(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	seg, flat := buildPair(rng, 1500)
+	l, ref := buildPair(rng, 1500)
 	sch := testSchema()
 	cases := []struct {
 		attr int
@@ -222,16 +250,11 @@ func TestFiltersAccelerateOnly(t *testing.T) {
 		}
 		q := temporal.Interval{From: 0, To: temporal.Forever}
 		asOf := temporal.Chronon(130)
-		segpos := collect(func(fn func(int, Row) bool) { seg.ScanWhen(q, asOf, []*Filter{f}, fn) })
-		// Reference: unfiltered flat scan plus row-wise equality.
-		var flatpos []int
-		flat.ScanWhen(q, asOf, nil, func(pos int, r Row) bool {
-			if value.Equal(r.Data[c.attr], c.v) {
-				flatpos = append(flatpos, pos)
-			}
-			return true
-		})
-		samePositions(t, fmt.Sprintf("filter %s=%v", sch.Attr(c.attr).Name, c.v), segpos, flatpos)
+		samePositions(t, fmt.Sprintf("filter %s=%v", sch.Attr(c.attr).Name, c.v),
+			collect(func(fn func(int, Row) bool) { l.ScanWhen(q, asOf, []*Filter{f}, fn) }),
+			where(ref, func(r Row) bool {
+				return r.Trans.Contains(asOf) && r.Valid.Overlaps(q) && value.Equal(r.Data[c.attr], c.v)
+			}))
 	}
 
 	// Kind mismatches and NaN stay with the expression evaluator.
@@ -246,20 +269,13 @@ func TestFiltersAccelerateOnly(t *testing.T) {
 	}
 }
 
-// TestCmpFiltersAccelerateOnly: ordered comparison filters on every scan
-// path (when, as-of, current, and positional Match) must keep exactly the
-// rows a row-wise post-filter keeps.
+// TestCmpFiltersAccelerateOnly: ordered comparison filters on every filtered
+// scan path (when, as-of, current) must keep exactly the rows a row-wise
+// post-filter keeps.
 func TestCmpFiltersAccelerateOnly(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	seg, flat := buildPair(rng, 1500)
+	l, ref := buildPair(rng, 1500)
 	sch := testSchema()
-	rowOK := func(op Op, a value.Value, b value.Value) bool {
-		c, err := value.Compare(a, b)
-		if err != nil {
-			return true
-		}
-		return cmpOK(op, c)
-	}
 	cases := []struct {
 		attr int
 		op   Op
@@ -281,43 +297,20 @@ func TestCmpFiltersAccelerateOnly(t *testing.T) {
 			t.Fatalf("NewCmpFilter(%d, %d, %v) rejected a well-kinded filter", c.attr, c.op, c.v)
 		}
 		name := fmt.Sprintf("filter attr%d op%d %v", c.attr, c.op, c.v)
-		keep := func(r Row) bool { return rowOK(c.op, r.Data[c.attr], c.v) }
-
-		segpos := collect(func(fn func(int, Row) bool) { seg.ScanWhen(q, asOf, []*Filter{f}, fn) })
-		var flatpos []int
-		flat.ScanWhen(q, asOf, nil, func(pos int, r Row) bool {
-			if keep(r) {
-				flatpos = append(flatpos, pos)
-			}
-			return true
-		})
-		samePositions(t, name+" ScanWhen", segpos, flatpos)
-
-		segpos = collect(func(fn func(int, Row) bool) { seg.ScanAsOf(asOf, []*Filter{f}, fn) })
-		flatpos = nil
-		flat.ScanAsOf(asOf, nil, func(pos int, r Row) bool {
-			if keep(r) {
-				flatpos = append(flatpos, pos)
-			}
-			return true
-		})
-		samePositions(t, name+" ScanAsOf", segpos, flatpos)
-
-		segpos = collect(func(fn func(int, Row) bool) { seg.ScanCurrent([]*Filter{f}, fn) })
-		flatpos = nil
-		flat.ScanCurrent(nil, func(pos int, r Row) bool {
-			if keep(r) {
-				flatpos = append(flatpos, pos)
-			}
-			return true
-		})
-		samePositions(t, name+" ScanCurrent", segpos, flatpos)
-
-		for pos := 0; pos < seg.Len(); pos++ {
-			if got, want := seg.Match(pos, []*Filter{f}), keep(seg.Row(pos)); got != want {
-				t.Fatalf("%s: Match(%d) = %v, row-wise says %v", name, pos, got, want)
-			}
+		keep := func(r Row) bool {
+			cmp, err := value.Compare(r.Data[c.attr], c.v)
+			return err != nil || cmpOK(c.op, cmp)
 		}
+
+		samePositions(t, name+" ScanWhen",
+			collect(func(fn func(int, Row) bool) { l.ScanWhen(q, asOf, []*Filter{f}, fn) }),
+			where(ref, func(r Row) bool { return r.Trans.Contains(asOf) && r.Valid.Overlaps(q) && keep(r) }))
+		samePositions(t, name+" ScanAsOf",
+			collect(func(fn func(int, Row) bool) { l.ScanAsOf(asOf, []*Filter{f}, fn) }),
+			where(ref, func(r Row) bool { return r.Trans.Contains(asOf) && keep(r) }))
+		samePositions(t, name+" ScanCurrent",
+			collect(func(fn func(int, Row) bool) { l.ScanCurrent([]*Filter{f}, fn) }),
+			where(ref, func(r Row) bool { return r.Trans.To == temporal.Forever && keep(r) }))
 	}
 
 	// Ordered operators on unordered columns stay with the evaluator.
@@ -336,8 +329,8 @@ func TestCmpFiltersAccelerateOnly(t *testing.T) {
 // derived summaries (prune decisions, bloom membership).
 func TestCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	seg, _ := buildPair(rng, 1200)
-	for si, g := range seg.Segments() {
+	l, _ := buildPair(rng, 1200)
+	for si, g := range l.Segments() {
 		block := AppendBlock(nil, g)
 		dec, used, err := DecodeBlock(block, testSchema())
 		if err != nil {
@@ -377,8 +370,8 @@ func TestCodecRoundTrip(t *testing.T) {
 // panic or fabricate rows.
 func TestCodecRejectsCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	seg, _ := buildPair(rng, 600)
-	g := seg.Segments()[0]
+	l, _ := buildPair(rng, 600)
+	g := l.Segments()[0]
 	block := AppendBlock(nil, g)
 	for _, cut := range []int{0, 1, len(block) / 2, len(block) - 1} {
 		if _, _, err := DecodeBlock(block[:cut], testSchema()); err == nil {
@@ -404,7 +397,6 @@ func TestTruncateFencing(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	sch := testSchema()
 	l := NewLog(sch)
-	l.SetDisabled(false)
 	for i := 0; i < 100; i++ {
 		l.Append(randRow(rng, temporal.Chronon(100+i)))
 	}
@@ -432,9 +424,8 @@ func TestTruncateFencing(t *testing.T) {
 // Seal means aborted rows cannot end up in a segment.
 func TestAbortedTailNeverSeals(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
+	t.Setenv("TDB_SEGMENT_ROWS", "8")
 	l := NewLog(testSchema())
-	l.SetDisabled(false)
-	l.SetSealRows(8)
 	for i := 0; i < 8; i++ {
 		l.Append(randRow(rng, 100))
 	}
@@ -465,7 +456,6 @@ func TestRestoreSegment(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	seg, _ := buildPair(rng, 400)
 	restored := NewLog(testSchema())
-	restored.SetDisabled(false)
 	for _, g := range seg.Segments() {
 		block := AppendBlock(nil, g)
 		dec, _, err := DecodeBlock(block, testSchema())
@@ -527,7 +517,6 @@ func TestBloomNoFalseNegatives(t *testing.T) {
 // segment for times past the last closure.
 func TestCloseTransZones(t *testing.T) {
 	l := NewLog(testSchema())
-	l.SetDisabled(false)
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 20; i++ {
 		l.Append(randRow(rng, temporal.Chronon(100+i)))

@@ -6,9 +6,9 @@ import (
 	"fmt"
 )
 
-// Canonical binary encoding, embedded per relation in checkpoint snapshots
-// (wal snapshot v4). The encoding is a pure function of the statistics
-// state — no maps, no pointers, fixed field order — so decode∘encode is
+// Canonical binary encoding, embedded per relation in checkpoint
+// snapshots. The encoding is a pure function of the statistics state — no
+// maps, no pointers, fixed field order — so decode∘encode is
 // the identity byte-for-byte. That makes encoded statistics directly
 // comparable across a primary, its recovery replay, and its followers.
 

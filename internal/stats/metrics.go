@@ -7,10 +7,6 @@ var (
 	// MEstimates counts selectivity/NDV estimates served to the planner.
 	MEstimates = obs.Default.Counter("tdb_stats_estimates_total",
 		"Cardinality, NDV, and selectivity estimates served to the query planner.")
-	// MRebuilds counts statistics rebuilt from stored versions because a
-	// snapshot predated the statistics section (legacy v2/v3 formats).
-	MRebuilds = obs.Default.Counter("tdb_stats_rebuilds_total",
-		"Per-relation statistics rebuilt from stored versions on recovery from a pre-v4 snapshot.")
 	// MExpansions counts histogram grid widenings (bucket-width doublings).
 	MExpansions = obs.Default.Counter("tdb_stats_histogram_expansions_total",
 		"Equi-width histogram bucket-width doublings performed to cover new values.")

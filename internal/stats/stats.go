@@ -8,12 +8,7 @@
 // the grid-growth path all cancel out — so a primary, its WAL replay, and
 // its followers hold byte-identical statistics (TestStatsReplayIdentity,
 // TestReplStatsByteIdentity). Statistics are persisted in checkpoint
-// snapshots (wal snapshot v4); legacy snapshots rebuild them from the
-// restored versions instead, which approximates the op stream: closures
-// and endpoints come back exactly, but valid intervals split by later
-// retractions count per surviving piece and dropped static tuples are
-// forgotten. The planner only consumes ratios, so the approximation is
-// harmless — and MRebuilds records that it happened.
+// snapshots, one section per relation.
 package stats
 
 import (
@@ -100,26 +95,6 @@ func (r *Rel) Assert(t tuple.Tuple, valid temporal.Interval, commit temporal.Chr
 // closes and re-derives versions internally; those effects are not modeled
 // here (estimates stay deterministic without consulting the store).
 func (r *Rel) Retraction() { r.Retractions++ }
-
-// Observe is the rebuild path: fold one stored version in, as used when a
-// legacy (pre-v4) snapshot carries no statistics section. Transaction
-// stamps replay through the same open/close accounting the incremental
-// path uses, so for pure insert/delete/replace histories the rebuilt state
-// matches the incremental one exactly.
-func (r *Rel) Observe(data tuple.Tuple, valid, trans temporal.Interval) {
-	r.Versions++
-	r.addAttrs(data)
-	if r.HasValid {
-		r.Valid.Add(valid)
-	}
-	if r.HasTrans {
-		r.Trans.AddOpen(trans.From)
-		if trans.To != temporal.Forever {
-			r.Closures++
-			r.Trans.CloseAt(trans.To)
-		}
-	}
-}
 
 // NDV estimates the number of distinct values of attribute attr, clamped
 // to [1, Versions] whenever any version exists.

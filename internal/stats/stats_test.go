@@ -253,62 +253,6 @@ func TestContainsSelAccuracy(t *testing.T) {
 	}
 }
 
-// The incremental transaction-axis accounting (AddOpen at insert, CloseAt
-// on supersession) and the rebuild path (Observe over surviving versions
-// with their final stamps) must produce byte-identical statistics for
-// insert/close histories — the invariant that lets legacy snapshots rebuild
-// without diverging from v4 snapshots.
-func TestRebuildMatchesIncremental(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	inc := NewRel(2, true, true)
-	type live struct {
-		data   tuple.Tuple
-		valid  temporal.Interval
-		commit temporal.Chronon
-	}
-	type closed struct {
-		live
-		at temporal.Chronon
-	}
-	var open []live
-	var done []closed
-	commit := temporal.Chronon(1000)
-	for i := 0; i < 800; i++ {
-		commit++
-		if rng.Intn(3) > 0 || len(open) == 0 {
-			data := tuple.New(value.NewInt(rng.Int63n(50)), value.NewString("x"))
-			valid := temporal.Interval{From: commit, To: commit + temporal.Chronon(1+rng.Int63n(100))}
-			inc.Assert(data, valid, commit)
-			open = append(open, live{data: data, valid: valid, commit: commit})
-		} else {
-			i := rng.Intn(len(open))
-			v := open[i]
-			inc.Close(commit)
-			open = append(open[:i], open[i+1:]...)
-			done = append(done, closed{live: v, at: commit})
-		}
-	}
-	// Rebuild from the surviving version set, in a shuffled order.
-	reb := NewRel(2, true, true)
-	type version struct {
-		data         tuple.Tuple
-		valid, trans temporal.Interval
-	}
-	var versions []version
-	for _, v := range open {
-		versions = append(versions, version{v.data, v.valid, temporal.Interval{From: v.commit, To: temporal.Forever}})
-	}
-	for _, c := range done {
-		versions = append(versions, version{c.data, c.valid, temporal.Interval{From: c.commit, To: c.at}})
-	}
-	for _, i := range rng.Perm(len(versions)) {
-		reb.Observe(versions[i].data, versions[i].valid, versions[i].trans)
-	}
-	if !bytes.Equal(EncodeRel(inc), EncodeRel(reb)) {
-		t.Errorf("rebuild diverged from incremental:\ninc %+v\nreb %+v", inc.Summarize(), reb.Summarize())
-	}
-}
-
 // decode∘encode must be the identity byte-for-byte, and truncated or
 // corrupt blobs must fail rather than misparse.
 func TestEncodeDecodeRoundTrip(t *testing.T) {

@@ -41,8 +41,7 @@ type Snapshot struct {
 // sealed columnar segments (encoded as blocks, positions preceding every
 // tail version), and Versions holds only the unsealed tail. Relations
 // without segments — static, historical, or append-only stores that never
-// reached the seal threshold — put everything in Versions, exactly as the
-// v2 format did.
+// reached the seal threshold — put everything in Versions.
 type RelationSnapshot struct {
 	Name         string
 	Kind         core.Kind
@@ -51,26 +50,26 @@ type RelationSnapshot struct {
 	WriteVersion uint64
 	Segments     []*segment.Segment
 	Versions     []core.Version
-	// Stats is the relation's temporal-statistics section (v4), an opaque
-	// blob in the internal/stats canonical encoding. Empty when restoring a
-	// pre-v4 snapshot; the database then rebuilds statistics from Versions.
+	// Stats is the relation's temporal-statistics section, an opaque blob
+	// in the internal/stats canonical encoding. Never empty: checkpointing
+	// writes one for every relation and decode rejects a section without.
 	Stats []byte
 }
 
-// Snapshot magics. v2 is the legacy row-wise layout; v3 inserts a columnar
-// segment-block section per relation between WriteVersion and the version
-// list; v4 appends a statistics blob per relation after the version list.
-// New snapshots are always written v4; decode accepts all three, so
-// upgrades (and followers receiving a primary's raw snapshot bytes) work
-// without a migration step.
-var (
-	snapMagic  = []byte("TDBSNAP2")
-	snapMagic3 = []byte("TDBSNAP3")
-	snapMagic4 = []byte("TDBSNAP4")
-)
+// snapMagic opens the one snapshot format this build reads and writes: per
+// relation, a columnar segment-block section, the row-wise tail versions,
+// and a statistics blob, under a CRC that covers the magic too.
+const snapMagic = "TDBSNAP4"
 
-// ErrSnapshotCorrupt reports a snapshot failing its checksum or structure.
-var ErrSnapshotCorrupt = errors.New("wal: snapshot corrupt")
+var (
+	// ErrSnapshotCorrupt reports a snapshot failing its checksum or
+	// structure.
+	ErrSnapshotCorrupt = errors.New("wal: snapshot corrupt")
+	// ErrSnapshotVersion reports a snapshot in one of the retired format
+	// versions. Such a file is never parsed and never treated as empty: it
+	// may be intact history that the build that wrote it can still open.
+	ErrSnapshotVersion = errors.New("wal: unsupported snapshot version")
+)
 
 // EncodeSnapshot serializes a snapshot (magic + payload + CRC trailer).
 func EncodeSnapshot(s Snapshot) []byte {
@@ -103,38 +102,33 @@ func EncodeSnapshot(s Snapshot) []byte {
 		payload = binary.AppendUvarint(payload, uint64(len(r.Stats)))
 		payload = append(payload, r.Stats...)
 	}
-	out := make([]byte, 0, len(snapMagic4)+len(payload)+4)
-	out = append(out, snapMagic4...)
+	out := make([]byte, 0, len(snapMagic)+len(payload)+4)
+	out = append(out, snapMagic...)
 	out = append(out, payload...)
-	// v3+ checksums the magic too: the magics differ in a single bit, so
-	// a payload-only CRC would let one flipped bit silently reinterpret the
-	// whole layout under another format.
+	// The checksum covers the magic too: format versions differ in a single
+	// bit, so a payload-only CRC would let one flipped bit pass a file off
+	// as another version.
 	return binary.BigEndian.AppendUint32(out, crc32.Checksum(out, crcTable))
 }
 
-// DecodeSnapshot parses an encoded snapshot, verifying magic and CRC.
+// DecodeSnapshot parses an encoded snapshot, verifying magic and CRC. A
+// snapshot of another format version fails with ErrSnapshotVersion before
+// any of it is interpreted.
 func DecodeSnapshot(data []byte) (Snapshot, error) {
 	var s Snapshot
 	if len(data) < len(snapMagic)+4 {
 		return s, fmt.Errorf("%w: short file", ErrSnapshotCorrupt)
 	}
-	var v3, v4 bool
-	switch string(data[:len(snapMagic)]) {
-	case string(snapMagic):
-	case string(snapMagic3):
-		v3 = true
-	case string(snapMagic4):
-		v3, v4 = true, true
+	switch magic := string(data[:len(snapMagic)]); magic {
+	case snapMagic:
+	case "TDBSNAP2", "TDBSNAP3":
+		return s, fmt.Errorf("%w: file is %s, this build reads %s", ErrSnapshotVersion, magic, snapMagic)
 	default:
 		return s, fmt.Errorf("%w: bad magic", ErrSnapshotCorrupt)
 	}
 	payload := data[len(snapMagic) : len(data)-4]
 	sum := binary.BigEndian.Uint32(data[len(data)-4:])
-	crcInput := payload // v2 covered the payload only
-	if v3 {
-		crcInput = data[:len(data)-4]
-	}
-	if crc32.Checksum(crcInput, crcTable) != sum {
+	if crc32.Checksum(data[:len(data)-4], crcTable) != sum {
 		return s, fmt.Errorf("%w: checksum mismatch", ErrSnapshotCorrupt)
 	}
 	last, off, err := decodeChronon(payload)
@@ -185,31 +179,29 @@ func DecodeSnapshot(data []byte) (Snapshot, error) {
 		}
 		off += n
 		r.WriteVersion = wv
-		if v3 {
-			nSegs, n := binary.Uvarint(payload[off:])
+		nSegs, n := binary.Uvarint(payload[off:])
+		if n <= 0 {
+			return s, fmt.Errorf("%w: segment count", ErrSnapshotCorrupt)
+		}
+		off += n
+		for j := uint64(0); j < nSegs; j++ {
+			blen, n := binary.Uvarint(payload[off:])
 			if n <= 0 {
-				return s, fmt.Errorf("%w: segment count", ErrSnapshotCorrupt)
+				return s, fmt.Errorf("%w: segment block length", ErrSnapshotCorrupt)
 			}
 			off += n
-			for j := uint64(0); j < nSegs; j++ {
-				blen, n := binary.Uvarint(payload[off:])
-				if n <= 0 {
-					return s, fmt.Errorf("%w: segment block length", ErrSnapshotCorrupt)
-				}
-				off += n
-				if blen > uint64(len(payload)-off) {
-					return s, fmt.Errorf("%w: segment block truncated", ErrSnapshotCorrupt)
-				}
-				g, used, err := segment.DecodeBlock(payload[off:off+int(blen)], r.Schema)
-				if err != nil {
-					return s, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
-				}
-				if used != int(blen) {
-					return s, fmt.Errorf("%w: segment block has %d trailing bytes", ErrSnapshotCorrupt, int(blen)-used)
-				}
-				off += int(blen)
-				r.Segments = append(r.Segments, g)
+			if blen > uint64(len(payload)-off) {
+				return s, fmt.Errorf("%w: segment block truncated", ErrSnapshotCorrupt)
 			}
+			g, used, err := segment.DecodeBlock(payload[off:off+int(blen)], r.Schema)
+			if err != nil {
+				return s, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
+			}
+			if used != int(blen) {
+				return s, fmt.Errorf("%w: segment block has %d trailing bytes", ErrSnapshotCorrupt, int(blen)-used)
+			}
+			off += int(blen)
+			r.Segments = append(r.Segments, g)
 		}
 		nVers, n := binary.Uvarint(payload[off:])
 		if n <= 0 {
@@ -235,20 +227,19 @@ func DecodeSnapshot(data []byte) (Snapshot, error) {
 			off += n
 			r.Versions = append(r.Versions, v)
 		}
-		if v4 {
-			slen, n := binary.Uvarint(payload[off:])
-			if n <= 0 {
-				return s, fmt.Errorf("%w: stats length", ErrSnapshotCorrupt)
-			}
-			off += n
-			if slen > uint64(len(payload)-off) {
-				return s, fmt.Errorf("%w: stats truncated", ErrSnapshotCorrupt)
-			}
-			if slen > 0 {
-				r.Stats = append([]byte(nil), payload[off:off+int(slen)]...)
-				off += int(slen)
-			}
+		slen, n := binary.Uvarint(payload[off:])
+		if n <= 0 {
+			return s, fmt.Errorf("%w: stats length", ErrSnapshotCorrupt)
 		}
+		off += n
+		if slen == 0 {
+			return s, fmt.Errorf("%w: relation %q has no statistics section", ErrSnapshotCorrupt, r.Name)
+		}
+		if slen > uint64(len(payload)-off) {
+			return s, fmt.Errorf("%w: stats truncated", ErrSnapshotCorrupt)
+		}
+		r.Stats = append([]byte(nil), payload[off:off+int(slen)]...)
+		off += int(slen)
 		s.Relations = append(s.Relations, r)
 	}
 	if off != len(payload) {
@@ -299,8 +290,9 @@ func WriteSnapshot(fsys vfs.FS, path string, s Snapshot) error {
 }
 
 // ReadSnapshot loads a snapshot; a missing file returns ok=false with no
-// error, and a corrupt file returns ErrSnapshotCorrupt (recovery then
-// decides whether the previous snapshot can stand in).
+// error, and an unreadable one returns ErrSnapshotCorrupt or
+// ErrSnapshotVersion (recovery then decides whether the previous snapshot
+// can stand in).
 func ReadSnapshot(fsys vfs.FS, path string) (Snapshot, bool, error) {
 	if fsys == nil {
 		fsys = vfs.Default()

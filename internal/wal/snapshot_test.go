@@ -1,10 +1,11 @@
 package wal
 
 import (
-	"encoding/binary"
+	"bytes"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -25,6 +26,7 @@ func sampleSnapshot(t *testing.T) Snapshot {
 			{
 				Name: "faculty", Kind: core.Temporal, Event: false,
 				Schema: promoSchema(t),
+				Stats:  []byte{0x03, 0x02, 0x01}, // opaque to this package
 				Versions: []core.Version{
 					{
 						Data:  tuple.New(value.NewString("Merrie"), value.NewString("full"), value.NewInstant(100)),
@@ -41,6 +43,7 @@ func sampleSnapshot(t *testing.T) Snapshot {
 			{
 				Name: "events", Kind: core.Historical, Event: true,
 				Schema: promoSchema(t),
+				Stats:  []byte{0x01},
 			},
 		},
 	}
@@ -55,7 +58,7 @@ func snapshotsEqual(a, b Snapshot) bool {
 		if x.Name != y.Name || x.Kind != y.Kind || x.Event != y.Event {
 			return false
 		}
-		if !x.Schema.Equal(y.Schema) || len(x.Versions) != len(y.Versions) {
+		if !x.Schema.Equal(y.Schema) || len(x.Versions) != len(y.Versions) || !bytes.Equal(x.Stats, y.Stats) {
 			return false
 		}
 		for j := range x.Versions {
@@ -107,7 +110,6 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 func sealedSampleSegment(t *testing.T, n int) *segment.Segment {
 	t.Helper()
 	lg := segment.NewLog(promoSchema(t))
-	lg.SetDisabled(false) // the fixture must seal even under ablation env knobs
 	for i := 0; i < n; i++ {
 		to := temporal.Forever
 		if i%3 == 0 {
@@ -139,9 +141,16 @@ func TestSnapshotSegmentsRoundTrip(t *testing.T) {
 	if len(dec.Relations[0].Segments) != 1 || len(dec.Relations[1].Segments) != 0 {
 		t.Fatalf("segment counts: %d, %d", len(dec.Relations[0].Segments), len(dec.Relations[1].Segments))
 	}
-	var want, got []segment.Row
-	s.Relations[0].Segments[0].Each(func(r segment.Row) bool { want = append(want, r); return true })
-	dec.Relations[0].Segments[0].Each(func(r segment.Row) bool { got = append(got, r); return true })
+	// Reattach each side to a fresh log, the way recovery does, and read it.
+	rows := func(g *segment.Segment) (out []segment.Row) {
+		lg := segment.NewLog(promoSchema(t))
+		if err := lg.RestoreSegment(g); err != nil {
+			t.Fatal(err)
+		}
+		lg.Scan(func(_ int, r segment.Row) bool { out = append(out, r); return true })
+		return out
+	}
+	want, got := rows(s.Relations[0].Segments[0]), rows(dec.Relations[0].Segments[0])
 	if len(want) != len(got) {
 		t.Fatalf("segment rows: want %d got %d", len(want), len(got))
 	}
@@ -153,48 +162,33 @@ func TestSnapshotSegmentsRoundTrip(t *testing.T) {
 	}
 }
 
-// encodeSnapshotV2 reproduces the legacy row-wise layout byte for byte, so
-// decode keeps accepting snapshots written before the segment era.
-func encodeSnapshotV2(s Snapshot) []byte {
-	payload := appendChronon(nil, s.LastCommit)
-	payload = binary.AppendUvarint(payload, s.Epoch)
-	payload = binary.AppendUvarint(payload, uint64(s.Records))
-	payload = binary.AppendUvarint(payload, uint64(len(s.Relations)))
-	for _, r := range s.Relations {
-		payload = appendString(payload, r.Name)
-		payload = append(payload, byte(r.Kind))
-		if r.Event {
-			payload = append(payload, 1)
-		} else {
-			payload = append(payload, 0)
+// Files in a retired format version are refused by their magic alone: a
+// typed error distinct from corruption, with the payload never interpreted
+// (it is garbage here) and the file never mistaken for an absent one.
+func TestSnapshotRetiredVersionsRefused(t *testing.T) {
+	for _, magic := range []string{"TDBSNAP2", "TDBSNAP3"} {
+		old := append([]byte(magic), "not a payload any decoder should look at"...)
+		_, err := DecodeSnapshot(old)
+		if !errors.Is(err, ErrSnapshotVersion) || errors.Is(err, ErrSnapshotCorrupt) {
+			t.Fatalf("%s: want ErrSnapshotVersion only, got %v", magic, err)
 		}
-		payload = appendSchema(payload, r.Schema)
-		payload = binary.AppendUvarint(payload, r.WriteVersion)
-		payload = binary.AppendUvarint(payload, uint64(len(r.Versions)))
-		for _, v := range r.Versions {
-			payload = v.Data.AppendBinary(payload)
-			payload = appendInterval(payload, v.Valid)
-			payload = appendInterval(payload, v.Trans)
+		path := filepath.Join(t.TempDir(), "old.snap")
+		if err := os.WriteFile(path, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, err := ReadSnapshot(nil, path); ok || !errors.Is(err, ErrSnapshotVersion) {
+			t.Fatalf("%s: ReadSnapshot ok=%v err=%v", magic, ok, err)
 		}
 	}
-	out := append([]byte{}, snapMagic...)
-	out = append(out, payload...)
-	return binary.BigEndian.AppendUint32(out, crc32.Checksum(payload, crcTable))
 }
 
-func TestSnapshotLegacyV2Decode(t *testing.T) {
+// Checkpointing writes a statistics section for every relation; a relation
+// section without one is a damaged snapshot, not an older dialect.
+func TestSnapshotWithoutStatsIsCorrupt(t *testing.T) {
 	s := sampleSnapshot(t)
-	dec, err := DecodeSnapshot(encodeSnapshotV2(s))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !snapshotsEqual(s, dec) {
-		t.Fatal("legacy decode mismatch")
-	}
-	for _, r := range dec.Relations {
-		if len(r.Segments) != 0 {
-			t.Fatalf("legacy snapshot grew segments: %q", r.Name)
-		}
+	s.Relations[1].Stats = nil
+	if _, err := DecodeSnapshot(EncodeSnapshot(s)); !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("relation without statistics: want ErrSnapshotCorrupt, got %v", err)
 	}
 }
 

@@ -1,12 +1,14 @@
 package tdb
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"tdb/internal/vfs"
+	"tdb/internal/wal"
 	"tdb/temporal"
 )
 
@@ -62,6 +64,81 @@ func TestRecoveryFallbackOnCorruptPrimary(t *testing.T) {
 	if got := stateDigest(t, db3); !digestsEqual(before, got) {
 		t.Fatal("second fallback recovery differs")
 	}
+}
+
+// retireSnapshot rewrites a snapshot file's magic to a retired format
+// version, leaving every other byte in place.
+func retireSnapshot(t *testing.T, path, magic string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(data, magic)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A primary snapshot in a retired format version is an unreadable primary:
+// recovery takes exactly the corrupt-primary rows of the decision table in
+// docs/durability.md — the fallback when the log's epoch proves it, a
+// refusal otherwise — and the refusal names the version, wraps ErrCorrupt,
+// and leaves the old file as it found it.
+func TestRecoveryRetiredSnapshotVersion(t *testing.T) {
+	build := func(t *testing.T, postCheckpointWrite bool) (path string, before []string) {
+		path = filepath.Join(t.TempDir(), "tdb.wal")
+		db := reopen(t, path)
+		buildMixedDB(t, db)
+		if err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if postCheckpointWrite { // gives the log a header carrying the new epoch
+			if err := db.UpdateAt(temporal.Date(1995, 1, 1), func(tx *Tx) error {
+				h, _ := tx.Rel("r_historical")
+				return h.Assert(fac("F", "f"), temporal.Date(1995, 1, 1), temporal.Forever)
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before = stateDigest(t, db)
+		db.Close()
+		return path, before
+	}
+	refused := func(t *testing.T, path string) {
+		t.Helper()
+		old, _ := os.ReadFile(path + ".snap")
+		_, err := Open(path, Options{})
+		if !errors.Is(err, ErrCorrupt) || !errors.Is(err, wal.ErrSnapshotVersion) {
+			t.Fatalf("want ErrCorrupt wrapping ErrSnapshotVersion, got %v", err)
+		}
+		if now, _ := os.ReadFile(path + ".snap"); !bytes.Equal(old, now) {
+			t.Fatal("refused open rewrote the retired-version snapshot")
+		}
+	}
+
+	t.Run("log epoch proves the fallback", func(t *testing.T) {
+		path, before := build(t, true)
+		retireSnapshot(t, path+".snap", "TDBSNAP3")
+		db := reopen(t, path)
+		if got := stateDigest(t, db); !digestsEqual(before, got) {
+			t.Fatalf("fallback recovery differs:\nbefore %v\nafter  %v", before, got)
+		}
+		if ri := db.Stats().Recovery; !ri.UsedFallback || !ri.SnapshotLoaded {
+			t.Fatalf("recovery info = %+v, want fallback+snapshot", ri)
+		}
+	})
+	t.Run("empty log proves nothing", func(t *testing.T) {
+		path, _ := build(t, false)
+		retireSnapshot(t, path+".snap", "TDBSNAP2")
+		refused(t, path)
+	})
+	t.Run("fallback retired too", func(t *testing.T) {
+		path, _ := build(t, true)
+		retireSnapshot(t, path+".snap", "TDBSNAP3")
+		retireSnapshot(t, path+".snap.prev", "TDBSNAP3")
+		refused(t, path)
+	})
 }
 
 // A crash between snapshot rotation and install leaves no primary; the

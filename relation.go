@@ -214,7 +214,10 @@ func (r *Relation) Versions() []Version {
 
 // VersionCount returns the total number of stored versions.
 func (r *Relation) VersionCount() int {
-	return len(r.Versions())
+	r.db.mu.RLock()
+	defer r.db.mu.RUnlock()
+	total, _ := versionCounts(r.rel)
+	return total
 }
 
 // VisibleVersions returns the versions a query sees: the current belief
@@ -230,12 +233,11 @@ func (r *Relation) VisibleVersions(asOf temporal.Chronon, hasAsOf bool) ([]Versi
 
 // VisibleVersionsFiltered is VisibleVersions with optional comparison
 // pre-filters (built with EqFilter/CmpFilter) evaluated on the columnar
-// segments — and, on the interval-indexed as-of path, per stabbed position —
-// before any tuple is materialized. Filters are an acceleration only:
-// callers keep the originating conjuncts and re-verify them on the returned
-// versions, so a filter can never change an answer, only shrink the set of
-// versions materialized. Stores without columnar segments apply the filters
-// row-wise, which is equally sound.
+// segments before any tuple is materialized. Filters are an acceleration
+// only: callers keep the originating conjuncts and re-verify them on the
+// returned versions, so a filter can never change an answer, only shrink
+// the set of versions materialized. Stores without columnar segments apply
+// the filters row-wise, which is equally sound.
 func (r *Relation) VisibleVersionsFiltered(asOf temporal.Chronon, hasAsOf bool, filters []*segment.Filter) ([]Version, error) {
 	r.db.mu.RLock()
 	defer r.db.mu.RUnlock()
@@ -243,21 +245,14 @@ func (r *Relation) VisibleVersionsFiltered(asOf temporal.Chronon, hasAsOf bool, 
 	if hasAsOf && !st.Kind().SupportsRollback() {
 		return nil, ErrNoRollback
 	}
+	if !hasAsOf {
+		asOf = temporal.Forever - 1 // current belief: the last instant of transaction time
+	}
 	var out []Version
 	switch s := st.(type) {
 	case *core.RollbackStore:
-		probe := temporal.Forever - 1
-		if hasAsOf {
-			probe = asOf
-		}
-		// Zone-mapped segment scan in commit order — the same rows, in the
-		// same order, a flat Versions walk with a Trans.Contains(probe)
-		// filter would produce.
-		out = s.AsOfVersionsFiltered(probe, filters)
+		out = s.AsOfVersionsFiltered(asOf, filters)
 	case *core.TemporalStore:
-		if !hasAsOf {
-			asOf = temporal.Forever - 1
-		}
 		out = s.AsOfFiltered(asOf, filters)
 	default:
 		// Static and historical: current belief, already the only state;

@@ -347,7 +347,6 @@ func TestReplFollowerCatchUpDifferential(t *testing.T) {
 // segmented and answer the full corpus byte-identically, including writes
 // streamed after the snapshot.
 func TestReplSegmentedPrimaryDifferential(t *testing.T) {
-	t.Setenv("TDB_DISABLE_SEGMENTS", "") // force segments on even in the ablation CI job
 	t.Setenv("TDB_SEGMENT_ROWS", "2")
 	primary, clock, _ := newPrimary(t)
 	if primary.Stats().Segments == 0 {

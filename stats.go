@@ -17,8 +17,7 @@ import (
 // transactions never touch them (unlike write-version bumps, which may
 // over-invalidate the cache on abort — statistics have no safe direction
 // to be wrong in, so they track commits exactly). Checkpoints persist the
-// statistics per relation (snapshot v4); restoring a legacy snapshot
-// rebuilds them from the stored versions instead.
+// statistics of every relation and restore decodes them back.
 
 // statsEntry returns the relation's statistics, creating an empty record
 // on first touch. Callers hold db.mu (read or write as appropriate; lazy
@@ -87,33 +86,17 @@ func (db *DB) statsApply(commit temporal.Chronon, ops []wal.Op) {
 	}
 }
 
-// statsRestore installs a relation's statistics while restoring a
-// snapshot: decoded from the snapshot's statistics section when present
-// (v4), otherwise rebuilt by walking the restored store — the legacy
-// upgrade path, counted by tdb_stats_rebuilds_total.
+// statsRestore installs a relation's statistics, decoded from the
+// snapshot's statistics section, while restoring a snapshot.
 func (db *DB) statsRestore(rs *wal.RelationSnapshot) error {
-	if len(rs.Stats) > 0 {
-		e, n, err := stats.DecodeRel(rs.Stats)
-		if err != nil {
-			return fmt.Errorf("restoring %q statistics: %w", rs.Name, err)
-		}
-		if n != len(rs.Stats) {
-			return fmt.Errorf("restoring %q statistics: %d trailing bytes", rs.Name, len(rs.Stats)-n)
-		}
-		db.stats[rs.Name] = e
-		return nil
-	}
-	e := stats.NewRel(rs.Schema.Arity(), rs.Kind.SupportsHistorical(), rs.Kind.SupportsRollback())
-	rel, err := db.cat.Get(rs.Name)
+	e, n, err := stats.DecodeRel(rs.Stats)
 	if err != nil {
-		return err
+		return fmt.Errorf("restoring %q statistics: %w", rs.Name, err)
 	}
-	rel.Store().Versions(func(v Version) bool {
-		e.Observe(v.Data, v.Valid, v.Trans)
-		return true
-	})
+	if n != len(rs.Stats) {
+		return fmt.Errorf("restoring %q statistics: %d trailing bytes", rs.Name, len(rs.Stats)-n)
+	}
 	db.stats[rs.Name] = e
-	stats.MRebuilds.Inc()
 	return nil
 }
 

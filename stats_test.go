@@ -2,10 +2,10 @@ package tdb
 
 import (
 	"bytes"
+	"errors"
 	"path/filepath"
 	"testing"
 
-	"tdb/internal/stats"
 	"tdb/internal/wal"
 	"tdb/temporal"
 )
@@ -107,8 +107,8 @@ func TestStatsReplayIdentity(t *testing.T) {
 	assertStatsEqual(t, before, encodedStatsAll(t, db2), "after WAL replay")
 }
 
-// A checkpoint persists statistics in the snapshot's v4 section; restoring
-// it must install them byte-identically without a rebuild.
+// A checkpoint persists every relation's statistics in the snapshot;
+// restoring it must install them byte-identically.
 func TestStatsCheckpointIdentity(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "tdb.wal")
 	db := reopen(t, path)
@@ -128,20 +128,17 @@ func TestStatsCheckpointIdentity(t *testing.T) {
 	after := encodedStatsAll(t, db)
 	db.Close()
 
-	rebuilds := stats.MRebuilds.Value()
 	db2 := reopen(t, path)
-	if got := stats.MRebuilds.Value() - rebuilds; got != 0 {
-		t.Errorf("v4 snapshot restore triggered %d rebuilds, want 0", got)
-	}
 	assertStatsEqual(t, after, encodedStatsAll(t, db2), "after snapshot recovery")
 	if same := bytes.Equal(before["r_historical"], after["r_historical"]); same {
 		t.Error("fixture bug: post-checkpoint write did not change statistics")
 	}
 }
 
-// A snapshot without a statistics section (the legacy upgrade path)
-// rebuilds statistics from the restored versions and counts the rebuilds.
-func TestStatsLegacySnapshotRebuilds(t *testing.T) {
+// A snapshot whose relation sections carry no statistics is damaged, not
+// an older dialect: recovery refuses it like any corrupt primary (the log is
+// empty here, so nothing vouches for the fallback) instead of rebuilding.
+func TestStatsMissingFromSnapshotIsCorrupt(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "tdb.wal")
 	db := reopen(t, path)
 	buildMixedDB(t, db)
@@ -150,35 +147,22 @@ func TestStatsLegacySnapshotRebuilds(t *testing.T) {
 	}
 	db.Close()
 
-	// Strip the statistics sections, simulating a pre-v4 snapshot.
 	snapPath := path + ".snap"
 	snap, ok, err := wal.ReadSnapshot(nil, snapPath)
 	if err != nil || !ok {
 		t.Fatalf("snapshot read: %v ok=%v", err, ok)
 	}
-	nRels := len(snap.Relations)
 	for i := range snap.Relations {
+		if len(snap.Relations[i].Stats) == 0 {
+			t.Fatalf("checkpoint wrote no statistics for %q", snap.Relations[i].Name)
+		}
 		snap.Relations[i].Stats = nil
 	}
 	if err := wal.WriteSnapshot(nil, snapPath, snap); err != nil {
 		t.Fatal(err)
 	}
-
-	rebuilds := stats.MRebuilds.Value()
-	db2 := reopen(t, path)
-	if got := stats.MRebuilds.Value() - rebuilds; got != uint64(nRels) {
-		t.Errorf("legacy restore rebuilds = %d, want %d (one per relation)", got, nRels)
-	}
-	// A rebuild observes the *surviving* stored versions rather than the
-	// historical op stream: the bitemporal relation retains its closed
-	// transaction versions (3 asserts + 2 closures = 5 stored), while the
-	// plain static relation keeps only the current row.
-	sums := db2.TemporalStats()
-	if s := sums["r_temporal"]; s.Versions != 5 {
-		t.Errorf("rebuilt r_temporal versions = %d, want 5", s.Versions)
-	}
-	if s := sums["r_static"]; s.Versions != 1 {
-		t.Errorf("rebuilt r_static versions = %d, want 1", s.Versions)
+	if _, err := Open(path, Options{}); !errors.Is(err, ErrCorrupt) || !errors.Is(err, wal.ErrSnapshotCorrupt) {
+		t.Fatalf("statistics-free snapshot: want ErrCorrupt wrapping ErrSnapshotCorrupt, got %v", err)
 	}
 }
 

@@ -52,9 +52,8 @@ func NewSession(db *tdb.DB) *Session {
 }
 
 // DisablePlanner switches retrieve execution to the naive nested-loop path
-// with every predicate evaluated at the innermost binding depth — the
-// ablation mirror of core's DisableIntervalIndex. The planner is on by
-// default; differential tests assert both paths agree.
+// with every predicate evaluated at the innermost binding depth. The
+// planner is on by default; differential tests assert both paths agree.
 func (s *Session) DisablePlanner(disabled bool) { s.noPlanner = disabled }
 
 // DisableStats reverts the planner to the statistics-free v1 heuristics:

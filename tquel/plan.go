@@ -553,8 +553,8 @@ func (s *Session) buildPlan(n *RetrieveStmt, order []string, rels []*tdb.Relatio
 				base, err = rel.VersionsDuring(asOf, through)
 			} else {
 				// The plain visible-state fetch takes the same columnar
-				// pre-filters: the as-of scan (or interval-index probe)
-				// checks them before materializing each version.
+				// pre-filters: the as-of scan checks them before
+				// materializing each version.
 				base, err = rel.VisibleVersionsFiltered(asOf, hasAsOf, colf)
 			}
 			if err != nil {

@@ -9,65 +9,64 @@ import (
 	"tdb/temporal"
 )
 
-// twinSessions builds the same paper + emp fixture twice: once with the
-// seal threshold forced low enough that the faculty history actually seals
-// into columnar segments, once with segments disabled entirely (the flat
-// ablation). Env knobs are read at relation creation, so ordering matters.
-func twinSessions(t *testing.T) (segmented, flat *Session) {
+// twinSessions builds the same paper + emp fixture on both sides of the seal
+// boundary: once with the seal threshold forced low enough that the faculty
+// history actually seals into columnar segments, once at the default
+// threshold, where these small relations stay in the row tail. The knob is
+// read at relation creation, so ordering matters.
+func twinSessions(t *testing.T) (sealed, unsealed *Session) {
 	t.Helper()
-	t.Setenv("TDB_DISABLE_SEGMENTS", "") // force segments on even in the ablation CI job
 	t.Setenv("TDB_SEGMENT_ROWS", "2")
-	segmented = paperSession(t)
-	buildSeededFixture(t, segmented)
-	if n := segmented.db.Stats().Segments; n == 0 {
-		t.Fatal("segmented arm sealed nothing; threshold knob inert")
+	sealed = paperSession(t)
+	buildSeededFixture(t, sealed)
+	if n := sealed.db.Stats().Segments; n == 0 {
+		t.Fatal("sealed arm sealed nothing; threshold knob inert")
 	}
-	t.Setenv("TDB_DISABLE_SEGMENTS", "1")
-	flat = paperSession(t)
-	buildSeededFixture(t, flat)
-	if n := flat.db.Stats().Segments; n != 0 {
-		t.Fatalf("flat arm sealed %d segments despite TDB_DISABLE_SEGMENTS", n)
+	t.Setenv("TDB_SEGMENT_ROWS", "")
+	unsealed = paperSession(t)
+	buildSeededFixture(t, unsealed)
+	if n := unsealed.db.Stats().Segments; n != 0 {
+		t.Fatalf("default threshold sealed %d segments of a small fixture", n)
 	}
-	t.Setenv("TDB_DISABLE_SEGMENTS", "")
-	return segmented, flat
+	return sealed, unsealed
 }
 
-// bothWays runs one query on both storage arms and requires byte-identical
-// rendered results.
-func bothWays(t *testing.T, segmented, flat *Session, src string) {
+// bothWays runs one query on both sides of the seal boundary and requires
+// byte-identical rendered results.
+func bothWays(t *testing.T, sealed, unsealed *Session, src string) {
 	t.Helper()
-	a, err := segmented.Query(src)
+	a, err := sealed.Query(src)
 	if err != nil {
-		t.Fatalf("segmented: %v\n%s", err, src)
+		t.Fatalf("sealed: %v\n%s", err, src)
 	}
-	b, err := flat.Query(src)
+	b, err := unsealed.Query(src)
 	if err != nil {
-		t.Fatalf("flat: %v\n%s", err, src)
+		t.Fatalf("unsealed: %v\n%s", err, src)
 	}
 	if a.String() != b.String() {
-		t.Errorf("segments changed the answer for:\n%s\n--- segmented ---\n%s\n--- flat ---\n%s",
+		t.Errorf("sealing changed the answer for:\n%s\n--- sealed ---\n%s\n--- unsealed ---\n%s",
 			src, a, b)
 	}
 }
 
-// The 60-query seeded corpus must render byte-identically over columnar
-// segments and over the flat row log — and on the segmented arm every
+// The 60-query seeded corpus must render byte-identically whether history
+// sits in columnar segments or in the row tail — and on the sealed arm every
 // execution mode (planner on/off, parallel, cache cold/warm) must agree
 // too, since zone-map pruning and filter pushdown only engage with the
 // planner on.
 func TestSegmentsDifferentialSeeded(t *testing.T) {
 	forceParallel(t)
-	segmented, flat := twinSessions(t)
+	sealed, unsealed := twinSessions(t)
 	for _, src := range seededQuerySources() {
-		bothWays(t, segmented, flat, src)
-		differential(t, segmented, src)
+		bothWays(t, sealed, unsealed, src)
+		differential(t, sealed, src)
 	}
 }
 
-// The figure-shaped queries from the paper, with and without segments.
+// The figure-shaped queries from the paper, sealed and unsealed.
 func TestSegmentsDifferentialFigures(t *testing.T) {
 	forceParallel(t)
-	segmented, flat := twinSessions(t)
+	sealed, unsealed := twinSessions(t)
 	for _, src := range []string{
 		`retrieve (f.rank) where f.name = "Merrie"`,
 		`retrieve (f.rank) where f.name = "Merrie" as of "12/10/82"`,
@@ -78,17 +77,16 @@ func TestSegmentsDifferentialFigures(t *testing.T) {
 			when f2 overlap start of f
 			as of "12/20/82"`,
 	} {
-		bothWays(t, segmented, flat, src)
+		bothWays(t, sealed, unsealed, src)
 	}
 }
 
 // Checkpoint + crash recovery over a sealed relation: the reopened
-// database reattaches columnar blocks from the v3 snapshot and must answer
+// database reattaches columnar blocks from the snapshot and must answer
 // every arm of the differential identically — the segmented sibling of
 // TestDifferentialAfterRecovery.
 func TestSegmentsDifferentialAfterRecovery(t *testing.T) {
 	forceParallel(t)
-	t.Setenv("TDB_DISABLE_SEGMENTS", "")
 	t.Setenv("TDB_SEGMENT_ROWS", "2")
 	path := filepath.Join(t.TempDir(), "tdb.wal")
 	clock := temporal.NewLogicalClock(0)
