@@ -137,13 +137,22 @@ func loadedRollback(b *testing.B, versions int) (*core.RollbackStore, []temporal
 // BenchmarkAsOfDepth measures the rollback (as of) query as history
 // accumulates (A3's depth curve): the commit-order scan stops at the probe,
 // so a mid-history as-of reads the first half of the log whatever follows.
+// readAll collects a store read the way the facade's Scan does.
+func readAll(b *testing.B, s core.Store, spec core.ScanSpec) []core.Version {
+	var out []core.Version
+	if err := s.Read(spec, func(v core.Version) bool { out = append(out, v); return true }); err != nil {
+		b.Fatal(err)
+	}
+	return out
+}
+
 func BenchmarkAsOfDepth(b *testing.B) {
 	for _, versions := range []int{8, 32, 128} {
 		s, commits := loadedRollback(b, versions)
 		probe := commits[len(commits)/2]
 		b.Run(fmt.Sprintf("versions=%d", versions), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if got := s.AsOf(probe); len(got) == 0 {
+				if got := readAll(b, s, core.ScanSpec{AsOf: &probe}); len(got) == 0 {
 					b.Fatal("empty rollback state")
 				}
 			}
@@ -202,19 +211,20 @@ func BenchmarkBitemporalQueries(b *testing.B) {
 		b.Fatal(err)
 	}
 	mid := dataset.MidCommit(events)
+	at := temporal.At(mid)
 	b.Run("asof", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			s.AsOf(mid)
+			readAll(b, s, core.ScanSpec{AsOf: &mid})
 		}
 	})
 	b.Run("timeslice", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			s.TimeSlice(mid, mid)
+			readAll(b, s, core.ScanSpec{AsOf: &mid, When: &at})
 		}
 	})
 	b.Run("current-slice", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			s.Snapshot(mid)
+			readAll(b, s, core.ScanSpec{When: &at})
 		}
 	})
 }
@@ -469,7 +479,7 @@ func BenchmarkAsOf1M(b *testing.B) {
 	probe := commits[len(commits)/1000]
 	b.Run("segments", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if len(s.AsOf(probe)) == 0 {
+			if len(readAll(b, s, core.ScanSpec{AsOf: &probe})) == 0 {
 				b.Fatal("empty as-of state")
 			}
 		}
@@ -480,10 +490,10 @@ func BenchmarkAsOf1M(b *testing.B) {
 // a narrow early window (as of E1 through E2) over the same history.
 func BenchmarkOverlap1M(b *testing.B) {
 	s, commits := loadSeg1M(b)
-	w := temporal.Interval{From: commits[len(commits)/1000], To: commits[len(commits)/1000+200]}
+	from, through := commits[len(commits)/1000], commits[len(commits)/1000+200]-1
 	b.Run("segments", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if len(s.During(w)) == 0 {
+			if len(readAll(b, s, core.ScanSpec{AsOf: &from, Through: &through})) == 0 {
 				b.Fatal("empty overlap window")
 			}
 		}
@@ -534,7 +544,7 @@ func BenchmarkAsOfDeepFewVisible(b *testing.B) {
 	} {
 		b.Run(arm.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if n := len(s.AsOf(arm.probe)); n != arm.want {
+				if n := len(readAll(b, s, core.ScanSpec{AsOf: &arm.probe})); n != arm.want {
 					b.Fatalf("as-of state has %d rows, want %d", n, arm.want)
 				}
 			}

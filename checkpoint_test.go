@@ -117,7 +117,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	// Rollback still reaches pre-checkpoint history: as of 12/10/82 the
 	// belief was "a until 12/01/82, then b".
 	rel, _ := db2.Relation("r_temporal")
-	vs, err := rel.VisibleVersions(d821210, true)
+	at := d821210
+	vs, err := rel.Scan(ScanSpec{AsOf: &at})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,17 +358,6 @@ func TestStatsLeavesSegmentsUnmaterialized(t *testing.T) {
 	db.Close()
 	db = reopen(t, path)
 
-	materialized := func() (n int) {
-		for _, name := range db.cat.Names() {
-			rel, _ := db.cat.Get(name)
-			if seg, ok := rel.Store().(core.Segmented); ok {
-				for _, g := range seg.Segments() {
-					n += g.Materialized()
-				}
-			}
-		}
-		return n
-	}
 	st := db.Stats()
 	counts := map[string]int{}
 	for _, name := range db.Relations() {
@@ -377,7 +367,7 @@ func TestStatsLeavesSegmentsUnmaterialized(t *testing.T) {
 	if st.SealedRows == 0 {
 		t.Fatal("fixture sealed nothing")
 	}
-	if n := materialized(); n != 0 {
+	if n := MaterializedRows(db); n != 0 {
 		t.Fatalf("Stats/VersionCount materialized %d of %d sealed rows", n, st.SealedRows)
 	}
 
@@ -400,7 +390,7 @@ func TestStatsLeavesSegmentsUnmaterialized(t *testing.T) {
 		t.Fatalf("Stats counts (%d, %d current) differ from the walk (%d, %d current)",
 			st.Versions, st.CurrentVersions, versions, current)
 	}
-	if materialized() != st.SealedRows {
+	if MaterializedRows(db) != st.SealedRows {
 		t.Fatal("the reference walk itself did not materialize; the probe is blind")
 	}
 }

@@ -80,7 +80,7 @@ func TestGracefulShutdownClosesDB(t *testing.T) {
 	if err != nil {
 		t.Fatalf("relation lost across shutdown: %v", err)
 	}
-	vs, err := rel.VisibleVersions(0, false)
+	vs, err := rel.Scan(tdb.ScanSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -587,17 +587,12 @@ func (db *DB) DropRelation(name string) error {
 }
 
 // Relation returns a handle to the named relation.
-func (db *DB) Relation(name string) (*Relation, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.closed {
-		return nil, ErrClosed
-	}
-	rel, err := db.cat.Get(name)
-	if err != nil {
-		return nil, wrapErr(err)
-	}
-	return &Relation{db: db, rel: rel}, nil
+func (db *DB) Relation(name string) (rel *Relation, err error) {
+	err = db.View(func(rt *ReadTx) error {
+		rel, err = rt.Rel(name)
+		return err
+	})
+	return rel, err
 }
 
 // Relations returns the sorted names of all relations.
@@ -653,17 +648,12 @@ type Stats struct {
 // tuple. Static and historical stores hold present belief only, so every
 // version they store is current.
 func versionCounts(rel *catalog.Relation) (total, current int) {
-	switch st := rel.Store().(type) {
-	case *core.RollbackStore:
-		return st.VersionCount(), st.CurrentCount()
-	case *core.TemporalStore:
-		return st.VersionCount(), st.CurrentCount()
-	case *core.HistoricalStore:
-		return st.VersionCount(), st.VersionCount()
-	case *core.StaticStore:
-		return st.Len(), st.Len()
+	st := rel.Store()
+	total = st.(interface{ VersionCount() int }).VersionCount()
+	if st, ok := st.(interface{ CurrentCount() int }); ok {
+		return total, st.CurrentCount()
 	}
-	return 0, 0
+	return total, total
 }
 
 // Stats returns a snapshot of database-wide counters. It reads counters
@@ -731,7 +721,7 @@ func (db *DB) update(at *temporal.Chronon, fn func(tx *Tx) error) error {
 		}
 		var rec *wal.Record
 		wrap := func(itx *txn.Tx) error {
-			tx := &Tx{db: db, itx: itx}
+			tx := db.newTx(itx)
 			if err := fn(tx); err != nil {
 				return err
 			}
@@ -809,7 +799,7 @@ func (db *DB) applyOp(commit temporal.Chronon, op wal.Op) error {
 		return err
 	}
 	return db.mgr.UpdateAt(commit, func(itx *txn.Tx) error {
-		tr := &TxRel{tx: &Tx{db: db, itx: itx}, rel: rel}
+		tr := &TxRel{tx: db.newTx(itx), rel: rel}
 		switch op.Code {
 		case wal.OpInsert:
 			return tr.Insert(op.Tuple)

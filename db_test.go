@@ -484,7 +484,7 @@ func TestResultCoalesce(t *testing.T) {
 func TestAuditTrail(t *testing.T) {
 	db := memDB(t)
 	rel := loadFaculty(t, db)
-	trail, err := rel.AuditTrail(Key(String("Tom")))
+	trail, err := rel.Scan(ScanSpec{AllVersions: true, Key: Key(String("Tom"))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,15 +502,23 @@ func TestAuditTrail(t *testing.T) {
 	if trail[0].Trans.To != trail[1].Trans.From {
 		t.Errorf("belief handover mismatch: %v -> %v", trail[0].Trans, trail[1].Trans)
 	}
-	// Unknown keys have empty trails; historical kinds keep no audit record.
-	if trail, err := rel.AuditTrail(Key(String("Ghost"))); err != nil || len(trail) != 0 {
+	// Unknown keys have empty trails; historical kinds keep no audit record:
+	// every version they store is the current one.
+	if trail, err := rel.Scan(ScanSpec{AllVersions: true, Key: Key(String("Ghost"))}); err != nil || len(trail) != 0 {
 		t.Errorf("ghost trail = %v, %v", trail, err)
 	}
 	hist, err := db.CreateRelation("h", Historical, facultySchema(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hist.AuditTrail(Key(String("Tom"))); !errors.Is(err, ErrNoRollback) {
-		t.Errorf("historical audit trail: %v", err)
+	if err := hist.Assert(fac("Tom", "full"), d821205, temporal.Forever); err != nil {
+		t.Fatal(err)
+	}
+	if err := hist.Assert(fac("Tom", "associate"), d821205, temporal.Forever); err != nil {
+		t.Fatal(err)
+	}
+	if trail, err := hist.Scan(ScanSpec{AllVersions: true, Key: Key(String("Tom"))}); err != nil ||
+		len(trail) != 1 || trail[0].Data[1].Str() != "associate" {
+		t.Errorf("historical audit trail = %v, %v", trail, err)
 	}
 }

@@ -38,7 +38,10 @@ var (
 	ErrEmptyValidPeriod = core.ErrEmptyValidPeriod
 	// ErrNoRollback reports an as-of query on a kind without transaction
 	// time.
-	ErrNoRollback = errors.New("tdb: relation kind does not support rollback (as of)")
+	ErrNoRollback = core.ErrNoRollback
+	// ErrScanSpec reports a ScanSpec whose fields contradict each other (an
+	// inverted as-of window, Through or AllVersions at odds with AsOf).
+	ErrScanSpec = core.ErrScanSpec
 	// ErrNoValidTime reports a valid-time query on a kind without it.
 	ErrNoValidTime = errors.New("tdb: relation kind does not support historical queries")
 	// ErrReadOnly reports a mutation against a database opened as a

@@ -10,6 +10,7 @@ import (
 	"tdb/internal/core"
 	"tdb/internal/dataset"
 	"tdb/temporal"
+	"tdb/tquel"
 )
 
 func schemaT(t testing.TB) *tdb.Schema {
@@ -323,11 +324,18 @@ func TestFacadeMatchesDataset(t *testing.T) {
 		return out
 	}
 	for _, at := range dataset.Commits(events) {
-		facadeVs, err := rel.VisibleVersions(at, true)
+		facadeVs, err := rel.Scan(tdb.ScanSpec{AsOf: &at})
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, b := asSet(facadeVs), asSet(ref.AsOf(at))
+		var direct []tdb.Version
+		if err := ref.Read(core.ScanSpec{AsOf: &at}, func(v tdb.Version) bool {
+			direct = append(direct, v)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		a, b := asSet(facadeVs), asSet(direct)
 		if len(a) != len(b) {
 			t.Fatalf("as of %v: facade %d rows, direct %d rows", at, len(a), len(b))
 		}
@@ -337,4 +345,82 @@ func TestFacadeMatchesDataset(t *testing.T) {
 			}
 		}
 	}
+}
+
+// A keyed replace or delete reads what a keyed retrieve reads: its where
+// conjuncts reach the sealed segments' column filters, so matching one key
+// out of 50 000 sealed versions turns almost none of them back into tuples —
+// and it changes exactly the rows the planner-off reference (every current
+// version fetched, the where clause checked row by row) changes.
+func TestKeyedDMLLeavesSegmentsUnmaterialized(t *testing.T) {
+	t.Setenv("TDB_SEGMENT_ROWS", "1000")
+	const rows = 50000
+	sch, err := tdb.NewSchema(tdb.Attr("id", tdb.StringKind), tdb.Attr("v", tdb.IntKind))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sch, err = sch.WithKey("id"); err != nil {
+		t.Fatal(err)
+	}
+	load := make([]tdb.LoadRow, rows)
+	for i := range load {
+		load[i] = tdb.LoadRow{
+			Data: tdb.NewTuple(tdb.String(fmt.Sprintf("k%06d", i)), tdb.Int(int64(i%97))),
+			From: temporal.Chronon(i), To: temporal.Forever,
+		}
+	}
+	const dml = `
+		range of x is gen
+		replace x (v = 1) where x.id = "k025000"
+		delete x where x.id = "k040000"
+		replace x (v = 2) where x.v = 96 and x.id = "k000096"`
+	run := func(noPlanner bool) (*tdb.DB, int) {
+		db, err := tdb.Open("", tdb.Options{Clock: temporal.NewLogicalClock(1 << 20), LoadChunkRows: 1000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { db.Close() })
+		rel, err := db.CreateRelation("gen", tdb.Temporal, sch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, err := rel.Load(load); err != nil || n != rows {
+			t.Fatalf("Load = %d, %v", n, err)
+		}
+		if st := db.Stats(); st.SealedRows != rows || tdb.MaterializedRows(db) != 0 {
+			t.Fatalf("fixture: %d of %d rows sealed, %d already materialized", st.SealedRows, rows, tdb.MaterializedRows(db))
+		}
+		ses := tquel.NewSession(db)
+		ses.DisablePlanner(noPlanner)
+		if _, err := ses.Exec(dml); err != nil {
+			t.Fatal(err)
+		}
+		return db, tdb.MaterializedRows(db)
+	}
+	db, materialized := run(false)
+	if materialized >= rows/100 {
+		t.Errorf("keyed DML materialized %d of %d sealed rows, want under 1%%", materialized, rows)
+	}
+	ref, refMaterialized := run(true)
+	if refMaterialized < rows {
+		t.Fatalf("the planner-off reference materialized only %d rows; the probe is blind", refMaterialized)
+	}
+	got, want := versionsOf(t, db, "gen"), versionsOf(t, ref, "gen")
+	if len(got) != rows+2 || len(got) != len(want) { // each replace appends a version; the delete only closes one
+		t.Fatalf("%d versions after DML, reference %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i].String() != want[i].String() {
+			t.Fatalf("version %d: %v, reference %v", i, got[i], want[i])
+		}
+	}
+}
+
+func versionsOf(t *testing.T, db *tdb.DB, name string) []tdb.Version {
+	t.Helper()
+	rel, err := db.Relation(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rel.Versions()
 }

@@ -1,30 +1,21 @@
-// Package algebra implements a small relational algebra extended with the
-// temporal operators the paper's query examples need: rollback (timeslice
-// over transaction time), valid-time slicing and overlap filtering, a
-// temporal join whose derived valid period is the intersection of its
-// operands', and coalescing of value-equivalent rows. Derived relations are
-// materialized — query results in the paper are themselves relations that
-// "may be used in further queries", and materialization keeps that closure
-// property simple.
+// Package algebra implements the operators the query builder's derived
+// relations need: selection, projection, a temporal join whose derived valid
+// period is the intersection of its operands', and coalescing of
+// value-equivalent rows. Fetching stored versions — rollback and valid-time
+// selection — is the stores' Read; this package only transforms what it
+// returned. Derived relations are materialized — query results in the paper
+// are themselves relations that "may be used in further queries", and
+// materialization keeps that closure property simple.
 package algebra
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
-	"tdb/internal/core"
 	"tdb/internal/schema"
 	"tdb/internal/tuple"
 	"tdb/temporal"
 )
-
-// ErrNoRollback reports an as-of request against a relation kind that does
-// not record transaction time (Figure 10's left column).
-var ErrNoRollback = errors.New("algebra: relation kind does not support rollback")
-
-// ErrSchemaMismatch reports a set operation over incompatible schemas.
-var ErrSchemaMismatch = errors.New("algebra: schemas are not union-compatible")
 
 // Row is one derived tuple with its valid period. Rows from relations
 // without valid time carry the universal interval.
@@ -38,52 +29,6 @@ type Relation struct {
 	Schema *schema.Schema
 	Event  bool
 	Rows   []Row
-}
-
-// Scan materializes the versions of a store visible under the given
-// rollback setting. With hasAsOf false, the current belief is scanned; with
-// hasAsOf true, the state as of the given transaction time — an error for
-// kinds that keep no transaction time, making the taxonomy's capability
-// boundary an executable fact.
-func Scan(st core.Store, asOf temporal.Chronon, hasAsOf bool) (*Relation, error) {
-	rel := &Relation{Schema: st.Schema(), Event: st.Event()}
-	if hasAsOf && !st.Kind().SupportsRollback() {
-		return nil, fmt.Errorf("%w: %s", ErrNoRollback, st.Kind())
-	}
-	switch s := st.(type) {
-	case *core.RollbackStore:
-		if hasAsOf {
-			for _, t := range s.AsOf(asOf) {
-				rel.Rows = append(rel.Rows, Row{Data: t, Valid: temporal.All})
-			}
-		} else {
-			s.Scan(func(t tuple.Tuple) bool {
-				rel.Rows = append(rel.Rows, Row{Data: t, Valid: temporal.All})
-				return true
-			})
-		}
-	case *core.CopyRollbackStore:
-		if !hasAsOf {
-			asOf = temporal.Forever - 1
-		}
-		for _, t := range s.AsOf(asOf) {
-			rel.Rows = append(rel.Rows, Row{Data: t, Valid: temporal.All})
-		}
-	case *core.TemporalStore:
-		if !hasAsOf {
-			asOf = temporal.Forever - 1
-		}
-		for _, v := range s.AsOf(asOf) {
-			rel.Rows = append(rel.Rows, Row{Data: v.Data, Valid: v.Valid})
-		}
-	default:
-		// Static and historical: current belief only.
-		st.Versions(func(v core.Version) bool {
-			rel.Rows = append(rel.Rows, Row{Data: v.Data, Valid: v.Valid})
-			return true
-		})
-	}
-	return rel, nil
 }
 
 // Select returns the rows satisfying pred.
@@ -144,66 +89,6 @@ func Product(a, b *Relation, aPrefix, bPrefix string) (*Relation, error) {
 		}
 	}
 	return out, nil
-}
-
-// Union returns the set union of two union-compatible relations.
-func Union(a, b *Relation) (*Relation, error) {
-	if !a.Schema.Equal(b.Schema) {
-		return nil, ErrSchemaMismatch
-	}
-	out := &Relation{Schema: a.Schema, Event: a.Event && b.Event}
-	seen := map[string]bool{}
-	for _, rs := range [][]Row{a.Rows, b.Rows} {
-		for _, row := range rs {
-			k := rowKey(row)
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			out.Rows = append(out.Rows, row)
-		}
-	}
-	return out, nil
-}
-
-// Difference returns the rows of a absent from b.
-func Difference(a, b *Relation) (*Relation, error) {
-	if !a.Schema.Equal(b.Schema) {
-		return nil, ErrSchemaMismatch
-	}
-	drop := make(map[string]bool, len(b.Rows))
-	for _, row := range b.Rows {
-		drop[rowKey(row)] = true
-	}
-	out := &Relation{Schema: a.Schema, Event: a.Event}
-	for _, row := range a.Rows {
-		if !drop[rowKey(row)] {
-			out.Rows = append(out.Rows, row)
-		}
-	}
-	return out, nil
-}
-
-// TimeSlice keeps the rows whose valid period contains t.
-func TimeSlice(r *Relation, t temporal.Chronon) *Relation {
-	out := &Relation{Schema: r.Schema, Event: r.Event}
-	for _, row := range r.Rows {
-		if row.Valid.Contains(t) {
-			out.Rows = append(out.Rows, row)
-		}
-	}
-	return out
-}
-
-// When keeps the rows whose valid period overlaps q.
-func When(r *Relation, q temporal.Interval) *Relation {
-	out := &Relation{Schema: r.Schema, Event: r.Event}
-	for _, row := range r.Rows {
-		if row.Valid.Overlaps(q) {
-			out.Rows = append(out.Rows, row)
-		}
-	}
-	return out
 }
 
 // Coalesce merges value-equivalent rows whose valid periods overlap or

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"tdb/internal/core"
 	"tdb/internal/schema"
 	"tdb/internal/tuple"
 	"tdb/internal/value"
@@ -32,85 +31,6 @@ func iv(a, b temporal.Chronon) temporal.Interval { return temporal.Interval{From
 
 func rel(rows ...Row) *Relation {
 	return &Relation{Schema: faculty, Rows: rows}
-}
-
-func TestScanStaticAndHistorical(t *testing.T) {
-	st := core.NewStaticStore(faculty)
-	if err := st.Insert(fac("Merrie", "full")); err != nil {
-		t.Fatal(err)
-	}
-	r, err := Scan(st, 0, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != 1 || r.Rows[0].Valid != temporal.All {
-		t.Fatalf("static scan = %+v", r.Rows)
-	}
-	// As-of on a static relation is a taxonomy violation.
-	if _, err := Scan(st, 5, true); !errors.Is(err, ErrNoRollback) {
-		t.Fatalf("as of static: %v", err)
-	}
-
-	hs := core.NewHistoricalStore(faculty)
-	if err := hs.Assert(fac("Merrie", "associate"), iv(10, 20)); err != nil {
-		t.Fatal(err)
-	}
-	r, err = Scan(hs, 0, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != 1 || r.Rows[0].Valid != iv(10, 20) {
-		t.Fatalf("historical scan = %+v", r.Rows)
-	}
-	if _, err := Scan(hs, 5, true); !errors.Is(err, ErrNoRollback) {
-		t.Fatalf("as of historical: %v", err)
-	}
-}
-
-func TestScanRollbackAndTemporal(t *testing.T) {
-	rb := core.NewRollbackStore(faculty)
-	if err := rb.Insert(fac("A", "x"), 100); err != nil {
-		t.Fatal(err)
-	}
-	if err := rb.Replace(tuple.New(value.NewString("A")), fac("A", "y"), 200); err != nil {
-		t.Fatal(err)
-	}
-	cur, err := Scan(rb, 0, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cur.Rows) != 1 || cur.Rows[0].Data[1].Str() != "y" {
-		t.Fatalf("current = %+v", cur.Rows)
-	}
-	old, err := Scan(rb, 150, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(old.Rows) != 1 || old.Rows[0].Data[1].Str() != "x" {
-		t.Fatalf("as of 150 = %+v", old.Rows)
-	}
-
-	ts := core.NewTemporalStore(faculty)
-	if err := ts.Assert(fac("A", "x"), iv(0, 50), 100); err != nil {
-		t.Fatal(err)
-	}
-	if err := ts.Assert(fac("A", "y"), iv(0, 50), 200); err != nil {
-		t.Fatal(err)
-	}
-	cur, err = Scan(ts, 0, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cur.Rows) != 1 || cur.Rows[0].Data[1].Str() != "y" || cur.Rows[0].Valid != iv(0, 50) {
-		t.Fatalf("temporal current = %+v", cur.Rows)
-	}
-	old, err = Scan(ts, 150, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(old.Rows) != 1 || old.Rows[0].Data[1].Str() != "x" {
-		t.Fatalf("temporal as of 150 = %+v", old.Rows)
-	}
 }
 
 func TestSelectProject(t *testing.T) {
@@ -174,57 +94,6 @@ func TestProductIntersectsValid(t *testing.T) {
 	}
 }
 
-func TestUnionDifference(t *testing.T) {
-	a := rel(
-		Row{Data: fac("A", "x"), Valid: iv(0, 10)},
-		Row{Data: fac("B", "y"), Valid: iv(0, 10)},
-	)
-	b := rel(
-		Row{Data: fac("B", "y"), Valid: iv(0, 10)},
-		Row{Data: fac("C", "z"), Valid: iv(0, 10)},
-	)
-	u, err := Union(a, b)
-	if err != nil || len(u.Rows) != 3 {
-		t.Fatalf("union = %+v, %v", u, err)
-	}
-	d, err := Difference(a, b)
-	if err != nil || len(d.Rows) != 1 || d.Rows[0].Data[0].Str() != "A" {
-		t.Fatalf("difference = %+v, %v", d, err)
-	}
-	other := &Relation{Schema: schema.MustNew(schema.Attribute{Name: "x", Type: value.Int})}
-	if _, err := Union(a, other); !errors.Is(err, ErrSchemaMismatch) {
-		t.Errorf("union mismatch: %v", err)
-	}
-	if _, err := Difference(a, other); !errors.Is(err, ErrSchemaMismatch) {
-		t.Errorf("difference mismatch: %v", err)
-	}
-	// Same data, different valid period: both kept.
-	c := rel(Row{Data: fac("A", "x"), Valid: iv(20, 30)})
-	u, err = Union(a, c)
-	if err != nil || len(u.Rows) != 3 {
-		t.Fatalf("union with shifted valid = %+v, %v", u, err)
-	}
-}
-
-func TestTimeSliceAndWhen(t *testing.T) {
-	r := rel(
-		Row{Data: fac("A", "x"), Valid: iv(0, 10)},
-		Row{Data: fac("B", "y"), Valid: iv(5, 15)},
-	)
-	s := TimeSlice(r, 12)
-	if len(s.Rows) != 1 || s.Rows[0].Data[0].Str() != "B" {
-		t.Fatalf("slice = %+v", s.Rows)
-	}
-	w := When(r, iv(8, 9))
-	if len(w.Rows) != 2 {
-		t.Fatalf("when = %+v", w.Rows)
-	}
-	w = When(r, iv(40, 50))
-	if len(w.Rows) != 0 {
-		t.Fatalf("when disjoint = %+v", w.Rows)
-	}
-}
-
 func TestCoalesceMergesValueEquivalentRows(t *testing.T) {
 	r := rel(
 		Row{Data: fac("A", "x"), Valid: iv(0, 10)},
@@ -265,14 +134,16 @@ func TestCoalescePreservesSlicesProperty(t *testing.T) {
 		in := rel(rows...)
 		out := Coalesce(in)
 		for probe := temporal.Chronon(0); probe < 60; probe++ {
-			a := TimeSlice(in, probe)
-			b := TimeSlice(out, probe)
-			seen := map[string]bool{}
-			for _, row := range a.Rows {
-				seen[row.Data.String()] = true
+			seen, seenB := map[string]bool{}, map[string]bool{}
+			for _, row := range in.Rows {
+				if row.Valid.Contains(probe) {
+					seen[row.Data.String()] = true
+				}
 			}
-			seenB := map[string]bool{}
-			for _, row := range b.Rows {
+			for _, row := range out.Rows {
+				if !row.Valid.Contains(probe) {
+					continue
+				}
 				seenB[row.Data.String()] = true
 				if !seen[row.Data.String()] {
 					t.Fatalf("trial %d: coalesce invented %v at %d", trial, row.Data, probe)

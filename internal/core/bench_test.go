@@ -61,7 +61,7 @@ func BenchmarkTemporalAsOf(b *testing.B) {
 		probe := temporal.Chronon(1000 + 100*versions/2)
 		b.Run(fmt.Sprintf("versions=%d", versions), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if got := s.AsOf(probe); len(got) == 0 {
+				if got := read(b, s, asOf(probe)); len(got) == 0 {
 					b.Fatal("empty state")
 				}
 			}
@@ -74,7 +74,7 @@ func BenchmarkTemporalHistory(b *testing.B) {
 	key := nameKeyB("e0050")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := s.History(key); len(got) == 0 {
+		if got := read(b, s, ScanSpec{Key: key}); len(got) == 0 {
 			b.Fatal("empty history")
 		}
 	}
@@ -91,7 +91,7 @@ func BenchmarkHistoricalTimeSlice(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.TimeSlice(temporal.Chronon((i % 1000) * 10))
+		read(b, s, whenAt(temporal.Chronon((i%1000)*10)))
 	}
 }
 

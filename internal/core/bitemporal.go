@@ -218,98 +218,18 @@ func (s *TemporalStore) supersede(key tuple.Tuple, valid temporal.Interval, at t
 	return n
 }
 
-// AsOf performs the rollback operation, returning the historical state that
-// was current at transaction time t: every version asserted by then and not
-// yet superseded, stamped with its valid period. The result of rollback on
-// a temporal relation is a historical relation (§4.4). The scan walks the
-// segments in commit order, skipping any whose transaction-time zone map
-// excludes t.
-func (s *TemporalStore) AsOf(t temporal.Chronon) []Version {
-	return s.AsOfFiltered(t, nil)
-}
-
-// AsOfFiltered is AsOf with optional comparison pre-filters evaluated on the
-// segment columns before any tuple is materialized. Filters are an
-// acceleration only (callers re-verify the originating predicate), so nil
-// filters yield the same rows.
-func (s *TemporalStore) AsOfFiltered(t temporal.Chronon, filters []*segment.Filter) []Version {
-	countRead(Temporal)
-	var out []Version
-	s.log.ScanAsOf(t, filters, func(_ int, r segment.Row) bool {
-		out = append(out, Version{Data: r.Data, Valid: r.Valid, Trans: r.Trans})
-		return true
-	})
-	return out
-}
-
-// During returns every version that belonged to some believed state during
-// the transaction-time window (TQuel's "as of E1 through E2").
-func (s *TemporalStore) During(window temporal.Interval) []Version {
-	countRead(Temporal)
-	var out []Version
-	s.log.ScanTransOverlap(window, func(_ int, r segment.Row) bool {
-		out = append(out, Version{Data: r.Data, Valid: r.Valid, Trans: r.Trans})
-		return true
-	})
-	return out
-}
-
-// TimeSlice answers the fully bitemporal point query: the tuples valid at
-// instant v according to the database state as of transaction time asOf.
-func (s *TemporalStore) TimeSlice(v, asOf temporal.Chronon) []tuple.Tuple {
-	countRead(Temporal)
-	var out []tuple.Tuple
-	s.log.ScanWhen(temporal.At(v), asOf, nil, func(_ int, r segment.Row) bool {
-		out = append(out, r.Data)
-		return true
-	})
-	return out
-}
-
-// When returns the versions current as of asOf whose valid period overlaps
-// q — the primitive behind TQuel's combined when + as of query in §4.4. The
-// scan prunes segments on both time axes via their zone maps.
-func (s *TemporalStore) When(q temporal.Interval, asOf temporal.Chronon) []Version {
-	return s.WhenFiltered(q, asOf, nil)
-}
-
-// WhenFiltered is When with optional equality pre-filters evaluated on the
-// segment columns before materialization. Filters are an acceleration only —
-// the planner re-applies the originating predicate on every returned
-// version — so passing nil and filtering afterwards yields the same rows.
-func (s *TemporalStore) WhenFiltered(q temporal.Interval, asOf temporal.Chronon, filters []*segment.Filter) []Version {
-	countRead(Temporal)
-	var out []Version
-	s.log.ScanWhen(q, asOf, filters, func(_ int, r segment.Row) bool {
-		out = append(out, Version{Data: r.Data, Valid: r.Valid, Trans: r.Trans})
-		return true
-	})
-	return out
-}
-
-// History returns the currently believed versions for key in valid order.
-func (s *TemporalStore) History(key tuple.Tuple) []Version {
-	countRead(Temporal)
-	var out []Version
-	for _, pos := range s.byKey.Lookup(key.Hash64()) {
-		row := s.log.Row(pos)
-		if row.Trans.To == temporal.Forever && tuple.Equal(row.Data.Key(s.sch), key) {
-			out = append(out, Version{Data: row.Data, Valid: row.Valid, Trans: row.Trans})
-		}
+// Read answers spec from the version log (see readLog). Rollback yields the
+// historical state that was current at the as-of instant — the result of
+// rollback on a temporal relation is a historical relation (§4.4) — and a
+// When on top of it is the paper's fully bitemporal query: tuples valid at
+// some moment as seen from some other moment.
+func (s *TemporalStore) Read(spec ScanSpec, fn func(Version) bool) error {
+	if err := spec.check(Temporal); err != nil {
+		return err
 	}
-	sortVersionsByValid(out)
-	return out
-}
-
-// ScanKey yields every stored version (current and superseded) whose key
-// hash matches, in commit order — the audit-trail primitive. Sealed segments
-// whose bloom filter excludes the hash are skipped without reading a row.
-// Callers must still compare the key projection: hashes can collide.
-func (s *TemporalStore) ScanKey(kh uint64, fn func(Version) bool) {
 	countRead(Temporal)
-	s.log.ScanKey(kh, func(_ int, r segment.Row) bool {
-		return fn(Version{Data: r.Data, Valid: r.Valid, Trans: r.Trans})
-	})
+	readLog(s.log, &s.byKey, s.sch, spec, fn)
+	return nil
 }
 
 // RestoreVersion reloads one stored version verbatim, including superseded
@@ -364,18 +284,6 @@ func (s *TemporalStore) Versions(fn func(Version) bool) {
 	s.log.Scan(func(_ int, r segment.Row) bool {
 		return fn(Version{Data: r.Data, Valid: r.Valid, Trans: r.Trans})
 	})
-}
-
-// Snapshot returns the tuples believed (as of now) to be valid at now.
-func (s *TemporalStore) Snapshot(now temporal.Chronon) []tuple.Tuple {
-	var out []tuple.Tuple
-	s.log.ScanCurrent(nil, func(_ int, r segment.Row) bool {
-		if r.Valid.Contains(now) {
-			out = append(out, r.Data)
-		}
-		return true
-	})
-	return out
 }
 
 func (s *TemporalStore) admit(at temporal.Chronon) error {

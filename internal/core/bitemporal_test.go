@@ -70,12 +70,12 @@ func TestTemporalWhenAsOfQuery(t *testing.T) {
 	queryMerrieWhenTomArrived := func(asOf temporal.Chronon) []Version {
 		var out []Version
 		// start of Tom's validity as of the rollback instant.
-		for _, v := range s.AsOf(asOf) {
+		for _, v := range read(t, s, ScanSpec{AsOf: &asOf}) {
 			if v.Data[0].Str() != "Tom" {
 				continue
 			}
 			tomStart := v.Valid.Start()
-			for _, m := range s.When(temporal.At(tomStart), asOf) {
+			for _, m := range read(t, s, ScanSpec{AsOf: &asOf, When: whenAt(tomStart).When}) {
 				if m.Data[0].Str() == "Merrie" {
 					out = append(out, m)
 				}
@@ -175,12 +175,12 @@ func TestTemporalAsOfEqualsReplayedHistorical(t *testing.T) {
 			// historical state and the replayed one must agree everywhere.
 			for probe := temporal.Chronon(0); probe < 160; probe += 7 {
 				var fromAsOf []tuple.Tuple
-				for _, ver := range ts.AsOf(asOf) {
+				for _, ver := range read(t, ts, ScanSpec{AsOf: &asOf}) {
 					if ver.Valid.Contains(probe) {
 						fromAsOf = append(fromAsOf, ver.Data)
 					}
 				}
-				a, b := tupleSet(fromAsOf), tupleSet(hs.TimeSlice(probe))
+				a, b := tupleSet(fromAsOf), tupleSet(tuplesOf(read(t, hs, whenAt(probe))))
 				if !equalStrings(a, b) {
 					t.Fatalf("trial %d asOf=%v probe=%v:\n rollback  %v\n replayed  %v",
 						trial, asOf, probe, a, b)
@@ -280,7 +280,7 @@ func TestTemporalRetractMiddleSplits(t *testing.T) {
 	if err := s.Retract(nameKey("A"), temporal.Interval{From: 20, To: 30}, 200); err != nil {
 		t.Fatal(err)
 	}
-	h := s.History(nameKey("A"))
+	h := history(t, s, nameKey("A"))
 	if len(h) != 2 {
 		t.Fatalf("history = %v", h)
 	}
@@ -289,7 +289,7 @@ func TestTemporalRetractMiddleSplits(t *testing.T) {
 		t.Fatalf("split = %v", h)
 	}
 	// The original full version remains reachable via rollback.
-	old := s.AsOf(150)
+	old := read(t, s, asOf(150))
 	if len(old) != 1 || old[0].Valid != (temporal.Interval{From: 10, To: 50}) {
 		t.Fatalf("as of 150 = %v", old)
 	}
@@ -301,7 +301,7 @@ func TestTemporalTimeSlice(t *testing.T) {
 	// Valid 12/10/82 as of 12/10/82: Merrie associate (promotion not yet
 	// recorded), Tom associate (his correction landed on 12/07/82).
 	got := map[string]string{}
-	for _, tp := range s.TimeSlice(d821210, d821210) {
+	for _, tp := range tuplesOf(read(t, s, asOf(d821210, d821210))) {
 		got[tp[0].Str()] = tp[1].Str()
 	}
 	if got["Merrie"] != "associate" || got["Tom"] != "associate" || len(got) != 2 {
@@ -310,7 +310,7 @@ func TestTemporalTimeSlice(t *testing.T) {
 	// Valid and as of 12/06/82: Tom's erroneous "full" was still believed.
 	d821206 := temporal.Date(1982, 12, 6)
 	got = map[string]string{}
-	for _, tp := range s.TimeSlice(d821206, d821206) {
+	for _, tp := range tuplesOf(read(t, s, asOf(d821206, d821206))) {
 		got[tp[0].Str()] = tp[1].Str()
 	}
 	if got["Merrie"] != "associate" || got["Tom"] != "full" || len(got) != 2 {
@@ -318,7 +318,7 @@ func TestTemporalTimeSlice(t *testing.T) {
 	}
 	// Same valid instant as of 12/20/82: both corrections visible.
 	got = map[string]string{}
-	for _, tp := range s.TimeSlice(d821210, d821220) {
+	for _, tp := range tuplesOf(read(t, s, asOf(d821220, d821210))) {
 		got[tp[0].Str()] = tp[1].Str()
 	}
 	if got["Merrie"] != "full" || got["Tom"] != "associate" || len(got) != 2 {
@@ -330,12 +330,12 @@ func TestTemporalSnapshotAndScanHelpers(t *testing.T) {
 	s := NewTemporalStore(facultySchema(t))
 	loadFigure8(t, s)
 	now := temporal.Date(1985, 3, 1)
-	names := tupleNames(s.Snapshot(now))
+	names := tupleNames(tuplesOf(read(t, s, whenAt(now))))
 	if !equalStrings(names, []string{"Merrie", "Tom"}) {
 		t.Errorf("snapshot 1985 = %v", names)
 	}
 	// During Mike's tenure (current belief): three faculty.
-	names = tupleNames(s.Snapshot(temporal.Date(1983, 6, 1)))
+	names = tupleNames(tuplesOf(read(t, s, whenAt(temporal.Date(1983, 6, 1)))))
 	if !equalStrings(names, []string{"Merrie", "Mike", "Tom"}) {
 		t.Errorf("snapshot mid-83 = %v", names)
 	}

@@ -62,7 +62,7 @@ func (s *CopyRollbackStore) Apply(at temporal.Chronon, transform func([]tuple.Tu
 	if at < s.lastCommit || !at.IsFinite() {
 		return ErrTimeRegression
 	}
-	cur := s.Snapshot(at)
+	cur := s.current()
 	next, err := transform(cur)
 	if err != nil {
 		return err
@@ -151,8 +151,8 @@ func (s *CopyRollbackStore) AsOf(t temporal.Chronon) []tuple.Tuple {
 	return s.states[i-1]
 }
 
-// Snapshot returns a mutable copy of the current state.
-func (s *CopyRollbackStore) Snapshot(temporal.Chronon) []tuple.Tuple {
+// current returns a mutable copy of the current state.
+func (s *CopyRollbackStore) current() []tuple.Tuple {
 	if len(s.states) == 0 {
 		return nil
 	}

@@ -40,7 +40,6 @@ func TestStoreAccessors(t *testing.T) {
 	stores := []Store{
 		NewStaticStore(sch),
 		NewRollbackStore(sch),
-		NewCopyRollbackStore(sch),
 		NewHistoricalStore(sch),
 		NewTemporalStore(sch),
 	}
@@ -66,28 +65,27 @@ func TestStoreAccessors(t *testing.T) {
 	}
 }
 
-func TestRollbackDuringAndScan(t *testing.T) {
+func TestRollbackDuringAndEarlyStop(t *testing.T) {
 	s := NewRollbackStore(facultySchema(t))
 	loadFigure4(t, s)
 	// Window spanning Merrie's promotion sees both her versions.
 	win := temporal.Interval{From: d821210, To: d821220}
 	ranks := map[string]bool{}
-	for _, v := range s.During(win) {
+	for _, v := range read(t, s, during(win)) {
 		if v.Data[0].Str() == "Merrie" {
 			ranks[v.Data[1].Str()] = true
 		}
 	}
 	if !ranks["associate"] || !ranks["full"] {
-		t.Fatalf("During = %v", s.During(win))
+		t.Fatalf("during = %v", read(t, s, during(win)))
 	}
-	// Scan visits current tuples only, with early stop.
+	// A read stops as soon as fn says so.
 	n := 0
-	s.Scan(func(tuple.Tuple) bool {
+	if err := s.Read(ScanSpec{}, func(Version) bool {
 		n++
 		return false
-	})
-	if n != 1 {
-		t.Errorf("Scan early stop visited %d", n)
+	}); err != nil || n != 1 {
+		t.Errorf("early stop visited %d (%v)", n, err)
 	}
 }
 
@@ -96,13 +94,13 @@ func TestTemporalDuring(t *testing.T) {
 	loadFigure8(t, s)
 	win := temporal.Interval{From: d821210, To: d821220}
 	ranks := map[string]bool{}
-	for _, v := range s.During(win) {
+	for _, v := range read(t, s, during(win)) {
 		if v.Data[0].Str() == "Merrie" {
 			ranks[v.Data[1].Str()] = true
 		}
 	}
 	if !ranks["associate"] || !ranks["full"] {
-		t.Fatalf("During = %v", s.During(win))
+		t.Fatalf("during = %v", read(t, s, during(win)))
 	}
 }
 
@@ -119,7 +117,7 @@ func TestRestoreVersionRoundTrip(t *testing.T) {
 		return true
 	})
 	for _, probe := range []temporal.Chronon{d770825, d821210, d821220, d840301} {
-		if !equalStrings(versionSet(orig.AsOf(probe)), versionSet(restored.AsOf(probe))) {
+		if !equalStrings(versionSet(read(t, orig, asOf(probe))), versionSet(read(t, restored, asOf(probe)))) {
 			t.Fatalf("AsOf(%v) differs after restore", probe)
 		}
 	}
@@ -165,7 +163,7 @@ func TestRollbackRestoreVersion(t *testing.T) {
 		return true
 	})
 	for _, probe := range []temporal.Chronon{d770825, d821210, d830110, d840301} {
-		if !equalStrings(tupleSet(orig.AsOf(probe)), tupleSet(restored.AsOf(probe))) {
+		if !equalStrings(versionSet(read(t, orig, asOf(probe))), versionSet(read(t, restored, asOf(probe)))) {
 			t.Fatalf("AsOf(%v) differs after restore", probe)
 		}
 	}

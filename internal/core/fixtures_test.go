@@ -90,3 +90,61 @@ func versionSet(vs []Version) []string {
 	sort.Strings(out)
 	return out
 }
+
+// read collects what Read yields for spec, failing the test on an error.
+func read(t testing.TB, s Store, spec ScanSpec) []Version {
+	t.Helper()
+	var out []Version
+	if err := s.Read(spec, func(v Version) bool { out = append(out, v); return true }); err != nil {
+		t.Fatalf("Read(%+v): %v", spec, err)
+	}
+	return out
+}
+
+// asOf is the rollback spec; a when (valid at v) narrows it to the paper's
+// bitemporal point query.
+func asOf(at temporal.Chronon, when ...temporal.Chronon) ScanSpec {
+	spec := ScanSpec{AsOf: &at}
+	if len(when) > 0 {
+		spec.When = whenAt(when[0]).When
+	}
+	return spec
+}
+
+// whenAt selects what is valid at v according to current belief.
+func whenAt(v temporal.Chronon) ScanSpec {
+	iv := temporal.Interval{From: v, To: v + 1}
+	return ScanSpec{When: &iv}
+}
+
+// during is the rollback window [w.From, w.To).
+func during(w temporal.Interval) ScanSpec {
+	through := w.To - 1
+	return ScanSpec{AsOf: &w.From, Through: &through}
+}
+
+// history returns key's currently believed versions in valid order.
+func history(t testing.TB, s Store, key tuple.Tuple) []Version {
+	t.Helper()
+	vs := read(t, s, ScanSpec{Key: key})
+	sort.SliceStable(vs, func(i, j int) bool { return vs[i].Valid.From < vs[j].Valid.From })
+	return vs
+}
+
+// get returns the current tuple with the given key.
+func get(t testing.TB, s Store, key tuple.Tuple) (tuple.Tuple, bool) {
+	t.Helper()
+	vs := read(t, s, ScanSpec{Key: key})
+	if len(vs) == 0 {
+		return nil, false
+	}
+	return vs[0].Data, true
+}
+
+func tuplesOf(vs []Version) []tuple.Tuple {
+	out := make([]tuple.Tuple, len(vs))
+	for i, v := range vs {
+		out[i] = v.Data
+	}
+	return out
+}

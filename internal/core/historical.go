@@ -163,46 +163,40 @@ func (s *HistoricalStore) carve(key tuple.Tuple, valid temporal.Interval) int {
 	return affected
 }
 
-// TimeSlice returns the tuples believed valid at instant t — the historical
-// database "always views tuples valid at some moment as of now" (§4.4).
-func (s *HistoricalStore) TimeSlice(t temporal.Chronon) []tuple.Tuple {
+// Read answers spec from the single stored state: a Key through the key
+// index, a When through the valid-time interval tree, anything else by
+// visiting every live version. The historical database "always views tuples
+// valid at some moment as of now" (§4.4), so a rollback spec is refused.
+func (s *HistoricalStore) Read(spec ScanSpec, fn func(Version) bool) error {
+	if err := spec.check(Historical); err != nil {
+		return err
+	}
 	countRead(Historical)
-	var out []tuple.Tuple
-	s.byValid.Stab(t, func(_ temporal.Interval, pos int) bool {
-		if s.rows[pos].live {
-			out = append(out, s.rows[pos].data)
-		}
-		return true
-	})
-	return out
-}
-
-// When returns the versions whose valid period overlaps the query interval,
-// with their valid stamps — the primitive behind TQuel's when clause.
-func (s *HistoricalStore) When(q temporal.Interval) []Version {
-	countRead(Historical)
-	var out []Version
-	s.byValid.Overlapping(q, func(iv temporal.Interval, pos int) bool {
-		if s.rows[pos].live {
-			out = append(out, Version{Data: s.rows[pos].data, Valid: iv, Trans: temporal.All})
-		}
-		return true
-	})
-	return out
-}
-
-// History returns all live versions for the given key in valid-time order.
-func (s *HistoricalStore) History(key tuple.Tuple) []Version {
-	countRead(Historical)
-	var out []Version
-	for _, pos := range s.byKey.Lookup(key.Hash64()) {
+	visit := func(pos int) bool {
 		row := s.rows[pos]
-		if row.live && tuple.Equal(row.data.Key(s.sch), key) {
-			out = append(out, Version{Data: row.data, Valid: row.valid, Trans: temporal.All})
+		if !row.live {
+			return true
+		}
+		v := Version{Data: row.data, Valid: row.valid, Trans: temporal.All}
+		return !spec.admits(s.sch, v) || fn(v)
+	}
+	switch {
+	case spec.Key != nil:
+		for _, pos := range s.byKey.Lookup(spec.Key.Hash64()) {
+			if !visit(pos) {
+				break
+			}
+		}
+	case spec.When != nil:
+		s.byValid.Overlapping(*spec.When, func(_ temporal.Interval, pos int) bool { return visit(pos) })
+	default:
+		for pos := range s.rows {
+			if !visit(pos) {
+				break
+			}
 		}
 	}
-	sortVersionsByValid(out)
-	return out
+	return nil
 }
 
 // Versions yields every live version with its valid period; transaction
@@ -217,11 +211,6 @@ func (s *HistoricalStore) Versions(fn func(Version) bool) {
 			return
 		}
 	}
-}
-
-// Snapshot returns the tuples believed valid at now.
-func (s *HistoricalStore) Snapshot(now temporal.Chronon) []tuple.Tuple {
-	return s.TimeSlice(now)
 }
 
 func (s *HistoricalStore) add(t, key tuple.Tuple, valid temporal.Interval) {
@@ -271,18 +260,6 @@ func (s *HistoricalStore) popFree(pos int) {
 		if p == pos {
 			s.free = append(s.free[:i], s.free[i+1:]...)
 			return
-		}
-	}
-}
-
-func sortVersionsByValid(vs []Version) {
-	for i := 1; i < len(vs); i++ {
-		for j := i; j > 0; j-- {
-			if vs[j].Valid.From < vs[j-1].Valid.From {
-				vs[j], vs[j-1] = vs[j-1], vs[j]
-			} else {
-				break
-			}
 		}
 	}
 }

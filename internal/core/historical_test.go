@@ -63,9 +63,9 @@ func TestHistoricalFigure6Versions(t *testing.T) {
 func TestHistoricalWhenQuery(t *testing.T) {
 	s := NewHistoricalStore(facultySchema(t))
 	loadFigure6(t, s)
-	tomStart := s.History(nameKey("Tom"))[0].Valid.Start()
+	tomStart := history(t, s, nameKey("Tom"))[0].Valid.Start()
 	var hits []Version
-	for _, v := range s.When(temporal.At(tomStart)) {
+	for _, v := range read(t, s, whenAt(tomStart)) {
 		if v.Data[0].Str() == "Merrie" {
 			hits = append(hits, v)
 		}
@@ -88,7 +88,7 @@ func TestHistoricalTimeSlice(t *testing.T) {
 	// At 12/10/82, the historical answer is full (contrast the rollback
 	// store's associate — the paper's central comparison).
 	var rank string
-	for _, tp := range s.TimeSlice(d821210) {
+	for _, tp := range tuplesOf(read(t, s, whenAt(d821210))) {
 		if tp[0].Str() == "Merrie" {
 			rank = tp[1].Str()
 		}
@@ -97,17 +97,17 @@ func TestHistoricalTimeSlice(t *testing.T) {
 		t.Errorf("Merrie valid at 12/10/82 = %q, want full", rank)
 	}
 	// Before she joined: absent.
-	for _, tp := range s.TimeSlice(temporal.Date(1977, 1, 1)) {
+	for _, tp := range tuplesOf(read(t, s, whenAt(temporal.Date(1977, 1, 1)))) {
 		if tp[0].Str() == "Merrie" {
 			t.Error("Merrie visible before her start date")
 		}
 	}
 	// Mike after departure: absent; before: present.
-	names := tupleNames(s.TimeSlice(temporal.Date(1984, 6, 1)))
+	names := tupleNames(tuplesOf(read(t, s, whenAt(temporal.Date(1984, 6, 1)))))
 	if !equalStrings(names, []string{"Merrie", "Tom"}) {
 		t.Errorf("slice after Mike left = %v", names)
 	}
-	names = tupleNames(s.TimeSlice(temporal.Date(1983, 6, 1)))
+	names = tupleNames(tuplesOf(read(t, s, whenAt(temporal.Date(1983, 6, 1)))))
 	if !equalStrings(names, []string{"Merrie", "Mike", "Tom"}) {
 		t.Errorf("slice during Mike = %v", names)
 	}
@@ -122,7 +122,7 @@ func TestHistoricalCoalescesValueEquivalentAssertions(t *testing.T) {
 	if err := s.Assert(fac("A", "x"), temporal.Interval{From: 20, To: 30}); err != nil {
 		t.Fatal(err)
 	}
-	h := s.History(nameKey("A"))
+	h := history(t, s, nameKey("A"))
 	if len(h) != 1 || h[0].Valid != (temporal.Interval{From: 10, To: 30}) {
 		t.Fatalf("history = %v", h)
 	}
@@ -130,7 +130,7 @@ func TestHistoricalCoalescesValueEquivalentAssertions(t *testing.T) {
 	if err := s.Assert(fac("A", "x"), temporal.Interval{From: 25, To: 40}); err != nil {
 		t.Fatal(err)
 	}
-	h = s.History(nameKey("A"))
+	h = history(t, s, nameKey("A"))
 	if len(h) != 1 || h[0].Valid != (temporal.Interval{From: 10, To: 40}) {
 		t.Fatalf("history = %v", h)
 	}
@@ -138,7 +138,7 @@ func TestHistoricalCoalescesValueEquivalentAssertions(t *testing.T) {
 	if err := s.Assert(fac("A", "x"), temporal.Interval{From: 50, To: 60}); err != nil {
 		t.Fatal(err)
 	}
-	if h = s.History(nameKey("A")); len(h) != 2 {
+	if h = history(t, s, nameKey("A")); len(h) != 2 {
 		t.Fatalf("history = %v", h)
 	}
 }
@@ -152,7 +152,7 @@ func TestHistoricalCorrectionSplitsVersion(t *testing.T) {
 	if err := s.Assert(fac("A", "y"), temporal.Interval{From: 20, To: 30}); err != nil {
 		t.Fatal(err)
 	}
-	h := s.History(nameKey("A"))
+	h := history(t, s, nameKey("A"))
 	if len(h) != 3 {
 		t.Fatalf("history = %v", h)
 	}
@@ -182,7 +182,7 @@ func TestHistoricalRetract(t *testing.T) {
 	if err := s.Retract(nameKey("A"), temporal.Interval{From: 15, To: 20}); err != nil {
 		t.Fatal(err)
 	}
-	h := s.History(nameKey("A"))
+	h := history(t, s, nameKey("A"))
 	if len(h) != 2 {
 		t.Fatalf("history = %v", h)
 	}
@@ -225,14 +225,14 @@ func TestHistoricalEventRelation(t *testing.T) {
 	if err := s.AssertAt(fac("A", "promoted"), 200); err != nil {
 		t.Fatal(err)
 	}
-	if h := s.History(nameKey("A")); len(h) != 2 {
+	if h := history(t, s, nameKey("A")); len(h) != 2 {
 		t.Fatalf("history = %v", h)
 	}
 	// Same key, same instant: correction replaces.
 	if err := s.AssertAt(fac("A", "demoted"), 200); err != nil {
 		t.Fatal(err)
 	}
-	h := s.History(nameKey("A"))
+	h := history(t, s, nameKey("A"))
 	if len(h) != 2 {
 		t.Fatalf("history = %v", h)
 	}
@@ -240,10 +240,10 @@ func TestHistoricalEventRelation(t *testing.T) {
 		t.Errorf("corrected event = %v", h[1])
 	}
 	// TimeSlice sees the event only at its instant.
-	if got := s.TimeSlice(100); len(got) != 1 {
+	if got := read(t, s, whenAt(100)); len(got) != 1 {
 		t.Errorf("slice at event = %v", got)
 	}
-	if got := s.TimeSlice(101); len(got) != 0 {
+	if got := read(t, s, whenAt(101)); len(got) != 0 {
 		t.Errorf("slice after event = %v", got)
 	}
 }
@@ -294,7 +294,7 @@ func TestHistoricalAgainstReferenceModel(t *testing.T) {
 				}
 			}
 			got := map[string]string{}
-			for _, tp := range s.TimeSlice(probe) {
+			for _, tp := range tuplesOf(read(t, s, whenAt(probe))) {
 				got[tp[0].Str()] = tp[1].Str()
 			}
 			if len(got) != len(want) {

@@ -11,41 +11,31 @@ import (
 
 // fingerprint captures the externally observable state of a store: every
 // version plus snapshots and rollbacks at many probe instants.
-func fingerprint(s Store, probes []temporal.Chronon) []string {
+func fingerprint(s txnStore, probes []temporal.Chronon) []string {
 	var out []string
 	s.Versions(func(v Version) bool {
 		out = append(out, "v:"+v.String())
 		return true
 	})
 	for _, p := range probes {
-		for _, t := range s.Snapshot(p) {
-			out = append(out, fmt.Sprintf("s%v:%v", p, t))
-		}
-	}
-	switch st := s.(type) {
-	case *RollbackStore:
-		for _, p := range probes {
-			for _, t := range st.AsOf(p) {
+		st, ok := s.(Store)
+		if !ok { // the copy baseline answers rollback only
+			for _, t := range s.(*CopyRollbackStore).AsOf(p) {
 				out = append(out, fmt.Sprintf("a%v:%v", p, t))
 			}
+			continue
 		}
-	case *TemporalStore:
-		for _, p := range probes {
-			for _, v := range st.AsOf(p) {
-				out = append(out, fmt.Sprintf("a%v:%v", p, v))
+		observe := func(tag string, spec ScanSpec) {
+			if err := st.Read(spec, func(v Version) bool {
+				out = append(out, fmt.Sprintf("%s%v:%v", tag, p, v))
+				return true
+			}); err != nil {
+				panic(err)
 			}
 		}
-	case *CopyRollbackStore:
-		for _, p := range probes {
-			for _, t := range st.AsOf(p) {
-				out = append(out, fmt.Sprintf("a%v:%v", p, t))
-			}
-		}
-	case *HistoricalStore:
-		for _, p := range probes {
-			for _, t := range st.TimeSlice(p) {
-				out = append(out, fmt.Sprintf("a%v:%v", p, t))
-			}
+		observe("s", whenAt(p))
+		if st.Kind().SupportsRollback() {
+			observe("a", asOf(p))
 		}
 	}
 	// Index-backed enumeration order (treap shape) may legitimately differ
@@ -56,7 +46,7 @@ func fingerprint(s Store, probes []temporal.Chronon) []string {
 
 // randomOp applies one random (possibly failing) mutation appropriate to
 // the store kind.
-func randomOp(r *rand.Rand, s Store, clock *temporal.TickingClock, i int) {
+func randomOp(r *rand.Rand, s txnStore, clock *temporal.TickingClock, i int) {
 	names := []string{"a", "b", "c", "d"}
 	name := names[r.Intn(len(names))]
 	data := fac(name, fmt.Sprint(i%4))
@@ -109,8 +99,10 @@ func randomOp(r *rand.Rand, s Store, clock *temporal.TickingClock, i int) {
 	}
 }
 
+// txnStore is what the abort property needs of a store — the four kinds and
+// the copy baseline alike.
 type txnStore interface {
-	Store
+	Versions(fn func(Version) bool)
 	Transactional
 }
 

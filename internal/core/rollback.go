@@ -12,8 +12,8 @@ import (
 
 // RollbackStore is a static rollback relation (§4.2, Figure 4): every tuple
 // carries the transaction-time period during which it was part of the
-// current state, and the rollback operation AsOf reconstructs any past
-// state. The store is append-only — "once a transaction has completed, the
+// current state, and the rollback operation (Read with ScanSpec.AsOf)
+// reconstructs any past state. The store is append-only — "once a transaction has completed, the
 // static relations in the static rollback relation may not be altered" — so
 // the only permitted change to committed data is closing a current
 // version's transaction-time end.
@@ -21,9 +21,9 @@ import (
 // Like TemporalStore, the version log is a segment.Log — the store's only
 // physical representation and its only transaction-time access path:
 // committed history seals into columnar segments whose transaction-time
-// zone maps let AsOf and During skip whole segments, and every read returns
-// versions in commit order. Rollback relations carry no valid time, so
-// sealed rows store the universal interval there.
+// zone maps let as-of and windowed reads skip whole segments, and every read
+// returns versions in commit order. Rollback relations carry no valid time,
+// so rows store the universal interval there.
 //
 // Updates take a commit chronon supplied by the transaction layer, which
 // must be non-decreasing; supplying an earlier chronon fails with
@@ -113,7 +113,7 @@ func (s *RollbackStore) Insert(t tuple.Tuple, at temporal.Chronon) error {
 }
 
 // Delete removes the tuple with the given key from the current state at
-// commit time at. The version remains reachable through AsOf forever:
+// commit time at. The version remains reachable through rollback forever:
 // errors "can sometimes be overridden ... but they cannot be forgotten".
 func (s *RollbackStore) Delete(key tuple.Tuple, at temporal.Chronon) error {
 	countWrite(StaticRollback)
@@ -153,89 +153,23 @@ func (s *RollbackStore) Replace(key tuple.Tuple, t tuple.Tuple, at temporal.Chro
 	return nil
 }
 
-// Get returns the current tuple with the given key.
-func (s *RollbackStore) Get(key tuple.Tuple) (tuple.Tuple, bool) {
-	countRead(StaticRollback)
-	pos, ok := s.current(key)
-	if !ok {
-		return nil, false
+// Read answers spec from the version log (see readLog). Rollback relations
+// carry no valid time, so every version is stamped with the universal
+// interval there: the result of rollback on a static rollback relation is a
+// pure static relation (§4.2).
+func (s *RollbackStore) Read(spec ScanSpec, fn func(Version) bool) error {
+	if err := spec.check(StaticRollback); err != nil {
+		return err
 	}
-	return s.log.Row(pos).Data, true
-}
-
-// AsOf performs the rollback operation: it returns the static state that
-// was current at transaction time t. The result of rollback on a static
-// rollback relation is a pure static relation (§4.2).
-func (s *RollbackStore) AsOf(t temporal.Chronon) []tuple.Tuple {
 	countRead(StaticRollback)
-	var out []tuple.Tuple
-	s.log.ScanAsOf(t, nil, func(_ int, r segment.Row) bool {
-		out = append(out, r.Data)
-		return true
-	})
-	return out
-}
-
-// AsOfVersions is AsOf keeping the version stamps, in commit order — the
-// shape the relation facade's VisibleVersions needs.
-func (s *RollbackStore) AsOfVersions(t temporal.Chronon) []Version {
-	return s.AsOfVersionsFiltered(t, nil)
-}
-
-// AsOfVersionsFiltered is AsOfVersions with optional comparison pre-filters
-// evaluated on the segment columns before materialization. Acceleration
-// only: callers re-verify the originating predicate on the returned
-// versions.
-func (s *RollbackStore) AsOfVersionsFiltered(t temporal.Chronon, filters []*segment.Filter) []Version {
-	countRead(StaticRollback)
-	var out []Version
-	s.log.ScanAsOf(t, filters, func(_ int, r segment.Row) bool {
-		out = append(out, Version{Data: r.Data, Valid: temporal.All, Trans: r.Trans})
-		return true
-	})
-	return out
-}
-
-// During returns every version that was part of some current state during
-// the transaction-time window — the primitive behind TQuel's
-// "as of E1 through E2", which views the database across a span of its own
-// history rather than at one instant.
-func (s *RollbackStore) During(window temporal.Interval) []Version {
-	countRead(StaticRollback)
-	var out []Version
-	s.log.ScanTransOverlap(window, func(_ int, r segment.Row) bool {
-		out = append(out, Version{Data: r.Data, Valid: temporal.All, Trans: r.Trans})
-		return true
-	})
-	return out
-}
-
-// Snapshot returns the current state.
-func (s *RollbackStore) Snapshot(now temporal.Chronon) []tuple.Tuple {
-	countRead(StaticRollback)
-	var out []tuple.Tuple
-	s.log.ScanCurrent(nil, func(_ int, r segment.Row) bool {
-		out = append(out, r.Data)
-		return true
-	})
-	_ = now
-	return out
+	readLog(s.log, &s.byKey, s.sch, spec, fn)
+	return nil
 }
 
 // Versions yields every stored version; valid time is reported as the
 // universal interval since the kind does not model it.
 func (s *RollbackStore) Versions(fn func(Version) bool) {
 	s.log.Scan(func(_ int, r segment.Row) bool {
-		return fn(Version{Data: r.Data, Valid: temporal.All, Trans: r.Trans})
-	})
-}
-
-// ScanKey yields every stored version whose key hash matches, in commit
-// order, skipping sealed segments via their bloom filters. Callers must
-// still compare the key projection: hashes can collide.
-func (s *RollbackStore) ScanKey(kh uint64, fn func(Version) bool) {
-	countRead(StaticRollback)
-	s.log.ScanKey(kh, func(_ int, r segment.Row) bool {
 		return fn(Version{Data: r.Data, Valid: temporal.All, Trans: r.Trans})
 	})
 }
@@ -278,13 +212,6 @@ func (s *RollbackStore) RestoreSegment(g *segment.Segment) error {
 		s.lastCommit = latestCommit(s.lastCommit, tr)
 	}
 	return nil
-}
-
-// Scan calls fn for every current tuple.
-func (s *RollbackStore) Scan(fn func(tuple.Tuple) bool) {
-	s.log.ScanCurrent(nil, func(_ int, r segment.Row) bool {
-		return fn(r.Data)
-	})
 }
 
 func (s *RollbackStore) admit(at temporal.Chronon) error {

@@ -16,8 +16,14 @@ type rollbackOps interface {
 	Insert(t tuple.Tuple, at temporal.Chronon) error
 	Delete(key tuple.Tuple, at temporal.Chronon) error
 	Replace(key, t tuple.Tuple, at temporal.Chronon) error
-	AsOf(t temporal.Chronon) []tuple.Tuple
-	Snapshot(temporal.Chronon) []tuple.Tuple
+}
+
+// stateAsOf is the rollback operation on either representation.
+func stateAsOf(t testing.TB, s rollbackOps, at temporal.Chronon) []tuple.Tuple {
+	if cp, ok := s.(*CopyRollbackStore); ok {
+		return cp.AsOf(at)
+	}
+	return tuplesOf(read(t, s.(Store), asOf(at)))
 }
 
 // loadFigure4 replays the transactions that produce Figure 4's relation:
@@ -74,7 +80,7 @@ func TestRollbackAsOfQuery(t *testing.T) {
 		t.Run(impl.name, func(t *testing.T) {
 			loadFigure4(t, impl.s)
 			rank := ""
-			for _, tp := range impl.s.AsOf(d821210) {
+			for _, tp := range stateAsOf(t, impl.s, d821210) {
 				if tp[0].Str() == "Merrie" {
 					rank = tp[1].Str()
 				}
@@ -84,7 +90,7 @@ func TestRollbackAsOfQuery(t *testing.T) {
 			}
 			// After the recording date, the answer flips.
 			rank = ""
-			for _, tp := range impl.s.AsOf(d821220) {
+			for _, tp := range stateAsOf(t, impl.s, d821220) {
 				if tp[0].Str() == "Merrie" {
 					rank = tp[1].Str()
 				}
@@ -93,15 +99,15 @@ func TestRollbackAsOfQuery(t *testing.T) {
 				t.Errorf("Merrie as of 12/20/82 = %q, want full", rank)
 			}
 			// Before anything was stored: empty state.
-			if got := impl.s.AsOf(temporal.Date(1970, 1, 1)); len(got) != 0 {
+			if got := stateAsOf(t, impl.s, temporal.Date(1970, 1, 1)); len(got) != 0 {
 				t.Errorf("as of 1970 = %v", got)
 			}
 			// Mike is gone from the current state but visible historically.
-			cur := tupleNames(impl.s.Snapshot(d840301))
+			cur := tupleNames(stateAsOf(t, impl.s, temporal.Forever-1))
 			if !equalStrings(cur, []string{"Merrie", "Tom"}) {
 				t.Errorf("current state = %v", cur)
 			}
-			old := tupleNames(impl.s.AsOf(d830110))
+			old := tupleNames(stateAsOf(t, impl.s, d830110))
 			if !equalStrings(old, []string{"Merrie", "Mike", "Tom"}) {
 				t.Errorf("as of 01/10/83 = %v", old)
 			}
@@ -148,7 +154,7 @@ func TestRollbackReplaceKeyCollision(t *testing.T) {
 		t.Fatalf("collision: %v", err)
 	}
 	// Nothing was half-applied.
-	if got, _ := s.Get(nameKey("Tom")); got[1].Str() != "associate" {
+	if got, _ := get(t, s, nameKey("Tom")); got[1].Str() != "associate" {
 		t.Errorf("Tom = %v", got)
 	}
 }
@@ -228,7 +234,7 @@ func TestRollbackRepresentationEquivalence(t *testing.T) {
 	}
 	probes := append([]temporal.Chronon{0, 99, temporal.Forever - 1}, commits...)
 	for _, at := range probes {
-		a, b := tupleSet(ts.AsOf(at)), tupleSet(cp.AsOf(at))
+		a, b := tupleSet(tuplesOf(read(t, ts, asOf(at)))), tupleSet(cp.AsOf(at))
 		if !equalStrings(a, b) {
 			t.Fatalf("AsOf(%v) diverged:\n timestamped %v\n copy        %v", at, a, b)
 		}
@@ -250,7 +256,7 @@ func TestRollbackInsertDeleteSameInstant(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The version existed for an empty period: invisible at every instant.
-	if got := s.AsOf(at); len(got) != 0 {
+	if got := read(t, s, asOf(at)); len(got) != 0 {
 		t.Errorf("AsOf(at) = %v", got)
 	}
 	// But the version itself is still recorded (append-only).

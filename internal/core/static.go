@@ -47,8 +47,9 @@ func (s *StaticStore) Schema() *schema.Schema { return s.sch }
 // Event returns false: static relations carry no time at all.
 func (s *StaticStore) Event() bool { return false }
 
-// Len returns the number of tuples in the current state.
-func (s *StaticStore) Len() int { return s.byKey.Len() }
+// VersionCount returns the number of tuples in the current state — the only
+// versions a static relation stores.
+func (s *StaticStore) VersionCount() int { return s.byKey.Len() }
 
 // Insert adds a tuple to the current state. It fails with ErrDuplicateKey
 // if a tuple with the same key is present.
@@ -140,21 +141,25 @@ func (s *StaticStore) popFree(pos int) {
 	}
 }
 
-// Get returns the current tuple with the given key.
-func (s *StaticStore) Get(key tuple.Tuple) (tuple.Tuple, bool) {
-	countRead(Static)
-	pos, ok := s.lookup(key)
-	if !ok {
-		return nil, false
+// Read answers spec from the single current state: a Key through the key
+// index, anything else by visiting every tuple. A static relation carries
+// no time at all, so versions are stamped with the universal interval on
+// both axes and a rollback spec is refused.
+func (s *StaticStore) Read(spec ScanSpec, fn func(Version) bool) error {
+	if err := spec.check(Static); err != nil {
+		return err
 	}
-	return s.rows[pos], true
-}
-
-// Scan calls fn for every tuple in the current state, stopping early if fn
-// returns false.
-func (s *StaticStore) Scan(fn func(tuple.Tuple) bool) {
 	countRead(Static)
-	s.scan(fn)
+	visit := func(t tuple.Tuple) bool {
+		v := Version{Data: t, Valid: temporal.All, Trans: temporal.All}
+		return !spec.admits(s.sch, v) || fn(v)
+	}
+	if spec.Key == nil {
+		s.scan(visit)
+	} else if pos, ok := s.lookup(spec.Key); ok {
+		visit(s.rows[pos])
+	}
+	return nil
 }
 
 func (s *StaticStore) scan(fn func(tuple.Tuple) bool) {
@@ -175,18 +180,6 @@ func (s *StaticStore) Versions(fn func(Version) bool) {
 	s.scan(func(t tuple.Tuple) bool {
 		return fn(Version{Data: t, Valid: temporal.All, Trans: temporal.All})
 	})
-}
-
-// Snapshot returns the current state; now is ignored, since a static
-// relation has no other state to offer.
-func (s *StaticStore) Snapshot(temporal.Chronon) []tuple.Tuple {
-	countRead(Static)
-	out := make([]tuple.Tuple, 0, s.Len())
-	s.scan(func(t tuple.Tuple) bool {
-		out = append(out, t)
-		return true
-	})
-	return out
 }
 
 func (s *StaticStore) lookup(key tuple.Tuple) (int, bool) {

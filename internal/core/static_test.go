@@ -20,17 +20,17 @@ func TestStaticInsertGetScan(t *testing.T) {
 	if err := s.Insert(fac("Tom", "associate")); err != nil {
 		t.Fatal(err)
 	}
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d", s.Len())
+	if s.VersionCount() != 2 {
+		t.Fatalf("VersionCount = %d", s.VersionCount())
 	}
-	got, ok := s.Get(nameKey("Merrie"))
+	got, ok := get(t, s, nameKey("Merrie"))
 	if !ok || got[1].Str() != "full" {
 		t.Fatalf("Get = %v, %v", got, ok)
 	}
-	if _, ok := s.Get(nameKey("Ghost")); ok {
+	if _, ok := get(t, s, nameKey("Ghost")); ok {
 		t.Fatal("Get on absent key must fail")
 	}
-	names := tupleNames(s.Snapshot(0))
+	names := tupleNames(tuplesOf(read(t, s, ScanSpec{})))
 	if !equalStrings(names, []string{"Merrie", "Tom"}) {
 		t.Fatalf("Snapshot = %v", names)
 	}
@@ -67,14 +67,14 @@ func TestStaticDeleteForgets(t *testing.T) {
 	if err := s.Delete(nameKey("Mike")); !errors.Is(err, ErrNoSuchTuple) {
 		t.Fatalf("double delete: %v", err)
 	}
-	if s.Len() != 0 {
-		t.Fatalf("Len = %d", s.Len())
+	if s.VersionCount() != 0 {
+		t.Fatalf("VersionCount = %d", s.VersionCount())
 	}
 	// The slot is recycled: past states are discarded completely.
 	if err := s.Insert(fac("Anna", "full")); err != nil {
 		t.Fatal(err)
 	}
-	if got := tupleNames(s.Snapshot(0)); !equalStrings(got, []string{"Anna"}) {
+	if got := tupleNames(tuplesOf(read(t, s, ScanSpec{}))); !equalStrings(got, []string{"Anna"}) {
 		t.Fatalf("Snapshot = %v", got)
 	}
 }
@@ -88,12 +88,12 @@ func TestStaticReplace(t *testing.T) {
 	if err := s.Replace(nameKey("Merrie"), fac("Merrie", "full")); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := s.Get(nameKey("Merrie"))
+	got, _ := get(t, s, nameKey("Merrie"))
 	if got[1].Str() != "full" {
 		t.Fatalf("rank = %v", got[1])
 	}
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d", s.Len())
+	if s.VersionCount() != 1 {
+		t.Fatalf("VersionCount = %d", s.VersionCount())
 	}
 	if err := s.Replace(nameKey("Ghost"), fac("Ghost", "x")); !errors.Is(err, ErrNoSuchTuple) {
 		t.Fatalf("replace absent: %v", err)
@@ -116,10 +116,10 @@ func TestStaticReplaceChangingKey(t *testing.T) {
 	if err := s.Replace(nameKey("Tom"), fac("Thomas", "full")); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Get(nameKey("Tom")); ok {
+	if _, ok := get(t, s, nameKey("Tom")); ok {
 		t.Error("old key still resolves")
 	}
-	if got, ok := s.Get(nameKey("Thomas")); !ok || got[1].Str() != "full" {
+	if got, ok := get(t, s, nameKey("Thomas")); !ok || got[1].Str() != "full" {
 		t.Errorf("new key = %v, %v", got, ok)
 	}
 }
@@ -157,22 +157,21 @@ func TestStaticLimitations(t *testing.T) {
 
 	// (1) Historical query: "What was Merrie's rank 2 years ago?" — the
 	// previous rank is unrecoverable; only "full" remains.
-	got, _ := s.Get(nameKey("Merrie"))
+	got, _ := get(t, s, nameKey("Merrie"))
 	if got[1].Str() != "full" {
 		t.Fatal("current state wrong")
 	}
 	ranks := map[string]bool{}
-	s.Scan(func(tp tuple.Tuple) bool {
+	for _, tp := range tuplesOf(read(t, s, ScanSpec{})) {
 		ranks[tp[1].Str()] = true
-		return true
-	})
+	}
 	if ranks["associate"] {
 		t.Error("static store retained a past state; it must not")
 	}
 
 	// (2) Trend analysis: "How did the number of faculty change over the
 	// last 5 years?" — only one cardinality exists, the current one.
-	if len(s.Snapshot(0)) != 1 {
+	if len(tuplesOf(read(t, s, ScanSpec{}))) != 1 {
 		t.Error("exactly one state must exist")
 	}
 
@@ -186,7 +185,7 @@ func TestStaticLimitations(t *testing.T) {
 	if err := s.Insert(fac("James", "assistant")); err != nil {
 		t.Fatal(err)
 	}
-	names := tupleNames(s.Snapshot(0))
+	names := tupleNames(tuplesOf(read(t, s, ScanSpec{})))
 	if !equalStrings(names, []string{"James", "Merrie"}) {
 		t.Fatalf("James is visible now, not next month: %v", names)
 	}

@@ -127,19 +127,27 @@ func TestLoadersAllStores(t *testing.T) {
 		}
 		return true
 	}
+	read := func(s core.Store, spec core.ScanSpec) []tuple.Tuple {
+		var out []tuple.Tuple
+		if err := s.Read(spec, func(v core.Version) bool { out = append(out, v.Data); return true }); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
 	for _, at := range Commits(events) {
-		if !sameSet(asSet(rb.AsOf(at)), asSet(cp.AsOf(at))) {
+		if !sameSet(asSet(read(rb, core.ScanSpec{AsOf: &at})), asSet(cp.AsOf(at))) {
 			t.Fatalf("AsOf(%v) diverges between representations", at)
 		}
 	}
-	if !sameSet(asSet(st.Snapshot(0)), asSet(rb.Snapshot(temporal.Forever-1))) {
+	if !sameSet(asSet(read(st, core.ScanSpec{})), asSet(read(rb, core.ScanSpec{}))) {
 		t.Fatal("final static state differs from rollback current state")
 	}
 
 	// Temporal-vs-historical agreement on current belief: the temporal
 	// store's current time slices equal the historical store's.
 	for probe := cfg.Start; probe < MidCommit(events); probe += temporal.Chronon(cfg.Step * 100) {
-		if !sameSet(asSet(ts.TimeSlice(probe, temporal.Forever-1)), asSet(hs.TimeSlice(probe))) {
+		at := temporal.At(probe)
+		if !sameSet(asSet(read(ts, core.ScanSpec{When: &at})), asSet(read(hs, core.ScanSpec{When: &at}))) {
 			t.Fatalf("time slice at %v diverges between temporal and historical", probe)
 		}
 	}

@@ -34,7 +34,7 @@ func BenchmarkIntervalTreeStab(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				c := temporal.Chronon(r.Int63n(1 << 20))
-				tr.Stab(c, func(temporal.Interval, int) bool { return true })
+				tr.Overlapping(temporal.At(c), func(temporal.Interval, int) bool { return true })
 			}
 		})
 	}

@@ -5,15 +5,16 @@ import (
 )
 
 // IntervalTree is a treap keyed by interval start, augmented with the
-// maximum interval end in each subtree. It answers stabbing queries ("all
-// intervals containing chronon t") and overlap queries in O(log n + k).
+// maximum interval end in each subtree. It answers overlap queries — a
+// stabbing query ("all intervals containing chronon t") is the overlap with
+// a one-chronon interval — in O(log n + k).
 //
-// HistoricalStore keeps one tree over valid-time periods: a time slice is a
-// stabbing query and "when ... overlap" an overlap query, so their cost
-// grows with the answer size rather than with the number of stored versions.
+// HistoricalStore keeps one tree over valid-time periods: a time slice and
+// "when ... overlap" are both overlap queries, so their cost grows with the
+// answer size rather than with the number of stored versions.
 //
 // IntervalTree is not safe for concurrent mutation, but a quiescent tree
-// is safe for any number of concurrent readers: Stab, Overlapping, and Len
+// is safe for any number of concurrent readers: Overlapping and Len
 // only walk the node structure. The stores mutate their trees exclusively
 // inside transactions (under the database write lock), so readers holding
 // the read lock never observe a rotation in progress.
@@ -123,32 +124,6 @@ func merge(a, b *itNode) *itNode {
 		pull(b)
 		return b
 	}
-}
-
-// Stab calls fn for the posting of every interval containing c, stopping
-// early if fn returns false.
-func (t *IntervalTree) Stab(c temporal.Chronon, fn func(iv temporal.Interval, pos int) bool) {
-	stab(t.root, c, fn)
-}
-
-func stab(n *itNode, c temporal.Chronon, fn func(iv temporal.Interval, pos int) bool) bool {
-	if n == nil || n.maxEnd <= c {
-		// No interval in this subtree extends past c.
-		return true
-	}
-	if !stab(n.left, c, fn) {
-		return false
-	}
-	if n.iv.Contains(c) {
-		if !fn(n.iv, n.pos) {
-			return false
-		}
-	}
-	if n.iv.From > c {
-		// Right subtree starts even later; nothing there contains c.
-		return true
-	}
-	return stab(n.right, c, fn)
 }
 
 // Overlapping calls fn for the posting of every interval overlapping q,

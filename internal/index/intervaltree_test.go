@@ -14,7 +14,7 @@ func ivx(from, to temporal.Chronon) temporal.Interval {
 
 func collectStab(t *IntervalTree, c temporal.Chronon) []int {
 	var out []int
-	t.Stab(c, func(_ temporal.Interval, pos int) bool {
+	t.Overlapping(temporal.Interval{From: c, To: c + 1}, func(_ temporal.Interval, pos int) bool {
 		out = append(out, pos)
 		return true
 	})
@@ -67,7 +67,7 @@ func TestIntervalTreeEarlyStop(t *testing.T) {
 		tr.Insert(ivx(0, 100), i)
 	}
 	count := 0
-	tr.Stab(50, func(temporal.Interval, int) bool {
+	tr.Overlapping(temporal.At(50), func(temporal.Interval, int) bool {
 		count++
 		return false
 	})

@@ -206,7 +206,8 @@ func (l *Log) Scan(fn func(pos int, r Row) bool) {
 // zone maps and survivors are tested column-at-a-time before any tuple is
 // materialized; the tail is tested row-wise. Optional filters are evaluated
 // on the columns (and against the attribute zone maps) before
-// materialization, like ScanWhen's.
+// materialization, like ScanWhen's. Current belief is the scan at the last
+// instant of transaction time.
 func (l *Log) ScanAsOf(t temporal.Chronon, filters []*Filter, fn func(pos int, r Row) bool) {
 	ti := int64(t)
 	for _, g := range l.segs {
@@ -340,34 +341,6 @@ func (l *Log) ScanTransOverlap(w temporal.Interval, fn func(pos int, r Row) bool
 			return
 		}
 		if l.tail[i].Trans.Overlaps(w) {
-			if !fn(l.sealed+i, l.tail[i]) {
-				return
-			}
-		}
-	}
-}
-
-// ScanCurrent calls fn for every row whose transaction period is open,
-// skipping fully-superseded segments outright. Optional filters are
-// evaluated on the columns before materialization, like ScanWhen's.
-func (l *Log) ScanCurrent(filters []*Filter, fn func(pos int, r Row) bool) {
-	forever := int64(temporal.Forever)
-	for _, g := range l.segs {
-		if g.current == 0 || !resolveAll(filters, g) {
-			mSegmentsPruned.Inc()
-			continue
-		}
-		mSegmentsScanned.Inc()
-		for i := 0; i < g.n; i++ {
-			if g.transTo[i] == forever && matchAll(filters, g, i) {
-				if !fn(g.start+i, g.row(i)) {
-					return
-				}
-			}
-		}
-	}
-	for i := range l.tail {
-		if l.tail[i].Trans.To == temporal.Forever && matchAllRow(filters, l.tail[i]) {
 			if !fn(l.sealed+i, l.tail[i]) {
 				return
 			}

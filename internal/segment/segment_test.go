@@ -214,8 +214,9 @@ func TestScansMatchReference(t *testing.T) {
 				where(ref, func(r Row) bool { return r.Trans.Overlaps(w) }))
 		}
 
-		samePositions(t, "ScanCurrent",
-			collect(func(fn func(int, Row) bool) { l.ScanCurrent(nil, fn) }),
+		// Current belief is the as-of read at the last instant of time.
+		samePositions(t, "ScanAsOf(current belief)",
+			collect(func(fn func(int, Row) bool) { l.ScanAsOf(temporal.Forever-1, nil, fn) }),
 			where(ref, func(r Row) bool { return r.Trans.To == temporal.Forever }))
 
 		for _, name := range []string{"Jane", "Tom", "Nobody"} {
@@ -270,7 +271,7 @@ func TestFiltersAccelerateOnly(t *testing.T) {
 }
 
 // TestCmpFiltersAccelerateOnly: ordered comparison filters on every filtered
-// scan path (when, as-of, current) must keep exactly the rows a row-wise
+// scan path (when, as-of, current belief) must keep exactly the rows a row-wise
 // post-filter keeps.
 func TestCmpFiltersAccelerateOnly(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
@@ -308,8 +309,8 @@ func TestCmpFiltersAccelerateOnly(t *testing.T) {
 		samePositions(t, name+" ScanAsOf",
 			collect(func(fn func(int, Row) bool) { l.ScanAsOf(asOf, []*Filter{f}, fn) }),
 			where(ref, func(r Row) bool { return r.Trans.Contains(asOf) && keep(r) }))
-		samePositions(t, name+" ScanCurrent",
-			collect(func(fn func(int, Row) bool) { l.ScanCurrent([]*Filter{f}, fn) }),
+		samePositions(t, name+" ScanAsOf(current belief)",
+			collect(func(fn func(int, Row) bool) { l.ScanAsOf(temporal.Forever-1, []*Filter{f}, fn) }),
 			where(ref, func(r Row) bool { return r.Trans.To == temporal.Forever && keep(r) }))
 	}
 

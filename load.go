@@ -125,7 +125,7 @@ func (db *DB) loadChunk(name string, rows []LoadRow, apply func(h *TxRel, row Lo
 	}
 	var rec *wal.Record
 	err := db.mgr.Update(func(itx *txn.Tx) error {
-		tx := &Tx{db: db, itx: itx}
+		tx := db.newTx(itx)
 		h, err := tx.Rel(name)
 		if err != nil {
 			return err

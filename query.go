@@ -22,12 +22,8 @@ import (
 // joined with Join.
 type Query struct {
 	rel      *Relation
-	asOf     temporal.Chronon
-	hasAsOf  bool
-	when     temporal.Interval
-	hasWhen  bool
-	at       temporal.Chronon
-	hasAt    bool
+	asOf     *temporal.Chronon
+	when     []temporal.Interval // every When/At restriction, conjoined
 	where    []func(Tuple) (bool, error)
 	eq       map[string]Value // attribute -> value, from WhereEq
 	coalesce bool
@@ -38,21 +34,18 @@ func (r *Relation) Query() *Query { return &Query{rel: r} }
 
 // AsOf sets the rollback instant (transaction time).
 func (q *Query) AsOf(t temporal.Chronon) *Query {
-	q.asOf, q.hasAsOf = t, true
+	q.asOf = &t
 	return q
 }
 
 // When keeps versions whose valid period overlaps iv.
 func (q *Query) When(iv temporal.Interval) *Query {
-	q.when, q.hasWhen = iv, true
+	q.when = append(q.when, iv)
 	return q
 }
 
 // At keeps versions valid at instant t.
-func (q *Query) At(t temporal.Chronon) *Query {
-	q.at, q.hasAt = t, true
-	return q
-}
+func (q *Query) At(t temporal.Chronon) *Query { return q.When(temporal.At(t)) }
 
 // Where adds an attribute predicate; multiple predicates conjoin.
 func (q *Query) Where(pred func(Tuple) (bool, error)) *Query {
@@ -78,51 +71,23 @@ func (q *Query) WhereEq(attr string, v Value) *Query {
 	})
 }
 
-// keyLookup attempts the key-index fast path: when the WhereEq predicates
-// cover every key attribute and no rollback instant is requested, the
-// matching versions come straight from the key index. Returns nil, false
-// when the fast path does not apply (Run then falls back to a scan).
-func (q *Query) keyLookup() (*algebra.Relation, bool) {
+// key returns the entity key the WhereEq predicates pin down, or nil when
+// they leave some key attribute open.
+func (q *Query) key() Tuple {
 	sch := q.rel.Schema()
-	if q.hasAsOf || !sch.HasExplicitKey() || len(q.eq) == 0 {
-		return nil, false
+	if !sch.HasExplicitKey() || len(q.eq) == 0 {
+		return nil
 	}
 	keyIdx := sch.KeyIndices()
 	keyVals := make([]Value, 0, len(keyIdx))
 	for _, ki := range keyIdx {
 		v, ok := q.eq[sch.Attr(ki).Name]
 		if !ok {
-			return nil, false
+			return nil
 		}
 		keyVals = append(keyVals, v)
 	}
-	key := NewTuple(keyVals...)
-	rel := &algebra.Relation{Schema: sch, Event: q.rel.Event()}
-	switch q.rel.Kind() {
-	case Static:
-		st, _ := q.rel.rel.Static()
-		if t, ok := st.Get(key); ok {
-			rel.Rows = append(rel.Rows, algebra.Row{Data: t, Valid: temporal.All})
-		}
-	case StaticRollback:
-		st, _ := q.rel.rel.Rollback()
-		if t, ok := st.Get(key); ok {
-			rel.Rows = append(rel.Rows, algebra.Row{Data: t, Valid: temporal.All})
-		}
-	case Historical:
-		st, _ := q.rel.rel.Historical()
-		for _, v := range st.History(key) {
-			rel.Rows = append(rel.Rows, algebra.Row{Data: v.Data, Valid: v.Valid})
-		}
-	case Temporal:
-		st, _ := q.rel.rel.Temporal()
-		for _, v := range st.History(key) {
-			rel.Rows = append(rel.Rows, algebra.Row{Data: v.Data, Valid: v.Valid})
-		}
-	default:
-		return nil, false
-	}
-	return rel, true
+	return NewTuple(keyVals...)
 }
 
 // Coalesce merges value-equivalent versions over overlapping or adjacent
@@ -132,43 +97,41 @@ func (q *Query) Coalesce() *Query {
 	return q
 }
 
-// Run executes the query and materializes the result.
+// Run executes the query and materializes the result: one Scan for the
+// versions, then the predicates, coalescing and ordering on the private
+// copy.
 func (q *Query) Run() (*Result, error) {
-	db := q.rel.db
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.closed {
-		return nil, ErrClosed
+	// A scan answers When on any kind (vacuously, without valid time); asking
+	// the builder for a historical query of such a kind is still a mistake.
+	if kind := q.rel.Kind(); len(q.when) > 0 && !kind.SupportsHistorical() {
+		return nil, fmt.Errorf("%w: %s is %s", ErrNoValidTime, q.rel.Name(), kind)
 	}
-	st := q.rel.rel.Store()
-	if q.hasAsOf && !st.Kind().SupportsRollback() {
-		return nil, fmt.Errorf("%w: %s is %s", ErrNoRollback, q.rel.Name(), st.Kind())
+	spec := ScanSpec{AsOf: q.asOf, Key: q.key()}
+	if len(q.when) > 0 {
+		spec.When = &q.when[0]
 	}
-	if (q.hasWhen || q.hasAt) && !st.Kind().SupportsHistorical() {
-		return nil, fmt.Errorf("%w: %s is %s", ErrNoValidTime, q.rel.Name(), st.Kind())
+	vs, err := q.rel.Scan(spec)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", q.rel.Name(), err)
 	}
-	rel, fast := q.keyLookup()
-	if !fast {
-		var err error
-		rel, err = algebra.Scan(st, q.asOf, q.hasAsOf)
-		if err != nil {
-			return nil, err
+	rel := &algebra.Relation{Schema: q.rel.Schema(), Event: q.rel.Event(), Rows: make([]algebra.Row, 0, len(vs))}
+versions:
+	for _, v := range vs {
+		for _, iv := range q.when { // the scan applied the first; re-checking it is free
+			if !v.Valid.Overlaps(iv) {
+				continue versions
+			}
 		}
-	}
-	var err error
-	if q.hasWhen {
-		rel = algebra.When(rel, q.when)
-	}
-	if q.hasAt {
-		rel = algebra.TimeSlice(rel, q.at)
-	}
-	for _, pred := range q.where {
-		rel, err = algebra.Select(rel, func(row algebra.Row) (bool, error) {
-			return pred(row.Data)
-		})
-		if err != nil {
-			return nil, err
+		for _, pred := range q.where {
+			ok, err := pred(v.Data)
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
+				continue versions
+			}
 		}
+		rel.Rows = append(rel.Rows, algebra.Row{Data: v.Data, Valid: v.Valid})
 	}
 	if q.coalesce {
 		rel = algebra.Coalesce(rel)

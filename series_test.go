@@ -2,6 +2,7 @@ package tdb
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"tdb/temporal"
@@ -56,12 +57,77 @@ func TestSeriesKindBoundaries(t *testing.T) {
 	}
 }
 
+// A series is counted in one database state: the writer moves an entity from
+// one day to the next (and back) inside a single transaction, so in every
+// committed state the two days' counts add up to the number of entities; a
+// series that took the lock once per bucket could count an entity twice or
+// not at all.
+func TestSeriesReadsOneCut(t *testing.T) {
+	const entities, moves = 8, 2000
+	db := memDB(t)
+	rel, err := db.CreateRelation("shift", Historical, facultySchema(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	day1, day2, day3 := temporal.Date(1985, 3, 1), temporal.Date(1985, 3, 2), temporal.Date(1985, 3, 3)
+	day := day2 - day1
+	name := func(i int) string { return string(rune('a' + i%entities)) }
+	for i := 0; i < entities; i++ {
+		if err := rel.Assert(fac(name(i), "x"), day1, day2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done := make(chan struct{})
+	errs := make(chan error, 1)
+	go func() {
+		defer close(errs)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			pts, err := rel.Series(day1, day3, temporal.Day)
+			if err == nil && (len(pts) != 2 || pts[0].Count+pts[1].Count != entities) {
+				err = fmt.Errorf("series %+v does not add up to %d entities: its buckets saw different states", pts, entities)
+			}
+			if err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	for i := 0; i < moves; i++ {
+		from, to := day1, day2
+		if (i/entities)%2 == 1 { // every entity moves forward, then every entity moves back
+			from, to = day2, day1
+		}
+		if err := db.Update(func(tx *Tx) error {
+			h, err := tx.Rel("shift")
+			if err != nil {
+				return err
+			}
+			if err := h.Retract(Key(String(name(i))), from, from+day); err != nil {
+				return err
+			}
+			return h.Assert(fac(name(i), "x"), to, to+day)
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	if err := <-errs; err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestVersionsDuring(t *testing.T) {
 	db := memDB(t)
 	rel := loadFaculty(t, db)
 	// The window spanning Merrie's promotion recording (12/15/82) sees
 	// both her superseded and corrected versions.
-	vs, err := rel.VersionsDuring(d821210, d821220)
+	from, through := d821210, d821220
+	vs, err := rel.Scan(ScanSpec{AsOf: &from, Through: &through})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,12 +140,12 @@ func TestVersionsDuring(t *testing.T) {
 	if !ranks["associate"] || !ranks["full"] {
 		t.Fatalf("window versions = %v", vs)
 	}
-	// A point window equals VisibleVersions at that instant.
-	point, err := rel.VersionsDuring(d821210, d821210)
+	// A point window equals the as-of read at that instant.
+	point, err := rel.Scan(ScanSpec{AsOf: &from, Through: &from})
 	if err != nil {
 		t.Fatal(err)
 	}
-	visible, err := rel.VisibleVersions(d821210, true)
+	visible, err := rel.Scan(ScanSpec{AsOf: &from})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,14 +153,14 @@ func TestVersionsDuring(t *testing.T) {
 		t.Fatalf("point window %d versions, visible %d", len(point), len(visible))
 	}
 	// Inverted windows and unsupported kinds fail.
-	if _, err := rel.VersionsDuring(d821220, d821210); err == nil {
+	if _, err := rel.Scan(ScanSpec{AsOf: &through, Through: &from}); !errors.Is(err, ErrScanSpec) {
 		t.Error("inverted window must fail")
 	}
 	hist, err := db.CreateRelation("h", Historical, facultySchema(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hist.VersionsDuring(0, 100); !errors.Is(err, ErrNoRollback) {
+	if _, err := hist.Scan(ScanSpec{AsOf: &from, Through: &through}); !errors.Is(err, ErrNoRollback) {
 		t.Errorf("window on historical: %v", err)
 	}
 }

@@ -155,9 +155,11 @@ type Response struct {
 	// Code classifies structured failures ("busy", "version", "malformed",
 	// "readonly"); empty for execution errors and successes.
 	Code string `json:"code,omitempty"`
-	// Commit is the serving database's latest commit chronon at response
-	// time (1.1+). Replica-aware clients compare it against the highest
-	// commit they have seen to bound read staleness.
+	// Commit is the serving database's latest commit chronon (1.1+): on a
+	// primary sampled after the request ran, so a write's response covers
+	// its own commit; on a follower sampled before, so the stamp is a lower
+	// bound on the state the request read. Replica-aware clients compare it
+	// against the highest commit they have seen to bound read staleness.
 	Commit int64 `json:"commit,omitempty"`
 }
 

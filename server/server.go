@@ -267,6 +267,16 @@ func (s *Server) handle(conn net.Conn) {
 			continue
 		}
 		start := time.Now()
+		// A follower's answer is stamped with the commit clock as it stood
+		// before the request ran: the apply stream may advance the clock
+		// while the request executes, and a stamp taken afterwards could
+		// claim a fresher state than the one the request read — which a
+		// staleness-bounded client would then accept. The earlier sample is
+		// a lower bound on what was read, never an over-claim.
+		var stamp int64
+		if s.db.IsReadOnly() {
+			stamp = int64(s.db.LastCommit())
+		}
 		var req Request
 		resp := Response{}
 		if err := json.Unmarshal(line, &req); err != nil {
@@ -326,7 +336,12 @@ func (s *Server) handle(conn net.Conn) {
 			}
 		}
 		resp.V = ProtoVersion
-		resp.Commit = int64(s.db.LastCommit())
+		resp.Commit = stamp
+		if !s.db.IsReadOnly() {
+			// A primary stamps afterwards, so that a write's response covers
+			// its own commit.
+			resp.Commit = int64(s.db.LastCommit())
+		}
 		out, err := encodeLine(resp)
 		if err != nil {
 			s.logger.Printf("encoding response: %v", err)

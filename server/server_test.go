@@ -82,6 +82,7 @@ func TestClientServerRoundTrip(t *testing.T) {
 // Explain flows through the protocol as an ordinary message outcome: the
 // rendered plan arrives in Msg, with no resultset table.
 func TestExplainOverProtocol(t *testing.T) {
+	t.Setenv("TDB_DISABLE_PLANNER", "") // the rendered plan is the planner's
 	_, addr := startServer(t)
 	c, err := Dial(addr)
 	if err != nil {
@@ -417,5 +418,67 @@ func TestCacheCommand(t *testing.T) {
 	}
 	if resp.Error == "" {
 		t.Fatal("unknown command must report an error")
+	}
+}
+
+// The same atomic read-modify-write over the wire (see tquel's
+// TestReplaceIsAtomicReadModifyWrite): two connections each make 500
+// compare-and-set increments of one counter, and every acknowledged
+// increment must be in the final count.
+func TestReplaceIsAtomicOverTheWire(t *testing.T) {
+	const clients, increments = 2, 500
+	_, addr := startServer(t)
+	setup, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer setup.Close()
+	if resp, err := setup.Exec(`
+		create rollback relation counter (id = string, n = int) key (id)
+		append to counter (id = "k", n = 0)
+		range of c is counter`); err != nil || resp.Error != "" {
+		t.Fatalf("%v / %+v", err, resp)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < clients; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c, err := Dial(addr)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer c.Close()
+			if resp, err := c.Exec(`range of c is counter`); err != nil || resp.Error != "" {
+				t.Errorf("%v / %+v", err, resp)
+				return
+			}
+			for v, done := 0, 0; done < increments; v++ {
+				resp, err := c.Exec(fmt.Sprintf(`replace c (n = %d) where c.id = "k" and c.n = %d`, v+1, v))
+				if err != nil || resp.Error != "" {
+					t.Errorf("%v / %+v", err, resp)
+					return
+				}
+				switch msg := resp.Outcomes[0].Msg; msg {
+				case "1 tuple(s) replaced":
+					done++
+				case "0 tuple(s) replaced": // the other connection took v
+				default:
+					t.Errorf("replace reported %q", msg)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	resp, err := setup.Exec(fmt.Sprintf(`retrieve (c.n) where c.n = %d`, clients*increments))
+	if err != nil || resp.Error != "" {
+		t.Fatalf("%v / %+v", err, resp)
+	}
+	if resp.Outcomes[0].Rows != 1 {
+		final, _ := setup.Exec(`retrieve (c.n)`)
+		t.Fatalf("counter is not %d after that many acknowledged increments: updates were lost\n%s",
+			clients*increments, final.Outcomes[0].Table)
 	}
 }

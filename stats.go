@@ -101,101 +101,29 @@ func (db *DB) statsRestore(rs *wal.RelationSnapshot) error {
 }
 
 // TemporalStats returns per-relation statistics summaries keyed by
-// relation name — the /statz "stats" section.
+// relation name — the /statz "stats" section; empty once the database is
+// closed.
 func (db *DB) TemporalStats() map[string]stats.Summary {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make(map[string]stats.Summary, len(db.stats))
-	for name, e := range db.stats {
-		out[name] = e.Summarize()
-	}
+	out := make(map[string]stats.Summary)
+	_ = db.View(func(*ReadTx) error { // ErrClosed: nothing left to summarize
+		for name, e := range db.stats {
+			out[name] = e.Summarize()
+		}
+		return nil
+	})
 	return out
 }
 
 // EncodedStats returns the canonical statistics encoding for one relation,
 // or ok=false when none exist. Byte-identity across a primary, its
 // recovery, and its followers is a tested invariant.
-func (db *DB) EncodedStats(name string) ([]byte, bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	e, ok := db.stats[name]
-	if !ok {
-		return nil, false
-	}
-	return stats.EncodeRel(e), true
-}
-
-// StatsSummary returns this relation's statistics digest.
-func (r *Relation) StatsSummary() (stats.Summary, bool) {
-	r.db.mu.RLock()
-	defer r.db.mu.RUnlock()
-	e, ok := r.db.stats[r.Name()]
-	if !ok {
-		return stats.Summary{}, false
-	}
-	return e.Summarize(), true
-}
-
-// EstimateNDV estimates the number of distinct values of the attribute at
-// schema offset idx. ok is false when no statistics exist yet.
-func (r *Relation) EstimateNDV(idx int) (float64, bool) {
-	r.db.mu.RLock()
-	defer r.db.mu.RUnlock()
-	e, ok := r.db.stats[r.Name()]
-	if !ok || e.Versions == 0 {
-		return 1, false
-	}
-	stats.MEstimates.Inc()
-	return e.NDV(idx), true
-}
-
-// EstimateOverlap estimates the fraction of this relation's versions whose
-// valid period overlaps q. ok is false for kinds without valid time or
-// before any interval has been recorded.
-func (r *Relation) EstimateOverlap(q temporal.Interval) (float64, bool) {
-	r.db.mu.RLock()
-	defer r.db.mu.RUnlock()
-	e, ok := r.db.stats[r.Name()]
-	if !ok {
-		return 0, false
-	}
-	sel, ok := e.ValidOverlapSel(q)
-	if ok {
-		stats.MEstimates.Inc()
-	}
-	return sel, ok
-}
-
-// EstimateValidExtent returns the finite valid-time span [lo, hi) this
-// relation's recorded intervals cover, from the statistics interval
-// histograms. ok is false for kinds without valid time or before any finite
-// endpoint has been recorded. The planner prices window clauses with it:
-// extent / slide bounds how many windows a windowed aggregation
-// materializes.
-func (r *Relation) EstimateValidExtent() (lo, hi temporal.Chronon, ok bool) {
-	r.db.mu.RLock()
-	defer r.db.mu.RUnlock()
-	e, ok := r.db.stats[r.Name()]
-	if !ok {
-		return 0, 0, false
-	}
-	lo, hi, ok = e.ValidExtent()
-	if ok {
-		stats.MEstimates.Inc()
-	}
-	return lo, hi, ok
-}
-
-// EstimateVersions returns the statistics view of this relation: versions
-// ever stored and the estimated fraction still current. ok is false when
-// no statistics exist yet.
-func (r *Relation) EstimateVersions() (total uint64, currentFrac float64, ok bool) {
-	r.db.mu.RLock()
-	defer r.db.mu.RUnlock()
-	e, ok := r.db.stats[r.Name()]
-	if !ok {
-		return 0, 1, false
-	}
-	stats.MEstimates.Inc()
-	return e.Versions, e.CurrentFraction(), true
+func (db *DB) EncodedStats(name string) (enc []byte, ok bool) {
+	_ = db.View(func(*ReadTx) error { // ErrClosed reads as "none exist"
+		var e *stats.Rel
+		if e, ok = db.stats[name]; ok {
+			enc = stats.EncodeRel(e)
+		}
+		return nil
+	})
+	return enc, ok
 }

@@ -233,7 +233,7 @@ func TestStatsBulkLoadIdentity(t *testing.T) {
 	if n, err := mustRel(t, db, "bulk").Load(rows); err != nil || n != len(rows) {
 		t.Fatalf("Load = %d, %v; want %d rows", n, err, len(rows))
 	}
-	sum, ok := mustRel(t, db, "bulk").StatsSummary()
+	sum, ok := db.TemporalStats()["bulk"]
 	if !ok || sum.Versions != 500 {
 		t.Fatalf("bulk stats = %+v ok=%v, want 500 versions", sum, ok)
 	}

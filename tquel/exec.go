@@ -179,17 +179,56 @@ func (s *Session) execCreate(n *CreateStmt) (*Outcome, error) {
 	return &Outcome{Stmt: "create", Msg: fmt.Sprintf("created %s relation %s", kind, n.Name)}, nil
 }
 
-// resolveVar maps a range variable to its relation.
-func (s *Session) resolveVar(pos Pos, v string) (*tdb.Relation, error) {
+// relIn maps a range variable to its relation inside a read view (or, for
+// replace and delete, inside the statement's own transaction).
+func (s *Session) relIn(rt *tdb.ReadTx, pos Pos, v string) (*tdb.Relation, error) {
 	relName, ok := s.ranges[v]
 	if !ok {
 		return nil, errf(pos, "range variable %q not declared (use: range of %s is <relation>)", v, v)
 	}
-	rel, err := s.db.Relation(relName)
+	rel, err := rt.Rel(relName)
 	if err != nil {
 		return nil, errf(pos, "%v", err)
 	}
 	return rel, nil
+}
+
+// resolveVar is relIn in a view of its own, for static analysis and cache
+// keys — which need a relation's schema and identity, not its versions.
+func (s *Session) resolveVar(pos Pos, v string) (rel *tdb.Relation, err error) {
+	err = s.db.View(func(rt *tdb.ReadTx) error {
+		rel, err = s.relIn(rt, pos, v)
+		return err
+	})
+	return rel, err
+}
+
+// rollbackSpec evaluates a retrieve's as of clause into the scan spec every
+// one of its range variables is fetched with. The clause may not reference
+// range variables, so it is settled before any is bound. "as of E through
+// E2" views the database across the whole transaction-time window: a
+// version qualifies if it belonged to any believed state in [E, E2].
+func rollbackSpec(n *RetrieveStmt, ev *env) (tdb.ScanSpec, error) {
+	var spec tdb.ScanSpec
+	if n.AsOf == nil {
+		return spec, nil
+	}
+	asOf, err := evalEvent(n.AsOf.At, ev)
+	if err != nil {
+		return spec, err
+	}
+	spec.AsOf = &asOf
+	if n.AsOf.Through != nil {
+		through, err := evalEvent(n.AsOf.Through, ev)
+		if err != nil {
+			return spec, err
+		}
+		if through < asOf {
+			return spec, errf(n.AsOf.Pos, "as of window is inverted: %v through %v", asOf, through)
+		}
+		spec.Through = &through
+	}
+	return spec, nil
 }
 
 // usedVars collects, in deterministic first-use order, the range variables
@@ -291,39 +330,57 @@ func (s *Session) execRetrieve(n *RetrieveStmt) (*Outcome, error) {
 	}()
 	ev := &env{vars: map[string]*binding{}, now: s.now()}
 
-	// Rollback instant(s): evaluated before binding any variables — the as
-	// of clause may not reference range variables. "as of E through E2"
-	// views the database across the whole transaction-time window: a
-	// version qualifies if it belonged to any believed state in [E, E2].
-	var asOf, through temporal.Chronon
-	hasAsOf, hasThrough := false, false
-	if n.AsOf != nil {
-		var err error
-		asOf, err = evalEvent(n.AsOf.At, ev)
-		if err != nil {
-			return nil, err
-		}
-		hasAsOf = true
-		if n.AsOf.Through != nil {
-			if through, err = evalEvent(n.AsOf.Through, ev); err != nil {
-				return nil, err
-			}
-			if through < asOf {
-				return nil, errf(n.AsOf.Pos, "as of window is inverted: %v through %v", asOf, through)
-			}
-			hasThrough = true
-		}
+	spec, err := rollbackSpec(n, ev)
+	if err != nil {
+		return nil, err
 	}
 
+	// Resolve and fetch every range variable inside one view of the database
+	// — the planner's own (buildPlan) or, with it off, the plain one here —
+	// so a join cannot see one relation before a transaction and another
+	// after it. Everything past this point runs on the private copies.
 	order := retrieveVars(n)
-	rels := make([]*tdb.Relation, len(order))
-	res := &Resultset{}
-	for i, v := range order {
-		rel, err := s.resolveVar(n.Pos, v)
-		if err != nil {
-			return nil, err
+	var rels []*tdb.Relation
+	var versions [][]tdb.Version // the naive path's candidates, by variable
+	if s.noPlanner {
+		// Ablation path: every variable's visible versions, no pushdown.
+		versions = make([][]tdb.Version, len(order))
+		err = s.db.View(func(rt *tdb.ReadTx) error {
+			var err error
+			if rels, err = s.relsIn(rt, n.Pos, order); err != nil {
+				return err
+			}
+			for i, v := range order {
+				f, err := s.fetchVar(rt, n.Pos, rels[i], v, spec, nil, nil, ev)
+				if err != nil {
+					return err
+				}
+				versions[i] = f.versions
+			}
+			return nil
+		})
+	} else {
+		var planSp obs.Span
+		if s.tracer != nil {
+			planSp = s.tracer.Start("plan")
 		}
-		rels[i] = rel
+		pl, rels, err = s.buildPlan(n, order, ev, spec)
+		if planSp != nil {
+			if pl != nil {
+				planSp.Note("conjuncts_pushed", pl.pushed)
+				planSp.Note("when_indexed", pl.whenIndexed)
+				planSp.Note("build_rows", pl.buildRows)
+				planSp.Note("nested_loop_fallbacks", pl.fallbacks)
+			}
+			planSp.End()
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+
+	res := &Resultset{}
+	for _, rel := range rels {
 		if rel.Kind().SupportsHistorical() {
 			res.HasValid = true
 		}
@@ -441,22 +498,8 @@ func (s *Session) execRetrieve(n *RetrieveStmt) (*Outcome, error) {
 	}
 
 	if s.noPlanner {
-		// Ablation path: materialize every variable's visible versions and
-		// run the naive nested-loop product, all predicates innermost.
-		versions := make([][]tdb.Version, len(order))
-		for i, rel := range rels {
-			var vs []tdb.Version
-			var err error
-			if hasThrough {
-				vs, err = rel.VersionsDuring(asOf, through)
-			} else {
-				vs, err = rel.VisibleVersions(asOf, hasAsOf)
-			}
-			if err != nil {
-				return nil, errf(n.Pos, "%s: %v", rel.Name(), err)
-			}
-			versions[i] = vs
-		}
+		// Ablation path: the naive nested-loop product, all predicates
+		// innermost.
 		if s.tracer != nil {
 			execSp = s.tracer.Start("execute")
 		}
@@ -495,24 +538,6 @@ func (s *Session) execRetrieve(n *RetrieveStmt) (*Outcome, error) {
 			return nil, err
 		}
 	} else {
-		var planSp obs.Span
-		if s.tracer != nil {
-			planSp = s.tracer.Start("plan")
-		}
-		var err error
-		pl, err = s.buildPlan(n, order, rels, ev, asOf, through, hasAsOf, hasThrough)
-		if planSp != nil {
-			if pl != nil {
-				planSp.Note("conjuncts_pushed", pl.pushed)
-				planSp.Note("when_indexed", pl.whenIndexed)
-				planSp.Note("build_rows", pl.buildRows)
-				planSp.Note("nested_loop_fallbacks", pl.fallbacks)
-			}
-			planSp.End()
-		}
-		if err != nil {
-			return nil, err
-		}
 		if s.tracer != nil && pl.statsUsed {
 			// The statistics phase: what the cost model concluded, next to
 			// the plan span that consumed it.
@@ -792,56 +817,40 @@ func (s *Session) execAppend(n *AppendStmt) (*Outcome, error) {
 	return &Outcome{Stmt: "append", Msg: fmt.Sprintf("appended to %s", n.Rel)}, nil
 }
 
-// matchVersions binds the variable to each visible version and collects
-// those passing the where/when clauses.
-func (s *Session) matchVersions(pos Pos, v string, where Expr, when TemporalExpr, ev *env) (*tdb.Relation, []tdb.Version, error) {
-	rel, err := s.resolveVar(pos, v)
+// matchIn resolves, inside the statement's own transaction, the relation
+// variable v ranges over and fetches its current versions passing the where
+// and when clauses — through the same fetchVar a retrieve uses, so a keyed
+// replace or delete reads what a keyed retrieve reads and no more. Matching
+// inside the transaction is what makes the statement an atomic
+// read-modify-write: no other commit can land between the versions it reads
+// and the updates it derives from them.
+func (s *Session) matchIn(tx *tdb.Tx, pos Pos, v string, where Expr, when TemporalExpr, ev *env) (*tdb.Relation, []tdb.Version, error) {
+	rel, err := s.relIn(&tx.ReadTx, pos, v)
 	if err != nil {
 		return nil, nil, err
 	}
-	versions, err := rel.VisibleVersions(0, false)
-	if err != nil {
-		return nil, nil, errf(pos, "%v", err)
+	var whereConjs []Expr
+	if where != nil {
+		whereConjs = splitAnd(where, nil)
 	}
-	var out []tdb.Version
-	for _, ver := range versions {
-		ev.vars[v] = &binding{rel: rel, data: ver.Data, valid: ver.Valid, trans: ver.Trans}
-		if where != nil {
-			ok, err := evalPred(where, ev)
-			if err != nil {
-				return nil, nil, err
-			}
-			if !ok {
-				continue
-			}
-		}
-		if when != nil {
-			ok, err := evalTemporalPred(when, ev)
-			if err != nil {
-				return nil, nil, err
-			}
-			if !ok {
-				continue
-			}
-		}
-		out = append(out, ver)
+	var whenConjs []TemporalExpr
+	if when != nil {
+		whenConjs = splitTempAnd(when, nil)
 	}
-	delete(ev.vars, v)
-	return rel, out, nil
+	f, err := s.fetchVar(&tx.ReadTx, pos, rel, v, tdb.ScanSpec{}, whereConjs, whenConjs, ev)
+	return rel, f.versions, err
 }
 
 func (s *Session) execDelete(n *DeleteStmt) (*Outcome, error) {
 	count := 0
-	// Match against the current belief before opening the transaction:
-	// Update holds the database lock, and matching reads through the
-	// public (locking) query paths. The session serializes its own
-	// statements, so the snapshot cannot go stale between match and apply.
+	// The match sees "now" as the session does, like a retrieve; the updates
+	// derived from it are stamped with the transaction's commit chronon.
 	ev := &env{vars: map[string]*binding{}, now: s.now()}
-	rel, matches, err := s.matchVersions(n.Pos, n.Var, n.Where, n.When, ev)
-	if err != nil {
-		return nil, err
-	}
-	err = s.db.Update(func(tx *tdb.Tx) error {
+	err := s.db.Update(func(tx *tdb.Tx) error {
+		rel, matches, err := s.matchIn(tx, n.Pos, n.Var, n.Where, n.When, ev)
+		if err != nil {
+			return err
+		}
 		ev.now = tx.At()
 		h, err := tx.Rel(rel.Name())
 		if err != nil {
@@ -892,13 +901,13 @@ func (s *Session) execDelete(n *DeleteStmt) (*Outcome, error) {
 
 func (s *Session) execReplace(n *ReplaceStmt) (*Outcome, error) {
 	count := 0
-	// Match before the transaction for the same locking reason as delete.
+	// Match inside the transaction, as delete does.
 	ev := &env{vars: map[string]*binding{}, now: s.now()}
-	rel, matches, err := s.matchVersions(n.Pos, n.Var, n.Where, n.When, ev)
-	if err != nil {
-		return nil, err
-	}
-	err = s.db.Update(func(tx *tdb.Tx) error {
+	err := s.db.Update(func(tx *tdb.Tx) error {
+		rel, matches, err := s.matchIn(tx, n.Pos, n.Var, n.Where, n.When, ev)
+		if err != nil {
+			return err
+		}
 		ev.now = tx.At()
 		h, err := tx.Rel(rel.Name())
 		if err != nil {

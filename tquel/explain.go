@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-
-	"tdb"
-	"tdb/temporal"
 )
 
 // execExplain compiles the wrapped retrieve exactly as execution would —
@@ -23,35 +20,11 @@ func (s *Session) execExplain(n *ExplainStmt) (*Outcome, error) {
 	}
 	ev := &env{vars: map[string]*binding{}, now: s.now()}
 
-	var asOf, through temporal.Chronon
-	hasAsOf, hasThrough := false, false
-	if q.AsOf != nil {
-		var err error
-		asOf, err = evalEvent(q.AsOf.At, ev)
-		if err != nil {
-			return nil, err
-		}
-		hasAsOf = true
-		if q.AsOf.Through != nil {
-			if through, err = evalEvent(q.AsOf.Through, ev); err != nil {
-				return nil, err
-			}
-			if through < asOf {
-				return nil, errf(q.AsOf.Pos, "as of window is inverted: %v through %v", asOf, through)
-			}
-			hasThrough = true
-		}
+	spec, err := rollbackSpec(q, ev)
+	if err != nil {
+		return nil, err
 	}
-
 	order := retrieveVars(q)
-	rels := make([]*tdb.Relation, len(order))
-	for i, v := range order {
-		rel, err := s.resolveVar(q.Pos, v)
-		if err != nil {
-			return nil, err
-		}
-		rels[i] = rel
-	}
 
 	if s.noPlanner {
 		var b strings.Builder
@@ -62,7 +35,7 @@ func (s *Session) execExplain(n *ExplainStmt) (*Outcome, error) {
 		return &Outcome{Stmt: "explain", Msg: b.String()}, nil
 	}
 
-	pl, err := s.buildPlan(q, order, rels, ev, asOf, through, hasAsOf, hasThrough)
+	pl, _, err := s.buildPlan(q, order, ev, spec)
 	if err != nil {
 		return nil, err
 	}

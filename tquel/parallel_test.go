@@ -98,17 +98,8 @@ func TestUseParallelGates(t *testing.T) {
 	if err := ses.checkRetrieve(stmt); err != nil {
 		t.Fatal(err)
 	}
-	order := retrieveVars(stmt)
-	rels := make([]*tdb.Relation, len(order))
-	for i, v := range order {
-		rel, err := ses.resolveVar(stmt.Pos, v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rels[i] = rel
-	}
 	ev := &env{vars: map[string]*binding{}, now: ses.now()}
-	pl, err := ses.buildPlan(stmt, order, rels, ev, 0, 0, false, false)
+	pl, _, err := ses.buildPlan(stmt, retrieveVars(stmt), ev, tdb.ScanSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}

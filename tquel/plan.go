@@ -22,9 +22,12 @@ import (
 //     before the join loop starts), and residual multi-variable conjuncts
 //     (parked at the shallowest binding depth where every variable they
 //     mention is bound). The when AND-tree is split the same way.
-//  2. when pushdown: a single-variable "v overlap E" conjunct whose other
-//     side is variable-free is answered through the store's interval-indexed
-//     When path (Relation.VersionsWhen) instead of scan-then-filter.
+//  2. fetch (fetchVar): every range variable's candidates come from one
+//     ReadTx.Scan, all inside a single DB.View so the whole statement reads
+//     one database state. Single-variable comparison conjuncts become the
+//     scan's column filters and a single-variable "v overlap E" conjunct
+//     whose other side is variable-free its When; the remaining
+//     single-variable conjuncts are checked row-wise on what comes back.
 //  3. join ordering: with statistics (the default, "cost-based planning
 //     v2") a greedy left-deep order minimizes estimated intermediate
 //     cardinality — each step binds the variable with the smallest
@@ -43,8 +46,9 @@ import (
 //     and the result is provably the one the nested loop computes.
 //
 // The statistics feeding step 3 (and the interval-index probe decision and
-// the parallel dispatch cutoff) come from internal/stats via the Relation
-// estimate accessors; every estimate is deterministic, so plans are too.
+// the parallel dispatch cutoff) come from internal/stats via the ReadTx
+// estimate accessors, read in the same view as the fetch; every estimate is
+// deterministic, so plans are too.
 // Session.DisablePlanner (and the TDB_DISABLE_PLANNER env var) restore the
 // naive path; TestPlannerDifferential asserts both agree.
 
@@ -215,7 +219,7 @@ var columnOps = map[string]struct{ fwd, rev segment.Op }{
 // the prefilter list — a Filter is an acceleration that shrinks the set of
 // materialized versions, and the surviving rows are still re-verified by the
 // ordinary evaluator, so pushing one can never change an answer.
-func columnFilters(conjs []Expr, v string, rel *tdb.Relation, ev *env) ([]*segment.Filter, error) {
+func columnFilters(conjs []Expr, v string, rel *tdb.Relation, ev *env) []*segment.Filter {
 	var out []*segment.Filter
 	for _, e := range conjs {
 		cmp, ok := e.(*Cmp)
@@ -226,37 +230,29 @@ func columnFilters(conjs []Expr, v string, rel *tdb.Relation, ev *env) ([]*segme
 		if !ok {
 			continue
 		}
-		side := func(ref, other Expr, op segment.Op) (*segment.Filter, error) {
+		side := func(ref, other Expr, op segment.Op) *segment.Filter {
 			ar, ok := ref.(*AttrRef)
 			if !ok || ar.Var != v || len(exprVarList(other)) != 0 {
-				return nil, nil
+				return nil
 			}
 			val, err := evalExpr(other, ev)
 			if err != nil {
 				// Leave the conjunct to the evaluator, which reports the
 				// error at its usual point in execution.
-				return nil, nil
+				return nil
 			}
-			f, ok := rel.CmpFilter(ar.Attr, op, val)
-			if !ok {
-				return nil, nil // kind mismatch: coercion stays row-wise
-			}
-			return f, nil
+			f, _ := rel.CmpFilter(ar.Attr, op, val) // nil on a kind mismatch: coercion stays row-wise
+			return f
 		}
-		f, err := side(cmp.L, cmp.R, ops.fwd)
-		if err != nil {
-			return nil, err
-		}
+		f := side(cmp.L, cmp.R, ops.fwd)
 		if f == nil {
-			if f, err = side(cmp.R, cmp.L, ops.rev); err != nil {
-				return nil, err
-			}
+			f = side(cmp.R, cmp.L, ops.rev)
 		}
 		if f != nil {
 			out = append(out, f)
 		}
 	}
-	return out, nil
+	return out
 }
 
 // equiJoinSides recognizes "v1.a = v2.b" with distinct variables.
@@ -412,14 +408,18 @@ func orderByCost(pl *queryPlan, edges []equiEdge, ndvOf func(i, attr int) float6
 
 // admit applies the residual conjuncts parked at this variable's depth to
 // the current bindings.
-func (pv *planVar) admit(ev *env) (bool, error) {
-	for _, e := range pv.where {
+func (pv *planVar) admit(ev *env) (bool, error) { return holds(pv.where, pv.when, ev) }
+
+// holds evaluates a conjunct list against the current bindings, stopping at
+// the first false conjunct or error.
+func holds(where []Expr, when []TemporalExpr, ev *env) (bool, error) {
+	for _, e := range where {
 		ok, err := evalPred(e, ev)
 		if err != nil || !ok {
 			return false, err
 		}
 	}
-	for _, te := range pv.when {
+	for _, te := range when {
 		ok, err := evalTemporalPred(te, ev)
 		if err != nil || !ok {
 			return false, err
@@ -428,14 +428,107 @@ func (pv *planVar) admit(ev *env) (bool, error) {
 	return true, nil
 }
 
-// buildPlan compiles a checked retrieve statement. It fetches each
-// variable's candidate versions (through an interval index where a pushed
-// when conjunct allows), applies single-variable conjuncts, orders
-// variables by filtered cardinality, and wires hash joins for residual
-// equi-join conjuncts.
-func (s *Session) buildPlan(n *RetrieveStmt, order []string, rels []*tdb.Relation,
-	ev *env, asOf, through temporal.Chronon, hasAsOf, hasThrough bool) (*queryPlan, error) {
+// fetched is one range variable's candidate versions and what fetching them
+// used and cost.
+type fetched struct {
+	versions     []tdb.Version
+	examined     int64 // versions held to the conjuncts row-wise
+	pushed       int64 // conjuncts settled by the fetch
+	whenIndexed  bool  // an overlap conjunct became the scan's When
+	probeSkipped bool  // statistics advised against that
+}
 
+// fetchVar returns the versions of rel that range variable v can bind to
+// under v's own conjuncts — the one place TQuel reads a relation, for
+// retrieve and for replace/delete alike. spec carries the statement's
+// rollback clause. With the planner on and no rollback window, comparison
+// conjuncts against constants go into the scan as column filters and one
+// "v overlap E" conjunct as its When, where the kind records valid time and
+// statistics do not call the window unselective; either way every conjunct
+// not answered by the scan itself is then checked row-wise on the versions
+// that came back, so pushing one can only shrink what is materialized, never
+// change the answer. rt is a View's or, for DML, the transaction's own.
+func (s *Session) fetchVar(rt *tdb.ReadTx, pos Pos, rel *tdb.Relation, v string, spec tdb.ScanSpec,
+	where []Expr, when []TemporalExpr, ev *env) (fetched, error) {
+
+	var f fetched
+	push := !s.noPlanner && spec.Through == nil
+	if push {
+		spec.Filters = columnFilters(where, v, rel, ev)
+	}
+	for fi := 0; push && rel.Kind().SupportsHistorical() && fi < len(when); fi++ {
+		q, ok, err := overlapPushdown(when[fi], v, ev)
+		if err != nil {
+			return f, err
+		}
+		if !ok {
+			continue
+		}
+		if !s.noStats {
+			// Probe-vs-scan: a window matching most versions makes the
+			// valid-time scan visit nearly the whole store and still
+			// re-verify rows — the plain filtered scan is cheaper. The
+			// conjunct stays in when and prunes row-wise below.
+			if sel, selOK := rt.EstimateOverlap(rel, q); selOK && sel > overlapProbeMaxSel {
+				f.probeSkipped = true
+				continue
+			}
+		}
+		spec.When = &q
+		when = append(append([]TemporalExpr(nil), when[:fi]...), when[fi+1:]...)
+		f.whenIndexed = true
+		f.pushed++
+		break
+	}
+	var err error
+	if f.versions, err = rt.Scan(rel, spec); err != nil {
+		return f, errf(pos, "%s: %v", rel.Name(), err)
+	}
+	if len(where)+len(when) == 0 {
+		return f, nil
+	}
+	b := &binding{rel: rel}
+	ev.vars[v] = b
+	defer delete(ev.vars, v)
+	kept := f.versions[:0]
+	for vi := range f.versions {
+		ver := &f.versions[vi]
+		f.examined++
+		b.data, b.valid, b.trans = ver.Data, ver.Valid, ver.Trans
+		ok, err := holds(where, when, ev)
+		if err != nil {
+			return f, err
+		}
+		if ok {
+			kept = append(kept, *ver)
+		}
+	}
+	f.versions = kept
+	f.pushed += int64(len(where) + len(when))
+	return f, nil
+}
+
+// relsIn resolves the statement's range variables, in order, inside a view.
+func (s *Session) relsIn(rt *tdb.ReadTx, pos Pos, order []string) ([]*tdb.Relation, error) {
+	rels := make([]*tdb.Relation, len(order))
+	for i, v := range order {
+		rel, err := s.relIn(rt, pos, v)
+		if err != nil {
+			return nil, err
+		}
+		rels[i] = rel
+	}
+	return rels, nil
+}
+
+// buildPlan compiles a checked retrieve statement. Inside one DB.View it
+// resolves the range variables, fetches each one's candidate versions
+// (fetchVar) and reads the statistics the cost model will want, so the whole
+// statement — however many relations it joins — sees a single database
+// state; outside it, on the private copies, it orders variables by estimated
+// cardinality and wires hash joins for residual equi-join conjuncts. The
+// relations come back in statement order.
+func (s *Session) buildPlan(n *RetrieveStmt, order []string, ev *env, spec tdb.ScanSpec) (*queryPlan, []*tdb.Relation, error) {
 	statsOn := !s.noStats
 	pl := &queryPlan{statsUsed: statsOn, parallelCut: s.resolveParallelMinCost()}
 
@@ -463,7 +556,7 @@ func (s *Session) buildPlan(n *RetrieveStmt, order []string, rels []*tdb.Relatio
 			// Variable-free: settled exactly once, before any binding.
 			ok, err := evalPred(e, ev)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			if !ok {
 				pl.emptyResult = true
@@ -480,7 +573,7 @@ func (s *Session) buildPlan(n *RetrieveStmt, order []string, rels []*tdb.Relatio
 		case 0:
 			ok, err := evalTemporalPred(te, ev)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			if !ok {
 				pl.emptyResult = true
@@ -493,168 +586,90 @@ func (s *Session) buildPlan(n *RetrieveStmt, order []string, rels []*tdb.Relatio
 		}
 	}
 
-	// Fetch and prefilter each variable's candidates, in the statement's
-	// original variable order so errors surface exactly as the naive path
-	// reports them.
-	pl.vars = make([]planVar, len(order))
-	for i, v := range order {
-		rel := rels[i]
-		tfilters := perVarWhen[v]
-
-		var base []tdb.Version
-		var err error
-		var colf []*segment.Filter
-		fetched := false
-		whenIdx, probeSkipped := false, false
-		if !hasThrough {
-			// Columnar pre-filters: single-variable comparison conjuncts the
-			// segment scan can evaluate on columns before materializing.
-			colf, err = columnFilters(perVarWhere[v], v, rel, ev)
-			if err != nil {
-				return nil, err
-			}
-			// When pushdown: answer one "v overlap <const>" conjunct
-			// through the store's valid-time interval index.
-			for fi, te := range tfilters {
-				q, ok, perr := overlapPushdown(te, v, ev)
-				if perr != nil {
-					return nil, perr
-				}
-				if !ok {
-					continue
-				}
-				if statsOn {
-					// Probe-vs-scan: a window matching most versions makes
-					// the interval-index probe walk nearly the whole store
-					// and still re-verify rows — the plain filtered scan is
-					// cheaper. The conjunct stays in tfilters and prunes
-					// row-wise below.
-					if sel, selOK := rel.EstimateOverlap(q); selOK && sel > overlapProbeMaxSel {
-						probeSkipped = true
-						pl.overlapSkips++
-						continue
-					}
-				}
-				vs, indexed, werr := rel.VersionsWhenFiltered(q, asOf, hasAsOf, colf)
-				if werr != nil {
-					return nil, errf(n.Pos, "%s: %v", rel.Name(), werr)
-				}
-				if indexed {
-					base, fetched, whenIdx = vs, true, true
-					tfilters = append(append([]TemporalExpr(nil), tfilters[:fi]...), tfilters[fi+1:]...)
-					pl.whenIndexed++
-					pl.pushed++
-					break
-				}
-			}
-		}
-		if !fetched {
-			if hasThrough {
-				base, err = rel.VersionsDuring(asOf, through)
-			} else {
-				// The plain visible-state fetch takes the same columnar
-				// pre-filters: the as-of scan checks them before
-				// materializing each version.
-				base, err = rel.VisibleVersionsFiltered(asOf, hasAsOf, colf)
-			}
-			if err != nil {
-				return nil, errf(n.Pos, "%s: %v", rel.Name(), err)
-			}
-		}
-
-		filters := perVarWhere[v]
-		if len(filters)+len(tfilters) > 0 {
-			b := &binding{rel: rel}
-			ev.vars[v] = b
-			kept := base[:0]
-			for vi := range base {
-				ver := &base[vi]
-				pl.prefiltered++
-				b.data, b.valid, b.trans = ver.Data, ver.Valid, ver.Trans
-				ok := true
-				var err error
-				for _, e := range filters {
-					if ok, err = evalPred(e, ev); err != nil {
-						delete(ev.vars, v)
-						return nil, err
-					} else if !ok {
-						break
-					}
-				}
-				if ok {
-					for _, te := range tfilters {
-						if ok, err = evalTemporalPred(te, ev); err != nil {
-							delete(ev.vars, v)
-							return nil, err
-						} else if !ok {
-							break
-						}
-					}
-				}
-				if ok {
-					kept = append(kept, *ver)
-				}
-			}
-			base = kept
-			delete(ev.vars, v)
-			pl.pushed += int64(len(filters) + len(tfilters))
-		}
-		pl.vars[i] = planVar{name: v, orig: i, rel: rel, versions: base,
-			whenIndexed: whenIdx, probeSkipped: probeSkipped}
-	}
-
-	// Resolve every equi-join edge once; the ordering cost model and the
-	// probe wiring below both consume the list.
-	pos := make(map[string]int, len(pl.vars))
-	for i := range pl.vars {
-		pos[pl.vars[i].name] = i
-	}
-	var edges []equiEdge
-	for _, r := range residuals {
-		if r.expr == nil {
-			continue
-		}
-		l, rt, ok := equiJoinSides(r.expr)
-		if !ok {
-			continue
-		}
-		lIdx := pl.vars[pos[l.Var]].rel.Schema().Index(l.Attr)
-		rIdx := pl.vars[pos[rt.Var]].rel.Schema().Index(rt.Attr)
-		if lIdx < 0 || rIdx < 0 {
-			continue // unreachable after analysis; keep the nested loop
-		}
-		hashable, numeric := hashableJoin(
-			pl.vars[pos[l.Var]].rel.Schema().Attr(lIdx).Type,
-			pl.vars[pos[rt.Var]].rel.Schema().Attr(rIdx).Type)
-		edges = append(edges, equiEdge{l: l, r: rt, lIdx: lIdx, rIdx: rIdx,
-			hashable: hashable, numeric: numeric})
-	}
-
 	// ndvOf estimates the distinct join-key count of pl.vars[i]'s attribute,
 	// clamped to the filtered candidate count (the relation-wide sketch can
-	// only overcount a filtered list) and floored at 1. Memoized per
-	// statement-order variable so one attribute consulted by both the
-	// ordering and the build-edge choice counts one estimate.
+	// only overcount a filtered list) and floored at 1. The view below reads
+	// the sketch of every equi-edge endpoint once, keyed by statement-order
+	// variable, so the ordering and the build-edge choice share one estimate
+	// and neither needs the database again.
 	ndvMemo := make(map[[2]int]float64)
-	ndvOf := func(i, attr int) float64 {
-		pv := &pl.vars[i]
-		key := [2]int{pv.orig, attr}
-		if d, ok := ndvMemo[key]; ok {
-			return d
+	ndvOf := func(i, attr int) float64 { return ndvMemo[[2]int{pl.vars[i].orig, attr}] }
+
+	var rels []*tdb.Relation
+	var edges []equiEdge
+	var validSpan float64 // widest finite valid-time extent among the variables
+	err := s.db.View(func(rt *tdb.ReadTx) error {
+		var err error
+		if rels, err = s.relsIn(rt, n.Pos, order); err != nil {
+			return err
 		}
-		d, ok := pv.rel.EstimateNDV(attr)
-		if !ok {
-			// No statistics yet: assume all-distinct, the key-join default.
-			d = float64(len(pv.versions))
+		// Fetch in the statement's original variable order so errors surface
+		// exactly as the naive path reports them.
+		pl.vars = make([]planVar, len(order))
+		for i, v := range order {
+			f, err := s.fetchVar(rt, n.Pos, rels[i], v, spec, perVarWhere[v], perVarWhen[v], ev)
+			if err != nil {
+				return err
+			}
+			pl.pushed += f.pushed
+			pl.prefiltered += f.examined
+			if f.whenIndexed {
+				pl.whenIndexed++
+			}
+			if f.probeSkipped {
+				pl.overlapSkips++
+			}
+			pl.vars[i] = planVar{name: v, orig: i, rel: rels[i], versions: f.versions,
+				whenIndexed: f.whenIndexed, probeSkipped: f.probeSkipped}
 		}
-		if m := float64(len(pv.versions)); d > m {
-			d = m
+
+		// Resolve every equi-join edge once; the ordering cost model and the
+		// probe wiring below both consume the list.
+		for _, res := range residuals {
+			if res.expr == nil {
+				continue
+			}
+			l, r, ok := equiJoinSides(res.expr)
+			if !ok {
+				continue
+			}
+			li, ri := indexOf(order, l.Var), indexOf(order, r.Var)
+			lIdx := rels[li].Schema().Index(l.Attr)
+			rIdx := rels[ri].Schema().Index(r.Attr)
+			if lIdx < 0 || rIdx < 0 {
+				continue // unreachable after analysis; keep the nested loop
+			}
+			hashable, numeric := hashableJoin(
+				rels[li].Schema().Attr(lIdx).Type, rels[ri].Schema().Attr(rIdx).Type)
+			edges = append(edges, equiEdge{l: l, r: r, lIdx: lIdx, rIdx: rIdx,
+				hashable: hashable, numeric: numeric})
+			if !statsOn {
+				continue
+			}
+			for _, end := range [][2]int{{li, lIdx}, {ri, rIdx}} {
+				if _, seen := ndvMemo[end]; seen {
+					continue
+				}
+				m := float64(len(pl.vars[end[0]].versions))
+				d, ok := rt.EstimateNDV(rels[end[0]], end[1])
+				if !ok {
+					// No statistics yet: assume all-distinct, the key-join default.
+					d = m
+				}
+				ndvMemo[end] = max(min(d, m), 1)
+			}
 		}
-		if d < 1 {
-			d = 1
+		if n.Window != nil && statsOn {
+			for _, rel := range rels {
+				if lo, hi, ok := rt.EstimateValidExtent(rel); ok {
+					validSpan = max(validSpan, float64(hi-lo))
+				}
+			}
 		}
-		ndvMemo[key] = d
-		return d
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 
 	// Join ordering (see the package comment, step 3).
@@ -752,17 +767,9 @@ func (s *Session) buildPlan(n *RetrieveStmt, order []string, rels []*tdb.Relatio
 		pl.windowSize = n.Window.Size
 		pl.windowStep = n.Window.Step()
 		if pl.statsUsed {
-			var span float64
-			for i := range pl.vars {
-				if lo, hi, ok := pl.vars[i].rel.EstimateValidExtent(); ok {
-					if s := float64(hi - lo); s > span {
-						span = s
-					}
-				}
-			}
 			pl.estWindows = 1
-			if span > 0 {
-				pl.estWindows += span / float64(pl.windowStep)
+			if validSpan > 0 {
+				pl.estWindows += validSpan / float64(pl.windowStep)
 			}
 			pl.estWork += pl.estRows + pl.estWindows
 		}
@@ -773,5 +780,15 @@ func (s *Session) buildPlan(n *RetrieveStmt, order []string, rels []*tdb.Relatio
 			pl.estWork += pl.estRows
 		}
 	}
-	return pl, nil
+	return pl, rels, nil
+}
+
+// indexOf returns v's position in order.
+func indexOf(order []string, v string) int {
+	for i, o := range order {
+		if o == v {
+			return i
+		}
+	}
+	return -1
 }

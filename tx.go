@@ -10,11 +10,21 @@ import (
 // Tx is an open update transaction. Obtain relation handles with Rel; all
 // mutations through them share the transaction's commit chronon and commit
 // or abort together.
+//
+// The embedded ReadTx is the transaction's read side: Scan reads the state
+// the transaction itself has built so far, under the write lock Update
+// already holds, so a read-modify-write inside one Update is atomic. Tx.Rel
+// (the mutation handle) shadows ReadTx.Rel; reach the latter as
+// tx.ReadTx.Rel when a Scan needs the *Relation.
 type Tx struct {
-	db  *DB
+	ReadTx
 	itx *txn.Tx
 	ops []wal.Op
 }
+
+// newTx opens the facade's view of an internal transaction. Callers hold
+// db.mu.Lock.
+func (db *DB) newTx(itx *txn.Tx) *Tx { return &Tx{ReadTx: ReadTx{db: db}, itx: itx} }
 
 // At returns the transaction's commit chronon — the transaction time every
 // mutation in this transaction will carry.

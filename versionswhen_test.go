@@ -19,10 +19,10 @@ func versionSet(vs []Version) []string {
 	return out
 }
 
-// VersionsWhen must return exactly the VisibleVersions whose valid period
-// overlaps the query window — it is the indexed route to the same set, and
-// the TQuel planner relies on that equivalence.
-func TestVersionsWhenMatchesVisibleVersions(t *testing.T) {
+// A Scan with When must return exactly the versions of the same Scan without
+// it whose valid period overlaps the query window — it is the indexed route
+// to the same set, and the TQuel planner relies on that equivalence.
+func TestScanWhenMatchesUnrestrictedScan(t *testing.T) {
 	db := memDB(t)
 	loadFaculty(t, db)
 	temp, err := db.Relation("faculty")
@@ -54,28 +54,35 @@ func TestVersionsWhenMatchesVisibleVersions(t *testing.T) {
 		temporal.At(d770825), // before anything holds
 		temporal.All,
 	}
+	asOf := d821210
 	cases := []struct {
 		rel      *Relation
-		asOf     temporal.Chronon
-		hasAsOf  bool
+		spec     ScanSpec
 		nickname string
 	}{
-		{hist, 0, false, "historical"},
-		{temp, 0, false, "temporal current"},
-		{temp, d821210, true, "temporal as-of"},
+		{hist, ScanSpec{}, "historical"},
+		{temp, ScanSpec{}, "temporal current"},
+		{temp, ScanSpec{AsOf: &asOf}, "temporal as-of"},
 	}
 	for _, c := range cases {
 		for _, q := range windows {
-			got, indexed, err := c.rel.VersionsWhen(q, c.asOf, c.hasAsOf)
-			if err != nil {
-				t.Fatalf("%s %v: %v", c.nickname, q, err)
-			}
-			if !indexed {
-				t.Fatalf("%s must support the pushed when path", c.nickname)
-			}
-			all, err := c.rel.VisibleVersions(c.asOf, c.hasAsOf)
+			all, err := c.rel.Scan(c.spec)
 			if err != nil {
 				t.Fatal(err)
+			}
+			narrowed := c.spec
+			narrowed.When = &q
+			got, err := c.rel.Scan(narrowed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The positional spellings bench/ calls are the same scans.
+			hasAsOf := c.spec.AsOf != nil
+			if vs, err := c.rel.VisibleVersionsFiltered(asOf, hasAsOf, nil); err != nil || len(vs) != len(all) {
+				t.Fatalf("%s: VisibleVersionsFiltered = %d versions, %v; Scan %d", c.nickname, len(vs), err, len(all))
+			}
+			if vs, ok, err := c.rel.VersionsWhenFiltered(q, asOf, hasAsOf, nil); err != nil || !ok || len(vs) != len(got) {
+				t.Fatalf("%s %v: VersionsWhenFiltered = %d versions, %v, %v; Scan %d", c.nickname, q, len(vs), ok, err, len(got))
 			}
 			var want []Version
 			for _, v := range all {
@@ -96,20 +103,26 @@ func TestVersionsWhenMatchesVisibleVersions(t *testing.T) {
 	}
 }
 
-func TestVersionsWhenUnsupportedKinds(t *testing.T) {
+func TestScanWhenOnKindsWithoutTheAxis(t *testing.T) {
 	db := memDB(t)
 	st, err := db.CreateRelation("s", Static, facultySchema(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, indexed, err := st.VersionsWhen(temporal.All, 0, false); err != nil || indexed {
-		t.Errorf("static: indexed=%v err=%v, want unindexed fallback", indexed, err)
+	if err := st.Insert(fac("Merrie", "full")); err != nil {
+		t.Fatal(err)
+	}
+	// No valid time: every version holds always, so any window keeps it.
+	q := temporal.At(d821210)
+	if vs, err := st.Scan(ScanSpec{When: &q}); err != nil || len(vs) != 1 {
+		t.Errorf("static when: %v, %v; want the one tuple", vs, err)
 	}
 	hist, err := db.CreateRelation("h", Historical, facultySchema(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := hist.VersionsWhen(temporal.All, d821210, true); !errors.Is(err, ErrNoRollback) {
+	asOf := d821210
+	if _, err := hist.Scan(ScanSpec{When: &q, AsOf: &asOf}); !errors.Is(err, ErrNoRollback) {
 		t.Errorf("historical as-of: err = %v, want ErrNoRollback", err)
 	}
 }
