@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check numbers fmt vet build test race race-parallel race-cache test-noplanner test-nostats race-stats test-nocache race-segments test-faults race-recovery test-repl race-repl race-ingest soak-ingest soak-traffic figures-check plan-corpus bench bench-smoke bench-json bench-compare
+.PHONY: check numbers fmt vet build test race race-parallel race-cache race-stats test-nocache race-segments test-faults race-recovery test-repl race-repl race-ingest soak-ingest soak-traffic figures-check plan-corpus bench bench-smoke bench-json bench-compare
 
-check: fmt vet build race race-parallel race-cache test-noplanner test-nostats test-nocache race-segments test-faults test-repl figures-check plan-corpus
+check: fmt vet build race race-parallel race-cache test-nocache race-segments test-faults test-repl figures-check plan-corpus
 
 # The three numbers ROADMAP aim 2 asks every CHANGES.md entry to carry:
 # code size, knob count (the registry in internal/config, pinned by
@@ -44,22 +44,6 @@ race-parallel:
 # unsynchronized path through internal/qcache trips -race.
 race-cache:
 	TDB_CACHE_BYTES=65536 $(GO) test -race ./tquel ./server ./internal/qcache .
-
-# Ablation run: the whole suite with the TQuel query planner disabled, so
-# the naive nested-loop path stays correct (differential tests compare the
-# two paths inside a single process; this job exercises everything else on
-# the ablation path too).
-test-noplanner:
-	TDB_DISABLE_PLANNER=1 $(GO) test ./...
-
-# Ablation run with temporal statistics disabled: the planner falls back to
-# the v1 size/pushdown heuristics on every query. Statistics are still
-# maintained and persisted (the ablation gates consumption, not
-# collection), so recovery/replication identity tests run unchanged; the
-# differential tests keep comparing stats-on vs stats-off inside one
-# process, and everything else exercises the heuristic planning path.
-test-nostats:
-	TDB_DISABLE_STATS=1 $(GO) test ./...
 
 # The race detector over the statistics write path: parallel sessions,
 # group-committed writers, checkpoints, and replication all mutate or read

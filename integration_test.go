@@ -9,6 +9,7 @@ import (
 	"tdb"
 	"tdb/internal/core"
 	"tdb/internal/dataset"
+	"tdb/internal/obs"
 	"tdb/temporal"
 	"tdb/tquel"
 )
@@ -347,14 +348,12 @@ func TestFacadeMatchesDataset(t *testing.T) {
 	}
 }
 
-// A keyed replace or delete reads what a keyed retrieve reads: its where
-// conjuncts reach the sealed segments' column filters, so matching one key
-// out of 50 000 sealed versions turns almost none of them back into tuples —
-// and it changes exactly the rows the planner-off reference (every current
-// version fetched, the where clause checked row by row) changes.
-func TestKeyedDMLLeavesSegmentsUnmaterialized(t *testing.T) {
+// sealedGen opens a database holding the temporal relation gen (id key, v):
+// genRows versions, all current, loaded in 1000-row chunks that each seal
+// into a segment as they commit.
+func sealedGen(t *testing.T, clock temporal.Clock) *tdb.DB {
+	t.Helper()
 	t.Setenv("TDB_SEGMENT_ROWS", "1000")
-	const rows = 50000
 	sch, err := tdb.NewSchema(tdb.Attr("id", tdb.StringKind), tdb.Attr("v", tdb.IntKind))
 	if err != nil {
 		t.Fatal(err)
@@ -362,57 +361,118 @@ func TestKeyedDMLLeavesSegmentsUnmaterialized(t *testing.T) {
 	if sch, err = sch.WithKey("id"); err != nil {
 		t.Fatal(err)
 	}
-	load := make([]tdb.LoadRow, rows)
+	db, err := tdb.Open("", tdb.Options{Clock: clock, LoadChunkRows: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	rel, err := db.CreateRelation("gen", tdb.Temporal, sch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	load := make([]tdb.LoadRow, genRows)
 	for i := range load {
 		load[i] = tdb.LoadRow{
 			Data: tdb.NewTuple(tdb.String(fmt.Sprintf("k%06d", i)), tdb.Int(int64(i%97))),
 			From: temporal.Chronon(i), To: temporal.Forever,
 		}
 	}
+	if n, err := rel.Load(load); err != nil || n != genRows {
+		t.Fatalf("Load = %d, %v", n, err)
+	}
+	if st := db.Stats(); st.SealedRows != genRows {
+		t.Fatalf("fixture: %d of %d rows sealed", st.SealedRows, genRows)
+	}
+	return db
+}
+
+const genRows = 50000
+
+// materialized counts the tuples reads have built from sealed columns.
+var materialized = obs.Default.Counter("tdb_segment_rows_materialized_total", "")
+
+// A keyed replace or delete reads what a keyed retrieve reads: its where
+// conjuncts reach the sealed segments' column filters, so matching one key
+// out of 50 000 sealed versions turns almost none of them back into tuples —
+// and it changes exactly the rows the planner-off reference (every current
+// version fetched, the where clause checked row by row) changes.
+func TestKeyedDMLLeavesSegmentsUnmaterialized(t *testing.T) {
 	const dml = `
 		range of x is gen
 		replace x (v = 1) where x.id = "k025000"
 		delete x where x.id = "k040000"
 		replace x (v = 2) where x.v = 96 and x.id = "k000096"`
 	run := func(noPlanner bool) (*tdb.DB, int) {
-		db, err := tdb.Open("", tdb.Options{Clock: temporal.NewLogicalClock(1 << 20), LoadChunkRows: 1000})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { db.Close() })
-		rel, err := db.CreateRelation("gen", tdb.Temporal, sch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n, err := rel.Load(load); err != nil || n != rows {
-			t.Fatalf("Load = %d, %v", n, err)
-		}
-		if st := db.Stats(); st.SealedRows != rows || tdb.MaterializedRows(db) != 0 {
-			t.Fatalf("fixture: %d of %d rows sealed, %d already materialized", st.SealedRows, rows, tdb.MaterializedRows(db))
-		}
+		db := sealedGen(t, temporal.NewLogicalClock(1<<20))
+		before := materialized.Value()
 		ses := tquel.NewSession(db)
 		ses.DisablePlanner(noPlanner)
 		if _, err := ses.Exec(dml); err != nil {
 			t.Fatal(err)
 		}
-		return db, tdb.MaterializedRows(db)
+		return db, int(materialized.Value() - before)
 	}
-	db, materialized := run(false)
-	if materialized >= rows/100 {
-		t.Errorf("keyed DML materialized %d of %d sealed rows, want under 1%%", materialized, rows)
+	db, built := run(false)
+	if built >= genRows/100 {
+		t.Errorf("keyed DML materialized %d of %d sealed rows, want under 1%%", built, genRows)
 	}
-	ref, refMaterialized := run(true)
-	if refMaterialized < rows {
-		t.Fatalf("the planner-off reference materialized only %d rows; the probe is blind", refMaterialized)
+	ref, refBuilt := run(true)
+	if refBuilt < genRows {
+		t.Fatalf("the planner-off reference materialized only %d rows; the probe is blind", refBuilt)
 	}
 	got, want := versionsOf(t, db, "gen"), versionsOf(t, ref, "gen")
-	if len(got) != rows+2 || len(got) != len(want) { // each replace appends a version; the delete only closes one
+	if len(got) != genRows+2 || len(got) != len(want) { // each replace appends a version; the delete only closes one
 		t.Fatalf("%d versions after DML, reference %d", len(got), len(want))
 	}
 	for i := range got {
 		if got[i].String() != want[i].String() {
 			t.Fatalf("version %d: %v, reference %v", i, got[i], want[i])
 		}
+	}
+}
+
+// An "as of A through B" read is a scan like any other: its where conjuncts
+// reach the sealed segments' column filters, so a keyed retrieve over a
+// rollback window turns under 1% of 50 000 sealed versions back into tuples
+// — it used to fetch every version believed in the window — and returns
+// exactly what the planner-off reference (which does fetch them all) returns.
+func TestThroughReadsStayOnColumns(t *testing.T) {
+	clock := temporal.NewLogicalClock(temporal.Date(1980, 1, 1))
+	db := sealedGen(t, clock)
+	ses := tquel.NewSession(db)
+	ses.DisableCache(true)
+	// One entity is corrected in 1981 and withdrawn in 1982.
+	clock.Set(temporal.Date(1981, 1, 1))
+	if _, err := ses.Exec(`range of x is gen replace x (v = 1000) where x.id = "k025000"`); err != nil {
+		t.Fatal(err)
+	}
+	clock.Set(temporal.Date(1982, 1, 1))
+	if _, err := ses.Exec(`delete x where x.id = "k025000"`); err != nil {
+		t.Fatal(err)
+	}
+	const query = `retrieve (x.id, x.v) where x.id = "k025000" as of "06/01/80" through "06/01/81"`
+	run := func(noPlanner bool) (string, int) {
+		ses.DisablePlanner(noPlanner)
+		before := materialized.Value()
+		res, err := ses.Query(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Len() < 2 { // the 1980 belief and its 1981 correction
+			t.Fatalf("planner off = %v: the window sees %d rows:\n%s", noPlanner, res.Len(), res)
+		}
+		return res.String(), int(materialized.Value() - before)
+	}
+	got, built := run(false)
+	want, refBuilt := run(true)
+	if got != want {
+		t.Errorf("as of … through with pushdown:\n%s\nplanner-off reference:\n%s", got, want)
+	}
+	if built >= genRows/100 {
+		t.Errorf("keyed as of … through materialized %d of %d sealed rows, want under 1%%", built, genRows)
+	}
+	if refBuilt < genRows {
+		t.Fatalf("the planner-off reference materialized only %d rows; the probe is blind", refBuilt)
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 	"os"
 	"sort"
 	"strconv"
-	"strings"
 	"time"
 )
 
@@ -43,11 +42,7 @@ func register(k Knob) string {
 // repeating the string, so a grep for the constant finds every consumer.
 var (
 	// Session (tquel) knobs: initial values for new sessions; the Session
-	// setters (DisablePlanner, DisableStats, SetParallelism) override.
-	EnvDisablePlanner = register(Knob{Env: "TDB_DISABLE_PLANNER", Kind: "bool", Default: "off",
-		Doc: "Open sessions with the query planner disabled (naive nested-loop ablation)."})
-	EnvDisableStats = register(Knob{Env: "TDB_DISABLE_STATS", Kind: "bool", Default: "off",
-		Doc: "Planner ignores temporal statistics and falls back to v1 heuristics."})
+	// setter (SetParallelism) overrides.
 	EnvParallel = register(Knob{Env: "TDB_PARALLEL", Kind: "int", Default: "0 (GOMAXPROCS)",
 		Doc: "Worker budget for parallel retrieve execution; <=1 forces the serial path."})
 	EnvParallelMinCost = register(Knob{Env: "TDB_PARALLEL_MIN_COST", Kind: "float", Default: "4096",
@@ -89,19 +84,6 @@ func Snapshot() map[string]string {
 		}
 	}
 	return out
-}
-
-// Bool reads a boolean knob: set and not one of ""/"0"/"false"/"no"/"off"
-// (case-insensitive) means true. This unifies the two historical spellings
-// ("1"/"true"/"yes" vs. anything-but-"0"/"false"); every value the old
-// parsers accepted keeps its meaning.
-func Bool(env string) bool {
-	v := strings.ToLower(os.Getenv(env))
-	switch v {
-	case "", "0", "false", "no", "off":
-		return false
-	}
-	return true
 }
 
 // Int reads an integer knob, returning def when unset or malformed. Any

@@ -8,31 +8,6 @@ import (
 	"time"
 )
 
-func TestBoolSemantics(t *testing.T) {
-	// The unified boolean must accept every spelling the historical per-site
-	// parsers accepted: "1"/"true"/"yes" (segment style) and anything but
-	// ""/"0"/"false" (planner style), plus the "no"/"off" negatives.
-	cases := map[string]bool{
-		"":      false,
-		"0":     false,
-		"false": false,
-		"FALSE": false,
-		"no":    false,
-		"off":   false,
-		"1":     true,
-		"true":  true,
-		"yes":   true,
-		"on":    true,
-		"2":     true,
-	}
-	for v, want := range cases {
-		t.Setenv("TDB_TEST_BOOL", v)
-		if got := Bool("TDB_TEST_BOOL"); got != want {
-			t.Errorf("Bool(%q) = %v, want %v", v, got, want)
-		}
-	}
-}
-
 func TestIntAccessors(t *testing.T) {
 	t.Setenv("TDB_TEST_INT", "-3")
 	if got := Int("TDB_TEST_INT", 7); got != -3 {
@@ -72,8 +47,8 @@ func TestFloatAndDuration(t *testing.T) {
 
 func TestRegistryAndSnapshot(t *testing.T) {
 	ks := Knobs()
-	if len(ks) != 9 { // the knob count is a tracked number: a new knob must argue its case here
-		t.Fatalf("expected 9 registered knobs, got %d", len(ks))
+	if len(ks) != 7 { // the knob count is a tracked number: a new knob must argue its case here
+		t.Fatalf("expected 7 registered knobs, got %d", len(ks))
 	}
 	for i := 1; i < len(ks); i++ {
 		if ks[i-1].Env >= ks[i].Env {

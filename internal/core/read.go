@@ -3,9 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 
-	"tdb/internal/index"
 	"tdb/internal/schema"
 	"tdb/internal/segment"
 	"tdb/internal/tuple"
@@ -68,31 +66,32 @@ func (sp *ScanSpec) check(k Kind) error {
 	return nil
 }
 
-// asOf is the rollback instant; current belief is the last instant of
-// transaction time.
-func (sp *ScanSpec) asOf() temporal.Chronon {
-	if sp.AsOf != nil {
-		return *sp.AsOf
+// trans is the transaction-time window the spec rolls back to: the one
+// chronon AsOf, widened by Through to [AsOf, Through] with both ends
+// included, and without either the last instant of transaction time —
+// current belief. all reports AllVersions, which restricts nothing.
+func (sp *ScanSpec) trans() (w temporal.Interval, all bool) {
+	if sp.AllVersions {
+		return w, true
 	}
-	return temporal.Forever - 1
-}
-
-// window is the transaction-time window of a Through read.
-func (sp *ScanSpec) window() temporal.Interval {
-	return temporal.Interval{From: *sp.AsOf, To: sp.Through.Next()}
+	// The last instant is spelled out: At saturates there into an empty window.
+	w = temporal.Since(temporal.Forever - 1)
+	if sp.AsOf != nil && *sp.AsOf != temporal.Forever-1 {
+		w = temporal.At(*sp.AsOf)
+	}
+	if sp.Through != nil {
+		w.To = sp.Through.Next()
+	}
+	return w, false
 }
 
 // admits is the definition of a read: whether v satisfies every field of a
-// checked spec. The stores pick an access path that establishes some of the
-// fields cheaply and hold each candidate to the rest through this.
+// checked spec, row-wise. The destructive stores pick an access path that
+// establishes some of the fields cheaply and hold each candidate to the rest
+// through this; the append-only stores hand the same fields to the version
+// log as its predicate (pred).
 func (sp *ScanSpec) admits(sch *schema.Schema, v Version) bool {
-	switch {
-	case sp.AllVersions:
-	case sp.Through != nil:
-		if !v.Trans.Overlaps(sp.window()) {
-			return false
-		}
-	case !v.Trans.Contains(sp.asOf()):
+	if w, all := sp.trans(); !all && !v.Trans.Overlaps(w) {
 		return false
 	}
 	if sp.When != nil && !v.Valid.Overlaps(*sp.When) {
@@ -109,39 +108,17 @@ func (sp *ScanSpec) admits(sch *schema.Schema, v Version) bool {
 	return true
 }
 
-// readLog answers a checked spec from an append-only store's version log, in
-// commit order. A current-belief Key goes through the store's key index; any
-// other Key through the segments' key blooms; a Through window, a When and a
-// plain as-of each through the log scan that prunes on their zone maps.
-func readLog(l *segment.Log, byKey *index.Hash, sch *schema.Schema, sp ScanSpec, fn func(Version) bool) {
-	emit := func(_ int, r segment.Row) bool {
-		return fn(Version{Data: r.Data, Valid: r.Valid, Trans: r.Trans})
+// pred is the spec as the version log's predicate: two interval tests, the
+// key's hash and the filters. The hash stands in for the key, so the caller
+// re-checks the key on what the log returns.
+func (sp *ScanSpec) pred() segment.Pred {
+	p := segment.Pred{Valid: sp.When, Filters: sp.Filters}
+	if w, all := sp.trans(); !all {
+		p.Trans = &w
 	}
-	// rest holds a candidate to the fields its access path did not settle.
-	rest := func(_ int, r segment.Row) bool {
-		v := Version{Data: r.Data, Valid: r.Valid, Trans: r.Trans}
-		return !sp.admits(sch, v) || fn(v)
+	if sp.Key != nil {
+		kh := sp.Key.Hash64()
+		p.Key = &kh
 	}
-	switch {
-	case sp.Key != nil && sp.AsOf == nil && !sp.AllVersions:
-		// The index lists current versions only; sorting its postings
-		// restores commit order.
-		posts := append([]int(nil), byKey.Lookup(sp.Key.Hash64())...)
-		sort.Ints(posts)
-		for _, pos := range posts {
-			if !rest(pos, l.Row(pos)) {
-				return
-			}
-		}
-	case sp.Key != nil:
-		l.ScanKey(sp.Key.Hash64(), rest)
-	case sp.AllVersions:
-		l.Scan(rest)
-	case sp.Through != nil:
-		l.ScanTransOverlap(sp.window(), rest)
-	case sp.When != nil:
-		l.ScanWhen(*sp.When, sp.asOf(), sp.Filters, emit)
-	default:
-		l.ScanAsOf(sp.asOf(), sp.Filters, emit)
-	}
+	return p
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
 	"tdb/internal/index"
 	"tdb/internal/schema"
@@ -9,6 +10,197 @@ import (
 	"tdb/internal/tuple"
 	"tdb/temporal"
 )
+
+// versionLog is what the two append-only kinds are made of (Figure 12:
+// exactly the kinds that record transaction time are append-only): a
+// segment.Log of versions in commit order, a key index over the current
+// ones, the commit watermark and the transaction journal. RollbackStore and
+// TemporalStore embed it and differ only in their update algebra — a static
+// rollback relation stores the universal interval where a temporal one
+// stores a valid period — so everything below is written once and never
+// asks which of the two it is serving.
+//
+// The log is the stores' only physical representation and their only
+// transaction-time access path: committed history seals into immutable
+// columnar segments whose summaries let reads skip whole segments, recent
+// versions stay in a mutable row-format tail, and every read returns
+// versions in commit order. Global positions are stable across seals, so
+// the key index works unchanged.
+type versionLog struct {
+	kind       Kind // labels the read counter and checks specs; never branched on
+	sch        *schema.Schema
+	log        *segment.Log
+	byKey      index.Hash // key hash -> positions of current versions
+	lastCommit temporal.Chronon
+	j          journal
+	verCounter
+}
+
+func newVersionLog(k Kind, sch *schema.Schema) versionLog {
+	return versionLog{kind: k, sch: sch, log: segment.NewLog(sch), lastCommit: temporal.Beginning}
+}
+
+// SegmentStats summarizes the store's segmentation.
+func (s *versionLog) SegmentStats() segment.Stats { return s.log.Stats() }
+
+// Segments exposes the sealed segments for checkpoint encoding.
+func (s *versionLog) Segments() []*segment.Segment { return s.log.Segments() }
+
+// ScanTailVersions yields the versions not yet sealed, in commit order.
+func (s *versionLog) ScanTailVersions(fn func(Version) bool) {
+	s.log.ScanTail(func(_ int, r segment.Row) bool { return fn(version(r)) })
+}
+
+// BeginTxn starts collecting undo information (see Transactional).
+func (s *versionLog) BeginTxn() { s.j.begin() }
+
+// CommitTxn finalizes mutations since BeginTxn. With the journal emptied the
+// tail holds only committed versions, so this is the one safe moment to seal
+// it into a columnar segment.
+func (s *versionLog) CommitTxn() {
+	s.j.commit()
+	s.log.Seal()
+}
+
+// AbortTxn reverts mutations since BeginTxn. Aborting does not violate the
+// append-only discipline: an aborted transaction never committed, so the
+// versions it wrote were never part of any completed state. The undo
+// closures only ever truncate tail rows: sealing is fenced to commit
+// boundaries, so an abort cannot tear rows out of a sealed segment.
+func (s *versionLog) AbortTxn() { s.j.abort() }
+
+// Schema returns the relation schema.
+func (s *versionLog) Schema() *schema.Schema { return s.sch }
+
+// VersionCount returns the total number of stored versions, current and
+// superseded.
+func (s *versionLog) VersionCount() int { return s.log.Len() }
+
+// CurrentCount returns the number of versions in current belief.
+func (s *versionLog) CurrentCount() int { return s.byKey.Len() }
+
+// LastCommit returns the latest commit chronon applied.
+func (s *versionLog) LastCommit() temporal.Chronon { return s.lastCommit }
+
+// Versions yields every stored version in commit order.
+func (s *versionLog) Versions(fn func(Version) bool) {
+	s.log.Scan(segment.Pred{}, func(_ int, r segment.Row) bool { return fn(version(r)) })
+}
+
+// Read answers spec from the version log, in commit order: the spec is the
+// log's predicate (ScanSpec.pred) and the log's one scan prunes on whatever
+// of it is set. The exception is current belief about one entity, which the
+// key index answers without a scan. Rollback yields the state that was
+// current at the as-of instant — a static relation from a static rollback
+// one (§4.2), a historical relation from a temporal one (§4.4) — and a When
+// on top of it is the paper's fully bitemporal query: tuples valid at some
+// moment as seen from some other moment.
+func (s *versionLog) Read(spec ScanSpec, fn func(Version) bool) error {
+	if err := spec.check(s.kind); err != nil {
+		return err
+	}
+	countRead(s.kind)
+	p := spec.pred()
+	// The log knows a key by its hash; hashes collide, and this is where a
+	// version of some other entity is turned away.
+	emit := func(_ int, r segment.Row) bool {
+		if spec.Key != nil && !tuple.Equal(r.Data.Key(s.sch), spec.Key) {
+			return true
+		}
+		return fn(version(r))
+	}
+	if spec.Key == nil || spec.AsOf != nil || spec.AllVersions {
+		s.log.Scan(p, emit)
+		return nil
+	}
+	// The index lists exactly the current versions; sorting its postings
+	// restores commit order.
+	posts := append([]int(nil), s.byKey.Lookup(*p.Key)...)
+	sort.Ints(posts)
+	for _, pos := range posts {
+		if r := s.log.Row(pos); p.Match(&r) && !emit(pos, r) {
+			break
+		}
+	}
+	return nil
+}
+
+// RestoreSegment reattaches a checkpoint segment block and indexes its
+// current rows by key. Blocks arrive in position order before any row-wise
+// tail versions.
+func (s *versionLog) RestoreSegment(g *segment.Segment) error {
+	if err := s.log.RestoreSegment(g); err != nil {
+		return err
+	}
+	for i := 0; i < g.Len(); i++ {
+		pos := g.Start() + i
+		tr := s.log.Trans(pos)
+		if tr.To == temporal.Forever {
+			s.byKey.Add(s.log.KeyHash(pos), pos)
+		}
+		s.lastCommit = latestCommit(s.lastCommit, tr)
+	}
+	return nil
+}
+
+// restore reloads one stored version verbatim, superseded ones included:
+// the tail of both stores' RestoreVersion, after each has validated what its
+// kind stores. It exists solely for checkpoint recovery — the periods are
+// taken as recorded, bypassing the update algebra — and restored tails seal
+// on the same threshold as live commits.
+func (s *versionLog) restore(v Version) error {
+	if err := validate(s.sch, v.Data); err != nil {
+		return err
+	}
+	if !v.Trans.IsValid() || !v.Trans.From.IsFinite() {
+		return fmt.Errorf("core: restoring version with malformed transaction period %v", v.Trans)
+	}
+	kh := v.Data.Key(s.sch).Hash64()
+	pos := s.log.Append(segment.Row{Data: v.Data.Clone(), Valid: v.Valid, Trans: v.Trans, KeyHash: kh})
+	if v.Trans.To == temporal.Forever {
+		s.byKey.Add(kh, pos)
+	}
+	s.lastCommit = latestCommit(s.lastCommit, v.Trans)
+	s.log.Seal()
+	return nil
+}
+
+// admit advances the commit watermark to at, refusing a chronon earlier than
+// one already applied (the paper's "non-stop running clock").
+func (s *versionLog) admit(at temporal.Chronon) error {
+	if at < s.lastCommit || !at.IsFinite() {
+		return ErrTimeRegression
+	}
+	prev := s.lastCommit
+	s.lastCommit = at
+	s.j.record(func() { s.lastCommit = prev })
+	return nil
+}
+
+// append adds a current version asserted at commit time at.
+func (s *versionLog) append(t tuple.Tuple, keyHash uint64, valid temporal.Interval, at temporal.Chronon) {
+	pos := s.log.Append(segment.Row{Data: t, Valid: valid, Trans: temporal.Since(at), KeyHash: keyHash})
+	s.byKey.Add(keyHash, pos)
+	s.j.record(func() {
+		s.byKey.Remove(keyHash, pos)
+		s.log.TruncateTail(pos) // LIFO undo: pos is the last row
+	})
+}
+
+// close supersedes a current version — the only change the append-only
+// discipline permits to committed data: its transaction-time end becomes the
+// commit chronon and it leaves the current-version key index.
+func (s *versionLog) close(pos int, keyHash uint64, at temporal.Chronon) {
+	s.log.CloseTrans(pos, at)
+	s.byKey.Remove(keyHash, pos)
+	s.j.record(func() {
+		s.byKey.Add(keyHash, pos)
+		s.log.CloseTrans(pos, temporal.Forever)
+	})
+}
+
+// version is a log row as the stores present it.
+func version(r segment.Row) Version { return Version{Data: r.Data, Valid: r.Valid, Trans: r.Trans} }
 
 // RollbackStore is a static rollback relation (§4.2, Figure 4): every tuple
 // carries the transaction-time period during which it was part of the
@@ -18,80 +210,26 @@ import (
 // the only permitted change to committed data is closing a current
 // version's transaction-time end.
 //
-// Like TemporalStore, the version log is a segment.Log — the store's only
-// physical representation and its only transaction-time access path:
-// committed history seals into columnar segments whose transaction-time
-// zone maps let as-of and windowed reads skip whole segments, and every read
-// returns versions in commit order. Rollback relations carry no valid time,
-// so rows store the universal interval there.
+// Rollback relations carry no valid time, so rows store the universal
+// interval there, and the result of rollback is a pure static relation.
 //
 // Updates take a commit chronon supplied by the transaction layer, which
 // must be non-decreasing; supplying an earlier chronon fails with
 // ErrTimeRegression (the paper's "non-stop running clock").
 type RollbackStore struct {
-	sch        *schema.Schema
-	log        *segment.Log
-	byKey      index.Hash // key hash -> current position
-	lastCommit temporal.Chronon
-	j          journal
-	verCounter
+	versionLog
 }
 
 // NewRollbackStore creates an empty static rollback relation.
 func NewRollbackStore(sch *schema.Schema) *RollbackStore {
-	return &RollbackStore{
-		sch:        sch,
-		log:        segment.NewLog(sch),
-		lastCommit: temporal.Beginning,
-	}
+	return &RollbackStore{newVersionLog(StaticRollback, sch)}
 }
-
-// SegmentStats summarizes the store's segmentation.
-func (s *RollbackStore) SegmentStats() segment.Stats { return s.log.Stats() }
-
-// Segments exposes the sealed segments for checkpoint encoding.
-func (s *RollbackStore) Segments() []*segment.Segment { return s.log.Segments() }
-
-// ScanTailVersions yields the versions not yet sealed, in commit order.
-func (s *RollbackStore) ScanTailVersions(fn func(Version) bool) {
-	s.log.ScanTail(func(_ int, r segment.Row) bool {
-		return fn(Version{Data: r.Data, Valid: temporal.All, Trans: r.Trans})
-	})
-}
-
-// BeginTxn starts collecting undo information (see Transactional).
-func (s *RollbackStore) BeginTxn() { s.j.begin() }
-
-// CommitTxn finalizes mutations since BeginTxn and, with the journal empty,
-// seals a full tail into a columnar segment (see TemporalStore.CommitTxn).
-func (s *RollbackStore) CommitTxn() {
-	s.j.commit()
-	s.log.Seal()
-}
-
-// AbortTxn reverts mutations since BeginTxn. Aborting does not violate the
-// append-only discipline: an aborted transaction never committed, so the
-// versions it wrote were never part of any completed state.
-func (s *RollbackStore) AbortTxn() { s.j.abort() }
 
 // Kind returns StaticRollback.
 func (s *RollbackStore) Kind() Kind { return StaticRollback }
 
-// Schema returns the relation schema.
-func (s *RollbackStore) Schema() *schema.Schema { return s.sch }
-
 // Event returns false: rollback relations carry no valid time at all.
 func (s *RollbackStore) Event() bool { return false }
-
-// VersionCount returns the total number of stored versions, current and
-// closed.
-func (s *RollbackStore) VersionCount() int { return s.log.Len() }
-
-// CurrentCount returns the number of versions in the current state.
-func (s *RollbackStore) CurrentCount() int { return s.byKey.Len() }
-
-// LastCommit returns the latest commit chronon applied.
-func (s *RollbackStore) LastCommit() temporal.Chronon { return s.lastCommit }
 
 // Insert appends a tuple to the current state at commit time at. As in a
 // static database, "a tuple becomes valid as soon as it is entered": there
@@ -108,7 +246,7 @@ func (s *RollbackStore) Insert(t tuple.Tuple, at temporal.Chronon) error {
 	if _, ok := s.current(key); ok {
 		return ErrDuplicateKey
 	}
-	s.append(t.Clone(), key, at)
+	s.append(t.Clone(), key.Hash64(), temporal.All, at)
 	return nil
 }
 
@@ -124,7 +262,7 @@ func (s *RollbackStore) Delete(key tuple.Tuple, at temporal.Chronon) error {
 	if !ok {
 		return ErrNoSuchTuple
 	}
-	s.close(pos, key, at)
+	s.close(pos, key.Hash64(), at)
 	return nil
 }
 
@@ -148,85 +286,19 @@ func (s *RollbackStore) Replace(key tuple.Tuple, t tuple.Tuple, at temporal.Chro
 			return ErrDuplicateKey
 		}
 	}
-	s.close(pos, key, at)
-	s.append(t.Clone(), newKey, at)
+	s.close(pos, key.Hash64(), at)
+	s.append(t.Clone(), newKey.Hash64(), temporal.All, at)
 	return nil
 }
 
-// Read answers spec from the version log (see readLog). Rollback relations
-// carry no valid time, so every version is stamped with the universal
-// interval there: the result of rollback on a static rollback relation is a
-// pure static relation (§4.2).
-func (s *RollbackStore) Read(spec ScanSpec, fn func(Version) bool) error {
-	if err := spec.check(StaticRollback); err != nil {
-		return err
-	}
-	countRead(StaticRollback)
-	readLog(s.log, &s.byKey, s.sch, spec, fn)
-	return nil
-}
-
-// Versions yields every stored version; valid time is reported as the
-// universal interval since the kind does not model it.
-func (s *RollbackStore) Versions(fn func(Version) bool) {
-	s.log.Scan(func(_ int, r segment.Row) bool {
-		return fn(Version{Data: r.Data, Valid: temporal.All, Trans: r.Trans})
-	})
-}
-
-// RestoreVersion reloads one stored version verbatim, including superseded
-// ones. It exists solely for checkpoint recovery: it bypasses the update
-// algebra (the version's transaction period is taken as recorded) while
-// preserving the append-only invariants thereafter. Restored tails seal on
-// the same threshold as live commits.
+// RestoreVersion reloads one stored version verbatim (see versionLog.restore).
+// Whatever valid period the checkpoint recorded, the kind stores none.
 func (s *RollbackStore) RestoreVersion(v Version) error {
-	if err := validate(s.sch, v.Data); err != nil {
-		return err
-	}
-	if !v.Trans.IsValid() || !v.Trans.From.IsFinite() {
-		return fmt.Errorf("core: restoring version with malformed transaction period %v", v.Trans)
-	}
-	key := v.Data.Key(s.sch)
-	pos := s.log.Append(segment.Row{Data: v.Data.Clone(), Valid: temporal.All, Trans: v.Trans, KeyHash: key.Hash64()})
-	if v.Trans.To == temporal.Forever {
-		s.byKey.Add(key.Hash64(), pos)
-	}
-	s.lastCommit = latestCommit(s.lastCommit, v.Trans)
-	s.log.Seal()
-	return nil
+	v.Valid = temporal.All
+	return s.restore(v)
 }
 
-// RestoreSegment reattaches a checkpoint segment block and indexes its
-// current rows by key. Blocks arrive in position order before any row-wise
-// tail versions.
-func (s *RollbackStore) RestoreSegment(g *segment.Segment) error {
-	if err := s.log.RestoreSegment(g); err != nil {
-		return err
-	}
-	for i := 0; i < g.Len(); i++ {
-		pos := g.Start() + i
-		tr := s.log.Trans(pos)
-		if tr.To == temporal.Forever {
-			s.byKey.Add(s.log.KeyHash(pos), pos)
-		}
-		s.lastCommit = latestCommit(s.lastCommit, tr)
-	}
-	return nil
-}
-
-func (s *RollbackStore) admit(at temporal.Chronon) error {
-	if at < s.lastCommit {
-		return ErrTimeRegression
-	}
-	if !at.IsFinite() {
-		return ErrTimeRegression
-	}
-	prev := s.lastCommit
-	s.lastCommit = at
-	s.j.record(func() { s.lastCommit = prev })
-	return nil
-}
-
+// current finds the position of key's current version.
 func (s *RollbackStore) current(key tuple.Tuple) (int, bool) {
 	for _, pos := range s.byKey.Lookup(key.Hash64()) {
 		row := s.log.Row(pos)
@@ -235,25 +307,4 @@ func (s *RollbackStore) current(key tuple.Tuple) (int, bool) {
 		}
 	}
 	return 0, false
-}
-
-func (s *RollbackStore) append(t, key tuple.Tuple, at temporal.Chronon) {
-	iv := temporal.Since(at)
-	kh := key.Hash64()
-	pos := s.log.Append(segment.Row{Data: t, Valid: temporal.All, Trans: iv, KeyHash: kh})
-	s.byKey.Add(kh, pos)
-	s.j.record(func() {
-		s.byKey.Remove(kh, pos)
-		s.log.TruncateTail(pos) // LIFO undo: pos is the last row
-	})
-}
-
-func (s *RollbackStore) close(pos int, key tuple.Tuple, at temporal.Chronon) {
-	s.log.CloseTrans(pos, at)
-	kh := key.Hash64()
-	s.byKey.Remove(kh, pos)
-	s.j.record(func() {
-		s.byKey.Add(kh, pos)
-		s.log.CloseTrans(pos, temporal.Forever)
-	})
 }

@@ -4,10 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"tdb/internal/schema"
-	"tdb/internal/tuple"
 	"tdb/internal/value"
 	"tdb/temporal"
 )
@@ -226,7 +224,6 @@ func DecodeBlock(src []byte, sch *schema.Schema) (*Segment, int, error) {
 // rebuildSummaries recomputes everything derivable from the arrays: time
 // zone maps, current count, attribute zones, and the key bloom filter.
 func (g *Segment) rebuildSummaries() {
-	g.mat = make([]atomic.Pointer[tuple.Tuple], g.n)
 	g.minTransFrom, g.maxTransFrom = math.MaxInt64, math.MinInt64
 	g.maxClosedTo = math.MinInt64
 	g.minValidFrom, g.maxValidTo = math.MaxInt64, math.MinInt64

@@ -138,9 +138,11 @@ func (l *Log) locate(pos int) (*Segment, int) {
 	return l.segs[lo], pos - l.segs[lo].start
 }
 
-// Row materializes the row at global position pos.
+// Row returns the row at global position pos, built from the columns when
+// it is sealed.
 func (l *Log) Row(pos int) Row {
 	if g, i := l.locate(pos); g != nil {
+		mRowsMaterialized.Inc()
 		return g.row(i)
 	} else {
 		return l.tail[i]
@@ -185,218 +187,152 @@ func (l *Log) CloseTrans(pos int, to temporal.Chronon) {
 	}
 }
 
-// Scan calls fn for every row in commit order, stopping early on false.
-func (l *Log) Scan(fn func(pos int, r Row) bool) {
-	for _, g := range l.segs {
-		for i := 0; i < g.n; i++ {
-			if !fn(g.start+i, g.row(i)) {
-				return
-			}
-		}
-	}
-	for i := range l.tail {
-		if !fn(l.sealed+i, l.tail[i]) {
-			return
-		}
-	}
+// Pred says which rows a Scan returns: two interval tests, one per time
+// axis, an entity, and attribute comparisons. A nil field does not restrict;
+// a row is returned exactly when it passes every field that is set.
+type Pred struct {
+	// Trans keeps rows whose transaction period overlaps the window. Rollback
+	// to an instant t is the one-chronon window [t, t+1), current belief the
+	// window holding only the last instant of transaction time. A row asserted
+	// and superseded at the same chronon has an empty period: it overlaps no
+	// window and is returned only when Trans is nil.
+	Trans *temporal.Interval
+	// Valid keeps rows whose valid period overlaps the interval.
+	Valid *temporal.Interval
+	// Key keeps rows with this key hash. Hashes collide: a caller after one
+	// entity re-checks the key on what comes back.
+	Key *uint64
+	// Filters keeps rows passing every comparison.
+	Filters []*Filter
 }
 
-// ScanAsOf calls fn, in commit order, for every row whose transaction
-// period contains t. Whole segments are skipped via the transaction-time
-// zone maps and survivors are tested column-at-a-time before any tuple is
-// materialized; the tail is tested row-wise. Optional filters are evaluated
-// on the columns (and against the attribute zone maps) before
-// materialization, like ScanWhen's. Current belief is the scan at the last
-// instant of transaction time.
-func (l *Log) ScanAsOf(t temporal.Chronon, filters []*Filter, fn func(pos int, r Row) bool) {
-	ti := int64(t)
-	for _, g := range l.segs {
-		// Commit order makes transFrom globally non-decreasing: once a
-		// segment starts after t, no later row anywhere (including the
-		// tail) can be visible as of t.
-		if g.minTransFrom > ti {
-			mSegmentsPruned.Inc()
-			return
-		}
-		if g.pruneAsOf(t) || !resolveAll(filters, g) {
-			mSegmentsPruned.Inc()
-			continue
-		}
-		mSegmentsScanned.Inc()
-		// Binary-search the upper cut inside the segment: rows past it
-		// were asserted after t and cannot match.
-		hi := sort.Search(g.n, func(i int) bool { return g.transFrom[i] > ti })
-		for i := 0; i < hi; i++ {
-			if ti < g.transTo[i] && matchAll(filters, g, i) {
-				if !fn(g.start+i, g.row(i)) {
-					return
-				}
-			}
-		}
-		if hi < g.n {
-			return
-		}
+// Match is the predicate itself, on a row-format row: Scan returns, in
+// commit order, exactly the rows it holds for.
+func (p *Pred) Match(r *Row) bool {
+	if p.Trans != nil && !r.Trans.Overlaps(*p.Trans) {
+		return false
 	}
-	for i := range l.tail {
-		if l.tail[i].Trans.From > t {
-			return
-		}
-		if l.tail[i].Trans.Contains(t) && matchAllRow(filters, l.tail[i]) {
-			if !fn(l.sealed+i, l.tail[i]) {
-				return
-			}
-		}
+	if p.Valid != nil && !r.Valid.Overlaps(*p.Valid) {
+		return false
 	}
-}
-
-// ScanWhen calls fn, in commit order, for every row current as of asOf whose
-// valid period overlaps q — the fused bitemporal scan behind TQuel's
-// combined when + as-of queries. Segments are pruned on both time axes, and
-// optional equality filters are evaluated on the columns (and re-checked
-// against the segment's attribute zone maps) before materialization.
-func (l *Log) ScanWhen(q temporal.Interval, asOf temporal.Chronon, filters []*Filter, fn func(pos int, r Row) bool) {
-	if q.IsEmpty() {
-		return
+	if p.Key != nil && r.KeyHash != *p.Key {
+		return false
 	}
-	ti, qf, qt := int64(asOf), int64(q.From), int64(q.To)
-	for _, g := range l.segs {
-		// Commit order: a segment starting after asOf ends the scan.
-		if g.minTransFrom > ti {
-			mSegmentsPruned.Inc()
-			return
-		}
-		if g.pruneAsOf(asOf) || g.pruneValid(q) || !resolveAll(filters, g) {
-			mSegmentsPruned.Inc()
-			continue
-		}
-		mSegmentsScanned.Inc()
-		hi := sort.Search(g.n, func(i int) bool { return g.transFrom[i] > ti })
-		for i := 0; i < hi; i++ {
-			if ti >= g.transTo[i] {
-				continue
-			}
-			if g.validFrom[i] >= qt || qf >= g.validTo[i] {
-				continue
-			}
-			if !matchAll(filters, g, i) {
-				continue
-			}
-			if !fn(g.start+i, g.row(i)) {
-				return
-			}
-		}
-		if hi < g.n {
-			return
-		}
-	}
-	for i := range l.tail {
-		r := l.tail[i]
-		if r.Trans.From > asOf {
-			return
-		}
-		if r.Trans.Contains(asOf) && r.Valid.Overlaps(q) && matchAllRow(filters, r) {
-			if !fn(l.sealed+i, r) {
-				return
-			}
-		}
-	}
-}
-
-// ScanTransOverlap calls fn, in commit order, for every row whose
-// transaction period overlaps the window (TQuel's "as of E1 through E2"),
-// pruning segments via the transaction-time zone maps.
-func (l *Log) ScanTransOverlap(w temporal.Interval, fn func(pos int, r Row) bool) {
-	if w.IsEmpty() {
-		return
-	}
-	wf, wt := int64(w.From), int64(w.To)
-	for _, g := range l.segs {
-		// Commit order: every later row starts at or after the window end;
-		// nothing further can overlap.
-		if g.minTransFrom >= wt {
-			mSegmentsPruned.Inc()
-			return
-		}
-		if g.pruneTransWindow(w) {
-			mSegmentsPruned.Inc()
-			continue
-		}
-		mSegmentsScanned.Inc()
-		hi := sort.Search(g.n, func(i int) bool { return g.transFrom[i] >= wt })
-		for i := 0; i < hi; i++ {
-			// The second test drops versions asserted and superseded at the
-			// same chronon: an empty period overlaps nothing.
-			if wf < g.transTo[i] && g.transFrom[i] < g.transTo[i] {
-				if !fn(g.start+i, g.row(i)) {
-					return
-				}
-			}
-		}
-		if hi < g.n {
-			return
-		}
-	}
-	for i := range l.tail {
-		if int64(l.tail[i].Trans.From) >= wt {
-			return
-		}
-		if l.tail[i].Trans.Overlaps(w) {
-			if !fn(l.sealed+i, l.tail[i]) {
-				return
-			}
-		}
-	}
-}
-
-// ScanKey calls fn for every row whose key hash equals kh, in commit order.
-// Segments whose bloom filter excludes the hash are skipped without reading
-// a single row — the audit-trail accelerator.
-func (l *Log) ScanKey(kh uint64, fn func(pos int, r Row) bool) {
-	for _, g := range l.segs {
-		if !g.bloom.mayContain(kh) {
-			mBloomSkips.Inc()
-			continue
-		}
-		for i := 0; i < g.n; i++ {
-			if g.keyHash[i] == kh {
-				if !fn(g.start+i, g.row(i)) {
-					return
-				}
-			}
-		}
-	}
-	for i := range l.tail {
-		if l.tail[i].KeyHash == kh {
-			if !fn(l.sealed+i, l.tail[i]) {
-				return
-			}
-		}
-	}
-}
-
-// resolveAll binds every filter to the segment; false means some filter's
-// zone/dictionary proves the segment empty for this query.
-func resolveAll(filters []*Filter, g *Segment) bool {
-	for _, f := range filters {
-		if !f.resolve(g) {
-			return false
-		}
-	}
-	return true
-}
-
-func matchAll(filters []*Filter, g *Segment, i int) bool {
-	for _, f := range filters {
-		if !f.match(g, i) {
-			return false
-		}
-	}
-	return true
-}
-
-func matchAllRow(filters []*Filter, r Row) bool {
-	for _, f := range filters {
+	for _, f := range p.Filters {
 		if !f.Match(r.Data) {
+			return false
+		}
+	}
+	return true
+}
+
+// Scan calls fn, in commit order, for every row satisfying p, stopping early
+// when fn returns false — the log's one query. Commit order makes transFrom
+// non-decreasing over the whole log, so a Trans window ends the scan at the
+// first row asserted at or after its end. Before that cut, sealed segments
+// are skipped whole on their summaries (prune) and the survivors tested
+// column-wise, a tuple being built only for rows that pass; tail rows take
+// the row-wise spelling of the same test (Match).
+func (l *Log) Scan(p Pred, fn func(pos int, r Row) bool) {
+	if (p.Trans != nil && p.Trans.IsEmpty()) || (p.Valid != nil && p.Valid.IsEmpty()) {
+		return
+	}
+	// Rows asserted at or after cut end the scan. No row is asserted at
+	// Forever, so without a window nothing does.
+	cut := int64(temporal.Forever)
+	if p.Trans != nil {
+		cut = int64(p.Trans.To)
+	}
+	built, more := scanSealed(l.segs, &p, cut, fn)
+	if built > 0 {
+		mRowsMaterialized.Add(uint64(built))
+	}
+	if !more {
+		return
+	}
+	for i := range l.tail {
+		r := &l.tail[i]
+		if int64(r.Trans.From) >= cut {
+			return
+		}
+		if p.Match(r) && !fn(l.sealed+i, *r) {
+			return
+		}
+	}
+}
+
+// scanSealed is Scan's segment loop. It returns how many tuples it built and
+// whether the scan goes on into the tail: not once fn has said stop, nor past
+// a row asserted at or after cut.
+func scanSealed(segs []*Segment, p *Pred, cut int64, fn func(pos int, r Row) bool) (built int, more bool) {
+	var wf, qf, qt int64
+	if p.Trans != nil {
+		wf = int64(p.Trans.From)
+	}
+	if p.Valid != nil {
+		qf, qt = int64(p.Valid.From), int64(p.Valid.To)
+	}
+	narrow := p.Key != nil || len(p.Filters) > 0
+	codes := make([]uint32, len(p.Filters)) // this scan's per-segment filter bindings
+	for _, g := range segs {
+		if g.minTransFrom >= cut {
+			mSegmentsPruned.Inc()
+			return built, false
+		}
+		if g.prune(p, codes) {
+			continue
+		}
+		mSegmentsScanned.Inc()
+		hi := g.n
+		if g.maxTransFrom >= cut {
+			hi = sort.Search(g.n, func(i int) bool { return g.transFrom[i] >= cut })
+		}
+		for i := 0; i < hi; i++ {
+			// The narrow columns pick the candidates: a key or an attribute
+			// comparison usually turns most rows away on four or eight bytes,
+			// in a loop of its own (seek), and only the rest pay for the four
+			// time columns.
+			if narrow {
+				if i = g.seek(i, hi, p.Key, p.Filters, codes); i == hi {
+					break
+				}
+			}
+			// An empty period (asserted and superseded at one chronon) overlaps
+			// nothing, on either axis.
+			if p.Trans != nil && (wf >= g.transTo[i] || g.transFrom[i] >= g.transTo[i]) {
+				continue
+			}
+			if p.Valid != nil && (g.validFrom[i] >= qt || qf >= g.validTo[i] || g.validFrom[i] >= g.validTo[i]) {
+				continue
+			}
+			built++
+			if !fn(g.start+i, g.row(i)) {
+				return built, false
+			}
+		}
+		if hi < g.n {
+			return built, false
+		}
+	}
+	return built, true
+}
+
+// seek returns the first row in [i, hi) that has the key hash and passes the
+// filters, or hi.
+func (g *Segment) seek(i, hi int, key *uint64, filters []*Filter, codes []uint32) int {
+	for ; i < hi; i++ {
+		if (key == nil || g.keyHash[i] == *key) && matchAll(filters, codes, g, i) {
+			break
+		}
+	}
+	return i
+}
+
+// matchAll reports whether row i of g passes every filter, given the codes
+// prune bound for g.
+func matchAll(filters []*Filter, codes []uint32, g *Segment, i int) bool {
+	for fi, f := range filters {
+		if !f.match(g, codes[fi], i) {
 			return false
 		}
 	}

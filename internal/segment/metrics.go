@@ -16,4 +16,6 @@ var (
 		"Segments whose columns a scan actually read.")
 	mBloomSkips = obs.Default.Counter("tdb_segment_bloom_skips_total",
 		"Segments skipped by the key bloom filter during key scans.")
+	mRowsMaterialized = obs.Default.Counter("tdb_segment_rows_materialized_total",
+		"Tuples built from sealed segments' columns (rows a scan or position read returned).")
 )

@@ -24,7 +24,6 @@ package segment
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"tdb/internal/schema"
 	"tdb/internal/tuple"
@@ -69,15 +68,6 @@ type Segment struct {
 	keyHash   []uint64
 	bloom     bloom
 
-	// mat lazily caches materialized tuples, one slot per row, so repeated
-	// scans over the same history decode each row's columns at most once.
-	// The columns stay the source of truth; a cached tuple is immutable and
-	// identical to what materialize would rebuild, so racing fills are
-	// benign and the atomic store keeps them race-detector-clean. Worst
-	// case (every row touched) this grows to a full row-format copy on top
-	// of the columns.
-	mat []atomic.Pointer[tuple.Tuple]
-
 	// Zone maps. minTransFrom/maxTransFrom bound the commit span (frozen:
 	// transFrom never changes). maxTransTo is Forever while any version is
 	// current, else the largest closed end; closures keep it exact enough to
@@ -101,18 +91,6 @@ func (g *Segment) Len() int { return g.n }
 // Current returns the number of rows whose transaction period is open.
 func (g *Segment) Current() int { return g.current }
 
-// Materialized returns how many rows hold a cached row-format tuple (see
-// mat): the resident price of the scans that have touched this segment.
-func (g *Segment) Materialized() int {
-	n := 0
-	for i := range g.mat {
-		if g.mat[i].Load() != nil {
-			n++
-		}
-	}
-	return n
-}
-
 // seal builds a segment from rows, which become positions start..start+len.
 func seal(sch *schema.Schema, start int, rows []Row) *Segment {
 	g := &Segment{
@@ -124,7 +102,6 @@ func seal(sch *schema.Schema, start int, rows []Row) *Segment {
 		validFrom:    make([]int64, len(rows)),
 		validTo:      make([]int64, len(rows)),
 		keyHash:      make([]uint64, len(rows)),
-		mat:          make([]atomic.Pointer[tuple.Tuple], len(rows)),
 		minTransFrom: math.MaxInt64,
 		maxTransFrom: math.MinInt64,
 		maxClosedTo:  math.MinInt64,
@@ -279,21 +256,11 @@ func (g *Segment) maxTransTo() int64 {
 	return g.maxClosedTo
 }
 
-// row materializes row i (0-based within the segment). Strings share the
-// dictionary's backing; no payload bytes are copied.
+// row builds row i (0-based within the segment) from the columns, which
+// are the only copy of a sealed row: every call makes a fresh tuple, the
+// caller's to keep. Strings share the dictionary's backing; no payload bytes
+// are copied.
 func (g *Segment) row(i int) Row {
-	return Row{
-		Data:    g.materialize(i),
-		Valid:   temporal.Interval{From: temporal.Chronon(g.validFrom[i]), To: temporal.Chronon(g.validTo[i])},
-		Trans:   temporal.Interval{From: temporal.Chronon(g.transFrom[i]), To: temporal.Chronon(g.transTo[i])},
-		KeyHash: g.keyHash[i],
-	}
-}
-
-func (g *Segment) materialize(i int) tuple.Tuple {
-	if p := g.mat[i].Load(); p != nil {
-		return *p
-	}
 	t := make(tuple.Tuple, len(g.cols))
 	for a := range g.cols {
 		switch g.cols[a].kind {
@@ -309,8 +276,12 @@ func (g *Segment) materialize(i int) tuple.Tuple {
 			t[a] = value.NewInt(g.cols[a].ints[i])
 		}
 	}
-	g.mat[i].Store(&t)
-	return t
+	return Row{
+		Data:    t,
+		Valid:   temporal.Interval{From: temporal.Chronon(g.validFrom[i]), To: temporal.Chronon(g.validTo[i])},
+		Trans:   temporal.Interval{From: temporal.Chronon(g.transFrom[i]), To: temporal.Chronon(g.transTo[i])},
+		KeyHash: g.keyHash[i],
+	}
 }
 
 // closeTrans sets row i's transaction-time end (the one permitted mutation:
@@ -331,21 +302,33 @@ func (g *Segment) closeTrans(i int, to temporal.Chronon) {
 	}
 }
 
-// pruneAsOf reports whether no row in the segment can be current as of t:
-// every row was asserted after t, or every row was superseded by t.
-func (g *Segment) pruneAsOf(t temporal.Chronon) bool {
-	return g.minTransFrom > int64(t) || int64(t) >= g.maxTransTo()
-}
-
-// pruneValid reports whether no row's valid period can overlap q.
-func (g *Segment) pruneValid(q temporal.Interval) bool {
-	return int64(q.To) <= g.minValidFrom || int64(q.From) >= g.maxValidTo
-}
-
-// pruneTransWindow reports whether no row's transaction period can overlap
-// the window.
-func (g *Segment) pruneTransWindow(w temporal.Interval) bool {
-	return int64(w.To) <= g.minTransFrom || int64(w.From) >= g.maxTransTo()
+// prune reports whether the segment's summaries prove no row satisfies p,
+// counting the skip against the summary that proved it. Otherwise it leaves
+// in codes, filter by filter, what matching rows of this segment needs (see
+// Filter.bind).
+func (g *Segment) prune(p *Pred, codes []uint32) bool {
+	// Every row was asserted after the window, or superseded before it.
+	if w := p.Trans; w != nil && (int64(w.To) <= g.minTransFrom || int64(w.From) >= g.maxTransTo()) {
+		mSegmentsPruned.Inc()
+		return true
+	}
+	if q := p.Valid; q != nil && (int64(q.To) <= g.minValidFrom || int64(q.From) >= g.maxValidTo) {
+		mSegmentsPruned.Inc()
+		return true
+	}
+	if p.Key != nil && !g.bloom.mayContain(*p.Key) {
+		mBloomSkips.Inc()
+		return true
+	}
+	for fi, f := range p.Filters {
+		code, ok := f.bind(g)
+		if !ok {
+			mSegmentsPruned.Inc()
+			return true
+		}
+		codes[fi] = code
+	}
+	return false
 }
 
 // Op is a Filter's comparison operator.
@@ -359,15 +342,15 @@ const (
 	OpGe
 )
 
-// match reports whether row i's attribute a satisfies the pre-resolved
-// filter; see Filter.
-func (f *Filter) match(g *Segment, i int) bool {
+// match reports whether row i of g satisfies the filter, code being what
+// bind returned for g.
+func (f *Filter) match(g *Segment, code uint32, i int) bool {
 	c := &g.cols[f.Attr]
 	switch c.kind {
 	case value.Float:
 		return cmpOK(f.Op, cmpFloat(c.fls[i], f.f))
 	case value.String:
-		return c.code[i] == f.code // strings are equality-only
+		return c.code[i] == code // strings are equality-only
 	default:
 		return cmpOK(f.Op, cmpInt(c.ints[i], f.i))
 	}
@@ -415,23 +398,18 @@ func cmpOK(op Op, c int) bool {
 	}
 }
 
-// Filter is a single-attribute comparison pre-filter (attr OP constant)
-// evaluated directly on a segment's columns before any tuple is
-// materialized. It is an acceleration only: callers keep the originating
-// conjunct and re-verify it on the materialized row, so a Filter can never
-// change an answer — only shrink the set of rows materialized. Build one
-// with NewEqFilter or NewCmpFilter.
+// Filter is a single-attribute comparison (attr OP constant) a scan
+// evaluates directly on a segment's columns before any tuple is built, and
+// row-wise (Match) on the tail; both keep exactly the same rows. Build one
+// with NewEqFilter or NewCmpFilter. A Filter is immutable once built — what
+// a scan learns about it per segment stays in that scan's frame — so any
+// number of concurrent scans may share one.
 type Filter struct {
 	Attr int
 	Op   Op
 	val  value.Value
 	i    int64
 	f    float64
-
-	// per-segment resolution for dictionary columns
-	code  uint32
-	skip  bool // value absent from this segment's dictionary / zone
-	fresh *Segment
 }
 
 // NewEqFilter builds an equality filter on attribute attr of sch. It returns
@@ -478,53 +456,48 @@ func NewCmpFilter(sch *schema.Schema, attr int, op Op, v value.Value) (*Filter, 
 	return f, true
 }
 
-// resolve binds the filter to a segment: zone-map check plus dictionary
-// lookup for string columns. Returns false when the whole segment can be
-// skipped for this filter.
-func (f *Filter) resolve(g *Segment) bool {
-	if f.fresh != g {
-		f.fresh = g
-		f.skip = false
-		lo, hi := g.AttrZone(f.Attr)
-		if lo.IsValid() && hi.IsValid() {
-			cl, errl := value.Compare(f.val, lo) // filter constant vs zone min
-			ch, errh := value.Compare(f.val, hi) // filter constant vs zone max
-			switch f.Op {
-			case OpEq:
-				if (errl == nil && cl < 0) || (errh == nil && ch > 0) {
-					f.skip = true // constant outside [min,max]
-				}
-			case OpLt:
-				if errl == nil && cl <= 0 {
-					f.skip = true // min >= constant: no row is below it
-				}
-			case OpLe:
-				if errl == nil && cl < 0 {
-					f.skip = true // min > constant
-				}
-			case OpGt:
-				if errh == nil && ch >= 0 {
-					f.skip = true // max <= constant: no row is above it
-				}
-			case OpGe:
-				if errh == nil && ch > 0 {
-					f.skip = true // max < constant
-				}
+// bind checks the filter against g's summaries: ok is false when the
+// attribute's zone map, or for a string its dictionary, proves no row of g
+// matches. For a string column code is the constant's dictionary code in g,
+// which match compares rows against.
+func (f *Filter) bind(g *Segment) (code uint32, ok bool) {
+	lo, hi := g.AttrZone(f.Attr)
+	if lo.IsValid() && hi.IsValid() {
+		cl, errl := value.Compare(f.val, lo) // filter constant vs zone min
+		ch, errh := value.Compare(f.val, hi) // filter constant vs zone max
+		switch f.Op {
+		case OpEq:
+			if (errl == nil && cl < 0) || (errh == nil && ch > 0) {
+				return 0, false // constant outside [min,max]
 			}
-		}
-		if !f.skip && g.cols[f.Attr].kind == value.String {
-			f.skip = true
-			want := f.val.Str()
-			for code, s := range g.cols[f.Attr].dict {
-				if s == want {
-					f.code = uint32(code)
-					f.skip = false
-					break
-				}
+		case OpLt:
+			if errl == nil && cl <= 0 {
+				return 0, false // min >= constant: no row is below it
+			}
+		case OpLe:
+			if errl == nil && cl < 0 {
+				return 0, false // min > constant
+			}
+		case OpGt:
+			if errh == nil && ch >= 0 {
+				return 0, false // max <= constant: no row is above it
+			}
+		case OpGe:
+			if errh == nil && ch > 0 {
+				return 0, false // max < constant
 			}
 		}
 	}
-	return !f.skip
+	if g.cols[f.Attr].kind != value.String {
+		return 0, true
+	}
+	want := f.val.Str()
+	for code, s := range g.cols[f.Attr].dict {
+		if s == want {
+			return uint32(code), true
+		}
+	}
+	return 0, false
 }
 
 // Match evaluates the filter against a materialized row (the tail path,

@@ -110,9 +110,10 @@ func buildPair(rng *rand.Rand, n int) (*Log, []Row) {
 	return l, ref
 }
 
-func collect(scan func(fn func(pos int, r Row) bool)) []int {
+// scanWith collects the positions Scan(p) yields.
+func scanWith(l *Log, p Pred) []int {
 	var got []int
-	scan(func(pos int, r Row) bool {
+	l.Scan(p, func(pos int, _ Row) bool {
 		got = append(got, pos)
 		return true
 	})
@@ -170,66 +171,256 @@ func TestSealPreservesRows(t *testing.T) {
 	}
 }
 
-// TestScansMatchReference is the zone-map soundness property: under random
-// histories (including closures and abort reopenings that leave conservative
-// zone maps) every pruned scan returns exactly the rows a brute-force
-// predicate over the reference keeps, in commit order.
-func TestScansMatchReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(85))
-	for _, tail := range []int{0, 60} { // fully sealed, and with a live row tail
-		l, ref := buildPair(rng, 2000)
-		last := ref[len(ref)-1].Trans.From
-		for i := 0; i < tail; i++ {
-			last += temporal.Chronon(rng.Intn(2))
-			r := randRow(rng, last)
+// history drives l through a seeded run of small transactions — the only
+// way rows reach a store's log — and returns the test-side reference: the
+// committed rows, in commit order. Each transaction appends one to three rows
+// at its commit chronon and supersedes some current ones at that same
+// chronon; several transactions share a chronon, so a row superseded in the
+// chronon it was asserted in is left with an empty transaction period. One
+// transaction in five aborts (closures reopened, appended rows truncated),
+// which leaves the zone maps conservative. Commits seal on l's threshold.
+// Names outside the usual six turn up only late, and dept "Rare" only in a
+// short stretch, so some segments' dictionaries lack them.
+func history(rng *rand.Rand, l *Log, txns int) []Row {
+	var ref []Row
+	commit := temporal.Chronon(100)
+	for i := 0; i < txns; i++ {
+		commit += temporal.Chronon(rng.Intn(3))
+		mark := len(ref)
+		var closed []int
+		for n := 1 + rng.Intn(3); n > 0; n-- {
+			r := randRow(rng, commit)
+			if i > txns/2 && rng.Intn(6) == 0 {
+				r.Data[0] = value.NewString("Zed")
+				r.KeyHash = collidingHash // Zed's key hashes like Tom's
+			}
+			if i > txns/3 && i < txns/3+20 {
+				r.Data[1] = value.NewString("Rare")
+			}
+			if r.Data[0].Str() == "Tom" {
+				r.KeyHash = collidingHash
+			}
 			l.Append(r)
 			ref = append(ref, r)
-		}
-		if len(l.Segments()) < 10 || l.Len()-l.Sealed() != tail {
-			t.Fatalf("want a multi-segment log with %d tail rows, got %v", tail, l.Stats())
-		}
-		for pos, want := range ref {
-			if got := l.Row(pos); !rowsEqual(got, want) {
-				t.Fatalf("row %d: log holds %+v, reference %+v", pos, got, want)
+			pos := rng.Intn(len(ref))
+			if rng.Intn(3) == 0 { // a recent row: likely asserted at this very chronon
+				pos = len(ref) - 1 - rng.Intn(min(4, len(ref)))
+			}
+			if rng.Intn(2) == 0 && ref[pos].Trans.To == temporal.Forever {
+				l.CloseTrans(pos, commit)
+				ref[pos].Trans.To = commit
+				closed = append(closed, pos)
 			}
 		}
-		// Probes range over the whole commit span, and a little past each end.
-		span := int(last) - 95 + 10
-		for trial := 0; trial < 300; trial++ {
-			asOf := temporal.Chronon(95 + rng.Intn(span))
-			samePositions(t, fmt.Sprintf("ScanAsOf(%d) trial %d", asOf, trial),
-				collect(func(fn func(int, Row) bool) { l.ScanAsOf(asOf, nil, fn) }),
-				where(ref, func(r Row) bool { return r.Trans.Contains(asOf) }))
-
-			qf := temporal.Chronon(rng.Intn(1100))
-			q := temporal.Interval{From: qf, To: qf + temporal.Chronon(rng.Intn(200))}
-			samePositions(t, fmt.Sprintf("ScanWhen(%v, %d) trial %d", q, asOf, trial),
-				collect(func(fn func(int, Row) bool) { l.ScanWhen(q, asOf, nil, fn) }),
-				where(ref, func(r Row) bool { return r.Trans.Contains(asOf) && r.Valid.Overlaps(q) }))
-
-			wf := temporal.Chronon(95 + rng.Intn(span))
-			w := temporal.Interval{From: wf, To: wf + temporal.Chronon(rng.Intn(40)) - 5}
-			samePositions(t, fmt.Sprintf("ScanTransOverlap(%v) trial %d", w, trial),
-				collect(func(fn func(int, Row) bool) { l.ScanTransOverlap(w, fn) }),
-				where(ref, func(r Row) bool { return r.Trans.Overlaps(w) }))
+		if rng.Intn(5) == 0 {
+			for _, pos := range closed {
+				l.CloseTrans(pos, temporal.Forever)
+				ref[pos].Trans.To = temporal.Forever
+			}
+			l.TruncateTail(mark)
+			ref = ref[:mark]
+			continue
 		}
+		l.Seal()
+	}
+	return ref
+}
 
-		// Current belief is the as-of read at the last instant of time.
-		samePositions(t, "ScanAsOf(current belief)",
-			collect(func(fn func(int, Row) bool) { l.ScanAsOf(temporal.Forever-1, nil, fn) }),
-			where(ref, func(r Row) bool { return r.Trans.To == temporal.Forever }))
+// collidingHash is the key hash "Tom" and "Zed" share in history's rows.
+const collidingHash = 0x70ad
 
-		for _, name := range []string{"Jane", "Tom", "Nobody"} {
-			kh := value.NewString(name).Hash64()
-			samePositions(t, "ScanKey("+name+")",
-				collect(func(fn func(int, Row) bool) { l.ScanKey(kh, fn) }),
-				where(ref, func(r Row) bool { return r.KeyHash == kh }))
+// predCase is one Pred with the brute-force test it stands for, spelled out
+// field by field without the package's help.
+type predCase struct {
+	name string
+	pred Pred
+	keep func(Row) bool
+}
+
+// predCases enumerates the full Pred product: Trans {nil, one chronon,
+// window, empty window} × Valid {nil, interval, empty} × Key {nil, present,
+// absent, colliding hash} × Filters {none, equality, range, equality on a
+// string absent from some segments}. Some probes on each axis sit exactly on
+// a stored period's ends, where an off-by-one in a zone map would show.
+func predCases(t *testing.T, rng *rand.Rand, ref []Row) []predCase {
+	t.Helper()
+	type part struct {
+		name  string
+		apply func(*Pred)
+		keep  func(Row) bool
+	}
+	always := func(Row) bool { return true }
+	nonEmpty := func(iv temporal.Interval) bool { return iv.From < iv.To }
+	// overlap is the interval test on either axis: both periods hold a
+	// chronon, and they share one.
+	overlap := func(a, b temporal.Interval) bool {
+		return nonEmpty(a) && nonEmpty(b) && a.From < b.To && b.From < a.To
+	}
+	first, last := ref[0].Trans.From, ref[len(ref)-1].Trans.From
+	span := int(last-first) + 10
+	trans := []part{{"trans=any", func(*Pred) {}, always}}
+	for _, w := range []temporal.Interval{
+		{From: first - 5, To: first - 4},                   // before the first commit
+		{From: first, To: first + 1},                       // the first commit chronon
+		{From: last, To: last + 1},                         // the last
+		{From: last + 7, To: last + 8},                     // past every commit
+		{From: temporal.Forever - 1, To: temporal.Forever}, // current belief
+		{From: first - 5, To: last + 5},                    // the whole span
+		{From: last + 3, To: temporal.Forever},             // open-ended, past the commits
+		{From: first + 9, To: first + 9},                   // empty
+		{From: first + 9, To: first + 2},                   // inverted
+	} {
+		w := w
+		trans = append(trans, part{fmt.Sprintf("trans=%v", w), func(p *Pred) { p.Trans = &w },
+			func(r Row) bool { return overlap(r.Trans, w) }})
+	}
+	for k := 0; k < 6; k++ {
+		at := first - 5 + temporal.Chronon(rng.Intn(span))
+		if r := ref[rng.Intn(len(ref))]; k%2 == 0 && r.Trans.To != temporal.Forever {
+			at = r.Trans.To - 1 // the last chronon some version was believed
+		}
+		one := temporal.Interval{From: at, To: at + 1}
+		trans = append(trans, part{fmt.Sprintf("trans=%v", one), func(p *Pred) { p.Trans = &one },
+			func(r Row) bool { return r.Trans.From <= at && at < r.Trans.To }})
+		w := temporal.Interval{From: at, To: at + temporal.Chronon(1+rng.Intn(40))}
+		trans = append(trans, part{fmt.Sprintf("trans=%v", w), func(p *Pred) { p.Trans = &w },
+			func(r Row) bool { return overlap(r.Trans, w) }})
+	}
+	valid := []part{{"", func(*Pred) {}, always}}
+	qs := []temporal.Interval{
+		{From: 7, To: 8}, {From: 200, To: 460}, {From: 1050, To: temporal.Forever},
+		{From: 2000, To: 2001}, // past every finite valid period
+		{From: 300, To: 300},   // empty
+	}
+	for k := 0; k < 4; k++ { // the first and last chronon of some stored period
+		r := ref[rng.Intn(len(ref))]
+		qs = append(qs, temporal.Interval{From: r.Valid.From, To: r.Valid.From + 1})
+		if r.Valid.To != temporal.Forever {
+			qs = append(qs, temporal.Interval{From: r.Valid.To - 1, To: r.Valid.To})
+		}
+	}
+	for _, q := range qs {
+		q := q
+		valid = append(valid, part{fmt.Sprintf(" valid=%v", q), func(p *Pred) { p.Valid = &q },
+			func(r Row) bool { return overlap(r.Valid, q) }})
+	}
+	keys := []part{{"", func(*Pred) {}, always}}
+	for name, kh := range map[string]uint64{
+		"Jane":    value.NewString("Jane").Hash64(),
+		"Nobody":  value.NewString("Nobody").Hash64(),
+		"Tom+Zed": collidingHash,
+	} {
+		kh := kh
+		keys = append(keys, part{" key=" + name, func(p *Pred) { p.Key = &kh },
+			func(r Row) bool { return r.KeyHash == kh }})
+	}
+	sch := testSchema()
+	filter := func(attr int, op Op, v value.Value) *Filter {
+		f, ok := NewCmpFilter(sch, attr, op, v)
+		if !ok {
+			t.Fatalf("NewCmpFilter(%d, %d, %v) rejected a well-kinded filter", attr, op, v)
+		}
+		return f
+	}
+	cs, rare := filter(1, OpEq, value.NewString("CS")), filter(1, OpEq, value.NewString("Rare"))
+	lo, hi := filter(2, OpGe, value.NewInt(30000)), filter(2, OpLt, value.NewInt(45000))
+	filters := []part{
+		{"", func(*Pred) {}, always},
+		{" dept=CS", func(p *Pred) { p.Filters = []*Filter{cs} },
+			func(r Row) bool { return r.Data[1].Str() == "CS" }},
+		{" 30000<=salary<45000", func(p *Pred) { p.Filters = []*Filter{lo, hi} },
+			func(r Row) bool { return r.Data[2].Int() >= 30000 && r.Data[2].Int() < 45000 }},
+		{" dept=Rare", func(p *Pred) { p.Filters = []*Filter{rare} },
+			func(r Row) bool { return r.Data[1].Str() == "Rare" }},
+	}
+	var out []predCase
+	for _, tr := range trans {
+		for _, va := range valid {
+			for _, k := range keys {
+				for _, f := range filters {
+					c := predCase{name: tr.name + va.name + k.name + f.name}
+					parts := []part{tr, va, k, f}
+					for _, p := range parts {
+						p.apply(&c.pred)
+					}
+					c.keep = func(r Row) bool {
+						for _, p := range parts {
+							if !p.keep(r) {
+								return false
+							}
+						}
+						return true
+					}
+					out = append(out, c)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestScansMatchReference is the one reference for the one scan. Scan(Pred{})
+// must return the committed rows, image for image, in commit order; and for
+// every combination of Pred fields Scan(p) must return exactly the rows of
+// Scan(Pred{}) a brute-force test keeps, in that order, and stop the moment
+// fn says so — whether history sits in two-row segments, four-row segments or
+// (the default threshold) entirely in the row tail, and whatever aborts and
+// same-chronon supersessions have done to the zone maps.
+func TestScansMatchReference(t *testing.T) {
+	for _, rows := range []string{"2", "4", ""} {
+		t.Setenv("TDB_SEGMENT_ROWS", rows)
+		rng := rand.New(rand.NewSource(85))
+		l := NewLog(testSchema())
+		ref := history(rng, l, 500)
+		if st := l.Stats(); (rows == "") != (st.Segments == 0) || (rows != "" && st.Segments < 100) {
+			t.Fatalf("TDB_SEGMENT_ROWS=%q: %v", rows, st)
+		}
+		var all []Row
+		l.Scan(Pred{}, func(pos int, r Row) bool {
+			if pos != len(all) {
+				t.Fatalf("Scan(Pred{}) yielded position %d after %d rows", pos, len(all))
+			}
+			all = append(all, r)
+			return true
+		})
+		if len(all) != len(ref) {
+			t.Fatalf("Scan(Pred{}) found %d rows, %d were committed", len(all), len(ref))
+		}
+		empty := 0
+		for pos := range ref {
+			if !rowsEqual(all[pos], ref[pos]) || !rowsEqual(l.Row(pos), ref[pos]) {
+				t.Fatalf("row %d: scan %+v, Row %+v, committed %+v", pos, all[pos], l.Row(pos), ref[pos])
+			}
+			if ref[pos].Trans.From == ref[pos].Trans.To {
+				empty++
+			}
+		}
+		if empty < 10 {
+			t.Fatalf("history holds only %d same-chronon rows", empty)
+		}
+		hits := 0
+		for _, c := range predCases(t, rng, ref) {
+			what := fmt.Sprintf("TDB_SEGMENT_ROWS=%q Scan(%s)", rows, c.name)
+			want := where(all, c.keep)
+			samePositions(t, what, scanWith(l, c.pred), want)
+			if len(want) < 2 {
+				continue
+			}
+			hits++
+			stop, calls := 1+rng.Intn(len(want)-1), 0
+			l.Scan(c.pred, func(int, Row) bool { calls++; return calls < stop })
+			if calls != stop {
+				t.Fatalf("%s: fn said stop at row %d of %d and was called %d times", what, stop, len(want), calls)
+			}
+		}
+		if hits < 500 {
+			t.Fatalf("only %d cases selected two or more rows; the probes miss the history", hits)
 		}
 	}
 }
 
-// TestFiltersAccelerateOnly: a pushed-down equality filter must return
-// exactly the rows a row-wise post-filter would.
+// TestFiltersAccelerateOnly: an equality filter evaluated on the columns
+// must keep exactly the rows a row-wise test would.
 func TestFiltersAccelerateOnly(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	l, ref := buildPair(rng, 1500)
@@ -250,11 +441,11 @@ func TestFiltersAccelerateOnly(t *testing.T) {
 			t.Fatalf("NewEqFilter(%d, %v) rejected a well-kinded filter", c.attr, c.v)
 		}
 		q := temporal.Interval{From: 0, To: temporal.Forever}
-		asOf := temporal.Chronon(130)
+		asOf := temporal.At(130)
 		samePositions(t, fmt.Sprintf("filter %s=%v", sch.Attr(c.attr).Name, c.v),
-			collect(func(fn func(int, Row) bool) { l.ScanWhen(q, asOf, []*Filter{f}, fn) }),
+			scanWith(l, Pred{Trans: &asOf, Valid: &q, Filters: []*Filter{f}}),
 			where(ref, func(r Row) bool {
-				return r.Trans.Contains(asOf) && r.Valid.Overlaps(q) && value.Equal(r.Data[c.attr], c.v)
+				return r.Trans.Contains(130) && r.Valid.Overlaps(q) && value.Equal(r.Data[c.attr], c.v)
 			}))
 	}
 
@@ -270,9 +461,9 @@ func TestFiltersAccelerateOnly(t *testing.T) {
 	}
 }
 
-// TestCmpFiltersAccelerateOnly: ordered comparison filters on every filtered
-// scan path (when, as-of, current belief) must keep exactly the rows a row-wise
-// post-filter keeps.
+// TestCmpFiltersAccelerateOnly: ordered comparison filters, every operator
+// on every ordered column kind, with and without a valid-time test beside
+// them, must keep exactly the rows a row-wise test keeps.
 func TestCmpFiltersAccelerateOnly(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	l, ref := buildPair(rng, 1500)
@@ -290,7 +481,7 @@ func TestCmpFiltersAccelerateOnly(t *testing.T) {
 		{3, OpGe, value.NewFloat(2.5)},
 		{5, OpLt, value.NewInstant(100)},
 	}
-	asOf := temporal.Chronon(130)
+	asOf, now := temporal.At(130), temporal.Since(temporal.Forever-1)
 	q := temporal.Interval{From: 0, To: temporal.Forever}
 	for _, c := range cases {
 		f, ok := NewCmpFilter(sch, c.attr, c.op, c.v)
@@ -303,14 +494,11 @@ func TestCmpFiltersAccelerateOnly(t *testing.T) {
 			return err != nil || cmpOK(c.op, cmp)
 		}
 
-		samePositions(t, name+" ScanWhen",
-			collect(func(fn func(int, Row) bool) { l.ScanWhen(q, asOf, []*Filter{f}, fn) }),
-			where(ref, func(r Row) bool { return r.Trans.Contains(asOf) && r.Valid.Overlaps(q) && keep(r) }))
-		samePositions(t, name+" ScanAsOf",
-			collect(func(fn func(int, Row) bool) { l.ScanAsOf(asOf, []*Filter{f}, fn) }),
-			where(ref, func(r Row) bool { return r.Trans.Contains(asOf) && keep(r) }))
-		samePositions(t, name+" ScanAsOf(current belief)",
-			collect(func(fn func(int, Row) bool) { l.ScanAsOf(temporal.Forever-1, []*Filter{f}, fn) }),
+		samePositions(t, name+" as of, valid", scanWith(l, Pred{Trans: &asOf, Valid: &q, Filters: []*Filter{f}}),
+			where(ref, func(r Row) bool { return r.Trans.Contains(130) && r.Valid.Overlaps(q) && keep(r) }))
+		samePositions(t, name+" as of", scanWith(l, Pred{Trans: &asOf, Filters: []*Filter{f}}),
+			where(ref, func(r Row) bool { return r.Trans.Contains(130) && keep(r) }))
+		samePositions(t, name+" current belief", scanWith(l, Pred{Trans: &now, Filters: []*Filter{f}}),
 			where(ref, func(r Row) bool { return r.Trans.To == temporal.Forever && keep(r) }))
 	}
 
@@ -350,13 +538,13 @@ func TestCodecRoundTrip(t *testing.T) {
 			}
 		}
 		for trial := 0; trial < 50; trial++ {
-			at := temporal.Chronon(90 + rng.Intn(130))
-			if g.pruneAsOf(at) != dec.pruneAsOf(at) {
-				t.Fatalf("segment %d: pruneAsOf(%d) diverged after decode", si, at)
+			at := temporal.At(temporal.Chronon(90 + rng.Intn(130)))
+			if g.prune(&Pred{Trans: &at}, nil) != dec.prune(&Pred{Trans: &at}, nil) {
+				t.Fatalf("segment %d: prune(trans=%v) diverged after decode", si, at)
 			}
 			q := temporal.Interval{From: temporal.Chronon(rng.Intn(1000)), To: temporal.Chronon(rng.Intn(1200))}
-			if g.pruneValid(q) != dec.pruneValid(q) {
-				t.Fatalf("segment %d: pruneValid(%v) diverged after decode", si, q)
+			if g.prune(&Pred{Valid: &q}, nil) != dec.prune(&Pred{Valid: &q}, nil) {
+				t.Fatalf("segment %d: prune(valid=%v) diverged after decode", si, q)
 			}
 		}
 		for i := 0; i < g.Len(); i++ {
@@ -514,7 +702,7 @@ func TestBloomNoFalseNegatives(t *testing.T) {
 	}
 }
 
-// TestCloseTransZones: closing every version must let pruneAsOf skip the
+// TestCloseTransZones: closing every version must let prune skip the
 // segment for times past the last closure.
 func TestCloseTransZones(t *testing.T) {
 	l := NewLog(testSchema())
@@ -524,7 +712,11 @@ func TestCloseTransZones(t *testing.T) {
 	}
 	l.SealNow()
 	g := l.Segments()[0]
-	if g.pruneAsOf(200) {
+	prunedAsOf := func(t temporal.Chronon) bool {
+		w := temporal.At(t)
+		return g.prune(&Pred{Trans: &w}, nil)
+	}
+	if prunedAsOf(200) {
 		t.Fatal("segment with current versions pruned an as-of after its commits")
 	}
 	for pos := 0; pos < 20; pos++ {
@@ -533,15 +725,15 @@ func TestCloseTransZones(t *testing.T) {
 	if g.Current() != 0 {
 		t.Fatalf("current=%d after closing every version", g.Current())
 	}
-	if !g.pruneAsOf(200) {
+	if !prunedAsOf(200) {
 		t.Fatal("fully superseded segment not pruned for a later as-of")
 	}
-	if g.pruneAsOf(120) {
+	if prunedAsOf(120) {
 		t.Fatal("segment pruned inside its live transaction span")
 	}
 	// Abort undo: reopening a version must restore visibility.
 	l.CloseTrans(3, temporal.Forever)
-	if g.pruneAsOf(200) {
+	if prunedAsOf(200) {
 		t.Fatal("segment with a reopened version still pruned")
 	}
 }

@@ -147,7 +147,7 @@ func TestSnapshotSegmentsRoundTrip(t *testing.T) {
 		if err := lg.RestoreSegment(g); err != nil {
 			t.Fatal(err)
 		}
-		lg.Scan(func(_ int, r segment.Row) bool { out = append(out, r); return true })
+		lg.Scan(segment.Pred{}, func(_ int, r segment.Row) bool { out = append(out, r); return true })
 		return out
 	}
 	want, got := rows(s.Relations[0].Segments[0]), rows(dec.Relations[0].Segments[0])

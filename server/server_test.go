@@ -82,7 +82,6 @@ func TestClientServerRoundTrip(t *testing.T) {
 // Explain flows through the protocol as an ordinary message outcome: the
 // rendered plan arrives in Msg, with no resultset table.
 func TestExplainOverProtocol(t *testing.T) {
-	t.Setenv("TDB_DISABLE_PLANNER", "") // the rendered plan is the planner's
 	_, addr := startServer(t)
 	c, err := Dial(addr)
 	if err != nil {

@@ -37,7 +37,6 @@ func TestConcurrentSessions(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			ses := NewSession(db)
-			ses.DisablePlanner(false)
 			ses.SetParallelism(3)
 			rng := rand.New(rand.NewSource(int64(85 + g)))
 			if _, err := ses.Exec(fmt.Sprintf(

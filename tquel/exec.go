@@ -33,19 +33,15 @@ type Session struct {
 
 // NewSession opens a session on the database. The "now" spelling in
 // queries resolves via the system clock by default; override with SetNow
-// for deterministic replay. Setting the TDB_DISABLE_PLANNER environment
-// variable (to anything but "0" or "false") opens sessions with the query
-// planner disabled, so a whole test suite can run the ablation; setting
-// TDB_PARALLEL to an integer fixes the worker budget the same way
-// (SetParallelism documents the values).
+// for deterministic replay. Setting the TDB_PARALLEL environment variable
+// to an integer fixes the worker budget of new sessions (SetParallelism
+// documents the values).
 func NewSession(db *tdb.DB) *Session {
 	s := &Session{
 		db:     db,
 		ranges: make(map[string]string),
 		now:    func() temporal.Chronon { return temporal.SystemClock{}.Now() },
 	}
-	s.noPlanner = config.Bool(config.EnvDisablePlanner)
-	s.noStats = config.Bool(config.EnvDisableStats)
 	s.parallelism = config.Int(config.EnvParallel, 0)
 	s.parallelMinCost = config.PosFloat(config.EnvParallelMinCost, 0)
 	return s
@@ -60,9 +56,8 @@ func (s *Session) DisablePlanner(disabled bool) { s.noPlanner = disabled }
 // ascending-cardinality join order, first-edge hash builds, the fixed
 // outer-size parallel threshold, and unconditional interval-index probes.
 // Statistics maintenance on the write path is unaffected — only their
-// consumption by this session's planner. The TDB_DISABLE_STATS environment
-// variable sets the same switch for new sessions; differential tests assert
-// both modes agree.
+// consumption by this session's planner. Differential tests assert both
+// modes agree.
 func (s *Session) DisableStats(disabled bool) { s.noStats = disabled }
 
 // SetNow overrides the session's notion of the current instant ("now" in

@@ -11,7 +11,7 @@ import (
 // is pinned against a seeded fixture. A failing diff here means the planner
 // changed a decision; update the golden only when the change is intended.
 func TestExplainCorpus(t *testing.T) {
-	ses := plannerOn(planFixture(t))
+	ses := planFixture(t)
 	ses.SetParallelism(1) // deterministic dispatch line
 	for _, tc := range []struct {
 		src, want string
@@ -74,7 +74,7 @@ func TestExplainCorpus(t *testing.T) {
 // The stats-off rendering drops every estimate but keeps the structural
 // lines, and the v1 heuristics still pick the same shape on this fixture.
 func TestExplainStatsOff(t *testing.T) {
-	ses := plannerOn(planFixture(t))
+	ses := planFixture(t)
 	ses.SetParallelism(1)
 	ses.DisableStats(true)
 	outs, err := ses.Exec(`explain retrieve (s.tag, b.tag) where s.k = b.k`)
@@ -93,7 +93,7 @@ func TestExplainStatsOff(t *testing.T) {
 // When estimated work clears the session's cutoff, the dispatch line must
 // say so with the worker budget execution would use.
 func TestExplainParallelDispatch(t *testing.T) {
-	ses := plannerOn(planFixture(t))
+	ses := planFixture(t)
 	ses.SetParallelism(4)
 	ses.parallelMinCost = 1
 	outs, err := ses.Exec(`explain retrieve (s.tag, b.tag) where s.k = b.k`)
@@ -112,7 +112,7 @@ func TestExplainParallelDispatch(t *testing.T) {
 // but no s–m edge, the v1 size heuristic opens with the s×m cross product
 // while the cost model inserts l second. The corpus pins both shapes.
 func TestExplainJoinOrderAvoidsCrossProduct(t *testing.T) {
-	ses := plannerOn(skewedFixture(t, 4, 30, 40))
+	ses := skewedFixture(t, 4, 30, 40)
 	ses.SetParallelism(1)
 	const src = `explain retrieve (s.tag, m.tag, l.tag) where l.sk = s.k and l.mk = m.k`
 
@@ -203,7 +203,7 @@ func skewedFixture(t testing.TB, ns, nm, nl int) *Session {
 // Explain parses only in front of retrieve, counts under its own statement
 // kind, and mutates nothing.
 func TestExplainParseAndCount(t *testing.T) {
-	ses := plannerOn(planFixture(t))
+	ses := planFixture(t)
 	if _, err := ses.Exec(`explain append to small (k = 9, tag = "x")`); err == nil {
 		t.Error("explain append parsed; want an error")
 	}

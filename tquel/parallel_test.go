@@ -44,7 +44,7 @@ func parallelFixture(t testing.TB, n int) *Session {
 // resultset as the serial path, for a scan, a selective filter, and an
 // equi-join.
 func TestParallelMatchesSerial(t *testing.T) {
-	ses := plannerOn(parallelFixture(t, 300))
+	ses := parallelFixture(t, 300)
 	for _, src := range []string{
 		`retrieve (a.k, a.v)`,
 		`retrieve (a.k) where a.v >= 1400`,
@@ -73,7 +73,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 // error is the error the serial loop would have hit first.
 func TestParallelErrorMatchesSerial(t *testing.T) {
 	forceParallel(t)
-	ses := plannerOn(planFixture(t))
+	ses := planFixture(t)
 	const src = `retrieve (s.tag) where s.tag < b.k` // string vs int: eval error
 	ses.SetParallelism(1)
 	_, serialErr := ses.Query(src)
@@ -93,7 +93,7 @@ func TestParallelErrorMatchesSerial(t *testing.T) {
 // useParallel must keep aggregates, empty plans, small outer lists, and
 // single-worker budgets on the serial path.
 func TestUseParallelGates(t *testing.T) {
-	ses := plannerOn(planFixture(t))
+	ses := planFixture(t)
 	stmt := mustParseRetrieve(t, `retrieve (s.tag, b.tag) where s.k = b.k`)
 	if err := ses.checkRetrieve(stmt); err != nil {
 		t.Fatal(err)
@@ -132,7 +132,7 @@ func TestUseParallelGates(t *testing.T) {
 // "parallel" span carrying worker and chunk counts.
 func TestParallelMetricsAndSpan(t *testing.T) {
 	forceParallel(t)
-	ses := plannerOn(planFixture(t))
+	ses := planFixture(t)
 	ses.SetParallelism(4)
 	tr := &recordingTracer{}
 	ses.SetTracer(tr)
@@ -169,7 +169,7 @@ func TestParallelMetricsAndSpan(t *testing.T) {
 // A serial session (explicit SetParallelism(1)) must never touch the
 // parallel counters, even for large outer lists.
 func TestSerialSessionSkipsParallelPath(t *testing.T) {
-	ses := plannerOn(parallelFixture(t, 200))
+	ses := parallelFixture(t, 200)
 	ses.SetParallelism(1)
 	q0 := mParallelQueries.Value()
 	if _, err := ses.Query(`retrieve (a.k, a.v)`); err != nil {
@@ -199,7 +199,7 @@ func TestParallelEnv(t *testing.T) {
 // are examined.
 func TestParallelTallyMatchesSerial(t *testing.T) {
 	forceParallel(t)
-	ses := plannerOn(planFixture(t))
+	ses := planFixture(t)
 	// The two runs issue the identical query; bypass the result cache so
 	// the second run actually executes and records tallies.
 	ses.DisableCache(true)

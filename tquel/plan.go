@@ -33,8 +33,8 @@ import (
 //     cardinality — each step binds the variable with the smallest
 //     estimated post-join output, |v| discounted by 1/max(ndv) per equi
 //     edge into the bound prefix, so cross products price themselves out.
-//     Without statistics (Session.DisableStats, TDB_DISABLE_STATS) the v1
-//     heuristic stands: ascending filtered cardinality.
+//     Without statistics (Session.DisableStats) the v1 heuristic stands:
+//     ascending filtered cardinality.
 //  4. hash equi-joins: a residual "v1.a = v2.b" conjunct turns the inner
 //     variable's scan into a hash probe — the build side (the side left
 //     inner by the ordering) is hashed once on its join attribute, and each
@@ -49,8 +49,8 @@ import (
 // the parallel dispatch cutoff) come from internal/stats via the ReadTx
 // estimate accessors, read in the same view as the fetch; every estimate is
 // deterministic, so plans are too.
-// Session.DisablePlanner (and the TDB_DISABLE_PLANNER env var) restore the
-// naive path; TestPlannerDifferential asserts both agree.
+// Session.DisablePlanner restores the naive path; TestPlannerDifferential
+// asserts both agree.
 
 // queryPlan is a compiled retrieve statement, valid for one execution.
 // After buildPlan returns, the plan is immutable: executors (the serial
@@ -441,18 +441,19 @@ type fetched struct {
 // fetchVar returns the versions of rel that range variable v can bind to
 // under v's own conjuncts — the one place TQuel reads a relation, for
 // retrieve and for replace/delete alike. spec carries the statement's
-// rollback clause. With the planner on and no rollback window, comparison
-// conjuncts against constants go into the scan as column filters and one
-// "v overlap E" conjunct as its When, where the kind records valid time and
-// statistics do not call the window unselective; either way every conjunct
-// not answered by the scan itself is then checked row-wise on the versions
-// that came back, so pushing one can only shrink what is materialized, never
-// change the answer. rt is a View's or, for DML, the transaction's own.
+// rollback clause, an instant or an "as of … through" window alike. With the
+// planner on, comparison conjuncts against constants go into the scan as
+// column filters and one "v overlap E" conjunct as its When, where the kind
+// records valid time and statistics do not call the window unselective;
+// either way every conjunct not answered by the scan itself is then checked
+// row-wise on the versions that came back, so pushing one can only shrink
+// what is materialized, never change the answer. rt is a View's or, for DML,
+// the transaction's own.
 func (s *Session) fetchVar(rt *tdb.ReadTx, pos Pos, rel *tdb.Relation, v string, spec tdb.ScanSpec,
 	where []Expr, when []TemporalExpr, ev *env) (fetched, error) {
 
 	var f fetched
-	push := !s.noPlanner && spec.Through == nil
+	push := !s.noPlanner
 	if push {
 		spec.Filters = columnFilters(where, v, rel, ev)
 	}

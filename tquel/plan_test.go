@@ -10,17 +10,6 @@ import (
 	"tdb/temporal"
 )
 
-// plannerOn returns the session with the planner and its statistics
-// force-enabled, so these tests keep asserting planner internals even when
-// the whole suite runs under TDB_DISABLE_PLANNER=1 or TDB_DISABLE_STATS=1
-// (the CI ablation jobs). Tests exercising an ablation flip it back
-// explicitly.
-func plannerOn(ses *Session) *Session {
-	ses.DisablePlanner(false)
-	ses.DisableStats(false)
-	return ses
-}
-
 func mustParseRetrieve(t *testing.T, src string) *RetrieveStmt {
 	t.Helper()
 	stmts, err := Parse(src)
@@ -103,7 +92,7 @@ func planFixture(t testing.TB) *Session {
 }
 
 func TestPlanConjunctClassification(t *testing.T) {
-	ses := plannerOn(planFixture(t))
+	ses := planFixture(t)
 	res, err := ses.Query(`
 		retrieve (s.tag, b.tag)
 		where 1 = 1 and s.k = 0 and s.k = b.k
@@ -137,7 +126,7 @@ func TestPlanConjunctClassification(t *testing.T) {
 }
 
 func TestPlanEmptyResultShortCircuit(t *testing.T) {
-	ses := plannerOn(planFixture(t))
+	ses := planFixture(t)
 	res, err := ses.Query(`retrieve (s.tag) where 1 = 2`)
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +140,7 @@ func TestPlanEmptyResultShortCircuit(t *testing.T) {
 }
 
 func TestPlanJoinOrderAndBuildSide(t *testing.T) {
-	ses := plannerOn(planFixture(t))
+	ses := planFixture(t)
 	res, err := ses.Query(`retrieve (s.tag, b.tag) where s.k = b.k`)
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +177,7 @@ func TestPlanJoinOrderAndBuildSide(t *testing.T) {
 }
 
 func TestPlanCrossProductFallback(t *testing.T) {
-	ses := plannerOn(planFixture(t))
+	ses := planFixture(t)
 	if _, err := ses.Query(`retrieve (s.tag, b.tag) where s.tag != b.tag`); err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +195,7 @@ func TestPlanCrossProductFallback(t *testing.T) {
 // conjunct on the nested-loop path.
 func TestPlanNonHashableJoinFallsBack(t *testing.T) {
 	db := newDB(t)
-	ses := plannerOn(NewSession(db))
+	ses := NewSession(db)
 	if _, err := ses.Exec(`
 		create static relation dated (d = instant) key (d)
 		create static relation named (n = string) key (n)
@@ -237,7 +226,7 @@ func TestPlanNonHashableJoinFallsBack(t *testing.T) {
 // the same way so 2 matches 2.0.
 func TestPlanNumericJoinNormalization(t *testing.T) {
 	db := newDB(t)
-	ses := plannerOn(NewSession(db))
+	ses := NewSession(db)
 	if _, err := ses.Exec(`
 		create static relation ints (k = int) key (k)
 		create static relation floats (k = float) key (k)
@@ -266,7 +255,7 @@ func TestPlanNumericJoinNormalization(t *testing.T) {
 }
 
 func TestPlanWhenOverlapIndexed(t *testing.T) {
-	ses := plannerOn(planFixture(t))
+	ses := planFixture(t)
 	res, err := ses.Query(`retrieve (s.tag) when s overlap "06/01/80"`)
 	if err != nil {
 		t.Fatal(err)
@@ -287,10 +276,11 @@ func TestPlanWhenOverlapIndexed(t *testing.T) {
 	}
 }
 
-// An as-of-through window views versions across a commit range; the indexed
-// when path answers point visibility only, so the planner must not use it.
-func TestPlanWhenIndexSkippedUnderThrough(t *testing.T) {
-	ses := plannerOn(paperSession(t))
+// An as-of-through window views versions across a commit range, and the scan
+// takes a transaction-time window like any other: the when and the f.name
+// conjunct both go into it.
+func TestPlanPushdownUnderThrough(t *testing.T) {
+	ses := paperSession(t)
 	res, err := ses.Query(`
 		retrieve (f.rank) where f.name = "Merrie"
 		when f overlap "12/10/82" as of "12/10/82" through "12/20/82"
@@ -298,24 +288,11 @@ func TestPlanWhenIndexSkippedUnderThrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pl := ses.lastPlan; pl.whenIndexed != 0 {
-		t.Errorf("whenIndexed = %d, want 0 under as-of-through", pl.whenIndexed)
+	if pl := ses.lastPlan; pl.whenIndexed != 1 || pl.pushed != 2 {
+		t.Errorf("whenIndexed = %d, pushed = %d under as-of-through, want the when and the name conjunct pushed", pl.whenIndexed, pl.pushed)
 	}
 	if res.Len() != 2 { // associate (believed until 12/15) and full (after)
 		t.Errorf("result:\n%s", res)
-	}
-}
-
-func TestDisablePlannerEnv(t *testing.T) {
-	for _, tc := range []struct {
-		val  string
-		want bool
-	}{{"1", true}, {"yes", true}, {"0", false}, {"false", false}, {"", false}} {
-		t.Setenv("TDB_DISABLE_PLANNER", tc.val)
-		ses := NewSession(newDB(t))
-		if ses.noPlanner != tc.want {
-			t.Errorf("TDB_DISABLE_PLANNER=%q: noPlanner = %v, want %v", tc.val, ses.noPlanner, tc.want)
-		}
 	}
 }
 
@@ -555,7 +532,7 @@ func seededQuerySources() []string {
 // rows_returned in particular. (rows_scanned legitimately differs — that is
 // the point of the planner.)
 func TestPlannerTraceSpan(t *testing.T) {
-	ses := plannerOn(planFixture(t))
+	ses := planFixture(t)
 	tr := &recordingTracer{}
 	ses.SetTracer(tr)
 	if _, err := ses.Query(`retrieve (s.tag, b.tag) where s.k = b.k`); err != nil {
@@ -596,7 +573,7 @@ func TestPlannerTraceSpan(t *testing.T) {
 // A statistics-guided plan emits a stats span carrying the cost model's
 // conclusions next to the plan span; the ablation emits none.
 func TestStatsTraceSpan(t *testing.T) {
-	ses := plannerOn(planFixture(t))
+	ses := planFixture(t)
 	tr := &recordingTracer{}
 	ses.SetTracer(tr)
 	if _, err := ses.Query(`retrieve (s.tag, b.tag) where s.k = b.k`); err != nil {

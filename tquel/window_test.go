@@ -233,7 +233,6 @@ func TestWindowFormatRoundTrip(t *testing.T) {
 }
 
 func TestWindowExplain(t *testing.T) {
-	t.Setenv("TDB_DISABLE_PLANNER", "") // the rendered plan is the planner's
 	ses := windowDB(t)
 	outs, err := ses.Exec(`explain retrieve (r.sensor, count(r.v)) window 86400 coalesce`)
 	if err != nil {
