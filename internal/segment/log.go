@@ -318,23 +318,23 @@ func scanSealed(segs []*Segment, p *Pred, cut int64, fn func(pos int, r Row) boo
 }
 
 // seek returns the first row in [i, hi) that has the key hash and passes the
-// filters, or hi.
+// filters, or hi. The tests take turns, each moving i on to the next row it
+// passes in a loop over its one column (Filter.next), until a whole round
+// leaves i where it is: the test that passes fewest rows does the walking and
+// the others look only at where it lands.
 func (g *Segment) seek(i, hi int, key *uint64, filters []*Filter, codes []uint32) int {
-	for ; i < hi; i++ {
-		if (key == nil || g.keyHash[i] == *key) && matchAll(filters, codes, g, i) {
-			break
+	tests := len(filters) + 1 // the key goes last
+	for k, still := 0, 0; i < hi && still < tests; k = (k + 1) % tests {
+		j := i
+		if k < len(filters) {
+			j = filters[k].next(g, codes[k], i, hi)
+		} else if key != nil {
+			for kh := g.keyHash[:hi]; j < hi && kh[j] != *key; j++ {
+			}
+		}
+		if still++; j != i {
+			i, still = j, 1
 		}
 	}
 	return i
-}
-
-// matchAll reports whether row i of g passes every filter, given the codes
-// prune bound for g.
-func matchAll(filters []*Filter, codes []uint32, g *Segment, i int) bool {
-	for fi, f := range filters {
-		if !f.match(g, codes[fi], i) {
-			return false
-		}
-	}
-	return true
 }

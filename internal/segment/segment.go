@@ -342,28 +342,24 @@ const (
 	OpGe
 )
 
-// match reports whether row i of g satisfies the filter, code being what
-// bind returned for g.
-func (f *Filter) match(g *Segment, code uint32, i int) bool {
+// next returns the first row in [i, hi) of g that satisfies the filter, or
+// hi, code being what bind returned for g.
+func (f *Filter) next(g *Segment, code uint32, i, hi int) int {
 	c := &g.cols[f.Attr]
 	switch c.kind {
 	case value.Float:
-		return cmpOK(f.Op, cmpFloat(c.fls[i], f.f))
-	case value.String:
-		return c.code[i] == code // strings are equality-only
+		for col := c.fls[:hi]; i < hi && !cmpOK(f.Op, cmpFloat(col[i], f.f)); i++ {
+		}
+	case value.String: // strings are equality-only
+		for col := c.code[:hi]; i < hi && col[i] != code; i++ {
+		}
 	default:
-		return cmpOK(f.Op, cmpInt(c.ints[i], f.i))
+		// One unsigned comparison tests both ends, and is a branch that goes
+		// the same way for every row outside the range.
+		for col, lo, span := c.ints[:hi], f.lo, uint64(f.hi-f.lo); i < hi && uint64(col[i]-lo) > span; i++ {
+		}
 	}
-}
-
-func cmpInt(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
+	return i
 }
 
 // cmpFloat mirrors value.Compare's total float order: NaN sorts after every
@@ -405,11 +401,11 @@ func cmpOK(op Op, c int) bool {
 // a scan learns about it per segment stays in that scan's frame — so any
 // number of concurrent scans may share one.
 type Filter struct {
-	Attr int
-	Op   Op
-	val  value.Value
-	i    int64
-	f    float64
+	Attr   int
+	Op     Op
+	val    value.Value
+	lo, hi int64 // Int, Bool (0/1), Instant: the payloads lo..hi pass
+	f      float64
 }
 
 // NewEqFilter builds an equality filter on attribute attr of sch. It returns
@@ -444,22 +440,46 @@ func NewCmpFilter(sch *schema.Schema, attr int, op Op, v value.Value) (*Filter, 
 			return nil, false
 		}
 		if v.Bool() {
-			f.i = 1
+			f.lo, f.hi = 1, 1
 		}
 	case value.Instant:
-		f.i = int64(v.Instant())
+		f.lo, f.hi = intRange(op, int64(v.Instant()))
 	case value.Int:
-		f.i = v.Int()
+		f.lo, f.hi = intRange(op, v.Int())
 	default:
 		return nil, false
 	}
+	if f.lo > f.hi {
+		return nil, false // below the least integer or above the greatest: evaluator business
+	}
 	return f, true
+}
+
+// intRange spells "x op c" over the integers as lo <= x <= hi, so that a
+// column of them is tested the same way whatever the operator.
+func intRange(op Op, c int64) (lo, hi int64) {
+	lo, hi = math.MinInt64, math.MaxInt64
+	switch {
+	case op == OpEq:
+		lo, hi = c, c
+	case op == OpLe:
+		hi = c
+	case op == OpGe:
+		lo = c
+	case op == OpLt && c > lo:
+		hi = c - 1
+	case op == OpGt && c < hi:
+		lo = c + 1
+	default:
+		lo, hi = 1, 0
+	}
+	return lo, hi
 }
 
 // bind checks the filter against g's summaries: ok is false when the
 // attribute's zone map, or for a string its dictionary, proves no row of g
 // matches. For a string column code is the constant's dictionary code in g,
-// which match compares rows against.
+// which next compares rows against.
 func (f *Filter) bind(g *Segment) (code uint32, ok bool) {
 	lo, hi := g.AttrZone(f.Attr)
 	if lo.IsValid() && hi.IsValid() {

@@ -476,7 +476,9 @@ func TestCmpFiltersAccelerateOnly(t *testing.T) {
 		{2, OpLt, value.NewInt(25000)},
 		{2, OpLe, value.NewInt(25000)},
 		{2, OpGt, value.NewInt(25000)},
-		{2, OpGe, value.NewInt(60000)}, // above every salary: zones skip all
+		{2, OpGe, value.NewInt(60000)},         // above every salary: zones skip all
+		{2, OpLe, value.NewInt(math.MaxInt64)}, // the whole of int64: the range's width overflows
+		{2, OpGt, value.NewInt(math.MinInt64)},
 		{3, OpLt, value.NewFloat(2.5)},
 		{3, OpGe, value.NewFloat(2.5)},
 		{5, OpLt, value.NewInstant(100)},
@@ -502,7 +504,14 @@ func TestCmpFiltersAccelerateOnly(t *testing.T) {
 			where(ref, func(r Row) bool { return r.Trans.To == temporal.Forever && keep(r) }))
 	}
 
-	// Ordered operators on unordered columns stay with the evaluator.
+	// Ordered operators on unordered columns stay with the evaluator, and so
+	// do the two comparisons no integer satisfies.
+	if f, ok := NewCmpFilter(sch, 2, OpLt, value.NewInt(math.MinInt64)); ok || f != nil {
+		t.Fatal("NewCmpFilter accepted < the least integer")
+	}
+	if f, ok := NewCmpFilter(sch, 5, OpGt, value.NewInstant(math.MaxInt64)); ok || f != nil {
+		t.Fatal("NewCmpFilter accepted > the greatest instant")
+	}
 	if _, ok := NewCmpFilter(sch, 0, OpLt, value.NewString("M")); ok {
 		t.Fatal("NewCmpFilter accepted an ordered string comparison")
 	}
@@ -511,6 +520,32 @@ func TestCmpFiltersAccelerateOnly(t *testing.T) {
 	}
 	if _, ok := NewCmpFilter(sch, 3, OpLt, value.NewFloat(math.NaN())); ok {
 		t.Fatal("NewCmpFilter accepted NaN")
+	}
+}
+
+// TestIntRange: the closed range a comparison is compiled to holds exactly the
+// integers the comparison does, at and next to both ends of int64.
+func TestIntRange(t *testing.T) {
+	edge := []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64}
+	for op := OpEq; op <= OpGe; op++ {
+		for _, c := range edge {
+			lo, hi := intRange(op, c)
+			for _, x := range edge {
+				cmp := 0
+				if x < c {
+					cmp = -1
+				} else if x > c {
+					cmp = 1
+				}
+				if got, want := lo <= x && x <= hi, cmpOK(op, cmp); got != want {
+					t.Errorf("op %d: %d in range of %d = %v, want %v", op, x, c, got, want)
+				}
+				// The scan's spelling of the same test (Filter.next).
+				if got := uint64(x-lo) <= uint64(hi-lo); lo <= hi && got != cmpOK(op, cmp) {
+					t.Errorf("op %d: unsigned test of %d against %d = %v", op, x, c, got)
+				}
+			}
+		}
 	}
 }
 

@@ -60,7 +60,9 @@ func (r *Resultset) Len() int { return len(r.Rows) }
 // original) cannot be observed through the other. The query cache stores a
 // clone and hands out clones, which is what lets callers scribble on a
 // returned resultset without poisoning later answers (values themselves
-// are immutable value types, so copying the tuple slice suffices).
+// are immutable value types, so copying the tuple slice suffices). The sort
+// key is not copied: the rows are in order already, and a cached answer
+// would otherwise hold a rendering of each row about as large as the row.
 func (r *Resultset) Clone() *Resultset {
 	if r == nil {
 		return nil
@@ -78,7 +80,6 @@ func (r *Resultset) Clone() *Resultset {
 				Data:  append(tdb.Tuple(nil), row.Data...),
 				Valid: row.Valid,
 				Trans: row.Trans,
-				key:   row.key,
 			}
 		}
 	}

@@ -1,6 +1,8 @@
 package tdb
 
 import (
+	"slices"
+
 	"tdb/internal/core"
 	"tdb/internal/stats"
 	"tdb/temporal"
@@ -55,6 +57,9 @@ func (rt *ReadTx) Rel(name string) (*Relation, error) {
 func (rt *ReadTx) Scan(rel *Relation, spec ScanSpec) ([]Version, error) {
 	var out []Version
 	err := rel.rel.Store().Read(spec, func(v Version) bool {
+		if len(out) == cap(out) {
+			out = slices.Grow(out, len(out)+16) // double: append's 1.25x steps would copy a long answer five times over
+		}
 		out = append(out, v)
 		return true
 	})
