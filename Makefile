@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check numbers fmt vet build test race race-parallel race-cache race-stats test-nocache race-segments test-faults race-recovery test-repl race-repl race-ingest soak-ingest soak-traffic figures-check plan-corpus bench bench-smoke bench-json bench-compare
+.PHONY: check numbers fmt vet build test race race-parallel race-cache race-stats test-nocache race-segments test-faults race-recovery test-repl race-repl race-ingest soak-ingest figures-check plan-corpus bench bench-smoke
 
 check: fmt vet build race race-parallel race-cache test-nocache race-segments test-faults test-repl figures-check plan-corpus
 
@@ -122,20 +122,6 @@ race-ingest:
 		-run 'Group|Load|Ingest|Batch|Pipeline|Checkpoint|Concurrent' \
 		. ./server ./internal/wal
 
-# The nightly traffic soak: a seeded 100k-operation wire workload
-# (appends, as-of point reads, overlap scans, windowed aggregates,
-# replaces) driven by tdbgen over pipelined TCP connections against a
-# real server, publishing per-op p50/p99 latency histograms as a
-# benchjson-compatible JSON report. tdbgen exits non-zero when any
-# operation errors, so an error rate above zero fails the target; the
-# nightly CI job uploads $(SOAK_REPORT) as an artifact.
-SOAK_OPS ?= 100000
-SOAK_SEED ?= 85
-SOAK_REPORT ?= tdbgen_soak.json
-soak-traffic:
-	$(GO) run ./cmd/tdbgen -ops $(SOAK_OPS) -seed $(SOAK_SEED) \
-		-conns 8 -pipeline 16 -report $(SOAK_REPORT)
-
 # The committed paper figures must match what the code generates.
 figures-check:
 	@$(GO) run ./cmd/figures > /tmp/tdb_figures_gen.txt && \
@@ -150,31 +136,3 @@ bench:
 # paying for stable numbers.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
-
-# The planner + parallel-executor + segment benchmarks, rendered as
-# committed JSON. Runs at the default GOMAXPROCS (benchjson strips the -N
-# name suffix, so a -cpu list would collide); the scaling curve is the
-# separate `-bench JoinParallel -cpu 1,2,4` run CI does and EXPERIMENTS.md
-# records. The 1M-version fixture behind AsOf1M/Overlap1M loads once for
-# both, but still makes this a minutes-long target. -count=3
-# repeats every benchmark and benchjson keeps each one's fastest
-# repetition: on shared machines single runs swing far past the compare
-# gate on interference alone, and the minimum is the closest estimate of
-# the code's cost. Each PR that re-measures names its own file (make
-# bench-json BENCH_OUT=BENCH_PR<n>.json); bench-compare then picks the two
-# newest up by name.
-BENCH_OUT ?= BENCH_PR12.json
-bench-json:
-	$(GO) test -run '^$$' -benchmem -count=3 \
-		-bench 'BenchmarkJoinEquiSelective|BenchmarkJoinCrossSmall|BenchmarkWhenOverlapIndexed|BenchmarkEvalWhere|BenchmarkJoinParallel|BenchmarkJoinSkewed|BenchmarkPlanWithStats|BenchmarkAsOfCached|BenchmarkWindowAggregate|BenchmarkCoalesce|BenchmarkReplicaCatchup|BenchmarkReadFanout|BenchmarkAsOf1M|BenchmarkOverlap1M|BenchmarkAsOfDeepFewVisible|BenchmarkSegmentSeal|BenchmarkIngestThroughput' \
-		./tquel ./server . | $(GO) run ./cmd/benchjson > $(BENCH_OUT)
-
-# Guard against the committed baseline: exits non-zero when a shared
-# benchmark got more than 1.25x slower (CI runs this warn-only; see ci.yml).
-# The baseline defaults to the second-newest committed BENCH_PR*.json and
-# the candidate to the newest, so the target needs no edit when a new
-# baseline lands; override either with BENCH_OLD=/BENCH_NEW=.
-BENCH_OLD ?= $(shell ls BENCH_PR*.json 2>/dev/null | sort -V | tail -2 | head -1)
-BENCH_NEW ?= $(shell ls BENCH_PR*.json 2>/dev/null | sort -V | tail -1)
-bench-compare:
-	$(GO) run ./cmd/benchjson compare $(BENCH_OLD) $(BENCH_NEW) -threshold 1.25

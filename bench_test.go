@@ -473,7 +473,7 @@ func loadSeg1M(b *testing.B) (*core.TemporalStore, []temporal.Chronon) {
 // also keeps the answer set (~1k versions) small enough that per-op
 // materialization cost doesn't drown the scan being measured. The single
 // arm keeps the name it had beside the retired flat and interval-index arms,
-// so benchjson compare still lines it up with earlier BENCH_PR*.json files.
+// so its number lines up with the earlier runs EXPERIMENTS.md tabulates.
 func BenchmarkAsOf1M(b *testing.B) {
 	s, commits := loadSeg1M(b)
 	probe := commits[len(commits)/1000]
@@ -507,7 +507,7 @@ func BenchmarkOverlap1M(b *testing.B) {
 // The stragglers keep every segment's zone map open, so an as-of probe reads
 // the transaction-time columns of every segment up to the probe to find 317
 // rows — a bounded linear column scan where the tree answered in O(log n +
-// k). No benchmark workload or tdbgen mix has this shape; the number is kept
+// k). No benchmark workload has this shape; the number is kept
 // so the accepted cost stays visible (EXPERIMENTS.md, A3).
 func BenchmarkAsOfDeepFewVisible(b *testing.B) {
 	const hot, versions = 256, 500_000

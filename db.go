@@ -85,7 +85,7 @@ type DB struct {
 	prevSnapPath string
 	epoch        uint64 // checkpoint era of the current log file
 	closed       bool
-	replay       bool // suppress WAL writes during recovery
+	replay       bool // applying records read back from the log (recovery, ReplApply): not a user mutation
 	readOnly     bool // follower: user mutations refused with ErrReadOnly
 	replSkip     int  // leading shipped records the installed snapshot covers
 	clock        temporal.Clock
@@ -536,54 +536,30 @@ func (db *DB) CreateEventRelation(name string, kind Kind, sch *Schema) (*Relatio
 }
 
 func (db *DB) create(name string, kind Kind, event bool, sch *Schema) (*Relation, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return nil, ErrClosed
-	}
-	if db.readOnly {
-		return nil, fmt.Errorf("%w: create %q", ErrReadOnly, name)
-	}
-	rel, err := db.cat.Create(name, kind, event, sch)
+	err := db.ddl(wal.Op{Code: wal.OpCreate, Rel: name, Kind: kind, Event: event, Schema: sch})
 	if err != nil {
-		return nil, wrapErr(err)
-	}
-	// Catalog changes are logged at the last issued commit chronon rather
-	// than consuming a new one, so that dated history (UpdateAt) can still
-	// be loaded after creating relations.
-	if err := db.logRecord(wal.Record{
-		Commit: db.mgr.Clock().Last(),
-		Ops: []wal.Op{{
-			Code: wal.OpCreate, Rel: name, Kind: kind, Event: event, Schema: sch,
-		}},
-	}); err != nil {
-		_ = db.cat.Drop(name)
 		return nil, err
 	}
-	db.statsCreate(name, kind, event, sch)
-	return &Relation{db: db, rel: rel}, nil
+	return db.Relation(name)
 }
 
 // DropRelation destroys a relation (schema-level destroy: the append-only
 // discipline governs tuples within rollback/temporal relations, not the
 // catalog).
 func (db *DB) DropRelation(name string) error {
+	return db.ddl(wal.Op{Code: wal.OpDrop, Rel: name})
+}
+
+// ddl commits one catalog op as a record of its own. Catalog changes are
+// stamped with the last issued commit chronon rather than consuming a new
+// one, so that dated history (UpdateAt) can still be loaded after creating
+// relations.
+func (db *DB) ddl(op wal.Op) error {
 	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return ErrClosed
-	}
-	if db.readOnly {
-		return fmt.Errorf("%w: drop %q", ErrReadOnly, name)
-	}
-	if err := db.cat.Drop(name); err != nil {
-		return wrapErr(err)
-	}
-	db.statsDrop(name)
-	return db.logRecord(wal.Record{
-		Commit: db.mgr.Clock().Last(),
-		Ops:    []wal.Op{{Code: wal.OpDrop, Rel: name}},
-	})
+	last := db.mgr.Clock().Last()
+	p, err := db.land(fmt.Sprintf("%s %q", op.Code, op.Rel), &last, func(tx *Tx) error { return tx.ddl(op) })
+	db.mu.Unlock()
+	return logged(p, err)
 }
 
 // Relation returns a handle to the named relation.
@@ -705,118 +681,87 @@ func (db *DB) UpdateAt(at temporal.Chronon, fn func(tx *Tx) error) error {
 }
 
 func (db *DB) update(at *temporal.Chronon, fn func(tx *Tx) error) error {
-	// Commit in memory and enqueue the record under db.mu — queue order is
-	// flush order, so the WAL stays in commit order — but wait for
-	// durability after releasing it. That wait outside the lock is what
-	// lets concurrent committers pile onto the group-commit leader's next
-	// flush instead of serializing one fsync each.
-	pending, err := func() (*wal.Pending, error) {
-		db.mu.Lock()
-		defer db.mu.Unlock()
-		if db.closed {
-			return nil, ErrClosed
-		}
-		if db.readOnly {
-			return nil, fmt.Errorf("%w: update", ErrReadOnly)
-		}
-		var rec *wal.Record
-		wrap := func(itx *txn.Tx) error {
-			tx := db.newTx(itx)
-			if err := fn(tx); err != nil {
-				return err
-			}
-			if len(tx.ops) > 0 {
-				rec = &wal.Record{Commit: itx.At(), Ops: tx.ops}
-			}
-			return nil
-		}
-		var err error
-		if at != nil {
-			err = db.mgr.UpdateAt(*at, wrap)
-		} else {
-			err = db.mgr.Update(wrap)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if rec != nil {
-			db.statsApply(rec.Commit, rec.Ops)
-			if db.gc != nil && !db.replay {
-				return db.gc.Enqueue(*rec), nil
-			}
-		}
+	return logged(db.commit("update", at, fn))
+}
+
+// commit lands one transaction under the write lock and returns its
+// durability ticket for logged to wait on once the lock is released.
+func (db *DB) commit(what string, at *temporal.Chronon, body func(tx *Tx) error) (*wal.Pending, error) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.land(what, at, body)
+}
+
+// land is the one way a record joins the database. Update, Load's chunks,
+// CreateRelation and DropRelation end here, and so does every record read
+// back from the log (applyRecord) — which is what keeps a primary, its
+// recovery and its followers in the same state. Callers hold db.mu.Lock
+// (recovery runs before the database is shared).
+//
+// body runs as one manager transaction, stamped with *at or, when at is
+// nil, the next commit chronon; whatever it applied commits or aborts
+// together. On commit the transaction's ops are folded into the statistics
+// and, as one record, enqueued on the group committer: queue order is flush
+// order, so enqueueing under the lock keeps the log in commit order. The
+// fsync is waited for after the lock is released (logged), which is what
+// lets concurrent committers share the leader's next flush instead of
+// serializing one fsync each, and keeps readers from stalling behind one.
+// There is no committer — and so no enqueue — on followers, in-memory
+// databases and during recovery: a record being replayed is already in the
+// log.
+func (db *DB) land(what string, at *temporal.Chronon, body func(tx *Tx) error) (*wal.Pending, error) {
+	if db.closed {
+		return nil, ErrClosed
+	}
+	if db.readOnly && !db.replay {
+		return nil, fmt.Errorf("%w: %s", ErrReadOnly, what)
+	}
+	var tx *Tx
+	wrap := func(itx *txn.Tx) error {
+		tx = db.newTx(itx)
+		return body(tx)
+	}
+	var err error
+	if at != nil {
+		err = db.mgr.UpdateAt(*at, wrap)
+	} else {
+		err = db.mgr.Update(wrap)
+	}
+	if err != nil || len(tx.ops) == 0 {
+		return nil, err
+	}
+	db.statsApply(tx.At(), tx.ops)
+	if db.gc == nil {
 		return nil, nil
-	}()
-	if err != nil {
+	}
+	return db.gc.Enqueue(wal.Record{Commit: tx.At(), Ops: tx.ops}), nil
+}
+
+// logged waits, with no lock held, for a landed record's flush. A record
+// whose flush fails stays committed in memory: the caller learns that the
+// database is now ahead of its log, and that is the one failure contract of
+// every write — DML, Load and DDL alike.
+func logged(p *wal.Pending, err error) error {
+	if err != nil || p == nil {
 		return err
 	}
-	if pending != nil {
-		if err := pending.Wait(); err != nil {
-			// The in-memory commit succeeded but durability failed; surface
-			// loudly. (A production system would block further commits.)
-			return fmt.Errorf("tdb: committed but not logged: %w", err)
-		}
+	if err := p.Wait(); err != nil {
+		return fmt.Errorf("tdb: committed but not logged: %w", err)
 	}
 	return nil
 }
 
-// logRecord durably logs one record through the group committer, waiting
-// inline. Callers hold db.mu (safe: the leader needs no database lock).
-func (db *DB) logRecord(rec wal.Record) error {
-	if db.gc == nil || db.replay {
-		return nil
-	}
-	return db.gc.Commit(rec)
-}
-
-// applyRecord replays one WAL record during recovery or follower apply.
+// applyRecord lands one record read back from the log — recovery and
+// follower apply — as the single transaction its commit was.
 func (db *DB) applyRecord(rec wal.Record) error {
-	for _, op := range rec.Ops {
-		if err := db.applyOp(rec.Commit, op); err != nil {
-			return fmt.Errorf("replaying %s on %q: %w", op.Code, op.Rel, err)
+	_, err := db.land("replay", &rec.Commit, func(tx *Tx) error {
+		tx.ops = make([]wal.Op, 0, len(rec.Ops))
+		for _, op := range rec.Ops {
+			if err := tx.applyOp(op); err != nil {
+				return fmt.Errorf("replaying %s on %q: %w", op.Code, op.Rel, err)
+			}
 		}
-	}
-	db.statsApply(rec.Commit, rec.Ops)
-	return nil
-}
-
-func (db *DB) applyOp(commit temporal.Chronon, op wal.Op) error {
-	switch op.Code {
-	case wal.OpCreate:
-		_, err := db.cat.Create(op.Rel, op.Kind, op.Event, op.Schema)
-		if err == nil {
-			err = db.mgr.Clock().Observe(commit)
-		}
-		return err
-	case wal.OpDrop:
-		if err := db.cat.Drop(op.Rel); err != nil {
-			return err
-		}
-		return db.mgr.Clock().Observe(commit)
-	}
-	rel, err := db.cat.Get(op.Rel)
-	if err != nil {
-		return err
-	}
-	return db.mgr.UpdateAt(commit, func(itx *txn.Tx) error {
-		tr := &TxRel{tx: db.newTx(itx), rel: rel}
-		switch op.Code {
-		case wal.OpInsert:
-			return tr.Insert(op.Tuple)
-		case wal.OpDelete:
-			return tr.Delete(op.Key)
-		case wal.OpReplace:
-			return tr.Replace(op.Key, op.Tuple)
-		case wal.OpAssert:
-			return tr.Assert(op.Tuple, op.Valid.From, op.Valid.To)
-		case wal.OpRetract:
-			return tr.Retract(op.Key, op.Valid.From, op.Valid.To)
-		case wal.OpAssertAt:
-			return tr.AssertAt(op.Tuple, op.At)
-		case wal.OpRetractAt:
-			return tr.RetractAt(op.Key, op.At)
-		default:
-			return fmt.Errorf("tdb: unknown op %v in log", op.Code)
-		}
+		return nil
 	})
+	return err
 }

@@ -1,8 +1,8 @@
 // Package command is the shared registry of session admin verbs — the
 // commands that are not TQuel ("cache", "cache clear", "config", "stats",
 // "help") — so every frontend dispatches the same set: the server serves
-// them for Request.Cmd, the tquel REPL runs them locally, and tdbcli
-// recognizes them and forwards them over the wire. A new verb registers
+// them for Request.Cmd, and tdbcli runs them locally on a database it
+// opened itself or forwards them over the wire. A new verb registers
 // once here and appears everywhere, help text included.
 //
 // Wire-loop commands ("batch", "repl") are declared for help and

@@ -41,12 +41,10 @@ func register(k Knob) string {
 // The knobs, one declaration each. Subsystems import these names instead of
 // repeating the string, so a grep for the constant finds every consumer.
 var (
-	// Session (tquel) knobs: initial values for new sessions; the Session
+	// Session (tquel) knob: the initial value for new sessions; the Session
 	// setter (SetParallelism) overrides.
 	EnvParallel = register(Knob{Env: "TDB_PARALLEL", Kind: "int", Default: "0 (GOMAXPROCS)",
 		Doc: "Worker budget for parallel retrieve execution; <=1 forces the serial path."})
-	EnvParallelMinCost = register(Knob{Env: "TDB_PARALLEL_MIN_COST", Kind: "float", Default: "4096",
-		Doc: "Estimated-work threshold above which a stats-guided plan fans out over workers."})
 
 	// Database (Options) knobs: env is the fallback when the Options field
 	// is zero.
@@ -115,17 +113,6 @@ func Int64(env string, def int64) int64 {
 	if v := os.Getenv(env); v != "" {
 		if n, err := strconv.ParseInt(v, 10, 64); err == nil {
 			return n
-		}
-	}
-	return def
-}
-
-// PosFloat reads a float knob that must be strictly positive, returning
-// def otherwise.
-func PosFloat(env string, def float64) float64 {
-	if v := os.Getenv(env); v != "" {
-		if f, err := strconv.ParseFloat(v, 64); err == nil && f > 0 {
-			return f
 		}
 	}
 	return def

@@ -132,37 +132,6 @@ func (h *Histogram) Buckets() []uint64 {
 	return out
 }
 
-// Quantile estimates the q-th quantile (clamped to [0, 1]) from the bucket
-// counts by linear interpolation within the containing bucket — the same
-// estimate Prometheus's histogram_quantile computes. Observations landing
-// in the +Inf bucket clamp to the last finite bound. Returns 0 for an
-// empty histogram. Under concurrent observation the estimate reflects
-// some recent state, not a consistent snapshot.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	q = math.Max(0, math.Min(1, q))
-	rank := q * float64(total)
-	var cum uint64
-	for i := range h.counts {
-		c := h.counts[i].Load()
-		if c > 0 && float64(cum+c) >= rank {
-			if i >= len(h.bounds) {
-				return h.bounds[len(h.bounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			return lo + (h.bounds[i]-lo)*(rank-float64(cum))/float64(c)
-		}
-		cum += c
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // Bounds returns the configured upper bounds (without +Inf).
 func (h *Histogram) Bounds() []float64 { return h.bounds }
 

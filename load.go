@@ -10,18 +10,14 @@ package tdb
 // segment: sorted input becomes sealed segments directly, without the tail
 // ever growing past one chunk.
 //
-// Durability pipelines: chunk k's WAL record is flushing through the group
-// committer while chunk k+1 is being applied in memory. Load waits for
-// every chunk's durability before returning. Recovery and replication see
-// the same state as row-at-a-time ingest would produce — each chunk record
-// replays through the ordinary multi-op apply path.
+// A chunk is an ordinary commit (docs/durability.md, "Life of a write"); the
+// one thing Load does differently is put off waiting for the flushes until
+// its last chunk has been applied.
 
 import (
-	"fmt"
-
+	"tdb/internal/catalog"
 	"tdb/internal/config"
 	"tdb/internal/segment"
-	"tdb/internal/txn"
 	"tdb/internal/wal"
 	"tdb/temporal"
 )
@@ -57,13 +53,9 @@ type LoadRow struct {
 // Load returns the number of rows committed in memory. Chunks are
 // independent transactions: a row error aborts only the chunk containing
 // it, leaving earlier chunks committed — the partial-load contract callers
-// must expect. A "committed but not logged" error means every returned row
+// must expect. The not-logged error (see logged) means every returned row
 // was applied in memory but some chunk's WAL flush failed.
 func (r *Relation) Load(rows []LoadRow) (int, error) {
-	apply, err := loadApplier(r.Kind(), r.Event())
-	if err != nil {
-		return 0, err
-	}
 	chunk := r.db.loadChunkRows()
 	var (
 		pendings []*wal.Pending
@@ -71,86 +63,54 @@ func (r *Relation) Load(rows []LoadRow) (int, error) {
 		loadErr  error
 	)
 	for off := 0; off < len(rows); off += chunk {
-		end := off + chunk
-		if end > len(rows) {
-			end = len(rows)
-		}
-		p, err := r.db.loadChunk(r.Name(), rows[off:end], apply)
+		part := rows[off:min(off+chunk, len(rows))]
+		// Enqueue without waiting: chunk k's fsync overlaps chunk k+1's
+		// in-memory apply.
+		p, err := r.db.commit("load", nil, func(tx *Tx) error {
+			h, err := tx.Rel(r.Name())
+			if err != nil {
+				return err
+			}
+			tx.ops = make([]wal.Op, 0, len(part))
+			for i := range part {
+				op, err := loadOp(h.rel, &part[i])
+				if err == nil {
+					err = h.apply(op)
+				}
+				if err != nil {
+					return err
+				}
+			}
+			return nil
+		})
 		if err != nil {
 			loadErr = err
 			break
 		}
-		if p != nil {
-			pendings = append(pendings, p)
-		}
-		loaded = end
+		pendings = append(pendings, p)
+		loaded += len(part)
 	}
 	// Wait for every chunk's durability, even after an apply error: the
 	// chunks before it committed and their records are already queued.
 	for _, p := range pendings {
-		if err := p.Wait(); err != nil && loadErr == nil {
-			loadErr = fmt.Errorf("tdb: committed but not logged: %w", err)
+		if err := logged(p, nil); err != nil && loadErr == nil {
+			loadErr = err
 		}
 	}
 	return loaded, loadErr
 }
 
-// loadApplier picks the per-row mutation for the relation's shape once, so
-// the chunk loop does no per-row kind dispatch.
-func loadApplier(kind Kind, event bool) (func(h *TxRel, row LoadRow) error, error) {
-	switch {
-	case kind == Static || kind == StaticRollback:
-		return func(h *TxRel, row LoadRow) error { return h.Insert(row.Data) }, nil
-	case event:
-		return func(h *TxRel, row LoadRow) error { return h.AssertAt(row.Data, row.From) }, nil
-	case kind == Historical || kind == Temporal:
-		return func(h *TxRel, row LoadRow) error { return h.Assert(row.Data, row.From, row.To) }, nil
-	default:
-		return nil, fmt.Errorf("tdb: load: unknown relation kind %v", kind)
+// loadOp builds the one mutation Load performs per row, which the
+// relation's shape decides: an insert where there is no valid time, an
+// event at row.From on event relations, otherwise a belief over
+// [row.From, row.To).
+func loadOp(rel *catalog.Relation, row *LoadRow) (wal.Op, error) {
+	if !rel.Kind().SupportsHistorical() {
+		return wal.Op{Code: wal.OpInsert, Tuple: row.Data}, nil
 	}
-}
-
-// loadChunk commits one chunk as a single transaction and enqueues its WAL
-// record without waiting — the caller collects the Pending and waits after
-// the last chunk, which is what overlaps chunk k's fsync with chunk k+1's
-// in-memory apply.
-func (db *DB) loadChunk(name string, rows []LoadRow, apply func(h *TxRel, row LoadRow) error) (*wal.Pending, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return nil, ErrClosed
+	if rel.Event() {
+		return wal.Op{Code: wal.OpAssertAt, Tuple: row.Data, At: row.From}, nil
 	}
-	if db.readOnly {
-		return nil, fmt.Errorf("%w: load", ErrReadOnly)
-	}
-	var rec *wal.Record
-	err := db.mgr.Update(func(itx *txn.Tx) error {
-		tx := db.newTx(itx)
-		h, err := tx.Rel(name)
-		if err != nil {
-			return err
-		}
-		if cap(tx.ops) < len(rows) {
-			tx.ops = make([]wal.Op, 0, len(rows))
-		}
-		for i := range rows {
-			if err := apply(h, rows[i]); err != nil {
-				return err
-			}
-		}
-		if len(tx.ops) > 0 {
-			rec = &wal.Record{Commit: itx.At(), Ops: tx.ops}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if rec != nil {
-		db.statsApply(rec.Commit, rec.Ops)
-		if db.gc != nil && !db.replay {
-			return db.gc.Enqueue(*rec), nil
-		}
-	}
-	return nil, nil
+	valid, err := temporal.MakeInterval(row.From, row.To)
+	return wal.Op{Code: wal.OpAssert, Tuple: row.Data, Valid: valid}, err
 }

@@ -169,9 +169,9 @@ func TestLoadReadOnlyFollower(t *testing.T) {
 	db := openFollower(t, path, nil)
 	defer db.Close()
 	// A follower has no relations; Load must fail on readOnly, not on
-	// lookup, so go through the db-level chunk path directly.
-	if _, err := db.loadChunk("r", loadRows(1), func(h *TxRel, row LoadRow) error { return nil }); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("loadChunk on follower = %v, want ErrReadOnly", err)
+	// lookup, so go through the commit Load makes per chunk directly.
+	if _, err := db.commit("load", nil, func(*Tx) error { return nil }); !errors.Is(err, ErrReadOnly) {
+		t.Fatalf("load commit on follower = %v, want ErrReadOnly", err)
 	}
 }
 

@@ -55,83 +55,52 @@ func (r *Relation) WriteVersion() uint64 { return r.rel.WriteVersion() }
 // the same name.
 func (r *Relation) Gen() uint64 { return r.rel.Gen() }
 
-// Insert adds a tuple to a static or rollback relation (one-op
-// transaction).
-func (r *Relation) Insert(t Tuple) error {
+// one runs a single mutation as a transaction of its own.
+func (r *Relation) one(mutate func(h *TxRel) error) error {
 	return r.db.Update(func(tx *Tx) error {
 		h, err := tx.Rel(r.Name())
 		if err != nil {
 			return err
 		}
-		return h.Insert(t)
+		return mutate(h)
 	})
+}
+
+// Insert adds a tuple to a static or rollback relation (one-op
+// transaction).
+func (r *Relation) Insert(t Tuple) error {
+	return r.one(func(h *TxRel) error { return h.Insert(t) })
 }
 
 // Delete removes the keyed tuple from a static or rollback relation.
 func (r *Relation) Delete(key Tuple) error {
-	return r.db.Update(func(tx *Tx) error {
-		h, err := tx.Rel(r.Name())
-		if err != nil {
-			return err
-		}
-		return h.Delete(key)
-	})
+	return r.one(func(h *TxRel) error { return h.Delete(key) })
 }
 
 // Replace substitutes the keyed tuple in a static or rollback relation.
 func (r *Relation) Replace(key, t Tuple) error {
-	return r.db.Update(func(tx *Tx) error {
-		h, err := tx.Rel(r.Name())
-		if err != nil {
-			return err
-		}
-		return h.Replace(key, t)
-	})
+	return r.one(func(h *TxRel) error { return h.Replace(key, t) })
 }
 
 // Assert records that t held over [from, to) in a historical or temporal
 // relation.
 func (r *Relation) Assert(t Tuple, from, to temporal.Chronon) error {
-	return r.db.Update(func(tx *Tx) error {
-		h, err := tx.Rel(r.Name())
-		if err != nil {
-			return err
-		}
-		return h.Assert(t, from, to)
-	})
+	return r.one(func(h *TxRel) error { return h.Assert(t, from, to) })
 }
 
 // Retract records that nothing with the given key held over [from, to).
 func (r *Relation) Retract(key Tuple, from, to temporal.Chronon) error {
-	return r.db.Update(func(tx *Tx) error {
-		h, err := tx.Rel(r.Name())
-		if err != nil {
-			return err
-		}
-		return h.Retract(key, from, to)
-	})
+	return r.one(func(h *TxRel) error { return h.Retract(key, from, to) })
 }
 
 // AssertAt records an event occurrence at the given instant.
 func (r *Relation) AssertAt(t Tuple, at temporal.Chronon) error {
-	return r.db.Update(func(tx *Tx) error {
-		h, err := tx.Rel(r.Name())
-		if err != nil {
-			return err
-		}
-		return h.AssertAt(t, at)
-	})
+	return r.one(func(h *TxRel) error { return h.AssertAt(t, at) })
 }
 
 // RetractAt withdraws the keyed event at the given instant.
 func (r *Relation) RetractAt(key Tuple, at temporal.Chronon) error {
-	return r.db.Update(func(tx *Tx) error {
-		h, err := tx.Rel(r.Name())
-		if err != nil {
-			return err
-		}
-		return h.RetractAt(key, at)
-	})
+	return r.one(func(h *TxRel) error { return h.RetractAt(key, at) })
 }
 
 // Scan returns the versions spec selects, read inside a View of its own.

@@ -257,6 +257,8 @@ func (db *DB) ReplApply(epoch uint64, raw []byte, recs []wal.Record) error {
 	if err := db.log.AppendRaw(raw, len(recs)); err != nil {
 		return err
 	}
+	db.replay = true
+	defer func() { db.replay = false }()
 	for _, rec := range recs {
 		if db.replSkip > 0 {
 			db.replSkip--

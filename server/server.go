@@ -495,8 +495,8 @@ func protoLabel(v string) string {
 }
 
 // handleCmd serves the admin commands carried by Request.Cmd through the
-// shared verb registry (internal/command) — the same set the REPL and
-// tdbcli dispatch, so a new verb registers once and works everywhere. A
+// shared verb registry (internal/command) — the same set tdbcli
+// dispatches, so a new verb registers once and works everywhere. A
 // disabled cache still answers "cache" (zeroed stats with max_bytes 0) so
 // operators can tell "off" from "cold".
 func (s *Server) handleCmd(cmd string) Response {

@@ -11,9 +11,8 @@ import (
 // Per-relation temporal statistics (internal/stats), maintained on the
 // committed operation stream. The one rule that keeps every copy of a
 // database in agreement: statistics change only when a committed record's
-// ops are applied — in update/loadChunk after the in-memory commit
-// succeeds, in applyRecord for WAL replay and follower apply, and in
-// create/drop for the catalog records those paths log directly. Aborted
+// ops are applied, and that happens in one place — DB.land, which every
+// record passes through (docs/durability.md, "Life of a write"). Aborted
 // transactions never touch them (unlike write-version bumps, which may
 // over-invalidate the cache on abort — statistics have no safe direction
 // to be wrong in, so they track commits exactly). Checkpoints persist the
@@ -47,10 +46,9 @@ func (db *DB) statsCreate(name string, kind Kind, event bool, sch *Schema) {
 func (db *DB) statsDrop(name string) { delete(db.stats, name) }
 
 // statsApply folds one committed record's ops into the per-relation
-// statistics. Caller holds db.mu.Lock. Every path that lands committed
-// ops — live commit, bulk-load chunk, WAL replay, follower apply — goes
-// through here with the same op stream, which is what keeps statistics
-// byte-identical across all of them.
+// statistics. Its one caller is DB.land, so live commits, bulk-load
+// chunks, DDL, WAL replay and follower apply all feed it the same op
+// stream — which is what keeps statistics byte-identical across them.
 func (db *DB) statsApply(commit temporal.Chronon, ops []wal.Op) {
 	for i := range ops {
 		op := &ops[i]

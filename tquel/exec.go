@@ -24,10 +24,6 @@ type Session struct {
 	noCache     bool // session-level query cache bypass (DisableCache)
 	parallelism int  // worker budget; 0 = GOMAXPROCS, <=1 = serial
 
-	// parallelMinCost overrides the package-level parallel dispatch cutoff
-	// when positive (TDB_PARALLEL_MIN_COST).
-	parallelMinCost float64
-
 	lastPlan *queryPlan // most recent compiled retrieve, for tests and explain
 }
 
@@ -43,7 +39,6 @@ func NewSession(db *tdb.DB) *Session {
 		now:    func() temporal.Chronon { return temporal.SystemClock{}.Now() },
 	}
 	s.parallelism = config.Int(config.EnvParallel, 0)
-	s.parallelMinCost = config.PosFloat(config.EnvParallelMinCost, 0)
 	return s
 }
 

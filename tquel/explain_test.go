@@ -90,12 +90,12 @@ func TestExplainStatsOff(t *testing.T) {
 	}
 }
 
-// When estimated work clears the session's cutoff, the dispatch line must
-// say so with the worker budget execution would use.
+// When estimated work clears the cutoff, the dispatch line must say so with
+// the worker budget execution would use.
 func TestExplainParallelDispatch(t *testing.T) {
+	forceParallel(t)
 	ses := planFixture(t)
 	ses.SetParallelism(4)
-	ses.parallelMinCost = 1
 	outs, err := ses.Exec(`explain retrieve (s.tag, b.tag) where s.k = b.k`)
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestExplainParallelDispatch(t *testing.T) {
 		t.Errorf("expected parallel dispatch, got:\n%s", outs[0].Msg)
 	}
 	if !strings.Contains(outs[0].Msg, "parallel cutoff 1") {
-		t.Errorf("expected the session cutoff in the footer, got:\n%s", outs[0].Msg)
+		t.Errorf("expected the cutoff in the footer, got:\n%s", outs[0].Msg)
 	}
 }
 

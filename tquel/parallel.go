@@ -48,19 +48,9 @@ var parallelMinOuter = 128
 // orderByCost) above which a stats-guided plan takes the parallel path —
 // the cost-based replacement for the fixed outer-size rule: a 100-row outer
 // that fans out into a million join pairs parallelizes, a 10 000-row outer
-// with a selective probe does not. TDB_PARALLEL_MIN_COST overrides it per
-// session (see NewSession); tests lower the package default alongside
-// parallelMinOuter to force the parallel path onto small fixtures.
+// with a selective probe does not. Tests lower it alongside parallelMinOuter
+// to force the parallel path onto small fixtures.
 var parallelMinCost = 4096.0
-
-// resolveParallelMinCost applies the session override, then the package
-// default.
-func (s *Session) resolveParallelMinCost() float64 {
-	if s.parallelMinCost > 0 {
-		return s.parallelMinCost
-	}
-	return parallelMinCost
-}
 
 // parallelChunksPerWorker over-partitions the outer range so stragglers
 // (chunks whose candidates fan out into many inner bindings) even out.

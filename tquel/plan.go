@@ -531,7 +531,7 @@ func (s *Session) relsIn(rt *tdb.ReadTx, pos Pos, order []string) ([]*tdb.Relati
 // relations come back in statement order.
 func (s *Session) buildPlan(n *RetrieveStmt, order []string, ev *env, spec tdb.ScanSpec) (*queryPlan, []*tdb.Relation, error) {
 	statsOn := !s.noStats
-	pl := &queryPlan{statsUsed: statsOn, parallelCut: s.resolveParallelMinCost()}
+	pl := &queryPlan{statsUsed: statsOn, parallelCut: parallelMinCost}
 
 	var whereConjs []Expr
 	if n.Where != nil {

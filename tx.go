@@ -1,7 +1,11 @@
 package tdb
 
 import (
+	"errors"
+	"fmt"
+
 	"tdb/internal/catalog"
+	"tdb/internal/core"
 	"tdb/internal/txn"
 	"tdb/internal/wal"
 	"tdb/temporal"
@@ -43,10 +47,42 @@ func (tx *Tx) logOp(op wal.Op) {
 	tx.ops = append(tx.ops, op)
 }
 
+// applyOp applies one logged op: catalog ops to the catalog, everything else
+// to the relation the op names. It is how a record read back from the log —
+// recovery, follower apply — re-enters the write path that produced it.
+func (tx *Tx) applyOp(op wal.Op) error {
+	if op.Code == wal.OpCreate || op.Code == wal.OpDrop {
+		return tx.ddl(op)
+	}
+	h, err := tx.Rel(op.Rel)
+	if err != nil {
+		return err
+	}
+	return h.apply(op)
+}
+
+// ddl applies a catalog op and logs it. The live CreateRelation and
+// DropRelation and the replay of the records they wrote both run exactly
+// this; the statistics side follows from the logged op (statsApply).
+func (tx *Tx) ddl(op wal.Op) error {
+	var err error
+	if op.Code == wal.OpCreate {
+		_, err = tx.db.cat.Create(op.Rel, op.Kind, op.Event, op.Schema)
+	} else {
+		err = tx.db.cat.Drop(op.Rel)
+	}
+	if err != nil {
+		return wrapErr(err)
+	}
+	tx.logOp(op)
+	return nil
+}
+
 // TxRel is a relation handle bound to a transaction. Its mutation methods
 // mirror the taxonomy: Insert/Delete/Replace apply to static and rollback
 // relations (no valid time to supply), Assert/Retract to historical and
-// temporal interval relations, AssertAt/RetractAt to event relations.
+// temporal interval relations, AssertAt/RetractAt to event relations. Each
+// builds the wal.Op that describes it and hands it to apply.
 type TxRel struct {
 	tx  *Tx
 	rel *catalog.Relation
@@ -55,83 +91,101 @@ type TxRel struct {
 // Name returns the relation name.
 func (r *TxRel) Name() string { return r.rel.Name() }
 
-// bump records a successful mutation in the relation's write-version
-// counter, the query cache's invalidation signal. Called on WAL replay too
-// (replay re-enters these methods), so recovered databases resume counting
-// where the log left off. A later abort leaves the bump in place, which
-// only over-invalidates — the cache must never under-invalidate.
-func (r *TxRel) bump() { r.rel.Store().BumpWriteVersion() }
-
 // Kind returns the relation kind.
 func (r *TxRel) Kind() Kind { return r.rel.Kind() }
+
+// apply is the one way a store is mutated: the public methods below, Load,
+// WAL replay and follower apply all arrive here with the op. It enlists the
+// store in the transaction, dispatches on the taxonomy's matrix — which
+// kinds accept which of the seven mutations, and whether the commit chronon
+// stamps them as transaction time — and, once the store has accepted the
+// op, advances the relation's write version (the query cache's invalidation
+// signal: replay advances it too, so a recovered database resumes counting
+// where the log left off, and an abort leaves it advanced, which only
+// over-invalidates) and appends the op to the transaction's record. A cell
+// the taxonomy forbids is ErrKindMismatch and leaves no trace.
+func (r *TxRel) apply(op wal.Op) error {
+	r.tx.itx.Enlist(r.rel.Transactional())
+	at := r.tx.At()
+	err := ErrKindMismatch
+	switch r.rel.Kind() {
+	case Static:
+		st, _ := r.rel.Static()
+		switch op.Code {
+		case wal.OpInsert:
+			err = st.Insert(op.Tuple)
+		case wal.OpDelete:
+			err = st.Delete(op.Key)
+		case wal.OpReplace:
+			err = st.Replace(op.Key, op.Tuple)
+		}
+	case StaticRollback:
+		st, _ := r.rel.Rollback()
+		switch op.Code {
+		case wal.OpInsert:
+			err = st.Insert(op.Tuple, at)
+		case wal.OpDelete:
+			err = st.Delete(op.Key, at)
+		case wal.OpReplace:
+			err = st.Replace(op.Key, op.Tuple, at)
+		}
+	case Historical:
+		st, _ := r.rel.Historical()
+		switch op.Code {
+		case wal.OpAssert:
+			err = st.Assert(op.Tuple, op.Valid)
+		case wal.OpRetract:
+			err = st.Retract(op.Key, op.Valid)
+		case wal.OpAssertAt:
+			err = st.AssertAt(op.Tuple, op.At)
+		case wal.OpRetractAt:
+			// Historical event correction is assert-at of nothing: carve the
+			// instant away.
+			err = st.Retract(op.Key, temporal.At(op.At))
+		}
+	case Temporal:
+		st, _ := r.rel.Temporal()
+		switch op.Code {
+		case wal.OpAssert:
+			err = st.Assert(op.Tuple, op.Valid, at)
+		case wal.OpRetract:
+			err = st.Retract(op.Key, op.Valid, at)
+		case wal.OpAssertAt:
+			err = st.AssertAt(op.Tuple, op.At, at)
+		case wal.OpRetractAt:
+			err = st.RetractAt(op.Key, op.At, at)
+		}
+	}
+	if err != nil {
+		if errors.Is(err, core.ErrEventRelation) {
+			// The interval/event class is the matrix's third axis; the
+			// stores police it.
+			err = fmt.Errorf("%w: %w", ErrKindMismatch, err)
+		}
+		return err
+	}
+	r.rel.Store().BumpWriteVersion()
+	op.Rel = r.Name()
+	r.tx.logOp(op)
+	return nil
+}
 
 // Insert adds a tuple to the current state of a static or rollback
 // relation.
 func (r *TxRel) Insert(t Tuple) error {
-	r.tx.itx.Enlist(r.rel.Transactional())
-	switch r.rel.Kind() {
-	case Static:
-		st, _ := r.rel.Static()
-		if err := st.Insert(t); err != nil {
-			return err
-		}
-	case StaticRollback:
-		st, _ := r.rel.Rollback()
-		if err := st.Insert(t, r.tx.At()); err != nil {
-			return err
-		}
-	default:
-		return ErrKindMismatch
-	}
-	r.bump()
-	r.tx.logOp(wal.Op{Code: wal.OpInsert, Rel: r.Name(), Tuple: t})
-	return nil
+	return r.apply(wal.Op{Code: wal.OpInsert, Tuple: t})
 }
 
 // Delete removes the keyed tuple from the current state of a static or
 // rollback relation.
 func (r *TxRel) Delete(key Tuple) error {
-	r.tx.itx.Enlist(r.rel.Transactional())
-	switch r.rel.Kind() {
-	case Static:
-		st, _ := r.rel.Static()
-		if err := st.Delete(key); err != nil {
-			return err
-		}
-	case StaticRollback:
-		st, _ := r.rel.Rollback()
-		if err := st.Delete(key, r.tx.At()); err != nil {
-			return err
-		}
-	default:
-		return ErrKindMismatch
-	}
-	r.bump()
-	r.tx.logOp(wal.Op{Code: wal.OpDelete, Rel: r.Name(), Key: key})
-	return nil
+	return r.apply(wal.Op{Code: wal.OpDelete, Key: key})
 }
 
 // Replace substitutes the keyed tuple in the current state of a static or
 // rollback relation.
 func (r *TxRel) Replace(key, t Tuple) error {
-	r.tx.itx.Enlist(r.rel.Transactional())
-	switch r.rel.Kind() {
-	case Static:
-		st, _ := r.rel.Static()
-		if err := st.Replace(key, t); err != nil {
-			return err
-		}
-	case StaticRollback:
-		st, _ := r.rel.Rollback()
-		if err := st.Replace(key, t, r.tx.At()); err != nil {
-			return err
-		}
-	default:
-		return ErrKindMismatch
-	}
-	r.bump()
-	r.tx.logOp(wal.Op{Code: wal.OpReplace, Rel: r.Name(), Key: key, Tuple: t})
-	return nil
+	return r.apply(wal.Op{Code: wal.OpReplace, Key: key, Tuple: t})
 }
 
 // Assert records that tuple t held from chronon from up to (excluding) to,
@@ -142,24 +196,7 @@ func (r *TxRel) Assert(t Tuple, from, to temporal.Chronon) error {
 	if err != nil {
 		return err
 	}
-	r.tx.itx.Enlist(r.rel.Transactional())
-	switch r.rel.Kind() {
-	case Historical:
-		st, _ := r.rel.Historical()
-		if err := st.Assert(t, valid); err != nil {
-			return err
-		}
-	case Temporal:
-		st, _ := r.rel.Temporal()
-		if err := st.Assert(t, valid, r.tx.At()); err != nil {
-			return err
-		}
-	default:
-		return ErrKindMismatch
-	}
-	r.bump()
-	r.tx.logOp(wal.Op{Code: wal.OpAssert, Rel: r.Name(), Tuple: t, Valid: valid})
-	return nil
+	return r.apply(wal.Op{Code: wal.OpAssert, Tuple: t, Valid: valid})
 }
 
 // Retract records that no tuple with the given key held during the period.
@@ -168,69 +205,16 @@ func (r *TxRel) Retract(key Tuple, from, to temporal.Chronon) error {
 	if err != nil {
 		return err
 	}
-	r.tx.itx.Enlist(r.rel.Transactional())
-	switch r.rel.Kind() {
-	case Historical:
-		st, _ := r.rel.Historical()
-		if err := st.Retract(key, valid); err != nil {
-			return err
-		}
-	case Temporal:
-		st, _ := r.rel.Temporal()
-		if err := st.Retract(key, valid, r.tx.At()); err != nil {
-			return err
-		}
-	default:
-		return ErrKindMismatch
-	}
-	r.bump()
-	r.tx.logOp(wal.Op{Code: wal.OpRetract, Rel: r.Name(), Key: key, Valid: valid})
-	return nil
+	return r.apply(wal.Op{Code: wal.OpRetract, Key: key, Valid: valid})
 }
 
 // AssertAt records that event tuple t occurred at the given instant, in a
 // historical or temporal event relation.
 func (r *TxRel) AssertAt(t Tuple, at temporal.Chronon) error {
-	r.tx.itx.Enlist(r.rel.Transactional())
-	switch r.rel.Kind() {
-	case Historical:
-		st, _ := r.rel.Historical()
-		if err := st.AssertAt(t, at); err != nil {
-			return err
-		}
-	case Temporal:
-		st, _ := r.rel.Temporal()
-		if err := st.AssertAt(t, at, r.tx.At()); err != nil {
-			return err
-		}
-	default:
-		return ErrKindMismatch
-	}
-	r.bump()
-	r.tx.logOp(wal.Op{Code: wal.OpAssertAt, Rel: r.Name(), Tuple: t, At: at})
-	return nil
+	return r.apply(wal.Op{Code: wal.OpAssertAt, Tuple: t, At: at})
 }
 
 // RetractAt withdraws the keyed event at the given instant.
 func (r *TxRel) RetractAt(key Tuple, at temporal.Chronon) error {
-	r.tx.itx.Enlist(r.rel.Transactional())
-	switch r.rel.Kind() {
-	case Historical:
-		st, _ := r.rel.Historical()
-		// Historical event correction is assert-at of nothing: carve the
-		// instant away.
-		if err := st.Retract(key, temporal.At(at)); err != nil {
-			return err
-		}
-	case Temporal:
-		st, _ := r.rel.Temporal()
-		if err := st.RetractAt(key, at, r.tx.At()); err != nil {
-			return err
-		}
-	default:
-		return ErrKindMismatch
-	}
-	r.bump()
-	r.tx.logOp(wal.Op{Code: wal.OpRetractAt, Rel: r.Name(), Key: key, At: at})
-	return nil
+	return r.apply(wal.Op{Code: wal.OpRetractAt, Key: key, At: at})
 }
