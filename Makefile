@@ -67,9 +67,10 @@ test-nocache:
 # The race detector with the seal threshold forced tiny and the parallel
 # executor pinned on: every relation of more than four rows seals into
 # columnar segments, so concurrent sessions, the worker pool, and the
-# checkpointer all race over the sealed/tail boundary.
+# checkpointer all race over the sealed/tail boundary; in internal/core every
+# dictionary is tiny and the key index's postings span tail and segments.
 race-segments:
-	TDB_SEGMENT_ROWS=4 TDB_PARALLEL=4 $(GO) test -race ./tquel ./internal/figures ./internal/segment .
+	TDB_SEGMENT_ROWS=4 TDB_PARALLEL=4 $(GO) test -race ./tquel ./internal/figures ./internal/segment ./internal/core ./internal/index .
 
 # The durability suite: fault injection (vfs), torn-log replay (wal), the
 # crash matrices (truncate/corrupt every byte of the final record; crash a

@@ -105,7 +105,7 @@ func (s *TemporalStore) AssertAt(t tuple.Tuple, validAt, at temporal.Chronon) er
 	if err := s.admit(at); err != nil {
 		return err
 	}
-	s.append(t.Clone(), t.Key(s.sch).Hash64(), temporal.At(validAt), at)
+	s.append(t.Clone(), t.KeyHash(s.sch), temporal.At(validAt), at)
 	return nil
 }
 
@@ -122,11 +122,11 @@ func (s *TemporalStore) RetractAt(key tuple.Tuple, validAt, at temporal.Chronon)
 	}
 	n := 0
 	kh := key.Hash64()
-	for _, pos := range append([]int(nil), s.byKey.Lookup(kh)...) {
+	for _, pos := range s.byKey.Lookup(kh, make([]int, 0, 8)) {
 		row := s.log.Row(pos)
 		if row.Trans.To != temporal.Forever ||
 			row.Valid.From != validAt ||
-			!tuple.Equal(row.Data.Key(s.sch), key) {
+			!row.Data.HasKey(s.sch, key) {
 			continue
 		}
 		s.close(pos, kh, at)
@@ -144,11 +144,11 @@ func (s *TemporalStore) RetractAt(key tuple.Tuple, validAt, at temporal.Chronon)
 func (s *TemporalStore) supersede(key tuple.Tuple, valid temporal.Interval, at temporal.Chronon) int {
 	n := 0
 	kh := key.Hash64()
-	for _, pos := range append([]int(nil), s.byKey.Lookup(kh)...) {
+	for _, pos := range s.byKey.Lookup(kh, make([]int, 0, 8)) {
 		row := s.log.Row(pos) // materialized copy: the log may grow below
 		if row.Trans.To != temporal.Forever ||
 			!row.Valid.Overlaps(valid) ||
-			!tuple.Equal(row.Data.Key(s.sch), key) {
+			!row.Data.HasKey(s.sch, key) {
 			continue
 		}
 		n++

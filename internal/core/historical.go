@@ -69,6 +69,9 @@ func (s *HistoricalStore) Event() bool { return s.event }
 // VersionCount returns the number of live versions.
 func (s *HistoricalStore) VersionCount() int { return s.byKey.Len() }
 
+// Reserve sizes the key index for n more versions (see Store).
+func (s *HistoricalStore) Reserve(n int) { s.byKey.Reserve(n) }
+
 // Assert records that tuple t held throughout the valid period. Any
 // existing belief about the same key over an overlapping period is
 // corrected: overlapped portions of other versions are cut away and the
@@ -89,7 +92,7 @@ func (s *HistoricalStore) Assert(t tuple.Tuple, valid temporal.Interval) error {
 	s.carve(key, valid)
 	// Coalesce with value-equivalent neighbours.
 	merged := valid
-	for _, pos := range append([]int(nil), s.byKey.Lookup(key.Hash64())...) {
+	for _, pos := range s.byKey.Lookup(key.Hash64(), make([]int, 0, 8)) {
 		row := s.rows[pos]
 		if !row.live || !tuple.Equal(row.data, t) {
 			continue
@@ -118,9 +121,9 @@ func (s *HistoricalStore) AssertAt(t tuple.Tuple, at temporal.Chronon) error {
 	}
 	key := t.Key(s.sch)
 	// An entity's event at the same instant is replaced (correction).
-	for _, pos := range append([]int(nil), s.byKey.Lookup(key.Hash64())...) {
+	for _, pos := range s.byKey.Lookup(key.Hash64(), make([]int, 0, 8)) {
 		row := s.rows[pos]
-		if row.live && tuple.Equal(row.data.Key(s.sch), key) && row.valid.From == at {
+		if row.live && row.data.HasKey(s.sch, key) && row.valid.From == at {
 			s.drop(pos, key)
 		}
 	}
@@ -146,9 +149,9 @@ func (s *HistoricalStore) Retract(key tuple.Tuple, valid temporal.Interval) erro
 // uncovered remainders. It returns the number of versions affected.
 func (s *HistoricalStore) carve(key tuple.Tuple, valid temporal.Interval) int {
 	affected := 0
-	for _, pos := range append([]int(nil), s.byKey.Lookup(key.Hash64())...) {
+	for _, pos := range s.byKey.Lookup(key.Hash64(), make([]int, 0, 8)) {
 		row := s.rows[pos]
-		if !row.live || !tuple.Equal(row.data.Key(s.sch), key) {
+		if !row.live || !row.data.HasKey(s.sch, key) {
 			continue
 		}
 		if !row.valid.Overlaps(valid) {
@@ -182,7 +185,7 @@ func (s *HistoricalStore) Read(spec ScanSpec, fn func(Version) bool) error {
 	}
 	switch {
 	case spec.Key != nil:
-		for _, pos := range s.byKey.Lookup(spec.Key.Hash64()) {
+		for _, pos := range s.byKey.Lookup(spec.Key.Hash64(), make([]int, 0, 8)) {
 			if !visit(pos) {
 				break
 			}
@@ -243,23 +246,9 @@ func (s *HistoricalStore) drop(pos int, key tuple.Tuple) {
 	s.rows[pos].data = nil
 	s.free = append(s.free, pos)
 	s.j.record(func() {
-		s.popFree(pos)
+		s.free = popFree(s.free, pos)
 		s.rows[pos] = row
 		s.byKey.Add(kh, pos)
 		s.byValid.Insert(row.valid, pos)
 	})
-}
-
-// popFree removes pos from the free list (LIFO undo puts it on top).
-func (s *HistoricalStore) popFree(pos int) {
-	if n := len(s.free); n > 0 && s.free[n-1] == pos {
-		s.free = s.free[:n-1]
-		return
-	}
-	for i, p := range s.free {
-		if p == pos {
-			s.free = append(s.free[:i], s.free[i+1:]...)
-			return
-		}
-	}
 }

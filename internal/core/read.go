@@ -97,7 +97,7 @@ func (sp *ScanSpec) admits(sch *schema.Schema, v Version) bool {
 	if sp.When != nil && !v.Valid.Overlaps(*sp.When) {
 		return false
 	}
-	if sp.Key != nil && !tuple.Equal(v.Data.Key(sch), sp.Key) {
+	if sp.Key != nil && !v.Data.HasKey(sch, sp.Key) {
 		return false
 	}
 	for _, f := range sp.Filters {

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"tdb/internal/index"
 	"tdb/internal/schema"
@@ -79,6 +79,9 @@ func (s *versionLog) VersionCount() int { return s.log.Len() }
 // CurrentCount returns the number of versions in current belief.
 func (s *versionLog) CurrentCount() int { return s.byKey.Len() }
 
+// Reserve sizes the key index for n more current versions (see Store).
+func (s *versionLog) Reserve(n int) { s.byKey.Reserve(n) }
+
 // LastCommit returns the latest commit chronon applied.
 func (s *versionLog) LastCommit() temporal.Chronon { return s.lastCommit }
 
@@ -104,7 +107,7 @@ func (s *versionLog) Read(spec ScanSpec, fn func(Version) bool) error {
 	// The log knows a key by its hash; hashes collide, and this is where a
 	// version of some other entity is turned away.
 	emit := func(_ int, r segment.Row) bool {
-		if spec.Key != nil && !tuple.Equal(r.Data.Key(s.sch), spec.Key) {
+		if spec.Key != nil && !r.Data.HasKey(s.sch, spec.Key) {
 			return true
 		}
 		return fn(version(r))
@@ -115,8 +118,8 @@ func (s *versionLog) Read(spec ScanSpec, fn func(Version) bool) error {
 	}
 	// The index lists exactly the current versions; sorting its postings
 	// restores commit order.
-	posts := append([]int(nil), s.byKey.Lookup(*p.Key)...)
-	sort.Ints(posts)
+	posts := s.byKey.Lookup(*p.Key, make([]int, 0, 8))
+	slices.Sort(posts)
 	for _, pos := range posts {
 		if r := s.log.Row(pos); p.Match(&r) && !emit(pos, r) {
 			break
@@ -132,14 +135,9 @@ func (s *versionLog) RestoreSegment(g *segment.Segment) error {
 	if err := s.log.RestoreSegment(g); err != nil {
 		return err
 	}
-	for i := 0; i < g.Len(); i++ {
-		pos := g.Start() + i
-		tr := s.log.Trans(pos)
-		if tr.To == temporal.Forever {
-			s.byKey.Add(s.log.KeyHash(pos), pos)
-		}
-		s.lastCommit = latestCommit(s.lastCommit, tr)
-	}
+	s.byKey.Reserve(g.Current())
+	g.EachCurrent(func(pos int, keyHash uint64) { s.byKey.Add(keyHash, pos) })
+	s.lastCommit = max(s.lastCommit, g.LastCommit())
 	return nil
 }
 
@@ -155,12 +153,14 @@ func (s *versionLog) restore(v Version) error {
 	if !v.Trans.IsValid() || !v.Trans.From.IsFinite() {
 		return fmt.Errorf("core: restoring version with malformed transaction period %v", v.Trans)
 	}
-	kh := v.Data.Key(s.sch).Hash64()
+	kh := v.Data.KeyHash(s.sch)
 	pos := s.log.Append(segment.Row{Data: v.Data.Clone(), Valid: v.Valid, Trans: v.Trans, KeyHash: kh})
 	if v.Trans.To == temporal.Forever {
 		s.byKey.Add(kh, pos)
 	}
-	s.lastCommit = latestCommit(s.lastCommit, v.Trans)
+	if s.lastCommit = max(s.lastCommit, v.Trans.From); v.Trans.To.IsFinite() {
+		s.lastCommit = max(s.lastCommit, v.Trans.To) // a closed end was a commit chronon too
+	}
 	s.log.Seal()
 	return nil
 }
@@ -300,9 +300,9 @@ func (s *RollbackStore) RestoreVersion(v Version) error {
 
 // current finds the position of key's current version.
 func (s *RollbackStore) current(key tuple.Tuple) (int, bool) {
-	for _, pos := range s.byKey.Lookup(key.Hash64()) {
+	for _, pos := range s.byKey.Lookup(key.Hash64(), make([]int, 0, 8)) {
 		row := s.log.Row(pos)
-		if row.Trans.To == temporal.Forever && tuple.Equal(row.Data.Key(s.sch), key) {
+		if row.Trans.To == temporal.Forever && row.Data.HasKey(s.sch, key) {
 			return pos, true
 		}
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"tdb/internal/index"
 	"tdb/internal/schema"
 	"tdb/internal/tuple"
@@ -51,6 +53,9 @@ func (s *StaticStore) Event() bool { return false }
 // versions a static relation stores.
 func (s *StaticStore) VersionCount() int { return s.byKey.Len() }
 
+// Reserve sizes the key index for n more tuples (see Store).
+func (s *StaticStore) Reserve(n int) { s.byKey.Reserve(n) }
+
 // Insert adds a tuple to the current state. It fails with ErrDuplicateKey
 // if a tuple with the same key is present.
 func (s *StaticStore) Insert(t tuple.Tuple) error {
@@ -86,7 +91,7 @@ func (s *StaticStore) Delete(key tuple.Tuple) error {
 	s.rows[pos] = nil
 	s.free = append(s.free, pos)
 	s.j.record(func() {
-		s.popFree(pos)
+		s.free = popFree(s.free, pos)
 		s.rows[pos] = old
 		s.byKey.Add(kh, pos)
 	})
@@ -126,19 +131,17 @@ func (s *StaticStore) Replace(key tuple.Tuple, t tuple.Tuple) error {
 	return nil
 }
 
-// popFree removes pos from the free list; LIFO undo guarantees it is on
-// top, but a linear fallback keeps the store safe regardless.
-func (s *StaticStore) popFree(pos int) {
-	if n := len(s.free); n > 0 && s.free[n-1] == pos {
-		s.free = s.free[:n-1]
-		return
+// popFree removes pos from a store's free list of row slots; LIFO undo
+// guarantees it is on top, but a linear fallback keeps the store safe
+// regardless.
+func popFree(free []int, pos int) []int {
+	if n := len(free); n > 0 && free[n-1] == pos {
+		return free[:n-1]
 	}
-	for i, p := range s.free {
-		if p == pos {
-			s.free = append(s.free[:i], s.free[i+1:]...)
-			return
-		}
+	if i := slices.Index(free, pos); i >= 0 {
+		return slices.Delete(free, i, i+1)
 	}
+	return free
 }
 
 // Read answers spec from the single current state: a Key through the key
@@ -183,8 +186,8 @@ func (s *StaticStore) Versions(fn func(Version) bool) {
 }
 
 func (s *StaticStore) lookup(key tuple.Tuple) (int, bool) {
-	for _, pos := range s.byKey.Lookup(key.Hash64()) {
-		if s.rows[pos] != nil && tuple.Equal(s.rows[pos].Key(s.sch), key) {
+	for _, pos := range s.byKey.Lookup(key.Hash64(), make([]int, 0, 8)) {
+		if s.rows[pos] != nil && s.rows[pos].HasKey(s.sch, key) {
 			return pos, true
 		}
 	}

@@ -16,9 +16,10 @@ func BenchmarkHashAddLookup(b *testing.B) {
 		keys[i] = r.Uint64()
 		h.Add(keys[i], i)
 	}
+	var buf [8]int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h.Lookup(keys[i%len(keys)])
+		h.Lookup(keys[i%len(keys)], buf[:0])
 	}
 }
 

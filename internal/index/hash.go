@@ -1,95 +1,121 @@
 // Package index provides the access methods used by the stores in
-// internal/core: a chained hash index for key lookups, and an augmented
+// internal/core: a flat chained hash index for key lookups, and an augmented
 // interval tree for valid-time stabbing and overlap queries on the
 // historical store ("which versions held at chronon t?"). The append-only
 // stores need no time index: their segment.Log is already ordered by
 // transaction time.
 package index
 
+import (
+	"fmt"
+	"math"
+	"slices"
+)
+
 // Hash is a chained hash index from 64-bit hashes to postings (row
 // positions). Callers hash their own keys (value.Value and tuple.Tuple both
 // provide Hash64) and must verify candidates against the actual key, since
 // distinct keys may share a hash.
 //
-// The zero value is ready to use. Hash is not safe for concurrent mutation,
-// but once built it is safe for any number of concurrent readers: Lookup
-// and Len touch no mutable state. The TQuel parallel executor relies on
-// this — equi-join build tables are constructed serially at plan time and
-// then probed from every worker goroutine without locking.
+// It is two pointer-free arrays (docs/storage.md, "The key index"): table, a
+// power of two of chain heads, and entries, an arena of 16-byte postings
+// threaded into chains and, once removed, into a free list, so neither
+// outgrows the most postings held at once. Links are entry numbers plus one:
+// the zero Hash is empty and ready to use.
+//
+// Hash is not safe for concurrent mutation, but once built it is safe for
+// any number of concurrent readers: Lookup and Len touch no mutable state.
+// The TQuel parallel executor builds equi-join tables serially at plan time
+// and probes them from every worker goroutine without locking.
 type Hash struct {
-	buckets []bucket
-	used    int // occupied buckets (distinct hashes)
-	n       int // live postings
+	table   []int32
+	entries []entry
+	free    int32 // head of the chain of removed entries
+	n       int   // live postings
 }
 
-type bucket struct {
-	hash  uint64
-	posts []int
-	used  bool
+type entry struct {
+	hash      uint64
+	pos, next int32 // pos is -1 on the free list
 }
 
-const minBuckets = 16
-
-// NewHashSized returns a Hash preallocated for about n distinct hashes, so
-// bulk builds (the TQuel equi-join build side hashes its whole input at
-// once) skip the rehash-and-copy doublings.
+// NewHashSized returns a Hash with room for n postings, so bulk builds (the
+// TQuel equi-join build side hashes its whole input at once) never grow.
 func NewHashSized(n int) *Hash {
-	buckets := minBuckets
-	for buckets*3 < n*4 { // invert the 0.75 load factor
-		buckets *= 2
-	}
-	return &Hash{buckets: make([]bucket, buckets)}
+	h := new(Hash)
+	h.Reserve(n)
+	return h
 }
 
-// Add records a posting under the given hash.
+// Reserve makes room for n more postings: adding them allocates nothing and
+// rebuilds the table at most this once.
+func (h *Hash) Reserve(n int) {
+	h.entries = slices.Grow(h.entries, max(0, h.n+n-len(h.entries)))
+	if h.n+n > len(h.table) {
+		h.rethread(h.n + n)
+	}
+}
+
+// Add records a posting under the given hash, once per call. It panics on a
+// position, or a number of postings, beyond 2³¹−1 rather than wrap.
 func (h *Hash) Add(hash uint64, pos int) {
-	if h.buckets == nil {
-		h.buckets = make([]bucket, minBuckets)
+	if pos < 0 || pos > math.MaxInt32 || len(h.entries) == math.MaxInt32 {
+		panic(fmt.Sprintf("index: posting %d of %d does not fit 32 bits", pos, len(h.entries)))
 	}
-	if h.used*4 >= len(h.buckets)*3 { // load factor 0.75 on distinct hashes
-		h.grow()
+	if h.n >= len(h.table) { // load factor 1 on postings
+		h.rethread(h.n + 1)
 	}
-	b := h.find(hash)
-	if !b.used {
-		b.used = true
-		b.hash = hash
-		h.used++
+	e := h.free
+	if e != 0 {
+		h.free = h.entries[e-1].next
+	} else {
+		h.entries = append(h.entries, entry{})
+		e = int32(len(h.entries))
 	}
-	b.posts = append(b.posts, pos)
+	slot := &h.table[hash&uint64(len(h.table)-1)]
+	h.entries[e-1] = entry{hash: hash, pos: int32(pos), next: *slot}
+	*slot = e
 	h.n++
 }
 
-// Lookup returns the postings recorded under the hash. The returned slice
-// aliases index internals; callers must not modify it.
-func (h *Hash) Lookup(hash uint64) []int {
-	if h.buckets == nil {
-		return nil
+// Lookup appends the postings recorded under hash to dst, in no particular
+// order, and returns it: the caller's own, so the index may be changed while
+// it is walked (how the stores supersede the versions of a key). A dst too
+// small is grown once, the chain having been counted first.
+func (h *Hash) Lookup(hash uint64, dst []int) []int {
+	if len(h.table) == 0 {
+		return dst
 	}
-	b := h.find(hash)
-	if !b.used {
-		return nil
+	head, n := h.table[hash&uint64(len(h.table)-1)], 0
+	for e := head; e != 0; e = h.entries[e-1].next {
+		n++
 	}
-	return b.posts
+	dst = slices.Grow(dst, n)
+	for e := head; e != 0; e = h.entries[e-1].next {
+		if h.entries[e-1].hash == hash {
+			dst = append(dst, int(h.entries[e-1].pos))
+		}
+	}
+	return dst
 }
 
 // Remove deletes one instance of pos from the postings under hash,
-// reporting whether it was present. Emptied buckets stay occupied as
-// tombstoned chains so probe sequences remain intact.
+// reporting whether it was present.
 func (h *Hash) Remove(hash uint64, pos int) bool {
-	if h.buckets == nil {
+	if len(h.table) == 0 {
 		return false
 	}
-	b := h.find(hash)
-	if !b.used {
-		return false
-	}
-	for i, p := range b.posts {
-		if p == pos {
-			b.posts[i] = b.posts[len(b.posts)-1]
-			b.posts = b.posts[:len(b.posts)-1]
+	link := &h.table[hash&uint64(len(h.table)-1)]
+	for e := *link; e != 0; e = *link {
+		ent := &h.entries[e-1]
+		if ent.hash == hash && int(ent.pos) == pos {
+			*link = ent.next
+			*ent = entry{pos: -1, next: h.free}
+			h.free = e
 			h.n--
 			return true
 		}
+		link = &ent.next
 	}
 	return false
 }
@@ -97,28 +123,18 @@ func (h *Hash) Remove(hash uint64, pos int) bool {
 // Len returns the number of postings in the index.
 func (h *Hash) Len() int { return h.n }
 
-// find locates the bucket for hash using open addressing with linear
-// probing over hash slots (each slot holds one distinct hash's chain).
-func (h *Hash) find(hash uint64) *bucket {
-	mask := uint64(len(h.buckets) - 1)
-	for i := hash & mask; ; i = (i + 1) & mask {
-		b := &h.buckets[i]
-		if !b.used || b.hash == hash {
-			return b
-		}
+// rethread replaces the table with one of at least want slots and threads
+// the live entries into it.
+func (h *Hash) rethread(want int) {
+	size := max(16, len(h.table))
+	for size < want {
+		size *= 2
 	}
-}
-
-func (h *Hash) grow() {
-	old := h.buckets
-	h.buckets = make([]bucket, len(old)*2)
-	for i := range old {
-		if !old[i].used {
-			continue
+	h.table = make([]int32, size)
+	for i := range h.entries {
+		if ent := &h.entries[i]; ent.pos >= 0 {
+			slot := &h.table[ent.hash&uint64(size-1)]
+			ent.next, *slot = *slot, int32(i+1)
 		}
-		nb := h.find(old[i].hash)
-		nb.used = true
-		nb.hash = old[i].hash
-		nb.posts = old[i].posts
 	}
 }

@@ -7,19 +7,19 @@ import (
 
 func TestHashAddLookup(t *testing.T) {
 	var h Hash
-	if got := h.Lookup(1); got != nil {
+	if got := h.Lookup(1, nil); got != nil {
 		t.Errorf("empty Lookup = %v", got)
 	}
 	h.Add(100, 0)
 	h.Add(100, 1)
 	h.Add(200, 2)
-	if got := h.Lookup(100); len(got) != 2 {
+	if got := h.Lookup(100, nil); len(got) != 2 {
 		t.Errorf("Lookup(100) = %v", got)
 	}
-	if got := h.Lookup(200); len(got) != 1 || got[0] != 2 {
+	if got := h.Lookup(200, nil); len(got) != 1 || got[0] != 2 {
 		t.Errorf("Lookup(200) = %v", got)
 	}
-	if got := h.Lookup(300); got != nil {
+	if got := h.Lookup(300, nil); got != nil {
 		t.Errorf("Lookup(300) = %v", got)
 	}
 	if h.Len() != 3 {
@@ -40,7 +40,7 @@ func TestHashRemove(t *testing.T) {
 	if h.Remove(99, 0) {
 		t.Error("Remove absent hash must fail")
 	}
-	if got := h.Lookup(7); len(got) != 1 || got[0] != 11 {
+	if got := h.Lookup(7, nil); len(got) != 1 || got[0] != 11 {
 		t.Errorf("after Remove: %v", got)
 	}
 	if h.Len() != 1 {
@@ -59,7 +59,7 @@ func TestHashGrowthAgainstReference(t *testing.T) {
 		ref[k] = append(ref[k], i)
 	}
 	for k, want := range ref {
-		got := h.Lookup(k)
+		got := h.Lookup(k, nil)
 		if len(got) != len(want) {
 			t.Fatalf("Lookup(%d) = %d postings, want %d", k, len(got), len(want))
 		}
@@ -92,7 +92,7 @@ func TestHashCollidingHashesShareBucket(t *testing.T) {
 	var h Hash
 	h.Add(42, 1)
 	h.Add(42, 2)
-	if got := h.Lookup(42); len(got) != 2 {
+	if got := h.Lookup(42, nil); len(got) != 2 {
 		t.Errorf("colliding postings = %v", got)
 	}
 }
@@ -100,24 +100,23 @@ func TestHashCollidingHashesShareBucket(t *testing.T) {
 func TestNewHashSized(t *testing.T) {
 	for _, n := range []int{0, 1, 11, 12, 13, 1000, 5000} {
 		h := NewHashSized(n)
-		if got := len(h.buckets); got < minBuckets || got&(got-1) != 0 {
-			t.Fatalf("NewHashSized(%d): %d buckets, want a power of two >= %d", n, got, minBuckets)
+		// A bulk build of n postings into a table sized for n never grows:
+		// neither array is reallocated, so the footprint stands still and no
+		// Add allocates.
+		before := footprint(h)
+		i := 0
+		if allocs := testing.AllocsPerRun(1, func() {
+			for ; i < n; i++ {
+				h.Add(uint64(i)*2654435761, i)
+			}
+		}); allocs != 0 {
+			t.Errorf("NewHashSized(%d): bulk build allocated %v times", n, allocs)
 		}
-		// The preallocation must clear the 0.75 load factor for n distinct
-		// hashes, so a bulk build of n keys never grows.
-		if n > 0 && 4*n > 3*len(h.buckets) {
-			t.Fatalf("NewHashSized(%d): %d buckets breaches the load factor", n, len(h.buckets))
+		if n > 0 && footprint(h) != before {
+			t.Errorf("NewHashSized(%d) grew from %d to %d bytes during bulk build", n, before, footprint(h))
 		}
-		before := len(h.buckets)
 		for i := 0; i < n; i++ {
-			h.Add(uint64(i)*2654435761, i)
-		}
-		if len(h.buckets) != before {
-			t.Errorf("NewHashSized(%d) grew from %d to %d buckets during bulk build",
-				n, before, len(h.buckets))
-		}
-		for i := 0; i < n; i++ {
-			if got := h.Lookup(uint64(i) * 2654435761); len(got) != 1 || got[0] != i {
+			if got := h.Lookup(uint64(i)*2654435761, nil); len(got) != 1 || got[0] != i {
 				t.Fatalf("NewHashSized(%d): Lookup(%d) = %v", n, i, got)
 			}
 		}

@@ -118,6 +118,10 @@ func (s *Schema) KeyIndices() []int {
 	return out
 }
 
+// KeyAttrs is KeyIndices without the copy, for the per-row paths: the result
+// is the schema's own and must not be modified.
+func (s *Schema) KeyAttrs() []int { return s.key }
+
 // HasExplicitKey reports whether WithKey narrowed the key.
 func (s *Schema) HasExplicitKey() bool { return len(s.key) > 0 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strings"
 
 	"tdb/internal/schema"
 	"tdb/internal/value"
@@ -66,8 +67,9 @@ func AppendBlock(dst []byte, g *Segment) []byte {
 				dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
 			}
 		case value.String:
-			dst = binary.AppendUvarint(dst, uint64(len(c.dict)))
-			for _, s := range c.dict {
+			dst = binary.AppendUvarint(dst, uint64(c.dictLen()))
+			for d := 0; d < c.dictLen(); d++ {
+				s := c.str(uint32(d))
 				dst = binary.AppendUvarint(dst, uint64(len(s)))
 				dst = append(dst, s...)
 			}
@@ -181,15 +183,26 @@ func DecodeBlock(src []byte, sch *schema.Schema) (*Segment, int, error) {
 			if dictLen > uint64(len(src)) {
 				return nil, 0, fmt.Errorf("segment: column %d: implausible dict of %d", a, dictLen)
 			}
-			c.dict = make([]string, dictLen)
-			for d := range c.dict {
+			// One pass finds the entries' bounds, a second copies them into one blob.
+			c.offs = make([]uint32, dictLen+1)
+			first := off
+			for d := range c.offs[1:] {
 				slen, _, err := readUvarint(src, &off)
-				if err != nil || off+int(slen) > len(src) {
+				if err != nil || slen > uint64(len(src)-off) || uint64(c.offs[d])+slen > math.MaxUint32 {
 					return nil, 0, fmt.Errorf("segment: column %d dict entry: short block", a)
 				}
-				c.dict[d] = string(src[off : off+int(slen)])
 				off += int(slen)
+				c.offs[d+1] = c.offs[d] + uint32(slen)
 			}
+			var blob strings.Builder
+			blob.Grow(int(c.offs[dictLen]))
+			for d, at := 0, first; at < off; d++ {
+				_, n := binary.Uvarint(src[at:])
+				end := at + n + int(c.offs[d+1]-c.offs[d])
+				blob.Write(src[at+n : end])
+				at = end
+			}
+			c.blob = blob.String()
 			c.code = make([]uint32, rows)
 			for i := range c.code {
 				code, _, err := readUvarint(src, &off)
@@ -230,15 +243,15 @@ func (g *Segment) rebuildSummaries() {
 	g.current = 0
 	forever := int64(temporal.Forever)
 	for i := 0; i < g.n; i++ {
-		g.minTransFrom = min64(g.minTransFrom, g.transFrom[i])
-		g.maxTransFrom = max64(g.maxTransFrom, g.transFrom[i])
+		g.minTransFrom = min(g.minTransFrom, g.transFrom[i])
+		g.maxTransFrom = max(g.maxTransFrom, g.transFrom[i])
 		if g.transTo[i] == forever {
 			g.current++
 		} else {
-			g.maxClosedTo = max64(g.maxClosedTo, g.transTo[i])
+			g.maxClosedTo = max(g.maxClosedTo, g.transTo[i])
 		}
-		g.minValidFrom = min64(g.minValidFrom, g.validFrom[i])
-		g.maxValidTo = max64(g.maxValidTo, g.validTo[i])
+		g.minValidFrom = min(g.minValidFrom, g.validFrom[i])
+		g.maxValidTo = max(g.maxValidTo, g.validTo[i])
 	}
 	g.bloom = newBloom(g.keyHash)
 	g.buildAttrZones()

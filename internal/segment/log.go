@@ -149,24 +149,6 @@ func (l *Log) Row(pos int) Row {
 	}
 }
 
-// Trans returns the transaction period at pos without materializing data.
-func (l *Log) Trans(pos int) temporal.Interval {
-	if g, i := l.locate(pos); g != nil {
-		return temporal.Interval{From: temporal.Chronon(g.transFrom[i]), To: temporal.Chronon(g.transTo[i])}
-	} else {
-		return l.tail[i].Trans
-	}
-}
-
-// KeyHash returns the key hash at pos without materializing data.
-func (l *Log) KeyHash(pos int) uint64 {
-	if g, i := l.locate(pos); g != nil {
-		return g.keyHash[i]
-	} else {
-		return l.tail[i].KeyHash
-	}
-}
-
 // ScanTail calls fn for the rows not yet sealed, in commit order. Checkpoint
 // encoders pair it with Segments() to cover the whole log.
 func (l *Log) ScanTail(fn func(pos int, r Row) bool) {

@@ -41,14 +41,21 @@ type Row struct {
 	KeyHash uint64
 }
 
-// column is one attribute's storage inside a sealed segment.
+// column is one attribute's storage inside a sealed segment, pointer-free
+// below the slice headers: a string column's dictionary is one blob of the
+// distinct strings in first-seen order, entry d being blob[offs[d]:offs[d+1]].
 type column struct {
 	kind value.Kind
 	ints []int64   // Int, Bool (0/1), Instant payloads
 	fls  []float64 // Float payloads
-	dict []string  // String dictionary, first-seen order
+	blob string    // String dictionary entries
+	offs []uint32  // String dictionary bounds, one more than there are entries
 	code []uint32  // String dictionary codes, one per row
 }
+
+// dictLen and str read a string column's dictionary: its size, and entry d.
+func (c *column) dictLen() int        { return len(c.offs) - 1 }
+func (c *column) str(d uint32) string { return c.blob[c.offs[d]:c.offs[d+1]] }
 
 // Segment is an immutable columnar run of versions. All fields except
 // transTo (and the zone-map summaries derived from it) are frozen at seal
@@ -91,6 +98,20 @@ func (g *Segment) Len() int { return g.n }
 // Current returns the number of rows whose transaction period is open.
 func (g *Segment) Current() int { return g.current }
 
+// EachCurrent calls fn with the global position and key hash of each such row.
+func (g *Segment) EachCurrent(fn func(pos int, keyHash uint64)) {
+	for i, to := range g.transTo {
+		if to == int64(temporal.Forever) {
+			fn(g.start+i, g.keyHash[i])
+		}
+	}
+}
+
+// LastCommit returns the latest chronon a row was asserted or superseded at.
+func (g *Segment) LastCommit() temporal.Chronon {
+	return temporal.Chronon(max(g.maxTransFrom, g.maxClosedTo))
+}
+
 // seal builds a segment from rows, which become positions start..start+len.
 func seal(sch *schema.Schema, start int, rows []Row) *Segment {
 	g := &Segment{
@@ -116,11 +137,13 @@ func seal(sch *schema.Schema, start int, rows []Row) *Segment {
 			g.cols[a].fls = make([]float64, len(rows))
 		case value.String:
 			g.cols[a].code = make([]uint32, len(rows))
+			g.cols[a].offs = []uint32{0}
 		default:
 			g.cols[a].ints = make([]int64, len(rows))
 		}
 	}
 	dicts := make([]map[string]uint32, sch.Arity())
+	blobs := make([][]byte, sch.Arity())
 	for i, r := range rows {
 		g.transFrom[i] = int64(r.Trans.From)
 		g.transTo[i] = int64(r.Trans.To)
@@ -132,10 +155,10 @@ func seal(sch *schema.Schema, start int, rows []Row) *Segment {
 		} else if int64(r.Trans.To) > g.maxClosedTo {
 			g.maxClosedTo = int64(r.Trans.To)
 		}
-		g.minTransFrom = min64(g.minTransFrom, int64(r.Trans.From))
-		g.maxTransFrom = max64(g.maxTransFrom, int64(r.Trans.From))
-		g.minValidFrom = min64(g.minValidFrom, int64(r.Valid.From))
-		g.maxValidTo = max64(g.maxValidTo, int64(r.Valid.To))
+		g.minTransFrom = min(g.minTransFrom, int64(r.Trans.From))
+		g.maxTransFrom = max(g.maxTransFrom, int64(r.Trans.From))
+		g.minValidFrom = min(g.minValidFrom, int64(r.Valid.From))
+		g.maxValidTo = max(g.maxValidTo, int64(r.Valid.To))
 		for a := range g.cols {
 			v := r.Data[a]
 			switch g.cols[a].kind {
@@ -148,8 +171,11 @@ func seal(sch *schema.Schema, start int, rows []Row) *Segment {
 				s := v.Str()
 				code, ok := dicts[a][s]
 				if !ok {
-					code = uint32(len(g.cols[a].dict))
-					g.cols[a].dict = append(g.cols[a].dict, s)
+					code = uint32(g.cols[a].dictLen())
+					if blobs[a] = append(blobs[a], s...); uint64(len(blobs[a])) > math.MaxUint32 {
+						panic("segment: a string column's dictionary exceeds 4 GiB")
+					}
+					g.cols[a].offs = append(g.cols[a].offs, uint32(len(blobs[a])))
 					dicts[a][s] = code
 				}
 				g.cols[a].code[i] = code
@@ -163,6 +189,9 @@ func seal(sch *schema.Schema, start int, rows []Row) *Segment {
 				g.cols[a].ints[i] = v.Int()
 			}
 		}
+	}
+	for a := range g.cols {
+		g.cols[a].blob = string(blobs[a]) // an exact copy: the tail's strings are let go
 	}
 	g.bloom = newBloom(g.keyHash)
 	g.buildAttrZones()
@@ -202,11 +231,9 @@ func (g *Segment) buildAttrZones() {
 				g.attrMin[a], g.attrMax[a] = value.NewFloat(lo), value.NewFloat(hi)
 			}
 		case value.String:
-			if len(c.dict) == 0 {
-				continue
-			}
-			lo, hi := c.dict[0], c.dict[0]
-			for _, s := range c.dict[1:] {
+			lo, hi := c.str(0), c.str(0)
+			for d := 1; d < c.dictLen(); d++ {
+				s := c.str(uint32(d))
 				if s < lo {
 					lo = s
 				}
@@ -258,8 +285,8 @@ func (g *Segment) maxTransTo() int64 {
 
 // row builds row i (0-based within the segment) from the columns, which
 // are the only copy of a sealed row: every call makes a fresh tuple, the
-// caller's to keep. Strings share the dictionary's backing; no payload bytes
-// are copied.
+// caller's to keep. Strings are slices of the dictionary blob; no payload
+// bytes are copied.
 func (g *Segment) row(i int) Row {
 	t := make(tuple.Tuple, len(g.cols))
 	for a := range g.cols {
@@ -267,7 +294,7 @@ func (g *Segment) row(i int) Row {
 		case value.Float:
 			t[a] = value.NewFloat(g.cols[a].fls[i])
 		case value.String:
-			t[a] = value.NewString(g.cols[a].dict[g.cols[a].code[i]])
+			t[a] = value.NewString(g.cols[a].str(g.cols[a].code[i]))
 		case value.Bool:
 			t[a] = value.NewBool(g.cols[a].ints[i] != 0)
 		case value.Instant:
@@ -292,13 +319,13 @@ func (g *Segment) closeTrans(i int, to temporal.Chronon) {
 	g.transTo[i] = int64(to)
 	if was == temporal.Forever && to != temporal.Forever {
 		g.current--
-		g.maxClosedTo = max64(g.maxClosedTo, int64(to))
+		g.maxClosedTo = max(g.maxClosedTo, int64(to))
 	} else if was != temporal.Forever && to == temporal.Forever {
 		// Transaction abort restoring a closure. maxClosedTo keeps the stale
 		// bound — zone maps may only over-approximate, never under.
 		g.current++
 	} else if to != temporal.Forever {
-		g.maxClosedTo = max64(g.maxClosedTo, int64(to))
+		g.maxClosedTo = max(g.maxClosedTo, int64(to))
 	}
 }
 
@@ -511,10 +538,10 @@ func (f *Filter) bind(g *Segment) (code uint32, ok bool) {
 	if g.cols[f.Attr].kind != value.String {
 		return 0, true
 	}
-	want := f.val.Str()
-	for code, s := range g.cols[f.Attr].dict {
-		if s == want {
-			return uint32(code), true
+	c, want := &g.cols[f.Attr], f.val.Str()
+	for d := 0; d < c.dictLen(); d++ {
+		if c.str(uint32(d)) == want {
+			return uint32(d), true
 		}
 	}
 	return 0, false
@@ -542,18 +569,4 @@ type Stats struct {
 
 func (s Stats) String() string {
 	return fmt.Sprintf("segments=%d sealed=%d tail=%d", s.Segments, s.SealedRows, s.TailRows)
-}
-
-func min64(a, b int64) int64 {
-	if b < a {
-		return b
-	}
-	return a
-}
-
-func max64(a, b int64) int64 {
-	if b > a {
-		return b
-	}
-	return a
 }

@@ -1,9 +1,11 @@
 package segment
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"testing"
 
 	"tdb/internal/schema"
@@ -551,10 +553,56 @@ func TestIntRange(t *testing.T) {
 
 // TestCodecRoundTrip: encode/decode must reproduce every row image and the
 // derived summaries (prune decisions, bloom membership).
+// edgeLog seals the dictionary shapes random rows never produce: in its
+// first segment every name is distinct, one of them the empty string, and
+// dept is one value; in its second every name is the empty string (a
+// dictionary of one entry and no bytes) and every dept distinct.
+func edgeLog() *Log {
+	l := NewLog(testSchema())
+	for i := 0; i < 60; i++ {
+		name, dept := fmt.Sprintf("n%03d", i), "ops"
+		if i == 7 {
+			name = ""
+		}
+		if i >= 30 {
+			name, dept = "", fmt.Sprintf("d%d", i*i)
+		}
+		data := tuple.Tuple{
+			value.NewString(name), value.NewString(dept), value.NewInt(int64(i - 30)),
+			value.NewFloat(float64(i) / 4), value.NewBool(i%3 == 0), value.NewInstant(temporal.Chronon(1000 + i)),
+		}
+		l.Append(Row{
+			Data:    data,
+			Valid:   temporal.Interval{From: temporal.Chronon(i), To: temporal.Chronon(2 * (i + 1))},
+			Trans:   temporal.Since(temporal.Chronon(100 + i/2)),
+			KeyHash: data[0].Hash64(),
+		})
+		if i == 29 {
+			l.SealNow()
+		}
+	}
+	l.CloseTrans(3, 140)
+	l.SealNow()
+	return l
+}
+
+// TestCodecRoundTrip: a decoded block is the segment that was encoded, and
+// the bytes are the ones the block format has always had —
+// testdata/parent_blocks.bin was written by AppendBlock when a column's
+// dictionary was still a []string (commit 645f1ca), from the edge segments
+// and the first random one.
 func TestCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	l, _ := buildPair(rng, 1200)
-	for si, g := range l.Segments() {
+	edge := edgeLog().Segments()
+	var blocks []byte
+	for _, g := range append(edge[:len(edge):len(edge)], l.Segments()[0]) {
+		blocks = AppendBlock(blocks, g)
+	}
+	if want, err := os.ReadFile("testdata/parent_blocks.bin"); err != nil || !bytes.Equal(blocks, want) {
+		t.Errorf("encoded blocks differ from the parent-written %d bytes (read: %v)", len(want), err)
+	}
+	for si, g := range append(edge, l.Segments()...) {
 		block := AppendBlock(nil, g)
 		dec, used, err := DecodeBlock(block, testSchema())
 		if err != nil {

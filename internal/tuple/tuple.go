@@ -5,7 +5,6 @@ package tuple
 
 import (
 	"fmt"
-	"hash/fnv"
 	"strings"
 
 	"tdb/internal/schema"
@@ -35,7 +34,7 @@ func (t Tuple) Validate(s *schema.Schema) error {
 // Key projects the tuple onto the schema's key attributes; with no explicit
 // key the whole tuple is the key.
 func (t Tuple) Key(s *schema.Schema) Tuple {
-	ks := s.KeyIndices()
+	ks := s.KeyAttrs()
 	if len(ks) == 0 {
 		return t
 	}
@@ -44,6 +43,26 @@ func (t Tuple) Key(s *schema.Schema) Tuple {
 		out[i] = t[k]
 	}
 	return out
+}
+
+// KeyHash is t.Key(s).Hash64() without building the key.
+func (t Tuple) KeyHash(s *schema.Schema) uint64 { return t.hashAt(s.KeyAttrs()) }
+
+// HasKey is Equal(t.Key(s), key) without building t's key.
+func (t Tuple) HasKey(s *schema.Schema, key Tuple) bool {
+	ks := s.KeyAttrs()
+	if len(ks) == 0 {
+		return Equal(t, key)
+	}
+	if len(key) != len(ks) {
+		return false
+	}
+	for i, k := range ks {
+		if !value.Equal(t[k], key[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Project returns the tuple restricted to the given attribute positions in
@@ -79,22 +98,29 @@ func Equal(a, b Tuple) bool {
 }
 
 // Hash64 returns a stable hash of the tuple contents.
-func (t Tuple) Hash64() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, v := range t {
-		u := v.Hash64()
-		buf[0] = byte(u)
-		buf[1] = byte(u >> 8)
-		buf[2] = byte(u >> 16)
-		buf[3] = byte(u >> 24)
-		buf[4] = byte(u >> 32)
-		buf[5] = byte(u >> 40)
-		buf[6] = byte(u >> 48)
-		buf[7] = byte(u >> 56)
-		h.Write(buf[:])
+func (t Tuple) Hash64() uint64 { return t.hashAt(nil) }
+
+// hashAt hashes the values at positions ks, every value when ks is empty:
+// FNV-1a over their hashes as eight little-endian bytes each. Key hashes are
+// stored in checkpoint blocks, so this is part of the on-disk format.
+func (t Tuple) hashAt(ks []int) uint64 {
+	n := len(ks)
+	if n == 0 {
+		n = len(t)
 	}
-	return h.Sum64()
+	h := uint64(14695981039346656037)
+	for i := 0; i < n; i++ {
+		v := &t[i]
+		if len(ks) > 0 {
+			v = &t[ks[i]]
+		}
+		u := v.Hash64()
+		for b := 0; b < 8; b++ {
+			h = (h ^ u&0xff) * 1099511628211
+			u >>= 8
+		}
+	}
+	return h
 }
 
 // Clone returns an independent copy.

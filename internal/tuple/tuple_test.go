@@ -1,6 +1,8 @@
 package tuple
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 
@@ -146,5 +148,46 @@ func TestEmptyTupleRoundTrip(t *testing.T) {
 	dec, n, err := DecodeBinary(enc)
 	if err != nil || n != 2 || len(dec) != 0 {
 		t.Errorf("empty tuple round trip: %v %d %v", dec, n, err)
+	}
+}
+
+// Key hashes are written into checkpoint blocks, so Hash64 must stay what it
+// was when it went through hash/fnv: FNV-1a over each value's hash as eight
+// little-endian bytes. KeyHash and HasKey are Key().Hash64() and
+// Equal(Key(), ·) without the projected tuple, under an explicit key (in
+// either attribute order) and under the whole-tuple key, and allocate nothing.
+func TestKeyHashAndHasKey(t *testing.T) {
+	base := schema.MustNew(
+		schema.Attribute{Name: "name", Type: value.String},
+		schema.Attribute{Name: "rank", Type: value.String},
+		schema.Attribute{Name: "n", Type: value.Int},
+	)
+	tup := New(value.NewString("Tom"), value.NewString(""), value.NewInt(-7))
+	ref := fnv.New64a()
+	for _, v := range tup {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v.Hash64())
+		ref.Write(b[:])
+	}
+	if tup.Hash64() != ref.Sum64() {
+		t.Fatalf("Hash64 = %#x, FNV-1a of the value hashes is %#x", tup.Hash64(), ref.Sum64())
+	}
+	for _, names := range [][]string{nil, {"name"}, {"n", "name"}, {"name", "rank", "n"}} {
+		s, err := base.WithKey(names...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := tup.Key(s)
+		if tup.KeyHash(s) != key.Hash64() {
+			t.Errorf("key %v: KeyHash differs from Key().Hash64()", names)
+		}
+		other := key.Clone()
+		other[len(other)-1] = value.NewString("x")
+		if !tup.HasKey(s, key) || tup.HasKey(s, other) || tup.HasKey(s, key[:len(key)-1]) {
+			t.Errorf("key %v: HasKey disagrees with Equal(Key(), ·)", names)
+		}
+		if a := testing.AllocsPerRun(100, func() { _ = tup.KeyHash(s); _ = tup.HasKey(s, key) }); a != 0 {
+			t.Errorf("key %v: KeyHash+HasKey allocate %v times", names, a)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -15,9 +16,10 @@ import (
 // batch as one file write and one fsync (Log.AppendPayloads). Under
 // concurrency the batch grows naturally: while the leader is inside an
 // fsync, every committer that arrives queues up behind it and is flushed
-// together the moment the fsync returns — no timer needed. MaxWait can
-// widen the window further for workloads that trickle in, trading commit
-// latency for larger batches.
+// together the moment the fsync returns — no timer needed; committers that
+// come back just after it are waited for briefly (see minPatience). MaxWait
+// can widen the window further for workloads that trickle in, trading
+// commit latency for larger batches.
 //
 // Error delivery is per batch: AppendPayloads rolls a failed batch back to
 // the pre-batch file size, so exactly the committers whose records it
@@ -49,7 +51,8 @@ type GroupOptions struct {
 	// batch arrives, hoping more committers show up. Zero (the default)
 	// defers to TDB_GROUP_COMMIT_WAIT and then flushes immediately —
 	// batching still emerges from commits that arrive during the previous
-	// flush's fsync, which costs idle workloads nothing.
+	// flush's fsync or, from committers it showed, just after it (see
+	// minPatience), which costs idle workloads nothing.
 	MaxWait time.Duration
 	// Notify, when non-nil, runs after every successful flush — the hook
 	// the database uses to wake replication streams without the leader
@@ -172,15 +175,32 @@ func (g *GroupCommitter) Close() error {
 	return nil
 }
 
+// With no wait window armed the leader still waits for committers it has
+// reason to expect: the ones its last flush released come back a round trip
+// later, short beside an fsync, and flushing without them makes callers that
+// wait for their reply take turns, one fsync each, where one would carry
+// them all (docs/ingest.md). It blocks while it waits — a leader that yields
+// keeps its processor from polling the network they come back over — and a
+// blocked wait that runs out costs a millisecond whatever was asked, so
+// after one it goes missRest flushes without; an append so quick that a
+// quarter of it is under minPatience (Sync off) is never waited for.
+const (
+	minPatience = 20 * time.Microsecond
+	missRest    = 64
+)
+
 // run is the leader loop: wait for work, optionally linger to coalesce,
 // pop a bounded prefix of the queue, flush it as one append, deliver the
 // shared result to every committer it covered.
 func (g *GroupCommitter) run() {
 	defer close(g.done)
+	var (
+		expect int           // committers the last flush showed at once
+		took   time.Duration // how long its append took; a quarter of that is waited for them
+		calm   = missRest    // flushes since such a wait last ran out
+	)
 	for {
-		g.mu.Lock()
-		n, closed := len(g.queue), g.closed
-		g.mu.Unlock()
+		n, closed := g.queued()
 		if n == 0 {
 			if closed {
 				return
@@ -188,26 +208,31 @@ func (g *GroupCommitter) run() {
 			<-g.wake
 			continue
 		}
+		wait, enough := g.maxWait, g.maxBatch
+		if wait == 0 && n < expect && took/4 >= minPatience && calm >= missRest {
+			wait, enough = took/4, min(expect, g.maxBatch)
+		}
 		switch {
-		case g.maxWait > 0 && n < g.maxBatch && !closed:
-			timer := time.NewTimer(g.maxWait)
+		case wait > 0 && n < enough && !closed:
+			timer := time.NewTimer(wait)
 		linger:
 			for {
 				select {
 				case <-g.wake:
-					g.mu.Lock()
-					n, closed = len(g.queue), g.closed
-					g.mu.Unlock()
-					if n >= g.maxBatch || closed {
+					n, closed = g.queued()
+					if n >= enough || closed {
 						break linger
 					}
 				case <-timer.C:
+					if g.maxWait == 0 {
+						calm = -1
+					}
 					break linger
 				}
 			}
 			timer.Stop()
 		case n < g.maxBatch && !closed:
-			// No wait window armed: linger opportunistically instead. Each
+			// Nothing to wait for: linger opportunistically instead. Each
 			// yield lets runnable committers finish the enqueue they are
 			// already inside, growing the batch at scheduler-switch cost —
 			// microseconds, where even the shortest timer sleep costs
@@ -217,38 +242,36 @@ func (g *GroupCommitter) run() {
 			// workloads produce byte-for-byte the logs they always did.
 			for yields := 0; yields < 8; yields++ {
 				runtime.Gosched()
-				g.mu.Lock()
-				grown, closed := len(g.queue), g.closed
-				g.mu.Unlock()
+				grown, closed := g.queued()
 				if grown == n || grown >= g.maxBatch || closed {
 					break
 				}
 				n = grown
 			}
 		}
-		g.flushPrefix()
+		expect, took = g.flushPrefix()
+		calm = min(calm+1, missRest)
 	}
 }
 
-// flushPrefix pops up to maxBatch queued records, appends them as one
-// batch, and delivers the result.
-func (g *GroupCommitter) flushPrefix() {
+func (g *GroupCommitter) queued() (n int, closed bool) {
 	g.mu.Lock()
-	n := len(g.queue)
-	if n > g.maxBatch {
-		n = g.maxBatch
-	}
-	batch := make([]pendingRec, n)
-	copy(batch, g.queue[:n])
-	rest := len(g.queue) - n
-	copy(g.queue, g.queue[n:])
-	for i := rest; i < len(g.queue); i++ {
-		g.queue[i] = pendingRec{}
-	}
-	g.queue = g.queue[:rest]
+	defer g.mu.Unlock()
+	return len(g.queue), g.closed
+}
+
+// flushPrefix pops up to maxBatch queued records, appends them as one
+// batch, and delivers the result. It returns how many committers it saw at
+// once — those it popped and those queued behind them when the append
+// returned, before any is released to come back — and how long that took.
+func (g *GroupCommitter) flushPrefix() (crowd int, took time.Duration) {
+	g.mu.Lock()
+	n := min(len(g.queue), g.maxBatch)
+	batch := slices.Clone(g.queue[:n])
+	g.queue = slices.Delete(g.queue, 0, n) // zeroes the vacated tail
 	g.mu.Unlock()
 	if n == 0 {
-		return
+		return 0, 0
 	}
 	payloads := make([][]byte, 0, n)
 	for _, p := range batch {
@@ -258,13 +281,17 @@ func (g *GroupCommitter) flushPrefix() {
 	}
 	var err error
 	if len(payloads) > 0 {
+		start := time.Now()
 		err = g.log.AppendPayloads(payloads)
+		took = time.Since(start)
 		mGroupBatch.Observe(float64(len(payloads)))
 	}
+	behind, _ := g.queued()
 	for _, p := range batch {
 		p.done <- err
 	}
 	if err == nil && len(payloads) > 0 && g.notify != nil {
 		g.notify()
 	}
+	return n + behind, took
 }

@@ -3,6 +3,9 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"io"
+	"io/fs"
+	"net"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -235,5 +238,116 @@ func TestGroupCommitSyncFailurePoisonsOnlyItsBatch(t *testing.T) {
 	want := []temporal.Chronon{1000, 1003}
 	if len(commits) != len(want) || commits[0] != want[0] || commits[1] != want[1] {
 		t.Fatalf("replayed commits %v, want %v (failed batch leaked or durable batch lost)", commits, want)
+	}
+}
+
+// slowSyncFS is the OS filesystem with an fsync that takes a fixed time.
+type slowSyncFS struct {
+	vfs.OS
+	sync time.Duration
+}
+
+func (s slowSyncFS) OpenFile(name string, flag int, perm fs.FileMode) (vfs.File, error) {
+	f, err := s.OS.OpenFile(name, flag, perm)
+	return slowSyncFile{f, s.sync}, err
+}
+
+type slowSyncFile struct {
+	vfs.File
+	sync time.Duration
+}
+
+func (f slowSyncFile) Sync() error {
+	time.Sleep(f.sync)
+	return f.File.Sync()
+}
+
+// Committers that each wait for their commit and then take a moment to come
+// back with the next (a reply and a request on the wire: here a byte echoed
+// over loopback) share fsyncs instead of taking turns: the leader waits, for
+// a fraction of an fsync, for the committers its last flush showed.
+func TestGroupCommitClosedLoopCommittersShareSyncs(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "tdb.wal")
+	l, err := Open(slowSyncFS{sync: 4 * time.Millisecond}, path, Options{Sync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	g := NewGroupCommitter(l, GroupOptions{})
+	defer g.Close()
+
+	echo, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer echo.Close()
+	go func() {
+		for {
+			c, err := echo.Accept()
+			if err != nil {
+				return
+			}
+			go io.Copy(c, c)
+		}
+	}()
+
+	const committers, each = 2, 40
+	before := mFsyncs.Value()
+	var wg sync.WaitGroup
+	for c := 0; c < committers; c++ {
+		wire, err := net.Dial("tcp", echo.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer wire.Close()
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			b := make([]byte, 1)
+			for i := 0; i < each; i++ {
+				if err := g.Commit(tinyRecord(c*each + i)); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := wire.Write(b); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := wire.Read(b); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	// Sharing every flush is 40 fsyncs, taking turns is 80.
+	if got := mFsyncs.Value() - before; got > 60 {
+		t.Fatalf("%d fsyncs for %d commits from %d closed-loop committers, want at most 60", got, committers*each, committers)
+	}
+	if got := l.Records(); got != committers*each {
+		t.Fatalf("log records = %d, want %d", got, committers*each)
+	}
+}
+
+// A lone committer is never kept waiting for company: each of its records
+// is flushed alone, as before.
+func TestGroupCommitLoneCommitterFlushesAlone(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "tdb.wal")
+	l, err := Open(slowSyncFS{sync: time.Millisecond}, path, Options{Sync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	g := NewGroupCommitter(l, GroupOptions{})
+	defer g.Close()
+	before := mFsyncs.Value()
+	for i := 0; i < 20; i++ {
+		if err := g.Commit(tinyRecord(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := mFsyncs.Value() - before; got != 20 {
+		t.Fatalf("%d fsyncs for 20 sequential commits, want 20", got)
 	}
 }

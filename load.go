@@ -72,6 +72,7 @@ func (r *Relation) Load(rows []LoadRow) (int, error) {
 				return err
 			}
 			tx.ops = make([]wal.Op, 0, len(part))
+			h.rel.Store().Reserve(len(part))
 			for i := range part {
 				op, err := loadOp(h.rel, &part[i])
 				if err == nil {

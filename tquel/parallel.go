@@ -93,6 +93,7 @@ func (t *execTally) add(o execTally) {
 type planExec struct {
 	ev    *env
 	cells []binding
+	posts [][]int // per depth, the build-table postings of the probe in progress
 	rows  []ResultRow
 	tally execTally
 }
@@ -138,7 +139,11 @@ func runPlan(pl *queryPlan, ex *planExec, lo, hi int, emitRow func(*planExec) er
 			ex.tally.probes++
 			probe := &ex.cells[pv.join.probeDepth]
 			key := joinHash(probe.data[pv.join.probeIdx], pv.join.numeric)
-			for _, pos := range pv.join.table.Lookup(key) {
+			if ex.posts == nil {
+				ex.posts = make([][]int, len(pl.vars))
+			}
+			ex.posts[depth] = pv.join.table.Lookup(key, ex.posts[depth][:0])
+			for _, pos := range ex.posts[depth] {
 				if err := step(&pv.versions[pos]); err != nil {
 					return err
 				}
