@@ -11,22 +11,6 @@ import (
 	"tdb/temporal"
 )
 
-// crashSample returns the matrix stride: 1 (exhaustive) by default, or the
-// value of TDB_CRASH_SAMPLE so slow configurations (-race in CI) can walk
-// every n-th crash point instead of all of them.
-func crashSample(t *testing.T) int {
-	t.Helper()
-	s := os.Getenv("TDB_CRASH_SAMPLE")
-	if s == "" {
-		return 1
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 1 {
-		t.Fatalf("TDB_CRASH_SAMPLE=%q: want a positive integer", s)
-	}
-	return n
-}
-
 // commitPoint pairs a commit's full observable state with the log size it
 // left behind, so a mutilated log can be checked against the exact
 // committed prefix it should recover to.
@@ -97,7 +81,6 @@ func reopenedDigest(t *testing.T, path string) ([]string, error) {
 // prefix (all earlier commits, nothing of the torn one) — or refuse with
 // ErrCorrupt. Silent divergence, not failure, is the bug class under test.
 func TestCrashMatrixTornFinalRecord(t *testing.T) {
-	stride := crashSample(t)
 	dir := t.TempDir()
 	src := filepath.Join(dir, "tdb.wal")
 	points := buildCommitHistory(t, src)
@@ -132,13 +115,13 @@ func TestCrashMatrixTornFinalRecord(t *testing.T) {
 
 	// Truncation at every offset inside the final record, including the
 	// exact prev boundary (clean truncation of the whole record).
-	for cut := prev.size; cut < last.size; cut += int64(stride) {
+	for cut := prev.size; cut < last.size; cut++ {
 		check("truncate@"+strconv.FormatInt(cut, 10), logBytes[:cut], prev.digest)
 	}
 
 	// A bit flip anywhere in the final record must be caught by its
 	// checksum: the record is discarded as a torn tail, never half-applied.
-	for off := prev.size; off < last.size; off += int64(stride) {
+	for off := prev.size; off < last.size; off++ {
 		mutated := append([]byte(nil), logBytes...)
 		mutated[off] ^= 0xff
 		check("flip@"+strconv.FormatInt(off, 10), mutated, prev.digest)
@@ -176,7 +159,6 @@ func copyDBFiles(t *testing.T, src, dstDir string) string {
 // without crashing, so new operations added to Checkpoint are covered
 // automatically.
 func TestCrashMatrixCheckpoint(t *testing.T) {
-	stride := crashSample(t)
 	srcDir := t.TempDir()
 	src := filepath.Join(srcDir, "tdb.wal")
 	db, err := Open(src, Options{Clock: temporal.NewLogicalClock(temporal.Date(1985, 1, 1))})
@@ -191,7 +173,7 @@ func TestCrashMatrixCheckpoint(t *testing.T) {
 
 	const maxPoints = 500 // far above any plausible checkpoint op count
 	completedAt := int64(-1)
-	for k := int64(1); k <= maxPoints; k += int64(stride) {
+	for k := int64(1); k <= maxPoints; k++ {
 		path := copyDBFiles(t, src, t.TempDir())
 		ffs := vfs.NewFaultFS(vfs.OS{})
 		cdb, err := Open(path, Options{
@@ -232,5 +214,5 @@ func TestCrashMatrixCheckpoint(t *testing.T) {
 	if completedAt < 0 {
 		t.Fatalf("checkpoint still crashing after %d fault points", maxPoints)
 	}
-	t.Logf("checkpoint matrix: %d crash points exercised (stride %d)", completedAt, stride)
+	t.Logf("checkpoint matrix: %d crash points exercised", completedAt)
 }

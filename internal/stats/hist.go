@@ -256,18 +256,6 @@ func (ih *IntervalHist) endsAtOrBefore(t temporal.Chronon) float64 {
 	return ih.Ends.CumLE(int64(t))
 }
 
-// OverlapSel estimates the fraction of recorded intervals overlapping q,
-// via the sweep identity overlap(q) = N − starts≥q.To − ends≤q.From:
-// an interval misses [q.From, q.To) exactly when it starts after the query
-// ends or ends before it starts.
-func (ih *IntervalHist) OverlapSel(q temporal.Interval) float64 {
-	if ih.N == 0 || q.IsEmpty() {
-		return 0
-	}
-	est := ih.startsBefore(q.To) - ih.endsAtOrBefore(q.From)
-	return clamp01(est / float64(ih.N))
-}
-
 // ContainsSel estimates the fraction of recorded intervals containing the
 // instant t: those started by t minus those already ended.
 func (ih *IntervalHist) ContainsSel(t temporal.Chronon) float64 {

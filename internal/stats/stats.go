@@ -112,16 +112,6 @@ func (r *Rel) NDV(attr int) float64 {
 	return d
 }
 
-// ValidOverlapSel estimates the fraction of versions whose valid period
-// overlaps q; ok is false when the relation records no valid axis or has
-// no intervals to estimate from.
-func (r *Rel) ValidOverlapSel(q temporal.Interval) (float64, bool) {
-	if !r.HasValid || r.Valid.N == 0 {
-		return 0, false
-	}
-	return r.Valid.OverlapSel(q), true
-}
-
 // ValidExtent returns the finite valid-time span the relation's recorded
 // intervals cover; ok is false without a valid axis or finite endpoints.
 // The planner divides it by a window clause's slide to estimate how many

@@ -194,37 +194,6 @@ func seededIntervals(seed int64, n int) []temporal.Interval {
 	return out
 }
 
-// Estimated overlap selectivity must track the true fraction on a seeded
-// workload across narrow, wide, early, and late query windows.
-func TestOverlapSelAccuracy(t *testing.T) {
-	ivs := seededIntervals(17, 4000)
-	var ih IntervalHist
-	for _, iv := range ivs {
-		ih.Add(iv)
-	}
-	base := int64(temporal.Date(1980, 1, 1))
-	queries := []temporal.Interval{
-		{From: temporal.Chronon(base), To: temporal.Chronon(base + 10_000)},
-		{From: temporal.Chronon(base + 1_000_000), To: temporal.Chronon(base + 1_200_000)},
-		{From: temporal.Chronon(base + 2_900_000), To: temporal.Forever},
-		{From: temporal.Beginning, To: temporal.Chronon(base + 500_000)},
-		{From: temporal.Chronon(base + 100_000), To: temporal.Chronon(base + 2_800_000)},
-	}
-	for _, q := range queries {
-		truth := 0
-		for _, iv := range ivs {
-			if iv.Overlaps(q) {
-				truth++
-			}
-		}
-		trueSel := float64(truth) / float64(len(ivs))
-		est := ih.OverlapSel(q)
-		if math.Abs(est-trueSel) > 0.1 {
-			t.Errorf("OverlapSel(%v) = %.3f, true %.3f (err %.3f > 0.1)", q, est, trueSel, math.Abs(est-trueSel))
-		}
-	}
-}
-
 // ContainsSel (the as-of visibility estimate) must track the true fraction
 // of intervals containing an instant.
 func TestContainsSelAccuracy(t *testing.T) {

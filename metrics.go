@@ -2,6 +2,9 @@ package tdb
 
 import "tdb/internal/obs"
 
+var mViews = obs.Default.Counter("tdb_db_views_total",
+	"Read views opened (DB.View): a retrieve or explain opens exactly one, an append, delete or replace none outside its transaction.")
+
 var (
 	mRecoveries = obs.Default.Counter("tdb_recovery_total",
 		"Recovery passes run by Open on log-backed databases.")

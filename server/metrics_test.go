@@ -121,6 +121,12 @@ func TestSlowQueryLogged(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The server times a command through the flush of its reply, so it counts
+	// and logs after the client already has the answer: wait for it.
+	deadline := time.Now().Add(5 * time.Second)
+	for !strings.Contains(logged(), "slow query") && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
 	if got := mSlowTotal.Value() - before; got != 1 {
 		t.Errorf("slow counter delta = %d, want 1", got)
 	}

@@ -481,3 +481,72 @@ func TestReplaceIsAtomicOverTheWire(t *testing.T) {
 			clients*increments, final.Outcomes[0].Table)
 	}
 }
+
+// tquel's TestRetrieveSurvivesRecreate over the wire: one connection keeps
+// destroying r and recreating it under another schema while two others
+// retrieve x.c. Every answer is a missing-relation error or c's value (3 or
+// 9) — and the server is still there to give it: a statement that analyzed
+// against one r and fetched from the next panicked the whole process.
+func TestRetrieveSurvivesRecreateOverTheWire(t *testing.T) {
+	_, addr := startServer(t)
+	ddl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ddl.Close()
+	const wide = `create static relation r (a = int, b = int, c = int) append to r (a = 1, b = 2, c = 3)`
+	const narrow = `create static relation r (c = int) append to r (c = 9)`
+	if resp, err := ddl.Exec(wide); err != nil || resp.Error != "" {
+		t.Fatalf("%v / %+v", err, resp)
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if resp, err := c.Exec(`range of x is r`); err != nil || resp.Error != "" {
+			t.Fatalf("%v / %+v", err, resp)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				resp, err := c.Exec(`retrieve (x.c)`)
+				switch {
+				case err != nil:
+					t.Errorf("the server went away: %v", err)
+					return
+				case resp.Error != "":
+					if !strings.Contains(resp.Error, tdb.ErrRelationNotFound.Error()) {
+						t.Errorf("retrieve failed with something other than a missing relation: %s", resp.Error)
+						return
+					}
+				case resp.Outcomes[0].Rows == 1:
+					if tbl := resp.Outcomes[0].Table; !strings.Contains(tbl, "| 3 |") && !strings.Contains(tbl, "| 9 |") {
+						t.Errorf("retrieve (x.c) answered another column's value:\n%s", tbl)
+						return
+					}
+				}
+			}
+		}()
+	}
+	for i := 0; i < 4000; i++ {
+		next := narrow
+		if i%2 == 1 {
+			next = wide
+		}
+		if resp, err := ddl.Exec("destroy r " + next); err != nil || resp.Error != "" {
+			t.Fatalf("%v / %+v", err, resp)
+		}
+	}
+	close(done)
+	wg.Wait()
+}

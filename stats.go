@@ -36,8 +36,7 @@ func (db *DB) statsEntry(name string) *stats.Rel {
 
 // statsCreate registers empty statistics for a newly created relation.
 // Caller holds db.mu.Lock.
-func (db *DB) statsCreate(name string, kind Kind, event bool, sch *Schema) {
-	_ = event
+func (db *DB) statsCreate(name string, kind Kind, sch *Schema) {
 	db.stats[name] = stats.NewRel(sch.Arity(), kind.SupportsHistorical(), kind.SupportsRollback())
 }
 
@@ -54,7 +53,7 @@ func (db *DB) statsApply(commit temporal.Chronon, ops []wal.Op) {
 		op := &ops[i]
 		switch op.Code {
 		case wal.OpCreate:
-			db.statsCreate(op.Rel, op.Kind, op.Event, op.Schema)
+			db.statsCreate(op.Rel, op.Kind, op.Schema)
 			continue
 		case wal.OpDrop:
 			db.statsDrop(op.Rel)

@@ -1,6 +1,8 @@
 package tquel
 
 import (
+	"fmt"
+
 	"tdb"
 	"tdb/internal/value"
 )
@@ -11,32 +13,83 @@ import (
 // predicates, and the when clause must be a temporal predicate rather than
 // a bare element. Running these checks before binding means errors surface
 // even on empty relations.
+//
+// Analysis is a function of the statement and its scope alone: it never
+// reaches the database, so the attribute offsets it caches in the AST
+// (AttrRef.idx) are offsets into exactly the relations the statement's view
+// bound and goes on to fetch from.
 
-// checkRetrieve validates the statement against the session's catalog.
-func (s *Session) checkRetrieve(n *RetrieveStmt) error {
-	for _, t := range n.Targets {
-		if _, err := s.checkExpr(t.Expr); err != nil {
-			return err
+// scope is a statement's range variables bound to relations, in statement
+// order. A retrieve binds it once, inside its one view of the database
+// (Session.bind); cache keys, analysis, planning and fetching all read the
+// same bindings.
+type scope []boundVar
+
+// boundVar is one range variable of a scope. A variable that did not resolve
+// keeps the reason in err, without a position: analysis reports it at the
+// variable's first use.
+type boundVar struct {
+	name string
+	rel  *tdb.Relation
+	err  error
+}
+
+func errUndeclared(v string) error {
+	return fmt.Errorf("range variable %q not declared (use: range of %s is <relation>)", v, v)
+}
+
+// rel returns the relation variable v is bound to; pos is where the
+// statement uses it.
+func (sc scope) rel(pos Pos, v string) (*tdb.Relation, error) {
+	i := sc.index(v)
+	if i < 0 {
+		return nil, errf(pos, "%v", errUndeclared(v))
+	}
+	if sc[i].err != nil {
+		return nil, errf(pos, "%v", sc[i].err)
+	}
+	return sc[i].rel, nil
+}
+
+// index returns v's position in the scope, -1 when it is not there.
+func (sc scope) index(v string) int {
+	for i := range sc {
+		if sc[i].name == v {
+			return i
 		}
+	}
+	return -1
+}
+
+// checkRetrieve validates the statement against its scope and returns the
+// kinds of its targets.
+func checkRetrieve(n *RetrieveStmt, sc scope) ([]tdb.ValueKind, error) {
+	kinds := make([]tdb.ValueKind, len(n.Targets))
+	for i, t := range n.Targets {
+		k, err := checkExpr(t.Expr, sc)
+		if err != nil {
+			return nil, err
+		}
+		kinds[i] = k
 		if a, ok := t.Expr.(*Agg); ok && containsAgg(a.Arg) {
-			return errf(a.Pos, "aggregates cannot nest")
+			return nil, errf(a.Pos, "aggregates cannot nest")
 		}
 	}
 	if n.Where != nil {
 		if containsAgg(n.Where) {
-			return errf(n.Where.Position(), "aggregates are not allowed in the where clause")
+			return nil, errf(n.Where.Position(), "aggregates are not allowed in the where clause")
 		}
-		if err := s.checkPred(n.Where); err != nil {
-			return err
+		if err := checkPred(n.Where, sc); err != nil {
+			return nil, err
 		}
 	}
 	if n.When != nil {
-		isPred, err := s.checkTemporal(n.When)
+		isPred, err := checkTemporal(n.When, sc)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if !isPred {
-			return errf(n.When.Position(), "when clause needs a temporal predicate (overlap, precede, equal), not a bare event or interval")
+			return nil, errf(n.When.Position(), "when clause needs a temporal predicate (overlap, precede, equal), not a bare event or interval")
 		}
 	}
 	for _, vc := range []*ValidClause{n.Valid} {
@@ -47,12 +100,12 @@ func (s *Session) checkRetrieve(n *RetrieveStmt) error {
 			if te == nil {
 				continue
 			}
-			isPred, err := s.checkTemporal(te)
+			isPred, err := checkTemporal(te, sc)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			if isPred {
-				return errf(te.Position(), "valid clause needs an event expression, not a predicate")
+				return nil, errf(te.Position(), "valid clause needs an event expression, not a predicate")
 			}
 		}
 	}
@@ -61,37 +114,35 @@ func (s *Session) checkRetrieve(n *RetrieveStmt) error {
 			if te == nil {
 				continue
 			}
-			m := map[string]bool{}
-			temporalVars(te, m)
-			if len(m) > 0 {
-				return errf(te.Position(), "as of clause may not reference range variables")
+			if len(temporalVars(te, nil)) > 0 {
+				return nil, errf(te.Position(), "as of clause may not reference range variables")
 			}
-			isPred, err := s.checkTemporal(te)
+			isPred, err := checkTemporal(te, sc)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			if isPred {
-				return errf(te.Position(), "as of clause needs an event expression, not a predicate")
+				return nil, errf(te.Position(), "as of clause needs an event expression, not a predicate")
 			}
 		}
 	}
 	if n.Window != nil {
 		if !hasAggTargets(n) {
-			return errf(n.Window.Pos, "window clause requires aggregate targets (count, sum, avg, min, max, any)")
+			return nil, errf(n.Window.Pos, "window clause requires aggregate targets (count, sum, avg, min, max, any)")
 		}
 		if n.Window.Size <= 0 {
-			return errf(n.Window.Pos, "window size must be positive")
+			return nil, errf(n.Window.Pos, "window size must be positive")
 		}
 		if n.Window.Slide < 0 {
-			return errf(n.Window.Pos, "window slide must be positive")
+			return nil, errf(n.Window.Pos, "window slide must be positive")
 		}
 	}
 	if n.Coalesce && hasAggTargets(n) && n.Window == nil {
 		// Non-windowed aggregation already folds everything into one row per
 		// group with a single merged stamp; a coalesce pass would be inert.
-		return errf(n.CoalescePos, "coalesce applies to windowed aggregates or plain retrieves, not whole-relation aggregates")
+		return nil, errf(n.CoalescePos, "coalesce applies to windowed aggregates or plain retrieves, not whole-relation aggregates")
 	}
-	return nil
+	return kinds, nil
 }
 
 // hasAggTargets reports whether any target is an aggregate call.
@@ -105,12 +156,12 @@ func hasAggTargets(n *RetrieveStmt) bool {
 }
 
 // checkExpr resolves and types a scalar expression.
-func (s *Session) checkExpr(e Expr) (tdb.ValueKind, error) {
+func checkExpr(e Expr, sc scope) (tdb.ValueKind, error) {
 	switch n := e.(type) {
 	case *Lit:
 		return n.Value.Kind(), nil
 	case *AttrRef:
-		rel, err := s.resolveVar(n.Pos, n.Var)
+		rel, err := sc.rel(n.Pos, n.Var)
 		if err != nil {
 			return 0, err
 		}
@@ -121,11 +172,11 @@ func (s *Session) checkExpr(e Expr) (tdb.ValueKind, error) {
 		n.idx = idx + 1
 		return rel.Schema().Attr(idx).Type, nil
 	case *Cmp:
-		lk, err := s.checkExpr(n.L)
+		lk, err := checkExpr(n.L, sc)
 		if err != nil {
 			return 0, err
 		}
-		rk, err := s.checkExpr(n.R)
+		rk, err := checkExpr(n.R, sc)
 		if err != nil {
 			return 0, err
 		}
@@ -134,17 +185,17 @@ func (s *Session) checkExpr(e Expr) (tdb.ValueKind, error) {
 		}
 		return value.Bool, nil
 	case *BoolOp:
-		if err := s.checkPred(n.L); err != nil {
+		if err := checkPred(n.L, sc); err != nil {
 			return 0, err
 		}
 		if n.R != nil {
-			if err := s.checkPred(n.R); err != nil {
+			if err := checkPred(n.R, sc); err != nil {
 				return 0, err
 			}
 		}
 		return value.Bool, nil
 	case *Agg:
-		argKind, err := s.checkExpr(n.Arg)
+		argKind, err := checkExpr(n.Arg, sc)
 		if err != nil {
 			return 0, err
 		}
@@ -203,8 +254,8 @@ func containsAgg(e Expr) bool {
 }
 
 // checkPred validates that an expression can serve as a predicate.
-func (s *Session) checkPred(e Expr) error {
-	k, err := s.checkExpr(e)
+func checkPred(e Expr, sc scope) error {
+	k, err := checkExpr(e, sc)
 	if err != nil {
 		return err
 	}
@@ -232,10 +283,10 @@ func comparableKinds(a, b tdb.ValueKind) bool {
 
 // checkTemporal validates a temporal expression, returning whether it is a
 // predicate (true) or an element (false).
-func (s *Session) checkTemporal(e TemporalExpr) (bool, error) {
+func checkTemporal(e TemporalExpr, sc scope) (bool, error) {
 	switch n := e.(type) {
 	case *VarInterval:
-		if _, err := s.resolveVar(n.Pos, n.Var); err != nil {
+		if _, err := sc.rel(n.Pos, n.Var); err != nil {
 			return false, err
 		}
 		return false, nil
@@ -247,7 +298,7 @@ func (s *Session) checkTemporal(e TemporalExpr) (bool, error) {
 		}
 		return false, nil
 	case *StartOf:
-		isPred, err := s.checkTemporal(n.Of)
+		isPred, err := checkTemporal(n.Of, sc)
 		if err != nil {
 			return false, err
 		}
@@ -256,7 +307,7 @@ func (s *Session) checkTemporal(e TemporalExpr) (bool, error) {
 		}
 		return false, nil
 	case *EndOf:
-		isPred, err := s.checkTemporal(n.Of)
+		isPred, err := checkTemporal(n.Of, sc)
 		if err != nil {
 			return false, err
 		}
@@ -266,7 +317,7 @@ func (s *Session) checkTemporal(e TemporalExpr) (bool, error) {
 		return false, nil
 	case *Extend:
 		for _, op := range []TemporalExpr{n.L, n.R} {
-			isPred, err := s.checkTemporal(op)
+			isPred, err := checkTemporal(op, sc)
 			if err != nil {
 				return false, err
 			}
@@ -277,7 +328,7 @@ func (s *Session) checkTemporal(e TemporalExpr) (bool, error) {
 		return false, nil
 	case *TempRel:
 		for _, op := range []TemporalExpr{n.L, n.R} {
-			isPred, err := s.checkTemporal(op)
+			isPred, err := checkTemporal(op, sc)
 			if err != nil {
 				return false, err
 			}
@@ -287,7 +338,7 @@ func (s *Session) checkTemporal(e TemporalExpr) (bool, error) {
 		}
 		return true, nil
 	case *TempBool:
-		isPred, err := s.checkTemporal(n.L)
+		isPred, err := checkTemporal(n.L, sc)
 		if err != nil {
 			return false, err
 		}
@@ -295,7 +346,7 @@ func (s *Session) checkTemporal(e TemporalExpr) (bool, error) {
 			return false, errf(n.Pos, "%s combines predicates, found an element", n.Op)
 		}
 		if n.R != nil {
-			isPred, err = s.checkTemporal(n.R)
+			isPred, err = checkTemporal(n.R, sc)
 			if err != nil {
 				return false, err
 			}

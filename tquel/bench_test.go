@@ -255,11 +255,11 @@ func BenchmarkEvalWhereResolved(b *testing.B) {
 		range of f is faculty`); err != nil {
 		b.Fatal(err)
 	}
-	if err := ses.checkRetrieve(st); err != nil {
-		b.Fatal(err)
-	}
 	rel, err := db.Relation("faculty")
 	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := checkRetrieve(st, scope{{name: "f", rel: rel}}); err != nil {
 		b.Fatal(err)
 	}
 	ev := &env{vars: map[string]*binding{

@@ -1,18 +1,21 @@
 package tquel
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 
-	"tdb"
-	"tdb/internal/obs"
+	"tdb/internal/qcache"
 	"tdb/temporal"
 )
 
 // This file integrates the database's query result cache (internal/qcache)
-// into retrieve execution, ahead of the planner. The taxonomy supplies the
-// two safety arguments:
+// into retrieve execution, ahead of analysis and the planner. A retrieve
+// renders its keys and probes inside its one view of the database
+// (Session.compile), from the same binding the fetch then reads through, so
+// a key names the state that was read: the relation identities, the write
+// versions and the commit clock in it are those of the versions the answer
+// is computed from, with no commit in between. The taxonomy supplies the two
+// modes:
 //
 //   - Immutable mode: transaction time is append-only, so a retrieve whose
 //     as-of window lies strictly in the past of the commit clock sees a
@@ -30,21 +33,21 @@ import (
 //   - Versioned mode: every other cacheable retrieve (current-state, an
 //     unsettled as-of window, or a settled window whose answer still shows
 //     open transaction intervals) is keyed by the per-relation
-//     write-version vector captured BEFORE execution. Versions are
-//     monotonic, so once any participating relation changes, the old
-//     vector — and with it the cached entry — becomes unreachable; the
-//     entry ages out of the LRU instead of being served stale. Capturing
-//     before execution (not after) closes the race with a concurrent
-//     writer: an entry computed while a write lands is keyed under the
-//     pre-write vector, which the write has already retired, so it can
-//     only ever be wasted, never wrong.
+//     write-version vector of the state it read. Versions are monotonic, so
+//     once any participating relation changes, the old vector — and with it
+//     the cached entry — becomes unreachable; the entry ages out of the LRU
+//     instead of being served stale. The answer is stored after the view
+//     has closed, possibly after later commits; that is harmless, because
+//     the key it is stored under still names the state it was computed
+//     from, which those commits have retired.
 //
 // Not cacheable at all: retrieves with an "into" clause (they create a
 // relation), retrieves whose temporal clauses mention "now" (the answer
-// tracks the session clock), and retrieves that fail resolution here
-// (executed uncached so the real error surfaces and errors are never
-// cached). Scalar expressions cannot hide a clock reference — see
-// mentionsNow — so the syntactic test is complete.
+// tracks the session clock), and retrieves with a range variable that does
+// not resolve or an as-of clause that does not evaluate (executed uncached
+// so analysis reports the real error and errors are never cached). Scalar
+// expressions cannot hide a clock reference — see mentionsNow — so the
+// syntactic test is complete.
 //
 // SetParallelism is deliberately absent from the key: the parallel path
 // merges chunks deterministically and is byte-identical to serial
@@ -58,48 +61,46 @@ import (
 // and uncached execution agree byte-for-byte.
 func (s *Session) DisableCache(disabled bool) { s.noCache = disabled }
 
-// cacheKeys holds the two candidate keys for one cacheable retrieve. ver
-// is always usable; imm is non-empty only when the as-of window is
-// settled, and is used to look up — and, when the executed answer proves
-// transaction-closed, to store — the immutable entry.
+// cacheKeys holds the two candidate keys for one retrieve. ver is empty when
+// the statement is not cacheable; imm is non-empty only when the as-of
+// window is settled, and is used to look up — and, when the executed answer
+// proves transaction-closed, to store — the immutable entry.
 type cacheKeys struct {
 	imm string
 	ver string
 }
 
 // cacheKeysFor decides cacheability and, when cacheable, renders the cache
-// keys: mode | session settings | per-relation identity (plus, in the
-// versioned key, write-version) vector | canonical query text.
-func (s *Session) cacheKeysFor(n *RetrieveStmt) (cacheKeys, bool) {
-	if n.Into != "" {
-		return cacheKeys{}, false
+// keys from the statement's scope: mode | session settings | per-relation
+// identity (plus, in the versioned key, write-version) vector | canonical
+// query text. It runs inside the statement's view, so the write versions
+// and the commit clock it reads belong to the state the fetch will read.
+func (s *Session) cacheKeysFor(n *RetrieveStmt, sc scope) cacheKeys {
+	if s.noCache || s.db.QueryCache() == nil || n.Into != "" {
+		return cacheKeys{}
 	}
 	if n.When != nil && mentionsNow(n.When) {
-		return cacheKeys{}, false
+		return cacheKeys{}
 	}
 	if n.Valid != nil {
 		for _, te := range []TemporalExpr{n.Valid.At, n.Valid.From, n.Valid.To} {
 			if te != nil && mentionsNow(te) {
-				return cacheKeys{}, false
+				return cacheKeys{}
 			}
 		}
 	}
 	if n.AsOf != nil {
 		if mentionsNow(n.AsOf.At) {
-			return cacheKeys{}, false
+			return cacheKeys{}
 		}
 		if n.AsOf.Through != nil && mentionsNow(n.AsOf.Through) {
-			return cacheKeys{}, false
+			return cacheKeys{}
 		}
 	}
-	order := retrieveVars(n)
-	rels := make([]*tdb.Relation, len(order))
-	for i, v := range order {
-		rel, err := s.resolveVar(n.Pos, v)
-		if err != nil {
-			return cacheKeys{}, false
+	for i := range sc {
+		if sc[i].err != nil {
+			return cacheKeys{}
 		}
-		rels[i] = rel
 	}
 	// Settled iff the whole as-of window precedes the last issued commit
 	// strictly: a new commit may still land AT the last chronon (UpdateAt),
@@ -109,12 +110,12 @@ func (s *Session) cacheKeysFor(n *RetrieveStmt) (cacheKeys, bool) {
 		ev := &env{vars: map[string]*binding{}}
 		hi, err := evalEvent(n.AsOf.At, ev)
 		if err != nil {
-			return cacheKeys{}, false
+			return cacheKeys{}
 		}
 		if n.AsOf.Through != nil {
 			through, err := evalEvent(n.AsOf.Through, ev)
 			if err != nil || through < hi {
-				return cacheKeys{}, false
+				return cacheKeys{}
 			}
 			hi = through
 		}
@@ -129,13 +130,13 @@ func (s *Session) cacheKeysFor(n *RetrieveStmt) (cacheKeys, bool) {
 		ib.WriteString("np|")
 		vb.WriteString("np|")
 	}
-	for i, v := range order {
-		ident := v + "=" + rels[i].Name() + "#" + strconv.FormatUint(rels[i].Gen(), 10)
+	for _, bv := range sc {
+		ident := bv.name + "=" + bv.rel.Name() + "#" + strconv.FormatUint(bv.rel.Gen(), 10)
 		ib.WriteString(ident)
 		ib.WriteByte('|')
 		vb.WriteString(ident)
 		vb.WriteByte('@')
-		vb.WriteString(strconv.FormatUint(rels[i].WriteVersion(), 10))
+		vb.WriteString(strconv.FormatUint(bv.rel.WriteVersion(), 10))
 		vb.WriteByte('|')
 	}
 	text := formatRetrieve(n)
@@ -145,7 +146,21 @@ func (s *Session) cacheKeysFor(n *RetrieveStmt) (cacheKeys, bool) {
 		ib.WriteString(text)
 		keys.imm = ib.String()
 	}
-	return keys, true
+	return keys
+}
+
+// probe looks the statement up, settled as-of queries under the immutable
+// key first. The resultset it returns is the cache's own.
+func (k cacheKeys) probe(qc *qcache.Cache) *Resultset {
+	if k.imm != "" {
+		if v, ok := qc.Get(k.imm); ok {
+			return v.(*Resultset)
+		}
+	}
+	if v, ok := qc.Get(k.ver); ok {
+		return v.(*Resultset)
+	}
+	return nil
 }
 
 // transClosed reports whether every row's transaction interval is already
@@ -159,60 +174,4 @@ func transClosed(res *Resultset) bool {
 		}
 	}
 	return true
-}
-
-// execRetrieveCached wraps execRetrieve with the cache lookup. Hits return
-// a deep copy of the cached resultset; misses execute normally and store a
-// deep copy, so no caller ever aliases cache-resident rows. Settled as-of
-// queries are probed under the immutable key first, then the versioned
-// one; the store side picks the immutable key only when the executed
-// answer proves transaction-closed (see transClosed).
-func (s *Session) execRetrieveCached(n *RetrieveStmt) (*Outcome, error) {
-	qc := s.db.QueryCache()
-	if s.noCache || qc == nil {
-		return s.execRetrieve(n)
-	}
-	keys, ok := s.cacheKeysFor(n)
-	if !ok {
-		return s.execRetrieve(n)
-	}
-	var sp obs.Span
-	if s.tracer != nil {
-		sp = s.tracer.Start("cache")
-	}
-	var v any
-	var hit bool
-	if keys.imm != "" {
-		v, hit = qc.Get(keys.imm)
-	}
-	if !hit {
-		v, hit = qc.Get(keys.ver)
-	}
-	if hit {
-		res := v.(*Resultset).Clone()
-		if sp != nil {
-			sp.Note("hit", 1)
-			sp.Note("rows", int64(len(res.Rows)))
-			sp.End()
-		}
-		return &Outcome{Stmt: "retrieve", Result: res,
-			Msg: fmt.Sprintf("%d tuple(s)", len(res.Rows))}, nil
-	}
-	if sp != nil {
-		sp.Note("hit", 0)
-		sp.End()
-	}
-	out, err := s.execRetrieve(n)
-	if err != nil {
-		return nil, err
-	}
-	if out.Result != nil {
-		key := keys.ver
-		if keys.imm != "" && transClosed(out.Result) {
-			key = keys.imm
-		}
-		stored := out.Result.Clone()
-		qc.Put(key, stored, stored.approxBytes()+int64(len(key)))
-	}
-	return out, nil
 }

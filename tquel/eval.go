@@ -1,6 +1,8 @@
 package tquel
 
 import (
+	"slices"
+
 	"tdb"
 	"tdb/internal/value"
 	"tdb/temporal"
@@ -286,44 +288,51 @@ func evalEvent(e TemporalExpr, ev *env) (temporal.Chronon, error) {
 	return el.iv.From, nil
 }
 
-// temporalVars collects the range variables referenced by a temporal
-// expression.
-func temporalVars(e TemporalExpr, into map[string]bool) {
-	switch n := e.(type) {
-	case *VarInterval:
-		into[n.Var] = true
-	case *StartOf:
-		temporalVars(n.Of, into)
-	case *EndOf:
-		temporalVars(n.Of, into)
-	case *Extend:
-		temporalVars(n.L, into)
-		temporalVars(n.R, into)
-	case *TempRel:
-		temporalVars(n.L, into)
-		temporalVars(n.R, into)
-	case *TempBool:
-		temporalVars(n.L, into)
-		if n.R != nil {
-			temporalVars(n.R, into)
-		}
+// addVar appends v to vars unless it is already there.
+func addVar(vars []string, v string) []string {
+	if slices.Contains(vars, v) {
+		return vars
 	}
+	return append(vars, v)
 }
 
-// exprVars collects the range variables referenced by a scalar expression.
-func exprVars(e Expr, into map[string]bool) {
+// temporalVars appends to vars the range variables a temporal expression
+// references, each once, in order of first appearance.
+func temporalVars(e TemporalExpr, vars []string) []string {
+	switch n := e.(type) {
+	case *VarInterval:
+		return addVar(vars, n.Var)
+	case *StartOf:
+		return temporalVars(n.Of, vars)
+	case *EndOf:
+		return temporalVars(n.Of, vars)
+	case *Extend:
+		return temporalVars(n.R, temporalVars(n.L, vars))
+	case *TempRel:
+		return temporalVars(n.R, temporalVars(n.L, vars))
+	case *TempBool:
+		vars = temporalVars(n.L, vars)
+		if n.R != nil {
+			vars = temporalVars(n.R, vars)
+		}
+	}
+	return vars
+}
+
+// exprVars does the same for a scalar expression.
+func exprVars(e Expr, vars []string) []string {
 	switch n := e.(type) {
 	case *AttrRef:
-		into[n.Var] = true
+		return addVar(vars, n.Var)
 	case *Cmp:
-		exprVars(n.L, into)
-		exprVars(n.R, into)
+		return exprVars(n.R, exprVars(n.L, vars))
 	case *BoolOp:
-		exprVars(n.L, into)
+		vars = exprVars(n.L, vars)
 		if n.R != nil {
-			exprVars(n.R, into)
+			vars = exprVars(n.R, vars)
 		}
 	case *Agg:
-		exprVars(n.Arg, into)
+		return exprVars(n.Arg, vars)
 	}
+	return vars
 }

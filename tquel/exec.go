@@ -3,6 +3,7 @@ package tquel
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"tdb"
 	"tdb/internal/config"
@@ -48,8 +49,8 @@ func NewSession(db *tdb.DB) *Session {
 func (s *Session) DisablePlanner(disabled bool) { s.noPlanner = disabled }
 
 // DisableStats reverts the planner to the statistics-free v1 heuristics:
-// ascending-cardinality join order, first-edge hash builds, the fixed
-// outer-size parallel threshold, and unconditional interval-index probes.
+// ascending-cardinality join order, first-edge hash builds and the fixed
+// outer-size parallel threshold.
 // Statistics maintenance on the write path is unaffected — only their
 // consumption by this session's planner. Differential tests assert both
 // modes agree.
@@ -126,7 +127,7 @@ func (s *Session) exec(st Stmt) (*Outcome, error) {
 		s.ranges[n.Var] = n.Rel
 		return &Outcome{Stmt: "range", Msg: fmt.Sprintf("range of %s is %s", n.Var, n.Rel)}, nil
 	case *RetrieveStmt:
-		return s.execRetrieveCached(n)
+		return s.execRetrieve(n)
 	case *ExplainStmt:
 		return s.execExplain(n)
 	case *AppendStmt:
@@ -170,27 +171,27 @@ func (s *Session) execCreate(n *CreateStmt) (*Outcome, error) {
 }
 
 // relIn maps a range variable to its relation inside a read view (or, for
-// replace and delete, inside the statement's own transaction).
-func (s *Session) relIn(rt *tdb.ReadTx, pos Pos, v string) (*tdb.Relation, error) {
+// replace and delete, inside the statement's own transaction). Its errors
+// carry no position; callers add the one the statement uses the variable at.
+func (s *Session) relIn(rt *tdb.ReadTx, v string) (*tdb.Relation, error) {
 	relName, ok := s.ranges[v]
 	if !ok {
-		return nil, errf(pos, "range variable %q not declared (use: range of %s is <relation>)", v, v)
+		return nil, errUndeclared(v)
 	}
-	rel, err := rt.Rel(relName)
-	if err != nil {
-		return nil, errf(pos, "%v", err)
-	}
-	return rel, nil
+	return rt.Rel(relName)
 }
 
-// resolveVar is relIn in a view of its own, for static analysis and cache
-// keys — which need a relation's schema and identity, not its versions.
-func (s *Session) resolveVar(pos Pos, v string) (rel *tdb.Relation, err error) {
-	err = s.db.View(func(rt *tdb.ReadTx) error {
-		rel, err = s.relIn(rt, pos, v)
-		return err
-	})
-	return rel, err
+// bind resolves the retrieve's range variables, in statement order, inside
+// its view: the one binding the statement's cache keys, analysis, plan and
+// fetch all share.
+func (s *Session) bind(rt *tdb.ReadTx, n *RetrieveStmt) scope {
+	order := retrieveVars(n)
+	sc := make(scope, len(order))
+	for i, v := range order {
+		sc[i].name = v
+		sc[i].rel, sc[i].err = s.relIn(rt, v)
+	}
+	return sc
 }
 
 // rollbackSpec evaluates a retrieve's as of clause into the scan spec every
@@ -221,69 +222,173 @@ func rollbackSpec(n *RetrieveStmt, ev *env) (tdb.ScanSpec, error) {
 	return spec, nil
 }
 
-// usedVars collects, in deterministic first-use order, the range variables
-// a retrieve statement references.
+// retrieveVars collects the range variables a retrieve statement references,
+// in order of first use.
 func retrieveVars(n *RetrieveStmt) []string {
-	seen := map[string]bool{}
-	var order []string
-	add := func(m map[string]bool) {
-		for v := range m {
-			if !seen[v] {
-				seen[v] = true
-				order = append(order, v)
-			}
-		}
-	}
-	for _, t := range n.Targets {
-		m := map[string]bool{}
-		exprVars(t.Expr, m)
-		add(m)
-	}
+	vars := targetVars(n)
 	if n.Where != nil {
-		m := map[string]bool{}
-		exprVars(n.Where, m)
-		add(m)
+		vars = exprVars(n.Where, vars)
 	}
 	if n.When != nil {
-		m := map[string]bool{}
-		temporalVars(n.When, m)
-		add(m)
+		vars = temporalVars(n.When, vars)
 	}
 	if n.Valid != nil {
-		m := map[string]bool{}
 		for _, te := range []TemporalExpr{n.Valid.At, n.Valid.From, n.Valid.To} {
 			if te != nil {
-				temporalVars(te, m)
+				vars = temporalVars(te, vars)
 			}
 		}
-		add(m)
 	}
-	return order
+	return vars
 }
 
-// targetVarSet collects the variables referenced in the target list; their
+// targetVars collects the variables referenced in the target list; their
 // stamps determine the derived tuple's default stamps (this is what makes
 // the paper's Figure 6/8 answers carry f1's periods).
-func targetVarSet(n *RetrieveStmt) map[string]bool {
-	m := map[string]bool{}
+func targetVars(n *RetrieveStmt) []string {
+	var vars []string
 	for _, t := range n.Targets {
-		exprVars(t.Expr, m)
+		vars = exprVars(t.Expr, vars)
 	}
-	return m
+	return vars
 }
 
+// compiled is what a retrieve's one view of the database leaves behind —
+// everything the statement will ever read from it. The join loop, the cache
+// store and an into clause's writes run afterwards, on these private copies.
+type compiled struct {
+	sc       scope
+	keys     cacheKeys       // zero unless the statement is cacheable
+	hit      *Resultset      // the cache's own copy of the answer: Clone before use
+	cacheSp  obs.Span        // the cache span of a hit, open until that Clone
+	ev       *env            // set on a miss, like everything below
+	kinds    []tdb.ValueKind // target kinds, from analysis
+	pl       *queryPlan      // planner on
+	versions [][]tdb.Version // planner off: every variable's visible versions, in scope order
+}
+
+// compile is the front half of a retrieve and all of an explain. Inside the
+// statement's one DB.View it binds the range variables (bind), renders the
+// cache keys from that binding and probes, and on a miss analyzes, plans and
+// fetches against the same binding — so a key names the state that was read,
+// the attribute offsets analysis caches index the relations the fetch reads,
+// and a join sees every relation at one commit. An explain probes no cache
+// and, with the planner off, fetches nothing: it renders the plan instead of
+// running it.
+func (s *Session) compile(n *RetrieveStmt, explain bool) (*compiled, error) {
+	c := &compiled{}
+	err := s.db.View(func(rt *tdb.ReadTx) error {
+		c.sc = s.bind(rt, n)
+		var sp obs.Span
+		if !explain {
+			c.keys = s.cacheKeysFor(n, c.sc)
+		}
+		if c.keys.ver != "" {
+			if s.tracer != nil {
+				sp = s.tracer.Start("cache")
+			}
+			if c.hit = c.keys.probe(s.db.QueryCache()); c.hit != nil {
+				c.cacheSp = sp
+				return nil
+			}
+			if sp != nil {
+				sp.Note("hit", 0)
+				sp.End()
+			}
+		}
+
+		c.ev = &env{vars: map[string]*binding{}, now: s.now()}
+		if s.tracer != nil {
+			sp = s.tracer.Start("analyze")
+		}
+		var err error
+		c.kinds, err = checkRetrieve(n, c.sc)
+		if sp != nil {
+			sp.End()
+		}
+		if err != nil {
+			return err
+		}
+		spec, err := rollbackSpec(n, c.ev)
+		if err != nil {
+			return err
+		}
+		if s.noPlanner {
+			if explain {
+				return nil
+			}
+			// Ablation path: every variable's visible versions, no pushdown.
+			c.versions = make([][]tdb.Version, len(c.sc))
+			for i, bv := range c.sc {
+				f, err := s.fetchVar(rt, n.Pos, bv.rel, bv.name, spec, nil, nil, c.ev)
+				if err != nil {
+					return err
+				}
+				c.versions[i] = f.versions
+			}
+			return nil
+		}
+		if s.tracer != nil {
+			sp = s.tracer.Start("plan")
+		}
+		c.pl, err = s.buildPlan(rt, n, c.sc, c.ev, spec)
+		if sp != nil {
+			if c.pl != nil {
+				sp.Note("conjuncts_pushed", c.pl.pushed)
+				sp.Note("when_indexed", c.pl.whenIndexed)
+				sp.Note("build_rows", c.pl.buildRows)
+				sp.Note("nested_loop_fallbacks", c.pl.fallbacks)
+			}
+			sp.End()
+		}
+		if err == nil {
+			s.lastPlan = c.pl
+		}
+		return err
+	})
+	return c, err
+}
+
+// execRetrieve owns a retrieve: one view of the database (compile), then —
+// on the private copies that view left — the join loop, the cache store and
+// the into clause. A cache hit returns a deep copy of the cached resultset
+// and a miss stores one, so no caller ever aliases cache-resident rows. The
+// store side picks the immutable key only when the executed answer proves
+// transaction-closed (see transClosed).
 func (s *Session) execRetrieve(n *RetrieveStmt) (*Outcome, error) {
-	var sp obs.Span
-	if s.tracer != nil {
-		sp = s.tracer.Start("analyze")
-	}
-	err := s.checkRetrieve(n)
-	if sp != nil {
-		sp.End()
-	}
+	c, err := s.compile(n, false)
 	if err != nil {
 		return nil, err
 	}
+	res := c.hit
+	if res != nil {
+		res = res.Clone()
+		if c.cacheSp != nil {
+			c.cacheSp.Note("hit", 1)
+			c.cacheSp.Note("rows", int64(len(res.Rows)))
+			c.cacheSp.End()
+		}
+	} else {
+		if res, err = s.run(n, c); err != nil {
+			return nil, err
+		}
+		if c.keys.ver != "" {
+			key := c.keys.ver
+			if c.keys.imm != "" && transClosed(res) {
+				key = c.keys.imm
+			}
+			stored := res.Clone()
+			s.db.QueryCache().Put(key, stored, stored.approxBytes()+int64(len(key)))
+		}
+	}
+	return &Outcome{Stmt: "retrieve", Result: res,
+		Msg: fmt.Sprintf("%d tuple(s)", len(res.Rows))}, nil
+}
+
+// run executes a compiled retrieve: the join loop over the versions compile
+// fetched, then aggregation, coalescing, ordering and the into clause. It
+// reads nothing from the database.
+func (s *Session) run(n *RetrieveStmt, c *compiled) (*Resultset, error) {
 	// Per-row tallies accumulate in a coordinator-owned execTally; workers
 	// (see parallel.go) keep their own and are summed into it after the
 	// merge. All counter settlement — the atomic adds and the execute span
@@ -297,14 +402,13 @@ func (s *Session) execRetrieve(n *RetrieveStmt) (*Outcome, error) {
 	var tally execTally
 	var returned int64
 	var execSp obs.Span
-	var pl *queryPlan
+	pl, ev, sc := c.pl, c.ev, c.sc
 	defer func() {
 		if pl != nil {
 			mConjunctsPushed.Add(uint64(pl.pushed))
 			mWhenIndexed.Add(uint64(pl.whenIndexed))
 			mHashJoinBuildRows.Add(uint64(pl.buildRows))
 			mJoinFallbacks.Add(uint64(pl.fallbacks))
-			mProbeSkips.Add(uint64(pl.overlapSkips))
 		}
 		mRowsScanned.Add(uint64(tally.scanned))
 		mRowsReturned.Add(uint64(returned))
@@ -318,70 +422,20 @@ func (s *Session) execRetrieve(n *RetrieveStmt) (*Outcome, error) {
 			execSp.End()
 		}
 	}()
-	ev := &env{vars: map[string]*binding{}, now: s.now()}
-
-	spec, err := rollbackSpec(n, ev)
-	if err != nil {
-		return nil, err
-	}
-
-	// Resolve and fetch every range variable inside one view of the database
-	// — the planner's own (buildPlan) or, with it off, the plain one here —
-	// so a join cannot see one relation before a transaction and another
-	// after it. Everything past this point runs on the private copies.
-	order := retrieveVars(n)
-	var rels []*tdb.Relation
-	var versions [][]tdb.Version // the naive path's candidates, by variable
-	if s.noPlanner {
-		// Ablation path: every variable's visible versions, no pushdown.
-		versions = make([][]tdb.Version, len(order))
-		err = s.db.View(func(rt *tdb.ReadTx) error {
-			var err error
-			if rels, err = s.relsIn(rt, n.Pos, order); err != nil {
-				return err
-			}
-			for i, v := range order {
-				f, err := s.fetchVar(rt, n.Pos, rels[i], v, spec, nil, nil, ev)
-				if err != nil {
-					return err
-				}
-				versions[i] = f.versions
-			}
-			return nil
-		})
-	} else {
-		var planSp obs.Span
-		if s.tracer != nil {
-			planSp = s.tracer.Start("plan")
-		}
-		pl, rels, err = s.buildPlan(n, order, ev, spec)
-		if planSp != nil {
-			if pl != nil {
-				planSp.Note("conjuncts_pushed", pl.pushed)
-				planSp.Note("when_indexed", pl.whenIndexed)
-				planSp.Note("build_rows", pl.buildRows)
-				planSp.Note("nested_loop_fallbacks", pl.fallbacks)
-			}
-			planSp.End()
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
 
 	res := &Resultset{}
-	for _, rel := range rels {
-		if rel.Kind().SupportsHistorical() {
+	for _, bv := range sc {
+		if bv.rel.Kind().SupportsHistorical() {
 			res.HasValid = true
 		}
-		if rel.Kind().SupportsRollback() {
+		if bv.rel.Kind().SupportsRollback() {
 			res.HasTrans = true
 		}
 	}
 	if n.Valid != nil {
 		res.HasValid = true
 		res.Event = n.Valid.At != nil
-	} else if len(order) == 1 && rels[0].Event() {
+	} else if len(sc) == 1 && sc[0].rel.Event() {
 		res.Event = true
 	}
 
@@ -401,7 +455,7 @@ func (s *Session) execRetrieve(n *RetrieveStmt) (*Outcome, error) {
 		res.Attrs = append(res.Attrs, name)
 	}
 
-	tvars := targetVarSet(n)
+	tvars := targetVars(n)
 	var agg *aggregator
 	var win *windowAggregator
 	switch {
@@ -439,9 +493,9 @@ func (s *Session) execRetrieve(n *RetrieveStmt) (*Outcome, error) {
 			}
 			row.Valid = iv
 		default:
-			row.Valid = stampIntersection(ev, order, tvars, func(b *binding) temporal.Interval { return b.valid })
+			row.Valid = stampIntersection(ev, sc, tvars, func(b *binding) temporal.Interval { return b.valid })
 		}
-		row.Trans = stampIntersection(ev, order, tvars, func(b *binding) temporal.Interval { return b.trans })
+		row.Trans = stampIntersection(ev, sc, tvars, func(b *binding) temporal.Interval { return b.trans })
 		if row.Valid.IsEmpty() || row.Trans.IsEmpty() {
 			// The participating facts were never jointly valid/present.
 			return nil
@@ -495,14 +549,14 @@ func (s *Session) execRetrieve(n *RetrieveStmt) (*Outcome, error) {
 		}
 		var emit func(depth int) error
 		emit = func(depth int) error {
-			if depth < len(order) {
-				v := order[depth]
-				for _, ver := range versions[depth] {
+			if depth < len(sc) {
+				v := sc[depth].name
+				for _, ver := range c.versions[depth] {
 					tally.scanned++
 					if depth > 0 {
 						tally.joinPairs++
 					}
-					ev.vars[v] = &binding{rel: rels[depth], data: ver.Data, valid: ver.Valid, trans: ver.Trans}
+					ev.vars[v] = &binding{rel: sc[depth].rel, data: ver.Data, valid: ver.Valid, trans: ver.Trans}
 					if err := emit(depth + 1); err != nil {
 						return err
 					}
@@ -534,10 +588,8 @@ func (s *Session) execRetrieve(n *RetrieveStmt) (*Outcome, error) {
 			stSp := s.tracer.Start("stats")
 			stSp.Note("est_work", int64(pl.estWork))
 			stSp.Note("est_rows", int64(pl.estRows))
-			stSp.Note("probe_skips", pl.overlapSkips)
 			stSp.End()
 		}
-		s.lastPlan = pl
 		tally.scanned += pl.prefiltered
 		if s.tracer != nil {
 			execSp = s.tracer.Start("execute")
@@ -601,22 +653,22 @@ func (s *Session) execRetrieve(n *RetrieveStmt) (*Outcome, error) {
 	returned = int64(len(res.Rows))
 
 	if n.Into != "" {
-		if err := s.storeInto(n, res); err != nil {
+		if err := s.storeInto(n, res, c.kinds); err != nil {
 			return nil, err
 		}
 	}
-	return &Outcome{Stmt: "retrieve", Result: res,
-		Msg: fmt.Sprintf("%d tuple(s)", len(res.Rows))}, nil
+	return res, nil
 }
 
 // stampIntersection intersects the chosen stamp over the target-list
 // variables, falling back to all bound variables, then to the universal
 // interval.
-func stampIntersection(ev *env, order []string, tvars map[string]bool, get func(*binding) temporal.Interval) temporal.Interval {
+func stampIntersection(ev *env, sc scope, tvars []string, get func(*binding) temporal.Interval) temporal.Interval {
 	pick := func(filter func(string) bool) (temporal.Interval, bool) {
 		iv := temporal.All
 		found := false
-		for _, v := range order {
+		for i := range sc {
+			v := sc[i].name
 			if !filter(v) {
 				continue
 			}
@@ -629,7 +681,7 @@ func stampIntersection(ev *env, order []string, tvars map[string]bool, get func(
 		}
 		return iv, found
 	}
-	if iv, ok := pick(func(v string) bool { return tvars[v] }); ok {
+	if iv, ok := pick(func(v string) bool { return slices.Contains(tvars, v) }); ok {
 		return iv
 	}
 	iv, _ := pick(func(string) bool { return true })
@@ -639,29 +691,24 @@ func stampIntersection(ev *env, order []string, tvars map[string]bool, get func(
 // storeInto materializes a resultset as a new relation: historical when it
 // carries valid time (event or interval), static otherwise. Transaction
 // time cannot be stored — it is DBMS-assigned — so derived transaction
-// stamps are viewing information only, as in TQuel.
-func (s *Session) storeInto(n *RetrieveStmt, res *Resultset) error {
+// stamps are viewing information only, as in TQuel. kinds are the target
+// kinds analysis computed.
+func (s *Session) storeInto(n *RetrieveStmt, res *Resultset, kinds []tdb.ValueKind) error {
 	attrs := make([]tdb.Attribute, 0, len(res.Attrs))
-	types, err := targetTypes(s, n)
-	if err != nil {
-		return err
-	}
 	for i, name := range res.Attrs {
-		attrs = append(attrs, tdb.Attr(name, types[i]))
+		attrs = append(attrs, tdb.Attr(name, kinds[i]))
 	}
 	sch, err := tdb.NewSchema(attrs...)
 	if err != nil {
 		return errf(n.Pos, "result schema: %v", err)
 	}
-	var rel *tdb.Relation
-	if res.HasValid {
-		if res.Event {
-			rel, err = s.db.CreateEventRelation(n.Into, tdb.Historical, sch)
-		} else {
-			rel, err = s.db.CreateRelation(n.Into, tdb.Historical, sch)
-		}
-	} else {
-		rel, err = s.db.CreateRelation(n.Into, tdb.Static, sch)
+	switch {
+	case !res.HasValid:
+		_, err = s.db.CreateRelation(n.Into, tdb.Static, sch)
+	case res.Event:
+		_, err = s.db.CreateEventRelation(n.Into, tdb.Historical, sch)
+	default:
+		_, err = s.db.CreateRelation(n.Into, tdb.Historical, sch)
 	}
 	if err != nil {
 		return errf(n.Pos, "%v", err)
@@ -687,22 +734,8 @@ func (s *Session) storeInto(n *RetrieveStmt, res *Resultset) error {
 				}
 			}
 		}
-		_ = rel
 		return nil
 	})
-}
-
-// targetTypes statically types the target list (shared with the analyzer).
-func targetTypes(s *Session, n *RetrieveStmt) ([]tdb.ValueKind, error) {
-	out := make([]tdb.ValueKind, 0, len(n.Targets))
-	for _, t := range n.Targets {
-		k, err := s.checkExpr(t.Expr)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, k)
-	}
-	return out, nil
 }
 
 // validRange resolves an optional valid clause to an interval, with the
@@ -734,12 +767,15 @@ func validRange(vc *ValidClause, ev *env, def temporal.Interval) (temporal.Inter
 }
 
 func (s *Session) execAppend(n *AppendStmt) (*Outcome, error) {
-	rel, err := s.db.Relation(n.Rel)
-	if err != nil {
-		return nil, errf(n.Pos, "%v", err)
-	}
-	sch := rel.Schema()
-	err = s.db.Update(func(tx *tdb.Tx) error {
+	err := s.db.Update(func(tx *tdb.Tx) error {
+		// The relation is resolved inside the transaction, as delete and
+		// replace resolve theirs: the schema the tuple is built against is
+		// the schema of the relation it is inserted into.
+		rel, err := tx.ReadTx.Rel(n.Rel)
+		if err != nil {
+			return errf(n.Pos, "%v", err)
+		}
+		sch := rel.Schema()
 		ev := &env{vars: map[string]*binding{}, now: tx.At()}
 		// Build the tuple in schema order; every attribute must be set.
 		vals := make([]tdb.Value, sch.Arity())
@@ -815,9 +851,9 @@ func (s *Session) execAppend(n *AppendStmt) (*Outcome, error) {
 // read-modify-write: no other commit can land between the versions it reads
 // and the updates it derives from them.
 func (s *Session) matchIn(tx *tdb.Tx, pos Pos, v string, where Expr, when TemporalExpr, ev *env) (*tdb.Relation, []tdb.Version, error) {
-	rel, err := s.relIn(&tx.ReadTx, pos, v)
+	rel, err := s.relIn(&tx.ReadTx, v)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, errf(pos, "%v", err)
 	}
 	var whereConjs []Expr
 	if where != nil {

@@ -6,48 +6,35 @@ import (
 	"strings"
 )
 
-// execExplain compiles the wrapped retrieve exactly as execution would —
-// same analysis, same candidate fetch and prefiltering, same ordering and
-// probe wiring — then renders the resulting plan instead of running the
-// join loop. The rendered text is deterministic: every number in it is
-// either an exact count or a statistics estimate, and both are pure
-// functions of the database state and the statement (the plan-regression
-// corpus in explain_test.go pins the output).
+// execExplain compiles the wrapped retrieve exactly as execution would — the
+// same compile: one view, same analysis, same candidate fetch and
+// prefiltering, same ordering and probe wiring — then renders the resulting
+// plan instead of running the join loop. The rendered text is deterministic:
+// every number in it is either an exact count or a statistics estimate, and
+// both are pure functions of the database state and the statement (the
+// plan-regression corpus in explain_test.go pins the output).
 func (s *Session) execExplain(n *ExplainStmt) (*Outcome, error) {
 	q := n.Retrieve
-	if err := s.checkRetrieve(q); err != nil {
-		return nil, err
-	}
-	ev := &env{vars: map[string]*binding{}, now: s.now()}
-
-	spec, err := rollbackSpec(q, ev)
+	c, err := s.compile(q, true)
 	if err != nil {
 		return nil, err
 	}
-	order := retrieveVars(q)
-
 	if s.noPlanner {
 		var b strings.Builder
 		b.WriteString("plan: naive nested loop (planner disabled)")
-		for _, v := range order {
-			fmt.Fprintf(&b, "\n  bind %s (%s), all predicates innermost", v, s.ranges[v])
+		for _, bv := range c.sc {
+			fmt.Fprintf(&b, "\n  bind %s (%s), all predicates innermost", bv.name, bv.rel.Name())
 		}
 		return &Outcome{Stmt: "explain", Msg: b.String()}, nil
 	}
-
-	pl, _, err := s.buildPlan(q, order, ev, spec)
-	if err != nil {
-		return nil, err
-	}
-	s.lastPlan = pl
 	var agg *aggregator
 	if q.Window == nil && hasAggregates(q.Targets) {
 		// Windowed aggregation buffers mergeable pseudo-rows, so it keeps
 		// the parallel dispatch; only whole-relation aggregation folds
-		// serially (mirroring execRetrieve's dispatch).
+		// serially (mirroring run's dispatch).
 		agg = &aggregator{}
 	}
-	return &Outcome{Stmt: "explain", Msg: renderPlan(s, pl, agg)}, nil
+	return &Outcome{Stmt: "explain", Msg: renderPlan(s, c.pl, agg)}, nil
 }
 
 // renderPlan formats a compiled plan, one line per binding depth plus a
@@ -80,9 +67,6 @@ func renderPlan(s *Session, pl *queryPlan, agg *aggregator) string {
 		}
 		if pv.whenIndexed {
 			b.WriteString(", interval-indexed")
-		}
-		if pv.probeSkipped {
-			b.WriteString(", index probe skipped (unselective window)")
 		}
 		if len(pv.where) > 0 {
 			fmt.Fprintf(&b, ", %d residual where", len(pv.where))

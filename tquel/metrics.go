@@ -37,8 +37,6 @@ var (
 		"Inner join variables executed as nested loops because no hashable equi-join conjunct applied.")
 	mJoinPairs = obs.Default.Counter("tdb_query_join_pairs_considered_total",
 		"Candidate bindings examined at inner join depths (depth >= 1).")
-	mProbeSkips = obs.Default.Counter("tdb_query_overlap_probe_skips_total",
-		"Interval-index probes the planner skipped because statistics estimated the overlap window unselective (scan-and-filter chosen instead).")
 
 	// Parallel execution counters (see docs/planner.md, "Parallel
 	// execution"). Both stay zero for serial sessions (SetParallelism <= 1)

@@ -14,9 +14,10 @@ import (
 // Volcano Query Processing System").
 //
 // Planning stays serial: prefiltering, the when pushdown, and the hash
-// build all run on the statement's goroutine and produce an immutable
-// queryPlan. Execution then partitions the *outermost* variable's candidate
-// list into contiguous chunks and fans the chunks out over a worker pool.
+// build all run on the statement's goroutine, inside its view, and produce
+// an immutable queryPlan. Execution then partitions the *outermost*
+// variable's candidate list into contiguous chunks and fans the chunks out
+// over a worker pool.
 // Each worker runs the unchanged inner bind/admit loop against its own
 // binding cells, env, and tally struct — nothing in the hot loop is shared,
 // so there are no atomics and no locks per binding. Chunk results are
@@ -25,17 +26,21 @@ import (
 // order concatenation); errors are likewise reported from the earliest
 // chunk, which is exactly the error the serial loop would have hit first.
 //
-// The safety argument, in one place:
-//   - the queryPlan (candidate slices, hash tables, residual conjunct ASTs)
-//     is never written after buildPlan returns;
-//   - statement ASTs are read-only during execution — the analyzer caches
-//     attribute offsets (AttrRef.idx) before execution starts;
-//   - expression evaluation (eval.go) is allocation-local: it reads the
-//     env's binding cells and allocates its own results, touching no
-//     session or package state beyond the atomic obs counters;
-//   - store reads happened at plan time under DB.mu.RLock; workers touch
-//     only the materialized []tdb.Version snapshots plus immutable schema
+// The safety argument is the one-view argument: a statement reads the
+// database through exactly one DB.View (Session.compile), and that view has
+// closed before the first worker starts.
+//   - Everything a worker reads was produced inside the view, by one
+//     goroutine, against one binding of the range variables: the queryPlan
+//     (candidate slices, hash tables, residual conjunct ASTs) and the
+//     attribute offsets analysis cached in the AST (AttrRef.idx), which index
+//     the very relations the candidates were fetched from. None of it is
+//     written after compile returns.
+//   - Workers touch no store: only the materialized []tdb.Version snapshots,
+//     private copies that later commits cannot reach, plus immutable schema
 //     metadata (see the concurrency notes on tdb.Relation).
+//   - Expression evaluation (eval.go) is allocation-local: it reads the
+//     env's binding cells and allocates its own results, touching no
+//     session or package state beyond the atomic obs counters.
 
 // parallelMinOuter is the smallest outer candidate list worth fanning out
 // when statistics are off (the v1 dispatch rule). Below it, goroutine

@@ -3,8 +3,6 @@ package tquel
 import (
 	"fmt"
 	"testing"
-
-	"tdb"
 )
 
 // parallelFixture builds a session over a key/value relation wide enough
@@ -94,15 +92,11 @@ func TestParallelErrorMatchesSerial(t *testing.T) {
 // single-worker budgets on the serial path.
 func TestUseParallelGates(t *testing.T) {
 	ses := planFixture(t)
-	stmt := mustParseRetrieve(t, `retrieve (s.tag, b.tag) where s.k = b.k`)
-	if err := ses.checkRetrieve(stmt); err != nil {
-		t.Fatal(err)
-	}
-	ev := &env{vars: map[string]*binding{}, now: ses.now()}
-	pl, _, err := ses.buildPlan(stmt, retrieveVars(stmt), ev, tdb.ScanSpec{})
+	c, err := ses.compile(mustParseRetrieve(t, `retrieve (s.tag, b.tag) where s.k = b.k`), true)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pl := c.pl
 	if got := len(pl.vars[0].versions); got == 0 {
 		t.Fatal("fixture produced no outer candidates")
 	}

@@ -2,6 +2,7 @@ package tquel
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"tdb"
@@ -23,11 +24,12 @@ import (
 //     (parked at the shallowest binding depth where every variable they
 //     mention is bound). The when AND-tree is split the same way.
 //  2. fetch (fetchVar): every range variable's candidates come from one
-//     ReadTx.Scan, all inside a single DB.View so the whole statement reads
-//     one database state. Single-variable comparison conjuncts become the
-//     scan's column filters and a single-variable "v overlap E" conjunct
-//     whose other side is variable-free its When; the remaining
-//     single-variable conjuncts are checked row-wise on what comes back.
+//     ReadTx.Scan, all inside the statement's one DB.View (Session.compile)
+//     so the whole statement reads one database state. Single-variable
+//     comparison conjuncts become the scan's column filters and a
+//     single-variable "v overlap E" conjunct whose other side is
+//     variable-free its When; the remaining single-variable conjuncts are
+//     checked row-wise on what comes back.
 //  3. join ordering: with statistics (the default, "cost-based planning
 //     v2") a greedy left-deep order minimizes estimated intermediate
 //     cardinality — each step binds the variable with the smallest
@@ -45,10 +47,9 @@ import (
 //     residual, so hash collisions and numeric coercions are re-verified
 //     and the result is provably the one the nested loop computes.
 //
-// The statistics feeding step 3 (and the interval-index probe decision and
-// the parallel dispatch cutoff) come from internal/stats via the ReadTx
-// estimate accessors, read in the same view as the fetch; every estimate is
-// deterministic, so plans are too.
+// The statistics feeding step 3 (and the parallel dispatch cutoff) come from
+// internal/stats via the ReadTx estimate accessors, read in the same view as
+// the fetch; every estimate is deterministic, so plans are too.
 // Session.DisablePlanner restores the naive path; TestPlannerDifferential
 // asserts both agree.
 
@@ -73,11 +74,10 @@ type queryPlan struct {
 	prefiltered int64 // bindings examined while prefiltering candidate lists
 
 	// Cost-model annotations (statistics path; zero when stats are off).
-	statsUsed    bool    // join order and dispatch used statistics estimates
-	estWork      float64 // estimated bindings the join loop will examine
-	estRows      float64 // estimated result cardinality before dedup
-	parallelCut  float64 // estWork threshold for the parallel dispatch
-	overlapSkips int64   // interval-index probes skipped on selectivity advice
+	statsUsed   bool    // join order and dispatch used statistics estimates
+	estWork     float64 // estimated bindings the join loop will examine
+	estRows     float64 // estimated result cardinality before dedup
+	parallelCut float64 // estWork threshold for the parallel dispatch
 
 	// Windowed-aggregation and coalescing annotations (see window.go).
 	windowSize int64   // window clause size; 0 when unwindowed
@@ -105,9 +105,8 @@ type planVar struct {
 	when  []TemporalExpr
 
 	// Explain annotations.
-	estOut       float64 // estimated cumulative bindings after this depth
-	whenIndexed  bool    // candidates came through the interval index
-	probeSkipped bool    // statistics advised against the interval-index probe
+	estOut      float64 // estimated cumulative bindings after this depth
+	whenIndexed bool    // an overlap conjunct became the scan's When
 }
 
 // equiEdge is one "v1.a = v2.b" conjunct, pre-resolved: the ordering cost
@@ -150,28 +149,20 @@ func splitTempAnd(e TemporalExpr, out []TemporalExpr) []TemporalExpr {
 	return append(out, e)
 }
 
-// exprVarList returns the distinct range variables of a scalar conjunct.
+// exprVarList returns the distinct range variables of a scalar conjunct,
+// sorted.
 func exprVarList(e Expr) []string {
-	m := map[string]bool{}
-	exprVars(e, m)
-	return sortedVars(m)
+	vars := exprVars(e, nil)
+	sort.Strings(vars)
+	return vars
 }
 
 // temporalVarList returns the distinct range variables of a temporal
-// conjunct.
+// conjunct, sorted.
 func temporalVarList(e TemporalExpr) []string {
-	m := map[string]bool{}
-	temporalVars(e, m)
-	return sortedVars(m)
-}
-
-func sortedVars(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for v := range m {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
+	vars := temporalVars(e, nil)
+	sort.Strings(vars)
+	return vars
 }
 
 // overlapPushdown recognizes "v overlap E" (either operand order) where E
@@ -313,11 +304,6 @@ func joinHash(v tdb.Value, numeric bool) uint64 {
 	return tdb.Float(f).Hash64()
 }
 
-// overlapProbeMaxSel is the estimated overlap selectivity above which the
-// planner skips the interval-index probe: past it, the probe visits most of
-// the store anyway, and the plain filtered scan avoids the index walk.
-const overlapProbeMaxSel = 0.5
-
 // orderByCost greedily orders the range variables to minimize estimated
 // intermediate cardinality (left-deep join order). The smallest candidate
 // list opens; each later step binds the unbound variable with the smallest
@@ -431,11 +417,10 @@ func holds(where []Expr, when []TemporalExpr, ev *env) (bool, error) {
 // fetched is one range variable's candidate versions and what fetching them
 // used and cost.
 type fetched struct {
-	versions     []tdb.Version
-	examined     int64 // versions held to the conjuncts row-wise
-	pushed       int64 // conjuncts settled by the fetch
-	whenIndexed  bool  // an overlap conjunct became the scan's When
-	probeSkipped bool  // statistics advised against that
+	versions    []tdb.Version
+	examined    int64 // versions held to the conjuncts row-wise
+	pushed      int64 // conjuncts settled by the fetch
+	whenIndexed bool  // an overlap conjunct became the scan's When
 }
 
 // fetchVar returns the versions of rel that range variable v can bind to
@@ -444,11 +429,10 @@ type fetched struct {
 // rollback clause, an instant or an "as of … through" window alike. With the
 // planner on, comparison conjuncts against constants go into the scan as
 // column filters and one "v overlap E" conjunct as its When, where the kind
-// records valid time and statistics do not call the window unselective;
-// either way every conjunct not answered by the scan itself is then checked
-// row-wise on the versions that came back, so pushing one can only shrink
-// what is materialized, never change the answer. rt is a View's or, for DML,
-// the transaction's own.
+// records valid time; every conjunct not answered by the scan itself is then
+// checked row-wise on the versions that came back, so pushing one can only
+// shrink what is materialized, never change the answer. rt is the
+// statement's view or, for DML, the transaction's own.
 func (s *Session) fetchVar(rt *tdb.ReadTx, pos Pos, rel *tdb.Relation, v string, spec tdb.ScanSpec,
 	where []Expr, when []TemporalExpr, ev *env) (fetched, error) {
 
@@ -465,18 +449,8 @@ func (s *Session) fetchVar(rt *tdb.ReadTx, pos Pos, rel *tdb.Relation, v string,
 		if !ok {
 			continue
 		}
-		if !s.noStats {
-			// Probe-vs-scan: a window matching most versions makes the
-			// valid-time scan visit nearly the whole store and still
-			// re-verify rows — the plain filtered scan is cheaper. The
-			// conjunct stays in when and prunes row-wise below.
-			if sel, selOK := rt.EstimateOverlap(rel, q); selOK && sel > overlapProbeMaxSel {
-				f.probeSkipped = true
-				continue
-			}
-		}
 		spec.When = &q
-		when = append(append([]TemporalExpr(nil), when[:fi]...), when[fi+1:]...)
+		when = slices.Delete(slices.Clone(when), fi, fi+1)
 		f.whenIndexed = true
 		f.pushed++
 		break
@@ -509,27 +483,14 @@ func (s *Session) fetchVar(rt *tdb.ReadTx, pos Pos, rel *tdb.Relation, v string,
 	return f, nil
 }
 
-// relsIn resolves the statement's range variables, in order, inside a view.
-func (s *Session) relsIn(rt *tdb.ReadTx, pos Pos, order []string) ([]*tdb.Relation, error) {
-	rels := make([]*tdb.Relation, len(order))
-	for i, v := range order {
-		rel, err := s.relIn(rt, pos, v)
-		if err != nil {
-			return nil, err
-		}
-		rels[i] = rel
-	}
-	return rels, nil
-}
-
-// buildPlan compiles a checked retrieve statement. Inside one DB.View it
-// resolves the range variables, fetches each one's candidate versions
-// (fetchVar) and reads the statistics the cost model will want, so the whole
-// statement — however many relations it joins — sees a single database
-// state; outside it, on the private copies, it orders variables by estimated
-// cardinality and wires hash joins for residual equi-join conjuncts. The
-// relations come back in statement order.
-func (s *Session) buildPlan(n *RetrieveStmt, order []string, ev *env, spec tdb.ScanSpec) (*queryPlan, []*tdb.Relation, error) {
+// buildPlan compiles a checked retrieve statement over the relations its
+// scope bound, in the statement's view: it fetches each variable's candidate
+// versions (fetchVar) and reads the statistics the cost model will want, so
+// the whole statement — however many relations it joins — sees a single
+// database state; then, on the private copies, it orders variables by
+// estimated cardinality and wires hash joins for residual equi-join
+// conjuncts.
+func (s *Session) buildPlan(rt *tdb.ReadTx, n *RetrieveStmt, sc scope, ev *env, spec tdb.ScanSpec) (*queryPlan, error) {
 	statsOn := !s.noStats
 	pl := &queryPlan{statsUsed: statsOn, parallelCut: parallelMinCost}
 
@@ -557,7 +518,7 @@ func (s *Session) buildPlan(n *RetrieveStmt, order []string, ev *env, spec tdb.S
 			// Variable-free: settled exactly once, before any binding.
 			ok, err := evalPred(e, ev)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			if !ok {
 				pl.emptyResult = true
@@ -574,7 +535,7 @@ func (s *Session) buildPlan(n *RetrieveStmt, order []string, ev *env, spec tdb.S
 		case 0:
 			ok, err := evalTemporalPred(te, ev)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			if !ok {
 				pl.emptyResult = true
@@ -589,88 +550,72 @@ func (s *Session) buildPlan(n *RetrieveStmt, order []string, ev *env, spec tdb.S
 
 	// ndvOf estimates the distinct join-key count of pl.vars[i]'s attribute,
 	// clamped to the filtered candidate count (the relation-wide sketch can
-	// only overcount a filtered list) and floored at 1. The view below reads
-	// the sketch of every equi-edge endpoint once, keyed by statement-order
-	// variable, so the ordering and the build-edge choice share one estimate
-	// and neither needs the database again.
+	// only overcount a filtered list) and floored at 1. The sketch of every
+	// equi-edge endpoint is read once below, keyed by statement-order variable,
+	// so the ordering and the build-edge choice share one estimate.
 	ndvMemo := make(map[[2]int]float64)
 	ndvOf := func(i, attr int) float64 { return ndvMemo[[2]int{pl.vars[i].orig, attr}] }
 
-	var rels []*tdb.Relation
-	var edges []equiEdge
-	var validSpan float64 // widest finite valid-time extent among the variables
-	err := s.db.View(func(rt *tdb.ReadTx) error {
-		var err error
-		if rels, err = s.relsIn(rt, n.Pos, order); err != nil {
-			return err
+	// Fetch in the statement's original variable order so errors surface
+	// exactly as the naive path reports them.
+	pl.vars = make([]planVar, len(sc))
+	for i := range sc {
+		v, rel := sc[i].name, sc[i].rel
+		f, err := s.fetchVar(rt, n.Pos, rel, v, spec, perVarWhere[v], perVarWhen[v], ev)
+		if err != nil {
+			return nil, err
 		}
-		// Fetch in the statement's original variable order so errors surface
-		// exactly as the naive path reports them.
-		pl.vars = make([]planVar, len(order))
-		for i, v := range order {
-			f, err := s.fetchVar(rt, n.Pos, rels[i], v, spec, perVarWhere[v], perVarWhen[v], ev)
-			if err != nil {
-				return err
-			}
-			pl.pushed += f.pushed
-			pl.prefiltered += f.examined
-			if f.whenIndexed {
-				pl.whenIndexed++
-			}
-			if f.probeSkipped {
-				pl.overlapSkips++
-			}
-			pl.vars[i] = planVar{name: v, orig: i, rel: rels[i], versions: f.versions,
-				whenIndexed: f.whenIndexed, probeSkipped: f.probeSkipped}
+		pl.pushed += f.pushed
+		pl.prefiltered += f.examined
+		if f.whenIndexed {
+			pl.whenIndexed++
 		}
+		pl.vars[i] = planVar{name: v, orig: i, rel: rel, versions: f.versions, whenIndexed: f.whenIndexed}
+	}
 
-		// Resolve every equi-join edge once; the ordering cost model and the
-		// probe wiring below both consume the list.
-		for _, res := range residuals {
-			if res.expr == nil {
+	// Resolve every equi-join edge once; the ordering cost model and the
+	// probe wiring below both consume the list.
+	var edges []equiEdge
+	for _, res := range residuals {
+		if res.expr == nil {
+			continue
+		}
+		l, r, ok := equiJoinSides(res.expr)
+		if !ok {
+			continue
+		}
+		li, ri := sc.index(l.Var), sc.index(r.Var)
+		lSch, rSch := sc[li].rel.Schema(), sc[ri].rel.Schema()
+		lIdx, rIdx := lSch.Index(l.Attr), rSch.Index(r.Attr)
+		if lIdx < 0 || rIdx < 0 {
+			continue // unreachable after analysis; keep the nested loop
+		}
+		hashable, numeric := hashableJoin(lSch.Attr(lIdx).Type, rSch.Attr(rIdx).Type)
+		edges = append(edges, equiEdge{l: l, r: r, lIdx: lIdx, rIdx: rIdx,
+			hashable: hashable, numeric: numeric})
+		if !statsOn {
+			continue
+		}
+		for _, end := range [][2]int{{li, lIdx}, {ri, rIdx}} {
+			if _, seen := ndvMemo[end]; seen {
 				continue
 			}
-			l, r, ok := equiJoinSides(res.expr)
+			m := float64(len(pl.vars[end[0]].versions))
+			d, ok := rt.EstimateNDV(sc[end[0]].rel, end[1])
 			if !ok {
-				continue
+				// No statistics yet: assume all-distinct, the key-join default.
+				d = m
 			}
-			li, ri := indexOf(order, l.Var), indexOf(order, r.Var)
-			lIdx := rels[li].Schema().Index(l.Attr)
-			rIdx := rels[ri].Schema().Index(r.Attr)
-			if lIdx < 0 || rIdx < 0 {
-				continue // unreachable after analysis; keep the nested loop
-			}
-			hashable, numeric := hashableJoin(
-				rels[li].Schema().Attr(lIdx).Type, rels[ri].Schema().Attr(rIdx).Type)
-			edges = append(edges, equiEdge{l: l, r: r, lIdx: lIdx, rIdx: rIdx,
-				hashable: hashable, numeric: numeric})
-			if !statsOn {
-				continue
-			}
-			for _, end := range [][2]int{{li, lIdx}, {ri, rIdx}} {
-				if _, seen := ndvMemo[end]; seen {
-					continue
-				}
-				m := float64(len(pl.vars[end[0]].versions))
-				d, ok := rt.EstimateNDV(rels[end[0]], end[1])
-				if !ok {
-					// No statistics yet: assume all-distinct, the key-join default.
-					d = m
-				}
-				ndvMemo[end] = max(min(d, m), 1)
+			ndvMemo[end] = max(min(d, m), 1)
+		}
+	}
+	var validSpan float64 // widest finite valid-time extent among the variables
+	if n.Window != nil && statsOn {
+		for i := range sc {
+			if lo, hi, ok := rt.EstimateValidExtent(sc[i].rel); ok {
+				validSpan = max(validSpan, float64(hi-lo))
 			}
 		}
-		if n.Window != nil && statsOn {
-			for _, rel := range rels {
-				if lo, hi, ok := rt.EstimateValidExtent(rel); ok {
-					validSpan = max(validSpan, float64(hi-lo))
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
 	}
 
 	// Join ordering (see the package comment, step 3).
@@ -781,15 +726,5 @@ func (s *Session) buildPlan(n *RetrieveStmt, order []string, ev *env, spec tdb.S
 			pl.estWork += pl.estRows
 		}
 	}
-	return pl, rels, nil
-}
-
-// indexOf returns v's position in order.
-func indexOf(order []string, v string) int {
-	for i, o := range order {
-		if o == v {
-			return i
-		}
-	}
-	return -1
+	return pl, nil
 }

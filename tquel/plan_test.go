@@ -588,7 +588,7 @@ func TestStatsTraceSpan(t *testing.T) {
 	if stSp == nil {
 		t.Fatal("no stats span recorded")
 	}
-	for _, note := range []string{"est_work", "est_rows", "probe_skips"} {
+	for _, note := range []string{"est_work", "est_rows"} {
 		if _, ok := stSp.notes[note]; !ok {
 			t.Errorf("stats span missing %q note", note)
 		}

@@ -1,11 +1,13 @@
 package tquel
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"tdb"
+	"tdb/internal/obs"
 	"tdb/temporal"
 )
 
@@ -155,5 +157,39 @@ func TestSegmentsDifferentialAfterRecovery(t *testing.T) {
 			as of "12/20/82"`,
 	} {
 		differential(t, ses, src)
+	}
+}
+
+// A "v overlap E" conjunct is always the scan's When — a column test inside
+// the one segment scan — so a sealed row is materialized only if it overlaps,
+// however much of the relation the window covers: here 11 of 16 versions,
+// where the statistics once advised fetching all 16 and testing them row-wise.
+func TestOverlapPushdownMaterializesOverlappingRowsOnly(t *testing.T) {
+	t.Setenv("TDB_SEGMENT_ROWS", "4")
+	ses := NewSession(newPastDB(t))
+	src := `create temporal relation shift (who = string) key (who) range of s is shift`
+	for d := 1; d <= 16; d++ {
+		src += fmt.Sprintf("\nappend to shift (who = \"w%02d\") valid from \"01/%02d/80\" to \"01/%02d/80\"", d, d, d+1)
+	}
+	if _, err := ses.Exec(src); err != nil {
+		t.Fatal(err)
+	}
+	if st := ses.db.Stats(); st.SealedRows != 16 || st.TailRows != 0 {
+		t.Fatalf("fixture not fully sealed: %+v", st)
+	}
+	materialized := obs.Default.Counter("tdb_segment_rows_materialized_total", "")
+	before := materialized.Value()
+	res, err := ses.Query(`retrieve (s.who) when s overlap ("01/03/80" extend "01/13/80")`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Len() != 11 {
+		t.Fatalf("window overlaps %d versions, want 11:\n%s", res.Len(), res)
+	}
+	if got := materialized.Value() - before; got != 11 {
+		t.Errorf("materialized %d sealed rows for 11 overlapping versions of 16", got)
+	}
+	if !ses.lastPlan.vars[0].whenIndexed {
+		t.Error("the overlap conjunct did not become the scan's When")
 	}
 }

@@ -36,6 +36,7 @@ func (db *DB) View(fn func(rt *ReadTx) error) error {
 	if db.closed {
 		return ErrClosed
 	}
+	mViews.Inc()
 	return fn(&ReadTx{db: db})
 }
 
@@ -75,21 +76,6 @@ func (rt *ReadTx) EstimateNDV(rel *Relation, idx int) (float64, bool) {
 	}
 	stats.MEstimates.Inc()
 	return e.NDV(idx), true
-}
-
-// EstimateOverlap estimates the fraction of rel's versions whose valid
-// period overlaps q. ok is false for kinds without valid time or before any
-// interval has been recorded.
-func (rt *ReadTx) EstimateOverlap(rel *Relation, q temporal.Interval) (float64, bool) {
-	e, ok := rt.db.stats[rel.Name()]
-	if !ok {
-		return 0, false
-	}
-	sel, ok := e.ValidOverlapSel(q)
-	if ok {
-		stats.MEstimates.Inc()
-	}
-	return sel, ok
 }
 
 // EstimateValidExtent returns the finite valid-time span [lo, hi) rel's
