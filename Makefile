@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check numbers fmt vet build test race race-parallel race-cache test-nocache race-segments test-faults test-repl race-ingest soak-ingest figures-check plan-corpus bench bench-smoke
+.PHONY: check numbers fmt vet build test race race-parallel race-cache test-nocache race-segments fuzz-smoke test-faults test-repl race-ingest soak-ingest figures-check plan-corpus bench bench-smoke
 
-check: fmt vet build race race-parallel race-cache test-nocache race-segments figures-check
+check: fmt vet build race race-parallel race-cache test-nocache race-segments fuzz-smoke figures-check
 
 # The three numbers ROADMAP aim 2 asks every CHANGES.md entry to carry:
 # code size, knob count (the registry in internal/config, pinned by
@@ -65,6 +65,13 @@ test-nocache:
 # dictionary is tiny and the key index's postings span tail and segments.
 race-segments:
 	TDB_SEGMENT_ROWS=4 TDB_PARALLEL=4 $(GO) test -race ./tquel ./internal/figures ./internal/segment ./internal/core ./internal/index .
+
+# Ten seconds of native fuzzing on the statistics decoder (FuzzDecodeRel):
+# no panic, and every accepted blob re-encodes to a fixed point. A short
+# minimization budget keeps the smoke fuzzing instead of shrinking a large
+# seed. Commit any crasher it writes under internal/stats/testdata/fuzz.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRel$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/stats
 
 # The durability suite: fault injection (vfs), torn-log replay (wal), the
 # crash matrices (truncate/corrupt every byte of the final record; crash a

@@ -216,10 +216,10 @@ func renderStats(db *tdb.DB) string {
 	}
 	sort.Strings(names)
 	var b strings.Builder
-	b.WriteString("relation: versions closures retractions buckets")
+	b.WriteString("relation: versions closures retractions")
 	for _, n := range names {
 		s := sums[n]
-		fmt.Fprintf(&b, "\n%s: %d %d %d %d", n, s.Versions, s.Closures, s.Retractions, s.Buckets)
+		fmt.Fprintf(&b, "\n%s: %d %d %d", n, s.Versions, s.Closures, s.Retractions)
 	}
 	return b.String()
 }

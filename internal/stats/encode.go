@@ -4,104 +4,20 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"tdb/temporal"
 )
 
 // Canonical binary encoding, embedded per relation in checkpoint
-// snapshots. The encoding is a pure function of the statistics state — no
-// maps, no pointers, fixed field order — so decode∘encode is
-// the identity byte-for-byte. That makes encoded statistics directly
-// comparable across a primary, its recovery replay, and its followers.
+// snapshots: the axes byte, the three counters, one sketch per attribute,
+// then the valid extent as a present byte and two varints. The encoding is
+// a pure function of the statistics state — no maps, no pointers, fixed
+// field order — so decode∘encode is the identity byte-for-byte. That makes
+// encoded statistics directly comparable across a primary, its recovery
+// replay, and its followers.
 
 // ErrCorrupt reports a statistics blob failing structural validation.
 var ErrCorrupt = errors.New("stats: corrupt encoding")
-
-func appendHist(dst []byte, h *Hist) []byte {
-	dst = binary.AppendUvarint(dst, h.n)
-	if h.n == 0 {
-		return dst
-	}
-	dst = binary.AppendVarint(dst, h.min)
-	dst = binary.AppendVarint(dst, h.max)
-	dst = binary.AppendVarint(dst, h.width)
-	dst = binary.AppendVarint(dst, h.origin)
-	for _, c := range h.counts {
-		dst = binary.AppendUvarint(dst, c)
-	}
-	return dst
-}
-
-func decodeHist(src []byte, h *Hist) (int, error) {
-	n, sz := binary.Uvarint(src)
-	if sz <= 0 {
-		return 0, fmt.Errorf("%w: hist count", ErrCorrupt)
-	}
-	off := sz
-	h.n = n
-	if n == 0 {
-		return off, nil
-	}
-	mn, sz := binary.Varint(src[off:])
-	if sz <= 0 {
-		return 0, fmt.Errorf("%w: hist min", ErrCorrupt)
-	}
-	off += sz
-	mx, sz := binary.Varint(src[off:])
-	if sz <= 0 || mx < mn {
-		return 0, fmt.Errorf("%w: hist max", ErrCorrupt)
-	}
-	off += sz
-	h.min, h.max = mn, mx
-	w, sz := binary.Varint(src[off:])
-	if sz <= 0 || w <= 0 {
-		return 0, fmt.Errorf("%w: hist width", ErrCorrupt)
-	}
-	off += sz
-	h.width = w
-	o, sz := binary.Varint(src[off:])
-	if sz <= 0 {
-		return 0, fmt.Errorf("%w: hist origin", ErrCorrupt)
-	}
-	off += sz
-	h.origin = o
-	for i := range h.counts {
-		c, sz := binary.Uvarint(src[off:])
-		if sz <= 0 {
-			return 0, fmt.Errorf("%w: hist bucket %d", ErrCorrupt, i)
-		}
-		off += sz
-		h.counts[i] = c
-	}
-	return off, nil
-}
-
-func appendIntervalHist(dst []byte, ih *IntervalHist) []byte {
-	dst = binary.AppendUvarint(dst, ih.N)
-	dst = binary.AppendUvarint(dst, ih.LowOpen)
-	dst = binary.AppendUvarint(dst, ih.Open)
-	dst = appendHist(dst, &ih.Starts)
-	dst = appendHist(dst, &ih.Ends)
-	return appendHist(dst, &ih.Durs)
-}
-
-func decodeIntervalHist(src []byte, ih *IntervalHist) (int, error) {
-	off := 0
-	for _, p := range []*uint64{&ih.N, &ih.LowOpen, &ih.Open} {
-		v, sz := binary.Uvarint(src[off:])
-		if sz <= 0 {
-			return 0, fmt.Errorf("%w: interval hist header", ErrCorrupt)
-		}
-		off += sz
-		*p = v
-	}
-	for _, h := range []*Hist{&ih.Starts, &ih.Ends, &ih.Durs} {
-		n, err := decodeHist(src[off:], h)
-		if err != nil {
-			return 0, err
-		}
-		off += n
-	}
-	return off, nil
-}
 
 // AppendRel appends the canonical encoding of r to dst.
 func AppendRel(dst []byte, r *Rel) []byte {
@@ -124,17 +40,24 @@ func AppendRel(dst []byte, r *Rel) []byte {
 			dst = binary.BigEndian.AppendUint64(dst, h)
 		}
 	}
-	dst = appendIntervalHist(dst, &r.Valid)
-	return appendIntervalHist(dst, &r.Trans)
+	if !r.validOK {
+		return append(dst, 0)
+	}
+	dst = append(dst, 1)
+	dst = binary.AppendVarint(dst, int64(r.validLo))
+	return binary.AppendVarint(dst, int64(r.validHi))
 }
 
 // EncodeRel returns the canonical encoding of r.
 func EncodeRel(r *Rel) []byte { return AppendRel(nil, r) }
 
 // DecodeRel parses one encoded Rel, returning it and the bytes consumed.
+// It accepts only what AppendRel can produce: known axis bits, sketches in
+// strictly ascending order within capacity, and an extent of finite
+// endpoints with lo <= hi on a relation with a valid axis.
 func DecodeRel(src []byte) (*Rel, int, error) {
-	if len(src) < 1 {
-		return nil, 0, fmt.Errorf("%w: empty", ErrCorrupt)
+	if len(src) < 1 || src[0] > 3 {
+		return nil, 0, fmt.Errorf("%w: axes", ErrCorrupt)
 	}
 	r := &Rel{HasValid: src[0]&1 != 0, HasTrans: src[0]&2 != 0}
 	off := 1
@@ -165,15 +88,32 @@ func DecodeRel(src []byte) (*Rel, int, error) {
 		for j := range ks {
 			ks[j] = binary.BigEndian.Uint64(src[off:])
 			off += 8
+			if j > 0 && ks[j] <= ks[j-1] {
+				return nil, 0, fmt.Errorf("%w: sketch out of order", ErrCorrupt)
+			}
 		}
 		r.Attrs[i].ks = ks
 	}
-	for _, ih := range []*IntervalHist{&r.Valid, &r.Trans} {
-		n, err := decodeIntervalHist(src[off:], ih)
-		if err != nil {
-			return nil, 0, err
-		}
-		off += n
+	if off >= len(src) || src[off] > 1 || (src[off] == 1 && !r.HasValid) {
+		return nil, 0, fmt.Errorf("%w: extent", ErrCorrupt)
 	}
+	r.validOK = src[off] == 1
+	off++
+	if !r.validOK {
+		return r, off, nil
+	}
+	var ends [2]temporal.Chronon
+	for i := range ends {
+		v, sz := binary.Varint(src[off:])
+		if sz <= 0 || !temporal.Chronon(v).IsFinite() {
+			return nil, 0, fmt.Errorf("%w: extent endpoint", ErrCorrupt)
+		}
+		off += sz
+		ends[i] = temporal.Chronon(v)
+	}
+	if ends[1] < ends[0] {
+		return nil, 0, fmt.Errorf("%w: extent hi < lo", ErrCorrupt)
+	}
+	r.validLo, r.validHi = ends[0], ends[1]
 	return r, off, nil
 }

@@ -52,14 +52,3 @@ func (s *Sketch) Distinct() float64 {
 	}
 	return float64(SketchK-1) / u
 }
-
-// Merge folds another sketch into this one, as if every value behind o had
-// been added here. Merging is commutative and associative.
-func (s *Sketch) Merge(o *Sketch) {
-	for _, h := range o.ks {
-		s.Add(h)
-	}
-}
-
-// Len returns the number of retained minima (for observability).
-func (s *Sketch) Len() int { return len(s.ks) }

@@ -1,14 +1,16 @@
-// Package stats maintains per-relation temporal statistics: version
-// counts, per-attribute distinct-value sketches (KMV), and equi-width
-// interval histograms over transaction and valid time. The planner turns
-// them into cardinality and selectivity estimates (see tquel/plan.go).
+// Package stats maintains per-relation statistics: version counters,
+// per-attribute distinct-value sketches (KMV), and the exact extent of the
+// finite valid-time endpoints asserted. The planner reads exactly two
+// things from them (see tquel/plan.go): NDV estimates for join order and
+// build side, and the valid extent for window counts.
 //
 // Every structure here is a deterministic function of the committed
-// operation stream — insertion order inside one op, duplicate values, and
-// the grid-growth path all cancel out — so a primary, its WAL replay, and
-// its followers hold byte-identical statistics (TestStatsReplayIdentity,
-// TestReplStatsByteIdentity). Statistics are persisted in checkpoint
-// snapshots, one section per relation.
+// operation stream — a sketch is a function of the set of values added, a
+// counter of the number of ops, an extent of the min and max endpoint — so
+// a primary, its WAL replay, and its followers hold byte-identical
+// statistics (TestStatsReplayIdentity, TestReplStatsByteIdentity).
+// Statistics are persisted in checkpoint snapshots, one section per
+// relation.
 package stats
 
 import (
@@ -38,10 +40,10 @@ type Rel struct {
 	// Attrs holds one distinct-value sketch per schema attribute.
 	Attrs []Sketch
 
-	// Valid summarizes asserted valid-time intervals; Trans summarizes
-	// transaction-time stamps (opened at commit, closed on supersession).
-	Valid IntervalHist
-	Trans IntervalHist
+	// validLo and validHi are the least and greatest finite valid-time
+	// endpoints asserted so far; validOK is false until there is one.
+	validLo, validHi temporal.Chronon
+	validOK          bool
 }
 
 // NewRel returns empty statistics for a relation of the given arity and
@@ -59,35 +61,37 @@ func (r *Rel) addAttrs(t tuple.Tuple) {
 	}
 }
 
-// Insert records an OpInsert: one new version, open on the transaction
-// axis when the kind records it.
-func (r *Rel) Insert(t tuple.Tuple, commit temporal.Chronon) {
+// addValid widens the valid extent to cover one finite endpoint.
+func (r *Rel) addValid(c temporal.Chronon) {
+	if !c.IsFinite() {
+		return
+	}
+	if !r.validOK {
+		r.validLo, r.validHi, r.validOK = c, c, true
+		return
+	}
+	r.validLo, r.validHi = min(r.validLo, c), max(r.validHi, c)
+}
+
+// Insert records an OpInsert: one new version.
+func (r *Rel) Insert(t tuple.Tuple) {
 	r.Versions++
 	r.addAttrs(t)
-	if r.HasTrans {
-		r.Trans.AddOpen(commit)
-	}
 }
 
 // Close records a transaction-time closure (the delete half of delete and
 // replace on rollback kinds).
-func (r *Rel) Close(commit temporal.Chronon) {
-	r.Closures++
-	if r.HasTrans {
-		r.Trans.CloseAt(commit)
-	}
-}
+func (r *Rel) Close() { r.Closures++ }
 
 // Assert records an OpAssert/OpAssertAt: a new version with a known valid
-// interval.
-func (r *Rel) Assert(t tuple.Tuple, valid temporal.Interval, commit temporal.Chronon) {
+// interval. The op's commit chronon is accepted but not recorded: nothing
+// estimates against transaction time.
+func (r *Rel) Assert(t tuple.Tuple, valid temporal.Interval, _ temporal.Chronon) {
 	r.Versions++
 	r.addAttrs(t)
 	if r.HasValid {
-		r.Valid.Add(valid)
-	}
-	if r.HasTrans {
-		r.Trans.AddOpen(commit)
+		r.addValid(valid.From)
+		r.addValid(valid.To)
 	}
 }
 
@@ -112,53 +116,21 @@ func (r *Rel) NDV(attr int) float64 {
 	return d
 }
 
-// ValidExtent returns the finite valid-time span the relation's recorded
-// intervals cover; ok is false without a valid axis or finite endpoints.
-// The planner divides it by a window clause's slide to estimate how many
-// windows the aggregation pass will materialize.
+// ValidExtent returns the finite valid-time span [lo, hi) the relation's
+// asserted intervals cover: the earliest finite endpoint through the latest,
+// widened to one chronon when they coincide. ok is false without a valid
+// axis or before any finite endpoint. The planner divides it by a window
+// clause's slide to estimate how many windows the aggregation pass will
+// materialize.
 func (r *Rel) ValidExtent() (lo, hi temporal.Chronon, ok bool) {
-	if !r.HasValid || r.Valid.N == 0 {
+	if !r.HasValid || !r.validOK {
 		return 0, 0, false
 	}
-	return r.Valid.Extent()
-}
-
-// TransContainsSel estimates the fraction of versions visible as of
-// transaction instant t (their transaction stamp contains t).
-func (r *Rel) TransContainsSel(t temporal.Chronon) (float64, bool) {
-	if !r.HasTrans || r.Trans.N == 0 {
-		return 0, false
+	lo, hi = r.validLo, r.validHi
+	if hi <= lo {
+		hi = lo + 1
 	}
-	return r.Trans.ContainsSel(t), true
-}
-
-// CurrentFraction estimates the fraction of stored versions that are part
-// of present belief: the ones never closed on the transaction axis. Kinds
-// without transaction time keep every version current.
-func (r *Rel) CurrentFraction() float64 {
-	if r.Versions == 0 {
-		return 1
-	}
-	if !r.HasTrans {
-		return 1
-	}
-	open := float64(r.Versions) - float64(r.Closures)
-	return clamp01(open / float64(r.Versions))
-}
-
-// Merge folds another relation's statistics in (both sides must share
-// arity and axes; used by tests and segment-level aggregation).
-func (r *Rel) Merge(o *Rel) {
-	r.Versions += o.Versions
-	r.Closures += o.Closures
-	r.Retractions += o.Retractions
-	for i := range r.Attrs {
-		if i < len(o.Attrs) {
-			r.Attrs[i].Merge(&o.Attrs[i])
-		}
-	}
-	r.Valid.Merge(&o.Valid)
-	r.Trans.Merge(&o.Trans)
+	return lo, hi, true
 }
 
 // Summary is a point-in-time digest for /statz and tests.
@@ -167,7 +139,6 @@ type Summary struct {
 	Closures    uint64    `json:"closures"`
 	Retractions uint64    `json:"retractions"`
 	AttrNDV     []float64 `json:"attr_ndv"`
-	Buckets     int       `json:"buckets"` // occupied histogram buckets, both axes
 }
 
 // Summarize digests the statistics.
@@ -176,7 +147,6 @@ func (r *Rel) Summarize() Summary {
 		Versions:    r.Versions,
 		Closures:    r.Closures,
 		Retractions: r.Retractions,
-		Buckets:     r.Valid.Occupied() + r.Trans.Occupied(),
 	}
 	for i := range r.Attrs {
 		s.AttrNDV = append(s.AttrNDV, r.NDV(i))

@@ -2,6 +2,8 @@ package stats
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -59,7 +61,8 @@ func TestSketchNDVAccuracyBound(t *testing.T) {
 }
 
 // The sketch state is a function of the set of values added: insertion
-// order, duplication, and interleaving with merges all cancel out.
+// order, duplication, and folding one sketch's retained minima into another
+// all cancel out.
 func TestSketchOrderAndMergeInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	vals := make([]uint64, 2000)
@@ -83,92 +86,14 @@ func TestSketchOrderAndMergeInvariance(t *testing.T) {
 		}
 	}
 	merged = left
-	merged.Merge(&right)
+	for _, h := range right.ks {
+		merged.Add(h)
+	}
 	if !reflect.DeepEqual(fwd, rev) {
 		t.Error("sketch state depends on insertion order")
 	}
 	if !reflect.DeepEqual(fwd, merged) {
 		t.Error("merged sketch differs from the sketch of the union")
-	}
-}
-
-// The histogram grid (width, origin, counts) is a function of the set of
-// values added, never of their order — the property the replay/follower
-// byte-identity guarantees rest on.
-func TestHistGridOrderInvariance(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	vals := make([]int64, 5000)
-	for i := range vals {
-		vals[i] = rng.Int63n(1 << 40)
-	}
-	var fwd, shuf Hist
-	for _, v := range vals {
-		fwd.Add(v)
-	}
-	perm := rng.Perm(len(vals))
-	for _, i := range perm {
-		shuf.Add(vals[i])
-	}
-	if fwd != shuf {
-		t.Errorf("hist state depends on insertion order:\nfwd  width=%d origin=%d\nshuf width=%d origin=%d",
-			fwd.width, fwd.origin, shuf.width, shuf.origin)
-	}
-}
-
-// CumLE's interpolation error is bounded by one bucket's population: the
-// estimate counts full buckets exactly and only guesses inside the probe's
-// bucket.
-func TestHistCumLEErrorBound(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	var h Hist
-	vals := make([]int64, 3000)
-	for i := range vals {
-		vals[i] = 1_000_000 + rng.Int63n(500_000)
-		h.Add(vals[i])
-	}
-	for probe := int64(1_000_000); probe <= 1_500_000; probe += 50_000 {
-		truth := 0
-		for _, v := range vals {
-			if v <= probe {
-				truth++
-			}
-		}
-		est := h.CumLE(probe)
-		bucket := h.counts[(uint64(probe)-uint64(h.origin))/uint64(h.width)]
-		if math.Abs(est-float64(truth)) > float64(bucket)+1 {
-			t.Errorf("CumLE(%d) = %.1f, truth %d, bucket population %d", probe, est, truth, bucket)
-		}
-	}
-}
-
-// Merging an empty histogram is the identity in both directions, and
-// merging two halves of a workload reproduces the whole workload's totals.
-func TestHistMergeIdentityAndTotals(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	var whole, left, right, empty Hist
-	for i := 0; i < 2000; i++ {
-		v := rng.Int63n(1 << 30)
-		whole.Add(v)
-		if i%2 == 0 {
-			left.Add(v)
-		} else {
-			right.Add(v)
-		}
-	}
-	pre := whole
-	whole.Merge(&empty)
-	if whole != pre {
-		t.Error("merging an empty hist changed the receiver")
-	}
-	var adopted Hist
-	adopted.Merge(&pre)
-	if adopted != pre {
-		t.Error("merging into an empty hist must copy the source")
-	}
-	left.Merge(&right)
-	if left != pre {
-		t.Errorf("merging two halves diverged from the whole workload:\nmerged width=%d origin=%d n=%d\nwhole  width=%d origin=%d n=%d",
-			left.width, left.origin, left.n, pre.width, pre.origin, pre.n)
 	}
 }
 
@@ -194,37 +119,64 @@ func seededIntervals(seed int64, n int) []temporal.Interval {
 	return out
 }
 
-// ContainsSel (the as-of visibility estimate) must track the true fraction
-// of intervals containing an instant.
-func TestContainsSelAccuracy(t *testing.T) {
-	ivs := seededIntervals(23, 4000)
-	var ih IntervalHist
-	for _, iv := range ivs {
-		ih.Add(iv)
-	}
-	base := int64(temporal.Date(1980, 1, 1))
-	for _, at := range []temporal.Chronon{
-		temporal.Chronon(base + 50_000),
-		temporal.Chronon(base + 1_500_000),
-		temporal.Chronon(base + 2_999_999),
+// ValidExtent is the span of every finite valid-time endpoint asserted: open
+// ends contribute nothing, an instant contributes [at, at+1), and a span
+// that collapses to one chronon widens to [lo, lo+1).
+func TestValidExtent(t *testing.T) {
+	at := temporal.Date(1983, 1, 1)
+	for _, tc := range []struct {
+		name   string
+		ivs    []temporal.Interval
+		lo, hi temporal.Chronon
+		ok     bool
+	}{
+		{name: "seeded", ivs: seededIntervals(23, 4000), lo: 315533068, hi: 318916226, ok: true},
+		{name: "all-open", ivs: []temporal.Interval{{From: temporal.Beginning, To: temporal.Forever}, {From: temporal.Beginning, To: temporal.Forever}}},
+		{name: "beginning-only", ivs: []temporal.Interval{{From: temporal.Beginning, To: at + 300}, {From: temporal.Beginning, To: at}},
+			lo: 410227200, hi: 410227500, ok: true},
+		{name: "single-at", ivs: []temporal.Interval{temporal.At(at)}, lo: 410227200, hi: 410227201, ok: true},
+		{name: "collapsed", ivs: []temporal.Interval{{From: temporal.Beginning, To: at}, temporal.Since(at)},
+			lo: 410227200, hi: 410227201, ok: true},
+		{name: "empty"},
 	} {
-		truth := 0
-		for _, iv := range ivs {
-			if iv.Contains(at) {
-				truth++
-			}
+		r := NewRel(1, true, true)
+		for i, iv := range tc.ivs {
+			r.Assert(tuple.New(value.NewInt(int64(i))), iv, temporal.Chronon(i+1))
 		}
-		trueSel := float64(truth) / float64(len(ivs))
-		est := ih.ContainsSel(at)
-		if math.Abs(est-trueSel) > 0.1 {
-			t.Errorf("ContainsSel(%v) = %.3f, true %.3f", at, est, trueSel)
+		lo, hi, ok := r.ValidExtent()
+		if lo != tc.lo || hi != tc.hi || ok != tc.ok {
+			t.Errorf("%s: ValidExtent() = (%d, %d, %v), want (%d, %d, %v)", tc.name, lo, hi, ok, tc.lo, tc.hi, tc.ok)
 		}
 	}
 }
 
-// decode∘encode must be the identity byte-for-byte, and truncated or
-// corrupt blobs must fail rather than misparse.
-func TestEncodeDecodeRoundTrip(t *testing.T) {
+// The whole statistics state — sketches, counters and extent — is a function
+// of the ops applied, never of their order: the property the replay and
+// follower byte-identity guarantees rest on.
+func TestRelOrderInvariance(t *testing.T) {
+	ivs := seededIntervals(9, 5000)
+	fwd, shuf := NewRel(2, true, true), NewRel(2, true, true)
+	apply := func(r *Rel, i int) {
+		data := tuple.New(value.NewInt(int64(i%701)), value.NewString(ivs[i].String()))
+		r.Assert(data, ivs[i], temporal.Chronon(i))
+		if i%5 == 0 {
+			r.Close()
+		}
+	}
+	for i := range ivs {
+		apply(fwd, i)
+	}
+	for _, i := range rand.New(rand.NewSource(9)).Perm(len(ivs)) {
+		apply(shuf, i)
+	}
+	if !bytes.Equal(EncodeRel(fwd), EncodeRel(shuf)) {
+		t.Error("statistics depend on the order ops were applied in")
+	}
+}
+
+// roundTripFixture is a three-attribute relation on both axes with enough
+// distinct values to fill its first and third sketches to capacity.
+func roundTripFixture() *Rel {
 	rng := rand.New(rand.NewSource(31))
 	r := NewRel(3, true, true)
 	commit := temporal.Chronon(5000)
@@ -233,12 +185,19 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		data := tuple.New(value.NewInt(rng.Int63()), value.NewString("s"), value.NewFloat(rng.Float64()))
 		r.Assert(data, temporal.Interval{From: commit, To: commit + 10}, commit)
 		if i%7 == 0 {
-			r.Close(commit)
+			r.Close()
 		}
 		if i%11 == 0 {
 			r.Retraction()
 		}
 	}
+	return r
+}
+
+// decode∘encode must be the identity byte-for-byte, and a truncated blob
+// must fail rather than misparse: every field, the extent last, is needed.
+func TestEncodeDecodeRoundTrip(t *testing.T) {
+	r := roundTripFixture()
 	enc := EncodeRel(r)
 	dec, n, err := DecodeRel(enc)
 	if err != nil {
@@ -250,39 +209,88 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if !bytes.Equal(EncodeRel(dec), enc) {
 		t.Error("decode∘encode is not the identity")
 	}
-	if dec.Summarize().Versions != r.Summarize().Versions {
+	if !reflect.DeepEqual(dec.Summarize(), r.Summarize()) {
 		t.Error("summary diverged across the roundtrip")
 	}
-	for cut := 1; cut < len(enc); cut += len(enc) / 37 {
+	lo, hi, ok := r.ValidExtent()
+	if dlo, dhi, dok := dec.ValidExtent(); dlo != lo || dhi != hi || dok != ok || !ok {
+		t.Errorf("extent (%d, %d, %v) decoded as (%d, %d, %v)", lo, hi, ok, dlo, dhi, dok)
+	}
+	for cut := 0; cut < len(enc); cut++ {
 		if _, _, err := DecodeRel(enc[:cut]); err == nil {
-			// A prefix may parse if it happens to form a complete encoding;
-			// it must at least not panic, and complete parses must consume
-			// exactly the prefix. (The snapshot layer length-prefixes blobs,
-			// so trailing-byte detection lives there.)
-			continue
+			t.Fatalf("a %d-byte prefix of a %d-byte blob decoded", cut, len(enc))
 		}
 	}
 }
 
-// Merge on Rel must sum counters and fold the union of values into the
-// sketches (estimates at least as large as each side's).
-func TestRelMergeCounters(t *testing.T) {
-	a, b := NewRel(1, true, false), NewRel(1, true, false)
-	for i := 0; i < 100; i++ {
-		a.Assert(tuple.New(value.NewInt(int64(i))), temporal.Interval{From: 1, To: 5}, 1)
+// Blobs that no encoder writes are refused: unknown axis bits, an unsorted
+// sketch, an extent on a relation without valid time, a present byte other
+// than 0 or 1, an open endpoint, and hi < lo.
+func TestDecodeRejectsNonCanonical(t *testing.T) {
+	r := NewRel(1, true, false)
+	r.Assert(tuple.New(value.NewInt(1)), temporal.Interval{From: 10, To: 20}, 1)
+	r.Assert(tuple.New(value.NewInt(2)), temporal.Interval{From: 10, To: 20}, 1)
+	good := EncodeRel(r)
+	if _, _, err := DecodeRel(good); err != nil {
+		t.Fatal(err)
 	}
-	for i := 50; i < 200; i++ {
-		b.Assert(tuple.New(value.NewInt(int64(i))), temporal.Interval{From: 3, To: 9}, 3)
+	// good: axes, 3 counters, arity, sketch count 2, two 8-byte hashes,
+	// present byte, lo, hi (one byte each at these magnitudes).
+	const sketch, present = 6, 6 + 16
+	mutate := func(f func(b []byte) []byte) []byte { return f(append([]byte(nil), good...)) }
+	for name, bad := range map[string][]byte{
+		"axes": mutate(func(b []byte) []byte { b[0] = 4; return b }),
+		"unsorted": mutate(func(b []byte) []byte {
+			copy(b[sketch:], good[sketch+8:sketch+16])
+			copy(b[sketch+8:], good[sketch:sketch+8])
+			return b
+		}),
+		"no valid axis": mutate(func(b []byte) []byte { b[0] = 0; return b }),
+		"present=2":     mutate(func(b []byte) []byte { b[present] = 2; return b }),
+		"hi < lo":       mutate(func(b []byte) []byte { b[present+1], b[present+2] = b[present+2], b[present+1]; return b }),
+		"forever end":   mutate(func(b []byte) []byte { return binary.AppendVarint(b[:present+2], int64(temporal.Forever)) }),
+	} {
+		if _, _, err := DecodeRel(bad); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: want ErrCorrupt, got %v", name, err)
+		}
 	}
-	b.Retraction()
-	a.Merge(b)
-	if a.Versions != 250 || a.Retractions != 1 {
-		t.Errorf("merged counters = %+v", a.Summarize())
+}
+
+// FuzzDecodeRel: decoding never panics, and whatever it accepts re-encodes
+// to a fixed point — encode∘decode∘encode equals encode.
+func FuzzDecodeRel(f *testing.F) {
+	for axes := 0; axes < 4; axes++ {
+		for arity := 0; arity <= 3; arity++ {
+			r := NewRel(arity, axes&1 != 0, axes&2 != 0)
+			for i := 0; i < 5; i++ {
+				tup := make(tuple.Tuple, arity)
+				for j := range tup {
+					tup[j] = value.NewInt(int64(i * (j + 1)))
+				}
+				r.Insert(tup)
+				r.Assert(tup, temporal.Interval{From: temporal.Chronon(100 * i), To: temporal.Forever}, 1)
+			}
+			r.Close()
+			r.Retraction()
+			f.Add(EncodeRel(r))
+		}
 	}
-	if ndv := a.NDV(0); math.Abs(ndv-200) > 200*0.25 {
-		t.Errorf("merged NDV = %.0f, want ≈200", ndv)
-	}
-	if a.Valid.N != 250 {
-		t.Errorf("merged interval count = %d, want 250", a.Valid.N)
-	}
+	f.Add(EncodeRel(roundTripFixture()))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dec, n, err := DecodeRel(data)
+		if err != nil {
+			return
+		}
+		if n < 1 || n > len(data) {
+			t.Fatalf("consumed %d of %d bytes", n, len(data))
+		}
+		enc := EncodeRel(dec)
+		again, m, err := DecodeRel(enc)
+		if err != nil || m != len(enc) {
+			t.Fatalf("re-decoding the canonical encoding: %d of %d bytes, %v", m, len(enc), err)
+		}
+		if !bytes.Equal(EncodeRel(again), enc) {
+			t.Fatal("encode∘decode∘encode is not a fixed point")
+		}
+	})
 }

@@ -59,7 +59,7 @@ type RelationSnapshot struct {
 // snapMagic opens the one snapshot format this build reads and writes: per
 // relation, a columnar segment-block section, the row-wise tail versions,
 // and a statistics blob, under a CRC that covers the magic too.
-const snapMagic = "TDBSNAP4"
+const snapMagic = "TDBSNAP5"
 
 var (
 	// ErrSnapshotCorrupt reports a snapshot failing its checksum or
@@ -121,7 +121,7 @@ func DecodeSnapshot(data []byte) (Snapshot, error) {
 	}
 	switch magic := string(data[:len(snapMagic)]); magic {
 	case snapMagic:
-	case "TDBSNAP2", "TDBSNAP3":
+	case "TDBSNAP2", "TDBSNAP3", "TDBSNAP4":
 		return s, fmt.Errorf("%w: file is %s, this build reads %s", ErrSnapshotVersion, magic, snapMagic)
 	default:
 		return s, fmt.Errorf("%w: bad magic", ErrSnapshotCorrupt)

@@ -166,7 +166,7 @@ func TestSnapshotSegmentsRoundTrip(t *testing.T) {
 // typed error distinct from corruption, with the payload never interpreted
 // (it is garbage here) and the file never mistaken for an absent one.
 func TestSnapshotRetiredVersionsRefused(t *testing.T) {
-	for _, magic := range []string{"TDBSNAP2", "TDBSNAP3"} {
+	for _, magic := range []string{"TDBSNAP2", "TDBSNAP3", "TDBSNAP4"} {
 		old := append([]byte(magic), "not a payload any decoder should look at"...)
 		_, err := DecodeSnapshot(old)
 		if !errors.Is(err, ErrSnapshotVersion) || errors.Is(err, ErrSnapshotCorrupt) {

@@ -65,12 +65,12 @@ func (db *DB) statsApply(commit temporal.Chronon, ops []wal.Op) {
 		}
 		switch op.Code {
 		case wal.OpInsert:
-			e.Insert(op.Tuple, commit)
+			e.Insert(op.Tuple)
 		case wal.OpDelete:
-			e.Close(commit)
+			e.Close()
 		case wal.OpReplace:
-			e.Close(commit)
-			e.Insert(op.Tuple, commit)
+			e.Close()
+			e.Insert(op.Tuple)
 		case wal.OpAssert:
 			e.Assert(op.Tuple, op.Valid, commit)
 		case wal.OpRetract:

@@ -24,8 +24,6 @@ type Session struct {
 	noStats     bool // planner ignores statistics (DisableStats)
 	noCache     bool // session-level query cache bypass (DisableCache)
 	parallelism int  // worker budget; 0 = GOMAXPROCS, <=1 = serial
-
-	lastPlan *queryPlan // most recent compiled retrieve, for tests and explain
 }
 
 // NewSession opens a session on the database. The "now" spelling in
@@ -340,9 +338,6 @@ func (s *Session) compile(n *RetrieveStmt, explain bool) (*compiled, error) {
 				sp.Note("nested_loop_fallbacks", c.pl.fallbacks)
 			}
 			sp.End()
-		}
-		if err == nil {
-			s.lastPlan = c.pl
 		}
 		return err
 	})

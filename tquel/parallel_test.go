@@ -92,11 +92,7 @@ func TestParallelErrorMatchesSerial(t *testing.T) {
 // single-worker budgets on the serial path.
 func TestUseParallelGates(t *testing.T) {
 	ses := planFixture(t)
-	c, err := ses.compile(mustParseRetrieve(t, `retrieve (s.tag, b.tag) where s.k = b.k`), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl := c.pl
+	pl := planOf(t, ses, `retrieve (s.tag, b.tag) where s.k = b.k`)
 	if got := len(pl.vars[0].versions); got == 0 {
 		t.Fatal("fixture produced no outer candidates")
 	}

@@ -705,8 +705,8 @@ func (s *Session) buildPlan(rt *tdb.ReadTx, n *RetrieveStmt, sc scope, ev *env, 
 
 	// Window-aware cost: a window clause adds a post-scan pass that buffers
 	// the joined rows and folds each into the windows it overlaps. The
-	// interval histograms' valid extent bounds how many windows can
-	// materialize — extent/slide — which both explain renders and the
+	// statistics' valid extent bounds how many windows can materialize —
+	// extent/slide — which both explain renders and the
 	// parallel-dispatch comparison prices in (a wide window sweep justifies
 	// fanning the scan out earlier). Coalescing adds one more linear pass.
 	if n.Window != nil {

@@ -19,6 +19,20 @@ func mustParseRetrieve(t *testing.T, src string) *RetrieveStmt {
 	return stmts[len(stmts)-1].(*RetrieveStmt)
 }
 
+// planOf compiles src the way explain does — bind, analyze and plan in one
+// view, nothing executed — and returns the plan.
+func planOf(t *testing.T, ses *Session, src string) *queryPlan {
+	t.Helper()
+	c, err := ses.compile(mustParseRetrieve(t, src), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.pl == nil {
+		t.Fatal("no plan compiled")
+	}
+	return c.pl
+}
+
 func TestSplitAnd(t *testing.T) {
 	st := mustParseRetrieve(t, `retrieve (f.x) where
 		f.a = 1 and (f.b = 2 or f.c = 3) and not f.d = 4 and g.e = f.a`)
@@ -93,17 +107,15 @@ func planFixture(t testing.TB) *Session {
 
 func TestPlanConjunctClassification(t *testing.T) {
 	ses := planFixture(t)
-	res, err := ses.Query(`
+	const src = `
 		retrieve (s.tag, b.tag)
 		where 1 = 1 and s.k = 0 and s.k = b.k
-	`)
+	`
+	res, err := ses.Query(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := ses.lastPlan
-	if pl == nil {
-		t.Fatal("no plan recorded")
-	}
+	pl := planOf(t, ses, src)
 	// "1 = 1" settles upfront, "s.k = 0" prefilters s: both pushed.
 	if pl.pushed != 2 {
 		t.Errorf("pushed = %d, want 2", pl.pushed)
@@ -127,28 +139,27 @@ func TestPlanConjunctClassification(t *testing.T) {
 
 func TestPlanEmptyResultShortCircuit(t *testing.T) {
 	ses := planFixture(t)
-	res, err := ses.Query(`retrieve (s.tag) where 1 = 2`)
+	const src = `retrieve (s.tag) where 1 = 2`
+	res, err := ses.Query(src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Len() != 0 {
 		t.Fatalf("result:\n%s", res)
 	}
-	if pl := ses.lastPlan; pl == nil || !pl.emptyResult {
+	if !planOf(t, ses, src).emptyResult {
 		t.Error("false variable-free conjunct must set emptyResult")
 	}
 }
 
 func TestPlanJoinOrderAndBuildSide(t *testing.T) {
 	ses := planFixture(t)
-	res, err := ses.Query(`retrieve (s.tag, b.tag) where s.k = b.k`)
+	const src = `retrieve (s.tag, b.tag) where s.k = b.k`
+	res, err := ses.Query(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := ses.lastPlan
-	if pl == nil {
-		t.Fatal("no plan recorded")
-	}
+	pl := planOf(t, ses, src)
 	// Smallest filtered cardinality drives the outer loop; the larger side
 	// is the hash build side.
 	if pl.vars[0].name != "s" || pl.vars[1].name != "b" {
@@ -178,10 +189,7 @@ func TestPlanJoinOrderAndBuildSide(t *testing.T) {
 
 func TestPlanCrossProductFallback(t *testing.T) {
 	ses := planFixture(t)
-	if _, err := ses.Query(`retrieve (s.tag, b.tag) where s.tag != b.tag`); err != nil {
-		t.Fatal(err)
-	}
-	pl := ses.lastPlan
+	pl := planOf(t, ses, `retrieve (s.tag, b.tag) where s.tag != b.tag`)
 	if pl.vars[1].join != nil {
 		t.Error("!= is not an equi-join; no hash table expected")
 	}
@@ -206,11 +214,12 @@ func TestPlanNonHashableJoinFallsBack(t *testing.T) {
 	`); err != nil {
 		t.Fatal(err)
 	}
-	res, err := ses.Query(`retrieve (nv.n) where dv.d = nv.n`)
+	const src = `retrieve (nv.n) where dv.d = nv.n`
+	res, err := ses.Query(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := ses.lastPlan
+	pl := planOf(t, ses, src)
 	if pl.vars[1].join != nil {
 		t.Error("instant = string join must not hash")
 	}
@@ -240,11 +249,12 @@ func TestPlanNumericJoinNormalization(t *testing.T) {
 	`); err != nil {
 		t.Fatal(err)
 	}
-	res, err := ses.Query(`retrieve (iv.k, fv.k) where iv.k = fv.k`)
+	const src = `retrieve (iv.k, fv.k) where iv.k = fv.k`
+	res, err := ses.Query(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := ses.lastPlan
+	pl := planOf(t, ses, src)
 	hj := pl.vars[1].join
 	if hj == nil || !hj.numeric {
 		t.Fatalf("int/float join must hash with numeric normalization, got %+v", hj)
@@ -256,11 +266,12 @@ func TestPlanNumericJoinNormalization(t *testing.T) {
 
 func TestPlanWhenOverlapIndexed(t *testing.T) {
 	ses := planFixture(t)
-	res, err := ses.Query(`retrieve (s.tag) when s overlap "06/01/80"`)
+	const src = `retrieve (s.tag) when s overlap "06/01/80"`
+	res, err := ses.Query(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := ses.lastPlan
+	pl := planOf(t, ses, src)
 	if pl.whenIndexed != 1 {
 		t.Errorf("whenIndexed = %d, want 1", pl.whenIndexed)
 	}
@@ -281,14 +292,15 @@ func TestPlanWhenOverlapIndexed(t *testing.T) {
 // conjunct both go into it.
 func TestPlanPushdownUnderThrough(t *testing.T) {
 	ses := paperSession(t)
-	res, err := ses.Query(`
+	const src = `
 		retrieve (f.rank) where f.name = "Merrie"
 		when f overlap "12/10/82" as of "12/10/82" through "12/20/82"
-	`)
+	`
+	res, err := ses.Query(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pl := ses.lastPlan; pl.whenIndexed != 1 || pl.pushed != 2 {
+	if pl := planOf(t, ses, src); pl.whenIndexed != 1 || pl.pushed != 2 {
 		t.Errorf("whenIndexed = %d, pushed = %d under as-of-through, want the when and the name conjunct pushed", pl.whenIndexed, pl.pushed)
 	}
 	if res.Len() != 2 { // associate (believed until 12/15) and full (after)

@@ -179,7 +179,8 @@ func TestOverlapPushdownMaterializesOverlappingRowsOnly(t *testing.T) {
 	}
 	materialized := obs.Default.Counter("tdb_segment_rows_materialized_total", "")
 	before := materialized.Value()
-	res, err := ses.Query(`retrieve (s.who) when s overlap ("01/03/80" extend "01/13/80")`)
+	const query = `retrieve (s.who) when s overlap ("01/03/80" extend "01/13/80")`
+	res, err := ses.Query(query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ func TestOverlapPushdownMaterializesOverlappingRowsOnly(t *testing.T) {
 	if got := materialized.Value() - before; got != 11 {
 		t.Errorf("materialized %d sealed rows for 11 overlapping versions of 16", got)
 	}
-	if !ses.lastPlan.vars[0].whenIndexed {
+	if !planOf(t, ses, query).vars[0].whenIndexed {
 		t.Error("the overlap conjunct did not become the scan's When")
 	}
 }

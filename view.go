@@ -79,7 +79,7 @@ func (rt *ReadTx) EstimateNDV(rel *Relation, idx int) (float64, bool) {
 }
 
 // EstimateValidExtent returns the finite valid-time span [lo, hi) rel's
-// recorded intervals cover, from the statistics interval histograms. ok is
+// recorded intervals cover, from the statistics' exact extent. ok is
 // false for kinds without valid time or before any finite endpoint has been
 // recorded. The planner prices window clauses with it: extent / slide
 // bounds how many windows a windowed aggregation materializes.
