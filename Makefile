@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check numbers fmt vet build test race race-parallel race-cache test-nocache race-segments fuzz-smoke test-faults test-repl race-ingest soak-ingest figures-check plan-corpus bench bench-smoke
+.PHONY: check numbers fmt vet build test race race-parallel test-nocache race-segments fuzz-smoke test-faults test-repl race-ingest soak-ingest figures-check plan-corpus bench bench-smoke
 
-check: fmt vet build race race-parallel race-cache test-nocache race-segments fuzz-smoke figures-check
+check: fmt vet build race race-parallel test-nocache race-segments fuzz-smoke figures-check
 
 # The three numbers ROADMAP aim 2 asks every CHANGES.md entry to carry:
 # code size, knob count (the registry in internal/config, pinned by
@@ -39,12 +39,6 @@ race:
 race-parallel:
 	TDB_PARALLEL=4 $(GO) test -race ./...
 
-# The race detector with a tiny query-cache budget: constant evictions and
-# shard churn while concurrent sessions read and write, so any
-# unsynchronized path through internal/qcache trips -race.
-race-cache:
-	TDB_CACHE_BYTES=65536 $(GO) test -race ./tquel ./server ./internal/qcache .
-
 # The plan-regression corpus: explain output (join order, build sides,
 # estimates, dispatch) pinned against golden text, plus the planner
 # differential corpus that guards answer identity across all arms. A quick
@@ -66,12 +60,15 @@ test-nocache:
 race-segments:
 	TDB_SEGMENT_ROWS=4 TDB_PARALLEL=4 $(GO) test -race ./tquel ./internal/figures ./internal/segment ./internal/core ./internal/index .
 
-# Ten seconds of native fuzzing on the statistics decoder (FuzzDecodeRel):
-# no panic, and every accepted blob re-encodes to a fixed point. A short
-# minimization budget keeps the smoke fuzzing instead of shrinking a large
-# seed. Commit any crasher it writes under internal/stats/testdata/fuzz.
+# Ten seconds of native fuzzing on each untrusted-bytes decoder that has a
+# target: the statistics decoder (FuzzDecodeRel) and the segment block
+# decoder (FuzzDecodeBlock). No panic, and every accepted input re-encodes to
+# a fixed point. A short minimization budget keeps the smoke fuzzing instead
+# of shrinking a large seed. Commit any crasher it writes under the
+# package's testdata/fuzz.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRel$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/stats
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBlock$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/segment
 
 # The durability suite: fault injection (vfs), torn-log replay (wal), the
 # crash matrices (truncate/corrupt every byte of the final record; crash a

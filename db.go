@@ -366,25 +366,7 @@ func (db *DB) restoreSnapshot(snap wal.Snapshot) error {
 			}
 		}
 		for _, v := range rs.Versions {
-			switch rs.Kind {
-			case Static:
-				st, _ := rel.Static()
-				err = st.Insert(v.Data)
-			case StaticRollback:
-				st, _ := rel.Rollback()
-				err = st.RestoreVersion(v)
-			case Historical:
-				st, _ := rel.Historical()
-				if rs.Event {
-					err = st.AssertAt(v.Data, v.Valid.From)
-				} else {
-					err = st.Assert(v.Data, v.Valid)
-				}
-			case Temporal:
-				st, _ := rel.Temporal()
-				err = st.RestoreVersion(v)
-			}
-			if err != nil {
+			if err := rel.Store().RestoreVersion(v); err != nil {
 				return fmt.Errorf("restoring %q: %w", rs.Name, err)
 			}
 		}

@@ -35,84 +35,58 @@ var (
 // Relation is a named store in the catalog.
 type Relation struct {
 	name  string
-	kind  core.Kind
-	event bool
 	gen   uint64
-
-	static     *core.StaticStore
-	rollback   *core.RollbackStore
-	historical *core.HistoricalStore
-	temporal   *core.TemporalStore
+	store core.Store
 }
 
 // Name returns the relation's name.
 func (r *Relation) Name() string { return r.name }
 
 // Kind returns the relation's taxonomy kind.
-func (r *Relation) Kind() core.Kind { return r.kind }
+func (r *Relation) Kind() core.Kind { return r.store.Kind() }
 
 // Event reports whether the relation is an event relation.
-func (r *Relation) Event() bool { return r.event }
+func (r *Relation) Event() bool { return r.store.Event() }
 
 // Gen returns the relation's process-unique creation generation (see relGen).
 func (r *Relation) Gen() uint64 { return r.gen }
 
 // WriteVersion returns the store's monotonic mutation counter.
-func (r *Relation) WriteVersion() uint64 { return r.Store().WriteVersion() }
+func (r *Relation) WriteVersion() uint64 { return r.store.WriteVersion() }
 
 // Schema returns the relation schema.
-func (r *Relation) Schema() *schema.Schema { return r.Store().Schema() }
+func (r *Relation) Schema() *schema.Schema { return r.store.Schema() }
 
 // Store returns the relation's store through the kind-independent
 // interface.
-func (r *Relation) Store() core.Store {
-	switch r.kind {
-	case core.Static:
-		return r.static
-	case core.StaticRollback:
-		return r.rollback
-	case core.Historical:
-		return r.historical
-	default:
-		return r.temporal
-	}
-}
+func (r *Relation) Store() core.Store { return r.store }
 
 // Transactional returns the store's transaction hooks.
 func (r *Relation) Transactional() core.Transactional {
-	return r.Store().(core.Transactional)
+	return r.store.(core.Transactional)
 }
 
 // Static returns the underlying static store, or an error for other kinds.
-func (r *Relation) Static() (*core.StaticStore, error) {
-	if r.static == nil {
-		return nil, fmt.Errorf("%w: %s is %s", ErrKindMismatch, r.name, r.kind)
-	}
-	return r.static, nil
-}
+func (r *Relation) Static() (*core.StaticStore, error) { return storeAs[*core.StaticStore](r) }
 
 // Rollback returns the underlying rollback store, or an error.
-func (r *Relation) Rollback() (*core.RollbackStore, error) {
-	if r.rollback == nil {
-		return nil, fmt.Errorf("%w: %s is %s", ErrKindMismatch, r.name, r.kind)
-	}
-	return r.rollback, nil
-}
+func (r *Relation) Rollback() (*core.RollbackStore, error) { return storeAs[*core.RollbackStore](r) }
 
 // Historical returns the underlying historical store, or an error.
 func (r *Relation) Historical() (*core.HistoricalStore, error) {
-	if r.historical == nil {
-		return nil, fmt.Errorf("%w: %s is %s", ErrKindMismatch, r.name, r.kind)
-	}
-	return r.historical, nil
+	return storeAs[*core.HistoricalStore](r)
 }
 
 // Temporal returns the underlying temporal store, or an error.
-func (r *Relation) Temporal() (*core.TemporalStore, error) {
-	if r.temporal == nil {
-		return nil, fmt.Errorf("%w: %s is %s", ErrKindMismatch, r.name, r.kind)
+func (r *Relation) Temporal() (*core.TemporalStore, error) { return storeAs[*core.TemporalStore](r) }
+
+// storeAs returns r's store as the concrete type S, or ErrKindMismatch.
+func storeAs[S core.Store](r *Relation) (S, error) {
+	s, ok := r.store.(S)
+	if !ok {
+		return s, fmt.Errorf("%w: %s is %s", ErrKindMismatch, r.name, r.Kind())
 	}
-	return r.temporal, nil
+	return s, nil
 }
 
 // Catalog is the set of relations in one database. It is not synchronized;
@@ -139,27 +113,28 @@ func (c *Catalog) Create(name string, kind core.Kind, event bool, sch *schema.Sc
 	if event && !kind.SupportsHistorical() {
 		return nil, fmt.Errorf("%w: %s relations carry no valid time to stamp events with", ErrKindMismatch, kind)
 	}
-	r := &Relation{name: name, kind: kind, event: event, gen: relGen.Add(1)}
+	var st core.Store
 	switch kind {
 	case core.Static:
-		r.static = core.NewStaticStore(sch)
+		st = core.NewStaticStore(sch)
 	case core.StaticRollback:
-		r.rollback = core.NewRollbackStore(sch)
+		st = core.NewRollbackStore(sch)
 	case core.Historical:
 		if event {
-			r.historical = core.NewHistoricalEventStore(sch)
+			st = core.NewHistoricalEventStore(sch)
 		} else {
-			r.historical = core.NewHistoricalStore(sch)
+			st = core.NewHistoricalStore(sch)
 		}
 	case core.Temporal:
 		if event {
-			r.temporal = core.NewTemporalEventStore(sch)
+			st = core.NewTemporalEventStore(sch)
 		} else {
-			r.temporal = core.NewTemporalStore(sch)
+			st = core.NewTemporalStore(sch)
 		}
 	default:
 		return nil, fmt.Errorf("catalog: unknown kind %v", kind)
 	}
+	r := &Relation{name: name, gen: relGen.Add(1), store: st}
 	c.rels[name] = r
 	return r, nil
 }

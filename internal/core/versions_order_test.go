@@ -1,0 +1,107 @@
+package core
+
+import (
+	"testing"
+
+	"tdb/temporal"
+)
+
+// versionStrings renders everything Versions yields, in the order it yields it.
+func versionStrings(s Store) []string {
+	var out []string
+	s.Versions(func(v Version) bool { out = append(out, v.String()); return true })
+	return out
+}
+
+func mustOK(t *testing.T, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The two stores without transaction time reuse freed slots, and Versions
+// walks the slots in position order, so the sequence below — order
+// included — is a function of the exact update history: which slot each
+// insert, correction and undo lands in. It is what a checkpoint writes
+// row by row, so the snapshot's bytes depend on it too.
+func TestDestructiveVersionsOrder(t *testing.T) {
+	t.Run("static", func(t *testing.T) {
+		s := NewStaticStore(facultySchema(t))
+		for _, n := range []string{"a", "b", "c", "d"} {
+			mustOK(t, s.Insert(fac(n, "assistant")))
+		}
+		mustOK(t, s.Delete(nameKey("b")))
+		mustOK(t, s.Insert(fac("e", "assistant")))                // b's slot
+		mustOK(t, s.Replace(nameKey("c"), fac("c", "associate"))) // same key
+		mustOK(t, s.Replace(nameKey("d"), fac("f", "full")))      // key changes
+		mustOK(t, s.Delete(nameKey("a")))
+		s.BeginTxn()
+		mustOK(t, s.Insert(fac("g", "full"))) // a's slot
+		mustOK(t, s.Insert(fac("h", "full"))) // a new slot
+		mustOK(t, s.Delete(nameKey("e")))
+		mustOK(t, s.Replace(nameKey("f"), fac("i", "associate"))) // key changes
+		mustOK(t, s.Replace(nameKey("c"), fac("c", "full")))
+		s.AbortTxn()
+		mustOK(t, s.Insert(fac("j", "assistant")))
+		mustOK(t, s.Insert(fac("k", "assistant")))
+		mustOK(t, s.Replace(nameKey("e"), fac("l", "full"))) // key changes
+		want := []string{
+			"(j, assistant) valid=[-∞, ∞) trans=[-∞, ∞)",
+			"(l, full) valid=[-∞, ∞) trans=[-∞, ∞)",
+			"(c, associate) valid=[-∞, ∞) trans=[-∞, ∞)",
+			"(f, full) valid=[-∞, ∞) trans=[-∞, ∞)",
+			"(k, assistant) valid=[-∞, ∞) trans=[-∞, ∞)",
+		}
+		if got := versionStrings(s); !equalStrings(got, want) {
+			t.Fatalf("Versions:\n got %q\nwant %q", got, want)
+		}
+	})
+	t.Run("historical", func(t *testing.T) {
+		s := NewHistoricalStore(facultySchema(t))
+		iv := func(from, to temporal.Chronon) temporal.Interval { return temporal.Interval{From: from, To: to} }
+		mustOK(t, s.Assert(fac("a", "assistant"), iv(10, 50)))
+		mustOK(t, s.Assert(fac("b", "assistant"), iv(10, 40)))
+		mustOK(t, s.Assert(fac("a", "associate"), iv(50, 80)))
+		mustOK(t, s.Assert(fac("a", "assistant"), iv(30, 60))) // carves a hole, coalesces
+		mustOK(t, s.Retract(nameKey("b"), iv(20, 25)))         // splits b
+		mustOK(t, s.Assert(fac("c", "full"), temporal.Since(5)))
+		mustOK(t, s.Assert(fac("b", "assistant"), iv(20, 25))) // coalesces b back to one
+		s.BeginTxn()
+		mustOK(t, s.Assert(fac("a", "full"), iv(0, 100)))
+		mustOK(t, s.Retract(nameKey("c"), iv(50, 70)))
+		mustOK(t, s.Assert(fac("d", "full"), iv(1, 2)))
+		s.AbortTxn()
+		mustOK(t, s.Retract(nameKey("c"), iv(0, 30)))
+		mustOK(t, s.Assert(fac("d", "assistant"), iv(60, 90)))
+		mustOK(t, s.Retract(nameKey("a"), iv(70, 75)))
+		want := []string{
+			"(a, assistant) valid=[01/01/70 00:00:10, 01/01/70 00:01:00) trans=[-∞, ∞)",
+			"(b, assistant) valid=[01/01/70 00:00:10, 01/01/70 00:00:40) trans=[-∞, ∞)",
+			"(a, associate) valid=[01/01/70 00:01:00, 01/01/70 00:01:10) trans=[-∞, ∞)",
+			"(d, assistant) valid=[01/01/70 00:01:00, 01/01/70 00:01:30) trans=[-∞, ∞)",
+			"(c, full) valid=[01/01/70 00:00:30, ∞) trans=[-∞, ∞)",
+			"(a, associate) valid=[01/01/70 00:01:15, 01/01/70 00:01:20) trans=[-∞, ∞)",
+		}
+		if got := versionStrings(s); !equalStrings(got, want) {
+			t.Fatalf("Versions:\n got %q\nwant %q", got, want)
+		}
+	})
+	t.Run("historical event", func(t *testing.T) {
+		s := NewHistoricalEventStore(facultySchema(t))
+		mustOK(t, s.AssertAt(fac("a", "associate"), 10))
+		mustOK(t, s.AssertAt(fac("b", "associate"), 10))
+		mustOK(t, s.AssertAt(fac("a", "full"), 20))
+		mustOK(t, s.AssertAt(fac("a", "assistant"), 10)) // corrects a's event at 10
+		mustOK(t, s.Retract(nameKey("b"), temporal.At(10)))
+		mustOK(t, s.AssertAt(fac("c", "full"), 30))
+		want := []string{
+			"(a, assistant) valid=[01/01/70 00:00:10, 01/01/70 00:00:11) trans=[-∞, ∞)",
+			"(c, full) valid=[01/01/70 00:00:30, 01/01/70 00:00:31) trans=[-∞, ∞)",
+			"(a, full) valid=[01/01/70 00:00:20, 01/01/70 00:00:21) trans=[-∞, ∞)",
+		}
+		if got := versionStrings(s); !equalStrings(got, want) {
+			t.Fatalf("Versions:\n got %q\nwant %q", got, want)
+		}
+	})
+}

@@ -1,9 +1,9 @@
-// Package index provides the access methods used by the stores in
-// internal/core: a flat chained hash index for key lookups, and an augmented
-// interval tree for valid-time stabbing and overlap queries on the
-// historical store ("which versions held at chronon t?"). The append-only
-// stores need no time index: their segment.Log is already ordered by
-// transaction time.
+// Package index provides the one access method the stores in internal/core
+// keep beside their rows: a flat chained hash index for key lookups. No
+// store keeps a time index. The append-only stores' segment.Log is already
+// ordered by transaction time and prunes whole segments on both axes; the
+// destructive stores hold one state and answer a valid-time selection by
+// visiting it (docs/storage.md, "The valid-time tree this replaced").
 package index
 
 import (

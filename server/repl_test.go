@@ -110,12 +110,14 @@ func newPrimary(t testing.TB) (*tdb.DB, *temporal.LogicalClock, string) {
 func startFollower(t testing.TB, addr string) (*tdb.DB, *repl.Follower, func()) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "tdb.wal")
-	return startFollowerAt(t, addr, path)
+	return startFollowerAt(t, addr, path, 0)
 }
 
-func startFollowerAt(t testing.TB, addr, path string) (*tdb.DB, *repl.Follower, func()) {
+// startFollowerAt is startFollower on the database at path, with the given
+// query-cache budget (0: the default).
+func startFollowerAt(t testing.TB, addr, path string, cacheBytes int64) (*tdb.DB, *repl.Follower, func()) {
 	t.Helper()
-	fdb, err := tdb.Open(path, tdb.Options{ReadOnly: true})
+	fdb, err := tdb.Open(path, tdb.Options{ReadOnly: true, CacheBytes: cacheBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +319,7 @@ func TestReplFollowerCatchUpDifferential(t *testing.T) {
 	})
 
 	fPath := filepath.Join(t.TempDir(), "tdb.wal")
-	fdb, _, stop := startFollowerAt(t, addr, fPath)
+	fdb, _, stop := startFollowerAt(t, addr, fPath, 0)
 	waitCaughtUp(t, primary, fdb)
 	assertCorpusIdentical(t, primary, fdb)
 
@@ -335,7 +337,7 @@ func TestReplFollowerCatchUpDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fdb2, _, _ := startFollowerAt(t, addr, fPath)
+	fdb2, _, _ := startFollowerAt(t, addr, fPath, 0)
 	waitCaughtUp(t, primary, fdb2)
 	assertCorpusIdentical(t, primary, fdb2)
 }
@@ -476,13 +478,16 @@ func TestFollowerServerRefusesWrites(t *testing.T) {
 
 // Reads race applies: concurrent clients query the follower's server while
 // the primary keeps committing. Run under -race, this is the apply-path
-// synchronization test.
-func TestConcurrentReplicaReads(t *testing.T) {
+// synchronization test; in the small-cache arm the readers also keep evicting
+// one another's answers.
+func TestConcurrentReplicaReads(t *testing.T) { cacheArms(t, testConcurrentReplicaReads) }
+
+func testConcurrentReplicaReads(t *testing.T, cacheBytes int64) {
 	primary, clock, _ := newPrimary(t)
 	_, addr := serveDB(t, primary, func(s *Server) {
 		s.ReplHeartbeat = 10 * time.Millisecond
 	})
-	fdb, _, _ := startFollower(t, addr)
+	fdb, _, _ := startFollowerAt(t, addr, filepath.Join(t.TempDir(), "tdb.wal"), cacheBytes)
 	waitCaughtUp(t, primary, fdb)
 	_, faddr := serveDB(t, fdb, nil)
 

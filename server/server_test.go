@@ -12,9 +12,13 @@ import (
 	"tdb/temporal"
 )
 
-func startServer(t *testing.T) (*Server, string) {
+func startServer(t *testing.T) (*Server, string) { return startCachedServer(t, 0) }
+
+// startCachedServer is startServer with the given query-cache budget (0: the
+// default).
+func startCachedServer(t *testing.T, cacheBytes int64) (*Server, string) {
 	t.Helper()
-	db, err := tdb.Open("", tdb.Options{Clock: temporal.NewTickingClock(temporal.Date(1985, 1, 1))})
+	db, err := tdb.Open("", tdb.Options{Clock: temporal.NewTickingClock(temporal.Date(1985, 1, 1)), CacheBytes: cacheBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,6 +42,16 @@ func startServer(t *testing.T) (*Server, string) {
 		}
 	})
 	return srv, l.Addr().String()
+}
+
+// cacheArms runs body as two subtests: once with the default query-cache
+// budget, once with 64 KiB, where concurrent connections keep evicting one
+// another's answers, so an unsynchronized path through internal/qcache trips
+// -race.
+func cacheArms(t *testing.T, body func(t *testing.T, cacheBytes int64)) {
+	for _, b := range []int64{0, 64 << 10} {
+		t.Run(fmt.Sprintf("cache=%d", b), func(t *testing.T) { body(t, b) })
+	}
 }
 
 func TestClientServerRoundTrip(t *testing.T) {
@@ -196,8 +210,10 @@ func TestMalformedRequestReported(t *testing.T) {
 	}
 }
 
-func TestConcurrentClients(t *testing.T) {
-	_, addr := startServer(t)
+func TestConcurrentClients(t *testing.T) { cacheArms(t, testConcurrentClients) }
+
+func testConcurrentClients(t *testing.T, cacheBytes int64) {
+	_, addr := startCachedServer(t, cacheBytes)
 	setup, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -424,9 +440,11 @@ func TestCacheCommand(t *testing.T) {
 // TestReplaceIsAtomicReadModifyWrite): two connections each make 500
 // compare-and-set increments of one counter, and every acknowledged
 // increment must be in the final count.
-func TestReplaceIsAtomicOverTheWire(t *testing.T) {
+func TestReplaceIsAtomicOverTheWire(t *testing.T) { cacheArms(t, testReplaceIsAtomicOverTheWire) }
+
+func testReplaceIsAtomicOverTheWire(t *testing.T, cacheBytes int64) {
 	const clients, increments = 2, 500
-	_, addr := startServer(t)
+	_, addr := startCachedServer(t, cacheBytes)
 	setup, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -488,7 +506,11 @@ func TestReplaceIsAtomicOverTheWire(t *testing.T) {
 // 9) — and the server is still there to give it: a statement that analyzed
 // against one r and fetched from the next panicked the whole process.
 func TestRetrieveSurvivesRecreateOverTheWire(t *testing.T) {
-	_, addr := startServer(t)
+	cacheArms(t, testRetrieveSurvivesRecreateOverTheWire)
+}
+
+func testRetrieveSurvivesRecreateOverTheWire(t *testing.T, cacheBytes int64) {
+	_, addr := startCachedServer(t, cacheBytes)
 	ddl, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)

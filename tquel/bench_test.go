@@ -195,8 +195,10 @@ func BenchmarkJoinCrossSmall(b *testing.B) {
 }
 
 // BenchmarkWhenOverlapIndexed measures the pushed when path: a narrow
-// overlap window against 5000 staggered versions answers through the
-// store's interval index instead of binding every version.
+// overlap window against 5000 staggered versions of a historical relation.
+// The store visits its one state and holds each version to the window, so
+// only the five that overlap are bound; the ablation binds all 5000 and
+// filters.
 func BenchmarkWhenOverlapIndexed(b *testing.B) {
 	db := newDB(b)
 	ses := NewSession(db)
@@ -205,8 +207,7 @@ func BenchmarkWhenOverlapIndexed(b *testing.B) {
 		b.Fatal(err)
 	}
 	// "now" lands mid-history; with 5-chronon valid periods, exactly five of
-	// the 5000 versions overlap it. The planner stabs the interval tree; the
-	// ablation binds all 5000 and filters.
+	// the 5000 versions overlap it.
 	ses.SetNow(func() temporal.Chronon { return temporal.Date(1980, 1, 1) + 2500 })
 	benchBoth(b, ses, `retrieve (h.k) when h overlap "now"`, 5)
 }

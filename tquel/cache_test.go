@@ -253,11 +253,16 @@ func TestDisableCacheBypasses(t *testing.T) {
 // checkpoints. Run under -race this exercises the cache, the write-version
 // counters, and the snapshot path concurrently; afterwards the reopened
 // database must carry the same write-version vector the live one ended
-// with.
+// with. One arm gives the cache 1 MiB, the other 64 KiB, where the readers
+// keep evicting one another's answers.
 func TestCheckpointUnderConcurrentReaderSessions(t *testing.T) {
+	cacheArms(t, 1<<20, testCheckpointUnderConcurrentReaderSessions)
+}
+
+func testCheckpointUnderConcurrentReaderSessions(t *testing.T, cacheBytes int64) {
 	path := filepath.Join(t.TempDir(), "tdb.wal")
 	clock := temporal.NewLogicalClock(0)
-	db, err := tdb.Open(path, tdb.Options{Clock: clock, CacheBytes: 1 << 20})
+	db, err := tdb.Open(path, tdb.Options{Clock: clock, CacheBytes: cacheBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +347,7 @@ func TestCheckpointUnderConcurrentReaderSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	db2, err := tdb.Open(path, tdb.Options{CacheBytes: 1 << 20})
+	db2, err := tdb.Open(path, tdb.Options{CacheBytes: cacheBytes})
 	if err != nil {
 		t.Fatal(err)
 	}

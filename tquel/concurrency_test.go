@@ -13,14 +13,17 @@ import (
 // enabled so worker goroutines overlap concurrent statements. A Session is
 // single-goroutine state, so each worker owns one; the database itself
 // promises safe concurrent use, and this test is the -race witness for
-// that promise.
-func TestConcurrentSessions(t *testing.T) {
+// that promise, with a cache small enough that the sessions' answers keep
+// evicting one another in one of its two arms.
+func TestConcurrentSessions(t *testing.T) { cacheArms(t, 0, testConcurrentSessions) }
+
+func testConcurrentSessions(t *testing.T, cacheBytes int64) {
 	forceParallel(t)
 	const (
 		goroutines = 4
 		ops        = 60
 	)
-	db := newDB(t)
+	db := newCachedDB(t, cacheBytes)
 
 	setup := NewSession(db)
 	for g := 0; g < goroutines; g++ {

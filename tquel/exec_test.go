@@ -1,6 +1,7 @@
 package tquel
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -12,10 +13,13 @@ import (
 // DML can be replayed at the paper's commit instants.
 var testClocks = map[*tdb.DB]*temporal.LogicalClock{}
 
-func newDB(t testing.TB) *tdb.DB {
+func newDB(t testing.TB) *tdb.DB { return newCachedDB(t, 0) }
+
+// newCachedDB is newDB with the given query-cache budget (0: the default).
+func newCachedDB(t testing.TB, cacheBytes int64) *tdb.DB {
 	t.Helper()
 	clock := temporal.NewLogicalClock(temporal.Date(1985, 3, 1))
-	db, err := tdb.Open("", tdb.Options{Clock: clock})
+	db, err := tdb.Open("", tdb.Options{Clock: clock, CacheBytes: cacheBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,6 +29,16 @@ func newDB(t testing.TB) *tdb.DB {
 		db.Close()
 	})
 	return db
+}
+
+// cacheArms runs body as two subtests: once with the query-cache budget
+// roomy (0 is the default), once with 64 KiB, where concurrent sessions keep
+// evicting one another's answers, so an unsynchronized path through
+// internal/qcache trips -race.
+func cacheArms(t *testing.T, roomy int64, body func(t *testing.T, cacheBytes int64)) {
+	for _, b := range []int64{roomy, 64 << 10} {
+		t.Run(fmt.Sprintf("cache=%d", b), func(t *testing.T) { body(t, b) })
+	}
 }
 
 func newPastDB(t testing.TB) *tdb.DB {

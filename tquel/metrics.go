@@ -28,7 +28,7 @@ var (
 	mConjunctsPushed = obs.Default.Counter("tdb_query_conjuncts_pushed_total",
 		"Where/when conjuncts the planner evaluated before or during per-variable prefiltering instead of at the innermost join depth.")
 	mWhenIndexed = obs.Default.Counter("tdb_query_when_indexed_total",
-		"When-clause overlap conjuncts answered through a store's valid-time interval index.")
+		"When-clause overlap conjuncts pushed into the store read (ScanSpec.When).")
 	mHashJoinBuildRows = obs.Default.Counter("tdb_query_hash_join_build_rows_total",
 		"Rows hashed into equi-join build tables.")
 	mHashJoinProbes = obs.Default.Counter("tdb_query_hash_join_probes_total",

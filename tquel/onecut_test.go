@@ -38,15 +38,10 @@ func TestJoinReadsOneCut(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for reads := 0; ; reads++ {
-				select {
-				case <-done:
-					if reads == 0 {
-						t.Error("reader never ran")
-					}
-					return
-				default:
-				}
+			// Read first, then look at done: the writer may finish all its
+			// transfers before this goroutine is first scheduled, and every
+			// reader still reads at least once.
+			for {
 				res, err := ses.Query(`retrieve (x.n, y.n) where x.id = y.id`)
 				if err != nil {
 					t.Error(err)
@@ -59,6 +54,11 @@ func TestJoinReadsOneCut(t *testing.T) {
 				if a, b := res.Rows[0].Data[0].Int(), res.Rows[0].Data[1].Int(); a+b != total {
 					t.Errorf("join saw acct_a = %d and acct_b = %d: two different database states", a, b)
 					return
+				}
+				select {
+				case <-done:
+					return
+				default:
 				}
 			}
 		}()
@@ -98,8 +98,12 @@ func TestJoinReadsOneCut(t *testing.T) {
 // transaction, two sessions could both match v and both report success for
 // a single step of the counter.
 func TestReplaceIsAtomicReadModifyWrite(t *testing.T) {
+	cacheArms(t, 0, testReplaceIsAtomicReadModifyWrite)
+}
+
+func testReplaceIsAtomicReadModifyWrite(t *testing.T, cacheBytes int64) {
 	const sessions, increments = 2, 500
-	db := newDB(t)
+	db := newCachedDB(t, cacheBytes)
 	if _, err := NewSession(db).Exec(`
 		create rollback relation counter (id = string, n = int) key (id)
 		append to counter (id = "k", n = 0)

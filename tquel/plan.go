@@ -68,7 +68,7 @@ type queryPlan struct {
 	// goroutine and settled into the atomic counters exactly once, post
 	// merge, by the executor (see execRetrieve's settle).
 	pushed      int64 // single-variable conjuncts applied during prefiltering
-	whenIndexed int64 // when conjuncts answered through an interval index
+	whenIndexed int64 // when conjuncts pushed into the store read
 	buildRows   int64 // rows hashed into equi-join build tables
 	fallbacks   int64 // inner variables joined by nested loop, not hash probe
 	prefiltered int64 // bindings examined while prefiltering candidate lists
@@ -167,7 +167,7 @@ func temporalVarList(e TemporalExpr) []string {
 
 // overlapPushdown recognizes "v overlap E" (either operand order) where E
 // references no range variables, returning E's interval. Such a conjunct is
-// answerable through a store's valid-time interval index.
+// pushed into the store read as ScanSpec.When.
 func overlapPushdown(te TemporalExpr, v string, ev *env) (temporal.Interval, bool, error) {
 	rel, ok := te.(*TempRel)
 	if !ok || rel.Op != "overlap" {
