@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check numbers fmt vet build test race race-parallel test-nocache race-segments fuzz-smoke test-faults test-repl race-ingest soak-ingest figures-check plan-corpus bench bench-smoke
+.PHONY: check numbers fmt vet build test race race-parallel race-segments fuzz-smoke test-faults test-repl race-ingest soak-ingest figures-check plan-corpus bench bench-smoke
 
-check: fmt vet build race race-parallel test-nocache race-segments fuzz-smoke figures-check
+check: fmt vet build race race-parallel race-segments fuzz-smoke figures-check
 
 # The three numbers ROADMAP aim 2 asks every CHANGES.md entry to carry:
 # code size, knob count (the registry in internal/config, pinned by
@@ -45,12 +45,6 @@ race-parallel:
 # local filter, like test-faults and test-repl: `race` runs all three sets.
 plan-corpus:
 	$(GO) test -count=1 -run 'Explain|Differential' ./tquel ./server
-
-# Ablation run with the query result cache disabled: every retrieve
-# executes. The differential tests also compare cached vs uncached inside
-# one process; this job exercises the whole suite on the uncached path.
-test-nocache:
-	TDB_CACHE_BYTES=0 $(GO) test ./...
 
 # The race detector with the seal threshold forced tiny and the parallel
 # executor pinned on: every relation of more than four rows seals into

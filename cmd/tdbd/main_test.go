@@ -1,6 +1,8 @@
 package main
 
 import (
+	"encoding/json"
+	"fmt"
 	"io"
 	"log"
 	"net"
@@ -12,6 +14,7 @@ import (
 	"time"
 
 	"tdb"
+	"tdb/internal/qcache"
 	"tdb/server"
 )
 
@@ -116,8 +119,20 @@ func TestRunClosesDBOnListenError(t *testing.T) {
 }
 
 // TestAdminEndpointServesMetrics exercises the full wiring: TQuel over TCP
-// bumps the server counters, and the admin listener exposes them.
+// bumps the server counters, and the admin listener exposes them — with a
+// result cache (TDB_CACHE_BYTES sizes tdbd's), whose /statz section counts
+// one refusal, one insertion and one hit for a retrieve run three times, and
+// with TDB_CACHE_BYTES=0, no cache, whose section is all zeroes.
 func TestAdminEndpointServesMetrics(t *testing.T) {
+	for _, b := range []int64{1 << 20, 0} {
+		t.Run(fmt.Sprintf("cache=%d", b), func(t *testing.T) {
+			t.Setenv("TDB_CACHE_BYTES", fmt.Sprint(b))
+			testAdminEndpointServesMetrics(t, b)
+		})
+	}
+}
+
+func testAdminEndpointServesMetrics(t *testing.T, cacheBytes int64) {
 	srvAddr, adminAddr, sigs, exit := startRun(t, config{admin: "127.0.0.1:0", trace: true})
 	defer func() {
 		sigs <- os.Interrupt
@@ -134,6 +149,8 @@ func TestAdminEndpointServesMetrics(t *testing.T) {
 	defer c.Close()
 	if _, err := c.Exec(`create static relation m (k = string) key (k)
 		range of x is m
+		retrieve (x.k)
+		retrieve (x.k)
 		retrieve (x.k)`); err != nil {
 		t.Fatal(err)
 	}
@@ -160,6 +177,7 @@ func TestAdminEndpointServesMetrics(t *testing.T) {
 		"tdb_server_command_seconds_bucket",
 		`tdb_query_statements_total{stmt="retrieve"}`,
 		"tdb_core_writes_total",
+		"tdb_qcache_admissions_refused_total",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %q", want)
@@ -178,5 +196,20 @@ func TestAdminEndpointServesMetrics(t *testing.T) {
 	// The temporal-statistics section lists per-relation summaries.
 	if !strings.Contains(statz, `"stats"`) || !strings.Contains(statz, `"attr_ndv"`) {
 		t.Errorf("/statz missing temporal statistics: %s", statz[:min(len(statz), 400)])
+	}
+	var doc struct {
+		App struct {
+			Cache *qcache.Stats `json:"cache"`
+		} `json:"app"`
+	}
+	if err := json.Unmarshal([]byte(statz), &doc); err != nil || doc.App.Cache == nil {
+		t.Fatalf("/statz cache section: %v in %s", err, statz[:min(len(statz), 400)])
+	}
+	if st := *doc.App.Cache; cacheBytes == 0 {
+		if st != (qcache.Stats{}) {
+			t.Errorf("/statz cache of a database without one = %+v, want zeroes", st)
+		}
+	} else if st.Refused != 1 || st.Inserts != 1 || st.Hits != 1 || st.MaxBytes != cacheBytes {
+		t.Errorf("/statz cache = %+v, want 1 refusal, 1 insertion, 1 hit", st)
 	}
 }

@@ -6,11 +6,18 @@
 // be cached until a write-version counter on any participating relation
 // moves (see docs/caching.md for the full argument).
 //
-// The cache itself is policy-free: callers bake immutability or
-// invalidation into the key (the TQuel layer appends a per-relation
-// write-version vector to current-state keys, so a stale entry is simply
-// never looked up again and ages out of the LRU). Values are opaque; the
-// caller owns any copy-on-store / copy-on-return discipline.
+// Callers bake immutability or invalidation into the key (the TQuel layer
+// appends a per-relation write-version vector to current-state keys, so a
+// stale entry is simply never looked up again and ages out of the LRU).
+// Values are opaque; the caller owns any copy-on-store / copy-on-return
+// discipline.
+//
+// The one policy the cache has is admission: Admit turns a key away the
+// first time it is offered and lets it in the second, so an answer nobody
+// asks for twice is never copied in. Sightings live in a doorkeeper — a
+// fixed-size Bloom filter under a seed-free hash — whose state is the OR of
+// the keys offered, so the same offers make the same decisions in any order
+// (see docs/caching.md, "Admission").
 //
 // Concurrency: every method is safe for concurrent use. Keys are hashed
 // onto independently locked shards, so sessions serving different queries
@@ -40,6 +47,8 @@ var (
 		"Entries evicted from the query cache to respect its byte budget.")
 	mRejected = obs.Default.Counter("tdb_qcache_oversize_rejected_total",
 		"Resultsets not cached because a single entry exceeded a shard's byte budget.")
+	mRefused = obs.Default.Counter("tdb_qcache_admissions_refused_total",
+		"Resultsets not cached because their key was offered for the first time.")
 	gBytes = obs.Default.Gauge("tdb_qcache_bytes",
 		"Estimated bytes resident in the query cache (keys + cached resultsets).")
 	gEntries = obs.Default.Gauge("tdb_qcache_entries",
@@ -51,6 +60,16 @@ var (
 // budgets while giving concurrent sessions independent locks.
 const numShards = 16
 
+// The doorkeeper: doorBits bits (16 KiB), doorHashes bits set per key, and
+// zeroed after doorResetAfter first sightings — well above the few hundred
+// distinct statements a burst of sessions offers at once, and few enough
+// that at its fullest about 0.5 % of first offers are falsely admitted.
+const (
+	doorBits       = 1 << 17
+	doorHashes     = 3
+	doorResetAfter = 8192
+)
+
 // Stats is a point-in-time snapshot of one cache's counters.
 type Stats struct {
 	Hits      uint64 `json:"hits"`
@@ -58,6 +77,7 @@ type Stats struct {
 	Inserts   uint64 `json:"insertions"`
 	Evictions uint64 `json:"evictions"`
 	Rejected  uint64 `json:"oversize_rejected"`
+	Refused   uint64 `json:"admissions_refused"`
 	Clears    uint64 `json:"clears"`
 	Entries   int64  `json:"entries"`
 	Bytes     int64  `json:"bytes"`
@@ -69,9 +89,20 @@ type Cache struct {
 	shards [numShards]shard
 	seed   maphash.Seed
 	max    int64
+	door   doorkeeper
 
-	hits, misses, inserts, evictions, rejected, clears atomic.Uint64
-	bytes, entries                                     atomic.Int64
+	hits, misses, inserts, evictions, rejected, refused, clears atomic.Uint64
+	bytes, entries                                              atomic.Int64
+}
+
+// doorkeeper is a Bloom filter of the keys offered since it was last
+// zeroed. Its hash is FNV-1a, which has no per-process seed, and its state
+// is the OR of the offered keys' bits, so a set of offers leaves the same
+// filter whatever order — or however many goroutines — delivered it.
+type doorkeeper struct {
+	mu     sync.Mutex
+	bits   [doorBits / 64]uint64
+	firsts int // first sightings since the last reset
 }
 
 type shard struct {
@@ -136,11 +167,68 @@ func (c *Cache) Get(key string) (any, bool) {
 	return val, true
 }
 
+// Admit reports whether an answer offered under key should be stored: false
+// — counted as refused — the first time key is offered since the doorkeeper
+// was last zeroed, true from the second time on (and, falsely, for a small
+// share of first offers: see the doorkeeper constants). A nil cache admits
+// nothing.
+func (c *Cache) Admit(key string) bool {
+	if c == nil {
+		return false
+	}
+	if c.door.sight(key) {
+		return true
+	}
+	c.refused.Add(1)
+	mRefused.Inc()
+	return false
+}
+
+// sight records key and reports whether all of its bits were already set.
+// Positions come from one 64-bit hash by double hashing: FNV-1a, then one
+// xor-shift-multiply round so that the low bits the positions are cut from
+// mix the whole hash (plain FNV-1a admits twice the false positives on keys
+// that differ in a trailing number).
+func (d *doorkeeper) sight(key string) bool {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint64(key[i])) * 1099511628211
+	}
+	h = (h ^ h>>33) * 0xff51afd7ed558ccd
+	h ^= h >> 33
+	delta := h>>17 | h<<47
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	seen := true
+	for i := 0; i < doorHashes; i++ {
+		p := h % doorBits
+		if bit := uint64(1) << (p % 64); d.bits[p/64]&bit == 0 {
+			d.bits[p/64] |= bit
+			seen = false
+		}
+		h += delta
+	}
+	if !seen {
+		if d.firsts++; d.firsts == doorResetAfter {
+			d.reset()
+		}
+	}
+	return seen
+}
+
+// reset forgets every sighting; d.mu must be held.
+func (d *doorkeeper) reset() {
+	d.bits = [doorBits / 64]uint64{}
+	d.firsts = 0
+}
+
 // Put stores val under key, charging size bytes against the budget and
 // evicting least-recently-used entries as needed. A replacement under an
 // existing key re-charges the new size. Entries larger than a shard's
 // budget are rejected rather than cached (they would evict an entire shard
-// for one entry). The caller must not mutate val after Put.
+// for one entry). Put does not consult Admit: a caller that wants the
+// admission policy asks Admit first. The caller must not mutate val after
+// Put.
 func (c *Cache) Put(key string, val any, size int64) {
 	if c == nil {
 		return
@@ -196,12 +284,15 @@ func (c *Cache) Put(key string, val any, size int64) {
 	}
 }
 
-// Clear drops every entry (checkpoint/restore invalidation and the server's
-// "cache clear" command).
+// Clear drops every entry and forgets every sighting (checkpoint/restore
+// invalidation and the server's "cache clear" command).
 func (c *Cache) Clear() {
 	if c == nil {
 		return
 	}
+	c.door.mu.Lock()
+	c.door.reset()
+	c.door.mu.Unlock()
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
@@ -255,6 +346,7 @@ func (c *Cache) Stats() Stats {
 		Inserts:   c.inserts.Load(),
 		Evictions: c.evictions.Load(),
 		Rejected:  c.rejected.Load(),
+		Refused:   c.refused.Load(),
 		Clears:    c.clears.Load(),
 		Entries:   c.entries.Load(),
 		Bytes:     c.bytes.Load(),

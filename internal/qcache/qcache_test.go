@@ -44,6 +44,9 @@ func TestNilCacheIsDisabled(t *testing.T) {
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("nil cache hit")
 	}
+	if c.Admit("a") || c.Admit("a") {
+		t.Fatal("nil cache admitted a key")
+	}
 	c.Clear()
 	if c.Len() != 0 || c.Bytes() != 0 || c.MaxBytes() != 0 {
 		t.Fatal("nil cache should report zeroes")
@@ -105,6 +108,88 @@ func TestClear(t *testing.T) {
 	}
 	if c.Stats().Clears != 1 {
 		t.Fatalf("clears = %d", c.Stats().Clears)
+	}
+}
+
+func TestAdmitOnSecondSight(t *testing.T) {
+	c := New(1 << 20)
+	if c.Admit("q") {
+		t.Fatal("first offer admitted")
+	}
+	if !c.Admit("q") || !c.Admit("q") {
+		t.Fatal("repeated offer refused")
+	}
+	if st := c.Stats(); st.Refused != 1 || st.Rejected != 0 {
+		t.Fatalf("refused = %d, oversize rejected = %d; want 1, 0", st.Refused, st.Rejected)
+	}
+}
+
+// A stream of keys that never repeat — twelve doorkeeper resets' worth —
+// leaves almost nothing resident.
+func TestAdmitNeverRepeatingKeys(t *testing.T) {
+	const n, size = 100_000, 64
+	c := New(1 << 30)
+	admitted := 0
+	for i := 0; i < n; i++ {
+		k := fmt.Sprintf("cur|v=gen#1@7|retrieve (v.id) where v.v = %d", i)
+		if c.Admit(k) { // the caller's side: store only what Admit lets in
+			c.Put(k, k, size)
+			admitted++
+		}
+	}
+	if admitted > n/100 {
+		t.Errorf("%d of %d never-repeating keys admitted, want at most 1 %%", admitted, n)
+	}
+	if c.Len() != admitted || c.Bytes() != int64(admitted)*size {
+		t.Errorf("Len = %d, Bytes = %d after %d admissions of %d B", c.Len(), c.Bytes(), admitted, size)
+	}
+	if st := c.Stats(); st.Refused != uint64(n-admitted) {
+		t.Errorf("refused = %d, want %d", st.Refused, n-admitted)
+	}
+	t.Logf("%d of %d admitted", admitted, n)
+}
+
+// The same set of first offers, delivered in reverse order to one cache and
+// from four goroutines to another, leaves the two making identical
+// decisions afterwards.
+func TestAdmitIndependentOfOfferOrder(t *testing.T) {
+	const firsts = 4000 // below doorResetAfter: no reset inside the set
+	keys := make([]string, firsts)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%d", i)
+	}
+	reversed, concurrent := New(1<<20), New(1<<20)
+	for i := len(keys) - 1; i >= 0; i-- {
+		reversed.Admit(keys[i])
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(keys); i += 4 {
+				concurrent.Admit(keys[i])
+			}
+		}(w)
+	}
+	wg.Wait()
+	for i := 0; i < 2*firsts; i++ {
+		k := fmt.Sprintf("k%d", i*7%(2*firsts)) // half seen, half new, interleaved
+		if a, b := reversed.Admit(k), concurrent.Admit(k); a != b {
+			t.Fatalf("follow-up %d (%s): reverse-order cache says %v, concurrent says %v", i, k, a, b)
+		}
+	}
+}
+
+func TestClearForgetsSightings(t *testing.T) {
+	c := New(1 << 20)
+	c.Admit("q")
+	c.Clear()
+	if c.Admit("q") {
+		t.Fatal("a sighting survived Clear")
+	}
+	if !c.Admit("q") {
+		t.Fatal("second offer after Clear refused")
 	}
 }
 

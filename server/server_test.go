@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"tdb"
+	"tdb/internal/qcache"
 	"tdb/temporal"
 )
 
@@ -44,12 +45,12 @@ func startCachedServer(t *testing.T, cacheBytes int64) (*Server, string) {
 	return srv, l.Addr().String()
 }
 
-// cacheArms runs body as two subtests: once with the default query-cache
+// cacheArms runs body as three subtests: once with the default query-cache
 // budget, once with 64 KiB, where concurrent connections keep evicting one
 // another's answers, so an unsynchronized path through internal/qcache trips
-// -race.
+// -race, and once with no cache (-1), where every retrieve executes.
 func cacheArms(t *testing.T, body func(t *testing.T, cacheBytes int64)) {
-	for _, b := range []int64{0, 64 << 10} {
+	for _, b := range []int64{0, 64 << 10, -1} {
 		t.Run(fmt.Sprintf("cache=%d", b), func(t *testing.T) { body(t, b) })
 	}
 }
@@ -363,30 +364,18 @@ func TestServerAddrAndListenAndServe(t *testing.T) {
 }
 
 // The "cache" and "cache clear" admin commands inspect and reset the
-// query result cache over the wire. The database is opened with an
-// explicit cache budget so the test is deterministic even when the suite
-// runs with TDB_CACHE_BYTES=0 (the cache-off ablation job).
+// query result cache over the wire: with an explicit budget, so the counts
+// do not depend on TDB_CACHE_BYTES, and with no cache at all, which reports
+// zeroes.
 func TestCacheCommand(t *testing.T) {
-	db, err := tdb.Open("", tdb.Options{
-		Clock:      temporal.NewTickingClock(temporal.Date(1985, 1, 1)),
-		CacheBytes: 1 << 20,
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, b := range []int64{1 << 20, -1} {
+		t.Run(fmt.Sprintf("cache=%d", b), func(t *testing.T) { testCacheCommand(t, b) })
 	}
-	t.Cleanup(func() { db.Close() })
-	srv := New(db, nil)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(l) }()
-	t.Cleanup(func() {
-		srv.Close()
-		<-done
-	})
-	c, err := Dial(l.Addr().String())
+}
+
+func testCacheCommand(t *testing.T, cacheBytes int64) {
+	_, addr := startCachedServer(t, cacheBytes)
+	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,8 +388,8 @@ func TestCacheCommand(t *testing.T) {
 	`); err != nil || resp.Error != "" {
 		t.Fatalf("setup: %v / %+v", err, resp)
 	}
-	// Same retrieve twice: a miss that populates, then a hit.
-	for i := 0; i < 2; i++ {
+	// Same retrieve three times: refused admission, admitted, then a hit.
+	for i := 0; i < 3; i++ {
 		if resp, err := c.Exec(`retrieve (v.x)`); err != nil || resp.Error != "" {
 			t.Fatalf("retrieve %d: %v / %+v", i, err, resp)
 		}
@@ -412,8 +401,12 @@ func TestCacheCommand(t *testing.T) {
 	if resp.Error != "" || resp.Cache == nil {
 		t.Fatalf("cache command response = %+v", resp)
 	}
-	if resp.Cache.Hits < 1 || resp.Cache.Entries < 1 || resp.Cache.MaxBytes != 1<<20 {
-		t.Fatalf("cache stats = %+v", resp.Cache)
+	if st := *resp.Cache; cacheBytes < 0 {
+		if st != (qcache.Stats{}) {
+			t.Fatalf("disabled cache stats = %+v, want zeroes", st)
+		}
+	} else if st.Refused != 1 || st.Inserts != 1 || st.Hits != 1 || st.Entries != 1 || st.MaxBytes != cacheBytes {
+		t.Fatalf("cache stats = %+v, want 1 refusal, 1 insertion, 1 hit, 1 entry", st)
 	}
 
 	resp, err = c.Command("cache clear")

@@ -41,6 +41,10 @@ import (
 //     the key it is stored under still names the state it was computed
 //     from, which those commits have retired.
 //
+// Either mode stores an answer only when the cache admits its key, which it
+// does the second time the key is offered (qcache.Admit): a statement that
+// never repeats costs a refused admission, not a deep copy.
+//
 // Not cacheable at all: retrieves with an "into" clause (they create a
 // relation), retrieves whose temporal clauses mention "now" (the answer
 // tracks the session clock), and retrieves with a range variable that does

@@ -1,6 +1,7 @@
 package tquel
 
 import (
+	"fmt"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -11,8 +12,8 @@ import (
 )
 
 // cacheSession is paperSession on a database with an explicit cache
-// budget: the TDB_CACHE_BYTES=0 CI job would otherwise disable the cache
-// and turn every assertion about hits and insertions vacuous.
+// budget, so no TDB_CACHE_BYTES setting can disable the cache and turn
+// every assertion about hits and insertions vacuous.
 func cacheSession(t testing.TB) *Session {
 	t.Helper()
 	clock := temporal.NewLogicalClock(0)
@@ -51,30 +52,55 @@ func mustQuery(t *testing.T, ses *Session, src string) *Resultset {
 	return res
 }
 
-// A settled as-of query is cached on first execution and served from the
-// cache on the second, byte-identical to uncached execution.
+// A settled as-of query is refused admission on its first execution, cached
+// on its second and served from the cache on its third, every answer
+// byte-identical to uncached execution.
 func TestCacheHitRoundTrip(t *testing.T) {
 	ses := cacheSession(t)
 	qc := ses.db.QueryCache()
 	const q = `retrieve (f.rank) where f.name = "Merrie" as of "12/10/82"`
 	want := uncached(t, ses, q)
 
-	before := qc.Stats()
-	first := mustQuery(t, ses, q)
-	second := mustQuery(t, ses, q)
-	after := qc.Stats()
+	for i, step := range []struct {
+		name                    string
+		hits, inserts, refusals uint64
+	}{
+		{"first (refused)", 0, 0, 1},
+		{"second (admitted)", 0, 1, 0},
+		{"third (hit)", 1, 0, 0},
+	} {
+		before := qc.Stats()
+		got := mustQuery(t, ses, q).String()
+		after := qc.Stats()
+		if d := after.Hits - before.Hits; d != step.hits {
+			t.Errorf("%s: hits delta = %d, want %d", step.name, d, step.hits)
+		}
+		if d := after.Inserts - before.Inserts; d != step.inserts {
+			t.Errorf("%s: insertions delta = %d, want %d", step.name, d, step.inserts)
+		}
+		if d := after.Refused - before.Refused; d != step.refusals {
+			t.Errorf("%s: refusals delta = %d, want %d", step.name, d, step.refusals)
+		}
+		if got != want {
+			t.Errorf("execution %d answer differs from uncached:\n%s\nvs\n%s", i+1, got, want)
+		}
+	}
+}
 
-	if got := after.Inserts - before.Inserts; got < 1 {
-		t.Errorf("insertions delta = %d, want >= 1", got)
+// Retrieves that never repeat are never copied in: 5 000 distinct
+// statements leave at most 1 % of them resident.
+func TestCacheNeverRepeatingRetrievesStayOut(t *testing.T) {
+	ses := cacheSession(t)
+	qc := ses.db.QueryCache()
+	const n = 5000
+	for i := 0; i < n; i++ {
+		mustQuery(t, ses, fmt.Sprintf(`retrieve (f.rank) where f.name = "p%d"`, i))
 	}
-	if got := after.Hits - before.Hits; got < 1 {
-		t.Errorf("hits delta = %d, want >= 1", got)
+	if got := qc.Len(); got > n/100 {
+		t.Errorf("%d entries resident after %d never-repeating retrieves, want at most %d", got, n, n/100)
 	}
-	if first.String() != want {
-		t.Errorf("cold answer differs from uncached:\n%s\nvs\n%s", first, want)
-	}
-	if second.String() != want {
-		t.Errorf("warm answer differs from uncached:\n%s\nvs\n%s", second, want)
+	if st := qc.Stats(); st.Refused+st.Inserts != n || st.Hits != 0 {
+		t.Errorf("stats = %+v, want %d offers and no hits", st, n)
 	}
 }
 
@@ -83,7 +109,8 @@ func TestCacheHitRoundTrip(t *testing.T) {
 func TestCacheInvalidatedByInterleavedWrite(t *testing.T) {
 	ses := cacheSession(t)
 	const q = `retrieve (f.rank) where f.name = "Merrie"`
-	warmups := mustQuery(t, ses, q) // populate
+	warmups := mustQuery(t, ses, q) // sight
+	_ = mustQuery(t, ses, q)        // admit
 	_ = mustQuery(t, ses, q)        // and hit once, so the entry is MRU
 	if !strings.Contains(warmups.String(), "full") {
 		t.Fatalf("fixture: Merrie should currently be full:\n%s", warmups)
@@ -110,6 +137,7 @@ func TestCacheImmutableAsOfSurvivesWrite(t *testing.T) {
 	qc := ses.db.QueryCache()
 	const q = `retrieve (f.rank) where f.name = "Merrie" as of "12/10/82"`
 	want := mustQuery(t, ses, q).String()
+	mustQuery(t, ses, q) // the second sight admits it
 
 	execAt(t, ses, temporal.MustParse("03/01/84"),
 		`replace f (rank = "emeritus") where f.name = "Merrie" valid from "03/01/84" to forever`)
@@ -136,8 +164,10 @@ func TestCacheReturnedResultsAreIsolated(t *testing.T) {
 	const q = `retrieve (f.rank) where f.name = "Merrie" as of "12/10/82"`
 	want := uncached(t, ses, q)
 
-	// Mutate the miss-path result (aliasing the stored entry would show the
+	// Mutate the result of the execution that stores the entry — the second,
+	// which the cache admits (aliasing the stored entry would show the
 	// corruption on the next hit) …
+	mustQuery(t, ses, q)
 	cold := mustQuery(t, ses, q)
 	cold.Attrs[0] = "corrupted"
 	cold.Rows[0].Data[0] = tdb.String("corrupted")
@@ -170,6 +200,7 @@ func TestCacheDropRecreateNotServedStale(t *testing.T) {
 		t.Fatal(err)
 	}
 	const q = `retrieve (v.x)`
+	mustQuery(t, ses, q) // sighted, so the next execution stores its answer
 	if got := mustQuery(t, ses, q).String(); !strings.Contains(got, "1") {
 		t.Fatalf("fixture: %s", got)
 	}
@@ -199,12 +230,13 @@ func TestCacheSkipsNowQueries(t *testing.T) {
 	before := qc.Stats()
 	first := mustQuery(t, ses, q).String()
 	second := mustQuery(t, ses, q).String()
+	third := mustQuery(t, ses, q).String() // would be a hit were it cacheable
 	after := qc.Stats()
-	if first != second {
-		t.Errorf("now-query answers differ between consecutive runs:\n%s\nvs\n%s", first, second)
+	if first != second || second != third {
+		t.Errorf("now-query answers differ between consecutive runs:\n%s\nvs\n%s\nvs\n%s", first, second, third)
 	}
-	if d := after.Inserts - before.Inserts; d != 0 {
-		t.Errorf("now-dependent query was cached: insertions delta = %d", d)
+	if d := after.Inserts + after.Refused - before.Inserts - before.Refused; d != 0 {
+		t.Errorf("now-dependent query was offered to the cache: insertions + refusals delta = %d", d)
 	}
 	if d := after.Hits - before.Hits; d != 0 {
 		t.Errorf("now-dependent query hit the cache: hits delta = %d", d)

@@ -347,9 +347,9 @@ func (s *Session) compile(n *RetrieveStmt, explain bool) (*compiled, error) {
 // execRetrieve owns a retrieve: one view of the database (compile), then —
 // on the private copies that view left — the join loop, the cache store and
 // the into clause. A cache hit returns a deep copy of the cached resultset
-// and a miss stores one, so no caller ever aliases cache-resident rows. The
-// store side picks the immutable key only when the executed answer proves
-// transaction-closed (see transClosed).
+// and a miss the cache admits stores one, so no caller ever aliases
+// cache-resident rows. The store side picks the immutable key only when the
+// executed answer proves transaction-closed (see transClosed).
 func (s *Session) execRetrieve(n *RetrieveStmt) (*Outcome, error) {
 	c, err := s.compile(n, false)
 	if err != nil {
@@ -372,8 +372,10 @@ func (s *Session) execRetrieve(n *RetrieveStmt) (*Outcome, error) {
 			if c.keys.imm != "" && transClosed(res) {
 				key = c.keys.imm
 			}
-			stored := res.Clone()
-			s.db.QueryCache().Put(key, stored, stored.approxBytes()+int64(len(key)))
+			if qc := s.db.QueryCache(); qc.Admit(key) {
+				stored := res.Clone()
+				qc.Put(key, stored, stored.approxBytes()+int64(len(key)))
+			}
 		}
 	}
 	return &Outcome{Stmt: "retrieve", Result: res,

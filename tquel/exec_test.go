@@ -31,20 +31,25 @@ func newCachedDB(t testing.TB, cacheBytes int64) *tdb.DB {
 	return db
 }
 
-// cacheArms runs body as two subtests: once with the query-cache budget
+// cacheArms runs body as three subtests: once with the query-cache budget
 // roomy (0 is the default), once with 64 KiB, where concurrent sessions keep
 // evicting one another's answers, so an unsynchronized path through
-// internal/qcache trips -race.
+// internal/qcache trips -race, and once with no cache (-1), where every
+// retrieve executes.
 func cacheArms(t *testing.T, roomy int64, body func(t *testing.T, cacheBytes int64)) {
-	for _, b := range []int64{roomy, 64 << 10} {
+	for _, b := range []int64{roomy, 64 << 10, -1} {
 		t.Run(fmt.Sprintf("cache=%d", b), func(t *testing.T) { body(t, b) })
 	}
 }
 
-func newPastDB(t testing.TB) *tdb.DB {
+func newPastDB(t testing.TB) *tdb.DB { return newPastCachedDB(t, 0) }
+
+// newPastCachedDB is newPastDB with the given query-cache budget (0: the
+// default, -1: no cache).
+func newPastCachedDB(t testing.TB, cacheBytes int64) *tdb.DB {
 	t.Helper()
 	clock := temporal.NewLogicalClock(0)
-	db, err := tdb.Open("", tdb.Options{Clock: clock})
+	db, err := tdb.Open("", tdb.Options{Clock: clock, CacheBytes: cacheBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,8 +69,8 @@ func paperSession(t testing.TB) *Session {
 }
 
 // paperSessionOn loads the same history into a caller-opened database
-// (cache tests open theirs with an explicit byte budget so they stay
-// deterministic under the TDB_CACHE_BYTES=0 CI job).
+// (cache tests open theirs with an explicit byte budget so they do not
+// depend on TDB_CACHE_BYTES).
 func paperSessionOn(t testing.TB, db *tdb.DB) *Session {
 	t.Helper()
 	ses := NewSession(db)

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"tdb"
 	"tdb/internal/obs"
 	"tdb/temporal"
 )
@@ -320,12 +321,14 @@ func forceParallel(t testing.TB) {
 
 // differential runs the query six ways — planner on (serial), planner
 // off (naive nested loop), planner on with statistics disabled (v1
-// heuristics), planner on with a four-worker pool, and then twice through
-// the result cache (cold, then warm so the second run is a hit when the
-// cache is enabled) — and asserts all rendered resultsets are
+// heuristics), planner on with a four-worker pool, and then through the
+// result cache cold and warm — and asserts all rendered resultsets are
 // byte-identical. The first four arms bypass the cache so each one
-// actually executes; under TDB_CACHE_BYTES=0 the cache arms are
-// passthrough and still must agree.
+// actually executes. Between the cache arms the query runs once more so
+// the cache admits its answer (it stores a key's answer on the key's
+// second sight), and the warm run must then be a hit whenever cacheKeysFor
+// keys the statement. On a database without a cache the cache arms execute
+// and still must agree.
 func differential(t *testing.T, ses *Session, src string) {
 	t.Helper()
 	ses.DisableCache(true)
@@ -358,9 +361,17 @@ func differential(t *testing.T, ses *Session, src string) {
 	if err != nil {
 		t.Fatalf("cache cold: %v\n%s", err, src)
 	}
+	if _, err := ses.Query(src); err != nil {
+		t.Fatalf("cache admit: %v\n%s", err, src)
+	}
+	qc := ses.db.QueryCache()
+	hits := qc.Stats().Hits
 	warm, err := ses.Query(src)
 	if err != nil {
 		t.Fatalf("cache warm: %v\n%s", err, src)
+	}
+	if d := qc.Stats().Hits - hits; cacheable(t, ses, src) && d != 1 {
+		t.Errorf("cache (warm) moved hits by %d, want 1, for:\n%s", d, src)
 	}
 	if on.String() != off.String() {
 		t.Errorf("planner changed the answer for:\n%s\n--- planner on ---\n%s\n--- planner off ---\n%s",
@@ -384,11 +395,40 @@ func differential(t *testing.T, ses *Session, src string) {
 	}
 }
 
+// cacheOnOff runs body as two subtests: on a database with the default
+// query cache and on one without a cache (-1). (cacheArms' 64 KiB arm would
+// turn away the larger cross products as oversize, so their warm run could
+// not hit.)
+func cacheOnOff(t *testing.T, body func(t *testing.T, cacheBytes int64)) {
+	for _, b := range []int64{0, -1} {
+		t.Run(fmt.Sprintf("cache=%d", b), func(t *testing.T) { body(t, b) })
+	}
+}
+
+// cacheable reports whether the session would key src's retrieve in the
+// result cache at all.
+func cacheable(t *testing.T, ses *Session, src string) bool {
+	t.Helper()
+	n := mustParseRetrieve(t, src)
+	var keys cacheKeys
+	if err := ses.db.View(func(rt *tdb.ReadTx) error {
+		keys = ses.cacheKeysFor(n, ses.bind(rt, n))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return keys.ver != ""
+}
+
 // The paper's figure queries must render identically with and without the
-// planner.
+// planner, with and without a result cache.
 func TestPlannerDifferentialFigures(t *testing.T) {
 	forceParallel(t)
-	ses := paperSession(t)
+	cacheOnOff(t, testPlannerDifferentialFigures)
+}
+
+func testPlannerDifferentialFigures(t *testing.T, cacheBytes int64) {
+	ses := paperSessionOn(t, newPastCachedDB(t, cacheBytes))
 	if _, err := ses.Exec("range of f1 is faculty\nrange of f2 is faculty"); err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +459,11 @@ func TestPlannerDifferentialFigures(t *testing.T) {
 // planner may surface such errors from a different binding order.
 func TestPlannerDifferential(t *testing.T) {
 	forceParallel(t)
-	ses := paperSession(t)
+	cacheOnOff(t, testPlannerDifferential)
+}
+
+func testPlannerDifferential(t *testing.T, cacheBytes int64) {
+	ses := paperSessionOn(t, newPastCachedDB(t, cacheBytes))
 	buildSeededFixture(t, ses)
 	for _, src := range seededQuerySources() {
 		differential(t, ses, src)
