@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check numbers fmt vet build test race race-parallel race-segments fuzz-smoke test-faults test-repl race-ingest soak-ingest figures-check plan-corpus bench bench-smoke
+.PHONY: check numbers fmt vet build test race race-parallel fuzz-smoke test-faults test-repl race-ingest soak-ingest figures-check plan-corpus bench bench-smoke
 
-check: fmt vet build race race-parallel race-segments fuzz-smoke figures-check
+check: fmt vet build race race-parallel fuzz-smoke figures-check
 
 # The three numbers ROADMAP aim 2 asks every CHANGES.md entry to carry:
 # code size, knob count (the registry in internal/config, pinned by
@@ -45,14 +45,6 @@ race-parallel:
 # local filter, like test-faults and test-repl: `race` runs all three sets.
 plan-corpus:
 	$(GO) test -count=1 -run 'Explain|Differential' ./tquel ./server
-
-# The race detector with the seal threshold forced tiny and the parallel
-# executor pinned on: every relation of more than four rows seals into
-# columnar segments, so concurrent sessions, the worker pool, and the
-# checkpointer all race over the sealed/tail boundary; in internal/core every
-# dictionary is tiny and the key index's postings span tail and segments.
-race-segments:
-	TDB_SEGMENT_ROWS=4 TDB_PARALLEL=4 $(GO) test -race ./tquel ./internal/figures ./internal/segment ./internal/core ./internal/index .
 
 # Ten seconds of native fuzzing on each untrusted-bytes decoder that has a
 # target: the statistics decoder (FuzzDecodeRel) and the segment block

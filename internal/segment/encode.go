@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"tdb/internal/schema"
@@ -35,7 +36,8 @@ func AppendBlock(dst []byte, g *Segment) []byte {
 	dst = binary.AppendUvarint(dst, uint64(g.n))
 
 	prev := int64(0)
-	for i, v := range g.transFrom {
+	for i := range g.n {
+		v := g.transFrom.at(i)
 		if i == 0 {
 			dst = appendZigzag(dst, v)
 		} else {
@@ -43,11 +45,12 @@ func AppendBlock(dst []byte, g *Segment) []byte {
 		}
 		prev = v
 	}
-	for i, v := range g.transTo {
-		dst = appendOpenEnd(dst, v, g.transFrom[i])
+	for i := range g.n {
+		dst = appendOpenEnd(dst, g.transTo.at(i), g.transFrom.at(i))
 	}
 	prev = 0
-	for i, v := range g.validFrom {
+	for i := range g.n {
+		v := g.validFrom.at(i)
 		if i == 0 {
 			dst = appendZigzag(dst, v)
 		} else {
@@ -55,8 +58,8 @@ func AppendBlock(dst []byte, g *Segment) []byte {
 		}
 		prev = v
 	}
-	for i, v := range g.validTo {
-		dst = appendOpenEnd(dst, v, g.validFrom[i])
+	for i := range g.n {
+		dst = appendOpenEnd(dst, g.validTo.at(i), g.validFrom.at(i))
 	}
 	for a := range g.cols {
 		c := &g.cols[a]
@@ -77,8 +80,8 @@ func AppendBlock(dst []byte, g *Segment) []byte {
 				dst = binary.AppendUvarint(dst, uint64(code))
 			}
 		default:
-			for _, v := range c.ints {
-				dst = appendZigzag(dst, v)
+			for i := range g.n {
+				dst = appendZigzag(dst, c.ints.at(i))
 			}
 		}
 	}
@@ -93,7 +96,7 @@ func AppendBlock(dst []byte, g *Segment) []byte {
 // count and bloom filter are rebuilt from the decoded arrays.
 func DecodeBlock(src []byte, sch *schema.Schema) (*Segment, int, error) {
 	off := 0
-	start, n, err := readUvarint(src, &off)
+	start, _, err := readUvarint(src, &off)
 	if err != nil {
 		return nil, 0, fmt.Errorf("segment: block start: %w", err)
 	}
@@ -101,22 +104,14 @@ func DecodeBlock(src []byte, sch *schema.Schema) (*Segment, int, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("segment: block length: %w", err)
 	}
-	_ = n
 	if rows == 0 || rows > uint64(len(src)) {
 		return nil, 0, fmt.Errorf("segment: implausible block of %d rows", rows)
 	}
-	g := &Segment{
-		sch:       sch,
-		start:     int(start),
-		n:         int(rows),
-		transFrom: make([]int64, rows),
-		transTo:   make([]int64, rows),
-		validFrom: make([]int64, rows),
-		validTo:   make([]int64, rows),
-		keyHash:   make([]uint64, rows),
-	}
+	g := &Segment{sch: sch, start: int(start), n: int(rows), keyHash: make([]uint64, rows)}
+	// The time columns decode into int64 scratch, then narrow as seal's do.
+	transFrom, transTo, validFrom, validTo := make([]int64, rows), make([]int64, rows), make([]int64, rows), make([]int64, rows)
 	prev := int64(0)
-	for i := range g.transFrom {
+	for i := range transFrom {
 		if i == 0 {
 			if prev, err = readZigzag(src, &off); err != nil {
 				return nil, 0, fmt.Errorf("segment: transFrom: %w", err)
@@ -128,15 +123,15 @@ func DecodeBlock(src []byte, sch *schema.Schema) (*Segment, int, error) {
 			}
 			prev += int64(d)
 		}
-		g.transFrom[i] = prev
+		transFrom[i] = prev
 	}
-	for i := range g.transTo {
-		if g.transTo[i], err = readOpenEnd(src, &off, g.transFrom[i]); err != nil {
+	for i := range transTo {
+		if transTo[i], err = readOpenEnd(src, &off, transFrom[i]); err != nil {
 			return nil, 0, fmt.Errorf("segment: transTo: %w", err)
 		}
 	}
 	prev = 0
-	for i := range g.validFrom {
+	for i := range validFrom {
 		d, err := readZigzag(src, &off)
 		if err != nil {
 			return nil, 0, fmt.Errorf("segment: validFrom: %w", err)
@@ -146,13 +141,15 @@ func DecodeBlock(src []byte, sch *schema.Schema) (*Segment, int, error) {
 		} else {
 			prev += d
 		}
-		g.validFrom[i] = prev
+		validFrom[i] = prev
 	}
-	for i := range g.validTo {
-		if g.validTo[i], err = readOpenEnd(src, &off, g.validFrom[i]); err != nil {
+	for i := range validTo {
+		if validTo[i], err = readOpenEnd(src, &off, validFrom[i]); err != nil {
 			return nil, 0, fmt.Errorf("segment: validTo: %w", err)
 		}
 	}
+	g.transFrom, g.transTo = intsOf(transFrom, math.MaxInt64), intsOf(transTo, slices.Min(transFrom))
+	g.validFrom, g.validTo = intsOf(validFrom, math.MaxInt64), intsOf(validTo, slices.Min(validFrom))
 	g.cols = make([]column, sch.Arity())
 	for a := range g.cols {
 		if off >= len(src) {
@@ -203,24 +200,34 @@ func DecodeBlock(src []byte, sch *schema.Schema) (*Segment, int, error) {
 				at = end
 			}
 			c.blob = blob.String()
+			// Only seal's dictionary: distinct entries, each first used in order.
+			firsts := make(map[string]bool, dictLen)
 			c.code = make([]uint32, rows)
 			for i := range c.code {
 				code, _, err := readUvarint(src, &off)
 				if err != nil {
 					return nil, 0, fmt.Errorf("segment: column %d code: %w", a, err)
 				}
-				if code >= dictLen {
-					return nil, 0, fmt.Errorf("segment: column %d code %d outside dict of %d", a, code, dictLen)
+				if code > uint64(len(firsts)) || code >= dictLen {
+					return nil, 0, fmt.Errorf("segment: column %d code %d out of first-use order in dict of %d", a, code, dictLen)
+				} else if code == uint64(len(firsts)) {
+					firsts[c.str(uint32(code))] = true
 				}
 				c.code[i] = uint32(code)
 			}
+			if len(firsts) != c.dictLen() {
+				return nil, 0, fmt.Errorf("segment: column %d: dictionary is not the one its codes make", a)
+			}
 		default:
-			c.ints = make([]int64, rows)
-			for i := range c.ints {
-				if c.ints[i], err = readZigzag(src, &off); err != nil {
+			vs := make([]int64, rows)
+			for i := range vs {
+				if vs[i], err = readZigzag(src, &off); err != nil {
 					return nil, 0, fmt.Errorf("segment: column %d: %w", a, err)
+				} else if kind == value.Bool && uint64(vs[i]) > 1 {
+					return nil, 0, fmt.Errorf("segment: column %d: bool %d", a, vs[i])
 				}
 			}
+			c.ints = intsOf(vs, math.MaxInt64)
 		}
 	}
 	for i := range g.keyHash {
@@ -234,24 +241,25 @@ func DecodeBlock(src []byte, sch *schema.Schema) (*Segment, int, error) {
 	return g, off, nil
 }
 
-// rebuildSummaries recomputes everything derivable from the arrays: time
-// zone maps, current count, attribute zones, and the key bloom filter.
+// rebuildSummaries computes everything derivable from the arrays, at seal and
+// decode: time zone maps, current count, attribute zones, and the bloom filter.
 func (g *Segment) rebuildSummaries() {
 	g.minTransFrom, g.maxTransFrom = math.MaxInt64, math.MinInt64
 	g.maxClosedTo = math.MinInt64
 	g.minValidFrom, g.maxValidTo = math.MaxInt64, math.MinInt64
 	g.current = 0
 	forever := int64(temporal.Forever)
-	for i := 0; i < g.n; i++ {
-		g.minTransFrom = min(g.minTransFrom, g.transFrom[i])
-		g.maxTransFrom = max(g.maxTransFrom, g.transFrom[i])
-		if g.transTo[i] == forever {
+	for i := range g.n {
+		from, to := g.transFrom.at(i), g.transTo.at(i)
+		g.minTransFrom = min(g.minTransFrom, from)
+		g.maxTransFrom = max(g.maxTransFrom, from)
+		if to == forever {
 			g.current++
 		} else {
-			g.maxClosedTo = max(g.maxClosedTo, g.transTo[i])
+			g.maxClosedTo = max(g.maxClosedTo, to)
 		}
-		g.minValidFrom = min(g.minValidFrom, g.validFrom[i])
-		g.maxValidTo = max(g.maxValidTo, g.validTo[i])
+		g.minValidFrom = min(g.minValidFrom, g.validFrom.at(i))
+		g.maxValidTo = max(g.maxValidTo, g.validTo.at(i))
 	}
 	g.bloom = newBloom(g.keyHash)
 	g.buildAttrZones()

@@ -50,8 +50,11 @@ func kindBlock(sch *schema.Schema) []byte {
 // recovery does with every block of a checkpoint. The decoder never panics,
 // and a block it accepts reaches a fixed point under AppendBlock∘DecodeBlock:
 // re-encoding the decoded segment gives bytes that decode in full and
-// re-encode to themselves. Seeds: the parent-written blocks of
-// testdata/parent_blocks.bin, and one block per column kind.
+// re-encode to themselves. Decoding narrows columns as sealing does: sealing
+// the decoded segment's own rows gives a segment with the same column widths
+// that encodes to those same bytes. Seeds: the parent-written blocks of
+// testdata/parent_blocks.bin, one block per column kind, and the segments of
+// the narrowEdges histories.
 func FuzzDecodeBlock(f *testing.F) {
 	parent, err := os.ReadFile("testdata/parent_blocks.bin")
 	if err != nil {
@@ -67,6 +70,10 @@ func FuzzDecodeBlock(f *testing.F) {
 	}
 	for i := 1; i < len(fuzzSchemas); i++ {
 		f.Add(uint8(i), kindBlock(fuzzSchemas[i]))
+	}
+	for _, e := range narrowEdges {
+		l, _ := e.build(f)
+		f.Add(uint8(0), AppendBlock(nil, l.Segments()[0]))
 	}
 	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
 		sch := fuzzSchemas[int(which)%len(fuzzSchemas)]
@@ -84,6 +91,17 @@ func FuzzDecodeBlock(f *testing.F) {
 		}
 		if !bytes.Equal(AppendBlock(nil, again), enc) {
 			t.Fatal("AppendBlock∘DecodeBlock is not at a fixed point after one round")
+		}
+		rows := make([]Row, g.Len())
+		for i := range rows {
+			rows[i] = g.row(i)
+		}
+		sealed := seal(sch, g.Start(), rows)
+		if widths(sealed) != widths(g) {
+			t.Fatalf("decoded widths %s, sealed from its rows %s", widths(g), widths(sealed))
+		}
+		if !bytes.Equal(AppendBlock(nil, sealed), enc) {
+			t.Fatal("sealing the decoded rows encodes to other bytes than the decoded segment")
 		}
 	})
 }

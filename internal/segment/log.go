@@ -2,6 +2,7 @@ package segment
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"tdb/internal/config"
@@ -247,14 +248,7 @@ func (l *Log) Scan(p Pred, fn func(pos int, r Row) bool) {
 // whether the scan goes on into the tail: not once fn has said stop, nor past
 // a row asserted at or after cut.
 func scanSealed(segs []*Segment, p *Pred, cut int64, fn func(pos int, r Row) bool) (built int, more bool) {
-	var wf, qf, qt int64
-	if p.Trans != nil {
-		wf = int64(p.Trans.From)
-	}
-	if p.Valid != nil {
-		qf, qt = int64(p.Valid.From), int64(p.Valid.To)
-	}
-	narrow := p.Key != nil || len(p.Filters) > 0
+	var tw, vq period
 	codes := make([]uint32, len(p.Filters)) // this scan's per-segment filter bindings
 	for _, g := range segs {
 		if g.minTransFrom >= cut {
@@ -267,24 +261,29 @@ func scanSealed(segs []*Segment, p *Pred, cut int64, fn func(pos int, r Row) boo
 		mSegmentsScanned.Inc()
 		hi := g.n
 		if g.maxTransFrom >= cut {
-			hi = sort.Search(g.n, func(i int) bool { return g.transFrom[i] >= cut })
+			hi = sort.Search(g.n, func(i int) bool { return g.transFrom.at(i) >= cut })
 		}
+		tw.bind(p.Trans, &g.transFrom, &g.transTo)
+		vq.bind(p.Valid, &g.validFrom, &g.validTo)
 		for i := 0; i < hi; i++ {
 			// The narrow columns pick the candidates: a key or an attribute
 			// comparison usually turns most rows away on four or eight bytes,
-			// in a loop of its own (seek), and only the rest pay for the four
-			// time columns.
-			if narrow {
-				if i = g.seek(i, hi, p.Key, p.Filters, codes); i == hi {
-					break
-				}
+			// in a loop of its own (seek); without one a period test does.
+			switch {
+			case p.Key != nil || len(p.Filters) > 0:
+				i = g.seek(i, hi, p.Key, p.Filters, codes)
+			case tw.on && !tw.wide:
+				i = tw.next(i, hi)
+			case vq.on && !vq.wide:
+				i = vq.next(i, hi)
 			}
-			// An empty period (asserted and superseded at one chronon) overlaps
-			// nothing, on either axis.
-			if p.Trans != nil && (wf >= g.transTo[i] || g.transFrom[i] >= g.transTo[i]) {
+			if i == hi {
+				break
+			}
+			if tw.on && !tw.passes(i, &g.transFrom, &g.transTo) {
 				continue
 			}
-			if p.Valid != nil && (g.validFrom[i] >= qt || qf >= g.validTo[i] || g.validFrom[i] >= g.validTo[i]) {
+			if vq.on && !vq.passes(i, &g.validFrom, &g.validTo) {
 				continue
 			}
 			built++
@@ -297,6 +296,49 @@ func scanSealed(segs []*Segment, p *Pred, cut int64, fn func(pos int, r Row) boo
 		}
 	}
 	return built, true
+}
+
+// period is a Pred's interval test on one time axis, bound to a segment: a
+// row passes when its period [from, to) is non-empty — one asserted and
+// superseded at one chronon overlaps nothing — and overlaps [qf, qt). Unless
+// wide (a wide column, two bases, or no offset can pass), next walks the two
+// columns' offsets, on the base seal gives both: from <= fhi, to >= tlo and
+// from < to.
+type period struct {
+	qf, qt   int64
+	on, wide bool
+	fhi, tlo uint32
+	from, to []uint32
+}
+
+func (q *period) bind(iv *temporal.Interval, from, to *ints) {
+	if *q = (period{on: iv != nil}); !q.on {
+		return
+	}
+	q.qf, q.qt = int64(iv.From), int64(iv.To)
+	_, fhi, okF := from.offRange(math.MinInt64, q.qt-1)
+	tlo, _, okT := to.offRange(q.qf+1, math.MaxInt64)
+	q.wide = from.wide != nil || to.wide != nil || from.base != to.base || !okF || !okT
+	q.fhi, q.tlo, q.from, q.to = fhi, tlo, from.off, to.off
+}
+
+// passes tests row i on its values.
+func (q *period) passes(i int, from, to *ints) bool {
+	f, t := from.at(i), to.at(i)
+	return f < q.qt && q.qf < t && f < t
+}
+
+// next returns the first row in [i, hi) whose offsets pass, or hi.
+func (q *period) next(i, hi int) int {
+	from, fhi, tlo := q.from[:hi], q.fhi, q.tlo
+	for j, t := range q.to[i:hi] {
+		if t >= tlo {
+			if f := from[i+j]; f <= fhi && f < t {
+				return i + j
+			}
+		}
+	}
+	return hi
 }
 
 // seek returns the first row in [i, hi) that has the key hash and passes the

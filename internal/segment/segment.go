@@ -2,10 +2,10 @@
 // for the append-only store kinds (static rollback and temporal). Committed
 // history never changes — "each transaction causes a new historical state to
 // be created" — so once a run of versions is no longer the mutable tail of a
-// relation it can be frozen into a Segment: per-attribute columnar arrays
-// (dictionary-encoded strings, raw int64/float64 otherwise) plus per-segment
-// zone maps over transaction time, valid time and every attribute, and a
-// bloom filter over key hashes.
+// relation it can be frozen into a Segment: columnar arrays (strings as
+// dictionary codes, integers and times as 32-bit offsets where they fit) plus
+// per-segment zone maps over transaction time, valid time and every
+// attribute, and a bloom filter over key hashes.
 //
 // Zone maps are what make big scans cheap: an as-of or overlap query
 // consults four int64s per segment before touching any tuple, skipping whole
@@ -41,12 +41,112 @@ type Row struct {
 	KeyHash uint64
 }
 
+// ints is a sealed column of int64s. When its values, math.MaxInt64
+// (temporal.Forever) aside, span less than 2³²−1 it keeps each as a uint32
+// offset from base, MaxInt64 as forever32; otherwise the values themselves.
+// Exactly one of off and wide is set.
+type ints struct {
+	base int64
+	off  []uint32
+	wide []int64
+}
+
+const forever32 = math.MaxUint32
+
+// extent is the least and greatest of a column's values, MaxInt64 aside:
+// what decides its width and base.
+type extent struct {
+	lo, hi int64
+	any    bool
+}
+
+func (e *extent) add(v int64) {
+	if !e.any {
+		e.lo, e.hi, e.any = v, v, v != math.MaxInt64
+	} else if v != math.MaxInt64 {
+		e.lo, e.hi = min(e.lo, v), max(e.hi, v)
+	}
+}
+
+// makeInts returns a column of n zeros, for put to fill with values within e.
+func makeInts(n int, e extent) ints {
+	if e.any && uint64(e.hi-e.lo) >= forever32 {
+		return ints{wide: make([]int64, n)}
+	}
+	return ints{base: e.lo, off: make([]uint32, n)}
+}
+
+// intsOf builds the column holding vs, with a base no greater than floor.
+func intsOf(vs []int64, floor int64) ints {
+	var e extent
+	e.add(floor)
+	for _, v := range vs {
+		e.add(v)
+	}
+	c := makeInts(len(vs), e)
+	for i, v := range vs {
+		c.put(i, v)
+	}
+	return c
+}
+
+func (c *ints) at(i int) int64 {
+	if c.wide != nil {
+		return c.wide[i]
+	}
+	if o := c.off[i]; o != forever32 {
+		return c.base + int64(o)
+	}
+	return math.MaxInt64
+}
+
+// set stores v at row i, widening a narrow column that cannot hold it.
+func (c *ints) set(i int, v int64) {
+	if c.wide == nil && v != math.MaxInt64 && (v < c.base || uint64(v-c.base) >= forever32) {
+		wide := make([]int64, len(c.off))
+		for j := range wide {
+			wide[j] = c.at(j)
+		}
+		c.wide, c.off = wide, nil
+	}
+	c.put(i, v)
+}
+
+// put stores v at row i of a column that can hold it.
+func (c *ints) put(i int, v int64) {
+	switch {
+	case c.wide != nil:
+		c.wide[i] = v
+	case v == math.MaxInt64:
+		c.off[i] = forever32
+	default:
+		c.off[i] = uint32(v - c.base)
+	}
+}
+
+// offRange translates lo <= x <= hi for a narrow column: at(i) is in range
+// exactly when off[i]-olo <= span. ok is false when no value it holds can be.
+func (c *ints) offRange(lo, hi int64) (olo, span uint32, ok bool) {
+	top := uint64(forever32)
+	if hi != math.MaxInt64 {
+		top = min(uint64(hi-c.base), forever32-1)
+	}
+	var bot uint64
+	if lo > c.base {
+		bot = min(uint64(lo-c.base), forever32)
+	}
+	if hi < c.base || bot > top {
+		return 0, 0, false
+	}
+	return uint32(bot), uint32(top - bot), true
+}
+
 // column is one attribute's storage inside a sealed segment, pointer-free
 // below the slice headers: a string column's dictionary is one blob of the
 // distinct strings in first-seen order, entry d being blob[offs[d]:offs[d+1]].
 type column struct {
 	kind value.Kind
-	ints []int64   // Int, Bool (0/1), Instant payloads
+	ints ints      // Int, Bool (0/1), Instant payloads
 	fls  []float64 // Float payloads
 	blob string    // String dictionary entries
 	offs []uint32  // String dictionary bounds, one more than there are entries
@@ -67,10 +167,10 @@ type Segment struct {
 	start int // global position of the first row
 	n     int
 
-	transFrom []int64
-	transTo   []int64 // the one mutable column: closures of superseded versions
-	validFrom []int64
-	validTo   []int64
+	transFrom ints
+	transTo   ints // the one mutable column: closures of superseded versions
+	validFrom ints
+	validTo   ints
 	cols      []column
 	keyHash   []uint64
 	bloom     bloom
@@ -100,8 +200,8 @@ func (g *Segment) Current() int { return g.current }
 
 // EachCurrent calls fn with the global position and key hash of each such row.
 func (g *Segment) EachCurrent(fn func(pos int, keyHash uint64)) {
-	for i, to := range g.transTo {
-		if to == int64(temporal.Forever) {
+	for i := range g.n {
+		if g.transTo.at(i) == int64(temporal.Forever) {
 			fn(g.start+i, g.keyHash[i])
 		}
 	}
@@ -114,51 +214,48 @@ func (g *Segment) LastCommit() temporal.Chronon {
 
 // seal builds a segment from rows, which become positions start..start+len.
 func seal(sch *schema.Schema, start int, rows []Row) *Segment {
-	g := &Segment{
-		sch:          sch,
-		start:        start,
-		n:            len(rows),
-		transFrom:    make([]int64, len(rows)),
-		transTo:      make([]int64, len(rows)),
-		validFrom:    make([]int64, len(rows)),
-		validTo:      make([]int64, len(rows)),
-		keyHash:      make([]uint64, len(rows)),
-		minTransFrom: math.MaxInt64,
-		maxTransFrom: math.MinInt64,
-		maxClosedTo:  math.MinInt64,
-		minValidFrom: math.MaxInt64,
-		maxValidTo:   math.MinInt64,
+	// One pass finds each integer column's extent, a second fills the columns.
+	var tf, tt, vf, vt extent
+	exts := make([]extent, sch.Arity())
+	for _, r := range rows {
+		tf.add(int64(r.Trans.From))
+		tt.add(int64(r.Trans.To))
+		vf.add(int64(r.Valid.From))
+		vt.add(int64(r.Valid.To))
+		for a := range exts {
+			if k := sch.Attr(a).Type; k != value.Float && k != value.String {
+				exts[a].add(payload(r.Data[a]))
+			}
+		}
 	}
+	// A to column takes its from column's base: a period test compares their
+	// offsets (see period), and every later closure fits transTo.
+	tt.add(tf.lo)
+	vt.add(vf.lo)
+	n := len(rows)
+	g := &Segment{sch: sch, start: start, n: n, keyHash: make([]uint64, n),
+		transFrom: makeInts(n, tf), transTo: makeInts(n, tt), validFrom: makeInts(n, vf), validTo: makeInts(n, vt)}
 	g.cols = make([]column, sch.Arity())
 	for a := range g.cols {
 		g.cols[a].kind = sch.Attr(a).Type
 		switch g.cols[a].kind {
 		case value.Float:
-			g.cols[a].fls = make([]float64, len(rows))
+			g.cols[a].fls = make([]float64, n)
 		case value.String:
-			g.cols[a].code = make([]uint32, len(rows))
+			g.cols[a].code = make([]uint32, n)
 			g.cols[a].offs = []uint32{0}
 		default:
-			g.cols[a].ints = make([]int64, len(rows))
+			g.cols[a].ints = makeInts(n, exts[a])
 		}
 	}
 	dicts := make([]map[string]uint32, sch.Arity())
 	blobs := make([][]byte, sch.Arity())
 	for i, r := range rows {
-		g.transFrom[i] = int64(r.Trans.From)
-		g.transTo[i] = int64(r.Trans.To)
-		g.validFrom[i] = int64(r.Valid.From)
-		g.validTo[i] = int64(r.Valid.To)
+		g.transFrom.put(i, int64(r.Trans.From))
+		g.transTo.put(i, int64(r.Trans.To))
+		g.validFrom.put(i, int64(r.Valid.From))
+		g.validTo.put(i, int64(r.Valid.To))
 		g.keyHash[i] = r.KeyHash
-		if r.Trans.To == temporal.Forever {
-			g.current++
-		} else if int64(r.Trans.To) > g.maxClosedTo {
-			g.maxClosedTo = int64(r.Trans.To)
-		}
-		g.minTransFrom = min(g.minTransFrom, int64(r.Trans.From))
-		g.maxTransFrom = max(g.maxTransFrom, int64(r.Trans.From))
-		g.minValidFrom = min(g.minValidFrom, int64(r.Valid.From))
-		g.maxValidTo = max(g.maxValidTo, int64(r.Valid.To))
 		for a := range g.cols {
 			v := r.Data[a]
 			switch g.cols[a].kind {
@@ -179,23 +276,30 @@ func seal(sch *schema.Schema, start int, rows []Row) *Segment {
 					dicts[a][s] = code
 				}
 				g.cols[a].code[i] = code
-			case value.Bool:
-				if v.Bool() {
-					g.cols[a].ints[i] = 1
-				}
-			case value.Instant:
-				g.cols[a].ints[i] = int64(v.Instant())
-			default: // Int
-				g.cols[a].ints[i] = v.Int()
+			default:
+				g.cols[a].ints.put(i, payload(v))
 			}
 		}
 	}
 	for a := range g.cols {
 		g.cols[a].blob = string(blobs[a]) // an exact copy: the tail's strings are let go
 	}
-	g.bloom = newBloom(g.keyHash)
-	g.buildAttrZones()
+	g.rebuildSummaries()
 	return g
+}
+
+// payload is an Int, Bool (0/1) or Instant value as its column stores it.
+func payload(v value.Value) int64 {
+	switch v.Kind() {
+	case value.Bool:
+		if v.Bool() {
+			return 1
+		}
+		return 0
+	case value.Instant:
+		return int64(v.Instant())
+	}
+	return v.Int()
 }
 
 // buildAttrZones computes the per-attribute min/max zone maps from the
@@ -220,12 +324,7 @@ func (g *Segment) buildAttrZones() {
 					nan = true
 					break
 				}
-				if f < lo {
-					lo = f
-				}
-				if f > hi {
-					hi = f
-				}
+				lo, hi = min(lo, f), max(hi, f)
 			}
 			if !nan {
 				g.attrMin[a], g.attrMax[a] = value.NewFloat(lo), value.NewFloat(hi)
@@ -233,24 +332,13 @@ func (g *Segment) buildAttrZones() {
 		case value.String:
 			lo, hi := c.str(0), c.str(0)
 			for d := 1; d < c.dictLen(); d++ {
-				s := c.str(uint32(d))
-				if s < lo {
-					lo = s
-				}
-				if s > hi {
-					hi = s
-				}
+				lo, hi = min(lo, c.str(uint32(d))), max(hi, c.str(uint32(d)))
 			}
 			g.attrMin[a], g.attrMax[a] = value.NewString(lo), value.NewString(hi)
 		default:
-			lo, hi := c.ints[0], c.ints[0]
-			for _, v := range c.ints[1:] {
-				if v < lo {
-					lo = v
-				}
-				if v > hi {
-					hi = v
-				}
+			lo, hi := c.ints.at(0), c.ints.at(0)
+			for i := 1; i < g.n; i++ {
+				lo, hi = min(lo, c.ints.at(i)), max(hi, c.ints.at(i))
 			}
 			switch c.kind {
 			case value.Instant:
@@ -296,27 +384,28 @@ func (g *Segment) row(i int) Row {
 		case value.String:
 			t[a] = value.NewString(g.cols[a].str(g.cols[a].code[i]))
 		case value.Bool:
-			t[a] = value.NewBool(g.cols[a].ints[i] != 0)
+			t[a] = value.NewBool(g.cols[a].ints.at(i) != 0)
 		case value.Instant:
-			t[a] = value.NewInstant(temporal.Chronon(g.cols[a].ints[i]))
+			t[a] = value.NewInstant(temporal.Chronon(g.cols[a].ints.at(i)))
 		default:
-			t[a] = value.NewInt(g.cols[a].ints[i])
+			t[a] = value.NewInt(g.cols[a].ints.at(i))
 		}
 	}
 	return Row{
 		Data:    t,
-		Valid:   temporal.Interval{From: temporal.Chronon(g.validFrom[i]), To: temporal.Chronon(g.validTo[i])},
-		Trans:   temporal.Interval{From: temporal.Chronon(g.transFrom[i]), To: temporal.Chronon(g.transTo[i])},
+		Valid:   temporal.Interval{From: temporal.Chronon(g.validFrom.at(i)), To: temporal.Chronon(g.validTo.at(i))},
+		Trans:   temporal.Interval{From: temporal.Chronon(g.transFrom.at(i)), To: temporal.Chronon(g.transTo.at(i))},
 		KeyHash: g.keyHash[i],
 	}
 }
 
 // closeTrans sets row i's transaction-time end (the one permitted mutation:
 // superseding a current version) and maintains the zone map. undo is done by
-// calling it again with the prior end.
+// calling it again with the prior end. A closure transTo's offsets cannot
+// hold widens the column in place, under the write lock as every closure is.
 func (g *Segment) closeTrans(i int, to temporal.Chronon) {
-	was := temporal.Chronon(g.transTo[i])
-	g.transTo[i] = int64(to)
+	was := temporal.Chronon(g.transTo.at(i))
+	g.transTo.set(i, int64(to))
 	if was == temporal.Forever && to != temporal.Forever {
 		g.current--
 		g.maxClosedTo = max(g.maxClosedTo, int64(to))
@@ -372,19 +461,30 @@ const (
 // next returns the first row in [i, hi) of g that satisfies the filter, or
 // hi, code being what bind returned for g.
 func (f *Filter) next(g *Segment, code uint32, i, hi int) int {
-	c := &g.cols[f.Attr]
-	switch c.kind {
-	case value.Float:
+	// An int column's test is one unsigned comparison for both ends, a branch
+	// that goes the same way for every row outside the range.
+	switch c := &g.cols[f.Attr]; {
+	case c.kind == value.Float:
 		for col := c.fls[:hi]; i < hi && !cmpOK(f.Op, cmpFloat(col[i], f.f)); i++ {
 		}
-	case value.String: // strings are equality-only
+	case c.kind == value.String: // strings are equality-only
 		for col := c.code[:hi]; i < hi && col[i] != code; i++ {
 		}
-	default:
-		// One unsigned comparison tests both ends, and is a branch that goes
-		// the same way for every row outside the range.
-		for col, lo, span := c.ints[:hi], f.lo, uint64(f.hi-f.lo); i < hi && uint64(col[i]-lo) > span; i++ {
+	case c.ints.wide != nil:
+		for col, lo, span := c.ints.wide[:hi], f.lo, uint64(f.hi-f.lo); i < hi && uint64(col[i]-lo) > span; i++ {
 		}
+	default:
+		lo, span, ok := c.ints.offRange(f.lo, f.hi)
+		if !ok {
+			return hi
+		}
+		// A range loop: the counted form is slower on []uint32.
+		for j, x := range c.ints.off[i:hi] {
+			if x-lo <= span {
+				return i + j
+			}
+		}
+		return hi
 	}
 	return i
 }

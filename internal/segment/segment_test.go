@@ -171,6 +171,135 @@ func TestSealPreservesRows(t *testing.T) {
 			t.Fatalf("row %d changed across seal:\n got %+v\nwant %+v", pos, got, w)
 		}
 	}
+	for _, e := range narrowEdges {
+		l, want := e.build(t)
+		for pos, w := range want {
+			if got := l.Row(pos); !rowsEqual(got, w) {
+				t.Fatalf("%s: row %d changed across seal:\n got %+v\nwant %+v", e.name, pos, got, w)
+			}
+		}
+	}
+}
+
+// widths names, for a segment's transFrom, transTo, validFrom and validTo
+// columns and then each integer attribute column (testSchema's salary, active
+// and since), whether it is stored narrow (n) or wide (w).
+func widths(g *Segment) string {
+	cs := []*ints{&g.transFrom, &g.transTo, &g.validFrom, &g.validTo}
+	for a := range g.cols {
+		if k := g.cols[a].kind; k != value.Float && k != value.String {
+			cs = append(cs, &g.cols[a].ints)
+		}
+	}
+	var b []byte
+	for _, c := range cs {
+		if (c.off == nil) == (c.wide == nil) {
+			return "a column that is neither narrow nor wide, or both"
+		}
+		b = append(b, "nw"[min(len(c.wide), 1)])
+	}
+	return string(b)
+}
+
+// narrowEdge is a history at an edge of the 32-bit offset encoding: 48 rows
+// drawn as randRow draws them, bent, and sealed eight at a time so that every
+// segment holds the edge. want is the widths (see widths) every segment must
+// come out with; then, if closes is set, it runs on the sealed log and every
+// segment must have widths after.
+type narrowEdge struct {
+	name   string
+	bend   func(i int, r *Row)
+	want   string
+	closes func(t testing.TB, l *Log, ref []Row)
+	after  []string
+}
+
+// build grows the edge's log and its reference, checking every segment's
+// widths after the seals and again after closes.
+func (e narrowEdge) build(t testing.TB) (*Log, []Row) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(85))
+	l := NewLog(testSchema())
+	var ref []Row
+	for i := 0; i < 48; i++ {
+		r := randRow(rng, temporal.Chronon(100+i/3))
+		e.bend(i, &r)
+		l.Append(r)
+		ref = append(ref, r)
+		if i%8 == 7 {
+			l.SealNow()
+		}
+	}
+	check := func(when string, want func(s int) string) {
+		t.Helper()
+		for s, g := range l.Segments() {
+			if got := widths(g); got != want(s) {
+				t.Fatalf("%s, %s: segment %d has widths %s, want %s", e.name, when, s, got, want(s))
+			}
+		}
+	}
+	check("sealed", func(int) string { return e.want })
+	if e.closes != nil {
+		e.closes(t, l, ref)
+		check("closed", func(s int) string { return e.after[s] })
+	}
+	return l, ref
+}
+
+// spanning bends rows so that validTo (whose base is the least validFrom),
+// salary and since each span exactly d in every eight-row segment.
+func spanning(d int64) func(i int, r *Row) {
+	return func(i int, r *Row) {
+		switch i % 8 {
+		case 0:
+			r.Valid.From = 0
+			r.Data[2], r.Data[5] = value.NewInt(0), value.NewInstant(0)
+		case 1:
+			r.Valid.To = temporal.Chronon(d)
+			r.Data[2], r.Data[5] = value.NewInt(d), value.NewInstant(temporal.Chronon(d))
+		}
+	}
+}
+
+var narrowEdges = []narrowEdge{
+	{name: "Beginning valid-from", want: "nnwwnnn", bend: func(i int, r *Row) {
+		if i%2 == 0 {
+			r.Valid.From = temporal.Beginning
+		}
+	}},
+	{name: "spans of 2³²−2", want: "nnnnnnn", bend: spanning(1<<32 - 2)},
+	{name: "spans of 2³²−1", want: "nnnwwnw", bend: spanning(1<<32 - 1)},
+	{name: "MinInt64 and MaxInt64 salaries", want: "nnnnwnn", bend: func(i int, r *Row) {
+		switch i % 4 {
+		case 0:
+			r.Data[2] = value.NewInt(math.MinInt64)
+		case 1:
+			r.Data[2] = value.NewInt(math.MaxInt64)
+		}
+	}},
+	{name: "only MinInt64 and MaxInt64 salaries", want: "nnnnnnn", bend: func(i int, r *Row) {
+		r.Data[2] = value.NewInt([]int64{math.MinInt64, math.MaxInt64}[i%2])
+	}},
+	{name: "valid periods ending before every start", want: "nnnnnnn", bend: func(i int, r *Row) {
+		if i%4 == 0 {
+			r.Valid.To = -5 // validTo's base falls below validFrom's
+		}
+	}},
+	{name: "a closure that widens transTo, then its abort undo", want: "nnnnnnn", bend: func(int, *Row) {},
+		closes: func(t testing.TB, l *Log, ref []Row) {
+			closeAt := func(pos int, at temporal.Chronon) {
+				l.CloseTrans(pos, at)
+				ref[pos].Trans.To = at
+			}
+			base := ref[0].Trans.From // segment 0's least transFrom, transTo's base
+			closeAt(2, base+1<<32-2)  // the last offset that fits
+			if w := widths(l.Segments()[0]); w[1] != 'n' {
+				t.Fatalf("a closure 2³²−2 past the base widened transTo: %s", w)
+			}
+			closeAt(3, base+1<<32-1) // one past it: widens
+			closeAt(3, temporal.Forever)
+		},
+		after: []string{"nwnnnnn", "nnnnnnn", "nnnnnnn", "nnnnnnn", "nnnnnnn", "nnnnnnn"}},
 }
 
 // history drives l through a seeded run of small transactions — the only
@@ -377,48 +506,64 @@ func TestScansMatchReference(t *testing.T) {
 		if st := l.Stats(); (rows == "") != (st.Segments == 0) || (rows != "" && st.Segments < 100) {
 			t.Fatalf("TDB_SEGMENT_ROWS=%q: %v", rows, st)
 		}
-		var all []Row
-		l.Scan(Pred{}, func(pos int, r Row) bool {
-			if pos != len(all) {
-				t.Fatalf("Scan(Pred{}) yielded position %d after %d rows", pos, len(all))
-			}
-			all = append(all, r)
-			return true
-		})
-		if len(all) != len(ref) {
-			t.Fatalf("Scan(Pred{}) found %d rows, %d were committed", len(all), len(ref))
-		}
 		empty := 0
-		for pos := range ref {
-			if !rowsEqual(all[pos], ref[pos]) || !rowsEqual(l.Row(pos), ref[pos]) {
-				t.Fatalf("row %d: scan %+v, Row %+v, committed %+v", pos, all[pos], l.Row(pos), ref[pos])
-			}
-			if ref[pos].Trans.From == ref[pos].Trans.To {
+		for _, r := range ref {
+			if r.Trans.From == r.Trans.To {
 				empty++
 			}
 		}
 		if empty < 10 {
 			t.Fatalf("history holds only %d same-chronon rows", empty)
 		}
-		hits := 0
-		for _, c := range predCases(t, rng, ref) {
-			what := fmt.Sprintf("TDB_SEGMENT_ROWS=%q Scan(%s)", rows, c.name)
-			want := where(all, c.keep)
-			samePositions(t, what, scanWith(l, c.pred), want)
-			if len(want) < 2 {
-				continue
-			}
-			hits++
-			stop, calls := 1+rng.Intn(len(want)-1), 0
-			l.Scan(c.pred, func(int, Row) bool { calls++; return calls < stop })
-			if calls != stop {
-				t.Fatalf("%s: fn said stop at row %d of %d and was called %d times", what, stop, len(want), calls)
-			}
-		}
-		if hits < 500 {
+		if hits := matchesReference(t, fmt.Sprintf("TDB_SEGMENT_ROWS=%q", rows), l, ref, rng); hits < 500 {
 			t.Fatalf("only %d cases selected two or more rows; the probes miss the history", hits)
 		}
 	}
+	// The edges of the 32-bit offset encoding, narrow and wide alike, and a
+	// transTo widened by a closure and then reopened.
+	for _, e := range narrowEdges {
+		l, ref := e.build(t)
+		matchesReference(t, e.name, l, ref, rand.New(rand.NewSource(85)))
+	}
+}
+
+// matchesReference holds l to ref, the rows committed to it: Scan(Pred{})
+// returns them image for image in commit order, and every predCases Scan
+// returns exactly the rows its brute-force test keeps and stops the moment fn
+// says so. It returns how many cases selected two or more rows.
+func matchesReference(t *testing.T, what string, l *Log, ref []Row, rng *rand.Rand) (hits int) {
+	t.Helper()
+	var all []Row
+	l.Scan(Pred{}, func(pos int, r Row) bool {
+		if pos != len(all) {
+			t.Fatalf("%s: Scan(Pred{}) yielded position %d after %d rows", what, pos, len(all))
+		}
+		all = append(all, r)
+		return true
+	})
+	if len(all) != len(ref) {
+		t.Fatalf("%s: Scan(Pred{}) found %d rows, %d were committed", what, len(all), len(ref))
+	}
+	for pos := range ref {
+		if !rowsEqual(all[pos], ref[pos]) || !rowsEqual(l.Row(pos), ref[pos]) {
+			t.Fatalf("%s: row %d: scan %+v, Row %+v, committed %+v", what, pos, all[pos], l.Row(pos), ref[pos])
+		}
+	}
+	for _, c := range predCases(t, rng, ref) {
+		name := fmt.Sprintf("%s Scan(%s)", what, c.name)
+		want := where(all, c.keep)
+		samePositions(t, name, scanWith(l, c.pred), want)
+		if len(want) < 2 {
+			continue
+		}
+		hits++
+		stop, calls := 1+rng.Intn(len(want)-1), 0
+		l.Scan(c.pred, func(int, Row) bool { calls++; return calls < stop })
+		if calls != stop {
+			t.Fatalf("%s: fn said stop at row %d of %d and was called %d times", name, stop, len(want), calls)
+		}
+	}
+	return hits
 }
 
 // TestFiltersAccelerateOnly: an equality filter evaluated on the columns
@@ -470,11 +615,12 @@ func TestCmpFiltersAccelerateOnly(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	l, ref := buildPair(rng, 1500)
 	sch := testSchema()
-	cases := []struct {
+	type cmpCase struct {
 		attr int
 		op   Op
 		v    value.Value
-	}{
+	}
+	cases := []cmpCase{
 		{2, OpLt, value.NewInt(25000)},
 		{2, OpLe, value.NewInt(25000)},
 		{2, OpGt, value.NewInt(25000)},
@@ -484,6 +630,36 @@ func TestCmpFiltersAccelerateOnly(t *testing.T) {
 		{3, OpLt, value.NewFloat(2.5)},
 		{3, OpGe, value.NewFloat(2.5)},
 		{5, OpLt, value.NewInstant(100)},
+		// Constants around the narrow columns' bases: below every base, more
+		// than 2³² above one, and the ends of int64.
+		{2, OpGt, value.NewInt(-1 << 40)},
+		{2, OpEq, value.NewInt(100)},
+		{2, OpLt, value.NewInt(20000 + 1<<32)},
+		{2, OpGe, value.NewInt(20000 + 1<<32)},
+		{2, OpEq, value.NewInt(math.MinInt64)},
+		{2, OpEq, value.NewInt(math.MaxInt64)},
+		{2, OpGe, value.NewInt(math.MinInt64)},
+		{2, OpLt, value.NewInt(math.MaxInt64)},
+		{5, OpLe, value.NewInstant(1 << 33)},
+		{5, OpGt, value.NewInstant(-1)},
+		// The last offset below the MaxInt64 sentinel, on the narrowEdges
+		// columns spanning 2³²−2 and 2³²−1.
+		{2, OpGt, value.NewInt(1<<32 - 2)},
+		{2, OpGe, value.NewInt(1<<32 - 2)},
+		{5, OpLe, value.NewInstant(1<<32 - 2)},
+		{5, OpGt, value.NewInstant(1<<32 - 1)},
+	}
+	// OpLt at exactly the base of each segment's salary and since columns.
+	for _, g := range l.Segments() {
+		cases = append(cases, cmpCase{2, OpLt, value.NewInt(g.cols[2].ints.base)},
+			cmpCase{5, OpLt, value.NewInstant(temporal.Chronon(g.cols[5].ints.base))})
+	}
+	// Besides buildPair's segments, the narrowEdges histories put narrow and
+	// wide columns at the edges of the encoding.
+	segs := l.Segments()
+	for _, e := range narrowEdges {
+		el, _ := e.build(t)
+		segs = append(segs[:len(segs):len(segs)], el.Segments()...)
 	}
 	asOf, now := temporal.At(130), temporal.Since(temporal.Forever-1)
 	q := temporal.Interval{From: 0, To: temporal.Forever}
@@ -496,6 +672,19 @@ func TestCmpFiltersAccelerateOnly(t *testing.T) {
 		keep := func(r Row) bool {
 			cmp, err := value.Compare(r.Data[c.attr], c.v)
 			return err != nil || cmpOK(c.op, cmp)
+		}
+		// The column walk alone, from every row of every segment, zone maps
+		// or no: where the attribute's zone would skip a segment the walk
+		// must find nothing in it either.
+		for si, g := range segs {
+			for i := 0; i < g.Len(); i++ {
+				want := i
+				for ; want < g.Len() && !keep(g.row(want)); want++ {
+				}
+				if got := f.next(g, 0, i, g.Len()); got != want {
+					t.Fatalf("%s: segment %d (%s), next from row %d = %d, want %d", name, si, widths(g), i, got, want)
+				}
+			}
 		}
 
 		samePositions(t, name+" as of, valid", scanWith(l, Pred{Trans: &asOf, Valid: &q, Filters: []*Filter{f}}),
@@ -660,6 +849,46 @@ func TestCodecRejectsCorruption(t *testing.T) {
 	)
 	if _, _, err := DecodeBlock(block, wrong); err == nil {
 		t.Fatal("decode against a drifted schema succeeded")
+	}
+}
+
+// TestCodecRejectsWhatSealNeverWrites: a bool column holds 0 or 1, and a
+// string column's dictionary is the one seal builds from its codes — distinct
+// entries, each first used in order — so that every block the decoder
+// accepts is the block sealing its rows would write (FuzzDecodeBlock).
+func TestCodecRejectsWhatSealNeverWrites(t *testing.T) {
+	block := func(sch *schema.Schema, bend func(c *column)) []byte {
+		l := NewLog(sch)
+		for i := 0; i < 6; i++ {
+			data := tuple.Tuple{value.NewBool(i%2 == 0)}
+			if sch.Attr(0).Type == value.String {
+				data = tuple.Tuple{value.NewString([]string{"", "a", "bc"}[i%3])}
+			}
+			l.Append(Row{Data: data, Valid: temporal.Since(0), Trans: temporal.Since(100), KeyHash: uint64(i)})
+		}
+		l.SealNow()
+		g := l.Segments()[0]
+		bend(&g.cols[0])
+		return AppendBlock(nil, g)
+	}
+	bools, strs := fuzzSchemas[4], fuzzSchemas[3]
+	for _, c := range []struct {
+		name string
+		sch  *schema.Schema
+		bend func(c *column)
+	}{
+		{"bool 2", bools, func(c *column) { c.ints.set(1, 2) }},
+		{"bool -1", bools, func(c *column) { c.ints.set(1, -1) }},
+		{"codes out of first-use order", strs, func(c *column) { c.code[0], c.code[1] = 1, 0 }},
+		{"an entry no code uses", strs, func(c *column) { c.blob, c.offs = "abcz", []uint32{0, 0, 1, 3, 4} }},
+		{"an entry twice", strs, func(c *column) { c.blob, c.offs = "aa", []uint32{0, 0, 1, 2} }},
+	} {
+		if _, _, err := DecodeBlock(block(c.sch, func(*column) {}), c.sch); err != nil {
+			t.Fatalf("%s: the unbent block: %v", c.name, err)
+		}
+		if _, _, err := DecodeBlock(block(c.sch, c.bend), c.sch); err == nil {
+			t.Errorf("%s: decoded", c.name)
+		}
 	}
 }
 

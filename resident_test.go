@@ -13,16 +13,17 @@ import (
 // the relation lives — the figure bench/ reports as live_heap_mb — on the
 // benchmark's own shape: a temporal relation gen (id key, shard, v) loaded
 // in 8 192-row calls, so all but the last rows sit in sealed segments, every
-// id distinct and current. The columns are 67 B of it (four time columns, a
-// key hash, two dictionary codes and an int, plus the id's bytes and offset);
-// the key index is 16 B and its share of the table; the tail, the statistics
-// and allocator rounding are the rest: 101.7 B measured. It was 220.5 B while
-// the index kept a 40-byte bucket and a one-element slice per key.
+// id distinct and current. The columns are 47 B of it (four time columns and
+// the int as 4-byte offsets, a key hash, two dictionary codes, plus the id's
+// bytes and offset); the key index is 16 B and its share of the table; the
+// tail, the statistics and allocator rounding are the rest: 82.1 B measured.
+// It was 101.7 B while every integer column took 8 bytes a row, and 220.5 B
+// while the index kept a 40-byte bucket and a one-element slice per key.
 func TestResidentBytesPerVersion(t *testing.T) {
 	if testing.Short() || raceDetector {
 		t.Skip("measures the heap: not under -short or -race")
 	}
-	const versions, call, limit = 100_000, 8192, 110
+	const versions, call, limit = 100_000, 8192, 90
 	db := memDB(t)
 	sch, err := MustSchema(Attr("id", StringKind), Attr("shard", StringKind), Attr("v", IntKind)).WithKey("id")
 	if err != nil {

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -211,10 +212,20 @@ func TestMalformedRequestReported(t *testing.T) {
 	}
 }
 
-func TestConcurrentClients(t *testing.T) { cacheArms(t, testConcurrentClients) }
+// TestConcurrentClients has eight connections append to one temporal
+// relation, each reading its own rows back as it goes, in every cache arm and
+// once more with the relation sealed every four rows, so that connections and
+// seals cross the sealed/tail boundary concurrently.
+func TestConcurrentClients(t *testing.T) {
+	cacheArms(t, testConcurrentClients)
+	t.Run("seal=4", func(t *testing.T) {
+		t.Setenv("TDB_SEGMENT_ROWS", "4")
+		testConcurrentClients(t, 64<<10)
+	})
+}
 
 func testConcurrentClients(t *testing.T, cacheBytes int64) {
-	_, addr := startCachedServer(t, cacheBytes)
+	srv, addr := startCachedServer(t, cacheBytes)
 	setup, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -248,6 +259,19 @@ func testConcurrentClients(t *testing.T, cacheBytes int64) {
 					errs <- fmt.Errorf("exec: %s", resp.Error)
 					return
 				}
+				if i%5 != 4 {
+					continue
+				}
+				resp, err = c.Exec(fmt.Sprintf(`range of l is log
+					retrieve (l.seq) where l.client = "c%d"`, g))
+				if err != nil || resp.Error != "" {
+					errs <- fmt.Errorf("read-back: %v / %+v", err, resp)
+					return
+				}
+				if got := resp.Outcomes[len(resp.Outcomes)-1].Rows; got != i+1 {
+					errs <- fmt.Errorf("client %d reads back %d of its %d rows", g, got, i+1)
+					return
+				}
 			}
 		}(g)
 	}
@@ -268,6 +292,9 @@ func testConcurrentClients(t *testing.T, cacheBytes int64) {
 	}
 	if got := resp.Outcomes[len(resp.Outcomes)-1].Rows; got != clients*per {
 		t.Fatalf("rows = %d, want %d", got, clients*per)
+	}
+	if sealed := srv.db.Stats().Segments > 0; sealed != (os.Getenv("TDB_SEGMENT_ROWS") == "4") {
+		t.Fatalf("sealed segments: %v, with TDB_SEGMENT_ROWS=%q", sealed, os.Getenv("TDB_SEGMENT_ROWS"))
 	}
 }
 

@@ -14,10 +14,18 @@ import (
 // single-goroutine state, so each worker owns one; the database itself
 // promises safe concurrent use, and this test is the -race witness for
 // that promise, with a cache small enough that the sessions' answers keep
-// evicting one another in one of its two arms.
-func TestConcurrentSessions(t *testing.T) { cacheArms(t, 0, testConcurrentSessions) }
+// evicting one another in one of its arms. The relations are historical,
+// except in the last arm: temporal relations sealed every four rows, so that
+// sessions, workers and seals cross the sealed/tail boundary concurrently.
+func TestConcurrentSessions(t *testing.T) {
+	cacheArms(t, 0, func(t *testing.T, cacheBytes int64) { testConcurrentSessions(t, cacheBytes, "historical") })
+	t.Run("seal=4", func(t *testing.T) {
+		t.Setenv("TDB_SEGMENT_ROWS", "4")
+		testConcurrentSessions(t, 64<<10, "temporal")
+	})
+}
 
-func testConcurrentSessions(t *testing.T, cacheBytes int64) {
+func testConcurrentSessions(t *testing.T, cacheBytes int64, kind string) {
 	forceParallel(t)
 	const (
 		goroutines = 4
@@ -28,7 +36,7 @@ func testConcurrentSessions(t *testing.T, cacheBytes int64) {
 	setup := NewSession(db)
 	for g := 0; g < goroutines; g++ {
 		if _, err := setup.Exec(fmt.Sprintf(
-			"create historical relation c%d (k = int, v = int) key (k)", g)); err != nil {
+			"create %s relation c%d (k = int, v = int) key (k)", kind, g)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -101,5 +109,8 @@ func testConcurrentSessions(t *testing.T, cacheBytes int64) {
 		if err != nil {
 			t.Errorf("goroutine %d: %v", g, err)
 		}
+	}
+	if sealed := db.Stats().Segments > 0; sealed != (kind == "temporal") {
+		t.Errorf("%s relations: sealed segments %v", kind, sealed)
 	}
 }
