@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check numbers fmt vet build test race race-parallel fuzz-smoke test-faults test-repl race-ingest soak-ingest figures-check plan-corpus bench bench-smoke
+.PHONY: check numbers fmt vet build test race fuzz-smoke test-faults test-repl race-ingest soak-ingest figures-check plan-corpus bench bench-smoke
 
-check: fmt vet build race race-parallel fuzz-smoke figures-check
+check: fmt vet build race fuzz-smoke figures-check
 
 # The three numbers ROADMAP aim 2 asks every CHANGES.md entry to carry:
 # code size, knob count (the registry in internal/config, pinned by
@@ -33,12 +33,6 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The race job again with a fixed four-worker budget for every session, so
-# tests whose outer candidate lists clear the fan-out threshold take the
-# worker pool even on single-core machines.
-race-parallel:
-	TDB_PARALLEL=4 $(GO) test -race ./...
-
 # The plan-regression corpus: explain output (join order, build sides,
 # estimates, dispatch) pinned against golden text, plus the planner
 # differential corpus that guards answer identity across all arms. A quick
@@ -47,14 +41,15 @@ plan-corpus:
 	$(GO) test -count=1 -run 'Explain|Differential' ./tquel ./server
 
 # Ten seconds of native fuzzing on each untrusted-bytes decoder that has a
-# target: the statistics decoder (FuzzDecodeRel) and the segment block
-# decoder (FuzzDecodeBlock). No panic, and every accepted input re-encodes to
-# a fixed point. A short minimization budget keeps the smoke fuzzing instead
-# of shrinking a large seed. Commit any crasher it writes under the
+# target: the statistics decoder (FuzzDecodeRel), the segment block decoder
+# (FuzzDecodeBlock) and the snapshot decoder (FuzzDecodeSnapshot). No panic,
+# and every accepted input re-encodes to a fixed point. A short minimization
+# budget keeps the smoke fuzzing instead of shrinking a large seed. Commit any crasher it writes under the
 # package's testdata/fuzz.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRel$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/stats
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBlock$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/segment
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSnapshot$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/wal
 
 # The durability suite: fault injection (vfs), torn-log replay (wal), the
 # crash matrices (truncate/corrupt every byte of the final record; crash a
@@ -68,10 +63,9 @@ test-faults:
 # The replication suite: read-only open mode, the wire protocol against a
 # live primary+follower pair (cold catch-up, the figure + 60-query
 # differential corpus compared byte-for-byte, kill/restart convergence,
-# checkpoint-epoch re-sync), the per-frame follower crash matrix, and
-# replica-aware pool routing.
+# checkpoint-epoch re-sync) and the per-frame follower crash matrix.
 test-repl:
-	$(GO) test -count=1 -run 'Repl|ReadOnly|Follower|Pool|Proto|Stream' \
+	$(GO) test -count=1 -run 'Repl|ReadOnly|Follower|Proto|Stream' \
 		. ./server ./internal/repl
 
 # The full ingest soak: multi-chunk bulk load, sixteen concurrent

@@ -95,6 +95,13 @@ type DB struct {
 	loadChunkOpt int // explicit Load chunk size; 0 defers to env/default
 	qc           *qcache.Cache
 	stats        map[string]*stats.Rel // per-relation temporal statistics (see stats.go)
+	// seq is the commit sequence: it numbers every transaction land starts
+	// (DML, DDL, replay, follower apply) and every snapshot restore. It is
+	// never reset for the life of the DB, ReplReset included, so a
+	// relation's (created, changed) pair names one state of it for good:
+	// the query cache keys on that pair. Commit chronons cannot serve, since
+	// UpdateAt and DDL may land two commits at the same chronon.
+	seq uint64
 }
 
 // RecoveryInfo reports what Open's recovery pass found and repaired; it is
@@ -347,10 +354,13 @@ func (db *DB) installSnapshot(snap wal.Snapshot) error {
 	return wal.WriteSnapshot(db.fs, db.snapPath, snap)
 }
 
-// restoreSnapshot loads a checkpoint into the empty database.
+// restoreSnapshot loads a checkpoint into the empty database. The restore
+// takes one fresh sequence number, which every relation it loads is created
+// and last changed under.
 func (db *DB) restoreSnapshot(snap wal.Snapshot) error {
+	db.seq++
 	for _, rs := range snap.Relations {
-		rel, err := db.cat.Create(rs.Name, rs.Kind, rs.Event, rs.Schema)
+		rel, err := db.cat.Create(rs.Name, rs.Kind, rs.Event, rs.Schema, db.seq)
 		if err != nil {
 			return err
 		}
@@ -370,10 +380,6 @@ func (db *DB) restoreSnapshot(snap wal.Snapshot) error {
 				return fmt.Errorf("restoring %q: %w", rs.Name, err)
 			}
 		}
-		// Versions were replayed through direct store calls (no bumps);
-		// re-establish the persisted mutation counter so cache keys minted
-		// before the checkpoint can never match post-recovery state.
-		rel.Store().ObserveWriteVersion(rs.WriteVersion)
 		if err := db.statsRestore(&rs); err != nil {
 			return err
 		}
@@ -425,11 +431,10 @@ func (db *DB) Checkpoint() error {
 			return wrapErr(err)
 		}
 		rs := wal.RelationSnapshot{
-			Name:         name,
-			Kind:         rel.Kind(),
-			Event:        rel.Event(),
-			Schema:       rel.Schema(),
-			WriteVersion: rel.WriteVersion(),
+			Name:   name,
+			Kind:   rel.Kind(),
+			Event:  rel.Event(),
+			Schema: rel.Schema(),
 		}
 		if seg, ok := rel.Store().(core.Segmented); ok {
 			// Sealed segments ship as columnar blocks; only the unsealed
@@ -698,6 +703,7 @@ func (db *DB) land(what string, at *temporal.Chronon, body func(tx *Tx) error) (
 	if db.readOnly && !db.replay {
 		return nil, fmt.Errorf("%w: %s", ErrReadOnly, what)
 	}
+	db.seq++
 	var tx *Tx
 	wrap := func(itx *txn.Tx) error {
 		tx = db.newTx(itx)

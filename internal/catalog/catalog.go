@@ -8,18 +8,10 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"tdb/internal/core"
 	"tdb/internal/schema"
 )
-
-// relGen hands every created relation a process-unique generation number.
-// The query cache keys entries by (name, generation, write version), so
-// dropping and recreating a relation under the same name — which resets the
-// store's write-version counter to zero — can never resurrect cached
-// results from the earlier incarnation.
-var relGen atomic.Uint64
 
 // Errors returned by catalog operations.
 var (
@@ -32,11 +24,14 @@ var (
 	ErrKindMismatch = errors.New("catalog: operation not supported by relation kind")
 )
 
-// Relation is a named store in the catalog.
+// Relation is a named store in the catalog. created and changed are numbers
+// from the owning database's commit sequence: the transaction that created
+// this incarnation of the relation, and the latest one that applied a
+// mutation to it. Like the store, they are guarded by the database lock.
 type Relation struct {
-	name  string
-	gen   uint64
-	store core.Store
+	name             string
+	store            core.Store
+	created, changed uint64
 }
 
 // Name returns the relation's name.
@@ -48,11 +43,12 @@ func (r *Relation) Kind() core.Kind { return r.store.Kind() }
 // Event reports whether the relation is an event relation.
 func (r *Relation) Event() bool { return r.store.Event() }
 
-// Gen returns the relation's process-unique creation generation (see relGen).
-func (r *Relation) Gen() uint64 { return r.gen }
+// Seq returns the commit-sequence numbers of the transaction that created
+// the relation and of the latest one that changed it.
+func (r *Relation) Seq() (created, changed uint64) { return r.created, r.changed }
 
-// WriteVersion returns the store's monotonic mutation counter.
-func (r *Relation) WriteVersion() uint64 { return r.store.WriteVersion() }
+// Changed records that the transaction numbered seq mutated the relation.
+func (r *Relation) Changed(seq uint64) { r.changed = seq }
 
 // Schema returns the relation schema.
 func (r *Relation) Schema() *schema.Schema { return r.store.Schema() }
@@ -100,10 +96,11 @@ func New() *Catalog {
 	return &Catalog{rels: make(map[string]*Relation)}
 }
 
-// Create adds a relation of the given kind. Event relations are only
-// meaningful for kinds carrying valid time (historical and temporal);
-// requesting one for other kinds fails with ErrKindMismatch.
-func (c *Catalog) Create(name string, kind core.Kind, event bool, sch *schema.Schema) (*Relation, error) {
+// Create adds a relation of the given kind, created by the transaction
+// numbered seq. Event relations are only meaningful for kinds carrying
+// valid time (historical and temporal); requesting one for other kinds
+// fails with ErrKindMismatch.
+func (c *Catalog) Create(name string, kind core.Kind, event bool, sch *schema.Schema, seq uint64) (*Relation, error) {
 	if name == "" {
 		return nil, errors.New("catalog: relation needs a name")
 	}
@@ -134,7 +131,7 @@ func (c *Catalog) Create(name string, kind core.Kind, event bool, sch *schema.Sc
 	default:
 		return nil, fmt.Errorf("catalog: unknown kind %v", kind)
 	}
-	r := &Relation{name: name, gen: relGen.Add(1), store: st}
+	r := &Relation{name: name, store: st, created: seq, changed: seq}
 	c.rels[name] = r
 	return r, nil
 }

@@ -21,7 +21,7 @@ func TestCreateAllKinds(t *testing.T) {
 	c := New()
 	kinds := []core.Kind{core.Static, core.StaticRollback, core.Historical, core.Temporal}
 	for _, k := range kinds {
-		r, err := c.Create(k.String(), k, false, sch(t))
+		r, err := c.Create(k.String(), k, false, sch(t), 0)
 		if err != nil {
 			t.Fatalf("create %v: %v", k, err)
 		}
@@ -52,33 +52,33 @@ func TestCreateAllKinds(t *testing.T) {
 
 func TestCreateErrors(t *testing.T) {
 	c := New()
-	if _, err := c.Create("", core.Static, false, sch(t)); err == nil {
+	if _, err := c.Create("", core.Static, false, sch(t), 0); err == nil {
 		t.Error("anonymous relation must be rejected")
 	}
-	if _, err := c.Create("r", core.Static, false, sch(t)); err != nil {
+	if _, err := c.Create("r", core.Static, false, sch(t), 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Create("r", core.Temporal, false, sch(t)); !errors.Is(err, ErrExists) {
+	if _, err := c.Create("r", core.Temporal, false, sch(t), 0); !errors.Is(err, ErrExists) {
 		t.Errorf("duplicate: %v", err)
 	}
 	// Event relations need valid time.
-	if _, err := c.Create("ev", core.Static, true, sch(t)); !errors.Is(err, ErrKindMismatch) {
+	if _, err := c.Create("ev", core.Static, true, sch(t), 0); !errors.Is(err, ErrKindMismatch) {
 		t.Errorf("static event: %v", err)
 	}
-	if _, err := c.Create("ev", core.StaticRollback, true, sch(t)); !errors.Is(err, ErrKindMismatch) {
+	if _, err := c.Create("ev", core.StaticRollback, true, sch(t), 0); !errors.Is(err, ErrKindMismatch) {
 		t.Errorf("rollback event: %v", err)
 	}
-	if _, err := c.Create("ev", core.Historical, true, sch(t)); err != nil {
+	if _, err := c.Create("ev", core.Historical, true, sch(t), 0); err != nil {
 		t.Errorf("historical event: %v", err)
 	}
-	if _, err := c.Create("ev2", core.Temporal, true, sch(t)); err != nil {
+	if _, err := c.Create("ev2", core.Temporal, true, sch(t), 0); err != nil {
 		t.Errorf("temporal event: %v", err)
 	}
 }
 
 func TestTypedAccessors(t *testing.T) {
 	c := New()
-	r, err := c.Create("t", core.Temporal, false, sch(t))
+	r, err := c.Create("t", core.Temporal, false, sch(t), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestTypedAccessors(t *testing.T) {
 	if _, err := r.Historical(); !errors.Is(err, ErrKindMismatch) {
 		t.Errorf("Historical() on temporal: %v", err)
 	}
-	s, err := c.Create("s", core.Static, false, sch(t))
+	s, err := c.Create("s", core.Static, false, sch(t), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestGetAndDrop(t *testing.T) {
 	if _, err := c.Get("nope"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("get missing: %v", err)
 	}
-	if _, err := c.Create("r", core.Historical, false, sch(t)); err != nil {
+	if _, err := c.Create("r", core.Historical, false, sch(t), 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Get("r"); err != nil {

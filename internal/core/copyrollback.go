@@ -25,7 +25,6 @@ type CopyRollbackStore struct {
 	states     [][]tuple.Tuple    // full copy of the state after each commit
 	lastCommit temporal.Chronon
 	j          journal
-	verCounter
 }
 
 // NewCopyRollbackStore creates an empty naive rollback relation.

@@ -33,7 +33,6 @@ type versionLog struct {
 	byKey      index.Hash // key hash -> positions of current versions
 	lastCommit temporal.Chronon
 	j          journal
-	verCounter
 }
 
 func newVersionLog(k Kind, sch *schema.Schema) versionLog {

@@ -10,9 +10,9 @@ import (
 // stateTable is what the two kinds without transaction time are made of
 // (§4.1, §4.3: one state that every update destroys): a slot array of
 // (tuple, valid period) with a free list, a key index over the occupied
-// slots, the journal and the write-version counter. StaticStore and
-// HistoricalStore embed it and keep only their update algebra, as
-// RollbackStore and TemporalStore do with versionLog.
+// slots and the journal. StaticStore and HistoricalStore embed it and keep
+// only their update algebra, as RollbackStore and TemporalStore do with
+// versionLog.
 type stateTable struct {
 	kind  Kind // labels the read counter and checks specs; never branched on
 	sch   *schema.Schema
@@ -21,7 +21,6 @@ type stateTable struct {
 	free  []int
 	byKey index.Hash // key hash -> occupied slots
 	j     journal
-	verCounter
 }
 
 // stateRow is one slot; a nil data marks it free.

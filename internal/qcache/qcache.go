@@ -3,11 +3,11 @@
 // property of transaction time: the database's past states are append-only,
 // so a result whose temporal scope is settled entirely in the past of
 // transaction time can be cached immutably, and a current-state result can
-// be cached until a write-version counter on any participating relation
-// moves (see docs/caching.md for the full argument).
+// be cached until any participating relation changes (see docs/caching.md
+// for the full argument).
 //
 // Callers bake immutability or invalidation into the key (the TQuel layer
-// appends a per-relation write-version vector to current-state keys, so a
+// puts each relation's commit-sequence stamps in current-state keys, so a
 // stale entry is simply never looked up again and ages out of the LRU).
 // Values are opaque; the caller owns any copy-on-store / copy-on-return
 // discipline.

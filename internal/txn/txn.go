@@ -1,5 +1,5 @@
 // Package txn provides the transaction machinery above the stores: a
-// strictly monotone commit clock (the paper's "non-stop running clock"
+// monotone commit clock (the paper's "non-stop running clock"
 // generating transaction time outside user control) and a manager that
 // brackets multi-relation updates so they commit or abort atomically.
 package txn
@@ -17,9 +17,11 @@ import (
 // already issued.
 var ErrStaleTimestamp = errors.New("txn: explicit commit time earlier than last commit")
 
-// CommitClock issues strictly increasing commit chronons. Successive calls
-// never return the same chronon even if the wall clock has not advanced, so
-// every transaction gets a distinct transaction time.
+// CommitClock issues non-decreasing commit chronons. Next is strict: it
+// never returns the same chronon twice, even if the wall clock has not
+// advanced. Observe (UpdateAt) may fix the last chronon again, and DDL lands
+// at Last, so two commits can share a transaction time; what orders commits
+// strictly is the database's commit sequence, not this clock.
 type CommitClock struct {
 	mu    sync.Mutex
 	clock temporal.Clock

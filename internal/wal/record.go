@@ -170,6 +170,9 @@ func decodeSchema(src []byte) (*schema.Schema, int, error) {
 	if arity == 0 {
 		return nil, off, nil
 	}
+	if arity > uint64(len(src)-off) { // every attribute takes at least a byte
+		return nil, 0, fmt.Errorf("wal: schema arity %d exceeds its bytes", arity)
+	}
 	attrs := make([]schema.Attribute, 0, arity)
 	for i := uint64(0); i < arity; i++ {
 		name, n, err := decodeString(src[off:])
@@ -192,6 +195,9 @@ func decodeSchema(src []byte) (*schema.Schema, int, error) {
 		return nil, 0, fmt.Errorf("wal: corrupt schema key count")
 	}
 	off += n
+	if nKeys > uint64(len(src)-off) {
+		return nil, 0, fmt.Errorf("wal: schema key count %d exceeds its bytes", nKeys)
+	}
 	if nKeys > 0 {
 		names := make([]string, 0, nKeys)
 		for i := uint64(0); i < nKeys; i++ {

@@ -31,11 +31,7 @@ type Snapshot struct {
 	Relations  []RelationSnapshot
 }
 
-// RelationSnapshot is one relation's definition and contents. WriteVersion
-// carries the relation's mutation counter across checkpoint + restore, so a
-// query cache keyed by write versions is never served stale after recovery
-// (the restored counter resumes where the live one stopped instead of
-// restarting from zero).
+// RelationSnapshot is one relation's definition and contents.
 //
 // Append-only relations split their contents in two: Segments holds the
 // sealed columnar segments (encoded as blocks, positions preceding every
@@ -43,13 +39,12 @@ type Snapshot struct {
 // without segments — static, historical, or append-only stores that never
 // reached the seal threshold — put everything in Versions.
 type RelationSnapshot struct {
-	Name         string
-	Kind         core.Kind
-	Event        bool
-	Schema       *schema.Schema
-	WriteVersion uint64
-	Segments     []*segment.Segment
-	Versions     []core.Version
+	Name     string
+	Kind     core.Kind
+	Event    bool
+	Schema   *schema.Schema
+	Segments []*segment.Segment
+	Versions []core.Version
 	// Stats is the relation's temporal-statistics section, an opaque blob
 	// in the internal/stats canonical encoding. Never empty: checkpointing
 	// writes one for every relation and decode rejects a section without.
@@ -59,7 +54,7 @@ type RelationSnapshot struct {
 // snapMagic opens the one snapshot format this build reads and writes: per
 // relation, a columnar segment-block section, the row-wise tail versions,
 // and a statistics blob, under a CRC that covers the magic too.
-const snapMagic = "TDBSNAP5"
+const snapMagic = "TDBSNAP6"
 
 var (
 	// ErrSnapshotCorrupt reports a snapshot failing its checksum or
@@ -86,7 +81,6 @@ func EncodeSnapshot(s Snapshot) []byte {
 			payload = append(payload, 0)
 		}
 		payload = appendSchema(payload, r.Schema)
-		payload = binary.AppendUvarint(payload, r.WriteVersion)
 		payload = binary.AppendUvarint(payload, uint64(len(r.Segments)))
 		for _, g := range r.Segments {
 			block := segment.AppendBlock(nil, g)
@@ -121,7 +115,7 @@ func DecodeSnapshot(data []byte) (Snapshot, error) {
 	}
 	switch magic := string(data[:len(snapMagic)]); magic {
 	case snapMagic:
-	case "TDBSNAP2", "TDBSNAP3", "TDBSNAP4":
+	case "TDBSNAP2", "TDBSNAP3", "TDBSNAP4", "TDBSNAP5":
 		return s, fmt.Errorf("%w: file is %s, this build reads %s", ErrSnapshotVersion, magic, snapMagic)
 	default:
 		return s, fmt.Errorf("%w: bad magic", ErrSnapshotCorrupt)
@@ -171,14 +165,11 @@ func DecodeSnapshot(data []byte) (Snapshot, error) {
 		if err != nil {
 			return s, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
 		}
+		if sch == nil {
+			return s, fmt.Errorf("%w: relation %q has no schema", ErrSnapshotCorrupt, r.Name)
+		}
 		r.Schema = sch
 		off += n
-		wv, n := binary.Uvarint(payload[off:])
-		if n <= 0 {
-			return s, fmt.Errorf("%w: write version", ErrSnapshotCorrupt)
-		}
-		off += n
-		r.WriteVersion = wv
 		nSegs, n := binary.Uvarint(payload[off:])
 		if n <= 0 {
 			return s, fmt.Errorf("%w: segment count", ErrSnapshotCorrupt)
@@ -208,6 +199,9 @@ func DecodeSnapshot(data []byte) (Snapshot, error) {
 			return s, fmt.Errorf("%w: version count", ErrSnapshotCorrupt)
 		}
 		off += n
+		if nVers > uint64(len(payload)-off) {
+			return s, fmt.Errorf("%w: version count %d exceeds its bytes", ErrSnapshotCorrupt, nVers)
+		}
 		r.Versions = make([]core.Version, 0, nVers)
 		for j := uint64(0); j < nVers; j++ {
 			var v core.Version

@@ -16,7 +16,7 @@ import (
 	"tdb/temporal"
 )
 
-func sampleSnapshot(t *testing.T) Snapshot {
+func sampleSnapshot(t testing.TB) Snapshot {
 	t.Helper()
 	return Snapshot{
 		LastCommit: temporal.Date(1984, 2, 25),
@@ -107,7 +107,7 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 }
 
 // sealedSampleSegment builds one sealed segment of n promo rows.
-func sealedSampleSegment(t *testing.T, n int) *segment.Segment {
+func sealedSampleSegment(t testing.TB, n int) *segment.Segment {
 	t.Helper()
 	lg := segment.NewLog(promoSchema(t))
 	for i := 0; i < n; i++ {
@@ -166,7 +166,7 @@ func TestSnapshotSegmentsRoundTrip(t *testing.T) {
 // typed error distinct from corruption, with the payload never interpreted
 // (it is garbage here) and the file never mistaken for an absent one.
 func TestSnapshotRetiredVersionsRefused(t *testing.T) {
-	for _, magic := range []string{"TDBSNAP2", "TDBSNAP3", "TDBSNAP4"} {
+	for _, magic := range []string{"TDBSNAP2", "TDBSNAP3", "TDBSNAP4", "TDBSNAP5"} {
 		old := append([]byte(magic), "not a payload any decoder should look at"...)
 		_, err := DecodeSnapshot(old)
 		if !errors.Is(err, ErrSnapshotVersion) || errors.Is(err, ErrSnapshotCorrupt) {

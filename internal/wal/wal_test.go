@@ -16,7 +16,7 @@ import (
 	"tdb/temporal"
 )
 
-func promoSchema(t *testing.T) *schema.Schema {
+func promoSchema(t testing.TB) *schema.Schema {
 	t.Helper()
 	s := schema.MustNew(
 		schema.Attribute{Name: "name", Type: value.String},

@@ -138,6 +138,11 @@ func TestRecoveryRetiredSnapshotVersion(t *testing.T) {
 		retireSnapshot(t, path+".snap", "TDBSNAP4")
 		refused(t, path)
 	})
+	t.Run("TDBSNAP5 refused", func(t *testing.T) {
+		path, _ := build(t, false)
+		retireSnapshot(t, path+".snap", "TDBSNAP5")
+		refused(t, path)
+	})
 	t.Run("fallback retired too", func(t *testing.T) {
 		path, _ := build(t, true)
 		retireSnapshot(t, path+".snap", "TDBSNAP3")

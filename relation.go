@@ -44,16 +44,14 @@ func (r *Relation) Event() bool { return r.rel.Event() }
 // Schema returns the relation schema.
 func (r *Relation) Schema() *Schema { return r.rel.Schema() }
 
-// WriteVersion returns the relation's monotonic mutation counter: it
-// advances on every successful append/delete/replace/assert/retract
-// (including WAL replay) and survives checkpoint + restore. The query cache
-// keys current-state results by it; reads are atomic, so no lock is taken.
-func (r *Relation) WriteVersion() uint64 { return r.rel.WriteVersion() }
-
-// Gen returns the relation's process-unique creation generation. Together
-// with WriteVersion it makes a cache key immune to drop-and-recreate under
-// the same name.
-func (r *Relation) Gen() uint64 { return r.rel.Gen() }
+// Seq returns the database commit-sequence numbers of the transaction that
+// created this incarnation of the relation and of the latest one that
+// mutated it. The sequence only grows, so the pair names one state of the
+// relation for the life of the DB: the query cache keys current-state
+// results by it. Like the versions it names, the pair is guarded by the
+// database lock: read it inside a View or Update callback, or with no
+// commit running.
+func (r *Relation) Seq() (created, changed uint64) { return r.rel.Seq() }
 
 // one runs a single mutation as a transaction of its own.
 func (r *Relation) one(mutate func(h *TxRel) error) error {

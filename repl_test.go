@@ -211,6 +211,66 @@ func TestReplCheckpointResync(t *testing.T) {
 	}
 }
 
+// ReplReset wipes the follower's catalog but not its commit sequence: every
+// relation it restores is created under a number above any stamp seen before
+// the reset, so an answer computed before the reset and stored after it can
+// never land under a key that names post-reset state.
+func TestReplResetKeepsCommitSequence(t *testing.T) {
+	primary := reopen(t, filepath.Join(t.TempDir(), "tdb.wal"))
+	defer primary.Close()
+	buildMixedDB(t, primary)
+	if err := primary.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	at := temporal.Date(1990, 1, 1)
+	if err := primary.UpdateAt(at, func(tx *Tx) error {
+		h, _ := tx.Rel("r_historical")
+		return h.Assert(fac("Y", "after-ckpt"), at, temporal.Forever)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	follower := openFollower(t, filepath.Join(t.TempDir(), "tdb.wal"), nil)
+	defer follower.Close()
+	shipAll(t, primary, follower)
+
+	// stamps returns every relation's (created, changed) pair.
+	stamps := func() (out [][2]uint64) {
+		for _, name := range follower.Relations() {
+			rel, err := follower.Relation(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			created, changed := rel.Seq()
+			out = append(out, [2]uint64{created, changed})
+		}
+		return out
+	}
+	var seen uint64
+	for _, s := range stamps() {
+		seen = max(seen, s[0], s[1])
+	}
+
+	if err := primary.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	snap, epoch, err := primary.ReplSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := follower.ReplReset(epoch, snap); err != nil {
+		t.Fatal(err)
+	}
+	after := stamps()
+	if len(after) == 0 {
+		t.Fatal("fixture: the reset restored no relations")
+	}
+	for i, s := range after {
+		if s[0] <= seen {
+			t.Errorf("relation %d created at %d after the reset, not above the %d seen before it", i, s[0], seen)
+		}
+	}
+}
+
 // A restarted follower resumes from its durable cursor through ordinary
 // recovery: no re-snapshot, no double apply.
 func TestReplFollowerRestartResumes(t *testing.T) {

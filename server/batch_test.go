@@ -244,49 +244,3 @@ func TestClientDoBatchDoesNotRetryLostResponse(t *testing.T) {
 		t.Fatalf("client opened %d connections, want 1 (no retry after delivery)", got)
 	}
 }
-
-// The pool routes a batch containing any write to the primary and a
-// pure-read batch to a replica.
-func TestPoolBatchRouting(t *testing.T) {
-	primary, _, _ := newPrimary(t)
-	_, addr := serveDB(t, primary, func(s *Server) {
-		s.ReplHeartbeat = 10 * time.Millisecond
-	})
-	fdb, _, _ := startFollower(t, addr)
-	waitCaughtUp(t, primary, fdb)
-	_, faddr := serveDB(t, fdb, nil)
-
-	p, err := NewPool(addr, []string{faddr}, PoolOptions{MaxLag: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	ctx := context.Background()
-
-	if resp, err := p.ExecBatch(ctx, []string{
-		`create static relation pb (x = int)`,
-		`append to pb (x = 7)`,
-	}); err != nil || resp.Error != "" {
-		t.Fatalf("write batch: %v / %+v", err, resp)
-	}
-	if got := p.Stats().Writes; got != 1 {
-		t.Fatalf("write batch routed %d writes, want 1", got)
-	}
-	waitCaughtUp(t, primary, fdb)
-
-	// Declarations broadcast so follow-up reads work on any member.
-	if resp, err := p.ExecBatch(ctx, []string{`range of r is pb`}); err != nil || resp.Error != "" {
-		t.Fatalf("declaration batch: %v / %+v", err, resp)
-	}
-
-	resp, err := p.ExecBatch(ctx, []string{`retrieve (r.x)`})
-	if err != nil || resp.Error != "" {
-		t.Fatalf("read batch: %v / %+v", err, resp)
-	}
-	if got := p.Stats().ReplicaReads; got != 1 {
-		t.Fatalf("read batch answered by primary (%d replica reads), want replica", got)
-	}
-	if len(resp.Batch) != 1 || !strings.Contains(resp.Batch[0].Outcomes[len(resp.Batch[0].Outcomes)-1].Table, "7") {
-		t.Fatalf("replica batch read missing the replicated row: %+v", resp.Batch)
-	}
-}

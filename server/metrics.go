@@ -24,13 +24,3 @@ var (
 	mTimeoutTotal = obs.Default.Counter("tdb_server_idle_timeouts_total",
 		"Connections disconnected by the per-connection read timeout.")
 )
-
-// Pool (replica-aware client) routing metrics.
-var (
-	mPoolReplicaReads = obs.Default.Counter("tdb_pool_replica_reads_total",
-		"Reads answered by a replica within the staleness bound.")
-	mPoolStaleFallbacks = obs.Default.Counter("tdb_pool_stale_fallbacks_total",
-		"Replica reads discarded for exceeding the staleness bound and re-run on the primary.")
-	mPoolErrorFallbacks = obs.Default.Counter("tdb_pool_error_fallbacks_total",
-		"Reads re-routed to the primary after a replica failure or read-only rejection.")
-)

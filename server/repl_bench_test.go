@@ -65,40 +65,3 @@ func BenchmarkReplicaCatchup(b *testing.B) {
 		fdb.Close()
 	}
 }
-
-// BenchmarkReadFanout measures one pool read round-robined across two live
-// replicas under the staleness bound.
-func BenchmarkReadFanout(b *testing.B) {
-	primary, addr := benchPrimary(b, 100)
-	fdb1, _, _ := startFollower(b, addr)
-	fdb2, _, _ := startFollower(b, addr)
-	waitCaughtUp(b, primary, fdb1)
-	waitCaughtUp(b, primary, fdb2)
-	_, faddr1 := serveDB(b, fdb1, nil)
-	_, faddr2 := serveDB(b, fdb2, nil)
-
-	pool, err := NewPool(addr, []string{faddr1, faddr2}, PoolOptions{MaxLag: 0})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer pool.Close()
-	ctx := context.Background()
-	if _, err := pool.Exec(ctx, "range of f is faculty"); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		resp, err := pool.Exec(ctx, `retrieve (f.name, f.rank)`)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if resp.Error != "" {
-			b.Fatal(resp.Error)
-		}
-	}
-	b.StopTimer()
-	if st := pool.Stats(); st.ReplicaReads == 0 {
-		b.Fatalf("no reads landed on replicas: %+v", st)
-	}
-}

@@ -445,8 +445,9 @@ func TestReplStreamSurvivesReadTimeout(t *testing.T) {
 	waitCaughtUp(t, primary, fdb)
 }
 
-// A follower's server refuses mutations with the typed readonly code and
-// keeps the connection usable.
+// A follower's server refuses mutations with the typed readonly code, keeps
+// the connection usable, and answers reads — over its own connection, with
+// no routing in between — exactly as the primary does.
 func TestFollowerServerRefusesWrites(t *testing.T) {
 	primary, _, _ := newPrimary(t)
 	_, addr := serveDB(t, primary, nil)
@@ -466,13 +467,40 @@ func TestFollowerServerRefusesWrites(t *testing.T) {
 	if resp.Code != CodeReadOnly {
 		t.Fatalf("mutation on follower: code %q (error %q), want %q", resp.Code, resp.Error, CodeReadOnly)
 	}
-	// Reads still work on the same connection.
-	resp, err = c.Exec("range of f is faculty\nretrieve (f.name, f.rank)")
+	// Reads still work on the same connection, and answer as the primary
+	// does — a plain statement and a read-only batch alike, including a row
+	// written on the primary after the follower first caught up.
+	pc, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc.Close()
+	if resp, err := pc.Exec(`create static relation pb (x = int)
+		append to pb (x = 7)`); err != nil || resp.Error != "" {
+		t.Fatalf("primary write: %v / %+v", err, resp)
+	}
+	waitCaughtUp(t, primary, fdb)
+	const read = "range of f is faculty\nretrieve (f.name, f.rank)"
+	resp, err = c.Exec(read)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.Error != "" {
 		t.Fatalf("read on follower after refused write: %s", resp.Error)
+	}
+	want, err := pc.Exec(read)
+	if err != nil || want.Error != "" {
+		t.Fatalf("primary read: %v / %+v", err, want)
+	}
+	if got, w := resp.Outcomes[len(resp.Outcomes)-1], want.Outcomes[len(want.Outcomes)-1]; got != w || got.Rows == 0 {
+		t.Fatalf("follower answers\n%+v\nprimary answers\n%+v", got, w)
+	}
+	resp, err = c.ExecBatch([]string{`range of r is pb`, `retrieve (r.x)`})
+	if err != nil || resp.Error != "" || len(resp.Batch) != 2 {
+		t.Fatalf("read batch on follower: %v / %+v", err, resp)
+	}
+	if outs := resp.Batch[1].Outcomes; len(outs) == 0 || outs[len(outs)-1].Rows != 1 || !strings.Contains(outs[len(outs)-1].Table, "7") {
+		t.Fatalf("follower batch read missing the replicated row: %+v", resp.Batch)
 	}
 }
 
@@ -551,104 +579,6 @@ func testConcurrentReplicaReads(t *testing.T, cacheBytes int64) {
 	writer.Wait()
 	waitCaughtUp(t, primary, fdb)
 	assertCorpusIdentical(t, primary, fdb)
-}
-
-// The pool fans reads across replicas under the staleness bound, sends
-// writes to the primary, and falls back to the primary when a replica is
-// too far behind or refuses.
-func TestPoolReadFanout(t *testing.T) {
-	primary, _, _ := newPrimary(t)
-	_, addr := serveDB(t, primary, func(s *Server) {
-		s.ReplHeartbeat = 10 * time.Millisecond
-	})
-	fdb1, _, _ := startFollower(t, addr)
-	fdb2, _, _ := startFollower(t, addr)
-	waitCaughtUp(t, primary, fdb1)
-	waitCaughtUp(t, primary, fdb2)
-	_, faddr1 := serveDB(t, fdb1, nil)
-	_, faddr2 := serveDB(t, fdb2, nil)
-
-	pool, err := NewPool(addr, []string{faddr1, faddr2}, PoolOptions{MaxLag: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-	ctx := context.Background()
-
-	if _, err := pool.Exec(ctx, corpusDecls); err != nil {
-		t.Fatal(err)
-	}
-	// A write routes to the primary.
-	resp, err := pool.Exec(ctx, `append to emp (name = "pool", dept = "cs", pay = 160) valid from "01/01/88" to forever`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Error != "" {
-		t.Fatalf("pool write: %s", resp.Error)
-	}
-	// Reads after the write must see it — replicas under MaxLag 0 either
-	// have caught up or the pool re-runs on the primary.
-	for i := 0; i < 20; i++ {
-		resp, err := pool.Exec(ctx, `retrieve (e1.name) where e1.name = "pool"`)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.Error != "" {
-			t.Fatalf("pool read: %s", resp.Error)
-		}
-		if len(resp.Outcomes) == 0 || resp.Outcomes[len(resp.Outcomes)-1].Rows != 1 {
-			t.Fatalf("read-your-writes violated on iteration %d: %+v", i, resp.Outcomes)
-		}
-	}
-	st := pool.Stats()
-	if st.Writes == 0 || st.Reads == 0 {
-		t.Fatalf("pool routing stats: %+v", st)
-	}
-	if st.ReplicaReads+st.StaleFallbacks+st.ErrorFallbacks != st.Reads {
-		t.Fatalf("read accounting does not add up: %+v", st)
-	}
-	waitCaughtUp(t, primary, fdb1)
-	waitCaughtUp(t, primary, fdb2)
-	// With both replicas caught up and no new writes, reads fan out.
-	for i := 0; i < 10; i++ {
-		if _, err := pool.Exec(ctx, `retrieve (f.name, f.rank)`); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := pool.Stats(); st.ReplicaReads == 0 {
-		t.Fatalf("no reads landed on replicas: %+v", st)
-	}
-}
-
-// An unreachable replica degrades the pool to primary-only reads instead
-// of failing them.
-func TestPoolFallsBackOnDeadReplica(t *testing.T) {
-	primary, _, _ := newPrimary(t)
-	_, addr := serveDB(t, primary, nil)
-	fdb, _, _ := startFollower(t, addr)
-	waitCaughtUp(t, primary, fdb)
-	fsrv, faddr := serveDB(t, fdb, nil)
-
-	pool, err := NewPool(addr, []string{faddr}, PoolOptions{MaxLag: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-	ctx := context.Background()
-	if _, err := pool.Exec(ctx, "range of f is faculty"); err != nil {
-		t.Fatal(err)
-	}
-	fsrv.Close() // the replica's server dies; its pool connection breaks
-	resp, err := pool.Exec(ctx, `retrieve (f.name)`)
-	if err != nil {
-		t.Fatalf("read with dead replica: %v", err)
-	}
-	if resp.Error != "" {
-		t.Fatalf("read with dead replica: %s", resp.Error)
-	}
-	if st := pool.Stats(); st.ErrorFallbacks == 0 {
-		t.Fatalf("dead replica did not register a fallback: %+v", st)
-	}
 }
 
 // Satellite regression: a context cancelled while Do is backing off

@@ -213,13 +213,18 @@ func TestMalformedRequestReported(t *testing.T) {
 }
 
 // TestConcurrentClients has eight connections append to one temporal
-// relation, each reading its own rows back as it goes, in every cache arm and
+// relation, each reading its own rows back as it goes, in every cache arm,
 // once more with the relation sealed every four rows, so that connections and
-// seals cross the sealed/tail boundary concurrently.
+// seals cross the sealed/tail boundary concurrently, and once with every
+// session given a four-worker budget.
 func TestConcurrentClients(t *testing.T) {
 	cacheArms(t, testConcurrentClients)
 	t.Run("seal=4", func(t *testing.T) {
 		t.Setenv("TDB_SEGMENT_ROWS", "4")
+		testConcurrentClients(t, 64<<10)
+	})
+	t.Run("parallel=4", func(t *testing.T) {
+		t.Setenv("TDB_PARALLEL", "4")
 		testConcurrentClients(t, 64<<10)
 	})
 }

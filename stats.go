@@ -13,8 +13,8 @@ import (
 // database in agreement: statistics change only when a committed record's
 // ops are applied, and that happens in one place — DB.land, which every
 // record passes through (docs/durability.md, "Life of a write"). Aborted
-// transactions never touch them (unlike write-version bumps, which may
-// over-invalidate the cache on abort — statistics have no safe direction
+// transactions never touch them (unlike a relation's changed stamp, which
+// may over-invalidate the cache on abort — statistics have no safe direction
 // to be wrong in, so they track commits exactly). Checkpoints persist the
 // statistics of every relation and restore decodes them back.
 

@@ -12,10 +12,9 @@ import (
 // into retrieve execution, ahead of analysis and the planner. A retrieve
 // renders its keys and probes inside its one view of the database
 // (Session.compile), from the same binding the fetch then reads through, so
-// a key names the state that was read: the relation identities, the write
-// versions and the commit clock in it are those of the versions the answer
-// is computed from, with no commit in between. The taxonomy supplies the two
-// modes:
+// a key names the state that was read: the commit-sequence stamps and the
+// commit clock in it are those of the versions the answer is computed from,
+// with no commit in between. The taxonomy supplies the two modes:
 //
 //   - Immutable mode: transaction time is append-only, so a retrieve whose
 //     as-of window lies strictly in the past of the commit clock sees a
@@ -27,16 +26,19 @@ import (
 //     answer is therefore immutable only when the window is settled AND no
 //     returned row carries an open transaction interval; every closed
 //     bound already precedes the last commit, so no future commit can move
-//     it. Such results are cached without version stamps, survive
-//     subsequent writes, and live until evicted.
+//     it. Such results are keyed by each relation's create stamp only
+//     (name#created), survive subsequent writes, and live until evicted.
 //
 //   - Versioned mode: every other cacheable retrieve (current-state, an
 //     unsettled as-of window, or a settled window whose answer still shows
-//     open transaction intervals) is keyed by the per-relation
-//     write-version vector of the state it read. Versions are monotonic, so
-//     once any participating relation changes, the old vector — and with it
+//     open transaction intervals) is keyed by each relation's
+//     name#created@changed: the database commit-sequence numbers of the
+//     transaction that created it and of the last one that changed it
+//     (tdb.Relation.Seq). The sequence only grows and is never reset, so
+//     once any participating relation changes, the old key — and with it
 //     the cached entry — becomes unreachable; the entry ages out of the LRU
-//     instead of being served stale. The answer is stored after the view
+//     instead of being served stale. Commit chronons would not do: UpdateAt
+//     and DDL may land two commits at one chronon. The answer is stored after the view
 //     has closed, possibly after later commits; that is harmless, because
 //     the key it is stored under still names the state it was computed
 //     from, which those commits have retired.
@@ -76,9 +78,9 @@ type cacheKeys struct {
 
 // cacheKeysFor decides cacheability and, when cacheable, renders the cache
 // keys from the statement's scope: mode | session settings | per-relation
-// identity (plus, in the versioned key, write-version) vector | canonical
-// query text. It runs inside the statement's view, so the write versions
-// and the commit clock it reads belong to the state the fetch will read.
+// name#created (plus, in the versioned key, @changed) | canonical query
+// text. It runs inside the statement's view, so the stamps and the commit
+// clock it reads belong to the state the fetch will read.
 func (s *Session) cacheKeysFor(n *RetrieveStmt, sc scope) cacheKeys {
 	if s.noCache || s.db.QueryCache() == nil || n.Into != "" {
 		return cacheKeys{}
@@ -135,12 +137,13 @@ func (s *Session) cacheKeysFor(n *RetrieveStmt, sc scope) cacheKeys {
 		vb.WriteString("np|")
 	}
 	for _, bv := range sc {
-		ident := bv.name + "=" + bv.rel.Name() + "#" + strconv.FormatUint(bv.rel.Gen(), 10)
+		created, changed := bv.rel.Seq()
+		ident := bv.name + "=" + bv.rel.Name() + "#" + strconv.FormatUint(created, 10)
 		ib.WriteString(ident)
 		ib.WriteByte('|')
 		vb.WriteString(ident)
 		vb.WriteByte('@')
-		vb.WriteString(strconv.FormatUint(bv.rel.WriteVersion(), 10))
+		vb.WriteString(strconv.FormatUint(changed, 10))
 		vb.WriteByte('|')
 	}
 	text := formatRetrieve(n)

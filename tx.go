@@ -67,7 +67,7 @@ func (tx *Tx) applyOp(op wal.Op) error {
 func (tx *Tx) ddl(op wal.Op) error {
 	var err error
 	if op.Code == wal.OpCreate {
-		_, err = tx.db.cat.Create(op.Rel, op.Kind, op.Event, op.Schema)
+		_, err = tx.db.cat.Create(op.Rel, op.Kind, op.Event, op.Schema, tx.db.seq)
 	} else {
 		err = tx.db.cat.Drop(op.Rel)
 	}
@@ -99,9 +99,8 @@ func (r *TxRel) Kind() Kind { return r.rel.Kind() }
 // store in the transaction, dispatches on the taxonomy's matrix — which
 // kinds accept which of the seven mutations, and whether the commit chronon
 // stamps them as transaction time — and, once the store has accepted the
-// op, advances the relation's write version (the query cache's invalidation
-// signal: replay advances it too, so a recovered database resumes counting
-// where the log left off, and an abort leaves it advanced, which only
+// op, stamps the relation changed by this transaction's sequence number (the
+// query cache's invalidation signal; an abort leaves the stamp, which only
 // over-invalidates) and appends the op to the transaction's record. A cell
 // the taxonomy forbids is ErrKindMismatch and leaves no trace.
 func (r *TxRel) apply(op wal.Op) error {
@@ -164,7 +163,7 @@ func (r *TxRel) apply(op wal.Op) error {
 		}
 		return err
 	}
-	r.rel.Store().BumpWriteVersion()
+	r.rel.Changed(r.tx.db.seq)
 	op.Rel = r.Name()
 	r.tx.logOp(op)
 	return nil

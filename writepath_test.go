@@ -17,7 +17,8 @@ import (
 )
 
 // contents is what a failed or replayed record must leave alone in one
-// relation: its stored versions and its encoded statistics.
+// relation, and what every copy of a database must agree on: its stored
+// versions and its encoded statistics.
 func contents(t *testing.T, db *DB, name string) string {
 	t.Helper()
 	rel, err := db.Relation(name)
@@ -32,17 +33,6 @@ func contents(t *testing.T, db *DB, name string) string {
 	enc, ok := db.EncodedStats(name)
 	fmt.Fprintf(&b, "stats=%v %x", ok, enc)
 	return b.String()
-}
-
-// fingerprint is everything about one relation that every copy of a
-// database must agree on: contents plus the write version.
-func fingerprint(t *testing.T, db *DB, name string) string {
-	t.Helper()
-	rel, err := db.Relation(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fmt.Sprintf("%s wv=%d", contents(t, db, name), rel.WriteVersion())
 }
 
 // relShape is one column of the taxonomy's matrix: a kind and its
@@ -101,7 +91,7 @@ func (s relShape) accepts(c wal.OpCode) bool {
 
 // Every kind × class × opcode cell, once. A cell the taxonomy forbids is
 // ErrKindMismatch and leaves no trace; a cell it allows leaves the same
-// versions, write version and statistics whichever way the op arrived: the
+// versions and statistics whichever way the op arrived: the
 // public method, Load (for the three ops Load can express), WAL replay after
 // a reopen, or follower apply.
 func TestWriteMatrix(t *testing.T) {
@@ -137,12 +127,13 @@ func TestWriteMatrix(t *testing.T) {
 				rel := s.create(t, primary)
 
 				if !s.accepts(op.code) {
-					wv, logged := rel.WriteVersion(), primary.Stats().WALRecords
+					_, changed := rel.Seq()
+					logged := primary.Stats().WALRecords
 					if err := op.public(rel); !errors.Is(err, ErrKindMismatch) {
 						t.Fatalf("forbidden cell returned %v, want ErrKindMismatch", err)
 					}
-					if got := rel.WriteVersion(); got != wv {
-						t.Errorf("forbidden cell moved the write version %d -> %d", wv, got)
+					if _, got := rel.Seq(); got != changed {
+						t.Errorf("forbidden cell stamped the relation changed %d -> %d", changed, got)
 					}
 					if got := primary.Stats().WALRecords; got != logged {
 						t.Errorf("forbidden cell logged %d record(s)", got-logged)
@@ -153,14 +144,14 @@ func TestWriteMatrix(t *testing.T) {
 				if err := op.public(rel); err != nil {
 					t.Fatal(err)
 				}
-				want := fingerprint(t, primary, "r")
+				want := contents(t, primary, "r")
 
 				if op.load != nil {
 					db := memDB(t)
 					if n, err := s.create(t, db).Load([]LoadRow{*op.load}); n != 1 || err != nil {
 						t.Fatalf("Load = %d, %v", n, err)
 					}
-					if got := fingerprint(t, db, "r"); got != want {
+					if got := contents(t, db, "r"); got != want {
 						t.Errorf("by Load:\ngot  %s\nwant %s", got, want)
 					}
 				}
@@ -168,12 +159,12 @@ func TestWriteMatrix(t *testing.T) {
 				follower := openFollower(t, filepath.Join(t.TempDir(), "f.wal"), nil)
 				defer follower.Close()
 				shipAll(t, primary, follower)
-				if got := fingerprint(t, follower, "r"); got != want {
+				if got := contents(t, follower, "r"); got != want {
 					t.Errorf("by follower apply:\ngot  %s\nwant %s", got, want)
 				}
 
 				primary.Close()
-				if got := fingerprint(t, reopen(t, path), "r"); got != want {
+				if got := contents(t, reopen(t, path), "r"); got != want {
 					t.Errorf("by WAL replay:\ngot  %s\nwant %s", got, want)
 				}
 			})
