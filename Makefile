@@ -42,7 +42,8 @@ plan-corpus:
 
 # Ten seconds of native fuzzing on each untrusted-bytes decoder that has a
 # target: the statistics decoder (FuzzDecodeRel), the segment block decoder
-# (FuzzDecodeBlock) and the snapshot decoder (FuzzDecodeSnapshot). No panic,
+# (FuzzDecodeBlock), the snapshot decoder (FuzzDecodeSnapshot) and the WAL
+# record decoder (FuzzDecodeRecord). No panic,
 # and every accepted input re-encodes to a fixed point. A short minimization
 # budget keeps the smoke fuzzing instead of shrinking a large seed. Commit any crasher it writes under the
 # package's testdata/fuzz.
@@ -50,6 +51,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRel$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/stats
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBlock$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/segment
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSnapshot$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/wal
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/wal
 
 # The durability suite: fault injection (vfs), torn-log replay (wal), the
 # crash matrices (truncate/corrupt every byte of the final record; crash a

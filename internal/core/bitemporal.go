@@ -67,7 +67,7 @@ func (s *TemporalStore) Assert(t tuple.Tuple, valid temporal.Interval, at tempor
 	}
 	key := t.Key(s.sch)
 	s.supersede(key, valid, at)
-	s.append(t.Clone(), key.Hash64(), valid, at)
+	s.append(t, key.Hash64(), valid, at)
 	return nil
 }
 
@@ -105,7 +105,7 @@ func (s *TemporalStore) AssertAt(t tuple.Tuple, validAt, at temporal.Chronon) er
 	if err := s.admit(at); err != nil {
 		return err
 	}
-	s.append(t.Clone(), t.KeyHash(s.sch), temporal.At(validAt), at)
+	s.append(t, t.KeyHash(s.sch), temporal.At(validAt), at)
 	return nil
 }
 

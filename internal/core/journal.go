@@ -28,7 +28,7 @@ func (j *journal) begin() {
 // commit discards the collected inverses, making the mutations final.
 func (j *journal) commit() {
 	j.active = false
-	j.undo = j.undo[:0]
+	j.reset()
 }
 
 // abort runs the collected inverses in reverse order.
@@ -37,6 +37,14 @@ func (j *journal) abort() {
 		j.undo[i]()
 	}
 	j.active = false
+	j.reset()
+}
+
+// reset empties the journal. The array is cleared, not just resliced: each
+// closure holds what its mutation captured, and a large transaction's would
+// otherwise stay reachable until later ones overwrote them.
+func (j *journal) reset() {
+	clear(j.undo)
 	j.undo = j.undo[:0]
 }
 

@@ -168,3 +168,26 @@ func TestNestedTxnPanics(t *testing.T) {
 	}()
 	s.BeginTxn()
 }
+
+// TestJournalLetsGoOfClosures: once a transaction commits or aborts, the
+// undo array holds no closure. Each one captures what its mutation touched,
+// and a large transaction's would otherwise stay reachable until later ones
+// overwrote them.
+func TestJournalLetsGoOfClosures(t *testing.T) {
+	for _, end := range []struct {
+		name string
+		fn   func(*journal)
+	}{{"commit", (*journal).commit}, {"abort", (*journal).abort}} {
+		var j journal
+		j.begin()
+		for range 5 {
+			j.record(func() {})
+		}
+		end.fn(&j)
+		for i, fn := range j.undo[:cap(j.undo)] {
+			if fn != nil {
+				t.Errorf("after %s: undo slot %d still holds a closure", end.name, i)
+			}
+		}
+	}
+}

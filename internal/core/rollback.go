@@ -21,11 +21,11 @@ import (
 // asks which of the two it is serving.
 //
 // The log is the stores' only physical representation and their only
-// transaction-time access path: committed history seals into immutable
-// columnar segments whose summaries let reads skip whole segments, recent
-// versions stay in a mutable row-format tail, and every read returns
-// versions in commit order. Global positions are stable across seals, so
-// the key index works unchanged.
+// transaction-time access path: a version is written into the columns of
+// the log's open segment when it is appended, committed history seals into
+// segments whose summaries let reads skip whole segments, and every read
+// returns versions in commit order. Global positions are stable across
+// seals, so the key index works unchanged.
 type versionLog struct {
 	kind       Kind // labels the read counter and checks specs; never branched on
 	sch        *schema.Schema
@@ -54,8 +54,8 @@ func (s *versionLog) ScanTailVersions(fn func(Version) bool) {
 func (s *versionLog) BeginTxn() { s.j.begin() }
 
 // CommitTxn finalizes mutations since BeginTxn. With the journal emptied the
-// tail holds only committed versions, so this is the one safe moment to seal
-// it into a columnar segment.
+// open segment holds only committed versions, so this is the one safe moment
+// to seal it.
 func (s *versionLog) CommitTxn() {
 	s.j.commit()
 	s.log.Seal()
@@ -64,8 +64,8 @@ func (s *versionLog) CommitTxn() {
 // AbortTxn reverts mutations since BeginTxn. Aborting does not violate the
 // append-only discipline: an aborted transaction never committed, so the
 // versions it wrote were never part of any completed state. The undo
-// closures only ever truncate tail rows: sealing is fenced to commit
-// boundaries, so an abort cannot tear rows out of a sealed segment.
+// closures only ever pop rows of the open segment: sealing is fenced to
+// commit boundaries, so an abort cannot tear rows out of a sealed segment.
 func (s *versionLog) AbortTxn() { s.j.abort() }
 
 // Schema returns the relation schema.
@@ -128,8 +128,8 @@ func (s *versionLog) Read(spec ScanSpec, fn func(Version) bool) error {
 }
 
 // RestoreSegment reattaches a checkpoint segment block and indexes its
-// current rows by key. Blocks arrive in position order before any row-wise
-// tail versions.
+// current rows by key. Blocks arrive in position order before any unsealed
+// versions.
 func (s *versionLog) RestoreSegment(g *segment.Segment) error {
 	if err := s.log.RestoreSegment(g); err != nil {
 		return err
@@ -153,7 +153,7 @@ func (s *versionLog) restore(v Version) error {
 		return fmt.Errorf("core: restoring version with malformed transaction period %v", v.Trans)
 	}
 	kh := v.Data.KeyHash(s.sch)
-	pos := s.log.Append(segment.Row{Data: v.Data.Clone(), Valid: v.Valid, Trans: v.Trans, KeyHash: kh})
+	pos := s.log.Append(segment.Row{Data: v.Data, Valid: v.Valid, Trans: v.Trans, KeyHash: kh})
 	if v.Trans.To == temporal.Forever {
 		s.byKey.Add(kh, pos)
 	}
@@ -176,7 +176,8 @@ func (s *versionLog) admit(at temporal.Chronon) error {
 	return nil
 }
 
-// append adds a current version asserted at commit time at.
+// append adds a current version asserted at commit time at. The log copies
+// t's values, so the caller keeps t.
 func (s *versionLog) append(t tuple.Tuple, keyHash uint64, valid temporal.Interval, at temporal.Chronon) {
 	pos := s.log.Append(segment.Row{Data: t, Valid: valid, Trans: temporal.Since(at), KeyHash: keyHash})
 	s.byKey.Add(keyHash, pos)
@@ -245,7 +246,7 @@ func (s *RollbackStore) Insert(t tuple.Tuple, at temporal.Chronon) error {
 	if _, ok := s.current(key); ok {
 		return ErrDuplicateKey
 	}
-	s.append(t.Clone(), key.Hash64(), temporal.All, at)
+	s.append(t, key.Hash64(), temporal.All, at)
 	return nil
 }
 
@@ -286,7 +287,7 @@ func (s *RollbackStore) Replace(key tuple.Tuple, t tuple.Tuple, at temporal.Chro
 		}
 	}
 	s.close(pos, key.Hash64(), at)
-	s.append(t.Clone(), newKey.Hash64(), temporal.All, at)
+	s.append(t, newKey.Hash64(), temporal.All, at)
 	return nil
 }
 

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"slices"
 	"strings"
 
 	"tdb/internal/schema"
@@ -108,7 +107,7 @@ func DecodeBlock(src []byte, sch *schema.Schema) (*Segment, int, error) {
 		return nil, 0, fmt.Errorf("segment: implausible block of %d rows", rows)
 	}
 	g := &Segment{sch: sch, start: int(start), n: int(rows), keyHash: make([]uint64, rows)}
-	// The time columns decode into int64 scratch, then narrow as seal's do.
+	// The time columns decode into int64 scratch, then narrow as freezing does.
 	transFrom, transTo, validFrom, validTo := make([]int64, rows), make([]int64, rows), make([]int64, rows), make([]int64, rows)
 	prev := int64(0)
 	for i := range transFrom {
@@ -148,8 +147,7 @@ func DecodeBlock(src []byte, sch *schema.Schema) (*Segment, int, error) {
 			return nil, 0, fmt.Errorf("segment: validTo: %w", err)
 		}
 	}
-	g.transFrom, g.transTo = intsOf(transFrom, math.MaxInt64), intsOf(transTo, slices.Min(transFrom))
-	g.validFrom, g.validTo = intsOf(validFrom, math.MaxInt64), intsOf(validTo, slices.Min(validFrom))
+	g.narrowTimes(transFrom, transTo, validFrom, validTo)
 	g.cols = make([]column, sch.Arity())
 	for a := range g.cols {
 		if off >= len(src) {
@@ -200,7 +198,8 @@ func DecodeBlock(src []byte, sch *schema.Schema) (*Segment, int, error) {
 				at = end
 			}
 			c.blob = blob.String()
-			// Only seal's dictionary: distinct entries, each first used in order.
+			// Only the dictionary freezing lays out: distinct entries, each
+			// first used in order.
 			firsts := make(map[string]bool, dictLen)
 			c.code = make([]uint32, rows)
 			for i := range c.code {

@@ -50,9 +50,10 @@ func kindBlock(sch *schema.Schema) []byte {
 // recovery does with every block of a checkpoint. The decoder never panics,
 // and a block it accepts reaches a fixed point under AppendBlock∘DecodeBlock:
 // re-encoding the decoded segment gives bytes that decode in full and
-// re-encode to themselves. Decoding narrows columns as sealing does: sealing
-// the decoded segment's own rows gives a segment with the same column widths
-// that encodes to those same bytes. Seeds: the parent-written blocks of
+// re-encode to themselves. Decoding narrows columns as freezing does:
+// appending the decoded segment's own rows to an open segment and freezing
+// it gives a segment with the same column widths that encodes to those same
+// bytes. Seeds: the parent-written blocks of
 // testdata/parent_blocks.bin, one block per column kind, and the segments of
 // the narrowEdges histories.
 func FuzzDecodeBlock(f *testing.F) {
@@ -92,11 +93,11 @@ func FuzzDecodeBlock(f *testing.F) {
 		if !bytes.Equal(AppendBlock(nil, again), enc) {
 			t.Fatal("AppendBlock∘DecodeBlock is not at a fixed point after one round")
 		}
-		rows := make([]Row, g.Len())
-		for i := range rows {
-			rows[i] = g.row(i)
+		sealed := openSegment(sch, g.Start())
+		for i := range g.Len() {
+			sealed.append(g.row(i))
 		}
-		sealed := seal(sch, g.Start(), rows)
+		sealed.freeze()
 		if widths(sealed) != widths(g) {
 			t.Fatalf("decoded widths %s, sealed from its rows %s", widths(g), widths(sealed))
 		}

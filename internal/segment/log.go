@@ -10,31 +10,30 @@ import (
 	"tdb/temporal"
 )
 
-// DefaultSealRows is the tail size at which a commit seals the tail into a
-// columnar segment, unless TDB_SEGMENT_ROWS chooses another threshold.
-// Relations that never reach it (the paper's figures, most unit fixtures)
-// live entirely in the row-format tail: every scan below is then just its
-// tail loop.
+// DefaultSealRows is the open segment's length at which a commit seals it,
+// unless TDB_SEGMENT_ROWS chooses another threshold. Relations that never
+// reach it (the paper's figures, most unit fixtures) live entirely in the
+// open segment.
 const DefaultSealRows = 8192
 
-// Log is the storage behind an append-only store: a run of immutable,
-// columnar sealed segments followed by a mutable row-format tail. Global
-// positions are stable for the life of the log — position p is row p in
-// commit order whether it currently lives in the tail or a segment — so the
-// stores' key indexes keep working across seals unchanged. Transaction time
-// is DBMS-assigned and monotone, so commit order is also transaction-start
-// order: every scan walks segments then tail front to back and may stop at
-// the first row asserted after its probe.
+// Log is the storage behind an append-only store: a run of sealed segments
+// followed by one open segment, the columns new versions are appended to.
+// Global positions are stable for the life of the log — position p is row p
+// in commit order whether it currently lives in the open segment or a sealed
+// one — so the stores' key indexes keep working across seals unchanged.
+// Transaction time is DBMS-assigned and monotone, so commit order is also
+// transaction-start order: every scan walks the segments front to back and
+// may stop at the first row asserted after its probe.
 //
 // Sealing happens only between transactions (the stores call Seal from
-// CommitTxn, never mid-journal), so transaction aborts only ever pop tail
-// rows: an aborted transaction cannot leak rows into — or tear rows out of —
-// a sealed segment.
+// CommitTxn, never mid-journal), so transaction aborts only ever pop rows of
+// the open segment: an aborted transaction cannot leak rows into — or tear
+// rows out of — a sealed segment.
 type Log struct {
 	sch      *schema.Schema
 	segs     []*Segment
-	sealed   int // rows covered by segs
-	tail     []Row
+	sealed   int      // rows covered by segs
+	open     *Segment // the rows from position sealed on
 	sealRows int
 }
 
@@ -44,12 +43,13 @@ type Log struct {
 func NewLog(sch *schema.Schema) *Log {
 	return &Log{
 		sch:      sch,
+		open:     openSegment(sch, 0),
 		sealRows: config.PosInt(config.EnvSegmentRows, DefaultSealRows),
 	}
 }
 
-// Len returns the total number of rows, sealed and tail.
-func (l *Log) Len() int { return l.sealed + len(l.tail) }
+// Len returns the total number of rows, sealed and open.
+func (l *Log) Len() int { return l.sealed + l.open.n }
 
 // Sealed returns the number of rows inside sealed segments.
 func (l *Log) Sealed() int { return l.sealed }
@@ -60,13 +60,14 @@ func (l *Log) Segments() []*Segment { return l.segs }
 
 // Stats summarizes the log's segmentation.
 func (l *Log) Stats() Stats {
-	return Stats{Segments: len(l.segs), SealedRows: l.sealed, TailRows: len(l.tail)}
+	return Stats{Segments: len(l.segs), SealedRows: l.sealed, TailRows: l.open.n}
 }
 
-// Append adds a row at the next global position (tail) and returns that
-// position.
+// Append writes r into the open segment's columns at the next global
+// position and returns that position. The log keeps nothing of r: its
+// values are copied.
 func (l *Log) Append(r Row) int {
-	l.tail = append(l.tail, r)
+	l.open.append(r)
 	return l.Len() - 1
 }
 
@@ -77,55 +78,57 @@ func (l *Log) TruncateTail(n int) {
 	if n < l.sealed {
 		panic(fmt.Sprintf("segment: truncate to %d would tear sealed history (%d rows sealed)", n, l.sealed))
 	}
-	l.tail = l.tail[:n-l.sealed]
+	l.open.truncate(n - l.sealed)
 }
 
-// Seal freezes the tail into a columnar segment when it has reached the
-// seal threshold, returning whether a segment was created. The stores call
-// it at commit (and after a checkpoint restore); it is a no-op while the
-// tail is short.
+// Seal freezes the open segment into a sealed one when it has reached the
+// seal threshold, returning whether it did. The stores call it at commit
+// (and after a checkpoint restore); it is a no-op while the open segment is
+// short.
 func (l *Log) Seal() bool {
-	if len(l.tail) < l.sealRows {
+	if l.open.n < l.sealRows {
 		return false
 	}
 	return l.SealNow()
 }
 
-// SealNow freezes a non-empty tail regardless of the threshold (benchmarks
-// and tests shaping exact segment layouts).
+// SealNow freezes a non-empty open segment regardless of the threshold
+// (benchmarks and tests shaping exact segment layouts).
 func (l *Log) SealNow() bool {
-	if len(l.tail) == 0 {
+	g := l.open
+	if g.n == 0 {
 		return false
 	}
-	g := seal(l.sch, l.sealed, l.tail)
+	g.freeze()
 	l.segs = append(l.segs, g)
-	l.sealed += len(l.tail)
-	l.tail = nil
+	l.sealed += g.n
+	l.open = openSegment(l.sch, l.sealed)
 	mSeals.Inc()
-	mSealedRows.Add(uint64(g.Len()))
+	mSealedRows.Add(uint64(g.n))
 	return true
 }
 
 // RestoreSegment reattaches a decoded segment at the next global position.
-// It fails unless the log's tail is empty and the segment's start matches —
-// checkpoint blocks arrive in position order before any tail versions.
+// It fails unless the open segment is empty and the segment's start matches
+// — checkpoint blocks arrive in position order before any unsealed versions.
 func (l *Log) RestoreSegment(g *Segment) error {
-	if len(l.tail) != 0 {
-		return fmt.Errorf("segment: restore after %d tail rows", len(l.tail))
+	if l.open.n != 0 {
+		return fmt.Errorf("segment: restore after %d unsealed rows", l.open.n)
 	}
 	if g.start != l.sealed {
 		return fmt.Errorf("segment: restore block at %d, log is at %d", g.start, l.sealed)
 	}
 	l.segs = append(l.segs, g)
 	l.sealed += g.n
+	l.open.start = l.sealed
 	return nil
 }
 
-// locate resolves a global position to its segment, or nil for tail rows,
-// by binary search over the segment starts.
+// locate resolves a global position to its segment, sealed or open, by
+// binary search over the segment starts.
 func (l *Log) locate(pos int) (*Segment, int) {
 	if pos >= l.sealed {
-		return nil, pos - l.sealed
+		return l.open, pos - l.sealed
 	}
 	lo, hi := 0, len(l.segs)-1
 	for lo < hi {
@@ -139,22 +142,20 @@ func (l *Log) locate(pos int) (*Segment, int) {
 	return l.segs[lo], pos - l.segs[lo].start
 }
 
-// Row returns the row at global position pos, built from the columns when
-// it is sealed.
+// Row builds the row at global position pos from the columns.
 func (l *Log) Row(pos int) Row {
-	if g, i := l.locate(pos); g != nil {
-		mRowsMaterialized.Inc()
-		return g.row(i)
-	} else {
-		return l.tail[i]
-	}
+	g, i := l.locate(pos)
+	mRowsMaterialized.Inc()
+	return g.row(i)
 }
 
 // ScanTail calls fn for the rows not yet sealed, in commit order. Checkpoint
 // encoders pair it with Segments() to cover the whole log.
 func (l *Log) ScanTail(fn func(pos int, r Row) bool) {
-	for i := range l.tail {
-		if !fn(l.sealed+i, l.tail[i]) {
+	g := l.open
+	for i := range g.n {
+		mRowsMaterialized.Inc()
+		if !fn(g.start+i, g.row(i)) {
 			return
 		}
 	}
@@ -163,10 +164,10 @@ func (l *Log) ScanTail(fn func(pos int, r Row) bool) {
 // CloseTrans sets the transaction-time end of the row at pos — superseding a
 // current version, or (with Forever) a transaction abort undoing that.
 func (l *Log) CloseTrans(pos int, to temporal.Chronon) {
-	if g, i := l.locate(pos); g != nil {
+	if g, i := l.locate(pos); g != l.open {
 		g.closeTrans(i, to)
 	} else {
-		l.tail[i].Trans.To = to
+		g.transTo.wide[i] = int64(to) // the open segment's summaries wait for freeze
 	}
 }
 
@@ -213,9 +214,10 @@ func (p *Pred) Match(r *Row) bool {
 // when fn returns false — the log's one query. Commit order makes transFrom
 // non-decreasing over the whole log, so a Trans window ends the scan at the
 // first row asserted at or after its end. Before that cut, sealed segments
-// are skipped whole on their summaries (prune) and the survivors tested
-// column-wise, a tuple being built only for rows that pass; tail rows take
-// the row-wise spelling of the same test (Match).
+// are skipped whole on their summaries (prune); the open segment has none,
+// and only a string constant its dictionary lacks skips it (bindOpen). Every
+// segment not skipped is tested column-wise by the one loop (Segment.scan),
+// a tuple being built only for rows that pass.
 func (l *Log) Scan(p Pred, fn func(pos int, r Row) bool) {
 	if (p.Trans != nil && p.Trans.IsEmpty()) || (p.Valid != nil && p.Valid.IsEmpty()) {
 		return
@@ -226,76 +228,73 @@ func (l *Log) Scan(p Pred, fn func(pos int, r Row) bool) {
 	if p.Trans != nil {
 		cut = int64(p.Trans.To)
 	}
-	built, more := scanSealed(l.segs, &p, cut, fn)
-	if built > 0 {
-		mRowsMaterialized.Add(uint64(built))
-	}
-	if !more {
-		return
-	}
-	for i := range l.tail {
-		r := &l.tail[i]
-		if int64(r.Trans.From) >= cut {
-			return
-		}
-		if p.Match(r) && !fn(l.sealed+i, *r) {
-			return
-		}
-	}
-}
-
-// scanSealed is Scan's segment loop. It returns how many tuples it built and
-// whether the scan goes on into the tail: not once fn has said stop, nor past
-// a row asserted at or after cut.
-func scanSealed(segs []*Segment, p *Pred, cut int64, fn func(pos int, r Row) bool) (built int, more bool) {
-	var tw, vq period
 	codes := make([]uint32, len(p.Filters)) // this scan's per-segment filter bindings
-	for _, g := range segs {
+	built, more := 0, true
+	for _, g := range l.segs {
 		if g.minTransFrom >= cut {
 			mSegmentsPruned.Inc()
-			return built, false
+			more = false
+			break
 		}
-		if g.prune(p, codes) {
+		if g.prune(&p, codes) {
 			continue
 		}
 		mSegmentsScanned.Inc()
-		hi := g.n
-		if g.maxTransFrom >= cut {
-			hi = sort.Search(g.n, func(i int) bool { return g.transFrom.at(i) >= cut })
+		n, goOn := g.scan(&p, codes, cut, fn)
+		if built, more = built+n, goOn; !more {
+			break
 		}
-		tw.bind(p.Trans, &g.transFrom, &g.transTo)
-		vq.bind(p.Valid, &g.validFrom, &g.validTo)
-		for i := 0; i < hi; i++ {
-			// The narrow columns pick the candidates: a key or an attribute
-			// comparison usually turns most rows away on four or eight bytes,
-			// in a loop of its own (seek); without one a period test does.
-			switch {
-			case p.Key != nil || len(p.Filters) > 0:
-				i = g.seek(i, hi, p.Key, p.Filters, codes)
-			case tw.on && !tw.wide:
-				i = tw.next(i, hi)
-			case vq.on && !vq.wide:
-				i = vq.next(i, hi)
-			}
-			if i == hi {
-				break
-			}
-			if tw.on && !tw.passes(i, &g.transFrom, &g.transTo) {
-				continue
-			}
-			if vq.on && !vq.passes(i, &g.validFrom, &g.validTo) {
-				continue
-			}
-			built++
-			if !fn(g.start+i, g.row(i)) {
-				return built, false
-			}
+	}
+	// The open segment counts as neither scanned nor pruned, so the two
+	// counters measure the summaries alone.
+	if g := l.open; more && g.n > 0 && g.bindOpen(&p, codes) {
+		n, _ := g.scan(&p, codes, cut, fn)
+		built += n
+	}
+	if built > 0 {
+		mRowsMaterialized.Add(uint64(built))
+	}
+}
+
+// scan is Scan's loop over one segment, sealed or open, once prune or
+// bindOpen has left in codes what its filters need. It returns how many
+// tuples it built and whether the scan goes on to the next segment: not once
+// fn has said stop, nor past a row asserted at or after cut.
+func (g *Segment) scan(p *Pred, codes []uint32, cut int64, fn func(pos int, r Row) bool) (built int, more bool) {
+	hi := g.n
+	if g.transFrom.at(g.n-1) >= cut {
+		hi = sort.Search(g.n, func(i int) bool { return g.transFrom.at(i) >= cut })
+	}
+	var tw, vq period
+	tw.bind(p.Trans, &g.transFrom, &g.transTo)
+	vq.bind(p.Valid, &g.validFrom, &g.validTo)
+	for i := 0; i < hi; i++ {
+		// The narrow columns pick the candidates: a key or an attribute
+		// comparison usually turns most rows away on four or eight bytes,
+		// in a loop of its own (seek); without one a period test does.
+		switch {
+		case p.Key != nil || len(p.Filters) > 0:
+			i = g.seek(i, hi, p.Key, p.Filters, codes)
+		case tw.on && !tw.wide:
+			i = tw.next(i, hi)
+		case vq.on && !vq.wide:
+			i = vq.next(i, hi)
 		}
-		if hi < g.n {
+		if i == hi {
+			break
+		}
+		if tw.on && !tw.passes(i, &g.transFrom, &g.transTo) {
+			continue
+		}
+		if vq.on && !vq.passes(i, &g.validFrom, &g.validTo) {
+			continue
+		}
+		built++
+		if !fn(g.start+i, g.row(i)) {
 			return built, false
 		}
 	}
-	return built, true
+	return built, hi == g.n
 }
 
 // period is a Pred's interval test on one time axis, bound to a segment: a

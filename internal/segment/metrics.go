@@ -7,15 +7,15 @@ import "tdb/internal/obs"
 // zone maps' effectiveness measure surfaced in /statz and EXPERIMENTS.md.
 var (
 	mSeals = obs.Default.Counter("tdb_segment_seals_total",
-		"Tails sealed into immutable columnar segments.")
+		"Open segments frozen into sealed columnar segments.")
 	mSealedRows = obs.Default.Counter("tdb_segment_sealed_rows_total",
 		"Rows frozen into columnar segments by seals.")
 	mSegmentsPruned = obs.Default.Counter("tdb_segment_pruned_total",
-		"Segments skipped entirely by a zone map or filter during a scan.")
+		"Sealed segments skipped entirely by a zone map or filter during a scan.")
 	mSegmentsScanned = obs.Default.Counter("tdb_segment_scanned_total",
-		"Segments whose columns a scan actually read.")
+		"Sealed segments whose columns a scan actually read.")
 	mBloomSkips = obs.Default.Counter("tdb_segment_bloom_skips_total",
 		"Segments skipped by the key bloom filter during key scans.")
 	mRowsMaterialized = obs.Default.Counter("tdb_segment_rows_materialized_total",
-		"Tuples built from sealed segments' columns (rows a scan or position read returned).")
+		"Tuples built from segment columns, sealed or open (rows a scan, a position read or the unsealed-version walk returned).")
 )

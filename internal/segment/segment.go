@@ -1,11 +1,12 @@
-// Package segment implements immutable, time-partitioned columnar storage
-// for the append-only store kinds (static rollback and temporal). Committed
-// history never changes — "each transaction causes a new historical state to
-// be created" — so once a run of versions is no longer the mutable tail of a
-// relation it can be frozen into a Segment: columnar arrays (strings as
-// dictionary codes, integers and times as 32-bit offsets where they fit) plus
-// per-segment zone maps over transaction time, valid time and every
-// attribute, and a bloom filter over key hashes.
+// Package segment implements time-partitioned columnar storage for the
+// append-only store kinds (static rollback and temporal). Committed history
+// never changes — "each transaction causes a new historical state to be
+// created" — so a version is written into columns once, when the log appends
+// it to its open segment, and is never re-encoded: once the open segment is
+// long enough a commit freezes it into a sealed Segment, the same columns
+// narrowed (strings as dictionary codes, integers and times as 32-bit offsets
+// where they fit) plus per-segment zone maps over transaction time, valid
+// time and every attribute, and a bloom filter over key hashes.
 //
 // Zone maps are what make big scans cheap: an as-of or overlap query
 // consults four int64s per segment before touching any tuple, skipping whole
@@ -15,15 +16,19 @@
 // (transTo is the single mutable column) and only ever shrinks a zone map's
 // reach, so pruning stays sound without rebuilding anything.
 //
-// A Segment is created by Log.Seal from the mutable row-format tail, or
-// reloaded verbatim from a checkpoint block (see encode.go). Sealing
-// re-encodes bytes, it does not change them: TestSealPreservesRows proves
-// the row images before and after a seal are identical.
+// A sealed Segment is the log's open segment frozen by Log.Seal, or a
+// checkpoint block reloaded verbatim (see encode.go). Freezing narrows
+// columns, it does not change values: TestSealPreservesRows proves the row
+// images before and after a seal are identical, and TestCodecRoundTrip and
+// TestAbortedHistoryBlocks that a sealed segment encodes to the blocks
+// sealing has always written.
 package segment
 
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 
 	"tdb/internal/schema"
 	"tdb/internal/tuple"
@@ -32,8 +37,8 @@ import (
 )
 
 // Row is one stored version in commit order: the tuple, its two time
-// periods, and the hash of its key projection (kept alongside so sealing
-// and key scans never re-project).
+// periods, and the hash of its key projection (kept alongside so key scans
+// never re-project).
 type Row struct {
 	Data    tuple.Tuple
 	Valid   temporal.Interval
@@ -41,10 +46,11 @@ type Row struct {
 	KeyHash uint64
 }
 
-// ints is a sealed column of int64s. When its values, math.MaxInt64
-// (temporal.Forever) aside, span less than 2³²−1 it keeps each as a uint32
-// offset from base, MaxInt64 as forever32; otherwise the values themselves.
-// Exactly one of off and wide is set.
+// ints is a column of int64s. The open segment keeps the values themselves
+// (wide). A sealed column whose values, math.MaxInt64 (temporal.Forever)
+// aside, span less than 2³²−1 keeps each as a uint32 offset from base,
+// MaxInt64 as forever32; otherwise the values themselves. Once the column
+// holds a row, exactly one of off and wide is set.
 type ints struct {
 	base int64
 	off  []uint32
@@ -76,7 +82,8 @@ func makeInts(n int, e extent) ints {
 	return ints{base: e.lo, off: make([]uint32, n)}
 }
 
-// intsOf builds the column holding vs, with a base no greater than floor.
+// intsOf builds the sealed column holding vs, with a base no greater than
+// floor.
 func intsOf(vs []int64, floor int64) ints {
 	var e extent
 	e.add(floor)
@@ -141,9 +148,11 @@ func (c *ints) offRange(lo, hi int64) (olo, span uint32, ok bool) {
 	return uint32(bot), uint32(top - bot), true
 }
 
-// column is one attribute's storage inside a sealed segment, pointer-free
-// below the slice headers: a string column's dictionary is one blob of the
-// distinct strings in first-seen order, entry d being blob[offs[d]:offs[d+1]].
+// column is one attribute's storage inside a segment. A sealed segment's is
+// pointer-free below the slice headers: a string column's dictionary is one
+// blob of the distinct strings in first-seen order, entry d being
+// blob[offs[d]:offs[d+1]]. The open segment's string column codes into a
+// dict instead, which freezing lays out as blob and offs.
 type column struct {
 	kind value.Kind
 	ints ints      // Int, Bool (0/1), Instant payloads
@@ -151,17 +160,77 @@ type column struct {
 	blob string    // String dictionary entries
 	offs []uint32  // String dictionary bounds, one more than there are entries
 	code []uint32  // String dictionary codes, one per row
+	dict *dict     // String dictionary of the open segment
 }
 
-// dictLen and str read a string column's dictionary: its size, and entry d.
-func (c *column) dictLen() int        { return len(c.offs) - 1 }
-func (c *column) str(d uint32) string { return c.blob[c.offs[d]:c.offs[d+1]] }
+// dictLen and str read a string column's dictionary: its size (sealed
+// segments only), and entry d.
+func (c *column) dictLen() int { return len(c.offs) - 1 }
+func (c *column) str(d uint32) string {
+	if c.dict != nil {
+		return c.dict.ents[d]
+	}
+	return c.blob[c.offs[d]:c.offs[d+1]]
+}
 
-// Segment is an immutable columnar run of versions. All fields except
-// transTo (and the zone-map summaries derived from it) are frozen at seal
-// time. Concurrency follows the stores' discipline: the owning database
-// serializes mutations (CloseTrans) behind its write lock, and readers share
-// its read lock.
+// dict is an open segment's dictionary for one string column: the distinct
+// strings in first-seen order, each one's code, and the row each was first
+// seen at, which is what an abort pops back to.
+type dict struct {
+	codes map[string]uint32
+	ents  []string
+	first []uint32
+}
+
+// code returns s's code, adding s as the entry first seen at row when it is
+// new. The entry is a copy: the column keeps nothing of the caller's alive,
+// whatever larger buffer s was cut from.
+func (d *dict) code(s string, row int) uint32 {
+	code, ok := d.codes[s]
+	if !ok {
+		code, s = uint32(len(d.ents)), strings.Clone(s)
+		d.codes[s] = code
+		d.ents = append(d.ents, s)
+		d.first = append(d.first, uint32(row))
+	}
+	return code
+}
+
+// pop drops the entries first seen at row n or later — the last ones, the
+// entries being in first-seen order.
+func (d *dict) pop(n int) {
+	k := len(d.ents)
+	for ; k > 0 && int(d.first[k-1]) >= n; k-- {
+		delete(d.codes, d.ents[k-1])
+	}
+	clear(d.ents[k:]) // let the popped strings go
+	d.ents, d.first = d.ents[:k], d.first[:k]
+}
+
+// lay lays the entries out back to back: entry d is blob[offs[d]:offs[d+1]].
+func (d *dict) lay() (blob string, offs []uint32) {
+	offs = make([]uint32, len(d.ents)+1)
+	for i, s := range d.ents {
+		if uint64(offs[i])+uint64(len(s)) > math.MaxUint32 {
+			panic("segment: a string column's dictionary exceeds 4 GiB")
+		}
+		offs[i+1] = offs[i] + uint32(len(s))
+	}
+	var b strings.Builder
+	b.Grow(int(offs[len(d.ents)]))
+	for _, s := range d.ents {
+		b.WriteString(s)
+	}
+	return b.String(), offs
+}
+
+// Segment is a columnar run of versions. A sealed segment is frozen but for
+// transTo (and the zone-map summaries derived from it). The log's open
+// segment is the one still growing: appends add rows and aborts pop them,
+// its integer columns are wide, and it has no summaries until freeze builds
+// them. Concurrency follows the stores' discipline: the owning database
+// serializes mutations (Append, TruncateTail, CloseTrans, Seal) behind its
+// write lock, and readers share its read lock.
 type Segment struct {
 	sch   *schema.Schema
 	start int // global position of the first row
@@ -212,80 +281,90 @@ func (g *Segment) LastCommit() temporal.Chronon {
 	return temporal.Chronon(max(g.maxTransFrom, g.maxClosedTo))
 }
 
-// seal builds a segment from rows, which become positions start..start+len.
-func seal(sch *schema.Schema, start int, rows []Row) *Segment {
-	// One pass finds each integer column's extent, a second fills the columns.
-	var tf, tt, vf, vt extent
-	exts := make([]extent, sch.Arity())
-	for _, r := range rows {
-		tf.add(int64(r.Trans.From))
-		tt.add(int64(r.Trans.To))
-		vf.add(int64(r.Valid.From))
-		vt.add(int64(r.Valid.To))
-		for a := range exts {
-			if k := sch.Attr(a).Type; k != value.Float && k != value.String {
-				exts[a].add(payload(r.Data[a]))
-			}
+// openSegment returns an empty open segment whose first row will sit at
+// global position start.
+func openSegment(sch *schema.Schema, start int) *Segment {
+	g := &Segment{sch: sch, start: start, cols: make([]column, sch.Arity())}
+	for a := range g.cols {
+		if g.cols[a].kind = sch.Attr(a).Type; g.cols[a].kind == value.String {
+			g.cols[a].dict = &dict{codes: make(map[string]uint32)}
 		}
 	}
-	// A to column takes its from column's base: a period test compares their
-	// offsets (see period), and every later closure fits transTo.
-	tt.add(tf.lo)
-	vt.add(vf.lo)
-	n := len(rows)
-	g := &Segment{sch: sch, start: start, n: n, keyHash: make([]uint64, n),
-		transFrom: makeInts(n, tf), transTo: makeInts(n, tt), validFrom: makeInts(n, vf), validTo: makeInts(n, vt)}
-	g.cols = make([]column, sch.Arity())
+	return g
+}
+
+// append writes r into the open segment's columns as its next row.
+func (g *Segment) append(r Row) {
+	g.transFrom.wide = append(g.transFrom.wide, int64(r.Trans.From))
+	g.transTo.wide = append(g.transTo.wide, int64(r.Trans.To))
+	g.validFrom.wide = append(g.validFrom.wide, int64(r.Valid.From))
+	g.validTo.wide = append(g.validTo.wide, int64(r.Valid.To))
+	g.keyHash = append(g.keyHash, r.KeyHash)
 	for a := range g.cols {
-		g.cols[a].kind = sch.Attr(a).Type
-		switch g.cols[a].kind {
+		switch c, v := &g.cols[a], r.Data[a]; c.kind {
 		case value.Float:
-			g.cols[a].fls = make([]float64, n)
+			c.fls = append(c.fls, v.Float())
 		case value.String:
-			g.cols[a].code = make([]uint32, n)
-			g.cols[a].offs = []uint32{0}
+			c.code = append(c.code, c.dict.code(v.Str(), g.n))
 		default:
-			g.cols[a].ints = makeInts(n, exts[a])
+			c.ints.wide = append(c.ints.wide, payload(v))
 		}
 	}
-	dicts := make([]map[string]uint32, sch.Arity())
-	blobs := make([][]byte, sch.Arity())
-	for i, r := range rows {
-		g.transFrom.put(i, int64(r.Trans.From))
-		g.transTo.put(i, int64(r.Trans.To))
-		g.validFrom.put(i, int64(r.Valid.From))
-		g.validTo.put(i, int64(r.Valid.To))
-		g.keyHash[i] = r.KeyHash
-		for a := range g.cols {
-			v := r.Data[a]
-			switch g.cols[a].kind {
-			case value.Float:
-				g.cols[a].fls[i] = v.Float()
-			case value.String:
-				if dicts[a] == nil {
-					dicts[a] = make(map[string]uint32)
-				}
-				s := v.Str()
-				code, ok := dicts[a][s]
-				if !ok {
-					code = uint32(g.cols[a].dictLen())
-					if blobs[a] = append(blobs[a], s...); uint64(len(blobs[a])) > math.MaxUint32 {
-						panic("segment: a string column's dictionary exceeds 4 GiB")
-					}
-					g.cols[a].offs = append(g.cols[a].offs, uint32(len(blobs[a])))
-					dicts[a][s] = code
-				}
-				g.cols[a].code[i] = code
-			default:
-				g.cols[a].ints.put(i, payload(v))
-			}
-		}
+	g.n++
+}
+
+// truncate pops the open segment's rows from n on, and the dictionary
+// entries first seen in them: what is left is what appending rows 0..n-1
+// alone would have built.
+func (g *Segment) truncate(n int) {
+	for _, c := range []*ints{&g.transFrom, &g.transTo, &g.validFrom, &g.validTo} {
+		c.wide = c.wide[:n]
 	}
+	g.keyHash = g.keyHash[:n]
 	for a := range g.cols {
-		g.cols[a].blob = string(blobs[a]) // an exact copy: the tail's strings are let go
+		switch c := &g.cols[a]; c.kind {
+		case value.Float:
+			c.fls = c.fls[:n]
+		case value.String:
+			c.code = c.code[:n]
+			c.dict.pop(n)
+		default:
+			c.ints.wide = c.ints.wide[:n]
+		}
+	}
+	g.n = n
+}
+
+// freeze seals the open segment: every int64 column narrows (intsOf, on the
+// bases narrowTimes gives the time columns), each dictionary is laid out as
+// blob and offsets, the other arrays are copied to their exact length, and
+// the summaries are built. No value changes, so neither does a row image or
+// a block byte.
+func (g *Segment) freeze() {
+	g.narrowTimes(g.transFrom.wide, g.transTo.wide, g.validFrom.wide, g.validTo.wide)
+	g.keyHash = slices.Clone(g.keyHash)
+	for a := range g.cols {
+		switch c := &g.cols[a]; c.kind {
+		case value.Float:
+			c.fls = slices.Clone(c.fls)
+		case value.String:
+			c.code = slices.Clone(c.code)
+			c.blob, c.offs = c.dict.lay()
+			c.dict = nil
+		default:
+			c.ints = intsOf(c.ints.wide, math.MaxInt64)
+		}
 	}
 	g.rebuildSummaries()
-	return g
+}
+
+// narrowTimes sets the four time columns of a sealed segment from their
+// values. Each takes its least value as base, except that a to column takes
+// its from column's: a period test compares their offsets (see period), and
+// every later closure fits transTo.
+func (g *Segment) narrowTimes(transFrom, transTo, validFrom, validTo []int64) {
+	g.transFrom, g.transTo = intsOf(transFrom, math.MaxInt64), intsOf(transTo, slices.Min(transFrom))
+	g.validFrom, g.validTo = intsOf(validFrom, math.MaxInt64), intsOf(validTo, slices.Min(validFrom))
 }
 
 // payload is an Int, Bool (0/1) or Instant value as its column stores it.
@@ -303,7 +382,7 @@ func payload(v value.Value) int64 {
 }
 
 // buildAttrZones computes the per-attribute min/max zone maps from the
-// frozen columns (called at seal and after a block decode).
+// frozen columns (called at freeze and after a block decode).
 func (g *Segment) buildAttrZones() {
 	g.attrMin = make([]value.Value, len(g.cols))
 	g.attrMax = make([]value.Value, len(g.cols))
@@ -372,9 +451,9 @@ func (g *Segment) maxTransTo() int64 {
 }
 
 // row builds row i (0-based within the segment) from the columns, which
-// are the only copy of a sealed row: every call makes a fresh tuple, the
-// caller's to keep. Strings are slices of the dictionary blob; no payload
-// bytes are copied.
+// are the only copy of a stored row: every call makes a fresh tuple, the
+// caller's to keep. Strings are the dictionary's, slices of a sealed
+// segment's blob; no payload bytes are copied.
 func (g *Segment) row(i int) Row {
 	t := make(tuple.Tuple, len(g.cols))
 	for a := range g.cols {
@@ -445,6 +524,22 @@ func (g *Segment) prune(p *Pred, codes []uint32) bool {
 		codes[fi] = code
 	}
 	return false
+}
+
+// bindOpen is prune for the open segment, which has no summaries to prune
+// on: it leaves in codes each string filter's code in the dictionary, and
+// reports false when a constant is not there, since then no row can match.
+func (g *Segment) bindOpen(p *Pred, codes []uint32) bool {
+	for fi, f := range p.Filters {
+		if d := g.cols[f.Attr].dict; d != nil {
+			code, ok := d.codes[f.val.Str()]
+			if !ok {
+				return false
+			}
+			codes[fi] = code
+		}
+	}
+	return true
 }
 
 // Op is a Filter's comparison operator.
@@ -523,7 +618,7 @@ func cmpOK(op Op, c int) bool {
 
 // Filter is a single-attribute comparison (attr OP constant) a scan
 // evaluates directly on a segment's columns before any tuple is built, and
-// row-wise (Match) on the tail; both keep exactly the same rows. Build one
+// Pred.Match row-wise (Match); both keep exactly the same rows. Build one
 // with NewEqFilter or NewCmpFilter. A Filter is immutable once built — what
 // a scan learns about it per segment stays in that scan's frame — so any
 // number of concurrent scans may share one.
@@ -647,8 +742,8 @@ func (f *Filter) bind(g *Segment) (code uint32, ok bool) {
 	return 0, false
 }
 
-// Match evaluates the filter against a materialized row (the tail path,
-// where no columns exist). Same exact-kind semantics as the columnar path.
+// Match evaluates the filter against a materialized row (Pred.Match's
+// test). Same exact-kind semantics as the columnar path.
 func (f *Filter) Match(t tuple.Tuple) bool {
 	if f.Op == OpEq {
 		return value.Equal(t[f.Attr], f.val)
@@ -664,7 +759,7 @@ func (f *Filter) Match(t tuple.Tuple) bool {
 type Stats struct {
 	Segments   int // sealed segments resident
 	SealedRows int // rows inside sealed segments
-	TailRows   int // rows still in the mutable tail
+	TailRows   int // rows in the open segment, not yet sealed
 }
 
 func (s Stats) String() string {

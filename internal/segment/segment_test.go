@@ -495,7 +495,7 @@ func predCases(t *testing.T, rng *rand.Rand, ref []Row) []predCase {
 // every combination of Pred fields Scan(p) must return exactly the rows of
 // Scan(Pred{}) a brute-force test keeps, in that order, and stop the moment
 // fn says so — whether history sits in two-row segments, four-row segments or
-// (the default threshold) entirely in the row tail, and whatever aborts and
+// (the default threshold) entirely in the open segment, and whatever aborts and
 // same-chronon supersessions have done to the zone maps.
 func TestScansMatchReference(t *testing.T) {
 	for _, rows := range []string{"2", "4", ""} {

@@ -352,6 +352,11 @@ func DecodeRecord(src []byte) (Record, error) {
 		return r, fmt.Errorf("wal: corrupt op count")
 	}
 	off += n
+	// Every op takes at least one byte, so a count beyond the bytes left is
+	// corrupt — and must not size the allocation below.
+	if nOps > uint64(len(src)-off) {
+		return r, fmt.Errorf("wal: corrupt op count %d with %d bytes left", nOps, len(src)-off)
+	}
 	r.Ops = make([]Op, 0, nOps)
 	for i := uint64(0); i < nOps; i++ {
 		op, n, err := decodeOp(src[off:])

@@ -30,7 +30,7 @@ func promoSchema(t testing.TB) *schema.Schema {
 	return keyed
 }
 
-func sampleRecord(t *testing.T) Record {
+func sampleRecord(t testing.TB) Record {
 	t.Helper()
 	return Record{
 		Commit: temporal.Date(1982, 12, 15),
