@@ -42,8 +42,9 @@ plan-corpus:
 
 # Ten seconds of native fuzzing on each untrusted-bytes decoder that has a
 # target: the statistics decoder (FuzzDecodeRel), the segment block decoder
-# (FuzzDecodeBlock), the snapshot decoder (FuzzDecodeSnapshot) and the WAL
-# record decoder (FuzzDecodeRecord). No panic,
+# (FuzzDecodeBlock), the snapshot decoder (FuzzDecodeSnapshot), the WAL
+# record decoder (FuzzDecodeRecord) and the wire request line
+# (FuzzDecodeRequest). No panic,
 # and every accepted input re-encodes to a fixed point. A short minimization
 # budget keeps the smoke fuzzing instead of shrinking a large seed. Commit any crasher it writes under the
 # package's testdata/fuzz.
@@ -52,6 +53,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBlock$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/segment
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSnapshot$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/wal
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime 10s -fuzzminimizetime 1s ./server
 
 # The durability suite: fault injection (vfs), torn-log replay (wal), the
 # crash matrices (truncate/corrupt every byte of the final record; crash a
@@ -80,11 +82,12 @@ soak-ingest:
 # window forced wide open: a long linger maximizes the span where
 # committers, the flush leader, checkpoints, and replication notification
 # overlap — exactly the interleavings a timing-neutral run never holds
-# open long enough to race.
+# open long enough to race. The three packages' tests take the linger as
+# -commit-wait and open their databases with it (Options.GroupCommitWait).
 race-ingest:
-	TDB_GROUP_COMMIT_WAIT=5ms $(GO) test -race -count=1 \
+	$(GO) test -race -count=1 \
 		-run 'Group|Load|Ingest|Batch|Pipeline|Checkpoint|Concurrent' \
-		. ./server ./internal/wal
+		. ./server ./internal/wal -args -commit-wait=5ms
 
 # The committed paper figures must match what the code generates.
 figures-check:

@@ -24,7 +24,7 @@ type commitPoint struct {
 // returns the points with the database closed and the log final on disk.
 func buildCommitHistory(t *testing.T, path string) []commitPoint {
 	t.Helper()
-	db, err := Open(path, Options{Clock: temporal.NewLogicalClock(temporal.Date(1985, 1, 1))})
+	db, err := Open(path, Options{Clock: temporal.NewLogicalClock(temporal.Date(1985, 1, 1)), GroupCommitWait: *commitWait})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func buildCommitHistory(t *testing.T, path string) []commitPoint {
 // or the open error. The caller decides which outcomes are acceptable.
 func reopenedDigest(t *testing.T, path string) ([]string, error) {
 	t.Helper()
-	db, err := Open(path, Options{Clock: temporal.NewLogicalClock(temporal.Date(1999, 1, 1))})
+	db, err := Open(path, Options{Clock: temporal.NewLogicalClock(temporal.Date(1999, 1, 1)), GroupCommitWait: *commitWait})
 	if err != nil {
 		return nil, err
 	}
@@ -161,7 +161,7 @@ func copyDBFiles(t *testing.T, src, dstDir string) string {
 func TestCrashMatrixCheckpoint(t *testing.T) {
 	srcDir := t.TempDir()
 	src := filepath.Join(srcDir, "tdb.wal")
-	db, err := Open(src, Options{Clock: temporal.NewLogicalClock(temporal.Date(1985, 1, 1))})
+	db, err := Open(src, Options{Clock: temporal.NewLogicalClock(temporal.Date(1985, 1, 1)), GroupCommitWait: *commitWait})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,8 +177,9 @@ func TestCrashMatrixCheckpoint(t *testing.T) {
 		path := copyDBFiles(t, src, t.TempDir())
 		ffs := vfs.NewFaultFS(vfs.OS{})
 		cdb, err := Open(path, Options{
-			Clock: temporal.NewLogicalClock(temporal.Date(1985, 1, 1)),
-			FS:    ffs,
+			Clock:           temporal.NewLogicalClock(temporal.Date(1985, 1, 1)),
+			FS:              ffs,
+			GroupCommitWait: *commitWait,
 		})
 		if err != nil {
 			t.Fatalf("k=%d: open before checkpoint: %v", k, err)

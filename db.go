@@ -53,9 +53,9 @@ type Options struct {
 	GroupCommitMaxBatch int
 	// GroupCommitWait widens the group-commit coalescing window: the
 	// leader lingers this long after a commit arrives before flushing,
-	// hoping to share the fsync with more committers. Zero defers to
-	// TDB_GROUP_COMMIT_WAIT and then flushes immediately (batches still
-	// form naturally from commits arriving during the previous fsync).
+	// hoping to share the fsync with more committers. Zero flushes
+	// immediately (batches still form naturally from commits arriving
+	// during the previous fsync). No environment knob stands behind it.
 	GroupCommitWait time.Duration
 	// LoadChunkRows sets how many rows Relation.Load commits per
 	// transaction. Zero defers to TDB_LOAD_CHUNK and then

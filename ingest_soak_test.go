@@ -21,8 +21,9 @@ func TestIngestSoak(t *testing.T) {
 	}
 	pPath := filepath.Join(t.TempDir(), "tdb.wal")
 	primary, err := Open(pPath, Options{
-		Clock: temporal.NewLogicalClock(temporal.Date(1985, 1, 1)),
-		Sync:  true,
+		Clock:           temporal.NewLogicalClock(temporal.Date(1985, 1, 1)),
+		Sync:            true,
+		GroupCommitWait: *commitWait,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -18,13 +18,12 @@ import (
 	"os"
 	"sort"
 	"strconv"
-	"time"
 )
 
 // Knob is one registered environment knob.
 type Knob struct {
 	Env     string // variable name, e.g. "TDB_CACHE_BYTES"
-	Kind    string // "bool", "int", "int64", "float", "duration"
+	Kind    string // "int", "int64"
 	Default string // rendered default ("" when the subsystem default applies)
 	Doc     string // one-line description for the knob table
 }
@@ -54,8 +53,6 @@ var (
 		Doc: "Rows per bulk-load transaction (Relation.Load chunk size)."})
 	EnvGroupCommitBatch = register(Knob{Env: "TDB_GROUP_COMMIT_BATCH", Kind: "int", Default: "64",
 		Doc: "Max transaction records one group-commit flush coalesces onto a WAL write."})
-	EnvGroupCommitWait = register(Knob{Env: "TDB_GROUP_COMMIT_WAIT", Kind: "duration", Default: "0",
-		Doc: "Extra linger before a group-commit flush, widening the coalescing window."})
 
 	// Storage knob, read at relation creation.
 	EnvSegmentRows = register(Knob{Env: "TDB_SEGMENT_ROWS", Kind: "int", Default: "8192",
@@ -113,17 +110,6 @@ func Int64(env string, def int64) int64 {
 	if v := os.Getenv(env); v != "" {
 		if n, err := strconv.ParseInt(v, 10, 64); err == nil {
 			return n
-		}
-	}
-	return def
-}
-
-// PosDuration reads a duration knob ("5ms", "1s") that must be strictly
-// positive, returning def otherwise.
-func PosDuration(env string, def time.Duration) time.Duration {
-	if v := os.Getenv(env); v != "" {
-		if d, err := time.ParseDuration(v); err == nil && d > 0 {
-			return d
 		}
 	}
 	return def

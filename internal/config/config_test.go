@@ -5,7 +5,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestIntAccessors(t *testing.T) {
@@ -26,21 +25,10 @@ func TestIntAccessors(t *testing.T) {
 	}
 }
 
-func TestDuration(t *testing.T) {
-	t.Setenv("TDB_TEST_D", "2ms")
-	if got := PosDuration("TDB_TEST_D", 0); got != 2*time.Millisecond {
-		t.Errorf("PosDuration: got %v", got)
-	}
-	t.Setenv("TDB_TEST_D", "-1s")
-	if got := PosDuration("TDB_TEST_D", time.Second); got != time.Second {
-		t.Errorf("PosDuration rejects negatives: got %v", got)
-	}
-}
-
 func TestRegistryAndSnapshot(t *testing.T) {
 	ks := Knobs()
-	if len(ks) != 6 { // the knob count is a tracked number: a new knob must argue its case here
-		t.Fatalf("expected 6 registered knobs, got %d", len(ks))
+	if len(ks) != 5 { // the knob count is a tracked number: a new knob must argue its case here
+		t.Fatalf("expected 5 registered knobs, got %d", len(ks))
 	}
 	for i := 1; i < len(ks); i++ {
 		if ks[i-1].Env >= ks[i].Env {

@@ -20,17 +20,17 @@ import (
 //
 // Storage, reads and the transaction hooks are the embedded stateTable's;
 // what is here is the historical update algebra.
-type HistoricalStore struct{ stateTable }
+type HistoricalStore struct{ *stateTable }
 
 // NewHistoricalStore creates an empty historical interval relation.
 func NewHistoricalStore(sch *schema.Schema) *HistoricalStore {
-	return &HistoricalStore{stateTable{kind: Historical, sch: sch}}
+	return &HistoricalStore{newStateTable(Historical, sch, false)}
 }
 
 // NewHistoricalEventStore creates an empty historical event relation: each
 // tuple is stamped with a single valid-time instant ("at").
 func NewHistoricalEventStore(sch *schema.Schema) *HistoricalStore {
-	return &HistoricalStore{stateTable{kind: Historical, sch: sch, event: true}}
+	return &HistoricalStore{newStateTable(Historical, sch, true)}
 }
 
 // Assert records that tuple t held throughout the valid period. Any

@@ -30,13 +30,14 @@ type versionLog struct {
 	kind       Kind // labels the read counter and checks specs; never branched on
 	sch        *schema.Schema
 	log        *segment.Log
-	byKey      index.Hash // key hash -> positions of current versions
+	byKey      *index.Hash // key hash -> positions of current versions
 	lastCommit temporal.Chronon
 	j          journal
 }
 
 func newVersionLog(k Kind, sch *schema.Schema) versionLog {
-	return versionLog{kind: k, sch: sch, log: segment.NewLog(sch), lastCommit: temporal.Beginning}
+	log := segment.NewLog(sch)
+	return versionLog{kind: k, sch: sch, log: log, byKey: index.New(log.KeyHash), lastCommit: temporal.Beginning}
 }
 
 // SegmentStats summarizes the store's segmentation.
@@ -79,7 +80,7 @@ func (s *versionLog) VersionCount() int { return s.log.Len() }
 func (s *versionLog) CurrentCount() int { return s.byKey.Len() }
 
 // Reserve sizes the key index for n more current versions (see Store).
-func (s *versionLog) Reserve(n int) { s.byKey.Reserve(n) }
+func (s *versionLog) Reserve(n int) { s.byKey.Reserve(n, s.log.Len()+n) }
 
 // LastCommit returns the latest commit chronon applied.
 func (s *versionLog) LastCommit() temporal.Chronon { return s.lastCommit }
@@ -134,7 +135,7 @@ func (s *versionLog) RestoreSegment(g *segment.Segment) error {
 	if err := s.log.RestoreSegment(g); err != nil {
 		return err
 	}
-	s.byKey.Reserve(g.Current())
+	s.byKey.Reserve(g.Current(), s.log.Len())
 	g.EachCurrent(func(pos int, keyHash uint64) { s.byKey.Add(keyHash, pos) })
 	s.lastCommit = max(s.lastCommit, g.LastCommit())
 	return nil

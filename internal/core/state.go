@@ -19,14 +19,22 @@ type stateTable struct {
 	event bool
 	rows  []stateRow
 	free  []int
-	byKey index.Hash // key hash -> occupied slots
+	byKey *index.Hash // key hash -> occupied slots
 	j     journal
 }
 
-// stateRow is one slot; a nil data marks it free.
+// newStateTable returns an empty table keyed through its slots' hashes.
+func newStateTable(k Kind, sch *schema.Schema, event bool) *stateTable {
+	s := &stateTable{kind: k, sch: sch, event: event}
+	s.byKey = index.New(func(pos int) uint64 { return s.rows[pos].hash })
+	return s
+}
+
+// stateRow is one slot; a nil data marks it free. hash is data's key hash.
 type stateRow struct {
 	data  tuple.Tuple
 	valid temporal.Interval
+	hash  uint64
 }
 
 // BeginTxn starts collecting undo information (see Transactional).
@@ -51,7 +59,7 @@ func (s *stateTable) Event() bool { return s.event }
 func (s *stateTable) VersionCount() int { return s.byKey.Len() }
 
 // Reserve sizes the key index for n more versions (see Store).
-func (s *stateTable) Reserve(n int) { s.byKey.Reserve(n) }
+func (s *stateTable) Reserve(n int) { s.byKey.Reserve(n, len(s.rows)+n) }
 
 // Read answers spec from the single stored state: a Key through the key
 // index, anything else by visiting every slot, and either way ScanSpec.admits
@@ -109,17 +117,16 @@ func (s *stateTable) slots(key tuple.Tuple, dst []int) []int {
 
 // add stores t in the slot freed last, or in a new one at the end.
 func (s *stateTable) add(t tuple.Tuple, valid temporal.Interval) {
-	pos := len(s.rows)
+	row, pos := stateRow{t, valid, t.KeyHash(s.sch)}, len(s.rows)
 	if n := len(s.free); n > 0 {
 		pos, s.free = s.free[n-1], s.free[:n-1]
-		s.rows[pos] = stateRow{t, valid}
+		s.rows[pos] = row
 	} else {
-		s.rows = append(s.rows, stateRow{t, valid})
+		s.rows = append(s.rows, row)
 	}
-	kh := t.KeyHash(s.sch)
-	s.byKey.Add(kh, pos)
+	s.byKey.Add(row.hash, pos)
 	s.j.record(func() {
-		s.byKey.Remove(kh, pos)
+		s.byKey.Remove(row.hash, pos)
 		s.rows[pos] = stateRow{}
 		s.free = append(s.free, pos)
 	})
@@ -128,13 +135,12 @@ func (s *stateTable) add(t tuple.Tuple, valid temporal.Interval) {
 // drop frees an occupied slot: the version is forgotten.
 func (s *stateTable) drop(pos int) {
 	row := s.rows[pos]
-	kh := row.data.KeyHash(s.sch)
-	s.byKey.Remove(kh, pos)
+	s.byKey.Remove(row.hash, pos)
 	s.rows[pos] = stateRow{}
 	s.free = append(s.free, pos)
 	s.j.record(func() {
 		s.free = s.free[:len(s.free)-1] // LIFO undo: pos is on top
 		s.rows[pos] = row
-		s.byKey.Add(kh, pos)
+		s.byKey.Add(row.hash, pos)
 	})
 }

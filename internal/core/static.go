@@ -14,11 +14,11 @@ import (
 //
 // Storage, reads and the transaction hooks are the embedded stateTable's;
 // every row stores the universal interval as its valid period.
-type StaticStore struct{ stateTable }
+type StaticStore struct{ *stateTable }
 
 // NewStaticStore creates an empty static relation with the given schema.
 func NewStaticStore(sch *schema.Schema) *StaticStore {
-	return &StaticStore{stateTable{kind: Static, sch: sch}}
+	return &StaticStore{newStateTable(Static, sch, false)}
 }
 
 // Insert adds a tuple to the current state. It fails with ErrDuplicateKey

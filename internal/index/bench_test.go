@@ -6,9 +6,9 @@ import (
 )
 
 func BenchmarkHashAddLookup(b *testing.B) {
-	var h Hash
 	r := rand.New(rand.NewSource(1))
 	keys := make([]uint64, 10000)
+	h := New(func(pos int) uint64 { return keys[pos] })
 	for i := range keys {
 		keys[i] = r.Uint64()
 		h.Add(keys[i], i)

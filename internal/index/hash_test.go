@@ -5,14 +5,33 @@ import (
 	"testing"
 )
 
+// owned is an index together with what its owner keeps: the hash each
+// position is posted under, as a store's key-hash column holds it.
+type owned struct {
+	*Hash
+	hashes map[int]uint64
+}
+
+func newOwned() *owned {
+	o := &owned{hashes: map[int]uint64{}}
+	o.Hash = New(func(pos int) uint64 { return o.hashes[pos] })
+	return o
+}
+
+// add records pos's hash with the owner, then posts it.
+func (o *owned) add(hash uint64, pos int) {
+	o.hashes[pos] = hash
+	o.Add(hash, pos)
+}
+
 func TestHashAddLookup(t *testing.T) {
-	var h Hash
+	h := newOwned()
 	if got := h.Lookup(1, nil); got != nil {
 		t.Errorf("empty Lookup = %v", got)
 	}
-	h.Add(100, 0)
-	h.Add(100, 1)
-	h.Add(200, 2)
+	h.add(100, 0)
+	h.add(100, 1)
+	h.add(200, 2)
 	if got := h.Lookup(100, nil); len(got) != 2 {
 		t.Errorf("Lookup(100) = %v", got)
 	}
@@ -28,9 +47,9 @@ func TestHashAddLookup(t *testing.T) {
 }
 
 func TestHashRemove(t *testing.T) {
-	var h Hash
-	h.Add(7, 10)
-	h.Add(7, 11)
+	h := newOwned()
+	h.add(7, 10)
+	h.add(7, 11)
 	if !h.Remove(7, 10) {
 		t.Error("Remove present posting must succeed")
 	}
@@ -50,12 +69,12 @@ func TestHashRemove(t *testing.T) {
 
 // Many distinct hashes force repeated growth; cross-check against a map.
 func TestHashGrowthAgainstReference(t *testing.T) {
-	var h Hash
+	h := newOwned()
 	ref := map[uint64][]int{}
 	r := rand.New(rand.NewSource(5))
 	for i := 0; i < 5000; i++ {
 		k := r.Uint64() % 2048
-		h.Add(k, i)
+		h.add(k, i)
 		ref[k] = append(ref[k], i)
 	}
 	for k, want := range ref {
@@ -89,36 +108,10 @@ func TestHashGrowthAgainstReference(t *testing.T) {
 
 func TestHashCollidingHashesShareBucket(t *testing.T) {
 	// The index is a multimap on the hash itself; the caller disambiguates.
-	var h Hash
-	h.Add(42, 1)
-	h.Add(42, 2)
+	h := newOwned()
+	h.add(42, 1)
+	h.add(42, 2)
 	if got := h.Lookup(42, nil); len(got) != 2 {
 		t.Errorf("colliding postings = %v", got)
-	}
-}
-
-func TestNewHashSized(t *testing.T) {
-	for _, n := range []int{0, 1, 11, 12, 13, 1000, 5000} {
-		h := NewHashSized(n)
-		// A bulk build of n postings into a table sized for n never grows:
-		// neither array is reallocated, so the footprint stands still and no
-		// Add allocates.
-		before := footprint(h)
-		i := 0
-		if allocs := testing.AllocsPerRun(1, func() {
-			for ; i < n; i++ {
-				h.Add(uint64(i)*2654435761, i)
-			}
-		}); allocs != 0 {
-			t.Errorf("NewHashSized(%d): bulk build allocated %v times", n, allocs)
-		}
-		if n > 0 && footprint(h) != before {
-			t.Errorf("NewHashSized(%d) grew from %d to %d bytes during bulk build", n, before, footprint(h))
-		}
-		for i := 0; i < n; i++ {
-			if got := h.Lookup(uint64(i)*2654435761, nil); len(got) != 1 || got[0] != i {
-				t.Fatalf("NewHashSized(%d): Lookup(%d) = %v", n, i, got)
-			}
-		}
 	}
 }

@@ -149,6 +149,13 @@ func (l *Log) Row(pos int) Row {
 	return g.row(i)
 }
 
+// KeyHash returns the key hash of the row at global position pos from its
+// segment's column, without building the row (the key index's hashAt).
+func (l *Log) KeyHash(pos int) uint64 {
+	g, i := l.locate(pos)
+	return g.keyHash[i]
+}
+
 // ScanTail calls fn for the rows not yet sealed, in commit order. Checkpoint
 // encoders pair it with Segments() to cover the whole log.
 func (l *Log) ScanTail(fn func(pos int, r Row) bool) {

@@ -30,17 +30,6 @@ import (
 // neither GroupOptions.MaxBatch nor TDB_GROUP_COMMIT_BATCH chooses a cap.
 const DefaultGroupMaxBatch = 512
 
-// Environment knobs for group commit, read when the corresponding
-// GroupOptions field is zero. They alias the config registry's names so
-// existing callers keep compiling.
-var (
-	// EnvGroupCommitWait names the coalescing-window duration knob
-	// (time.ParseDuration syntax, e.g. "2ms").
-	EnvGroupCommitWait = config.EnvGroupCommitWait
-	// EnvGroupCommitBatch names the per-flush record cap knob.
-	EnvGroupCommitBatch = config.EnvGroupCommitBatch
-)
-
 // GroupOptions configure a GroupCommitter.
 type GroupOptions struct {
 	// MaxBatch caps the records coalesced per flush. Zero defers to
@@ -49,10 +38,10 @@ type GroupOptions struct {
 	MaxBatch int
 	// MaxWait is how long the leader lingers after the first record of a
 	// batch arrives, hoping more committers show up. Zero (the default)
-	// defers to TDB_GROUP_COMMIT_WAIT and then flushes immediately —
-	// batching still emerges from commits that arrive during the previous
-	// flush's fsync or, from committers it showed, just after it (see
-	// minPatience), which costs idle workloads nothing.
+	// flushes immediately — batching still emerges from commits that
+	// arrive during the previous flush's fsync or, from committers it
+	// showed, just after it (see minPatience), which costs idle workloads
+	// nothing.
 	MaxWait time.Duration
 	// Notify, when non-nil, runs after every successful flush — the hook
 	// the database uses to wake replication streams without the leader
@@ -92,18 +81,15 @@ type GroupCommitter struct {
 	done chan struct{} // closed when the leader exits
 }
 
-// NewGroupCommitter starts a leader goroutine flushing l. Zero option
-// fields fall back to the TDB_GROUP_COMMIT_* environment knobs, then to
-// defaults.
+// NewGroupCommitter starts a leader goroutine flushing l. A zero MaxBatch
+// falls back to the TDB_GROUP_COMMIT_BATCH environment knob, then to
+// DefaultGroupMaxBatch.
 func NewGroupCommitter(l *Log, opts GroupOptions) *GroupCommitter {
 	if opts.MaxBatch == 0 {
 		opts.MaxBatch = config.PosInt(config.EnvGroupCommitBatch, 0)
 	}
 	if opts.MaxBatch <= 0 {
 		opts.MaxBatch = DefaultGroupMaxBatch
-	}
-	if opts.MaxWait == 0 {
-		opts.MaxWait = config.PosDuration(config.EnvGroupCommitWait, 0)
 	}
 	g := &GroupCommitter{
 		log:      l,

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"io/fs"
@@ -16,6 +17,11 @@ import (
 )
 
 // tinyRecord builds a distinguishable one-op record.
+// commitWait is the linger of the committers these tests start without one
+// of their own; make race-ingest passes -commit-wait=5ms to widen the window
+// in which committers and the flush leader overlap.
+var commitWait = flag.Duration("commit-wait", 0, "group-commit linger of committers started without one")
+
 func tinyRecord(i int) Record {
 	return Record{
 		Commit: temporal.Chronon(1000 + i),
@@ -273,7 +279,7 @@ func TestGroupCommitClosedLoopCommittersShareSyncs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	g := NewGroupCommitter(l, GroupOptions{})
+	g := NewGroupCommitter(l, GroupOptions{MaxWait: *commitWait})
 	defer g.Close()
 
 	echo, err := net.Listen("tcp", "127.0.0.1:0")
@@ -339,7 +345,7 @@ func TestGroupCommitLoneCommitterFlushesAlone(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	g := NewGroupCommitter(l, GroupOptions{})
+	g := NewGroupCommitter(l, GroupOptions{MaxWait: *commitWait})
 	defer g.Close()
 	before := mFsyncs.Value()
 	for i := 0; i < 20; i++ {

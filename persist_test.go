@@ -2,6 +2,7 @@ package tdb
 
 import (
 	"errors"
+	"flag"
 	"os"
 	"path/filepath"
 	"testing"
@@ -9,9 +10,16 @@ import (
 	"tdb/temporal"
 )
 
+// commitWait is the group-commit linger of the disk-backed databases these
+// tests open, where a test does not choose its own. make race-ingest passes
+// -commit-wait=5ms: a long linger holds committers, the flush leader,
+// checkpoints and replication notification open together, the interleavings
+// a timing-neutral run never holds long enough to race.
+var commitWait = flag.Duration("commit-wait", 0, "group-commit linger of the disk-backed test databases")
+
 func reopen(t *testing.T, path string) *DB {
 	t.Helper()
-	db, err := Open(path, Options{Clock: temporal.NewLogicalClock(temporal.Date(1985, 1, 1))})
+	db, err := Open(path, Options{Clock: temporal.NewLogicalClock(temporal.Date(1985, 1, 1)), GroupCommitWait: *commitWait})
 	if err != nil {
 		t.Fatal(err)
 	}

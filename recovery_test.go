@@ -251,7 +251,7 @@ func TestRecoveryInfoReportsTornTail(t *testing.T) {
 func TestCheckpointSyncFailureSurfaces(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "tdb.wal")
 	ffs := vfs.NewFaultFS(vfs.Default())
-	db, err := Open(path, Options{Clock: temporal.NewLogicalClock(temporal.Date(1985, 1, 1)), FS: ffs})
+	db, err := Open(path, Options{Clock: temporal.NewLogicalClock(temporal.Date(1985, 1, 1)), FS: ffs, GroupCommitWait: *commitWait})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,42 +12,54 @@ import (
 // TestResidentBytesPerVersion pins what a stored version costs for as long as
 // the relation lives — the figure bench/ reports as live_heap_mb — on the
 // benchmark's own shape: a temporal relation gen (id key, shard, v) loaded
-// in 8 192-row calls, every id distinct and current.
+// in 8 192-row calls.
 //
-// Sealed: 100 000 versions, all but the last 1 696 in sealed segments. The
-// columns are 47 B of a version (four time columns and the int as 4-byte
-// offsets, a key hash, two dictionary codes, plus the id's bytes and
-// offset); the key index is 16 B and its share of the table; the open
-// segment, the statistics and allocator rounding are the rest: 75.7 B
-// measured. It was 82.1 B while unsealed versions were rows, 101.7 B while
-// every integer column took 8 bytes a row, and 220.5 B while the index kept
-// a 40-byte bucket and a one-element slice per key.
+// Sealed: 100 000 versions, every id distinct and current, all but the last
+// 1 696 in sealed segments. The columns are 47 B of a version (four time
+// columns and the int as 4-byte offsets, a key hash, two dictionary codes,
+// plus the id's bytes and offset); the key index is a 4-byte link and its
+// share of the table; the open segment, the statistics and allocator
+// rounding are the rest: 62.3 B measured. It was 75.7 B while the index kept
+// a 16-byte entry holding a copy of the key hash, 82.1 B while unsealed
+// versions were rows, 101.7 B while every integer column took 8 bytes a row,
+// and 220.5 B while the index kept a 40-byte bucket and a one-element slice
+// per key.
 //
 // Open: 8 000 versions, one call below the seal threshold, all in the open
 // segment: 56 B of int64 time columns and v, key hash and two codes, the
 // id's dictionary entry (its bytes, a string header, its first-seen row and
-// a map slot), append's growth slack and the key index: 190.3 B measured,
-// where a row and its cloned tuple took 316.8 B.
+// a map slot), append's growth slack and the key index: 178.0 B measured
+// (190.3 B with 16-byte index entries), where a row and its cloned tuple
+// took 316.8 B.
+//
+// Superseded: 10 000 ids asserted ten times over the same period, so one
+// version in ten is current. The key index links every position, superseded
+// ones included, where 16-byte entries held only current versions: the one
+// shape the 4-byte link makes dearer, 59.3 → 59.8–60.1 B measured. The limit is
+// the 16-byte entries' figure plus 3 B.
 func TestResidentBytesPerVersion(t *testing.T) {
 	if testing.Short() || raceDetector {
 		t.Skip("measures the heap: not under -short or -race")
 	}
 	for _, arm := range []struct {
-		name     string
-		versions int
-		limit    float64
-	}{{"sealed", 100_000, 90}, {"open", 8_000, 210}} {
-		per := residentBytes(t, arm.versions)
+		name         string
+		keys, rounds int
+		limit        float64
+	}{{"sealed", 100_000, 1, 70}, {"open", 8_000, 1, 190}, {"superseded", 10_000, 10, 62.3}} {
+		per := residentBytes(t, arm.keys, arm.rounds)
 		t.Logf("%s: %.1f resident bytes per version", arm.name, per)
 		if per > arm.limit {
-			t.Errorf("%s: a resident version costs %.1f B, want at most %.0f", arm.name, per, arm.limit)
+			t.Errorf("%s: a resident version costs %.1f B, want at most %.1f", arm.name, per, arm.limit)
 		}
 	}
 }
 
-// residentBytes loads versions rows of gen into a fresh database in 8 192-row
-// calls and returns the heap they leave, per version.
-func residentBytes(t *testing.T, versions int) float64 {
+// residentBytes loads keys rows of gen into a fresh database in 8 192-row
+// calls, rounds times over, and returns the heap they leave per version.
+// Every round draws the same rows, so each asserts the period its key already
+// holds: the version it supersedes is closed with nothing left over, and one
+// version per key stays current.
+func residentBytes(t *testing.T, keys, rounds int) float64 {
 	const call = 8192
 	db := memDB(t)
 	sch, err := MustSchema(Attr("id", StringKind), Attr("shard", StringKind), Attr("v", IntKind)).WithKey("id")
@@ -66,22 +78,27 @@ func residentBytes(t *testing.T, versions int) float64 {
 		return m.HeapAlloc
 	}
 	before := heap()
-	rng := rand.New(rand.NewSource(85))
 	base := temporal.Date(1980, 1, 1)
-	for off := 0; off < versions; off += call {
-		rows := make([]LoadRow, min(call, versions-off)) // released after its call
-		for i := range rows {
-			from := base.Add(int64(rng.Intn(731)) * 86400)
-			rows[i] = LoadRow{
-				Data: NewTuple(String(fmt.Sprintf("k%06d", off+i)), String(fmt.Sprintf("s%02d", rng.Intn(16))), Int(int64(rng.Intn(1000)))),
-				From: from, To: from.Add(int64(1+rng.Intn(1000)) * 86400),
+	for range rounds {
+		rng := rand.New(rand.NewSource(85))
+		for off := 0; off < keys; off += call {
+			rows := make([]LoadRow, min(call, keys-off)) // released after its call
+			for i := range rows {
+				from := base.Add(int64(rng.Intn(731)) * 86400)
+				rows[i] = LoadRow{
+					Data: NewTuple(String(fmt.Sprintf("k%06d", off+i)), String(fmt.Sprintf("s%02d", rng.Intn(16))), Int(int64(rng.Intn(1000)))),
+					From: from, To: from.Add(int64(1+rng.Intn(1000)) * 86400),
+				}
+			}
+			if n, err := rel.Load(rows); err != nil || n != len(rows) {
+				t.Fatalf("Load = %d, %v", n, err)
 			}
 		}
-		if n, err := rel.Load(rows); err != nil || n != len(rows) {
-			t.Fatalf("Load = %d, %v", n, err)
-		}
 	}
-	per := float64(heap()-before) / float64(versions)
+	if n := rel.VersionCount(); n != keys*rounds {
+		t.Fatalf("VersionCount = %d, want %d", n, keys*rounds)
+	}
+	per := float64(heap()-before) / float64(keys*rounds)
 	runtime.KeepAlive(db)
 	return per
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"flag"
 	"fmt"
 	"math/rand"
 	"net"
@@ -54,6 +55,11 @@ func serveDB(t testing.TB, db *tdb.DB, tune func(*Server)) (*Server, string) {
 	return srv, l.Addr().String()
 }
 
+// commitWait is the group-commit linger of the disk-backed primaries these
+// tests open; make race-ingest passes -commit-wait=5ms to widen the window in
+// which committers, the flush leader and replication notification overlap.
+var commitWait = flag.Duration("commit-wait", 0, "group-commit linger of the disk-backed test databases")
+
 // newPrimary opens a disk-backed primary with a settable logical clock and
 // loads the paper's faculty history plus the emp join fixture through
 // TQuel, exactly as the planner differential suite does.
@@ -61,7 +67,7 @@ func newPrimary(t testing.TB) (*tdb.DB, *temporal.LogicalClock, string) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "tdb.wal")
 	clock := temporal.NewLogicalClock(0)
-	db, err := tdb.Open(path, tdb.Options{Clock: clock})
+	db, err := tdb.Open(path, tdb.Options{Clock: clock, GroupCommitWait: *commitWait})
 	if err != nil {
 		t.Fatal(err)
 	}

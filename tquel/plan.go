@@ -673,9 +673,12 @@ func (s *Session) buildPlan(rt *tdb.ReadTx, n *RetrieveStmt, sc scope, ev *env, 
 			continue
 		}
 		pv := &pl.vars[d]
-		table := index.NewHashSized(len(pv.versions))
+		hashes := make([]uint64, len(pv.versions)) // the table's own: probes stay read-only
+		table := index.New(func(vi int) uint64 { return hashes[vi] })
+		table.Reserve(len(hashes), len(hashes))
 		for vi := range pv.versions {
-			table.Add(joinHash(pv.versions[vi].Data[c.buildIdx], c.e.numeric), vi)
+			hashes[vi] = joinHash(pv.versions[vi].Data[c.buildIdx], c.e.numeric)
+			table.Add(hashes[vi], vi)
 		}
 		pl.buildRows += int64(len(pv.versions))
 		pv.join = &hashJoin{table: table, buildIdx: c.buildIdx,
