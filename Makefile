@@ -1,4 +1,5 @@
-# Mirrors .github/workflows/ci.yml so `make check` locally means CI green.
+# CI's check job (.github/workflows/ci.yml) runs `make check bench-smoke`
+# plus a 4-core BenchmarkJoinParallel smoke: these targets are what CI runs.
 
 GO ?= go
 

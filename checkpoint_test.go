@@ -9,6 +9,7 @@ import (
 
 	"tdb/internal/core"
 	"tdb/internal/obs"
+	"tdb/internal/segment"
 	"tdb/internal/stats"
 	"tdb/internal/wal"
 	"tdb/temporal"
@@ -333,7 +334,7 @@ func buildSealedDB(t *testing.T, db *DB) {
 // columns — the Versions walk they replaced builds every one — and must still
 // report what that walk counted.
 func TestStatsLeavesSegmentsUnmaterialized(t *testing.T) {
-	t.Setenv("TDB_SEGMENT_ROWS", "4")
+	sealEvery(t, 4)
 	path := filepath.Join(t.TempDir(), "tdb.wal")
 	db := reopen(t, path)
 	buildSealedDB(t, db)
@@ -402,13 +403,13 @@ func TestStatsLeavesSegmentsUnmaterialized(t *testing.T) {
 // blocks; recovery must reattach them and produce the same observable state
 // the same history has when it never seals at all.
 func TestCheckpointSegmentedRoundTrip(t *testing.T) {
-	t.Setenv("TDB_SEGMENT_ROWS", "") // the default: these eleven versions stay in the tail
+	// At the default threshold these eleven versions stay in the tail.
 	unsealed := memDB(t)
 	buildSealedDB(t, unsealed)
 	if n := segCount(t, unsealed, "r_temporal"); n != 0 {
 		t.Fatalf("default threshold sealed %d segments", n)
 	}
-	t.Setenv("TDB_SEGMENT_ROWS", "4")
+	sealEvery(t, 4)
 	path := filepath.Join(t.TempDir(), "tdb.wal")
 	db := reopen(t, path)
 	buildSealedDB(t, db)
@@ -522,4 +523,13 @@ func TestCheckpointMovesNoStamps(t *testing.T) {
 			t.Errorf("relation %s: checkpoint moved stamps %v -> %v", name, want[name], stamps{created, changed})
 		}
 	}
+}
+
+// sealEvery lowers the seal threshold of the logs created during the test
+// to n rows, restoring it on cleanup.
+func sealEvery(t testing.TB, n int) {
+	t.Helper()
+	old := segment.SealRows
+	segment.SealRows = n
+	t.Cleanup(func() { segment.SealRows = old })
 }

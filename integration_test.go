@@ -10,6 +10,7 @@ import (
 	"tdb/internal/core"
 	"tdb/internal/dataset"
 	"tdb/internal/obs"
+	"tdb/internal/segment"
 	"tdb/temporal"
 	"tdb/tquel"
 )
@@ -353,7 +354,9 @@ func TestFacadeMatchesDataset(t *testing.T) {
 // into a segment as they commit.
 func sealedGen(t *testing.T, clock temporal.Clock) *tdb.DB {
 	t.Helper()
-	t.Setenv("TDB_SEGMENT_ROWS", "1000")
+	old := segment.SealRows
+	segment.SealRows = 1000
+	t.Cleanup(func() { segment.SealRows = old })
 	sch, err := tdb.NewSchema(tdb.Attr("id", tdb.StringKind), tdb.Attr("v", tdb.IntKind))
 	if err != nil {
 		t.Fatal(err)

@@ -53,10 +53,6 @@ var (
 		Doc: "Rows per bulk-load transaction (Relation.Load chunk size)."})
 	EnvGroupCommitBatch = register(Knob{Env: "TDB_GROUP_COMMIT_BATCH", Kind: "int", Default: "64",
 		Doc: "Max transaction records one group-commit flush coalesces onto a WAL write."})
-
-	// Storage knob, read at relation creation.
-	EnvSegmentRows = register(Knob{Env: "TDB_SEGMENT_ROWS", Kind: "int", Default: "8192",
-		Doc: "Rows per sealed columnar segment."})
 )
 
 // Knobs returns the registered knobs sorted by name.

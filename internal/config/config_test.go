@@ -27,8 +27,8 @@ func TestIntAccessors(t *testing.T) {
 
 func TestRegistryAndSnapshot(t *testing.T) {
 	ks := Knobs()
-	if len(ks) != 5 { // the knob count is a tracked number: a new knob must argue its case here
-		t.Fatalf("expected 5 registered knobs, got %d", len(ks))
+	if len(ks) != 4 { // the knob count is a tracked number: a new knob must argue its case here
+		t.Fatalf("expected 4 registered knobs, got %d", len(ks))
 	}
 	for i := 1; i < len(ks); i++ {
 		if ks[i-1].Env >= ks[i].Env {
@@ -49,11 +49,11 @@ func TestRegistryAndSnapshot(t *testing.T) {
 		}
 	}
 
-	t.Setenv(EnvSegmentRows, "128")
+	t.Setenv(EnvLoadChunk, "128")
 	t.Setenv(EnvCacheBytes, "") // the default is what the next assertion is about
 	snap := Snapshot()
-	if snap[EnvSegmentRows] != "128" {
-		t.Errorf("Snapshot shows env value: got %q", snap[EnvSegmentRows])
+	if snap[EnvLoadChunk] != "128" {
+		t.Errorf("Snapshot shows env value: got %q", snap[EnvLoadChunk])
 	}
 	if got := snap[EnvCacheBytes]; !strings.Contains(got, "(default)") {
 		t.Errorf("Snapshot marks defaults: got %q", got)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
 	"sort"
 	"testing"
 
@@ -23,9 +22,9 @@ import (
 // Versions() itself must not depend on the threshold (the default leaves
 // these histories entirely in the row tail).
 
-// sealThresholds are the TDB_SEGMENT_ROWS settings the append-only property
-// tests run under; "" is the default (no seal at these sizes).
-var sealThresholds = []string{"", "2", "4"}
+// sealThresholds are the segment.SealRows settings the append-only property
+// tests run under; the default seals nothing at these sizes.
+var sealThresholds = []int{segment.DefaultSealRows, 2, 4}
 
 // refSchema is faculty(name, rank) plus an int column for range filters.
 func refSchema(t *testing.T) *schema.Schema {
@@ -75,7 +74,7 @@ func render(vs []Version) []string {
 func mustMatch(t *testing.T, what string, got, want []string) {
 	t.Helper()
 	if !equalStrings(got, want) {
-		t.Fatalf("TDB_SEGMENT_ROWS=%q: %s:\n got %v\nwant %v", os.Getenv("TDB_SEGMENT_ROWS"), what, got, want)
+		t.Fatalf("SealRows = %d: %s:\n got %v\nwant %v", segment.SealRows, what, got, want)
 	}
 }
 
@@ -247,17 +246,17 @@ func checkAppendOnly(t *testing.T, s interface {
 	SegmentStats() segment.Stats
 	VersionCount() int
 	CurrentCount() int
-}, rows string, unsealed *[]string) {
+}, rows int, unsealed *[]string) {
 	t.Helper()
 	all := allVersions(s)
-	if rows == "" {
+	if rows == segment.DefaultSealRows {
 		if n := s.SegmentStats().Segments; n != 0 {
 			t.Fatalf("default threshold sealed %d segments", n)
 		}
 		*unsealed = render(all)
 	} else {
 		if s.SegmentStats().Segments < 20 {
-			t.Fatalf("threshold %s sealed only %v", rows, s.SegmentStats())
+			t.Fatalf("threshold %d sealed only %v", rows, s.SegmentStats())
 		}
 		mustMatch(t, "Versions() across the seal boundary", render(all), *unsealed)
 	}
@@ -269,8 +268,10 @@ func checkAppendOnly(t *testing.T, s interface {
 
 func TestRollbackStoreMatchesReference(t *testing.T) {
 	var unsealed []string // Versions() at the default threshold
+	old := segment.SealRows
+	t.Cleanup(func() { segment.SealRows = old })
 	for _, rows := range sealThresholds {
-		t.Setenv("TDB_SEGMENT_ROWS", rows)
+		segment.SealRows = rows
 		s := NewRollbackStore(refSchema(t))
 		r := rand.New(rand.NewSource(4))
 		names := []string{"a", "b", "c", "d", "e"}
@@ -300,8 +301,10 @@ func TestRollbackStoreMatchesReference(t *testing.T) {
 
 func TestTemporalStoreMatchesReference(t *testing.T) {
 	var unsealed []string
+	old := segment.SealRows
+	t.Cleanup(func() { segment.SealRows = old })
 	for _, rows := range sealThresholds {
-		t.Setenv("TDB_SEGMENT_ROWS", rows)
+		segment.SealRows = rows
 		s := NewTemporalStore(refSchema(t))
 		r := rand.New(rand.NewSource(9))
 		names := []string{"a", "b", "c", "d"}

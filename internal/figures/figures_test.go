@@ -4,6 +4,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"tdb/internal/segment"
 )
 
 func TestAllFiguresRegenerate(t *testing.T) {
@@ -40,19 +42,21 @@ func TestAllFiguresRegenerate(t *testing.T) {
 // store kind through every query path — snapshot, rollback, when,
 // bitemporal — so agreement here is the end-to-end storage differential.
 func TestFiguresSegmentsDifferential(t *testing.T) {
-	t.Setenv("TDB_SEGMENT_ROWS", "")
+	old := segment.SealRows
+	t.Cleanup(func() { segment.SealRows = old })
+	segment.SealRows = segment.DefaultSealRows
 	base, err := All()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rows := range []string{"2", "4"} {
-		t.Setenv("TDB_SEGMENT_ROWS", rows)
+	for _, rows := range []int{2, 4} {
+		segment.SealRows = rows
 		sealed, err := All()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if sealed != base {
-			t.Errorf("figures drift when relations seal into %s-row segments", rows)
+			t.Errorf("figures drift when relations seal into %d-row segments", rows)
 		}
 	}
 }

@@ -5,16 +5,19 @@ import (
 	"math"
 	"sort"
 
-	"tdb/internal/config"
 	"tdb/internal/schema"
 	"tdb/temporal"
 )
 
-// DefaultSealRows is the open segment's length at which a commit seals it,
-// unless TDB_SEGMENT_ROWS chooses another threshold. Relations that never
-// reach it (the paper's figures, most unit fixtures) live entirely in the
-// open segment.
+// DefaultSealRows is the open segment's length at which a commit seals it.
+// Relations that never reach it (the paper's figures, most unit fixtures)
+// live entirely in the open segment.
 const DefaultSealRows = 8192
+
+// SealRows is the seal threshold a new log takes, DefaultSealRows unless a
+// test lowers it to exercise sealed segments on small fixtures (restoring
+// it on cleanup). Nothing else sets it.
+var SealRows = DefaultSealRows
 
 // Log is the storage behind an append-only store: a run of sealed segments
 // followed by one open segment, the columns new versions are appended to.
@@ -37,15 +40,10 @@ type Log struct {
 	sealRows int
 }
 
-// NewLog creates an empty log for relations of the given schema, honoring
-// the TDB_SEGMENT_ROWS environment knob (read here, at relation creation,
-// through the config registry).
+// NewLog creates an empty log for relations of the given schema, sealing
+// every SealRows rows (read here, at relation creation).
 func NewLog(sch *schema.Schema) *Log {
-	return &Log{
-		sch:      sch,
-		open:     openSegment(sch, 0),
-		sealRows: config.PosInt(config.EnvSegmentRows, DefaultSealRows),
-	}
+	return &Log{sch: sch, open: openSegment(sch, 0), sealRows: SealRows}
 }
 
 // Len returns the total number of rows, sealed and open.

@@ -60,7 +60,7 @@ func abortHistory(l *Log, txns int) []Row {
 // abortBlocks is abortHistory's first 300 transactions on a 16-row
 // threshold, sealed to the end and encoded.
 func abortBlocks(t *testing.T) []byte {
-	t.Setenv("TDB_SEGMENT_ROWS", "16")
+	sealEvery(t, 16)
 	l := NewLog(testSchema())
 	abortHistory(l, 300)
 	l.SealNow()
@@ -133,19 +133,19 @@ func TestAbortPopsDictionary(t *testing.T) {
 func TestScanMatchesRowWise(t *testing.T) {
 	sch := testSchema()
 	for _, c := range []struct {
-		rows string
+		rows int
 		txns int
-	}{{"3", 150}, {"16", 151}, {"", 120}} {
-		t.Setenv("TDB_SEGMENT_ROWS", c.rows)
+	}{{3, 150}, {16, 151}, {DefaultSealRows, 120}} {
+		sealEvery(t, c.rows)
 		l := NewLog(sch)
 		ref := abortHistory(l, c.txns)
 		if l.Len() != len(ref) {
-			t.Fatalf("TDB_SEGMENT_ROWS=%q: the log holds %d rows, %d were committed", c.rows, l.Len(), len(ref))
+			t.Fatalf("SealRows = %d: the log holds %d rows, %d were committed", c.rows, l.Len(), len(ref))
 		}
 		rows := make([]Row, l.Len())
 		for pos := range rows {
 			if rows[pos] = l.Row(pos); !rowsEqual(rows[pos], ref[pos]) {
-				t.Fatalf("TDB_SEGMENT_ROWS=%q: row %d is %+v, %+v was committed", c.rows, pos, rows[pos], ref[pos])
+				t.Fatalf("SealRows = %d: row %d is %+v, %+v was committed", c.rows, pos, rows[pos], ref[pos])
 			}
 		}
 		cases := predCases(t, rand.New(rand.NewSource(88)), ref)
@@ -161,7 +161,7 @@ func TestScanMatchesRowWise(t *testing.T) {
 		}
 		for _, pc := range cases {
 			want := where(rows, func(r Row) bool { return pc.pred.Match(&r) })
-			samePositions(t, fmt.Sprintf("TDB_SEGMENT_ROWS=%q Scan(%s)", c.rows, pc.name), scanWith(l, pc.pred), want)
+			samePositions(t, fmt.Sprintf("SealRows = %d Scan(%s)", c.rows, pc.name), scanWith(l, pc.pred), want)
 		}
 	}
 }

@@ -498,13 +498,14 @@ func predCases(t *testing.T, rng *rand.Rand, ref []Row) []predCase {
 // (the default threshold) entirely in the open segment, and whatever aborts and
 // same-chronon supersessions have done to the zone maps.
 func TestScansMatchReference(t *testing.T) {
-	for _, rows := range []string{"2", "4", ""} {
-		t.Setenv("TDB_SEGMENT_ROWS", rows)
+	sealEvery(t, DefaultSealRows)
+	for _, rows := range []int{2, 4, DefaultSealRows} {
+		SealRows = rows
 		rng := rand.New(rand.NewSource(85))
 		l := NewLog(testSchema())
 		ref := history(rng, l, 500)
-		if st := l.Stats(); (rows == "") != (st.Segments == 0) || (rows != "" && st.Segments < 100) {
-			t.Fatalf("TDB_SEGMENT_ROWS=%q: %v", rows, st)
+		if st := l.Stats(); (rows == DefaultSealRows) != (st.Segments == 0) || (rows != DefaultSealRows && st.Segments < 100) {
+			t.Fatalf("SealRows = %d: %v", rows, st)
 		}
 		empty := 0
 		for _, r := range ref {
@@ -515,7 +516,7 @@ func TestScansMatchReference(t *testing.T) {
 		if empty < 10 {
 			t.Fatalf("history holds only %d same-chronon rows", empty)
 		}
-		if hits := matchesReference(t, fmt.Sprintf("TDB_SEGMENT_ROWS=%q", rows), l, ref, rng); hits < 500 {
+		if hits := matchesReference(t, fmt.Sprintf("SealRows = %d", rows), l, ref, rng); hits < 500 {
 			t.Fatalf("only %d cases selected two or more rows; the probes miss the history", hits)
 		}
 	}
@@ -925,7 +926,7 @@ func TestTruncateFencing(t *testing.T) {
 // Seal means aborted rows cannot end up in a segment.
 func TestAbortedTailNeverSeals(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	t.Setenv("TDB_SEGMENT_ROWS", "8")
+	sealEvery(t, 8)
 	l := NewLog(testSchema())
 	for i := 0; i < 8; i++ {
 		l.Append(randRow(rng, 100))
@@ -1048,4 +1049,13 @@ func TestCloseTransZones(t *testing.T) {
 	if prunedAsOf(200) {
 		t.Fatal("segment with a reopened version still pruned")
 	}
+}
+
+// sealEvery sets the seal threshold of the logs created during the test to
+// n rows, restoring it on cleanup.
+func sealEvery(t testing.TB, n int) {
+	t.Helper()
+	old := SealRows
+	SealRows = n
+	t.Cleanup(func() { SealRows = old })
 }

@@ -355,7 +355,7 @@ func TestReplFollowerCatchUpDifferential(t *testing.T) {
 // segmented and answer the full corpus byte-identically, including writes
 // streamed after the snapshot.
 func TestReplSegmentedPrimaryDifferential(t *testing.T) {
-	t.Setenv("TDB_SEGMENT_ROWS", "2")
+	sealEvery(t, 2)
 	primary, clock, _ := newPrimary(t)
 	if primary.Stats().Segments == 0 {
 		t.Fatal("primary fixture sealed nothing; threshold knob inert")

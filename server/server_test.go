@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"net"
-	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +10,7 @@ import (
 
 	"tdb"
 	"tdb/internal/qcache"
+	"tdb/internal/segment"
 	"tdb/temporal"
 )
 
@@ -220,7 +220,7 @@ func TestMalformedRequestReported(t *testing.T) {
 func TestConcurrentClients(t *testing.T) {
 	cacheArms(t, testConcurrentClients)
 	t.Run("seal=4", func(t *testing.T) {
-		t.Setenv("TDB_SEGMENT_ROWS", "4")
+		sealEvery(t, 4)
 		testConcurrentClients(t, 64<<10)
 	})
 	t.Run("parallel=4", func(t *testing.T) {
@@ -298,9 +298,18 @@ func testConcurrentClients(t *testing.T, cacheBytes int64) {
 	if got := resp.Outcomes[len(resp.Outcomes)-1].Rows; got != clients*per {
 		t.Fatalf("rows = %d, want %d", got, clients*per)
 	}
-	if sealed := srv.db.Stats().Segments > 0; sealed != (os.Getenv("TDB_SEGMENT_ROWS") == "4") {
-		t.Fatalf("sealed segments: %v, with TDB_SEGMENT_ROWS=%q", sealed, os.Getenv("TDB_SEGMENT_ROWS"))
+	if sealed := srv.db.Stats().Segments > 0; sealed != (segment.SealRows == 4) {
+		t.Fatalf("sealed segments: %v, with SealRows = %d", sealed, segment.SealRows)
 	}
+}
+
+// sealEvery lowers the seal threshold of the logs created during the test
+// to n rows, restoring it on cleanup.
+func sealEvery(t testing.TB, n int) {
+	t.Helper()
+	old := segment.SealRows
+	segment.SealRows = n
+	t.Cleanup(func() { segment.SealRows = old })
 }
 
 func TestServerCloseIdempotent(t *testing.T) {

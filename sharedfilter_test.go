@@ -16,7 +16,7 @@ import (
 // differs from segment to segment, and a filter that remembered the code of
 // the segment another goroutine is in would both add and drop rows.
 func TestSharedFilterConcurrentScans(t *testing.T) {
-	t.Setenv("TDB_SEGMENT_ROWS", "100")
+	sealEvery(t, 100)
 	const rows, segments = 2000, 20
 	db, err := Open("", Options{Clock: temporal.NewLogicalClock(1 << 20), LoadChunkRows: 100})
 	if err != nil {

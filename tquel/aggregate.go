@@ -1,102 +1,169 @@
 package tquel
 
 import (
-	"fmt"
-	"strings"
+	"encoding/binary"
+	"slices"
+	"strconv"
 
 	"tdb"
 	"tdb/internal/value"
 	"tdb/temporal"
 )
 
-// aggregator folds binding rows into per-group aggregate states. Groups are
-// keyed by the values of the plain (non-aggregate) targets; with no plain
-// targets there is a single global group, which exists even over an empty
-// input (count = 0), matching SQL/Quel convention.
+// aggregator folds each binding into its aggregate state as the join loop
+// emits it. Groups are keyed by the values of the plain (non-aggregate)
+// targets; with no plain targets there is a single global group, which
+// exists even over an empty input (count = 0), matching SQL/Quel
+// convention. Under a window clause a group is split further by window
+// index (see window.go), and the window's interval becomes the row's valid
+// stamp.
+//
+// Every fold is order-free, so the result depends only on the multiset of
+// contributing bindings, never on the order an arm (planner on or off,
+// parallel, segments, recovery, follower) emits them in: count, min, max
+// and any commute, the stamps extend, and float sum/avg contributions are
+// kept per accumulator and added in ascending order by result.
 type aggregator struct {
 	targets []Target
-	groups  map[string]*aggGroup
-	order   []string
+	w       *WindowClause        // nil unless the statement is windowed
+	groups  map[string]*aggGroup // by group key, plus the window index when windowed
+	vals    []tdb.Value          // the binding being folded: target values, aggregate arguments in place
+	key     []byte               // the binding's group key
+
+	// Windowed only: bindings whose valid stamp has a beginning or forever
+	// endpoint wait in open, their values in openVals, until finish knows
+	// [lo, hi], the extent of the finite valid endpoints of every binding
+	// (finite: whether any has one).
+	open     []openRow
+	openVals []tdb.Value
+	lo, hi   temporal.Chronon
+	finite   bool
+}
+
+// openRow is a deferred windowed binding; its values are the i-th run of
+// len(targets) in openVals.
+type openRow struct {
+	key          string
+	valid, trans temporal.Interval
 }
 
 type aggGroup struct {
 	plain []tdb.Value // values of the plain targets (group key)
 	accs  []aggAcc    // one accumulator per aggregate target
+	win   int64       // window index, when windowed
 	valid temporal.Interval
 	trans temporal.Interval
-	rows  int
 }
 
 type aggAcc struct {
 	fn      string
 	count   int64
 	sumI    int64
-	sumF    float64
-	isFloat bool
+	sumF    float64   // the int contributions, as floats
+	floats  []float64 // the float contributions, summed in ascending order
 	best    tdb.Value // min/max champion
 	anyTrue bool
 }
 
-func newAggregator(targets []Target) *aggregator {
-	return &aggregator{targets: targets, groups: map[string]*aggGroup{}}
+func newAggregator(targets []Target, w *WindowClause) *aggregator {
+	return &aggregator{targets: targets, w: w, groups: map[string]*aggGroup{},
+		vals: make([]tdb.Value, len(targets))}
 }
 
-// hasAggregates reports whether any target is an aggregate call.
-func hasAggregates(targets []Target) bool {
-	for _, t := range targets {
-		if _, ok := t.Expr.(*Agg); ok {
-			return true
-		}
-	}
-	return false
-}
-
-// add folds one binding row (its stamps already derived) into its group.
+// add folds one binding (its stamps already derived) into its group — or,
+// windowed, into each window of its group that its valid stamp overlaps.
 func (a *aggregator) add(ev *env, valid, trans temporal.Interval) error {
-	var key strings.Builder
-	var plain []tdb.Value
-	for _, t := range a.targets {
-		if _, ok := t.Expr.(*Agg); ok {
-			continue
+	a.key = a.key[:0]
+	for i, t := range a.targets {
+		ag, isAgg := t.Expr.(*Agg)
+		e := t.Expr
+		if isAgg {
+			e = ag.Arg
 		}
-		v, err := evalExpr(t.Expr, ev)
+		v, err := evalExpr(e, ev)
 		if err != nil {
 			return err
 		}
-		plain = append(plain, v)
-		fmt.Fprintf(&key, "%d:%s|", v.Kind(), v.String())
+		a.vals[i] = v
+		if !isAgg {
+			a.key = strconv.AppendInt(a.key, int64(v.Kind()), 10)
+			a.key = append(a.key, ':')
+			a.key = append(a.key, v.String()...)
+			a.key = append(a.key, '|')
+		}
 	}
-	k := key.String()
-	g, ok := a.groups[k]
+	if a.w == nil {
+		return a.fold(a.key, 0, a.vals, valid, trans)
+	}
+	for _, c := range [2]temporal.Chronon{valid.From, valid.To} {
+		if !c.IsFinite() {
+			continue
+		}
+		if !a.finite || c < a.lo {
+			a.lo = c
+		}
+		if !a.finite || c > a.hi {
+			a.hi = c
+		}
+		a.finite = true
+	}
+	if !valid.From.IsFinite() || !valid.To.IsFinite() {
+		a.open = append(a.open, openRow{key: string(a.key), valid: valid, trans: trans})
+		a.openVals = append(a.openVals, a.vals...)
+		return nil
+	}
+	// A finite stamp's own endpoints lie inside the extent, so its windows
+	// are known now.
+	return a.foldWindows(a.vals, valid, trans)
+}
+
+// foldWindows folds vals into every window of a.key's group that the valid
+// stamp overlaps. An open endpoint stands for the end of the extent on its
+// side; a single shared instant still gets its chronon covered.
+func (a *aggregator) foldWindows(vals []tdb.Value, valid, trans temporal.Interval) error {
+	from, to := valid.From, valid.To
+	if !from.IsFinite() {
+		from = a.lo
+	}
+	if !to.IsFinite() {
+		to = max(a.hi, a.lo+1)
+	}
+	n := len(a.key)
+	ks, ke := windowSpan(a.w, from, to)
+	for k := ks; k <= ke; k++ {
+		a.key = binary.BigEndian.AppendUint64(a.key[:n], uint64(k))
+		if err := a.fold(a.key, k, vals, valid, trans); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// fold accumulates vals into the group key names, creating it — with copies
+// of the plain values — on first sight.
+func (a *aggregator) fold(key []byte, win int64, vals []tdb.Value, valid, trans temporal.Interval) error {
+	g, ok := a.groups[string(key)]
 	if !ok {
-		g = &aggGroup{plain: plain, valid: valid, trans: trans}
-		for _, t := range a.targets {
-			if ag, isAgg := t.Expr.(*Agg); isAgg {
-				g.accs = append(g.accs, aggAcc{fn: ag.Fn})
+		g = &aggGroup{win: win, valid: valid, trans: trans, accs: makeAccs(a.targets)}
+		for i, t := range a.targets {
+			if _, isAgg := t.Expr.(*Agg); !isAgg {
+				g.plain = append(g.plain, vals[i])
 			}
 		}
-		a.groups[k] = g
-		a.order = append(a.order, k)
+		a.groups[string(key)] = g
 	} else {
 		// The group's stamps enclose every contributing row's.
 		g.valid = g.valid.Extend(valid)
 		g.trans = g.trans.Extend(trans)
 	}
-	g.rows++
 	ai := 0
-	for _, t := range a.targets {
-		ag, isAgg := t.Expr.(*Agg)
-		if !isAgg {
-			continue
+	for i, t := range a.targets {
+		if ag, isAgg := t.Expr.(*Agg); isAgg {
+			if err := g.accs[ai].fold(ag, vals[i]); err != nil {
+				return err
+			}
+			ai++
 		}
-		v, err := evalExpr(ag.Arg, ev)
-		if err != nil {
-			return err
-		}
-		if err := g.accs[ai].fold(ag, v); err != nil {
-			return err
-		}
-		ai++
 	}
 	return nil
 }
@@ -111,8 +178,7 @@ func (acc *aggAcc) fold(ag *Agg, v tdb.Value) error {
 			acc.sumI += v.Int()
 			acc.sumF += float64(v.Int())
 		case value.Float:
-			acc.isFloat = true
-			acc.sumF += v.Float()
+			acc.floats = append(acc.floats, v.Float())
 		default:
 			return errf(ag.Pos, "%s over non-numeric value %s", acc.fn, v.Kind())
 		}
@@ -139,21 +205,31 @@ func (acc *aggAcc) fold(ag *Agg, v tdb.Value) error {
 	return nil
 }
 
+// sum adds the float contributions in ascending order onto the int ones.
+func (acc *aggAcc) sum() float64 {
+	slices.Sort(acc.floats)
+	s := acc.sumF
+	for _, f := range acc.floats {
+		s += f
+	}
+	return s
+}
+
 // result produces the accumulator's final value.
 func (acc *aggAcc) result(ag *Agg) (tdb.Value, error) {
 	switch acc.fn {
 	case "count":
 		return tdb.Int(acc.count), nil
 	case "sum":
-		if acc.isFloat {
-			return tdb.Float(acc.sumF), nil
+		if len(acc.floats) > 0 {
+			return tdb.Float(acc.sum()), nil
 		}
 		return tdb.Int(acc.sumI), nil
 	case "avg":
 		if acc.count == 0 {
 			return tdb.Float(0), nil
 		}
-		return tdb.Float(acc.sumF / float64(acc.count)), nil
+		return tdb.Float(acc.sum() / float64(acc.count)), nil
 	case "min", "max":
 		if !acc.best.IsValid() {
 			return tdb.Value{}, errf(ag.Pos, "%s over an empty group", acc.fn)
@@ -166,18 +242,33 @@ func (acc *aggAcc) result(ag *Agg) (tdb.Value, error) {
 	}
 }
 
-// finish emits one result row per group. With no plain targets and no
-// input, a single zero-group row is emitted (count() = 0, any() = false);
-// min/max over the empty group are an error.
+// finish folds the deferred windowed bindings, then emits one result row
+// per group (windowed: per populated group and window, stamped with the
+// window's interval). Unwindowed, with no plain targets and no input, a
+// single zero-group row is emitted (count() = 0, any() = false); min/max
+// over the empty group are an error.
 func (a *aggregator) finish(res *Resultset) error {
-	if len(a.order) == 0 && onlyTotalAggs(a.targets) {
+	if len(a.open) > 0 {
+		if !a.finite {
+			return errf(a.w.Pos, "window clause needs at least one finite valid endpoint among the contributing rows")
+		}
+		n := len(a.targets)
+		for i, r := range a.open {
+			a.key = append(a.key[:0], r.key...)
+			if err := a.foldWindows(a.openVals[i*n:(i+1)*n], r.valid, r.trans); err != nil {
+				return err
+			}
+		}
+	}
+	if len(a.groups) == 0 && a.w == nil && onlyTotalAggs(a.targets) {
 		a.groups[""] = &aggGroup{valid: temporal.All, trans: temporal.All,
 			accs: makeAccs(a.targets)}
-		a.order = append(a.order, "")
 	}
-	for _, k := range a.order {
-		g := a.groups[k]
+	for _, g := range a.groups {
 		row := ResultRow{Valid: g.valid, Trans: g.trans}
+		if a.w != nil {
+			row.Valid = windowInterval(a.w, g.win)
+		}
 		pi, ai := 0, 0
 		for _, t := range a.targets {
 			if ag, isAgg := t.Expr.(*Agg); isAgg {

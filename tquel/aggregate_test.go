@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"tdb"
 	"tdb/temporal"
 )
 
@@ -207,5 +208,64 @@ func TestAggregateStampsExtend(t *testing.T) {
 	}
 	if strings.Contains(res.String(), "col1") {
 		t.Errorf("bad attribute name:\n%s", res)
+	}
+}
+
+// A float sum or avg must come out the same on every arm, so it may depend
+// only on the multiset of contributors. Over the equi-join the planner binds
+// the smaller relation b first and probes a, so a's rows arrive in b's
+// order (k = 3, 2, 1); the naive loop binds a first (k = 1, 2, 3). Folded as
+// emitted, 1e16 + -1e16 + 1 is 1 in one order and 0 in the other; added in
+// ascending order it is 0 everywhere.
+func TestAggregateFloatSumOrderFree(t *testing.T) {
+	forceParallel(t)
+	ses := NewSession(newDB(t))
+	if _, err := ses.Exec(`
+		create historical relation a (k = int, g = string, x = float) key (k)
+		create historical relation b (k = int) key (k)
+		range of a is a
+		range of b is b
+	`); err != nil {
+		t.Fatal(err)
+	}
+	from, to := temporal.Date(1980, 1, 1), temporal.Date(1981, 1, 1)
+	err := ses.db.Update(func(tx *tdb.Tx) error {
+		ra, err := tx.Rel("a")
+		if err != nil {
+			return err
+		}
+		for k, x := range []float64{1e16, -1e16, 1, 0, 0, 0} {
+			if err := ra.Assert(tdb.NewTuple(tdb.Int(int64(k+1)), tdb.String("g"), tdb.Float(x)), from, to); err != nil {
+				return err
+			}
+		}
+		rb, err := tx.Rel("b")
+		if err != nil {
+			return err
+		}
+		for _, k := range []int64{3, 2, 1} {
+			if err := rb.Assert(tdb.NewTuple(tdb.Int(k)), from, to); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []string{
+		`retrieve (a.g, s = sum(a.x), m = avg(a.x)) where a.k = b.k`,
+		`retrieve (a.g, s = sum(a.x), m = avg(a.x)) where a.k = b.k window 31536000`,
+	} {
+		differential(t, ses, src)
+		res, err := ses.Query(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range res.Rows {
+			if s := row.Data[1].Float(); s != 0 {
+				t.Errorf("sum = %g, want 0 (ascending order) for:\n%s\n%s", s, src, res)
+			}
+		}
 	}
 }

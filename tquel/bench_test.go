@@ -362,17 +362,40 @@ func BenchmarkAsOfCached(b *testing.B) {
 }
 
 // BenchmarkWindowAggregate measures windowed aggregation over 5000
-// staggered finite versions: pseudo-row buffering, canonical-order fold,
-// and per-window emission.
+// staggered finite versions: each binding folds into its windows as it is
+// emitted.
 func BenchmarkWindowAggregate(b *testing.B) {
+	benchAggregate(b, 500, `retrieve (c = count(h.k), s = sum(h.k)) window 600`)
+}
+
+// BenchmarkWindowAggregateOpen is BenchmarkWindowAggregate over versions
+// valid to forever: every binding waits in the deferred list until the
+// extent of the finite endpoints is known.
+func BenchmarkWindowAggregateOpen(b *testing.B) {
+	benchAggregate(b, 0, `retrieve (c = count(h.k), s = sum(h.k)) window 600`)
+}
+
+// BenchmarkAggregate measures grouped aggregation over the same 5000
+// versions: one global group, and one group keyed by a plain target.
+func BenchmarkAggregate(b *testing.B) {
+	b.Run("totals", func(b *testing.B) {
+		benchAggregate(b, 500, `retrieve (c = count(h.k), s = sum(h.k))`)
+	})
+	b.Run("plain_target", func(b *testing.B) {
+		benchAggregate(b, 500, `retrieve (h.v, c = count(h.k), s = sum(h.k))`)
+	})
+}
+
+// benchAggregate runs q, uncached, over benchKV's 5000-row relation of the
+// given width.
+func benchAggregate(b *testing.B, width int, q string) {
 	db := newDB(b)
 	ses := NewSession(db)
-	benchKV(b, db, "wh", 5000, 500)
+	benchKV(b, db, "wh", 5000, width)
 	if _, err := ses.Exec("range of h is wh"); err != nil {
 		b.Fatal(err)
 	}
 	ses.DisableCache(true)
-	const q = `retrieve (c = count(h.k), s = sum(h.k)) window 600`
 	res, err := ses.Query(q)
 	if err != nil || res.Len() == 0 {
 		b.Fatalf("%v, %v", res, err)

@@ -20,7 +20,7 @@ import (
 func TestConcurrentSessions(t *testing.T) {
 	cacheArms(t, 0, func(t *testing.T, cacheBytes int64) { testConcurrentSessions(t, cacheBytes, "historical") })
 	t.Run("seal=4", func(t *testing.T) {
-		t.Setenv("TDB_SEGMENT_ROWS", "4")
+		sealEvery(t, 4)
 		testConcurrentSessions(t, 64<<10, "temporal")
 	})
 }

@@ -454,16 +454,12 @@ func (s *Session) run(n *RetrieveStmt, c *compiled) (*Resultset, error) {
 
 	tvars := targetVars(n)
 	var agg *aggregator
-	var win *windowAggregator
-	switch {
-	case n.Window != nil:
-		win = newWindowAggregator(n.Targets, n.Window)
-	case hasAggregates(n.Targets):
-		agg = newAggregator(n.Targets)
+	if hasAggTargets(n) {
+		agg = newAggregator(n.Targets, n.Window)
 	}
-	// emitRowTo runs with all variables bound in ev: stamp, project, fold.
-	// Rows land in *rows so the serial path, the naive path, and each
-	// parallel worker can supply their own buffer; aggregate folding is
+	// emitRowTo runs with all variables bound in ev: stamp, then fold or
+	// project. Rows land in *rows so the serial path, the naive path, and
+	// each parallel worker can supply their own buffer; aggregate folding is
 	// serial-only (useParallel excludes it).
 	emitRowTo := func(ev *env, rows *[]ResultRow) error {
 		row := ResultRow{Valid: temporal.All, Trans: temporal.All}
@@ -495,28 +491,6 @@ func (s *Session) run(n *RetrieveStmt, c *compiled) (*Resultset, error) {
 		row.Trans = stampIntersection(ev, sc, tvars, func(b *binding) temporal.Interval { return b.trans })
 		if row.Valid.IsEmpty() || row.Trans.IsEmpty() {
 			// The participating facts were never jointly valid/present.
-			return nil
-		}
-		if win != nil {
-			// Windowed aggregation defers folding: buffer a pseudo-row
-			// carrying the plain-target and aggregate-argument values, so
-			// every execution path (naive, serial plan, parallel workers)
-			// produces the same mergeable buffers; win.finish folds them in
-			// canonical order afterwards.
-			row.Data = make(tdb.Tuple, 0, len(n.Targets))
-			for _, t := range n.Targets {
-				e := t.Expr
-				if ag, ok := e.(*Agg); ok {
-					e = ag.Arg
-				}
-				v, err := evalExpr(e, ev)
-				if err != nil {
-					return err
-				}
-				row.Data = append(row.Data, v)
-			}
-			row.key = row.canonicalKey()
-			*rows = append(*rows, row)
 			return nil
 		}
 		if agg != nil {
@@ -592,15 +566,15 @@ func (s *Session) run(n *RetrieveStmt, c *compiled) (*Resultset, error) {
 			execSp = s.tracer.Start("execute")
 		}
 		emitRow := func(ex *planExec) error { return emitRowTo(ex.ev, &ex.rows) }
-		switch workers := s.effectiveParallelism(); {
+		switch {
 		case pl.emptyResult:
 			// A false variable-free conjunct: skip the join loop entirely.
-		case useParallel(pl, workers, agg):
+		case pl.workers > 1:
 			var parSp obs.Span
 			if s.tracer != nil {
 				parSp = s.tracer.Start("parallel")
 			}
-			rows, wtally, used, chunks, err := runParallel(pl, ev.now, workers, emitRow)
+			rows, wtally, used, chunks, err := runParallel(pl, ev.now, pl.workers, emitRow)
 			tally.add(wtally)
 			mParallelQueries.Inc()
 			mParallelWorkers.Add(uint64(used))
@@ -629,13 +603,6 @@ func (s *Session) run(n *RetrieveStmt, c *compiled) (*Resultset, error) {
 				return nil, err
 			}
 			res.Rows = ex.rows
-		}
-	}
-	if win != nil {
-		pseudo := res.Rows
-		res.Rows = nil
-		if err := win.finish(pseudo, res); err != nil {
-			return nil, err
 		}
 	}
 	if agg != nil {

@@ -27,19 +27,12 @@ func (s *Session) execExplain(n *ExplainStmt) (*Outcome, error) {
 		}
 		return &Outcome{Stmt: "explain", Msg: b.String()}, nil
 	}
-	var agg *aggregator
-	if q.Window == nil && hasAggregates(q.Targets) {
-		// Windowed aggregation buffers mergeable pseudo-rows, so it keeps
-		// the parallel dispatch; only whole-relation aggregation folds
-		// serially (mirroring run's dispatch).
-		agg = &aggregator{}
-	}
-	return &Outcome{Stmt: "explain", Msg: renderPlan(s, c.pl, agg)}, nil
+	return &Outcome{Stmt: "explain", Msg: renderPlan(c.pl)}, nil
 }
 
 // renderPlan formats a compiled plan, one line per binding depth plus a
-// cost footer and the serial-vs-parallel dispatch the executor would pick.
-func renderPlan(s *Session, pl *queryPlan, agg *aggregator) string {
+// cost footer and the serial-vs-parallel dispatch the executor takes.
+func renderPlan(pl *queryPlan) string {
 	var b strings.Builder
 	mode := "on"
 	if !pl.statsUsed {
@@ -91,9 +84,8 @@ func renderPlan(s *Session, pl *queryPlan, agg *aggregator) string {
 	if pl.coalesced {
 		b.WriteString("\n  coalesce: merge value-equivalent valid intervals")
 	}
-	workers := s.effectiveParallelism()
-	if useParallel(pl, workers, agg) {
-		fmt.Fprintf(&b, "\n  dispatch: parallel (%d workers)", workers)
+	if pl.workers > 1 {
+		fmt.Fprintf(&b, "\n  dispatch: parallel (%d workers)", pl.workers)
 	} else {
 		b.WriteString("\n  dispatch: serial")
 	}

@@ -239,3 +239,36 @@ func TestExplainPlannerDisabled(t *testing.T) {
 		t.Errorf("planner-off explain drifted:\n--- got ---\n%s\n--- want ---\n%s", outs[0].Msg, want)
 	}
 }
+
+// The dispatch line explain prints is the dispatch run takes: for every
+// statement of the seeded corpus, window aggregates included, explain says
+// parallel exactly when running the statement moves
+// tdb_tquel_parallel_queries.
+func TestExplainDispatchMatchesRun(t *testing.T) {
+	forceParallel(t)
+	ses := paperSessionOn(t, newPastCachedDB(t, -1))
+	buildSeededFixture(t, ses)
+	ses.SetParallelism(4)
+	parallel := 0
+	for _, src := range seededQuerySources() {
+		outs, err := ses.Exec("explain " + src)
+		if err != nil {
+			t.Fatalf("explain: %v\n%s", err, src)
+		}
+		explained := strings.Contains(outs[0].Msg, "\n  dispatch: parallel")
+		q0 := mParallelQueries.Value()
+		if _, err := ses.Query(src); err != nil {
+			t.Fatalf("run: %v\n%s", err, src)
+		}
+		ran := mParallelQueries.Value() != q0
+		if explained != ran {
+			t.Errorf("explain says parallel = %v, run went parallel = %v, for:\n%s\n%s", explained, ran, src, outs[0].Msg)
+		}
+		if ran {
+			parallel++
+		}
+	}
+	if parallel == 0 {
+		t.Error("no statement of the corpus ran parallel: the test checks one side only")
+	}
+}

@@ -170,15 +170,17 @@ func runPlan(pl *queryPlan, ex *planExec, lo, hi int, emitRow func(*planExec) er
 	return emit(0)
 }
 
-// useParallel decides whether a compiled plan takes the worker-pool path.
-// Aggregate queries stay serial (the aggregator folds into shared per-group
-// state), as do empty plans and plans short-circuited by a false
-// variable-free conjunct. Past those gates the dispatch is cost-based when
-// statistics informed the plan — fan out when the estimated join work
-// clears the session's cutoff and there is an outer range to split — and
-// falls back to the v1 fixed outer-size rule when they did not.
-func useParallel(pl *queryPlan, workers int, agg *aggregator) bool {
-	if workers <= 1 || agg != nil || pl.emptyResult || len(pl.vars) == 0 {
+// useParallel decides whether a compiled plan takes the worker-pool path;
+// buildPlan calls it once per statement and keeps the answer in
+// queryPlan.workers. Aggregate queries, windowed ones included, stay serial
+// (the aggregator folds into shared per-group state), as do empty plans and
+// plans short-circuited by a false variable-free conjunct. Past those gates
+// the dispatch is cost-based when statistics informed the plan — fan out
+// when the estimated join work clears the session's cutoff and there is an
+// outer range to split — and falls back to the v1 fixed outer-size rule
+// when they did not.
+func useParallel(pl *queryPlan, workers int, agg bool) bool {
+	if workers <= 1 || agg || pl.emptyResult || len(pl.vars) == 0 {
 		return false
 	}
 	if pl.statsUsed {

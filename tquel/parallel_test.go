@@ -96,24 +96,24 @@ func TestUseParallelGates(t *testing.T) {
 	if got := len(pl.vars[0].versions); got == 0 {
 		t.Fatal("fixture produced no outer candidates")
 	}
-	if useParallel(pl, 1, nil) {
+	if useParallel(pl, 1, false) {
 		t.Error("useParallel accepted a single-worker budget")
 	}
-	if useParallel(pl, 4, &aggregator{}) {
+	if useParallel(pl, 4, true) {
 		t.Error("useParallel accepted an aggregate query")
 	}
-	if useParallel(pl, 4, nil) {
+	if useParallel(pl, 4, false) {
 		t.Error("useParallel accepted an outer list below parallelMinOuter")
 	}
 	old, oldCost := parallelMinOuter, parallelMinCost
 	parallelMinOuter, parallelMinCost = 1, 1
 	pl.parallelCut = 1
 	defer func() { parallelMinOuter, parallelMinCost = old, oldCost }()
-	if !useParallel(pl, 4, nil) {
+	if !useParallel(pl, 4, false) {
 		t.Error("useParallel rejected an eligible plan")
 	}
 	pl.emptyResult = true
-	if useParallel(pl, 4, nil) {
+	if useParallel(pl, 4, false) {
 		t.Error("useParallel accepted a short-circuited empty plan")
 	}
 }

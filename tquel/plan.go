@@ -84,6 +84,10 @@ type queryPlan struct {
 	windowStep int64   // effective slide (size for tumbling windows)
 	coalesced  bool    // statement carries a coalesce clause
 	estWindows float64 // estimated windows the aggregation materializes
+
+	// workers is the dispatch: the pool size the join loop fans out over,
+	// or 0 for the serial loop. run obeys it and explain prints it.
+	workers int
 }
 
 // planVar is one range variable's slot in the compiled plan, in binding
@@ -706,12 +710,10 @@ func (s *Session) buildPlan(rt *tdb.ReadTx, n *RetrieveStmt, sc scope, ev *env, 
 		}
 	}
 
-	// Window-aware cost: a window clause adds a post-scan pass that buffers
-	// the joined rows and folds each into the windows it overlaps. The
-	// statistics' valid extent bounds how many windows can materialize —
-	// extent/slide — which both explain renders and the
-	// parallel-dispatch comparison prices in (a wide window sweep justifies
-	// fanning the scan out earlier). Coalescing adds one more linear pass.
+	// Window-aware cost: a window clause folds each joined row into every
+	// window it overlaps. The statistics' valid extent bounds how many
+	// windows can materialize — extent/slide — which explain renders and
+	// est work prices in. Coalescing adds one more linear pass.
 	if n.Window != nil {
 		pl.windowSize = n.Window.Size
 		pl.windowStep = n.Window.Step()
@@ -728,6 +730,9 @@ func (s *Session) buildPlan(rt *tdb.ReadTx, n *RetrieveStmt, sc scope, ev *env, 
 		if pl.statsUsed {
 			pl.estWork += pl.estRows
 		}
+	}
+	if workers := s.effectiveParallelism(); useParallel(pl, workers, hasAggTargets(n)) {
+		pl.workers = workers
 	}
 	return pl, nil
 }

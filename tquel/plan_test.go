@@ -455,8 +455,9 @@ func testPlannerDifferentialFigures(t *testing.T, cacheBytes int64) {
 // with mixed where/when clauses over the Figure 8 faculty history plus a
 // synthetic join fixture, asserting planner-on and planner-off agree on
 // every one. The generator avoids constructs whose evaluation can error
-// (date-string scalar comparisons, aggregates over floats), since the
-// planner may surface such errors from a different binding order.
+// (date-string scalar comparisons), since the planner may surface such
+// errors from a different binding order. Float aggregates need no such
+// care: their fold is order-free (TestAggregateFloatSumOrderFree).
 func TestPlannerDifferential(t *testing.T) {
 	forceParallel(t)
 	cacheOnOff(t, testPlannerDifferential)

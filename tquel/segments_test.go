@@ -8,6 +8,7 @@ import (
 
 	"tdb"
 	"tdb/internal/obs"
+	"tdb/internal/segment"
 	"tdb/temporal"
 )
 
@@ -18,13 +19,15 @@ import (
 // read at relation creation, so ordering matters.
 func twinSessions(t *testing.T) (sealed, unsealed *Session) {
 	t.Helper()
-	t.Setenv("TDB_SEGMENT_ROWS", "2")
+	old := segment.SealRows
+	t.Cleanup(func() { segment.SealRows = old })
+	segment.SealRows = 2
 	sealed = paperSession(t)
 	buildSeededFixture(t, sealed)
 	if n := sealed.db.Stats().Segments; n == 0 {
 		t.Fatal("sealed arm sealed nothing; threshold knob inert")
 	}
-	t.Setenv("TDB_SEGMENT_ROWS", "")
+	segment.SealRows = segment.DefaultSealRows
 	unsealed = paperSession(t)
 	buildSeededFixture(t, unsealed)
 	if n := unsealed.db.Stats().Segments; n != 0 {
@@ -89,7 +92,7 @@ func TestSegmentsDifferentialFigures(t *testing.T) {
 // TestDifferentialAfterRecovery.
 func TestSegmentsDifferentialAfterRecovery(t *testing.T) {
 	forceParallel(t)
-	t.Setenv("TDB_SEGMENT_ROWS", "2")
+	sealEvery(t, 2)
 	path := filepath.Join(t.TempDir(), "tdb.wal")
 	clock := temporal.NewLogicalClock(0)
 	db, err := tdb.Open(path, tdb.Options{Clock: clock})
@@ -165,7 +168,7 @@ func TestSegmentsDifferentialAfterRecovery(t *testing.T) {
 // however much of the relation the window covers: here 11 of 16 versions,
 // where the statistics once advised fetching all 16 and testing them row-wise.
 func TestOverlapPushdownMaterializesOverlappingRowsOnly(t *testing.T) {
-	t.Setenv("TDB_SEGMENT_ROWS", "4")
+	sealEvery(t, 4)
 	ses := NewSession(newPastDB(t))
 	src := `create temporal relation shift (who = string) key (who) range of s is shift`
 	for d := 1; d <= 16; d++ {
@@ -193,4 +196,13 @@ func TestOverlapPushdownMaterializesOverlappingRowsOnly(t *testing.T) {
 	if !planOf(t, ses, query).vars[0].whenIndexed {
 		t.Error("the overlap conjunct did not become the scan's When")
 	}
+}
+
+// sealEvery lowers the seal threshold of the logs created during the test
+// to n rows, restoring it on cleanup.
+func sealEvery(t testing.TB, n int) {
+	t.Helper()
+	old := segment.SealRows
+	segment.SealRows = n
+	t.Cleanup(func() { segment.SealRows = old })
 }

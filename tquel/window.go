@@ -17,33 +17,24 @@ import (
 // open intervals (beginning/forever) usable under a window clause, and only
 // windows with at least one contributing row emit.
 //
-// The executor does not fold during the scan. It buffers "pseudo-rows" —
-// plain-target and aggregate-argument values already evaluated, stamped with
-// the binding row's valid/trans intervals — through the same per-worker row
-// buffers ordinary retrieves use, so the parallel path needs no new merge
-// machinery. finish then sorts the buffer by the rows' canonical keys and
-// folds in that order: the fold sequence depends only on the multiset of
-// contributing rows, never on scan order, so every differential arm
-// (planner on/off, parallel, segments, recovery, follower) produces
-// byte-identical results even for order-sensitive float accumulations.
+// The aggregator (aggregate.go) folds a windowed binding as it is emitted,
+// like any other: the window index is one more part of the group key. A
+// binding with a finite valid stamp folds at once, since its own endpoints
+// lie inside the extent. One with a beginning or forever endpoint waits in a
+// short deferred list until the join loop has finished and the extent is
+// known.
 
-// windowAggregator folds buffered pseudo-rows into per-(group, window)
-// aggregate states. Groups are keyed by the plain targets' values, exactly
-// as in the non-windowed aggregator.
-type windowAggregator struct {
-	targets []Target
-	w       *WindowClause
-	groups  map[winKey]*aggGroup
-	order   []winKey
+// windowSpan returns the indexes [ks, ke] of the windows overlapping
+// [from, to); ks > ke when the interval falls in a gap between windows.
+func windowSpan(w *WindowClause, from, to temporal.Chronon) (ks, ke int64) {
+	size, step := w.Size, w.Step()
+	return floorDiv(int64(from)-size, step) + 1, floorDiv(int64(to)+step-1, step) - 1
 }
 
-type winKey struct {
-	group string
-	idx   int64 // window index k: the window covering [k*step, k*step+size)
-}
-
-func newWindowAggregator(targets []Target, w *WindowClause) *windowAggregator {
-	return &windowAggregator{targets: targets, w: w, groups: map[winKey]*aggGroup{}}
+// windowInterval is window k's valid interval.
+func windowInterval(w *WindowClause, k int64) temporal.Interval {
+	step := w.Step()
+	return temporal.Interval{From: temporal.Chronon(k * step), To: temporal.Chronon(k*step + w.Size)}
 }
 
 // floorDiv is integer division rounding toward negative infinity, so window
@@ -54,144 +45,6 @@ func floorDiv(a, b int64) int64 {
 		q--
 	}
 	return q
-}
-
-// finish folds the buffered pseudo-rows and emits one result row per
-// populated (group, window) pair: the plain values, the aggregate results
-// over that window's contributors, the window interval as the valid stamp,
-// and the extension of the contributors' transaction stamps.
-func (a *windowAggregator) finish(rows []ResultRow, res *Resultset) error {
-	if len(rows) == 0 {
-		return nil
-	}
-	size, step := a.w.Size, a.w.Step()
-
-	// The finite extent [lo, hi) of the contributors' valid endpoints bounds
-	// which windows exist; rows with open endpoints then contribute to every
-	// in-range window they overlap. A single shared instant still gets its
-	// chronon covered.
-	lo, hi := temporal.Chronon(0), temporal.Chronon(0)
-	found := false
-	for i := range rows {
-		for _, c := range [2]temporal.Chronon{rows[i].Valid.From, rows[i].Valid.To} {
-			if !c.IsFinite() {
-				continue
-			}
-			if !found || c < lo {
-				lo = c
-			}
-			if !found || c > hi {
-				hi = c
-			}
-			found = true
-		}
-	}
-	if !found {
-		return errf(a.w.Pos, "window clause needs at least one finite valid endpoint among the contributing rows")
-	}
-	if hi <= lo {
-		hi = lo + 1
-	}
-	kmin := floorDiv(int64(lo)-size, step) + 1
-	kmax := floorDiv(int64(hi)+step-1, step) - 1
-
-	// Canonical fold order: sort the pseudo-rows by their canonical keys so
-	// the per-accumulator fold sequence is scan-order independent.
-	for i := range rows {
-		if rows[i].key == "" {
-			rows[i].key = rows[i].canonicalKey()
-		}
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].key < rows[j].key })
-
-	for i := range rows {
-		row := &rows[i]
-		ks, ke := kmin, kmax
-		if row.Valid.From.IsFinite() {
-			if k := floorDiv(int64(row.Valid.From)-size, step) + 1; k > ks {
-				ks = k
-			}
-		}
-		if row.Valid.To.IsFinite() {
-			if k := floorDiv(int64(row.Valid.To)+step-1, step) - 1; k < ke {
-				ke = k
-			}
-		}
-		if ks > ke {
-			continue
-		}
-		var gb strings.Builder
-		for ti, t := range a.targets {
-			if _, ok := t.Expr.(*Agg); ok {
-				continue
-			}
-			v := row.Data[ti]
-			fmt.Fprintf(&gb, "%d:%s|", v.Kind(), v.String())
-		}
-		group := gb.String()
-		for k := ks; k <= ke; k++ {
-			if err := a.fold(winKey{group: group, idx: k}, row); err != nil {
-				return err
-			}
-		}
-	}
-
-	for _, wk := range a.order {
-		g := a.groups[wk]
-		row := ResultRow{
-			Valid: temporal.Interval{
-				From: temporal.Chronon(wk.idx * step),
-				To:   temporal.Chronon(wk.idx*step + size),
-			},
-			Trans: g.trans,
-		}
-		pi, ai := 0, 0
-		for _, t := range a.targets {
-			if ag, isAgg := t.Expr.(*Agg); isAgg {
-				v, err := g.accs[ai].result(ag)
-				if err != nil {
-					return err
-				}
-				row.Data = append(row.Data, v)
-				ai++
-			} else {
-				row.Data = append(row.Data, g.plain[pi])
-				pi++
-			}
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	return nil
-}
-
-// fold accumulates one pseudo-row into one (group, window) state.
-func (a *windowAggregator) fold(wk winKey, row *ResultRow) error {
-	g, ok := a.groups[wk]
-	if !ok {
-		g = &aggGroup{trans: row.Trans, accs: makeAccs(a.targets)}
-		for ti, t := range a.targets {
-			if _, isAgg := t.Expr.(*Agg); !isAgg {
-				g.plain = append(g.plain, row.Data[ti])
-			}
-		}
-		a.groups[wk] = g
-		a.order = append(a.order, wk)
-	} else {
-		g.trans = g.trans.Extend(row.Trans)
-	}
-	g.rows++
-	ai := 0
-	for ti, t := range a.targets {
-		ag, isAgg := t.Expr.(*Agg)
-		if !isAgg {
-			continue
-		}
-		if err := g.accs[ai].fold(ag, row.Data[ti]); err != nil {
-			return err
-		}
-		ai++
-	}
-	return nil
 }
 
 // coalesceRows merges value-equivalent rows whose valid intervals overlap or
