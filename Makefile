@@ -46,7 +46,9 @@ plan-corpus:
 # (FuzzDecodeBlock), the snapshot decoder (FuzzDecodeSnapshot), the WAL
 # record decoder (FuzzDecodeRecord) and the wire request line
 # (FuzzDecodeRequest). No panic,
-# and every accepted input re-encodes to a fixed point. A short minimization
+# and every accepted input re-encodes to a fixed point. Then ten seconds of
+# TQuel execution (FuzzExec): statements on the paper's faculty history,
+# which must not panic. A short minimization
 # budget keeps the smoke fuzzing instead of shrinking a large seed. Commit any crasher it writes under the
 # package's testdata/fuzz.
 fuzz-smoke:
@@ -55,6 +57,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSnapshot$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime 10s -fuzzminimizetime 1s ./server
+	$(GO) test -run '^$$' -fuzz '^FuzzExec$$' -fuzztime 10s -fuzzminimizetime 1s ./tquel
 
 # The durability suite: fault injection (vfs), torn-log replay (wal), the
 # crash matrices (truncate/corrupt every byte of the final record; crash a

@@ -136,6 +136,7 @@ func run(cfg config, logger *log.Logger, sigs <-chan os.Signal, started func(ser
 		}
 		adminAddr = al.Addr()
 		admin = &http.Server{Handler: obs.NewAdminMux(obs.Default, obs.AdminOptions{
+			Health: db.Health,
 			Statz: func() map[string]any {
 				st := db.Stats()
 				m := map[string]any{

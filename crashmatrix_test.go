@@ -217,3 +217,65 @@ func TestCrashMatrixCheckpoint(t *testing.T) {
 	}
 	t.Logf("checkpoint matrix: %d crash points exercised", completedAt)
 }
+
+// TestCrashMatrixFailedFlush crashes a static insert's flush (its fsync
+// fails) and then tries what a client tries next. The database must
+// fail-stop, refusing the next step, and a reopen must recover the relation
+// without the lost key. The replace row is the reproduction that motivated
+// fail-stop: a replace of the lost key used to succeed and land in the log
+// on top of the missing insert, leaving a database Open refused.
+func TestCrashMatrixFailedFlush(t *testing.T) {
+	for name, next := range map[string]func(db *DB, rel *Relation) error{
+		"replace-lost-key": func(_ *DB, rel *Relation) error {
+			return rel.Replace(Key(String("k")), fac("k", "replaced"))
+		},
+		"read": func(_ *DB, rel *Relation) error {
+			_, err := rel.Scan(ScanSpec{})
+			return err
+		},
+		"checkpoint": func(db *DB, _ *Relation) error { return db.Checkpoint() },
+	} {
+		t.Run(name, func(t *testing.T) {
+			ffs := vfs.NewFaultFS(vfs.Default())
+			path := filepath.Join(t.TempDir(), "tdb.wal")
+			db, err := Open(path, Options{Clock: temporal.NewLogicalClock(temporal.Date(1985, 1, 1)), Sync: true, FS: ffs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			rel, err := db.CreateRelation("s", Static, facultySchema(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rel.Insert(fac("kept", "r")); err != nil {
+				t.Fatal(err)
+			}
+			ffs.FailSyncAt(1)
+			if err := rel.Insert(fac("k", "r")); !errors.Is(err, ErrFailStopped) {
+				t.Fatalf("insert with a failed fsync = %v, want ErrFailStopped", err)
+			}
+			if err := next(db, rel); !errors.Is(err, ErrFailStopped) {
+				t.Fatalf("%s after the failed flush = %v, want ErrFailStopped", name, err)
+			}
+			if err := db.Health(); !errors.Is(err, ErrFailStopped) {
+				t.Fatalf("Health() = %v, want ErrFailStopped", err)
+			}
+			db.Close()
+
+			re, err := Open(path, Options{})
+			if err != nil {
+				t.Fatalf("reopen after the failed flush: %v", err)
+			}
+			defer re.Close()
+			rel, err = re.Relation("s")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for key, want := range map[string]bool{"kept": true, "k": false} {
+				if _, ok, err := rel.Get(Key(String(key))); err != nil || ok != want {
+					t.Errorf("recovered %q: present %v (%v), want %v", key, ok, err, want)
+				}
+			}
+		})
+	}
+}

@@ -1,6 +1,7 @@
 package tdb
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
@@ -47,9 +48,9 @@ type Options struct {
 	ReadOnly bool
 	// GroupCommitMaxBatch caps how many transaction records one
 	// group-commit flush coalesces onto a single WAL write (and fsync,
-	// when Sync is on). Zero defers to TDB_GROUP_COMMIT_BATCH and then
-	// wal.DefaultGroupMaxBatch; 1 degenerates to per-transaction commits —
-	// the baseline BenchmarkIngestThroughput measures against.
+	// when Sync is on). Zero means wal.DefaultGroupMaxBatch; 1 degenerates
+	// to per-transaction commits — the baseline BenchmarkIngestThroughput
+	// measures against.
 	GroupCommitMaxBatch int
 	// GroupCommitWait widens the group-commit coalescing window: the
 	// leader lingers this long after a commit arrives before flushing,
@@ -58,8 +59,7 @@ type Options struct {
 	// during the previous fsync). No environment knob stands behind it.
 	GroupCommitWait time.Duration
 	// LoadChunkRows sets how many rows Relation.Load commits per
-	// transaction. Zero defers to TDB_LOAD_CHUNK and then
-	// DefaultLoadChunkRows.
+	// transaction. Zero means DefaultLoadChunkRows.
 	LoadChunkRows int
 }
 
@@ -92,7 +92,7 @@ type DB struct {
 	replMu       sync.Mutex    // guards replWatch; never held around I/O
 	replWatch    chan struct{} // closed+replaced when the log position advances
 	recovery     RecoveryInfo
-	loadChunkOpt int // explicit Load chunk size; 0 defers to env/default
+	loadChunk    int // rows per Load transaction
 	qc           *qcache.Cache
 	stats        map[string]*stats.Rel // per-relation temporal statistics (see stats.go)
 	// seq is the commit sequence: it numbers every transaction land starts
@@ -147,7 +147,7 @@ func Open(path string, opts Options) (*DB, error) {
 		readOnly:     opts.ReadOnly,
 		clock:        opts.Clock,
 		replWatch:    make(chan struct{}),
-		loadChunkOpt: opts.LoadChunkRows,
+		loadChunk:    cmp.Or(max(opts.LoadChunkRows, 0), DefaultLoadChunkRows),
 		qc:           qcache.New(resolveCacheBytes(opts.CacheBytes)),
 		stats:        make(map[string]*stats.Rel),
 	}
@@ -414,11 +414,12 @@ func (db *DB) Checkpoint() error {
 	}
 	// Drain the group-commit queue first: holding db.mu blocks new
 	// enqueues, so after the barrier the log's record count is exact. A
-	// flush error belongs to the committers whose batch it covered (their
-	// records were rolled back and never counted); the checkpoint itself
-	// snapshots the in-memory state and proceeds either way.
+	// failed flush means memory holds commits the log lacks, and a snapshot
+	// of it would make them durable behind their committers' backs.
 	if db.gc != nil {
-		_ = db.gc.Flush()
+		if err := db.gc.Flush(); err != nil {
+			return fmt.Errorf("%w: %w", ErrFailStopped, err)
+		}
 	}
 	snap := wal.Snapshot{
 		LastCommit: db.mgr.Clock().Last(),
@@ -703,6 +704,9 @@ func (db *DB) land(what string, at *temporal.Chronon, body func(tx *Tx) error) (
 	if db.readOnly && !db.replay {
 		return nil, fmt.Errorf("%w: %s", ErrReadOnly, what)
 	}
+	if err := db.Health(); err != nil {
+		return nil, err
+	}
 	db.seq++
 	var tx *Tx
 	wrap := func(itx *txn.Tx) error {
@@ -726,15 +730,31 @@ func (db *DB) land(what string, at *temporal.Chronon, body func(tx *Tx) error) (
 }
 
 // logged waits, with no lock held, for a landed record's flush. A record
-// whose flush fails stays committed in memory: the caller learns that the
-// database is now ahead of its log, and that is the one failure contract of
-// every write — DML, Load and DDL alike.
+// whose flush fails stays committed in memory, ahead of the log, and the
+// database fail-stops (Health): that is the one failure contract of every
+// write — DML, Load and DDL alike.
 func logged(p *wal.Pending, err error) error {
 	if err != nil || p == nil {
 		return err
 	}
 	if err := p.Wait(); err != nil {
-		return fmt.Errorf("tdb: committed but not logged: %w", err)
+		return fmt.Errorf("%w: committed but not logged: %w", ErrFailStopped, err)
+	}
+	return nil
+}
+
+// Health is nil while the database serves and ErrFailStopped once a log
+// flush has failed, after which every commit, read and checkpoint is
+// refused with it: memory then holds commits the log lacks, and a read of
+// it or a commit built on it would outlive a reopen that cannot reproduce
+// it. Reopen is the only exit; it recovers the logged prefix. tdbd's
+// /healthz reports it.
+func (db *DB) Health() error {
+	if db.gc == nil {
+		return nil
+	}
+	if err := db.gc.Err(); err != nil {
+		return fmt.Errorf("%w: %w", ErrFailStopped, err)
 	}
 	return nil
 }

@@ -296,85 +296,6 @@ func TestResultTableRendering(t *testing.T) {
 	}
 }
 
-func TestResultProjectAndJoin(t *testing.T) {
-	db := memDB(t)
-	rel := loadFaculty(t, db)
-	merrie, err := rel.Query().WhereEq("name", String("Merrie")).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ranks, err := merrie.Project("rank")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ranks.Schema().Arity() != 1 || ranks.Len() != 2 {
-		t.Fatalf("projected: %s", ranks)
-	}
-	if _, err := merrie.Project("salary"); err == nil {
-		t.Error("projecting unknown attribute must fail")
-	}
-
-	// Join Merrie's versions with Tom's: derived valid = intersection.
-	tom, err := rel.Query().WhereEq("name", String("Tom")).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	j, err := Join(merrie, tom, "f1", "f2", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.Len() != 1 {
-		t.Fatalf("join: %s", j)
-	}
-	_, valid := j.Row(0)
-	// Tom [12/05/82,∞) ∩ Merrie full [12/01/82,∞) = [12/05/82,∞);
-	// Merrie associate [09/01/77,12/01/82) ∩ Tom = empty, dropped.
-	if valid != temporal.Since(d821205) {
-		t.Errorf("joined valid = %v", valid)
-	}
-	if j.Schema().Index("f1.name") < 0 || j.Schema().Index("f2.rank") < 0 {
-		t.Errorf("join schema: %v", j.Schema())
-	}
-}
-
-func TestQueryCoalesce(t *testing.T) {
-	db := memDB(t)
-	rel, err := db.CreateRelation("r", Historical, facultySchema(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two assertions with different ranks over meeting periods, then a
-	// correction making them the same: query-level coalescing merges.
-	if err := rel.Assert(fac("A", "x"), 0, 10); err != nil {
-		t.Fatal(err)
-	}
-	if err := rel.Assert(fac("A", "y"), 10, 20); err != nil {
-		t.Fatal(err)
-	}
-	if err := rel.Assert(fac("A", "x"), 10, 20); err != nil {
-		t.Fatal(err)
-	}
-	plain, err := rel.Query().Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged, err := rel.Query().Coalesce().Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged.Len() >= plain.Len() && plain.Len() != 1 {
-		// The store may have coalesced already (it does); accept either,
-		// but coalesced output must be exactly one row [0,20).
-	}
-	if merged.Len() != 1 {
-		t.Fatalf("coalesced: %s", merged)
-	}
-	_, valid := merged.Row(0)
-	if valid != (temporal.Interval{From: 0, To: 20}) {
-		t.Errorf("coalesced valid = %v", valid)
-	}
-}
-
 func TestCountAtTrend(t *testing.T) {
 	db := memDB(t)
 	rel := loadFaculty(t, db)
@@ -449,35 +370,6 @@ func TestStats(t *testing.T) {
 	}
 	if s.WALRecords != 0 {
 		t.Errorf("in-memory WALRecords = %d", s.WALRecords)
-	}
-}
-
-func TestResultCoalesce(t *testing.T) {
-	db := memDB(t)
-	rel, err := db.CreateRelation("r", Historical, facultySchema(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Assemble fragmented-but-equivalent history via corrections.
-	if err := rel.Assert(fac("A", "x"), 0, 10); err != nil {
-		t.Fatal(err)
-	}
-	if err := rel.Assert(fac("A", "y"), 10, 20); err != nil {
-		t.Fatal(err)
-	}
-	if err := rel.Assert(fac("A", "x"), 10, 20); err != nil {
-		t.Fatal(err)
-	}
-	res, err := rel.Query().Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged := res.Coalesce()
-	if merged.Len() != 1 {
-		t.Fatalf("coalesced result:\n%s", merged)
-	}
-	if _, valid := merged.Row(0); valid != (temporal.Interval{From: 0, To: 20}) {
-		t.Errorf("coalesced valid = %v", valid)
 	}
 }
 

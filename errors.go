@@ -48,6 +48,10 @@ var (
 	// replication follower (Options.ReadOnly). Followers advance only by
 	// applying their primary's stream; route writes to the primary.
 	ErrReadOnly = errors.New("tdb: database is read-only (replication follower)")
+	// ErrFailStopped reports a database that refuses all work because a
+	// write-ahead log flush failed: memory may hold commits the log lacks.
+	// Reopening recovers the logged prefix.
+	ErrFailStopped = errors.New("tdb: fail-stopped after a failed log flush")
 )
 
 // Deprecated aliases kept for source compatibility with earlier releases.

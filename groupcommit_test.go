@@ -78,9 +78,10 @@ func TestReplFollowerByteIdentityGroupCommit(t *testing.T) {
 	}
 }
 
-// A failed fsync poisons exactly the batch it covered: the committers it
-// coalesced see the failure, earlier records stay durable, the log tail
-// stays recoverable, and later commits land cleanly.
+// A failed fsync poisons the batch it covered: the committers it coalesced
+// see the failure, earlier records stay durable, the log tail stays
+// recoverable, and the database fail-stops: later commits are refused with
+// ErrFailStopped until a reopen, after which they land cleanly.
 func TestGroupCommitSyncFailurePoisonsBatch(t *testing.T) {
 	ffs := vfs.NewFaultFS(vfs.Default())
 	path := filepath.Join(t.TempDir(), "tdb.wal")
@@ -122,26 +123,37 @@ func TestGroupCommitSyncFailurePoisonsBatch(t *testing.T) {
 		if err == nil {
 			t.Fatal("commit covered by the failed fsync reported success")
 		}
-		if !errors.Is(err, vfs.ErrInjectedSync) {
-			t.Fatalf("poisoned commit error = %v, want the injected sync failure", err)
+		if !errors.Is(err, vfs.ErrInjectedSync) || !errors.Is(err, ErrFailStopped) {
+			t.Fatalf("poisoned commit error = %v, want the injected sync failure as ErrFailStopped", err)
 		}
 		if !strings.Contains(err.Error(), "committed but not logged") {
 			t.Fatalf("poisoned commit error %q does not state the memory/log divergence", err)
 		}
 	}
 
-	// The fault was one-shot and the failed batch was rolled back, so the
-	// next commit lands on a clean tail.
-	if err := assertName("after"); err != nil {
-		t.Fatalf("commit after failed batch: %v", err)
+	// The fault was one-shot and the failed batch was rolled back, but the
+	// database stays stopped until it is reopened; the reopened one takes
+	// the next commit on a clean tail.
+	if err := assertName("after"); !errors.Is(err, ErrFailStopped) {
+		t.Fatalf("commit after failed batch = %v, want ErrFailStopped", err)
 	}
-	if got := db.Stats().WALRecords; got != 3 {
-		t.Fatalf("WAL records = %d, want 3 (create, before, after)", got)
+	if got := db.Stats().WALRecords; got != 2 {
+		t.Fatalf("WAL records = %d, want 2 (create, before)", got)
+	}
+	db.Close()
+	re := reopen(t, path)
+	if err := re.Update(func(tx *Tx) error {
+		h, err := tx.Rel("gc")
+		if err != nil {
+			return err
+		}
+		return h.Assert(fac("after", "r"), d821201, temporal.Forever)
+	}); err != nil {
+		t.Fatalf("commit after reopen: %v", err)
 	}
 
 	// Recovery sees exactly the durable records — the poisoned batch never
 	// leaks into the replayed state, and the tail after it is readable.
-	re := reopen(t, path)
 	rel, err := re.Relation("gc")
 	if err != nil {
 		t.Fatal(err)

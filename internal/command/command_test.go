@@ -55,7 +55,7 @@ func TestConfigVerbListsEveryKnob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"TDB_LOAD_CHUNK", "TDB_CACHE_BYTES", "TDB_GROUP_COMMIT_BATCH"} {
+	for _, want := range []string{"TDB_CACHE_BYTES", "TDB_PARALLEL"} {
 		if !strings.Contains(res.Text, want) {
 			t.Errorf("config output missing %s:\n%s", want, res.Text)
 		}

@@ -45,14 +45,10 @@ var (
 	EnvParallel = register(Knob{Env: "TDB_PARALLEL", Kind: "int", Default: "0 (GOMAXPROCS)",
 		Doc: "Worker budget for parallel retrieve execution; <=1 forces the serial path."})
 
-	// Database (Options) knobs: env is the fallback when the Options field
+	// Database (Options) knob: env is the fallback when the Options field
 	// is zero.
 	EnvCacheBytes = register(Knob{Env: "TDB_CACHE_BYTES", Kind: "int64", Default: "67108864",
 		Doc: "Query result cache budget in bytes; 0 or negative disables the cache."})
-	EnvLoadChunk = register(Knob{Env: "TDB_LOAD_CHUNK", Kind: "int", Default: "8192",
-		Doc: "Rows per bulk-load transaction (Relation.Load chunk size)."})
-	EnvGroupCommitBatch = register(Knob{Env: "TDB_GROUP_COMMIT_BATCH", Kind: "int", Default: "64",
-		Doc: "Max transaction records one group-commit flush coalesces onto a WAL write."})
 )
 
 // Knobs returns the registered knobs sorted by name.
@@ -82,17 +78,6 @@ func Snapshot() map[string]string {
 func Int(env string, def int) int {
 	if v := os.Getenv(env); v != "" {
 		if n, err := strconv.Atoi(v); err == nil {
-			return n
-		}
-	}
-	return def
-}
-
-// PosInt reads an integer knob that must be strictly positive, returning
-// def otherwise.
-func PosInt(env string, def int) int {
-	if v := os.Getenv(env); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
 			return n
 		}
 	}

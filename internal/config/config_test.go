@@ -12,9 +12,6 @@ func TestIntAccessors(t *testing.T) {
 	if got := Int("TDB_TEST_INT", 7); got != -3 {
 		t.Errorf("Int accepts negatives: got %d", got)
 	}
-	if got := PosInt("TDB_TEST_INT", 7); got != 7 {
-		t.Errorf("PosInt rejects negatives: got %d", got)
-	}
 	t.Setenv("TDB_TEST_INT", "bogus")
 	if got := Int("TDB_TEST_INT", 7); got != 7 {
 		t.Errorf("Int falls back on malformed input: got %d", got)
@@ -27,8 +24,8 @@ func TestIntAccessors(t *testing.T) {
 
 func TestRegistryAndSnapshot(t *testing.T) {
 	ks := Knobs()
-	if len(ks) != 4 { // the knob count is a tracked number: a new knob must argue its case here
-		t.Fatalf("expected 4 registered knobs, got %d", len(ks))
+	if len(ks) != 2 { // the knob count is a tracked number: a new knob must argue its case here
+		t.Fatalf("expected 2 registered knobs, got %d", len(ks))
 	}
 	for i := 1; i < len(ks); i++ {
 		if ks[i-1].Env >= ks[i].Env {
@@ -49,11 +46,11 @@ func TestRegistryAndSnapshot(t *testing.T) {
 		}
 	}
 
-	t.Setenv(EnvLoadChunk, "128")
+	t.Setenv(EnvParallel, "3")
 	t.Setenv(EnvCacheBytes, "") // the default is what the next assertion is about
 	snap := Snapshot()
-	if snap[EnvLoadChunk] != "128" {
-		t.Errorf("Snapshot shows env value: got %q", snap[EnvLoadChunk])
+	if snap[EnvParallel] != "3" {
+		t.Errorf("Snapshot shows env value: got %q", snap[EnvParallel])
 	}
 	if got := snap[EnvCacheBytes]; !strings.Contains(got, "(default)") {
 		t.Errorf("Snapshot marks defaults: got %q", got)

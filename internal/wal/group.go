@@ -4,9 +4,8 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
-
-	"tdb/internal/config"
 )
 
 // Group commit. Every committed transaction must reach the log, and with
@@ -21,20 +20,22 @@ import (
 // can widen the window further for workloads that trickle in, trading
 // commit latency for larger batches.
 //
-// Error delivery is per batch: AppendPayloads rolls a failed batch back to
-// the pre-batch file size, so exactly the committers whose records it
-// covered see the error, everything flushed before stays durable, and the
-// next batch starts from a clean tail.
+// A failed flush stops the committer: AppendPayloads rolls the failed batch
+// back to the pre-batch file size, so everything flushed before stays
+// durable, and that batch and every later one fail with its error without
+// touching the file. A record queued behind a lost one may depend on it (a
+// replace of a key whose insert was lost), and only a reopen knows which
+// prefix the log holds.
 
 // DefaultGroupMaxBatch caps how many records one flush coalesces when
-// neither GroupOptions.MaxBatch nor TDB_GROUP_COMMIT_BATCH chooses a cap.
+// GroupOptions.MaxBatch does not choose a cap.
 const DefaultGroupMaxBatch = 512
 
 // GroupOptions configure a GroupCommitter.
 type GroupOptions struct {
-	// MaxBatch caps the records coalesced per flush. Zero defers to
-	// TDB_GROUP_COMMIT_BATCH and then DefaultGroupMaxBatch; 1 degenerates to
-	// one write+fsync per transaction (the per-txn-commit baseline).
+	// MaxBatch caps the records coalesced per flush. Zero means
+	// DefaultGroupMaxBatch; 1 degenerates to one write+fsync per
+	// transaction (the per-txn-commit baseline).
 	MaxBatch int
 	// MaxWait is how long the leader lingers after the first record of a
 	// batch arrives, hoping more committers show up. Zero (the default)
@@ -77,17 +78,15 @@ type GroupCommitter struct {
 	queue  []pendingRec
 	closed bool
 
+	failed atomic.Pointer[error] // the first failed flush's error; set once, by the leader
+
 	wake chan struct{} // cap 1: the leader's doorbell
 	done chan struct{} // closed when the leader exits
 }
 
 // NewGroupCommitter starts a leader goroutine flushing l. A zero MaxBatch
-// falls back to the TDB_GROUP_COMMIT_BATCH environment knob, then to
-// DefaultGroupMaxBatch.
+// means DefaultGroupMaxBatch.
 func NewGroupCommitter(l *Log, opts GroupOptions) *GroupCommitter {
-	if opts.MaxBatch == 0 {
-		opts.MaxBatch = config.PosInt(config.EnvGroupCommitBatch, 0)
-	}
 	if opts.MaxBatch <= 0 {
 		opts.MaxBatch = DefaultGroupMaxBatch
 	}
@@ -134,11 +133,21 @@ func (g *GroupCommitter) enqueue(payload []byte) *Pending {
 }
 
 // Flush blocks until everything enqueued before it has been flushed,
-// returning the error (if any) of the batch that carried the barrier. The
+// returning the error (if any) of the batch that carried the barrier, or
+// of an earlier failed flush. The
 // database's checkpoint calls it while holding the lock that gates new
 // enqueues, so afterwards Log.Records is exact.
 func (g *GroupCommitter) Flush() error {
 	return g.enqueue(nil).Wait()
+}
+
+// Err returns the first failed flush's error, or nil while every flush has
+// succeeded.
+func (g *GroupCommitter) Err() error {
+	if p := g.failed.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // Close drains the queue, flushes it, and stops the leader. Further
@@ -265,12 +274,15 @@ func (g *GroupCommitter) flushPrefix() (crowd int, took time.Duration) {
 			payloads = append(payloads, p.payload)
 		}
 	}
-	var err error
-	if len(payloads) > 0 {
+	err := g.Err()
+	if len(payloads) > 0 && err == nil {
 		start := time.Now()
 		err = g.log.AppendPayloads(payloads)
 		took = time.Since(start)
 		mGroupBatch.Observe(float64(len(payloads)))
+		if err != nil {
+			g.failed.Store(&err)
+		}
 	}
 	behind, _ := g.queued()
 	for _, p := range batch {

@@ -201,9 +201,11 @@ func TestGroupCommitCloseDrains(t *testing.T) {
 	}
 }
 
-// An fsync failure poisons exactly the batch it covered: those committers
-// get the error, the log rolls back to its pre-batch size, records flushed
-// before stay durable, and the next batch lands on a clean tail.
+// An fsync failure poisons only the batch it covered: those committers get
+// the error, the log rolls back to exactly its pre-batch size, and records
+// flushed before stay durable. The committer then stops: later batches get
+// the same error and leave the file alone, so nothing lands on top of the
+// lost records.
 func TestGroupCommitSyncFailurePoisonsOnlyItsBatch(t *testing.T) {
 	ffs := vfs.NewFaultFS(vfs.Default())
 	path := filepath.Join(t.TempDir(), "tdb.wal")
@@ -236,13 +238,16 @@ func TestGroupCommitSyncFailurePoisonsOnlyItsBatch(t *testing.T) {
 		t.Fatalf("records after failed batch = %d, want 1", got)
 	}
 
-	// The fault was one-shot; the next batch must land on the clean tail.
-	if err := g.Commit(tinyRecord(3)); err != nil {
-		t.Fatal(err)
+	// The fault was one-shot, but the next batch is refused all the same.
+	if err := g.Commit(tinyRecord(3)); !errors.Is(err, vfs.ErrInjectedSync) {
+		t.Fatalf("commit after the failed batch = %v, want the injected sync failure", err)
+	}
+	if !errors.Is(g.Err(), vfs.ErrInjectedSync) {
+		t.Fatalf("Err() = %v, want the injected sync failure", g.Err())
 	}
 	commits := replayCommits(t, ffs, path)
-	want := []temporal.Chronon{1000, 1003}
-	if len(commits) != len(want) || commits[0] != want[0] || commits[1] != want[1] {
+	want := []temporal.Chronon{1000}
+	if len(commits) != len(want) || commits[0] != want[0] {
 		t.Fatalf("replayed commits %v, want %v (failed batch leaked or durable batch lost)", commits, want)
 	}
 }

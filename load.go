@@ -16,26 +16,16 @@ package tdb
 
 import (
 	"tdb/internal/catalog"
-	"tdb/internal/config"
 	"tdb/internal/segment"
 	"tdb/internal/wal"
 	"tdb/temporal"
 )
 
 // DefaultLoadChunkRows is how many rows Load commits per transaction when
-// neither Options.LoadChunkRows nor TDB_LOAD_CHUNK chooses another value.
+// Options.LoadChunkRows does not choose another value.
 // It matches the segment seal threshold so each full chunk seals into
 // exactly one segment.
 const DefaultLoadChunkRows = segment.DefaultSealRows
-
-// loadChunkRows resolves the chunk size: Options.LoadChunkRows, then
-// TDB_LOAD_CHUNK, then the default.
-func (db *DB) loadChunkRows() int {
-	if db.loadChunkOpt > 0 {
-		return db.loadChunkOpt
-	}
-	return config.PosInt(config.EnvLoadChunk, DefaultLoadChunkRows)
-}
 
 // LoadRow is one row of bulk ingest. For interval relations (historical,
 // temporal) the valid period is [From, To); for event relations From is
@@ -45,18 +35,19 @@ type LoadRow struct {
 	From, To temporal.Chronon
 }
 
-// Load bulk-ingests rows, committing them in chunks of TDB_LOAD_CHUNK
-// (default DefaultLoadChunkRows) rows. Each chunk is one transaction: all
-// its rows share a commit chronon and one WAL record, and on append-only
-// relations a full chunk's commit seals directly into a columnar segment.
+// Load bulk-ingests rows, committing them in chunks of
+// Options.LoadChunkRows (default DefaultLoadChunkRows) rows. Each chunk is
+// one transaction: all its rows share a commit chronon and one WAL record,
+// and on append-only relations a full chunk's commit seals directly into a
+// columnar segment.
 //
 // Load returns the number of rows committed in memory. Chunks are
 // independent transactions: a row error aborts only the chunk containing
 // it, leaving earlier chunks committed — the partial-load contract callers
-// must expect. The not-logged error (see logged) means every returned row
-// was applied in memory but some chunk's WAL flush failed.
+// must expect. ErrFailStopped (see logged) means some chunk's WAL flush
+// failed: the database refuses all work until it is reopened.
 func (r *Relation) Load(rows []LoadRow) (int, error) {
-	chunk := r.db.loadChunkRows()
+	chunk := r.db.loadChunk
 	var (
 		pendings []*wal.Pending
 		loaded   int

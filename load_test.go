@@ -27,11 +27,10 @@ func loadRows(n int) []LoadRow {
 // Bulk load produces exactly the state row-at-a-time ingest would, across
 // multiple chunks, and the state survives recovery.
 func TestLoadMatchesRowAtATime(t *testing.T) {
-	t.Setenv("TDB_LOAD_CHUNK", "16")
 	rows := loadRows(50) // 4 chunks, last one partial
 
 	path := filepath.Join(t.TempDir(), "tdb.wal")
-	db := reopen(t, path)
+	db := openChunked(t, path, 16)
 	if _, err := db.CreateRelation("r", Temporal, facultySchema(t)); err != nil {
 		t.Fatal(err)
 	}
@@ -86,8 +85,7 @@ func TestLoadMatchesRowAtATime(t *testing.T) {
 // columnar segments: the tail never holds more than one chunk.
 func TestLoadSealsSegmentsDirectly(t *testing.T) {
 	sealEvery(t, 32)
-	t.Setenv("TDB_LOAD_CHUNK", "32")
-	db, err := Open("", Options{Clock: temporal.NewLogicalClock(0)})
+	db, err := Open("", Options{Clock: temporal.NewLogicalClock(0), LoadChunkRows: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,8 +137,7 @@ func TestLoadKinds(t *testing.T) {
 
 // A row error aborts only its own chunk; earlier chunks stay committed.
 func TestLoadChunkErrorLeavesPriorChunks(t *testing.T) {
-	t.Setenv("TDB_LOAD_CHUNK", "8")
-	db, err := Open("", Options{Clock: temporal.NewLogicalClock(0)})
+	db, err := Open("", Options{Clock: temporal.NewLogicalClock(0), LoadChunkRows: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,11 +175,10 @@ func TestLoadReadOnlyFollower(t *testing.T) {
 // Bulk-loaded history ships to a follower byte-identically: the chunked
 // multi-op records replay through the same apply path as ordinary commits.
 func TestReplFollowerBulkLoad(t *testing.T) {
-	t.Setenv("TDB_LOAD_CHUNK", "16")
 	dir := t.TempDir()
 	pPath := filepath.Join(dir, "p.wal")
 	fPath := filepath.Join(dir, "f.wal")
-	p := reopen(t, pPath)
+	p := openChunked(t, pPath, 16)
 	defer p.Close()
 	f := openFollower(t, fPath, nil)
 	defer f.Close()
@@ -196,4 +192,15 @@ func TestReplFollowerBulkLoad(t *testing.T) {
 	}
 	shipAll(t, p, f)
 	assertReplicaIdentical(t, p, f, pPath, fPath)
+}
+
+// openChunked is reopen with Options.LoadChunkRows set to rows.
+func openChunked(t *testing.T, path string, rows int) *DB {
+	t.Helper()
+	db, err := Open(path, Options{Clock: temporal.NewLogicalClock(temporal.Date(1985, 1, 1)), GroupCommitWait: *commitWait, LoadChunkRows: rows})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	return db
 }

@@ -2,8 +2,8 @@ package tdb
 
 import (
 	"fmt"
+	"sort"
 
-	"tdb/internal/algebra"
 	"tdb/internal/pretty"
 	"tdb/temporal"
 )
@@ -16,17 +16,16 @@ import (
 //   - When(iv): keep versions whose valid period overlaps iv
 //   - At(t): keep versions valid at instant t (a one-chronon When)
 //   - Where(pred): ordinary attribute predicate
-//   - Coalesce(): merge value-equivalent versions over adjacent periods
 //
-// Run materializes the result; results are themselves relations and can be
-// joined with Join.
+// Run materializes the matching versions in a fixed order. Projection,
+// joins and coalescing are TQuel's (package tquel): the builder is one scan
+// plus row predicates.
 type Query struct {
-	rel      *Relation
-	asOf     *temporal.Chronon
-	when     []temporal.Interval // every When/At restriction, conjoined
-	where    []func(Tuple) (bool, error)
-	eq       map[string]Value // attribute -> value, from WhereEq
-	coalesce bool
+	rel   *Relation
+	asOf  *temporal.Chronon
+	when  []temporal.Interval // every When/At restriction, conjoined
+	where []func(Tuple) (bool, error)
+	eq    map[string]Value // attribute -> value, from WhereEq
 }
 
 // Query starts a query over the relation.
@@ -66,7 +65,7 @@ func (q *Query) WhereEq(attr string, v Value) *Query {
 		if idx < 0 {
 			return false, fmt.Errorf("tdb: no attribute %q in %s", attr, q.rel.Name())
 		}
-		c, err := compareValues(t[idx], v)
+		c, err := valueCompare(t[idx], v)
 		return err == nil && c == 0, err
 	})
 }
@@ -90,16 +89,8 @@ func (q *Query) key() Tuple {
 	return NewTuple(keyVals...)
 }
 
-// Coalesce merges value-equivalent versions over overlapping or adjacent
-// valid periods in the result.
-func (q *Query) Coalesce() *Query {
-	q.coalesce = true
-	return q
-}
-
 // Run executes the query and materializes the result: one Scan for the
-// versions, then the predicates, coalescing and ordering on the private
-// copy.
+// versions, then the predicates and the ordering on the private copy.
 func (q *Query) Run() (*Result, error) {
 	// A scan answers When on any kind (vacuously, without valid time); asking
 	// the builder for a historical query of such a kind is still a mistake.
@@ -114,7 +105,7 @@ func (q *Query) Run() (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", q.rel.Name(), err)
 	}
-	rel := &algebra.Relation{Schema: q.rel.Schema(), Event: q.rel.Event(), Rows: make([]algebra.Row, 0, len(vs))}
+	rows := vs[:0]
 versions:
 	for _, v := range vs {
 		for _, iv := range q.when { // the scan applied the first; re-checking it is free
@@ -131,78 +122,50 @@ versions:
 				continue versions
 			}
 		}
-		rel.Rows = append(rel.Rows, algebra.Row{Data: v.Data, Valid: v.Valid})
+		rows = append(rows, v)
 	}
-	if q.coalesce {
-		rel = algebra.Coalesce(rel)
-	}
-	algebra.SortRows(rel)
-	return &Result{rel: rel}, nil
+	// Data rendering, then valid period: a deterministic order for figure
+	// output and comparison.
+	sort.Slice(rows, func(i, j int) bool {
+		a, b := rows[i], rows[j]
+		if as, bs := a.Data.String(), b.Data.String(); as != bs {
+			return as < bs
+		}
+		if a.Valid.From != b.Valid.From {
+			return a.Valid.From < b.Valid.From
+		}
+		return a.Valid.To < b.Valid.To
+	})
+	return &Result{schema: q.rel.Schema(), event: q.rel.Event(), rows: rows}, nil
 }
 
-// Result is a materialized derived relation. It is itself a relation: it
-// can be inspected row by row, rendered as a table, or joined with another
-// result.
+// Result is a query's materialized answer: the relation's schema and the
+// matching versions, inspected row by row or rendered as a table.
 type Result struct {
-	rel *algebra.Relation
+	schema *Schema
+	event  bool
+	rows   []Version
 }
 
 // Len returns the number of rows.
-func (r *Result) Len() int { return len(r.rel.Rows) }
+func (r *Result) Len() int { return len(r.rows) }
 
 // Schema returns the result schema.
-func (r *Result) Schema() *Schema { return r.rel.Schema }
+func (r *Result) Schema() *Schema { return r.schema }
 
 // Row returns the i-th row's data and valid period.
 func (r *Result) Row(i int) (Tuple, temporal.Interval) {
-	row := r.rel.Rows[i]
+	row := r.rows[i]
 	return row.Data, row.Valid
 }
 
 // Tuples returns the data of every row.
 func (r *Result) Tuples() []Tuple {
-	out := make([]Tuple, len(r.rel.Rows))
-	for i, row := range r.rel.Rows {
+	out := make([]Tuple, len(r.rows))
+	for i, row := range r.rows {
 		out[i] = row.Data
 	}
 	return out
-}
-
-// Project returns the result restricted to the named attributes.
-func (r *Result) Project(attrs ...string) (*Result, error) {
-	indices := make([]int, 0, len(attrs))
-	for _, a := range attrs {
-		i := r.rel.Schema.Index(a)
-		if i < 0 {
-			return nil, fmt.Errorf("tdb: no attribute %q in result", a)
-		}
-		indices = append(indices, i)
-	}
-	rel, err := algebra.Project(r.rel, indices)
-	if err != nil {
-		return nil, err
-	}
-	algebra.SortRows(rel)
-	return &Result{rel: rel}, nil
-}
-
-// Where filters the result rows by an attribute predicate.
-func (r *Result) Where(pred func(Tuple) (bool, error)) (*Result, error) {
-	rel, err := algebra.Select(r.rel, func(row algebra.Row) (bool, error) {
-		return pred(row.Data)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{rel: rel}, nil
-}
-
-// Coalesce returns the result with value-equivalent rows merged over
-// overlapping or adjacent valid periods.
-func (r *Result) Coalesce() *Result {
-	rel := algebra.Coalesce(r.rel)
-	algebra.SortRows(rel)
-	return &Result{rel: rel}
 }
 
 // String renders the result in the paper's table style, with the implicit
@@ -210,13 +173,13 @@ func (r *Result) Coalesce() *Result {
 // valid time).
 func (r *Result) String() string {
 	hasValid := false
-	for _, row := range r.rel.Rows {
+	for _, row := range r.rows {
 		if row.Valid != temporal.All {
 			hasValid = true
 			break
 		}
 	}
-	sch := r.rel.Schema
+	sch := r.schema
 	headers := make([]string, 0, sch.Arity()+2)
 	for i := 0; i < sch.Arity(); i++ {
 		headers = append(headers, sch.Attr(i).Name)
@@ -224,20 +187,20 @@ func (r *Result) String() string {
 	split := 0
 	if hasValid {
 		split = len(headers)
-		if r.rel.Event {
+		if r.event {
 			headers = append(headers, "valid at")
 		} else {
 			headers = append(headers, "valid from", "valid to")
 		}
 	}
 	tbl := pretty.Table{Headers: headers, Split: split}
-	for _, row := range r.rel.Rows {
+	for _, row := range r.rows {
 		cells := make([]string, 0, len(headers))
 		for _, v := range row.Data {
 			cells = append(cells, v.String())
 		}
 		if hasValid {
-			if r.rel.Event {
+			if r.event {
 				cells = append(cells, row.Valid.From.String())
 			} else {
 				cells = append(cells, row.Valid.From.String(), row.Valid.To.String())
@@ -246,29 +209,4 @@ func (r *Result) String() string {
 		tbl.Rows = append(tbl.Rows, cells)
 	}
 	return tbl.String()
-}
-
-// Join combines two results: tuples concatenate (colliding attribute names
-// are qualified with the given prefixes), derived valid periods are the
-// intersections of the operands', and rows whose combined data fail the
-// optional on predicate are dropped.
-func Join(a, b *Result, aPrefix, bPrefix string, on func(Tuple) (bool, error)) (*Result, error) {
-	rel, err := algebra.Product(a.rel, b.rel, aPrefix, bPrefix)
-	if err != nil {
-		return nil, err
-	}
-	if on != nil {
-		rel, err = algebra.Select(rel, func(row algebra.Row) (bool, error) {
-			return on(row.Data)
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	algebra.SortRows(rel)
-	return &Result{rel: rel}, nil
-}
-
-func compareValues(a, b Value) (int, error) {
-	return valueCompare(a, b)
 }

@@ -103,6 +103,9 @@ func (db *DB) ReplSnapshot() ([]byte, uint64, error) {
 	if db.log == nil {
 		return nil, 0, errors.New("tdb: replication requires a log-backed database")
 	}
+	if err := db.Health(); err != nil {
+		return nil, 0, err
+	}
 	data, err := db.fs.ReadFile(db.snapPath)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
@@ -125,6 +128,9 @@ func (db *DB) ReplReadLog(epoch uint64, offset int64, max int) ([]byte, error) {
 	defer db.mu.RUnlock()
 	if db.log == nil {
 		return nil, errors.New("tdb: replication requires a log-backed database")
+	}
+	if err := db.Health(); err != nil {
+		return nil, err
 	}
 	if epoch != db.epoch {
 		return nil, fmt.Errorf("%w: asked for era %d, log is era %d", repl.ErrEpochGone, epoch, db.epoch)

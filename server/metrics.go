@@ -23,4 +23,6 @@ var (
 		"Connections rejected with a busy response at the connection cap.")
 	mTimeoutTotal = obs.Default.Counter("tdb_server_idle_timeouts_total",
 		"Connections disconnected by the per-connection read timeout.")
+	mPanicsTotal = obs.Default.Counter("tdb_server_panics_total",
+		"Requests that panicked; each was answered with an internal error and its connection closed.")
 )

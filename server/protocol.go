@@ -90,6 +90,10 @@ const (
 	// CodeReadOnly marks a mutation sent to a replication follower; route
 	// the statement to the primary instead. The connection stays open.
 	CodeReadOnly = "readonly"
+	// CodeInternal marks a request that panicked inside the server. The
+	// error text is fixed; the server logs the cause and closes the
+	// connection after sending it.
+	CodeInternal = "internal"
 )
 
 // Request is one client message: TQuel source to execute, or an admin

@@ -10,6 +10,7 @@ import (
 	"log"
 	"net"
 	"os"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"time"
@@ -280,6 +281,7 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		var req Request
 		resp := Response{}
+		var stop bool
 		if err := json.Unmarshal(line, &req); err != nil {
 			mMalformedTotal.Inc()
 			s.logger.Printf("malformed request from %s: %v", conn.RemoteAddr(), err)
@@ -301,40 +303,13 @@ func (s *Server) handle(conn net.Conn) {
 					"Connections by negotiated protocol version.").Inc()
 				s.logger.Printf("conn %s: protocol %s", conn.RemoteAddr(), label)
 			}
-			switch strings.TrimSpace(req.Cmd) {
-			case "repl":
+			if strings.TrimSpace(req.Cmd) == "repl" {
 				// The connection becomes a one-way replication feed and
 				// never returns to the request loop.
 				s.serveRepl(conn, w, req)
 				return
-			case "batch":
-				if !versionAtLeast(req.V, 1, 2) {
-					// A pre-1.2 client cannot knowingly send "batch" — its
-					// JSON would carry the statements in a field it ignores —
-					// so refuse rather than execute an empty "src" silently.
-					resp.Code = CodeVersion
-					resp.Error = fmt.Sprintf(
-						"the batch command requires protocol 1.2 (request declared %q)", req.V)
-				} else {
-					resp = s.execBatch(ses, req.Batch)
-				}
-			case "":
-				if req.Cmd != "" {
-					// Whitespace-only command: an unknown command, not source.
-					resp = s.handleCmd(req.Cmd)
-					break
-				}
-				outs, err := ses.Exec(req.Src)
-				resp.Outcomes = wireOutcomes(outs)
-				if err != nil {
-					resp.Error = err.Error()
-					if s.readOnlyErr(err) {
-						resp.Code = CodeReadOnly
-					}
-				}
-			default:
-				resp = s.handleCmd(req.Cmd)
 			}
+			resp, stop = s.serve(conn, ses, req)
 		}
 		resp.V = ProtoVersion
 		resp.Commit = stamp
@@ -365,6 +340,9 @@ func (s *Server) handle(conn net.Conn) {
 			s.logger.Printf("slow query from %s (%s): %s",
 				conn.RemoteAddr(), elapsed, truncate(req.Src, 200))
 		}
+		if stop {
+			return
+		}
 	}
 	// A scanner error here is a protocol violation or transport failure
 	// that forced the disconnect — count and log it rather than dropping it
@@ -386,6 +364,51 @@ func (s *Server) handle(conn net.Conn) {
 			s.logger.Printf("connection read: %v", err)
 		}
 	}
+}
+
+// serve executes one decoded request. A panic below it — parser, executor,
+// a command verb — stays inside this request: a transaction it interrupted
+// has already rolled back (DB.Update aborts on a panic before passing it
+// on), the client gets CodeInternal with a fixed text, and stop tells the
+// caller to close the connection, whose session the panic may have left
+// half-updated.
+func (s *Server) serve(conn net.Conn, ses *tquel.Session, req Request) (resp Response, stop bool) {
+	defer func() {
+		if p := recover(); p != nil {
+			mPanicsTotal.Inc()
+			s.logger.Printf("panic serving %s: %v\n%s", conn.RemoteAddr(), p, debug.Stack())
+			resp, stop = Response{Code: CodeInternal, Error: "internal error"}, true
+		}
+	}()
+	switch strings.TrimSpace(req.Cmd) {
+	case "batch":
+		if !versionAtLeast(req.V, 1, 2) {
+			// A pre-1.2 client cannot knowingly send "batch" — its JSON
+			// would carry the statements in a field it ignores — so refuse
+			// rather than execute an empty "src" silently.
+			resp.Code = CodeVersion
+			resp.Error = fmt.Sprintf(
+				"the batch command requires protocol 1.2 (request declared %q)", req.V)
+		} else {
+			resp = s.execBatch(ses, req.Batch)
+		}
+	case "":
+		if req.Cmd != "" {
+			// Whitespace-only command: an unknown command, not source.
+			return s.handleCmd(req.Cmd), false
+		}
+		outs, err := ses.Exec(req.Src)
+		resp.Outcomes = wireOutcomes(outs)
+		if err != nil {
+			resp.Error = err.Error()
+			if s.readOnlyErr(err) {
+				resp.Code = CodeReadOnly
+			}
+		}
+	default:
+		resp = s.handleCmd(req.Cmd)
+	}
+	return resp, false
 }
 
 // serveRepl turns one accepted connection into a replication feed: the

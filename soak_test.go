@@ -107,11 +107,11 @@ func TestScaleSoak(t *testing.T) {
 	// Relationship 1: the temporal relation's current belief equals the
 	// historical relation, at every probed valid instant.
 	for probe := cfg.Start; probe < cfg.Start.Add(cfg.Step*int64(len(events))); probe = probe.Add(cfg.Step * 997) {
-		a, err := tr.Query().At(probe).Coalesce().Run()
+		a, err := tr.Query().At(probe).Run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := hr.Query().At(probe).Coalesce().Run()
+		b, err := hr.Query().At(probe).Run()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -219,9 +219,8 @@ func TestStatsDropForgets(t *testing.T) {
 // The bulk-load path (segment-direct chunks included) maintains statistics
 // like ordinary commits: a load followed by reopen is byte-identical.
 func TestStatsBulkLoadIdentity(t *testing.T) {
-	t.Setenv("TDB_LOAD_CHUNK", "64")
 	path := filepath.Join(t.TempDir(), "tdb.wal")
-	db := reopen(t, path)
+	db := openChunked(t, path, 64)
 	if _, err := db.CreateRelation("bulk", Historical, facultySchema(t)); err != nil {
 		t.Fatal(err)
 	}

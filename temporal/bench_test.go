@@ -31,19 +31,6 @@ func BenchmarkRelate(b *testing.B) {
 	}
 }
 
-func BenchmarkCoalesce(b *testing.B) {
-	r := rand.New(rand.NewSource(2))
-	ivs := make([]Interval, 64)
-	for i := range ivs {
-		from := Chronon(r.Intn(1000))
-		ivs[i] = Interval{From: from, To: from + Chronon(1+r.Intn(50))}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Coalesce(ivs)
-	}
-}
-
 func BenchmarkIntervalOps(b *testing.B) {
 	a := Interval{From: 100, To: 200}
 	c := Interval{From: 150, To: 300}

@@ -161,45 +161,3 @@ func (iv Interval) String() string {
 // the mixed interval/event form of TQuel's "overlap" (used by the paper's
 // query "where f1 overlap start of f2").
 func (iv Interval) OverlapsPoint(c Chronon) bool { return iv.Contains(c) }
-
-// Coalesce merges a set of intervals into the minimal sorted set of disjoint,
-// non-adjacent intervals covering the same chronons. Empty intervals vanish.
-// The input slice is not modified.
-func Coalesce(ivs []Interval) []Interval {
-	work := make([]Interval, 0, len(ivs))
-	for _, iv := range ivs {
-		if !iv.IsEmpty() {
-			work = append(work, iv)
-		}
-	}
-	if len(work) <= 1 {
-		return work
-	}
-	sortIntervals(work)
-	out := work[:1]
-	for _, iv := range work[1:] {
-		last := &out[len(out)-1]
-		if iv.From <= last.To { // overlaps or meets
-			if iv.To > last.To {
-				last.To = iv.To
-			}
-			continue
-		}
-		out = append(out, iv)
-	}
-	return out
-}
-
-func sortIntervals(ivs []Interval) {
-	// Insertion sort: coalescing inputs are tiny (per-tuple version lists).
-	for i := 1; i < len(ivs); i++ {
-		for j := i; j > 0; j-- {
-			if ivs[j].From < ivs[j-1].From ||
-				(ivs[j].From == ivs[j-1].From && ivs[j].To < ivs[j-1].To) {
-				ivs[j], ivs[j-1] = ivs[j-1], ivs[j]
-			} else {
-				break
-			}
-		}
-	}
-}

@@ -186,77 +186,6 @@ func TestContainsInterval(t *testing.T) {
 	}
 }
 
-func TestCoalesce(t *testing.T) {
-	in := []Interval{iv(30, 40), iv(10, 15), iv(15, 20), iv(12, 18), iv(50, 50)}
-	got := Coalesce(in)
-	want := []Interval{iv(10, 20), iv(30, 40)}
-	if len(got) != len(want) {
-		t.Fatalf("Coalesce = %v, want %v", got, want)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Errorf("Coalesce[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if got := Coalesce(nil); len(got) != 0 {
-		t.Errorf("Coalesce(nil) = %v", got)
-	}
-}
-
-// Coalescing is idempotent and preserves membership.
-func TestCoalesceProperties(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 200; trial++ {
-		var in []Interval
-		n := r.Intn(8)
-		for i := 0; i < n; i++ {
-			a := Chronon(r.Intn(50))
-			b := a + Chronon(r.Intn(10))
-			in = append(in, iv(a, b))
-		}
-		out := Coalesce(in)
-		// Membership preserved.
-		for c := Chronon(0); c < 64; c++ {
-			inAny := false
-			for _, x := range in {
-				if x.Contains(c) {
-					inAny = true
-					break
-				}
-			}
-			outAny := false
-			for _, x := range out {
-				if x.Contains(c) {
-					outAny = true
-					break
-				}
-			}
-			if inAny != outAny {
-				t.Fatalf("trial %d: membership of %d changed: %v -> %v (in=%v out=%v)", trial, c, inAny, outAny, in, out)
-			}
-		}
-		// Output is sorted, disjoint, non-adjacent, nonempty.
-		for i, x := range out {
-			if x.IsEmpty() {
-				t.Fatalf("trial %d: empty interval in output %v", trial, out)
-			}
-			if i > 0 && out[i-1].To >= x.From {
-				t.Fatalf("trial %d: output not disjoint/sorted: %v", trial, out)
-			}
-		}
-		// Idempotence.
-		again := Coalesce(out)
-		if len(again) != len(out) {
-			t.Fatalf("trial %d: coalesce not idempotent: %v vs %v", trial, out, again)
-		}
-		for i := range again {
-			if again[i] != out[i] {
-				t.Fatalf("trial %d: coalesce not idempotent: %v vs %v", trial, out, again)
-			}
-		}
-	}
-}
-
 func TestIntervalString(t *testing.T) {
 	if got := Since(Date(1982, 12, 15)).String(); got != "[12/15/82, ∞)" {
 		t.Errorf("String = %q", got)

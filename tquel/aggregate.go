@@ -65,6 +65,13 @@ type aggAcc struct {
 	anyTrue bool
 }
 
+// maxWindowGroups caps a windowed statement's (group, window)
+// accumulators. Work and memory grow with extent ÷ slide, so without it a
+// one-line statement ("window 10 slide 5" over years of history) runs
+// for minutes and holds tens of millions of accumulators. Every statement
+// in the tests and the benchmark stays far below it.
+const maxWindowGroups = 1 << 20
+
 func newAggregator(targets []Target, w *WindowClause) *aggregator {
 	return &aggregator{targets: targets, w: w, groups: map[string]*aggGroup{},
 		vals: make([]tdb.Value, len(targets))}
@@ -130,6 +137,9 @@ func (a *aggregator) foldWindows(vals []tdb.Value, valid, trans temporal.Interva
 	}
 	n := len(a.key)
 	ks, ke := windowSpan(a.w, from, to)
+	if ke-ks >= maxWindowGroups { // each window would be a group of its own
+		return a.tooManyWindows()
+	}
 	for k := ks; k <= ke; k++ {
 		a.key = binary.BigEndian.AppendUint64(a.key[:n], uint64(k))
 		if err := a.fold(a.key, k, vals, valid, trans); err != nil {
@@ -144,6 +154,9 @@ func (a *aggregator) foldWindows(vals []tdb.Value, valid, trans temporal.Interva
 func (a *aggregator) fold(key []byte, win int64, vals []tdb.Value, valid, trans temporal.Interval) error {
 	g, ok := a.groups[string(key)]
 	if !ok {
+		if a.w != nil && len(a.groups) >= maxWindowGroups {
+			return a.tooManyWindows()
+		}
 		g = &aggGroup{win: win, valid: valid, trans: trans, accs: makeAccs(a.targets)}
 		for i, t := range a.targets {
 			if _, isAgg := t.Expr.(*Agg); !isAgg {
@@ -240,6 +253,10 @@ func (acc *aggAcc) result(ag *Agg) (tdb.Value, error) {
 	default:
 		return tdb.Value{}, errf(ag.Pos, "unknown aggregate %q", acc.fn)
 	}
+}
+
+func (a *aggregator) tooManyWindows() error {
+	return errf(a.w.Pos, "window clause needs more than %d (group, window) accumulators; widen the slide or narrow the valid extent", maxWindowGroups)
 }
 
 // finish folds the deferred windowed bindings, then emits one result row

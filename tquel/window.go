@@ -48,8 +48,8 @@ func floorDiv(a, b int64) int64 {
 }
 
 // coalesceRows merges value-equivalent rows whose valid intervals overlap or
-// meet — the taxonomy's coalescing operation, lifted from interval sets
-// (temporal.Coalesce) to stamped tuples. Each merged row's valid interval is
+// meet — the taxonomy's coalescing operation on stamped tuples, and the
+// engine's only coalescer. Each merged row's valid interval is
 // the extension of its contributors' and its transaction stamp the extension
 // of theirs. The pass is idempotent and order-invariant: groups are swept in
 // (From, To) order, so any permutation of the input produces the same rows.

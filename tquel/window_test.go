@@ -3,6 +3,7 @@ package tquel
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"tdb/temporal"
 )
@@ -132,6 +133,21 @@ func TestWindowNoFiniteEndpointErrors(t *testing.T) {
 	_, err := ses.Query(`retrieve (count(v.x)) window 86400`)
 	if err == nil || !strings.Contains(err.Error(), "finite valid endpoint") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// A window clause whose (group, window) accumulators would pass
+// maxWindowGroups is refused at once, with the clause's position, instead of
+// folding tens of millions of windows.
+func TestWindowCeilingRefusesStatement(t *testing.T) {
+	ses := paperSession(t)
+	start := time.Now()
+	_, err := ses.Query(`retrieve (n = count(f.name)) window 10 slide 5`)
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("refusal took %v, want under a second", took)
+	}
+	if err == nil || !strings.Contains(err.Error(), "1:30: window clause needs more than") {
+		t.Fatalf("err = %v, want the window ceiling at 1:30", err)
 	}
 }
 

@@ -36,6 +36,9 @@ func (db *DB) View(fn func(rt *ReadTx) error) error {
 	if db.closed {
 		return ErrClosed
 	}
+	if err := db.Health(); err != nil {
+		return err
+	}
 	mViews.Inc()
 	return fn(&ReadTx{db: db})
 }

@@ -259,52 +259,55 @@ func TestReplayRecordAtomic(t *testing.T) {
 }
 
 // DDL has the DML failure contract: a create or drop whose flush fails
-// reports the same "committed but not logged" error a poisoned DML batch
-// does (TestGroupCommitSyncFailurePoisonsBatch), stays applied in memory —
-// catalog and statistics together — and is absent from the log.
+// reports the same fail-stop error a poisoned DML batch does
+// (TestGroupCommitSyncFailurePoisonsBatch), the database then refuses
+// reads and writes until it is reopened, and the reopened log lacks the
+// failed change.
 func TestDDLFlushFailure(t *testing.T) {
 	ffs := vfs.NewFaultFS(vfs.Default())
 	path := filepath.Join(t.TempDir(), "tdb.wal")
-	db, err := Open(path, Options{
-		Clock: temporal.NewLogicalClock(temporal.Date(1985, 1, 1)),
-		Sync:  true,
-		FS:    ffs,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	notLogged := func(what string, err error) {
+	open := func() *DB {
 		t.Helper()
-		if !errors.Is(err, vfs.ErrInjectedSync) || !strings.Contains(fmt.Sprint(err), "committed but not logged") {
-			t.Fatalf("%s with a failed flush = %v, want the injected sync failure as committed but not logged", what, err)
+		db, err := Open(path, Options{
+			Clock: temporal.NewLogicalClock(temporal.Date(1985, 1, 1)),
+			Sync:  true,
+			FS:    ffs,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	stopped := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, vfs.ErrInjectedSync) || !errors.Is(err, ErrFailStopped) || !strings.Contains(fmt.Sprint(err), "committed but not logged") {
+			t.Fatalf("%s with a failed flush = %v, want the injected sync failure as ErrFailStopped", what, err)
 		}
 	}
+	db := open()
 	if _, err := db.CreateRelation("kept", Temporal, facultySchema(t)); err != nil {
 		t.Fatal(err)
 	}
 
 	ffs.FailSyncAt(1)
-	_, err = db.CreateRelation("lost", Temporal, facultySchema(t))
-	notLogged("create", err)
-	if _, err := db.Relation("lost"); err != nil {
-		t.Errorf("relation whose create was not logged: %v, want it present in memory", err)
+	_, err := db.CreateRelation("lost", Temporal, facultySchema(t))
+	stopped("create", err)
+	if _, err := db.Relation("kept"); !errors.Is(err, ErrFailStopped) {
+		t.Errorf("read after a failed create = %v, want ErrFailStopped", err)
 	}
-	if _, ok := db.EncodedStats("lost"); !ok {
-		t.Error("relation whose create was not logged has no statistics")
-	}
+	db.Close()
 
+	db = open()
 	ffs.FailSyncAt(1)
-	notLogged("drop", db.DropRelation("kept"))
-	if _, err := db.Relation("kept"); !errors.Is(err, ErrRelationNotFound) {
-		t.Errorf("relation whose drop was not logged: %v, want it gone from memory", err)
+	stopped("drop", db.DropRelation("kept"))
+	if _, err := db.CreateRelation("after", Static, facultySchema(t)); !errors.Is(err, ErrFailStopped) {
+		t.Errorf("create after a failed drop = %v, want ErrFailStopped", err)
 	}
-	if _, ok := db.EncodedStats("kept"); ok {
-		t.Error("relation whose drop was not logged kept its statistics")
-	}
+	db.Close()
 
 	// The faults were one-shot and each failed batch was rolled back: the
 	// log holds the first create and whatever commits next.
+	db = open()
 	if _, err := db.CreateRelation("after", Static, facultySchema(t)); err != nil {
 		t.Fatal(err)
 	}
