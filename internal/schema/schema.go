@@ -125,38 +125,6 @@ func (s *Schema) KeyAttrs() []int { return s.key }
 // HasExplicitKey reports whether WithKey narrowed the key.
 func (s *Schema) HasExplicitKey() bool { return len(s.key) > 0 }
 
-// Project returns a new schema with the attributes at the given positions,
-// in the given order. The derived schema has no key.
-func (s *Schema) Project(indices []int) (*Schema, error) {
-	attrs := make([]Attribute, 0, len(indices))
-	for _, i := range indices {
-		if i < 0 || i >= len(s.attrs) {
-			return nil, fmt.Errorf("schema: projection index %d out of range [0, %d)", i, len(s.attrs))
-		}
-		attrs = append(attrs, s.attrs[i])
-	}
-	return New(attrs...)
-}
-
-// Concat returns the schema of a cartesian product, qualifying colliding
-// names with the supplied prefixes (e.g. "f1.rank").
-func Concat(left, right *Schema, leftPrefix, rightPrefix string) (*Schema, error) {
-	attrs := make([]Attribute, 0, left.Arity()+right.Arity())
-	for _, a := range left.attrs {
-		if right.Index(a.Name) >= 0 {
-			a.Name = leftPrefix + "." + a.Name
-		}
-		attrs = append(attrs, a)
-	}
-	for _, a := range right.attrs {
-		if left.Index(a.Name) >= 0 {
-			a.Name = rightPrefix + "." + a.Name
-		}
-		attrs = append(attrs, a)
-	}
-	return New(attrs...)
-}
-
 // Equal reports whether two schemas have the same attributes in the same
 // order (keys are ignored: they affect updates, not relation compatibility).
 func (s *Schema) Equal(o *Schema) bool {

@@ -88,51 +88,6 @@ func TestWithKey(t *testing.T) {
 	}
 }
 
-func TestProject(t *testing.T) {
-	s := facultySchema(t)
-	p, err := s.Project([]int{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Arity() != 1 || p.Attr(0).Name != "rank" {
-		t.Errorf("projected schema = %v", p)
-	}
-	if _, err := s.Project([]int{5}); err == nil {
-		t.Error("out-of-range projection must error")
-	}
-	// Reordering projection.
-	p2, err := s.Project([]int{1, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p2.Attr(0).Name != "rank" || p2.Attr(1).Name != "name" {
-		t.Error("projection must preserve requested order")
-	}
-}
-
-func TestConcatQualifiesCollisions(t *testing.T) {
-	s := facultySchema(t)
-	c, err := Concat(s, s, "f1", "f2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Arity() != 4 {
-		t.Fatalf("arity = %d", c.Arity())
-	}
-	if c.Index("f1.name") != 0 || c.Index("f2.rank") != 3 {
-		t.Errorf("qualified names missing: %v", c)
-	}
-	// Non-colliding names stay bare.
-	other := MustNew(Attribute{Name: "salary", Type: value.Int})
-	c2, err := Concat(s, other, "a", "b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c2.Index("salary") != 2 || c2.Index("name") != 0 {
-		t.Errorf("non-colliding names must stay bare: %v", c2)
-	}
-}
-
 func TestEqualIgnoresKey(t *testing.T) {
 	a := facultySchema(t)
 	b := facultySchema(t)

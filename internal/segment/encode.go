@@ -26,8 +26,8 @@ import (
 //   - key hashes ship raw (they are incompressible and recomputing a
 //     million key projections at recovery would dominate restore time).
 //
-// The bloom filter and zone maps are not serialized: both derive from the
-// arrays and are rebuilt in one pass at decode.
+// The bloom filter, zone maps and string postings are not serialized: all
+// derive from the arrays and are rebuilt at decode.
 
 // AppendBlock appends the encoded segment to dst and returns the result.
 func AppendBlock(dst []byte, g *Segment) []byte {
@@ -241,7 +241,8 @@ func DecodeBlock(src []byte, sch *schema.Schema) (*Segment, int, error) {
 }
 
 // rebuildSummaries computes everything derivable from the arrays, at seal and
-// decode: time zone maps, current count, attribute zones, and the bloom filter.
+// decode: time zone maps, current count, attribute zones, the bloom filter
+// and string postings.
 func (g *Segment) rebuildSummaries() {
 	g.minTransFrom, g.maxTransFrom = math.MaxInt64, math.MinInt64
 	g.maxClosedTo = math.MinInt64
@@ -262,6 +263,9 @@ func (g *Segment) rebuildSummaries() {
 	}
 	g.bloom = newBloom(g.keyHash)
 	g.buildAttrZones()
+	for a := range g.cols {
+		g.cols[a].buildPostings(g.n)
+	}
 }
 
 // appendOpenEnd encodes an interval end relative to its start: 0 for the

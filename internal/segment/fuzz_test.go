@@ -2,6 +2,7 @@ package segment
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"testing"
 
@@ -46,16 +47,31 @@ func kindBlock(sch *schema.Schema) []byte {
 	return AppendBlock(nil, l.Segments()[0])
 }
 
+// shardBlock is one sealed 64-row segment of the single-string-column
+// relation, its column taking 16 values: a dictionary small enough for
+// postings.
+func shardBlock() []byte {
+	sch := fuzzSchemas[3]
+	l := NewLog(sch)
+	for i := 0; i < 64; i++ {
+		data := tuple.Tuple{value.NewString(fmt.Sprintf("s%02d", i*7%16))}
+		l.Append(Row{Data: data, Valid: temporal.Since(temporal.Chronon(i)), Trans: temporal.Since(100), KeyHash: data.Hash64()})
+	}
+	l.SealNow()
+	return AppendBlock(nil, l.Segments()[0])
+}
+
 // FuzzDecodeBlock feeds untrusted bytes to the segment block decoder — what
 // recovery does with every block of a checkpoint. The decoder never panics,
 // and a block it accepts reaches a fixed point under AppendBlock∘DecodeBlock:
 // re-encoding the decoded segment gives bytes that decode in full and
-// re-encode to themselves. Decoding narrows columns as freezing does:
-// appending the decoded segment's own rows to an open segment and freezing
-// it gives a segment with the same column widths that encodes to those same
-// bytes. Seeds: the parent-written blocks of
-// testdata/parent_blocks.bin, one block per column kind, and the segments of
-// the narrowEdges histories.
+// re-encode to themselves. The decoded segment's postings list each code's
+// rows. Decoding narrows columns as freezing does: appending the decoded
+// segment's own rows to an open segment and freezing it gives a segment with
+// the same column widths that encodes to those same bytes. Seeds: the
+// parent-written blocks of testdata/parent_blocks.bin, one block per column
+// kind, a string column of 16 values (shardBlock), and the segments of the
+// narrowEdges histories.
 func FuzzDecodeBlock(f *testing.F) {
 	parent, err := os.ReadFile("testdata/parent_blocks.bin")
 	if err != nil {
@@ -72,6 +88,7 @@ func FuzzDecodeBlock(f *testing.F) {
 	for i := 1; i < len(fuzzSchemas); i++ {
 		f.Add(uint8(i), kindBlock(fuzzSchemas[i]))
 	}
+	f.Add(uint8(3), shardBlock())
 	for _, e := range narrowEdges {
 		l, _ := e.build(f)
 		f.Add(uint8(0), AppendBlock(nil, l.Segments()[0]))
@@ -85,6 +102,7 @@ func FuzzDecodeBlock(f *testing.F) {
 		if n < 1 || n > len(data) {
 			t.Fatalf("consumed %d of %d bytes", n, len(data))
 		}
+		checkPostings(t, g)
 		enc := AppendBlock(nil, g)
 		again, m, err := DecodeBlock(enc, sch)
 		if err != nil || m != len(enc) {

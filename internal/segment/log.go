@@ -222,7 +222,8 @@ func (p *Pred) Match(r *Row) bool {
 // are skipped whole on their summaries (prune); the open segment has none,
 // and only a string constant its dictionary lacks skips it (bindOpen). Every
 // segment not skipped is tested column-wise by the one loop (Segment.scan),
-// a tuple being built only for rows that pass.
+// a tuple being built only for rows that pass; in a sealed segment the
+// shortest postings list among the string equalities picks the rows it tests.
 func (l *Log) Scan(p Pred, fn func(pos int, r Row) bool) {
 	if (p.Trans != nil && p.Trans.IsEmpty()) || (p.Valid != nil && p.Valid.IsEmpty()) {
 		return
@@ -233,7 +234,7 @@ func (l *Log) Scan(p Pred, fn func(pos int, r Row) bool) {
 	if p.Trans != nil {
 		cut = int64(p.Trans.To)
 	}
-	codes := make([]uint32, len(p.Filters)) // this scan's per-segment filter bindings
+	bs := make([]binding, len(p.Filters)) // this scan's per-segment filter bindings
 	built, more := 0, true
 	for _, g := range l.segs {
 		if g.minTransFrom >= cut {
@@ -241,19 +242,19 @@ func (l *Log) Scan(p Pred, fn func(pos int, r Row) bool) {
 			more = false
 			break
 		}
-		if g.prune(&p, codes) {
+		if g.prune(&p, bs) {
 			continue
 		}
 		mSegmentsScanned.Inc()
-		n, goOn := g.scan(&p, codes, cut, fn)
+		n, goOn := g.scan(&p, bs, cut, fn)
 		if built, more = built+n, goOn; !more {
 			break
 		}
 	}
 	// The open segment counts as neither scanned nor pruned, so the two
 	// counters measure the summaries alone.
-	if g := l.open; more && g.n > 0 && g.bindOpen(&p, codes) {
-		n, _ := g.scan(&p, codes, cut, fn)
+	if g := l.open; more && g.n > 0 && g.bindOpen(&p, bs) {
+		n, _ := g.scan(&p, bs, cut, fn)
 		built += n
 	}
 	if built > 0 {
@@ -262,10 +263,10 @@ func (l *Log) Scan(p Pred, fn func(pos int, r Row) bool) {
 }
 
 // scan is Scan's loop over one segment, sealed or open, once prune or
-// bindOpen has left in codes what its filters need. It returns how many
+// bindOpen has left in bs what its filters need. It returns how many
 // tuples it built and whether the scan goes on to the next segment: not once
 // fn has said stop, nor past a row asserted at or after cut.
-func (g *Segment) scan(p *Pred, codes []uint32, cut int64, fn func(pos int, r Row) bool) (built int, more bool) {
+func (g *Segment) scan(p *Pred, bs []binding, cut int64, fn func(pos int, r Row) bool) (built int, more bool) {
 	hi := g.n
 	if g.transFrom.at(g.n-1) >= cut {
 		hi = sort.Search(g.n, func(i int) bool { return g.transFrom.at(i) >= cut })
@@ -273,13 +274,28 @@ func (g *Segment) scan(p *Pred, codes []uint32, cut int64, fn func(pos int, r Ro
 	var tw, vq period
 	tw.bind(p.Trans, &g.transFrom, &g.transTo)
 	vq.bind(p.Valid, &g.validFrom, &g.validTo)
+	list, by := g.postings(p.Filters, bs)
+	// A chunk of the list, sifted one test at a time: each test is then a
+	// tight loop over a few hundred rows, where testing row by row interleaves
+	// them (several times slower), and the chunk needs no allocation.
+	var buf [256]uint16
+	var rows []uint16 // what is left of the last sifted chunk
 	for i := 0; i < hi; i++ {
 		// The narrow columns pick the candidates: a key or an attribute
 		// comparison usually turns most rows away on four or eight bytes,
-		// in a loop of its own (seek); without one a period test does.
+		// in a loop of its own (seek); without one a period test does. In a
+		// sealed segment a string equality's postings, where it has them,
+		// pick them instead, a chunk at a time (sift).
 		switch {
+		case list != nil:
+			for len(rows) == 0 && len(list) > 0 && int(list[0]) < hi {
+				rows, list = g.sift(buf[:], list, hi, p, bs, by)
+			}
+			if i = hi; len(rows) > 0 {
+				i, rows = int(rows[0]), rows[1:]
+			}
 		case p.Key != nil || len(p.Filters) > 0:
-			i = g.seek(i, hi, p.Key, p.Filters, codes)
+			i = g.seek(i, hi, p.Key, p.Filters, bs)
 		case tw.on && !tw.wide:
 			i = tw.next(i, hi)
 		case vq.on && !vq.wide:
@@ -345,17 +361,56 @@ func (q *period) next(i, hi int) int {
 	return hi
 }
 
+// postings returns the shortest postings list, the first of equal ones, among
+// the string filters' codes (strings are equality-only) and the filter whose
+// it is, or nil when no filtered string column of g has postings.
+func (g *Segment) postings(filters []*Filter, bs []binding) (list []uint16, by int) {
+	for fi, f := range filters {
+		if c, d := &g.cols[f.Attr], bs[fi].lo; c.postAt != nil && (list == nil || int(c.postAt[d+1]-c.postAt[d]) < len(list)) {
+			list, by = c.post[c.postAt[d]:c.postAt[d+1]], fi
+		}
+	}
+	return list, by
+}
+
+// sift takes the next chunk of a postings list into buf and keeps, in order,
+// the rows below hi that have the key hash and pass every filter but by,
+// whose list it is, one test at a time. It returns them and the rest of the
+// list.
+func (g *Segment) sift(buf, list []uint16, hi int, p *Pred, bs []binding, by int) (rows, rest []uint16) {
+	n := copy(buf, list)
+	rows, rest = buf[:n], list[n:]
+	for len(rows) > 0 && int(rows[len(rows)-1]) >= hi {
+		rows = rows[:len(rows)-1]
+	}
+	if p.Key != nil {
+		m := 0
+		for _, r := range rows {
+			if rows[m] = r; g.keyHash[r] == *p.Key {
+				m++
+			}
+		}
+		rows = rows[:m]
+	}
+	for fi, f := range p.Filters {
+		if fi != by {
+			rows = f.sift(g, bs[fi], rows)
+		}
+	}
+	return rows, rest
+}
+
 // seek returns the first row in [i, hi) that has the key hash and passes the
 // filters, or hi. The tests take turns, each moving i on to the next row it
 // passes in a loop over its one column (Filter.next), until a whole round
 // leaves i where it is: the test that passes fewest rows does the walking and
 // the others look only at where it lands.
-func (g *Segment) seek(i, hi int, key *uint64, filters []*Filter, codes []uint32) int {
+func (g *Segment) seek(i, hi int, key *uint64, filters []*Filter, bs []binding) int {
 	tests := len(filters) + 1 // the key goes last
 	for k, still := 0, 0; i < hi && still < tests; k = (k + 1) % tests {
 		j := i
 		if k < len(filters) {
-			j = filters[k].next(g, codes[k], i, hi)
+			j = filters[k].next(g, bs[k], i, hi)
 		} else if key != nil {
 			for kh := g.keyHash[:hi]; j < hi && kh[j] != *key; j++ {
 			}

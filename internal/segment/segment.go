@@ -6,7 +6,8 @@
 // long enough a commit freezes it into a sealed Segment, the same columns
 // narrowed (strings as dictionary codes, integers and times as 32-bit offsets
 // where they fit) plus per-segment zone maps over transaction time, valid
-// time and every attribute, and a bloom filter over key hashes.
+// time and every attribute, a bloom filter over key hashes, and postings
+// (each code's rows) for string columns with few distinct values.
 //
 // Zone maps are what make big scans cheap: an as-of or overlap query
 // consults four int64s per segment before touching any tuple, skipping whole
@@ -151,16 +152,20 @@ func (c *ints) offRange(lo, hi int64) (olo, span uint32, ok bool) {
 // column is one attribute's storage inside a segment. A sealed segment's is
 // pointer-free below the slice headers: a string column's dictionary is one
 // blob of the distinct strings in first-seen order, entry d being
-// blob[offs[d]:offs[d+1]]. The open segment's string column codes into a
-// dict instead, which freezing lays out as blob and offs.
+// blob[offs[d]:offs[d+1]], and, when buildPostings gives it some, code d's
+// rows in ascending order are post[postAt[d]:postAt[d+1]]. The open
+// segment's string column codes into a dict instead, which freezing lays out
+// as blob and offs.
 type column struct {
-	kind value.Kind
-	ints ints      // Int, Bool (0/1), Instant payloads
-	fls  []float64 // Float payloads
-	blob string    // String dictionary entries
-	offs []uint32  // String dictionary bounds, one more than there are entries
-	code []uint32  // String dictionary codes, one per row
-	dict *dict     // String dictionary of the open segment
+	kind   value.Kind
+	ints   ints      // Int, Bool (0/1), Instant payloads
+	fls    []float64 // Float payloads
+	blob   string    // String dictionary entries
+	offs   []uint32  // String dictionary bounds, one more than there are entries
+	code   []uint32  // String dictionary codes, one per row
+	dict   *dict     // String dictionary of the open segment
+	post   []uint16  // String postings: the rows grouped by code
+	postAt []uint32  // String postings bounds, one more than there are entries
 }
 
 // dictLen and str read a string column's dictionary: its size (sealed
@@ -171,6 +176,31 @@ func (c *column) str(d uint32) string {
 		return c.dict.ents[d]
 	}
 	return c.blob[c.offs[d]:c.offs[d+1]]
+}
+
+// buildPostings gives a sealed string column of n rows its postings, by one
+// counting sort of its codes, when row numbers fit 16 bits and the dictionary
+// has at most n/2 entries, so that the bounds take no more room than the
+// rows. Codes never change once sealed, so neither do the postings.
+func (c *column) buildPostings(n int) {
+	if c.kind != value.String || n > 1<<16 || c.dictLen() > n/2 {
+		return
+	}
+	// postAt[d] counts, then starts, code d's rows; filling moves each start
+	// to its end, which is the next code's start, so one shift restores them.
+	c.postAt, c.post = make([]uint32, c.dictLen()+1), make([]uint16, n)
+	for _, d := range c.code {
+		c.postAt[d+1]++
+	}
+	for d := 1; d < len(c.postAt); d++ {
+		c.postAt[d] += c.postAt[d-1]
+	}
+	for i, d := range c.code {
+		c.post[c.postAt[d]] = uint16(i)
+		c.postAt[d]++
+	}
+	copy(c.postAt[1:], c.postAt)
+	c.postAt[0] = 0
 }
 
 // dict is an open segment's dictionary for one string column: the distinct
@@ -499,9 +529,9 @@ func (g *Segment) closeTrans(i int, to temporal.Chronon) {
 
 // prune reports whether the segment's summaries prove no row satisfies p,
 // counting the skip against the summary that proved it. Otherwise it leaves
-// in codes, filter by filter, what matching rows of this segment needs (see
+// in bs, filter by filter, what matching rows of this segment needs (see
 // Filter.bind).
-func (g *Segment) prune(p *Pred, codes []uint32) bool {
+func (g *Segment) prune(p *Pred, bs []binding) bool {
 	// Every row was asserted after the window, or superseded before it.
 	if w := p.Trans; w != nil && (int64(w.To) <= g.minTransFrom || int64(w.From) >= g.maxTransTo()) {
 		mSegmentsPruned.Inc()
@@ -516,30 +546,47 @@ func (g *Segment) prune(p *Pred, codes []uint32) bool {
 		return true
 	}
 	for fi, f := range p.Filters {
-		code, ok := f.bind(g)
+		b, ok := f.bind(g)
 		if !ok {
 			mSegmentsPruned.Inc()
 			return true
 		}
-		codes[fi] = code
+		bs[fi] = b
 	}
 	return false
 }
 
 // bindOpen is prune for the open segment, which has no summaries to prune
-// on: it leaves in codes each string filter's code in the dictionary, and
+// on: it leaves in bs each string filter's code in the dictionary, and
 // reports false when a constant is not there, since then no row can match.
-func (g *Segment) bindOpen(p *Pred, codes []uint32) bool {
+func (g *Segment) bindOpen(p *Pred, bs []binding) bool {
 	for fi, f := range p.Filters {
 		if d := g.cols[f.Attr].dict; d != nil {
 			code, ok := d.codes[f.val.Str()]
 			if !ok {
 				return false
 			}
-			codes[fi] = code
+			bs[fi] = binding{lo: code}
 		}
 	}
 	return true
+}
+
+// binding is a filter bound to one segment: the values of the column's
+// 32-bit form (narrow) that pass, those with x-lo <= span, none when no
+// value can. A string constant's dictionary code c is {lo: c, span: 0}.
+type binding struct {
+	lo, span uint32
+	none     bool
+}
+
+// narrow returns the column's 32-bit form: a string's codes, an int's
+// offsets, or nil.
+func (c *column) narrow() []uint32 {
+	if c.kind == value.String {
+		return c.code
+	}
+	return c.ints.off
 }
 
 // Op is a Filter's comparison operator.
@@ -554,34 +601,57 @@ const (
 )
 
 // next returns the first row in [i, hi) of g that satisfies the filter, or
-// hi, code being what bind returned for g.
-func (f *Filter) next(g *Segment, code uint32, i, hi int) int {
+// hi, b being what bind returned for g.
+func (f *Filter) next(g *Segment, b binding, i, hi int) int {
 	// An int column's test is one unsigned comparison for both ends, a branch
 	// that goes the same way for every row outside the range.
 	switch c := &g.cols[f.Attr]; {
 	case c.kind == value.Float:
 		for col := c.fls[:hi]; i < hi && !cmpOK(f.Op, cmpFloat(col[i], f.f)); i++ {
 		}
-	case c.kind == value.String: // strings are equality-only
-		for col := c.code[:hi]; i < hi && col[i] != code; i++ {
-		}
 	case c.ints.wide != nil:
 		for col, lo, span := c.ints.wide[:hi], f.lo, uint64(f.hi-f.lo); i < hi && uint64(col[i]-lo) > span; i++ {
 		}
+	case b.none:
+		return hi
 	default:
-		lo, span, ok := c.ints.offRange(f.lo, f.hi)
-		if !ok {
-			return hi
-		}
 		// A range loop: the counted form is slower on []uint32.
-		for j, x := range c.ints.off[i:hi] {
-			if x-lo <= span {
+		for j, x := range c.narrow()[i:hi] {
+			if x-b.lo <= b.span {
 				return i + j
 			}
 		}
 		return hi
 	}
 	return i
+}
+
+// sift keeps, in order, the rows of g that satisfy the filter, b being what
+// bind returned for g: next's test, on the rows a postings list picked.
+func (f *Filter) sift(g *Segment, b binding, rows []uint16) []uint16 {
+	m := 0
+	switch c := &g.cols[f.Attr]; {
+	case c.kind == value.Float:
+		for _, r := range rows {
+			if rows[m] = r; cmpOK(f.Op, cmpFloat(c.fls[r], f.f)) {
+				m++
+			}
+		}
+	case c.ints.wide != nil:
+		for _, r := range rows {
+			if rows[m] = r; uint64(c.ints.wide[r]-f.lo) <= uint64(f.hi-f.lo) {
+				m++
+			}
+		}
+	case !b.none:
+		col := c.narrow()
+		for _, r := range rows {
+			if rows[m] = r; col[r]-b.lo <= b.span {
+				m++
+			}
+		}
+	}
+	return rows[:m]
 }
 
 // cmpFloat mirrors value.Compare's total float order: NaN sorts after every
@@ -700,9 +770,8 @@ func intRange(op Op, c int64) (lo, hi int64) {
 
 // bind checks the filter against g's summaries: ok is false when the
 // attribute's zone map, or for a string its dictionary, proves no row of g
-// matches. For a string column code is the constant's dictionary code in g,
-// which next compares rows against.
-func (f *Filter) bind(g *Segment) (code uint32, ok bool) {
+// matches. Otherwise b is what next and sift test g's rows against.
+func (f *Filter) bind(g *Segment) (b binding, ok bool) {
 	lo, hi := g.AttrZone(f.Attr)
 	if lo.IsValid() && hi.IsValid() {
 		cl, errl := value.Compare(f.val, lo) // filter constant vs zone min
@@ -710,36 +779,46 @@ func (f *Filter) bind(g *Segment) (code uint32, ok bool) {
 		switch f.Op {
 		case OpEq:
 			if (errl == nil && cl < 0) || (errh == nil && ch > 0) {
-				return 0, false // constant outside [min,max]
+				return b, false // constant outside [min,max]
 			}
 		case OpLt:
 			if errl == nil && cl <= 0 {
-				return 0, false // min >= constant: no row is below it
+				return b, false // min >= constant: no row is below it
 			}
 		case OpLe:
 			if errl == nil && cl < 0 {
-				return 0, false // min > constant
+				return b, false // min > constant
 			}
 		case OpGt:
 			if errh == nil && ch >= 0 {
-				return 0, false // max <= constant: no row is above it
+				return b, false // max <= constant: no row is above it
 			}
 		case OpGe:
 			if errh == nil && ch > 0 {
-				return 0, false // max < constant
+				return b, false // max < constant
 			}
 		}
 	}
-	if g.cols[f.Attr].kind != value.String {
-		return 0, true
+	c := &g.cols[f.Attr]
+	if c.kind != value.String {
+		return f.offsets(c), true
 	}
-	c, want := &g.cols[f.Attr], f.val.Str()
-	for d := 0; d < c.dictLen(); d++ {
+	for d, want := 0, f.val.Str(); d < c.dictLen(); d++ {
 		if c.str(uint32(d)) == want {
-			return uint32(d), true
+			return binding{lo: uint32(d)}, true
 		}
 	}
-	return 0, false
+	return b, false
+}
+
+// offsets binds the filter to a narrow int column c (offRange); any other
+// column's test needs no binding.
+func (f *Filter) offsets(c *column) binding {
+	if c.ints.off == nil {
+		return binding{}
+	}
+	lo, span, ok := c.ints.offRange(f.lo, f.hi)
+	return binding{lo, span, !ok}
 }
 
 // Match evaluates the filter against a materialized row (Pred.Match's

@@ -682,7 +682,7 @@ func TestCmpFiltersAccelerateOnly(t *testing.T) {
 				want := i
 				for ; want < g.Len() && !keep(g.row(want)); want++ {
 				}
-				if got := f.next(g, 0, i, g.Len()); got != want {
+				if got := f.next(g, f.offsets(&g.cols[c.attr]), i, g.Len()); got != want {
 					t.Fatalf("%s: segment %d (%s), next from row %d = %d, want %d", name, si, widths(g), i, got, want)
 				}
 			}

@@ -65,23 +65,6 @@ func (t Tuple) HasKey(s *schema.Schema, key Tuple) bool {
 	return true
 }
 
-// Project returns the tuple restricted to the given attribute positions in
-// the given order.
-func (t Tuple) Project(indices []int) Tuple {
-	out := make(Tuple, len(indices))
-	for i, idx := range indices {
-		out[i] = t[idx]
-	}
-	return out
-}
-
-// Concat returns the concatenation of two tuples (cartesian product rows).
-func Concat(a, b Tuple) Tuple {
-	out := make(Tuple, 0, len(a)+len(b))
-	out = append(out, a...)
-	return append(out, b...)
-}
-
 // Equal reports whether two tuples agree value-for-value. This is the
 // paper's "value-equivalence": tuples that may differ in their (implicit)
 // time stamps but carry the same data.

@@ -47,23 +47,6 @@ func TestKeyProjection(t *testing.T) {
 	}
 }
 
-func TestProjectAndConcat(t *testing.T) {
-	tup := New(value.NewString("Merrie"), value.NewString("full"))
-	p := tup.Project([]int{1})
-	if len(p) != 1 || p[0].Str() != "full" {
-		t.Errorf("Project = %v", p)
-	}
-	c := Concat(tup, New(value.NewInt(7)))
-	if len(c) != 3 || c[2].Int() != 7 {
-		t.Errorf("Concat = %v", c)
-	}
-	// Concat must not alias its inputs' backing arrays.
-	c[0] = value.NewString("clobber")
-	if tup[0].Str() != "Merrie" {
-		t.Error("Concat aliased input tuple")
-	}
-}
-
 func TestEqualAndHash(t *testing.T) {
 	a := New(value.NewString("Tom"), value.NewString("associate"))
 	b := New(value.NewString("Tom"), value.NewString("associate"))

@@ -3,20 +3,23 @@ package tquel
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // lexer turns TQuel source into tokens. Comments run from "--" or "/*" in
 // the usual way; identifiers are letters, digits and underscores starting
 // with a letter; the punctuation set covers Quel's comparison operators.
+// It reads the source in place: a token's text is a slice of it, except a
+// string literal's that holds an escape. pos counts bytes, col runes.
 type lexer struct {
-	src  []rune
+	src  string
 	pos  int
 	line int
 	col  int
 }
 
 func newLexer(src string) *lexer {
-	return &lexer{src: []rune(src), line: 1, col: 1}
+	return &lexer{src: src, line: 1, col: 1}
 }
 
 // Lex tokenizes the whole input, returning the tokens (ending with TokEOF)
@@ -36,23 +39,32 @@ func Lex(src string) ([]Token, error) {
 	}
 }
 
-func (lx *lexer) peek() rune {
-	if lx.pos >= len(lx.src) {
-		return 0
+// at decodes the rune at byte offset i and its width in bytes: 0, 0 past
+// the end, and utf8.RuneError, 1 for a byte that starts no UTF-8 sequence.
+func (lx *lexer) at(i int) (rune, int) {
+	if i >= len(lx.src) {
+		return 0, 0
 	}
-	return lx.src[lx.pos]
+	if c := lx.src[i]; c < utf8.RuneSelf {
+		return rune(c), 1
+	}
+	return utf8.DecodeRuneInString(lx.src[i:])
+}
+
+func (lx *lexer) peek() rune {
+	r, _ := lx.at(lx.pos)
+	return r
 }
 
 func (lx *lexer) peek2() rune {
-	if lx.pos+1 >= len(lx.src) {
-		return 0
-	}
-	return lx.src[lx.pos+1]
+	_, n := lx.at(lx.pos)
+	r, _ := lx.at(lx.pos + n)
+	return r
 }
 
 func (lx *lexer) advance() rune {
-	r := lx.src[lx.pos]
-	lx.pos++
+	r, n := lx.at(lx.pos)
+	lx.pos += n
 	if r == '\n' {
 		lx.line++
 		lx.col = 1
@@ -102,79 +114,77 @@ func (lx *lexer) next() (Token, error) {
 	if lx.pos >= len(lx.src) {
 		return Token{Kind: TokEOF, Pos: pos}, nil
 	}
-	r := lx.peek()
+	start, r := lx.pos, lx.peek()
 	switch {
 	case unicode.IsLetter(r) || r == '_':
-		var b strings.Builder
-		for lx.pos < len(lx.src) {
-			r := lx.peek()
-			if !unicode.IsLetter(r) && !unicode.IsDigit(r) && r != '_' {
-				break
-			}
-			b.WriteRune(lx.advance())
+		for r := lx.peek(); unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_'; r = lx.peek() {
+			lx.advance()
 		}
-		return Token{Kind: TokIdent, Text: b.String(), Pos: pos}, nil
+		return Token{Kind: TokIdent, Text: lx.src[start:lx.pos], Pos: pos}, nil
 	case unicode.IsDigit(r):
-		var b strings.Builder
-		isFloat := false
-		for lx.pos < len(lx.src) {
-			r := lx.peek()
-			if r == '.' && !isFloat && unicode.IsDigit(lx.peek2()) {
-				isFloat = true
-				b.WriteRune(lx.advance())
-				continue
-			}
-			if !unicode.IsDigit(r) {
-				break
-			}
-			b.WriteRune(lx.advance())
-		}
 		kind := TokInt
-		if isFloat {
-			kind = TokFloat
+		for r := lx.peek(); unicode.IsDigit(r) || r == '.' && kind == TokInt && unicode.IsDigit(lx.peek2()); r = lx.peek() {
+			if r == '.' {
+				kind = TokFloat
+			}
+			lx.advance()
 		}
-		return Token{Kind: kind, Text: b.String(), Pos: pos}, nil
+		return Token{Kind: kind, Text: lx.src[start:lx.pos], Pos: pos}, nil
 	case r == '"':
-		lx.advance()
-		var b strings.Builder
-		for {
-			if lx.pos >= len(lx.src) {
-				return Token{}, errf(pos, "unterminated string literal")
-			}
-			c := lx.advance()
-			if c == '"' {
-				return Token{Kind: TokString, Text: b.String(), Pos: pos}, nil
-			}
-			if c == '\\' && lx.pos < len(lx.src) {
-				e := lx.advance()
-				switch e {
-				case 'n':
-					b.WriteRune('\n')
-				case 't':
-					b.WriteRune('\t')
-				case '"', '\\':
-					b.WriteRune(e)
-				default:
-					return Token{}, errf(pos, "unknown escape \\%c in string", e)
-				}
-				continue
-			}
-			b.WriteRune(c)
-		}
+		return lx.str(pos)
 	case r == '!' || r == '<' || r == '>':
 		lx.advance()
 		if lx.peek() == '=' {
 			lx.advance()
-			return Token{Kind: TokPunct, Text: string(r) + "=", Pos: pos}, nil
-		}
-		if r == '!' {
+		} else if r == '!' {
 			return Token{}, errf(pos, "unexpected '!': did you mean '!='?")
 		}
-		return Token{Kind: TokPunct, Text: string(r), Pos: pos}, nil
+		return Token{Kind: TokPunct, Text: lx.src[start:lx.pos], Pos: pos}, nil
 	case strings.ContainsRune("(),.=-+", r):
 		lx.advance()
-		return Token{Kind: TokPunct, Text: string(r), Pos: pos}, nil
+		return Token{Kind: TokPunct, Text: lx.src[start:lx.pos], Pos: pos}, nil
 	default:
 		return Token{}, errf(pos, "unexpected character %q", string(r))
+	}
+}
+
+// str lexes the string literal starting at the opening quote under the
+// cursor, at pos. Its text is the source between the quotes until an escape,
+// or a byte that is not UTF-8 (which reads as U+FFFD, as everywhere else),
+// makes it be built instead.
+func (lx *lexer) str(pos Pos) (Token, error) {
+	lx.advance()
+	start, built := lx.pos, false
+	var b strings.Builder
+	for {
+		if lx.pos >= len(lx.src) {
+			return Token{}, errf(pos, "unterminated string literal")
+		}
+		at := lx.pos
+		c := lx.advance()
+		if c == '"' {
+			if !built {
+				return Token{Kind: TokString, Text: lx.src[start:at], Pos: pos}, nil
+			}
+			return Token{Kind: TokString, Text: b.String(), Pos: pos}, nil
+		}
+		if !built && (c == '\\' || c == utf8.RuneError && lx.pos-at == 1) {
+			b.WriteString(lx.src[start:at])
+			built = true
+		}
+		if c == '\\' && lx.pos < len(lx.src) {
+			switch e := lx.advance(); e {
+			case 'n':
+				b.WriteByte('\n')
+			case 't':
+				b.WriteByte('\t')
+			case '"', '\\':
+				b.WriteRune(e)
+			default:
+				return Token{}, errf(pos, "unknown escape \\%c in string", e)
+			}
+		} else if built {
+			b.WriteRune(c)
+		}
 	}
 }

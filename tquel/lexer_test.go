@@ -98,3 +98,27 @@ func TestLexPositions(t *testing.T) {
 		t.Errorf("pos string = %q", toks[1].Pos.String())
 	}
 }
+
+// TestLexPositionsAfterNonASCII: columns count runes, not bytes, so an error
+// after a literal or identifier holding multi-byte characters is reported
+// where an editor shows it.
+func TestLexPositionsAfterNonASCII(t *testing.T) {
+	for _, c := range []struct{ src, want string }{
+		{`a "héllo" # b`, "1:11"},
+		{"x\n  \"日本\" !", "2:8"},
+		{"größe = \"\\tñ\" /* open", "1:15"},
+	} {
+		_, err := Lex(c.src)
+		if e, ok := err.(*Error); !ok || e.Pos.String() != c.want {
+			t.Errorf("Lex(%q) = %v, want an error at %s", c.src, err, c.want)
+		}
+	}
+	toks := lexKinds(t, "größe = \"ñ\\\"\" b")
+	if toks[0].Text != "größe" || toks[2].Text != `ñ"` || toks[3].Pos != (Pos{Line: 1, Col: 15}) {
+		t.Errorf("tokens = %+v", toks)
+	}
+	// A byte that is not UTF-8 reads as U+FFFD inside a literal too.
+	if toks := lexKinds(t, "\"a\xffb\""); toks[0].Text != "a\uFFFDb" {
+		t.Errorf("literal with a stray byte = %q", toks[0].Text)
+	}
+}

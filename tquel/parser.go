@@ -645,8 +645,10 @@ func (p *parser) primary() (Expr, error) {
 	t := p.cur()
 	switch {
 	case t.Kind == TokString:
+		// The token's text may be a slice of the whole source, which a stored
+		// value must not keep alive.
 		p.advance()
-		return &Lit{Pos: t.Pos, Value: tdb.String(t.Text), Text: t.Text}, nil
+		return &Lit{Pos: t.Pos, Value: tdb.String(strings.Clone(t.Text)), Text: t.Text}, nil
 	case t.Kind == TokInt:
 		p.advance()
 		v, err := value.Parse(value.Int, t.Text)
