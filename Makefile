@@ -1,5 +1,5 @@
-# CI's check job (.github/workflows/ci.yml) runs `make check bench-smoke`
-# plus a 4-core BenchmarkJoinParallel smoke: these targets are what CI runs.
+# CI's check job (.github/workflows/ci.yml) runs `make check bench-smoke`:
+# these targets are what CI runs.
 
 GO ?= go
 
@@ -35,7 +35,7 @@ race:
 	$(GO) test -race ./...
 
 # The plan-regression corpus: explain output (join order, build sides,
-# estimates, dispatch) pinned against golden text, plus the planner
+# estimates) pinned against golden text, plus the planner
 # differential corpus that guards answer identity across all arms. A quick
 # local filter, like test-faults and test-repl: `race` runs all three sets.
 plan-corpus:

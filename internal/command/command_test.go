@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"tdb"
+	"tdb/internal/config"
 )
 
 func testDB(t *testing.T) *tdb.DB {
@@ -50,17 +51,17 @@ func TestDispatchCacheAndUnknown(t *testing.T) {
 }
 
 func TestConfigVerbListsEveryKnob(t *testing.T) {
-	t.Setenv("TDB_PARALLEL", "3")
+	t.Setenv("TDB_CACHE_BYTES", "1234")
 	res, err := Dispatch(testDB(t), "config")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"TDB_CACHE_BYTES", "TDB_PARALLEL"} {
-		if !strings.Contains(res.Text, want) {
-			t.Errorf("config output missing %s:\n%s", want, res.Text)
+	for _, k := range config.Knobs() {
+		if !strings.Contains(res.Text, k.Env) {
+			t.Errorf("config output missing %s:\n%s", k.Env, res.Text)
 		}
 	}
-	if !strings.Contains(res.Text, "TDB_PARALLEL                  3") {
+	if !strings.Contains(res.Text, "TDB_CACHE_BYTES               1234") {
 		t.Errorf("config output missing env override:\n%s", res.Text)
 	}
 }

@@ -40,11 +40,6 @@ func register(k Knob) string {
 // The knobs, one declaration each. Subsystems import these names instead of
 // repeating the string, so a grep for the constant finds every consumer.
 var (
-	// Session (tquel) knob: the initial value for new sessions; the Session
-	// setter (SetParallelism) overrides.
-	EnvParallel = register(Knob{Env: "TDB_PARALLEL", Kind: "int", Default: "0 (GOMAXPROCS)",
-		Doc: "Worker budget for parallel retrieve execution; <=1 forces the serial path."})
-
 	// Database (Options) knob: env is the fallback when the Options field
 	// is zero.
 	EnvCacheBytes = register(Knob{Env: "TDB_CACHE_BYTES", Kind: "int64", Default: "67108864",
@@ -71,17 +66,6 @@ func Snapshot() map[string]string {
 		}
 	}
 	return out
-}
-
-// Int reads an integer knob, returning def when unset or malformed. Any
-// parseable value is accepted, including zero and negatives.
-func Int(env string, def int) int {
-	if v := os.Getenv(env); v != "" {
-		if n, err := strconv.Atoi(v); err == nil {
-			return n
-		}
-	}
-	return def
 }
 
 // Int64 reads a 64-bit integer knob, returning def when unset or

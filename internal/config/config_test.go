@@ -9,12 +9,12 @@ import (
 
 func TestIntAccessors(t *testing.T) {
 	t.Setenv("TDB_TEST_INT", "-3")
-	if got := Int("TDB_TEST_INT", 7); got != -3 {
-		t.Errorf("Int accepts negatives: got %d", got)
+	if got := Int64("TDB_TEST_INT", 7); got != -3 {
+		t.Errorf("Int64 accepts negatives: got %d", got)
 	}
 	t.Setenv("TDB_TEST_INT", "bogus")
-	if got := Int("TDB_TEST_INT", 7); got != 7 {
-		t.Errorf("Int falls back on malformed input: got %d", got)
+	if got := Int64("TDB_TEST_INT", 7); got != 7 {
+		t.Errorf("Int64 falls back on malformed input: got %d", got)
 	}
 	t.Setenv("TDB_TEST_INT", "0")
 	if got := Int64("TDB_TEST_INT", 9); got != 0 {
@@ -24,8 +24,8 @@ func TestIntAccessors(t *testing.T) {
 
 func TestRegistryAndSnapshot(t *testing.T) {
 	ks := Knobs()
-	if len(ks) != 2 { // the knob count is a tracked number: a new knob must argue its case here
-		t.Fatalf("expected 2 registered knobs, got %d", len(ks))
+	if len(ks) != 1 { // the knob count is a tracked number: a new knob must argue its case here
+		t.Fatalf("expected 1 registered knob, got %d", len(ks))
 	}
 	for i := 1; i < len(ks); i++ {
 		if ks[i-1].Env >= ks[i].Env {
@@ -46,14 +46,15 @@ func TestRegistryAndSnapshot(t *testing.T) {
 		}
 	}
 
-	t.Setenv(EnvParallel, "3")
 	t.Setenv(EnvCacheBytes, "") // the default is what the next assertion is about
 	snap := Snapshot()
-	if snap[EnvParallel] != "3" {
-		t.Errorf("Snapshot shows env value: got %q", snap[EnvParallel])
-	}
 	if got := snap[EnvCacheBytes]; !strings.Contains(got, "(default)") {
 		t.Errorf("Snapshot marks defaults: got %q", got)
+	}
+	t.Setenv(EnvCacheBytes, "1234")
+	snap = Snapshot()
+	if snap[EnvCacheBytes] != "1234" {
+		t.Errorf("Snapshot shows env value: got %q", snap[EnvCacheBytes])
 	}
 	if len(snap) != len(ks) {
 		t.Errorf("Snapshot covers all knobs: %d vs %d", len(snap), len(ks))

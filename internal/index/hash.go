@@ -29,9 +29,8 @@ const pageLen = 1 << 15
 //
 // Hash is not safe for concurrent mutation, but once built it is safe for
 // any number of concurrent readers, provided hashAt is: Lookup and Len touch
-// no mutable state. The TQuel parallel executor builds equi-join tables
-// serially at plan time and probes them from every worker goroutine without
-// locking.
+// no mutable state. The stores' key indexes are read this way by concurrent
+// views under the database's read lock.
 type Hash struct {
 	hashAt func(pos int) uint64
 	table  []uint32

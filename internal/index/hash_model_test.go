@@ -264,8 +264,8 @@ func TestHashAddPanicsBeyond32Bits(t *testing.T) {
 	}
 }
 
-// After a serial build any number of goroutines may Lookup (the parallel
-// executor probes join build tables this way); run under -race.
+// After a serial build any number of goroutines may Lookup (concurrent
+// views read the stores' key indexes this way); run under -race.
 func TestHashConcurrentLookup(t *testing.T) {
 	const n = 4096
 	h := New(func(pos int) uint64 { return uint64(pos % 512) })

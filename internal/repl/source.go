@@ -23,8 +23,9 @@ var ErrEpochGone = errors.New("repl: epoch rolled over")
 // stream loop recovers by re-syncing.
 type Source interface {
 	// ReplPosition returns the current log era, its size in bytes, and the
-	// latest commit chronon — the triple a heartbeat reports.
-	ReplPosition() (epoch uint64, size int64, last temporal.Chronon)
+	// latest commit chronon — the triple a heartbeat reports. An error ends
+	// the stream.
+	ReplPosition() (epoch uint64, size int64, last temporal.Chronon, err error)
 	// ReplSnapshot returns the raw encoded bytes of the snapshot pairing
 	// with the current era, and that era. Before the first checkpoint it
 	// returns (nil, 0, nil): era zero needs no snapshot.
@@ -67,7 +68,11 @@ func Stream(src Source, cur Cursor, send func(Msg) error, opts StreamOptions) er
 	timer := time.NewTimer(hb)
 	defer timer.Stop()
 	for {
-		epoch, size, last := src.ReplPosition()
+		epoch, size, last, err := src.ReplPosition()
+		if err != nil {
+			send(Msg{T: MsgError, Err: fmt.Sprintf("position unavailable: %v", err)})
+			return fmt.Errorf("repl: stream position: %w", err)
+		}
 		if cur.Epoch != epoch || cur.Offset > size {
 			// The cursor is not a prefix of the current era: checkpoint
 			// rollover, a fresh follower against an old primary, or a
@@ -126,7 +131,7 @@ func Stream(src Source, cur Cursor, send func(Msg) error, opts StreamOptions) er
 		// the position so an append between the check and the wait still
 		// wakes the loop.
 		changed := src.ReplChanged()
-		if e2, s2, _ := src.ReplPosition(); e2 != cur.Epoch || s2 != cur.Offset {
+		if e2, s2, _, err := src.ReplPosition(); err != nil || e2 != cur.Epoch || s2 != cur.Offset {
 			continue
 		}
 		if !timer.Stop() {

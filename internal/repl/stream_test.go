@@ -24,10 +24,10 @@ func newFakeSource() *fakeSource {
 	return &fakeSource{changed: make(chan struct{})}
 }
 
-func (f *fakeSource) ReplPosition() (uint64, int64, temporal.Chronon) {
+func (f *fakeSource) ReplPosition() (uint64, int64, temporal.Chronon, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.epoch, int64(len(f.log)), f.last
+	return f.epoch, int64(len(f.log)), f.last, nil
 }
 
 func (f *fakeSource) ReplSnapshot() ([]byte, uint64, error) {

@@ -18,10 +18,9 @@ import (
 // database's read lock, held for the duration of the store read — and
 // returns freshly allocated []Version slices whose elements are never
 // mutated afterwards: the store appends versions, it does not rewrite them.
-// Callers (the TQuel executor in particular, see tquel/parallel.go) may
-// therefore share a returned slice across goroutines without further
-// locking, even while later transactions commit: a commit takes the write
-// lock, so it cannot overlap the read, and it cannot touch the
+// Callers may therefore share a returned slice across goroutines without
+// further locking, even while later transactions commit: a commit takes the
+// write lock, so it cannot overlap the read, and it cannot touch the
 // already-materialized copies. Two query methods are two views, and a
 // transaction may commit between them; reads that must agree with each
 // other go through one DB.View. None of these methods may be called from

@@ -74,10 +74,14 @@ func (db *DB) ReplChanged() <-chan struct{} {
 }
 
 // ReplPosition returns the current checkpoint era, the log's size in
-// bytes, and the latest commit chronon.
-func (db *DB) ReplPosition() (uint64, int64, temporal.Chronon) {
+// bytes, and the latest commit chronon. A fail-stopped database refuses
+// with ErrFailStopped: its clock has issued a commit the log never got.
+func (db *DB) ReplPosition() (uint64, int64, temporal.Chronon, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
+	if err := db.Health(); err != nil {
+		return 0, 0, 0, err
+	}
 	var size int64
 	if db.log != nil {
 		size = db.log.Size()
@@ -86,7 +90,7 @@ func (db *DB) ReplPosition() (uint64, int64, temporal.Chronon) {
 	if last == temporal.Beginning {
 		last = 0
 	}
-	return db.epoch, size, last
+	return db.epoch, size, last, nil
 }
 
 // ReplSnapshot returns the raw bytes of the installed snapshot and the

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"tdb/internal/repl"
 	"tdb/internal/vfs"
@@ -64,7 +66,10 @@ func shipAll(t *testing.T, src, dst *DB) {
 		if i > 10_000 {
 			t.Fatal("shipAll did not converge")
 		}
-		sEpoch, sSize, _ := src.ReplPosition()
+		sEpoch, sSize, _, err := src.ReplPosition()
+		if err != nil {
+			t.Fatal(err)
+		}
 		dEpoch, dSize := dst.ReplCursor()
 		if dEpoch != sEpoch || dSize > sSize {
 			snap, se, err := src.ReplSnapshot()
@@ -284,7 +289,10 @@ func TestReplFollowerRestartResumes(t *testing.T) {
 	follower := openFollower(t, fPath, nil)
 
 	// Ship only a prefix: the header plus the first two frames.
-	sEpoch, sSize, _ := primary.ReplPosition()
+	sEpoch, sSize, _, err := primary.ReplPosition()
+	if err != nil {
+		t.Fatal(err)
+	}
 	raw, err := primary.ReplReadLog(sEpoch, 0, int(sSize))
 	if err != nil {
 		t.Fatal(err)
@@ -328,7 +336,10 @@ func TestReplFollowerCrashMatrix(t *testing.T) {
 	primary := reopen(t, pPath)
 	defer primary.Close()
 	buildMixedDB(t, primary)
-	sEpoch, sSize, _ := primary.ReplPosition()
+	sEpoch, sSize, _, err := primary.ReplPosition()
+	if err != nil {
+		t.Fatal(err)
+	}
 	raw, err := primary.ReplReadLog(sEpoch, 0, int(sSize))
 	if err != nil {
 		t.Fatal(err)
@@ -444,5 +455,86 @@ func TestReplChangedWakes(t *testing.T) {
 	case <-ch:
 	default:
 		t.Fatal("append did not close the change channel")
+	}
+}
+
+// A fail-stopped primary must end its replication streams, not report its
+// clock: after a failed flush the clock holds a commit the log never got,
+// so no message may carry it, and the stream ends with an error naming the
+// fail-stop.
+func TestReplStreamEndsOnFailStop(t *testing.T) {
+	ffs := vfs.NewFaultFS(vfs.Default())
+	db, err := Open(filepath.Join(t.TempDir(), "tdb.wal"), Options{
+		Clock:           temporal.NewLogicalClock(temporal.Date(1985, 1, 1)),
+		Sync:            true,
+		FS:              ffs,
+		GroupCommitWait: *commitWait,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if _, err := db.CreateRelation("r", Historical, facultySchema(t)); err != nil {
+		t.Fatal(err)
+	}
+	assertName := func(name string) error {
+		return db.Update(func(tx *Tx) error {
+			h, err := tx.Rel("r")
+			if err != nil {
+				return err
+			}
+			return h.Assert(fac(name, "x"), temporal.Date(1990, 1, 1), temporal.Forever)
+		})
+	}
+	if err := assertName("logged"); err != nil {
+		t.Fatal(err)
+	}
+	logged := db.LastCommit()
+
+	// send hands each message to the test and holds the stream until the
+	// test acknowledges it, so the failing commit lands while the stream is
+	// parked on a heartbeat, not mid-way through reading the position.
+	msgs, ack, stop := make(chan repl.Msg), make(chan struct{}), make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		done <- repl.Stream(db, repl.Cursor{}, func(m repl.Msg) error {
+			msgs <- m
+			<-ack
+			return nil
+		}, repl.StreamOptions{Heartbeat: 10 * time.Millisecond, Stop: stop})
+	}()
+	var (
+		streamErr error
+		errMsg    string
+		failed    bool
+		lateBeats int
+	)
+	for ended := false; !ended; {
+		select {
+		case m := <-msgs:
+			if m.Commit > logged {
+				t.Errorf("stream sent a %q message carrying commit %v, past the last logged commit %v", m.T, m.Commit, logged)
+			}
+			switch {
+			case m.T == repl.MsgError:
+				errMsg = m.Err
+			case m.T == repl.MsgHeartbeat && !failed:
+				ffs.FailSyncAt(1)
+				if err := assertName("unlogged"); !errors.Is(err, ErrFailStopped) {
+					t.Fatalf("commit with a failing fsync = %v, want ErrFailStopped", err)
+				}
+				failed = true
+			case m.T == repl.MsgHeartbeat:
+				if lateBeats++; lateBeats == 3 {
+					close(stop)
+				}
+			}
+			ack <- struct{}{}
+		case streamErr = <-done:
+			ended = true
+		}
+	}
+	if !errors.Is(streamErr, ErrFailStopped) || !strings.Contains(errMsg, "fail-stopped") {
+		t.Fatalf("stream ended with %v and error message %q, want the fail-stop", streamErr, errMsg)
 	}
 }

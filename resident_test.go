@@ -18,12 +18,13 @@ import (
 // 1 696 in sealed segments. The columns are 47 B of a version (four time
 // columns and the int as 4-byte offsets, a key hash, two dictionary codes,
 // plus the id's bytes and offset); the key index is a 4-byte link and its
-// share of the table; the open segment, the statistics and allocator
-// rounding are the rest: 62.3 B measured. It was 75.7 B while the index kept
-// a 16-byte entry holding a copy of the key hash, 82.1 B while unsealed
-// versions were rows, 101.7 B while every integer column took 8 bytes a row,
-// and 220.5 B while the index kept a 40-byte bucket and a one-element slice
-// per key.
+// share of the table; the shard column's postings are 2 B; the open
+// segment, the statistics and allocator rounding are the rest: 64.3 B
+// measured. It was 62.3 B before sealed string columns kept postings,
+// 75.7 B while the index kept a 16-byte entry holding a copy of the key
+// hash, 82.1 B while unsealed versions were rows, 101.7 B while every
+// integer column took 8 bytes a row, and 220.5 B while the index kept a
+// 40-byte bucket and a one-element slice per key.
 //
 // Open: 8 000 versions, one call below the seal threshold, all in the open
 // segment: 56 B of int64 time columns and v, key hash and two codes, the
@@ -35,8 +36,9 @@ import (
 // Superseded: 10 000 ids asserted ten times over the same period, so one
 // version in ten is current. The key index links every position, superseded
 // ones included, where 16-byte entries held only current versions: the one
-// shape the 4-byte link makes dearer, 59.3 → 59.8–60.1 B measured. The limit is
-// the 16-byte entries' figure plus 3 B.
+// shape the 4-byte link makes dearer, 59.3 → 59.8–60.1 B measured, and
+// 61.8–62.2 B since the postings. The limit is the 16-byte entries' figure
+// plus 3 B.
 func TestResidentBytesPerVersion(t *testing.T) {
 	if testing.Short() || raceDetector {
 		t.Skip("measures the heap: not under -short or -race")

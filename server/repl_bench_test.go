@@ -37,7 +37,10 @@ func benchPrimary(b *testing.B, extra int) (*tdb.DB, string) {
 // fully caught up over the wire — dial, handshake, ship, apply.
 func BenchmarkReplicaCatchup(b *testing.B) {
 	primary, addr := benchPrimary(b, 500)
-	pe, ps, pc := primary.ReplPosition()
+	pe, ps, pc, err := primary.ReplPosition()
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -161,7 +161,10 @@ func waitCaughtUp(t testing.TB, primary, follower *tdb.DB) {
 	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		pe, ps, pc := primary.ReplPosition()
+		pe, ps, pc, err := primary.ReplPosition()
+		if err != nil {
+			t.Fatal(err)
+		}
 		fe, fs := follower.ReplCursor()
 		if pe == fe && ps == fs && follower.LastCommit() == pc {
 			return

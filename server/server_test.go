@@ -123,7 +123,7 @@ func TestExplainOverProtocol(t *testing.T) {
 	if out.Stmt != "explain" {
 		t.Errorf("outcome stmt = %q, want explain", out.Stmt)
 	}
-	if !strings.HasPrefix(out.Msg, "plan") || !strings.Contains(out.Msg, "dispatch:") {
+	if !strings.HasPrefix(out.Msg, "plan") || !strings.Contains(out.Msg, "candidate(s)") {
 		t.Errorf("explain msg = %q, want a rendered plan", out.Msg)
 	}
 	if out.Table != "" || out.Rows != 0 {
@@ -214,17 +214,12 @@ func TestMalformedRequestReported(t *testing.T) {
 
 // TestConcurrentClients has eight connections append to one temporal
 // relation, each reading its own rows back as it goes, in every cache arm,
-// once more with the relation sealed every four rows, so that connections and
-// seals cross the sealed/tail boundary concurrently, and once with every
-// session given a four-worker budget.
+// and once more with the relation sealed every four rows, so that
+// connections and seals cross the sealed/tail boundary concurrently.
 func TestConcurrentClients(t *testing.T) {
 	cacheArms(t, testConcurrentClients)
 	t.Run("seal=4", func(t *testing.T) {
 		sealEvery(t, 4)
-		testConcurrentClients(t, 64<<10)
-	})
-	t.Run("parallel=4", func(t *testing.T) {
-		t.Setenv("TDB_PARALLEL", "4")
 		testConcurrentClients(t, 64<<10)
 	})
 }

@@ -20,7 +20,7 @@ import (
 //
 // Every fold is order-free, so the result depends only on the multiset of
 // contributing bindings, never on the order an arm (planner on or off,
-// parallel, segments, recovery, follower) emits them in: count, min, max
+// segments, recovery, follower) emits them in: count, min, max
 // and any commute, the stamps extend, and float sum/avg contributions are
 // kept per accumulator and added in ascending order by result.
 type aggregator struct {

@@ -218,7 +218,6 @@ func TestAggregateStampsExtend(t *testing.T) {
 // emitted, 1e16 + -1e16 + 1 is 1 in one order and 0 in the other; added in
 // ascending order it is 0 everywhere.
 func TestAggregateFloatSumOrderFree(t *testing.T) {
-	forceParallel(t)
 	ses := NewSession(newDB(t))
 	if _, err := ses.Exec(`
 		create historical relation a (k = int, g = string, x = float) key (k)

@@ -135,16 +135,11 @@ func benchKV(b *testing.B, db *tdb.DB, name string, n int, width int) {
 }
 
 // benchBoth runs the query as planner-on and planner-off sub-benchmarks.
-// Both arms pin the session to one worker so the numbers track the serial
-// executor across PRs regardless of the machine's core count;
-// BenchmarkJoinParallel measures the worker-pool path. The result cache is
-// bypassed — these benchmarks repeat one query and would otherwise measure
+// The result cache is bypassed — these benchmarks repeat one query and would otherwise measure
 // hit latency (BenchmarkAsOfCached owns that number).
 func benchBoth(b *testing.B, ses *Session, src string, wantRows int) {
 	b.Helper()
 	ses.DisableCache(true)
-	ses.SetParallelism(1)
-	defer ses.SetParallelism(0)
 	for _, mode := range []struct {
 		name string
 		off  bool
@@ -210,35 +205,6 @@ func BenchmarkWhenOverlapIndexed(b *testing.B) {
 	// the 5000 versions overlap it.
 	ses.SetNow(func() temporal.Chronon { return temporal.Date(1980, 1, 1) + 2500 })
 	benchBoth(b, ses, `retrieve (h.k) when h overlap "now"`, 5)
-}
-
-// BenchmarkJoinParallel is the tentpole scaling case: the selective
-// equi-join of BenchmarkJoinEquiSelective with the session's worker budget
-// left at the default, so GOMAXPROCS — and therefore the -cpu flag —
-// controls the pool size. Run with -cpu 1,2,4 to see the scaling curve;
-// -cpu 1 resolves to one worker and takes the serial path.
-func BenchmarkJoinParallel(b *testing.B) {
-	db := newDB(b)
-	ses := NewSession(db)
-	benchKV(b, db, "p1", 5000, 0)
-	benchKV(b, db, "p2", 5000, 0)
-	if _, err := ses.Exec("range of a is p1\nrange of b is p2"); err != nil {
-		b.Fatal(err)
-	}
-	ses.DisableCache(true) // measure the pool, not cache hits
-	ses.DisablePlanner(false)
-	ses.SetParallelism(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := ses.Query(`retrieve (a.k, b.v) where a.k = b.k`)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Len() != 5000 {
-			b.Fatalf("rows = %d, want 5000", res.Len())
-		}
-	}
 }
 
 // BenchmarkEvalWhereResolved is BenchmarkEvalWhere after analysis has
@@ -332,7 +298,6 @@ func BenchmarkAsOfCached(b *testing.B) {
 			if _, err := ses.Exec(`replace h (v = "w") where h.k >= 0 valid from "01/01/83" to forever`); err != nil {
 				b.Fatal(err)
 			}
-			ses.SetParallelism(1)
 			ses.DisableCache(mode.off)
 			const q = `retrieve (h.k) where h.k < 100 as of "01/01/82"`
 			// Warm the cache outside the timer: the first run is sighted,

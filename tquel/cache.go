@@ -55,10 +55,7 @@ import (
 // expressions cannot hide a clock reference — see mentionsNow — so the
 // syntactic test is complete.
 //
-// SetParallelism is deliberately absent from the key: the parallel path
-// merges chunks deterministically and is byte-identical to serial
-// execution, so serial and parallel sessions may share entries. The
-// planner ablation switch IS in the key, keeping the two pipelines'
+// The planner ablation switch is in the key, keeping the two pipelines'
 // entries apart for differential testing.
 
 // DisableCache bypasses the database's query result cache for this session

@@ -38,9 +38,6 @@ func randStampedRows(rng *rand.Rand, n int) []ResultRow {
 // normalize renders a row set order-independently for comparison.
 func normalize(rows []ResultRow) string {
 	rs := &Resultset{Rows: append([]ResultRow(nil), rows...)}
-	for i := range rs.Rows {
-		rs.Rows[i].key = "" // stamps may have changed; force recompute
-	}
 	rs.sortAndDedup()
 	out := ""
 	for _, r := range rs.Rows {

@@ -9,14 +9,13 @@ import (
 
 // TestConcurrentSessions drives several goroutines, each with its own
 // Session, against one shared tdb.DB: every goroutine appends to its own
-// relation and retrieves from any of them, with the parallel executor
-// enabled so worker goroutines overlap concurrent statements. A Session is
-// single-goroutine state, so each worker owns one; the database itself
+// relation and retrieves from any of them. A Session is single-goroutine
+// state, so each goroutine owns one; the database itself
 // promises safe concurrent use, and this test is the -race witness for
 // that promise, with a cache small enough that the sessions' answers keep
 // evicting one another in one of its arms. The relations are historical,
 // except in the last arm: temporal relations sealed every four rows, so that
-// sessions, workers and seals cross the sealed/tail boundary concurrently.
+// sessions and seals cross the sealed/tail boundary concurrently.
 func TestConcurrentSessions(t *testing.T) {
 	cacheArms(t, 0, func(t *testing.T, cacheBytes int64) { testConcurrentSessions(t, cacheBytes, "historical") })
 	t.Run("seal=4", func(t *testing.T) {
@@ -26,7 +25,6 @@ func TestConcurrentSessions(t *testing.T) {
 }
 
 func testConcurrentSessions(t *testing.T, cacheBytes int64, kind string) {
-	forceParallel(t)
 	const (
 		goroutines = 4
 		ops        = 60
@@ -48,7 +46,6 @@ func testConcurrentSessions(t *testing.T, cacheBytes int64, kind string) {
 		go func(g int) {
 			defer wg.Done()
 			ses := NewSession(db)
-			ses.SetParallelism(3)
 			rng := rand.New(rand.NewSource(int64(85 + g)))
 			if _, err := ses.Exec(fmt.Sprintf(
 				"range of x is c%d\nrange of y is c%d", g, (g+1)%goroutines)); err != nil {

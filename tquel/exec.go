@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"tdb"
-	"tdb/internal/config"
 	"tdb/internal/obs"
 	"tdb/internal/value"
 	"tdb/temporal"
@@ -16,29 +15,24 @@ import (
 // declarations persist across Exec calls, as in an interactive Quel
 // session. A Session is not safe for concurrent use; open one per client.
 type Session struct {
-	db          *tdb.DB
-	ranges      map[string]string // variable -> relation name
-	now         func() temporal.Chronon
-	tracer      obs.Tracer // nil unless SetTracer installed one
-	noPlanner   bool
-	noStats     bool // planner ignores statistics (DisableStats)
-	noCache     bool // session-level query cache bypass (DisableCache)
-	parallelism int  // worker budget; 0 = GOMAXPROCS, <=1 = serial
+	db        *tdb.DB
+	ranges    map[string]string // variable -> relation name
+	now       func() temporal.Chronon
+	tracer    obs.Tracer // nil unless SetTracer installed one
+	noPlanner bool
+	noStats   bool // planner ignores statistics (DisableStats)
+	noCache   bool // session-level query cache bypass (DisableCache)
 }
 
 // NewSession opens a session on the database. The "now" spelling in
 // queries resolves via the system clock by default; override with SetNow
-// for deterministic replay. Setting the TDB_PARALLEL environment variable
-// to an integer fixes the worker budget of new sessions (SetParallelism
-// documents the values).
+// for deterministic replay.
 func NewSession(db *tdb.DB) *Session {
-	s := &Session{
+	return &Session{
 		db:     db,
 		ranges: make(map[string]string),
 		now:    func() temporal.Chronon { return temporal.SystemClock{}.Now() },
 	}
-	s.parallelism = config.Int(config.EnvParallel, 0)
-	return s
 }
 
 // DisablePlanner switches retrieve execution to the naive nested-loop path
@@ -47,12 +41,17 @@ func NewSession(db *tdb.DB) *Session {
 func (s *Session) DisablePlanner(disabled bool) { s.noPlanner = disabled }
 
 // DisableStats reverts the planner to the statistics-free v1 heuristics:
-// ascending-cardinality join order, first-edge hash builds and the fixed
-// outer-size parallel threshold.
+// ascending-cardinality join order and first-edge hash builds.
 // Statistics maintenance on the write path is unaffected — only their
 // consumption by this session's planner. Differential tests assert both
 // modes agree.
 func (s *Session) DisableStats(disabled bool) { s.noStats = disabled }
+
+// SetParallelism does nothing: a retrieve runs on the statement's
+// goroutine, and n is ignored.
+//
+// Deprecated: kept only so that existing callers compile.
+func (s *Session) SetParallelism(n int) {}
 
 // SetNow overrides the session's notion of the current instant ("now" in
 // queries). Update statements always use their transaction's commit
@@ -382,20 +381,24 @@ func (s *Session) execRetrieve(n *RetrieveStmt) (*Outcome, error) {
 		Msg: fmt.Sprintf("%d tuple(s)", len(res.Rows))}, nil
 }
 
+// execTally is one retrieve's per-row work. tally.scanned counts bindings
+// examined per variable: each time a candidate version is bound to a range
+// variable — during planner prefiltering or inside the join loop — it
+// counts once. tally.joinPairs counts the bindings examined at inner depths
+// (depth ≥ 1), the join work the old outer-rebinding accounting made
+// invisible.
+type execTally struct {
+	scanned   int64
+	joinPairs int64
+	probes    int64
+}
+
 // run executes a compiled retrieve: the join loop over the versions compile
 // fetched, then aggregation, coalescing, ordering and the into clause. It
 // reads nothing from the database.
 func (s *Session) run(n *RetrieveStmt, c *compiled) (*Resultset, error) {
-	// Per-row tallies accumulate in a coordinator-owned execTally; workers
-	// (see parallel.go) keep their own and are summed into it after the
-	// merge. All counter settlement — the atomic adds and the execute span
-	// notes — happens exactly once here, on the coordinating goroutine, on
-	// the way out. tally.scanned counts bindings examined per variable:
-	// each time a candidate version is bound to a range variable — during
-	// planner prefiltering or inside the join loop — it counts once.
-	// tally.joinPairs counts the bindings examined at inner depths
-	// (depth ≥ 1), the join work the old outer-rebinding accounting made
-	// invisible.
+	// All counter settlement — the atomic adds and the execute span notes —
+	// happens exactly once, on the way out.
 	var tally execTally
 	var returned int64
 	var execSp obs.Span
@@ -457,46 +460,25 @@ func (s *Session) run(n *RetrieveStmt, c *compiled) (*Resultset, error) {
 	if hasAggTargets(n) {
 		agg = newAggregator(n.Targets, n.Window)
 	}
-	// emitRowTo runs with all variables bound in ev: stamp, then fold or
-	// project. Rows land in *rows so the serial path, the naive path, and
-	// each parallel worker can supply their own buffer; aggregate folding is
-	// serial-only (useParallel excludes it).
-	emitRowTo := func(ev *env, rows *[]ResultRow) error {
-		row := ResultRow{Valid: temporal.All, Trans: temporal.All}
-		// Derived valid period.
-		switch {
-		case n.Valid != nil && n.Valid.At != nil:
-			at, err := evalEvent(n.Valid.At, ev)
-			if err != nil {
-				return err
-			}
-			row.Valid = temporal.At(at)
-		case n.Valid != nil:
-			from, err := evalEvent(n.Valid.From, ev)
-			if err != nil {
-				return err
-			}
-			to, err := evalEvent(n.Valid.To, ev)
-			if err != nil {
-				return err
-			}
-			iv, err := temporal.MakeInterval(from, to)
-			if err != nil {
-				return errf(n.Valid.Pos, "valid period is inverted: [%v, %v)", from, to)
-			}
-			row.Valid = iv
-		default:
-			row.Valid = stampIntersection(ev, sc, tvars, func(b *binding) temporal.Interval { return b.valid })
+	// emitRow runs with all variables bound in ev: stamp, then fold or
+	// project into res.Rows.
+	emitRow := func() error {
+		valid, explicit, err := validRange(n.Valid, ev, temporal.All)
+		if err != nil {
+			return err
 		}
-		row.Trans = stampIntersection(ev, sc, tvars, func(b *binding) temporal.Interval { return b.trans })
-		if row.Valid.IsEmpty() || row.Trans.IsEmpty() {
+		if !explicit {
+			valid = stampIntersection(ev, sc, tvars, func(b *binding) temporal.Interval { return b.valid })
+		}
+		trans := stampIntersection(ev, sc, tvars, func(b *binding) temporal.Interval { return b.trans })
+		if valid.IsEmpty() || trans.IsEmpty() {
 			// The participating facts were never jointly valid/present.
 			return nil
 		}
 		if agg != nil {
-			return agg.add(ev, row.Valid, row.Trans)
+			return agg.add(ev, valid, trans)
 		}
-		row.Data = make(tdb.Tuple, 0, len(n.Targets))
+		row := ResultRow{Data: make(tdb.Tuple, 0, len(n.Targets)), Valid: valid, Trans: trans}
 		for _, t := range n.Targets {
 			v, err := evalExpr(t.Expr, ev)
 			if err != nil {
@@ -504,11 +486,7 @@ func (s *Session) run(n *RetrieveStmt, c *compiled) (*Resultset, error) {
 			}
 			row.Data = append(row.Data, v)
 		}
-		// The canonical sort key is computed at emit time: the sort needs
-		// it anyway, and on the parallel path this moves the formatting
-		// work into the workers.
-		row.key = row.canonicalKey()
-		*rows = append(*rows, row)
+		res.Rows = append(res.Rows, row)
 		return nil
 	}
 
@@ -547,7 +525,7 @@ func (s *Session) run(n *RetrieveStmt, c *compiled) (*Resultset, error) {
 					return err
 				}
 			}
-			return emitRowTo(ev, &res.Rows)
+			return emitRow()
 		}
 		if err := emit(0); err != nil {
 			return nil, err
@@ -565,44 +543,14 @@ func (s *Session) run(n *RetrieveStmt, c *compiled) (*Resultset, error) {
 		if s.tracer != nil {
 			execSp = s.tracer.Start("execute")
 		}
-		emitRow := func(ex *planExec) error { return emitRowTo(ex.ev, &ex.rows) }
-		switch {
-		case pl.emptyResult:
-			// A false variable-free conjunct: skip the join loop entirely.
-		case pl.workers > 1:
-			var parSp obs.Span
-			if s.tracer != nil {
-				parSp = s.tracer.Start("parallel")
-			}
-			rows, wtally, used, chunks, err := runParallel(pl, ev.now, pl.workers, emitRow)
-			tally.add(wtally)
-			mParallelQueries.Inc()
-			mParallelWorkers.Add(uint64(used))
-			if parSp != nil {
-				parSp.Note("workers", int64(used))
-				parSp.Note("chunks", int64(chunks))
-				parSp.Note("outer_candidates", int64(len(pl.vars[0].versions)))
-				parSp.End()
-			}
-			if err != nil {
-				return nil, err
-			}
-			res.Rows = rows
-		default:
-			ex := newPlanExec(pl, ev.now)
+		// A false variable-free conjunct (emptyResult) skips the join loop.
+		if !pl.emptyResult {
 			if agg == nil && len(pl.vars) > 0 {
-				ex.rows = make([]ResultRow, 0, min(len(pl.vars[0].versions), 1024))
+				res.Rows = make([]ResultRow, 0, min(len(pl.vars[0].versions), 1024))
 			}
-			outer := 0
-			if len(pl.vars) > 0 {
-				outer = len(pl.vars[0].versions)
-			}
-			err := runPlan(pl, ex, 0, outer, emitRow)
-			tally.add(ex.tally)
-			if err != nil {
+			if err := runPlan(pl, ev, &tally, emitRow); err != nil {
 				return nil, err
 			}
-			res.Rows = ex.rows
 		}
 	}
 	if agg != nil {
@@ -622,6 +570,59 @@ func (s *Session) run(n *RetrieveStmt, c *compiled) (*Resultset, error) {
 		}
 	}
 	return res, nil
+}
+
+// runPlan executes the compiled join loop, binding each depth's variable in
+// ev to one cell reused across its candidates, and calls emitRow with every
+// variable bound.
+func runPlan(pl *queryPlan, ev *env, tally *execTally, emitRow func() error) error {
+	cells := make([]binding, len(pl.vars))
+	var posts [][]int // per depth, the build-table postings of the probe in progress
+	var emit func(depth int) error
+	emit = func(depth int) error {
+		if depth == len(pl.vars) {
+			return emitRow()
+		}
+		pv := &pl.vars[depth]
+		b := &cells[depth]
+		b.rel = pv.rel
+		ev.vars[pv.name] = b
+		step := func(ver *tdb.Version) error {
+			tally.scanned++
+			if depth > 0 {
+				tally.joinPairs++
+			}
+			b.data, b.valid, b.trans = ver.Data, ver.Valid, ver.Trans
+			ok, err := pv.admit(ev)
+			if err != nil || !ok {
+				return err
+			}
+			return emit(depth + 1)
+		}
+		if pv.join != nil {
+			tally.probes++
+			probe := &cells[pv.join.probeDepth]
+			key := joinHash(probe.data[pv.join.probeIdx], pv.join.numeric)
+			if posts == nil {
+				posts = make([][]int, len(pl.vars))
+			}
+			posts[depth] = pv.join.table.Lookup(key, posts[depth][:0])
+			for _, pos := range posts[depth] {
+				if err := step(&pv.versions[pos]); err != nil {
+					return err
+				}
+			}
+		} else {
+			for i := range pv.versions {
+				if err := step(&pv.versions[i]); err != nil {
+					return err
+				}
+			}
+		}
+		delete(ev.vars, pv.name)
+		return nil
+	}
+	return emit(0)
 }
 
 // stampIntersection intersects the chosen stamp over the target-list
@@ -725,9 +726,38 @@ func validRange(vc *ValidClause, ev *env, def temporal.Interval) (temporal.Inter
 	}
 	iv, err := temporal.MakeInterval(from, to)
 	if err != nil {
-		return def, false, errf(vc.Pos, "valid period is inverted")
+		return def, false, errf(vc.Pos, "valid period is inverted: [%v, %v)", from, to)
 	}
 	return iv, true, nil
+}
+
+// eventAt resolves an update's valid clause against an event relation: the
+// clause's instant, or def without a clause.
+func eventAt(vc *ValidClause, ev *env, def temporal.Chronon) (temporal.Chronon, error) {
+	if vc == nil {
+		return def, nil
+	}
+	if vc.At == nil {
+		return def, errf(vc.Pos, "event relations need 'valid at'")
+	}
+	return evalEvent(vc.At, ev)
+}
+
+// setValue evaluates one entry of an update's set list for an attribute of
+// type typ, reading a string as a date when the attribute is an instant.
+func setValue(sc SetClause, typ tdb.ValueKind, ev *env) (tdb.Value, error) {
+	v, err := evalExpr(sc.Expr, ev)
+	if err != nil {
+		return v, err
+	}
+	if typ == value.Instant && v.Kind() == value.String {
+		c, err := temporal.Parse(v.Str())
+		if err != nil {
+			return v, errf(sc.Pos, "cannot parse %q as a date", v.Str())
+		}
+		v = tdb.Instant(c)
+	}
+	return v, nil
 }
 
 func (s *Session) execAppend(n *AppendStmt) (*Outcome, error) {
@@ -752,17 +782,9 @@ func (s *Session) execAppend(n *AppendStmt) (*Outcome, error) {
 			if set[idx] {
 				return errf(sc.Pos, "attribute %q set twice", sc.Attr)
 			}
-			v, err := evalExpr(sc.Expr, ev)
+			v, err := setValue(sc, sch.Attr(idx).Type, ev)
 			if err != nil {
 				return err
-			}
-			// Date spellings for instant attributes.
-			if sch.Attr(idx).Type == value.Instant && v.Kind() == value.String {
-				c, err := temporal.Parse(v.Str())
-				if err != nil {
-					return errf(sc.Pos, "cannot parse %q as a date", v.Str())
-				}
-				v = tdb.Instant(c)
 			}
 			vals[idx], set[idx] = v, true
 		}
@@ -783,14 +805,9 @@ func (s *Session) execAppend(n *AppendStmt) (*Outcome, error) {
 			}
 			return h.Insert(tup)
 		case rel.Event():
-			at := tx.At()
-			if n.Valid != nil {
-				if n.Valid.At == nil {
-					return errf(n.Valid.Pos, "event relations need 'valid at'")
-				}
-				if at, err = evalEvent(n.Valid.At, ev); err != nil {
-					return err
-				}
+			at, err := eventAt(n.Valid, ev, tx.At())
+			if err != nil {
+				return err
 			}
 			return h.AssertAt(tup, at)
 		default:
@@ -913,16 +930,9 @@ func (s *Session) execReplace(n *ReplaceStmt) (*Outcome, error) {
 				if idx < 0 {
 					return errf(sc.Pos, "relation %q has no attribute %q", rel.Name(), sc.Attr)
 				}
-				v, err := evalExpr(sc.Expr, ev)
+				v, err := setValue(sc, sch.Attr(idx).Type, ev)
 				if err != nil {
 					return err
-				}
-				if sch.Attr(idx).Type == value.Instant && v.Kind() == value.String {
-					c, err := temporal.Parse(v.Str())
-					if err != nil {
-						return errf(sc.Pos, "cannot parse %q as a date", v.Str())
-					}
-					v = tdb.Instant(c)
 				}
 				newData[idx] = v
 			}
@@ -933,14 +943,9 @@ func (s *Session) execReplace(n *ReplaceStmt) (*Outcome, error) {
 					return err
 				}
 			case rel.Event():
-				at := ver.Valid.From
-				if n.Valid != nil {
-					if n.Valid.At == nil {
-						return errf(n.Valid.Pos, "event relations need 'valid at'")
-					}
-					if at, err = evalEvent(n.Valid.At, ev); err != nil {
-						return err
-					}
+				at, err := eventAt(n.Valid, ev, ver.Valid.From)
+				if err != nil {
+					return err
 				}
 				if err := h.RetractAt(oldKey, ver.Valid.From); err != nil {
 					return err

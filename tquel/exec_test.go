@@ -1,6 +1,7 @@
 package tquel
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -532,6 +533,31 @@ func TestValidClauseDerivations(t *testing.T) {
 	}
 	if res.Rows[0].Valid != temporal.At(temporal.MustParse("01/01/83")) {
 		t.Errorf("valid at = %v", res.Rows[0].Valid)
+	}
+}
+
+// An inverted valid period is one error wherever a valid clause appears:
+// the same message, with both bounds, at the clause's own position.
+func TestInvertedValidClause(t *testing.T) {
+	ses := paperSession(t)
+	want := fmt.Sprintf("valid period is inverted: [%v, %v)",
+		temporal.MustParse("06/01/83"), temporal.MustParse("01/01/80"))
+	for _, src := range []string{
+		`retrieve (f.rank) where f.name = "Tom" valid from "06/01/83" to "01/01/80"`,
+		`append to faculty (name = "Ann", rank = "full") valid from "06/01/83" to "01/01/80"`,
+		`replace f (rank = "full") where f.name = "Tom" valid from "06/01/83" to "01/01/80"`,
+		`delete f where f.name = "Tom" valid from "06/01/83" to "01/01/80"`,
+	} {
+		_, err := ses.Exec(src)
+		var te *Error
+		if !errors.As(err, &te) {
+			t.Errorf("%s: err = %v, want a positioned tquel error", src, err)
+			continue
+		}
+		pos := Pos{Line: 1, Col: strings.Index(src, "valid from") + 1}
+		if te.Pos != pos || te.Msg != want {
+			t.Errorf("%s:\n got %s: %s\nwant %s: %s", src, te.Pos, te.Msg, pos, want)
+		}
 	}
 }
 

@@ -31,7 +31,7 @@ func (s *Session) execExplain(n *ExplainStmt) (*Outcome, error) {
 }
 
 // renderPlan formats a compiled plan, one line per binding depth plus a
-// cost footer and the serial-vs-parallel dispatch the executor takes.
+// cost footer.
 func renderPlan(pl *queryPlan) string {
 	var b strings.Builder
 	mode := "on"
@@ -72,8 +72,7 @@ func renderPlan(pl *queryPlan) string {
 		}
 	}
 	if pl.statsUsed {
-		fmt.Fprintf(&b, "\n  est work %s, est rows %s, parallel cutoff %s",
-			fmtEst(pl.estWork), fmtEst(pl.estRows), fmtEst(pl.parallelCut))
+		fmt.Fprintf(&b, "\n  est work %s, est rows %s", fmtEst(pl.estWork), fmtEst(pl.estRows))
 	}
 	if pl.windowSize > 0 {
 		fmt.Fprintf(&b, "\n  window: size %d, slide %d", pl.windowSize, pl.windowStep)
@@ -83,11 +82,6 @@ func renderPlan(pl *queryPlan) string {
 	}
 	if pl.coalesced {
 		b.WriteString("\n  coalesce: merge value-equivalent valid intervals")
-	}
-	if pl.workers > 1 {
-		fmt.Fprintf(&b, "\n  dispatch: parallel (%d workers)", pl.workers)
-	} else {
-		b.WriteString("\n  dispatch: serial")
 	}
 	return b.String()
 }

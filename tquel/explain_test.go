@@ -7,12 +7,11 @@ import (
 )
 
 // The plan-regression corpus: explain output is part of the planner's
-// contract, so every line — join order, probe wiring, estimates, dispatch —
-// is pinned against a seeded fixture. A failing diff here means the planner
+// contract, so every line — join order, probe wiring, estimates — is
+// pinned against a seeded fixture. A failing diff here means the planner
 // changed a decision; update the golden only when the change is intended.
 func TestExplainCorpus(t *testing.T) {
 	ses := planFixture(t)
-	ses.SetParallelism(1) // deterministic dispatch line
 	for _, tc := range []struct {
 		src, want string
 	}{
@@ -21,8 +20,7 @@ func TestExplainCorpus(t *testing.T) {
 			`plan (statistics on)
   1. s (small): 3 candidate(s), scan, est out 3
   2. b (big): 12 candidate(s), hash probe on s.k = b.k, 1 residual where, est out 3
-  est work 9, est rows 3, parallel cutoff 4096
-  dispatch: serial`,
+  est work 9, est rows 3`,
 		},
 		{
 			`explain retrieve (s.tag) where 1 = 2`,
@@ -33,24 +31,21 @@ func TestExplainCorpus(t *testing.T) {
 			`explain retrieve (s.tag) when s overlap "06/01/80"`,
 			`plan (statistics on)
   1. s (small): 1 candidate(s), scan, interval-indexed, est out 1
-  est work 1, est rows 1, parallel cutoff 4096
-  dispatch: serial`,
+  est work 1, est rows 1`,
 		},
 		{
 			`explain retrieve (s.tag, b.tag) where s.tag != b.tag`,
 			`plan (statistics on)
   1. s (small): 3 candidate(s), scan, est out 3
   2. b (big): 12 candidate(s), nested loop, 1 residual where, est out 36
-  est work 39, est rows 36, parallel cutoff 4096
-  dispatch: serial`,
+  est work 39, est rows 36`,
 		},
 		{
 			`explain retrieve (s.tag, b.tag) where s.k = b.k and s.k = 0`,
 			`plan (statistics on)
   1. s (small): 1 candidate(s), scan, est out 1
   2. b (big): 12 candidate(s), hash probe on s.k = b.k, 1 residual where, est out 1
-  est work 3, est rows 1, parallel cutoff 4096
-  dispatch: serial`,
+  est work 3, est rows 1`,
 		},
 	} {
 		outs, err := ses.Exec(tc.src)
@@ -75,7 +70,6 @@ func TestExplainCorpus(t *testing.T) {
 // lines, and the v1 heuristics still pick the same shape on this fixture.
 func TestExplainStatsOff(t *testing.T) {
 	ses := planFixture(t)
-	ses.SetParallelism(1)
 	ses.DisableStats(true)
 	outs, err := ses.Exec(`explain retrieve (s.tag, b.tag) where s.k = b.k`)
 	if err != nil {
@@ -83,28 +77,9 @@ func TestExplainStatsOff(t *testing.T) {
 	}
 	want := `plan (statistics off)
   1. s (small): 3 candidate(s), scan
-  2. b (big): 12 candidate(s), hash probe on s.k = b.k, 1 residual where
-  dispatch: serial`
+  2. b (big): 12 candidate(s), hash probe on s.k = b.k, 1 residual where`
 	if outs[0].Msg != want {
 		t.Errorf("stats-off explain drifted:\n--- got ---\n%s\n--- want ---\n%s", outs[0].Msg, want)
-	}
-}
-
-// When estimated work clears the cutoff, the dispatch line must say so with
-// the worker budget execution would use.
-func TestExplainParallelDispatch(t *testing.T) {
-	forceParallel(t)
-	ses := planFixture(t)
-	ses.SetParallelism(4)
-	outs, err := ses.Exec(`explain retrieve (s.tag, b.tag) where s.k = b.k`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasSuffix(outs[0].Msg, "dispatch: parallel (4 workers)") {
-		t.Errorf("expected parallel dispatch, got:\n%s", outs[0].Msg)
-	}
-	if !strings.Contains(outs[0].Msg, "parallel cutoff 1") {
-		t.Errorf("expected the cutoff in the footer, got:\n%s", outs[0].Msg)
 	}
 }
 
@@ -113,7 +88,6 @@ func TestExplainParallelDispatch(t *testing.T) {
 // while the cost model inserts l second. The corpus pins both shapes.
 func TestExplainJoinOrderAvoidsCrossProduct(t *testing.T) {
 	ses := skewedFixture(t, 4, 30, 40)
-	ses.SetParallelism(1)
 	const src = `explain retrieve (s.tag, m.tag, l.tag) where l.sk = s.k and l.mk = m.k`
 
 	outs, err := ses.Exec(src)
@@ -237,38 +211,5 @@ func TestExplainPlannerDisabled(t *testing.T) {
   bind b (big), all predicates innermost`
 	if outs[0].Msg != want {
 		t.Errorf("planner-off explain drifted:\n--- got ---\n%s\n--- want ---\n%s", outs[0].Msg, want)
-	}
-}
-
-// The dispatch line explain prints is the dispatch run takes: for every
-// statement of the seeded corpus, window aggregates included, explain says
-// parallel exactly when running the statement moves
-// tdb_tquel_parallel_queries.
-func TestExplainDispatchMatchesRun(t *testing.T) {
-	forceParallel(t)
-	ses := paperSessionOn(t, newPastCachedDB(t, -1))
-	buildSeededFixture(t, ses)
-	ses.SetParallelism(4)
-	parallel := 0
-	for _, src := range seededQuerySources() {
-		outs, err := ses.Exec("explain " + src)
-		if err != nil {
-			t.Fatalf("explain: %v\n%s", err, src)
-		}
-		explained := strings.Contains(outs[0].Msg, "\n  dispatch: parallel")
-		q0 := mParallelQueries.Value()
-		if _, err := ses.Query(src); err != nil {
-			t.Fatalf("run: %v\n%s", err, src)
-		}
-		ran := mParallelQueries.Value() != q0
-		if explained != ran {
-			t.Errorf("explain says parallel = %v, run went parallel = %v, for:\n%s\n%s", explained, ran, src, outs[0].Msg)
-		}
-		if ran {
-			parallel++
-		}
-	}
-	if parallel == 0 {
-		t.Error("no statement of the corpus ran parallel: the test checks one side only")
 	}
 }

@@ -37,14 +37,6 @@ var (
 		"Inner join variables executed as nested loops because no hashable equi-join conjunct applied.")
 	mJoinPairs = obs.Default.Counter("tdb_query_join_pairs_considered_total",
 		"Candidate bindings examined at inner join depths (depth >= 1).")
-
-	// Parallel execution counters (see docs/planner.md, "Parallel
-	// execution"). Both stay zero for serial sessions (SetParallelism <= 1)
-	// and for queries below the fan-out threshold.
-	mParallelQueries = obs.Default.Counter("tdb_tquel_parallel_queries",
-		"Retrieve statements whose join loop ran on the parallel worker pool.")
-	mParallelWorkers = obs.Default.Counter("tdb_tquel_parallel_workers",
-		"Workers launched across all parallel retrieves (sum of per-query pool sizes).")
 )
 
 func stmtCounter(kind string) *obs.Counter {

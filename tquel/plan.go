@@ -47,16 +47,15 @@ import (
 //     residual, so hash collisions and numeric coercions are re-verified
 //     and the result is provably the one the nested loop computes.
 //
-// The statistics feeding step 3 (and the parallel dispatch cutoff) come from
+// The statistics feeding step 3 come from
 // internal/stats via the ReadTx estimate accessors, read in the same view as
 // the fetch; every estimate is deterministic, so plans are too.
 // Session.DisablePlanner restores the naive path; TestPlannerDifferential
 // asserts both agree.
 
 // queryPlan is a compiled retrieve statement, valid for one execution.
-// After buildPlan returns, the plan is immutable: executors (the serial
-// loop or the parallel workers, see parallel.go) only read it, keeping
-// their mutable binding cells and tallies in a per-goroutine planExec.
+// After buildPlan returns, the plan is immutable: the join loop (runPlan)
+// only reads it, keeping its binding cells and tallies to itself.
 type queryPlan struct {
 	vars []planVar
 
@@ -65,8 +64,8 @@ type queryPlan struct {
 	emptyResult bool
 
 	// Observability tallies, accumulated with plain += on the planning
-	// goroutine and settled into the atomic counters exactly once, post
-	// merge, by the executor (see execRetrieve's settle).
+	// goroutine and settled into the atomic counters exactly once, by run
+	// on its way out.
 	pushed      int64 // single-variable conjuncts applied during prefiltering
 	whenIndexed int64 // when conjuncts pushed into the store read
 	buildRows   int64 // rows hashed into equi-join build tables
@@ -74,20 +73,15 @@ type queryPlan struct {
 	prefiltered int64 // bindings examined while prefiltering candidate lists
 
 	// Cost-model annotations (statistics path; zero when stats are off).
-	statsUsed   bool    // join order and dispatch used statistics estimates
-	estWork     float64 // estimated bindings the join loop will examine
-	estRows     float64 // estimated result cardinality before dedup
-	parallelCut float64 // estWork threshold for the parallel dispatch
+	statsUsed bool    // join order used statistics estimates
+	estWork   float64 // estimated bindings the join loop will examine
+	estRows   float64 // estimated result cardinality before dedup
 
 	// Windowed-aggregation and coalescing annotations (see window.go).
 	windowSize int64   // window clause size; 0 when unwindowed
 	windowStep int64   // effective slide (size for tumbling windows)
 	coalesced  bool    // statement carries a coalesce clause
 	estWindows float64 // estimated windows the aggregation materializes
-
-	// workers is the dispatch: the pool size the join loop fans out over,
-	// or 0 for the serial loop. run obeys it and explain prints it.
-	workers int
 }
 
 // planVar is one range variable's slot in the compiled plan, in binding
@@ -324,8 +318,7 @@ func joinHash(v tdb.Value, numeric bool) uint64 {
 // (planVar.estOut, rendered by explain) and totals pl.estWork — the
 // estimated number of bindings the join loop examines: hashable depths cost
 // one probe per prefix binding plus expected matches, nested-loop depths a
-// full scan of the inner list per prefix binding. useParallel compares
-// estWork against the session's cutoff.
+// full scan of the inner list per prefix binding.
 func orderByCost(pl *queryPlan, edges []equiEdge, ndvOf func(i, attr int) float64) {
 	n := len(pl.vars)
 	pos := make(map[string]int, n)
@@ -496,7 +489,7 @@ func (s *Session) fetchVar(rt *tdb.ReadTx, pos Pos, rel *tdb.Relation, v string,
 // conjuncts.
 func (s *Session) buildPlan(rt *tdb.ReadTx, n *RetrieveStmt, sc scope, ev *env, spec tdb.ScanSpec) (*queryPlan, error) {
 	statsOn := !s.noStats
-	pl := &queryPlan{statsUsed: statsOn, parallelCut: parallelMinCost}
+	pl := &queryPlan{statsUsed: statsOn}
 
 	var whereConjs []Expr
 	if n.Where != nil {
@@ -730,9 +723,6 @@ func (s *Session) buildPlan(rt *tdb.ReadTx, n *RetrieveStmt, sc scope, ev *env, 
 		if pl.statsUsed {
 			pl.estWork += pl.estRows
 		}
-	}
-	if workers := s.effectiveParallelism(); useParallel(pl, workers, hasAggTargets(n)) {
-		pl.workers = workers
 	}
 	return pl, nil
 }

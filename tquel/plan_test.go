@@ -309,22 +309,11 @@ func TestPlanPushdownUnderThrough(t *testing.T) {
 	}
 }
 
-// forceParallel lowers both fan-out thresholds — the stats-off outer-size
-// rule and the cost-based cutoff — so the parallel path engages even on the
-// small test fixtures, restoring them on cleanup.
-func forceParallel(t testing.TB) {
-	t.Helper()
-	oldOuter, oldCost := parallelMinOuter, parallelMinCost
-	parallelMinOuter, parallelMinCost = 1, 1
-	t.Cleanup(func() { parallelMinOuter, parallelMinCost = oldOuter, oldCost })
-}
-
-// differential runs the query six ways — planner on (serial), planner
-// off (naive nested loop), planner on with statistics disabled (v1
-// heuristics), planner on with a four-worker pool, and then through the
-// result cache cold and warm — and asserts all rendered resultsets are
-// byte-identical. The first four arms bypass the cache so each one
-// actually executes. Between the cache arms the query runs once more so
+// differential runs the query five ways — planner on, planner off (naive
+// nested loop), planner on with statistics disabled (v1 heuristics), and
+// then through the result cache cold and warm — and asserts all rendered
+// resultsets are byte-identical. The first three arms bypass the cache so
+// each one actually executes. Between the cache arms the query runs once more so
 // the cache admits its answer (it stores a key's answer on the key's
 // second sight), and the warm run must then be a hit whenever cacheKeysFor
 // keys the statement. On a database without a cache the cache arms execute
@@ -333,7 +322,6 @@ func differential(t *testing.T, ses *Session, src string) {
 	t.Helper()
 	ses.DisableCache(true)
 	ses.DisablePlanner(false)
-	ses.SetParallelism(1)
 	on, err := ses.Query(src)
 	if err != nil {
 		t.Fatalf("planner on: %v\n%s", err, src)
@@ -349,12 +337,6 @@ func differential(t *testing.T, ses *Session, src string) {
 	ses.DisableStats(false)
 	if err != nil {
 		t.Fatalf("stats off: %v\n%s", err, src)
-	}
-	ses.SetParallelism(4)
-	par, err := ses.Query(src)
-	ses.SetParallelism(1)
-	if err != nil {
-		t.Fatalf("parallel: %v\n%s", err, src)
 	}
 	ses.DisableCache(false)
 	cold, err := ses.Query(src)
@@ -380,10 +362,6 @@ func differential(t *testing.T, ses *Session, src string) {
 	if on.String() != nostats.String() {
 		t.Errorf("statistics changed the answer for:\n%s\n--- stats on ---\n%s\n--- stats off ---\n%s",
 			src, on, nostats)
-	}
-	if on.String() != par.String() {
-		t.Errorf("parallel execution changed the answer for:\n%s\n--- serial ---\n%s\n--- parallel ---\n%s",
-			src, on, par)
 	}
 	if on.String() != cold.String() {
 		t.Errorf("cache (cold) changed the answer for:\n%s\n--- uncached ---\n%s\n--- cache cold ---\n%s",
@@ -423,7 +401,6 @@ func cacheable(t *testing.T, ses *Session, src string) bool {
 // The paper's figure queries must render identically with and without the
 // planner, with and without a result cache.
 func TestPlannerDifferentialFigures(t *testing.T) {
-	forceParallel(t)
 	cacheOnOff(t, testPlannerDifferentialFigures)
 }
 
@@ -459,7 +436,6 @@ func testPlannerDifferentialFigures(t *testing.T, cacheBytes int64) {
 // errors from a different binding order. Float aggregates need no such
 // care: their fold is order-free (TestAggregateFloatSumOrderFree).
 func TestPlannerDifferential(t *testing.T) {
-	forceParallel(t)
 	cacheOnOff(t, testPlannerDifferential)
 }
 

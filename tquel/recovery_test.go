@@ -12,10 +12,8 @@ import (
 // Crash recovery must be invisible to the query layer: after the paper's
 // faculty history is persisted, the log tail torn, and the database
 // reopened, every figure query still renders byte-identically across all
-// six execution arms (planner on/off, stats off, parallel, cache
-// cold/warm) — the statistics reconstructed by replay included.
+// five execution arms (planner on/off, stats off, cache cold/warm) — the statistics reconstructed by replay included.
 func TestDifferentialAfterRecovery(t *testing.T) {
-	forceParallel(t)
 	path := filepath.Join(t.TempDir(), "tdb.wal")
 	clock := temporal.NewLogicalClock(0)
 	db, err := tdb.Open(path, tdb.Options{Clock: clock})

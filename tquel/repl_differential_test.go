@@ -18,7 +18,10 @@ func shipAll(t *testing.T, src, dst *tdb.DB) {
 		if i > 10_000 {
 			t.Fatal("shipAll did not converge")
 		}
-		sEpoch, sSize, _ := src.ReplPosition()
+		sEpoch, sSize, _, err := src.ReplPosition()
+		if err != nil {
+			t.Fatal(err)
+		}
 		dEpoch, dSize := dst.ReplCursor()
 		if dEpoch != sEpoch || dSize > sSize {
 			snap, se, err := src.ReplSnapshot()
@@ -64,11 +67,10 @@ func shipAll(t *testing.T, src, dst *tdb.DB) {
 }
 
 // A live primary+follower pair must answer the figure queries identically,
-// and the follower's own six differential arms (planner on/off, stats off,
-// parallel, cache cold/warm) must agree among themselves — the follower
+// and the follower's own five differential arms (planner on/off, stats off,
+// cache cold/warm) must agree among themselves — the follower
 // plans against statistics reconstructed purely from the shipped log.
 func TestDifferentialOnFollower(t *testing.T) {
-	forceParallel(t)
 	pPath := filepath.Join(t.TempDir(), "tdb.wal")
 	clock := temporal.NewLogicalClock(0)
 	primary, err := tdb.Open(pPath, tdb.Options{Clock: clock})

@@ -17,10 +17,7 @@ type ResultRow struct {
 	Valid temporal.Interval
 	Trans temporal.Interval
 
-	// key caches canonicalKey. The executor fills it at emit time (on the
-	// parallel path that spreads the formatting across workers);
-	// sortAndDedup computes it lazily for rows built elsewhere, e.g. by
-	// the aggregator.
+	// key caches canonicalKey; sortAndDedup fills it.
 	key string
 }
 
@@ -152,13 +149,10 @@ func (r *Resultset) String() string {
 }
 
 // sortAndDedup puts rows in a deterministic order and removes duplicates.
-// Keys are computed at most once per row (not per comparison) and reused
-// from ResultRow.key when the executor already paid for them.
+// Keys are computed once per row, not per comparison.
 func (r *Resultset) sortAndDedup() {
 	for i := range r.Rows {
-		if r.Rows[i].key == "" {
-			r.Rows[i].key = r.Rows[i].canonicalKey()
-		}
+		r.Rows[i].key = r.Rows[i].canonicalKey()
 	}
 	sort.Slice(r.Rows, func(i, j int) bool { return r.Rows[i].key < r.Rows[j].key })
 	out := r.Rows[:0]

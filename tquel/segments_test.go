@@ -56,11 +56,10 @@ func bothWays(t *testing.T, sealed, unsealed *Session, src string) {
 
 // The 60-query seeded corpus must render byte-identically whether history
 // sits in columnar segments or in the row tail — and on the sealed arm every
-// execution mode (planner on/off, parallel, cache cold/warm) must agree
+// execution mode (planner on/off, stats off, cache cold/warm) must agree
 // too, since zone-map pruning and filter pushdown only engage with the
 // planner on.
 func TestSegmentsDifferentialSeeded(t *testing.T) {
-	forceParallel(t)
 	sealed, unsealed := twinSessions(t)
 	for _, src := range seededQuerySources() {
 		bothWays(t, sealed, unsealed, src)
@@ -70,7 +69,6 @@ func TestSegmentsDifferentialSeeded(t *testing.T) {
 
 // The figure-shaped queries from the paper, sealed and unsealed.
 func TestSegmentsDifferentialFigures(t *testing.T) {
-	forceParallel(t)
 	sealed, unsealed := twinSessions(t)
 	for _, src := range []string{
 		`retrieve (f.rank) where f.name = "Merrie"`,
@@ -91,7 +89,6 @@ func TestSegmentsDifferentialFigures(t *testing.T) {
 // every arm of the differential identically — the segmented sibling of
 // TestDifferentialAfterRecovery.
 func TestSegmentsDifferentialAfterRecovery(t *testing.T) {
-	forceParallel(t)
 	sealEvery(t, 2)
 	path := filepath.Join(t.TempDir(), "tdb.wal")
 	clock := temporal.NewLogicalClock(0)

@@ -9,8 +9,6 @@ func benchStatsArms(b *testing.B, ses *Session, src string, wantRows int) {
 	b.Helper()
 	ses.DisableCache(true)
 	ses.DisablePlanner(false)
-	ses.SetParallelism(1)
-	defer ses.SetParallelism(0)
 	for _, mode := range []struct {
 		name string
 		off  bool

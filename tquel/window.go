@@ -90,7 +90,6 @@ func coalesceRows(rows []ResultRow) []ResultRow {
 			if row.Valid.From <= cur.Valid.To {
 				cur.Valid = cur.Valid.Extend(row.Valid)
 				cur.Trans = cur.Trans.Extend(row.Trans)
-				cur.key = "" // stamps changed; sortAndDedup recomputes
 				continue
 			}
 			out = append(out, cur)

@@ -253,17 +253,15 @@ func TestWindowFormatRoundTrip(t *testing.T) {
 // place explain output reads that statistic.
 func TestWindowExplain(t *testing.T) {
 	ses := windowDB(t)
-	ses.SetParallelism(1) // deterministic dispatch line
 	outs, err := ses.Exec(`explain retrieve (r.sensor, count(r.v)) window 86400 coalesce`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const want = `plan (statistics on)
   1. r (obs): 3 candidate(s), scan, est out 3
-  est work 14, est rows 3, parallel cutoff 4096
+  est work 14, est rows 3
   window: size 86400, slide 86400, est windows 5
-  coalesce: merge value-equivalent valid intervals
-  dispatch: serial`
+  coalesce: merge value-equivalent valid intervals`
 	if msg := outs[0].Msg; msg != want {
 		t.Errorf("window explain drifted:\n--- got ---\n%s\n--- want ---\n%s", msg, want)
 	}
