@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check numbers fmt vet build test race fuzz-smoke test-faults test-repl race-ingest soak-ingest figures-check plan-corpus bench bench-smoke
+.PHONY: check numbers unreached fmt vet build test race fuzz-smoke test-faults test-repl race-ingest soak-ingest figures-check plan-corpus bench bench-smoke
 
 check: fmt vet build race fuzz-smoke figures-check
 
@@ -16,6 +16,12 @@ numbers:
 	@printf 'knobs (config.Knobs): %s\n' "$$(grep -c '= register(Knob{' internal/config/config.go)"
 	@printf 'CI jobs (ci.yml): %s\n' \
 		"$$(sed -n '/^jobs:/,$$p' .github/workflows/ci.yml | grep -c '^  [a-z][a-z-]*:$$')"
+
+# The functions no binary links: every package main is built with inlining
+# off and its symbols are compared with the declarations of the other
+# packages. A report for deletion work, not a gate: it stays out of check.
+unreached:
+	@GO=$(GO) scripts/unreached.sh
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

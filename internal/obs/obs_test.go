@@ -151,17 +151,3 @@ func TestLogTracer(t *testing.T) {
 		t.Fatalf("log tracer output = %q", out)
 	}
 }
-
-func TestMultiTracer(t *testing.T) {
-	reg1, reg2 := NewRegistry(), NewRegistry()
-	tr := MultiTracer(NewRegistryTracer(reg1, "a"), NewRegistryTracer(reg2, "b"))
-	sp := tr.Start("s")
-	sp.End()
-	if reg1.Histogram(`a_span_seconds{span="s"}`, "", nil).Count() != 1 ||
-		reg2.Histogram(`b_span_seconds{span="s"}`, "", nil).Count() != 1 {
-		t.Fatal("multi tracer did not fan out")
-	}
-	if MultiTracer() != nil {
-		t.Fatal("empty MultiTracer should be nil")
-	}
-}

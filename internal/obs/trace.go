@@ -101,39 +101,3 @@ func (s *logSpan) Note(key string, v int64) {
 func (s *logSpan) End() {
 	s.l.Printf("span=%s dur=%s%s", s.name, time.Since(s.start), s.notes.String())
 }
-
-// MultiTracer fans spans out to several tracers; useful for logging and
-// aggregating the same spans.
-func MultiTracer(ts ...Tracer) Tracer {
-	switch len(ts) {
-	case 0:
-		return nil
-	case 1:
-		return ts[0]
-	}
-	return multiTracer(ts)
-}
-
-type multiTracer []Tracer
-
-func (m multiTracer) Start(name string) Span {
-	spans := make(multiSpan, len(m))
-	for i, t := range m {
-		spans[i] = t.Start(name)
-	}
-	return spans
-}
-
-type multiSpan []Span
-
-func (m multiSpan) Note(key string, v int64) {
-	for _, s := range m {
-		s.Note(key, v)
-	}
-}
-
-func (m multiSpan) End() {
-	for _, s := range m {
-		s.End()
-	}
-}

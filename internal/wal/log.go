@@ -62,11 +62,6 @@ func encodeHeader(epoch uint64) []byte {
 	return h
 }
 
-// EncodeHeader renders the log file header for an epoch — what the first
-// append into an empty log writes, exported for replication tests and
-// tooling that fabricate log byte streams.
-func EncodeHeader(epoch uint64) []byte { return encodeHeader(epoch) }
-
 // DecodeHeader validates a log file header, returning its epoch. It is the
 // check a replication follower runs on the first HeaderLen bytes of a
 // shipped log stream before trusting any frame that follows.

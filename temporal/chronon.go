@@ -1,8 +1,8 @@
 // Package temporal implements the time model underlying the taxonomy of
 // Snodgrass & Ahn ("A Taxonomy of Time in Databases", SIGMOD 1985): discrete
 // chronons, instants extended with ±infinity, half-open intervals, events,
-// Allen's thirteen interval relations, and the TQuel temporal predicates
-// (overlap, precede, extend, start of, end of).
+// and the TQuel temporal predicates (overlap, precede, extend, start of,
+// end of).
 //
 // All three kinds of time identified by the paper — transaction time, valid
 // time and user-defined time — are represented with the same Chronon scalar;

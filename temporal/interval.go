@@ -149,15 +149,7 @@ func (iv Interval) Start() Chronon { return iv.From }
 // period.
 func (iv Interval) End() Chronon { return iv.To }
 
-// Clamp restricts the interval to the bounds of o.
-func (iv Interval) Clamp(o Interval) Interval { return iv.Intersect(o) }
-
 // String renders the interval in the paper's two-column figure style.
 func (iv Interval) String() string {
 	return fmt.Sprintf("[%v, %v)", iv.From, iv.To)
 }
-
-// OverlapsPoint reports whether the event at c falls within the interval —
-// the mixed interval/event form of TQuel's "overlap" (used by the paper's
-// query "where f1 overlap start of f2").
-func (iv Interval) OverlapsPoint(c Chronon) bool { return iv.Contains(c) }

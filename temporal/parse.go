@@ -60,17 +60,3 @@ func MustParse(s string) Chronon {
 	}
 	return c
 }
-
-// ParseInterval parses "from,to" (either bound may be an infinity spelling)
-// into a half-open interval.
-func ParseInterval(from, to string) (Interval, error) {
-	f, err := Parse(from)
-	if err != nil {
-		return Interval{}, err
-	}
-	t, err := Parse(to)
-	if err != nil {
-		return Interval{}, err
-	}
-	return MakeInterval(f, t)
-}

@@ -54,6 +54,8 @@ type RetrieveStmt struct {
 	Window      *WindowClause // per-interval aggregation over valid time
 	Coalesce    bool          // merge value-equivalent rows with adjacent/overlapping valid intervals
 	CoalescePos Pos
+
+	toks []Token // the tokens the statement was parsed from: its cache key's query part
 }
 
 // WindowClause is "window N [slide M]": evaluate the statement's aggregates

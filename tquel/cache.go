@@ -75,9 +75,9 @@ type cacheKeys struct {
 
 // cacheKeysFor decides cacheability and, when cacheable, renders the cache
 // keys from the statement's scope: mode | session settings | per-relation
-// name#created (plus, in the versioned key, @changed) | canonical query
-// text. It runs inside the statement's view, so the stamps and the commit
-// clock it reads belong to the state the fetch will read.
+// name#created (plus, in the versioned key, @changed) | the statement's
+// tokens (writeTokens). It runs inside the statement's view, so the stamps
+// and the commit clock it reads belong to the state the fetch will read.
 func (s *Session) cacheKeysFor(n *RetrieveStmt, sc scope) cacheKeys {
 	if s.noCache || s.db.QueryCache() == nil || n.Into != "" {
 		return cacheKeys{}
@@ -143,14 +143,63 @@ func (s *Session) cacheKeysFor(n *RetrieveStmt, sc scope) cacheKeys {
 		vb.WriteString(strconv.FormatUint(changed, 10))
 		vb.WriteByte('|')
 	}
-	text := formatRetrieve(n)
-	vb.WriteString(text)
+	writeTokens(&vb, n.toks)
 	keys := cacheKeys{ver: vb.String()}
 	if settled {
-		ib.WriteString(text)
+		writeTokens(&ib, n.toks)
 		keys.imm = ib.String()
 	}
 	return keys
+}
+
+// writeTokens writes a statement's tokens as its key's query part: a string
+// literal as a NUL, its decimal length, ':' and its bytes; any other token as
+// its text and a space. That is one-to-one on token sequences: no other
+// token's text holds a space or a control byte, so a space ends it and a NUL
+// starts a literal, whose length says where it ends; and the text fixes the
+// kind (a letter or '_' starts an identifier, a digit a number, which is a
+// float iff it has a dot). Whitespace and comments are not tokens.
+func writeTokens(b *strings.Builder, toks []Token) {
+	for _, t := range toks {
+		if t.Kind == TokString {
+			b.WriteByte(0)
+			b.WriteString(strconv.Itoa(len(t.Text)))
+			b.WriteByte(':')
+			b.WriteString(t.Text)
+			continue
+		}
+		b.WriteString(t.Text)
+		b.WriteByte(' ')
+	}
+}
+
+// mentionsNow reports whether a temporal expression references the "now"
+// spelling anywhere. Scalar (where-clause) expressions cannot smuggle a
+// clock reference: string literals only become chronons via temporal.Parse,
+// which rejects "now". So this walk over the when/valid/as-of clauses is a
+// complete clock-dependence test for a retrieve.
+func mentionsNow(e TemporalExpr) bool {
+	switch n := e.(type) {
+	case *TimeLit:
+		return n.Text == "now"
+	case *StartOf:
+		return mentionsNow(n.Of)
+	case *EndOf:
+		return mentionsNow(n.Of)
+	case *Extend:
+		return mentionsNow(n.L) || mentionsNow(n.R)
+	case *TempRel:
+		return mentionsNow(n.L) || mentionsNow(n.R)
+	case *TempBool:
+		return mentionsNow(n.L) || (n.R != nil && mentionsNow(n.R))
+	case *VarInterval:
+		return false
+	case nil:
+		return false
+	default:
+		// Be conservative with nodes this walk doesn't know.
+		return true
+	}
 }
 
 // probe looks the statement up, settled as-of queries under the immutable

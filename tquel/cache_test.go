@@ -298,6 +298,58 @@ func TestCacheSkipsRetrieveInto(t *testing.T) {
 	}
 }
 
+// A retrieve's key names the tokens it was parsed from. Statements that
+// differ in any token get separate entries, a string literal's bytes
+// included; whitespace, comments and what follows the statement in its
+// source do not change the key.
+func TestCacheKeyNamesTheTokens(t *testing.T) {
+	ses := cacheSession(t)
+	key := func(src string) string {
+		t.Helper()
+		stmts, err := Parse(src)
+		if err != nil {
+			t.Fatalf("%v\n%s", err, src)
+		}
+		k := keysOf(t, ses, stmts[0].(*RetrieveStmt)).ver
+		if k == "" {
+			t.Fatalf("not cacheable: %s", src)
+		}
+		return k
+	}
+	const (
+		asOf   = `retrieve (f.rank) as of "12/10/82"`
+		window = `retrieve (n = count(f.name)) window 86400`
+		where  = `retrieve (f.rank) where f.name = "Tom"`
+	)
+	for _, c := range []struct {
+		what string
+		same bool
+		a, b string
+	}{
+		{"valid at vs valid from-to", false, `retrieve (f.rank) valid at "01/01/80"`,
+			`retrieve (f.rank) valid from "01/01/80" to "01/01/80"`},
+		{"int vs string literal", false, `retrieve (f.rank) where f.name = 1`, `retrieve (f.rank) where f.name = "1"`},
+		{"int vs float literal", false, `retrieve (f.rank) where f.name = 1`, `retrieve (f.rank) where f.name = 1.0`},
+		{"string vs float literal", false, `retrieve (f.rank) where f.name = "1"`, `retrieve (f.rank) where f.name = 1.0`},
+		{"as of with and without through", false, asOf, asOf + ` through "12/20/82"`},
+		{"window size", false, window, `retrieve (n = count(f.name)) window 86401`},
+		{"slide", false, window + ` slide 3600`, window + ` slide 7200`},
+		{"slide and none", false, window, window + ` slide 86400`},
+		{"coalesce", false, `retrieve (f.rank)`, `retrieve (f.rank) coalesce`},
+		{"named vs unnamed target", false, `retrieve (f.rank)`, `retrieve (rank = f.rank)`},
+		{"tokens inside a literal", false, `retrieve (f.rank) where f.name = "x" and f.rank = "y"`,
+			`retrieve (f.rank) where f.name = "x and f . rank = y"`},
+		{"extra whitespace", true, where, "retrieve(f.rank)\n\twhere  f.name=\"Tom\"   "},
+		{"line comment", true, where, "retrieve (f.rank) -- the rank\nwhere f.name = \"Tom\""},
+		{"block comment", true, where, `retrieve (f.rank) /* of Tom */ where f.name = "Tom"`},
+		{"statement that follows", true, where, where + ` retrieve (f.name)`},
+	} {
+		if ka, kb := key(c.a), key(c.b); (ka == kb) != c.same {
+			t.Errorf("%s: same key = %v, want %v:\n%q\n%q", c.what, ka == kb, c.same, ka, kb)
+		}
+	}
+}
+
 // DisableCache is a full bypass: no lookups, no insertions.
 func TestDisableCacheBypasses(t *testing.T) {
 	ses := cacheSession(t)

@@ -232,6 +232,7 @@ func (p *parser) rangeStmt() (Stmt, error) {
 }
 
 func (p *parser) retrieveStmt() (Stmt, error) {
+	first := p.pos
 	pos := p.advance().Pos // retrieve
 	st := &RetrieveStmt{Pos: pos}
 	if p.acceptKeyword("into") {
@@ -315,6 +316,7 @@ func (p *parser) retrieveStmt() (Stmt, error) {
 			st.CoalescePos = p.advance().Pos
 			st.Coalesce = true
 		default:
+			st.toks = p.toks[first:p.pos]
 			return st, nil
 		}
 	}

@@ -387,7 +387,12 @@ func cacheOnOff(t *testing.T, body func(t *testing.T, cacheBytes int64)) {
 // result cache at all.
 func cacheable(t *testing.T, ses *Session, src string) bool {
 	t.Helper()
-	n := mustParseRetrieve(t, src)
+	return keysOf(t, ses, mustParseRetrieve(t, src)).ver != ""
+}
+
+// keysOf renders n's cache keys inside a view, from its bound scope.
+func keysOf(t *testing.T, ses *Session, n *RetrieveStmt) cacheKeys {
+	t.Helper()
 	var keys cacheKeys
 	if err := ses.db.View(func(rt *tdb.ReadTx) error {
 		keys = ses.cacheKeysFor(n, ses.bind(rt, n))
@@ -395,7 +400,7 @@ func cacheable(t *testing.T, ses *Session, src string) bool {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	return keys.ver != ""
+	return keys
 }
 
 // The paper's figure queries must render identically with and without the

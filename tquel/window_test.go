@@ -138,16 +138,22 @@ func TestWindowNoFiniteEndpointErrors(t *testing.T) {
 
 // A window clause whose (group, window) accumulators would pass
 // maxWindowGroups is refused at once, with the clause's position, instead of
-// folding tens of millions of windows.
+// folding millions of windows. The second statement is a fuzz find: at a
+// ceiling of 2^20 it answered 888 610 rows in seconds and a gigabyte.
 func TestWindowCeilingRefusesStatement(t *testing.T) {
 	ses := paperSession(t)
-	start := time.Now()
-	_, err := ses.Query(`retrieve (n = count(f.name)) window 10 slide 5`)
-	if took := time.Since(start); took > time.Second {
-		t.Errorf("refusal took %v, want under a second", took)
-	}
-	if err == nil || !strings.Contains(err.Error(), "1:30: window clause needs more than") {
-		t.Fatalf("err = %v, want the window ceiling at 1:30", err)
+	for _, c := range []struct{ src, pos string }{
+		{`retrieve (n = count(f.name)) window 10 slide 5`, "1:30"},
+		{`retrieve (f.rank, n = count(f.name), m = max(f.name)) window 316`, "1:55"},
+	} {
+		start := time.Now()
+		_, err := ses.Query(c.src)
+		if took := time.Since(start); took > time.Second {
+			t.Errorf("%s: refusal took %v, want under a second", c.src, took)
+		}
+		if err == nil || !strings.Contains(err.Error(), c.pos+": window clause needs more than") {
+			t.Errorf("%s: err = %v, want the window ceiling at %s", c.src, err, c.pos)
+		}
 	}
 }
 
@@ -231,19 +237,6 @@ func TestWindowParseErrors(t *testing.T) {
 	} {
 		if _, err := ses.Query(src); err == nil {
 			t.Errorf("no error for %q", src)
-		}
-	}
-}
-
-func TestWindowFormatRoundTrip(t *testing.T) {
-	stmts, err := Parse(`retrieve (s = sum(e.v)) window 10 slide 5 coalesce`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := formatRetrieve(stmts[0].(*RetrieveStmt))
-	for _, frag := range []string{" window 10 slide 5", " coalesce"} {
-		if !strings.Contains(got, frag) {
-			t.Errorf("formatRetrieve = %q, missing %q", got, frag)
 		}
 	}
 }
