@@ -68,10 +68,11 @@ fuzz-smoke:
 # The durability suite: fault injection (vfs), torn-log replay (wal), the
 # crash matrices (truncate/corrupt every byte of the final record; crash a
 # checkpoint at every mutating filesystem operation), snapshot fallback,
+# the randomized durability simulation (with sealing forced low in one arm)
 # and the query-layer differential after recovery.
 test-faults:
 	$(GO) test -count=1 \
-		-run 'Fault|Crash|Torn|Recovery|Corrupt|Snapshot|Short|Sync' \
+		-run 'Fault|Crash|Torn|Recovery|Corrupt|Snapshot|Short|Sync|Simulation' \
 		./internal/vfs ./internal/wal . ./tquel
 
 # The replication suite: read-only open mode, the wire protocol against a

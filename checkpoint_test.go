@@ -2,6 +2,8 @@ package tdb
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
@@ -522,6 +524,86 @@ func TestCheckpointMovesNoStamps(t *testing.T) {
 		if created, changed := rel.Seq(); (stamps{created, changed}) != want[name] {
 			t.Errorf("relation %s: checkpoint moved stamps %v -> %v", name, want[name], stamps{created, changed})
 		}
+	}
+}
+
+// A kind that keeps no past checkpoints its present alone. After 100 000
+// static replaces over 1 000 keys and a carve-heavy historical history,
+// sealed and rebuilt on the way, the snapshot holds exactly the current rows,
+// row by row and in no segment, and reopening restores them.
+func TestCheckpointKeepsNoPast(t *testing.T) {
+	sealEvery(t, 64)
+	path := filepath.Join(t.TempDir(), "tdb.wal")
+	db := reopen(t, path)
+	sch := facultySchema(t)
+	for _, k := range []Kind{Static, Historical} {
+		if _, err := db.CreateRelation(k.String(), k, sch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const keys, replaces, perTxn = 1000, 100_000, 500
+	name := func(i int) string { return fmt.Sprint("k", i%keys) }
+	r := rand.New(rand.NewSource(7))
+	for i := 0; i < keys+replaces; i += perTxn { // keys inserts, then the replaces
+		if err := db.Update(func(tx *Tx) error {
+			st, _ := tx.Rel("static")
+			hs, _ := tx.Rel("historical")
+			for j := i; j < i+perTxn; j++ {
+				rank := fmt.Sprint("r", j)
+				if j < keys {
+					if err := st.Insert(fac(name(j), rank)); err != nil {
+						return err
+					}
+				} else if err := st.Replace(Key(String(name(j))), fac(name(j), rank)); err != nil {
+					return err
+				}
+				if j%20 != 0 {
+					continue
+				}
+				key, from := fmt.Sprint("h", r.Intn(50)), temporal.Chronon(r.Intn(1000))
+				if r.Intn(2) == 0 {
+					if err := hs.Assert(fac(key, fmt.Sprint(r.Intn(2))), from, from+1+temporal.Chronon(r.Intn(200))); err != nil {
+						return err
+					}
+				} else if err := hs.Retract(Key(String(key)), from, from+1+temporal.Chronon(r.Intn(50))); err != nil && !errors.Is(err, ErrNoSuchTuple) {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := stateDigest(t, db)
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	snap, ok, err := wal.ReadSnapshot(nil, path+".snap")
+	if !ok || err != nil {
+		t.Fatalf("reading the snapshot: %v, %v", ok, err)
+	}
+	for _, rs := range snap.Relations {
+		rel, err := db.Relation(rs.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live := rel.Versions()
+		if rs.Name == "static" && len(live) != keys {
+			t.Fatalf("static holds %d current rows, want %d", len(live), keys)
+		}
+		if len(rs.Segments) != 0 || len(rs.Versions) != len(live) {
+			t.Fatalf("%s: snapshot of %d segments and %d rows, want %d current rows",
+				rs.Name, len(rs.Segments), len(rs.Versions), len(live))
+		}
+		for i, v := range rs.Versions {
+			if v.String() != live[i].String() {
+				t.Fatalf("%s row %d: snapshot %v, live %v", rs.Name, i, v, live[i])
+			}
+		}
+	}
+	db.Close()
+	if got := stateDigest(t, reopen(t, path)); !digestsEqual(before, got) {
+		t.Fatalf("reopened:\nbefore %v\nafter  %v", before, got)
 	}
 }
 

@@ -366,7 +366,7 @@ func (db *DB) restoreSnapshot(snap wal.Snapshot) error {
 		}
 		if len(rs.Segments) > 0 {
 			seg, ok := rel.Store().(core.Segmented)
-			if !ok {
+			if !ok || !rs.Kind.SupportsRollback() {
 				return fmt.Errorf("restoring %q: %v store cannot hold segments", rs.Name, rs.Kind)
 			}
 			for _, g := range rs.Segments {
@@ -437,9 +437,11 @@ func (db *DB) Checkpoint() error {
 			Event:  rel.Event(),
 			Schema: rel.Schema(),
 		}
-		if seg, ok := rel.Store().(core.Segmented); ok {
+		if seg, ok := rel.Store().(core.Segmented); ok && rel.Kind().SupportsRollback() {
 			// Sealed segments ship as columnar blocks; only the unsealed
-			// tail is written row-wise. Segments are immutable (apart from
+			// tail is written row-wise. A kind that keeps no past writes
+			// its current versions row by row, so no dropped row reaches
+			// disk. Segments are immutable (apart from
 			// transaction-time closures, serialized behind db.mu alongside
 			// us), so referencing them here instead of copying is safe.
 			rs.Segments = seg.Segments()
@@ -599,8 +601,9 @@ type Stats struct {
 	// applying its primary's replication stream.
 	ReadOnly bool
 	// Segments is the number of sealed columnar segments across all
-	// append-only relations; SealedRows and TailRows split their version
-	// counts into the immutable and mutable parts.
+	// relations; SealedRows and TailRows split their row counts into the
+	// immutable and mutable parts (a static or historical relation's rows
+	// include those it has dropped and not yet rebuilt away).
 	Segments   int
 	SealedRows int
 	TailRows   int
@@ -609,15 +612,14 @@ type Stats struct {
 // versionCounts returns a relation's total and current version counts from
 // what its store already keeps — log length and the current-version key
 // index — without visiting (and, on sealed segments, materializing) a single
-// tuple. Static and historical stores hold present belief only, so every
-// version they store is current.
+// tuple. Static and historical stores show present belief only, so every
+// version they count is current.
 func versionCounts(rel *catalog.Relation) (total, current int) {
-	st := rel.Store()
-	total = st.(interface{ VersionCount() int }).VersionCount()
-	if st, ok := st.(interface{ CurrentCount() int }); ok {
-		return total, st.CurrentCount()
-	}
-	return total, total
+	st := rel.Store().(interface {
+		VersionCount() int
+		CurrentCount() int
+	})
+	return st.VersionCount(), st.CurrentCount()
 }
 
 // Stats returns a snapshot of database-wide counters. It reads counters

@@ -95,6 +95,45 @@ func BenchmarkHistoricalTimeSlice(b *testing.B) {
 	}
 }
 
+// A one-chronon when slice of 100 000 historical rows committed one by one,
+// so that they seal: the valid-time zone maps skip every segment the
+// instant misses.
+func BenchmarkHistoricalTimeSliceSealed(b *testing.B) {
+	s := NewHistoricalStore(benchSchema())
+	for e := 0; e < 100_000; e++ {
+		from := temporal.Chronon(e * 10)
+		s.BeginTxn()
+		if err := s.Assert(fac(fmt.Sprintf("e%06d", e), "x"), temporal.Interval{From: from, To: from + 500}); err != nil {
+			b.Fatal(err)
+		}
+		s.CommitTxn()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		read(b, s, whenAt(temporal.Chronon((i%100_000)*10)))
+	}
+}
+
+// Static replaces cycling over 1 000 keys: every one drops a row.
+func BenchmarkStaticReplaceChurn(b *testing.B) {
+	s := NewStaticStore(benchSchema())
+	keys := make([]tuple.Tuple, 1000)
+	for k := range keys {
+		keys[k] = nameKeyB(fmt.Sprintf("e%04d", k))
+		if err := s.Insert(fac(keys[k][0].Str(), "x")); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ranks := []string{"x", "y"}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		key := keys[i%len(keys)]
+		if err := s.Replace(key, fac(key[0].Str(), ranks[i/len(keys)%2])); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkStaticInsertDelete(b *testing.B) {
 	s := NewStaticStore(benchSchema())
 	b.ResetTimer()

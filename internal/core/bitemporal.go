@@ -20,31 +20,21 @@ import (
 // replacements; nothing committed is ever modified or removed, which the
 // property tests TestTemporalAppendOnly* verify.
 //
-// Storage, reads and the transaction hooks are the embedded versionLog's,
-// shared with RollbackStore; what is here is the bitemporal update algebra.
-type TemporalStore struct {
-	versionLog
-	event bool
-}
+// Storage, reads, the transaction hooks and the correction (supersede) are
+// the embedded versionLog's, shared with the other kinds; what is here is the
+// bitemporal update algebra.
+type TemporalStore struct{ versionLog }
 
 // NewTemporalStore creates an empty temporal interval relation.
 func NewTemporalStore(sch *schema.Schema) *TemporalStore {
-	return &TemporalStore{versionLog: newVersionLog(Temporal, sch)}
+	return &TemporalStore{newVersionLog(Temporal, sch, false)}
 }
 
 // NewTemporalEventStore creates an empty temporal event relation (a single
 // valid-time instant per tuple, like Figure 9's 'promotion' relation).
 func NewTemporalEventStore(sch *schema.Schema) *TemporalStore {
-	s := NewTemporalStore(sch)
-	s.event = true
-	return s
+	return &TemporalStore{newVersionLog(Temporal, sch, true)}
 }
-
-// Kind returns Temporal.
-func (s *TemporalStore) Kind() Kind { return Temporal }
-
-// Event reports whether this is an event relation.
-func (s *TemporalStore) Event() bool { return s.event }
 
 // Assert records, at commit time at, the belief that tuple t held
 // throughout the valid period. Current versions of the same key whose valid
@@ -120,44 +110,10 @@ func (s *TemporalStore) RetractAt(key tuple.Tuple, validAt, at temporal.Chronon)
 	if err := s.admit(at); err != nil {
 		return err
 	}
-	n := 0
-	kh := key.Hash64()
-	for _, pos := range s.byKey.Lookup(kh, make([]int, 0, 8)) {
-		row := s.log.Row(pos)
-		if row.Trans.To != temporal.Forever ||
-			row.Valid.From != validAt ||
-			!row.Data.HasKey(s.sch, key) {
-			continue
-		}
-		s.close(pos, kh, at)
-		n++
-	}
-	if n == 0 {
+	if s.retractAt(key, validAt, at) == 0 {
 		return ErrNoSuchTuple
 	}
 	return nil
-}
-
-// supersede closes every current version of key whose valid period overlaps
-// valid, re-appending the uncovered remainders as fresh current versions.
-// It returns the number of versions superseded.
-func (s *TemporalStore) supersede(key tuple.Tuple, valid temporal.Interval, at temporal.Chronon) int {
-	n := 0
-	kh := key.Hash64()
-	for _, pos := range s.byKey.Lookup(kh, make([]int, 0, 8)) {
-		row := s.log.Row(pos) // materialized copy: the log may grow below
-		if row.Trans.To != temporal.Forever ||
-			!row.Valid.Overlaps(valid) ||
-			!row.Data.HasKey(s.sch, key) {
-			continue
-		}
-		n++
-		s.close(pos, kh, at)
-		for _, rem := range row.Valid.Subtract(valid) {
-			s.append(row.Data, kh, rem, at)
-		}
-	}
-	return n
 }
 
 // RestoreVersion reloads one stored version verbatim (see

@@ -18,19 +18,21 @@ import (
 // rather than a period (the paper's 'promotion' relation, Figure 9, is an
 // event relation).
 //
-// Storage, reads and the transaction hooks are the embedded stateTable's;
-// what is here is the historical update algebra.
-type HistoricalStore struct{ *stateTable }
+// It is a temporal relation that keeps no past: the embedded versionLog and
+// its correction (supersede) are TemporalStore's, without the commit
+// chronon; what is here is value-equivalent coalescing and same-instant
+// event replacement.
+type HistoricalStore struct{ versionLog }
 
 // NewHistoricalStore creates an empty historical interval relation.
 func NewHistoricalStore(sch *schema.Schema) *HistoricalStore {
-	return &HistoricalStore{newStateTable(Historical, sch, false)}
+	return &HistoricalStore{newVersionLog(Historical, sch, false)}
 }
 
 // NewHistoricalEventStore creates an empty historical event relation: each
 // tuple is stamped with a single valid-time instant ("at").
 func NewHistoricalEventStore(sch *schema.Schema) *HistoricalStore {
-	return &HistoricalStore{newStateTable(Historical, sch, true)}
+	return &HistoricalStore{newVersionLog(Historical, sch, true)}
 }
 
 // Assert records that tuple t held throughout the valid period. Any
@@ -49,23 +51,25 @@ func (s *HistoricalStore) Assert(t tuple.Tuple, valid temporal.Interval) error {
 	if s.event {
 		return ErrEventRelation
 	}
+	defer s.settle()
 	key := t.Key(s.sch)
-	s.carve(key, valid)
+	kh := key.Hash64()
+	s.supersede(key, valid, noPast)
 	// Coalesce with value-equivalent neighbours.
 	merged := valid
-	for _, pos := range s.slots(key, make([]int, 0, 8)) {
-		row := s.rows[pos]
-		if u, ok := merged.Union(row.valid); ok && tuple.Equal(row.data, t) {
+	for _, pos := range s.byKey.Lookup(kh, make([]int, 0, 8)) {
+		if u, ok := merged.Union(s.log.Valid(pos)); ok && tuple.Equal(s.log.Row(pos).Data, t) {
 			merged = u
-			s.drop(pos)
+			s.close(pos, kh, noPast)
 		}
 	}
-	s.add(t.Clone(), merged)
+	s.append(t, kh, merged, noPast)
 	return nil
 }
 
 // AssertAt records that event tuple t occurred at the given instant. Only
-// valid on event relations.
+// valid on event relations. An entity's event at the same instant is
+// replaced (correction).
 func (s *HistoricalStore) AssertAt(t tuple.Tuple, at temporal.Chronon) error {
 	countWrite(Historical)
 	if err := validate(s.sch, t); err != nil {
@@ -77,13 +81,10 @@ func (s *HistoricalStore) AssertAt(t tuple.Tuple, at temporal.Chronon) error {
 	if !at.IsFinite() {
 		return ErrEmptyValidPeriod
 	}
-	// An entity's event at the same instant is replaced (correction).
-	for _, pos := range s.slots(t.Key(s.sch), make([]int, 0, 8)) {
-		if s.rows[pos].valid.From == at {
-			s.drop(pos)
-		}
-	}
-	s.add(t.Clone(), temporal.At(at))
+	defer s.settle()
+	key := t.Key(s.sch)
+	s.retractAt(key, at, noPast)
+	s.append(t, key.Hash64(), temporal.At(at), noPast)
 	return nil
 }
 
@@ -95,26 +96,25 @@ func (s *HistoricalStore) Retract(key tuple.Tuple, valid temporal.Interval) erro
 	if valid.IsEmpty() || !valid.IsValid() {
 		return ErrEmptyValidPeriod
 	}
-	if n := s.carve(key, valid); n == 0 {
+	defer s.settle()
+	if n := s.supersede(key, valid, noPast); n == 0 {
 		return ErrNoSuchTuple
 	}
 	return nil
 }
 
-// carve removes the valid period from every version of key, re-adding
-// uncovered remainders. It returns the number of versions affected.
-func (s *HistoricalStore) carve(key tuple.Tuple, valid temporal.Interval) int {
-	affected := 0
-	for _, pos := range s.slots(key, make([]int, 0, 8)) {
-		if row := s.rows[pos]; row.valid.Overlaps(valid) {
-			affected++
-			s.drop(pos)
-			for _, rem := range row.valid.Subtract(valid) {
-				s.add(row.data, rem)
-			}
-		}
+// RetractAt forgets key's events at instant at. Only valid on event
+// relations: an interval relation is corrected by Retract.
+func (s *HistoricalStore) RetractAt(key tuple.Tuple, at temporal.Chronon) error {
+	countWrite(Historical)
+	if !s.event {
+		return ErrEventRelation
 	}
-	return affected
+	defer s.settle()
+	if s.retractAt(key, at, noPast) == 0 {
+		return ErrNoSuchTuple
+	}
+	return nil
 }
 
 // RestoreVersion reloads one checkpointed version through the update

@@ -7,9 +7,10 @@ package core
 // mutation is immediately final.
 //
 // The LIFO discipline is what makes position-based inverses exact: an
-// inverse that re-adds a row allocates from the free list, whose top is —
-// because every later mutation has already been undone — precisely the slot
-// the original drop released.
+// inverse that truncates an appended row finds it last in the log, because
+// every later mutation has already been undone. A store moves no position
+// while the journal holds an inverse (versionLog.settle waits for it to be
+// empty).
 type journal struct {
 	undo   []func()
 	active bool

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"tdb/internal/schema"
 	"tdb/internal/segment"
 	"tdb/internal/tuple"
 	"tdb/temporal"
@@ -83,29 +82,6 @@ func (sp *ScanSpec) trans() (w temporal.Interval, all bool) {
 		w.To = sp.Through.Next()
 	}
 	return w, false
-}
-
-// admits is the definition of a read: whether v satisfies every field of a
-// checked spec, row-wise. The destructive stores pick an access path that
-// establishes some of the fields cheaply and hold each candidate to the rest
-// through this; the append-only stores hand the same fields to the version
-// log as its predicate (pred).
-func (sp *ScanSpec) admits(sch *schema.Schema, v Version) bool {
-	if w, all := sp.trans(); !all && !v.Trans.Overlaps(w) {
-		return false
-	}
-	if sp.When != nil && !v.Valid.Overlaps(*sp.When) {
-		return false
-	}
-	if sp.Key != nil && !v.Data.HasKey(sch, sp.Key) {
-		return false
-	}
-	for _, f := range sp.Filters {
-		if !f.Match(v.Data) {
-			return false
-		}
-	}
-	return true
 }
 
 // pred is the spec as the version log's predicate: two interval tests, the

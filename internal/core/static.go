@@ -3,7 +3,6 @@ package core
 import (
 	"tdb/internal/schema"
 	"tdb/internal/tuple"
-	"tdb/temporal"
 )
 
 // StaticStore is a conventional snapshot relation (§4.1, Figure 2): it
@@ -12,13 +11,14 @@ import (
 // queries nor rollback queries — TestStaticLimitations demonstrates the
 // paper's four inexpressible requests against this type.
 //
-// Storage, reads and the transaction hooks are the embedded stateTable's;
-// every row stores the universal interval as its valid period.
-type StaticStore struct{ *stateTable }
+// It is a static rollback relation that keeps no past: the embedded
+// versionLog and its static algebra are RollbackStore's, without the commit
+// chronon, and what a rollback relation would keep as history is dropped.
+type StaticStore struct{ versionLog }
 
 // NewStaticStore creates an empty static relation with the given schema.
 func NewStaticStore(sch *schema.Schema) *StaticStore {
-	return &StaticStore{newStateTable(Static, sch, false)}
+	return &StaticStore{newVersionLog(Static, sch, false)}
 }
 
 // Insert adds a tuple to the current state. It fails with ErrDuplicateKey
@@ -28,44 +28,26 @@ func (s *StaticStore) Insert(t tuple.Tuple) error {
 	if err := validate(s.sch, t); err != nil {
 		return err
 	}
-	if len(s.slots(t.Key(s.sch), make([]int, 0, 8))) > 0 {
-		return ErrDuplicateKey
-	}
-	s.add(t.Clone(), temporal.All)
-	return nil
+	return s.insert(t, noPast)
 }
 
 // Delete removes the tuple with the given key; the old state is forgotten.
 func (s *StaticStore) Delete(key tuple.Tuple) error {
 	countWrite(Static)
-	slots := s.slots(key, make([]int, 0, 8))
-	if len(slots) == 0 {
-		return ErrNoSuchTuple
-	}
-	s.drop(slots[0])
-	return nil
+	defer s.settle()
+	return s.delete(key, noPast)
 }
 
 // Replace substitutes the tuple with the given key; the old value is
 // forgotten (the replacement "takes effect as soon as it is committed" and
-// the past is discarded, §4.1). The new tuple lands in the slot the old one
-// freed.
+// the past is discarded, §4.1).
 func (s *StaticStore) Replace(key tuple.Tuple, t tuple.Tuple) error {
 	countWrite(Static)
 	if err := validate(s.sch, t); err != nil {
 		return err
 	}
-	slots := s.slots(key, make([]int, 0, 8))
-	if len(slots) == 0 {
-		return ErrNoSuchTuple
-	}
-	newKey := t.Key(s.sch)
-	if !tuple.Equal(key, newKey) && len(s.slots(newKey, make([]int, 0, 8))) > 0 {
-		return ErrDuplicateKey
-	}
-	s.drop(slots[0])
-	s.add(t.Clone(), temporal.All)
-	return nil
+	defer s.settle()
+	return s.replace(key, t, noPast)
 }
 
 // RestoreVersion reloads one checkpointed tuple by inserting it.

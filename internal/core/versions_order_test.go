@@ -20,11 +20,12 @@ func mustOK(t *testing.T, err error) {
 	}
 }
 
-// The two stores without transaction time reuse freed slots, and Versions
-// walks the slots in position order, so the sequence below — order
-// included — is a function of the exact update history: which slot each
-// insert, correction and undo lands in. It is what a checkpoint writes
-// row by row, so the snapshot's bytes depend on it too.
+// The two stores without transaction time keep their rows in a version log,
+// as the rollback kinds do, and Versions yields the current ones in commit
+// order, so the sequence below — order included — is a function of the
+// exact update history: when each surviving row, remainder and coalesced
+// period was appended, with an aborted transaction's rows gone. It is what a
+// checkpoint writes row by row, so the snapshot's bytes depend on it too.
 func TestDestructiveVersionsOrder(t *testing.T) {
 	t.Run("static", func(t *testing.T) {
 		s := NewStaticStore(facultySchema(t))
@@ -32,13 +33,13 @@ func TestDestructiveVersionsOrder(t *testing.T) {
 			mustOK(t, s.Insert(fac(n, "assistant")))
 		}
 		mustOK(t, s.Delete(nameKey("b")))
-		mustOK(t, s.Insert(fac("e", "assistant")))                // b's slot
+		mustOK(t, s.Insert(fac("e", "assistant")))
 		mustOK(t, s.Replace(nameKey("c"), fac("c", "associate"))) // same key
 		mustOK(t, s.Replace(nameKey("d"), fac("f", "full")))      // key changes
 		mustOK(t, s.Delete(nameKey("a")))
 		s.BeginTxn()
-		mustOK(t, s.Insert(fac("g", "full"))) // a's slot
-		mustOK(t, s.Insert(fac("h", "full"))) // a new slot
+		mustOK(t, s.Insert(fac("g", "full")))
+		mustOK(t, s.Insert(fac("h", "full")))
 		mustOK(t, s.Delete(nameKey("e")))
 		mustOK(t, s.Replace(nameKey("f"), fac("i", "associate"))) // key changes
 		mustOK(t, s.Replace(nameKey("c"), fac("c", "full")))
@@ -47,11 +48,11 @@ func TestDestructiveVersionsOrder(t *testing.T) {
 		mustOK(t, s.Insert(fac("k", "assistant")))
 		mustOK(t, s.Replace(nameKey("e"), fac("l", "full"))) // key changes
 		want := []string{
-			"(j, assistant) valid=[-∞, ∞) trans=[-∞, ∞)",
-			"(l, full) valid=[-∞, ∞) trans=[-∞, ∞)",
 			"(c, associate) valid=[-∞, ∞) trans=[-∞, ∞)",
 			"(f, full) valid=[-∞, ∞) trans=[-∞, ∞)",
+			"(j, assistant) valid=[-∞, ∞) trans=[-∞, ∞)",
 			"(k, assistant) valid=[-∞, ∞) trans=[-∞, ∞)",
+			"(l, full) valid=[-∞, ∞) trans=[-∞, ∞)",
 		}
 		if got := versionStrings(s); !equalStrings(got, want) {
 			t.Fatalf("Versions:\n got %q\nwant %q", got, want)
@@ -78,9 +79,9 @@ func TestDestructiveVersionsOrder(t *testing.T) {
 		want := []string{
 			"(a, assistant) valid=[01/01/70 00:00:10, 01/01/70 00:01:00) trans=[-∞, ∞)",
 			"(b, assistant) valid=[01/01/70 00:00:10, 01/01/70 00:00:40) trans=[-∞, ∞)",
-			"(a, associate) valid=[01/01/70 00:01:00, 01/01/70 00:01:10) trans=[-∞, ∞)",
-			"(d, assistant) valid=[01/01/70 00:01:00, 01/01/70 00:01:30) trans=[-∞, ∞)",
 			"(c, full) valid=[01/01/70 00:00:30, ∞) trans=[-∞, ∞)",
+			"(d, assistant) valid=[01/01/70 00:01:00, 01/01/70 00:01:30) trans=[-∞, ∞)",
+			"(a, associate) valid=[01/01/70 00:01:00, 01/01/70 00:01:10) trans=[-∞, ∞)",
 			"(a, associate) valid=[01/01/70 00:01:15, 01/01/70 00:01:20) trans=[-∞, ∞)",
 		}
 		if got := versionStrings(s); !equalStrings(got, want) {
@@ -96,9 +97,9 @@ func TestDestructiveVersionsOrder(t *testing.T) {
 		mustOK(t, s.Retract(nameKey("b"), temporal.At(10)))
 		mustOK(t, s.AssertAt(fac("c", "full"), 30))
 		want := []string{
+			"(a, full) valid=[01/01/70 00:00:20, 01/01/70 00:00:21) trans=[-∞, ∞)",
 			"(a, assistant) valid=[01/01/70 00:00:10, 01/01/70 00:00:11) trans=[-∞, ∞)",
 			"(c, full) valid=[01/01/70 00:00:30, 01/01/70 00:00:31) trans=[-∞, ∞)",
-			"(a, full) valid=[01/01/70 00:00:20, 01/01/70 00:00:21) trans=[-∞, ∞)",
 		}
 		if got := versionStrings(s); !equalStrings(got, want) {
 			t.Fatalf("Versions:\n got %q\nwant %q", got, want)

@@ -1,9 +1,8 @@
 // Package index provides the key index the stores in internal/core keep
 // beside their rows: a chained hash index threaded through the positions,
 // which stores no hash because its owner already keeps one per row. No store
-// keeps a time index: the append-only stores' segment.Log is ordered by
-// transaction time and prunes whole segments on both axes, and the
-// destructive stores answer a valid-time selection by visiting their state.
+// keeps a time index: every store's segment.Log is ordered by transaction
+// time and prunes whole segments on both axes.
 package index
 
 import (

@@ -6,6 +6,8 @@ import (
 	"sort"
 
 	"tdb/internal/schema"
+	"tdb/internal/tuple"
+	"tdb/internal/value"
 	"tdb/temporal"
 )
 
@@ -19,7 +21,7 @@ const DefaultSealRows = 8192
 // it on cleanup). Nothing else sets it.
 var SealRows = DefaultSealRows
 
-// Log is the storage behind an append-only store: a run of sealed segments
+// Log is the storage behind a store of any kind: a run of sealed segments
 // followed by one open segment, the columns new versions are appended to.
 // Global positions are stable for the life of the log — position p is row p
 // in commit order whether it currently lives in the open segment or a sealed
@@ -152,6 +154,33 @@ func (l *Log) Row(pos int) Row {
 func (l *Log) KeyHash(pos int) uint64 {
 	g, i := l.locate(pos)
 	return g.keyHash[i]
+}
+
+// HasKey reports whether the row at global position pos has key (as
+// tuple.HasKey does), testing its segment's key columns without building the
+// row.
+func (l *Log) HasKey(pos int, key tuple.Tuple) bool {
+	g, i := l.locate(pos)
+	ks := l.sch.KeyAttrs()
+	if len(ks) == 0 { // the whole tuple is the key
+		return tuple.Equal(g.row(i).Data, key)
+	}
+	if len(key) != len(ks) {
+		return false
+	}
+	for j, a := range ks {
+		if !value.Equal(g.value(a, i), key[j]) {
+			return false
+		}
+	}
+	return true
+}
+
+// Valid returns the valid period of the row at global position pos from its
+// segment's columns, without building the row.
+func (l *Log) Valid(pos int) temporal.Interval {
+	g, i := l.locate(pos)
+	return temporal.Interval{From: temporal.Chronon(g.validFrom.at(i)), To: temporal.Chronon(g.validTo.at(i))}
 }
 
 // ScanTail calls fn for the rows not yet sealed, in commit order. Checkpoint

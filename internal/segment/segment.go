@@ -1,5 +1,6 @@
 // Package segment implements time-partitioned columnar storage for the
-// append-only store kinds (static rollback and temporal). Committed history
+// store kinds of internal/core, the append-only ones (static rollback and
+// temporal) and the two that drop what they supersede. Committed history
 // never changes — "each transaction causes a new historical state to be
 // created" — so a version is written into columns once, when the log appends
 // it to its open segment, and is never re-encoded: once the open segment is
@@ -487,24 +488,29 @@ func (g *Segment) maxTransTo() int64 {
 func (g *Segment) row(i int) Row {
 	t := make(tuple.Tuple, len(g.cols))
 	for a := range g.cols {
-		switch g.cols[a].kind {
-		case value.Float:
-			t[a] = value.NewFloat(g.cols[a].fls[i])
-		case value.String:
-			t[a] = value.NewString(g.cols[a].str(g.cols[a].code[i]))
-		case value.Bool:
-			t[a] = value.NewBool(g.cols[a].ints.at(i) != 0)
-		case value.Instant:
-			t[a] = value.NewInstant(temporal.Chronon(g.cols[a].ints.at(i)))
-		default:
-			t[a] = value.NewInt(g.cols[a].ints.at(i))
-		}
+		t[a] = g.value(a, i)
 	}
 	return Row{
 		Data:    t,
 		Valid:   temporal.Interval{From: temporal.Chronon(g.validFrom.at(i)), To: temporal.Chronon(g.validTo.at(i))},
 		Trans:   temporal.Interval{From: temporal.Chronon(g.transFrom.at(i)), To: temporal.Chronon(g.transTo.at(i))},
 		KeyHash: g.keyHash[i],
+	}
+}
+
+// value builds attribute a of row i from its column.
+func (g *Segment) value(a, i int) value.Value {
+	switch c := &g.cols[a]; c.kind {
+	case value.Float:
+		return value.NewFloat(c.fls[i])
+	case value.String:
+		return value.NewString(c.str(c.code[i]))
+	case value.Bool:
+		return value.NewBool(c.ints.at(i) != 0)
+	case value.Instant:
+		return value.NewInstant(temporal.Chronon(c.ints.at(i)))
+	default:
+		return value.NewInt(c.ints.at(i))
 	}
 }
 

@@ -1059,3 +1059,36 @@ func sealEvery(t testing.TB, n int) {
 	SealRows = n
 	t.Cleanup(func() { SealRows = old })
 }
+
+// HasKey and Valid answer from the columns what the built row says, sealed
+// or open, under a declared key and under the whole tuple as the key.
+func TestLogHasKeyAndValid(t *testing.T) {
+	keyed := testSchema()
+	whole := schema.MustNew(keyed.Attrs()...)
+	for _, sch := range []*schema.Schema{keyed, whole} {
+		l := &Log{sch: sch, open: openSegment(sch, 0), sealRows: 4}
+		rng := rand.New(rand.NewSource(3))
+		for i := 0; i < 10; i++ {
+			l.Append(randRow(rng, temporal.Chronon(i)))
+			l.Seal()
+		}
+		for pos := 0; pos < l.Len(); pos++ {
+			r := l.Row(pos)
+			if l.Valid(pos) != r.Valid {
+				t.Fatalf("row %d: Valid = %v, row has %v", pos, l.Valid(pos), r.Valid)
+			}
+			for other := 0; other < l.Len(); other++ {
+				key := l.Row(other).Data.Key(sch)
+				if got, want := l.HasKey(pos, key), r.Data.HasKey(sch, key); got != want {
+					t.Fatalf("key %v: HasKey(%d) = %v, tuple.HasKey %v", key, pos, got, want)
+				}
+			}
+			if l.HasKey(pos, r.Data[:1]) != r.Data.HasKey(sch, r.Data[:1]) || l.HasKey(pos, r.Data[:2]) {
+				t.Fatalf("row %d: a key of the wrong length", pos)
+			}
+		}
+		if l.Sealed() == 0 {
+			t.Fatal("nothing sealed")
+		}
+	}
+}

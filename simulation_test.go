@@ -15,16 +15,31 @@ import (
 // interleaved with transaction aborts, checkpoints, and close/reopen
 // cycles. After every reopen, the database must be observably identical to
 // the moment before close. Several seeds; each runs hundreds of steps.
+//
+// The seal=4 arm runs the same seeds with segments sealed every four rows
+// and each single-mutation step a burst of 40 in one transaction, so every
+// kind's log seals between reopens and the kinds without rollback seal rows
+// they have dropped and rebuild their logs without them.
 func TestDurabilitySimulation(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			runDurabilitySim(t, seed)
+			runDurabilitySim(t, seed, 1)
 		})
 	}
+	t.Run("seal=4", func(t *testing.T) {
+		sealEvery(t, 4)
+		for seed := int64(1); seed <= 5; seed++ {
+			t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+				runDurabilitySim(t, seed, 40)
+			})
+		}
+	})
 }
 
-func runDurabilitySim(t *testing.T, seed int64) {
+// runDurabilitySim runs one seed's history; burst is how many mutations a
+// single-mutation step applies.
+func runDurabilitySim(t *testing.T, seed int64, burst int) {
 	r := rand.New(rand.NewSource(seed))
 	path := filepath.Join(t.TempDir(), "sim.wal")
 	clock := temporal.NewTickingClock(1000)
@@ -132,7 +147,12 @@ func runDurabilitySim(t *testing.T, seed int64) {
 				if err != nil {
 					return err
 				}
-				return simMutate(r, h, k, entities, tx.At())
+				for range burst {
+					if err := simMutate(r, h, k, entities, tx.At()); err != nil {
+						return err
+					}
+				}
+				return nil
 			}); err != nil {
 				t.Fatalf("step %d mutate: %v", step, err)
 			}

@@ -138,9 +138,7 @@ func (r *TxRel) apply(op wal.Op) error {
 		case wal.OpAssertAt:
 			err = st.AssertAt(op.Tuple, op.At)
 		case wal.OpRetractAt:
-			// Historical event correction is assert-at of nothing: carve the
-			// instant away.
-			err = st.Retract(op.Key, temporal.At(op.At))
+			err = st.RetractAt(op.Key, op.At)
 		}
 	case Temporal:
 		st, _ := r.rel.Temporal()

@@ -71,8 +71,7 @@ func (s relShape) create(t *testing.T, db *DB) *Relation {
 // accepts is the matrix as the four stores enforce it. The three static
 // mutations belong to the kinds without valid time; assert needs an interval
 // relation and assert-at an event relation; a retraction carves a period out
-// of either class, and retract-at needs an event relation except on a
-// historical store, where it carves the instant.
+// of either class, and retract-at needs an event relation.
 func (s relShape) accepts(c wal.OpCode) bool {
 	hist := s.kind.SupportsHistorical()
 	switch c {
@@ -85,7 +84,49 @@ func (s relShape) accepts(c wal.OpCode) bool {
 	case wal.OpRetract:
 		return hist
 	default: // wal.OpRetractAt
-		return hist && (s.event || s.kind == Historical)
+		return hist && s.event
+	}
+}
+
+// RetractAt withdraws an event. A historical interval relation refuses it,
+// as a temporal one does, and is left as it was: the call once carved the
+// instant out of the period, [10, 100) becoming [10, 50) and [51, 100). On a
+// historical event relation it forgets the event at that instant.
+func TestHistoricalRetractAtNeedsEventRelation(t *testing.T) {
+	db := memDB(t)
+	key := Key(String("A"))
+	rel, err := db.CreateRelation("r", Historical, facultySchema(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rel.Assert(fac("A", "x"), 10, 100); err != nil {
+		t.Fatal(err)
+	}
+	before := contents(t, db, "r")
+	if err := rel.RetractAt(key, 50); !errors.Is(err, ErrKindMismatch) {
+		t.Fatalf("RetractAt on an interval relation = %v, want ErrKindMismatch", err)
+	}
+	if got := contents(t, db, "r"); got != before {
+		t.Fatalf("refused RetractAt changed the relation:\ngot  %s\nwant %s", got, before)
+	}
+
+	ev, err := db.CreateEventRelation("e", Historical, facultySchema(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, at := range []temporal.Chronon{50, 60} {
+		if err := ev.AssertAt(fac("A", fmt.Sprint(at)), at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ev.RetractAt(key, 50); err != nil {
+		t.Fatal(err)
+	}
+	if err := ev.RetractAt(key, 50); !errors.Is(err, ErrNoSuchTuple) {
+		t.Fatalf("second RetractAt = %v, want ErrNoSuchTuple", err)
+	}
+	if vs := ev.Versions(); len(vs) != 1 || vs[0].Valid != temporal.At(60) {
+		t.Fatalf("event relation after RetractAt: %v, want the event at 60 alone", vs)
 	}
 }
 
