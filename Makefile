@@ -54,7 +54,9 @@ plan-corpus:
 # (FuzzDecodeRequest). No panic,
 # and every accepted input re-encodes to a fixed point. Then ten seconds of
 # TQuel execution (FuzzExec): statements on the paper's faculty history,
-# which must not panic. A short minimization
+# which must not panic, and ten seconds of checkpoint restore
+# (FuzzRestoreSnapshot): any snapshot the decoder accepts is loaded into an
+# empty database, which must not panic. A short minimization
 # budget keeps the smoke fuzzing instead of shrinking a large seed. Commit any crasher it writes under the
 # package's testdata/fuzz.
 fuzz-smoke:
@@ -64,6 +66,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime 10s -fuzzminimizetime 1s ./server
 	$(GO) test -run '^$$' -fuzz '^FuzzExec$$' -fuzztime 10s -fuzzminimizetime 1s ./tquel
+	$(GO) test -run '^$$' -fuzz '^FuzzRestoreSnapshot$$' -fuzztime 10s -fuzzminimizetime 1s .
 
 # The durability suite: fault injection (vfs), torn-log replay (wal), the
 # crash matrices (truncate/corrupt every byte of the final record; crash a

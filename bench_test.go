@@ -97,8 +97,8 @@ func BenchmarkAblationCopyVsStamped(b *testing.B) {
 		b.Run(fmt.Sprintf("stamped/versions=%d", versions), func(b *testing.B) {
 			var stored int
 			for i := 0; i < b.N; i++ {
-				s := core.NewRollbackStore(dataset.Schema())
-				if err := dataset.LoadRollback(s, events); err != nil {
+				s := core.New(core.StaticRollback, dataset.Schema(), false)
+				if err := dataset.LoadState(s, events); err != nil {
 					b.Fatal(err)
 				}
 				stored = s.VersionCount()
@@ -121,14 +121,14 @@ func BenchmarkAblationCopyVsStamped(b *testing.B) {
 
 // --- A3: rollback cost vs history depth ---
 
-func loadedRollback(b *testing.B, versions int) (*core.RollbackStore, []temporal.Chronon) {
+func loadedRollback(b *testing.B, versions int) (*core.Store, []temporal.Chronon) {
 	b.Helper()
 	cfg := dataset.DefaultConfig()
 	cfg.Entities = 100
 	cfg.VersionsPerEntity = versions
 	events := dataset.History(cfg)
-	s := core.NewRollbackStore(dataset.Schema())
-	if err := dataset.LoadRollback(s, events); err != nil {
+	s := core.New(core.StaticRollback, dataset.Schema(), false)
+	if err := dataset.LoadState(s, events); err != nil {
 		b.Fatal(err)
 	}
 	return s, dataset.Commits(events)
@@ -138,7 +138,7 @@ func loadedRollback(b *testing.B, versions int) (*core.RollbackStore, []temporal
 // accumulates (A3's depth curve): the commit-order scan stops at the probe,
 // so a mid-history as-of reads the first half of the log whatever follows.
 // readAll collects a store read the way the facade's Scan does.
-func readAll(b *testing.B, s core.Store, spec core.ScanSpec) []core.Version {
+func readAll(b *testing.B, s *core.Store, spec core.ScanSpec) []core.Version {
 	var out []core.Version
 	if err := s.Read(spec, func(v core.Version) bool { out = append(out, v); return true }); err != nil {
 		b.Fatal(err)
@@ -169,32 +169,32 @@ func BenchmarkStoreLoad(b *testing.B) {
 	events := dataset.History(cfg)
 	b.Run("static", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			s := core.NewStaticStore(dataset.Schema())
-			if err := dataset.LoadStatic(s, events); err != nil {
+			s := core.New(core.Static, dataset.Schema(), false)
+			if err := dataset.LoadState(s, events); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("rollback", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			s := core.NewRollbackStore(dataset.Schema())
-			if err := dataset.LoadRollback(s, events); err != nil {
+			s := core.New(core.StaticRollback, dataset.Schema(), false)
+			if err := dataset.LoadState(s, events); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("historical", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			s := core.NewHistoricalStore(dataset.Schema())
-			if err := dataset.LoadHistorical(s, events); err != nil {
+			s := core.New(core.Historical, dataset.Schema(), false)
+			if err := dataset.LoadHistory(s, events); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("temporal", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			s := core.NewTemporalStore(dataset.Schema())
-			if err := dataset.LoadTemporal(s, events); err != nil {
+			s := core.New(core.Temporal, dataset.Schema(), false)
+			if err := dataset.LoadHistory(s, events); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -206,8 +206,8 @@ func BenchmarkStoreLoad(b *testing.B) {
 func BenchmarkBitemporalQueries(b *testing.B) {
 	cfg := dataset.DefaultConfig()
 	events := dataset.History(cfg)
-	s := core.NewTemporalStore(dataset.Schema())
-	if err := dataset.LoadTemporal(s, events); err != nil {
+	s := core.New(core.Temporal, dataset.Schema(), false)
+	if err := dataset.LoadHistory(s, events); err != nil {
 		b.Fatal(err)
 	}
 	mid := dataset.MidCommit(events)
@@ -420,12 +420,12 @@ func BenchmarkTracerOverhead(b *testing.B) {
 // Shared across the 1M benchmarks because the load costs seconds.
 var seg1M struct {
 	once    sync.Once
-	s       *core.TemporalStore
+	s       *core.Store
 	commits []temporal.Chronon
 	err     error
 }
 
-func loadSeg1M(b *testing.B) (*core.TemporalStore, []temporal.Chronon) {
+func loadSeg1M(b *testing.B) (*core.Store, []temporal.Chronon) {
 	b.Helper()
 	seg1M.once.Do(func() {
 		cfg := dataset.DefaultConfig()
@@ -438,7 +438,7 @@ func loadSeg1M(b *testing.B) (*core.TemporalStore, []temporal.Chronon) {
 		// which caps as-of pruning at the probe's upper side.)
 		cfg.BoundedFraction = 0
 		events := dataset.History(cfg)
-		s := core.NewTemporalStore(dataset.Schema())
+		s := core.New(core.Temporal, dataset.Schema(), false)
 		for _, e := range events {
 			s.BeginTxn()
 			var err error
@@ -511,7 +511,7 @@ func BenchmarkOverlap1M(b *testing.B) {
 // so the accepted cost stays visible (EXPERIMENTS.md, A3).
 func BenchmarkAsOfDeepFewVisible(b *testing.B) {
 	const hot, versions = 256, 500_000
-	s := core.NewRollbackStore(dataset.Schema())
+	s := core.New(core.StaticRollback, dataset.Schema(), false)
 	at := temporal.Chronon(1000)
 	write := func(op func() error) { // one transaction, so seals land as under DB.Update
 		at++

@@ -9,7 +9,6 @@ import (
 	"sort"
 	"testing"
 
-	"tdb/internal/core"
 	"tdb/internal/obs"
 	"tdb/internal/segment"
 	"tdb/internal/stats"
@@ -284,19 +283,14 @@ func TestCheckpointCrashAfterTruncate(t *testing.T) {
 	}
 }
 
-// segCount returns the number of sealed segments behind a relation, or 0
-// for stores that have no segment log.
+// segCount returns the number of sealed segments behind a relation.
 func segCount(t *testing.T, db *DB, name string) int {
 	t.Helper()
 	rel, err := db.cat.Get(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seg, ok := rel.Store().(core.Segmented)
-	if !ok {
-		return 0
-	}
-	return seg.SegmentStats().Segments
+	return rel.Store().SegmentStats().Segments
 }
 
 // buildSealedDB writes enough versions through tiny seal thresholds that

@@ -10,7 +10,6 @@ import (
 
 	"tdb/internal/catalog"
 	"tdb/internal/config"
-	"tdb/internal/core"
 	"tdb/internal/qcache"
 	"tdb/internal/stats"
 	"tdb/internal/txn"
@@ -364,15 +363,12 @@ func (db *DB) restoreSnapshot(snap wal.Snapshot) error {
 		if err != nil {
 			return err
 		}
-		if len(rs.Segments) > 0 {
-			seg, ok := rel.Store().(core.Segmented)
-			if !ok || !rs.Kind.SupportsRollback() {
-				return fmt.Errorf("restoring %q: %v store cannot hold segments", rs.Name, rs.Kind)
-			}
-			for _, g := range rs.Segments {
-				if err := seg.RestoreSegment(g); err != nil {
-					return fmt.Errorf("restoring %q: %w", rs.Name, err)
-				}
+		if len(rs.Segments) > 0 && !rs.Kind.SupportsRollback() {
+			return fmt.Errorf("restoring %q: %v store cannot hold segments", rs.Name, rs.Kind)
+		}
+		for _, g := range rs.Segments {
+			if err := rel.Store().RestoreSegment(g); err != nil {
+				return fmt.Errorf("restoring %q: %w", rs.Name, err)
 			}
 		}
 		for _, v := range rs.Versions {
@@ -437,23 +433,21 @@ func (db *DB) Checkpoint() error {
 			Event:  rel.Event(),
 			Schema: rel.Schema(),
 		}
-		if seg, ok := rel.Store().(core.Segmented); ok && rel.Kind().SupportsRollback() {
+		collect := func(v Version) bool {
+			rs.Versions = append(rs.Versions, v)
+			return true
+		}
+		if st := rel.Store(); rel.Kind().SupportsRollback() {
 			// Sealed segments ship as columnar blocks; only the unsealed
 			// tail is written row-wise. A kind that keeps no past writes
 			// its current versions row by row, so no dropped row reaches
 			// disk. Segments are immutable (apart from
 			// transaction-time closures, serialized behind db.mu alongside
 			// us), so referencing them here instead of copying is safe.
-			rs.Segments = seg.Segments()
-			seg.ScanTailVersions(func(v Version) bool {
-				rs.Versions = append(rs.Versions, v)
-				return true
-			})
+			rs.Segments = st.Segments()
+			st.ScanTailVersions(collect)
 		} else {
-			rel.Store().Versions(func(v Version) bool {
-				rs.Versions = append(rs.Versions, v)
-				return true
-			})
+			st.Versions(collect)
 		}
 		rs.Stats = stats.EncodeRel(db.statsEntry(name))
 		snap.Relations = append(snap.Relations, rs)
@@ -609,19 +603,6 @@ type Stats struct {
 	TailRows   int
 }
 
-// versionCounts returns a relation's total and current version counts from
-// what its store already keeps — log length and the current-version key
-// index — without visiting (and, on sealed segments, materializing) a single
-// tuple. Static and historical stores show present belief only, so every
-// version they count is current.
-func versionCounts(rel *catalog.Relation) (total, current int) {
-	st := rel.Store().(interface {
-		VersionCount() int
-		CurrentCount() int
-	})
-	return st.VersionCount(), st.CurrentCount()
-}
-
 // Stats returns a snapshot of database-wide counters. It reads counters
 // only: a /statz scrape costs O(relations + segments), not O(versions).
 func (db *DB) Stats() Stats {
@@ -642,15 +623,17 @@ func (db *DB) Stats() Stats {
 		if err != nil {
 			continue
 		}
-		total, current := versionCounts(rel)
-		s.Versions += total
-		s.CurrentVersions += current
-		if seg, ok := rel.Store().(core.Segmented); ok {
-			st := seg.SegmentStats()
-			s.Segments += st.Segments
-			s.SealedRows += st.SealedRows
-			s.TailRows += st.TailRows
-		}
+		// Counts the store already keeps — log length and the
+		// current-version key index — so no tuple is visited (or, on sealed
+		// segments, materialized). A kind without a past stores present
+		// belief only, so every version it counts is current.
+		st := rel.Store()
+		s.Versions += st.VersionCount()
+		s.CurrentVersions += st.CurrentCount()
+		seg := st.SegmentStats()
+		s.Segments += seg.Segments
+		s.SealedRows += seg.SealedRows
+		s.TailRows += seg.TailRows
 	}
 	return s
 }

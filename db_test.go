@@ -215,6 +215,19 @@ func TestQueryTaxonomyBoundaries(t *testing.T) {
 	if err := hist.Insert(fac("A", "x")); !errors.Is(err, ErrKindMismatch) {
 		t.Errorf("insert on historical: %v", err)
 	}
+	// An event relation refuses Assert for its class before it looks at the
+	// period, on both kinds with valid time: an empty one is ErrKindMismatch
+	// there, not ErrEmptyValidPeriod, and nothing is stored.
+	for _, k := range []Kind{Historical, Temporal} {
+		ev, err := db.CreateEventRelation(k.String()+" event", k, sch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = ev.Assert(fac("A", "x"), 10, 10)
+		if !errors.Is(err, ErrKindMismatch) || errors.Is(err, ErrEmptyValidPeriod) || ev.VersionCount() != 0 {
+			t.Errorf("empty assert on a %v event relation: %v, %d versions", k, err, ev.VersionCount())
+		}
+	}
 }
 
 func TestAtomicMultiRelationUpdate(t *testing.T) {

@@ -314,8 +314,8 @@ func TestFacadeMatchesDataset(t *testing.T) {
 	}
 
 	// Reference: the same stream loaded directly into a core store.
-	ref := core.NewTemporalStore(dataset.Schema())
-	if err := dataset.LoadTemporal(ref, events); err != nil {
+	ref := core.New(core.Temporal, dataset.Schema(), false)
+	if err := dataset.LoadHistory(ref, events); err != nil {
 		t.Fatal(err)
 	}
 	asSet := func(vs []tdb.Version) map[string]bool {

@@ -1,7 +1,7 @@
 // Package catalog names and tracks the relations of a database: each
-// relation couples a name with a taxonomy kind (static, static rollback,
-// historical, temporal), an interval/event class, and the concrete store
-// implementing it.
+// relation couples a name with the core.Store holding it, which carries the
+// taxonomy kind (static, static rollback, historical, temporal) and the
+// interval/event class.
 package catalog
 
 import (
@@ -21,7 +21,7 @@ var (
 	ErrNotFound = errors.New("catalog: no such relation")
 	// ErrKindMismatch reports using a relation through the wrong kind's
 	// operations.
-	ErrKindMismatch = errors.New("catalog: operation not supported by relation kind")
+	ErrKindMismatch = core.ErrKindMismatch
 )
 
 // Relation is a named store in the catalog. created and changed are numbers
@@ -30,7 +30,7 @@ var (
 // mutation to it. Like the store, they are guarded by the database lock.
 type Relation struct {
 	name             string
-	store            core.Store
+	store            *core.Store
 	created, changed uint64
 }
 
@@ -53,37 +53,8 @@ func (r *Relation) Changed(seq uint64) { r.changed = seq }
 // Schema returns the relation schema.
 func (r *Relation) Schema() *schema.Schema { return r.store.Schema() }
 
-// Store returns the relation's store through the kind-independent
-// interface.
-func (r *Relation) Store() core.Store { return r.store }
-
-// Transactional returns the store's transaction hooks.
-func (r *Relation) Transactional() core.Transactional {
-	return r.store.(core.Transactional)
-}
-
-// Static returns the underlying static store, or an error for other kinds.
-func (r *Relation) Static() (*core.StaticStore, error) { return storeAs[*core.StaticStore](r) }
-
-// Rollback returns the underlying rollback store, or an error.
-func (r *Relation) Rollback() (*core.RollbackStore, error) { return storeAs[*core.RollbackStore](r) }
-
-// Historical returns the underlying historical store, or an error.
-func (r *Relation) Historical() (*core.HistoricalStore, error) {
-	return storeAs[*core.HistoricalStore](r)
-}
-
-// Temporal returns the underlying temporal store, or an error.
-func (r *Relation) Temporal() (*core.TemporalStore, error) { return storeAs[*core.TemporalStore](r) }
-
-// storeAs returns r's store as the concrete type S, or ErrKindMismatch.
-func storeAs[S core.Store](r *Relation) (S, error) {
-	s, ok := r.store.(S)
-	if !ok {
-		return s, fmt.Errorf("%w: %s is %s", ErrKindMismatch, r.name, r.Kind())
-	}
-	return s, nil
-}
+// Store returns the relation's store.
+func (r *Relation) Store() *core.Store { return r.store }
 
 // Catalog is the set of relations in one database. It is not synchronized;
 // the Database facade serializes access.
@@ -107,31 +78,15 @@ func (c *Catalog) Create(name string, kind core.Kind, event bool, sch *schema.Sc
 	if _, taken := c.rels[name]; taken {
 		return nil, fmt.Errorf("%w: %q", ErrExists, name)
 	}
+	if kind > core.Temporal {
+		// Only the two capability bits name a kind; the WAL and checkpoint
+		// decoders leave this check to us.
+		return nil, fmt.Errorf("catalog: unknown kind %v", kind)
+	}
 	if event && !kind.SupportsHistorical() {
 		return nil, fmt.Errorf("%w: %s relations carry no valid time to stamp events with", ErrKindMismatch, kind)
 	}
-	var st core.Store
-	switch kind {
-	case core.Static:
-		st = core.NewStaticStore(sch)
-	case core.StaticRollback:
-		st = core.NewRollbackStore(sch)
-	case core.Historical:
-		if event {
-			st = core.NewHistoricalEventStore(sch)
-		} else {
-			st = core.NewHistoricalStore(sch)
-		}
-	case core.Temporal:
-		if event {
-			st = core.NewTemporalEventStore(sch)
-		} else {
-			st = core.NewTemporalStore(sch)
-		}
-	default:
-		return nil, fmt.Errorf("catalog: unknown kind %v", kind)
-	}
-	r := &Relation{name: name, store: st, created: seq, changed: seq}
+	r := &Relation{name: name, store: core.New(kind, sch, event), created: seq, changed: seq}
 	c.rels[name] = r
 	return r, nil
 }

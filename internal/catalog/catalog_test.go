@@ -31,9 +31,6 @@ func TestCreateAllKinds(t *testing.T) {
 		if r.Store() == nil || r.Store().Kind() != k {
 			t.Errorf("store kind mismatch for %v", k)
 		}
-		if r.Transactional() == nil {
-			t.Errorf("store for %v not transactional", k)
-		}
 		if r.Schema().Arity() != 2 {
 			t.Errorf("schema lost for %v", k)
 		}
@@ -74,32 +71,17 @@ func TestCreateErrors(t *testing.T) {
 	if _, err := c.Create("ev2", core.Temporal, true, sch(t), 0); err != nil {
 		t.Errorf("temporal event: %v", err)
 	}
-}
-
-func TestTypedAccessors(t *testing.T) {
-	c := New()
-	r, err := c.Create("t", core.Temporal, false, sch(t), 0)
-	if err != nil {
-		t.Fatal(err)
+	// A kind is two bits: a byte beyond them names no kind, whatever bits
+	// it shares with one (5 has the transaction-time bit).
+	for _, k := range []core.Kind{4, 5, 255} {
+		for _, event := range []bool{false, true} {
+			if _, err := c.Create("bad", k, event, sch(t), 0); err == nil || errors.Is(err, ErrKindMismatch) {
+				t.Errorf("kind %d (event %v): %v, want unknown kind", k, event, err)
+			}
+		}
 	}
-	if _, err := r.Temporal(); err != nil {
-		t.Errorf("Temporal(): %v", err)
-	}
-	if _, err := r.Static(); !errors.Is(err, ErrKindMismatch) {
-		t.Errorf("Static() on temporal: %v", err)
-	}
-	if _, err := r.Rollback(); !errors.Is(err, ErrKindMismatch) {
-		t.Errorf("Rollback() on temporal: %v", err)
-	}
-	if _, err := r.Historical(); !errors.Is(err, ErrKindMismatch) {
-		t.Errorf("Historical() on temporal: %v", err)
-	}
-	s, err := c.Create("s", core.Static, false, sch(t), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Static(); err != nil {
-		t.Errorf("Static(): %v", err)
+	if c.Len() != 3 {
+		t.Errorf("Len = %d after refused creates", c.Len())
 	}
 }
 

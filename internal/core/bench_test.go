@@ -26,9 +26,9 @@ func benchSchema() *schema.Schema { return benchSchemaOnce }
 
 func nameKeyB(name string) tuple.Tuple { return nameKey(name) }
 
-func benchTemporalStore(b *testing.B, entities, versions int) *TemporalStore {
+func benchTemporalStore(b *testing.B, entities, versions int) *Store {
 	b.Helper()
-	s := NewTemporalStore(benchSchema())
+	s := New(Temporal, benchSchema(), false)
 	at := temporal.Chronon(1000)
 	for v := 0; v < versions; v++ {
 		for e := 0; e < entities; e++ {
@@ -43,7 +43,7 @@ func benchTemporalStore(b *testing.B, entities, versions int) *TemporalStore {
 }
 
 func BenchmarkTemporalAssert(b *testing.B) {
-	s := NewTemporalStore(benchSchema())
+	s := New(Temporal, benchSchema(), false)
 	at := temporal.Chronon(1000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -81,11 +81,11 @@ func BenchmarkTemporalHistory(b *testing.B) {
 }
 
 func BenchmarkHistoricalTimeSlice(b *testing.B) {
-	s := NewHistoricalStore(benchSchema())
+	s := New(Historical, benchSchema(), false)
 	for e := 0; e < 1000; e++ {
 		name := fmt.Sprintf("e%04d", e)
 		from := temporal.Chronon(e * 10)
-		if err := s.Assert(fac(name, "x"), temporal.Interval{From: from, To: from + 500}); err != nil {
+		if err := s.Assert(fac(name, "x"), temporal.Interval{From: from, To: from + 500}, noPast); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -99,11 +99,11 @@ func BenchmarkHistoricalTimeSlice(b *testing.B) {
 // so that they seal: the valid-time zone maps skip every segment the
 // instant misses.
 func BenchmarkHistoricalTimeSliceSealed(b *testing.B) {
-	s := NewHistoricalStore(benchSchema())
+	s := New(Historical, benchSchema(), false)
 	for e := 0; e < 100_000; e++ {
 		from := temporal.Chronon(e * 10)
 		s.BeginTxn()
-		if err := s.Assert(fac(fmt.Sprintf("e%06d", e), "x"), temporal.Interval{From: from, To: from + 500}); err != nil {
+		if err := s.Assert(fac(fmt.Sprintf("e%06d", e), "x"), temporal.Interval{From: from, To: from + 500}, noPast); err != nil {
 			b.Fatal(err)
 		}
 		s.CommitTxn()
@@ -116,11 +116,11 @@ func BenchmarkHistoricalTimeSliceSealed(b *testing.B) {
 
 // Static replaces cycling over 1 000 keys: every one drops a row.
 func BenchmarkStaticReplaceChurn(b *testing.B) {
-	s := NewStaticStore(benchSchema())
+	s := New(Static, benchSchema(), false)
 	keys := make([]tuple.Tuple, 1000)
 	for k := range keys {
 		keys[k] = nameKeyB(fmt.Sprintf("e%04d", k))
-		if err := s.Insert(fac(keys[k][0].Str(), "x")); err != nil {
+		if err := s.Insert(fac(keys[k][0].Str(), "x"), noPast); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -128,21 +128,21 @@ func BenchmarkStaticReplaceChurn(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		key := keys[i%len(keys)]
-		if err := s.Replace(key, fac(key[0].Str(), ranks[i/len(keys)%2])); err != nil {
+		if err := s.Replace(key, fac(key[0].Str(), ranks[i/len(keys)%2]), noPast); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkStaticInsertDelete(b *testing.B) {
-	s := NewStaticStore(benchSchema())
+	s := New(Static, benchSchema(), false)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		name := fmt.Sprintf("e%06d", i)
-		if err := s.Insert(fac(name, "x")); err != nil {
+		if err := s.Insert(fac(name, "x"), noPast); err != nil {
 			b.Fatal(err)
 		}
-		if err := s.Delete(nameKeyB(name)); err != nil {
+		if err := s.Delete(nameKeyB(name), noPast); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -151,7 +151,7 @@ func BenchmarkStaticInsertDelete(b *testing.B) {
 func BenchmarkJournalOverhead(b *testing.B) {
 	// The cost of transactional bracketing on the write path.
 	b.Run("without-txn", func(b *testing.B) {
-		s := NewTemporalStore(benchSchema())
+		s := New(Temporal, benchSchema(), false)
 		at := temporal.Chronon(1000)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -163,7 +163,7 @@ func BenchmarkJournalOverhead(b *testing.B) {
 		}
 	})
 	b.Run("with-txn", func(b *testing.B) {
-		s := NewTemporalStore(benchSchema())
+		s := New(Temporal, benchSchema(), false)
 		at := temporal.Chronon(1000)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

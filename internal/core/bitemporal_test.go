@@ -14,7 +14,7 @@ import (
 
 // loadFigure8 replays the four conceptual transactions of §4.4 (plus the
 // Mike transactions) that produce the temporal relation of Figure 8.
-func loadFigure8(t testing.TB, s *TemporalStore) {
+func loadFigure8(t testing.TB, s *Store) {
 	t.Helper()
 	must := func(err error) {
 		t.Helper()
@@ -39,7 +39,7 @@ func loadFigure8(t testing.TB, s *TemporalStore) {
 // TestTemporalFigure8Exact verifies the store reproduces Figure 8 row for
 // row — the paper's central artifact.
 func TestTemporalFigure8Exact(t *testing.T) {
-	s := NewTemporalStore(facultySchema(t))
+	s := New(Temporal, facultySchema(t), false)
 	loadFigure8(t, s)
 	want := []string{
 		"(Merrie, associate) valid=[09/01/77, 12/01/82) trans=[12/15/82, ∞)",
@@ -64,7 +64,7 @@ func TestTemporalFigure8Exact(t *testing.T) {
 // (answer: associate, with the stamps of Figure 8's first row) and as of
 // 12/20/82 (answer: full — the promotion had been recorded by then).
 func TestTemporalWhenAsOfQuery(t *testing.T) {
-	s := NewTemporalStore(facultySchema(t))
+	s := New(Temporal, facultySchema(t), false)
 	loadFigure8(t, s)
 
 	queryMerrieWhenTomArrived := func(asOf temporal.Chronon) []Version {
@@ -109,7 +109,7 @@ func TestTemporalWhenAsOfQuery(t *testing.T) {
 }
 
 // AsOf on a temporal relation yields a historical relation; replaying the
-// same transactions into a HistoricalStore at each commit point must give
+// same transactions into a historical Store at each commit point must give
 // exactly the state AsOf reconstructs. This is the paper's "sequence of
 // historical states" picture (Figure 7) made executable.
 func TestTemporalAsOfEqualsReplayedHistorical(t *testing.T) {
@@ -138,7 +138,7 @@ func TestTemporalAsOfEqualsReplayedHistorical(t *testing.T) {
 				key:    nameKey(name),
 			})
 		}
-		ts := NewTemporalStore(facultySchema(t))
+		ts := New(Temporal, facultySchema(t), false)
 		for _, x := range txns {
 			if x.assert {
 				if err := ts.Assert(x.data, x.valid, x.at); err != nil {
@@ -157,16 +157,16 @@ func TestTemporalAsOfEqualsReplayedHistorical(t *testing.T) {
 			} else {
 				asOf = txns[k].at
 			}
-			hs := NewHistoricalStore(facultySchema(t))
+			hs := New(Historical, facultySchema(t), false)
 			for _, x := range txns {
 				if x.at > asOf {
 					break
 				}
 				if x.assert {
-					if err := hs.Assert(x.data, x.valid); err != nil {
+					if err := hs.Assert(x.data, x.valid, noPast); err != nil {
 						t.Fatal(err)
 					}
-				} else if err := hs.Retract(x.key, x.valid); err != nil &&
+				} else if err := hs.Retract(x.key, x.valid, noPast); err != nil &&
 					!errors.Is(err, ErrNoSuchTuple) {
 					t.Fatal(err)
 				}
@@ -195,7 +195,7 @@ func TestTemporalAsOfEqualsReplayedHistorical(t *testing.T) {
 // single allowed transition trans.To: ∞ -> commit chronon, and the store
 // only ever grows.
 func TestTemporalAppendOnlyProperty(t *testing.T) {
-	s := NewTemporalStore(facultySchema(t))
+	s := New(Temporal, facultySchema(t), false)
 	r := rand.New(rand.NewSource(55))
 	clock := temporal.NewTickingClock(5000)
 	names := []string{"a", "b", "c"}
@@ -245,7 +245,7 @@ func TestTemporalAppendOnlyProperty(t *testing.T) {
 }
 
 func TestTemporalErrors(t *testing.T) {
-	s := NewTemporalStore(facultySchema(t))
+	s := New(Temporal, facultySchema(t), false)
 	if err := s.Assert(fac("A", "x"), temporal.Interval{From: 5, To: 5}, 100); !errors.Is(err, ErrEmptyValidPeriod) {
 		t.Errorf("empty valid: %v", err)
 	}
@@ -273,7 +273,7 @@ func TestTemporalErrors(t *testing.T) {
 }
 
 func TestTemporalRetractMiddleSplits(t *testing.T) {
-	s := NewTemporalStore(facultySchema(t))
+	s := New(Temporal, facultySchema(t), false)
 	if err := s.Assert(fac("A", "x"), temporal.Interval{From: 10, To: 50}, 100); err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestTemporalRetractMiddleSplits(t *testing.T) {
 }
 
 func TestTemporalTimeSlice(t *testing.T) {
-	s := NewTemporalStore(facultySchema(t))
+	s := New(Temporal, facultySchema(t), false)
 	loadFigure8(t, s)
 	// Valid 12/10/82 as of 12/10/82: Merrie associate (promotion not yet
 	// recorded), Tom associate (his correction landed on 12/07/82).
@@ -327,7 +327,7 @@ func TestTemporalTimeSlice(t *testing.T) {
 }
 
 func TestTemporalSnapshotAndScanHelpers(t *testing.T) {
-	s := NewTemporalStore(facultySchema(t))
+	s := New(Temporal, facultySchema(t), false)
 	loadFigure8(t, s)
 	now := temporal.Date(1985, 3, 1)
 	names := tupleNames(tuplesOf(read(t, s, whenAt(now))))
@@ -353,7 +353,7 @@ func TestTemporalEventFigure9(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewTemporalEventStore(sch)
+	s := New(Temporal, sch, true)
 	if !s.Event() {
 		t.Fatal("event store must report Event()")
 	}

@@ -11,22 +11,21 @@ import (
 
 func TestKindMethodTable(t *testing.T) {
 	cases := []struct {
-		k                              Kind
-		name                           string
-		rollback, historical, appendOn bool
+		k                    Kind
+		name                 string
+		rollback, historical bool
 	}{
-		{Static, "static", false, false, false},
-		{StaticRollback, "static rollback", true, false, true},
-		{Historical, "historical", false, true, false},
-		{Temporal, "temporal", true, true, true},
+		{Static, "static", false, false},
+		{StaticRollback, "static rollback", true, false},
+		{Historical, "historical", false, true},
+		{Temporal, "temporal", true, true},
 	}
 	for _, c := range cases {
 		if c.k.String() != c.name {
 			t.Errorf("%v.String() = %q", c.k, c.k.String())
 		}
 		if c.k.SupportsRollback() != c.rollback ||
-			c.k.SupportsHistorical() != c.historical ||
-			c.k.AppendOnly() != c.appendOn {
+			c.k.SupportsHistorical() != c.historical {
 			t.Errorf("%v capability methods wrong", c.k)
 		}
 	}
@@ -37,11 +36,11 @@ func TestKindMethodTable(t *testing.T) {
 
 func TestStoreAccessors(t *testing.T) {
 	sch := facultySchema(t)
-	stores := []Store{
-		NewStaticStore(sch),
-		NewRollbackStore(sch),
-		NewHistoricalStore(sch),
-		NewTemporalStore(sch),
+	stores := []*Store{
+		New(Static, sch, false),
+		New(StaticRollback, sch, false),
+		New(Historical, sch, false),
+		New(Temporal, sch, false),
 	}
 	for _, s := range stores {
 		if s.Schema() != sch {
@@ -51,22 +50,22 @@ func TestStoreAccessors(t *testing.T) {
 			t.Errorf("%T default event flag", s)
 		}
 	}
-	rb := NewRollbackStore(sch)
+	rb := New(StaticRollback, sch, false)
 	if rb.LastCommit() != temporal.Beginning {
 		t.Error("fresh rollback LastCommit")
 	}
-	ts := NewTemporalStore(sch)
+	ts := New(Temporal, sch, false)
 	if ts.VersionCount() != 0 || ts.LastCommit() != temporal.Beginning {
 		t.Error("fresh temporal counters")
 	}
-	hs := NewHistoricalStore(sch)
+	hs := New(Historical, sch, false)
 	if hs.VersionCount() != 0 {
 		t.Error("fresh historical counter")
 	}
 }
 
 func TestRollbackDuringAndEarlyStop(t *testing.T) {
-	s := NewRollbackStore(facultySchema(t))
+	s := New(StaticRollback, facultySchema(t), false)
 	loadFigure4(t, s)
 	// Window spanning Merrie's promotion sees both her versions.
 	win := temporal.Interval{From: d821210, To: d821220}
@@ -90,7 +89,7 @@ func TestRollbackDuringAndEarlyStop(t *testing.T) {
 }
 
 func TestTemporalDuring(t *testing.T) {
-	s := NewTemporalStore(facultySchema(t))
+	s := New(Temporal, facultySchema(t), false)
 	loadFigure8(t, s)
 	win := temporal.Interval{From: d821210, To: d821220}
 	ranks := map[string]bool{}
@@ -107,9 +106,9 @@ func TestTemporalDuring(t *testing.T) {
 // RestoreVersion must rebuild a store whose observable behavior matches the
 // original exactly, and must reject malformed versions.
 func TestRestoreVersionRoundTrip(t *testing.T) {
-	orig := NewTemporalStore(facultySchema(t))
+	orig := New(Temporal, facultySchema(t), false)
 	loadFigure8(t, orig)
-	restored := NewTemporalStore(facultySchema(t))
+	restored := New(Temporal, facultySchema(t), false)
 	orig.Versions(func(v Version) bool {
 		if err := restored.RestoreVersion(v); err != nil {
 			t.Fatal(err)
@@ -141,7 +140,7 @@ func TestRestoreVersionRoundTrip(t *testing.T) {
 		}
 	}
 	// Event stores reject interval periods.
-	ev := NewTemporalEventStore(facultySchema(t))
+	ev := New(Temporal, facultySchema(t), true)
 	if err := ev.RestoreVersion(Version{Data: fac("A", "x"),
 		Valid: temporal.Interval{From: 1, To: 10}, Trans: temporal.Since(100)}); err == nil {
 		t.Error("event store accepted interval period")
@@ -153,9 +152,9 @@ func TestRestoreVersionRoundTrip(t *testing.T) {
 }
 
 func TestRollbackRestoreVersion(t *testing.T) {
-	orig := NewRollbackStore(facultySchema(t))
+	orig := New(StaticRollback, facultySchema(t), false)
 	loadFigure4(t, orig)
-	restored := NewRollbackStore(facultySchema(t))
+	restored := New(StaticRollback, facultySchema(t), false)
 	orig.Versions(func(v Version) bool {
 		if err := restored.RestoreVersion(v); err != nil {
 			t.Fatal(err)
@@ -178,21 +177,21 @@ func TestRollbackRestoreVersion(t *testing.T) {
 }
 
 func TestVersionsEarlyStop(t *testing.T) {
-	rb := NewRollbackStore(facultySchema(t))
+	rb := New(StaticRollback, facultySchema(t), false)
 	loadFigure4(t, rb)
 	n := 0
 	rb.Versions(func(Version) bool { n++; return false })
 	if n != 1 {
 		t.Errorf("rollback Versions early stop visited %d", n)
 	}
-	ts := NewTemporalStore(facultySchema(t))
+	ts := New(Temporal, facultySchema(t), false)
 	loadFigure8(t, ts)
 	n = 0
 	ts.Versions(func(Version) bool { n++; return false })
 	if n != 1 {
 		t.Errorf("temporal Versions early stop visited %d", n)
 	}
-	hs := NewHistoricalStore(facultySchema(t))
+	hs := New(Historical, facultySchema(t), false)
 	loadFigure6(t, hs)
 	n = 0
 	hs.Versions(func(Version) bool { n++; return false })

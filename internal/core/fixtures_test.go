@@ -92,7 +92,7 @@ func versionSet(vs []Version) []string {
 }
 
 // read collects what Read yields for spec, failing the test on an error.
-func read(t testing.TB, s Store, spec ScanSpec) []Version {
+func read(t testing.TB, s *Store, spec ScanSpec) []Version {
 	t.Helper()
 	var out []Version
 	if err := s.Read(spec, func(v Version) bool { out = append(out, v); return true }); err != nil {
@@ -124,7 +124,7 @@ func during(w temporal.Interval) ScanSpec {
 }
 
 // history returns key's currently believed versions in valid order.
-func history(t testing.TB, s Store, key tuple.Tuple) []Version {
+func history(t testing.TB, s *Store, key tuple.Tuple) []Version {
 	t.Helper()
 	vs := read(t, s, ScanSpec{Key: key})
 	sort.SliceStable(vs, func(i, j int) bool { return vs[i].Valid.From < vs[j].Valid.From })
@@ -132,7 +132,7 @@ func history(t testing.TB, s Store, key tuple.Tuple) []Version {
 }
 
 // get returns the current tuple with the given key.
-func get(t testing.TB, s Store, key tuple.Tuple) (tuple.Tuple, bool) {
+func get(t testing.TB, s *Store, key tuple.Tuple) (tuple.Tuple, bool) {
 	t.Helper()
 	vs := read(t, s, ScanSpec{Key: key})
 	if len(vs) == 0 {

@@ -20,7 +20,7 @@ import (
 //
 // via the same conceptual transactions as the temporal store, expressed as
 // corrections of current belief.
-func loadFigure6(t *testing.T, s *HistoricalStore) {
+func loadFigure6(t *testing.T, s *Store) {
 	t.Helper()
 	must := func(err error) {
 		t.Helper()
@@ -28,16 +28,16 @@ func loadFigure6(t *testing.T, s *HistoricalStore) {
 			t.Fatal(err)
 		}
 	}
-	must(s.Assert(fac("Merrie", "associate"), temporal.Since(d770901)))
-	must(s.Assert(fac("Tom", "full"), temporal.Since(d821205)))      // erroneous
-	must(s.Assert(fac("Tom", "associate"), temporal.Since(d821205))) // corrected
-	must(s.Assert(fac("Merrie", "full"), temporal.Since(d821201)))
-	must(s.Assert(fac("Mike", "assistant"), temporal.Since(d830101)))
-	must(s.Retract(nameKey("Mike"), temporal.Since(d840301)))
+	must(s.Assert(fac("Merrie", "associate"), temporal.Since(d770901), noPast))
+	must(s.Assert(fac("Tom", "full"), temporal.Since(d821205), noPast))      // erroneous
+	must(s.Assert(fac("Tom", "associate"), temporal.Since(d821205), noPast)) // corrected
+	must(s.Assert(fac("Merrie", "full"), temporal.Since(d821201), noPast))
+	must(s.Assert(fac("Mike", "assistant"), temporal.Since(d830101), noPast))
+	must(s.Retract(nameKey("Mike"), temporal.Since(d840301), noPast))
 }
 
 func TestHistoricalFigure6Versions(t *testing.T) {
-	s := NewHistoricalStore(facultySchema(t))
+	s := New(Historical, facultySchema(t), false)
 	loadFigure6(t, s)
 	want := []string{
 		fmt.Sprintf("(Merrie, associate) valid=[09/01/77, 12/01/82) trans=%v", temporal.All),
@@ -61,7 +61,7 @@ func TestHistoricalFigure6Versions(t *testing.T) {
 // Figure 6's TQuel query at store level: Merrie's rank when Tom arrived —
 // the versions of Merrie whose valid period overlaps start of Tom's.
 func TestHistoricalWhenQuery(t *testing.T) {
-	s := NewHistoricalStore(facultySchema(t))
+	s := New(Historical, facultySchema(t), false)
 	loadFigure6(t, s)
 	tomStart := history(t, s, nameKey("Tom"))[0].Valid.Start()
 	var hits []Version
@@ -83,7 +83,7 @@ func TestHistoricalWhenQuery(t *testing.T) {
 }
 
 func TestHistoricalTimeSlice(t *testing.T) {
-	s := NewHistoricalStore(facultySchema(t))
+	s := New(Historical, facultySchema(t), false)
 	loadFigure6(t, s)
 	// At 12/10/82, the historical answer is full (contrast the rollback
 	// store's associate — the paper's central comparison).
@@ -114,12 +114,12 @@ func TestHistoricalTimeSlice(t *testing.T) {
 }
 
 func TestHistoricalCoalescesValueEquivalentAssertions(t *testing.T) {
-	s := NewHistoricalStore(facultySchema(t))
-	if err := s.Assert(fac("A", "x"), temporal.Interval{From: 10, To: 20}); err != nil {
+	s := New(Historical, facultySchema(t), false)
+	if err := s.Assert(fac("A", "x"), temporal.Interval{From: 10, To: 20}, noPast); err != nil {
 		t.Fatal(err)
 	}
 	// Meeting period, same data: one coalesced version.
-	if err := s.Assert(fac("A", "x"), temporal.Interval{From: 20, To: 30}); err != nil {
+	if err := s.Assert(fac("A", "x"), temporal.Interval{From: 20, To: 30}, noPast); err != nil {
 		t.Fatal(err)
 	}
 	h := history(t, s, nameKey("A"))
@@ -127,7 +127,7 @@ func TestHistoricalCoalescesValueEquivalentAssertions(t *testing.T) {
 		t.Fatalf("history = %v", h)
 	}
 	// Overlapping assertion of same data also coalesces.
-	if err := s.Assert(fac("A", "x"), temporal.Interval{From: 25, To: 40}); err != nil {
+	if err := s.Assert(fac("A", "x"), temporal.Interval{From: 25, To: 40}, noPast); err != nil {
 		t.Fatal(err)
 	}
 	h = history(t, s, nameKey("A"))
@@ -135,7 +135,7 @@ func TestHistoricalCoalescesValueEquivalentAssertions(t *testing.T) {
 		t.Fatalf("history = %v", h)
 	}
 	// Disjoint assertion stays separate.
-	if err := s.Assert(fac("A", "x"), temporal.Interval{From: 50, To: 60}); err != nil {
+	if err := s.Assert(fac("A", "x"), temporal.Interval{From: 50, To: 60}, noPast); err != nil {
 		t.Fatal(err)
 	}
 	if h = history(t, s, nameKey("A")); len(h) != 2 {
@@ -144,12 +144,12 @@ func TestHistoricalCoalescesValueEquivalentAssertions(t *testing.T) {
 }
 
 func TestHistoricalCorrectionSplitsVersion(t *testing.T) {
-	s := NewHistoricalStore(facultySchema(t))
-	if err := s.Assert(fac("A", "x"), temporal.Interval{From: 10, To: 40}); err != nil {
+	s := New(Historical, facultySchema(t), false)
+	if err := s.Assert(fac("A", "x"), temporal.Interval{From: 10, To: 40}, noPast); err != nil {
 		t.Fatal(err)
 	}
 	// Correct the middle: A was actually "y" during [20, 30).
-	if err := s.Assert(fac("A", "y"), temporal.Interval{From: 20, To: 30}); err != nil {
+	if err := s.Assert(fac("A", "y"), temporal.Interval{From: 20, To: 30}, noPast); err != nil {
 		t.Fatal(err)
 	}
 	h := history(t, s, nameKey("A"))
@@ -172,14 +172,14 @@ func TestHistoricalCorrectionSplitsVersion(t *testing.T) {
 }
 
 func TestHistoricalRetract(t *testing.T) {
-	s := NewHistoricalStore(facultySchema(t))
-	if err := s.Retract(nameKey("A"), temporal.Since(0)); !errors.Is(err, ErrNoSuchTuple) {
+	s := New(Historical, facultySchema(t), false)
+	if err := s.Retract(nameKey("A"), temporal.Since(0), noPast); !errors.Is(err, ErrNoSuchTuple) {
 		t.Errorf("retract from empty: %v", err)
 	}
-	if err := s.Assert(fac("A", "x"), temporal.Interval{From: 10, To: 40}); err != nil {
+	if err := s.Assert(fac("A", "x"), temporal.Interval{From: 10, To: 40}, noPast); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Retract(nameKey("A"), temporal.Interval{From: 15, To: 20}); err != nil {
+	if err := s.Retract(nameKey("A"), temporal.Interval{From: 15, To: 20}, noPast); err != nil {
 		t.Fatal(err)
 	}
 	h := history(t, s, nameKey("A"))
@@ -187,49 +187,49 @@ func TestHistoricalRetract(t *testing.T) {
 		t.Fatalf("history = %v", h)
 	}
 	// Retracting a non-overlapping period fails.
-	if err := s.Retract(nameKey("A"), temporal.Interval{From: 100, To: 200}); !errors.Is(err, ErrNoSuchTuple) {
+	if err := s.Retract(nameKey("A"), temporal.Interval{From: 100, To: 200}, noPast); !errors.Is(err, ErrNoSuchTuple) {
 		t.Errorf("retract outside: %v", err)
 	}
-	if err := s.Retract(nameKey("A"), temporal.Interval{From: 5, To: 5}); !errors.Is(err, ErrEmptyValidPeriod) {
+	if err := s.Retract(nameKey("A"), temporal.Interval{From: 5, To: 5}, noPast); !errors.Is(err, ErrEmptyValidPeriod) {
 		t.Errorf("empty retract: %v", err)
 	}
 }
 
 func TestHistoricalErrors(t *testing.T) {
-	s := NewHistoricalStore(facultySchema(t))
-	if err := s.Assert(fac("A", "x"), temporal.Interval{From: 5, To: 5}); !errors.Is(err, ErrEmptyValidPeriod) {
+	s := New(Historical, facultySchema(t), false)
+	if err := s.Assert(fac("A", "x"), temporal.Interval{From: 5, To: 5}, noPast); !errors.Is(err, ErrEmptyValidPeriod) {
 		t.Errorf("empty period: %v", err)
 	}
-	if err := s.Assert(tuple.New(value.NewInt(1)), temporal.Since(0)); err == nil {
+	if err := s.Assert(tuple.New(value.NewInt(1)), temporal.Since(0), noPast); err == nil {
 		t.Error("schema violation must be rejected")
 	}
-	if err := s.AssertAt(fac("A", "x"), 5); !errors.Is(err, ErrEventRelation) {
+	if err := s.AssertAt(fac("A", "x"), 5, noPast); !errors.Is(err, ErrEventRelation) {
 		t.Errorf("AssertAt on interval relation: %v", err)
 	}
 }
 
 func TestHistoricalEventRelation(t *testing.T) {
-	s := NewHistoricalEventStore(facultySchema(t))
+	s := New(Historical, facultySchema(t), true)
 	if !s.Event() {
 		t.Fatal("Event() = false")
 	}
-	if err := s.Assert(fac("A", "x"), temporal.Since(0)); !errors.Is(err, ErrEventRelation) {
+	if err := s.Assert(fac("A", "x"), temporal.Since(0), noPast); !errors.Is(err, ErrEventRelation) {
 		t.Errorf("Assert on event relation: %v", err)
 	}
-	if err := s.AssertAt(fac("A", "x"), temporal.Forever); !errors.Is(err, ErrEmptyValidPeriod) {
+	if err := s.AssertAt(fac("A", "x"), temporal.Forever, noPast); !errors.Is(err, ErrEmptyValidPeriod) {
 		t.Errorf("infinite event instant: %v", err)
 	}
-	if err := s.AssertAt(fac("A", "promoted"), 100); err != nil {
+	if err := s.AssertAt(fac("A", "promoted"), 100, noPast); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AssertAt(fac("A", "promoted"), 200); err != nil {
+	if err := s.AssertAt(fac("A", "promoted"), 200, noPast); err != nil {
 		t.Fatal(err)
 	}
 	if h := history(t, s, nameKey("A")); len(h) != 2 {
 		t.Fatalf("history = %v", h)
 	}
 	// Same key, same instant: correction replaces.
-	if err := s.AssertAt(fac("A", "demoted"), 200); err != nil {
+	if err := s.AssertAt(fac("A", "demoted"), 200, noPast); err != nil {
 		t.Fatal(err)
 	}
 	h := history(t, s, nameKey("A"))
@@ -259,7 +259,7 @@ func TestHistoricalAgainstReferenceModel(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	names := []string{"a", "b", "c"}
 	for trial := 0; trial < 50; trial++ {
-		s := NewHistoricalStore(facultySchema(t))
+		s := New(Historical, facultySchema(t), false)
 		ops := map[string][]op{}
 		for i := 0; i < 40; i++ {
 			name := names[r.Intn(len(names))]
@@ -267,12 +267,12 @@ func TestHistoricalAgainstReferenceModel(t *testing.T) {
 			iv := temporal.Interval{From: from, To: from + 1 + temporal.Chronon(r.Intn(20))}
 			if r.Intn(4) > 0 {
 				data := fmt.Sprint(r.Intn(3))
-				if err := s.Assert(fac(name, data), iv); err != nil {
+				if err := s.Assert(fac(name, data), iv, noPast); err != nil {
 					t.Fatal(err)
 				}
 				ops[name] = append(ops[name], op{assert: true, data: data, iv: iv})
 			} else {
-				err := s.Retract(nameKey(name), iv)
+				err := s.Retract(nameKey(name), iv, noPast)
 				if err != nil && !errors.Is(err, ErrNoSuchTuple) {
 					t.Fatal(err)
 				}
@@ -305,6 +305,30 @@ func TestHistoricalAgainstReferenceModel(t *testing.T) {
 					t.Fatalf("trial %d probe %d: got %v want %v", trial, probe, got, want)
 				}
 			}
+		}
+	}
+}
+
+// A checkpoint row restored into an event relation must be an event: a
+// valid period longer than one chronon is refused, by both kinds with valid
+// time, and leaves the store empty. (The historical store once restored
+// [10, 20) as the event [10, 11) without complaint.)
+func TestEventRestoreRefusesPeriod(t *testing.T) {
+	for _, k := range []Kind{Historical, Temporal} {
+		s := New(k, facultySchema(t), true)
+		v := Version{Data: fac("Tom", "full"), Valid: temporal.Interval{From: 10, To: 20}, Trans: temporal.Since(5)}
+		if err := s.RestoreVersion(v); err == nil {
+			t.Errorf("%v: restoring %v into an event relation succeeded", k, v.Valid)
+		}
+		if n := s.CurrentCount(); n != 0 {
+			t.Errorf("%v: refused restore left %d versions", k, n)
+		}
+		v.Valid = temporal.At(10)
+		if err := s.RestoreVersion(v); err != nil {
+			t.Errorf("%v: restoring the event %v: %v", k, v.Valid, err)
+		}
+		if got := read(t, s, ScanSpec{}); len(got) != 1 || got[0].Valid != temporal.At(10) {
+			t.Errorf("%v: restored %v, want the event at 10", k, got)
 		}
 	}
 }

@@ -9,7 +9,7 @@ package core
 // The LIFO discipline is what makes position-based inverses exact: an
 // inverse that truncates an appended row finds it last in the log, because
 // every later mutation has already been undone. A store moves no position
-// while the journal holds an inverse (versionLog.settle waits for it to be
+// while the journal holds an inverse (Store.settle waits for it to be
 // empty).
 type journal struct {
 	undo   []func()

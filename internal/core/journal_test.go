@@ -18,7 +18,7 @@ func fingerprint(s txnStore, probes []temporal.Chronon) []string {
 		return true
 	})
 	for _, p := range probes {
-		st, ok := s.(Store)
+		st, ok := s.(*Store)
 		if !ok { // the copy baseline answers rollback only
 			for _, t := range s.(*CopyRollbackStore).AsOf(p) {
 				out = append(out, fmt.Sprintf("a%v:%v", p, t))
@@ -53,49 +53,23 @@ func randomOp(r *rand.Rand, s txnStore, clock *temporal.TickingClock, i int) {
 	key := nameKey(name)
 	from := temporal.Chronon(r.Intn(60))
 	valid := temporal.Interval{From: from, To: from + 1 + temporal.Chronon(r.Intn(30))}
-	switch st := s.(type) {
-	case *StaticStore:
-		switch r.Intn(3) {
-		case 0:
-			_ = st.Insert(data)
-		case 1:
-			_ = st.Delete(key)
-		default:
-			_ = st.Replace(key, data)
-		}
-	case *RollbackStore:
-		at := clock.Now()
-		switch r.Intn(3) {
-		case 0:
-			_ = st.Insert(data, at)
-		case 1:
-			_ = st.Delete(key, at)
-		default:
-			_ = st.Replace(key, data, at)
-		}
-	case *CopyRollbackStore:
-		at := clock.Now()
-		switch r.Intn(3) {
-		case 0:
-			_ = st.Insert(data, at)
-		case 1:
-			_ = st.Delete(key, at)
-		default:
-			_ = st.Replace(key, data, at)
-		}
-	case *HistoricalStore:
-		if r.Intn(3) > 0 {
-			_ = st.Assert(data, valid)
-		} else {
-			_ = st.Retract(key, valid)
-		}
-	case *TemporalStore:
-		at := clock.Now()
+	at := clock.Now()
+	if st, ok := s.(*Store); ok && st.Kind().SupportsHistorical() {
 		if r.Intn(3) > 0 {
 			_ = st.Assert(data, valid, at)
 		} else {
 			_ = st.Retract(key, valid, at)
 		}
+		return
+	}
+	st := s.(rollbackOps)
+	switch r.Intn(3) {
+	case 0:
+		_ = st.Insert(data, at)
+	case 1:
+		_ = st.Delete(key, at)
+	default:
+		_ = st.Replace(key, data, at)
 	}
 }
 
@@ -113,11 +87,11 @@ type txnStore interface {
 func TestAbortRestoresState(t *testing.T) {
 	makeStores := func(t *testing.T) map[string]txnStore {
 		return map[string]txnStore{
-			"static":     NewStaticStore(facultySchema(t)),
-			"rollback":   NewRollbackStore(facultySchema(t)),
+			"static":     New(Static, facultySchema(t), false),
+			"rollback":   New(StaticRollback, facultySchema(t), false),
 			"copy":       NewCopyRollbackStore(facultySchema(t)),
-			"historical": NewHistoricalStore(facultySchema(t)),
-			"temporal":   NewTemporalStore(facultySchema(t)),
+			"historical": New(Historical, facultySchema(t), false),
+			"temporal":   New(Temporal, facultySchema(t), false),
 		}
 	}
 	var probes []temporal.Chronon
@@ -159,7 +133,7 @@ func TestAbortRestoresState(t *testing.T) {
 }
 
 func TestNestedTxnPanics(t *testing.T) {
-	s := NewStaticStore(facultySchema(t))
+	s := New(Static, facultySchema(t), false)
 	s.BeginTxn()
 	defer func() {
 		if recover() == nil {

@@ -28,20 +28,20 @@ func TestKeyIndexFollowsLiveCount(t *testing.T) {
 	name := func(i int) string { return fmt.Sprintf("e%07d", i) }
 
 	before := liveHeap()
-	st := NewStaticStore(facultySchema(t))
-	hs := NewHistoricalStore(facultySchema(t))
+	st := New(Static, facultySchema(t), false)
+	hs := New(Historical, facultySchema(t), false)
 	for i := 0; i < churn; i++ {
-		if err := st.Insert(fac(name(i), "x")); err != nil {
+		if err := st.Insert(fac(name(i), "x"), noPast); err != nil {
 			t.Fatal(err)
 		}
-		if err := hs.Assert(fac(name(i), "x"), temporal.Since(temporal.Chronon(i))); err != nil {
+		if err := hs.Assert(fac(name(i), "x"), temporal.Since(temporal.Chronon(i)), noPast); err != nil {
 			t.Fatal(err)
 		}
 		if i >= live {
-			if err := st.Delete(nameKey(name(i - live))); err != nil {
+			if err := st.Delete(nameKey(name(i-live)), noPast); err != nil {
 				t.Fatal(err)
 			}
-			if err := hs.Retract(nameKey(name(i-live)), temporal.All); err != nil {
+			if err := hs.Retract(nameKey(name(i-live)), temporal.All, noPast); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -67,7 +67,7 @@ func TestKeyIndexFollowsLiveCount(t *testing.T) {
 // spares it the same rebuilds.
 func TestBulkPathsSizeKeyIndexOnce(t *testing.T) {
 	const n = 5000
-	src := NewTemporalStore(facultySchema(t))
+	src := New(Temporal, facultySchema(t), false)
 	for i := 0; i < n; i++ {
 		if err := src.Assert(fac(fmt.Sprintf("e%05d", i), "x"), temporal.Since(10), temporal.Chronon(100+i)); err != nil {
 			t.Fatal(err)
@@ -79,7 +79,7 @@ func TestBulkPathsSizeKeyIndexOnce(t *testing.T) {
 		}
 	}
 	src.log.SealNow()
-	dst := NewTemporalStore(facultySchema(t))
+	dst := New(Temporal, facultySchema(t), false)
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	for _, g := range src.Segments() {
@@ -100,21 +100,21 @@ func TestBulkPathsSizeKeyIndexOnce(t *testing.T) {
 	for i := range rows {
 		rows[i] = fac(fmt.Sprint(i), "x")
 	}
-	for _, fresh := range []func() (Store, func(tuple.Tuple) error){
-		func() (Store, func(tuple.Tuple) error) {
-			s := NewStaticStore(facultySchema(t))
-			return s, s.Insert
+	for _, fresh := range []func() (*Store, func(tuple.Tuple) error){
+		func() (*Store, func(tuple.Tuple) error) {
+			s := New(Static, facultySchema(t), false)
+			return s, func(r tuple.Tuple) error { return s.Insert(r, noPast) }
 		},
-		func() (Store, func(tuple.Tuple) error) {
-			s := NewRollbackStore(facultySchema(t))
+		func() (*Store, func(tuple.Tuple) error) {
+			s := New(StaticRollback, facultySchema(t), false)
 			return s, func(r tuple.Tuple) error { return s.Insert(r, 100) }
 		},
-		func() (Store, func(tuple.Tuple) error) {
-			s := NewHistoricalStore(facultySchema(t))
-			return s, func(r tuple.Tuple) error { return s.Assert(r, temporal.Since(10)) }
+		func() (*Store, func(tuple.Tuple) error) {
+			s := New(Historical, facultySchema(t), false)
+			return s, func(r tuple.Tuple) error { return s.Assert(r, temporal.Since(10), noPast) }
 		},
-		func() (Store, func(tuple.Tuple) error) {
-			s := NewTemporalStore(facultySchema(t))
+		func() (*Store, func(tuple.Tuple) error) {
+			s := New(Temporal, facultySchema(t), false)
 			return s, func(r tuple.Tuple) error { return s.Assert(r, temporal.Since(10), 100) }
 		},
 	} {

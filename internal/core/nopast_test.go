@@ -13,7 +13,7 @@ import (
 
 // present is the twin's current belief as a kind without transaction time
 // shows it: the universal transaction period.
-func present(t *testing.T, twin Store) []Version {
+func present(t *testing.T, twin *Store) []Version {
 	t.Helper()
 	vs := read(t, twin, ScanSpec{})
 	for i := range vs {
@@ -56,7 +56,7 @@ func coalesced(vs []Version) []string {
 // the two to each other, and the no-rollback store's log holds at most twice
 // its current rows plus settleSlack: no past is kept, and the history is long
 // enough that the log is rebuilt.
-func twinHistory(t *testing.T, s *versionLog, twin refStore, steps int, r *rand.Rand, op func(at temporal.Chronon, i int) (error, error), check func(step int)) {
+func twinHistory(t *testing.T, s *Store, twin *Store, steps int, r *rand.Rand, op func(at temporal.Chronon, i int) (error, error), check func(step int)) {
 	t.Helper()
 	at, rebuilt, log := temporal.Chronon(1000), 0, s.log
 	both := func(i int) {
@@ -110,27 +110,27 @@ func TestNoPastIsRollbackTwinsPresent(t *testing.T) {
 	for _, rows := range sealThresholds {
 		segment.SealRows = rows
 		t.Run(fmt.Sprint("static/seal=", rows), func(t *testing.T) {
-			s, twin := NewStaticStore(refSchema(t)), NewRollbackStore(refSchema(t))
+			s, twin := New(Static, refSchema(t), false), New(StaticRollback, refSchema(t), false)
 			r := rand.New(rand.NewSource(int64(rows)))
-			twinHistory(t, &s.versionLog, twin, 1500, r, func(at temporal.Chronon, i int) (error, error) {
+			twinHistory(t, s, twin, 1500, r, func(at temporal.Chronon, i int) (error, error) {
 				key := nameKey(names[r.Intn(len(names))])
 				row := refRow(names[r.Intn(len(names))], i)
 				switch r.Intn(4) {
 				case 0:
-					return s.Insert(row), twin.Insert(row, at)
+					return s.Insert(row, at), twin.Insert(row, at)
 				case 1:
-					return s.Delete(key), twin.Delete(key, at)
+					return s.Delete(key, at), twin.Delete(key, at)
 				default:
-					return s.Replace(key, row), twin.Replace(key, row, at)
+					return s.Replace(key, row, at), twin.Replace(key, row, at)
 				}
 			}, func(step int) {
 				mustMatch(t, fmt.Sprint("step ", step, ": Versions()"), render(allVersions(s)), render(present(t, twin)))
 			})
 		})
 		t.Run(fmt.Sprint("historical/seal=", rows), func(t *testing.T) {
-			s, twin := NewHistoricalStore(refSchema(t)), NewTemporalStore(refSchema(t))
+			s, twin := New(Historical, refSchema(t), false), New(Temporal, refSchema(t), false)
 			r := rand.New(rand.NewSource(int64(rows)))
-			twinHistory(t, &s.versionLog, twin, 1500, r, func(at temporal.Chronon, i int) (error, error) {
+			twinHistory(t, s, twin, 1500, r, func(at temporal.Chronon, i int) (error, error) {
 				name := names[r.Intn(len(names)/3)]
 				from := temporal.Chronon(r.Intn(100))
 				valid := temporal.Interval{From: from, To: from + 1 + temporal.Chronon(r.Intn(30))}
@@ -138,10 +138,10 @@ func TestNoPastIsRollbackTwinsPresent(t *testing.T) {
 					valid.To = temporal.Forever
 				}
 				if r.Intn(2) == 0 {
-					return s.Retract(nameKey(name), valid), twin.Retract(nameKey(name), valid, at)
+					return s.Retract(nameKey(name), valid, at), twin.Retract(nameKey(name), valid, at)
 				}
 				row := refRow(name, r.Intn(2))
-				return s.Assert(row, valid), twin.Assert(row, valid, at)
+				return s.Assert(row, valid, at), twin.Assert(row, valid, at)
 			}, func(step int) {
 				got := allVersions(s)
 				mustMatch(t, fmt.Sprint("step ", step, ": Versions()"), coalesced(got), coalesced(present(t, twin)))

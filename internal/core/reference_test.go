@@ -78,19 +78,13 @@ func mustMatch(t *testing.T, what string, got, want []string) {
 	}
 }
 
-// refStore is a store the seeded histories can drive.
-type refStore interface {
-	Store
-	Transactional
-}
-
 // churn runs a seeded history of small transactions against s: each holds
 // one to three ops from op, and one in five aborts — after which the stored
 // rows must be exactly what they were before it began. Every 25th
 // transaction commits a straggler: a key written once and never touched
 // again, so that with a small seal threshold every few segments pin one
 // current row among superseded ones.
-func churn(t *testing.T, s refStore, r *rand.Rand, txns int, op func(at temporal.Chronon, i int), straggler func(at temporal.Chronon, i int)) (commits []temporal.Chronon) {
+func churn(t *testing.T, s *Store, r *rand.Rand, txns int, op func(at temporal.Chronon, i int), straggler func(at temporal.Chronon, i int)) (commits []temporal.Chronon) {
 	t.Helper()
 	at := temporal.Chronon(1000)
 	for i := 0; i < txns; i++ {
@@ -224,7 +218,7 @@ func refCases(t *testing.T, sch *schema.Schema, rollback bool, commits []tempora
 
 // checkReads holds Read to the reference on every case. ordered says the
 // kind promises storage order; the others promise only the set.
-func checkReads(t *testing.T, s Store, cases []refCase, ordered bool) {
+func checkReads(t *testing.T, s *Store, cases []refCase, ordered bool) {
 	t.Helper()
 	all := allVersions(s)
 	for _, c := range cases {
@@ -241,12 +235,7 @@ func checkReads(t *testing.T, s Store, cases []refCase, ordered bool) {
 // threshold and counters — to the reference: Versions() must not depend on
 // the threshold (*unsealed carries the default-threshold rendering from the
 // first iteration to the sealed ones) and the counters must agree with it.
-func checkAppendOnly(t *testing.T, s interface {
-	Store
-	SegmentStats() segment.Stats
-	VersionCount() int
-	CurrentCount() int
-}, rows int, unsealed *[]string) {
+func checkAppendOnly(t *testing.T, s *Store, rows int, unsealed *[]string) {
 	t.Helper()
 	all := allVersions(s)
 	if rows == segment.DefaultSealRows {
@@ -272,7 +261,7 @@ func TestRollbackStoreMatchesReference(t *testing.T) {
 	t.Cleanup(func() { segment.SealRows = old })
 	for _, rows := range sealThresholds {
 		segment.SealRows = rows
-		s := NewRollbackStore(refSchema(t))
+		s := New(StaticRollback, refSchema(t), false)
 		r := rand.New(rand.NewSource(4))
 		names := []string{"a", "b", "c", "d", "e"}
 		commits := churn(t, s, r, 400, func(at temporal.Chronon, i int) {
@@ -305,7 +294,7 @@ func TestTemporalStoreMatchesReference(t *testing.T) {
 	t.Cleanup(func() { segment.SealRows = old })
 	for _, rows := range sealThresholds {
 		segment.SealRows = rows
-		s := NewTemporalStore(refSchema(t))
+		s := New(Temporal, refSchema(t), false)
 		r := rand.New(rand.NewSource(9))
 		names := []string{"a", "b", "c", "d"}
 		commits := churn(t, s, r, 200, func(at temporal.Chronon, i int) {
@@ -335,7 +324,7 @@ func TestTemporalStoreMatchesReference(t *testing.T) {
 }
 
 func TestHistoricalStoreMatchesReference(t *testing.T) {
-	s := NewHistoricalStore(refSchema(t))
+	s := New(Historical, refSchema(t), false)
 	r := rand.New(rand.NewSource(6))
 	names := []string{"a", "b", "c", "d"}
 	churn(t, s, r, 200, func(_ temporal.Chronon, i int) {
@@ -347,15 +336,15 @@ func TestHistoricalStoreMatchesReference(t *testing.T) {
 		}
 		var err error
 		if r.Intn(3) > 0 {
-			err = s.Assert(refRow(name, i), valid)
+			err = s.Assert(refRow(name, i), valid, noPast)
 		} else {
-			err = s.Retract(nameKey(name), valid)
+			err = s.Retract(nameKey(name), valid, noPast)
 		}
 		if err != nil && !errors.Is(err, ErrNoSuchTuple) {
 			t.Fatal(err)
 		}
 	}, func(_ temporal.Chronon, i int) {
-		if err := s.Assert(refRow(fmt.Sprint("pin", i), 0), temporal.Since(5)); err != nil {
+		if err := s.Assert(refRow(fmt.Sprint("pin", i), 0), temporal.Since(5), noPast); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -363,7 +352,7 @@ func TestHistoricalStoreMatchesReference(t *testing.T) {
 }
 
 func TestStaticStoreMatchesReference(t *testing.T) {
-	s := NewStaticStore(refSchema(t))
+	s := New(Static, refSchema(t), false)
 	r := rand.New(rand.NewSource(2))
 	names := []string{"a", "b", "c", "d", "e"}
 	churn(t, s, r, 200, func(_ temporal.Chronon, i int) {
@@ -371,17 +360,17 @@ func TestStaticStoreMatchesReference(t *testing.T) {
 		var err error
 		switch r.Intn(3) {
 		case 0:
-			err = s.Insert(refRow(name, i))
+			err = s.Insert(refRow(name, i), noPast)
 		case 1:
-			err = s.Delete(nameKey(name))
+			err = s.Delete(nameKey(name), noPast)
 		default:
-			err = s.Replace(nameKey(name), refRow(name, i))
+			err = s.Replace(nameKey(name), refRow(name, i), noPast)
 		}
 		if err != nil && !errors.Is(err, ErrDuplicateKey) && !errors.Is(err, ErrNoSuchTuple) {
 			t.Fatal(err)
 		}
 	}, func(_ temporal.Chronon, i int) {
-		if err := s.Insert(refRow(fmt.Sprint("pin", i), 0)); err != nil {
+		if err := s.Insert(refRow(fmt.Sprint("pin", i), 0), noPast); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -397,7 +386,7 @@ func TestReadRefusesBadSpecs(t *testing.T) {
 		t.Error("a refused read yielded a version")
 		return false
 	}
-	for _, s := range []Store{NewStaticStore(sch), NewHistoricalStore(sch)} {
+	for _, s := range []*Store{New(Static, sch, false), New(Historical, sch, false)} {
 		if err := s.Read(ScanSpec{AsOf: &at}, never); !errors.Is(err, ErrNoRollback) {
 			t.Errorf("%v as of: %v, want ErrNoRollback", s.Kind(), err)
 		}
@@ -405,7 +394,7 @@ func TestReadRefusesBadSpecs(t *testing.T) {
 			t.Errorf("%v as of through: %v, want ErrNoRollback", s.Kind(), err)
 		}
 	}
-	for _, s := range []Store{NewStaticStore(sch), NewRollbackStore(sch), NewHistoricalStore(sch), NewTemporalStore(sch)} {
+	for _, s := range []*Store{New(Static, sch, false), New(StaticRollback, sch, false), New(Historical, sch, false), New(Temporal, sch, false)} {
 		for name, spec := range map[string]ScanSpec{
 			"through without as of": {Through: &at},
 			"all versions as of":    {AllVersions: true, AsOf: &at},
@@ -415,7 +404,7 @@ func TestReadRefusesBadSpecs(t *testing.T) {
 			}
 		}
 	}
-	for _, s := range []Store{NewRollbackStore(sch), NewTemporalStore(sch)} {
+	for _, s := range []*Store{New(StaticRollback, sch, false), New(Temporal, sch, false)} {
 		if err := s.Read(ScanSpec{AsOf: &at, Through: &earlier}, never); !errors.Is(err, ErrScanSpec) {
 			t.Errorf("%v inverted window: %v, want ErrScanSpec", s.Kind(), err)
 		}

@@ -23,7 +23,7 @@ func stateAsOf(t testing.TB, s rollbackOps, at temporal.Chronon) []tuple.Tuple {
 	if cp, ok := s.(*CopyRollbackStore); ok {
 		return cp.AsOf(at)
 	}
-	return tuplesOf(read(t, s.(Store), asOf(at)))
+	return tuplesOf(read(t, s.(*Store), asOf(at)))
 }
 
 // loadFigure4 replays the transactions that produce Figure 4's relation:
@@ -52,7 +52,7 @@ func loadFigure4(t *testing.T, s rollbackOps) {
 }
 
 func TestRollbackFigure4Versions(t *testing.T) {
-	s := NewRollbackStore(facultySchema(t))
+	s := New(StaticRollback, facultySchema(t), false)
 	loadFigure4(t, s)
 	want := []string{
 		fmt.Sprintf("(Merrie, associate) valid=%v trans=[08/25/77, 12/15/82)", temporal.All),
@@ -74,7 +74,7 @@ func TestRollbackAsOfQuery(t *testing.T) {
 		name string
 		s    rollbackOps
 	}{
-		{"timestamped", NewRollbackStore(facultySchema(t))},
+		{"timestamped", New(StaticRollback, facultySchema(t), false)},
 		{"copy", NewCopyRollbackStore(facultySchema(t))},
 	} {
 		t.Run(impl.name, func(t *testing.T) {
@@ -116,7 +116,7 @@ func TestRollbackAsOfQuery(t *testing.T) {
 }
 
 func TestRollbackErrors(t *testing.T) {
-	s := NewRollbackStore(facultySchema(t))
+	s := New(StaticRollback, facultySchema(t), false)
 	if err := s.Insert(fac("Merrie", "full"), d821201); err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestRollbackErrors(t *testing.T) {
 }
 
 func TestRollbackReplaceKeyCollision(t *testing.T) {
-	s := NewRollbackStore(facultySchema(t))
+	s := New(StaticRollback, facultySchema(t), false)
 	if err := s.Insert(fac("Tom", "associate"), d821201); err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestRollbackReplaceKeyCollision(t *testing.T) {
 // never decreases; closed transaction periods are immutable across
 // arbitrary further operations.
 func TestRollbackAppendOnlyProperty(t *testing.T) {
-	s := NewRollbackStore(facultySchema(t))
+	s := New(StaticRollback, facultySchema(t), false)
 	r := rand.New(rand.NewSource(8))
 	names := []string{"a", "b", "c", "d", "e"}
 	clock := temporal.NewTickingClock(1000)
@@ -207,7 +207,7 @@ func TestRollbackAppendOnlyProperty(t *testing.T) {
 // interchangeable: under a random operation stream, AsOf agrees at every
 // past instant.
 func TestRollbackRepresentationEquivalence(t *testing.T) {
-	ts := NewRollbackStore(facultySchema(t))
+	ts := New(StaticRollback, facultySchema(t), false)
 	cp := NewCopyRollbackStore(facultySchema(t))
 	r := rand.New(rand.NewSource(17))
 	names := []string{"a", "b", "c", "d"}
@@ -247,7 +247,7 @@ func TestRollbackRepresentationEquivalence(t *testing.T) {
 }
 
 func TestRollbackInsertDeleteSameInstant(t *testing.T) {
-	s := NewRollbackStore(facultySchema(t))
+	s := New(StaticRollback, facultySchema(t), false)
 	at := temporal.Date(1990, 1, 1)
 	if err := s.Insert(fac("X", "y"), at); err != nil {
 		t.Fatal(err)

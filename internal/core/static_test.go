@@ -10,14 +10,14 @@ import (
 )
 
 func TestStaticInsertGetScan(t *testing.T) {
-	s := NewStaticStore(facultySchema(t))
+	s := New(Static, facultySchema(t), false)
 	if s.Kind() != Static || s.Event() {
 		t.Fatal("kind/event wrong")
 	}
-	if err := s.Insert(fac("Merrie", "full")); err != nil {
+	if err := s.Insert(fac("Merrie", "full"), noPast); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Insert(fac("Tom", "associate")); err != nil {
+	if err := s.Insert(fac("Tom", "associate"), noPast); err != nil {
 		t.Fatal(err)
 	}
 	if s.VersionCount() != 2 {
@@ -37,41 +37,41 @@ func TestStaticInsertGetScan(t *testing.T) {
 }
 
 func TestStaticDuplicateKey(t *testing.T) {
-	s := NewStaticStore(facultySchema(t))
-	if err := s.Insert(fac("Merrie", "full")); err != nil {
+	s := New(Static, facultySchema(t), false)
+	if err := s.Insert(fac("Merrie", "full"), noPast); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Insert(fac("Merrie", "associate")); !errors.Is(err, ErrDuplicateKey) {
+	if err := s.Insert(fac("Merrie", "associate"), noPast); !errors.Is(err, ErrDuplicateKey) {
 		t.Fatalf("duplicate insert: %v", err)
 	}
 }
 
 func TestStaticSchemaViolations(t *testing.T) {
-	s := NewStaticStore(facultySchema(t))
-	if err := s.Insert(tuple.New(value.NewString("x"))); err == nil {
+	s := New(Static, facultySchema(t), false)
+	if err := s.Insert(tuple.New(value.NewString("x")), noPast); err == nil {
 		t.Error("short tuple must be rejected")
 	}
-	if err := s.Insert(tuple.New(value.NewInt(1), value.NewInt(2))); err == nil {
+	if err := s.Insert(tuple.New(value.NewInt(1), value.NewInt(2)), noPast); err == nil {
 		t.Error("mistyped tuple must be rejected")
 	}
 }
 
 func TestStaticDeleteForgets(t *testing.T) {
-	s := NewStaticStore(facultySchema(t))
-	if err := s.Insert(fac("Mike", "assistant")); err != nil {
+	s := New(Static, facultySchema(t), false)
+	if err := s.Insert(fac("Mike", "assistant"), noPast); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Delete(nameKey("Mike")); err != nil {
+	if err := s.Delete(nameKey("Mike"), noPast); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Delete(nameKey("Mike")); !errors.Is(err, ErrNoSuchTuple) {
+	if err := s.Delete(nameKey("Mike"), noPast); !errors.Is(err, ErrNoSuchTuple) {
 		t.Fatalf("double delete: %v", err)
 	}
 	if s.VersionCount() != 0 {
 		t.Fatalf("VersionCount = %d", s.VersionCount())
 	}
 	// The slot is recycled: past states are discarded completely.
-	if err := s.Insert(fac("Anna", "full")); err != nil {
+	if err := s.Insert(fac("Anna", "full"), noPast); err != nil {
 		t.Fatal(err)
 	}
 	if got := tupleNames(tuplesOf(read(t, s, ScanSpec{}))); !equalStrings(got, []string{"Anna"}) {
@@ -80,12 +80,12 @@ func TestStaticDeleteForgets(t *testing.T) {
 }
 
 func TestStaticReplace(t *testing.T) {
-	s := NewStaticStore(facultySchema(t))
-	if err := s.Insert(fac("Merrie", "associate")); err != nil {
+	s := New(Static, facultySchema(t), false)
+	if err := s.Insert(fac("Merrie", "associate"), noPast); err != nil {
 		t.Fatal(err)
 	}
 	// The paper's §4.1 update: Merrie promoted; old rank forgotten.
-	if err := s.Replace(nameKey("Merrie"), fac("Merrie", "full")); err != nil {
+	if err := s.Replace(nameKey("Merrie"), fac("Merrie", "full"), noPast); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := get(t, s, nameKey("Merrie"))
@@ -95,25 +95,25 @@ func TestStaticReplace(t *testing.T) {
 	if s.VersionCount() != 1 {
 		t.Fatalf("VersionCount = %d", s.VersionCount())
 	}
-	if err := s.Replace(nameKey("Ghost"), fac("Ghost", "x")); !errors.Is(err, ErrNoSuchTuple) {
+	if err := s.Replace(nameKey("Ghost"), fac("Ghost", "x"), noPast); !errors.Is(err, ErrNoSuchTuple) {
 		t.Fatalf("replace absent: %v", err)
 	}
 }
 
 func TestStaticReplaceChangingKey(t *testing.T) {
-	s := NewStaticStore(facultySchema(t))
-	if err := s.Insert(fac("Tom", "associate")); err != nil {
+	s := New(Static, facultySchema(t), false)
+	if err := s.Insert(fac("Tom", "associate"), noPast); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Insert(fac("Mike", "assistant")); err != nil {
+	if err := s.Insert(fac("Mike", "assistant"), noPast); err != nil {
 		t.Fatal(err)
 	}
 	// Renaming Tom onto Mike's key must fail.
-	if err := s.Replace(nameKey("Tom"), fac("Mike", "full")); !errors.Is(err, ErrDuplicateKey) {
+	if err := s.Replace(nameKey("Tom"), fac("Mike", "full"), noPast); !errors.Is(err, ErrDuplicateKey) {
 		t.Fatalf("key collision: %v", err)
 	}
 	// Renaming onto a fresh key succeeds and reindexes.
-	if err := s.Replace(nameKey("Tom"), fac("Thomas", "full")); err != nil {
+	if err := s.Replace(nameKey("Tom"), fac("Thomas", "full"), noPast); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := get(t, s, nameKey("Tom")); ok {
@@ -125,8 +125,8 @@ func TestStaticReplaceChangingKey(t *testing.T) {
 }
 
 func TestStaticVersionsUniversalStamps(t *testing.T) {
-	s := NewStaticStore(facultySchema(t))
-	if err := s.Insert(fac("Merrie", "full")); err != nil {
+	s := New(Static, facultySchema(t), false)
+	if err := s.Insert(fac("Merrie", "full"), noPast); err != nil {
 		t.Fatal(err)
 	}
 	count := 0
@@ -146,12 +146,12 @@ func TestStaticVersionsUniversalStamps(t *testing.T) {
 // database cannot express. Each would require information the static store
 // has already discarded or cannot represent.
 func TestStaticLimitations(t *testing.T) {
-	s := NewStaticStore(facultySchema(t))
+	s := New(Static, facultySchema(t), false)
 	// History: Merrie was associate, later promoted.
-	if err := s.Insert(fac("Merrie", "associate")); err != nil {
+	if err := s.Insert(fac("Merrie", "associate"), noPast); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Replace(nameKey("Merrie"), fac("Merrie", "full")); err != nil {
+	if err := s.Replace(nameKey("Merrie"), fac("Merrie", "full"), noPast); err != nil {
 		t.Fatal(err)
 	}
 
@@ -182,7 +182,7 @@ func TestStaticLimitations(t *testing.T) {
 
 	// (4) Postactive change: "James is joining next month" — inserting him
 	// makes him current immediately; the store cannot distinguish.
-	if err := s.Insert(fac("James", "assistant")); err != nil {
+	if err := s.Insert(fac("James", "assistant"), noPast); err != nil {
 		t.Fatal(err)
 	}
 	names := tupleNames(tuplesOf(read(t, s, ScanSpec{})))

@@ -7,7 +7,7 @@ import (
 )
 
 // versionStrings renders everything Versions yields, in the order it yields it.
-func versionStrings(s Store) []string {
+func versionStrings(s *Store) []string {
 	var out []string
 	s.Versions(func(v Version) bool { out = append(out, v.String()); return true })
 	return out
@@ -28,25 +28,25 @@ func mustOK(t *testing.T, err error) {
 // checkpoint writes row by row, so the snapshot's bytes depend on it too.
 func TestDestructiveVersionsOrder(t *testing.T) {
 	t.Run("static", func(t *testing.T) {
-		s := NewStaticStore(facultySchema(t))
+		s := New(Static, facultySchema(t), false)
 		for _, n := range []string{"a", "b", "c", "d"} {
-			mustOK(t, s.Insert(fac(n, "assistant")))
+			mustOK(t, s.Insert(fac(n, "assistant"), noPast))
 		}
-		mustOK(t, s.Delete(nameKey("b")))
-		mustOK(t, s.Insert(fac("e", "assistant")))
-		mustOK(t, s.Replace(nameKey("c"), fac("c", "associate"))) // same key
-		mustOK(t, s.Replace(nameKey("d"), fac("f", "full")))      // key changes
-		mustOK(t, s.Delete(nameKey("a")))
+		mustOK(t, s.Delete(nameKey("b"), noPast))
+		mustOK(t, s.Insert(fac("e", "assistant"), noPast))
+		mustOK(t, s.Replace(nameKey("c"), fac("c", "associate"), noPast)) // same key
+		mustOK(t, s.Replace(nameKey("d"), fac("f", "full"), noPast))      // key changes
+		mustOK(t, s.Delete(nameKey("a"), noPast))
 		s.BeginTxn()
-		mustOK(t, s.Insert(fac("g", "full")))
-		mustOK(t, s.Insert(fac("h", "full")))
-		mustOK(t, s.Delete(nameKey("e")))
-		mustOK(t, s.Replace(nameKey("f"), fac("i", "associate"))) // key changes
-		mustOK(t, s.Replace(nameKey("c"), fac("c", "full")))
+		mustOK(t, s.Insert(fac("g", "full"), noPast))
+		mustOK(t, s.Insert(fac("h", "full"), noPast))
+		mustOK(t, s.Delete(nameKey("e"), noPast))
+		mustOK(t, s.Replace(nameKey("f"), fac("i", "associate"), noPast)) // key changes
+		mustOK(t, s.Replace(nameKey("c"), fac("c", "full"), noPast))
 		s.AbortTxn()
-		mustOK(t, s.Insert(fac("j", "assistant")))
-		mustOK(t, s.Insert(fac("k", "assistant")))
-		mustOK(t, s.Replace(nameKey("e"), fac("l", "full"))) // key changes
+		mustOK(t, s.Insert(fac("j", "assistant"), noPast))
+		mustOK(t, s.Insert(fac("k", "assistant"), noPast))
+		mustOK(t, s.Replace(nameKey("e"), fac("l", "full"), noPast)) // key changes
 		want := []string{
 			"(c, associate) valid=[-∞, ∞) trans=[-∞, ∞)",
 			"(f, full) valid=[-∞, ∞) trans=[-∞, ∞)",
@@ -59,23 +59,23 @@ func TestDestructiveVersionsOrder(t *testing.T) {
 		}
 	})
 	t.Run("historical", func(t *testing.T) {
-		s := NewHistoricalStore(facultySchema(t))
+		s := New(Historical, facultySchema(t), false)
 		iv := func(from, to temporal.Chronon) temporal.Interval { return temporal.Interval{From: from, To: to} }
-		mustOK(t, s.Assert(fac("a", "assistant"), iv(10, 50)))
-		mustOK(t, s.Assert(fac("b", "assistant"), iv(10, 40)))
-		mustOK(t, s.Assert(fac("a", "associate"), iv(50, 80)))
-		mustOK(t, s.Assert(fac("a", "assistant"), iv(30, 60))) // carves a hole, coalesces
-		mustOK(t, s.Retract(nameKey("b"), iv(20, 25)))         // splits b
-		mustOK(t, s.Assert(fac("c", "full"), temporal.Since(5)))
-		mustOK(t, s.Assert(fac("b", "assistant"), iv(20, 25))) // coalesces b back to one
+		mustOK(t, s.Assert(fac("a", "assistant"), iv(10, 50), noPast))
+		mustOK(t, s.Assert(fac("b", "assistant"), iv(10, 40), noPast))
+		mustOK(t, s.Assert(fac("a", "associate"), iv(50, 80), noPast))
+		mustOK(t, s.Assert(fac("a", "assistant"), iv(30, 60), noPast)) // carves a hole, coalesces
+		mustOK(t, s.Retract(nameKey("b"), iv(20, 25), noPast))         // splits b
+		mustOK(t, s.Assert(fac("c", "full"), temporal.Since(5), noPast))
+		mustOK(t, s.Assert(fac("b", "assistant"), iv(20, 25), noPast)) // coalesces b back to one
 		s.BeginTxn()
-		mustOK(t, s.Assert(fac("a", "full"), iv(0, 100)))
-		mustOK(t, s.Retract(nameKey("c"), iv(50, 70)))
-		mustOK(t, s.Assert(fac("d", "full"), iv(1, 2)))
+		mustOK(t, s.Assert(fac("a", "full"), iv(0, 100), noPast))
+		mustOK(t, s.Retract(nameKey("c"), iv(50, 70), noPast))
+		mustOK(t, s.Assert(fac("d", "full"), iv(1, 2), noPast))
 		s.AbortTxn()
-		mustOK(t, s.Retract(nameKey("c"), iv(0, 30)))
-		mustOK(t, s.Assert(fac("d", "assistant"), iv(60, 90)))
-		mustOK(t, s.Retract(nameKey("a"), iv(70, 75)))
+		mustOK(t, s.Retract(nameKey("c"), iv(0, 30), noPast))
+		mustOK(t, s.Assert(fac("d", "assistant"), iv(60, 90), noPast))
+		mustOK(t, s.Retract(nameKey("a"), iv(70, 75), noPast))
 		want := []string{
 			"(a, assistant) valid=[01/01/70 00:00:10, 01/01/70 00:01:00) trans=[-∞, ∞)",
 			"(b, assistant) valid=[01/01/70 00:00:10, 01/01/70 00:00:40) trans=[-∞, ∞)",
@@ -89,13 +89,13 @@ func TestDestructiveVersionsOrder(t *testing.T) {
 		}
 	})
 	t.Run("historical event", func(t *testing.T) {
-		s := NewHistoricalEventStore(facultySchema(t))
-		mustOK(t, s.AssertAt(fac("a", "associate"), 10))
-		mustOK(t, s.AssertAt(fac("b", "associate"), 10))
-		mustOK(t, s.AssertAt(fac("a", "full"), 20))
-		mustOK(t, s.AssertAt(fac("a", "assistant"), 10)) // corrects a's event at 10
-		mustOK(t, s.Retract(nameKey("b"), temporal.At(10)))
-		mustOK(t, s.AssertAt(fac("c", "full"), 30))
+		s := New(Historical, facultySchema(t), true)
+		mustOK(t, s.AssertAt(fac("a", "associate"), 10, noPast))
+		mustOK(t, s.AssertAt(fac("b", "associate"), 10, noPast))
+		mustOK(t, s.AssertAt(fac("a", "full"), 20, noPast))
+		mustOK(t, s.AssertAt(fac("a", "assistant"), 10, noPast)) // corrects a's event at 10
+		mustOK(t, s.Retract(nameKey("b"), temporal.At(10), noPast))
+		mustOK(t, s.AssertAt(fac("c", "full"), 30, noPast))
 		want := []string{
 			"(a, full) valid=[01/01/70 00:00:20, 01/01/70 00:00:21) trans=[-∞, ∞)",
 			"(a, assistant) valid=[01/01/70 00:00:10, 01/01/70 00:00:11) trans=[-∞, ∞)",

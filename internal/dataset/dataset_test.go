@@ -80,29 +80,29 @@ func TestLoadersAllStores(t *testing.T) {
 	events := History(cfg)
 	sch := Schema()
 
-	ts := core.NewTemporalStore(sch)
-	if err := LoadTemporal(ts, events); err != nil {
+	ts := core.New(core.Temporal, sch, false)
+	if err := LoadHistory(ts, events); err != nil {
 		t.Fatalf("temporal: %v", err)
 	}
 	if ts.VersionCount() < len(events) {
 		t.Errorf("temporal stored %d versions for %d events", ts.VersionCount(), len(events))
 	}
 
-	hs := core.NewHistoricalStore(sch)
-	if err := LoadHistorical(hs, events); err != nil {
+	hs := core.New(core.Historical, sch, false)
+	if err := LoadHistory(hs, events); err != nil {
 		t.Fatalf("historical: %v", err)
 	}
 
-	rb := core.NewRollbackStore(sch)
-	if err := LoadRollback(rb, events); err != nil {
+	rb := core.New(core.StaticRollback, sch, false)
+	if err := LoadState(rb, events); err != nil {
 		t.Fatalf("rollback: %v", err)
 	}
 	cp := core.NewCopyRollbackStore(sch)
 	if err := LoadCopyRollback(cp, events); err != nil {
 		t.Fatalf("copy: %v", err)
 	}
-	st := core.NewStaticStore(sch)
-	if err := LoadStatic(st, events); err != nil {
+	st := core.New(core.Static, sch, false)
+	if err := LoadState(st, events); err != nil {
 		t.Fatalf("static: %v", err)
 	}
 
@@ -127,7 +127,7 @@ func TestLoadersAllStores(t *testing.T) {
 		}
 		return true
 	}
-	read := func(s core.Store, spec core.ScanSpec) []tuple.Tuple {
+	read := func(s *core.Store, spec core.ScanSpec) []tuple.Tuple {
 		var out []tuple.Tuple
 		if err := s.Read(spec, func(v core.Version) bool { out = append(out, v.Data); return true }); err != nil {
 			t.Fatal(err)

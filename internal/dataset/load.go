@@ -7,9 +7,11 @@ import (
 	"tdb/temporal"
 )
 
-// LoadTemporal replays a history into a bitemporal store. Retractions of
-// absent periods are skipped, matching how an application would behave.
-func LoadTemporal(s *core.TemporalStore, events []Event) error {
+// LoadHistory replays a history into a store with valid time: a temporal
+// one keeps every commit, a historical one discards the commit times (it has
+// no transaction time to keep). Retractions of absent periods are skipped,
+// matching how an application would behave.
+func LoadHistory(s *core.Store, events []Event) error {
 	for _, e := range events {
 		var err error
 		if e.Assert {
@@ -27,31 +29,12 @@ func LoadTemporal(s *core.TemporalStore, events []Event) error {
 	return nil
 }
 
-// LoadHistorical replays a history into a valid-time store, discarding the
-// commit times (a historical database has no transaction time to keep).
-func LoadHistorical(s *core.HistoricalStore, events []Event) error {
-	for _, e := range events {
-		var err error
-		if e.Assert {
-			err = s.Assert(e.Tuple(), e.Valid)
-		} else {
-			err = s.Retract(e.Key(), e.Valid)
-			if errors.Is(err, core.ErrNoSuchTuple) {
-				err = nil
-			}
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// LoadRollback replays a history into a transaction-time store, reducing
-// each event to the current-state operation it implies (a rollback store
-// cannot represent valid time): assertion becomes insert-or-replace,
-// retraction becomes delete.
-func LoadRollback(s *core.RollbackStore, events []Event) error {
+// LoadState replays a history into a store without valid time, reducing
+// each event to the current-state operation it implies: assertion becomes
+// insert-or-replace, retraction becomes delete. A static rollback store
+// keeps every state by commit time; a static one keeps only the final state,
+// demonstrating exactly what the paper says a static database forgets.
+func LoadState(s *core.Store, events []Event) error {
 	for _, e := range events {
 		var err error
 		if e.Assert {
@@ -84,30 +67,6 @@ func LoadCopyRollback(s *core.CopyRollbackStore, events []Event) error {
 			}
 		} else {
 			err = s.Delete(e.Key(), e.Commit)
-			if errors.Is(err, core.ErrNoSuchTuple) {
-				err = nil
-			}
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// LoadStatic replays a history into a snapshot store: only the final state
-// survives, demonstrating exactly what the paper says a static database
-// forgets.
-func LoadStatic(s *core.StaticStore, events []Event) error {
-	for _, e := range events {
-		var err error
-		if e.Assert {
-			err = s.Insert(e.Tuple())
-			if errors.Is(err, core.ErrDuplicateKey) {
-				err = s.Replace(e.Key(), e.Tuple())
-			}
-		} else {
-			err = s.Delete(e.Key())
 			if errors.Is(err, core.ErrNoSuchTuple) {
 				err = nil
 			}

@@ -92,7 +92,7 @@ func TestHashAgainstModel(t *testing.T) {
 }
 
 // The stores walk a key's postings and, for each one visited, remove it and
-// add new ones under the same hash (TemporalStore.supersede closes a version
+// add new ones under the same hash (Store.supersede closes a version
 // and appends its remainders). The walk must see exactly the postings that
 // were there when it began.
 func TestHashWalkAndMutate(t *testing.T) {

@@ -12,7 +12,7 @@ import (
 	"tdb/temporal"
 )
 
-func facultyStore(t *testing.T) *core.TemporalStore {
+func facultyStore(t *testing.T) *core.Store {
 	t.Helper()
 	s := schema.MustNew(
 		schema.Attribute{Name: "name", Type: value.String},
@@ -22,7 +22,7 @@ func facultyStore(t *testing.T) *core.TemporalStore {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return core.NewTemporalStore(keyed)
+	return core.New(core.Temporal, keyed, false)
 }
 
 func fac(name, rank string) tuple.Tuple {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"tdb/internal/vfs"
@@ -268,4 +269,59 @@ func TestCheckpointSyncFailureSurfaces(t *testing.T) {
 	if got := stateDigest(t, db2); !digestsEqual(before, got) {
 		t.Fatal("state after failed checkpoint differs")
 	}
+}
+
+// A kind byte outside the two capability bits names no kind (under the bit
+// encoding 5 would even pass for a kind with rollback). The WAL and snapshot
+// decoders pass the byte through and the catalog refuses it, so a create op
+// or a checkpoint relation header carrying 4 makes open fail, and no
+// relation is created.
+func TestOpenRefusesUnknownKind(t *testing.T) {
+	const unknown Kind = 4
+	refused := func(t *testing.T, path string) {
+		t.Helper()
+		db, err := Open(path, Options{})
+		if err == nil {
+			names := db.Relations()
+			db.Close()
+			t.Fatalf("open succeeded with relations %v", names)
+		}
+		if !strings.Contains(err.Error(), "unknown kind") {
+			t.Errorf("open failed with %v, want the unknown kind named", err)
+		}
+	}
+	t.Run("wal", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "tdb.wal")
+		reopen(t, path).Close()
+		log, err := wal.Open(vfs.Default(), path, wal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		create := wal.Op{Code: wal.OpCreate, Rel: "r", Kind: unknown, Schema: facultySchema(t)}
+		if err := log.Append(wal.Record{Commit: temporal.Date(1990, 1, 1), Ops: []wal.Op{create}}); err != nil {
+			t.Fatal(err)
+		}
+		log.Close()
+		refused(t, path)
+	})
+	t.Run("snapshot", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "tdb.wal")
+		db := reopen(t, path)
+		if _, err := db.CreateRelation("r", Temporal, facultySchema(t)); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		db.Close()
+		snap, ok, err := wal.ReadSnapshot(vfs.Default(), path+".snap")
+		if err != nil || !ok {
+			t.Fatalf("reading the checkpoint: %v (found %v)", err, ok)
+		}
+		snap.Relations[0].Kind = unknown
+		if err := wal.WriteSnapshot(vfs.Default(), path+".snap", snap); err != nil {
+			t.Fatal(err)
+		}
+		refused(t, path)
+	})
 }

@@ -148,7 +148,7 @@ func (r *Relation) Versions() []Version {
 // VersionCount returns the total number of stored versions.
 func (r *Relation) VersionCount() (total int) {
 	_ = r.db.View(func(*ReadTx) error { // a closed database counts as empty
-		total, _ = versionCounts(r.rel)
+		total = r.rel.Store().VersionCount()
 		return nil
 	})
 	return total

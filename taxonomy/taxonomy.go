@@ -88,7 +88,7 @@ func Expected(k tdb.Kind) Capabilities {
 		Kind:       k,
 		Rollback:   k.SupportsRollback(),
 		Historical: k.SupportsHistorical(),
-		AppendOnly: k.AppendOnly(),
+		AppendOnly: k.SupportsRollback(), // Figure 12: transaction time, the rollback kinds' axis, is append-only
 	}
 }
 

@@ -1,11 +1,7 @@
 package tdb
 
 import (
-	"errors"
-	"fmt"
-
 	"tdb/internal/catalog"
-	"tdb/internal/core"
 	"tdb/internal/txn"
 	"tdb/internal/wal"
 	"tdb/temporal"
@@ -96,69 +92,37 @@ func (r *TxRel) Kind() Kind { return r.rel.Kind() }
 
 // apply is the one way a store is mutated: the public methods below, Load,
 // WAL replay and follower apply all arrive here with the op. It enlists the
-// store in the transaction, dispatches on the taxonomy's matrix — which
-// kinds accept which of the seven mutations, and whether the commit chronon
-// stamps them as transaction time — and, once the store has accepted the
-// op, stamps the relation changed by this transaction's sequence number (the
-// query cache's invalidation signal; an abort leaves the stamp, which only
-// over-invalidates) and appends the op to the transaction's record. A cell
-// the taxonomy forbids is ErrKindMismatch and leaves no trace.
+// store in the transaction and hands the op to the store's verb for it,
+// with this transaction's commit chronon. The store polices the taxonomy's
+// matrix — which kinds and which interval/event class accept which of the
+// seven mutations — and refuses a forbidden cell with ErrKindMismatch
+// before it changes anything; the chronon is transaction time only to the
+// kinds that record it. Once the store has accepted the op, apply stamps
+// the relation changed by this transaction's sequence number (the query
+// cache's invalidation signal; an abort leaves the stamp, which only
+// over-invalidates) and appends the op to the transaction's record.
 func (r *TxRel) apply(op wal.Op) error {
-	r.tx.itx.Enlist(r.rel.Transactional())
+	st := r.rel.Store()
+	r.tx.itx.Enlist(st)
 	at := r.tx.At()
 	err := ErrKindMismatch
-	switch r.rel.Kind() {
-	case Static:
-		st, _ := r.rel.Static()
-		switch op.Code {
-		case wal.OpInsert:
-			err = st.Insert(op.Tuple)
-		case wal.OpDelete:
-			err = st.Delete(op.Key)
-		case wal.OpReplace:
-			err = st.Replace(op.Key, op.Tuple)
-		}
-	case StaticRollback:
-		st, _ := r.rel.Rollback()
-		switch op.Code {
-		case wal.OpInsert:
-			err = st.Insert(op.Tuple, at)
-		case wal.OpDelete:
-			err = st.Delete(op.Key, at)
-		case wal.OpReplace:
-			err = st.Replace(op.Key, op.Tuple, at)
-		}
-	case Historical:
-		st, _ := r.rel.Historical()
-		switch op.Code {
-		case wal.OpAssert:
-			err = st.Assert(op.Tuple, op.Valid)
-		case wal.OpRetract:
-			err = st.Retract(op.Key, op.Valid)
-		case wal.OpAssertAt:
-			err = st.AssertAt(op.Tuple, op.At)
-		case wal.OpRetractAt:
-			err = st.RetractAt(op.Key, op.At)
-		}
-	case Temporal:
-		st, _ := r.rel.Temporal()
-		switch op.Code {
-		case wal.OpAssert:
-			err = st.Assert(op.Tuple, op.Valid, at)
-		case wal.OpRetract:
-			err = st.Retract(op.Key, op.Valid, at)
-		case wal.OpAssertAt:
-			err = st.AssertAt(op.Tuple, op.At, at)
-		case wal.OpRetractAt:
-			err = st.RetractAt(op.Key, op.At, at)
-		}
+	switch op.Code {
+	case wal.OpInsert:
+		err = st.Insert(op.Tuple, at)
+	case wal.OpDelete:
+		err = st.Delete(op.Key, at)
+	case wal.OpReplace:
+		err = st.Replace(op.Key, op.Tuple, at)
+	case wal.OpAssert:
+		err = st.Assert(op.Tuple, op.Valid, at)
+	case wal.OpRetract:
+		err = st.Retract(op.Key, op.Valid, at)
+	case wal.OpAssertAt:
+		err = st.AssertAt(op.Tuple, op.At, at)
+	case wal.OpRetractAt:
+		err = st.RetractAt(op.Key, op.At, at)
 	}
 	if err != nil {
-		if errors.Is(err, core.ErrEventRelation) {
-			// The interval/event class is the matrix's third axis; the
-			// stores police it.
-			err = fmt.Errorf("%w: %w", ErrKindMismatch, err)
-		}
 		return err
 	}
 	r.rel.Changed(r.tx.db.seq)

@@ -68,7 +68,7 @@ func (s relShape) create(t *testing.T, db *DB) *Relation {
 	return rel
 }
 
-// accepts is the matrix as the four stores enforce it. The three static
+// accepts is the matrix as the store enforces it. The three static
 // mutations belong to the kinds without valid time; assert needs an interval
 // relation and assert-at an event relation; a retraction carves a period out
 // of either class, and retract-at needs an event relation.
