@@ -50,9 +50,10 @@ plan-corpus:
 # Ten seconds of native fuzzing on each untrusted-bytes decoder that has a
 # target: the statistics decoder (FuzzDecodeRel), the segment block decoder
 # (FuzzDecodeBlock), the snapshot decoder (FuzzDecodeSnapshot), the WAL
-# record decoder (FuzzDecodeRecord) and the wire request line
-# (FuzzDecodeRequest). No panic,
-# and every accepted input re-encodes to a fixed point. Then ten seconds of
+# record decoder (FuzzDecodeRecord), the wire request line
+# (FuzzDecodeRequest) and the wire reply line (FuzzDecodeResponse). No panic,
+# and every accepted input re-encodes to a fixed point; the two wire targets
+# also decode and encode exactly as encoding/json does. Then ten seconds of
 # TQuel execution (FuzzExec): statements on the paper's faculty history,
 # which must not panic, and ten seconds of checkpoint restore
 # (FuzzRestoreSnapshot): any snapshot the decoder accepts is loaded into an
@@ -65,6 +66,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSnapshot$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime 10s -fuzzminimizetime 1s ./server
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResponse$$' -fuzztime 10s -fuzzminimizetime 1s ./server
 	$(GO) test -run '^$$' -fuzz '^FuzzExec$$' -fuzztime 10s -fuzzminimizetime 1s ./tquel
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreSnapshot$$' -fuzztime 10s -fuzzminimizetime 1s .
 

@@ -4,8 +4,6 @@
 package pretty
 
 import (
-	"fmt"
-	"io"
 	"strings"
 	"unicode/utf8"
 )
@@ -20,25 +18,34 @@ type Table struct {
 	Split   int
 }
 
-// Render writes the table to w.
-func (t Table) Render(w io.Writer) error {
+// String renders the table into one buffer sized for it.
+func (t Table) String() string {
 	cols := len(t.Headers)
 	widths := make([]int, cols)
-	for i, h := range t.Headers {
-		widths[i] = utf8.RuneCountInString(h)
-	}
-	for _, row := range t.Rows {
-		for i, cell := range row {
-			if i < cols {
-				if n := utf8.RuneCountInString(cell); n > widths[i] {
-					widths[i] = n
-				}
-			}
+	extra := 0 // bytes beyond one per rune, over every cell rendered
+	measure := func(cells []string) {
+		for i, cell := range cells[:min(len(cells), cols)] {
+			n := utf8.RuneCountInString(cell)
+			widths[i] = max(widths[i], n)
+			extra += len(cell) - n
 		}
 	}
+	measure(t.Headers)
+	for _, row := range t.Rows {
+		measure(row)
+	}
+	line := 2 // the leading '+' or '|' and the newline
+	for _, wd := range widths {
+		line += wd + 3
+	}
+	if t.Split > 0 && t.Split < cols {
+		line++
+	}
 	var b strings.Builder
+	b.Grow(len(t.Title) + 1 + line*(len(t.Rows)+4) + extra)
 	if t.Title != "" {
-		fmt.Fprintf(&b, "%s\n", t.Title)
+		b.WriteString(t.Title)
+		b.WriteByte('\n')
 	}
 	writeRule := func() {
 		b.WriteByte('+')
@@ -46,14 +53,14 @@ func (t Table) Render(w io.Writer) error {
 			if t.Split > 0 && i == t.Split {
 				b.WriteByte('+')
 			}
-			b.WriteString(strings.Repeat("-", wd+2))
+			repeat(&b, '-', wd+2)
 			b.WriteByte('+')
 		}
 		b.WriteByte('\n')
 	}
 	writeRow := func(cells []string) {
 		b.WriteByte('|')
-		for i := 0; i < cols; i++ {
+		for i, wd := range widths {
 			if t.Split > 0 && i == t.Split {
 				b.WriteByte('|')
 			}
@@ -61,8 +68,10 @@ func (t Table) Render(w io.Writer) error {
 			if i < len(cells) {
 				cell = cells[i]
 			}
-			pad := widths[i] - utf8.RuneCountInString(cell)
-			b.WriteString(" " + cell + strings.Repeat(" ", pad) + " |")
+			b.WriteByte(' ')
+			b.WriteString(cell)
+			repeat(&b, ' ', wd-utf8.RuneCountInString(cell)+1)
+			b.WriteByte('|')
 		}
 		b.WriteByte('\n')
 	}
@@ -73,15 +82,11 @@ func (t Table) Render(w io.Writer) error {
 		writeRow(row)
 	}
 	writeRule()
-	_, err := io.WriteString(w, b.String())
-	return err
+	return b.String()
 }
 
-// String renders the table to a string.
-func (t Table) String() string {
-	var b strings.Builder
-	if err := t.Render(&b); err != nil {
-		return err.Error()
+func repeat(b *strings.Builder, c byte, n int) {
+	for ; n > 0; n-- {
+		b.WriteByte(c)
 	}
-	return b.String()
 }

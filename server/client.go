@@ -3,7 +3,6 @@ package server
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -93,11 +92,7 @@ func (c *Client) Pipeline(reqs []Request) ([]*Response, error) {
 		if reqs[i].V == "" {
 			reqs[i].V = ProtoVersion
 		}
-		line, err := encodeLine(reqs[i])
-		if err != nil {
-			return nil, err
-		}
-		if _, err := c.w.Write(line); err != nil {
+		if err := c.write(&reqs[i]); err != nil {
 			return nil, fmt.Errorf("server: pipeline send: %w", err)
 		}
 	}
@@ -113,7 +108,7 @@ func (c *Client) Pipeline(reqs []Request) ([]*Response, error) {
 			return resps, fmt.Errorf("server: connection closed after %d responses", len(resps))
 		}
 		var wire Response
-		if err := json.Unmarshal(c.r.Bytes(), &wire); err != nil {
+		if err := decodeResponse(c.r.Bytes(), &wire); err != nil {
 			return resps, fmt.Errorf("server: malformed response: %w", err)
 		}
 		if wire.Code == CodeBusy {
@@ -196,11 +191,7 @@ func (c *Client) send(req Request) (*Response, error) {
 // complete request; once delivered is true, a failure no longer proves the
 // server did not execute it — the distinction Do's retry policy rests on.
 func (c *Client) sendTracked(req Request) (resp *Response, delivered bool, err error) {
-	line, err := encodeLine(req)
-	if err != nil {
-		return nil, false, err
-	}
-	if _, err := c.w.Write(line); err != nil {
+	if err := c.write(&req); err != nil {
 		return nil, false, fmt.Errorf("server: send: %w", err)
 	}
 	if err := c.w.Flush(); err != nil {
@@ -213,7 +204,7 @@ func (c *Client) sendTracked(req Request) (resp *Response, delivered bool, err e
 		return nil, true, fmt.Errorf("server: connection closed")
 	}
 	var wire Response
-	if err := json.Unmarshal(c.r.Bytes(), &wire); err != nil {
+	if err := decodeResponse(c.r.Bytes(), &wire); err != nil {
 		return nil, true, fmt.Errorf("server: malformed response: %w", err)
 	}
 	if wire.Code == CodeBusy {
@@ -222,6 +213,12 @@ func (c *Client) sendTracked(req Request) (resp *Response, delivered bool, err e
 		return nil, true, fmt.Errorf("%w: %s", tdb.ErrBusy, wire.Error)
 	}
 	return &wire, true, nil
+}
+
+// write buffers one request line.
+func (c *Client) write(req *Request) error {
+	_, err := c.w.Write(append(appendRequest(c.w.AvailableBuffer(), req), '\n'))
+	return err
 }
 
 // Close releases the connection.

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"tdb"
 	"tdb/temporal"
@@ -135,6 +136,29 @@ func TestSlowQueryLogged(t *testing.T) {
 	}
 	if !strings.Contains(logged(), "slow query") {
 		t.Errorf("log output missing slow query entry:\n%s", logged())
+	}
+}
+
+// The slow-query log shows at most 200 bytes of a statement, cut back to a
+// rune boundary so that the line stays valid UTF-8.
+func TestSlowQueryLogCutsAtRune(t *testing.T) {
+	addr, logged := startLoggedServer(t, time.Nanosecond)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// Byte 200 falls inside the 61st euro sign, which starts at byte 198.
+	src := `append to s (k = "` + strings.Repeat("€", 100) + `")`
+	if _, err := c.Exec(src); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for !strings.Contains(logged(), "slow query") && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if logs := logged(); !utf8.ValidString(logs) || !strings.Contains(logs, src[:198]+"...\n") {
+		t.Errorf("slow-query log does not end the statement at byte 198 with \"...\":\n%q", logs)
 	}
 }
 

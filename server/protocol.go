@@ -5,7 +5,10 @@
 //
 // # Wire contract
 //
-// One JSON object per line in each direction, strictly request/response:
+// One JSON object per line in each direction, strictly request/response.
+// The codec is byte-compatible with encoding/json: a line is the bytes
+// json.Marshal gives for a Request or Response, and a line decodes as
+// json.Unmarshal would decode it (wire.go).
 //
 //	-> {"v": "1.0", "src": "range of f is faculty retrieve (f.rank)"}
 //	<- {"v": "1.0", "outcomes": [{"stmt": "range", "msg": "..."},
@@ -56,8 +59,11 @@
 // the same connection.
 //
 // A line over 1 MiB in either direction is a protocol violation and the
-// connection is dropped. On shutdown the server stops accepting, lets
-// in-flight requests finish (up to its drain timeout), then closes.
+// connection is dropped. The server enforces the limit on its own replies:
+// an answer whose line would pass it is replaced by an error ("answer of N
+// bytes exceeds the 1 MiB line limit") and the connection stays usable. On
+// shutdown the server stops accepting, lets in-flight requests finish (up
+// to its drain timeout), then closes.
 package server
 
 import (
@@ -67,6 +73,7 @@ import (
 	"strings"
 
 	"tdb/internal/qcache"
+	"tdb/internal/repl"
 )
 
 // ProtoVersion is the protocol version this package speaks, as
@@ -200,8 +207,10 @@ func versionAtLeast(v string, major, minor int) bool {
 	return gotMinor >= minor
 }
 
-func encodeLine(v any) ([]byte, error) {
-	b, err := json.Marshal(v)
+// encodeLine encodes a replication message, which stays on encoding/json;
+// requests and replies go through wire.go.
+func encodeLine(m repl.Msg) ([]byte, error) {
+	b, err := json.Marshal(m)
 	if err != nil {
 		return nil, fmt.Errorf("server: encoding: %w", err)
 	}

@@ -3,7 +3,6 @@ package server
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -14,6 +13,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"tdb"
 	"tdb/internal/command"
@@ -138,14 +138,11 @@ func (s *Server) Serve(l net.Listener) error {
 // request: the client sees it on its first read and can back off and retry.
 func (s *Server) rejectBusy(conn net.Conn) {
 	defer conn.Close()
-	out, err := encodeLine(Response{
+	out := append(appendResponse(nil, &Response{
 		V:     ProtoVersion,
 		Code:  CodeBusy,
 		Error: "server busy: connection limit reached, retry later",
-	})
-	if err != nil {
-		return
-	}
+	}), '\n')
 	conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
 	if _, err := conn.Write(out); err != nil {
 		s.logger.Printf("rejecting %s: %v", conn.RemoteAddr(), err)
@@ -248,6 +245,7 @@ func (s *Server) handle(conn net.Conn) {
 	sc := bufio.NewScanner(conn)
 	sc.Buffer(make([]byte, 64*1024), maxLine)
 	w := bufio.NewWriter(conn)
+	var out []byte // the connection's reply buffer
 	loggedProto := false
 	for {
 		// Arm the per-request deadline before checking for shutdown, never
@@ -282,7 +280,7 @@ func (s *Server) handle(conn net.Conn) {
 		var req Request
 		resp := Response{}
 		var stop bool
-		if err := json.Unmarshal(line, &req); err != nil {
+		if err := decodeRequest(line, &req); err != nil {
 			mMalformedTotal.Inc()
 			s.logger.Printf("malformed request from %s: %v", conn.RemoteAddr(), err)
 			resp.Code = CodeMalformed
@@ -318,11 +316,16 @@ func (s *Server) handle(conn net.Conn) {
 			// its own commit.
 			resp.Commit = int64(s.db.LastCommit())
 		}
-		out, err := encodeLine(resp)
-		if err != nil {
-			s.logger.Printf("encoding response: %v", err)
-			return
+		out = appendResponse(out[:0], &resp)
+		if len(out) >= maxLine {
+			// The reply and its newline would not fit the client's line
+			// limit, and a client that cannot read a line loses the
+			// connection; an error fits and keeps it.
+			n := len(out)
+			out = appendResponse(out[:0], &Response{V: resp.V, Commit: resp.Commit,
+				Error: fmt.Sprintf("answer of %d bytes exceeds the 1 MiB line limit", n)})
 		}
+		out = append(out, '\n')
 		if t := s.WriteTimeout; t > 0 {
 			conn.SetWriteDeadline(time.Now().Add(t))
 		}
@@ -331,6 +334,9 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		if err := w.Flush(); err != nil {
 			return
+		}
+		if cap(out) > 64<<10 {
+			out = nil // one large answer does not pin its buffer for the connection's life
 		}
 		elapsed := time.Since(start)
 		mCommandsTotal.Inc()
@@ -535,10 +541,13 @@ func (s *Server) handleCmd(cmd string) Response {
 	return resp
 }
 
-// truncate bounds a string for log lines.
+// truncate bounds a string for log lines, cutting at a rune boundary.
 func truncate(s string, n int) string {
 	if len(s) <= n {
 		return s
+	}
+	for n > 0 && !utf8.RuneStart(s[n]) {
+		n--
 	}
 	return s[:n] + "..."
 }

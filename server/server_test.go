@@ -12,6 +12,7 @@ import (
 	"tdb/internal/qcache"
 	"tdb/internal/segment"
 	"tdb/temporal"
+	"tdb/tquel"
 )
 
 func startServer(t *testing.T) (*Server, string) { return startCachedServer(t, 0) }
@@ -346,6 +347,86 @@ func BenchmarkClientRoundTrip(b *testing.B) {
 		if err != nil || resp.Error != "" {
 			b.Fatalf("%v / %+v", err, resp)
 		}
+	}
+}
+
+// BenchmarkWireRoundTrip encodes and decodes the replies to a one-row
+// `as of` retrieve and to a 20-row `overlap` retrieve, each rendered once
+// beforehand: the line codec's cost per cached read, with its allocations.
+func BenchmarkWireRoundTrip(b *testing.B) {
+	db, err := tdb.Open("", tdb.Options{Clock: temporal.NewTickingClock(temporal.Date(1985, 1, 1))})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	ses := tquel.NewSession(db)
+	setup := []string{`create temporal relation g (id = string, shard = string, v = int) key (id)`, `range of g is g`}
+	for i := 0; i < 20; i++ {
+		setup = append(setup, fmt.Sprintf(`append to g (id = "g%02d", shard = "s1", v = %d) valid from "01/01/80" to forever`, i, i))
+	}
+	if _, err := ses.Exec(strings.Join(setup, "\n")); err != nil {
+		b.Fatal(err)
+	}
+	for _, q := range []struct {
+		name, src string
+		rows      int
+	}{
+		{"asof", `retrieve (g.v) where g.id = "g07" as of "06/01/85"`, 1},
+		{"overlap", `retrieve (g.id, g.v) where g.shard = "s1" when g overlap "06/01/84"`, 20},
+	} {
+		outs, err := ses.Exec(q.src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		resp := Response{V: ProtoVersion, Outcomes: wireOutcomes(outs), Commit: int64(db.LastCommit())}
+		if got := resp.Outcomes[0].Rows; got != q.rows {
+			b.Fatalf("%s: %d rows, want %d", q.name, got, q.rows)
+		}
+		b.Run(q.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var line []byte
+			for i := 0; i < b.N; i++ {
+				line = appendResponse(line[:0], &resp)
+				var got Response
+				if err := decodeResponse(line, &got); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// An answer whose line would pass the 1 MiB limit comes back as an error
+// instead, and the connection goes on to serve the next statement.
+func TestOverlongAnswerKeepsConnection(t *testing.T) {
+	_, addr := startServer(t)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// One wide value pads every row of the rendered table to its width:
+	// 1 100 rows of about 1 000 bytes each.
+	stmts := []string{
+		`create static relation r (s = string) key (s)`,
+		fmt.Sprintf(`append to r (s = %q)`, strings.Repeat("w", 1000)),
+	}
+	for i := 0; i < 1100; i++ {
+		stmts = append(stmts, fmt.Sprintf(`append to r (s = "r%04d")`, i))
+	}
+	if resp, err := c.ExecBatch(stmts); err != nil || resp.Error != "" {
+		t.Fatalf("%v / %+v", err, resp)
+	}
+	resp, err := c.Exec(`range of x is r retrieve (x.s)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(resp.Error, "exceeds the 1 MiB line limit") || len(resp.Outcomes) != 0 {
+		t.Fatalf("over-long answer = %.200q, %d outcomes", resp.Error, len(resp.Outcomes))
+	}
+	resp, err = c.Exec(`retrieve (x.s) where x.s = "r0001"`)
+	if err != nil || resp.Error != "" || len(resp.Outcomes) != 1 || resp.Outcomes[0].Rows != 1 {
+		t.Fatalf("next statement: %v / %+v", err, resp)
 	}
 }
 

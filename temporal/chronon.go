@@ -12,8 +12,8 @@
 package temporal
 
 import (
-	"fmt"
 	"math"
+	"strconv"
 	"time"
 )
 
@@ -133,10 +133,24 @@ func (c Chronon) String() string {
 		return "-∞"
 	}
 	t := c.Time()
-	if t.Hour() == 0 && t.Minute() == 0 && t.Second() == 0 {
-		return fmt.Sprintf("%02d/%02d/%02d", int(t.Month()), t.Day(), t.Year()%100)
+	var buf [len("01/02/06 15:04:05")]byte
+	if h, m, s := t.Clock(); h != 0 || m != 0 || s != 0 {
+		return string(t.AppendFormat(buf[:0], "01/02/06 15:04:05"))
 	}
-	return t.Format("01/02/06 15:04:05")
+	// By hand rather than by AppendFormat, whose "06" drops the sign of a
+	// year before 1 BC: YY is the year modulo 100, as %02d prints it.
+	y, mo, d := t.Date()
+	b := append(append2(buf[:0], int(mo)), '/')
+	b = append(append2(b, d), '/')
+	return string(append2(b, y%100))
+}
+
+// append2 appends n as fmt's %02d prints it.
+func append2(b []byte, n int) []byte {
+	if 0 <= n && n < 10 {
+		b = append(b, '0')
+	}
+	return strconv.AppendInt(b, int64(n), 10)
 }
 
 // ISO renders the chronon as an ISO-8601 date or timestamp, with "infinity"

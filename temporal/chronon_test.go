@@ -163,3 +163,34 @@ func TestFromTimeTruncation(t *testing.T) {
 		t.Error("sub-second precision must truncate")
 	}
 }
+
+// TestStringTable pins the figure-style rendering at the edges of its two
+// layouts: midnight against one second before it, two-digit years from
+// three centuries, instants before the epoch, a year before 1 BC (whose YY
+// keeps its sign), and the sentinels.
+func TestStringTable(t *testing.T) {
+	moonwalk := Date(1969, time.July, 20)
+	for _, tc := range []struct {
+		c    Chronon
+		want string
+	}{
+		{Date(1982, time.December, 15), "12/15/82"},
+		{Date(1982, time.December, 15) - 1, "12/14/82 23:59:59"},
+		{Date(1899, time.December, 31), "12/31/99"},
+		{Date(1899, time.December, 31) + 1, "12/31/99 00:00:01"},
+		{moonwalk, "07/20/69"},
+		{moonwalk + 20*3600 + 17*60, "07/20/69 20:17:00"},
+		{Date(2069, time.January, 1), "01/01/69"},
+		{Date(2069, time.January, 1) - 1, "12/31/68 23:59:59"},
+		{0, "01/01/70"},
+		{-1, "12/31/69 23:59:59"},
+		{Date(-5, time.March, 1), "03/01/-5"},
+		{Date(-45, time.March, 1) + 61, "03/01/45 00:01:01"},
+		{Forever, "∞"},
+		{Beginning, "-∞"},
+	} {
+		if got := tc.c.String(); got != tc.want {
+			t.Errorf("Chronon(%d).String() = %q, want %q", int64(tc.c), got, tc.want)
+		}
+	}
+}

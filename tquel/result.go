@@ -127,9 +127,10 @@ func (r *Resultset) String() string {
 	if r.HasTrans {
 		headers = append(headers, "trans start", "trans end")
 	}
-	tbl := pretty.Table{Headers: headers, Split: split}
+	tbl := pretty.Table{Headers: headers, Split: split, Rows: make([][]string, 0, len(r.Rows))}
+	cells := make([]string, 0, len(r.Rows)*len(headers))
 	for _, row := range r.Rows {
-		cells := make([]string, 0, len(headers))
+		start := len(cells)
 		for _, v := range row.Data {
 			cells = append(cells, v.String())
 		}
@@ -143,7 +144,7 @@ func (r *Resultset) String() string {
 		if r.HasTrans {
 			cells = append(cells, row.Trans.From.String(), row.Trans.To.String())
 		}
-		tbl.Rows = append(tbl.Rows, cells)
+		tbl.Rows = append(tbl.Rows, cells[start:len(cells):len(cells)])
 	}
 	return tbl.String()
 }
