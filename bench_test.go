@@ -4,19 +4,17 @@ package tdb_test
 // (BenchmarkFigure01 ... BenchmarkFigure13) and quantifies the design
 // claims the paper makes qualitatively:
 //
-//   - A1: full-state copying vs tuple timestamping ("impractical, due to
-//     excessive duplication") — BenchmarkAblationCopyVsStamped*
 //   - A3: rollback cost vs history depth — BenchmarkAsOfDepth*, and the
 //     deep-history/few-visible shape BenchmarkAsOfDeepFewVisible*
 //   - A4: query-language overhead — BenchmarkTQuelVsAPI*
 //
-// plus throughput baselines for every store kind. EXPERIMENTS.md records
-// the measured shapes against the paper's statements.
+// plus throughput baselines for every store kind. A1, the full-copy store
+// against the timestamped one, lives with the copy store in internal/core's
+// tests. EXPERIMENTS.md records the measured shapes against the paper's
+// statements.
 
 import (
 	"fmt"
-	"io"
-	"log"
 	"sync"
 	"testing"
 
@@ -77,45 +75,6 @@ func BenchmarkFigure13(b *testing.B) {
 		if out := figures.Figure13(); out == "" {
 			b.Fatal("empty figure")
 		}
-	}
-}
-
-// --- A1: the naive representation the paper rejects ---
-
-// BenchmarkAblationCopyVsStamped loads the same generated history into the
-// tuple-timestamped rollback store and into the full-state-copy store of
-// Figure 3, across increasing history depth. The reported
-// tuple-copies/event metric is the paper's "excessive duplication" made
-// measurable: it grows linearly with entity count for the copy store and
-// stays at ~1 for the timestamped store.
-func BenchmarkAblationCopyVsStamped(b *testing.B) {
-	for _, versions := range []int{4, 16, 64} {
-		cfg := dataset.DefaultConfig()
-		cfg.Entities = 50
-		cfg.VersionsPerEntity = versions
-		events := dataset.History(cfg)
-		b.Run(fmt.Sprintf("stamped/versions=%d", versions), func(b *testing.B) {
-			var stored int
-			for i := 0; i < b.N; i++ {
-				s := core.New(core.StaticRollback, dataset.Schema(), false)
-				if err := dataset.LoadState(s, events); err != nil {
-					b.Fatal(err)
-				}
-				stored = s.VersionCount()
-			}
-			b.ReportMetric(float64(stored)/float64(len(events)), "copies/event")
-		})
-		b.Run(fmt.Sprintf("copy/versions=%d", versions), func(b *testing.B) {
-			var stored int
-			for i := 0; i < b.N; i++ {
-				s := core.NewCopyRollbackStore(dataset.Schema())
-				if err := dataset.LoadCopyRollback(s, events); err != nil {
-					b.Fatal(err)
-				}
-				stored = s.TupleCopies()
-			}
-			b.ReportMetric(float64(stored)/float64(len(events)), "copies/event")
-		})
 	}
 }
 
@@ -245,11 +204,12 @@ func BenchmarkTQuelVsAPI(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		when := temporal.At(d821205)
+		spec := tdb.ScanSpec{AsOf: &d821210, When: &when, Key: tdb.Key(tdb.String("Merrie"))}
 		for i := 0; i < b.N; i++ {
-			res, err := rel.Query().AsOf(d821210).At(d821205).
-				WhereEq("name", tdb.String("Merrie")).Run()
-			if err != nil || res.Len() != 1 {
-				b.Fatalf("result %v, %v", res, err)
+			vs, err := rel.Scan(spec)
+			if err != nil || len(vs) != 1 {
+				b.Fatalf("result %v, %v", vs, err)
 			}
 		}
 	})
@@ -352,20 +312,27 @@ func BenchmarkKeyLookupVsScan(b *testing.B) {
 	b.Run("key-index", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			name := fmt.Sprintf("e%05d", i%entities)
-			res, err := rel.Query().WhereEq("name", tdb.String(name)).Run()
-			if err != nil || res.Len() != 1 {
-				b.Fatalf("%v, %v", res, err)
+			vs, err := rel.Scan(tdb.ScanSpec{Key: tdb.Key(tdb.String(name))})
+			if err != nil || len(vs) != 1 {
+				b.Fatalf("%v, %v", vs, err)
 			}
 		}
 	})
 	b.Run("scan", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			name := fmt.Sprintf("e%05d", i%entities)
-			res, err := rel.Query().Where(func(t tdb.Tuple) (bool, error) {
-				return t[0].Str() == name, nil
-			}).Run()
-			if err != nil || res.Len() != 1 {
-				b.Fatalf("%v, %v", res, err)
+			vs, err := rel.Scan(tdb.ScanSpec{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			n := 0
+			for _, v := range vs {
+				if v.Data[0].Str() == name {
+					n++
+				}
+			}
+			if n != 1 {
+				b.Fatalf("%d versions of %s", n, name)
 			}
 		}
 	})
@@ -406,9 +373,6 @@ func BenchmarkTracerOverhead(b *testing.B) {
 	b.Run("nil-tracer", func(b *testing.B) { bench(b, nil) })
 	b.Run("registry-tracer", func(b *testing.B) {
 		bench(b, obs.NewRegistryTracer(obs.NewRegistry(), "bench"))
-	})
-	b.Run("log-tracer", func(b *testing.B) {
-		bench(b, obs.NewLogTracer(log.New(io.Discard, "", 0)))
 	})
 }
 

@@ -130,7 +130,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	current := ""
 	for _, v := range vs {
-		if v.Valid.Contains(d821210) {
+		if v.Valid.Overlaps(temporal.At(d821210)) {
 			current = v.Data[1].Str()
 		}
 	}

@@ -555,13 +555,6 @@ func (db *DB) Relation(name string) (rel *Relation, err error) {
 	return rel, err
 }
 
-// Relations returns the sorted names of all relations.
-func (db *DB) Relations() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.cat.Names()
-}
-
 // Now returns the chronon the database's clock would assign next; useful
 // as the "current instant" for snapshot queries.
 func (db *DB) Now() temporal.Chronon {

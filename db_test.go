@@ -25,12 +25,21 @@ var (
 
 func facultySchema(t testing.TB) *Schema {
 	t.Helper()
-	s := MustSchema(Attr("name", StringKind), Attr("rank", StringKind))
-	keyed, err := s.WithKey("name")
+	keyed, err := mustSchema(t, Attr("name", StringKind), Attr("rank", StringKind)).WithKey("name")
 	if err != nil {
 		t.Fatal(err)
 	}
 	return keyed
+}
+
+// mustSchema is NewSchema for trusted literals.
+func mustSchema(t testing.TB, attrs ...Attribute) *Schema {
+	t.Helper()
+	s, err := NewSchema(attrs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 func fac(name, rank string) Tuple { return NewTuple(String(name), String(rank)) }
@@ -113,7 +122,7 @@ func TestCreateDropRelations(t *testing.T) {
 	if _, err := db.CreateRelation("faculty", Temporal, facultySchema(t)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.CreateRelation("faculty", Static, facultySchema(t)); !errors.Is(err, ErrExists) {
+	if _, err := db.CreateRelation("faculty", Static, facultySchema(t)); !errors.Is(err, ErrRelationExists) {
 		t.Errorf("duplicate create: %v", err)
 	}
 	if _, err := db.CreateEventRelation("promotion", Temporal, facultySchema(t)); err != nil {
@@ -129,10 +138,10 @@ func TestCreateDropRelations(t *testing.T) {
 	if err := db.DropRelation("promotion"); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.DropRelation("promotion"); !errors.Is(err, ErrNotFound) {
+	if err := db.DropRelation("promotion"); !errors.Is(err, ErrRelationNotFound) {
 		t.Errorf("double drop: %v", err)
 	}
-	if _, err := db.Relation("promotion"); !errors.Is(err, ErrNotFound) {
+	if _, err := db.Relation("promotion"); !errors.Is(err, ErrRelationNotFound) {
 		t.Errorf("lookup dropped: %v", err)
 	}
 }
@@ -142,28 +151,31 @@ func TestQueryWhenAsOf(t *testing.T) {
 	db := memDB(t)
 	rel := loadFaculty(t, db)
 
+	merrie := func(tp Tuple) (bool, error) { return tp[0].Str() == "Merrie", nil }
 	// Merrie's rank when Tom arrived, as of 12/10/82.
 	res, err := rel.Query().
 		AsOf(d821210).
 		At(d821205). // start of Tom's validity
-		WhereEq("name", String("Merrie")).
+		Where(merrie).
 		Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Len() != 1 {
-		t.Fatalf("result = %s", res)
+	if res.Len() != 1 || res.Tuples()[0][1].Str() != "associate" {
+		t.Fatalf("as of 12/10: %s", res)
 	}
-	row, valid := res.Row(0)
-	if row[1].Str() != "associate" {
-		t.Errorf("rank as of 12/10 = %v", row[1])
+	// The same question on the keyed path, which also shows the period.
+	asOf, when := d821210, temporal.At(d821205)
+	vs, err := rel.Scan(ScanSpec{AsOf: &asOf, When: &when, Key: Key(String("Merrie"))})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if valid != temporal.Since(d770901) {
-		t.Errorf("valid = %v", valid)
+	if len(vs) != 1 || vs[0].Data[1].Str() != "associate" || vs[0].Valid != temporal.Since(d770901) {
+		t.Errorf("keyed as of 12/10 = %v", vs)
 	}
 
 	// Same query as of 12/20/82: full.
-	res, err = rel.Query().AsOf(d821220).At(d821205).WhereEq("name", String("Merrie")).Run()
+	res, err = rel.Query().AsOf(d821220).At(d821205).Where(merrie).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,6 +321,8 @@ func TestResultTableRendering(t *testing.T) {
 	}
 }
 
+// The count valid at one instant, the trend-analysis primitive, is a
+// one-bucket Series.
 func TestCountAtTrend(t *testing.T) {
 	db := memDB(t)
 	rel := loadFaculty(t, db)
@@ -319,12 +333,12 @@ func TestCountAtTrend(t *testing.T) {
 		temporal.Date(1984, 6, 1): 2, // Mike left
 	}
 	for at, want := range probes {
-		got, err := rel.CountAt(at)
+		pts, err := rel.Series(at, at.Next(), temporal.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != want {
-			t.Errorf("CountAt(%v) = %d, want %d", at, got, want)
+		if len(pts) != 1 || pts[0].Count != want {
+			t.Errorf("Series at %v = %+v, want count %d", at, pts, want)
 		}
 	}
 }

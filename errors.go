@@ -54,14 +54,6 @@ var (
 	ErrFailStopped = errors.New("tdb: fail-stopped after a failed log flush")
 )
 
-// Deprecated aliases kept for source compatibility with earlier releases.
-var (
-	// ErrNotFound is ErrRelationNotFound.
-	ErrNotFound = ErrRelationNotFound
-	// ErrExists is ErrRelationExists.
-	ErrExists = ErrRelationExists
-)
-
 // wrapErr lifts internal-package errors onto the exported sentinels while
 // keeping the original chain intact: errors.Is matches the tdb sentinel and
 // the internal cause both.

@@ -159,12 +159,13 @@ func TestGroupCommitSyncFailurePoisonsBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, want := range map[string]int{"before": 1, "after": 1, "poisoned-1": 0, "poisoned-2": 0} {
-		res, err := rel.Query().At(d821201).WhereEq("name", String(name)).Run()
+		at := temporal.At(d821201)
+		vs, err := rel.Scan(ScanSpec{When: &at, Key: Key(String(name))})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Len() != want {
-			t.Fatalf("recovered rows for %q = %d, want %d", name, res.Len(), want)
+		if len(vs) != want {
+			t.Fatalf("recovered rows for %q = %d, want %d", name, len(vs), want)
 		}
 	}
 }

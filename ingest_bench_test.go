@@ -47,12 +47,7 @@ func openIngestDB(b *testing.B, opts tdb.Options) (*tdb.DB, *tdb.Relation) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s := tdb.MustSchema(tdb.Attr("name", tdb.StringKind), tdb.Attr("rank", tdb.StringKind))
-	keyed, err := s.WithKey("name")
-	if err != nil {
-		b.Fatal(err)
-	}
-	rel, err := db.CreateRelation("ingest", tdb.Temporal, keyed)
+	rel, err := db.CreateRelation("ingest", tdb.Temporal, schemaT(b))
 	if err != nil {
 		b.Fatal(err)
 	}

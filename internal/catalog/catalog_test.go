@@ -11,10 +11,14 @@ import (
 
 func sch(t *testing.T) *schema.Schema {
 	t.Helper()
-	return schema.MustNew(
+	s, err := schema.New(
 		schema.Attribute{Name: "name", Type: value.String},
 		schema.Attribute{Name: "rank", Type: value.String},
 	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 func TestCreateAllKinds(t *testing.T) {

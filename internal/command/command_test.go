@@ -68,7 +68,11 @@ func TestConfigVerbListsEveryKnob(t *testing.T) {
 
 func TestStatsVerb(t *testing.T) {
 	db := testDB(t)
-	if _, err := db.CreateRelation("stuff", tdb.Static, tdb.MustSchema(tdb.Attr("x", tdb.StringKind))); err != nil {
+	sch, err := tdb.NewSchema(tdb.Attr("x", tdb.StringKind))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.CreateRelation("stuff", tdb.Static, sch); err != nil {
 		t.Fatal(err)
 	}
 	res, err := Dispatch(db, "stats")

@@ -11,7 +11,7 @@ import (
 )
 
 var benchSchemaOnce = func() *schema.Schema {
-	s := schema.MustNew(
+	s := mustSchema(
 		schema.Attribute{Name: "name", Type: value.String},
 		schema.Attribute{Name: "rank", Type: value.String},
 	)

@@ -74,7 +74,7 @@ func TestTemporalWhenAsOfQuery(t *testing.T) {
 			if v.Data[0].Str() != "Tom" {
 				continue
 			}
-			tomStart := v.Valid.Start()
+			tomStart := v.Valid.From
 			for _, m := range read(t, s, ScanSpec{AsOf: &asOf, When: whenAt(tomStart).When}) {
 				if m.Data[0].Str() == "Merrie" {
 					out = append(out, m)
@@ -176,7 +176,7 @@ func TestTemporalAsOfEqualsReplayedHistorical(t *testing.T) {
 			for probe := temporal.Chronon(0); probe < 160; probe += 7 {
 				var fromAsOf []tuple.Tuple
 				for _, ver := range read(t, ts, ScanSpec{AsOf: &asOf}) {
-					if ver.Valid.Contains(probe) {
+					if ver.Valid.Overlaps(temporal.At(probe)) {
 						fromAsOf = append(fromAsOf, ver.Data)
 					}
 				}
@@ -344,7 +344,7 @@ func TestTemporalSnapshotAndScanHelpers(t *testing.T) {
 // Figure 9: the temporal event relation 'promotion' with a user-defined
 // time attribute (effective date) plus valid (at) and transaction time.
 func TestTemporalEventFigure9(t *testing.T) {
-	base := schema.MustNew(
+	base := mustSchema(
 		schema.Attribute{Name: "name", Type: value.String},
 		schema.Attribute{Name: "rank", Type: value.String},
 		schema.Attribute{Name: "effective", Type: value.Instant},

@@ -10,10 +10,19 @@ import (
 	"tdb/temporal"
 )
 
+// mustSchema is schema.New for trusted literals; it panics on error.
+func mustSchema(attrs ...schema.Attribute) *schema.Schema {
+	s, err := schema.New(attrs...)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 // The paper's running example: faculty(name, rank) keyed by name.
 func facultySchema(t *testing.T) *schema.Schema {
 	t.Helper()
-	s := schema.MustNew(
+	s := mustSchema(
 		schema.Attribute{Name: "name", Type: value.String},
 		schema.Attribute{Name: "rank", Type: value.String},
 	)

@@ -63,7 +63,7 @@ func TestHistoricalFigure6Versions(t *testing.T) {
 func TestHistoricalWhenQuery(t *testing.T) {
 	s := New(Historical, facultySchema(t), false)
 	loadFigure6(t, s)
-	tomStart := history(t, s, nameKey("Tom"))[0].Valid.Start()
+	tomStart := history(t, s, nameKey("Tom"))[0].Valid.From
 	var hits []Version
 	for _, v := range read(t, s, whenAt(tomStart)) {
 		if v.Data[0].Str() == "Merrie" {
@@ -283,7 +283,7 @@ func TestHistoricalAgainstReferenceModel(t *testing.T) {
 			want := map[string]string{}
 			for name, list := range ops {
 				for _, o := range list {
-					if !o.iv.Contains(probe) {
+					if !o.iv.Overlaps(temporal.At(probe)) {
 						continue
 					}
 					if o.assert {

@@ -29,7 +29,7 @@ var sealThresholds = []int{segment.DefaultSealRows, 2, 4}
 // refSchema is faculty(name, rank) plus an int column for range filters.
 func refSchema(t *testing.T) *schema.Schema {
 	t.Helper()
-	s := schema.MustNew(
+	s := mustSchema(
 		schema.Attribute{Name: "name", Type: value.String},
 		schema.Attribute{Name: "rank", Type: value.String},
 		schema.Attribute{Name: "n", Type: value.Int},
@@ -148,7 +148,7 @@ func refCases(t *testing.T, sch *schema.Schema, rollback bool, commits []tempora
 			at := at
 			trans = append(trans, part{fmt.Sprintf("asof=%v", at),
 				func(sp *ScanSpec) { sp.AsOf = &at },
-				func(v Version) bool { return v.Trans.Contains(at) }})
+				func(v Version) bool { return v.Trans.From <= at && at < v.Trans.To }})
 			for _, width := range []temporal.Chronon{0, 8, 200} {
 				through := at + width
 				if through < at { // past the end of time
@@ -175,7 +175,7 @@ func refCases(t *testing.T, sch *schema.Schema, rollback bool, commits []tempora
 			func(sp *ScanSpec) { sp.Key = key },
 			func(v Version) bool { return v.Data[0].Str() == key[0].Str() }})
 	}
-	eq, ok := segment.NewEqFilter(sch, 1, value.NewString("r1"))
+	eq, ok := segment.NewCmpFilter(sch, 1, segment.OpEq, value.NewString("r1"))
 	if !ok {
 		t.Fatal("rank filter rejected")
 	}

@@ -1,8 +1,9 @@
-// Package dataset generates the deterministic workloads used by the
-// benchmark harness and examples: entity histories in the style of the
-// paper's faculty relation, with controllable history depth, retroactive
-// correction rate, and entity count. Every generator is seeded and
-// reproducible.
+// Package dataset generates the deterministic workloads the root and
+// internal/core tests and benchmarks share: entity histories in the style
+// of the paper's faculty relation, with controllable history depth,
+// retroactive correction rate, and entity count. Every generator is seeded
+// and reproducible. No binary links it; a _test.go file cannot be imported,
+// so it stays a package (scripts/unreached.allow).
 package dataset
 
 import (
@@ -19,10 +20,13 @@ import (
 // every generated workload uses — the shape of the paper's faculty
 // relation.
 func Schema() *schema.Schema {
-	s := schema.MustNew(
+	s, err := schema.New(
 		schema.Attribute{Name: "name", Type: value.String},
 		schema.Attribute{Name: "rank", Type: value.String},
 	)
+	if err != nil {
+		panic(err)
+	}
 	keyed, err := s.WithKey("name")
 	if err != nil {
 		panic(err)

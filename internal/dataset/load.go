@@ -4,6 +4,7 @@ import (
 	"errors"
 
 	"tdb/internal/core"
+	"tdb/internal/tuple"
 	"tdb/temporal"
 )
 
@@ -29,35 +30,21 @@ func LoadHistory(s *core.Store, events []Event) error {
 	return nil
 }
 
+// StateStore is a store without valid time: core.Store of the static and
+// static rollback kinds, and the full-copy rollback store of the ablation
+// tests.
+type StateStore interface {
+	Insert(t tuple.Tuple, at temporal.Chronon) error
+	Delete(key tuple.Tuple, at temporal.Chronon) error
+	Replace(key, t tuple.Tuple, at temporal.Chronon) error
+}
+
 // LoadState replays a history into a store without valid time, reducing
 // each event to the current-state operation it implies: assertion becomes
 // insert-or-replace, retraction becomes delete. A static rollback store
 // keeps every state by commit time; a static one keeps only the final state,
 // demonstrating exactly what the paper says a static database forgets.
-func LoadState(s *core.Store, events []Event) error {
-	for _, e := range events {
-		var err error
-		if e.Assert {
-			err = s.Insert(e.Tuple(), e.Commit)
-			if errors.Is(err, core.ErrDuplicateKey) {
-				err = s.Replace(e.Key(), e.Tuple(), e.Commit)
-			}
-		} else {
-			err = s.Delete(e.Key(), e.Commit)
-			if errors.Is(err, core.ErrNoSuchTuple) {
-				err = nil
-			}
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// LoadCopyRollback replays a history into the naive full-copy rollback
-// representation, for the ablation benchmarks.
-func LoadCopyRollback(s *core.CopyRollbackStore, events []Event) error {
+func LoadState(s StateStore, events []Event) error {
 	for _, e := range events {
 		var err error
 		if e.Assert {

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -113,11 +112,4 @@ func (r *Registry) Snapshot() []Point {
 		}
 	}
 	return out
-}
-
-// WriteJSON writes the snapshot as indented JSON (the /statz format).
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
 }

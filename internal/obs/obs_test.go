@@ -1,9 +1,6 @@
 package obs
 
 import (
-	"bytes"
-	"log"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -137,17 +134,5 @@ func TestRegistryTracer(t *testing.T) {
 	c := reg.Counter(`tdb_query_span_note_total{span="execute",key="rows_scanned"}`, "")
 	if c.Value() != 42 {
 		t.Fatalf("note counter = %d, want 42", c.Value())
-	}
-}
-
-func TestLogTracer(t *testing.T) {
-	var buf bytes.Buffer
-	tr := NewLogTracer(log.New(&buf, "", 0))
-	sp := tr.Start("parse")
-	sp.Note("stmts", 2)
-	sp.End()
-	out := buf.String()
-	if !strings.Contains(out, "span=parse") || !strings.Contains(out, "stmts=2") {
-		t.Fatalf("log tracer output = %q", out)
 	}
 }

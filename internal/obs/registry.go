@@ -121,11 +121,6 @@ func (n Namespace) Gauge(name, help string) *Gauge {
 	return n.r.Gauge(n.prefix+"_"+name, help)
 }
 
-// Histogram is Registry.Histogram under the namespace prefix.
-func (n Namespace) Histogram(name, help string, bounds []float64) *Histogram {
-	return n.r.Histogram(n.prefix+"_"+name, help, bounds)
-}
-
 // names returns all registered full names, sorted so that series sharing a
 // base name (labeled variants) group together deterministically.
 func (r *Registry) names() []string {

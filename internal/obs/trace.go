@@ -2,8 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"log"
-	"strings"
 	"time"
 )
 
@@ -76,28 +74,3 @@ func (s *registrySpan) Note(key string, v int64) {
 }
 
 func (s *registrySpan) End() { s.dur.ObserveSince(s.start) }
-
-// NewLogTracer returns a Tracer that prints one line per finished span to
-// the logger — the debugging flavor: `span=parse dur=112µs rows_scanned=40`.
-func NewLogTracer(l *log.Logger) Tracer { return &logTracer{l: l} }
-
-type logTracer struct{ l *log.Logger }
-
-func (t *logTracer) Start(name string) Span {
-	return &logSpan{l: t.l, name: name, start: time.Now()}
-}
-
-type logSpan struct {
-	l     *log.Logger
-	name  string
-	notes strings.Builder
-	start time.Time
-}
-
-func (s *logSpan) Note(key string, v int64) {
-	fmt.Fprintf(&s.notes, " %s=%d", key, v)
-}
-
-func (s *logSpan) End() {
-	s.l.Printf("span=%s dur=%s%s", s.name, time.Since(s.start), s.notes.String())
-}

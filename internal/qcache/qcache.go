@@ -310,28 +310,12 @@ func (c *Cache) Clear() {
 	c.clears.Add(1)
 }
 
-// MaxBytes returns the configured budget (0 for a disabled cache).
-func (c *Cache) MaxBytes() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.max
-}
-
 // Len returns the number of resident entries.
 func (c *Cache) Len() int {
 	if c == nil {
 		return 0
 	}
 	return int(c.entries.Load())
-}
-
-// Bytes returns the estimated resident bytes.
-func (c *Cache) Bytes() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.bytes.Load()
 }
 
 // Stats snapshots this cache's counters (the /statz admin section and the

@@ -48,7 +48,7 @@ func TestNilCacheIsDisabled(t *testing.T) {
 		t.Fatal("nil cache admitted a key")
 	}
 	c.Clear()
-	if c.Len() != 0 || c.Bytes() != 0 || c.MaxBytes() != 0 {
+	if c.Len() != 0 || c.Stats().Bytes != 0 || c.Stats().MaxBytes != 0 {
 		t.Fatal("nil cache should report zeroes")
 	}
 }
@@ -100,8 +100,8 @@ func TestClear(t *testing.T) {
 		c.Put(fmt.Sprintf("k%d", i), i, 64)
 	}
 	c.Clear()
-	if c.Len() != 0 || c.Bytes() != 0 {
-		t.Fatalf("after Clear: len=%d bytes=%d", c.Len(), c.Bytes())
+	if c.Len() != 0 || c.Stats().Bytes != 0 {
+		t.Fatalf("after Clear: len=%d bytes=%d", c.Len(), c.Stats().Bytes)
 	}
 	if _, ok := c.Get("k0"); ok {
 		t.Fatal("entry survived Clear")
@@ -140,8 +140,8 @@ func TestAdmitNeverRepeatingKeys(t *testing.T) {
 	if admitted > n/100 {
 		t.Errorf("%d of %d never-repeating keys admitted, want at most 1 %%", admitted, n)
 	}
-	if c.Len() != admitted || c.Bytes() != int64(admitted)*size {
-		t.Errorf("Len = %d, Bytes = %d after %d admissions of %d B", c.Len(), c.Bytes(), admitted, size)
+	if c.Len() != admitted || c.Stats().Bytes != int64(admitted)*size {
+		t.Errorf("Len = %d, Bytes = %d after %d admissions of %d B", c.Len(), c.Stats().Bytes, admitted, size)
 	}
 	if st := c.Stats(); st.Refused != uint64(n-admitted) {
 		t.Errorf("refused = %d, want %d", st.Refused, n-admitted)
@@ -215,7 +215,7 @@ func TestSoakBudget(t *testing.T) {
 				} else {
 					c.Put(k, i, int64(32+rng.Intn(512)))
 				}
-				if b := c.Bytes(); b > budget {
+				if b := c.Stats().Bytes; b > budget {
 					violations.Store(b, true)
 				}
 			}

@@ -60,15 +60,6 @@ func New(attrs ...Attribute) (*Schema, error) {
 	return s, nil
 }
 
-// MustNew is New for trusted literals; it panics on error.
-func MustNew(attrs ...Attribute) *Schema {
-	s, err := New(attrs...)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // WithKey returns a copy of the schema whose key is the named attributes.
 // Tuples sharing a key denote the same real-world entity across time; the
 // bitemporal update algebra matches versions by key.
@@ -95,13 +86,6 @@ func (s *Schema) Arity() int { return len(s.attrs) }
 // Attr returns the i-th attribute.
 func (s *Schema) Attr(i int) Attribute { return s.attrs[i] }
 
-// Attrs returns a copy of the attribute list.
-func (s *Schema) Attrs() []Attribute {
-	out := make([]Attribute, len(s.attrs))
-	copy(out, s.attrs)
-	return out
-}
-
 // Index returns the position of the named attribute, or -1 if absent.
 func (s *Schema) Index(name string) int {
 	if i, ok := s.byName[name]; ok {
@@ -121,23 +105,6 @@ func (s *Schema) KeyIndices() []int {
 // KeyAttrs is KeyIndices without the copy, for the per-row paths: the result
 // is the schema's own and must not be modified.
 func (s *Schema) KeyAttrs() []int { return s.key }
-
-// HasExplicitKey reports whether WithKey narrowed the key.
-func (s *Schema) HasExplicitKey() bool { return len(s.key) > 0 }
-
-// Equal reports whether two schemas have the same attributes in the same
-// order (keys are ignored: they affect updates, not relation compatibility).
-func (s *Schema) Equal(o *Schema) bool {
-	if s.Arity() != o.Arity() {
-		return false
-	}
-	for i := range s.attrs {
-		if s.attrs[i] != o.attrs[i] {
-			return false
-		}
-	}
-	return true
-}
 
 // String renders the schema in TQuel create syntax.
 func (s *Schema) String() string {

@@ -36,15 +36,6 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestMustNewPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustNew on empty schema must panic")
-		}
-	}()
-	MustNew()
-}
-
 func TestIndexAndAttr(t *testing.T) {
 	s := facultySchema(t)
 	if s.Arity() != 2 {
@@ -63,21 +54,21 @@ func TestIndexAndAttr(t *testing.T) {
 
 func TestWithKey(t *testing.T) {
 	s := facultySchema(t)
-	if s.HasExplicitKey() {
+	if len(s.KeyAttrs()) != 0 {
 		t.Error("fresh schema must have no explicit key")
 	}
 	keyed, err := s.WithKey("name")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !keyed.HasExplicitKey() {
+	if len(keyed.KeyAttrs()) == 0 {
 		t.Error("keyed schema must report an explicit key")
 	}
 	if ks := keyed.KeyIndices(); len(ks) != 1 || ks[0] != 0 {
 		t.Errorf("KeyIndices = %v", ks)
 	}
 	// Original untouched.
-	if s.HasExplicitKey() {
+	if len(s.KeyAttrs()) != 0 {
 		t.Error("WithKey must not mutate the receiver")
 	}
 	if _, err := s.WithKey("salary"); err == nil {
@@ -85,19 +76,6 @@ func TestWithKey(t *testing.T) {
 	}
 	if _, err := s.WithKey("name", "name"); err == nil {
 		t.Error("duplicate key attribute must be rejected")
-	}
-}
-
-func TestEqualIgnoresKey(t *testing.T) {
-	a := facultySchema(t)
-	b := facultySchema(t)
-	keyed, _ := b.WithKey("name")
-	if !a.Equal(keyed) {
-		t.Error("Equal must ignore keys")
-	}
-	other := MustNew(Attribute{Name: "name", Type: value.String})
-	if a.Equal(other) {
-		t.Error("different arity must not be equal")
 	}
 }
 

@@ -17,11 +17,11 @@ import (
 // then one single-column schema per column kind.
 var fuzzSchemas = []*schema.Schema{
 	testSchema(),
-	schema.MustNew(schema.Attribute{Name: "c", Type: value.Int}),
-	schema.MustNew(schema.Attribute{Name: "c", Type: value.Float}),
-	schema.MustNew(schema.Attribute{Name: "c", Type: value.String}),
-	schema.MustNew(schema.Attribute{Name: "c", Type: value.Bool}),
-	schema.MustNew(schema.Attribute{Name: "c", Type: value.Instant}),
+	mustSchema(schema.Attribute{Name: "c", Type: value.Int}),
+	mustSchema(schema.Attribute{Name: "c", Type: value.Float}),
+	mustSchema(schema.Attribute{Name: "c", Type: value.String}),
+	mustSchema(schema.Attribute{Name: "c", Type: value.Bool}),
+	mustSchema(schema.Attribute{Name: "c", Type: value.Instant}),
 }
 
 // kindBlock is one sealed segment of a single-column relation, encoded.
@@ -111,7 +111,7 @@ func FuzzDecodeBlock(f *testing.F) {
 		if !bytes.Equal(AppendBlock(nil, again), enc) {
 			t.Fatal("AppendBlock∘DecodeBlock is not at a fixed point after one round")
 		}
-		sealed := openSegment(sch, g.Start())
+		sealed := openSegment(sch, g.start)
 		for i := range g.Len() {
 			sealed.append(g.row(i))
 		}

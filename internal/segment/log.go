@@ -51,9 +51,6 @@ func NewLog(sch *schema.Schema) *Log {
 // Len returns the total number of rows, sealed and open.
 func (l *Log) Len() int { return l.sealed + l.open.n }
 
-// Sealed returns the number of rows inside sealed segments.
-func (l *Log) Sealed() int { return l.sealed }
-
 // Segments returns the sealed segments in position order. Callers must not
 // mutate the slice.
 func (l *Log) Segments() []*Segment { return l.segs }

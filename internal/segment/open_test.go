@@ -95,9 +95,9 @@ func TestAbortPopsDictionary(t *testing.T) {
 		return Row{Data: data, Valid: temporal.Since(at), Trans: temporal.Since(at), KeyHash: data[0].Hash64()}
 	}
 	eq := func(attr int, s string) Pred {
-		f, ok := NewEqFilter(sch, attr, value.NewString(s))
+		f, ok := NewCmpFilter(sch, attr, OpEq, value.NewString(s))
 		if !ok {
-			t.Fatalf("NewEqFilter(%d, %q) rejected a well-kinded filter", attr, s)
+			t.Fatalf("NewCmpFilter(%d, %q) rejected a well-kinded filter", attr, s)
 		}
 		return Pred{Filters: []*Filter{f}}
 	}
@@ -151,9 +151,9 @@ func TestScanMatchesRowWise(t *testing.T) {
 		cases := predCases(t, rand.New(rand.NewSource(88)), ref)
 		now := temporal.Since(temporal.Forever - 1)
 		for k := 0; k <= len(ref); k++ {
-			f, ok := NewEqFilter(sch, 0, value.NewString(fmt.Sprintf("new%d", k)))
+			f, ok := NewCmpFilter(sch, 0, OpEq, value.NewString(fmt.Sprintf("new%d", k)))
 			if !ok {
-				t.Fatal("NewEqFilter rejected a name")
+				t.Fatal("NewCmpFilter rejected a name")
 			}
 			name := fmt.Sprintf(" name=new%d", k)
 			cases = append(cases, predCase{name: name, pred: Pred{Filters: []*Filter{f}}},

@@ -18,7 +18,7 @@ import (
 // (its values span more than 2³²) and f a float, the filters a postings list
 // leaves to point tests.
 func postSchema() *schema.Schema {
-	return schema.MustNew(
+	return mustSchema(
 		schema.Attribute{Name: "id", Type: value.String},
 		schema.Attribute{Name: "shard", Type: value.String},
 		schema.Attribute{Name: "tag", Type: value.String},
@@ -94,7 +94,7 @@ func postLog(t *testing.T, rng *rand.Rand, layouts []postLayout, tail int) (*Log
 	for i := 0; i < tail; i++ {
 		add(i, 16, -1)
 	}
-	for pos := 0; pos < l.Sealed(); pos++ {
+	for pos := 0; pos < l.Stats().SealedRows; pos++ {
 		if rng.Intn(10) == 0 {
 			to := ref[pos].Trans.From + temporal.Chronon(rng.Intn(200))
 			l.CloseTrans(pos, to)
@@ -118,7 +118,7 @@ func checkPostings(t *testing.T, g *Segment) {
 		}
 		for d := range want {
 			if got := c.post[c.postAt[d]:c.postAt[d+1]]; !slices.Equal(got, want[d]) {
-				t.Fatalf("segment at %d, column %d, code %d: postings %v, want %v", g.Start(), a, d, got, want[d])
+				t.Fatalf("segment at %d, column %d, code %d: postings %v, want %v", g.start, a, d, got, want[d])
 			}
 		}
 	}
@@ -163,9 +163,9 @@ func TestScanPostingsMatchWalk(t *testing.T) {
 
 	sch := postSchema()
 	eq := func(attr int, v value.Value) *Filter {
-		f, ok := NewEqFilter(sch, attr, v)
+		f, ok := NewCmpFilter(sch, attr, OpEq, v)
 		if !ok {
-			t.Fatalf("NewEqFilter(%d, %v) refused", attr, v)
+			t.Fatalf("NewCmpFilter(%d, %v) refused", attr, v)
 		}
 		return f
 	}

@@ -17,7 +17,7 @@ import (
 // statement (shard = S and v = N, valid at an instant: a dozen rows out),
 // "range" its window statement (shard = S and v < N: thousands of rows out).
 func BenchmarkScanFiltered(b *testing.B) {
-	sch := schema.MustNew(
+	sch := mustSchema(
 		schema.Attribute{Name: "id", Type: value.String},
 		schema.Attribute{Name: "shard", Type: value.String},
 		schema.Attribute{Name: "v", Type: value.Int},
@@ -35,8 +35,8 @@ func BenchmarkScanFiltered(b *testing.B) {
 		})
 		l.Seal()
 	}
-	shard, _ := NewEqFilter(sch, 1, value.NewString("s07"))
-	eq, _ := NewEqFilter(sch, 2, value.NewInt(500))
+	shard, _ := NewCmpFilter(sch, 1, OpEq, value.NewString("s07"))
+	eq, _ := NewCmpFilter(sch, 2, OpEq, value.NewInt(500))
 	lt, _ := NewCmpFilter(sch, 2, OpLt, value.NewInt(500))
 	at := temporal.Interval{From: 400, To: 401}
 	for _, c := range []struct {

@@ -27,7 +27,6 @@
 package segment
 
 import (
-	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -288,9 +287,6 @@ type Segment struct {
 	attrMin      []value.Value // per-attribute minima (Invalid when untracked)
 	attrMax      []value.Value
 }
-
-// Start returns the global position of the segment's first row.
-func (g *Segment) Start() int { return g.start }
 
 // Len returns the number of rows in the segment.
 func (g *Segment) Len() int { return g.n }
@@ -695,7 +691,7 @@ func cmpOK(op Op, c int) bool {
 // Filter is a single-attribute comparison (attr OP constant) a scan
 // evaluates directly on a segment's columns before any tuple is built, and
 // Pred.Match row-wise (Match); both keep exactly the same rows. Build one
-// with NewEqFilter or NewCmpFilter. A Filter is immutable once built — what
+// with NewCmpFilter. A Filter is immutable once built — what
 // a scan learns about it per segment stays in that scan's frame — so any
 // number of concurrent scans may share one.
 type Filter struct {
@@ -706,18 +702,13 @@ type Filter struct {
 	f      float64
 }
 
-// NewEqFilter builds an equality filter on attribute attr of sch. It returns
-// ok=false when the value's kind does not exactly match the attribute's
-// declared kind — coercing comparisons (int against float) stay with the
-// expression evaluator.
-func NewEqFilter(sch *schema.Schema, attr int, v value.Value) (*Filter, bool) {
-	return NewCmpFilter(sch, attr, OpEq, v)
-}
-
-// NewCmpFilter builds a comparison filter attr OP v. Ordered operators are
-// limited to Int, Instant and Float columns: string dictionaries are stored
-// in first-seen order so codes cannot be range-compared, and ordering booleans
-// is evaluator business. Exact-kind matching as with NewEqFilter.
+// NewCmpFilter builds a comparison filter attr OP v on attribute attr of
+// sch. It returns ok=false when the value's kind does not exactly match the
+// attribute's declared kind — coercing comparisons (int against float) stay
+// with the expression evaluator. Ordered operators are limited to Int,
+// Instant and Float columns: string dictionaries are stored in first-seen
+// order so codes cannot be range-compared, and ordering booleans is
+// evaluator business.
 func NewCmpFilter(sch *schema.Schema, attr int, op Op, v value.Value) (*Filter, bool) {
 	if attr < 0 || attr >= sch.Arity() || sch.Attr(attr).Type != v.Kind() {
 		return nil, false
@@ -845,8 +836,4 @@ type Stats struct {
 	Segments   int // sealed segments resident
 	SealedRows int // rows inside sealed segments
 	TailRows   int // rows in the open segment, not yet sealed
-}
-
-func (s Stats) String() string {
-	return fmt.Sprintf("segments=%d sealed=%d tail=%d", s.Segments, s.SealedRows, s.TailRows)
 }

@@ -14,16 +14,27 @@ import (
 	"tdb/temporal"
 )
 
+// mustSchema is schema.New for trusted literals; it panics on error.
+func mustSchema(attrs ...schema.Attribute) *schema.Schema {
+	s, err := schema.New(attrs...)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
+// testAttrs are testSchema's columns.
+var testAttrs = []schema.Attribute{
+	{Name: "name", Type: value.String},
+	{Name: "dept", Type: value.String},
+	{Name: "salary", Type: value.Int},
+	{Name: "rate", Type: value.Float},
+	{Name: "active", Type: value.Bool},
+	{Name: "since", Type: value.Instant},
+}
+
 func testSchema() *schema.Schema {
-	s := schema.MustNew(
-		schema.Attribute{Name: "name", Type: value.String},
-		schema.Attribute{Name: "dept", Type: value.String},
-		schema.Attribute{Name: "salary", Type: value.Int},
-		schema.Attribute{Name: "rate", Type: value.Float},
-		schema.Attribute{Name: "active", Type: value.Bool},
-		schema.Attribute{Name: "since", Type: value.Instant},
-	)
-	s, err := s.WithKey("name")
+	s, err := mustSchema(testAttrs...).WithKey("name")
 	if err != nil {
 		panic(err)
 	}
@@ -163,8 +174,8 @@ func TestSealPreservesRows(t *testing.T) {
 		}
 	}
 	l.SealNow()
-	if l.Sealed() != len(want) {
-		t.Fatalf("sealed %d of %d rows", l.Sealed(), len(want))
+	if l.Stats().SealedRows != len(want) {
+		t.Fatalf("sealed %d of %d rows", l.Stats().SealedRows, len(want))
 	}
 	for pos, w := range want {
 		if got := l.Row(pos); !rowsEqual(got, w) {
@@ -584,28 +595,28 @@ func TestFiltersAccelerateOnly(t *testing.T) {
 		{4, value.NewBool(true)},
 	}
 	for _, c := range cases {
-		f, ok := NewEqFilter(sch, c.attr, c.v)
+		f, ok := NewCmpFilter(sch, c.attr, OpEq, c.v)
 		if !ok {
-			t.Fatalf("NewEqFilter(%d, %v) rejected a well-kinded filter", c.attr, c.v)
+			t.Fatalf("NewCmpFilter(%d, %v) rejected a well-kinded filter", c.attr, c.v)
 		}
 		q := temporal.Interval{From: 0, To: temporal.Forever}
 		asOf := temporal.At(130)
 		samePositions(t, fmt.Sprintf("filter %s=%v", sch.Attr(c.attr).Name, c.v),
 			scanWith(l, Pred{Trans: &asOf, Valid: &q, Filters: []*Filter{f}}),
 			where(ref, func(r Row) bool {
-				return r.Trans.Contains(130) && r.Valid.Overlaps(q) && value.Equal(r.Data[c.attr], c.v)
+				return r.Trans.Overlaps(temporal.At(130)) && r.Valid.Overlaps(q) && value.Equal(r.Data[c.attr], c.v)
 			}))
 	}
 
 	// Kind mismatches and NaN stay with the expression evaluator.
-	if _, ok := NewEqFilter(sch, 2, value.NewFloat(25000)); ok {
-		t.Fatal("NewEqFilter accepted a float probe against an int column")
+	if _, ok := NewCmpFilter(sch, 2, OpEq, value.NewFloat(25000)); ok {
+		t.Fatal("NewCmpFilter accepted a float probe against an int column")
 	}
-	if _, ok := NewEqFilter(sch, 3, value.NewFloat(math.NaN())); ok {
-		t.Fatal("NewEqFilter accepted NaN")
+	if _, ok := NewCmpFilter(sch, 3, OpEq, value.NewFloat(math.NaN())); ok {
+		t.Fatal("NewCmpFilter accepted NaN")
 	}
-	if _, ok := NewEqFilter(sch, -1, value.NewInt(1)); ok {
-		t.Fatal("NewEqFilter accepted a bad attribute index")
+	if _, ok := NewCmpFilter(sch, -1, OpEq, value.NewInt(1)); ok {
+		t.Fatal("NewCmpFilter accepted a bad attribute index")
 	}
 }
 
@@ -689,9 +700,9 @@ func TestCmpFiltersAccelerateOnly(t *testing.T) {
 		}
 
 		samePositions(t, name+" as of, valid", scanWith(l, Pred{Trans: &asOf, Valid: &q, Filters: []*Filter{f}}),
-			where(ref, func(r Row) bool { return r.Trans.Contains(130) && r.Valid.Overlaps(q) && keep(r) }))
+			where(ref, func(r Row) bool { return r.Trans.Overlaps(temporal.At(130)) && r.Valid.Overlaps(q) && keep(r) }))
 		samePositions(t, name+" as of", scanWith(l, Pred{Trans: &asOf, Filters: []*Filter{f}}),
-			where(ref, func(r Row) bool { return r.Trans.Contains(130) && keep(r) }))
+			where(ref, func(r Row) bool { return r.Trans.Overlaps(temporal.At(130)) && keep(r) }))
 		samePositions(t, name+" current belief", scanWith(l, Pred{Trans: &now, Filters: []*Filter{f}}),
 			where(ref, func(r Row) bool { return r.Trans.To == temporal.Forever && keep(r) }))
 	}
@@ -801,9 +812,9 @@ func TestCodecRoundTrip(t *testing.T) {
 		if used != len(block) {
 			t.Fatalf("segment %d: decode consumed %d of %d bytes", si, used, len(block))
 		}
-		if dec.Start() != g.Start() || dec.Len() != g.Len() || dec.Current() != g.Current() {
+		if dec.start != g.start || dec.Len() != g.Len() || dec.Current() != g.Current() {
 			t.Fatalf("segment %d: shape changed: (%d,%d,%d) -> (%d,%d,%d)", si,
-				g.Start(), g.Len(), g.Current(), dec.Start(), dec.Len(), dec.Current())
+				g.start, g.Len(), g.Current(), dec.start, dec.Len(), dec.Current())
 		}
 		for i := 0; i < g.Len(); i++ {
 			if !rowsEqual(g.row(i), dec.row(i)) {
@@ -840,7 +851,7 @@ func TestCodecRejectsCorruption(t *testing.T) {
 			t.Fatalf("decode of %d/%d bytes succeeded", cut, len(block))
 		}
 	}
-	wrong := schema.MustNew(
+	wrong := mustSchema(
 		schema.Attribute{Name: "name", Type: value.Int}, // was String
 		schema.Attribute{Name: "dept", Type: value.String},
 		schema.Attribute{Name: "salary", Type: value.Int},
@@ -907,8 +918,8 @@ func TestTruncateFencing(t *testing.T) {
 		l.Append(randRow(rng, 300))
 	}
 	l.TruncateTail(105) // pops 5 uncommitted tail rows: fine
-	if l.Len() != 105 || l.Sealed() != 100 {
-		t.Fatalf("truncate to 105: len=%d sealed=%d", l.Len(), l.Sealed())
+	if l.Len() != 105 || l.Stats().SealedRows != 100 {
+		t.Fatalf("truncate to 105: len=%d sealed=%d", l.Len(), l.Stats().SealedRows)
 	}
 	l.TruncateTail(100) // abort the rest of the transaction
 	if l.Len() != 100 {
@@ -948,8 +959,8 @@ func TestAbortedTailNeverSeals(t *testing.T) {
 	if !l.Seal() {
 		t.Fatal("Seal did not fire at the threshold")
 	}
-	if l.Sealed() != 8 || len(l.Segments()) != 1 {
-		t.Fatalf("sealed=%d segments=%d", l.Sealed(), len(l.Segments()))
+	if l.Stats().SealedRows != 8 || len(l.Segments()) != 1 {
+		t.Fatalf("sealed=%d segments=%d", l.Stats().SealedRows, len(l.Segments()))
 	}
 }
 
@@ -968,10 +979,10 @@ func TestRestoreSegment(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if restored.Sealed() != seg.Sealed() {
-		t.Fatalf("restored %d of %d sealed rows", restored.Sealed(), seg.Sealed())
+	if restored.Stats().SealedRows != seg.Stats().SealedRows {
+		t.Fatalf("restored %d of %d sealed rows", restored.Stats().SealedRows, seg.Stats().SealedRows)
 	}
-	for pos := 0; pos < seg.Sealed(); pos++ {
+	for pos := 0; pos < seg.Stats().SealedRows; pos++ {
 		if !rowsEqual(restored.Row(pos), seg.Row(pos)) {
 			t.Fatalf("row %d changed across checkpoint round trip", pos)
 		}
@@ -1064,7 +1075,7 @@ func sealEvery(t testing.TB, n int) {
 // or open, under a declared key and under the whole tuple as the key.
 func TestLogHasKeyAndValid(t *testing.T) {
 	keyed := testSchema()
-	whole := schema.MustNew(keyed.Attrs()...)
+	whole := mustSchema(testAttrs...)
 	for _, sch := range []*schema.Schema{keyed, whole} {
 		l := &Log{sch: sch, open: openSegment(sch, 0), sealRows: 4}
 		rng := rand.New(rand.NewSource(3))
@@ -1087,7 +1098,7 @@ func TestLogHasKeyAndValid(t *testing.T) {
 				t.Fatalf("row %d: a key of the wrong length", pos)
 			}
 		}
-		if l.Sealed() == 0 {
+		if l.Stats().SealedRows == 0 {
 			t.Fatal("nothing sealed")
 		}
 	}

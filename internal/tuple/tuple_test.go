@@ -11,7 +11,16 @@ import (
 	"tdb/temporal"
 )
 
-var faculty = schema.MustNew(
+// mustSchema is schema.New for trusted literals; it panics on error.
+func mustSchema(attrs ...schema.Attribute) *schema.Schema {
+	s, err := schema.New(attrs...)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
+var faculty = mustSchema(
 	schema.Attribute{Name: "name", Type: value.String},
 	schema.Attribute{Name: "rank", Type: value.String},
 )
@@ -140,7 +149,7 @@ func TestEmptyTupleRoundTrip(t *testing.T) {
 // Equal(Key(), ·) without the projected tuple, under an explicit key (in
 // either attribute order) and under the whole-tuple key, and allocate nothing.
 func TestKeyHashAndHasKey(t *testing.T) {
-	base := schema.MustNew(
+	base := mustSchema(
 		schema.Attribute{Name: "name", Type: value.String},
 		schema.Attribute{Name: "rank", Type: value.String},
 		schema.Attribute{Name: "n", Type: value.Int},

@@ -14,10 +14,13 @@ import (
 
 func facultyStore(t *testing.T) *core.Store {
 	t.Helper()
-	s := schema.MustNew(
+	s, err := schema.New(
 		schema.Attribute{Name: "name", Type: value.String},
 		schema.Attribute{Name: "rank", Type: value.String},
 	)
+	if err != nil {
+		t.Fatal(err)
+	}
 	keyed, err := s.WithKey("name")
 	if err != nil {
 		t.Fatal(err)

@@ -110,11 +110,6 @@ func (g *GroupCommitter) Enqueue(rec Record) *Pending {
 	return g.enqueue(EncodeRecord(rec))
 }
 
-// Commit is Enqueue followed by Wait: one durably logged record.
-func (g *GroupCommitter) Commit(rec Record) error {
-	return g.Enqueue(rec).Wait()
-}
-
 func (g *GroupCommitter) enqueue(payload []byte) *Pending {
 	p := &Pending{done: make(chan error, 1)}
 	g.mu.Lock()

@@ -113,7 +113,7 @@ func TestGroupCommitConcurrentCommitters(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				if err := g.Commit(tinyRecord(w*per + i)); err != nil {
+				if err := g.Enqueue(tinyRecord(w*per + i)).Wait(); err != nil {
 					t.Errorf("worker %d commit %d: %v", w, i, err)
 				}
 			}
@@ -196,7 +196,7 @@ func TestGroupCommitCloseDrains(t *testing.T) {
 	if got := l.Records(); got != 5 {
 		t.Fatalf("records after Close = %d, want 5", got)
 	}
-	if err := g.Commit(tinyRecord(9)); !errors.Is(err, ErrClosed) {
+	if err := g.Enqueue(tinyRecord(9)).Wait(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("commit after Close = %v, want ErrClosed", err)
 	}
 }
@@ -218,7 +218,7 @@ func TestGroupCommitSyncFailurePoisonsOnlyItsBatch(t *testing.T) {
 	defer g.Close()
 
 	// Batch 1 lands clean.
-	if err := g.Commit(tinyRecord(0)); err != nil {
+	if err := g.Enqueue(tinyRecord(0)).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	sizeAfterFirst := l.Size()
@@ -239,7 +239,7 @@ func TestGroupCommitSyncFailurePoisonsOnlyItsBatch(t *testing.T) {
 	}
 
 	// The fault was one-shot, but the next batch is refused all the same.
-	if err := g.Commit(tinyRecord(3)); !errors.Is(err, vfs.ErrInjectedSync) {
+	if err := g.Enqueue(tinyRecord(3)).Wait(); !errors.Is(err, vfs.ErrInjectedSync) {
 		t.Fatalf("commit after the failed batch = %v, want the injected sync failure", err)
 	}
 	if !errors.Is(g.Err(), vfs.ErrInjectedSync) {
@@ -316,7 +316,7 @@ func TestGroupCommitClosedLoopCommittersShareSyncs(t *testing.T) {
 			defer wg.Done()
 			b := make([]byte, 1)
 			for i := 0; i < each; i++ {
-				if err := g.Commit(tinyRecord(c*each + i)); err != nil {
+				if err := g.Enqueue(tinyRecord(c*each + i)).Wait(); err != nil {
 					t.Error(err)
 					return
 				}
@@ -354,7 +354,7 @@ func TestGroupCommitLoneCommitterFlushesAlone(t *testing.T) {
 	defer g.Close()
 	before := mFsyncs.Value()
 	for i := 0; i < 20; i++ {
-		if err := g.Commit(tinyRecord(i)); err != nil {
+		if err := g.Enqueue(tinyRecord(i)).Wait(); err != nil {
 			t.Fatal(err)
 		}
 	}

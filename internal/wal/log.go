@@ -149,14 +149,6 @@ func Open(fsys vfs.FS, path string, opts Options) (*Log, error) {
 	return &Log{fsys: fsys, f: f, size: size, records: opts.Records, epoch: opts.Epoch, sync: opts.Sync}, nil
 }
 
-// Epoch returns the checkpoint era the log stamps (or has stamped) into
-// its header.
-func (l *Log) Epoch() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.epoch
-}
-
 // Append writes one transaction record to the log. The first append into
 // an empty file carries the header in the same write, so a torn first
 // write can never leave a valid header with no usable epoch semantics.

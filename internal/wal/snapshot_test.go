@@ -58,7 +58,7 @@ func snapshotsEqual(a, b Snapshot) bool {
 		if x.Name != y.Name || x.Kind != y.Kind || x.Event != y.Event {
 			return false
 		}
-		if !x.Schema.Equal(y.Schema) || len(x.Versions) != len(y.Versions) || !bytes.Equal(x.Stats, y.Stats) {
+		if x.Schema.String() != y.Schema.String() || len(x.Versions) != len(y.Versions) || !bytes.Equal(x.Stats, y.Stats) {
 			return false
 		}
 		for j := range x.Versions {

@@ -4,13 +4,48 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
+	"tdb/internal/segment"
 	"tdb/temporal"
 )
 
-// The key-lookup fast path must be indistinguishable from the scan path for
-// every kind, predicate mix, and random workload.
+// keyedMatchesScan checks that the key-index read of name under spec returns
+// exactly what a full scan under the same spec returns for that name.
+func keyedMatchesScan(t *testing.T, rel *Relation, spec ScanSpec, name string) []Version {
+	t.Helper()
+	full, err := rel.Scan(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, v := range full {
+		if v.Data[0].Str() == name {
+			want = append(want, fmt.Sprint(v))
+		}
+	}
+	spec.Key = Key(String(name))
+	keyed, err := rel.Scan(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]string, len(keyed))
+	for i, v := range keyed {
+		got[i] = fmt.Sprint(v)
+	}
+	sort.Strings(want)
+	sort.Strings(got)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("%v key %q, spec %+v:\nkeyed: %v\nscan:  %v", rel.Kind(), name, spec, got, want)
+	}
+	return keyed
+}
+
+// The key-lookup path must be indistinguishable from the scan path for
+// every kind, every read (current belief, as of each commit, all versions,
+// a stacked non-key filter), and a random workload; Get and History, which
+// read through it, must agree with it.
 func TestKeyLookupEquivalence(t *testing.T) {
 	db := memDB(t)
 	sch := facultySchema(t)
@@ -22,6 +57,7 @@ func TestKeyLookupEquivalence(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(99))
 	names := []string{"a", "b", "c", "d", "e"}
+	var commits []temporal.Chronon
 	for i := 0; i < 200; i++ {
 		name := names[r.Intn(len(names))]
 		rank := fmt.Sprint(r.Intn(4))
@@ -52,79 +88,86 @@ func TestKeyLookupEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if i%20 == 0 {
+			commits = append(commits, db.Now())
+		}
 	}
 	for _, k := range kinds {
 		rel, err := db.Relation("kl_" + k.String())
 		if err != nil {
 			t.Fatal(err)
 		}
+		rank2, ok := rel.EqFilter("rank", String("2"))
+		if !ok {
+			t.Fatal("rank filter refused")
+		}
 		for _, name := range append(names, "ghost") {
-			// Fast path: WhereEq on the full key.
-			fast, err := rel.Query().WhereEq("name", String(name)).Run()
+			current := keyedMatchesScan(t, rel, ScanSpec{}, name)
+			keyedMatchesScan(t, rel, ScanSpec{Filters: []*segment.Filter{rank2}}, name)
+			keyedMatchesScan(t, rel, ScanSpec{AllVersions: true}, name)
+			if k.SupportsRollback() {
+				for i := range commits {
+					keyedMatchesScan(t, rel, ScanSpec{AsOf: &commits[i]}, name)
+				}
+			}
+			key := Key(String(name))
+			if k.SupportsHistorical() {
+				hist, err := rel.History(key)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(hist) != len(current) {
+					t.Fatalf("%v History(%q) = %d versions, keyed scan %d", k, name, len(hist), len(current))
+				}
+				continue
+			}
+			got, found, err := rel.Get(key)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Scan path: equivalent opaque predicate.
-			slow, err := rel.Query().Where(func(tp Tuple) (bool, error) {
-				return tp[0].Str() == name, nil
-			}).Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fast.String() != slow.String() {
-				t.Fatalf("%v key %q:\nfast:\n%s\nslow:\n%s", k, name, fast, slow)
-			}
-			// With an extra non-key predicate stacked on top.
-			fast2, err := rel.Query().WhereEq("name", String(name)).
-				WhereEq("rank", String("2")).Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			slow2, err := rel.Query().Where(func(tp Tuple) (bool, error) {
-				return tp[0].Str() == name && tp[1].Str() == "2", nil
-			}).Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fast2.String() != slow2.String() {
-				t.Fatalf("%v stacked predicates diverge", k)
+			if found != (len(current) == 1) || found && got.String() != current[0].Data.String() {
+				t.Fatalf("%v Get(%q) = %v, %v; keyed scan %v", k, name, got, found, current)
 			}
 		}
 	}
 }
 
-// WhereEq on a non-key attribute must not engage the fast path (and must
-// still work).
+// An equality on a non-key attribute reads through a column filter, not the
+// key index, and must answer what a full scan does.
 func TestKeyLookupNonKeyAttr(t *testing.T) {
 	db := memDB(t)
 	rel := loadFaculty(t, db)
-	res, err := rel.Query().WhereEq("rank", String("associate")).Run()
+	f, ok := rel.EqFilter("rank", String("associate"))
+	if !ok {
+		t.Fatal("rank filter refused")
+	}
+	filtered, err := rel.Scan(ScanSpec{Filters: []*segment.Filter{f}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	full, err := rel.Scan(ScanSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []Version
+	for _, v := range full {
+		if v.Data[1].Str() == "associate" {
+			want = append(want, v)
+		}
+	}
 	// Current belief: Merrie associate [09/01/77,12/01/82) and Tom.
-	if res.Len() != 2 {
-		t.Fatalf("non-key eq:\n%s", res)
+	if len(filtered) != 2 || fmt.Sprint(filtered) != fmt.Sprint(want) {
+		t.Fatalf("non-key eq: filtered %v, scan %v", filtered, want)
 	}
 }
 
-// WhereEq combined with AsOf must take the scan path and stay correct.
+// A keyed read as of a past commit answers what the database believed then.
 func TestKeyLookupWithAsOf(t *testing.T) {
 	db := memDB(t)
 	rel := loadFaculty(t, db)
-	res, err := rel.Query().AsOf(d821210).WhereEq("name", String("Merrie")).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Len() != 1 || res.Tuples()[0][1].Str() != "associate" {
-		t.Fatalf("as-of + key eq:\n%s", res)
-	}
-}
-
-func TestWhereEqUnknownAttribute(t *testing.T) {
-	db := memDB(t)
-	rel := loadFaculty(t, db)
-	if _, err := rel.Query().WhereEq("salary", Int(1)).Run(); err == nil {
-		t.Fatal("unknown attribute must error")
+	asOf := d821210
+	vs := keyedMatchesScan(t, rel, ScanSpec{AsOf: &asOf}, "Merrie")
+	if len(vs) != 1 || vs[0].Data[1].Str() != "associate" {
+		t.Fatalf("as-of + key: %v", vs)
 	}
 }

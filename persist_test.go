@@ -40,14 +40,15 @@ func TestRecoveryRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := rel.Query().AsOf(asOf).At(d821205).WhereEq("name", String("Merrie")).Run()
+		when := temporal.At(d821205)
+		vs, err := rel.Scan(ScanSpec{AsOf: &asOf, When: &when, Key: Key(String("Merrie"))})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Len() != 1 {
-			t.Fatalf("result: %s", res)
+		if len(vs) != 1 {
+			t.Fatalf("result: %v", vs)
 		}
-		return res.Tuples()[0][1].Str()
+		return vs[0].Data[1].Str()
 	}
 	beforeVersions := func(db *DB) int {
 		rel, err := db.Relation("faculty")

@@ -25,7 +25,6 @@ type Query struct {
 	asOf  *temporal.Chronon
 	when  []temporal.Interval // every When/At restriction, conjoined
 	where []func(Tuple) (bool, error)
-	eq    map[string]Value // attribute -> value, from WhereEq
 }
 
 // Query starts a query over the relation.
@@ -52,43 +51,6 @@ func (q *Query) Where(pred func(Tuple) (bool, error)) *Query {
 	return q
 }
 
-// WhereEq adds an equality predicate on the named attribute. When the
-// equality predicates cover the relation's key, Run answers through the
-// key index instead of scanning (see BenchmarkKeyLookupVsScan).
-func (q *Query) WhereEq(attr string, v Value) *Query {
-	if q.eq == nil {
-		q.eq = make(map[string]Value)
-	}
-	q.eq[attr] = v
-	idx := q.rel.Schema().Index(attr)
-	return q.Where(func(t Tuple) (bool, error) {
-		if idx < 0 {
-			return false, fmt.Errorf("tdb: no attribute %q in %s", attr, q.rel.Name())
-		}
-		c, err := valueCompare(t[idx], v)
-		return err == nil && c == 0, err
-	})
-}
-
-// key returns the entity key the WhereEq predicates pin down, or nil when
-// they leave some key attribute open.
-func (q *Query) key() Tuple {
-	sch := q.rel.Schema()
-	if !sch.HasExplicitKey() || len(q.eq) == 0 {
-		return nil
-	}
-	keyIdx := sch.KeyIndices()
-	keyVals := make([]Value, 0, len(keyIdx))
-	for _, ki := range keyIdx {
-		v, ok := q.eq[sch.Attr(ki).Name]
-		if !ok {
-			return nil
-		}
-		keyVals = append(keyVals, v)
-	}
-	return NewTuple(keyVals...)
-}
-
 // Run executes the query and materializes the result: one Scan for the
 // versions, then the predicates and the ordering on the private copy.
 func (q *Query) Run() (*Result, error) {
@@ -97,7 +59,7 @@ func (q *Query) Run() (*Result, error) {
 	if kind := q.rel.Kind(); len(q.when) > 0 && !kind.SupportsHistorical() {
 		return nil, fmt.Errorf("%w: %s is %s", ErrNoValidTime, q.rel.Name(), kind)
 	}
-	spec := ScanSpec{AsOf: q.asOf, Key: q.key()}
+	spec := ScanSpec{AsOf: q.asOf}
 	if len(q.when) > 0 {
 		spec.When = &q.when[0]
 	}
@@ -149,15 +111,6 @@ type Result struct {
 
 // Len returns the number of rows.
 func (r *Result) Len() int { return len(r.rows) }
-
-// Schema returns the result schema.
-func (r *Result) Schema() *Schema { return r.schema }
-
-// Row returns the i-th row's data and valid period.
-func (r *Result) Row(i int) (Tuple, temporal.Interval) {
-	row := r.rows[i]
-	return row.Data, row.Valid
-}
 
 // Tuples returns the data of every row.
 func (r *Result) Tuples() []Tuple {

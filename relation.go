@@ -137,21 +137,12 @@ func (r *Relation) History(key Tuple) ([]Version, error) {
 
 // Versions returns every stored version of the relation, including (for
 // rollback and temporal kinds) superseded ones — the raw contents shown in
-// the paper's figures. With ScanSpec.Key, the same scan is one entity's
-// audit trail: who believed what about it, and when each belief was adopted
-// and abandoned.
+// the paper's figures. One entity's audit trail — who believed what about
+// it, and when each belief was adopted and abandoned — is the same scan
+// with a key: Scan(ScanSpec{AllVersions: true, Key: key}).
 func (r *Relation) Versions() []Version {
 	vs, _ := r.Scan(ScanSpec{AllVersions: true}) // fails only once the database is closed
 	return vs
-}
-
-// VersionCount returns the total number of stored versions.
-func (r *Relation) VersionCount() (total int) {
-	_ = r.db.View(func(*ReadTx) error { // a closed database counts as empty
-		total = r.rel.Store().VersionCount()
-		return nil
-	})
-	return total
 }
 
 // VisibleVersionsFiltered returns the versions a query sees — the current
@@ -198,17 +189,6 @@ func (r *Relation) CmpFilter(attr string, op segment.Op, v Value) (*segment.Filt
 	return segment.NewCmpFilter(sch, idx, op, v)
 }
 
-// CountAt returns the number of tuples valid at instant t according to
-// current belief — the primitive behind trend analysis ("how did the number
-// of faculty change over the last 5 years?").
-func (r *Relation) CountAt(t temporal.Chronon) (int, error) {
-	pts, err := r.counts([]temporal.Interval{temporal.At(t)})
-	if err != nil {
-		return 0, err
-	}
-	return pts[0].Count, nil
-}
-
 // SeriesPoint is one bucket of a trend series.
 type SeriesPoint struct {
 	// Bucket is the calendar granule.
@@ -227,17 +207,12 @@ func (r *Relation) Series(from, to temporal.Chronon, g temporal.Granularity) ([]
 	if err != nil {
 		return nil, err
 	}
-	return r.counts(iv.Buckets(g))
-}
-
-// counts returns, for each bucket, the tuples valid at its first chronon,
-// all counted inside one View.
-func (r *Relation) counts(buckets []temporal.Interval) ([]SeriesPoint, error) {
 	if !r.Kind().SupportsHistorical() {
 		return nil, fmt.Errorf("%w: %s is %s", ErrNoValidTime, r.Name(), r.Kind())
 	}
+	buckets := iv.Buckets(g)
 	out := make([]SeriesPoint, 0, len(buckets))
-	err := r.db.View(func(rt *ReadTx) error {
+	err = r.db.View(func(rt *ReadTx) error {
 		for _, b := range buckets {
 			at := temporal.At(b.From)
 			vs, err := rt.Scan(r, ScanSpec{When: &at})

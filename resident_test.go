@@ -79,7 +79,7 @@ func TestResidentBytesPerVersion(t *testing.T) {
 func residentBytes(t *testing.T, kind Kind, keys, rounds int) float64 {
 	const call = 8192
 	db := memDB(t)
-	sch, err := MustSchema(Attr("id", StringKind), Attr("shard", StringKind), Attr("v", IntKind)).WithKey("id")
+	sch, err := mustSchema(t, Attr("id", StringKind), Attr("shard", StringKind), Attr("v", IntKind)).WithKey("id")
 	if err != nil {
 		t.Fatal(err)
 	}

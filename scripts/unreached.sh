@@ -1,15 +1,17 @@
 #!/usr/bin/env bash
-# unreached.sh — list the functions no binary links.
+# unreached.sh — fail on functions no binary links, unless kept on purpose.
 #
 # Builds every `package main` in the module (cmd/*, examples/*, bench) with
 # inlining off (-gcflags=all=-l), so that every function a binary calls keeps
-# its own symbol, and reads the linked text symbols with `go tool nm`. It then
-# prints, as `file:line symbol`, each function or method declared in a
-# non-test file of a non-main package that none of those binaries links, and
-# the count on the last line. Unit tests may still call what it lists, and
-# some of it is public API kept on purpose; the list is a report to read, not
-# a gate. Run from anywhere in the module: `scripts/unreached.sh` or
-# `make unreached`.
+# its own symbol, and reads the linked text symbols with `go tool nm`. Each
+# function or method declared in a non-test file of a non-main package that
+# none of those binaries links is unreached. scripts/unreached.allow lists
+# the unreached functions kept on purpose, one symbol per line followed by
+# its reason. The script prints, as `file:line symbol`, each unreached
+# function the allow file does not list, and each allow line that has no
+# reason or whose function is now linked or no longer declared; it exits 1
+# if it printed any. Run from anywhere in the module: `scripts/unreached.sh`
+# or `make unreached`.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -58,5 +60,25 @@ $GO list -f '{{if ne .Name "main"}}{{$p := .ImportPath}}{{$d := .Dir}}{{range .G
 	done >"$work/declared"
 
 awk 'NR == FNR { linked[$0] = 1; next } !($2 in linked)' "$work/linked" "$work/declared" >"$work/unreached"
-cat "$work/unreached"
-echo "unreached: $(wc -l <"$work/unreached") functions"
+
+# The allow file against both lists: "allow:line symbol: problem" for a bad
+# line, then "file:line symbol" for an unreached function it does not list.
+awk -v allow=scripts/unreached.allow '
+	FILENAME == ARGV[1] { linked[$0] = 1; next }
+	FILENAME == ARGV[2] { declared[$2] = 1; next }
+	FILENAME == ARGV[3] {
+		if ($0 ~ /^[ \t]*(#|$)/) next
+		n++
+		if (NF < 2) { print allow ":" FNR " " $1 ": no reason"; bad++ }
+		else if (!($1 in declared)) { print allow ":" FNR " " $1 ": no longer declared"; bad++ }
+		else if ($1 in linked) { print allow ":" FNR " " $1 ": now linked"; bad++ }
+		allowed[$1] = 1
+		next
+	}
+	{ total++ }
+	!($2 in allowed) { print; bad++; unlisted++ }
+	END {
+		printf "unreached: %d functions, %d not in %s; %d allow lines, %d stale or without a reason\n",
+			total, unlisted, allow, n, bad - unlisted
+		exit bad > 0
+	}' "$work/linked" "$work/declared" scripts/unreached.allow "$work/unreached"

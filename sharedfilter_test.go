@@ -23,7 +23,7 @@ func TestSharedFilterConcurrentScans(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	sch, err := MustSchema(Attr("id", StringKind), Attr("s", StringKind)).WithKey("id")
+	sch, err := mustSchema(t, Attr("id", StringKind), Attr("s", StringKind)).WithKey("id")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,17 +110,3 @@ func (db *DB) TemporalStats() map[string]stats.Summary {
 	})
 	return out
 }
-
-// EncodedStats returns the canonical statistics encoding for one relation,
-// or ok=false when none exist. Byte-identity across a primary, its
-// recovery, and its followers is a tested invariant.
-func (db *DB) EncodedStats(name string) (enc []byte, ok bool) {
-	_ = db.View(func(*ReadTx) error { // ErrClosed reads as "none exist"
-		var e *stats.Rel
-		if e, ok = db.stats[name]; ok {
-			enc = stats.EncodeRel(e)
-		}
-		return nil
-	})
-	return enc, ok
-}

@@ -67,19 +67,3 @@ var Figure13 = []SystemSupport{
 	{"[Tandem 1983]", "ENFORM", false, false, true},
 	{"[Wiederhold et al. 1975]", "TODS", false, true, false},
 }
-
-// Classify returns the taxonomy cell a system occupies given the times it
-// supports (user-defined time does not affect the cell: it is ordinary
-// data).
-func Classify(transaction, valid bool) (kind string) {
-	switch {
-	case transaction && valid:
-		return "temporal"
-	case transaction:
-		return "static rollback"
-	case valid:
-		return "historical"
-	default:
-		return "static"
-	}
-}

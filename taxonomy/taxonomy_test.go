@@ -54,23 +54,6 @@ func TestTimeKindAttributesFigure12(t *testing.T) {
 	}
 }
 
-func TestClassify(t *testing.T) {
-	cases := []struct {
-		tr, va bool
-		want   string
-	}{
-		{false, false, "static"},
-		{true, false, "static rollback"},
-		{false, true, "historical"},
-		{true, true, "temporal"},
-	}
-	for _, c := range cases {
-		if got := Classify(c.tr, c.va); got != c.want {
-			t.Errorf("Classify(%v, %v) = %q, want %q", c.tr, c.va, got, c.want)
-		}
-	}
-}
-
 func TestFigure13Contents(t *testing.T) {
 	if len(Figure13) != 17 {
 		t.Fatalf("Figure 13 has %d systems, paper lists 17", len(Figure13))
@@ -90,7 +73,7 @@ func TestFigure13Contents(t *testing.T) {
 	}
 	// TRM is the only (bitemporal) temporal database besides TQuel.
 	for _, s := range Figure13 {
-		if Classify(s.Transaction, s.Valid) == "temporal" &&
+		if s.Transaction && s.Valid &&
 			s.System != "TRM" && s.System != "TQuel" {
 			t.Errorf("unexpected temporal system %q", s.System)
 		}

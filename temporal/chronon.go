@@ -57,25 +57,6 @@ func (c Chronon) Time() time.Time {
 // IsFinite reports whether c is an ordinary instant rather than ±∞.
 func (c Chronon) IsFinite() bool { return c != Beginning && c != Forever }
 
-// Before reports whether c is strictly earlier than o.
-func (c Chronon) Before(o Chronon) bool { return c < o }
-
-// After reports whether c is strictly later than o.
-func (c Chronon) After(o Chronon) bool { return c > o }
-
-// Compare returns -1, 0 or +1 as c is earlier than, equal to, or later
-// than o.
-func (c Chronon) Compare(o Chronon) int {
-	switch {
-	case c < o:
-		return -1
-	case c > o:
-		return 1
-	default:
-		return 0
-	}
-}
-
 // Add returns the chronon d seconds later, saturating at the sentinels: the
 // infinities absorb any displacement, and finite chronons clamp rather than
 // wrap on overflow.
@@ -151,20 +132,4 @@ func append2(b []byte, n int) []byte {
 		b = append(b, '0')
 	}
 	return strconv.AppendInt(b, int64(n), 10)
-}
-
-// ISO renders the chronon as an ISO-8601 date or timestamp, with "infinity"
-// and "-infinity" for the sentinels (the spellings PostgreSQL uses).
-func (c Chronon) ISO() string {
-	switch c {
-	case Forever:
-		return "infinity"
-	case Beginning:
-		return "-infinity"
-	}
-	t := c.Time()
-	if t.Hour() == 0 && t.Minute() == 0 && t.Second() == 0 {
-		return t.Format("2006-01-02")
-	}
-	return t.Format(time.RFC3339)
 }

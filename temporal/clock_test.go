@@ -68,7 +68,7 @@ func TestSystemClockSane(t *testing.T) {
 	}
 	// Sometime after 2020 and before 2100: catches unit mistakes.
 	if now < Date(2020, 1, 1) || now > Date(2100, 1, 1) {
-		t.Errorf("system chronon out of plausible range: %v", now.ISO())
+		t.Errorf("system chronon out of plausible range: %v", now)
 	}
 }
 

@@ -1,9 +1,6 @@
 package temporal
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // Granularity is a calendar unit for snapping and stepping chronons. The
 // paper models time at a single granularity (its figures use days); real
@@ -29,19 +26,6 @@ const (
 	// Year truncates to January 1st.
 	Year
 )
-
-var granularityNames = [...]string{
-	Second: "second", Minute: "minute", Hour: "hour", Day: "day",
-	Week: "week", Month: "month", Quarter: "quarter", Year: "year",
-}
-
-// String names the granularity.
-func (g Granularity) String() string {
-	if int(g) < len(granularityNames) {
-		return granularityNames[g]
-	}
-	return fmt.Sprintf("granularity(%d)", uint8(g))
-}
 
 // Truncate snaps the chronon down to the start of its enclosing granule.
 // The sentinels truncate to themselves.

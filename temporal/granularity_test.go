@@ -19,7 +19,7 @@ func TestTruncate(t *testing.T) {
 	}
 	for g, want := range cases {
 		if got := c.Truncate(g); got != want {
-			t.Errorf("Truncate(%v) = %v, want %v", g, got.ISO(), want.ISO())
+			t.Errorf("Truncate(%v) = %v, want %v", g, got.Time(), want.Time())
 		}
 	}
 	if Forever.Truncate(Month) != Forever || Beginning.Truncate(Year) != Beginning {
@@ -30,31 +30,31 @@ func TestTruncate(t *testing.T) {
 func TestTruncateWeekOnSundayAndMonday(t *testing.T) {
 	sunday := Date(1983, 8, 21)
 	if got := sunday.Truncate(Week); got != Date(1983, 8, 15) {
-		t.Errorf("Sunday truncates to %v", got.ISO())
+		t.Errorf("Sunday truncates to %v", got.Time())
 	}
 	monday := Date(1983, 8, 15)
 	if got := monday.Truncate(Week); got != monday {
-		t.Errorf("Monday truncates to %v", got.ISO())
+		t.Errorf("Monday truncates to %v", got.Time())
 	}
 }
 
 func TestStep(t *testing.T) {
 	c := Date(1983, 1, 31)
 	if got := c.Step(Day, 1); got != Date(1983, 2, 1) {
-		t.Errorf("day step = %v", got.ISO())
+		t.Errorf("day step = %v", got.Time())
 	}
 	if got := c.Step(Year, 2); got != Date(1985, 1, 31) {
-		t.Errorf("year step = %v", got.ISO())
+		t.Errorf("year step = %v", got.Time())
 	}
 	if got := Date(1983, 3, 1).Step(Month, -1); got != Date(1983, 2, 1) {
-		t.Errorf("negative month step = %v", got.ISO())
+		t.Errorf("negative month step = %v", got.Time())
 	}
 	if got := c.Step(Quarter, 1); got != Date(1983, 5, 1) {
 		// Jan 31 + 3 months = May 1 (Go's AddDate normalizes April 31).
-		t.Errorf("quarter step from month-end = %v", got.ISO())
+		t.Errorf("quarter step from month-end = %v", got.Time())
 	}
 	if got := c.Step(Hour, 2); got != c.Add(7200) {
-		t.Errorf("hour step = %v", got.ISO())
+		t.Errorf("hour step = %v", got.Time())
 	}
 	if Forever.Step(Month, 5) != Forever {
 		t.Error("sentinel must be a fixed point")
@@ -106,12 +106,6 @@ func TestBucketsYears(t *testing.T) {
 	}
 }
 
-func TestGranularityString(t *testing.T) {
-	if Quarter.String() != "quarter" || Granularity(99).String() == "" {
-		t.Error("granularity names")
-	}
-}
-
 // Granularity invariants under random inputs: truncation is idempotent and
 // never moves forward; a positive step always moves forward; buckets tile.
 func TestGranularityProperties(t *testing.T) {
@@ -122,17 +116,17 @@ func TestGranularityProperties(t *testing.T) {
 		g := gs[r.Intn(len(gs))]
 		tr := c.Truncate(g)
 		if tr > c {
-			t.Fatalf("Truncate(%v, %v) moved forward to %v", c.ISO(), g, tr.ISO())
+			t.Fatalf("Truncate(%v, %v) moved forward to %v", c.Time(), g, tr.Time())
 		}
 		if tr.Truncate(g) != tr {
 			t.Fatalf("Truncate(%v) not idempotent", g)
 		}
 		if next := tr.Step(g, 1); next <= tr {
-			t.Fatalf("Step(%v, 1) did not advance from %v", g, tr.ISO())
+			t.Fatalf("Step(%v, 1) did not advance from %v", g, tr.Time())
 		}
 		// c lies within [tr, tr.Step(g,1)) for calendar-aligned granules.
 		if end := tr.Step(g, 1); !(tr <= c && c < end) {
-			t.Fatalf("%v not within its %v granule [%v, %v)", c.ISO(), g, tr.ISO(), end.ISO())
+			t.Fatalf("%v not within its %v granule [%v, %v)", c.Time(), g, tr.Time(), end.Time())
 		}
 	}
 }

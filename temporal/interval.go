@@ -44,17 +44,6 @@ func (iv Interval) IsEmpty() bool { return iv.To <= iv.From }
 // IsValid reports whether the bounds are correctly ordered.
 func (iv Interval) IsValid() bool { return iv.From <= iv.To }
 
-// Contains reports whether c lies inside the interval.
-func (iv Interval) Contains(c Chronon) bool { return iv.From <= c && c < iv.To }
-
-// ContainsInterval reports whether o lies entirely within iv.
-func (iv Interval) ContainsInterval(o Interval) bool {
-	if o.IsEmpty() {
-		return iv.Contains(o.From) || o.From == iv.To // an empty instant on the boundary
-	}
-	return iv.From <= o.From && o.To <= iv.To
-}
-
 // Overlaps reports whether the two intervals share at least one chronon.
 // This is TQuel's "overlap" predicate on two interval operands. Empty
 // intervals contain no chronons and therefore never overlap anything.
@@ -65,9 +54,6 @@ func (iv Interval) Overlaps(o Interval) bool {
 // Precedes reports whether iv ends no later than o starts (shared endpoints
 // allowed, since intervals are half-open). This is TQuel's "precede".
 func (iv Interval) Precedes(o Interval) bool { return iv.To <= o.From }
-
-// Meets reports whether iv ends exactly where o starts.
-func (iv Interval) Meets(o Interval) bool { return iv.To == o.From }
 
 // Equal reports whether the two intervals have identical bounds.
 func (iv Interval) Equal(o Interval) bool { return iv == o }
@@ -139,15 +125,6 @@ func (iv Interval) Duration() (int64, bool) {
 	}
 	return int64(iv.To - iv.From), true
 }
-
-// Start returns the event at the beginning of the interval — TQuel's
-// "start of" operator.
-func (iv Interval) Start() Chronon { return iv.From }
-
-// End returns the event at the end of the interval — TQuel's "end of"
-// operator. For half-open intervals this is the first chronon after the
-// period.
-func (iv Interval) End() Chronon { return iv.To }
 
 // String renders the interval in the paper's two-column figure style.
 func (iv Interval) String() string {

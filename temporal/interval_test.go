@@ -20,24 +20,9 @@ func TestMakeInterval(t *testing.T) {
 	}
 }
 
-func TestContains(t *testing.T) {
-	x := iv(10, 20)
-	for c, want := range map[Chronon]bool{9: false, 10: true, 15: true, 19: true, 20: false} {
-		if got := x.Contains(c); got != want {
-			t.Errorf("Contains(%d) = %v, want %v", c, got, want)
-		}
-	}
-	if !Since(10).Contains(Forever - 1) {
-		t.Error("unbounded interval must contain arbitrarily late chronons")
-	}
-	if Since(10).Contains(Forever) {
-		t.Error("half-open interval must exclude its end even at ∞")
-	}
-}
-
 func TestAtIsSingleton(t *testing.T) {
 	e := At(42)
-	if !e.Contains(42) || e.Contains(41) || e.Contains(43) {
+	if !e.Overlaps(At(42)) || e.Overlaps(At(41)) || e.Overlaps(At(43)) {
 		t.Error("At must contain exactly its chronon")
 	}
 	if d, ok := e.Duration(); !ok || d != 1 {
@@ -48,15 +33,15 @@ func TestAtIsSingleton(t *testing.T) {
 func TestOverlapsPrecedesMeets(t *testing.T) {
 	a := iv(10, 20)
 	cases := []struct {
-		b                        Interval
-		overlaps, precedes, meet bool
+		b                  Interval
+		overlaps, precedes bool
 	}{
-		{iv(20, 30), false, true, true},  // meets
-		{iv(25, 30), false, true, false}, // gap
-		{iv(15, 25), true, false, false}, // overlap
-		{iv(0, 10), false, false, false}, // met by
-		{iv(10, 20), true, false, false}, // equal
-		{iv(12, 18), true, false, false}, // contains
+		{iv(20, 30), false, true}, // meets
+		{iv(25, 30), false, true}, // gap
+		{iv(15, 25), true, false}, // overlap
+		{iv(0, 10), false, false}, // met by
+		{iv(10, 20), true, false}, // equal
+		{iv(12, 18), true, false}, // contains
 	}
 	for _, c := range cases {
 		if got := a.Overlaps(c.b); got != c.overlaps {
@@ -64,9 +49,6 @@ func TestOverlapsPrecedesMeets(t *testing.T) {
 		}
 		if got := a.Precedes(c.b); got != c.precedes {
 			t.Errorf("Precedes(%v) = %v", c.b, got)
-		}
-		if got := a.Meets(c.b); got != c.meet {
-			t.Errorf("Meets(%v) = %v", c.b, got)
 		}
 	}
 }
@@ -145,7 +127,7 @@ func TestSubtractPartitionProperty(t *testing.T) {
 		for c := a.From; c < a.To; c++ {
 			n := 0
 			for _, p := range pieces {
-				if p.Contains(c) {
+				if p.Overlaps(At(c)) {
 					n++
 				}
 			}
@@ -156,7 +138,7 @@ func TestSubtractPartitionProperty(t *testing.T) {
 		// No piece may stick out of a.
 		for _, p := range pieces {
 			for c := p.From; c < p.To; c++ {
-				if !a.Contains(c) {
+				if !a.Overlaps(At(c)) {
 					t.Fatalf("a=%v b=%v: piece %v escapes minuend", a, b, p)
 				}
 			}
@@ -173,16 +155,6 @@ func TestDuration(t *testing.T) {
 	}
 	if _, ok := All.Duration(); ok {
 		t.Error("All must have no finite duration")
-	}
-}
-
-func TestContainsInterval(t *testing.T) {
-	a := iv(10, 30)
-	if !a.ContainsInterval(iv(10, 30)) || !a.ContainsInterval(iv(15, 20)) {
-		t.Error("ContainsInterval false negatives")
-	}
-	if a.ContainsInterval(iv(5, 15)) || a.ContainsInterval(iv(25, 35)) {
-		t.Error("ContainsInterval false positives")
 	}
 }
 

@@ -87,9 +87,6 @@ type TxRel struct {
 // Name returns the relation name.
 func (r *TxRel) Name() string { return r.rel.Name() }
 
-// Kind returns the relation kind.
-func (r *TxRel) Kind() Kind { return r.rel.Kind() }
-
 // apply is the one way a store is mutated: the public methods below, Load,
 // WAL replay and follower apply all arrive here with the op. It enlists the
 // store in the transaction and hands the op to the store's verb for it,

@@ -98,17 +98,3 @@ func Attr(name string, kind ValueKind) Attribute {
 func NewSchema(attrs ...Attribute) (*Schema, error) {
 	return schema.New(attrs...)
 }
-
-// MustSchema is NewSchema for trusted literals; it panics on error.
-func MustSchema(attrs ...Attribute) *Schema {
-	return schema.MustNew(attrs...)
-}
-
-// valueCompare orders two values of the same kind; see value.Compare.
-func valueCompare(a, b Value) (int, error) { return value.Compare(a, b) }
-
-// ValueEqual reports whether two values have the same kind and payload.
-func ValueEqual(a, b Value) bool { return value.Equal(a, b) }
-
-// TupleEqual reports whether two tuples agree value for value.
-func TupleEqual(a, b Tuple) bool { return tuple.Equal(a, b) }
