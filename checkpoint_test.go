@@ -198,12 +198,12 @@ func TestCheckpointCrashBeforeTruncate(t *testing.T) {
 
 	// Simulate the crash by writing the snapshot exactly as Checkpoint
 	// does (next epoch, covering the whole log), then *not* truncating.
-	snap := wal.Snapshot{LastCommit: db.mgr.Clock().Last(), Epoch: db.epoch + 1, Records: db.log.Records()}
-	for _, name := range db.cat.Names() {
-		rel, _ := db.cat.Get(name)
+	snap := wal.Snapshot{LastCommit: temporal.Chronon(db.last.Load()), Epoch: db.epoch + 1, Records: db.log.Records()}
+	for _, name := range db.names() {
+		rel := db.rels[name]
 		rs := wal.RelationSnapshot{Name: name, Kind: rel.Kind(), Event: rel.Event(), Schema: rel.Schema(),
-			Stats: stats.EncodeRel(db.stats[name])}
-		rel.Store().Versions(func(v Version) bool {
+			Stats: stats.EncodeRel(rel.stats)}
+		rel.store.Versions(func(v Version) bool {
 			rs.Versions = append(rs.Versions, v)
 			return true
 		})
@@ -244,12 +244,12 @@ func TestCheckpointCrashAfterTruncate(t *testing.T) {
 	before := stateDigest(t, db)
 	records := db.log.Records()
 
-	snap := wal.Snapshot{LastCommit: db.mgr.Clock().Last(), Epoch: db.epoch + 1, Records: records}
-	for _, name := range db.cat.Names() {
-		rel, _ := db.cat.Get(name)
+	snap := wal.Snapshot{LastCommit: temporal.Chronon(db.last.Load()), Epoch: db.epoch + 1, Records: records}
+	for _, name := range db.names() {
+		rel := db.rels[name]
 		rs := wal.RelationSnapshot{Name: name, Kind: rel.Kind(), Event: rel.Event(), Schema: rel.Schema(),
-			Stats: stats.EncodeRel(db.stats[name])}
-		rel.Store().Versions(func(v Version) bool {
+			Stats: stats.EncodeRel(rel.stats)}
+		rel.store.Versions(func(v Version) bool {
 			rs.Versions = append(rs.Versions, v)
 			return true
 		})
@@ -286,11 +286,11 @@ func TestCheckpointCrashAfterTruncate(t *testing.T) {
 // segCount returns the number of sealed segments behind a relation.
 func segCount(t *testing.T, db *DB, name string) int {
 	t.Helper()
-	rel, err := db.cat.Get(name)
-	if err != nil {
-		t.Fatal(err)
+	rel, ok := db.rels[name]
+	if !ok {
+		t.Fatalf("no relation %q", name)
 	}
-	return rel.Store().SegmentStats().Segments
+	return rel.store.SegmentStats().Segments
 }
 
 // buildSealedDB writes enough versions through tiny seal thresholds that

@@ -5,14 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"tdb/internal/catalog"
 	"tdb/internal/config"
 	"tdb/internal/qcache"
 	"tdb/internal/stats"
-	"tdb/internal/txn"
 	"tdb/internal/vfs"
 	"tdb/internal/wal"
 	"tdb/temporal"
@@ -74,8 +74,8 @@ func resolveCacheBytes(opt int64) int64 {
 // and durability machinery. All methods are safe for concurrent use.
 type DB struct {
 	mu           sync.RWMutex
-	cat          *catalog.Catalog
-	mgr          *txn.Manager
+	rels         map[string]*Relation // the catalog
+	tx           *Tx                  // the transaction land is running; nil between them
 	log          *wal.Log
 	gc           *wal.GroupCommitter // owns all appends to log; nil on followers and in-memory DBs
 	fs           vfs.FS
@@ -93,7 +93,10 @@ type DB struct {
 	recovery     RecoveryInfo
 	loadChunk    int // rows per Load transaction
 	qc           *qcache.Cache
-	stats        map[string]*stats.Rel // per-relation temporal statistics (see stats.go)
+	// last is the latest commit chronon issued or applied, Beginning before
+	// the first: written only by stamp, restore and ReplReset under
+	// mu.Lock, and atomic so that Now reads it without the lock.
+	last atomic.Int64
 	// seq is the commit sequence: it numbers every transaction land starts
 	// (DML, DDL, replay, follower apply) and every snapshot restore. It is
 	// never reset for the life of the DB, ReplReset included, so a
@@ -136,24 +139,30 @@ func Open(path string, opts Options) (*DB, error) {
 	if fs == nil {
 		fs = vfs.Default()
 	}
+	clock := opts.Clock
+	if clock == nil {
+		clock = temporal.SystemClock{}
+	}
 	db := &DB{
-		cat:          catalog.New(),
-		mgr:          txn.NewManager(txn.NewCommitClock(opts.Clock)),
+		rels:         make(map[string]*Relation),
 		fs:           fs,
 		path:         path,
 		snapPath:     path + ".snap",
 		prevSnapPath: path + ".snap.prev",
 		readOnly:     opts.ReadOnly,
-		clock:        opts.Clock,
+		clock:        clock,
 		replWatch:    make(chan struct{}),
 		loadChunk:    cmp.Or(max(opts.LoadChunkRows, 0), DefaultLoadChunkRows),
 		qc:           qcache.New(resolveCacheBytes(opts.CacheBytes)),
-		stats:        make(map[string]*stats.Rel),
 	}
+	db.last.Store(int64(temporal.Beginning))
 	if path == "" {
 		return db, nil
 	}
-	if err := db.recover(); err != nil {
+	db.mu.Lock()
+	err := db.recover()
+	db.mu.Unlock()
+	if err != nil {
 		mRecoveryFailed.Inc()
 		return nil, fmt.Errorf("tdb: recovery: %w", err)
 	}
@@ -359,7 +368,7 @@ func (db *DB) installSnapshot(snap wal.Snapshot) error {
 func (db *DB) restoreSnapshot(snap wal.Snapshot) error {
 	db.seq++
 	for _, rs := range snap.Relations {
-		rel, err := db.cat.Create(rs.Name, rs.Kind, rs.Event, rs.Schema, db.seq)
+		rel, err := db.createRel(rs.Name, rs.Kind, rs.Event, rs.Schema)
 		if err != nil {
 			return err
 		}
@@ -367,20 +376,21 @@ func (db *DB) restoreSnapshot(snap wal.Snapshot) error {
 			return fmt.Errorf("restoring %q: %v store cannot hold segments", rs.Name, rs.Kind)
 		}
 		for _, g := range rs.Segments {
-			if err := rel.Store().RestoreSegment(g); err != nil {
+			if err := rel.store.RestoreSegment(g); err != nil {
 				return fmt.Errorf("restoring %q: %w", rs.Name, err)
 			}
 		}
 		for _, v := range rs.Versions {
-			if err := rel.Store().RestoreVersion(v); err != nil {
+			if err := rel.store.RestoreVersion(v); err != nil {
 				return fmt.Errorf("restoring %q: %w", rs.Name, err)
 			}
 		}
-		if err := db.statsRestore(&rs); err != nil {
+		if err := statsRestore(rel, &rs); err != nil {
 			return err
 		}
 	}
-	return db.mgr.Clock().Observe(snap.LastCommit)
+	db.last.Store(int64(snap.LastCommit))
+	return nil
 }
 
 // Checkpoint writes a snapshot of the whole database and truncates the
@@ -418,15 +428,12 @@ func (db *DB) Checkpoint() error {
 		}
 	}
 	snap := wal.Snapshot{
-		LastCommit: db.mgr.Clock().Last(),
+		LastCommit: temporal.Chronon(db.last.Load()),
 		Epoch:      db.epoch + 1,
 		Records:    db.log.Records(),
 	}
-	for _, name := range db.cat.Names() {
-		rel, err := db.cat.Get(name)
-		if err != nil {
-			return wrapErr(err)
-		}
+	for _, name := range db.names() {
+		rel := db.rels[name]
 		rs := wal.RelationSnapshot{
 			Name:   name,
 			Kind:   rel.Kind(),
@@ -437,7 +444,7 @@ func (db *DB) Checkpoint() error {
 			rs.Versions = append(rs.Versions, v)
 			return true
 		}
-		if st := rel.Store(); rel.Kind().SupportsRollback() {
+		if st := rel.store; rel.Kind().SupportsRollback() {
 			// Sealed segments ship as columnar blocks; only the unsealed
 			// tail is written row-wise. A kind that keeps no past writes
 			// its current versions row by row, so no dropped row reaches
@@ -449,7 +456,7 @@ func (db *DB) Checkpoint() error {
 		} else {
 			st.Versions(collect)
 		}
-		rs.Stats = stats.EncodeRel(db.statsEntry(name))
+		rs.Stats = stats.EncodeRel(rel.stats)
 		snap.Relations = append(snap.Relations, rs)
 	}
 	if err := db.installSnapshot(snap); err != nil {
@@ -540,7 +547,7 @@ func (db *DB) DropRelation(name string) error {
 // relations.
 func (db *DB) ddl(op wal.Op) error {
 	db.mu.Lock()
-	last := db.mgr.Clock().Last()
+	last := temporal.Chronon(db.last.Load())
 	p, err := db.land(fmt.Sprintf("%s %q", op.Code, op.Rel), &last, func(tx *Tx) error { return tx.ddl(op) })
 	db.mu.Unlock()
 	return logged(p, err)
@@ -555,14 +562,29 @@ func (db *DB) Relation(name string) (rel *Relation, err error) {
 	return rel, err
 }
 
-// Now returns the chronon the database's clock would assign next; useful
-// as the "current instant" for snapshot queries.
-func (db *DB) Now() temporal.Chronon {
-	last := db.mgr.Clock().Last()
-	if last == temporal.Beginning {
-		return 0
+// Now returns the latest commit chronon issued or applied, or 0 before the
+// first commit: the database's "current instant" for snapshot queries. It
+// takes no lock, so it may be called inside a View or Update callback.
+func (db *DB) Now() temporal.Chronon { return db.lastCommit() }
+
+// lastCommit is the reader behind Now, LastCommit, Stats and ReplPosition:
+// the last commit chronon, with 0 standing in for the -∞ of a database
+// that has committed nothing, so arithmetic on a reported value stays sane.
+func (db *DB) lastCommit() temporal.Chronon {
+	if last := temporal.Chronon(db.last.Load()); last != temporal.Beginning {
+		return last
 	}
-	return last
+	return 0
+}
+
+// names returns the relation names, sorted. Callers hold db.mu.
+func (db *DB) names() []string {
+	out := make([]string, 0, len(db.rels))
+	for name := range db.rels {
+		out = append(out, name)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // Stats summarizes the database for monitoring and tests.
@@ -577,7 +599,8 @@ type Stats struct {
 	// WALRecords is the number of transaction records in the current log
 	// file (0 for in-memory databases and right after a checkpoint).
 	WALRecords int
-	// LastCommit is the latest commit chronon issued.
+	// LastCommit is the latest commit chronon issued or applied; 0 before
+	// the first commit.
 	LastCommit temporal.Chronon
 	// Epoch is the checkpoint era of the current log file.
 	Epoch uint64
@@ -602,8 +625,8 @@ func (db *DB) Stats() Stats {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	s := Stats{
-		Relations:  db.cat.Len(),
-		LastCommit: db.mgr.Clock().Last(),
+		Relations:  len(db.rels),
+		LastCommit: db.lastCommit(),
 		Epoch:      db.epoch,
 		Recovery:   db.recovery,
 		ReadOnly:   db.readOnly,
@@ -611,16 +634,12 @@ func (db *DB) Stats() Stats {
 	if db.log != nil {
 		s.WALRecords = db.log.Records()
 	}
-	for _, name := range db.cat.Names() {
-		rel, err := db.cat.Get(name)
-		if err != nil {
-			continue
-		}
+	for _, rel := range db.rels {
 		// Counts the store already keeps — log length and the
 		// current-version key index — so no tuple is visited (or, on sealed
 		// segments, materialized). A kind without a past stores present
 		// belief only, so every version it counts is current.
-		st := rel.Store()
+		st := rel.store
 		s.Versions += st.VersionCount()
 		s.CurrentVersions += st.CurrentCount()
 		seg := st.SegmentStats()
@@ -661,16 +680,18 @@ func (db *DB) commit(what string, at *temporal.Chronon, body func(tx *Tx) error)
 // land is the one way a record joins the database. Update, Load's chunks,
 // CreateRelation and DropRelation end here, and so does every record read
 // back from the log (applyRecord) — which is what keeps a primary, its
-// recovery and its followers in the same state. Callers hold db.mu.Lock
-// (recovery runs before the database is shared).
+// recovery and its followers in the same state. Callers hold db.mu.Lock,
+// the one lock a commit takes.
 //
-// body runs as one manager transaction, stamped with *at or, when at is
-// nil, the next commit chronon; whatever it applied commits or aborts
-// together. On commit the transaction's ops are folded into the statistics
-// and, as one record, enqueued on the group committer: queue order is flush
-// order, so enqueueing under the lock keeps the log in commit order. The
-// fsync is waited for after the lock is released (logged), which is what
-// lets concurrent committers share the leader's next flush instead of
+// body runs as one transaction, stamped with *at or, when at is nil, the
+// next commit chronon (stamp). The stores it mutates are enlisted as it
+// first touches each (TxRel.apply) and commit together once it returns nil;
+// an error or a panic aborts every one of them, and the panic goes on. On
+// commit the transaction's ops are folded into the statistics and, as one
+// record, enqueued on the group committer: queue order is flush order, so
+// enqueueing under the lock keeps the log in commit order. The fsync is
+// waited for after the lock is released (logged), which is what lets
+// concurrent committers share the leader's next flush instead of
 // serializing one fsync each, and keeps readers from stalling behind one.
 // There is no committer — and so no enqueue — on followers, in-memory
 // databases and during recovery: a record being replayed is already in the
@@ -686,25 +707,59 @@ func (db *DB) land(what string, at *temporal.Chronon, body func(tx *Tx) error) (
 		return nil, err
 	}
 	db.seq++
-	var tx *Tx
-	wrap := func(itx *txn.Tx) error {
-		tx = db.newTx(itx)
-		return body(tx)
-	}
-	var err error
-	if at != nil {
-		err = db.mgr.UpdateAt(*at, wrap)
-	} else {
-		err = db.mgr.Update(wrap)
-	}
-	if err != nil || len(tx.ops) == 0 {
+	commit, err := db.stamp(at)
+	if err != nil {
 		return nil, err
 	}
-	db.statsApply(tx.At(), tx.ops)
+	tx := &Tx{ReadTx: ReadTx{db: db}, at: commit}
+	db.tx = tx
+	committed := false
+	defer func() {
+		db.tx = nil
+		if !committed {
+			for _, st := range tx.enlisted {
+				st.AbortTxn()
+			}
+		}
+	}()
+	if err := body(tx); err != nil {
+		return nil, err
+	}
+	committed = true
+	for _, st := range tx.enlisted {
+		st.CommitTxn()
+	}
+	if len(tx.ops) == 0 {
+		return nil, nil
+	}
+	db.statsApply(commit, tx.ops)
 	if db.gc == nil {
 		return nil, nil
 	}
-	return db.gc.Enqueue(wal.Record{Commit: tx.At(), Ops: tx.ops}), nil
+	return db.gc.Enqueue(wal.Record{Commit: commit, Ops: tx.ops}), nil
+}
+
+// stamp issues the commit chronon of the transaction land is starting: *at
+// when the caller dates it (UpdateAt, DDL, replay), which may repeat but
+// not precede the last one, and otherwise the clock's reading, bumped past
+// the last one when the clock has not advanced. Transaction time stops
+// short of Forever: a commit that would need it is refused, not stamped ∞.
+// A refused commit leaves the last chronon as it was.
+func (db *DB) stamp(at *temporal.Chronon) (temporal.Chronon, error) {
+	last := temporal.Chronon(db.last.Load())
+	var c temporal.Chronon
+	if at != nil {
+		if c = *at; c < last {
+			return 0, fmt.Errorf("%w: %v < %v", ErrStaleTimestamp, c, last)
+		}
+	} else {
+		c = max(db.clock.Now(), last.Next())
+	}
+	if c == temporal.Forever {
+		return 0, fmt.Errorf("%w: transaction time stops short of ∞", ErrStaleTimestamp)
+	}
+	db.last.Store(int64(c))
+	return c, nil
 }
 
 // logged waits, with no lock held, for a landed record's flush. A record

@@ -2,15 +2,14 @@ package tdb
 
 import (
 	"errors"
-	"fmt"
 
-	"tdb/internal/catalog"
 	"tdb/internal/core"
 )
 
 // The exported error sentinels. Every error returned by the tdb facade
 // matches exactly one of these under errors.Is; internal-package errors are
-// wrapped, never returned bare, so callers program against this list alone.
+// wrapped or re-exported here, never returned bare, so callers program
+// against this list alone.
 var (
 	// ErrClosed reports use of a closed database.
 	ErrClosed = errors.New("tdb: database closed")
@@ -29,7 +28,7 @@ var (
 	ErrBusy = errors.New("tdb: server busy")
 	// ErrKindMismatch reports using a relation through operations its kind
 	// does not support — the taxonomy's boundaries, enforced.
-	ErrKindMismatch = catalog.ErrKindMismatch
+	ErrKindMismatch = core.ErrKindMismatch
 	// ErrDuplicateKey re-exports the store-level duplicate key error.
 	ErrDuplicateKey = core.ErrDuplicateKey
 	// ErrNoSuchTuple re-exports the store-level missing tuple error.
@@ -48,23 +47,14 @@ var (
 	// replication follower (Options.ReadOnly). Followers advance only by
 	// applying their primary's stream; route writes to the primary.
 	ErrReadOnly = errors.New("tdb: database is read-only (replication follower)")
+	// ErrStaleTimestamp reports a commit chronon transaction time cannot
+	// take, which refuses the transaction before it runs: an UpdateAt
+	// chronon earlier than the last commit's, or any commit that would need
+	// a chronon past the last finite one (transaction time only moves
+	// forward, and never reaches Forever).
+	ErrStaleTimestamp = errors.New("tdb: commit chronon does not follow the last commit")
 	// ErrFailStopped reports a database that refuses all work because a
 	// write-ahead log flush failed: memory may hold commits the log lacks.
 	// Reopening recovers the logged prefix.
 	ErrFailStopped = errors.New("tdb: fail-stopped after a failed log flush")
 )
-
-// wrapErr lifts internal-package errors onto the exported sentinels while
-// keeping the original chain intact: errors.Is matches the tdb sentinel and
-// the internal cause both.
-func wrapErr(err error) error {
-	switch {
-	case err == nil:
-		return nil
-	case errors.Is(err, catalog.ErrNotFound):
-		return fmt.Errorf("%w: %w", ErrRelationNotFound, err)
-	case errors.Is(err, catalog.ErrExists):
-		return fmt.Errorf("%w: %w", ErrRelationExists, err)
-	}
-	return err
-}

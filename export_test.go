@@ -8,13 +8,13 @@ import "tdb/internal/stats"
 func (db *DB) Relations() []string {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.cat.Names()
+	return db.names()
 }
 
 // VersionCount returns the total number of stored versions.
 func (r *Relation) VersionCount() (total int) {
 	_ = r.db.View(func(*ReadTx) error { // a closed database counts as empty
-		total = r.rel.Store().VersionCount()
+		total = r.store.VersionCount()
 		return nil
 	})
 	return total
@@ -25,9 +25,9 @@ func (r *Relation) VersionCount() (total int) {
 // recovery, and its followers is a tested invariant.
 func (db *DB) EncodedStats(name string) (enc []byte, ok bool) {
 	_ = db.View(func(*ReadTx) error { // ErrClosed reads as "none exist"
-		var e *stats.Rel
-		if e, ok = db.stats[name]; ok {
-			enc = stats.EncodeRel(e)
+		var rel *Relation
+		if rel, ok = db.rels[name]; ok {
+			enc = stats.EncodeRel(rel.stats)
 		}
 		return nil
 	})

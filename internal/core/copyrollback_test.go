@@ -77,7 +77,7 @@ func (s *CopyRollbackStore) Apply(at temporal.Chronon, transform func([]tuple.Tu
 	return nil
 }
 
-// BeginTxn starts collecting undo information (see Transactional).
+// BeginTxn starts collecting undo information.
 func (s *CopyRollbackStore) BeginTxn() { s.j.begin() }
 
 // CommitTxn finalizes mutations since BeginTxn.

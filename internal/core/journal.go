@@ -17,7 +17,7 @@ type journal struct {
 }
 
 // begin starts collecting inverses. Nested transactions are not supported;
-// the transaction manager serializes writers.
+// the database serializes writers.
 func (j *journal) begin() {
 	if j.active {
 		panic("core: nested transaction on store")
@@ -54,16 +54,4 @@ func (j *journal) record(fn func()) {
 	if j.active {
 		j.undo = append(j.undo, fn)
 	}
-}
-
-// Transactional is implemented by every store: the transaction manager
-// brackets multi-store updates with these calls so that a failing update
-// leaves no partial effects anywhere.
-type Transactional interface {
-	// BeginTxn starts collecting undo information.
-	BeginTxn()
-	// CommitTxn makes all mutations since BeginTxn final.
-	CommitTxn()
-	// AbortTxn reverts all mutations since BeginTxn.
-	AbortTxn()
 }

@@ -77,7 +77,9 @@ func randomOp(r *rand.Rand, s txnStore, clock *temporal.TickingClock, i int) {
 // the copy baseline alike.
 type txnStore interface {
 	Versions(fn func(Version) bool)
-	Transactional
+	BeginTxn()
+	CommitTxn()
+	AbortTxn()
 }
 
 // TestAbortRestoresState: for every store kind, a random prefix of

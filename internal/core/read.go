@@ -73,9 +73,8 @@ func (sp *ScanSpec) trans() (w temporal.Interval, all bool) {
 	if sp.AllVersions {
 		return w, true
 	}
-	// The last instant is spelled out: At saturates there into an empty window.
-	w = temporal.Since(temporal.Forever - 1)
-	if sp.AsOf != nil && *sp.AsOf != temporal.Forever-1 {
+	w = temporal.At(temporal.Forever - 1)
+	if sp.AsOf != nil {
 		w = temporal.At(*sp.AsOf)
 	}
 	if sp.Through != nil {

@@ -63,7 +63,7 @@ const settleSlack = 64
 // New creates an empty relation of kind k with schema sch. An event relation
 // stores a single valid-time instant per tuple rather than a period (the
 // paper's 'promotion' relation, Figure 9); only a kind with valid time has
-// one, which the catalog checks.
+// one, which the database checks when it creates the relation.
 func New(k Kind, sch *schema.Schema, event bool) *Store {
 	log := segment.NewLog(sch)
 	return &Store{kind: k, past: k.SupportsRollback(), event: event, sch: sch,
@@ -87,7 +87,9 @@ func (s *Store) ScanTailVersions(fn func(Version) bool) {
 	s.log.ScanTail(func(_ int, r segment.Row) bool { return fn(s.version(r)) })
 }
 
-// BeginTxn starts collecting undo information (see Transactional).
+// BeginTxn starts collecting undo information: the owning database brackets
+// every transaction that mutates the store with BeginTxn and then CommitTxn
+// or AbortTxn, so a failing update leaves no partial effects anywhere.
 func (s *Store) BeginTxn() { s.j.begin() }
 
 // CommitTxn finalizes mutations since BeginTxn. With the journal emptied the

@@ -3,7 +3,7 @@ package tdb
 // Bulk load: the high-throughput ingest route. Relation.Load takes a slice
 // of rows and commits them in large chunks — one transaction, one commit
 // chronon, and one WAL record per chunk instead of per row — so the
-// per-transaction costs (manager cycle, record framing, group-commit
+// per-transaction costs (commit bracket, record framing, group-commit
 // hand-off, fsync) are amortized across thousands of rows. The default
 // chunk equals the segment seal threshold, so on append-only relations
 // every full chunk's commit seals straight into an immutable columnar
@@ -15,7 +15,6 @@ package tdb
 // its last chunk has been applied.
 
 import (
-	"tdb/internal/catalog"
 	"tdb/internal/segment"
 	"tdb/internal/wal"
 	"tdb/temporal"
@@ -63,9 +62,9 @@ func (r *Relation) Load(rows []LoadRow) (int, error) {
 				return err
 			}
 			tx.ops = make([]wal.Op, 0, len(part))
-			h.rel.Store().Reserve(len(part))
+			h.store.Reserve(len(part))
 			for i := range part {
-				op, err := loadOp(h.rel, &part[i])
+				op, err := loadOp(h, &part[i])
 				if err == nil {
 					err = h.apply(op)
 				}
@@ -96,11 +95,11 @@ func (r *Relation) Load(rows []LoadRow) (int, error) {
 // relation's shape decides: an insert where there is no valid time, an
 // event at row.From on event relations, otherwise a belief over
 // [row.From, row.To).
-func loadOp(rel *catalog.Relation, row *LoadRow) (wal.Op, error) {
-	if !rel.Kind().SupportsHistorical() {
+func loadOp(rel *TxRel, row *LoadRow) (wal.Op, error) {
+	if !rel.store.Kind().SupportsHistorical() {
 		return wal.Op{Code: wal.OpInsert, Tuple: row.Data}, nil
 	}
-	if rel.Event() {
+	if rel.store.Event() {
 		return wal.Op{Code: wal.OpAssertAt, Tuple: row.Data, At: row.From}, nil
 	}
 	valid, err := temporal.MakeInterval(row.From, row.To)

@@ -4,14 +4,25 @@ import (
 	"fmt"
 	"sort"
 
-	"tdb/internal/catalog"
+	"tdb/internal/core"
 	"tdb/internal/segment"
+	"tdb/internal/stats"
 	"tdb/temporal"
 )
 
-// Relation is a handle to a named relation. Mutation methods run each
-// operation in its own transaction; group operations with DB.Update when
-// several must commit atomically. Query methods are read-only and may run
+// Relation is a named relation of the database: its catalog entry and the
+// handle callers hold are one and the same. It couples the name with the
+// core.Store holding the versions (which carries the taxonomy kind and the
+// interval/event class), the relation's temporal statistics, and two
+// numbers from the database's commit sequence: the transaction that created
+// this incarnation of the relation and the latest one that applied a
+// mutation to it. Like the store, all of it is guarded by the database lock.
+//
+// Mutation methods run each operation in its own transaction, which
+// resolves the relation by name: a handle kept across DropRelation and a
+// re-create writes to the relation now bearing the name, never into the
+// dropped store. Group operations with DB.Update when several must commit
+// atomically. Query methods read the store the handle names and may run
 // concurrently with each other.
 //
 // Concurrency: every query method reads inside a DB.View of its own — the
@@ -27,21 +38,24 @@ import (
 // inside a View or Update callback — the lock is not reentrant; use the
 // callback's ReadTx or Tx there.
 type Relation struct {
-	db  *DB
-	rel *catalog.Relation
+	db               *DB
+	name             string
+	store            *core.Store
+	stats            *stats.Rel // see stats.go
+	created, changed uint64
 }
 
 // Name returns the relation name.
-func (r *Relation) Name() string { return r.rel.Name() }
+func (r *Relation) Name() string { return r.name }
 
 // Kind returns the relation's taxonomy kind.
-func (r *Relation) Kind() Kind { return r.rel.Kind() }
+func (r *Relation) Kind() Kind { return r.store.Kind() }
 
 // Event reports whether this is an event relation.
-func (r *Relation) Event() bool { return r.rel.Event() }
+func (r *Relation) Event() bool { return r.store.Event() }
 
 // Schema returns the relation schema.
-func (r *Relation) Schema() *Schema { return r.rel.Schema() }
+func (r *Relation) Schema() *Schema { return r.store.Schema() }
 
 // Seq returns the database commit-sequence numbers of the transaction that
 // created this incarnation of the relation and of the latest one that
@@ -50,7 +64,7 @@ func (r *Relation) Schema() *Schema { return r.rel.Schema() }
 // results by it. Like the versions it names, the pair is guarded by the
 // database lock: read it inside a View or Update callback, or with no
 // commit running.
-func (r *Relation) Seq() (created, changed uint64) { return r.rel.Seq() }
+func (r *Relation) Seq() (created, changed uint64) { return r.created, r.changed }
 
 // one runs a single mutation as a transaction of its own.
 func (r *Relation) one(mutate func(h *TxRel) error) error {
@@ -181,7 +195,7 @@ func (r *Relation) EqFilter(attr string, v Value) (*segment.Filter, bool) {
 // kinds whose columns preserve order (int, instant, float) — see
 // segment.NewCmpFilter.
 func (r *Relation) CmpFilter(attr string, op segment.Op, v Value) (*segment.Filter, bool) {
-	sch := r.rel.Schema()
+	sch := r.Schema()
 	idx := sch.Index(attr)
 	if idx < 0 {
 		return nil, false

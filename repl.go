@@ -18,10 +18,7 @@ import (
 	"io"
 	"os"
 
-	"tdb/internal/catalog"
 	"tdb/internal/repl"
-	"tdb/internal/stats"
-	"tdb/internal/txn"
 	"tdb/internal/wal"
 	"tdb/temporal"
 )
@@ -43,15 +40,7 @@ func (db *DB) IsReadOnly() bool { return db.readOnly }
 // enough to stamp into every server response for staleness-bound routing.
 // Before any commit it returns 0, not the -∞ sentinel, so arithmetic on
 // the wire value stays sane.
-func (db *DB) LastCommit() temporal.Chronon {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	last := db.mgr.Clock().Last()
-	if last == temporal.Beginning {
-		return 0
-	}
-	return last
-}
+func (db *DB) LastCommit() temporal.Chronon { return db.lastCommit() }
 
 // notifyRepl wakes every replication stream waiting for the log position
 // to advance. It takes only replMu — never db.mu — so the group-commit
@@ -86,11 +75,7 @@ func (db *DB) ReplPosition() (uint64, int64, temporal.Chronon, error) {
 	if db.log != nil {
 		size = db.log.Size()
 	}
-	last := db.mgr.Clock().Last()
-	if last == temporal.Beginning {
-		last = 0
-	}
-	return db.epoch, size, last, nil
+	return db.epoch, size, db.lastCommit(), nil
 }
 
 // ReplSnapshot returns the raw bytes of the installed snapshot and the
@@ -214,9 +199,8 @@ func (db *DB) ReplReset(epoch uint64, snap []byte) error {
 
 	// Wipe: fresh catalog and clock, empty log at the new era, and no
 	// stale snapshot files that a later recovery could mispair.
-	db.cat = catalog.New()
-	db.mgr = txn.NewManager(txn.NewCommitClock(db.clock))
-	db.stats = make(map[string]*stats.Rel)
+	db.rels = make(map[string]*Relation)
+	db.last.Store(int64(temporal.Beginning))
 	db.qc.Clear()
 	if err := db.log.Truncate(epoch); err != nil {
 		return err

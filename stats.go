@@ -18,32 +18,6 @@ import (
 // to be wrong in, so they track commits exactly). Checkpoints persist the
 // statistics of every relation and restore decodes them back.
 
-// statsEntry returns the relation's statistics, creating an empty record
-// on first touch. Callers hold db.mu (read or write as appropriate; lazy
-// creation only happens on write paths, which hold the write lock).
-func (db *DB) statsEntry(name string) *stats.Rel {
-	if e, ok := db.stats[name]; ok {
-		return e
-	}
-	rel, err := db.cat.Get(name)
-	if err != nil {
-		return nil
-	}
-	e := stats.NewRel(rel.Schema().Arity(), rel.Kind().SupportsHistorical(), rel.Kind().SupportsRollback())
-	db.stats[name] = e
-	return e
-}
-
-// statsCreate registers empty statistics for a newly created relation.
-// Caller holds db.mu.Lock.
-func (db *DB) statsCreate(name string, kind Kind, sch *Schema) {
-	db.stats[name] = stats.NewRel(sch.Arity(), kind.SupportsHistorical(), kind.SupportsRollback())
-}
-
-// statsDrop forgets a dropped relation's statistics. Caller holds
-// db.mu.Lock.
-func (db *DB) statsDrop(name string) { delete(db.stats, name) }
-
 // statsApply folds one committed record's ops into the per-relation
 // statistics. Its one caller is DB.land, so live commits, bulk-load
 // chunks, DDL, WAL replay and follower apply all feed it the same op
@@ -51,18 +25,14 @@ func (db *DB) statsDrop(name string) { delete(db.stats, name) }
 func (db *DB) statsApply(commit temporal.Chronon, ops []wal.Op) {
 	for i := range ops {
 		op := &ops[i]
-		switch op.Code {
-		case wal.OpCreate:
-			db.statsCreate(op.Rel, op.Kind, op.Schema)
-			continue
-		case wal.OpDrop:
-			db.statsDrop(op.Rel)
-			continue
-		}
-		e := db.statsEntry(op.Rel)
-		if e == nil {
+		// A created relation starts with empty statistics and a dropped one
+		// takes its own along: catalog ops, and ops on a relation the same
+		// record went on to drop, have nothing to fold.
+		rel := db.rels[op.Rel]
+		if op.Code == wal.OpCreate || op.Code == wal.OpDrop || rel == nil {
 			continue
 		}
+		e := rel.stats
 		switch op.Code {
 		case wal.OpInsert:
 			e.Insert(op.Tuple)
@@ -85,7 +55,7 @@ func (db *DB) statsApply(commit temporal.Chronon, ops []wal.Op) {
 
 // statsRestore installs a relation's statistics, decoded from the
 // snapshot's statistics section, while restoring a snapshot.
-func (db *DB) statsRestore(rs *wal.RelationSnapshot) error {
+func statsRestore(rel *Relation, rs *wal.RelationSnapshot) error {
 	e, n, err := stats.DecodeRel(rs.Stats)
 	if err != nil {
 		return fmt.Errorf("restoring %q statistics: %w", rs.Name, err)
@@ -93,7 +63,7 @@ func (db *DB) statsRestore(rs *wal.RelationSnapshot) error {
 	if n != len(rs.Stats) {
 		return fmt.Errorf("restoring %q statistics: %d trailing bytes", rs.Name, len(rs.Stats)-n)
 	}
-	db.stats[rs.Name] = e
+	rel.stats = e
 	return nil
 }
 
@@ -103,8 +73,8 @@ func (db *DB) statsRestore(rs *wal.RelationSnapshot) error {
 func (db *DB) TemporalStats() map[string]stats.Summary {
 	out := make(map[string]stats.Summary)
 	_ = db.View(func(*ReadTx) error { // ErrClosed: nothing left to summarize
-		for name, e := range db.stats {
-			out[name] = e.Summarize()
+		for name, rel := range db.rels {
+			out[name] = rel.stats.Summarize()
 		}
 		return nil
 	})

@@ -58,8 +58,8 @@ func (c Chronon) Time() time.Time {
 func (c Chronon) IsFinite() bool { return c != Beginning && c != Forever }
 
 // Add returns the chronon d seconds later, saturating at the sentinels: the
-// infinities absorb any displacement, and finite chronons clamp rather than
-// wrap on overflow.
+// infinities absorb any displacement, and a finite chronon whose sum leaves
+// the finite range becomes the infinity it ran into rather than wrapping.
 func (c Chronon) Add(d int64) Chronon {
 	if !c.IsFinite() {
 		return c
@@ -67,21 +67,16 @@ func (c Chronon) Add(d int64) Chronon {
 	s := int64(c) + d
 	switch {
 	case d > 0 && s < int64(c): // overflow
-		return Forever - 1
+		return Forever
 	case d < 0 && s > int64(c): // underflow
-		return Beginning + 1
+		return Beginning
 	}
-	r := Chronon(s)
-	if !r.IsFinite() { // landed exactly on a sentinel
-		if d > 0 {
-			return Forever - 1
-		}
-		return Beginning + 1
-	}
-	return r
+	return Chronon(s)
 }
 
-// Next returns the immediately following chronon (saturating at ±∞).
+// Next returns the immediately following chronon (saturating at ±∞): the
+// last finite chronon's successor is Forever, so At(Forever-1) is one
+// chronon long like every other At.
 func (c Chronon) Next() Chronon { return c.Add(1) }
 
 // Prev returns the immediately preceding chronon (saturating at ±∞).

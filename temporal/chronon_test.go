@@ -93,12 +93,12 @@ func TestAddSaturates(t *testing.T) {
 		t.Error("Beginning must absorb displacement")
 	}
 	big := Chronon(Forever - 1)
-	if got := big.Add(10); got != Forever-1 {
-		t.Errorf("overflow must clamp below Forever, got %d", got)
+	if got := big.Add(10); got != Forever {
+		t.Errorf("overflow must saturate at Forever, got %d", got)
 	}
 	small := Chronon(Beginning + 1)
-	if got := small.Add(-10); got != Beginning+1 {
-		t.Errorf("underflow must clamp above Beginning, got %d", got)
+	if got := small.Add(-10); got != Beginning {
+		t.Errorf("underflow must saturate at Beginning, got %d", got)
 	}
 }
 
@@ -109,6 +109,14 @@ func TestNextPrev(t *testing.T) {
 	}
 	if Forever.Next() != Forever {
 		t.Error("Forever.Next must saturate")
+	}
+	// The last finite chronons step onto the sentinels, so the instant just
+	// before ∞ is an event like any other.
+	if (Forever-1).Next() != Forever || (Beginning+1).Prev() != Beginning {
+		t.Error("Next/Prev of the last finite chronons must reach ±∞")
+	}
+	if !Since(10).Overlaps(At(Forever - 1)) {
+		t.Error("Since(10) must overlap the instant before ∞")
 	}
 }
 

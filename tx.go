@@ -1,8 +1,12 @@
 package tdb
 
 import (
-	"tdb/internal/catalog"
-	"tdb/internal/txn"
+	"errors"
+	"fmt"
+	"slices"
+
+	"tdb/internal/core"
+	"tdb/internal/stats"
 	"tdb/internal/wal"
 	"tdb/temporal"
 )
@@ -18,29 +22,19 @@ import (
 // tx.ReadTx.Rel when a Scan needs the *Relation.
 type Tx struct {
 	ReadTx
-	itx *txn.Tx
-	ops []wal.Op
+	at       temporal.Chronon
+	ops      []wal.Op
+	enlisted []*core.Store // the stores it mutated, bracketed by land
 }
-
-// newTx opens the facade's view of an internal transaction. Callers hold
-// db.mu.Lock.
-func (db *DB) newTx(itx *txn.Tx) *Tx { return &Tx{ReadTx: ReadTx{db: db}, itx: itx} }
 
 // At returns the transaction's commit chronon — the transaction time every
 // mutation in this transaction will carry.
-func (tx *Tx) At() temporal.Chronon { return tx.itx.At() }
+func (tx *Tx) At() temporal.Chronon { return tx.at }
 
 // Rel returns a transactional handle to the named relation.
 func (tx *Tx) Rel(name string) (*TxRel, error) {
-	rel, err := tx.db.cat.Get(name)
-	if err != nil {
-		return nil, wrapErr(err)
-	}
-	return &TxRel{tx: tx, rel: rel}, nil
-}
-
-func (tx *Tx) logOp(op wal.Op) {
-	tx.ops = append(tx.ops, op)
+	rel, err := tx.ReadTx.Rel(name)
+	return (*TxRel)(rel), err
 }
 
 // applyOp applies one logged op: catalog ops to the catalog, everything else
@@ -59,38 +53,64 @@ func (tx *Tx) applyOp(op wal.Op) error {
 
 // ddl applies a catalog op and logs it. The live CreateRelation and
 // DropRelation and the replay of the records they wrote both run exactly
-// this; the statistics side follows from the logged op (statsApply).
+// this.
 func (tx *Tx) ddl(op wal.Op) error {
-	var err error
 	if op.Code == wal.OpCreate {
-		_, err = tx.db.cat.Create(op.Rel, op.Kind, op.Event, op.Schema, tx.db.seq)
+		if _, err := tx.db.createRel(op.Rel, op.Kind, op.Event, op.Schema); err != nil {
+			return err
+		}
 	} else {
-		err = tx.db.cat.Drop(op.Rel)
+		// A schema-level destroy: the append-only discipline governs tuples
+		// within a relation, not the existence of the relation itself.
+		if _, err := tx.ReadTx.Rel(op.Rel); err != nil {
+			return err
+		}
+		delete(tx.db.rels, op.Rel)
 	}
-	if err != nil {
-		return wrapErr(err)
-	}
-	tx.logOp(op)
+	tx.ops = append(tx.ops, op)
 	return nil
 }
 
-// TxRel is a relation handle bound to a transaction. Its mutation methods
-// mirror the taxonomy: Insert/Delete/Replace apply to static and rollback
-// relations (no valid time to supply), Assert/Retract to historical and
-// temporal interval relations, AssertAt/RetractAt to event relations. Each
-// builds the wal.Op that describes it and hands it to apply.
-type TxRel struct {
-	tx  *Tx
-	rel *catalog.Relation
+// createRel adds an empty relation, created by the transaction now landing
+// (or the snapshot being restored). Event relations are only meaningful for
+// kinds carrying valid time (historical and temporal); requesting one for
+// other kinds fails with ErrKindMismatch. Callers hold db.mu.Lock.
+func (db *DB) createRel(name string, kind Kind, event bool, sch *Schema) (*Relation, error) {
+	if name == "" {
+		return nil, errors.New("tdb: relation needs a name")
+	}
+	if _, taken := db.rels[name]; taken {
+		return nil, fmt.Errorf("%w: %q", ErrRelationExists, name)
+	}
+	if kind > Temporal {
+		// Only the two capability bits name a kind; the WAL and checkpoint
+		// decoders leave this check to us.
+		return nil, fmt.Errorf("tdb: unknown kind %v", kind)
+	}
+	if event && !kind.SupportsHistorical() {
+		return nil, fmt.Errorf("%w: %s relations carry no valid time to stamp events with", ErrKindMismatch, kind)
+	}
+	rel := &Relation{db: db, name: name, store: core.New(kind, sch, event),
+		stats:   stats.NewRel(sch.Arity(), kind.SupportsHistorical(), kind.SupportsRollback()),
+		created: db.seq, changed: db.seq}
+	db.rels[name] = rel
+	return rel, nil
 }
 
-// Name returns the relation name.
-func (r *TxRel) Name() string { return r.rel.Name() }
+// TxRel is a relation as an update transaction sees it: the same catalog
+// entry as Relation — so Tx.Rel hands one out without allocating — with
+// mutation methods that join the database's open transaction instead of
+// running one each. It is valid only inside the Update callback that
+// obtained it. The methods mirror the taxonomy: Insert/Delete/Replace apply
+// to static and rollback relations (no valid time to supply), Assert/Retract
+// to historical and temporal interval relations, AssertAt/RetractAt to event
+// relations. Each builds the wal.Op that describes it and hands it to apply.
+type TxRel Relation
 
 // apply is the one way a store is mutated: the public methods below, Load,
 // WAL replay and follower apply all arrive here with the op. It enlists the
-// store in the transaction and hands the op to the store's verb for it,
-// with this transaction's commit chronon. The store polices the taxonomy's
+// store in the open transaction and hands the op to the store's verb for it,
+// with the transaction's commit chronon. The store polices the taxonomy's
 // matrix — which kinds and which interval/event class accept which of the
 // seven mutations — and refuses a forbidden cell with ErrKindMismatch
 // before it changes anything; the chronon is transaction time only to the
@@ -99,9 +119,12 @@ func (r *TxRel) Name() string { return r.rel.Name() }
 // cache's invalidation signal; an abort leaves the stamp, which only
 // over-invalidates) and appends the op to the transaction's record.
 func (r *TxRel) apply(op wal.Op) error {
-	st := r.rel.Store()
-	r.tx.itx.Enlist(st)
-	at := r.tx.At()
+	tx, st := r.db.tx, r.store
+	if !slices.Contains(tx.enlisted, st) {
+		st.BeginTxn()
+		tx.enlisted = append(tx.enlisted, st)
+	}
+	at := tx.at
 	err := ErrKindMismatch
 	switch op.Code {
 	case wal.OpInsert:
@@ -122,9 +145,9 @@ func (r *TxRel) apply(op wal.Op) error {
 	if err != nil {
 		return err
 	}
-	r.rel.Changed(r.tx.db.seq)
-	op.Rel = r.Name()
-	r.tx.logOp(op)
+	r.changed = r.db.seq
+	op.Rel = r.name
+	tx.ops = append(tx.ops, op)
 	return nil
 }
 

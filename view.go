@@ -1,6 +1,7 @@
 package tdb
 
 import (
+	"fmt"
 	"slices"
 
 	"tdb/internal/core"
@@ -43,13 +44,12 @@ func (db *DB) View(fn func(rt *ReadTx) error) error {
 	return fn(&ReadTx{db: db})
 }
 
-// Rel returns a handle to the named relation.
+// Rel returns the named relation.
 func (rt *ReadTx) Rel(name string) (*Relation, error) {
-	rel, err := rt.db.cat.Get(name)
-	if err != nil {
-		return nil, wrapErr(err)
+	if rel, ok := rt.db.rels[name]; ok {
+		return rel, nil
 	}
-	return &Relation{db: rt.db, rel: rel}, nil
+	return nil, fmt.Errorf("%w: %q", ErrRelationNotFound, name)
 }
 
 // Scan returns the versions of rel that spec selects — the single read
@@ -60,7 +60,7 @@ func (rt *ReadTx) Rel(name string) (*Relation, error) {
 // slice is a private copy, safe to read from any number of goroutines.
 func (rt *ReadTx) Scan(rel *Relation, spec ScanSpec) ([]Version, error) {
 	var out []Version
-	err := rel.rel.Store().Read(spec, func(v Version) bool {
+	err := rel.store.Read(spec, func(v Version) bool {
 		if len(out) == cap(out) {
 			out = slices.Grow(out, len(out)+16) // double: append's 1.25x steps would copy a long answer five times over
 		}
@@ -73,8 +73,8 @@ func (rt *ReadTx) Scan(rel *Relation, spec ScanSpec) ([]Version, error) {
 // EstimateNDV estimates the number of distinct values of rel's attribute at
 // schema offset idx. ok is false when no statistics exist yet.
 func (rt *ReadTx) EstimateNDV(rel *Relation, idx int) (float64, bool) {
-	e, ok := rt.db.stats[rel.Name()]
-	if !ok || e.Versions == 0 {
+	e := rel.stats
+	if e.Versions == 0 {
 		return 1, false
 	}
 	stats.MEstimates.Inc()
@@ -87,11 +87,7 @@ func (rt *ReadTx) EstimateNDV(rel *Relation, idx int) (float64, bool) {
 // recorded. The planner prices window clauses with it: extent / slide
 // bounds how many windows a windowed aggregation materializes.
 func (rt *ReadTx) EstimateValidExtent(rel *Relation) (lo, hi temporal.Chronon, ok bool) {
-	e, ok := rt.db.stats[rel.Name()]
-	if !ok {
-		return 0, 0, false
-	}
-	lo, hi, ok = e.ValidExtent()
+	lo, hi, ok = rel.stats.ValidExtent()
 	if ok {
 		stats.MEstimates.Inc()
 	}
