@@ -11,7 +11,6 @@ import (
 
 	"tdb/internal/obs"
 	"tdb/internal/segment"
-	"tdb/internal/stats"
 	"tdb/internal/wal"
 	"tdb/temporal"
 )
@@ -188,6 +187,14 @@ func TestCheckpointRepeatedly(t *testing.T) {
 	}
 }
 
+// lockedSnapshot is the snapshot Checkpoint would write now, built by the
+// function Checkpoint builds it with, under the lock Checkpoint holds.
+func lockedSnapshot(db *DB) wal.Snapshot {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.snapshot()
+}
+
 // Crash window: snapshot written, log NOT truncated (the pre-normalization
 // snapshot still counts the covered prefix). Recovery must not double-apply.
 func TestCheckpointCrashBeforeTruncate(t *testing.T) {
@@ -198,18 +205,7 @@ func TestCheckpointCrashBeforeTruncate(t *testing.T) {
 
 	// Simulate the crash by writing the snapshot exactly as Checkpoint
 	// does (next epoch, covering the whole log), then *not* truncating.
-	snap := wal.Snapshot{LastCommit: temporal.Chronon(db.last.Load()), Epoch: db.epoch + 1, Records: db.log.Records()}
-	for _, name := range db.names() {
-		rel := db.rels[name]
-		rs := wal.RelationSnapshot{Name: name, Kind: rel.Kind(), Event: rel.Event(), Schema: rel.Schema(),
-			Stats: stats.EncodeRel(rel.stats)}
-		rel.store.Versions(func(v Version) bool {
-			rs.Versions = append(rs.Versions, v)
-			return true
-		})
-		snap.Relations = append(snap.Relations, rs)
-	}
-	if err := wal.WriteSnapshot(nil, path+".snap", snap); err != nil {
+	if err := wal.WriteSnapshot(nil, path+".snap", lockedSnapshot(db)); err != nil {
 		t.Fatal(err)
 	}
 	db.Close()
@@ -242,20 +238,9 @@ func TestCheckpointCrashAfterTruncate(t *testing.T) {
 	db := reopen(t, path)
 	buildMixedDB(t, db)
 	before := stateDigest(t, db)
-	records := db.log.Records()
-
-	snap := wal.Snapshot{LastCommit: temporal.Chronon(db.last.Load()), Epoch: db.epoch + 1, Records: records}
-	for _, name := range db.names() {
-		rel := db.rels[name]
-		rs := wal.RelationSnapshot{Name: name, Kind: rel.Kind(), Event: rel.Event(), Schema: rel.Schema(),
-			Stats: stats.EncodeRel(rel.stats)}
-		rel.store.Versions(func(v Version) bool {
-			rs.Versions = append(rs.Versions, v)
-			return true
-		})
-		snap.Relations = append(snap.Relations, rs)
-	}
-	if err := wal.WriteSnapshot(nil, path+".snap", snap); err != nil {
+	if snap := lockedSnapshot(db); snap.Records == 0 {
+		t.Fatal("the fixture logged nothing")
+	} else if err := wal.WriteSnapshot(nil, path+".snap", snap); err != nil {
 		t.Fatal(err)
 	}
 	db.Close()
@@ -521,10 +506,145 @@ func TestCheckpointMovesNoStamps(t *testing.T) {
 	}
 }
 
+// matrixShapes is every kind × class of the taxonomy's matrix.
+var matrixShapes = []relShape{
+	{"static", Static, false},
+	{"rollback", StaticRollback, false},
+	{"historical", Historical, false},
+	{"historical-event", Historical, true},
+	{"temporal", Temporal, false},
+	{"temporal-event", Temporal, true},
+}
+
+// layoutOf is the part of Stats that says how the rows lie in segments.
+func layoutOf(st Stats) [3]int { return [3]int{st.Segments, st.SealedRows, st.TailRows} }
+
+// A checkpoint writes every relation, whatever its kind, as its sealed
+// segments and its open one. Reopening from it restores the layout the live
+// database had after the checkpoint and its observable state, at the default
+// seal threshold and at 4; a kind that keeps no past writes exactly its
+// current rows.
+func TestCheckpointLayoutRoundTrip(t *testing.T) {
+	for _, seal := range []int{segment.DefaultSealRows, 4} {
+		t.Run(fmt.Sprint("seal=", seal), func(t *testing.T) {
+			sealEvery(t, seal)
+			path := filepath.Join(t.TempDir(), "tdb.wal")
+			db := reopen(t, path)
+			for _, s := range matrixShapes {
+				mk := db.CreateRelation
+				if s.event {
+					mk = db.CreateEventRelation
+				}
+				if _, err := mk(s.name, s.kind, facultySchema(t)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := range 30 {
+				at := temporal.Chronon(100 + 10*i)
+				name, rank := []string{"A", "B", "C", "D", "E"}[i%5], fmt.Sprint("r", i)
+				key := Key(String(name))
+				if err := db.UpdateAt(at, func(tx *Tx) error {
+					for _, s := range matrixShapes {
+						h, _ := tx.Rel(s.name)
+						var err error
+						switch {
+						case !s.kind.SupportsHistorical():
+							if err = h.Insert(fac(name, rank)); errors.Is(err, ErrDuplicateKey) {
+								err = h.Replace(key, fac(name, rank))
+							}
+						case s.event:
+							err = h.AssertAt(fac(name, rank), at+temporal.Chronon(i%3))
+						case i%7 == 6:
+							err = h.Retract(key, at-20, at)
+						default:
+							err = h.Assert(fac(name, rank), at-15, at+50)
+						}
+						if err != nil && !errors.Is(err, ErrNoSuchTuple) {
+							return fmt.Errorf("%s: %w", s.name, err)
+						}
+					}
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := stateDigest(t, db)
+			if err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if got := stateDigest(t, db); !digestsEqual(before, got) {
+				t.Fatal("checkpoint changed live state")
+			}
+			live := layoutOf(db.Stats())
+			if seal == 4 && live[0] == 0 {
+				t.Fatal("fixture sealed nothing")
+			}
+			snap, ok, err := wal.ReadSnapshot(nil, path+".snap")
+			if !ok || err != nil {
+				t.Fatalf("reading the snapshot: %v, %v", ok, err)
+			}
+			both := 0 // relations written as sealed blocks and a tail block
+			for _, rs := range snap.Relations {
+				rel, _ := db.Relation(rs.Name)
+				rows := snapshotRows(t, rs)
+				if !rs.Tail && seal == segment.DefaultSealRows {
+					t.Errorf("%s: no tail block", rs.Name)
+				}
+				if rs.Tail && len(rs.Blocks) > 1 {
+					both++
+				}
+				if rs.Kind.SupportsRollback() {
+					if len(rows) != rel.VersionCount() {
+						t.Errorf("%s: snapshot of %d rows, the relation stores %d", rs.Name, len(rows), rel.VersionCount())
+					}
+					continue
+				}
+				current := rel.Versions()
+				if len(rows) != len(current) {
+					t.Errorf("%s: snapshot of %d rows, want its %d current ones", rs.Name, len(rows), len(current))
+					continue
+				}
+				for i, row := range rows {
+					if v := (Version{Data: row.Data, Valid: row.Valid, Trans: temporal.All}); row.Trans != temporal.Since(0) || v.String() != current[i].String() {
+						t.Errorf("%s row %d: snapshot %v over %v, current %v", rs.Name, i, v, row.Trans, current[i])
+					}
+				}
+			}
+			if seal == 4 && both == 0 {
+				t.Error("no relation was written as sealed blocks and a tail")
+			}
+			db.Close()
+
+			db = reopen(t, path)
+			if got := stateDigest(t, db); !digestsEqual(before, got) {
+				t.Fatalf("reopened:\nbefore %v\nafter  %v", before, got)
+			}
+			if got := layoutOf(db.Stats()); got != live {
+				t.Fatalf("reopened layout %v, live %v", got, live)
+			}
+		})
+	}
+}
+
+// snapshotRows reads a relation section's blocks, sealed and tail, back as
+// rows, restored into a fresh log.
+func snapshotRows(t *testing.T, rs wal.RelationSnapshot) []segment.Row {
+	t.Helper()
+	lg := segment.NewLog(rs.Schema)
+	if err := lg.Restore(rs.Blocks, rs.Tail, func(_, _ temporal.Interval) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	var out []segment.Row
+	lg.Scan(segment.Pred{}, func(_ int, r segment.Row) bool { out = append(out, r); return true })
+	return out
+}
+
 // A kind that keeps no past checkpoints its present alone. After 100 000
 // static replaces over 1 000 keys and a carve-heavy historical history,
-// sealed and rebuilt on the way, the snapshot holds exactly the current rows,
-// row by row and in no segment, and reopening restores them.
+// sealed and rebuilt on the way, the snapshot's blocks hold exactly the
+// current rows, in commit order and each current since chronon 0, the
+// checkpoint leaves the live layout settled to them, and reopening restores
+// that layout and state.
 func TestCheckpointKeepsNoPast(t *testing.T) {
 	sealEvery(t, 64)
 	path := filepath.Join(t.TempDir(), "tdb.wal")
@@ -569,8 +689,15 @@ func TestCheckpointKeepsNoPast(t *testing.T) {
 		}
 	}
 	before := stateDigest(t, db)
+	if st := db.Stats(); st.SealedRows+st.TailRows == st.Versions {
+		t.Fatal("the fixture left no dropped row to settle away")
+	}
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
+	}
+	layout := db.Stats()
+	if layout.SealedRows+layout.TailRows != layout.Versions || layout.Segments == 0 {
+		t.Fatalf("checkpoint left the layout %+v, want the current rows alone, sealed and tail", layout)
 	}
 	snap, ok, err := wal.ReadSnapshot(nil, path+".snap")
 	if !ok || err != nil {
@@ -581,23 +708,27 @@ func TestCheckpointKeepsNoPast(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		live := rel.Versions()
+		live, rows := rel.Versions(), snapshotRows(t, rs)
 		if rs.Name == "static" && len(live) != keys {
 			t.Fatalf("static holds %d current rows, want %d", len(live), keys)
 		}
-		if len(rs.Segments) != 0 || len(rs.Versions) != len(live) {
-			t.Fatalf("%s: snapshot of %d segments and %d rows, want %d current rows",
-				rs.Name, len(rs.Segments), len(rs.Versions), len(live))
+		if len(rows) != len(live) {
+			t.Fatalf("%s: snapshot of %d rows, want %d current rows", rs.Name, len(rows), len(live))
 		}
-		for i, v := range rs.Versions {
-			if v.String() != live[i].String() {
-				t.Fatalf("%s row %d: snapshot %v, live %v", rs.Name, i, v, live[i])
+		for i, row := range rows {
+			v := Version{Data: row.Data, Valid: row.Valid, Trans: temporal.All}
+			if row.Trans != temporal.Since(0) || v.String() != live[i].String() {
+				t.Fatalf("%s row %d: snapshot %v (transaction period %v), live %v", rs.Name, i, v, row.Trans, live[i])
 			}
 		}
 	}
 	db.Close()
-	if got := stateDigest(t, reopen(t, path)); !digestsEqual(before, got) {
+	db = reopen(t, path)
+	if got := stateDigest(t, db); !digestsEqual(before, got) {
 		t.Fatalf("reopened:\nbefore %v\nafter  %v", before, got)
+	}
+	if got := db.Stats(); got.Segments != layout.Segments || got.SealedRows != layout.SealedRows || got.TailRows != layout.TailRows {
+		t.Fatalf("reopened layout %+v, live %+v", got, layout)
 	}
 }
 

@@ -310,6 +310,22 @@ func (db *DB) recover() error {
 	if scan.HasEpoch {
 		db.epoch = scan.Epoch
 	}
+	// Normalize: after a fallback promotion or a coverage change the on-disk
+	// primary no longer matches what the next recovery must see. Replay may
+	// close rows in the restored segments, so this goes first.
+	if haveUse && (usedPrev || skip != use.Records) {
+		use.Records = skip
+		if usedPrev {
+			// The fallback slot holds the only good copy; overwrite the
+			// corrupt or missing primary in place rather than rotating it
+			// into that slot, so the fallback keeps protecting the primary.
+			if err := wal.WriteSnapshot(db.fs, db.snapPath, use); err != nil {
+				return err
+			}
+		} else if err := db.installSnapshot(use); err != nil {
+			return err
+		}
+	}
 
 	idx := 0
 	if _, err := wal.Replay(db.fs, db.path, false, func(rec wal.Record) error {
@@ -325,22 +341,6 @@ func (db *DB) recover() error {
 	db.recovery.Replayed = scan.Records - skip
 	db.recovery.Epoch = db.epoch
 	mRecoveryReplayed.Add(uint64(scan.Records - skip))
-
-	// Normalize: after a fallback promotion or a coverage change the on-disk
-	// primary no longer matches what the next recovery must see.
-	if haveUse && (usedPrev || skip != use.Records) {
-		use.Records = skip
-		if usedPrev {
-			// The fallback slot holds the only good copy; overwrite the
-			// corrupt or missing primary in place rather than rotating it
-			// into that slot, so the fallback keeps protecting the primary.
-			if err := wal.WriteSnapshot(db.fs, db.snapPath, use); err != nil {
-				return err
-			}
-		} else if err := db.installSnapshot(use); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -372,18 +372,8 @@ func (db *DB) restoreSnapshot(snap wal.Snapshot) error {
 		if err != nil {
 			return err
 		}
-		if len(rs.Segments) > 0 && !rs.Kind.SupportsRollback() {
-			return fmt.Errorf("restoring %q: %v store cannot hold segments", rs.Name, rs.Kind)
-		}
-		for _, g := range rs.Segments {
-			if err := rel.store.RestoreSegment(g); err != nil {
-				return fmt.Errorf("restoring %q: %w", rs.Name, err)
-			}
-		}
-		for _, v := range rs.Versions {
-			if err := rel.store.RestoreVersion(v); err != nil {
-				return fmt.Errorf("restoring %q: %w", rs.Name, err)
-			}
+		if err := rel.store.Restore(rs.Blocks, rs.Tail); err != nil {
+			return fmt.Errorf("restoring %q: %w", rs.Name, err)
 		}
 		if err := statsRestore(rel, &rs); err != nil {
 			return err
@@ -395,8 +385,8 @@ func (db *DB) restoreSnapshot(snap wal.Snapshot) error {
 
 // Checkpoint writes a snapshot of the whole database and truncates the
 // write-ahead log, bounding recovery time. It fails on in-memory
-// databases. The snapshot preserves every stored version, including
-// superseded ones — checkpointing never forgets history.
+// databases. The snapshot preserves every version a relation's kind keeps
+// — checkpointing never forgets history.
 //
 // Each checkpoint starts a new epoch: the snapshot records the era it
 // begins and the truncated log carries the same era in its header, the
@@ -427,38 +417,7 @@ func (db *DB) Checkpoint() error {
 			return fmt.Errorf("%w: %w", ErrFailStopped, err)
 		}
 	}
-	snap := wal.Snapshot{
-		LastCommit: temporal.Chronon(db.last.Load()),
-		Epoch:      db.epoch + 1,
-		Records:    db.log.Records(),
-	}
-	for _, name := range db.names() {
-		rel := db.rels[name]
-		rs := wal.RelationSnapshot{
-			Name:   name,
-			Kind:   rel.Kind(),
-			Event:  rel.Event(),
-			Schema: rel.Schema(),
-		}
-		collect := func(v Version) bool {
-			rs.Versions = append(rs.Versions, v)
-			return true
-		}
-		if st := rel.store; rel.Kind().SupportsRollback() {
-			// Sealed segments ship as columnar blocks; only the unsealed
-			// tail is written row-wise. A kind that keeps no past writes
-			// its current versions row by row, so no dropped row reaches
-			// disk. Segments are immutable (apart from
-			// transaction-time closures, serialized behind db.mu alongside
-			// us), so referencing them here instead of copying is safe.
-			rs.Segments = st.Segments()
-			st.ScanTailVersions(collect)
-		} else {
-			st.Versions(collect)
-		}
-		rs.Stats = stats.EncodeRel(rel.stats)
-		snap.Relations = append(snap.Relations, rs)
-	}
+	snap := db.snapshot()
 	if err := db.installSnapshot(snap); err != nil {
 		return err
 	}
@@ -482,6 +441,23 @@ func (db *DB) Checkpoint() error {
 	// at the next append: their streams re-sync through the new snapshot.
 	db.notifyRepl()
 	return nil
+}
+
+// snapshot is the checkpoint of the database as it stands: the next epoch,
+// covering the whole log, and every relation's log as blocks (the live
+// segments: the caller holds db.mu.Lock until it is written), a kind that
+// keeps no past settled first so that no row it dropped reaches disk.
+func (db *DB) snapshot() wal.Snapshot {
+	snap := wal.Snapshot{LastCommit: temporal.Chronon(db.last.Load()), Epoch: db.epoch + 1, Records: db.log.Records()}
+	for _, name := range db.names() {
+		rel := db.rels[name]
+		rel.store.Settle()
+		rs := wal.RelationSnapshot{Name: name, Kind: rel.Kind(), Event: rel.Event(), Schema: rel.Schema(),
+			Stats: stats.EncodeRel(rel.stats)}
+		rs.Blocks, rs.Tail = rel.store.Blocks()
+		snap.Relations = append(snap.Relations, rs)
+	}
+	return snap
 }
 
 // QueryCache returns the database's shared query result cache; nil-safe to
@@ -546,11 +522,12 @@ func (db *DB) DropRelation(name string) error {
 // one, so that dated history (UpdateAt) can still be loaded after creating
 // relations.
 func (db *DB) ddl(op wal.Op) error {
-	db.mu.Lock()
-	last := temporal.Chronon(db.last.Load())
-	p, err := db.land(fmt.Sprintf("%s %q", op.Code, op.Rel), &last, func(tx *Tx) error { return tx.ddl(op) })
-	db.mu.Unlock()
-	return logged(p, err)
+	return logged(func() (*wal.Pending, error) {
+		db.mu.Lock()
+		defer db.mu.Unlock()
+		last := temporal.Chronon(db.last.Load())
+		return db.land(fmt.Sprintf("%s %q", op.Code, op.Rel), &last, func(tx *Tx) error { return tx.ddl(op) })
+	}())
 }
 
 // Relation returns a handle to the named relation.

@@ -4,6 +4,7 @@ import (
 	"errors"
 
 	"tdb/internal/core"
+	"tdb/temporal"
 )
 
 // The exported error sentinels. Every error returned by the tdb facade
@@ -17,6 +18,9 @@ var (
 	ErrRelationNotFound = errors.New("tdb: relation not found")
 	// ErrRelationExists reports creating a relation whose name is taken.
 	ErrRelationExists = errors.New("tdb: relation already exists")
+	// ErrInvalidRelation reports a relation definition without a name, a
+	// known kind or a schema, from a caller, a log record or a checkpoint.
+	ErrInvalidRelation = errors.New("tdb: invalid relation definition")
 	// ErrCorrupt reports durable state that recovery could not prove
 	// consistent: a checksum-failed snapshot with no usable fallback, or a
 	// snapshot/log pair whose checkpoint epochs do not line up. Open fails
@@ -35,6 +39,8 @@ var (
 	ErrNoSuchTuple = core.ErrNoSuchTuple
 	// ErrEmptyValidPeriod re-exports the store-level empty period error.
 	ErrEmptyValidPeriod = core.ErrEmptyValidPeriod
+	// ErrInvertedInterval re-exports the error of a period ending before it starts.
+	ErrInvertedInterval = temporal.ErrInvertedInterval
 	// ErrNoRollback reports an as-of query on a kind without transaction
 	// time.
 	ErrNoRollback = core.ErrNoRollback

@@ -8,7 +8,10 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
+	"tdb/internal/vfs"
+	"tdb/internal/wal"
 	"tdb/temporal"
 )
 
@@ -41,12 +44,35 @@ func TestErrorSentinels(t *testing.T) {
 	if err := db.UpdateAt(temporal.Date(1980, 1, 1), func(*Tx) error { return nil }); !errors.Is(err, ErrStaleTimestamp) {
 		t.Errorf("stale UpdateAt: %v", err)
 	}
+	for what, create := range map[string]func() (*Relation, error){
+		"no name":      func() (*Relation, error) { return db.CreateRelation("", Static, facultySchema(t)) },
+		"unknown kind": func() (*Relation, error) { return db.CreateRelation("k", Kind(4), facultySchema(t)) },
+		"no schema":    func() (*Relation, error) { return db.CreateRelation("s", Static, nil) },
+	} {
+		if _, err := create(); !errors.Is(err, ErrInvalidRelation) {
+			t.Errorf("create with %s: %v", what, err)
+		}
+	}
+	hist, err := db.CreateRelation("hist", Historical, facultySchema(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := hist.Assert(fac("A", "x"), 20, 10); !errors.Is(err, ErrInvertedInterval) {
+		t.Errorf("inverted Assert: %v", err)
+	}
+	if err := db.Update(func(tx *Tx) error {
+		h, _ := tx.Rel("hist")
+		return h.Retract(Key(String("A")), 20, 10)
+	}); !errors.Is(err, ErrInvertedInterval) {
+		t.Errorf("inverted Retract: %v", err)
+	}
 
 	// The list below is every sentinel errors.go declares, pairwise
 	// distinct: a new sentinel fails the test until it joins the list.
 	sentinels := map[string]error{
 		"ErrClosed": ErrClosed, "ErrRelationNotFound": ErrRelationNotFound,
-		"ErrRelationExists": ErrRelationExists, "ErrCorrupt": ErrCorrupt, "ErrBusy": ErrBusy,
+		"ErrRelationExists": ErrRelationExists, "ErrInvalidRelation": ErrInvalidRelation,
+		"ErrCorrupt": ErrCorrupt, "ErrBusy": ErrBusy, "ErrInvertedInterval": ErrInvertedInterval,
 		"ErrKindMismatch": ErrKindMismatch, "ErrDuplicateKey": ErrDuplicateKey,
 		"ErrNoSuchTuple": ErrNoSuchTuple, "ErrEmptyValidPeriod": ErrEmptyValidPeriod,
 		"ErrNoRollback": ErrNoRollback, "ErrScanSpec": ErrScanSpec, "ErrNoValidTime": ErrNoValidTime,
@@ -79,6 +105,67 @@ func TestErrorSentinels(t *testing.T) {
 			}
 		}
 	}
+}
+
+// A relation definition without a schema is refused, not a panic, on both
+// ways one arrives: a live CreateRelation, which must leave the database
+// usable, and a CRC-valid create record in the log, which must fail the
+// open.
+func TestCreateRefusesNilSchema(t *testing.T) {
+	t.Run("live", func(t *testing.T) {
+		db, err := Open("", Options{}) // closed below only once it proves unlocked
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("CreateRelation panicked: %v", r)
+				}
+			}()
+			_, err = db.CreateRelation("x", Static, nil)
+		}()
+		if !errors.Is(err, ErrInvalidRelation) {
+			t.Errorf("create without a schema: %v", err)
+		}
+		done := make(chan Stats)
+		go func() { done <- db.Stats() }()
+		select {
+		case st := <-done:
+			if st.Relations != 0 {
+				t.Errorf("refused create left %d relations", st.Relations)
+			}
+			db.Close()
+		case <-time.After(10 * time.Second):
+			t.Fatal("the refused create left the database locked")
+		}
+	})
+	t.Run("wal", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "tdb.wal")
+		reopen(t, path).Close()
+		log, err := wal.Open(vfs.Default(), path, wal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		create := wal.Op{Code: wal.OpCreate, Rel: "r", Kind: Static} // an empty schema
+		if err := log.Append(wal.Record{Commit: temporal.Date(1990, 1, 1), Ops: []wal.Op{create}}); err != nil {
+			t.Fatal(err)
+		}
+		log.Close()
+		var db *DB
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("Open panicked: %v", r)
+				}
+			}()
+			db, err = Open(path, Options{})
+		}()
+		if err == nil {
+			db.Close()
+			t.Fatal("open replayed a create record without a schema")
+		}
+		if !errors.Is(err, ErrInvalidRelation) {
+			t.Errorf("open failed with %v, want ErrInvalidRelation", err)
+		}
+	})
 }
 
 // Close must be a safe no-op on a nil *DB (the result of a failed Open) and

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"testing"
 
-	"tdb/internal/tuple"
-	"tdb/internal/value"
 	"tdb/temporal"
 )
 
@@ -103,76 +101,80 @@ func TestTemporalDuring(t *testing.T) {
 	}
 }
 
-// RestoreVersion must rebuild a store whose observable behavior matches the
-// original exactly, and must reject malformed versions.
-func TestRestoreVersionRoundTrip(t *testing.T) {
-	orig := New(Temporal, facultySchema(t), false)
-	loadFigure8(t, orig)
-	restored := New(Temporal, facultySchema(t), false)
-	orig.Versions(func(v Version) bool {
-		if err := restored.RestoreVersion(v); err != nil {
-			t.Fatal(err)
+// A store restored from its checkpoint blocks, sealed and tail, must behave
+// exactly as the original, and a restore must refuse a row the kind could
+// not have stored.
+func TestRestoreBlocksRoundTrip(t *testing.T) {
+	for _, sealed := range []bool{false, true} {
+		orig := New(Temporal, facultySchema(t), false)
+		loadFigure8(t, orig)
+		if sealed { // the figure sealed, then one more version in the tail
+			orig.log.SealNow()
+			mustOK(t, orig.Assert(fac("Zed", "new"), temporal.Since(d840301), orig.LastCommit()))
 		}
-		return true
-	})
-	for _, probe := range []temporal.Chronon{d770825, d821210, d821220, d840301} {
-		if !equalStrings(versionSet(read(t, orig, asOf(probe))), versionSet(read(t, restored, asOf(probe)))) {
-			t.Fatalf("AsOf(%v) differs after restore", probe)
+		restored := restoreCopy(t, orig)
+		if got, want := restored.SegmentStats(), orig.SegmentStats(); got != want {
+			t.Errorf("sealed=%v: layout %+v after restore, want %+v", sealed, got, want)
 		}
-	}
-	if orig.LastCommit() != restored.LastCommit() {
-		t.Errorf("LastCommit %v vs %v", orig.LastCommit(), restored.LastCommit())
-	}
-	// Further updates respect the restored clock.
-	if err := restored.Assert(fac("Anna", "new"), temporal.Since(0), d770825); !errors.Is(err, ErrTimeRegression) {
-		t.Errorf("restored store accepted stale commit: %v", err)
+		for _, probe := range []temporal.Chronon{d770825, d821210, d821220, d840301, temporal.Forever - 1} {
+			if !equalStrings(versionSet(read(t, orig, asOf(probe))), versionSet(read(t, restored, asOf(probe)))) {
+				t.Fatalf("sealed=%v: AsOf(%v) differs after restore", sealed, probe)
+			}
+		}
+		if orig.LastCommit() != restored.LastCommit() {
+			t.Errorf("sealed=%v: LastCommit %v vs %v", sealed, orig.LastCommit(), restored.LastCommit())
+		}
+		// Further updates respect the restored clock.
+		if err := restored.Assert(fac("Anna", "new"), temporal.Since(0), d770825); !errors.Is(err, ErrTimeRegression) {
+			t.Errorf("sealed=%v: restored store accepted stale commit: %v", sealed, err)
+		}
 	}
 
-	// Malformed restores.
-	bad := []Version{
-		{Data: fac("A", "x"), Valid: temporal.All, Trans: temporal.Interval{From: temporal.Beginning, To: temporal.Forever}},
-		{Data: fac("A", "x"), Valid: temporal.Interval{From: 10, To: 5}, Trans: temporal.Since(100)},
-		{Data: tuple.New(value.NewInt(1)), Valid: temporal.All, Trans: temporal.Since(100)},
+	// Malformed rows, sealed or tail.
+	sch := facultySchema(t)
+	bad := []struct {
+		kind Kind
+		v    Version
+	}{
+		{Temporal, Version{Data: fac("A", "x"), Valid: temporal.All, Trans: temporal.Interval{From: temporal.Beginning, To: temporal.Forever}}},
+		{Temporal, Version{Data: fac("A", "x"), Valid: temporal.Interval{From: 10, To: 5}, Trans: temporal.Since(100)}},
+		{StaticRollback, Version{Data: fac("A", "x"), Valid: temporal.All, Trans: temporal.Interval{From: 10, To: 5}}},
+		{StaticRollback, Version{Data: fac("A", "x"), Valid: temporal.Since(3), Trans: temporal.Since(100)}},
+		{Static, Version{Data: fac("A", "x"), Valid: temporal.All, Trans: temporal.Since(100)}},
+		{Static, Version{Data: fac("A", "x"), Valid: temporal.All, Trans: temporal.Interval{From: 0, To: 100}}},
+		{Historical, Version{Data: fac("A", "x"), Valid: temporal.Since(3), Trans: temporal.Since(100)}},
+		{Historical, Version{Data: fac("A", "x"), Valid: temporal.Interval{From: 10, To: 5}, Trans: temporal.Since(0)}},
 	}
-	for i, v := range bad {
-		if err := restored.RestoreVersion(v); err == nil {
-			t.Errorf("bad restore %d accepted", i)
+	for i, b := range bad {
+		for _, tail := range []bool{true, false} {
+			s := New(b.kind, sch, false)
+			if err := s.Restore(tailBlock(t, sch, b.v), tail); err == nil {
+				t.Errorf("bad restore %d (%v %v, tail %v) accepted", i, b.kind, b.v, tail)
+			}
+			if n := s.VersionCount(); n != 0 {
+				t.Errorf("bad restore %d left %d versions", i, n)
+			}
 		}
-	}
-	// Event stores reject interval periods.
-	ev := New(Temporal, facultySchema(t), true)
-	if err := ev.RestoreVersion(Version{Data: fac("A", "x"),
-		Valid: temporal.Interval{From: 1, To: 10}, Trans: temporal.Since(100)}); err == nil {
-		t.Error("event store accepted interval period")
-	}
-	if err := ev.RestoreVersion(Version{Data: fac("A", "x"),
-		Valid: temporal.At(5), Trans: temporal.Since(100)}); err != nil {
-		t.Errorf("event restore: %v", err)
 	}
 }
 
-func TestRollbackRestoreVersion(t *testing.T) {
-	orig := New(StaticRollback, facultySchema(t), false)
-	loadFigure4(t, orig)
-	restored := New(StaticRollback, facultySchema(t), false)
-	orig.Versions(func(v Version) bool {
-		if err := restored.RestoreVersion(v); err != nil {
-			t.Fatal(err)
+func TestRollbackRestoreBlocks(t *testing.T) {
+	for _, sealed := range []bool{false, true} {
+		orig := New(StaticRollback, facultySchema(t), false)
+		loadFigure4(t, orig)
+		if sealed { // the figure sealed, then one more version in the tail
+			orig.log.SealNow()
+			mustOK(t, orig.Insert(fac("Zed", "new"), orig.LastCommit()))
 		}
-		return true
-	})
-	for _, probe := range []temporal.Chronon{d770825, d821210, d830110, d840301} {
-		if !equalStrings(versionSet(read(t, orig, asOf(probe))), versionSet(read(t, restored, asOf(probe)))) {
-			t.Fatalf("AsOf(%v) differs after restore", probe)
+		restored := restoreCopy(t, orig)
+		for _, probe := range []temporal.Chronon{d770825, d821210, d830110, d840301, temporal.Forever - 1} {
+			if !equalStrings(versionSet(read(t, orig, asOf(probe))), versionSet(read(t, restored, asOf(probe)))) {
+				t.Fatalf("sealed=%v: AsOf(%v) differs after restore", sealed, probe)
+			}
 		}
-	}
-	if err := restored.RestoreVersion(Version{Data: fac("A", "x"),
-		Trans: temporal.Interval{From: 10, To: 5}}); err == nil {
-		t.Error("inverted trans accepted")
-	}
-	if err := restored.RestoreVersion(Version{Data: tuple.New(value.NewInt(1)),
-		Trans: temporal.Since(100)}); err == nil {
-		t.Error("schema violation accepted")
+		if got, want := restored.SegmentStats(), orig.SegmentStats(); got != want {
+			t.Errorf("sealed=%v: layout %+v after restore, want %+v", sealed, got, want)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"tdb/internal/schema"
+	"tdb/internal/segment"
 	"tdb/internal/tuple"
 	"tdb/internal/value"
 	"tdb/temporal"
@@ -98,6 +99,52 @@ func versionSet(vs []Version) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// Versions yields every stored version in commit order — with no past kept,
+// the current ones — stopping early if fn returns false. This is the raw
+// content shown in Figures 4, 6, 8, 9.
+func (s *Store) Versions(fn func(Version) bool) {
+	spec := ScanSpec{AllVersions: s.past}
+	s.log.Scan(spec.pred(), func(_ int, r segment.Row) bool { return fn(s.version(r)) })
+}
+
+// decodeBlock is g as a checkpoint restore sees it: encoded as a block and
+// decoded back.
+func decodeBlock(t testing.TB, sch *schema.Schema, g *segment.Segment) *segment.Segment {
+	t.Helper()
+	dec, _, err := segment.DecodeBlock(segment.AppendBlock(nil, g), sch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dec
+}
+
+// tailBlock is the checkpoint tail block of a log holding vs alone.
+func tailBlock(t testing.TB, sch *schema.Schema, vs ...Version) []*segment.Segment {
+	t.Helper()
+	lg := segment.NewLog(sch)
+	for _, v := range vs {
+		lg.Append(segment.Row{Data: v.Data, Valid: v.Valid, Trans: v.Trans, KeyHash: v.Data.KeyHash(sch)})
+	}
+	blocks, _ := lg.Blocks()
+	return []*segment.Segment{decodeBlock(t, sch, blocks[0])}
+}
+
+// restoreCopy restores a new store of orig's kind from orig's checkpoint
+// blocks, sealed and tail, the way a checkpoint restore does.
+func restoreCopy(t testing.TB, orig *Store) *Store {
+	t.Helper()
+	s := New(orig.Kind(), orig.Schema(), orig.Event())
+	blocks, tail := orig.Blocks()
+	dec := make([]*segment.Segment, len(blocks))
+	for i, g := range blocks {
+		dec[i] = decodeBlock(t, s.Schema(), g)
+	}
+	if err := s.Restore(dec, tail); err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 // read collects what Read yields for spec, failing the test on an error.

@@ -316,15 +316,19 @@ func TestHistoricalAgainstReferenceModel(t *testing.T) {
 func TestEventRestoreRefusesPeriod(t *testing.T) {
 	for _, k := range []Kind{Historical, Temporal} {
 		s := New(k, facultySchema(t), true)
-		v := Version{Data: fac("Tom", "full"), Valid: temporal.Interval{From: 10, To: 20}, Trans: temporal.Since(5)}
-		if err := s.RestoreVersion(v); err == nil {
+		trans := temporal.Since(5)
+		if !k.SupportsRollback() {
+			trans = temporal.Since(noPast)
+		}
+		v := Version{Data: fac("Tom", "full"), Valid: temporal.Interval{From: 10, To: 20}, Trans: trans}
+		if err := s.Restore(tailBlock(t, s.Schema(), v), true); err == nil {
 			t.Errorf("%v: restoring %v into an event relation succeeded", k, v.Valid)
 		}
 		if n := s.CurrentCount(); n != 0 {
 			t.Errorf("%v: refused restore left %d versions", k, n)
 		}
 		v.Valid = temporal.At(10)
-		if err := s.RestoreVersion(v); err != nil {
+		if err := s.Restore(tailBlock(t, s.Schema(), v), true); err != nil {
 			t.Errorf("%v: restoring the event %v: %v", k, v.Valid, err)
 		}
 		if got := read(t, s, ScanSpec{}); len(got) != 1 || got[0].Valid != temporal.At(10) {

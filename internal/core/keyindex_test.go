@@ -82,10 +82,9 @@ func TestBulkPathsSizeKeyIndexOnce(t *testing.T) {
 	dst := New(Temporal, facultySchema(t), false)
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	for _, g := range src.Segments() {
-		if err := dst.RestoreSegment(g); err != nil {
-			t.Fatal(err)
-		}
+	blocks, tail := src.Blocks()
+	if err := dst.Restore(blocks, tail); err != nil {
+		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&m1)
 	if got := m1.Mallocs - m0.Mallocs; got > 4 {

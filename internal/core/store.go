@@ -37,10 +37,9 @@ import (
 //
 // Concurrency: a store does no locking of its own — the owning database
 // serializes mutations behind its write lock and lets readers share its
-// read lock. Under that discipline Read and Versions are safe to call from
-// many goroutines at once: reads are pure except for the atomic
-// observability counters, and the versions they yield reference tuples the
-// store never rewrites in place.
+// read lock. Under that discipline Read is safe to call from many goroutines
+// at once: reads are pure except for the atomic observability counters, and
+// the versions they yield reference tuples the store never rewrites in place.
 type Store struct {
 	kind       Kind // labels the read counter and checks specs
 	past       bool // Kind.SupportsRollback: superseded versions are kept and shown
@@ -79,13 +78,8 @@ func (s *Store) Event() bool { return s.event }
 // SegmentStats summarizes the store's segmentation.
 func (s *Store) SegmentStats() segment.Stats { return s.log.Stats() }
 
-// Segments exposes the sealed segments for checkpoint encoding.
-func (s *Store) Segments() []*segment.Segment { return s.log.Segments() }
-
-// ScanTailVersions yields the versions not yet sealed, in commit order.
-func (s *Store) ScanTailVersions(fn func(Version) bool) {
-	s.log.ScanTail(func(_ int, r segment.Row) bool { return fn(s.version(r)) })
-}
+// Blocks exposes the log for checkpoint encoding (segment.Log.Blocks).
+func (s *Store) Blocks() (blocks []*segment.Segment, tail bool) { return s.log.Blocks() }
 
 // BeginTxn starts collecting undo information: the owning database brackets
 // every transaction that mutates the store with BeginTxn and then CommitTxn
@@ -129,14 +123,6 @@ func (s *Store) Reserve(n int) { s.byKey.Reserve(n, s.log.Len()+n) }
 
 // LastCommit returns the latest commit chronon applied.
 func (s *Store) LastCommit() temporal.Chronon { return s.lastCommit }
-
-// Versions yields every stored version in commit order — with no past kept,
-// the current ones — stopping early if fn returns false. This is the raw
-// content shown in Figures 4, 6, 8, 9.
-func (s *Store) Versions(fn func(Version) bool) {
-	spec := ScanSpec{AllVersions: s.past}
-	s.log.Scan(spec.pred(), func(_ int, r segment.Row) bool { return fn(s.version(r)) })
-}
 
 // Read calls fn for every version the spec selects — the one way to query a
 // store — stopping early if fn returns false. It fails, before yielding
@@ -380,62 +366,35 @@ func (s *Store) RetractAt(key tuple.Tuple, validAt, at temporal.Chronon) error {
 	return nil
 }
 
-// RestoreVersion reloads one version a checkpoint recorded, once its valid
-// period is one the relation could have stored: verbatim, superseded ones
-// included, where the kind keeps a past; through the update algebra where it
-// stores only current belief.
-func (s *Store) RestoreVersion(v Version) error {
-	if !s.kind.SupportsHistorical() {
-		v.Valid = temporal.All // whatever the checkpoint recorded, the kind stores none
-	} else if !v.Valid.IsValid() {
-		return fmt.Errorf("core: restoring version with malformed valid period %v", v.Valid)
-	} else if d, ok := v.Valid.Duration(); s.event && (!ok || d != 1) {
-		return fmt.Errorf("core: restoring non-event period %v into event relation", v.Valid)
-	}
-	switch {
-	case s.past:
-		return s.restore(v)
-	case !s.kind.SupportsHistorical():
-		return s.Insert(v.Data, noPast)
-	case s.event:
-		return s.AssertAt(v.Data, v.Valid.From, noPast)
-	}
-	return s.Assert(v.Data, v.Valid, noPast)
-}
-
-// RestoreSegment reattaches a checkpoint segment block and indexes its
-// current rows by key. Blocks arrive in position order before any unsealed
-// versions.
-func (s *Store) RestoreSegment(g *segment.Segment) error {
-	if err := s.log.RestoreSegment(g); err != nil {
+// Restore fills the empty store from its checkpoint blocks (see
+// segment.Log.Restore) and indexes their current rows by key.
+func (s *Store) Restore(blocks []*segment.Segment, tail bool) error {
+	if err := s.log.Restore(blocks, tail, s.restorable); err != nil {
 		return err
 	}
-	s.byKey.Reserve(g.Current(), s.log.Len())
-	g.EachCurrent(func(pos int, keyHash uint64) { s.byKey.Add(keyHash, pos) })
-	s.lastCommit = max(s.lastCommit, g.LastCommit())
+	for _, g := range blocks {
+		s.byKey.Reserve(g.Current(), s.log.Len())
+		g.EachCurrent(func(pos int, keyHash uint64) { s.byKey.Add(keyHash, pos) })
+		if s.past {
+			s.lastCommit = max(s.lastCommit, g.LastCommit())
+		}
+	}
 	return nil
 }
 
-// restore reloads one stored version verbatim, superseded ones included:
-// the rollback kinds' RestoreVersion. It exists solely for checkpoint
-// recovery — the periods are taken as recorded, bypassing the update
-// algebra — and restored tails seal on the same threshold as live commits.
-func (s *Store) restore(v Version) error {
-	if err := validate(s.sch, v.Data); err != nil {
-		return err
+// restorable refuses a restored row the relation could not have stored: by
+// its transaction period, Since(noPast) without a past, else well formed from
+// a finite start; by its valid period, All without valid time, else well
+// formed, and one chronon long in an event relation.
+func (s *Store) restorable(valid, trans temporal.Interval) error {
+	hist := s.kind.SupportsHistorical()
+	d, finite := valid.Duration()
+	switch {
+	case !trans.IsValid() || !trans.From.IsFinite() || (!s.past && trans != temporal.Since(noPast)):
+		return fmt.Errorf("core: restoring transaction period %v into a %v relation", trans, s.kind)
+	case !hist && valid != temporal.All, hist && !valid.IsValid(), s.event && (!finite || d != 1):
+		return fmt.Errorf("core: restoring valid period %v into a %v relation (event %v)", valid, s.kind, s.event)
 	}
-	if !v.Trans.IsValid() || !v.Trans.From.IsFinite() {
-		return fmt.Errorf("core: restoring version with malformed transaction period %v", v.Trans)
-	}
-	kh := v.Data.KeyHash(s.sch)
-	pos := s.log.Append(segment.Row{Data: v.Data, Valid: v.Valid, Trans: v.Trans, KeyHash: kh})
-	if v.Trans.To == temporal.Forever {
-		s.byKey.Add(kh, pos)
-	}
-	if s.lastCommit = max(s.lastCommit, v.Trans.From); v.Trans.To.IsFinite() {
-		s.lastCommit = max(s.lastCommit, v.Trans.To) // a closed end was a commit chronon too
-	}
-	s.log.Seal()
 	return nil
 }
 
@@ -467,15 +426,22 @@ func (s *Store) stamp(at temporal.Chronon) (temporal.Chronon, error) {
 	return at, nil
 }
 
-// settle rebuilds a log that keeps no past once its superseded rows
-// outnumber its current ones by more than settleSlack: the current rows are
-// copied in commit order into a new log and the key index is posted afresh,
-// so such a relation holds at most about twice its current rows. It runs
-// only with the journal empty — at commit and after a mutation no
-// transaction brackets — when no undo closure names a position it moves.
+// settle settles a log whose superseded rows outnumber its current ones by
+// more than settleSlack, so it holds at most about twice its current rows.
 func (s *Store) settle() {
+	if live := s.byKey.Len(); s.log.Len()-live > live+settleSlack {
+		s.Settle()
+	}
+}
+
+// Settle copies the current rows of a log that keeps no past, in commit
+// order, into a new one, when it holds a superseded row, and posts the key
+// index afresh. It runs only with the journal empty — at commit, after a
+// mutation no transaction brackets, and before a checkpoint writes the log
+// — when no undo closure names a position it moves.
+func (s *Store) Settle() {
 	live := s.byKey.Len()
-	if s.past || s.j.active || s.log.Len()-live <= live+settleSlack {
+	if s.past || s.j.active || s.log.Len() == live {
 		return
 	}
 	old, current := s.log, ScanSpec{}

@@ -11,10 +11,11 @@ import (
 	"tdb/temporal"
 )
 
-// Block codec: a sealed segment serializes into one self-delimiting block,
-// the unit a checkpoint snapshot (and, eventually, segment-granular
-// replication shipping) moves around. The encoding exploits the append-only
-// shape of the data:
+// Block codec: a segment serializes into one self-delimiting block, the
+// unit a checkpoint snapshot (and, eventually, segment-granular replication
+// shipping) moves around; the open segment encodes in place to the bytes
+// freezing it would give. The encoding exploits the append-only shape of
+// the data:
 //
 //   - transFrom is non-decreasing in commit order → first value zigzag,
 //     then unsigned deltas;
@@ -29,7 +30,7 @@ import (
 // The bloom filter, zone maps and string postings are not serialized: all
 // derive from the arrays and are rebuilt at decode.
 
-// AppendBlock appends the encoded segment to dst and returns the result.
+// AppendBlock appends the encoded segment, sealed or open, to dst.
 func AppendBlock(dst []byte, g *Segment) []byte {
 	dst = binary.AppendUvarint(dst, uint64(g.start))
 	dst = binary.AppendUvarint(dst, uint64(g.n))

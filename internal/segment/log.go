@@ -51,10 +51,6 @@ func NewLog(sch *schema.Schema) *Log {
 // Len returns the total number of rows, sealed and open.
 func (l *Log) Len() int { return l.sealed + l.open.n }
 
-// Segments returns the sealed segments in position order. Callers must not
-// mutate the slice.
-func (l *Log) Segments() []*Segment { return l.segs }
-
 // Stats summarizes the log's segmentation.
 func (l *Log) Stats() Stats {
 	return Stats{Segments: len(l.segs), SealedRows: l.sealed, TailRows: l.open.n}
@@ -105,19 +101,46 @@ func (l *Log) SealNow() bool {
 	return true
 }
 
-// RestoreSegment reattaches a decoded segment at the next global position.
-// It fails unless the open segment is empty and the segment's start matches
-// — checkpoint blocks arrive in position order before any unsealed versions.
-func (l *Log) RestoreSegment(g *Segment) error {
-	if l.open.n != 0 {
-		return fmt.Errorf("segment: restore after %d unsealed rows", l.open.n)
+// Blocks returns the sealed segments and, with tail set, the open one when
+// it holds rows, in position order: what a checkpoint encodes of the log.
+func (l *Log) Blocks() (blocks []*Segment, tail bool) {
+	if l.open.n == 0 {
+		return l.segs, false
 	}
-	if g.start != l.sealed {
-		return fmt.Errorf("segment: restore block at %d, log is at %d", g.start, l.sealed)
+	return append(l.segs[:len(l.segs):len(l.segs)], l.open), true
+}
+
+// Restore fills an empty log with a checkpoint's blocks as Blocks gave them:
+// the sealed ones are reattached and the tail block's rows appended to the
+// open segment, so the log lies as the checkpointed one did. Every row's
+// periods must pass check first, or the log stays empty.
+func (l *Log) Restore(blocks []*Segment, tail bool, check func(valid, trans temporal.Interval) error) error {
+	if l.Len() != 0 || (tail && len(blocks) == 0) {
+		return fmt.Errorf("segment: restore of %d blocks (tail %v) into a log of %d rows", len(blocks), tail, l.Len())
 	}
-	l.segs = append(l.segs, g)
-	l.sealed += g.n
-	l.open.start = l.sealed
+	pos := 0
+	for _, g := range blocks {
+		if g.start != pos {
+			return fmt.Errorf("segment: restore block at %d, log is at %d", g.start, pos)
+		}
+		for i := range g.n {
+			if err := check(g.periods(i)); err != nil {
+				return err
+			}
+		}
+		pos += g.n
+	}
+	for i, g := range blocks {
+		if tail && i == len(blocks)-1 {
+			for r := range g.n {
+				l.open.append(g.row(r))
+			}
+			break
+		}
+		l.segs = append(l.segs, g)
+		l.sealed += g.n
+		l.open.start = l.sealed
+	}
 	return nil
 }
 
@@ -178,18 +201,6 @@ func (l *Log) HasKey(pos int, key tuple.Tuple) bool {
 func (l *Log) Valid(pos int) temporal.Interval {
 	g, i := l.locate(pos)
 	return temporal.Interval{From: temporal.Chronon(g.validFrom.at(i)), To: temporal.Chronon(g.validTo.at(i))}
-}
-
-// ScanTail calls fn for the rows not yet sealed, in commit order. Checkpoint
-// encoders pair it with Segments() to cover the whole log.
-func (l *Log) ScanTail(fn func(pos int, r Row) bool) {
-	g := l.open
-	for i := range g.n {
-		mRowsMaterialized.Inc()
-		if !fn(g.start+i, g.row(i)) {
-			return
-		}
-	}
 }
 
 // CloseTrans sets the transaction-time end of the row at pos — superseding a

@@ -143,7 +143,7 @@ func TestScanPostingsMatchWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	l, ref := postLog(t, rng, layouts, 700)
 
-	restored := NewLog(postSchema())
+	var blocks []*Segment
 	for s, g := range l.Segments() {
 		dec, _, err := DecodeBlock(AppendBlock(nil, g), postSchema())
 		if err != nil {
@@ -155,11 +155,20 @@ func TestScanPostingsMatchWalk(t *testing.T) {
 			}
 		}
 		checkPostings(t, dec)
-		if err := restored.RestoreSegment(dec); err != nil {
-			t.Fatal(err)
-		}
+		blocks = append(blocks, dec)
 	}
-	l.ScanTail(func(_ int, r Row) bool { restored.Append(r); return true })
+	all, tail := l.Blocks()
+	if !tail {
+		t.Fatal("the fixture left no tail")
+	}
+	dec, _, err := DecodeBlock(AppendBlock(nil, all[len(all)-1]), postSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := NewLog(postSchema())
+	if err := restored.Restore(append(blocks, dec), true, anyPeriods); err != nil {
+		t.Fatal(err)
+	}
 
 	sch := postSchema()
 	eq := func(attr int, v value.Value) *Filter {

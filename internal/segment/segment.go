@@ -19,8 +19,8 @@
 // reach, so pruning stays sound without rebuilding anything.
 //
 // A sealed Segment is the log's open segment frozen by Log.Seal, or a
-// checkpoint block reloaded verbatim (see encode.go). Freezing narrows
-// columns, it does not change values: TestSealPreservesRows proves the row
+// checkpoint block reloaded verbatim (see encode.go, which encodes the open
+// segment too, in place). Freezing narrows columns, it does not change values: TestSealPreservesRows proves the row
 // images before and after a seal are identical, and TestCodecRoundTrip and
 // TestAbortedHistoryBlocks that a sealed segment encodes to the blocks
 // sealing has always written.
@@ -168,9 +168,13 @@ type column struct {
 	postAt []uint32  // String postings bounds, one more than there are entries
 }
 
-// dictLen and str read a string column's dictionary: its size (sealed
-// segments only), and entry d.
-func (c *column) dictLen() int { return len(c.offs) - 1 }
+// dictLen and str read a string column's dictionary: its size, and entry d.
+func (c *column) dictLen() int {
+	if c.dict != nil {
+		return len(c.dict.ents)
+	}
+	return len(c.offs) - 1
+}
 func (c *column) str(d uint32) string {
 	if c.dict != nil {
 		return c.dict.ents[d]
@@ -486,12 +490,14 @@ func (g *Segment) row(i int) Row {
 	for a := range g.cols {
 		t[a] = g.value(a, i)
 	}
-	return Row{
-		Data:    t,
-		Valid:   temporal.Interval{From: temporal.Chronon(g.validFrom.at(i)), To: temporal.Chronon(g.validTo.at(i))},
-		Trans:   temporal.Interval{From: temporal.Chronon(g.transFrom.at(i)), To: temporal.Chronon(g.transTo.at(i))},
-		KeyHash: g.keyHash[i],
-	}
+	valid, trans := g.periods(i)
+	return Row{Data: t, Valid: valid, Trans: trans, KeyHash: g.keyHash[i]}
+}
+
+// periods returns row i's valid and transaction periods.
+func (g *Segment) periods(i int) (valid, trans temporal.Interval) {
+	return temporal.Interval{From: temporal.Chronon(g.validFrom.at(i)), To: temporal.Chronon(g.validTo.at(i))},
+		temporal.Interval{From: temporal.Chronon(g.transFrom.at(i)), To: temporal.Chronon(g.transTo.at(i))}
 }
 
 // value builds attribute a of row i from its column.

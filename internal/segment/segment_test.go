@@ -2,6 +2,7 @@ package segment
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -964,38 +965,97 @@ func TestAbortedTailNeverSeals(t *testing.T) {
 	}
 }
 
-// TestRestoreSegment: checkpoint blocks reattach in position order only.
-func TestRestoreSegment(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	seg, _ := buildPair(rng, 400)
-	restored := NewLog(testSchema())
-	for _, g := range seg.Segments() {
-		block := AppendBlock(nil, g)
-		dec, _, err := DecodeBlock(block, testSchema())
+// Segments returns the sealed segments in position order.
+func (l *Log) Segments() []*Segment { return l.segs }
+
+// anyPeriods is a Restore check that refuses nothing.
+func anyPeriods(valid, trans temporal.Interval) error { return nil }
+
+// decoded returns blocks as a checkpoint restore sees them: each encoded
+// and decoded back.
+func decoded(t *testing.T, blocks []*Segment) []*Segment {
+	t.Helper()
+	out := make([]*Segment, len(blocks))
+	for i, g := range blocks {
+		dec, _, err := DecodeBlock(AppendBlock(nil, g), testSchema())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := restored.RestoreSegment(dec); err != nil {
-			t.Fatal(err)
-		}
+		out[i] = dec
 	}
-	if restored.Stats().SealedRows != seg.Stats().SealedRows {
-		t.Fatalf("restored %d of %d sealed rows", restored.Stats().SealedRows, seg.Stats().SealedRows)
+	return out
+}
+
+// TestRestoreSegment: checkpoint blocks reattach in position order only,
+// into an empty log only, and only once every row passes the check.
+func TestRestoreSegment(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	seg, _ := buildPair(rng, 400)
+	seg.Append(randRow(rng, 500)) // and a tail
+	blocks, tail := seg.Blocks()
+	if !tail {
+		t.Fatal("no tail block")
 	}
-	for pos := 0; pos < seg.Stats().SealedRows; pos++ {
+	restored := NewLog(testSchema())
+	if err := restored.Restore(decoded(t, blocks), tail, anyPeriods); err != nil {
+		t.Fatal(err)
+	}
+	if restored.Stats() != seg.Stats() {
+		t.Fatalf("restored layout %+v, want %+v", restored.Stats(), seg.Stats())
+	}
+	for pos := 0; pos < seg.Len(); pos++ {
 		if !rowsEqual(restored.Row(pos), seg.Row(pos)) {
 			t.Fatalf("row %d changed across checkpoint round trip", pos)
 		}
 	}
-	// Out-of-order restore and restore-after-tail must fail.
-	g0 := seg.Segments()[0]
-	if err := restored.RestoreSegment(g0); err == nil {
-		t.Fatal("out-of-order RestoreSegment succeeded")
+	refused := errors.New("refused")
+	for what, restore := range map[string]func(l *Log) error{
+		"out of order": func(l *Log) error { return l.Restore(decoded(t, blocks[1:]), false, anyPeriods) },
+		"a tail alone": func(l *Log) error { return l.Restore(nil, true, anyPeriods) },
+		"a refused row": func(l *Log) error {
+			return l.Restore(decoded(t, blocks), tail, func(_, _ temporal.Interval) error { return refused })
+		},
+		"a second time": func(*Log) error { return restored.Restore(decoded(t, blocks), tail, anyPeriods) },
+		"after tail row": func(l *Log) error {
+			l.Append(randRow(rng, 500))
+			return l.Restore(decoded(t, blocks), tail, anyPeriods)
+		},
+	} {
+		l := NewLog(testSchema())
+		if err := restore(l); err == nil {
+			t.Errorf("restore %s succeeded", what)
+		} else if what != "after tail row" && l.Len() != 0 {
+			t.Errorf("restore %s failed with %d rows in the log", what, l.Len())
+		}
 	}
-	restored.Append(randRow(rng, 500))
-	dec, _, _ := DecodeBlock(AppendBlock(nil, g0), testSchema())
-	if err := restored.RestoreSegment(dec); err == nil {
-		t.Fatal("RestoreSegment after tail rows succeeded")
+}
+
+// TestOpenBlockIsSealedBlock: the open segment encodes in place to the
+// bytes the same rows encode to once frozen — closures, aborted rows and
+// the dictionary entries they popped included — and a tail block restored
+// into an empty open segment encodes to them again.
+func TestOpenBlockIsSealedBlock(t *testing.T) {
+	sealEvery(t, DefaultSealRows)
+	for seed := int64(0); seed < 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		l := NewLog(testSchema())
+		history(rng, l, 200)
+		blocks, tail := l.Blocks()
+		if len(blocks) != 1 || !tail {
+			t.Fatalf("seed %d: history sealed at the default threshold", seed)
+		}
+		open := AppendBlock(nil, blocks[0])
+		restored := NewLog(testSchema())
+		if err := restored.Restore(decoded(t, blocks), true, anyPeriods); err != nil {
+			t.Fatal(err)
+		}
+		if again, _ := restored.Blocks(); !bytes.Equal(AppendBlock(nil, again[0]), open) {
+			t.Fatalf("seed %d: the restored tail encodes to other bytes", seed)
+		}
+		l.SealNow()
+		if blocks, tail := l.Blocks(); tail || !bytes.Equal(AppendBlock(nil, blocks[0]), open) {
+			t.Fatalf("seed %d: the open segment's block differs from the sealed one's", seed)
+		}
 	}
 }
 

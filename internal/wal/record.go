@@ -224,13 +224,7 @@ func appendOp(dst []byte, op Op) []byte {
 	dst = appendString(dst, op.Rel)
 	switch op.Code {
 	case OpCreate:
-		dst = append(dst, byte(op.Kind))
-		if op.Event {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
-		}
-		dst = appendSchema(dst, op.Schema)
+		dst = appendSchema(append(dst, byte(op.Kind), bit(op.Event)), op.Schema)
 	case OpDrop:
 		// name only
 	case OpInsert:
@@ -370,4 +364,12 @@ func DecodeRecord(src []byte) (Record, error) {
 		return r, fmt.Errorf("wal: %d trailing bytes in record", len(src)-off)
 	}
 	return r, nil
+}
+
+// bit is b as a byte, 1 or 0.
+func bit(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
 }

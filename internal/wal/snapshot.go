@@ -11,18 +11,17 @@ import (
 	"tdb/internal/core"
 	"tdb/internal/schema"
 	"tdb/internal/segment"
-	"tdb/internal/tuple"
 	"tdb/internal/vfs"
 	"tdb/temporal"
 )
 
 // Snapshot is a checkpoint of a whole database: every relation with every
-// stored version (including superseded ones — append-only history must
-// survive checkpointing). Epoch is the checkpoint era this snapshot began:
+// version its kind keeps (superseded ones where it keeps a past — history
+// survives checkpointing). Epoch is the checkpoint era this snapshot began:
 // writing a snapshot with Epoch E covers the first Records records of the
-// era-(E-1) log, and the log truncated after installing it carries E in
-// its header. Recovery compares the two epochs to prove a snapshot and a
-// log belong together before combining them — the guard that makes the
+// era-(E-1) log, and the log truncated after installing it carries E in its
+// header. Recovery compares the two epochs to prove a snapshot and a log
+// belong together before combining them — the guard that makes the
 // previous-snapshot fallback safe.
 type Snapshot struct {
 	LastCommit temporal.Chronon
@@ -33,18 +32,17 @@ type Snapshot struct {
 
 // RelationSnapshot is one relation's definition and contents.
 //
-// Append-only relations split their contents in two: Segments holds the
-// sealed columnar segments (encoded as blocks, positions preceding every
-// tail version), and Versions holds only the unsealed tail. Relations
-// without segments — static, historical, or append-only stores that never
-// reached the seal threshold — put everything in Versions.
+// Blocks is the relation's log, whatever its kind, as segment blocks in
+// position order: the sealed segments and, when Tail is set, the open one
+// last. A kind that keeps no past is settled before it is checkpointed, so
+// that its blocks hold its current rows alone.
 type RelationSnapshot struct {
-	Name     string
-	Kind     core.Kind
-	Event    bool
-	Schema   *schema.Schema
-	Segments []*segment.Segment
-	Versions []core.Version
+	Name   string
+	Kind   core.Kind
+	Event  bool
+	Schema *schema.Schema
+	Blocks []*segment.Segment
+	Tail   bool
 	// Stats is the relation's temporal-statistics section, an opaque blob
 	// in the internal/stats canonical encoding. Never empty: checkpointing
 	// writes one for every relation and decode rejects a section without.
@@ -52,9 +50,9 @@ type RelationSnapshot struct {
 }
 
 // snapMagic opens the one snapshot format this build reads and writes: per
-// relation, a columnar segment-block section, the row-wise tail versions,
-// and a statistics blob, under a CRC that covers the magic too.
-const snapMagic = "TDBSNAP6"
+// relation, its segment blocks, a tail flag and a statistics blob, under a
+// CRC that covers the magic too.
+const snapMagic = "TDBSNAP7"
 
 var (
 	// ErrSnapshotCorrupt reports a snapshot failing its checksum or
@@ -74,25 +72,14 @@ func EncodeSnapshot(s Snapshot) []byte {
 	payload = binary.AppendUvarint(payload, uint64(len(s.Relations)))
 	for _, r := range s.Relations {
 		payload = appendString(payload, r.Name)
-		payload = append(payload, byte(r.Kind))
-		if r.Event {
-			payload = append(payload, 1)
-		} else {
-			payload = append(payload, 0)
-		}
-		payload = appendSchema(payload, r.Schema)
-		payload = binary.AppendUvarint(payload, uint64(len(r.Segments)))
-		for _, g := range r.Segments {
+		payload = appendSchema(append(payload, byte(r.Kind), bit(r.Event)), r.Schema)
+		payload = binary.AppendUvarint(payload, uint64(len(r.Blocks)))
+		for _, g := range r.Blocks {
 			block := segment.AppendBlock(nil, g)
 			payload = binary.AppendUvarint(payload, uint64(len(block)))
 			payload = append(payload, block...)
 		}
-		payload = binary.AppendUvarint(payload, uint64(len(r.Versions)))
-		for _, v := range r.Versions {
-			payload = v.Data.AppendBinary(payload)
-			payload = appendInterval(payload, v.Valid)
-			payload = appendInterval(payload, v.Trans)
-		}
+		payload = append(payload, bit(r.Tail))
 		payload = binary.AppendUvarint(payload, uint64(len(r.Stats)))
 		payload = append(payload, r.Stats...)
 	}
@@ -115,7 +102,7 @@ func DecodeSnapshot(data []byte) (Snapshot, error) {
 	}
 	switch magic := string(data[:len(snapMagic)]); magic {
 	case snapMagic:
-	case "TDBSNAP2", "TDBSNAP3", "TDBSNAP4", "TDBSNAP5":
+	case "TDBSNAP2", "TDBSNAP3", "TDBSNAP4", "TDBSNAP5", "TDBSNAP6":
 		return s, fmt.Errorf("%w: file is %s, this build reads %s", ErrSnapshotVersion, magic, snapMagic)
 	default:
 		return s, fmt.Errorf("%w: bad magic", ErrSnapshotCorrupt)
@@ -170,12 +157,12 @@ func DecodeSnapshot(data []byte) (Snapshot, error) {
 		}
 		r.Schema = sch
 		off += n
-		nSegs, n := binary.Uvarint(payload[off:])
+		nBlocks, n := binary.Uvarint(payload[off:])
 		if n <= 0 {
-			return s, fmt.Errorf("%w: segment count", ErrSnapshotCorrupt)
+			return s, fmt.Errorf("%w: block count", ErrSnapshotCorrupt)
 		}
 		off += n
-		for j := uint64(0); j < nSegs; j++ {
+		for j := uint64(0); j < nBlocks; j++ {
 			blen, n := binary.Uvarint(payload[off:])
 			if n <= 0 {
 				return s, fmt.Errorf("%w: segment block length", ErrSnapshotCorrupt)
@@ -192,35 +179,12 @@ func DecodeSnapshot(data []byte) (Snapshot, error) {
 				return s, fmt.Errorf("%w: segment block has %d trailing bytes", ErrSnapshotCorrupt, int(blen)-used)
 			}
 			off += int(blen)
-			r.Segments = append(r.Segments, g)
+			r.Blocks = append(r.Blocks, g)
 		}
-		nVers, n := binary.Uvarint(payload[off:])
-		if n <= 0 {
-			return s, fmt.Errorf("%w: version count", ErrSnapshotCorrupt)
+		if off >= len(payload) || payload[off] > bit(nBlocks > 0) {
+			return s, fmt.Errorf("%w: tail flag", ErrSnapshotCorrupt)
 		}
-		off += n
-		if nVers > uint64(len(payload)-off) {
-			return s, fmt.Errorf("%w: version count %d exceeds its bytes", ErrSnapshotCorrupt, nVers)
-		}
-		r.Versions = make([]core.Version, 0, nVers)
-		for j := uint64(0); j < nVers; j++ {
-			var v core.Version
-			tup, n, err := decodeTupleRaw(payload[off:])
-			if err != nil {
-				return s, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
-			}
-			v.Data = tup
-			off += n
-			if v.Valid, n, err = decodeInterval(payload[off:]); err != nil {
-				return s, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
-			}
-			off += n
-			if v.Trans, n, err = decodeInterval(payload[off:]); err != nil {
-				return s, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
-			}
-			off += n
-			r.Versions = append(r.Versions, v)
-		}
+		r.Tail, off = payload[off] == 1, off+1
 		slen, n := binary.Uvarint(payload[off:])
 		if n <= 0 {
 			return s, fmt.Errorf("%w: stats length", ErrSnapshotCorrupt)
@@ -303,10 +267,4 @@ func ReadSnapshot(fsys vfs.FS, path string) (Snapshot, bool, error) {
 		return Snapshot{}, false, err
 	}
 	return s, true, nil
-}
-
-// decodeTupleRaw decodes a tuple without the presence byte used by op
-// encoding (snapshot versions always have data).
-func decodeTupleRaw(src []byte) (tuple.Tuple, int, error) {
-	return tuple.DecodeBinary(src)
 }

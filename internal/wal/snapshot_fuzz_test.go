@@ -13,12 +13,16 @@ import (
 // payload parser instead of dying at the CRC. The decoder never panics, and
 // a snapshot it accepts reaches a fixed point under
 // EncodeSnapshot∘DecodeSnapshot. Seeds: the sample snapshots of this
-// package's tests plus the committed corpus under testdata/fuzz.
+// package's tests, a tail block on every kind among them, plus the committed
+// corpus under testdata/fuzz.
 func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add(EncodeSnapshot(sampleSnapshot(f)))
 	f.Add(EncodeSnapshot(Snapshot{}))
 	sealed := sampleSnapshot(f)
-	sealed.Relations[0].Segments = append(sealed.Relations[0].Segments, sealedSampleSegment(f, 40))
+	sealed.Relations[0].Blocks, sealed.Relations[0].Tail = sealedSampleLog(f, 40, 0).Blocks()
+	f.Add(EncodeSnapshot(sealed))
+	f.Add(EncodeSnapshot(kindsSnapshot(f)))
+	sealed.Relations[0].Blocks, sealed.Relations[0].Tail = sealedSampleLog(f, 40, 6).Blocks()
 	f.Add(EncodeSnapshot(sealed))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) >= len(snapMagic)+4 {

@@ -2,11 +2,14 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"tdb/internal/core"
@@ -15,6 +18,29 @@ import (
 	"tdb/internal/value"
 	"tdb/temporal"
 )
+
+// promoRow is row i of the sample relations, asserted at from and, unless
+// to is Forever, superseded at to.
+func promoRow(i int, valid temporal.Interval, from, to temporal.Chronon) segment.Row {
+	return segment.Row{
+		Data:    tuple.New(value.NewString(fmt.Sprintf("p%03d", i)), value.NewString("assoc"), value.NewInstant(temporal.Chronon(i))),
+		Valid:   valid,
+		Trans:   temporal.Interval{From: from, To: to},
+		KeyHash: uint64(i) * 0x9e3779b97f4a7c15,
+	}
+}
+
+// tailOf returns the blocks of a log holding rows alone in its open
+// segment: its tail block.
+func tailOf(t testing.TB, rows ...segment.Row) []*segment.Segment {
+	t.Helper()
+	lg := segment.NewLog(promoSchema(t))
+	for _, r := range rows {
+		lg.Append(r)
+	}
+	blocks, _ := lg.Blocks()
+	return blocks
+}
 
 func sampleSnapshot(t testing.TB) Snapshot {
 	t.Helper()
@@ -27,18 +53,10 @@ func sampleSnapshot(t testing.TB) Snapshot {
 				Name: "faculty", Kind: core.Temporal, Event: false,
 				Schema: promoSchema(t),
 				Stats:  []byte{0x03, 0x02, 0x01}, // opaque to this package
-				Versions: []core.Version{
-					{
-						Data:  tuple.New(value.NewString("Merrie"), value.NewString("full"), value.NewInstant(100)),
-						Valid: temporal.Since(temporal.Date(1982, 12, 1)),
-						Trans: temporal.Interval{From: temporal.Date(1982, 12, 15), To: temporal.Forever},
-					},
-					{
-						Data:  tuple.New(value.NewString("Tom"), value.NewString("full"), value.NewInstant(200)),
-						Valid: temporal.Since(temporal.Date(1982, 12, 5)),
-						Trans: temporal.Interval{From: temporal.Date(1982, 12, 1), To: temporal.Date(1982, 12, 7)},
-					},
-				},
+				Blocks: tailOf(t,
+					promoRow(0, temporal.Since(temporal.Date(1982, 12, 1)), temporal.Date(1982, 12, 1), temporal.Date(1982, 12, 7)),
+					promoRow(1, temporal.Since(temporal.Date(1982, 12, 5)), temporal.Date(1982, 12, 15), temporal.Forever)),
+				Tail: true,
 			},
 			{
 				Name: "events", Kind: core.Historical, Event: true,
@@ -49,23 +67,53 @@ func sampleSnapshot(t testing.TB) Snapshot {
 	}
 }
 
+// kindsSnapshot holds one relation of each kind, each with a tail block of
+// rows as the kind stores them: the universal valid period without valid
+// time, current rows stamped at chronon 0 without a past.
+func kindsSnapshot(t testing.TB) Snapshot {
+	t.Helper()
+	s := Snapshot{LastCommit: 90, Epoch: 1, Records: 7}
+	for _, k := range []core.Kind{core.Static, core.StaticRollback, core.Historical, core.Temporal} {
+		var rows []segment.Row
+		for i := range 3 {
+			valid, from, to := temporal.All, temporal.Chronon(10*i), temporal.Forever
+			if k.SupportsHistorical() {
+				valid = temporal.At(temporal.Chronon(i))
+			}
+			if !k.SupportsRollback() {
+				from = 0
+			} else if i == 0 {
+				to = 50
+			}
+			rows = append(rows, promoRow(i, valid, from, to))
+		}
+		s.Relations = append(s.Relations, RelationSnapshot{Name: k.String(), Kind: k, Event: k.SupportsHistorical(),
+			Schema: promoSchema(t), Stats: []byte{0x01}, Blocks: tailOf(t, rows...), Tail: true})
+	}
+	return s
+}
+
+// blocks renders a relation's contents as its blocks' bytes.
+func blocks(r RelationSnapshot) [][]byte {
+	var out [][]byte
+	for _, g := range r.Blocks {
+		out = append(out, segment.AppendBlock(nil, g))
+	}
+	return out
+}
+
 func snapshotsEqual(a, b Snapshot) bool {
 	if a.LastCommit != b.LastCommit || a.Epoch != b.Epoch || a.Records != b.Records || len(a.Relations) != len(b.Relations) {
 		return false
 	}
 	for i := range a.Relations {
 		x, y := a.Relations[i], b.Relations[i]
-		if x.Name != y.Name || x.Kind != y.Kind || x.Event != y.Event {
+		if x.Name != y.Name || x.Kind != y.Kind || x.Event != y.Event || x.Tail != y.Tail {
 			return false
 		}
-		if x.Schema.String() != y.Schema.String() || len(x.Versions) != len(y.Versions) || !bytes.Equal(x.Stats, y.Stats) {
+		if x.Schema.String() != y.Schema.String() || !bytes.Equal(x.Stats, y.Stats) ||
+			!slices.EqualFunc(blocks(x), blocks(y), bytes.Equal) {
 			return false
-		}
-		for j := range x.Versions {
-			vx, vy := x.Versions[j], y.Versions[j]
-			if !tuple.Equal(vx.Data, vy.Data) || vx.Valid != vy.Valid || vx.Trans != vy.Trans {
-				return false
-			}
 		}
 	}
 	return true
@@ -106,58 +154,92 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	}
 }
 
-// sealedSampleSegment builds one sealed segment of n promo rows.
-func sealedSampleSegment(t testing.TB, n int) *segment.Segment {
+// sealedSampleLog builds a log of n promo rows, sealed, then tail more in
+// its open segment.
+func sealedSampleLog(t testing.TB, n, tail int) *segment.Log {
 	t.Helper()
 	lg := segment.NewLog(promoSchema(t))
-	for i := 0; i < n; i++ {
+	for i := 0; i < n+tail; i++ {
 		to := temporal.Forever
 		if i%3 == 0 {
 			to = temporal.Chronon(i + 100)
 		}
-		lg.Append(segment.Row{
-			Data:    tuple.New(value.NewString(fmt.Sprintf("p%03d", i)), value.NewString("assoc"), value.NewInstant(temporal.Chronon(i))),
-			Valid:   temporal.Since(temporal.Chronon(i)),
-			Trans:   temporal.Interval{From: temporal.Chronon(i), To: to},
-			KeyHash: uint64(i) * 0x9e3779b97f4a7c15,
-		})
+		lg.Append(promoRow(i, temporal.Since(temporal.Chronon(i)), temporal.Chronon(i), to))
+		if i == n-1 && !lg.SealNow() {
+			t.Fatal("seal failed")
+		}
 	}
-	if !lg.SealNow() {
-		t.Fatal("seal failed")
-	}
-	return lg.Segments()[0]
+	return lg
 }
 
 func TestSnapshotSegmentsRoundTrip(t *testing.T) {
 	s := sampleSnapshot(t)
-	s.Relations[0].Segments = []*segment.Segment{sealedSampleSegment(t, 64)}
+	lg := sealedSampleLog(t, 64, 5)
+	s.Relations[0].Blocks, s.Relations[0].Tail = lg.Blocks()
 	dec, err := DecodeSnapshot(EncodeSnapshot(s))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !snapshotsEqual(s, dec) {
-		t.Fatal("row-wise parts drifted")
+		t.Fatal("blocks drifted")
 	}
-	if len(dec.Relations[0].Segments) != 1 || len(dec.Relations[1].Segments) != 0 {
-		t.Fatalf("segment counts: %d, %d", len(dec.Relations[0].Segments), len(dec.Relations[1].Segments))
+	if r := dec.Relations; len(r[0].Blocks) != 2 || !r[0].Tail || len(r[1].Blocks) != 0 || r[1].Tail {
+		t.Fatalf("blocks: %d (tail %v), %d (tail %v)", len(r[0].Blocks), r[0].Tail, len(r[1].Blocks), r[1].Tail)
 	}
-	// Reattach each side to a fresh log, the way recovery does, and read it.
-	rows := func(g *segment.Segment) (out []segment.Row) {
-		lg := segment.NewLog(promoSchema(t))
-		if err := lg.RestoreSegment(g); err != nil {
-			t.Fatal(err)
-		}
+	// Reattach the decoded blocks to a fresh log, the way recovery does, and
+	// read it back.
+	rows := func(lg *segment.Log) (out []segment.Row) {
 		lg.Scan(segment.Pred{}, func(_ int, r segment.Row) bool { out = append(out, r); return true })
 		return out
 	}
-	want, got := rows(s.Relations[0].Segments[0]), rows(dec.Relations[0].Segments[0])
+	restored := segment.NewLog(promoSchema(t))
+	anyPeriods := func(_, _ temporal.Interval) error { return nil }
+	if err := restored.Restore(dec.Relations[0].Blocks, true, anyPeriods); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := restored.Stats(), lg.Stats(); got != want {
+		t.Fatalf("layout %+v after restore, want %+v", got, want)
+	}
+	want, got := rows(lg), rows(restored)
 	if len(want) != len(got) {
-		t.Fatalf("segment rows: want %d got %d", len(want), len(got))
+		t.Fatalf("rows: want %d got %d", len(want), len(got))
 	}
 	for i := range want {
 		if !tuple.Equal(want[i].Data, got[i].Data) || want[i].Valid != got[i].Valid ||
 			want[i].Trans != got[i].Trans || want[i].KeyHash != got[i].KeyHash {
-			t.Fatalf("segment row %d: want %+v got %+v", i, want[i], got[i])
+			t.Fatalf("row %d: want %+v got %+v", i, want[i], got[i])
+		}
+	}
+}
+
+// Every kind's relation section carries its tail block through the codec.
+func TestSnapshotTailOnEveryKind(t *testing.T) {
+	s := kindsSnapshot(t)
+	dec, err := DecodeSnapshot(EncodeSnapshot(s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !snapshotsEqual(s, dec) {
+		t.Fatal("round trip mismatch")
+	}
+	for _, r := range dec.Relations {
+		if len(r.Blocks) != 1 || !r.Tail || r.Blocks[0].Len() != 3 {
+			t.Fatalf("%s: tail block lost", r.Name)
+		}
+	}
+	// A tail flag is 0 or 1, and 1 only after a block.
+	for _, c := range []struct {
+		flag byte
+		s    RelationSnapshot
+	}{
+		{2, s.Relations[0]},
+		{1, RelationSnapshot{Name: "r", Schema: promoSchema(t), Stats: []byte{1}}},
+	} {
+		enc := EncodeSnapshot(Snapshot{Relations: []RelationSnapshot{c.s}})
+		enc[len(enc)-4-2-1] = c.flag // before the stats length and blob, and the CRC
+		enc = binary.BigEndian.AppendUint32(enc[:len(enc)-4], crc32.Checksum(enc[:len(enc)-4], crcTable))
+		if _, err := DecodeSnapshot(enc); !errors.Is(err, ErrSnapshotCorrupt) {
+			t.Fatalf("tail flag %d after %d blocks: want ErrSnapshotCorrupt, got %v", c.flag, len(c.s.Blocks), err)
 		}
 	}
 }
@@ -166,7 +248,7 @@ func TestSnapshotSegmentsRoundTrip(t *testing.T) {
 // typed error distinct from corruption, with the payload never interpreted
 // (it is garbage here) and the file never mistaken for an absent one.
 func TestSnapshotRetiredVersionsRefused(t *testing.T) {
-	for _, magic := range []string{"TDBSNAP2", "TDBSNAP3", "TDBSNAP4", "TDBSNAP5"} {
+	for _, magic := range []string{"TDBSNAP2", "TDBSNAP3", "TDBSNAP4", "TDBSNAP5", "TDBSNAP6"} {
 		old := append([]byte(magic), "not a payload any decoder should look at"...)
 		_, err := DecodeSnapshot(old)
 		if !errors.Is(err, ErrSnapshotVersion) || errors.Is(err, ErrSnapshotCorrupt) {

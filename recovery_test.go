@@ -144,6 +144,11 @@ func TestRecoveryRetiredSnapshotVersion(t *testing.T) {
 		retireSnapshot(t, path+".snap", "TDBSNAP5")
 		refused(t, path)
 	})
+	t.Run("TDBSNAP6 refused", func(t *testing.T) {
+		path, _ := build(t, false)
+		retireSnapshot(t, path+".snap", "TDBSNAP6")
+		refused(t, path)
+	})
 	t.Run("fallback retired too", func(t *testing.T) {
 		path, _ := build(t, true)
 		retireSnapshot(t, path+".snap", "TDBSNAP3")
@@ -324,4 +329,65 @@ func TestOpenRefusesUnknownKind(t *testing.T) {
 		}
 		refused(t, path)
 	})
+}
+
+// A fallback snapshot promoted over a corrupt primary is rewritten as it
+// was read. Replaying the log on top of it closes rows in the sealed
+// segments the restore reattached, and a primary written after that replay
+// would carry those closures under a log that still holds the records
+// making them: the next open would replay them again and fail to find the
+// rows they delete.
+func TestRecoveryFallbackWritesSnapshotState(t *testing.T) {
+	for _, k := range []Kind{Static, StaticRollback, Historical, Temporal} {
+		t.Run(k.String(), func(t *testing.T) {
+			sealEvery(t, 4)
+			path := filepath.Join(t.TempDir(), "tdb.wal")
+			db := reopen(t, path)
+			rel, err := db.CreateRelation("r", k, facultySchema(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range []string{"A", "B", "C", "D", "E"} {
+				if k.SupportsHistorical() {
+					err = rel.Assert(fac(n, "x"), 10, 20)
+				} else {
+					err = rel.Insert(fac(n, "x"))
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if segCount(t, db, "r") == 0 {
+				t.Fatal("nothing sealed")
+			}
+			if k.SupportsHistorical() { // closes the sealed row of A
+				err = rel.Retract(Key(String("A")), 10, 20)
+			} else {
+				err = rel.Delete(Key(String("A")))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := stateDigest(t, db)
+			db.Close()
+			data, err := os.ReadFile(path + ".snap")
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[len(data)/2] ^= 0xff
+			if err := os.WriteFile(path+".snap", data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			for _, open := range []string{"fallback", "promoted primary"} {
+				db := reopen(t, path)
+				if got := stateDigest(t, db); !digestsEqual(before, got) {
+					t.Fatalf("open from the %s:\nbefore %v\nafter  %v", open, before, got)
+				}
+				db.Close()
+			}
+		})
+	}
 }

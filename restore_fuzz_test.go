@@ -2,19 +2,21 @@ package tdb
 
 import (
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"tdb/internal/segment"
 	"tdb/internal/wal"
 	"tdb/temporal"
 )
 
 // matrixCheckpoint is the checkpoint file of a database holding one
 // relation of the given shape: a few rows and a correction of each, enough
-// that under a small seal threshold the rollback kinds ship sealed segments
-// beside their tail.
+// that under a small seal threshold the relation ships sealed segments
+// beside its tail.
 func matrixCheckpoint(f *testing.F, s relShape) []byte {
 	f.Helper()
 	path := filepath.Join(f.TempDir(), "seed.wal")
@@ -74,28 +76,33 @@ func restoreInto(tb testing.TB, snap wal.Snapshot) (*DB, error) {
 // instead of dying at the CRC. The restore may refuse a snapshot but never
 // panics, and what it accepts can be read back in full. Seeds: the
 // checkpoint of every kind × class of the taxonomy's matrix, each of which
-// restores, written and restored under a seal threshold of 4 so the
-// rollback kinds carry sealed segments.
+// restores, written under a seal threshold of 4, so that the relations
+// carry sealed blocks beside their tail, and under the default one, which
+// leaves every row in the tail block. The fuzz runs at 4.
 func FuzzRestoreSnapshot(f *testing.F) {
 	sealEvery(f, 4)
-	for _, s := range []relShape{
-		{"static", Static, false},
-		{"rollback", StaticRollback, false},
-		{"historical", Historical, false},
-		{"historical-event", Historical, true},
-		{"temporal", Temporal, false},
-		{"temporal-event", Temporal, true},
-	} {
+	seed := func(s relShape) {
 		data := matrixCheckpoint(f, s)
 		snap, err := wal.DecodeSnapshot(data)
+		if err == nil && !snap.Relations[0].Tail && segment.SealRows == segment.DefaultSealRows {
+			err = errors.New("no tail block")
+		}
 		if err == nil {
 			_, err = restoreInto(f, snap)
 		}
 		if err != nil {
-			f.Fatalf("%s seed: %v", s.name, err)
+			f.Fatalf("%s seed at seal %d: %v", s.name, segment.SealRows, err)
 		}
 		f.Add(data)
 	}
+	for _, s := range matrixShapes {
+		seed(s)
+	}
+	segment.SealRows = segment.DefaultSealRows // every row in the tail block
+	for _, s := range matrixShapes {
+		seed(s)
+	}
+	segment.SealRows = 4
 	table := crc32.MakeTable(crc32.Castagnoli)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) >= 4 {

@@ -513,6 +513,57 @@ func TestFollowerServerRefusesWrites(t *testing.T) {
 	}
 }
 
+// Only the database's refusal of a write earns a follower's error the
+// readonly code: a read that fails on its own, with "read-only" in its
+// message, gets no code — a routing client would otherwise resend it to the
+// primary — while create and append, plain and batched, still get it.
+func TestFollowerReadOnlyCodeOnlyForWrites(t *testing.T) {
+	primary, _, _ := newPrimary(t)
+	_, addr := serveDB(t, primary, nil)
+	fdb, _, _ := startFollower(t, addr)
+	waitCaughtUp(t, primary, fdb)
+	_, faddr := serveDB(t, fdb, nil)
+	c, err := Dial(faddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	resp, err := c.Exec(`range of f is faculty retrieve (f.name) as of "read-only"`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(resp.Error, "read-only") || resp.Code != "" {
+		t.Fatalf("failing read on follower: code %q, error %q; want no code on an error naming read-only", resp.Code, resp.Error)
+	}
+	for _, src := range []string{
+		`create static relation nope (x = int)`,
+		`append to faculty (name = "Zoe", rank = "full") valid from "01/01/90" to forever`,
+	} {
+		resp, err := c.Exec(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Code != CodeReadOnly {
+			t.Errorf("%s on follower: code %q (error %q), want %q", src, resp.Code, resp.Error, CodeReadOnly)
+		}
+		resp, err = c.ExecBatch([]string{`range of f is faculty`, src})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Code != CodeReadOnly || len(resp.Batch) != 2 || resp.Batch[1].Code != CodeReadOnly {
+			t.Errorf("%s batched on follower: %+v, want the readonly code", src, resp)
+		}
+	}
+	resp, err = c.ExecBatch([]string{`range of f is faculty`, `retrieve (f.name) as of "read-only"`})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Error == "" || resp.Code != "" || len(resp.Batch) != 2 || resp.Batch[1].Code != "" {
+		t.Fatalf("failing batched read on follower: %+v, want an error with no code", resp)
+	}
+}
+
 // Reads race applies: concurrent clients query the follower's server while
 // the primary keeps committing. Run under -race, this is the apply-path
 // synchronization test; in the small-cache arm the readers also keep evicting

@@ -476,9 +476,11 @@ func wireOutcomes(outs []*tquel.Outcome) []Outcome {
 
 // readOnlyErr reports whether an execution error is this follower refusing
 // a mutation — the structured "readonly" code that tells routing clients
-// to go to the primary.
+// to go to the primary. Only the database's own refusal counts: an error
+// that merely mentions "read-only" (a literal the query failed to parse)
+// is the statement's, and the primary would answer it no differently.
 func (s *Server) readOnlyErr(err error) bool {
-	return s.db.IsReadOnly() && strings.Contains(err.Error(), "read-only")
+	return errors.Is(err, tdb.ErrReadOnly)
 }
 
 // execBatch runs a batch command's statements in order on the connection's

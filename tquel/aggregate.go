@@ -204,7 +204,7 @@ func (acc *aggAcc) fold(ag *Agg, v tdb.Value) error {
 		}
 		c, err := value.Compare(v, acc.best)
 		if err != nil {
-			return errf(ag.Pos, "%v", err)
+			return errf(ag.Pos, "%w", err)
 		}
 		if (acc.fn == "min" && c < 0) || (acc.fn == "max" && c > 0) {
 			acc.best = v

@@ -43,10 +43,10 @@ func errUndeclared(v string) error {
 func (sc scope) rel(pos Pos, v string) (*tdb.Relation, error) {
 	i := sc.index(v)
 	if i < 0 {
-		return nil, errf(pos, "%v", errUndeclared(v))
+		return nil, errf(pos, "%w", errUndeclared(v))
 	}
 	if sc[i].err != nil {
-		return nil, errf(pos, "%v", sc[i].err)
+		return nil, errf(pos, "%w", sc[i].err)
 	}
 	return sc[i].rel, nil
 }

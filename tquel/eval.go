@@ -117,7 +117,7 @@ func evalCmp(n *Cmp, ev *env) (bool, error) {
 	}
 	c, err := value.Compare(l, r)
 	if err != nil {
-		return false, errf(n.Pos, "%v", err)
+		return false, errf(n.Pos, "%w", err)
 	}
 	switch n.Op {
 	case "=":

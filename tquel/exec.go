@@ -114,12 +114,12 @@ func (s *Session) exec(st Stmt) (*Outcome, error) {
 		return s.execCreate(n)
 	case *DestroyStmt:
 		if err := s.db.DropRelation(n.Name); err != nil {
-			return nil, errf(n.Pos, "%v", err)
+			return nil, errf(n.Pos, "%w", err)
 		}
 		return &Outcome{Stmt: "destroy", Msg: fmt.Sprintf("destroyed relation %s", n.Name)}, nil
 	case *RangeStmt:
 		if _, err := s.db.Relation(n.Rel); err != nil {
-			return nil, errf(n.Pos, "%v", err)
+			return nil, errf(n.Pos, "%w", err)
 		}
 		s.ranges[n.Var] = n.Rel
 		return &Outcome{Stmt: "range", Msg: fmt.Sprintf("range of %s is %s", n.Var, n.Rel)}, nil
@@ -145,11 +145,11 @@ func (s *Session) execCreate(n *CreateStmt) (*Outcome, error) {
 	}
 	sch, err := tdb.NewSchema(attrs...)
 	if err != nil {
-		return nil, errf(n.Pos, "%v", err)
+		return nil, errf(n.Pos, "%w", err)
 	}
 	if len(n.Keys) > 0 {
 		if sch, err = sch.WithKey(n.Keys...); err != nil {
-			return nil, errf(n.Pos, "%v", err)
+			return nil, errf(n.Pos, "%w", err)
 		}
 	}
 	if n.Event {
@@ -158,7 +158,7 @@ func (s *Session) execCreate(n *CreateStmt) (*Outcome, error) {
 		_, err = s.db.CreateRelation(n.Name, n.Kind, sch)
 	}
 	if err != nil {
-		return nil, errf(n.Pos, "%v", err)
+		return nil, errf(n.Pos, "%w", err)
 	}
 	kind := n.Kind.String()
 	if n.Event {
@@ -665,7 +665,7 @@ func (s *Session) storeInto(n *RetrieveStmt, res *Resultset, kinds []tdb.ValueKi
 	}
 	sch, err := tdb.NewSchema(attrs...)
 	if err != nil {
-		return errf(n.Pos, "result schema: %v", err)
+		return errf(n.Pos, "result schema: %w", err)
 	}
 	switch {
 	case !res.HasValid:
@@ -676,7 +676,7 @@ func (s *Session) storeInto(n *RetrieveStmt, res *Resultset, kinds []tdb.ValueKi
 		_, err = s.db.CreateRelation(n.Into, tdb.Historical, sch)
 	}
 	if err != nil {
-		return errf(n.Pos, "%v", err)
+		return errf(n.Pos, "%w", err)
 	}
 	return s.db.Update(func(tx *tdb.Tx) error {
 		h, err := tx.Rel(n.Into)
@@ -767,7 +767,7 @@ func (s *Session) execAppend(n *AppendStmt) (*Outcome, error) {
 		// the schema of the relation it is inserted into.
 		rel, err := tx.ReadTx.Rel(n.Rel)
 		if err != nil {
-			return errf(n.Pos, "%v", err)
+			return errf(n.Pos, "%w", err)
 		}
 		sch := rel.Schema()
 		ev := &env{vars: map[string]*binding{}, now: tx.At()}
@@ -834,7 +834,7 @@ func (s *Session) execAppend(n *AppendStmt) (*Outcome, error) {
 func (s *Session) matchIn(tx *tdb.Tx, pos Pos, v string, where Expr, when TemporalExpr, ev *env) (*tdb.Relation, []tdb.Version, error) {
 	rel, err := s.relIn(&tx.ReadTx, v)
 	if err != nil {
-		return nil, nil, errf(pos, "%v", err)
+		return nil, nil, errf(pos, "%w", err)
 	}
 	var whereConjs []Expr
 	if where != nil {

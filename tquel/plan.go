@@ -454,7 +454,7 @@ func (s *Session) fetchVar(rt *tdb.ReadTx, pos Pos, rel *tdb.Relation, v string,
 	}
 	var err error
 	if f.versions, err = rt.Scan(rel, spec); err != nil {
-		return f, errf(pos, "%s: %v", rel.Name(), err)
+		return f, errf(pos, "%s: %w", rel.Name(), err)
 	}
 	if len(where)+len(when) == 0 {
 		return f, nil

@@ -19,7 +19,10 @@
 //	                      as of "12/10/82"`)
 package tquel
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // TokenKind classifies lexical tokens.
 type TokenKind uint8
@@ -72,6 +75,7 @@ func (p Pos) String() string { return fmt.Sprintf("%d:%d", p.Line, p.Col) }
 type Error struct {
 	Pos Pos
 	Msg string
+	Err error // the error it wraps, if any: the database's or the evaluator's
 }
 
 // Error implements the error interface.
@@ -82,6 +86,11 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("tquel: %s: %s", e.Pos, e.Msg)
 }
 
+// Unwrap returns the error e wraps.
+func (e *Error) Unwrap() error { return e.Err }
+
+// errf formats an Error at pos; a %w verb names the error it wraps.
 func errf(pos Pos, format string, args ...any) error {
-	return &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)}
+	err := fmt.Errorf(format, args...)
+	return &Error{Pos: pos, Msg: err.Error(), Err: errors.Unwrap(err)}
 }

@@ -1,7 +1,6 @@
 package tdb
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 
@@ -72,20 +71,23 @@ func (tx *Tx) ddl(op wal.Op) error {
 }
 
 // createRel adds an empty relation, created by the transaction now landing
-// (or the snapshot being restored). Event relations are only meaningful for
-// kinds carrying valid time (historical and temporal); requesting one for
-// other kinds fails with ErrKindMismatch. Callers hold db.mu.Lock.
+// (or the snapshot being restored). It refuses with ErrInvalidRelation a
+// definition without a name, a known kind or a schema: the WAL and
+// checkpoint decoders leave these checks to it. Event relations need a kind
+// with valid time (historical, temporal), else ErrKindMismatch. Callers
+// hold db.mu.Lock.
 func (db *DB) createRel(name string, kind Kind, event bool, sch *Schema) (*Relation, error) {
 	if name == "" {
-		return nil, errors.New("tdb: relation needs a name")
+		return nil, fmt.Errorf("%w: relation needs a name", ErrInvalidRelation)
 	}
 	if _, taken := db.rels[name]; taken {
 		return nil, fmt.Errorf("%w: %q", ErrRelationExists, name)
 	}
-	if kind > Temporal {
-		// Only the two capability bits name a kind; the WAL and checkpoint
-		// decoders leave this check to us.
-		return nil, fmt.Errorf("tdb: unknown kind %v", kind)
+	if kind > Temporal { // only the two capability bits name a kind
+		return nil, fmt.Errorf("%w: unknown kind %v", ErrInvalidRelation, kind)
+	}
+	if sch == nil {
+		return nil, fmt.Errorf("%w: relation %q has no schema", ErrInvalidRelation, name)
 	}
 	if event && !kind.SupportsHistorical() {
 		return nil, fmt.Errorf("%w: %s relations carry no valid time to stamp events with", ErrKindMismatch, kind)
