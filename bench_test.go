@@ -517,8 +517,8 @@ func BenchmarkAsOfDeepFewVisible(b *testing.B) {
 }
 
 // BenchmarkSegmentSeal prices freezing one default-threshold tail into a
-// columnar segment: dictionary encoding, zone maps, and the key bloom for
-// 8192 rows. This is the cost a commit pays when it trips the threshold.
+// columnar segment: dictionary encoding, zone maps and postings for 8192
+// rows. This is the cost a commit pays when it trips the threshold.
 func BenchmarkSegmentSeal(b *testing.B) {
 	cfg := dataset.DefaultConfig()
 	cfg.Entities = 128
@@ -527,10 +527,9 @@ func BenchmarkSegmentSeal(b *testing.B) {
 	rows := make([]segment.Row, len(events))
 	for i, e := range events {
 		rows[i] = segment.Row{
-			Data:    e.Tuple(),
-			Valid:   e.Valid,
-			Trans:   temporal.Since(e.Commit),
-			KeyHash: e.Key().Hash64(),
+			Data:  e.Tuple(),
+			Valid: e.Valid,
+			Trans: temporal.Since(e.Commit),
 		}
 	}
 	b.ResetTimer()

@@ -301,8 +301,12 @@ func (db *DB) recover() error {
 	}
 
 	if haveUse {
+		// A snapshot that decodes but holds a state the update algebra could
+		// not have built is refused without trying the fallback: its checksum
+		// proves these are the bytes the checkpoint wrote, and the
+		// checkpoint's second rotation made the fallback a copy of them.
 		if err := db.restoreSnapshot(use); err != nil {
-			return err
+			return fmt.Errorf("%w: %w", ErrCorrupt, err)
 		}
 		db.recovery.SnapshotLoaded = true
 		db.epoch = use.Epoch

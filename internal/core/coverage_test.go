@@ -158,6 +158,66 @@ func TestRestoreBlocksRoundTrip(t *testing.T) {
 	}
 }
 
+// A restore admits only a state the update algebra could have built. It
+// refuses, sealed or tail, a second current row of a key without valid time,
+// current rows of a key whose valid periods overlap (two current events of
+// a key at one instant among them) and a row asserted before the one ahead
+// of it, and leaves the store empty. Superseded rows overlap freely, and so
+// do the events a kind that keeps a past accumulates at one instant.
+func TestRestoreRefusesImpossibleStates(t *testing.T) {
+	sch := facultySchema(t)
+	now, span := temporal.Since(noPast), func(from, to temporal.Chronon) temporal.Interval {
+		return temporal.Interval{From: from, To: to}
+	}
+	for _, c := range []struct {
+		name  string
+		kind  Kind
+		event bool
+		vs    []Version
+		ok    bool
+	}{
+		{"static duplicate", Static, false, []Version{
+			{Data: fac("A", "x"), Valid: temporal.All, Trans: now}, {Data: fac("A", "y"), Valid: temporal.All, Trans: now}}, false},
+		{"static distinct", Static, false, []Version{
+			{Data: fac("A", "x"), Valid: temporal.All, Trans: now}, {Data: fac("B", "x"), Valid: temporal.All, Trans: now}}, true},
+		{"rollback duplicate", StaticRollback, false, []Version{
+			{Data: fac("A", "x"), Valid: temporal.All, Trans: temporal.Since(100)}, {Data: fac("A", "y"), Valid: temporal.All, Trans: temporal.Since(110)}}, false},
+		{"rollback superseded", StaticRollback, false, []Version{
+			{Data: fac("A", "x"), Valid: temporal.All, Trans: span(100, 110)}, {Data: fac("A", "y"), Valid: temporal.All, Trans: temporal.Since(110)}}, true},
+		{"rollback out of commit order", StaticRollback, false, []Version{
+			{Data: fac("A", "x"), Valid: temporal.All, Trans: temporal.Since(110)}, {Data: fac("B", "y"), Valid: temporal.All, Trans: temporal.Since(100)}}, false},
+		{"historical overlap", Historical, false, []Version{
+			{Data: fac("A", "x"), Valid: span(10, 20), Trans: now}, {Data: fac("A", "y"), Valid: span(15, 30), Trans: now}}, false},
+		{"historical adjacent", Historical, false, []Version{
+			{Data: fac("A", "x"), Valid: span(10, 20), Trans: now}, {Data: fac("A", "y"), Valid: span(20, 30), Trans: now}}, true},
+		{"historical events at one instant", Historical, true, []Version{
+			{Data: fac("A", "x"), Valid: temporal.At(10), Trans: now}, {Data: fac("A", "y"), Valid: temporal.At(10), Trans: now}}, false},
+		{"temporal overlap", Temporal, false, []Version{
+			{Data: fac("A", "x"), Valid: span(10, 20), Trans: temporal.Since(100)}, {Data: fac("A", "y"), Valid: span(15, 30), Trans: temporal.Since(100)}}, false},
+		{"temporal overlap superseded", Temporal, false, []Version{
+			{Data: fac("A", "x"), Valid: span(10, 20), Trans: span(100, 110)}, {Data: fac("A", "y"), Valid: span(15, 30), Trans: temporal.Since(110)}}, true},
+		{"temporal out of commit order", Temporal, false, []Version{
+			{Data: fac("A", "x"), Valid: span(10, 20), Trans: temporal.Since(110)}, {Data: fac("A", "y"), Valid: span(20, 30), Trans: temporal.Since(100)}}, false},
+		{"temporal events at one instant", Temporal, true, []Version{
+			{Data: fac("A", "x"), Valid: temporal.At(10), Trans: temporal.Since(100)}, {Data: fac("A", "y"), Valid: temporal.At(10), Trans: temporal.Since(100)}}, true},
+	} {
+		for _, tail := range []bool{true, false} {
+			s := New(c.kind, sch, c.event)
+			err := s.Restore(tailBlock(t, sch, c.vs...), tail)
+			if (err == nil) != c.ok {
+				t.Errorf("%s (tail %v): restore error %v, want accepted %v", c.name, tail, err, c.ok)
+			}
+			if want := len(c.vs); !c.ok {
+				if n, m := s.VersionCount(), s.CurrentCount(); n != 0 || m != 0 {
+					t.Errorf("%s (tail %v): refused restore left %d versions, %d current", c.name, tail, n, m)
+				}
+			} else if n := len(read(t, s, ScanSpec{AllVersions: true})); n != want {
+				t.Errorf("%s (tail %v): restored %d versions, want %d", c.name, tail, n, want)
+			}
+		}
+	}
+}
+
 func TestRollbackRestoreBlocks(t *testing.T) {
 	for _, sealed := range []bool{false, true} {
 		orig := New(StaticRollback, facultySchema(t), false)

@@ -125,7 +125,7 @@ func tailBlock(t testing.TB, sch *schema.Schema, vs ...Version) []*segment.Segme
 	t.Helper()
 	lg := segment.NewLog(sch)
 	for _, v := range vs {
-		lg.Append(segment.Row{Data: v.Data, Valid: v.Valid, Trans: v.Trans, KeyHash: v.Data.KeyHash(sch)})
+		lg.Append(segment.Row{Data: v.Data, Valid: v.Valid, Trans: v.Trans})
 	}
 	blocks, _ := lg.Blocks()
 	return []*segment.Segment{decodeBlock(t, sch, blocks[0])}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"tdb/internal/schema"
 	"tdb/internal/segment"
 	"tdb/internal/tuple"
 	"tdb/temporal"
@@ -83,17 +84,32 @@ func (sp *ScanSpec) trans() (w temporal.Interval, all bool) {
 	return w, false
 }
 
-// pred is the spec as the version log's predicate: two interval tests, the
-// key's hash and the filters. The hash stands in for the key, so the caller
-// re-checks the key on what the log returns.
+// pred is the spec as the version log's predicate: two interval tests and
+// the filters. The key is not in it: the caller tests it on what the log
+// returns, having first added keyFilters where the log is scanned for it.
 func (sp *ScanSpec) pred() segment.Pred {
 	p := segment.Pred{Valid: sp.When, Filters: sp.Filters}
 	if w, all := sp.trans(); !all {
 		p.Trans = &w
 	}
-	if sp.Key != nil {
-		kh := sp.Key.Hash64()
-		p.Key = &kh
-	}
 	return p
+}
+
+// keyFilters is key as one equality filter per key attribute of sch, which a
+// scan tests on the columns and prunes segments on. They keep no fewer rows
+// than the key does (a NaN or a value of another kind gets none, a float
+// filter takes −0 for +0, and a key of the wrong length matches no row), so
+// the caller's tuple.HasKey stays the exact test.
+func keyFilters(sch *schema.Schema, key tuple.Tuple) (fs []*segment.Filter) {
+	ks := sch.KeyAttrs()
+	for j, v := range key {
+		a := j // the whole tuple is the key
+		if j < len(ks) {
+			a = ks[j]
+		}
+		if f, ok := segment.NewCmpFilter(sch, a, segment.OpEq, v); ok {
+			fs = append(fs, f)
+		}
+	}
+	return fs
 }

@@ -129,11 +129,11 @@ func (s *Store) LastCommit() temporal.Chronon { return s.lastCommit }
 // anything, on a spec the kind cannot answer (ErrNoRollback) or that
 // contradicts itself (ErrScanSpec).
 //
-// The spec is the log's predicate (ScanSpec.pred) and the log's one scan
-// prunes on whatever of it is set, in commit order. The exception is
-// current belief about one entity, which the key index answers without a
-// scan. Rollback yields the state that was current at the as-of instant — a
-// static relation from a static rollback one (§4.2), a historical relation
+// The spec is the log's predicate (ScanSpec.pred), a key as equality
+// filters on its columns, and the log's one scan prunes on whatever of it is
+// set, in commit order. The exception is current belief about one entity,
+// which the key index answers without a scan. Rollback yields the state
+// that was current at the as-of instant — a static relation from a static rollback one (§4.2), a historical relation
 // from a temporal one (§4.4) — and a When on top of it is the paper's fully
 // bitemporal query: tuples valid at some moment as seen from some other
 // moment. Without a past, every version there is to show is a current one.
@@ -144,24 +144,26 @@ func (s *Store) Read(spec ScanSpec, fn func(Version) bool) error {
 	countRead(s.kind)
 	spec.AllVersions = spec.AllVersions && s.past
 	p := spec.pred()
-	// The log knows a key by its hash; hashes collide, and this is where a
-	// version of some other entity is turned away.
-	emit := func(_ int, r segment.Row) bool {
-		if spec.Key != nil && !r.Data.HasKey(s.sch, spec.Key) {
-			return true
-		}
-		return fn(s.version(r))
-	}
 	if spec.Key == nil || spec.AsOf != nil || spec.AllVersions {
-		s.log.Scan(p, emit)
+		// The key filters keep a superset of the key's versions; this is
+		// where a version of some other entity is turned away.
+		if spec.Key != nil {
+			p.Filters = append(p.Filters[:len(p.Filters):len(p.Filters)], keyFilters(s.sch, spec.Key)...)
+		}
+		s.log.Scan(p, func(_ int, r segment.Row) bool {
+			return (spec.Key != nil && !r.Data.HasKey(s.sch, spec.Key)) || fn(s.version(r))
+		})
 		return nil
 	}
-	// The index lists exactly the current versions; sorting its postings
-	// restores commit order.
-	posts := s.byKey.Lookup(*p.Key, make([]int, 0, 8))
+	// The index lists the current versions, among those of the keys that
+	// share the key's slot; sorting its postings restores commit order.
+	posts := s.byKey.Lookup(spec.Key.Hash64(), make([]int, 0, 8))
 	slices.Sort(posts)
 	for _, pos := range posts {
-		if r := s.log.Row(pos); p.Match(&r) && !emit(pos, r) {
+		if !s.log.HasKey(pos, spec.Key) {
+			continue
+		}
+		if r := s.log.Row(pos); p.Match(&r) && !fn(s.version(r)) {
 			break
 		}
 	}
@@ -283,7 +285,8 @@ func (s *Store) Assert(t tuple.Tuple, valid temporal.Interval, at temporal.Chron
 	s.supersede(key, valid, at)
 	if !s.past {
 		for _, pos := range s.byKey.Lookup(kh, make([]int, 0, 8)) {
-			if u, ok := valid.Union(s.log.Valid(pos)); ok && tuple.Equal(s.log.Row(pos).Data, t) {
+			// HasKey first: a posting of another key in the slot is not built.
+			if u, ok := valid.Union(s.log.Valid(pos)); ok && s.log.HasKey(pos, key) && tuple.Equal(s.log.Row(pos).Data, t) {
 				valid = u
 				s.close(pos, kh, at)
 			}
@@ -367,14 +370,37 @@ func (s *Store) RetractAt(key tuple.Tuple, validAt, at temporal.Chronon) error {
 }
 
 // Restore fills the empty store from its checkpoint blocks (see
-// segment.Log.Restore) and indexes their current rows by key.
+// segment.Log.Restore) and indexes their current rows by key. It refuses a
+// state the update algebra could not have built: a row asserted before the
+// one ahead of it, or a current row whose valid period overlaps that of a
+// current row of its key ahead of it — a second current row where the kind
+// has no valid time, a second current event at one instant. Only the events
+// of a kind that keeps a past accumulate at one instant.
 func (s *Store) Restore(blocks []*segment.Segment, tail bool) error {
 	if err := s.log.Restore(blocks, tail, s.restorable); err != nil {
 		return err
 	}
+	var buf [8]int
+	posts := buf[:0] // stays empty where events accumulate
+	admit := func(pos int, keyHash uint64) error {
+		if !s.past || !s.event {
+			posts = s.byKey.Lookup(keyHash, posts[:0])
+		}
+		for _, p := range posts {
+			if s.log.Valid(p).Overlaps(s.log.Valid(pos)) && s.log.SameKey(p, pos) {
+				return fmt.Errorf("core: restoring overlapping current versions of %v into a %v relation",
+					s.log.Row(pos).Data.Key(s.sch), s.kind)
+			}
+		}
+		s.byKey.Add(keyHash, pos)
+		return nil
+	}
 	for _, g := range blocks {
 		s.byKey.Reserve(g.Current(), s.log.Len())
-		g.EachCurrent(func(pos int, keyHash uint64) { s.byKey.Add(keyHash, pos) })
+		if err := g.EachCurrent(admit); err != nil {
+			*s = *New(s.kind, s.sch, s.event) // as empty as a refused log leaves it
+			return err
+		}
 		if s.past {
 			s.lastCommit = max(s.lastCommit, g.LastCommit())
 		}
@@ -449,7 +475,7 @@ func (s *Store) Settle() {
 	s.byKey = index.New(s.log.KeyHash)
 	s.byKey.Reserve(live, live)
 	old.Scan(current.pred(), func(_ int, r segment.Row) bool {
-		s.byKey.Add(r.KeyHash, s.log.Append(r))
+		s.byKey.Add(r.Data.KeyHash(s.sch), s.log.Append(r))
 		s.log.Seal()
 		return true
 	})
@@ -458,7 +484,7 @@ func (s *Store) Settle() {
 // append adds a current version asserted at commit time at. The log copies
 // t's values, so the caller keeps t.
 func (s *Store) append(t tuple.Tuple, keyHash uint64, valid temporal.Interval, at temporal.Chronon) {
-	pos := s.log.Append(segment.Row{Data: t, Valid: valid, Trans: temporal.Since(at), KeyHash: keyHash})
+	pos := s.log.Append(segment.Row{Data: t, Valid: valid, Trans: temporal.Since(at)})
 	s.byKey.Add(keyHash, pos)
 	s.j.record(func() {
 		s.byKey.Remove(keyHash, pos)

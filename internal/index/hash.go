@@ -1,8 +1,8 @@
 // Package index provides the key index the stores in internal/core keep
 // beside their rows: a chained hash index threaded through the positions,
-// which stores no hash because its owner already keeps one per row. No store
-// keeps a time index: every store's segment.Log is ordered by transaction
-// time and prunes whole segments on both axes.
+// which stores no hash because its owner can compute one from the row. No
+// store keeps a time index: every store's segment.Log is ordered by
+// transaction time and prunes whole segments on both axes.
 package index
 
 import (
@@ -16,20 +16,20 @@ const pageLen = 1 << 15
 
 // Hash is a chained hash index from 64-bit hashes to postings (row
 // positions). Callers hash their own keys (value.Value and tuple.Tuple both
-// provide Hash64) and must verify candidates against the actual key, since
-// distinct keys may share a hash.
+// provide Hash64) and must verify candidates against the actual key: Lookup
+// returns every posting that shares the hash's slot, whatever its own hash.
 //
 // A position is its own chain node (docs/storage.md, "The key index"): table
 // is a power of two of chain heads and next holds, for each posted position,
 // the link to the one after it, every link a position plus one with 0 ending
-// the chain. The hash a position is posted under is not stored: Lookup and a
-// growing table ask the owner's hashAt, which must answer for every posted
+// the chain. The hash a position is posted under is not stored: only a
+// growing table asks the owner's hashAt, which must answer for every posted
 // position. A position is posted at most once at a time.
 //
 // Hash is not safe for concurrent mutation, but once built it is safe for
-// any number of concurrent readers, provided hashAt is: Lookup and Len touch
-// no mutable state. The stores' key indexes are read this way by concurrent
-// views under the database's read lock.
+// any number of concurrent readers: Lookup and Len touch no mutable state
+// and never ask hashAt. The stores' key indexes are read this way by
+// concurrent views under the database's read lock.
 type Hash struct {
 	hashAt func(pos int) uint64
 	table  []uint32
@@ -70,17 +70,17 @@ func (h *Hash) Add(hash uint64, pos int) {
 	h.n++
 }
 
-// Lookup appends the postings recorded under hash to dst, in no particular
-// order, and returns it: the caller's own, so the index may be changed while it is
-// walked (how the stores supersede the versions of a key).
+// Lookup appends hash's slot's chain to dst, in no particular order, and
+// returns it: every posting recorded under hash, and those of the other
+// hashes that share its slot, which the caller turns away by their keys. dst
+// is the caller's own, so the index may be changed while it is walked (how
+// the stores supersede the versions of a key).
 func (h *Hash) Lookup(hash uint64, dst []int) []int {
 	if len(h.table) == 0 {
 		return dst
 	}
 	for l := h.table[hash&uint64(len(h.table)-1)]; l != 0; l = *h.link(l) {
-		if pos := int(l - 1); h.hashAt(pos) == hash {
-			dst = append(dst, pos)
-		}
+		dst = append(dst, int(l-1))
 	}
 	return dst
 }

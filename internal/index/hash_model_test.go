@@ -18,7 +18,7 @@ func footprint(h *Hash) int {
 	return n
 }
 
-// hashModel is what Hash promises, spelled with a map: each posted position
+// hashModel is what Hash holds, spelled with a map: each posted position
 // under one hash.
 type hashModel map[int]uint64
 
@@ -34,14 +34,35 @@ func (m hashModel) lookup(hash uint64) []int {
 	return out
 }
 
-// checkAgainst compares Lookup on every hash in [0, hashes) and the total.
+// keyed is Lookup as the stores use it: the slot's chain, less the postings
+// whose owner files them under another hash, ascending.
+func keyed(h *Hash, hash uint64) []int {
+	var out []int
+	for _, pos := range h.Lookup(hash, nil) {
+		if h.hashAt(pos) == hash {
+			out = append(out, pos)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// checkAgainst holds Lookup on every hash in [0, hashes), and the total, to
+// the model: Lookup lists each posting of its slot once, every one of them
+// posted under a hash of that slot, and among them every posting the hash
+// has.
 func checkAgainst(t *testing.T, h *Hash, m hashModel, hashes uint64) {
 	t.Helper()
 	for k := uint64(0); k < hashes; k++ {
 		got := h.Lookup(k, nil)
-		slices.Sort(got)
-		if want := m.lookup(k); !slices.Equal(got, want) {
-			t.Fatalf("Lookup(%d) = %v, model has %v", k, got, want)
+		slot := k & uint64(len(h.table)-1)
+		for i, pos := range got {
+			if held, posted := m[pos]; !posted || held&uint64(len(h.table)-1) != slot || slices.Contains(got[:i], pos) {
+				t.Fatalf("Lookup(%d) = %v: posting %d is not one of slot %d's, or is listed twice", k, got, pos, slot)
+			}
+		}
+		if want := m.lookup(k); !slices.Equal(keyed(h, k), want) {
+			t.Fatalf("Lookup(%d) keyed = %v, model has %v", k, keyed(h, k), want)
 		}
 	}
 	if h.Len() != len(m) {
@@ -175,7 +196,7 @@ func TestHashChurnFootprint(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", h.Len(), live)
 	}
 	for i := churn - live; i < churn; i++ {
-		if got := h.Lookup(key(i), nil); len(got) != 1 || got[0] != at[i%live] {
+		if got := keyed(h, key(i)); len(got) != 1 || got[0] != at[i%live] {
 			t.Fatalf("Lookup(key %d) = %v, want [%d]", i, got, at[i%live])
 		}
 	}
@@ -217,7 +238,7 @@ func TestHashFootprint(t *testing.T) {
 			t.Errorf("Reserve(%d): grew from %d to %d bytes during bulk build", n, before, footprint(h))
 		}
 		for i := 0; i < n; i++ {
-			if got := h.Lookup(hash(i), nil); len(got) != 1 || got[0] != i {
+			if got := keyed(h, hash(i)); len(got) != 1 || got[0] != i {
 				t.Fatalf("Reserve(%d): Lookup(%d) = %v", n, i, got)
 			}
 		}

@@ -6,7 +6,7 @@ import (
 )
 
 // owned is an index together with what its owner keeps: the hash each
-// position is posted under, as a store's key-hash column holds it.
+// position is posted under, as a store computes it from the row's key columns.
 type owned struct {
 	*Hash
 	hashes map[int]uint64

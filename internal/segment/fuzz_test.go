@@ -40,7 +40,7 @@ func kindBlock(sch *schema.Schema) []byte {
 		if i%3 == 1 {
 			valid.To = temporal.Chronon(2 * (i + 1))
 		}
-		l.Append(Row{Data: data, Valid: valid, Trans: temporal.Since(temporal.Chronon(100 + i/2)), KeyHash: data.Hash64()})
+		l.Append(Row{Data: data, Valid: valid, Trans: temporal.Since(temporal.Chronon(100 + i/2))})
 	}
 	l.CloseTrans(2, 105)
 	l.SealNow()
@@ -55,7 +55,7 @@ func shardBlock() []byte {
 	l := NewLog(sch)
 	for i := 0; i < 64; i++ {
 		data := tuple.Tuple{value.NewString(fmt.Sprintf("s%02d", i*7%16))}
-		l.Append(Row{Data: data, Valid: temporal.Since(temporal.Chronon(i)), Trans: temporal.Since(100), KeyHash: data.Hash64()})
+		l.Append(Row{Data: data, Valid: temporal.Since(temporal.Chronon(i)), Trans: temporal.Since(100)})
 	}
 	l.SealNow()
 	return AppendBlock(nil, l.Segments()[0])

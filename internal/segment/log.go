@@ -3,6 +3,7 @@ package segment
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"tdb/internal/schema"
@@ -112,18 +113,24 @@ func (l *Log) Blocks() (blocks []*Segment, tail bool) {
 
 // Restore fills an empty log with a checkpoint's blocks as Blocks gave them:
 // the sealed ones are reattached and the tail block's rows appended to the
-// open segment, so the log lies as the checkpointed one did. Every row's
-// periods must pass check first, or the log stays empty.
+// open segment, so the log lies as the checkpointed one did. The rows must be
+// in commit order, no row asserted before the one ahead of it, and every
+// row's periods must pass check, or the log stays empty.
 func (l *Log) Restore(blocks []*Segment, tail bool, check func(valid, trans temporal.Interval) error) error {
 	if l.Len() != 0 || (tail && len(blocks) == 0) {
 		return fmt.Errorf("segment: restore of %d blocks (tail %v) into a log of %d rows", len(blocks), tail, l.Len())
 	}
-	pos := 0
+	pos, last := 0, int64(math.MinInt64)
 	for _, g := range blocks {
 		if g.start != pos {
 			return fmt.Errorf("segment: restore block at %d, log is at %d", g.start, pos)
 		}
 		for i := range g.n {
+			from := g.transFrom.at(i)
+			if from < last {
+				return fmt.Errorf("segment: restore row %d asserted at %d, after one asserted at %d", pos+i, from, last)
+			}
+			last = from
 			if err := check(g.periods(i)); err != nil {
 				return err
 			}
@@ -169,11 +176,12 @@ func (l *Log) Row(pos int) Row {
 	return g.row(i)
 }
 
-// KeyHash returns the key hash of the row at global position pos from its
-// segment's column, without building the row (the key index's hashAt).
+// KeyHash returns the key hash of the row at global position pos, computed
+// from its segment's key columns without building the row (the key index's
+// hashAt).
 func (l *Log) KeyHash(pos int) uint64 {
 	g, i := l.locate(pos)
-	return g.keyHash[i]
+	return g.keyHash(i)
 }
 
 // HasKey reports whether the row at global position pos has key (as
@@ -190,6 +198,20 @@ func (l *Log) HasKey(pos int, key tuple.Tuple) bool {
 	}
 	for j, a := range ks {
 		if !value.Equal(g.value(a, i), key[j]) {
+			return false
+		}
+	}
+	return true
+}
+
+// SameKey reports whether the rows at global positions p and q have one key,
+// testing their segments' key columns without building either row.
+func (l *Log) SameKey(p, q int) bool {
+	g, i := l.locate(p)
+	h, j := l.locate(q)
+	ks := l.sch.KeyAttrs() // none: the whole tuple is the key
+	for a := range g.cols {
+		if (len(ks) == 0 || slices.Contains(ks, a)) && !value.Equal(g.value(a, i), h.value(a, j)) {
 			return false
 		}
 	}
@@ -214,8 +236,9 @@ func (l *Log) CloseTrans(pos int, to temporal.Chronon) {
 }
 
 // Pred says which rows a Scan returns: two interval tests, one per time
-// axis, an entity, and attribute comparisons. A nil field does not restrict;
-// a row is returned exactly when it passes every field that is set.
+// axis, and attribute comparisons (an entity is one equality per key
+// attribute). A nil field does not restrict; a row is returned exactly when
+// it passes every field that is set.
 type Pred struct {
 	// Trans keeps rows whose transaction period overlaps the window. Rollback
 	// to an instant t is the one-chronon window [t, t+1), current belief the
@@ -225,9 +248,6 @@ type Pred struct {
 	Trans *temporal.Interval
 	// Valid keeps rows whose valid period overlaps the interval.
 	Valid *temporal.Interval
-	// Key keeps rows with this key hash. Hashes collide: a caller after one
-	// entity re-checks the key on what comes back.
-	Key *uint64
 	// Filters keeps rows passing every comparison.
 	Filters []*Filter
 }
@@ -239,9 +259,6 @@ func (p *Pred) Match(r *Row) bool {
 		return false
 	}
 	if p.Valid != nil && !r.Valid.Overlaps(*p.Valid) {
-		return false
-	}
-	if p.Key != nil && r.KeyHash != *p.Key {
 		return false
 	}
 	for _, f := range p.Filters {
@@ -318,8 +335,8 @@ func (g *Segment) scan(p *Pred, bs []binding, cut int64, fn func(pos int, r Row)
 	var buf [256]uint16
 	var rows []uint16 // what is left of the last sifted chunk
 	for i := 0; i < hi; i++ {
-		// The narrow columns pick the candidates: a key or an attribute
-		// comparison usually turns most rows away on four or eight bytes,
+		// The narrow columns pick the candidates: an attribute comparison
+		// usually turns most rows away on four or eight bytes,
 		// in a loop of its own (seek); without one a period test does. In a
 		// sealed segment a string equality's postings, where it has them,
 		// pick them instead, a chunk at a time (sift).
@@ -331,8 +348,8 @@ func (g *Segment) scan(p *Pred, bs []binding, cut int64, fn func(pos int, r Row)
 			if i = hi; len(rows) > 0 {
 				i, rows = int(rows[0]), rows[1:]
 			}
-		case p.Key != nil || len(p.Filters) > 0:
-			i = g.seek(i, hi, p.Key, p.Filters, bs)
+		case len(p.Filters) > 0:
+			i = g.seek(i, hi, p.Filters, bs)
 		case tw.on && !tw.wide:
 			i = tw.next(i, hi)
 		case vq.on && !vq.wide:
@@ -411,23 +428,13 @@ func (g *Segment) postings(filters []*Filter, bs []binding) (list []uint16, by i
 }
 
 // sift takes the next chunk of a postings list into buf and keeps, in order,
-// the rows below hi that have the key hash and pass every filter but by,
-// whose list it is, one test at a time. It returns them and the rest of the
-// list.
+// the rows below hi that pass every filter but by, whose list it is, one test
+// at a time. It returns them and the rest of the list.
 func (g *Segment) sift(buf, list []uint16, hi int, p *Pred, bs []binding, by int) (rows, rest []uint16) {
 	n := copy(buf, list)
 	rows, rest = buf[:n], list[n:]
 	for len(rows) > 0 && int(rows[len(rows)-1]) >= hi {
 		rows = rows[:len(rows)-1]
-	}
-	if p.Key != nil {
-		m := 0
-		for _, r := range rows {
-			if rows[m] = r; g.keyHash[r] == *p.Key {
-				m++
-			}
-		}
-		rows = rows[:m]
 	}
 	for fi, f := range p.Filters {
 		if fi != by {
@@ -437,21 +444,14 @@ func (g *Segment) sift(buf, list []uint16, hi int, p *Pred, bs []binding, by int
 	return rows, rest
 }
 
-// seek returns the first row in [i, hi) that has the key hash and passes the
-// filters, or hi. The tests take turns, each moving i on to the next row it
-// passes in a loop over its one column (Filter.next), until a whole round
-// leaves i where it is: the test that passes fewest rows does the walking and
-// the others look only at where it lands.
-func (g *Segment) seek(i, hi int, key *uint64, filters []*Filter, bs []binding) int {
-	tests := len(filters) + 1 // the key goes last
-	for k, still := 0, 0; i < hi && still < tests; k = (k + 1) % tests {
-		j := i
-		if k < len(filters) {
-			j = filters[k].next(g, bs[k], i, hi)
-		} else if key != nil {
-			for kh := g.keyHash[:hi]; j < hi && kh[j] != *key; j++ {
-			}
-		}
+// seek returns the first row in [i, hi) that passes the filters, or hi. The
+// filters take turns, each moving i on to the next row it passes in a loop
+// over its one column (Filter.next), until a whole round leaves i where it
+// is: the filter that passes fewest rows does the walking and the others look
+// only at where it lands.
+func (g *Segment) seek(i, hi int, filters []*Filter, bs []binding) int {
+	for k, still := 0, 0; i < hi && still < len(filters); k = (k + 1) % len(filters) {
+		j := filters[k].next(g, bs[k], i, hi)
 		if still++; j != i {
 			i, still = j, 1
 		}

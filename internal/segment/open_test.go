@@ -30,7 +30,6 @@ func abortHistory(l *Log, txns int) []Row {
 			r := randRow(rng, commit)
 			if rng.Intn(4) == 0 {
 				r.Data[0] = value.NewString(fmt.Sprintf("new%d", len(ref)))
-				r.KeyHash = r.Data[0].Hash64()
 			}
 			if rng.Intn(8) == 0 {
 				r.Data[1] = value.NewString(fmt.Sprintf("dept%d", len(ref)%5))
@@ -92,7 +91,7 @@ func TestAbortPopsDictionary(t *testing.T) {
 	row := func(name, dept string, at temporal.Chronon) Row {
 		data := tuple.Tuple{value.NewString(name), value.NewString(dept), value.NewInt(1),
 			value.NewFloat(0.5), value.NewBool(true), value.NewInstant(at)}
-		return Row{Data: data, Valid: temporal.Since(at), Trans: temporal.Since(at), KeyHash: data[0].Hash64()}
+		return Row{Data: data, Valid: temporal.Since(at), Trans: temporal.Since(at)}
 	}
 	eq := func(attr int, s string) Pred {
 		f, ok := NewCmpFilter(sch, attr, OpEq, value.NewString(s))

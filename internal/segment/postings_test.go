@@ -73,7 +73,6 @@ func postLog(t *testing.T, rng *rand.Rand, layouts []postLayout, tail int) (*Log
 			Valid: temporal.Interval{From: from, To: from + temporal.Chronon(1+rng.Intn(300))},
 			Trans: temporal.Since(temporal.Chronon(100 + pos/64)),
 		}
-		r.KeyHash = r.Data[0].Hash64()
 		l.Append(r)
 		ref = append(ref, r)
 	}
@@ -186,7 +185,7 @@ func TestScanPostingsMatchWalk(t *testing.T) {
 		return f
 	}
 	s03, s05, tagA := eq(1, value.NewString("s03")), eq(1, value.NewString("s05")), eq(2, value.NewString("a"))
-	key := ref[70_000].KeyHash
+	key := eq(0, ref[70_000].Data[0])
 	filters := map[string][]*Filter{
 		"shard":            {s03},
 		"shard absent":     {s05},
@@ -204,8 +203,8 @@ func TestScanPostingsMatchWalk(t *testing.T) {
 	valid := temporal.Interval{From: 200, To: 260}
 	for _, tw := range []*temporal.Interval{nil, &asOf, &before, &now} {
 		for name, fs := range filters {
-			for _, p := range []Pred{{Trans: tw, Filters: fs}, {Trans: tw, Valid: &valid, Filters: fs}, {Trans: tw, Key: &key, Filters: fs}} {
-				what := fmt.Sprintf("%s, trans %v, valid %v, key %v", name, tw, p.Valid != nil, p.Key != nil)
+			for _, p := range []Pred{{Trans: tw, Filters: fs}, {Trans: tw, Valid: &valid, Filters: fs}, {Trans: tw, Filters: append([]*Filter{key}, fs...)}} {
+				what := fmt.Sprintf("%s, trans %v, valid %v, filters %d", name, tw, p.Valid != nil, len(p.Filters))
 				var want []int
 				for pos := range ref {
 					if p.Match(&ref[pos]) {

@@ -28,10 +28,9 @@ func BenchmarkScanFiltered(b *testing.B) {
 		from := temporal.Chronon(rng.Intn(731))
 		id := value.NewString(fmt.Sprintf("k%07d", i))
 		l.Append(Row{
-			Data:    tuple.Tuple{id, value.NewString(fmt.Sprintf("s%02d", rng.Intn(16))), value.NewInt(int64(rng.Intn(1000)))},
-			Valid:   temporal.Interval{From: from, To: from + temporal.Chronon(1+rng.Intn(1000))},
-			Trans:   temporal.Since(temporal.Chronon(i / 8192)),
-			KeyHash: id.Hash64(),
+			Data:  tuple.Tuple{id, value.NewString(fmt.Sprintf("s%02d", rng.Intn(16))), value.NewInt(int64(rng.Intn(1000)))},
+			Valid: temporal.Interval{From: from, To: from + temporal.Chronon(1+rng.Intn(1000))},
+			Trans: temporal.Since(temporal.Chronon(i / 8192)),
 		})
 		l.Seal()
 	}
@@ -55,5 +54,39 @@ func BenchmarkScanFiltered(b *testing.B) {
 			}
 			b.ReportMetric(float64(rows), "rows/op")
 		})
+	}
+}
+
+// BenchmarkDecodeBlock decodes one sealed block of 8 192 rows of the wire
+// benchmark's gen relation (id key, shard, v, a valid period each): what a
+// checkpoint restore does per segment, the check of every stored key hash
+// against its row's id included.
+func BenchmarkDecodeBlock(b *testing.B) {
+	sch, err := mustSchema(
+		schema.Attribute{Name: "id", Type: value.String},
+		schema.Attribute{Name: "shard", Type: value.String},
+		schema.Attribute{Name: "v", Type: value.Int},
+	).WithKey("id")
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	l := NewLog(sch)
+	for i := 0; i < DefaultSealRows; i++ {
+		from := temporal.Chronon(rng.Intn(731))
+		l.Append(Row{
+			Data:  tuple.Tuple{value.NewString(fmt.Sprintf("k%06d", i)), value.NewString(fmt.Sprintf("s%02d", rng.Intn(16))), value.NewInt(int64(rng.Intn(1000)))},
+			Valid: temporal.Interval{From: from, To: from + temporal.Chronon(1+rng.Intn(1000))},
+			Trans: temporal.Since(temporal.Chronon(i)),
+		})
+	}
+	l.SealNow()
+	block := AppendBlock(nil, l.Segments()[0])
+	b.SetBytes(int64(len(block)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := DecodeBlock(block, sch); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -7,8 +7,10 @@
 // long enough a commit freezes it into a sealed Segment, the same columns
 // narrowed (strings as dictionary codes, integers and times as 32-bit offsets
 // where they fit) plus per-segment zone maps over transaction time, valid
-// time and every attribute, a bloom filter over key hashes, and postings
-// (each code's rows) for string columns with few distinct values.
+// time and every attribute, and postings (each code's rows) for string
+// columns with few distinct values. A row's key is its key columns: its key
+// hash, which the stores' key index files it under, is computed from them
+// (keyHash) and kept nowhere.
 //
 // Zone maps are what make big scans cheap: an as-of or overlap query
 // consults four int64s per segment before touching any tuple, skipping whole
@@ -37,14 +39,12 @@ import (
 	"tdb/temporal"
 )
 
-// Row is one stored version in commit order: the tuple, its two time
-// periods, and the hash of its key projection (kept alongside so key scans
-// never re-project).
+// Row is one stored version in commit order: the tuple and its two time
+// periods.
 type Row struct {
-	Data    tuple.Tuple
-	Valid   temporal.Interval
-	Trans   temporal.Interval
-	KeyHash uint64
+	Data  tuple.Tuple
+	Valid temporal.Interval
+	Trans temporal.Interval
 }
 
 // ints is a column of int64s. The open segment keeps the values themselves
@@ -275,8 +275,6 @@ type Segment struct {
 	validFrom ints
 	validTo   ints
 	cols      []column
-	keyHash   []uint64
-	bloom     bloom
 
 	// Zone maps. minTransFrom/maxTransFrom bound the commit span (frozen:
 	// transFrom never changes). maxTransTo is Forever while any version is
@@ -298,13 +296,33 @@ func (g *Segment) Len() int { return g.n }
 // Current returns the number of rows whose transaction period is open.
 func (g *Segment) Current() int { return g.current }
 
-// EachCurrent calls fn with the global position and key hash of each such row.
-func (g *Segment) EachCurrent(fn func(pos int, keyHash uint64)) {
+// EachCurrent calls fn with the global position and key hash of each such
+// row, in position order, until fn returns an error, which it returns.
+func (g *Segment) EachCurrent(fn func(pos int, keyHash uint64) error) error {
 	for i := range g.n {
 		if g.transTo.at(i) == int64(temporal.Forever) {
-			fn(g.start+i, g.keyHash[i])
+			if err := fn(g.start+i, g.keyHash(i)); err != nil {
+				return err
+			}
 		}
 	}
+	return nil
+}
+
+// keyHash is the hash of row i's key, computed from its key columns: the
+// row's tuple.Tuple.KeyHash, bit for bit, with no tuple built.
+func (g *Segment) keyHash(i int) uint64 {
+	ks, h := g.sch.KeyAttrs(), tuple.HashSeed
+	if len(ks) == 0 { // the whole tuple is the key
+		for a := range g.cols {
+			h = tuple.FoldHash(h, g.value(a, i))
+		}
+		return h
+	}
+	for _, a := range ks {
+		h = tuple.FoldHash(h, g.value(a, i))
+	}
+	return h
 }
 
 // LastCommit returns the latest chronon a row was asserted or superseded at.
@@ -330,7 +348,6 @@ func (g *Segment) append(r Row) {
 	g.transTo.wide = append(g.transTo.wide, int64(r.Trans.To))
 	g.validFrom.wide = append(g.validFrom.wide, int64(r.Valid.From))
 	g.validTo.wide = append(g.validTo.wide, int64(r.Valid.To))
-	g.keyHash = append(g.keyHash, r.KeyHash)
 	for a := range g.cols {
 		switch c, v := &g.cols[a], r.Data[a]; c.kind {
 		case value.Float:
@@ -351,7 +368,6 @@ func (g *Segment) truncate(n int) {
 	for _, c := range []*ints{&g.transFrom, &g.transTo, &g.validFrom, &g.validTo} {
 		c.wide = c.wide[:n]
 	}
-	g.keyHash = g.keyHash[:n]
 	for a := range g.cols {
 		switch c := &g.cols[a]; c.kind {
 		case value.Float:
@@ -373,7 +389,6 @@ func (g *Segment) truncate(n int) {
 // a block byte.
 func (g *Segment) freeze() {
 	g.narrowTimes(g.transFrom.wide, g.transTo.wide, g.validFrom.wide, g.validTo.wide)
-	g.keyHash = slices.Clone(g.keyHash)
 	for a := range g.cols {
 		switch c := &g.cols[a]; c.kind {
 		case value.Float:
@@ -491,7 +506,7 @@ func (g *Segment) row(i int) Row {
 		t[a] = g.value(a, i)
 	}
 	valid, trans := g.periods(i)
-	return Row{Data: t, Valid: valid, Trans: trans, KeyHash: g.keyHash[i]}
+	return Row{Data: t, Valid: valid, Trans: trans}
 }
 
 // periods returns row i's valid and transaction periods.
@@ -547,10 +562,6 @@ func (g *Segment) prune(p *Pred, bs []binding) bool {
 	}
 	if q := p.Valid; q != nil && (int64(q.To) <= g.minValidFrom || int64(q.From) >= g.maxValidTo) {
 		mSegmentsPruned.Inc()
-		return true
-	}
-	if p.Key != nil && !g.bloom.mayContain(*p.Key) {
-		mBloomSkips.Inc()
 		return true
 	}
 	for fi, f := range p.Filters {

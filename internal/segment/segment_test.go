@@ -62,15 +62,14 @@ func randRow(rng *rand.Rand, commit temporal.Chronon) Row {
 		value.NewInstant(temporal.Chronon(rng.Intn(5000))),
 	}
 	return Row{
-		Data:    data,
-		Valid:   temporal.Interval{From: vf, To: vt},
-		Trans:   temporal.Since(commit),
-		KeyHash: data[0].Hash64(),
+		Data:  data,
+		Valid: temporal.Interval{From: vf, To: vt},
+		Trans: temporal.Since(commit),
 	}
 }
 
 func rowsEqual(a, b Row) bool {
-	if a.Valid != b.Valid || a.Trans != b.Trans || a.KeyHash != b.KeyHash {
+	if a.Valid != b.Valid || a.Trans != b.Trans {
 		return false
 	}
 	if len(a.Data) != len(b.Data) {
@@ -335,13 +334,9 @@ func history(rng *rand.Rand, l *Log, txns int) []Row {
 			r := randRow(rng, commit)
 			if i > txns/2 && rng.Intn(6) == 0 {
 				r.Data[0] = value.NewString("Zed")
-				r.KeyHash = collidingHash // Zed's key hashes like Tom's
 			}
 			if i > txns/3 && i < txns/3+20 {
 				r.Data[1] = value.NewString("Rare")
-			}
-			if r.Data[0].Str() == "Tom" {
-				r.KeyHash = collidingHash
 			}
 			l.Append(r)
 			ref = append(ref, r)
@@ -368,9 +363,6 @@ func history(rng *rand.Rand, l *Log, txns int) []Row {
 	}
 	return ref
 }
-
-// collidingHash is the key hash "Tom" and "Zed" share in history's rows.
-const collidingHash = 0x70ad
 
 // predCase is one Pred with the brute-force test it stands for, spelled out
 // field by field without the package's help.
@@ -447,16 +439,6 @@ func predCases(t *testing.T, rng *rand.Rand, ref []Row) []predCase {
 		valid = append(valid, part{fmt.Sprintf(" valid=%v", q), func(p *Pred) { p.Valid = &q },
 			func(r Row) bool { return overlap(r.Valid, q) }})
 	}
-	keys := []part{{"", func(*Pred) {}, always}}
-	for name, kh := range map[string]uint64{
-		"Jane":    value.NewString("Jane").Hash64(),
-		"Nobody":  value.NewString("Nobody").Hash64(),
-		"Tom+Zed": collidingHash,
-	} {
-		kh := kh
-		keys = append(keys, part{" key=" + name, func(p *Pred) { p.Key = &kh },
-			func(r Row) bool { return r.KeyHash == kh }})
-	}
 	sch := testSchema()
 	filter := func(attr int, op Op, v value.Value) *Filter {
 		f, ok := NewCmpFilter(sch, attr, op, v)
@@ -465,15 +447,23 @@ func predCases(t *testing.T, rng *rand.Rand, ref []Row) []predCase {
 		}
 		return f
 	}
+	// An entity is an equality on its key column: a store scanning for one
+	// adds it to the attribute filters.
+	keys := []part{{"", func(*Pred) {}, always}}
+	for _, name := range []string{"Jane", "Nobody", "Zed"} {
+		f := filter(0, OpEq, value.NewString(name))
+		keys = append(keys, part{" key=" + name, func(p *Pred) { p.Filters = append(p.Filters, f) },
+			func(r Row) bool { return r.Data[0].Str() == name }})
+	}
 	cs, rare := filter(1, OpEq, value.NewString("CS")), filter(1, OpEq, value.NewString("Rare"))
 	lo, hi := filter(2, OpGe, value.NewInt(30000)), filter(2, OpLt, value.NewInt(45000))
 	filters := []part{
 		{"", func(*Pred) {}, always},
-		{" dept=CS", func(p *Pred) { p.Filters = []*Filter{cs} },
+		{" dept=CS", func(p *Pred) { p.Filters = append(p.Filters, cs) },
 			func(r Row) bool { return r.Data[1].Str() == "CS" }},
-		{" 30000<=salary<45000", func(p *Pred) { p.Filters = []*Filter{lo, hi} },
+		{" 30000<=salary<45000", func(p *Pred) { p.Filters = append(p.Filters, lo, hi) },
 			func(r Row) bool { return r.Data[2].Int() >= 30000 && r.Data[2].Int() < 45000 }},
-		{" dept=Rare", func(p *Pred) { p.Filters = []*Filter{rare} },
+		{" dept=Rare", func(p *Pred) { p.Filters = append(p.Filters, rare) },
 			func(r Row) bool { return r.Data[1].Str() == "Rare" }},
 	}
 	var out []predCase
@@ -754,7 +744,7 @@ func TestIntRange(t *testing.T) {
 }
 
 // TestCodecRoundTrip: encode/decode must reproduce every row image and the
-// derived summaries (prune decisions, bloom membership).
+// derived summaries (prune decisions).
 // edgeLog seals the dictionary shapes random rows never produce: in its
 // first segment every name is distinct, one of them the empty string, and
 // dept is one value; in its second every name is the empty string (a
@@ -774,10 +764,9 @@ func edgeLog() *Log {
 			value.NewFloat(float64(i) / 4), value.NewBool(i%3 == 0), value.NewInstant(temporal.Chronon(1000 + i)),
 		}
 		l.Append(Row{
-			Data:    data,
-			Valid:   temporal.Interval{From: temporal.Chronon(i), To: temporal.Chronon(2 * (i + 1))},
-			Trans:   temporal.Since(temporal.Chronon(100 + i/2)),
-			KeyHash: data[0].Hash64(),
+			Data:  data,
+			Valid: temporal.Interval{From: temporal.Chronon(i), To: temporal.Chronon(2 * (i + 1))},
+			Trans: temporal.Since(temporal.Chronon(100 + i/2)),
 		})
 		if i == 29 {
 			l.SealNow()
@@ -832,11 +821,6 @@ func TestCodecRoundTrip(t *testing.T) {
 				t.Fatalf("segment %d: prune(valid=%v) diverged after decode", si, q)
 			}
 		}
-		for i := 0; i < g.Len(); i++ {
-			if !dec.bloom.mayContain(g.keyHash[i]) {
-				t.Fatalf("segment %d: decoded bloom lost key hash of row %d", si, i)
-			}
-		}
 	}
 }
 
@@ -877,7 +861,7 @@ func TestCodecRejectsWhatSealNeverWrites(t *testing.T) {
 			if sch.Attr(0).Type == value.String {
 				data = tuple.Tuple{value.NewString([]string{"", "a", "bc"}[i%3])}
 			}
-			l.Append(Row{Data: data, Valid: temporal.Since(0), Trans: temporal.Since(100), KeyHash: uint64(i)})
+			l.Append(Row{Data: data, Valid: temporal.Since(0), Trans: temporal.Since(100)})
 		}
 		l.SealNow()
 		g := l.Segments()[0]
@@ -1059,33 +1043,6 @@ func TestOpenBlockIsSealedBlock(t *testing.T) {
 	}
 }
 
-// TestBloomNoFalseNegatives: every inserted hash must test positive.
-func TestBloomNoFalseNegatives(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for _, n := range []int{1, 7, 64, 1000, 10000} {
-		hashes := make([]uint64, n)
-		for i := range hashes {
-			hashes[i] = rng.Uint64()
-		}
-		b := newBloom(hashes)
-		for i, h := range hashes {
-			if !b.mayContain(h) {
-				t.Fatalf("n=%d: inserted hash %d tested negative", n, i)
-			}
-		}
-		// Sanity: the filter must also reject most absent keys.
-		misses := 0
-		for i := 0; i < 1000; i++ {
-			if !b.mayContain(rng.Uint64()) {
-				misses++
-			}
-		}
-		if n <= 1000 && misses < 500 {
-			t.Fatalf("n=%d: bloom rejected only %d/1000 absent keys", n, misses)
-		}
-	}
-}
-
 // TestCloseTransZones: closing every version must let prune skip the
 // segment for times past the last closure.
 func TestCloseTransZones(t *testing.T) {
@@ -1161,5 +1118,78 @@ func TestLogHasKeyAndValid(t *testing.T) {
 		if l.Stats().SealedRows == 0 {
 			t.Fatal("nothing sealed")
 		}
+	}
+}
+
+// A row's key hash is computed from its key columns, and it is the hash
+// tuple.Tuple.KeyHash gives its tuple, bit for bit: for every value kind
+// (−0 apart from +0, NaN, the empty string and bytes that are not UTF-8
+// among them), under a single-attribute, a composite and the whole-tuple
+// key, in the open segment, in sealed ones and in blocks decoded back. A
+// block whose stored hash disagrees with its key columns does not decode.
+func TestKeyHashFromColumns(t *testing.T) {
+	sealEvery(t, 8)
+	vals := map[value.Kind][]value.Value{
+		value.Int:     {value.NewInt(0), value.NewInt(-1), value.NewInt(math.MaxInt64), value.NewInt(math.MinInt64)},
+		value.Float:   {value.NewFloat(0), value.NewFloat(math.Copysign(0, -1)), value.NewFloat(math.NaN()), value.NewFloat(-2.5), value.NewFloat(math.Inf(1))},
+		value.String:  {value.NewString(""), value.NewString("Merrie"), value.NewString("\xff\xfe"), value.NewString("日本")},
+		value.Bool:    {value.NewBool(false), value.NewBool(true)},
+		value.Instant: {value.NewInstant(0), value.NewInstant(temporal.Beginning), value.NewInstant(temporal.Date(1982, 12, 10))},
+	}
+	attrs := []schema.Attribute{{Name: "i", Type: value.Int}, {Name: "f", Type: value.Float},
+		{Name: "s", Type: value.String}, {Name: "b", Type: value.Bool}, {Name: "t", Type: value.Instant}}
+	var schemas []*schema.Schema
+	for _, key := range [][]string{nil, {"i"}, {"f"}, {"s"}, {"b"}, {"t"}, {"t", "s"}, {"f", "i", "b"}} {
+		s, err := mustSchema(attrs...).WithKey(key...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		schemas = append(schemas, s)
+	}
+	rng := rand.New(rand.NewSource(41))
+	for _, sch := range schemas {
+		l := NewLog(sch)
+		for i := 0; i < 30; i++ {
+			data := make(tuple.Tuple, len(attrs))
+			for a, at := range attrs {
+				vs := vals[at.Type]
+				data[a] = vs[rng.Intn(len(vs))]
+			}
+			l.Append(Row{Data: data, Valid: temporal.All, Trans: temporal.Since(temporal.Chronon(i))})
+			l.Seal()
+		}
+		check := func(where string, l *Log) {
+			t.Helper()
+			for pos := 0; pos < l.Len(); pos++ {
+				data := l.Row(pos).Data
+				if got, want := l.KeyHash(pos), data.KeyHash(sch); got != want || want != data.Key(sch).Hash64() {
+					t.Fatalf("key %v, %s row %d %v: column hash %#x, tuple.KeyHash %#x", sch.KeyAttrs(), where, pos, data, got, want)
+				}
+			}
+		}
+		check("appended", l)
+		if st := l.Stats(); st.Segments == 0 || st.TailRows == 0 {
+			t.Fatalf("layout %+v: want sealed segments and an open one", st)
+		}
+		blocks, tail := l.Blocks()
+		var decoded []*Segment
+		for _, g := range blocks {
+			block := AppendBlock(nil, g)
+			dec, _, err := DecodeBlock(block, sch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			decoded = append(decoded, dec)
+			// The last eight bytes are the last row's key hash.
+			block[len(block)-1] ^= 1
+			if _, _, err := DecodeBlock(block, sch); err == nil {
+				t.Fatalf("key %v: a block whose last key hash is wrong decoded", sch.KeyAttrs())
+			}
+		}
+		restored := NewLog(sch)
+		if err := restored.Restore(decoded, tail, func(_, _ temporal.Interval) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		check("restored", restored)
 	}
 }

@@ -83,25 +83,36 @@ func Equal(a, b Tuple) bool {
 // Hash64 returns a stable hash of the tuple contents.
 func (t Tuple) Hash64() uint64 { return t.hashAt(nil) }
 
-// hashAt hashes the values at positions ks, every value when ks is empty:
-// FNV-1a over their hashes as eight little-endian bytes each. Key hashes are
-// stored in checkpoint blocks, so this is part of the on-disk format.
+// hashAt hashes the values at positions ks, every value when ks is empty,
+// folding each into HashSeed in turn.
 func (t Tuple) hashAt(ks []int) uint64 {
 	n := len(ks)
 	if n == 0 {
 		n = len(t)
 	}
-	h := uint64(14695981039346656037)
+	h := HashSeed
 	for i := 0; i < n; i++ {
-		v := &t[i]
+		v := t[i]
 		if len(ks) > 0 {
-			v = &t[ks[i]]
+			v = t[ks[i]]
 		}
-		u := v.Hash64()
-		for b := 0; b < 8; b++ {
-			h = (h ^ u&0xff) * 1099511628211
-			u >>= 8
-		}
+		h = FoldHash(h, v)
+	}
+	return h
+}
+
+// HashSeed and FoldHash spell a tuple's hash, FNV-1a over its values' hashes
+// as eight little-endian bytes each, one value at a time, so that a store can
+// hash a key it keeps in columns without building it. Key hashes are stored
+// in checkpoint blocks, so this is part of the on-disk format.
+const HashSeed uint64 = 14695981039346656037
+
+// FoldHash folds v into h, a tuple's hash over the values before it.
+func FoldHash(h uint64, v value.Value) uint64 {
+	u := v.Hash64()
+	for b := 0; b < 8; b++ {
+		h = (h ^ u&0xff) * 1099511628211
+		u >>= 8
 	}
 	return h
 }

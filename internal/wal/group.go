@@ -179,6 +179,10 @@ const (
 	missRest    = 64
 )
 
+// lingerTimer times the leader's linger; a test replaces it to count shared
+// flushes without depending on how fast the scheduler brings committers back.
+var lingerTimer = time.NewTimer
+
 // run is the leader loop: wait for work, optionally linger to coalesce,
 // pop a bounded prefix of the queue, flush it as one append, deliver the
 // shared result to every committer it covered.
@@ -204,7 +208,7 @@ func (g *GroupCommitter) run() {
 		}
 		switch {
 		case wait > 0 && n < enough && !closed:
-			timer := time.NewTimer(wait)
+			timer := lingerTimer(wait)
 		linger:
 			for {
 				select {

@@ -9,6 +9,7 @@ import (
 	"net"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -252,24 +253,28 @@ func TestGroupCommitSyncFailurePoisonsOnlyItsBatch(t *testing.T) {
 	}
 }
 
-// slowSyncFS is the OS filesystem with an fsync that takes a fixed time.
+// slowSyncFS is the OS filesystem with an fsync that takes a fixed time. It
+// counts the fsyncs of the files it opens in syncs: a test reads its own
+// log's flushes there, which no other log in the process adds to.
 type slowSyncFS struct {
 	vfs.OS
-	sync time.Duration
+	sync  time.Duration
+	syncs *atomic.Int64
 }
 
 func (s slowSyncFS) OpenFile(name string, flag int, perm fs.FileMode) (vfs.File, error) {
 	f, err := s.OS.OpenFile(name, flag, perm)
-	return slowSyncFile{f, s.sync}, err
+	return slowSyncFile{f, s}, err
 }
 
 type slowSyncFile struct {
 	vfs.File
-	sync time.Duration
+	fs slowSyncFS
 }
 
 func (f slowSyncFile) Sync() error {
-	time.Sleep(f.sync)
+	time.Sleep(f.fs.sync)
+	f.fs.syncs.Add(1)
 	return f.File.Sync()
 }
 
@@ -277,9 +282,37 @@ func (f slowSyncFile) Sync() error {
 // back with the next (a reply and a request on the wire: here a byte echoed
 // over loopback) share fsyncs instead of taking turns: the leader waits, for
 // a fraction of an fsync, for the committers its last flush showed.
+//
+// The count is of this log's fsyncs alone, and it is deterministic: each of
+// the leader's waits ends when the committers it expects come back, however
+// long the scheduler keeps them (a full go test ./... on two CPUs can keep a
+// goroutine past a quarter of the 4 ms fsync), or once a committer has made
+// its last commit, when there is nothing left to wait for.
 func TestGroupCommitClosedLoopCommittersShareSyncs(t *testing.T) {
+	var (
+		mu      sync.Mutex
+		waiting *time.Timer
+		over    bool
+	)
+	lingerTimer = func(time.Duration) *time.Timer {
+		mu.Lock()
+		defer mu.Unlock()
+		if waiting = time.NewTimer(time.Hour); over {
+			waiting.Reset(0)
+		}
+		return waiting
+	}
+	t.Cleanup(func() { lingerTimer = time.NewTimer })
+	finished := func() {
+		mu.Lock()
+		defer mu.Unlock()
+		if over = true; waiting != nil {
+			waiting.Reset(0)
+		}
+	}
 	path := filepath.Join(t.TempDir(), "tdb.wal")
-	l, err := Open(slowSyncFS{sync: 4 * time.Millisecond}, path, Options{Sync: true})
+	dev := slowSyncFS{sync: 4 * time.Millisecond, syncs: new(atomic.Int64)}
+	l, err := Open(dev, path, Options{Sync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +336,7 @@ func TestGroupCommitClosedLoopCommittersShareSyncs(t *testing.T) {
 	}()
 
 	const committers, each = 2, 40
-	before := mFsyncs.Value()
+	before := dev.syncs.Load()
 	var wg sync.WaitGroup
 	for c := 0; c < committers; c++ {
 		wire, err := net.Dial("tcp", echo.Addr().String())
@@ -314,6 +347,7 @@ func TestGroupCommitClosedLoopCommittersShareSyncs(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
+			defer finished()
 			b := make([]byte, 1)
 			for i := 0; i < each; i++ {
 				if err := g.Enqueue(tinyRecord(c*each + i)).Wait(); err != nil {
@@ -333,7 +367,9 @@ func TestGroupCommitClosedLoopCommittersShareSyncs(t *testing.T) {
 	}
 	wg.Wait()
 	// Sharing every flush is 40 fsyncs, taking turns is 80.
-	if got := mFsyncs.Value() - before; got > 60 {
+	got := dev.syncs.Load() - before
+	t.Logf("%d fsyncs for %d commits", got, committers*each)
+	if got > 60 {
 		t.Fatalf("%d fsyncs for %d commits from %d closed-loop committers, want at most 60", got, committers*each, committers)
 	}
 	if got := l.Records(); got != committers*each {
@@ -345,20 +381,21 @@ func TestGroupCommitClosedLoopCommittersShareSyncs(t *testing.T) {
 // is flushed alone, as before.
 func TestGroupCommitLoneCommitterFlushesAlone(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "tdb.wal")
-	l, err := Open(slowSyncFS{sync: time.Millisecond}, path, Options{Sync: true})
+	dev := slowSyncFS{sync: time.Millisecond, syncs: new(atomic.Int64)}
+	l, err := Open(dev, path, Options{Sync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
 	g := NewGroupCommitter(l, GroupOptions{MaxWait: *commitWait})
 	defer g.Close()
-	before := mFsyncs.Value()
+	before := dev.syncs.Load()
 	for i := 0; i < 20; i++ {
 		if err := g.Enqueue(tinyRecord(i)).Wait(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := mFsyncs.Value() - before; got != 20 {
+	if got := dev.syncs.Load() - before; got != 20 {
 		t.Fatalf("%d fsyncs for 20 sequential commits, want 20", got)
 	}
 }

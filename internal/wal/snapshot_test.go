@@ -23,10 +23,9 @@ import (
 // to is Forever, superseded at to.
 func promoRow(i int, valid temporal.Interval, from, to temporal.Chronon) segment.Row {
 	return segment.Row{
-		Data:    tuple.New(value.NewString(fmt.Sprintf("p%03d", i)), value.NewString("assoc"), value.NewInstant(temporal.Chronon(i))),
-		Valid:   valid,
-		Trans:   temporal.Interval{From: from, To: to},
-		KeyHash: uint64(i) * 0x9e3779b97f4a7c15,
+		Data:  tuple.New(value.NewString(fmt.Sprintf("p%03d", i)), value.NewString("assoc"), value.NewInstant(temporal.Chronon(i))),
+		Valid: valid,
+		Trans: temporal.Interval{From: from, To: to},
 	}
 }
 
@@ -206,7 +205,7 @@ func TestSnapshotSegmentsRoundTrip(t *testing.T) {
 	}
 	for i := range want {
 		if !tuple.Equal(want[i].Data, got[i].Data) || want[i].Valid != got[i].Valid ||
-			want[i].Trans != got[i].Trans || want[i].KeyHash != got[i].KeyHash {
+			want[i].Trans != got[i].Trans {
 			t.Fatalf("row %d: want %+v got %+v", i, want[i], got[i])
 		}
 	}

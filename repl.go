@@ -187,7 +187,7 @@ func (db *DB) ReplReset(epoch uint64, snap []byte) error {
 		var err error
 		s, err = wal.DecodeSnapshot(snap)
 		if err != nil {
-			return fmt.Errorf("tdb: shipped snapshot: %w", err)
+			return fmt.Errorf("%w: shipped snapshot: %w", ErrCorrupt, err)
 		}
 		if s.Epoch != epoch && s.Epoch != epoch+1 {
 			return fmt.Errorf("tdb: shipped snapshot epoch %d does not pair with log era %d", s.Epoch, epoch)
@@ -198,9 +198,19 @@ func (db *DB) ReplReset(epoch uint64, snap []byte) error {
 	}
 
 	// Wipe: fresh catalog and clock, empty log at the new era, and no
-	// stale snapshot files that a later recovery could mispair.
+	// stale snapshot files that a later recovery could mispair. The catalog
+	// goes first and comes back if the snapshot will not restore, so a
+	// refused snapshot leaves the follower as it was.
+	rels, last := db.rels, db.last.Load()
 	db.rels = make(map[string]*Relation)
 	db.last.Store(int64(temporal.Beginning))
+	if have {
+		if err := db.restoreSnapshot(s); err != nil {
+			db.rels = rels
+			db.last.Store(last)
+			return fmt.Errorf("%w: shipped snapshot: %w", ErrCorrupt, err)
+		}
+	}
 	db.qc.Clear()
 	if err := db.log.Truncate(epoch); err != nil {
 		return err
@@ -212,9 +222,6 @@ func (db *DB) ReplReset(epoch uint64, snap []byte) error {
 	}
 	if have {
 		if err := wal.WriteSnapshot(db.fs, db.snapPath, s); err != nil {
-			return err
-		}
-		if err := db.restoreSnapshot(s); err != nil {
 			return err
 		}
 		db.replSkip = s.Records

@@ -15,37 +15,38 @@ import (
 // in 8 192-row calls.
 //
 // Sealed: 100 000 versions, every id distinct and current, all but the last
-// 1 696 in sealed segments. The columns are 47 B of a version (four time
-// columns and the int as 4-byte offsets, a key hash, two dictionary codes,
-// plus the id's bytes and offset); the key index is a 4-byte link and its
-// share of the table; the shard column's postings are 2 B; the open
-// segment, the statistics and allocator rounding are the rest: 64.3 B
-// measured. It was 62.3 B before sealed string columns kept postings,
-// 75.7 B while the index kept a 16-byte entry holding a copy of the key
-// hash, 82.1 B while unsealed versions were rows, 101.7 B while every
-// integer column took 8 bytes a row, and 220.5 B while the index kept a
-// 40-byte bucket and a one-element slice per key.
+// 1 696 in sealed segments. The columns are 39 B of a version (four time
+// columns and the int as 4-byte offsets, two dictionary codes, plus the id's
+// bytes and offset); the key index is a 4-byte link and its share of the
+// table; the shard column's postings are 2 B; the open segment, the
+// statistics and allocator rounding are the rest: 54.3 B measured. It was
+// 64.3 B while every row kept its 8-byte key hash and every sealed segment a
+// key bloom filter of about 2 B a row, 62.3 B before sealed string columns
+// kept postings, 75.7 B while the index kept a 16-byte entry holding a copy
+// of the key hash, 82.1 B while unsealed versions were rows, 101.7 B while
+// every integer column took 8 bytes a row, and 220.5 B while the index kept
+// a 40-byte bucket and a one-element slice per key.
 //
 // Open: 8 000 versions, one call below the seal threshold, all in the open
-// segment: 56 B of int64 time columns and v, key hash and two codes, the
-// id's dictionary entry (its bytes, a string header, its first-seen row and
-// a map slot), append's growth slack and the key index: 178.0 B measured
-// (190.3 B with 16-byte index entries), where a row and its cloned tuple
-// took 316.8 B.
+// segment: 48 B of int64 time columns and v and two codes, the id's
+// dictionary entry (its bytes, a string header, its first-seen row and a map
+// slot), append's growth slack and the key index: 168.8 B measured (178.0 B
+// with a key-hash column, 190.3 B with 16-byte index entries), where a row
+// and its cloned tuple took 316.8 B.
 //
 // Superseded: 10 000 ids asserted ten times over the same period, so one
 // version in ten is current. The key index links every position, superseded
-// ones included, where 16-byte entries held only current versions: the one
-// shape the 4-byte link makes dearer, 59.3 → 59.8–60.1 B measured, and
-// 61.8–62.2 B since the postings. The limit is the 16-byte entries' figure
-// plus 3 B.
+// ones included, where 16-byte entries held only current versions: 51.9 B
+// measured, 61.8–62.2 B with a key-hash column.
 //
 // Static and historical: 100 000 distinct rows of the same shape, the
 // static relation taking them without their periods. The two kinds keep
-// their rows in the same sealed columns as the rollback kinds: 63.5 B
-// measured for each, where a slot array of row-form tuples — three 40-byte
-// values a row, the strings apart — took 219.7 B. The limits keep the
-// sealed arm's headroom.
+// their rows in the same sealed columns as the rollback kinds: 53.5 B
+// measured for each, the static one up to 53.7 B (63.5 B with a key-hash
+// column), where a slot array of row-form tuples — three 40-byte values a
+// row, the strings apart — took 219.7 B.
+//
+// Each limit is its arm's measured figure plus 3 B.
 func TestResidentBytesPerVersion(t *testing.T) {
 	if testing.Short() || raceDetector {
 		t.Skip("measures the heap: not under -short or -race")
@@ -56,11 +57,11 @@ func TestResidentBytesPerVersion(t *testing.T) {
 		keys, rounds int
 		limit        float64
 	}{
-		{"sealed", Temporal, 100_000, 1, 70},
-		{"open", Temporal, 8_000, 1, 190},
-		{"superseded", Temporal, 10_000, 10, 62.3},
-		{"static", Static, 100_000, 1, 69},
-		{"historical", Historical, 100_000, 1, 69},
+		{"sealed", Temporal, 100_000, 1, 57.3},
+		{"open", Temporal, 8_000, 1, 171.8},
+		{"superseded", Temporal, 10_000, 10, 54.9},
+		{"static", Static, 100_000, 1, 56.7},
+		{"historical", Historical, 100_000, 1, 56.5},
 	} {
 		per := residentBytes(t, arm.kind, arm.keys, arm.rounds)
 		t.Logf("%s: %.1f resident bytes per version", arm.name, per)

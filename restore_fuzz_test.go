@@ -78,7 +78,10 @@ func restoreInto(tb testing.TB, snap wal.Snapshot) (*DB, error) {
 // checkpoint of every kind × class of the taxonomy's matrix, each of which
 // restores, written under a seal threshold of 4, so that the relations
 // carry sealed blocks beside their tail, and under the default one, which
-// leaves every row in the tail block. The fuzz runs at 4.
+// leaves every row in the tail block; then two that the restore refuses, a
+// static relation holding two current rows of one key and a temporal one
+// holding two current rows of one key whose valid periods overlap. The fuzz
+// runs at 4.
 func FuzzRestoreSnapshot(f *testing.F) {
 	sealEvery(f, 4)
 	seed := func(s relShape) {
@@ -103,6 +106,20 @@ func FuzzRestoreSnapshot(f *testing.F) {
 		seed(s)
 	}
 	segment.SealRows = 4
+	for _, c := range []struct {
+		shape relShape
+		rows  []segment.Row
+	}{{matrixShapes[0], twoCurrent}, {matrixShapes[4], overlapping}} {
+		snap, err := wal.DecodeSnapshot(matrixCheckpoint(f, c.shape))
+		if err != nil {
+			f.Fatal(err)
+		}
+		bad := withRows(f, snap, c.shape.kind, c.rows...)
+		if _, err := restoreInto(f, bad); err == nil {
+			f.Fatalf("%s seed of impossible rows restored", c.shape.name)
+		}
+		f.Add(wal.EncodeSnapshot(bad))
+	}
 	table := crc32.MakeTable(crc32.Castagnoli)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) >= 4 {

@@ -608,6 +608,9 @@ func runPlan(pl *queryPlan, ev *env, tally *execTally, emitRow func() error) err
 			}
 			posts[depth] = pv.join.table.Lookup(key, posts[depth][:0])
 			for _, pos := range posts[depth] {
+				if pv.join.hashes[pos] != key {
+					continue // another hash's posting in key's slot
+				}
 				if err := step(&pv.versions[pos]); err != nil {
 					return err
 				}

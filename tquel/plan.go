@@ -124,10 +124,11 @@ type equiEdge struct {
 // resolve it against their own binding cells.
 type hashJoin struct {
 	table      *index.Hash
-	buildIdx   int  // join attribute offset in the build (inner) schema
-	probeDepth int  // binding depth of the already-bound outer variable
-	probeIdx   int  // join attribute offset in the probe (outer) schema
-	numeric    bool // normalize int/float keys before hashing
+	hashes     []uint64 // each build version's join hash, what table files it under
+	buildIdx   int      // join attribute offset in the build (inner) schema
+	probeDepth int      // binding depth of the already-bound outer variable
+	probeIdx   int      // join attribute offset in the probe (outer) schema
+	numeric    bool     // normalize int/float keys before hashing
 }
 
 // splitAnd flattens the top-level AND tree of a scalar predicate into its
@@ -678,7 +679,7 @@ func (s *Session) buildPlan(rt *tdb.ReadTx, n *RetrieveStmt, sc scope, ev *env, 
 			table.Add(hashes[vi], vi)
 		}
 		pl.buildRows += int64(len(pv.versions))
-		pv.join = &hashJoin{table: table, buildIdx: c.buildIdx,
+		pv.join = &hashJoin{table: table, hashes: hashes, buildIdx: c.buildIdx,
 			probeDepth: depthOf[c.probe.Var], probeIdx: c.probeIdx, numeric: c.e.numeric}
 	}
 	for d := 1; d < len(pl.vars); d++ {
