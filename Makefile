@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check numbers unreached fmt vet build test race fuzz-smoke test-faults test-repl race-ingest soak-ingest figures-check plan-corpus bench bench-smoke
+.PHONY: check numbers unreached fmt vet build test race examples fuzz-smoke test-faults test-repl race-ingest soak-ingest figures-check plan-corpus bench bench-smoke
 
-check: fmt vet build unreached race fuzz-smoke figures-check
+check: fmt vet build unreached race examples fuzz-smoke figures-check
 
 # The three numbers ROADMAP aim 2 asks every CHANGES.md entry to carry:
 # code size, knob count (the registry in internal/config, pinned by
@@ -41,6 +41,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Every program under examples/ runs to a zero exit. Their reads are TQuel
+# strings, which only a run checks.
+examples:
+	@for d in examples/*/; do \
+		$(GO) run ./$$d > /dev/null || { echo "example $$d failed" >&2; exit 1; }; \
+	done; echo "examples: all ran"
 
 # The plan-regression corpus: explain output (join order, build sides,
 # estimates) pinned against golden text, plus the planner

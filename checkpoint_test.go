@@ -26,7 +26,7 @@ func stateDigest(t *testing.T, db *DB) []string {
 			t.Fatal(err)
 		}
 		out = append(out, "rel:"+name+":"+rel.Kind().String())
-		for _, v := range rel.Versions() {
+		for _, v := range mustScan(t, rel, ScanSpec{AllVersions: true}) {
 			out = append(out, name+":"+v.String())
 		}
 	}
@@ -360,7 +360,7 @@ func TestStatsLeavesSegmentsUnmaterialized(t *testing.T) {
 	var versions, current int
 	for _, name := range db.Relations() {
 		rel, _ := db.Relation(name)
-		vs := rel.Versions()
+		vs := mustScan(t, rel, ScanSpec{AllVersions: true})
 		if counts[name] != len(vs) {
 			t.Errorf("%s: VersionCount = %d, walk finds %d", name, counts[name], len(vs))
 		}
@@ -599,7 +599,7 @@ func TestCheckpointLayoutRoundTrip(t *testing.T) {
 					}
 					continue
 				}
-				current := rel.Versions()
+				current := mustScan(t, rel, ScanSpec{AllVersions: true})
 				if len(rows) != len(current) {
 					t.Errorf("%s: snapshot of %d rows, want its %d current ones", rs.Name, len(rows), len(current))
 					continue
@@ -708,7 +708,7 @@ func TestCheckpointKeepsNoPast(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		live, rows := rel.Versions(), snapshotRows(t, rs)
+		live, rows := mustScan(t, rel, ScanSpec{AllVersions: true}), snapshotRows(t, rs)
 		if rs.Name == "static" && len(live) != keys {
 			t.Fatalf("static holds %d current rows, want %d", len(live), keys)
 		}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"tdb/internal/segment"
 	"tdb/temporal"
 )
 
@@ -232,36 +233,30 @@ func TestQueryWhenAsOf(t *testing.T) {
 	db := memDB(t)
 	rel := loadFaculty(t, db)
 
-	merrie := func(tp Tuple) (bool, error) { return tp[0].Str() == "Merrie", nil }
-	// Merrie's rank when Tom arrived, as of 12/10/82.
-	res, err := rel.Query().
-		AsOf(d821210).
-		At(d821205). // start of Tom's validity
-		Where(merrie).
-		Run()
-	if err != nil {
-		t.Fatal(err)
+	merrie, ok := rel.EqFilter("name", String("Merrie"))
+	if !ok {
+		t.Fatal("no equality filter on name")
 	}
-	if res.Len() != 1 || res.Tuples()[0][1].Str() != "associate" {
-		t.Fatalf("as of 12/10: %s", res)
+	// Merrie's rank when Tom arrived (the start of his validity), as of
+	// 12/10/82 and as of 12/20/82: associate, then full.
+	when := temporal.At(d821205)
+	for _, c := range []struct {
+		asOf temporal.Chronon
+		want string
+	}{{d821210, "associate"}, {d821220, "full"}} {
+		vs := mustScan(t, rel, ScanSpec{AsOf: &c.asOf, When: &when, Filters: []*segment.Filter{merrie}})
+		if len(vs) != 1 || vs[0].Data[1].Str() != c.want {
+			t.Errorf("as of %v: %v, want %s", c.asOf, vs, c.want)
+		}
 	}
 	// The same question on the keyed path, which also shows the period.
-	asOf, when := d821210, temporal.At(d821205)
+	asOf := d821210
 	vs, err := rel.Scan(ScanSpec{AsOf: &asOf, When: &when, Key: Key(String("Merrie"))})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(vs) != 1 || vs[0].Data[1].Str() != "associate" || vs[0].Valid != temporal.Since(d770901) {
 		t.Errorf("keyed as of 12/10 = %v", vs)
-	}
-
-	// Same query as of 12/20/82: full.
-	res, err = rel.Query().AsOf(d821220).At(d821205).Where(merrie).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Len() != 1 || res.Tuples()[0][1].Str() != "full" {
-		t.Fatalf("as of 12/20: %s", res)
 	}
 }
 
@@ -280,25 +275,19 @@ func TestQueryTaxonomyBoundaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Static: neither rollback nor historical queries.
-	if _, err := st.Query().AsOf(d821210).Run(); !errors.Is(err, ErrNoRollback) {
+	// Static: no rollback. Historical: no rollback, but a valid-time
+	// restriction. Rollback: as of.
+	at, when := d821210, temporal.At(d821210)
+	if _, err := st.Scan(ScanSpec{AsOf: &at}); !errors.Is(err, ErrNoRollback) {
 		t.Errorf("static as-of: %v", err)
 	}
-	if _, err := st.Query().At(d821210).Run(); !errors.Is(err, ErrNoValidTime) {
-		t.Errorf("static at: %v", err)
-	}
-	// Historical: no rollback.
-	if _, err := hist.Query().AsOf(d821210).Run(); !errors.Is(err, ErrNoRollback) {
+	if _, err := hist.Scan(ScanSpec{AsOf: &at}); !errors.Is(err, ErrNoRollback) {
 		t.Errorf("historical as-of: %v", err)
 	}
-	if _, err := hist.Query().At(d821210).Run(); err != nil {
+	if _, err := hist.Scan(ScanSpec{When: &when}); err != nil {
 		t.Errorf("historical at: %v", err)
 	}
-	// Rollback: no valid time.
-	if _, err := rb.Query().At(d821210).Run(); !errors.Is(err, ErrNoValidTime) {
-		t.Errorf("rollback at: %v", err)
-	}
-	if _, err := rb.Query().AsOf(d821210).Run(); err != nil {
+	if _, err := rb.Scan(ScanSpec{AsOf: &at}); err != nil {
 		t.Errorf("rollback as-of: %v", err)
 	}
 	// Mutation boundaries.
@@ -364,7 +353,7 @@ func TestAtomicMultiRelationUpdate(t *testing.T) {
 					t.Fatalf("abort left data: %d, %d", a.VersionCount(), b.VersionCount())
 				}
 			}
-			va, vb := a.Versions(), b.Versions()
+			va, vb := mustScan(t, a, ScanSpec{AllVersions: true}), mustScan(t, b, ScanSpec{AllVersions: true})
 			if len(va) != 1 || len(vb) != 1 {
 				t.Fatalf("versions: %v / %v", va, vb)
 			}
@@ -572,7 +561,7 @@ func TestConcurrentUpdatesSerialize(t *testing.T) {
 			}
 			wg.Wait()
 			seen := map[temporal.Chronon]bool{}
-			for _, v := range rel.Versions() {
+			for _, v := range mustScan(t, rel, ScanSpec{AllVersions: true}) {
 				if seen[v.Trans.From] {
 					t.Fatalf("two commits at %v", v.Trans.From)
 				}
@@ -583,36 +572,6 @@ func TestConcurrentUpdatesSerialize(t *testing.T) {
 					len(seen), n, len(mustScan(t, rel, ScanSpec{})), tc.current)
 			}
 		})
-	}
-}
-
-func TestResultTableRendering(t *testing.T) {
-	db := memDB(t)
-	rel := loadFaculty(t, db)
-	res, err := rel.Query().Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := res.String()
-	for _, want := range []string{"name", "rank", "valid from", "valid to", "Merrie", "||", "∞"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("table missing %q:\n%s", want, out)
-		}
-	}
-	// Static results carry no valid columns.
-	st, err := db.CreateRelation("s", Static, facultySchema(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Insert(fac("A", "x")); err != nil {
-		t.Fatal(err)
-	}
-	res, err = st.Query().Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(res.String(), "valid") {
-		t.Errorf("static table has valid columns:\n%s", res)
 	}
 }
 

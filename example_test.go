@@ -21,7 +21,7 @@ func Example() {
 
 	sch, _ := tdb.NewSchema(tdb.Attr("name", tdb.StringKind), tdb.Attr("rank", tdb.StringKind))
 	sch, _ = sch.WithKey("name")
-	faculty, _ := db.CreateRelation("faculty", tdb.Temporal, sch)
+	_, _ = db.CreateRelation("faculty", tdb.Temporal, sch)
 
 	// Recorded 12/01/82: Merrie is an associate professor since 1977.
 	_ = db.UpdateAt(temporal.Date(1982, 12, 1), func(tx *tdb.Tx) error {
@@ -37,10 +37,12 @@ func Example() {
 	})
 
 	// Reality on 12/10/82 (current belief) vs the database's belief then.
-	now, _ := faculty.Query().At(temporal.Date(1982, 12, 10)).Run()
-	then, _ := faculty.Query().AsOf(temporal.Date(1982, 12, 10)).At(temporal.Date(1982, 12, 10)).Run()
-	fmt.Println("valid at 12/10/82, known today: ", now.Tuples()[0][1])
-	fmt.Println("valid at 12/10/82, known then:  ", then.Tuples()[0][1])
+	ses := tquel.NewSession(db)
+	now, _ := ses.Query(`range of f is faculty
+		retrieve (f.rank) when f overlap "12/10/82"`)
+	then, _ := ses.Query(`retrieve (f.rank) when f overlap "12/10/82" as of "12/10/82"`)
+	fmt.Println("valid at 12/10/82, known today: ", now.Rows[0].Data[0])
+	fmt.Println("valid at 12/10/82, known then:  ", then.Rows[0].Data[0])
 	// Output:
 	// valid at 12/10/82, known today:  full
 	// valid at 12/10/82, known then:   associate

@@ -13,6 +13,7 @@ import (
 
 	"tdb"
 	"tdb/temporal"
+	"tdb/tquel"
 )
 
 func main() {
@@ -33,8 +34,7 @@ func main() {
 	if sch, err = sch.WithKey("employee"); err != nil {
 		log.Fatal(err)
 	}
-	payroll, err := db.CreateRelation("payroll", tdb.Temporal, sch)
-	if err != nil {
+	if _, err := db.CreateRelation("payroll", tdb.Temporal, sch); err != nil {
 		log.Fatal(err)
 	}
 
@@ -60,6 +60,10 @@ func main() {
 	})
 
 	// Pay was issued monthly according to the database state at pay time.
+	ses := tquel.NewSession(db)
+	if _, err := ses.Exec("range of p is payroll"); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("month      paid (as of pay date)   owed (current belief)   back pay")
 	totalBackPay := int64(0)
 	months := []string{
@@ -67,9 +71,8 @@ func main() {
 		"07/01/83", "08/01/83", "09/01/83", "10/01/83", "11/01/83", "12/01/83",
 	}
 	for _, m := range months {
-		payDate := temporal.MustParse(m)
-		paid := amountAt(payroll, payDate, payDate) // belief at pay time
-		owed := amountAt(payroll, payDate, temporal.Forever-1)
+		paid := amountAt(ses, m, fmt.Sprintf("as of %q", m)) // belief at pay time
+		owed := amountAt(ses, m, "")                         // current belief
 		diff := owed - paid
 		totalBackPay += diff
 		fmt.Printf("%s   %5d                   %5d                   %5d\n", m, paid, owed, diff)
@@ -80,16 +83,16 @@ func main() {
 	fmt.Println("A static or historical database can answer only one of them.")
 }
 
-// amountAt returns Merrie's salary valid at instant v according to the
-// database state as of transaction time asOf (0 owed when no version
-// matches).
-func amountAt(rel *tdb.Relation, v, asOf temporal.Chronon) int64 {
-	res, err := rel.Query().AsOf(asOf).At(v).Run()
+// amountAt returns Merrie's salary valid on date v according to the state
+// the rollback clause selects, the current belief when it is empty (0 owed
+// when no version matches).
+func amountAt(ses *tquel.Session, v, rollback string) int64 {
+	res, err := ses.Query(fmt.Sprintf("retrieve (p.monthly_salary) when p overlap %q %s", v, rollback))
 	if err != nil {
 		log.Fatal(err)
 	}
 	if res.Len() == 0 {
 		return 0
 	}
-	return res.Tuples()[0][1].Int()
+	return res.Rows[0].Data[0].Int()
 }

@@ -9,6 +9,7 @@ import (
 
 	"tdb"
 	"tdb/temporal"
+	"tdb/tquel"
 )
 
 func main() {
@@ -58,25 +59,33 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Current belief: what was her rank in March?
-	res, err := faculty.Query().At(temporal.Date(2025, 3, 1)).Run()
-	if err != nil {
-		log.Fatal(err)
+	// Read back through TQuel, the paper's query language. Chronon literals
+	// carry a four-digit year: a two-digit one means 19xx.
+	ses := tquel.NewSession(db)
+	show := func(title, q string) {
+		res, err := ses.Query(q)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Println(title)
+		fmt.Println(res)
 	}
-	fmt.Println("rank valid in March (current belief):")
-	fmt.Println(res)
+
+	// Current belief: what was her rank in March?
+	show("rank valid in March (current belief):", `range of f is faculty
+		retrieve (f.name, f.rank) when f overlap "2025-03-01"`)
 
 	// Rollback: what did the database believe before the correction?
-	res, err = faculty.Query().AsOf(beforePromotion).Run()
+	show("the database's belief before the promotion was recorded:", fmt.Sprintf(
+		"retrieve (f.name, f.rank) as of %q", beforePromotion.Time().Format("2006-01-02 15:04:05")))
+
+	// Every version ever stored remains accountable.
+	vs, err := faculty.Scan(tdb.ScanSpec{AllVersions: true})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("the database's belief before the promotion was recorded:")
-	fmt.Println(res)
-
-	// Every version ever stored remains accountable.
 	fmt.Println("all stored versions (nothing is ever lost):")
-	for _, v := range faculty.Versions() {
+	for _, v := range vs {
 		fmt.Printf("  %v\n", v)
 	}
 }

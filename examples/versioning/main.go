@@ -12,6 +12,7 @@ import (
 
 	"tdb"
 	"tdb/temporal"
+	"tdb/tquel"
 )
 
 func main() {
@@ -74,7 +75,11 @@ func main() {
 
 	fmt.Println("current release history (three times per row):")
 	fmt.Println("component  version  notes date  released    recorded")
-	for _, v := range releases.Versions() {
+	vs, err := releases.Scan(tdb.ScanSpec{AllVersions: true})
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, v := range vs {
 		if !v.Current() {
 			continue
 		}
@@ -82,21 +87,20 @@ func main() {
 			v.Data[0], v.Data[1], v.Data[2], v.Valid.From, v.Trans.From)
 	}
 
+	ses := tquel.NewSession(db)
+	show := func(title, q string) {
+		res, err := ses.Query(q)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Println(title)
+		fmt.Println(res)
+	}
+
 	// What did the schedule look like on 06/05/84, before the slip was
 	// recorded?
-	res, err := releases.Query().AsOf(temporal.MustParse("06/05/84")).
-		Where(func(t tdb.Tuple) (bool, error) { return t[1].Str() == "2.1", nil }).Run()
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("\nv2.1's release date as believed on 06/05/84 (before the slip was known):")
-	fmt.Println(res)
-
-	res, err = releases.Query().
-		Where(func(t tdb.Tuple) (bool, error) { return t[1].Str() == "2.1", nil }).Run()
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("v2.1's release date as known today:")
-	fmt.Println(res)
+	show("\nv2.1's release date as believed on 06/05/84 (before the slip was known):", `range of r is releases
+		retrieve (r.component, r.version, r.notes_date) where r.version = "2.1" as of "06/05/84"`)
+	show("v2.1's release date as known today:",
+		`retrieve (r.component, r.version, r.notes_date) where r.version = "2.1"`)
 }

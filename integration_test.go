@@ -3,6 +3,7 @@ package tdb_test
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -79,13 +80,6 @@ func TestFourKindsSideBySide(t *testing.T) {
 	apply(100, "x", 50)
 	apply(200, "y", 80)
 
-	rank := func(res *tdb.Result) string {
-		t.Helper()
-		if res.Len() != 1 {
-			t.Fatalf("expected one row, got %s", res)
-		}
-		return res.Tuples()[0][1].Str()
-	}
 	get := func(kind tdb.Kind) *tdb.Relation {
 		t.Helper()
 		r, err := db.Relation(kind.String())
@@ -94,6 +88,25 @@ func TestFourKindsSideBySide(t *testing.T) {
 		}
 		return r
 	}
+	// rank reads the one version the relation of kind k holds at valid
+	// instant at (nil: any) as of transaction time asOf (nil: now).
+	rank := func(k tdb.Kind, at, asOf *temporal.Chronon) string {
+		t.Helper()
+		spec := tdb.ScanSpec{AsOf: asOf}
+		if at != nil {
+			when := temporal.At(*at)
+			spec.When = &when
+		}
+		vs, err := get(k).Scan(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(vs) != 1 {
+			t.Fatalf("%v: expected one row, got %v", k, vs)
+		}
+		return vs[0].Data[1].Str()
+	}
+	c := func(c temporal.Chronon) *temporal.Chronon { return &c }
 
 	// Everyone agrees on the current answer.
 	for _, k := range []tdb.Kind{tdb.Static, tdb.StaticRollback} {
@@ -103,61 +116,71 @@ func TestFourKindsSideBySide(t *testing.T) {
 		}
 	}
 	for _, k := range []tdb.Kind{tdb.Historical, tdb.Temporal} {
-		res, err := get(k).Query().At(90).Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rank(res) != "y" {
-			t.Errorf("%v at 90 = %s", k, rank(res))
+		if got := rank(k, c(90), nil); got != "y" {
+			t.Errorf("%v at 90 = %s", k, got)
 		}
 	}
 
 	// Rollback kinds remember the superseded database state.
 	for _, k := range []tdb.Kind{tdb.StaticRollback, tdb.Temporal} {
-		res, err := get(k).Query().AsOf(150).Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rank(res) != "x" {
-			t.Errorf("%v as of 150 = %s", k, rank(res))
+		if got := rank(k, nil, c(150)); got != "x" {
+			t.Errorf("%v as of 150 = %s", k, got)
 		}
 	}
 
 	// Valid-time kinds answer about reality at instant 60: x (the later
 	// correction started at 80, so [50,80) still says x).
 	for _, k := range []tdb.Kind{tdb.Historical, tdb.Temporal} {
-		res, err := get(k).Query().At(60).Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rank(res) != "x" {
-			t.Errorf("%v at 60 = %s", k, rank(res))
+		if got := rank(k, c(60), nil); got != "x" {
+			t.Errorf("%v at 60 = %s", k, got)
 		}
 	}
 
 	// The temporal relation alone answers the combined question: what did
 	// we believe at as-of 150 about reality at instant 90? Answer: x (the
 	// correction wasn't known yet).
-	res, err := get(tdb.Temporal).Query().AsOf(150).At(90).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rank(res) != "x" {
-		t.Errorf("temporal (90 as of 150) = %s", rank(res))
+	if got := rank(tdb.Temporal, c(90), c(150)); got != "x" {
+		t.Errorf("temporal (90 as of 150) = %s", got)
 	}
 
 	// Kind boundaries (Figure 10's empty cells).
-	if _, err := get(tdb.Static).Query().AsOf(150).Run(); !errors.Is(err, tdb.ErrNoRollback) {
-		t.Errorf("static as-of: %v", err)
+	for _, k := range []tdb.Kind{tdb.Static, tdb.Historical} {
+		if _, err := get(k).Scan(tdb.ScanSpec{AsOf: c(150)}); !errors.Is(err, tdb.ErrNoRollback) {
+			t.Errorf("%v as-of: %v", k, err)
+		}
 	}
-	if _, err := get(tdb.Historical).Query().AsOf(150).Run(); !errors.Is(err, tdb.ErrNoRollback) {
-		t.Errorf("historical as-of: %v", err)
+}
+
+// A retrieve's answer renders in the paper's table style: the implicit
+// valid-time columns follow a double bar, and a relation without valid
+// time has none.
+func TestResultTableRendering(t *testing.T) {
+	db, err := tdb.Open("", tdb.Options{Clock: temporal.NewLogicalClock(0)})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := get(tdb.StaticRollback).Query().At(60).Run(); !errors.Is(err, tdb.ErrNoValidTime) {
-		t.Errorf("rollback at: %v", err)
+	defer db.Close()
+	ses := tquel.NewSession(db)
+	res, err := ses.Query(`create temporal relation f (name = string, rank = string) key (name)
+		create static relation s (name = string, rank = string) key (name)
+		append to f (name = "Merrie", rank = "associate") valid from "09/01/77" to forever
+		append to s (name = "A", rank = "x")
+		range of f is f range of s is s
+		retrieve (f.name, f.rank)`)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := get(tdb.Static).Query().At(60).Run(); !errors.Is(err, tdb.ErrNoValidTime) {
-		t.Errorf("static at: %v", err)
+	out := res.String()
+	for _, want := range []string{"name", "rank", "valid from", "valid to", "Merrie", "||", "∞"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("table missing %q:\n%s", want, out)
+		}
+	}
+	if res, err = ses.Query(`retrieve (s.name, s.rank)`); err != nil {
+		t.Fatal(err)
+	}
+	if out := res.String(); strings.Contains(out, "valid") || !strings.Contains(out, "| A ") {
+		t.Errorf("static table:\n%s", out)
 	}
 }
 
@@ -212,14 +235,14 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 					return
 				default:
 				}
-				res, err := rel.Query().Run()
+				vs, err := rel.Scan(tdb.ScanSpec{})
 				if err != nil {
 					errs <- err
 					return
 				}
-				for _, tup := range res.Tuples() {
-					if len(tup) != 2 {
-						errs <- fmt.Errorf("torn tuple %v", tup)
+				for _, v := range vs {
+					if len(v.Data) != 2 {
+						errs <- fmt.Errorf("torn tuple %v", v.Data)
 						return
 					}
 				}
@@ -237,11 +260,8 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 		// Writers finish when all their ops are in; readers loop until stop.
 		defer close(writersDone)
 		for {
-			res, err := rel.Query().Run()
-			if err != nil {
-				return
-			}
-			if res.Len() >= writers*10 {
+			vs, err := rel.Scan(tdb.ScanSpec{})
+			if err != nil || len(vs) >= writers*10 {
 				return
 			}
 		}
@@ -261,7 +281,11 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 		t.Errorf("versions = %d, want %d", got, want)
 	}
 	current := 0
-	for _, v := range rel.Versions() {
+	vs, err := rel.Scan(tdb.ScanSpec{AllVersions: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range vs {
 		if v.Current() {
 			current++
 		}
@@ -485,5 +509,9 @@ func versionsOf(t *testing.T, db *tdb.DB, name string) []tdb.Version {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rel.Versions()
+	vs, err := rel.Scan(tdb.ScanSpec{AllVersions: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return vs
 }

@@ -216,8 +216,15 @@ func PaperDB() (*tdb.DB, error) {
 
 // renderVersions renders a relation's stored versions in the paper's
 // tuple-timestamped figure style.
-func renderVersions(title string, rel *tdb.Relation, showValid, showTrans bool) string {
-	vs := rel.Versions()
+func renderVersions(db *tdb.DB, relName, title string, showValid, showTrans bool) (string, error) {
+	rel, err := db.Relation(relName)
+	if err != nil {
+		return "", err
+	}
+	vs, err := rel.Scan(tdb.ScanSpec{AllVersions: true})
+	if err != nil {
+		return "", err
+	}
 	sort.Slice(vs, func(i, j int) bool {
 		a, b := vs[i], vs[j]
 		if an, bn := a.Data[0].String(), b.Data[0].String(); an != bn {
@@ -263,7 +270,7 @@ func renderVersions(title string, rel *tdb.Relation, showValid, showTrans bool) 
 		}
 		tbl.Rows = append(tbl.Rows, row)
 	}
-	return tbl.String()
+	return tbl.String(), nil
 }
 
 func query(db *tdb.DB, setup, q string) (string, error) {
@@ -277,12 +284,12 @@ func query(db *tdb.DB, setup, q string) (string, error) {
 
 // Figure2 reproduces the static relation and its Quel query.
 func Figure2(db *tdb.DB) (string, error) {
-	rel, err := db.Relation("faculty_static")
+	tbl, err := renderVersions(db, "faculty_static", "Figure 2 : A Static Relation", false, false)
 	if err != nil {
 		return "", err
 	}
 	var b strings.Builder
-	b.WriteString(renderVersions("Figure 2 : A Static Relation", rel, false, false))
+	b.WriteString(tbl)
 	b.WriteString("\nQuel query: retrieve (f.rank) where f.name = \"Merrie\"\n")
 	out, err := query(db, `range of f is faculty_static`, `retrieve (f.rank) where f.name = "Merrie"`)
 	if err != nil {
@@ -295,22 +302,35 @@ func Figure2(db *tdb.DB) (string, error) {
 // Figure3 reproduces the conceptual view of a static rollback relation as
 // a sequence of static states indexed by transaction time.
 func Figure3(db *tdb.DB) (string, error) {
-	rel, err := db.Relation("faculty_rollback")
+	return renderStates(db, "faculty_rollback",
+		"Figure 3 : A Static Rollback Relation (sequence of static states)\n", "state")
+}
+
+// renderStates draws a rollback or temporal relation as the sequence of
+// states TQuel's "as of" answers at each of its commits. Each state is drawn
+// without the transaction columns TQuel prints for a rollback relation: the
+// commit it was read at heads it instead.
+func renderStates(db *tdb.DB, relName, title, label string) (string, error) {
+	rel, err := db.Relation(relName)
 	if err != nil {
 		return "", err
 	}
-	rb, err := relRollbackCommits(rel)
+	commits, err := relRollbackCommits(rel)
 	if err != nil {
 		return "", err
 	}
+	ses := tquel.NewSession(db)
 	var b strings.Builder
-	b.WriteString("Figure 3 : A Static Rollback Relation (sequence of static states)\n")
-	for _, at := range rb {
-		res, err := rel.Query().AsOf(at).Run()
+	b.WriteString(title)
+	for _, at := range commits {
+		// A four-digit year: Parse reads a two-digit one as 19xx.
+		res, err := ses.Query(fmt.Sprintf("range of f is %s\nretrieve (f.name, f.rank) as of %q",
+			relName, at.Time().Format("2006-01-02 15:04:05")))
 		if err != nil {
 			return "", err
 		}
-		fmt.Fprintf(&b, "\nstate as of %v:\n%s", at, res.String())
+		res.HasTrans = false
+		fmt.Fprintf(&b, "\n%s as of %v:\n%s", label, at, res.String())
 	}
 	return b.String(), nil
 }
@@ -318,9 +338,13 @@ func Figure3(db *tdb.DB) (string, error) {
 // relRollbackCommits lists the distinct transaction chronons recorded in a
 // rollback or temporal relation.
 func relRollbackCommits(rel *tdb.Relation) ([]temporal.Chronon, error) {
+	vs, err := rel.Scan(tdb.ScanSpec{AllVersions: true})
+	if err != nil {
+		return nil, err
+	}
 	seen := map[temporal.Chronon]bool{}
 	var out []temporal.Chronon
-	for _, v := range rel.Versions() {
+	for _, v := range vs {
 		for _, c := range []temporal.Chronon{v.Trans.From, v.Trans.To} {
 			if c.IsFinite() && !seen[c] {
 				seen[c] = true
@@ -335,12 +359,12 @@ func relRollbackCommits(rel *tdb.Relation) ([]temporal.Chronon, error) {
 // Figure4 reproduces the tuple-timestamped rollback relation and the TQuel
 // rollback query (answer: associate).
 func Figure4(db *tdb.DB) (string, error) {
-	rel, err := db.Relation("faculty_rollback")
+	tbl, err := renderVersions(db, "faculty_rollback", "Figure 4 : A Static Rollback Relation", false, true)
 	if err != nil {
 		return "", err
 	}
 	var b strings.Builder
-	b.WriteString(renderVersions("Figure 4 : A Static Rollback Relation", rel, false, true))
+	b.WriteString(tbl)
 	b.WriteString("\nTQuel query: retrieve (f.rank) where f.name = \"Merrie\" as of \"12/10/82\"\n")
 	out, err := query(db, `range of f is faculty_rollback`,
 		`retrieve (f.rank) where f.name = "Merrie" as of "12/10/82"`)
@@ -354,26 +378,26 @@ func Figure4(db *tdb.DB) (string, error) {
 // Figure5 reproduces the historical relation's conceptual view: the single
 // current historical state (contrast Figure 3's retained sequence).
 func Figure5(db *tdb.DB) (string, error) {
-	rel, err := db.Relation("faculty_hist")
+	tbl, err := renderVersions(db, "faculty_hist", "", true, false)
 	if err != nil {
 		return "", err
 	}
 	var b strings.Builder
 	b.WriteString("Figure 5 : An Historical Relation (current knowledge of history; ")
 	b.WriteString("the erroneous tuple was removed without trace)\n")
-	b.WriteString(renderVersions("", rel, true, false))
+	b.WriteString(tbl)
 	return b.String(), nil
 }
 
 // Figure6 reproduces the valid-time-stamped historical relation and the
 // TQuel historical query (answer: full, [12/01/82, ∞)).
 func Figure6(db *tdb.DB) (string, error) {
-	rel, err := db.Relation("faculty_hist")
+	tbl, err := renderVersions(db, "faculty_hist", "Figure 6 : A Historical Relation", true, false)
 	if err != nil {
 		return "", err
 	}
 	var b strings.Builder
-	b.WriteString(renderVersions("Figure 6 : A Historical Relation", rel, true, false))
+	b.WriteString(tbl)
 	b.WriteString("\nTQuel query: retrieve (f1.rank) where f1.name = \"Merrie\" and f2.name = \"Tom\"\n")
 	b.WriteString("            when f1 overlap start of f2\n")
 	out, err := query(db, "range of f1 is faculty_hist\nrange of f2 is faculty_hist",
@@ -388,35 +412,19 @@ func Figure6(db *tdb.DB) (string, error) {
 // Figure7 reproduces the temporal relation's conceptual view: a sequence of
 // historical states, one per transaction.
 func Figure7(db *tdb.DB) (string, error) {
-	rel, err := db.Relation("faculty")
-	if err != nil {
-		return "", err
-	}
-	commits, err := relRollbackCommits(rel)
-	if err != nil {
-		return "", err
-	}
-	var b strings.Builder
-	b.WriteString("Figure 7 : A Temporal Relation (sequence of historical states)\n")
-	for _, at := range commits {
-		res, err := rel.Query().AsOf(at).Run()
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(&b, "\nhistorical state as of %v:\n%s", at, res.String())
-	}
-	return b.String(), nil
+	return renderStates(db, "faculty",
+		"Figure 7 : A Temporal Relation (sequence of historical states)\n", "historical state")
 }
 
 // Figure8 reproduces the bitemporal relation and the §4.4 query at both
 // rollback instants (associate, then full).
 func Figure8(db *tdb.DB) (string, error) {
-	rel, err := db.Relation("faculty")
+	tbl, err := renderVersions(db, "faculty", "Figure 8 : A Temporal Relation", true, true)
 	if err != nil {
 		return "", err
 	}
 	var b strings.Builder
-	b.WriteString(renderVersions("Figure 8 : A Temporal Relation", rel, true, true))
+	b.WriteString(tbl)
 	const q = `retrieve (f1.rank) where f1.name = "Merrie" and f2.name = "Tom" when f1 overlap start of f2 as of %s`
 	for _, date := range []string{`"12/10/82"`, `"12/20/82"`} {
 		fmt.Fprintf(&b, "\nTQuel query: ... when f1 overlap start of f2 as of %s\n", date)
@@ -433,11 +441,7 @@ func Figure8(db *tdb.DB) (string, error) {
 // Figure9 reproduces the temporal event relation with its user-defined
 // effective-date attribute.
 func Figure9(db *tdb.DB) (string, error) {
-	rel, err := db.Relation("promotion")
-	if err != nil {
-		return "", err
-	}
-	return renderVersions("Figure 9 : A Temporal Event Relation", rel, true, true), nil
+	return renderVersions(db, "promotion", "Figure 9 : A Temporal Event Relation", true, true)
 }
 
 // Taxonomy figures.

@@ -202,7 +202,8 @@ func Equal(a, b Value) bool {
 }
 
 // Hash64 returns a stable 64-bit hash of the value, suitable for the hash
-// indexes in internal/index.
+// indexes in internal/index. Values that Equal calls equal hash alike: -0
+// hashes as +0 and every NaN as one NaN, whatever its payload.
 func (v Value) Hash64() uint64 {
 	h := fnv.New64a()
 	var buf [9]byte
@@ -212,7 +213,14 @@ func (v Value) Hash64() uint64 {
 		putUint64(buf[1:], uint64(v.i))
 		h.Write(buf[:])
 	case Float:
-		putUint64(buf[1:], math.Float64bits(v.f))
+		f := v.f
+		if f != f {
+			f = math.NaN()
+		}
+		if f == 0 {
+			f = 0
+		}
+		putUint64(buf[1:], math.Float64bits(f))
 		h.Write(buf[:])
 	case String:
 		h.Write(buf[:1])

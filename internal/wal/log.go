@@ -248,8 +248,12 @@ func (l *Log) Size() int64 {
 
 // Records returns the number of complete records in the log file: the
 // recovery-scan seed plus every record successfully appended since. A
-// record whose batch failed and rolled back is never counted.
+// record whose batch failed and rolled back is never counted. An in-memory
+// database has no log: a nil Log holds no records.
 func (l *Log) Records() int {
+	if l == nil {
+		return 0
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.records

@@ -3,6 +3,7 @@ package tdb
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -169,5 +170,42 @@ func TestKeyLookupWithAsOf(t *testing.T) {
 	vs := keyedMatchesScan(t, rel, ScanSpec{AsOf: &asOf}, "Merrie")
 	if len(vs) != 1 || vs[0].Data[1].Str() != "associate" {
 		t.Fatalf("as-of + key: %v", vs)
+	}
+}
+
+// A float key is one key for every pair of values the key comparison calls
+// equal: -0 is +0, and NaNs of different payloads are one NaN. The key
+// index must agree, or a second insert slips past the duplicate check and
+// the relation holds two current rows of one key.
+func TestFloatKeysThatCompareEqual(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		a, b float64
+	}{
+		{"signed zero", 0, math.Copysign(0, -1)},
+		{"NaN payloads", math.NaN(), math.Float64frombits(0xfff8000000000002)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sch, err := mustSchema(t, Attr("x", FloatKind)).WithKey("x")
+			if err != nil {
+				t.Fatal(err)
+			}
+			rel, err := memDB(t).CreateRelation("r", Static, sch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rel.Insert(NewTuple(Float(c.a))); err != nil {
+				t.Fatal(err)
+			}
+			if err := rel.Insert(NewTuple(Float(c.b))); !errors.Is(err, ErrDuplicateKey) {
+				t.Fatalf("second insert: %v, want ErrDuplicateKey", err)
+			}
+			if err := rel.Delete(Key(Float(c.b))); err != nil {
+				t.Fatal(err)
+			}
+			if vs := mustScan(t, rel, ScanSpec{}); len(vs) != 0 {
+				t.Fatalf("current rows after the delete: %v", vs)
+			}
+		})
 	}
 }

@@ -60,7 +60,7 @@ func TestLoadMatchesRowAtATime(t *testing.T) {
 	strip := func(db *DB) []string {
 		r, _ := db.Relation("r")
 		var out []string
-		for _, v := range r.Versions() {
+		for _, v := range mustScan(t, r, ScanSpec{AllVersions: true}) {
 			out = append(out, v.Data.String()+"@"+v.Valid.String())
 		}
 		return out
@@ -123,7 +123,7 @@ func TestLoadKinds(t *testing.T) {
 	if n, err := ev.Load([]LoadRow{{Data: fac("e", "x"), From: 42}}); err != nil || n != 1 {
 		t.Fatalf("event load = %d, %v", n, err)
 	}
-	if vs := ev.Versions(); len(vs) != 1 || vs[0].Valid.From != 42 {
+	if vs := mustScan(t, ev, ScanSpec{AllVersions: true}); len(vs) != 1 || vs[0].Valid.From != 42 {
 		t.Fatalf("event versions = %v", vs)
 	}
 	st, _ := db.Relation("st")

@@ -132,7 +132,7 @@ func TestRecoveryOfCatalogOps(t *testing.T) {
 	if got := ev2.VersionCount(); got != 1 {
 		t.Errorf("event versions = %d", got)
 	}
-	vs := ev2.Versions()
+	vs := mustScan(t, ev2, ScanSpec{AllVersions: true})
 	if vs[0].Current() {
 		t.Error("retracted event still current after recovery")
 	}

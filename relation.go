@@ -149,16 +149,6 @@ func (r *Relation) History(key Tuple) ([]Version, error) {
 	return vs, err
 }
 
-// Versions returns every stored version of the relation, including (for
-// rollback and temporal kinds) superseded ones — the raw contents shown in
-// the paper's figures. One entity's audit trail — who believed what about
-// it, and when each belief was adopted and abandoned — is the same scan
-// with a key: Scan(ScanSpec{AllVersions: true, Key: key}).
-func (r *Relation) Versions() []Version {
-	vs, _ := r.Scan(ScanSpec{AllVersions: true}) // fails only once the database is closed
-	return vs
-}
-
 // VisibleVersionsFiltered returns the versions a query sees — the current
 // belief when hasAsOf is false, the state as of transaction time asOf when
 // true — that pass the pre-filters. It is Scan spelled positionally.

@@ -1,6 +1,7 @@
 package tdb
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -69,12 +70,21 @@ func restoreInto(tb testing.TB, snap wal.Snapshot) (*DB, error) {
 	return db, db.restoreSnapshot(snap)
 }
 
+// checkpointOf encodes the snapshot a checkpoint of db would write.
+func checkpointOf(db *DB) []byte {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return wal.EncodeSnapshot(db.snapshot())
+}
+
 // FuzzRestoreSnapshot restores untrusted snapshot bytes into an empty
 // database — what recovery and a follower's re-sync do with a checkpoint
 // file the decoder accepts. As in FuzzDecodeSnapshot the trailing checksum
 // is recomputed over each input first, so the fuzzer reaches the restore
 // instead of dying at the CRC. The restore may refuse a snapshot but never
-// panics, and what it accepts can be read back in full. Seeds: the
+// panics, and what it accepts is a fixed point one checkpoint away: its
+// checkpoint y restores and checkpoints to y again, byte for byte, and
+// every relation reads back in full without an error. Seeds: the
 // checkpoint of every kind × class of the taxonomy's matrix, each of which
 // restores, written under a seal threshold of 4, so that the relations
 // carry sealed blocks beside their tail, and under the default one, which
@@ -139,7 +149,19 @@ func FuzzRestoreSnapshot(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rel.Versions()
+			if _, err := rel.Scan(ScanSpec{AllVersions: true}); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		y := checkpointOf(db)
+		if snap, err = wal.DecodeSnapshot(y); err != nil {
+			t.Fatalf("the checkpoint of a restored state does not decode: %v", err)
+		}
+		if db, err = restoreInto(t, snap); err != nil {
+			t.Fatalf("the checkpoint of a restored state does not restore: %v", err)
+		}
+		if again := checkpointOf(db); !bytes.Equal(again, y) {
+			t.Fatalf("checkpoint is no fixed point: %d bytes restore to %d different ones", len(y), len(again))
 		}
 	})
 }

@@ -85,12 +85,20 @@ func TestScaleSoak(t *testing.T) {
 	// Compare slice *contents*: the temporal store fragments periods at
 	// correction boundaries while the historical store coalesces on write,
 	// so interval bounds may differ even though every time slice agrees.
-	asSet := func(res *tdb.Result) map[string]bool {
+	asSet := func(vs []tdb.Version) map[string]bool {
 		out := map[string]bool{}
-		for _, tup := range res.Tuples() {
-			out[tup.String()] = true
+		for _, v := range vs {
+			out[v.Data.String()] = true
 		}
 		return out
+	}
+	scan := func(rel *tdb.Relation, spec tdb.ScanSpec) []tdb.Version {
+		t.Helper()
+		vs, err := rel.Scan(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return vs
 	}
 	sameSet := func(a, b map[string]bool) bool {
 		if len(a) != len(b) {
@@ -107,17 +115,11 @@ func TestScaleSoak(t *testing.T) {
 	// Relationship 1: the temporal relation's current belief equals the
 	// historical relation, at every probed valid instant.
 	for probe := cfg.Start; probe < cfg.Start.Add(cfg.Step*int64(len(events))); probe = probe.Add(cfg.Step * 997) {
-		a, err := tr.Query().At(probe).Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := hr.Query().At(probe).Run()
-		if err != nil {
-			t.Fatal(err)
-		}
+		when := temporal.At(probe)
+		a, b := scan(tr, tdb.ScanSpec{When: &when}), scan(hr, tdb.ScanSpec{When: &when})
 		if !sameSet(asSet(a), asSet(b)) {
 			t.Fatalf("temporal vs historical diverge at %v: %d vs %d rows",
-				probe, a.Len(), b.Len())
+				probe, len(a), len(b))
 		}
 	}
 
@@ -137,14 +139,12 @@ func TestScaleSoak(t *testing.T) {
 				delete(want, e.Name)
 			}
 		}
-		res, err := rr.Query().AsOf(at).Run()
-		if err != nil {
-			t.Fatal(err)
+		vs := scan(rr, tdb.ScanSpec{AsOf: &at})
+		if len(vs) != len(want) {
+			t.Fatalf("rollback as of %v: %d rows, want %d", at, len(vs), len(want))
 		}
-		if res.Len() != len(want) {
-			t.Fatalf("rollback as of %v: %d rows, want %d", at, res.Len(), len(want))
-		}
-		for _, tup := range res.Tuples() {
+		for _, v := range vs {
+			tup := v.Data
 			if want[tup[0].Str()] != tup[1].Str() {
 				t.Fatalf("rollback as of %v: %v, want rank %q", at, tup, want[tup[0].Str()])
 			}

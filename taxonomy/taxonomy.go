@@ -14,6 +14,7 @@ import (
 
 	"tdb"
 	"tdb/temporal"
+	"tdb/tquel"
 )
 
 // TimeKind is one of the paper's three kinds of time.
@@ -139,21 +140,28 @@ func Probe(k tdb.Kind) (Capabilities, error) {
 		return caps, err
 	}
 
+	// Each capability is the TQuel clause that defines it (§3–§4), answered
+	// by the superseded "old" alone. A four-digit year: Parse reads a
+	// two-digit one as 19xx.
+	ses := tquel.NewSession(db)
+	answersOld := func(clause string, c temporal.Chronon) bool {
+		res, err := ses.Query(fmt.Sprintf("range of p is probe\nretrieve (p.rank) %s %q",
+			clause, c.Time().Format("2006-01-02 15:04:05")))
+		return err == nil && res.Len() == 1 && res.Rows[0].Data[0].Str() == "old"
+	}
 	// Rollback: can we still see "old" as of the instant between writes?
-	if res, err := rel.Query().AsOf(between).Run(); err == nil {
-		caps.Rollback = res.Len() == 1 && res.Tuples()[0][1].Str() == "old"
-	}
-
-	// Historical: can we ask what held at a past valid instant (and get
-	// the retroactively recorded answer)?
-	if res, err := rel.Query().At(15).Run(); err == nil {
-		// "new" was asserted from 20 on, so instant 15 should still answer
-		// "old" — demonstrating genuine valid-time semantics.
-		caps.Historical = res.Len() == 1 && res.Tuples()[0][1].Str() == "old"
-	}
+	caps.Rollback = answersOld("as of", between)
+	// Historical: can we ask what held at a past valid instant (and get the
+	// retroactively recorded answer)? "new" was asserted from 20 on, so
+	// instant 15 should still answer "old" — genuine valid-time semantics.
+	caps.Historical = answersOld("when p overlap", 15)
 
 	// Append-only: did the superseded belief survive anywhere in storage?
-	for _, v := range rel.Versions() {
+	vs, err := rel.Scan(tdb.ScanSpec{AllVersions: true})
+	if err != nil {
+		return caps, err
+	}
+	for _, v := range vs {
 		if v.Data[1].Str() == "old" && !v.Current() {
 			caps.AppendOnly = true
 		}

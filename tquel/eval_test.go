@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"tdb"
 	"tdb/temporal"
 )
 
@@ -146,7 +147,10 @@ func TestValidRangeNowDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vs := rel.Versions()
+	vs, err := rel.Scan(tdb.ScanSpec{AllVersions: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(vs) != 1 {
 		t.Fatalf("versions = %v", vs)
 	}

@@ -1,7 +1,6 @@
 package tquel
 
 import (
-	"math"
 	"slices"
 	"sort"
 
@@ -262,17 +261,16 @@ func equiJoinSides(e Expr) (l, r *AttrRef, ok bool) {
 // hashableJoin reports whether an equi-join on attributes of the given
 // kinds can be answered by hashing, and whether the keys need numeric
 // normalization. Hashing must never separate values the comparison would
-// call equal: identical kinds hash exactly, and int/float pairs (which the
-// comparison widens) hash their widened value. Cross-kind pairs with
-// parse-time coercion (instant vs. string) stay on the nested-loop path.
+// call equal: identical kinds hash exactly (Value.Hash64 folds the floats
+// that compare equal), and int/float pairs (which the comparison widens)
+// hash their widened value. Cross-kind pairs with parse-time coercion
+// (instant vs. string) stay on the nested-loop path.
 func hashableJoin(a, b tdb.ValueKind) (hashable, numeric bool) {
 	num := func(k tdb.ValueKind) bool { return k == value.Int || k == value.Float }
 	switch {
-	case a == b && a != value.Float:
+	case a == b:
 		return true, false
 	case num(a) && num(b):
-		// Covers float=float too: widening normalizes -0 vs +0 and NaN
-		// payloads, which compare equal but carry different bits.
 		return true, true
 	default:
 		return false, false
@@ -280,27 +278,13 @@ func hashableJoin(a, b tdb.ValueKind) (hashable, numeric bool) {
 }
 
 // joinHash hashes a join key so that values the comparison treats as equal
-// collide. Numeric keys are widened to float64 with -0 folded into +0 and
-// NaNs canonicalized, mirroring evalCmp's int/float widening and
-// value.Compare's NaN-equals-NaN ordering.
+// collide. Numeric keys are widened to float64, mirroring evalCmp's
+// int/float widening.
 func joinHash(v tdb.Value, numeric bool) uint64 {
-	if !numeric {
-		return v.Hash64()
+	if numeric && v.Kind() == value.Int {
+		return tdb.Float(float64(v.Int())).Hash64()
 	}
-	var f float64
-	switch v.Kind() {
-	case value.Int:
-		f = float64(v.Int())
-	case value.Float:
-		f = v.Float()
-	}
-	if f != f {
-		f = math.NaN()
-	}
-	if f == 0 {
-		f = 0
-	}
-	return tdb.Float(f).Hash64()
+	return v.Hash64()
 }
 
 // orderByCost greedily orders the range variables to minimize estimated

@@ -8,8 +8,8 @@
 //   - valid time: user-supplied, correctable, enables historical queries
 //   - user-defined time: ordinary Instant attributes, uninterpreted
 //
-// Relations are queried either through this package's query builder or
-// through TQuel, the temporal query language in package tdb/tquel. Updates
+// Relations are queried through TQuel, the temporal query language in
+// package tdb/tquel, or read directly with Relation.Scan. Updates
 // run in serialized transactions with a single commit chronon, optionally
 // made durable via a write-ahead log.
 package tdb

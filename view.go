@@ -53,11 +53,11 @@ func (rt *ReadTx) Rel(name string) (*Relation, error) {
 }
 
 // Scan returns the versions of rel that spec selects — the single read
-// entry point: every query method, the Query builder and TQuel all end
-// here. Each version carries both its valid and transaction periods, with
-// the universal interval standing in for axes the kind does not record.
-// Rollback and temporal relations return versions in commit order. The
-// slice is a private copy, safe to read from any number of goroutines.
+// entry point: every query method and TQuel end here. Each version carries
+// both its valid and transaction periods, with the universal interval
+// standing in for axes the kind does not record. Rollback and temporal
+// relations return versions in commit order. The slice is a private copy,
+// safe to read from any number of goroutines.
 func (rt *ReadTx) Scan(rel *Relation, spec ScanSpec) ([]Version, error) {
 	var out []Version
 	err := rel.store.Read(spec, func(v Version) bool {
