@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 
 	"tdb/server"
@@ -20,10 +19,8 @@ import (
 // The first CSV record is the header; each column names an attribute of
 // the target relation. The -from/-to/-at flags designate columns that
 // carry the valid period instead of data ("forever", "beginning", "now",
-// or a quoted date such as "01/01/83"). Values that parse as integers or
-// floats are emitted as numeric literals, everything else as an escaped
-// string — matching the lexer's sniffing a human would do typing the
-// appends by hand.
+// or a quoted date such as "01/01/83"). Every data field travels as a
+// string literal, which the server reads as its attribute's declared kind.
 //
 // Statements inside a batch are independent transactions: on a mid-batch
 // error the rows before the failing one stay committed. load reports how
@@ -184,7 +181,7 @@ func renderAppend(rel string, header []string, attrs []int, rec []string, fromId
 		}
 		b.WriteString(header[i])
 		b.WriteString(" = ")
-		b.WriteString(tquelLiteral(rec[i]))
+		b.WriteString(quoteTquel(rec[i]))
 	}
 	b.WriteString(")")
 	switch {
@@ -202,18 +199,6 @@ func renderAppend(rel string, header []string, attrs []int, rec []string, fromId
 		}
 	}
 	return b.String()
-}
-
-// tquelLiteral renders a CSV field as a TQuel literal: integers and floats
-// stay numeric, everything else becomes an escaped string.
-func tquelLiteral(v string) string {
-	if _, err := strconv.ParseInt(v, 10, 64); err == nil {
-		return v
-	}
-	if _, err := strconv.ParseFloat(v, 64); err == nil && strings.ContainsAny(v, ".eE") {
-		return v
-	}
-	return quoteTquel(v)
 }
 
 // tquelEvent renders a valid-time field: the temporal keywords pass through

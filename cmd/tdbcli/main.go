@@ -1,4 +1,4 @@
-// Command tdbcli runs TQuel statements (terminated by ';') and the shared
+// Command tdbcli runs TQuel statements (terminated by ';') and the server's
 // admin verbs ("cache", "config", "stats", "help") against a temporal
 // database: a tdbd server when -addr names one, otherwise a database it
 // opens itself — the write-ahead log at -db, or memory.
@@ -34,7 +34,6 @@ import (
 	"strings"
 
 	"tdb"
-	"tdb/internal/command"
 	"tdb/server"
 	"tdb/tquel"
 )
@@ -105,8 +104,8 @@ func fail(err error) int {
 	return 1
 }
 
-// A backend runs one piece of input — TQuel source, or an admin verb from
-// the shared registry — prints what it produced, and returns the error that
+// A backend runs one piece of input — TQuel source, or an admin verb
+// (server.Verb) — prints what it produced, and returns the error that
 // stopped it, if any.
 type backend func(src string) error
 
@@ -114,17 +113,9 @@ type backend func(src string) error
 func local(db *tdb.DB) backend {
 	ses := tquel.NewSession(db)
 	return func(src string) error {
-		if verb := strings.TrimSpace(src); command.IsCommand(verb) {
-			res, err := command.Dispatch(db, verb)
-			switch {
-			case err != nil:
-				return err
-			case res.Text != "":
-				fmt.Println(res.Text)
-			case res.Cache != nil:
-				fmt.Printf("%+v\n", *res.Cache)
-			}
-			return nil
+		if run := server.Verb(src); run != nil {
+			resp := run(db)
+			return show(&resp)
 		}
 		outs, err := ses.Exec(src)
 		for _, o := range outs {
@@ -138,33 +129,35 @@ func local(db *tdb.DB) backend {
 // A transport failure ends the process: nothing after it can be answered.
 func remote(c *server.Client) backend {
 	return func(src string) error {
-		var (
-			resp *server.Response
-			err  error
-		)
-		if verb := strings.TrimSpace(src); command.IsCommand(verb) {
-			resp, err = c.Command(verb)
-		} else {
-			resp, err = c.Exec(src)
+		send := c.Exec
+		if server.Verb(src) != nil {
+			send, src = c.Command, strings.TrimSpace(src)
 		}
+		resp, err := send(src)
 		if err != nil {
 			os.Exit(fail(err))
 		}
-		for _, o := range resp.Outcomes {
-			if o.Table != "" {
-				fmt.Print(o.Table)
-			} else if o.Msg != "" {
-				fmt.Println(o.Msg)
-			}
-		}
-		if resp.Cache != nil && len(resp.Outcomes) == 0 {
-			fmt.Printf("%+v\n", *resp.Cache)
-		}
-		if resp.Error != "" {
-			return errors.New(resp.Error)
-		}
-		return nil
+		return show(resp)
 	}
+}
+
+// show prints a response's outcomes, or its cache statistics when it has
+// none, and returns its error.
+func show(resp *server.Response) error {
+	for _, o := range resp.Outcomes {
+		if o.Table != "" {
+			fmt.Print(o.Table)
+		} else if o.Msg != "" {
+			fmt.Println(o.Msg)
+		}
+	}
+	if resp.Cache != nil && len(resp.Outcomes) == 0 {
+		fmt.Printf("%+v\n", *resp.Cache)
+	}
+	if resp.Error != "" {
+		return errors.New(resp.Error)
+	}
+	return nil
 }
 
 // repl reads input from in and hands it to exec a statement group at a time:

@@ -31,7 +31,6 @@ import (
 	"time"
 
 	"tdb"
-	tdbconfig "tdb/internal/config"
 	"tdb/internal/obs"
 	"tdb/internal/repl"
 	"tdb/server"
@@ -148,7 +147,7 @@ func run(cfg config, logger *log.Logger, sigs <-chan os.Signal, started func(ser
 					"epoch":            st.Epoch,
 					"recovery":         st.Recovery,
 					"cache":            db.QueryCache().Stats(),
-					"config":           tdbconfig.Snapshot(),
+					"config":           tdb.Config(),
 					"stats":            db.TemporalStats(),
 					"segments": map[string]any{
 						"segments":    st.Segments,

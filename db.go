@@ -6,11 +6,11 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"tdb/internal/config"
 	"tdb/internal/qcache"
 	"tdb/internal/stats"
 	"tdb/internal/vfs"
@@ -21,6 +21,22 @@ import (
 // DefaultCacheBytes is the query cache budget when neither Options nor the
 // TDB_CACHE_BYTES environment variable chooses one.
 const DefaultCacheBytes = 64 << 20
+
+// EnvCacheBytes names the engine's one environment knob, an int64: the
+// query result cache budget in bytes when Options.CacheBytes is zero; 0 or
+// negative disables the cache. A malformed value reads as unset.
+const EnvCacheBytes = "TDB_CACHE_BYTES"
+
+// Config reports every environment knob's effective setting for the config
+// verb and /statz: the environment's value when set, else the default
+// marked "(default)".
+func Config() map[string]string {
+	v := os.Getenv(EnvCacheBytes)
+	if v == "" {
+		v = strconv.Itoa(DefaultCacheBytes) + " (default)"
+	}
+	return map[string]string{EnvCacheBytes: v}
+}
 
 // Options configure Open.
 type Options struct {
@@ -45,12 +61,6 @@ type Options struct {
 	// drives. Queries are unrestricted — a follower at commit-clock T
 	// answers every `as of <= T` query exactly as the primary would.
 	ReadOnly bool
-	// GroupCommitMaxBatch caps how many transaction records one
-	// group-commit flush coalesces onto a single WAL write (and fsync,
-	// when Sync is on). Zero means wal.DefaultGroupMaxBatch; 1 degenerates
-	// to per-transaction commits — the baseline BenchmarkIngestThroughput
-	// measures against.
-	GroupCommitMaxBatch int
 	// GroupCommitWait widens the group-commit coalescing window: the
 	// leader lingers this long after a commit arrives before flushing,
 	// hoping to share the fsync with more committers. Zero flushes
@@ -67,7 +77,10 @@ func resolveCacheBytes(opt int64) int64 {
 	if opt != 0 {
 		return opt
 	}
-	return config.Int64(config.EnvCacheBytes, DefaultCacheBytes)
+	if n, err := strconv.ParseInt(os.Getenv(EnvCacheBytes), 10, 64); err == nil {
+		return n
+	}
+	return DefaultCacheBytes
 }
 
 // DB is a temporal database: a catalog of relations plus the transaction
@@ -179,9 +192,8 @@ func Open(path string, opts Options) (*DB, error) {
 		// The committer owns every append to the log. Followers have no
 		// committers — their one write path is ReplApply's AppendRaw.
 		db.gc = wal.NewGroupCommitter(log, wal.GroupOptions{
-			MaxBatch: opts.GroupCommitMaxBatch,
-			MaxWait:  opts.GroupCommitWait,
-			Notify:   db.notifyRepl,
+			MaxWait: opts.GroupCommitWait,
+			Notify:  db.notifyRepl,
 		})
 	}
 	return db, nil

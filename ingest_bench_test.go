@@ -1,19 +1,16 @@
 package tdb_test
 
-// BenchmarkIngestThroughput prices the PR's ingest paths against each
+// BenchmarkIngestThroughput prices the two ingest paths against each
 // other under durable (Sync) commits, reporting rows/s and fsyncs per
 // iteration alongside ns/op:
 //
-//   - mode=PerTxn      — GroupCommitMaxBatch=1: one write+fsync per
-//     transaction, the pre-group-commit baseline.
-//   - mode=GroupCommit — default group commit: 16 concurrent committers
-//     coalesce onto shared fsyncs.
+//   - mode=GroupCommit — group commit: 16 concurrent committers coalesce
+//     onto shared fsyncs.
 //   - mode=BulkLoad    — Relation.Load: chunked multi-row records with
 //     pipelined flushes and segment-direct sealing.
 //
-// The interesting ratios are GroupCommit/PerTxn rows/s (the fsync
-// amortization at 16 committers) and the fsyncs/op column (how many
-// physical syncs a fixed row count costs on each path).
+// The fsyncs/op column shows how many physical syncs a fixed row count
+// costs on each path.
 
 import (
 	"fmt"
@@ -39,11 +36,12 @@ func ingestTuple(i int) tdb.Tuple {
 
 // openIngestDB opens a durable on-disk database with a fresh WAL and an
 // empty temporal relation to ingest into.
-func openIngestDB(b *testing.B, opts tdb.Options) (*tdb.DB, *tdb.Relation) {
+func openIngestDB(b *testing.B) (*tdb.DB, *tdb.Relation) {
 	b.Helper()
-	opts.Clock = temporal.NewLogicalClock(temporal.Date(1985, 1, 1))
-	opts.Sync = true
-	db, err := tdb.Open(filepath.Join(b.TempDir(), "tdb.wal"), opts)
+	db, err := tdb.Open(filepath.Join(b.TempDir(), "tdb.wal"), tdb.Options{
+		Clock: temporal.NewLogicalClock(temporal.Date(1985, 1, 1)),
+		Sync:  true,
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -87,16 +85,8 @@ func BenchmarkIngestThroughput(b *testing.B) {
 	fsyncs := obs.Default.Counter("tdb_wal_fsyncs_total", "")
 	modes := []struct {
 		name   string
-		opts   tdb.Options
 		ingest func(b *testing.B, db *tdb.DB, rel *tdb.Relation)
 	}{
-		{
-			name: "mode=PerTxn",
-			opts: tdb.Options{GroupCommitMaxBatch: 1},
-			ingest: func(b *testing.B, db *tdb.DB, _ *tdb.Relation) {
-				ingestConcurrent(b, db)
-			},
-		},
 		{
 			name: "mode=GroupCommit",
 			ingest: func(b *testing.B, db *tdb.DB, _ *tdb.Relation) {
@@ -126,7 +116,7 @@ func BenchmarkIngestThroughput(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				db, rel := openIngestDB(b, m.opts)
+				db, rel := openIngestDB(b)
 				before := fsyncs.Value()
 				b.StartTimer()
 				m.ingest(b, db, rel)

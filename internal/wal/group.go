@@ -27,16 +27,11 @@ import (
 // replace of a key whose insert was lost), and only a reopen knows which
 // prefix the log holds.
 
-// DefaultGroupMaxBatch caps how many records one flush coalesces when
-// GroupOptions.MaxBatch does not choose a cap.
-const DefaultGroupMaxBatch = 512
+// maxBatch caps how many records one flush coalesces.
+const maxBatch = 512
 
 // GroupOptions configure a GroupCommitter.
 type GroupOptions struct {
-	// MaxBatch caps the records coalesced per flush. Zero means
-	// DefaultGroupMaxBatch; 1 degenerates to one write+fsync per
-	// transaction (the per-txn-commit baseline).
-	MaxBatch int
 	// MaxWait is how long the leader lingers after the first record of a
 	// batch arrives, hoping more committers show up. Zero (the default)
 	// flushes immediately — batching still emerges from commits that
@@ -69,10 +64,9 @@ type pendingRec struct {
 // owns all appends to its Log: callers enqueue, the leader goroutine
 // writes.
 type GroupCommitter struct {
-	log      *Log
-	maxBatch int
-	maxWait  time.Duration
-	notify   func()
+	log     *Log
+	maxWait time.Duration
+	notify  func()
 
 	mu     sync.Mutex
 	queue  []pendingRec
@@ -84,19 +78,14 @@ type GroupCommitter struct {
 	done chan struct{} // closed when the leader exits
 }
 
-// NewGroupCommitter starts a leader goroutine flushing l. A zero MaxBatch
-// means DefaultGroupMaxBatch.
+// NewGroupCommitter starts a leader goroutine flushing l.
 func NewGroupCommitter(l *Log, opts GroupOptions) *GroupCommitter {
-	if opts.MaxBatch <= 0 {
-		opts.MaxBatch = DefaultGroupMaxBatch
-	}
 	g := &GroupCommitter{
-		log:      l,
-		maxBatch: opts.MaxBatch,
-		maxWait:  opts.MaxWait,
-		notify:   opts.Notify,
-		wake:     make(chan struct{}, 1),
-		done:     make(chan struct{}),
+		log:     l,
+		maxWait: opts.MaxWait,
+		notify:  opts.Notify,
+		wake:    make(chan struct{}, 1),
+		done:    make(chan struct{}),
 	}
 	go g.run()
 	return g
@@ -202,9 +191,9 @@ func (g *GroupCommitter) run() {
 			<-g.wake
 			continue
 		}
-		wait, enough := g.maxWait, g.maxBatch
+		wait, enough := g.maxWait, maxBatch
 		if wait == 0 && n < expect && took/4 >= minPatience && calm >= missRest {
-			wait, enough = took/4, min(expect, g.maxBatch)
+			wait, enough = took/4, min(expect, maxBatch)
 		}
 		switch {
 		case wait > 0 && n < enough && !closed:
@@ -225,7 +214,7 @@ func (g *GroupCommitter) run() {
 				}
 			}
 			timer.Stop()
-		case n < g.maxBatch && !closed:
+		case n < maxBatch && !closed:
 			// Nothing to wait for: linger opportunistically instead. Each
 			// yield lets runnable committers finish the enqueue they are
 			// already inside, growing the batch at scheduler-switch cost —
@@ -237,7 +226,7 @@ func (g *GroupCommitter) run() {
 			for yields := 0; yields < 8; yields++ {
 				runtime.Gosched()
 				grown, closed := g.queued()
-				if grown == n || grown >= g.maxBatch || closed {
+				if grown == n || grown >= maxBatch || closed {
 					break
 				}
 				n = grown
@@ -260,7 +249,7 @@ func (g *GroupCommitter) queued() (n int, closed bool) {
 // returned, before any is released to come back — and how long that took.
 func (g *GroupCommitter) flushPrefix() (crowd int, took time.Duration) {
 	g.mu.Lock()
-	n := min(len(g.queue), g.maxBatch)
+	n := min(len(g.queue), maxBatch)
 	batch := slices.Clone(g.queue[:n])
 	g.queue = slices.Delete(g.queue, 0, n) // zeroes the vacated tail
 	g.mu.Unlock()

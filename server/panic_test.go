@@ -5,28 +5,24 @@ import (
 	"testing"
 
 	"tdb"
-	"tdb/internal/command"
 )
 
 // The "test panic" verb inserts a row inside a transaction and panics
 // before the transaction returns.
 func init() {
-	command.Register(command.Command{
-		Name: "test panic",
-		Help: "panic inside a transaction (tests only)",
-		Run: func(db *tdb.DB, _ string) (command.Result, error) {
-			return command.Result{}, db.Update(func(tx *tdb.Tx) error {
-				h, err := tx.Rel("p")
-				if err != nil {
-					return err
-				}
-				if err := h.Insert(tdb.NewTuple(tdb.String("lost"))); err != nil {
-					return err
-				}
-				panic("test panic")
-			})
-		},
-	})
+	verbs["test panic"] = verb{"panic inside a transaction (tests only)", func(db *tdb.DB) Response {
+		err := db.Update(func(tx *tdb.Tx) error {
+			h, err := tx.Rel("p")
+			if err != nil {
+				return err
+			}
+			if err := h.Insert(tdb.NewTuple(tdb.String("lost"))); err != nil {
+				return err
+			}
+			panic("test panic")
+		})
+		return Response{Error: err.Error()}
+	}}
 }
 
 // A panicking request is answered with an internal error and its

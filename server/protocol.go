@@ -104,12 +104,13 @@ const (
 )
 
 // Request is one client message: TQuel source to execute, or an admin
-// command when Cmd is set (Src is ignored then). Supported commands:
-// "cache" (report query-cache statistics), "cache clear" (drop every
-// cached result), and "repl" (1.1+: switch the connection into a one-way
-// replication feed resuming from the Epoch/Offset cursor; see
-// docs/replication.md). V carries the client's protocol version; empty
-// means a pre-versioning client, accepted as the current major.
+// command when Cmd is set (Src is ignored then). The commands are the
+// admin verbs of verbs.go ("cache", "cache clear", "config", "stats",
+// "help"), "batch" (1.2+, see the wire contract) and "repl" (1.1+: switch
+// the connection into a one-way replication feed resuming from the
+// Epoch/Offset cursor; see docs/replication.md). V carries the client's
+// protocol version; empty means a pre-versioning client, accepted as the
+// current major.
 type Request struct {
 	V   string `json:"v,omitempty"`
 	Src string `json:"src"`

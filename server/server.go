@@ -16,7 +16,6 @@ import (
 	"unicode/utf8"
 
 	"tdb"
-	"tdb/internal/command"
 	"tdb/internal/obs"
 	"tdb/internal/repl"
 	"tdb/tquel"
@@ -524,23 +523,6 @@ func protoLabel(v string) string {
 	default:
 		return "other"
 	}
-}
-
-// handleCmd serves the admin commands carried by Request.Cmd through the
-// shared verb registry (internal/command) — the same set tdbcli
-// dispatches, so a new verb registers once and works everywhere. A
-// disabled cache still answers "cache" (zeroed stats with max_bytes 0) so
-// operators can tell "off" from "cold".
-func (s *Server) handleCmd(cmd string) Response {
-	res, err := command.Dispatch(s.db, cmd)
-	if err != nil {
-		return Response{Error: err.Error()}
-	}
-	resp := Response{Cache: res.Cache}
-	if res.Text != "" {
-		resp.Outcomes = []Outcome{{Stmt: res.Stmt, Msg: res.Text}}
-	}
-	return resp
 }
 
 // truncate bounds a string for log lines, cutting at a rune boundary.

@@ -747,18 +747,25 @@ func eventAt(vc *ValidClause, ev *env, def temporal.Chronon) (temporal.Chronon, 
 }
 
 // setValue evaluates one entry of an update's set list for an attribute of
-// type typ, reading a string as a date when the attribute is an instant.
+// type typ. A string reads as the attribute's kind (a date for an instant),
+// and an int widens into a float attribute.
 func setValue(sc SetClause, typ tdb.ValueKind, ev *env) (tdb.Value, error) {
 	v, err := evalExpr(sc.Expr, ev)
-	if err != nil {
+	switch {
+	case err != nil:
 		return v, err
-	}
-	if typ == value.Instant && v.Kind() == value.String {
-		c, err := temporal.Parse(v.Str())
+	case v.Kind() == value.String && typ != value.String:
+		pv, err := value.Parse(typ, v.Str())
 		if err != nil {
-			return v, errf(sc.Pos, "cannot parse %q as a date", v.Str())
+			what := typ.String()
+			if typ == value.Instant {
+				what = "a date"
+			}
+			return v, errf(sc.Pos, "cannot parse %q as %s", v.Str(), what)
 		}
-		v = tdb.Instant(c)
+		return pv, nil
+	case v.Kind() == value.Int && typ == value.Float:
+		return tdb.Float(float64(v.Int())), nil
 	}
 	return v, nil
 }

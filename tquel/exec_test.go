@@ -443,6 +443,58 @@ func TestWhereComparisonsAndCoercions(t *testing.T) {
 	}
 }
 
+// A minus before a number makes a negative literal in a set list and a
+// where clause; an int sets a float attribute, and a string sets any
+// attribute it parses as.
+func TestNumberLiterals(t *testing.T) {
+	ses := NewSession(newDB(t))
+	if _, err := ses.Exec(`
+		create static relation r (k = string, x = int, f = float, b = bool) key (k)
+		range of t is r
+		append to r (k = "a", x = -5, f = -1.5, b = false)
+		append to r (k = "b", x = 3, f = 5, b = "true")
+		append to r (k = "c", x = "-7", f = "1e5", b = true)
+		replace t (x = -9, f = -2) where t.k = "c"
+	`); err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string]string{
+		`retrieve (t.k) where t.x > -6`:               "a b",
+		`retrieve (t.k) where t.x = -9`:               "c",
+		`retrieve (t.k) where t.f < -1.5`:             "c",
+		`retrieve (t.k) where t.f = 5`:                "b",
+		`retrieve (t.k) where t.f > -1.5 and t.b`:     "b",
+		`retrieve (t.k) where t.x >= - 5 and not t.b`: "a",
+	}
+	for q, want := range cases {
+		res, err := ses.Query(q)
+		if err != nil {
+			t.Errorf("%s: %v", q, err)
+			continue
+		}
+		var got []string
+		for _, row := range res.Rows {
+			got = append(got, row.Data[0].Str())
+		}
+		if strings.Join(got, " ") != want {
+			t.Errorf("%s = %v, want %s", q, got, want)
+		}
+	}
+	res, err := ses.Query(`retrieve (t.x, t.f) where t.k = "b"`)
+	if err != nil || res.Rows[0].Data[1].Kind() != tdb.FloatKind || res.Rows[0].Data[1].Float() != 5 {
+		t.Errorf("f = 5 stored as %v (%v)", res, err)
+	}
+	for src, msg := range map[string]string{
+		`append to r (k = "d", x = "seven", f = 1, b = true)`: `cannot parse "seven" as int`,
+		`append to r (k = "d", x = 1, f = 1, b = "maybe")`:    `cannot parse "maybe" as bool`,
+		`append to r (k = "d", x = -, f = 1, b = true)`:       `expected expression, found "-"`,
+	} {
+		if _, err := ses.Exec(src); err == nil || !strings.Contains(err.Error(), msg) {
+			t.Errorf("%s: %v, want %q", src, err, msg)
+		}
+	}
+}
+
 func TestWhenOperators(t *testing.T) {
 	db := newDB(t)
 	ses := NewSession(db)

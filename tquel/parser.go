@@ -643,6 +643,24 @@ func (p *parser) cmpExpr() (Expr, error) {
 	return l, nil
 }
 
+func isNumber(t Token) bool { return t.Kind == TokInt || t.Kind == TokFloat }
+
+// number reads the number token under the cursor as a literal at pos, its
+// text prefixed by sign.
+func (p *parser) number(pos Pos, sign string) (Expr, error) {
+	t := p.advance()
+	kind, what := value.Int, "integer"
+	if t.Kind == TokFloat {
+		kind, what = value.Float, "float"
+	}
+	text := sign + t.Text
+	v, err := value.Parse(kind, text)
+	if err != nil {
+		return nil, errf(pos, "bad %s literal %q", what, text)
+	}
+	return &Lit{Pos: pos, Value: v, Text: text}, nil
+}
+
 func (p *parser) primary() (Expr, error) {
 	t := p.cur()
 	switch {
@@ -651,20 +669,12 @@ func (p *parser) primary() (Expr, error) {
 		// value must not keep alive.
 		p.advance()
 		return &Lit{Pos: t.Pos, Value: tdb.String(strings.Clone(t.Text)), Text: t.Text}, nil
-	case t.Kind == TokInt:
+	case isNumber(t):
+		return p.number(t.Pos, "")
+	case t.Kind == TokPunct && t.Text == "-" && isNumber(p.toks[p.pos+1]):
+		// A minus directly before a number is part of its literal.
 		p.advance()
-		v, err := value.Parse(value.Int, t.Text)
-		if err != nil {
-			return nil, errf(t.Pos, "bad integer literal %q", t.Text)
-		}
-		return &Lit{Pos: t.Pos, Value: v, Text: t.Text}, nil
-	case t.Kind == TokFloat:
-		p.advance()
-		v, err := value.Parse(value.Float, t.Text)
-		if err != nil {
-			return nil, errf(t.Pos, "bad float literal %q", t.Text)
-		}
-		return &Lit{Pos: t.Pos, Value: v, Text: t.Text}, nil
+		return p.number(t.Pos, "-")
 	case t.Kind == TokPunct && t.Text == "(":
 		p.advance()
 		e, err := p.expr()
